@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-pipeline bench-optimizer bench-concurrency bench-resultcache bench-semcache bench-chaos bench-persist bench-sched bench-routing serve fuzz cover
+.PHONY: check vet build test race bench bench-pipeline bench-optimizer bench-concurrency bench-resultcache bench-semcache bench-chaos bench-persist bench-sched bench-routing benchmark-smoke serve fuzz cover
 
 check: vet build race
 
@@ -72,6 +72,14 @@ bench-sched:
 # (zero failures, every prompt failing over down the declared chain).
 bench-routing:
 	$(GO) test -run '^$$' -bench BenchmarkRoutingComparison -benchtime=1x .
+
+# Smoke-runs the repository benchmark (benchmark/README.md): all four
+# workloads at tiny request counts through a real galois-serve
+# subprocess. It fails on a wrong answer or a broken accounting
+# invariant (queries_served, response prompts vs backend prompts,
+# non-zero shed/retries); it gates no timing.
+benchmark-smoke:
+	bash benchmark/run.sh -smoke
 
 # Run the concurrent SQL server on the simulated world.
 serve:

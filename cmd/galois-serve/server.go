@@ -148,7 +148,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /query; use GET or POST", r.Method))
 		return
 	}
-	sql, err := querySQL(r)
+	// The URL is parsed once; every parameter below reads from params.
+	params := r.URL.Query()
+	sql, err := querySQL(r, params)
 	if err != nil {
 		// An over-limit body is its own status: truncating it would
 		// execute a prefix of the client's statement (or fail with a
@@ -162,7 +164,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Reject malformed ?plan= up front: silently treating a typo as
 	// "no plan" hides the mistake from the client.
-	wantPlan, err := planParam(r)
+	wantPlan, err := planParam(params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -170,12 +172,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Likewise ?class=/?weight= (scheduler band and deficit share) and
 	// ?stream= (delivery encoding): a typo is the client's error, not a
 	// silent fallback to the defaults.
-	class, weight, err := admissionParams(r)
+	class, weight, err := admissionParams(params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	mode, err := streamMode(r)
+	mode, err := streamMode(r, params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -183,7 +185,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ?route=role=backend[,role=backend...] pins this query's prompt
 	// roles to named backends; roles and backend names are validated up
 	// front so a typo answers 400 instead of executing unrouted.
-	routes, err := s.routeParam(r)
+	routes, err := s.routeParam(params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -227,6 +229,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// surface as a server error; check it up front so everything failing
 	// later — planning against the shared bindings, the model backend —
 	// maps to 5xx, which retry policies and monitoring treat correctly.
+	// The session executes this parsed statement; the text is not parsed
+	// again.
 	stmt, err := parser.Parse(sql)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -258,7 +262,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if mode != streamNone {
 		if fl, ok := w.(http.Flusher); ok {
-			s.streamQuery(ctx, w, fl, sess, sql, mode, wantPlan)
+			s.streamQuery(ctx, w, fl, sess, stmt, mode, wantPlan)
 			return
 		}
 		// The response writer can't flush (buffering middleware, some
@@ -266,7 +270,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// rather than holding rows hostage in an unflushable pipe.
 	}
 
-	rel, rep, err := sess.Query(ctx, sql)
+	rel, rep, err := sess.Run(ctx, stmt)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -308,8 +312,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // empty) means no plan; any other value must parse as a bool — a
 // malformed value like ?plan=frobnicate is the client's error, not a
 // silent "no plan".
-func planParam(r *http.Request) (bool, error) {
-	raw := r.URL.Query().Get("plan")
+func planParam(q url.Values) (bool, error) {
+	raw := q.Get("plan")
 	if raw == "" {
 		return false, nil
 	}
@@ -325,8 +329,7 @@ func planParam(r *http.Request) (bool, error) {
 // share within it. Unknown class spellings and out-of-range weights are
 // the client's error: silently running a "btach" query interactive
 // would defeat the operator's intent.
-func admissionParams(r *http.Request) (class string, weight int, err error) {
-	q := r.URL.Query()
+func admissionParams(q url.Values) (class string, weight int, err error) {
 	class = q.Get("class")
 	if _, err := llm.ParseClass(class); err != nil {
 		return "", 0, err
@@ -350,8 +353,8 @@ const maxAdmissionWeight = 64
 // role=backend pairs separated by commas — into the session's route
 // overrides, validating each role spelling and backend name against the
 // runtime's registry.
-func (s *server) routeParam(r *http.Request) (map[string]string, error) {
-	raw := r.URL.Query().Get("route")
+func (s *server) routeParam(q url.Values) (map[string]string, error) {
+	raw := q.Get("route")
 	if raw == "" {
 		return nil, nil
 	}
@@ -409,8 +412,8 @@ var errBodyTooLarge = errors.New("request body exceeds 1 MiB; pass the statement
 // querySQL extracts the SQL statement from a request: the `q` URL query
 // parameter, the `q` field of a form-encoded body, or the raw request
 // body.
-func querySQL(r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("q"); strings.TrimSpace(q) != "" {
+func querySQL(r *http.Request, params url.Values) (string, error) {
+	if q := params.Get("q"); strings.TrimSpace(q) != "" {
 		return strings.TrimSpace(q), nil
 	}
 	if r.Body == nil {

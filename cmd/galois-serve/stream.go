@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sql/ast"
 )
 
 // Streaming delivery: instead of materializing the whole relation
@@ -32,8 +34,8 @@ const (
 // application/x-ndjson selects NDJSON. Plain JSON clients are
 // untouched: absent both signals the buffered response stays the
 // default, so nothing changes for existing callers.
-func streamMode(r *http.Request) (string, error) {
-	if raw := r.URL.Query().Get("stream"); raw != "" {
+func streamMode(r *http.Request, params url.Values) (string, error) {
+	if raw := params.Get("stream"); raw != "" {
 		switch raw {
 		case "0", "false":
 			return streamNone, nil
@@ -86,15 +88,15 @@ type streamFailure struct {
 	Error string `json:"error"`
 }
 
-// streamQuery executes sql over sess and writes the result as a frame
+// streamQuery executes stmt over sess and writes the result as a frame
 // stream. Errors before the first frame still use the normal status
 // mapping (503/504/...); once the header is out every outcome travels
 // in-band. A client disconnect mid-stream cancels ctx, which fails the
 // executor's queued prompts and releases the scheduler tenant via the
 // deferred Close — the caller's admission slot is released when this
 // returns, exactly like a buffered query.
-func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, fl http.Flusher, sess *core.Session, sql, mode string, wantPlan bool) {
-	st, err := sess.QueryStream(ctx, sql)
+func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, fl http.Flusher, sess *core.Session, stmt ast.Statement, mode string, wantPlan bool) {
+	st, err := sess.RunStream(ctx, stmt)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

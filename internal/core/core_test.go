@@ -296,3 +296,81 @@ func TestDeterministicQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentPromptsPricedAtZero: with a prompt cache a never-seen
+// selection on population plans fetch-then-filter from the start (same
+// prompts as the boolean filter, but the values stay for every later
+// literal), and once a table scan has left every city.population fact
+// resident the fetches are priced at zero — EXPLAIN says so — and the
+// statement runs for zero prompts, in both execution
+// modes (the class reaches the cache through Tenant.Submit and through
+// the stop-and-go batch alike) and with a verifier, whose completions
+// are resident under their own model. With the prompt cache off the same
+// statement keeps the paper's per-key boolean prompts and EXPLAIN carries
+// no residency annotation.
+func TestResidentPromptsPricedAtZero(t *testing.T) {
+	const warmup = "SELECT name, population FROM city"
+	const q = "SELECT name FROM city WHERE population > 3000000"
+	ctx := context.Background()
+
+	explain := func(s *Session) string {
+		t.Helper()
+		rel, _, err := s.Query(ctx, "EXPLAIN "+q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.String()
+	}
+	for _, tc := range []struct{ pipelined, verify bool }{{true, false}, {false, false}, {true, true}} {
+		w := world.Build()
+		opts := DefaultOptions()
+		opts.Pipelined = tc.pipelined
+		if tc.verify {
+			opts.Verifier = simllm.New(simllm.GPT3, w, 1)
+		}
+		opts.Optimizer.CostBased = true
+		opts.ResultCacheEnabled = false // only the prompt cache may answer
+		rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)
+		if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
+			t.Fatal(err)
+		}
+		s := rt.NewSession()
+
+		// A verifier doubles the price of buying, so the first wave of
+		// boolean prompts is still the cheaper rent.
+		if plan := explain(s); strings.Contains(plan, "LLMFilter") != tc.verify || strings.Contains(plan, "resident=") {
+			t.Errorf("%+v, cold cache: want fetch-then-filter (boolean filter under a verifier) and no residency note:\n%s", tc, plan)
+		}
+		if _, _, err := s.Query(ctx, warmup); err != nil {
+			t.Fatal(err)
+		}
+		plan := explain(s)
+		if strings.Contains(plan, "LLMFilter") || !strings.Contains(plan, "LLMFetchAttr city.population") || !strings.Contains(plan, "prompts=0.0 resident=100%") {
+			t.Errorf("%+v, warm cache: want fetch-then-filter at resident=100%%:\n%s", tc, plan)
+		}
+		_, rep, err := s.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.Prompts != 0 || rep.Stats.CacheHits == 0 || rep.Stats.SimulatedLatency != 0 {
+			t.Errorf("%+v: resident plan cost %+v, want 0 prompts, all hits", tc, rep.Stats)
+		}
+	}
+
+	w := world.Build()
+	opts := DefaultOptions()
+	opts.Optimizer.CostBased = true
+	opts.CacheEnabled = false
+	opts.ResultCacheEnabled = false
+	rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)
+	if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
+		t.Fatal(err)
+	}
+	s := rt.NewSession()
+	if _, _, err := s.Query(ctx, warmup); err != nil {
+		t.Fatal(err)
+	}
+	if plan := explain(s); !strings.Contains(plan, "LLMFilter population") || strings.Contains(plan, "resident=") {
+		t.Errorf("cache off: plan must not depend on earlier queries:\n%s", plan)
+	}
+}

@@ -49,8 +49,13 @@ func explainNode(b *strings.Builder, n logical.Node, depth int, cost *optimizer.
 	b.WriteString(n.Describe())
 	if cost != nil {
 		if est, ok := cost.Nodes[n]; ok {
-			if est.Prompts > 0 {
+			if est.Prompts > 0 || est.Resident > 0 {
 				fmt.Fprintf(b, "  (est rows=%.1f prompts=%.1f", est.Rows, est.Prompts)
+				if est.Resident > 0 {
+					// The share of this operator's prompts the prompt
+					// cache already holds, priced at zero.
+					fmt.Fprintf(b, " resident=%.0f%%", 100*est.Resident)
+				}
 				if est.Backend != "" {
 					// Routed runtimes annotate which backend the
 					// operator's prompts go to.

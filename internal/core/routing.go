@@ -73,6 +73,36 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 	}
 }
 
+// residentFor builds the optimizer's prompt-cache residency hook: how
+// many completions of a prompt class are resident for the model the
+// role's prompts would be keyed under at execution — the same resolution
+// promptEnv performs. Nil (every prompt priced) when the prompt cache is
+// off.
+func (s *Session) residentFor(router *llm.Router, overrides map[llm.Role]string) func(role llm.Role, table string, class llm.PromptClass) int {
+	cache := s.rt.cache
+	if cache == nil {
+		return nil
+	}
+	return func(role llm.Role, table string, class llm.PromptClass) int {
+		pin := ""
+		if role != llm.RoleVerify {
+			pin = s.rt.tableBackend(table)
+		} else if _, routed := s.verifyRoute(overrides); !routed {
+			// Verification ignores table pins, and without a verify route
+			// it runs on the session's own verifier client.
+			if s.opts.Verifier == nil {
+				return 0
+			}
+			return cache.Resident(s.rt.registry.Adopt(s.opts.Verifier).Name(), class)
+		}
+		b, err := router.Backend(role, pin)
+		if err != nil {
+			return 0
+		}
+		return cache.Resident(b.Name(), class)
+	}
+}
+
 // promptEnv is one query's routed transport environment: a routing view
 // with the session's overrides applied, one stats recorder per distinct
 // failover chain (an unrouted runtime degenerates to exactly one), and

@@ -49,6 +49,7 @@ type Runtime struct {
 	// behavior bit for bit.
 	routed  bool
 	opts    Options
+	optsFP  string // optionsFingerprint(&opts): opening a session formats nothing
 	builder *prompt.Builder
 	// cache is the runtime-level prompt cache (nil when disabled): the
 	// shared stateful tier between the executor and the model, persistent
@@ -231,6 +232,7 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		llmDefs:    map[string]*schema.TableDef{},
 		compEpochs: map[string]uint64{},
 		opts:       opts,
+		optsFP:     optionsFingerprint(&opts),
 		builder:    prompt.NewBuilder(),
 		stats:      optimizer.NewStatistics(),
 	}
@@ -313,7 +315,7 @@ func (rt *Runtime) ResultCacheStats() rescache.Stats {
 // runtime's default options. Sessions are cheap (no pools, no maps) and
 // any number may run queries concurrently against one runtime.
 func (rt *Runtime) NewSession() *Session {
-	return &Session{rt: rt, opts: rt.opts}
+	return &Session{rt: rt, opts: rt.opts, optsFP: rt.optsFP}
 }
 
 // Engine wraps this runtime and a fresh default session in the

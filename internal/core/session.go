@@ -35,6 +35,9 @@ type Session struct {
 	// opts are this session's options, seeded from the runtime defaults.
 	// Mutate via SetOptions before issuing queries.
 	opts Options
+	// optsFP is optionsFingerprint(&opts), rendered once per SetOptions
+	// rather than on every query.
+	optsFP string
 
 	mu      sync.Mutex
 	queries int
@@ -54,6 +57,7 @@ func (s *Session) Options() Options { return s.opts }
 func (s *Session) SetOptions(opts Options) {
 	opts.normalize()
 	s.opts = opts
+	s.optsFP = optionsFingerprint(&s.opts)
 }
 
 // SessionStats summarize a session's lifetime usage.
@@ -136,6 +140,7 @@ func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras [
 		Workers:  workers,
 		Verifier: s.verifyEnabled(overrides),
 		Price:    s.priceFor(router),
+		Resident: s.residentFor(router, overrides),
 	}
 	if s.opts.Optimizer.CostBased {
 		plan, cost, _, err := optimizer.ChooseBestExtra(factory, s.opts.Optimizer, s.rt.stats, params, extras)
@@ -218,6 +223,13 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 	if err != nil {
 		return nil, nil, err
 	}
+	return s.Run(ctx, stmt)
+}
+
+// Run is Query over an already parsed statement, for callers that
+// parsed the text themselves (the server validates a statement before
+// admitting it and must not pay for the parse twice).
+func (s *Session) Run(ctx context.Context, stmt ast.Statement) (*schema.Relation, *Report, error) {
 	switch stmt := stmt.(type) {
 	case *ast.Explain:
 		return s.runExplain(ctx, stmt)
@@ -276,7 +288,7 @@ func (s *Session) runSelect(ctx context.Context, sel *ast.Select) (*schema.Relat
 			// observable results, so pushdown sessions neither produce
 			// nor consume subsumption entries.
 			e.Prod = &rescache.Producer{
-				Opts:      s.optionsFingerprint(),
+				Opts:      s.optsFP,
 				FromKey:   shape.FromKey,
 				FromLabel: shape.FromLabel,
 				Conjuncts: shape.ConjunctTexts(),
@@ -357,7 +369,7 @@ func (s *Session) residualCandidates(shape *logical.Shape, stamp string) []optim
 	if rc == nil || shape == nil || s.opts.Optimizer.PromptPushdown {
 		return nil
 	}
-	opts := s.optionsFingerprint()
+	opts := s.optsFP
 	var extras []optimizer.ExtraPlan
 	for _, c := range rc.Candidates(rescache.TablesKey(shape.Tables), stamp) {
 		if c.Prod.Opts != opts {
@@ -448,9 +460,8 @@ func (s *Session) executeResidual(ctx context.Context, plan logical.Node, cost *
 // computed (pipelining, worker budgets, the prompt cache, which
 // enumerated candidate wins) are deliberately excluded; the differential
 // harness pins them result-identical.
-func (s *Session) optionsFingerprint() string {
+func optionsFingerprint(o *Options) string {
 	var b strings.Builder
-	o := &s.opts
 	fmt.Fprintf(&b, "opt=%t,%t,%t,%t|", o.Optimizer.PushdownPredicates, o.Optimizer.UseLLMFilter,
 		o.Optimizer.PromptPushdown, o.Optimizer.CostBased)
 	writeSortedSet(&b, o.Optimizer.DisableLLMFilter)
@@ -471,7 +482,7 @@ func (s *Session) optionsFingerprint() string {
 // serialization — literals kept, table bindings folded in
 // (logical.Fingerprint).
 func (s *Session) resultFingerprint(plan logical.Node) string {
-	return s.optionsFingerprint() + logical.Fingerprint(plan)
+	return s.optsFP + logical.Fingerprint(plan)
 }
 
 // writeSortedSet renders a per-conjunct option set deterministically.

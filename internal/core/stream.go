@@ -83,9 +83,14 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 	if err != nil {
 		return nil, err
 	}
+	return s.RunStream(ctx, stmt)
+}
+
+// RunStream is QueryStream over an already parsed statement.
+func (s *Session) RunStream(ctx context.Context, stmt ast.Statement) (*Stream, error) {
 	sel, ok := stmt.(*ast.Select)
 	if !ok {
-		rel, rep, err := s.Query(ctx, sql)
+		rel, rep, err := s.Run(ctx, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +132,7 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 			// Same producer-retention rule as the buffered path: see
 			// runSelect.
 			e.Prod = &rescache.Producer{
-				Opts:      s.optionsFingerprint(),
+				Opts:      s.optsFP,
 				FromKey:   shape.FromKey,
 				FromLabel: shape.FromLabel,
 				Conjuncts: shape.ConjunctTexts(),

@@ -86,7 +86,7 @@ func TestBatchCachedCallerCancel(t *testing.T) {
 		return "", cctx.Err()
 	})
 	cache := NewCache(16)
-	_, err := CompleteBatchCached(ctx, client, cache, []string{"a", "b", "c"}, 2)
+	_, err := CompleteBatchCached(ctx, client, cache, PromptClass{}, []string{"a", "b", "c"}, 2)
 	if err == nil {
 		t.Fatal("want error")
 	}

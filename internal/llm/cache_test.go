@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,7 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok := c.Get("m", "p"); ok {
 		t.Fatal("empty cache must miss")
 	}
-	c.Put("m", "p", "out")
+	c.Put("m", PromptClass{}, "p", "out")
 	if got, ok := c.Get("m", "p"); !ok || got != "out" {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
@@ -23,7 +24,7 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok := c.Get("other", "p"); ok {
 		t.Error("model name must be part of the key")
 	}
-	c.Put("m", "p", "updated")
+	c.Put("m", PromptClass{}, "p", "updated")
 	if got, _ := c.Get("m", "p"); got != "updated" {
 		t.Errorf("Put must overwrite, got %q", got)
 	}
@@ -34,13 +35,13 @@ func TestCacheGetPut(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("m", "a", "1")
-	c.Put("m", "b", "2")
+	c.Put("m", PromptClass{}, "a", "1")
+	c.Put("m", PromptClass{}, "b", "2")
 	// Touch a so b becomes the least recently used.
 	if _, ok := c.Get("m", "a"); !ok {
 		t.Fatal("a must be resident")
 	}
-	c.Put("m", "c", "3")
+	c.Put("m", PromptClass{}, "c", "3")
 	if _, ok := c.Get("m", "b"); ok {
 		t.Error("b was least recently used and must be evicted")
 	}
@@ -58,7 +59,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDefaultCapacity(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < DefaultCacheSize+10; i++ {
-		c.Put("m", fmt.Sprintf("p%d", i), "out")
+		c.Put("m", PromptClass{}, fmt.Sprintf("p%d", i), "out")
 	}
 	if c.Len() != DefaultCacheSize {
 		t.Errorf("Len = %d, want %d", c.Len(), DefaultCacheSize)
@@ -80,7 +81,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], _, errs[g] = c.Fetch(context.Background(), "m", "same prompt", func() (string, error) {
+			outs[g], _, errs[g] = c.Fetch(context.Background(), "m", PromptClass{}, "same prompt", func() (string, error) {
 				<-gate // hold the flight open until all callers joined
 				atomic.AddInt32(&calls, 1)
 				return "answer", nil
@@ -107,7 +108,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheFetchStatsCounters(t *testing.T) {
 	c := NewCache(8)
 	fetch := func(prompt string) {
-		if _, _, err := c.Fetch(context.Background(), "m", prompt, func() (string, error) {
+		if _, _, err := c.Fetch(context.Background(), "m", PromptClass{}, prompt, func() (string, error) {
 			return "out", nil
 		}); err != nil {
 			t.Fatal(err)
@@ -126,7 +127,7 @@ func TestCacheFetchStatsCounters(t *testing.T) {
 func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(8)
 	boom := errors.New("boom")
-	if _, issued, err := c.Fetch(context.Background(), "m", "p", func() (string, error) {
+	if _, issued, err := c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
 		return "", boom
 	}); !issued || !errors.Is(err, boom) {
 		t.Fatalf("issued=%v err=%v", issued, err)
@@ -135,7 +136,7 @@ func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 		t.Error("errors must not be cached")
 	}
 	// The next fetch must retry the model.
-	out, issued, err := c.Fetch(context.Background(), "m", "p", func() (string, error) {
+	out, issued, err := c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
 		return "recovered", nil
 	})
 	if err != nil || !issued || out != "recovered" {
@@ -152,7 +153,7 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	release := make(chan struct{})
 
 	go func() {
-		c.Fetch(context.Background(), "m", "p", func() (string, error) {
+		c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
 			close(leaderStarted)
 			<-release
 			return "", context.Canceled // the leader's query went away
@@ -165,7 +166,7 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, _, err = c.Fetch(context.Background(), "m", "p", func() (string, error) {
+		out, _, err = c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
 			return "answer", nil
 		})
 	}()
@@ -192,7 +193,7 @@ func TestCompleteBatchCanceledContext(t *testing.T) {
 	if out, err := CompleteBatch(ctx, &echoClient{}, prompts, 2); err == nil {
 		t.Errorf("canceled batch returned %d outputs with nil error", len(out))
 	}
-	if out, err := CompleteBatchCached(ctx, &echoClient{}, NewCache(8), prompts, 2); err == nil {
+	if out, err := CompleteBatchCached(ctx, &echoClient{}, NewCache(8), PromptClass{}, prompts, 2); err == nil {
 		t.Errorf("canceled cached batch returned %d outputs with nil error", len(out))
 	}
 }
@@ -248,7 +249,7 @@ func TestCompleteBatchCachedDedup(t *testing.T) {
 	cache := NewCache(64)
 
 	prompts := []string{"a", "b", "a", "c", "b", "a", "a", "c"}
-	out, err := CompleteBatchCached(context.Background(), rec, cache, prompts, 4)
+	out, err := CompleteBatchCached(context.Background(), rec, cache, PromptClass{}, prompts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +276,11 @@ func TestCompleteBatchCachedCrossBatch(t *testing.T) {
 	ctx := context.Background()
 
 	prompts := []string{"a", "b", "c"}
-	if _, err := CompleteBatchCached(ctx, rec, cache, prompts, 2); err != nil {
+	if _, err := CompleteBatchCached(ctx, rec, cache, PromptClass{}, prompts, 2); err != nil {
 		t.Fatal(err)
 	}
 	warm := rec.Stats()
-	if _, err := CompleteBatchCached(ctx, rec, cache, prompts, 2); err != nil {
+	if _, err := CompleteBatchCached(ctx, rec, cache, PromptClass{}, prompts, 2); err != nil {
 		t.Fatal(err)
 	}
 	if client.calls != 3 {
@@ -315,7 +316,7 @@ func TestCompleteBatchCachedConcurrent(t *testing.T) {
 			for i := range prompts {
 				prompts[i] = fmt.Sprintf("p%02d", (b+i)%10)
 			}
-			out, err := CompleteBatchCached(ctx, client, cache, prompts, 4)
+			out, err := CompleteBatchCached(ctx, client, cache, PromptClass{}, prompts, 4)
 			if err != nil {
 				t.Error(err)
 				return
@@ -386,4 +387,124 @@ func TestJoinDistinct(t *testing.T) {
 	if strings.Count(err.Error(), "a") != 1 {
 		t.Errorf("duplicate messages must collapse: %v", err)
 	}
+}
+
+// checkResidency asserts the class-count invariant: the per-class
+// resident counts sum to Len, each equals what Resident reports, no zero
+// or negative count is retained, and every filter family holds exactly
+// the sum of its classes.
+func checkResidency(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	sum := 0
+	counts := make(map[classKey]int, len(c.resident)+len(c.families))
+	families := map[classKey]int{}
+	for ck, n := range c.resident {
+		if n <= 0 {
+			t.Errorf("class %+v retained with count %d", ck, n)
+		}
+		sum += n
+		counts[ck] = n
+		if fam, ok := ck.class.family(); ok {
+			families[classKey{ck.model, fam}] += n
+		}
+	}
+	if len(c.families) != len(families) {
+		t.Errorf("%d filter families retained, the classes make %d", len(c.families), len(families))
+	}
+	for ck, n := range families {
+		if c.families[ck] != n {
+			t.Errorf("family %+v counts %d, its classes sum to %d", ck, c.families[ck], n)
+		}
+		counts[ck] = n
+	}
+	entries := c.order.Len()
+	c.mu.Unlock()
+	if sum != entries {
+		t.Errorf("Σ resident = %d, Len = %d", sum, entries)
+	}
+	for ck, n := range counts {
+		if got := c.Resident(ck.model, ck.class); got != n {
+			t.Errorf("Resident(%+v) = %d, want %d", ck, got, n)
+		}
+	}
+}
+
+// residencyOp applies one random Put or Fetch over a small key space of
+// two models and five classes (the zero class included), so inserts,
+// overwrites, hits and evictions all occur.
+func residencyOp(c *Cache, rng *rand.Rand) {
+	classes := []PromptClass{{}, FetchClass("city", "population"), FetchClass("city", "mayor"),
+		FilterClass("city", "population", ">", "5"), FilterClass("city", "population", ">", "7")}
+	model := []string{"m1", "m2"}[rng.Intn(2)]
+	class := classes[rng.Intn(len(classes))]
+	prompt := fmt.Sprintf("key %d of %v", rng.Intn(12), class)
+	if rng.Intn(2) == 0 {
+		c.Put(model, class, prompt, "out")
+		return
+	}
+	_, _, _ = c.Fetch(context.Background(), model, class, prompt, func() (string, error) {
+		if rng.Intn(8) == 0 {
+			return "", errors.New("boom") // errors are never cached
+		}
+		return "out", nil
+	})
+}
+
+// TestCacheResidencyInvariant: after every step of random Put / Fetch /
+// evict sequences, at several capacities, the per-class counts match the
+// resident entries exactly.
+func TestCacheResidencyInvariant(t *testing.T) {
+	for _, capacity := range []int{1, 3, 16, 200} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c := NewCache(capacity)
+		for i := 0; i < 3000; i++ {
+			residencyOp(c, rng)
+			checkResidency(t, c)
+			if t.Failed() {
+				t.Fatalf("capacity %d: invariant broken at step %d", capacity, i)
+			}
+		}
+	}
+	// A class whose last entry is evicted disappears.
+	c := NewCache(1)
+	c.Put("m", FetchClass("city", "population"), "a", "1")
+	c.Put("m", FetchClass("city", "mayor"), "b", "2")
+	if got := c.Resident("m", FetchClass("city", "population")); got != 0 {
+		t.Errorf("evicted class still reports %d resident", got)
+	}
+	if got := c.Resident("m", FetchClass("CITY", "Mayor")); got != 1 {
+		t.Errorf("class names are case-insensitive: got %d resident, want 1", got)
+	}
+	// A filter family adds up its literals and ignores the fetch class.
+	c = NewCache(8)
+	c.Put("m", FilterClass("city", "population", ">", "5"), "a", "yes")
+	c.Put("m", FilterClass("city", "population", "<", "7"), "b", "no")
+	c.Put("m", FetchClass("city", "population"), "c", "9")
+	if got := c.Resident("m", FilterFamily("City", "population")); got != 2 {
+		t.Errorf("filter family holds %d completions, want 2", got)
+	}
+}
+
+// TestCacheResidencyConcurrent runs the same random traffic from many
+// goroutines (meaningful under -race) and checks the invariant holds
+// once they quiesce.
+func TestCacheResidencyConcurrent(t *testing.T) {
+	c := NewCache(24)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				residencyOp(c, rng)
+				if i%64 == 0 {
+					c.Resident("m1", FetchClass("city", "population"))
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	checkResidency(t, c)
 }

@@ -134,7 +134,7 @@ func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 	}
 	goroutinesAtMost(t, baseline)
 
-	if _, err := CompleteBatchCached(context.Background(), flaky, NewCache(64), prompts, 4); !errors.Is(err, boom) {
+	if _, err := CompleteBatchCached(context.Background(), flaky, NewCache(64), PromptClass{}, prompts, 4); !errors.Is(err, boom) {
 		t.Fatalf("CompleteBatchCached error = %v, want %v", err, boom)
 	}
 	goroutinesAtMost(t, baseline)

@@ -12,9 +12,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
+	"unicode"
 )
 
 // DefaultBatchWorkers is the fallback bound on concurrent prompt
@@ -93,8 +93,22 @@ func (s Stats) String() string {
 }
 
 // CountTokens approximates a tokenizer with whitespace splitting; good
-// enough for accounting and latency simulation.
-func CountTokens(s string) int { return len(strings.Fields(s)) }
+// enough for accounting and latency simulation. It equals
+// len(strings.Fields(s)) without building the fields: the count runs on
+// every prompt and completion the engine handles.
+func CountTokens(s string) int {
+	n := 0
+	inField := false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			inField = false
+		} else if !inField {
+			inField = true
+			n++
+		}
+	}
+	return n
+}
 
 // Latency model constants, set so that a typical Galois query
 // (~110 prompts, mostly batched) lands near the paper's ~20 s.
@@ -166,8 +180,7 @@ func (r *Recorder) Reset() {
 // scheduler: the prompt and its tokens accrue, but no latency — the
 // scheduler owns wall-clock accounting (critical path vs worker area),
 // and the query's makespan is merged into Stats at the end.
-func (r *Recorder) recordOverlapped(prompt, out string) {
-	pt, ct := CountTokens(prompt), CountTokens(out)
+func (r *Recorder) recordOverlapped(pt, ct int) {
 	r.mu.Lock()
 	r.stats.Prompts++
 	r.stats.PromptTokens += pt
@@ -230,7 +243,7 @@ func (r *Recorder) recordBatch(prompts, outputs []string, workers int) {
 // errors are joined into the returned one. When client is a *Recorder the
 // batch is accounted with overlapping latency.
 func CompleteBatch(ctx context.Context, client Client, prompts []string, workers int) ([]string, error) {
-	return CompleteBatchCached(ctx, client, nil, prompts, workers)
+	return CompleteBatchCached(ctx, client, nil, PromptClass{}, prompts, workers)
 }
 
 // CompleteBatchCached is CompleteBatch with a prompt cache: the batch is
@@ -239,8 +252,9 @@ func CompleteBatch(ctx context.Context, client Client, prompts []string, workers
 // identical prompts — including ones from other batches sharing the cache
 // — collapse into one in-flight call. Prompts answered without a model
 // call are recorded as cache hits with zero simulated latency. A nil
-// cache degrades to the plain batch behavior.
-func CompleteBatchCached(ctx context.Context, client Client, cache *Cache, prompts []string, workers int) ([]string, error) {
+// cache degrades to the plain batch behavior. A batch is one operator's
+// prompt wave, so its completions enter the cache under one class.
+func CompleteBatchCached(ctx context.Context, client Client, cache *Cache, class PromptClass, prompts []string, workers int) ([]string, error) {
 	if len(prompts) == 0 {
 		return nil, nil
 	}
@@ -291,7 +305,7 @@ func CompleteBatchCached(ctx context.Context, client Client, cache *Cache, promp
 				var out string
 				var err error
 				if cache != nil {
-					out, issued[i], err = cache.Fetch(ctx, client.Name(), distinct[i], func() (string, error) {
+					out, issued[i], err = cache.Fetch(ctx, client.Name(), class, distinct[i], func() (string, error) {
 						return raw.Complete(ctx, distinct[i])
 					})
 				} else {

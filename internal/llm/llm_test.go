@@ -36,13 +36,30 @@ func (e *echoClient) Complete(ctx context.Context, prompt string) (string, error
 	return "echo: " + prompt, nil
 }
 
+// TestCountTokens pins the field counter to strings.Fields — unicode
+// spaces, multi-byte runes and invalid UTF-8 included — and to zero
+// allocations: it runs on every prompt and completion.
 func TestCountTokens(t *testing.T) {
-	if got := CountTokens("one two  three\nfour"); got != 4 {
-		t.Errorf("CountTokens = %d", got)
+	cases := []string{
+		"", " ", "one", "one two  three\nfour", "  lead and trail \t\r\n",
+		"Has city Chicago population more than 1000000? Answer yes or no.",
+		"nbsp\u00a0sep", "em\u2003space line\u2028sep ideographic\u3000space", "zero\u200bwidth",
+		"naïve café 北京 🌍", "bad\xffutf8 \xc3( \x85 tail", "\v\f x",
 	}
-	if got := CountTokens(""); got != 0 {
-		t.Errorf("CountTokens empty = %d", got)
+	for _, c := range cases {
+		if got, want := CountTokens(c), len(strings.Fields(c)); got != want {
+			t.Errorf("CountTokens(%q) = %d, strings.Fields has %d", c, got, want)
+		}
 	}
+	var sink int
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range cases {
+			sink += CountTokens(c)
+		}
+	}); allocs != 0 {
+		t.Errorf("CountTokens allocates: %v allocs per run", allocs)
+	}
+	_ = sink
 }
 
 func TestRecorder(t *testing.T) {

@@ -539,7 +539,7 @@ func TestResilientCacheNeverPoisoned(t *testing.T) {
 	})
 	cache := NewCache(64)
 	for i := 0; i < 4; i++ {
-		out, _, err := cache.Fetch(context.Background(), rc.Name(), "p", func() (string, error) {
+		out, _, err := cache.Fetch(context.Background(), rc.Name(), PromptClass{}, "p", func() (string, error) {
 			return rc.Complete(context.Background(), "p")
 		})
 		if err != nil {

@@ -27,6 +27,14 @@ type Future struct {
 	err  error
 }
 
+// resolved is the done channel of every future that is settled at
+// Submit (a cancelled tenant, a resident prompt): already closed, shared.
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Wait blocks until the prompt completes (the scheduler always resolves a
 // future, including on error or cancellation).
 func (f *Future) Wait() (string, VTime, error) {
@@ -92,9 +100,9 @@ const DeficitQuantum = 1
 // promptCost is the deficit-counter currency of one prompt: its
 // estimated token count, floored at 1 so zero-token prompts still drain
 // deficit and the refill loop always terminates.
-func promptCost(prompt string) int64 {
-	if n := CountTokens(prompt); n > 1 {
-		return int64(n)
+func promptCost(tokens int) int64 {
+	if tokens > 1 {
+		return int64(tokens)
 	}
 	return 1
 }
@@ -337,13 +345,16 @@ func (b *band) purge(t *Tenant) []*job {
 	return q
 }
 
-// job is one queued or running prompt. cost is its deficit-counter
-// price in estimated prompt tokens.
+// job is one queued or running prompt. tokens is the prompt's estimated
+// token count — counted once at Submit, reused by the latency model and
+// the recorder — and cost its deficit-counter price derived from it.
 type job struct {
 	t      *Tenant
 	client Client
+	class  PromptClass
 	prompt string
 	ready  VTime
+	tokens int
 	cost   int64
 	f      *Future
 }
@@ -568,17 +579,40 @@ func (t *Tenant) Workers() int { return t.s.workers }
 // returns immediately; the shared pool resolves the future when a worker
 // slot of the client's endpoint is granted to this tenant. When client
 // is a *Recorder, tokens and prompt/cache counts are recorded on it, but
-// no latency — wall-clock lives in Makespan.
-func (t *Tenant) Submit(client Client, prompt string, ready VTime) *Future {
-	f := &Future{done: make(chan struct{})}
+// no latency — wall-clock lives in Makespan. class, when given, is the
+// prompt class the completion enters the cache under (the operator that
+// built the prompt knows it; omitted means unclassified).
+//
+// A prompt whose completion is resident in the cache is answered here,
+// at ready: the hit is counted and its recency bumped exactly as on the
+// slot path, but no goroutine starts, no worker slot or deficit is
+// spent and no tokens are counted — a fact already held costs a map
+// lookup. A cancelled tenant still fails first.
+func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...PromptClass) *Future {
 	if err := t.ctx.Err(); err != nil {
-		f.err = err
-		close(f.done)
-		return f
+		return &Future{done: resolved, err: err}
 	}
-	j := &job{t: t, client: client, prompt: prompt, ready: ready, cost: promptCost(prompt), f: f}
-	t.inflight.Add(1)
 	s := t.s
+	if s.cache != nil {
+		if out, ok := s.cache.hit(client.Name(), prompt); ok {
+			if rec, ok := client.(*Recorder); ok {
+				rec.recordCache(1, 0)
+			}
+			t.mu.Lock()
+			if ready > t.span {
+				t.span = ready
+			}
+			t.mu.Unlock()
+			return &Future{done: resolved, out: out, vt: ready}
+		}
+	}
+	f := &Future{done: make(chan struct{})}
+	tokens := CountTokens(prompt)
+	j := &job{t: t, client: client, prompt: prompt, ready: ready, tokens: tokens, cost: promptCost(tokens), f: f}
+	if len(class) > 0 {
+		j.class = class[0]
+	}
+	t.inflight.Add(1)
 	s.mu.Lock()
 	// Re-check under the lock: purge also runs under it, so a cancel
 	// landing between the check above and here cannot strand this job in
@@ -639,7 +673,7 @@ func (s *Scheduler) exec(j *job) {
 		j.f.err = err
 		return
 	}
-	j.f.out, j.f.vt, j.f.err = s.complete(j.t, j.client, j.prompt, j.ready)
+	j.f.out, j.f.vt, j.f.err = s.complete(j)
 }
 
 // purge fails every queued-but-not-running job of one tenant, freeing
@@ -670,7 +704,11 @@ func (t *Tenant) Close() {
 	t.purge(t.ctx.Err())
 }
 
-func (s *Scheduler) complete(t *Tenant, client Client, prompt string, ready VTime) (string, VTime, error) {
+// complete runs one job on its granted slot: through the cache when one
+// is configured (a prompt that became resident or in flight since Submit
+// still costs nothing), else straight to the model.
+func (s *Scheduler) complete(j *job) (string, VTime, error) {
+	t, client := j.t, j.client
 	// Unwrap the recorder: the scheduler does its own accounting so the
 	// recorder's per-call summed latency stays out of the pipelined model.
 	rec, _ := client.(*Recorder)
@@ -683,11 +721,11 @@ func (s *Scheduler) complete(t *Tenant, client Client, prompt string, ready VTim
 	issued := true
 	var err error
 	if s.cache != nil {
-		out, issued, err = s.cache.Fetch(t.ctx, client.Name(), prompt, func() (string, error) {
-			return raw.Complete(t.ctx, prompt)
+		out, issued, err = s.cache.Fetch(t.ctx, client.Name(), j.class, j.prompt, func() (string, error) {
+			return raw.Complete(t.ctx, j.prompt)
 		})
 	} else {
-		out, err = raw.Complete(t.ctx, prompt)
+		out, err = raw.Complete(t.ctx, j.prompt)
 	}
 	if err != nil {
 		return "", 0, err
@@ -695,22 +733,21 @@ func (s *Scheduler) complete(t *Tenant, client Client, prompt string, ready VTim
 
 	var lat time.Duration
 	if issued {
-		lat = promptLatency(CountTokens(prompt), CountTokens(out))
-	}
-	if rec != nil {
-		if issued {
-			rec.recordOverlapped(prompt, out)
+		ct := CountTokens(out)
+		lat = promptLatency(j.tokens, ct)
+		if rec != nil {
+			rec.recordOverlapped(j.tokens, ct)
 		}
-		if s.cache != nil {
-			if issued {
-				rec.recordCache(0, 1)
-			} else {
-				rec.recordCache(1, 0)
-			}
+	}
+	if rec != nil && s.cache != nil {
+		if issued {
+			rec.recordCache(0, 1)
+		} else {
+			rec.recordCache(1, 0)
 		}
 	}
 
-	end := ready + lat
+	end := j.ready + lat
 	t.mu.Lock()
 	t.work[client.Name()] += lat
 	if end > t.span {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -498,5 +499,97 @@ func TestSchedulerSubmitAfterCancelResolvesImmediately(t *testing.T) {
 	defer tn.Close()
 	if _, _, err := tn.Do(&echoLLM{name: "m", answer: "x"}, "p", 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// holdLLM occupies a worker slot of endpoint "m" from its single call
+// until released.
+type holdLLM struct{ started, release chan struct{} }
+
+func (h *holdLLM) Name() string { return "m" }
+func (h *holdLLM) Complete(ctx context.Context, p string) (string, error) {
+	close(h.started)
+	select {
+	case <-h.release:
+		return "held", nil
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+}
+
+// TestSubmitResolvesResidentPromptInline: a prompt whose completion is
+// resident is answered inside Submit — at its ready time, with no
+// goroutine, worker slot, deficit or token accounting — while the hit is
+// counted exactly as the cache-mediated stop-and-go path counts it, and
+// a cancelled tenant still fails first.
+func TestSubmitResolvesResidentPromptInline(t *testing.T) {
+	const prompt = "What is the population of Chicago?"
+	class := FetchClass("city", "population")
+	warm := func() (*Cache, *Recorder) {
+		cache := NewCache(8)
+		cache.Put("m", class, prompt, "2700000")
+		return cache, NewRecorder(&echoLLM{name: "m", answer: "never asked"})
+	}
+
+	// Reference: the same hit through the stop-and-go path.
+	slowCache, slowRec := warm()
+	if _, err := CompleteCached(context.Background(), slowRec, slowCache, prompt); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, rec := warm()
+	s := NewScheduler(cache, 1)
+	// Hold the endpoint's only worker slot: an inline hit must not need it.
+	gate := &holdLLM{started: make(chan struct{}), release: make(chan struct{})}
+	holder := tenant(s, t)
+	held := holder.Submit(gate, "occupies the slot", 0)
+	<-gate.started
+
+	tn := tenant(s, t)
+	before := runtime.NumGoroutine()
+	const ready = 3 * time.Second
+	f := tn.Submit(rec, prompt, ready, class)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("inline hit spawned goroutines: %d -> %d", before, got)
+	}
+	select {
+	case <-f.done:
+	default:
+		t.Fatal("resident prompt not resolved at Submit")
+	}
+	out, vt, err := f.Wait()
+	if err != nil || out != "2700000" || vt != ready {
+		t.Errorf("Wait = %q, %v, %v; want the resident completion at vt %v", out, vt, err, ready)
+	}
+	if g := s.Gauges(); g.Interactive.Busy != 1 || g.Interactive.Queued != 0 || g.Interactive.Drained != 0 {
+		t.Errorf("inline hit touched the dispatch state (1 held slot expected): %+v", g.Interactive)
+	}
+	if tn.AggregateWork() != 0 || tn.CriticalPath() != ready {
+		t.Errorf("hit accounting: work %v, critical path %v; want 0 and %v", tn.AggregateWork(), tn.CriticalPath(), ready)
+	}
+	if got, want := rec.Stats(), slowRec.Stats(); got != want || got.CacheHits != 1 || got.Prompts != 0 || got.PromptTokens != 0 {
+		t.Errorf("recorder stats = %+v, slow path = %+v", got, want)
+	}
+	// (The held prompt is this cache's one miss, still in flight.)
+	if got, want := cache.Stats().Hits, slowCache.Stats().Hits; got != want || got != 1 {
+		t.Errorf("cache hits = %d, slow path = %d", got, want)
+	}
+
+	close(gate.release)
+	if _, _, err := held.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, "held slot", func() bool { return s.Busy() == 0 })
+
+	// A cancelled context wins over a hit, and counts none.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := s.Tenant(ctx, "")
+	defer cancelled.Close()
+	cancel()
+	if _, _, err := cancelled.Submit(rec, prompt, 0, class).Wait(); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled tenant: err = %v, want context.Canceled", err)
+	}
+	if got := cache.Stats().Hits; got != 1 {
+		t.Errorf("cancelled submit counted a hit: %d", got)
 	}
 }

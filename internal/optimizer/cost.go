@@ -42,6 +42,12 @@ type CostParams struct {
 	// with its pricing coefficients. Nil means a single unpriced backend:
 	// Cost degenerates to Prompts and estimates carry no routes.
 	Price func(role llm.Role, table string) BackendPrice
+	// Resident reports how many completions of one prompt class are
+	// resident in the prompt cache for the model the role routes to on
+	// the given table. A per-key prompt stage is priced only for the share
+	// of its input expected to miss: a fact already held costs no prompt.
+	// Nil (no prompt cache) prices every prompt, as the paper does.
+	Resident func(role llm.Role, table string, class llm.PromptClass) int
 }
 
 // NodeEstimate is the planner's prediction for one operator.
@@ -61,6 +67,9 @@ type NodeEstimate struct {
 	// Backend names the model backend this operator's prompts route to;
 	// empty when the estimate ran unpriced (single-backend runtime).
 	Backend string
+	// Resident is the share of this operator's per-key prompts expected
+	// to be answered by the prompt cache (0 when none, or no cache).
+	Resident float64
 }
 
 // PlanCost is the full cost prediction for one candidate plan.
@@ -79,6 +88,12 @@ type PlanCost struct {
 	// dependency path and the busiest endpoint's work spread over its
 	// worker budget.
 	Latency time.Duration
+	// Overrented counts the boolean-filter stages that would rent again
+	// past the rent-or-buy point (see estimator.overrented). The planner
+	// prefers any candidate with fewer of them, whatever it costs: its
+	// fetch-then-filter sibling buys the attribute once for every literal
+	// to come. Always 0 without a prompt cache.
+	Overrented int
 	// Candidates is the number of plans the cost-based optimizer
 	// compared (1 when the plan was estimated without enumeration).
 	Candidates int
@@ -234,6 +249,69 @@ var (
 	filterLat = llm.EstimateLatency(filterPromptTokens, filterAnswerTokens)
 )
 
+// residentShare estimates the fraction of one per-key prompt stage the
+// prompt cache already holds: resident completions of the stage's class
+// over the table's key count, capped at 1.
+func (e *estimator) residentShare(role llm.Role, table string, class llm.PromptClass) float64 {
+	if e.p.Resident == nil {
+		return 0
+	}
+	keys := e.st.Table(table).Keys
+	if keys <= 0 {
+		return 0
+	}
+	if share := float64(e.p.Resident(role, table, class)) / keys; share < 1 {
+		return share
+	}
+	return 1
+}
+
+// overrented applies the rent-or-buy rule to one boolean-filter stage
+// over rows tuples that would spend rent (weighted cost) on prompts not
+// yet resident. A filter completion answers one literal; a fetched value
+// answers every literal ever asked of the attribute, and with a prompt
+// cache it stays. So boolean prompts are rented only while everything
+// spent on the attribute's filters — the completions still resident for
+// other literals plus this wave — stays below the price of fetching the
+// attribute for the same tuples; from then on the stage is overrented.
+// This is the break-even rule of the ski-rental problem: the bill never
+// exceeds twice the best in hindsight, and — what the myopic comparison
+// of the two stage prices lacks — it depends on how many statements
+// filtered the attribute, not on which came first. Backends of equal
+// price buy at first sight; a filter backend at a quarter of the fetch
+// price rents three waves. A wave that is already resident is free and
+// never overrented.
+func (e *estimator) overrented(table, attr string, class llm.PromptClass, rows, rent float64, bp BackendPrice) bool {
+	if e.p.Resident == nil || rent <= 0 {
+		return false
+	}
+	spent := e.p.Resident(llm.RoleFilter, table, llm.FilterFamily(table, attr)) - e.p.Resident(llm.RoleFilter, table, class)
+	fetch := e.price(llm.RoleFetch, table)
+	buy := rows * (1 - e.residentShare(llm.RoleFetch, table, llm.FetchClass(table, attr))) * fetch.CostWeight
+	if e.p.Verifier {
+		buy += rows * (1 - e.residentShare(llm.RoleVerify, table, llm.FetchClass(table, attr))) * e.price(llm.RoleVerify, table).CostWeight
+	}
+	const eps = 1e-9
+	return float64(spent)*bp.CostWeight+rent >= buy-eps
+}
+
+// keyStage prices one streaming per-key prompt operator over in.Rows
+// tuples of which the resident share hits the cache: the prompts that
+// reach the model accrue on the backend's cost and work area, and the
+// stage adds prompt latency to the dependency chain unless every prompt
+// is resident.
+func (e *estimator) keyStage(in NodeEstimate, bp BackendPrice, base time.Duration, resident float64) (issued float64, start, done time.Duration) {
+	issued = in.Rows * (1 - resident)
+	unit := bp.unit(base)
+	e.workBy[bp.Backend] += time.Duration(issued * float64(unit))
+	e.out.Cost += issued * bp.CostWeight
+	if resident >= 1 {
+		return issued, in.Start, in.Done
+	}
+	start, done = promptStage(in, unit, e.waves(issued, unit))
+	return issued, start, done
+}
+
 // promptStage models one streaming per-tuple prompt operator: the first
 // output row lands one prompt latency after the first input row, the
 // last no earlier than one prompt latency after the last input row and
@@ -280,33 +358,34 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 
 	case *logical.FetchAttr:
 		in := e.node(node.Input)
-		prompts := in.Rows
+		class := llm.FetchClass(node.Table.Name, node.Attr)
 		bp := e.price(llm.RoleFetch, node.Table.Name)
-		unit := bp.unit(attrLat)
-		start, done := promptStage(in, unit, e.waves(in.Rows, unit))
-		e.workBy[bp.Backend] += time.Duration(in.Rows * float64(unit))
-		e.out.Cost += in.Rows * bp.CostWeight
+		resident := e.residentShare(llm.RoleFetch, node.Table.Name, class)
+		prompts, start, done := e.keyStage(in, bp, attrLat, resident)
 		if e.p.Verifier {
-			prompts *= 2
 			vbp := e.price(llm.RoleVerify, node.Table.Name)
-			vkey := verifierEndpoint
-			if e.p.Price != nil {
-				vkey = vbp.Backend
+			if e.p.Price == nil {
+				vbp.Backend = verifierEndpoint
 			}
-			e.workBy[vkey] += time.Duration(in.Rows * float64(vbp.unit(attrLat)))
-			e.out.Cost += in.Rows * vbp.CostWeight
+			// The verifier overlaps on its own endpoint: it adds prompts
+			// and work, not chain latency.
+			verify, _, _ := e.keyStage(in, vbp, attrLat, e.residentShare(llm.RoleVerify, node.Table.Name, class))
+			prompts += verify
 		}
-		return e.record(n, NodeEstimate{Rows: in.Rows, Prompts: prompts, Start: start, Done: done, Backend: bp.Backend})
+		return e.record(n, NodeEstimate{Rows: in.Rows, Prompts: prompts, Start: start, Done: done, Backend: bp.Backend, Resident: resident})
 
 	case *logical.LLMFilter:
 		in := e.node(node.Input)
 		sel := e.conjunctSelectivity(node.Cond)
 		bp := e.price(llm.RoleFilter, node.Table.Name)
-		unit := bp.unit(filterLat)
-		start, done := promptStage(in, unit, e.waves(in.Rows, unit))
-		e.workBy[bp.Backend] += time.Duration(in.Rows * float64(unit))
-		e.out.Cost += in.Rows * bp.CostWeight
-		return e.record(n, NodeEstimate{Rows: in.Rows * sel, Prompts: in.Rows, Start: start, Done: done, Backend: bp.Backend})
+		attr := node.Cond.Left.(*ast.ColumnRef).Name
+		class := llm.FilterClass(node.Table.Name, attr, node.Cond.Op, node.Cond.Right.(*ast.Literal).Val.String())
+		resident := e.residentShare(llm.RoleFilter, node.Table.Name, class)
+		prompts, start, done := e.keyStage(in, bp, filterLat, resident)
+		if e.overrented(node.Table.Name, attr, class, in.Rows, prompts*bp.CostWeight, bp) {
+			e.out.Overrented++
+		}
+		return e.record(n, NodeEstimate{Rows: in.Rows * sel, Prompts: prompts, Start: start, Done: done, Backend: bp.Backend, Resident: resident})
 
 	case *logical.Filter:
 		in := e.node(node.Input)

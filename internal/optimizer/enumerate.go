@@ -201,18 +201,14 @@ func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Sta
 	return best.plan, best.cost, summaries, nil
 }
 
-// Cheaper reports whether a costs strictly less than b under the
-// planner's order. Sessions running without cost-based enumeration use
-// it to decide whether a residual plan over a cached relation beats the
+// Cheaper reports whether a costs strictly less than b: the
+// backend-weighted prompt cost dominates (it is the money), the estimated
+// makespan breaks ties. On an unpriced estimate Cost equals Prompts, so
+// single-backend planning is ordered exactly as before routing existed.
+// Sessions running without cost-based enumeration use it to decide
+// whether a residual plan over a cached relation beats the
 // fixed-heuristic plan; strictness means fresh execution wins full ties.
-func Cheaper(a, b *PlanCost) bool { return less(a, b) }
-
-// less orders candidate costs: the backend-weighted prompt cost
-// dominates (it is the money), the estimated makespan breaks ties. On an
-// unpriced estimate Cost equals Prompts, so single-backend planning is
-// ordered exactly as before routing existed. Strict comparison keeps the
-// first (paper-shaped) candidate on full ties.
-func less(a, b *PlanCost) bool {
+func Cheaper(a, b *PlanCost) bool {
 	const eps = 1e-9
 	if a.Cost < b.Cost-eps {
 		return true
@@ -221,4 +217,16 @@ func less(a, b *PlanCost) bool {
 		return false
 	}
 	return a.Latency < b.Latency
+}
+
+// less is the enumeration's order: a candidate that rents boolean
+// prompts past the rent-or-buy point loses to one that does not (its
+// fetch-then-filter sibling is always among the candidates; only ever
+// the case with a prompt cache), then Cheaper decides. Strict comparison
+// keeps the first (paper-shaped) candidate on full ties.
+func less(a, b *PlanCost) bool {
+	if a.Overrented != b.Overrented {
+		return a.Overrented < b.Overrented
+	}
+	return Cheaper(a, b)
 }

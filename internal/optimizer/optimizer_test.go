@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
@@ -439,5 +440,144 @@ func TestJoinOrderChangesEstimatedLatency(t *testing.T) {
 	}
 	if paper.Latency == swapped.Latency {
 		t.Errorf("join order should change the estimated makespan (build side blocks probing); both sides estimate %s", paper.Latency)
+	}
+}
+
+// TestResidencyPricing pins cache-aware costing. Without a prompt cache
+// (nil hook) the key-only selection keeps the paper's per-key boolean
+// prompt. With one and nothing resident the two lowerings cost the same
+// prompts, and the planner buys: fetch-then-filter leaves values every
+// later literal can use (TestRentOrBuy covers unequal prices). Once the
+// fetch class of the filtered attribute is fully resident,
+// fetch-then-filter costs the scan pages alone; and a residual plan over
+// a cached relation (zero prompts) still beats both.
+func TestResidencyPricing(t *testing.T) {
+	sql := "SELECT name FROM city WHERE population > 1000000"
+	sel, err := parser.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	st := NewStatistics()
+	st.SetTableKeys("city", 24)
+	pages := st.Table("city").ScanPrompts(24)
+
+	plan, off, _, err := ChooseBest(factory, Defaults(), st, CostParams{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explain := logical.Explain(plan); !strings.Contains(explain, "LLMFilter population") {
+		t.Errorf("no prompt cache should keep the boolean prompt filter:\n%s", explain)
+	}
+	if want := pages + 24; off.Prompts != want || off.Overrented != 0 {
+		t.Errorf("no prompt cache: est prompts = %v (overrented %d), want %v (0)", off.Prompts, off.Overrented, want)
+	}
+
+	cold := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
+	plan, cost, _, err := ChooseBest(factory, Defaults(), st, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explain := logical.Explain(plan); strings.Contains(explain, "LLMFilter") || !strings.Contains(explain, "LLMFetchAttr city.population") {
+		t.Errorf("residency 0 at equal prices should buy the attribute:\n%s", explain)
+	}
+	if cost.Prompts != off.Prompts {
+		t.Errorf("residency 0: est prompts = %v, want the boolean plan's %v", cost.Prompts, off.Prompts)
+	}
+
+	fetchClass := llm.FetchClass("city", "population")
+	warm := CostParams{Workers: 8, Resident: func(role llm.Role, table string, class llm.PromptClass) int {
+		if role == llm.RoleFetch && table == "city" && class == fetchClass {
+			return 24
+		}
+		return 0
+	}}
+	plan, cost, _, err = ChooseBest(factory, Defaults(), st, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explain := logical.Explain(plan)
+	if strings.Contains(explain, "LLMFilter") || !strings.Contains(explain, "LLMFetchAttr city.population") {
+		t.Errorf("resident fetch class should plan fetch-then-filter:\n%s", explain)
+	}
+	if cost.Prompts != pages {
+		t.Errorf("fully resident fetch: est prompts = %v, want the %v scan pages only", cost.Prompts, pages)
+	}
+	var fetch NodeEstimate
+	for n, est := range cost.Nodes {
+		if _, ok := n.(*logical.FetchAttr); ok {
+			fetch = est
+		}
+	}
+	if fetch.Resident != 1 || fetch.Prompts != 0 {
+		t.Errorf("fetch node estimate = %+v, want resident 1, prompts 0", fetch)
+	}
+
+	residual := ExtraPlan{
+		Plan:  logical.NewCachedScan("city", "fp", "stamp", 5, schema.New(schema.Column{Table: "city", Name: "name", Type: value.KindString})),
+		Label: "residual over cached(city)",
+	}
+	for name, p := range map[string]CostParams{"cold": cold, "warm": warm} {
+		_, cost, _, err := ChooseBestExtra(factory, Defaults(), st, p, []ExtraPlan{residual})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost.Choice != residual.Label || cost.Prompts != 0 {
+			t.Errorf("%s: residual plan should win on strict cost, chose %q (%v prompts)", name, cost.Choice, cost.Prompts)
+		}
+	}
+}
+
+// TestRentOrBuy pins the break-even rule on a routed runtime whose
+// filter backend charges a quarter of the fetch backend: the boolean
+// prompt is rented while the filter completions resident for the
+// attribute under other literals, plus this wave, cost less than one
+// fetch of the attribute — three waves — and the fourth statement buys.
+// A wave that is itself resident stays a free boolean filter however
+// much was spent.
+func TestRentOrBuy(t *testing.T) {
+	sel, err := parser.ParseSelect("SELECT name FROM city WHERE population > 1000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	st := NewStatistics()
+	st.SetTableKeys("city", 24)
+	price := func(role llm.Role, _ string) BackendPrice {
+		if role == llm.RoleFilter {
+			return BackendPrice{Backend: "cheap", CostWeight: 0.25, SpeedFactor: 1}
+		}
+		return BackendPrice{Backend: "strong", CostWeight: 1, SpeedFactor: 1}
+	}
+	family := llm.FilterFamily("city", "population")
+	own := llm.FilterClass("city", "population", ">", "1000000")
+	for _, tc := range []struct {
+		spent, own int
+		filter     bool
+	}{
+		{spent: 0, filter: true},
+		{spent: 48, filter: true},   // (48+24)·¼ = 18 < 24
+		{spent: 71, filter: true},   // 23.75 < 24
+		{spent: 72, filter: false},  // (72+24)·¼ = 24: break-even, buy
+		{spent: 500, filter: false}, // and ever after
+		{spent: 524, own: 24, filter: true},
+	} {
+		p := CostParams{Workers: 8, Price: price, Resident: func(role llm.Role, _ string, class llm.PromptClass) int {
+			switch {
+			case role == llm.RoleFilter && class == family:
+				return tc.spent
+			case role == llm.RoleFilter && class == own:
+				return tc.own
+			}
+			return 0
+		}}
+		plan, cost, _, err := ChooseBest(factory, Defaults(), st, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(logical.Explain(plan), "LLMFilter"); got != tc.filter || cost.Overrented != 0 {
+			t.Errorf("%d filter completions resident (%d of this literal): boolean filter = %t (overrented %d), want %t (0)\n%s",
+				tc.spent, tc.own, got, cost.Overrented, tc.filter, logical.Explain(plan))
+		}
 	}
 }

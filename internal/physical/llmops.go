@@ -241,9 +241,10 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 		return err
 	}
 	f.kind = f.out.Columns[f.out.Len()-1].Type
+	class := llm.FetchClass(f.node.Table.Name, f.node.Attr)
 
 	if c.Pipelined() {
-		f.openPipelined(c)
+		f.openPipelined(c, class)
 		return nil
 	}
 
@@ -263,7 +264,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 		fetchPrompts *= 2
 	}
 	c.Metrics.Add(f.node, fetchPrompts, len(rows), len(rows))
-	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFetch, f.node.Table.Backend), prompts)
+	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFetch, f.node.Table.Backend), class, prompts)
 	if err != nil {
 		return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 	}
@@ -276,7 +277,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	// Cross-model verification (Section 6): ask a second model the same
 	// question and NULL out disagreements.
 	if c.Verifier != nil {
-		verdicts, err := c.CompleteBatch(c.Verifier, prompts)
+		verdicts, err := c.CompleteBatch(c.Verifier, class, prompts)
 		if err != nil {
 			return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 		}
@@ -304,7 +305,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 // prompt — and, with a verifier configured, the verification prompt
 // concurrently — as each input tuple arrives, anchored at the tuple's
 // virtual time.
-func (f *llmFetchAttrOp) openPipelined(c *Context) {
+func (f *llmFetchAttrOp) openPipelined(c *Context, class llm.PromptClass) {
 	f.pc = c
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
@@ -322,10 +323,10 @@ func (f *llmFetchAttrOp) openPipelined(c *Context) {
 			key := row[f.node.KeyCol].String()
 			p := c.Prompts.Attr(f.node.Table.Name, key, f.node.Attr)
 			prompts := 1
-			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, p, vt)}
+			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, p, vt, class)}
 			if c.Verifier != nil {
 				prompts = 2
-				r.verify = c.Scheduler.Submit(c.Verifier, p, vt)
+				r.verify = c.Scheduler.Submit(c.Verifier, p, vt, class)
 			}
 			c.Metrics.Add(f.node, prompts, 1, 1)
 			if !f.pipe.send(r) {
@@ -446,13 +447,14 @@ func (f *llmFilterOp) Open(c *Context) error {
 	ref := f.node.Cond.Left.(*ast.ColumnRef)
 	lit := f.node.Cond.Right.(*ast.Literal)
 	opPhrase := prompt.OpPhrase(f.node.Cond.Op)
+	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, lit.Val.String())
 	filterPrompt := func(row schema.Tuple) string {
 		key := row[f.node.KeyCol].String()
 		return c.Prompts.Filter(f.node.Table.Name, key, ref.Name, opPhrase, lit.Val.String())
 	}
 
 	if c.Pipelined() {
-		f.openPipelined(c, filterPrompt)
+		f.openPipelined(c, class, filterPrompt)
 		return nil
 	}
 
@@ -466,7 +468,7 @@ func (f *llmFilterOp) Open(c *Context) error {
 	for i, row := range rows {
 		prompts[i] = filterPrompt(row)
 	}
-	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFilter, f.node.Table.Backend), prompts)
+	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFilter, f.node.Table.Backend), class, prompts)
 	if err != nil {
 		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 	}
@@ -485,7 +487,7 @@ func (f *llmFilterOp) Open(c *Context) error {
 // openPipelined streams the filter: the boolean prompt for each tuple is
 // submitted as the tuple arrives; Next awaits verdicts in input order and
 // keeps the yes rows.
-func (f *llmFilterOp) openPipelined(c *Context, filterPrompt func(schema.Tuple) string) {
+func (f *llmFilterOp) openPipelined(c *Context, class llm.PromptClass, filterPrompt func(schema.Tuple) string) {
 	f.pc = c
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
@@ -501,7 +503,7 @@ func (f *llmFilterOp) openPipelined(c *Context, filterPrompt func(schema.Tuple) 
 				return err
 			}
 			c.Metrics.Add(f.node, 1, 1, 0)
-			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, filterPrompt(row), vt)}
+			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, filterPrompt(row), vt, class)}
 			if !f.pipe.send(r) {
 				return nil
 			}

@@ -96,15 +96,16 @@ func (c *Context) ClientFor(role llm.Role, tableBackend string) llm.Client {
 	return c.Client
 }
 
-// CompleteBatch issues prompts through the given client (the query's main
-// client or its verifier) with bounded concurrency, deduplicating and
-// caching when a prompt cache is configured.
-func (c *Context) CompleteBatch(client llm.Client, prompts []string) ([]string, error) {
+// CompleteBatch issues one operator's prompts through the given client
+// (the query's main client or its verifier) with bounded concurrency,
+// deduplicating and caching — under the operator's prompt class — when a
+// prompt cache is configured.
+func (c *Context) CompleteBatch(client llm.Client, class llm.PromptClass, prompts []string) ([]string, error) {
 	workers := c.BatchWorkers
 	if workers <= 0 {
 		workers = llm.DefaultBatchWorkers
 	}
-	return llm.CompleteBatchCached(c.Ctx, client, c.Cache, prompts, workers)
+	return llm.CompleteBatchCached(c.Ctx, client, c.Cache, class, prompts, workers)
 }
 
 // Pipelined reports whether this query runs the streaming executor.
