@@ -6,6 +6,7 @@ check: vet build race
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

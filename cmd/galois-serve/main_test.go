@@ -570,7 +570,7 @@ func TestServeResultCache(t *testing.T) {
 	}
 
 	// A rebind invalidates: the same SQL re-executes.
-	epochBefore := st.Epoch
+	epochBefore := st.TableEpochs["llm:country"]
 	if err := rt.BindLLMTable(r.World.Table("country").Def); err != nil {
 		t.Fatal(err)
 	}
@@ -591,8 +591,8 @@ func TestServeResultCache(t *testing.T) {
 	if err := json.NewDecoder(statsResp2.Body).Decode(&st2); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Epoch <= epochBefore {
-		t.Errorf("epoch did not advance on rebind: %d -> %d", epochBefore, st2.Epoch)
+	if got := st2.TableEpochs["llm:country"]; got <= epochBefore {
+		t.Errorf("table_epochs[llm:country] did not advance on rebind: %d -> %d", epochBefore, got)
 	}
 }
 

@@ -33,6 +33,7 @@ type server struct {
 	maxConcurrent int
 	maxQueue      int
 	queryTimeout  time.Duration
+	stallTimeout  time.Duration // streamStallTimeout; tests shorten it
 	mux           *http.ServeMux
 
 	queries   atomic.Int64 // completed (ok or failed) queries
@@ -83,6 +84,7 @@ func newServer(rt *core.Runtime, cfg serverConfig) *server {
 		maxConcurrent: cfg.maxConcurrent,
 		maxQueue:      cfg.maxQueue,
 		queryTimeout:  cfg.queryTimeout,
+		stallTimeout:  streamStallTimeout,
 		mux:           http.NewServeMux(),
 	}
 	s.adm = newAdmission(cfg.maxConcurrent, cfg.admissionFloor, cfg.maxQueue, cfg.admissionCooldown, &s.waiting)
@@ -261,8 +263,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if mode != streamNone {
-		if fl, ok := w.(http.Flusher); ok {
-			s.streamQuery(ctx, w, fl, sess, stmt, mode, wantPlan)
+		if _, ok := w.(http.Flusher); ok {
+			s.streamQuery(ctx, w, sess, stmt, mode, wantPlan)
 			return
 		}
 		// The response writer can't flush (buffering middleware, some
@@ -536,14 +538,13 @@ type serverStats struct {
 	// Result-cache counters: whole relations served without planning or
 	// prompts (exact hits), queries answered by a residual plan over a
 	// cached relation (subsumed hits), resident entries and their
-	// approximate bytes, plus the binding epochs — the total bump count
-	// and the per-component breakdown entries are currently keyed under.
+	// approximate bytes, plus the per-component binding epochs entries
+	// are currently keyed under.
 	ResultCacheHits         int               `json:"result_cache_hits"`
 	ResultCacheSubsumedHits int               `json:"result_cache_subsumed_hits"`
 	ResultCacheMisses       int               `json:"result_cache_misses"`
 	ResultCacheEntries      int               `json:"result_cache_entries"`
 	ResultCacheBytes        int               `json:"result_cache_bytes"`
-	Epoch                   uint64            `json:"epoch"`
 	TableEpochs             map[string]uint64 `json:"table_epochs"`
 	// Degradation counters and the per-endpoint resilience snapshot:
 	// requests shed with 503 (saturated queue or open breaker), queries
@@ -607,7 +608,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ResultCacheMisses:       rcs.Misses,
 		ResultCacheEntries:      rcs.Entries,
 		ResultCacheBytes:        rcs.Bytes,
-		Epoch:                   s.rt.Epoch(),
 		TableEpochs:             s.rt.TableEpochs(),
 		MaxQueue:                s.maxQueue,
 		Shed:                    s.shed.Load(),

@@ -88,14 +88,23 @@ type streamFailure struct {
 	Error string `json:"error"`
 }
 
+// streamStallTimeout bounds how long one frame write may block on a
+// client that stopped reading. A streamed miss leads the result cache's
+// flight for its statement until the executor reaches the end of the
+// relation, and the executor only advances as frames are written; a
+// stalled client is therefore cut off, and the deferred Close hands the
+// flight to the concurrent identical queries waiting on it.
+const streamStallTimeout = 10 * time.Second
+
 // streamQuery executes stmt over sess and writes the result as a frame
 // stream. Errors before the first frame still use the normal status
 // mapping (503/504/...); once the header is out every outcome travels
 // in-band. A client disconnect mid-stream cancels ctx, which fails the
 // executor's queued prompts and releases the scheduler tenant via the
 // deferred Close — the caller's admission slot is released when this
-// returns, exactly like a buffered query.
-func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, fl http.Flusher, sess *core.Session, stmt ast.Statement, mode string, wantPlan bool) {
+// returns, exactly like a buffered query. So does a client that stops
+// reading for longer than the server's stall timeout.
+func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *core.Session, stmt ast.Statement, mode string, wantPlan bool) {
 	st, err := sess.RunStream(ctx, stmt)
 	if err != nil {
 		s.writeQueryError(w, err)
@@ -103,7 +112,7 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, fl http
 	}
 	defer st.Close()
 
-	fw := &frameWriter{w: w, fl: fl, mode: mode}
+	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.stallTimeout, mode: mode}
 	sch := st.Schema()
 	head := streamHeader{
 		Type:    "header",
@@ -168,11 +177,13 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, fl http
 
 // frameWriter writes one JSON frame per call and flushes it
 // immediately — a streamed row must reach the network now, not when
-// some buffer happens to fill. The first frame commits the content type
+// some buffer happens to fill. Each frame must reach the connection
+// within stall of its write. The first frame commits the content type
 // and the 200 status line.
 type frameWriter struct {
 	w       http.ResponseWriter
-	fl      http.Flusher
+	rc      *http.ResponseController
+	stall   time.Duration
 	mode    string
 	started bool
 }
@@ -194,6 +205,8 @@ func (f *frameWriter) frame(event string, v any) error {
 	if err != nil {
 		return err
 	}
+	// Writers without deadline support (test recorders) just skip it.
+	_ = f.rc.SetWriteDeadline(time.Now().Add(f.stall))
 	if f.mode == streamSSE {
 		_, err = fmt.Fprintf(f.w, "event: %s\ndata: %s\n\n", event, data)
 	} else {
@@ -202,6 +215,5 @@ func (f *frameWriter) frame(event string, v any) error {
 	if err != nil {
 		return err
 	}
-	f.fl.Flush()
-	return nil
+	return f.rc.Flush()
 }

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -302,6 +305,87 @@ func TestServeStreamDisconnectMidStream(t *testing.T) {
 	frames := readNDJSON(t, bufio.NewScanner(resp.Body))
 	if len(frames) < 2 || frames[len(frames)-1].Type != "stats" {
 		t.Fatalf("follow-up stream did not complete cleanly: %+v", frames)
+	}
+	waitFor(t, func() bool { return srv.active.Load() == 0 })
+}
+
+// smallBufListener shrinks each accepted connection's kernel send
+// buffer, so a client that stops reading blocks the server's writes
+// after a few kilobytes rather than a few megabytes.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// TestServeStreamStalledLeader: a streamed miss leads the result cache's
+// flight for its statement, so a client that reads the header and then
+// stops reading must not hold a concurrent identical buffered query
+// hostage. The stalled frame write hits the server's deadline, the
+// stream closes and settles the flight with an error, and the follower
+// re-leads and answers in bounded time.
+func TestServeStreamStalledLeader(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.ResultCacheEnabled = true
+	_, rt := testRuntime(t, opts)
+	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv.stallTimeout = 300 * time.Millisecond
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Listener = smallBufListener{ts.Listener}
+	ts.Start()
+	defer ts.Close()
+
+	// A cross product of ~1 300 rows: ~90 KB of frames, far more than
+	// the shrunk socket buffers hold.
+	const sql = `SELECT c.name, k.name FROM city c, country k`
+	_, baseRT := testRuntime(t, opts)
+	want, _, err := baseRT.NewSession().Query(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(2048)
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: galois\r\nAccept: application/x-ndjson\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n%s", len(sql), sql)
+	br := bufio.NewReader(conn)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading the stream header: %v", err)
+		}
+		if strings.Contains(line, `"type":"header"`) {
+			break // the leader's client now stops reading
+		}
+	}
+	if st := rt.ResultCacheStats(); st.Misses != 1 {
+		t.Fatalf("stalled stream did not lead the flight: %+v", st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", strings.NewReader(sql))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("identical buffered query behind a stalled stream: %v", err)
+	}
+	defer resp.Body.Close()
+	var qr queryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || qr.RowCount != want.Cardinality() {
+		t.Fatalf("follower: status %d, %d rows, want 200 with %d", resp.StatusCode, qr.RowCount, want.Cardinality())
+	}
+	if qr.Cached != false {
+		t.Errorf("follower cached = %v, want a re-led execution (the stalled leader caches nothing)", qr.Cached)
 	}
 	waitFor(t, func() bool { return srv.active.Load() == 0 })
 }

@@ -280,9 +280,8 @@ func (rt *Runtime) OpenStore(cfg StoreConfig) error {
 				}
 			}
 			rt.epochMu.Unlock()
-			for _, comp := range raised {
-				rt.epochTotal.Add(1)
-				if rt.resultCache != nil {
+			if rt.resultCache != nil {
+				for _, comp := range raised {
 					rt.resultCache.InvalidateComponent(comp)
 				}
 			}

@@ -2,13 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/schema"
 	"repro/internal/simllm"
+	"repro/internal/sql/parser"
 	"repro/internal/value"
 	"repro/internal/world"
 )
@@ -102,24 +107,24 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	rt := runtimeOver(t, client, resultCacheOptions(), w)
 	ctx := context.Background()
 
-	// rcQuery reads only LLM.country; fn decides whether its cached
-	// relation must survive.
-	check := func(name string, invalidates bool, fn func()) {
+	// fn bumps the epoch of comp; rcQuery reads only LLM.country, so its
+	// cached relation must survive every other bump.
+	check := func(name, comp string, fn func()) {
 		t.Helper()
 		if _, _, err := rt.NewSession().Query(ctx, rcQuery); err != nil {
 			t.Fatal(err)
 		}
 		before := client.calls.Load()
-		epochBefore := rt.Epoch()
+		epochBefore := rt.TableEpochs()[comp]
 		fn()
-		if rt.Epoch() == epochBefore {
-			t.Fatalf("%s did not bump the total epoch counter", name)
+		if got := rt.TableEpochs()[comp]; got <= epochBefore {
+			t.Fatalf("%s did not bump table_epochs[%s]: %d -> %d", name, comp, epochBefore, got)
 		}
 		_, rep, err := rt.NewSession().Query(ctx, rcQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if invalidates {
+		if comp == "llm:country" {
 			if rep.Cached != CacheNone || client.calls.Load() == before {
 				t.Errorf("%s: query after the bump was served from the cache", name)
 			}
@@ -131,18 +136,18 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		}
 	}
 
-	check("PrimeTableKeys(country)", true, func() { rt.PrimeTableKeys("country", 50) })
-	check("BindLLMTable(country)", true, func() {
+	check("PrimeTableKeys(country)", "llm:country", func() { rt.PrimeTableKeys("country", 50) })
+	check("BindLLMTable(country)", "llm:country", func() {
 		if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
 			t.Fatal(err)
 		}
 	})
-	check("BindLLMTable(city)", false, func() {
+	check("BindLLMTable(city)", "llm:city", func() {
 		if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
 			t.Fatal(err)
 		}
 	})
-	check("AttachDB", false, func() { rt.AttachDB(mustDB(t)) })
+	check("AttachDB", "db", func() { rt.AttachDB(mustDB(t)) })
 
 	if eps := rt.TableEpochs(); eps["llm:country"] == 0 || eps["llm:city"] == 0 || eps["db"] == 0 {
 		t.Errorf("per-table epochs not tracked: %v", eps)
@@ -192,25 +197,127 @@ func (s *slowClient) Complete(ctx context.Context, p string) (string, error) {
 	return s.inner.Complete(ctx, p)
 }
 
-// TestResultCacheSingleflightStorm: K concurrent identical queries cost
-// exactly one execution's model calls, and every caller receives the
-// identical relation.
-func TestResultCacheSingleflightStorm(t *testing.T) {
-	w := world.Build()
+// streamAll drains one streamed query the way a wire client does: Next
+// to io.EOF, then Finish.
+func streamAll(ctx context.Context, s *Session, sql string) (*schema.Relation, *Report, error) {
+	st, err := s.QueryStream(ctx, sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.Close()
+	rel := schema.NewRelation(st.Schema())
+	for {
+		row, _, err := st.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		rel.Append(row)
+	}
+	rep, err := st.Finish()
+	return rel, rep, err
+}
 
-	// Reference: one solo execution on an identically seeded runtime.
-	soloClient := &countingClient{inner: simllm.New(simllm.ChatGPT, w, 1)}
-	soloRT := runtimeOver(t, soloClient, resultCacheOptions(), w)
-	soloRel, _, err := soloRT.NewSession().Query(context.Background(), rcQuery)
+// soloRun executes sql once on a fresh, identically seeded runtime and
+// returns the relation and the model calls it cost.
+func soloRun(t *testing.T, w *world.World, sql string) (*schema.Relation, int64) {
+	t.Helper()
+	client := &countingClient{inner: simllm.New(simllm.ChatGPT, w, 1)}
+	rel, _, err := runtimeOver(t, client, resultCacheOptions(), w).NewSession().Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rel, client.calls.Load()
+}
+
+// TestResultCacheSingleflightStorm: K concurrent identical queries cost
+// exactly one execution's model calls in every mix of buffered and
+// streamed callers — a streamed miss leads the same flight a buffered
+// one does — and every caller receives the identical relation.
+func TestResultCacheSingleflightStorm(t *testing.T) {
+	w := world.Build()
+	soloRel, soloCalls := soloRun(t, w, rcQuery)
+
+	const k = 12
+	for _, tc := range []struct {
+		name     string
+		streamed func(i int) bool
+	}{
+		{"buffered", func(int) bool { return false }},
+		{"streamed", func(int) bool { return true }},
+		{"mixed", func(i int) bool { return i%2 == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client := &countingClient{inner: &slowClient{inner: simllm.New(simllm.ChatGPT, w, 1), delay: time.Millisecond}}
+			rt := runtimeOver(t, client, resultCacheOptions(), w)
+			rels := make([]string, k)
+			var cachedCount atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < k; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					run := rt.NewSession().Query
+					if tc.streamed(i) {
+						run = func(ctx context.Context, sql string) (*schema.Relation, *Report, error) {
+							return streamAll(ctx, rt.NewSession(), sql)
+						}
+					}
+					rel, rep, err := run(context.Background(), rcQuery)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					rels[i] = rel.String()
+					if rep.Cached == CacheExact {
+						cachedCount.Add(1)
+					}
+				}(i)
+			}
+			wg.Wait()
+
+			if got := client.calls.Load(); got != soloCalls {
+				t.Errorf("%d concurrent identical queries cost %d model calls, want %d (one execution)", k, got, soloCalls)
+			}
+			for i, r := range rels {
+				if r != soloRel.String() {
+					t.Errorf("caller %d diverged from the solo run:\n%s", i, r)
+				}
+			}
+			if cachedCount.Load() != k-1 {
+				t.Errorf("%d of %d callers were cached, want %d (all but the leader)", cachedCount.Load(), k, k-1)
+			}
+			if st := rt.ResultCacheStats(); st.Misses != 1 || st.Hits != k-1 {
+				t.Errorf("result cache stats = %+v, want 1 miss / %d hits", st, k-1)
+			}
+		})
+	}
+}
+
+// TestResultCacheAbandonedLeader: a streamed leader closed after one row
+// while buffered followers wait on its flight must not poison the key
+// or cache its partial relation. One follower re-leads, every follower
+// receives the solo relation, and the runtime drains.
+func TestResultCacheAbandonedLeader(t *testing.T) {
+	w := world.Build()
+	soloRel, _ := soloRun(t, w, rcQuery)
 
 	client := &countingClient{inner: &slowClient{inner: simllm.New(simllm.ChatGPT, w, 1), delay: time.Millisecond}}
 	rt := runtimeOver(t, client, resultCacheOptions(), w)
-	const k = 12
+	baseline := runtime.NumGoroutine()
+	leader, err := rt.NewSession().QueryStream(context.Background(), rcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := leader.Next(); err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 4
 	rels := make([]string, k)
-	var cachedCount atomic.Int64
+	outcomes := make([]CacheOutcome, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		wg.Add(1)
@@ -221,27 +328,170 @@ func TestResultCacheSingleflightStorm(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			rels[i] = rel.String()
-			if rep.Cached == CacheExact {
-				cachedCount.Add(1)
-			}
+			rels[i], outcomes[i] = rel.String(), rep.Cached
 		}(i)
 	}
+	time.Sleep(20 * time.Millisecond) // let the followers reach the flight
+	leader.Close()
 	wg.Wait()
 
-	if got, want := client.calls.Load(), soloClient.calls.Load(); got != want {
-		t.Errorf("%d concurrent identical queries cost %d model calls, want %d (one execution)", k, got, want)
-	}
-	for i, r := range rels {
-		if r != soloRel.String() {
-			t.Errorf("caller %d diverged from the solo run:\n%s", i, r)
+	relead := 0
+	for i := range rels {
+		if rels[i] != soloRel.String() {
+			t.Errorf("follower %d diverged from the solo run:\n%s", i, rels[i])
+		}
+		if outcomes[i] == CacheNone {
+			relead++
 		}
 	}
-	if cachedCount.Load() != k-1 {
-		t.Errorf("%d of %d callers were cached, want %d (all but the leader)", cachedCount.Load(), k, k-1)
+	if relead != 1 {
+		t.Errorf("%d followers executed after the leader was abandoned, want exactly 1", relead)
 	}
-	if st := rt.ResultCacheStats(); st.Misses != 1 || st.Hits != k-1 {
-		t.Errorf("result cache stats = %+v, want 1 miss / %d hits", st, k-1)
+	if st := rt.ResultCacheStats(); st.Misses != 2 || st.Hits != k-1 {
+		t.Errorf("result cache stats = %+v, want 2 misses (leader, re-leader) / %d hits", st, k-1)
+	}
+	drainedRuntime(t, rt, baseline)
+}
+
+// TestResultCacheLeaderSettlesAtEOF: a streamed leader hands its
+// relation to the cache the moment the executor reports io.EOF, not when
+// its consumer gets round to Finish — an identical query issued in
+// between is an exact hit, not a wait on the leader's consumer.
+func TestResultCacheLeaderSettlesAtEOF(t *testing.T) {
+	w := world.Build()
+	soloRel, _ := soloRun(t, w, rcQuery)
+	rt := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), resultCacheOptions(), w)
+
+	leader, err := rt.NewSession().QueryStream(context.Background(), rcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for {
+		if _, _, err := leader.Next(); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rel, rep, err := rt.NewSession().Query(ctx, rcQuery)
+	if err != nil {
+		t.Fatalf("identical query while the leader awaits Finish: %v", err)
+	}
+	if rep.Cached != CacheExact || rel.String() != soloRel.String() {
+		t.Errorf("identical query cached = %q with %d rows, want an exact hit on the %d-row relation",
+			rep.Cached, rel.Cardinality(), soloRel.Cardinality())
+	}
+	if _, err := leader.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failFirstClient holds the first call until released and then fails
+// it; every later call passes through.
+type failFirstClient struct {
+	inner   llm.Client
+	started chan struct{}
+	release chan struct{}
+	used    atomic.Bool
+}
+
+func (f *failFirstClient) Name() string { return f.inner.Name() }
+
+func (f *failFirstClient) Complete(ctx context.Context, p string) (string, error) {
+	if f.used.CompareAndSwap(false, true) {
+		close(f.started)
+		<-f.release
+		return "", llm.Permanent(errors.New("endpoint down"))
+	}
+	return f.inner.Complete(ctx, p)
+}
+
+// TestResultCacheLeaderOpenFailure: a leader whose open fails after
+// Lookup handed it the key's flight — ORDER BY drains its input at open,
+// and the first model call errors — must settle the flight, so a
+// follower waiting on it takes over as leader instead of blocking.
+func TestResultCacheLeaderOpenFailure(t *testing.T) {
+	w := world.Build()
+	const sql = rcQuery + ` ORDER BY name`
+	soloRel, _ := soloRun(t, w, sql)
+
+	client := &failFirstClient{inner: simllm.New(simllm.ChatGPT, w, 1), started: make(chan struct{}), release: make(chan struct{})}
+	rt := runtimeOver(t, client, resultCacheOptions(), w)
+	baseline := runtime.NumGoroutine()
+	leaderErr := make(chan error, 1)
+	go func() {
+		st, err := rt.NewSession().QueryStream(context.Background(), sql)
+		if st != nil {
+			st.Close()
+		}
+		leaderErr <- err
+	}()
+	<-client.started // the leader holds the flight, blocked inside its open
+
+	type result struct {
+		rel *schema.Relation
+		rep *Report
+		err error
+	}
+	followed := make(chan result, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	go func() {
+		rel, rep, err := rt.NewSession().Query(ctx, sql)
+		followed <- result{rel, rep, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the follower reach the flight
+	close(client.release)
+
+	if err := <-leaderErr; err == nil {
+		t.Fatal("the leader's open succeeded; want the injected model failure")
+	}
+	r := <-followed
+	if r.err != nil {
+		t.Fatalf("follower after a failed leader open: %v", r.err)
+	}
+	if r.rep.Cached != CacheNone || r.rel.String() != soloRel.String() {
+		t.Errorf("follower cached = %q with %d rows, want a fresh execution of the solo relation (%d rows)",
+			r.rep.Cached, r.rel.Cardinality(), soloRel.Cardinality())
+	}
+	if st := rt.ResultCacheStats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("result cache stats = %+v, want 2 misses (failed leader, re-leader) / 0 hits", st)
+	}
+	drainedRuntime(t, rt, baseline)
+}
+
+// TestExactHitAllocs pins the allocation count of an exact-hit Run —
+// hot repeat traffic's whole engine path — at or below the 122 the
+// buffered path cost before it became a drained stream: the replayed
+// relation is handed back without a copy.
+func TestExactHitAllocs(t *testing.T) {
+	w := world.Build()
+	opts := DefaultOptions()
+	opts.ResultCacheEnabled = true
+	sess := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), opts, w).NewSession()
+	stmt, err := parser.Parse(rcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := sess.Run(ctx, stmt); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, rep, err := sess.Run(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cached != CacheExact {
+			t.Fatalf("repeat run cached = %q, want %q", rep.Cached, CacheExact)
+		}
+	})
+	if allocs > 122 {
+		t.Errorf("exact-hit Run = %.0f allocs, want <= 122", allocs)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/llm"
 	"repro/internal/logical"
@@ -81,9 +80,6 @@ type Runtime struct {
 	// remove it.
 	epochMu    sync.Mutex
 	compEpochs map[string]uint64
-	// epochTotal counts bumps across all components — the monotone
-	// "something changed" counter /stats exposes.
-	epochTotal atomic.Uint64
 	// stats feed the cost-based optimizer: table cardinalities, page
 	// sizes and predicate selectivities, starting from defaults and
 	// refined from the per-operator counters of every executed query.
@@ -249,13 +245,9 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 	return rt, nil
 }
 
-// Epoch returns the total number of binding-epoch bumps across all
-// components — the monotone change counter /stats exposes. Cache keys
-// carry the finer per-component stamp (stampFor), not this total.
-func (rt *Runtime) Epoch() uint64 { return rt.epochTotal.Load() }
-
 // TableEpochs snapshots the per-component binding epochs ("llm:<table>"
-// per LLM binding, "db" for the attached store).
+// per LLM binding, "db" for the attached store) — the stamps result-cache
+// keys carry (stampFor), as /stats exposes them.
 func (rt *Runtime) TableEpochs() map[string]uint64 {
 	rt.epochMu.Lock()
 	defer rt.epochMu.Unlock()
@@ -273,7 +265,6 @@ func (rt *Runtime) bumpComponent(comp string) {
 	rt.epochMu.Lock()
 	rt.compEpochs[comp]++
 	rt.epochMu.Unlock()
-	rt.epochTotal.Add(1)
 	if rt.resultCache != nil {
 		rt.resultCache.InvalidateComponent(comp)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/clean"
 	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
@@ -100,18 +99,15 @@ func (s *Session) planSelect(sel *ast.Select) (logical.Node, *optimizer.PlanCost
 	return s.planSelectExtras(sel, nil, nil)
 }
 
-// planSelectFrom is planSelect with an optional pre-built plan consumed
-// by the factory's first call (candidate enumeration still rebuilds for
-// every further candidate, since optimization mutates its input).
-func (s *Session) planSelectFrom(sel *ast.Select, built logical.Node) (logical.Node, *optimizer.PlanCost, error) {
-	return s.planSelectExtras(sel, built, nil)
-}
-
 // planSelectExtras is the planner entry point: fresh candidates (one
 // under the fixed heuristics, an enumeration under CostBased) compete
 // against any pre-built residual plans over cached relations. The extras
 // are priced with the same Estimate and win only when strictly cheaper,
-// so cache answering is a plan-choice decision, not a bypass.
+// so cache answering is a plan-choice decision, not a bypass. A non-nil
+// built plan (already constructed for the result-cache fingerprint) is
+// consumed by the factory's first call, so a cache miss does not build
+// twice; candidate enumeration still rebuilds for every further
+// candidate, since optimization mutates its input.
 func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	factory := func() (logical.Node, error) {
 		if built != nil {
@@ -228,134 +224,16 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 
 // Run is Query over an already parsed statement, for callers that
 // parsed the text themselves (the server validates a statement before
-// admitting it and must not pay for the parse twice).
+// admitting it and must not pay for the parse twice). It is RunStream
+// drained: buffered and streamed callers share one execution path, one
+// result-cache flight per key and one accounting point (Stream.Finish).
 func (s *Session) Run(ctx context.Context, stmt ast.Statement) (*schema.Relation, *Report, error) {
-	switch stmt := stmt.(type) {
-	case *ast.Explain:
-		return s.runExplain(ctx, stmt)
-	case *ast.Select:
-		return s.runSelect(ctx, stmt)
-	default:
-		return nil, nil, fmt.Errorf("core: only SELECT and EXPLAIN statements can be executed")
-	}
-}
-
-// runSelect executes one SELECT, consulting the runtime's result cache
-// when it is on. Truncating statements — LIMIT, and OFFSET even without
-// one (the builder lowers both to a Limit node) — are never stored and
-// never exact-matched: a truncated relation's content depends on the
-// executing plan's row order, so it must never be served as the query's
-// one true result — the same observation rule the optimizer statistics
-// follow (see observe). They do, however, participate as subsumption
-// consumers: a cached LIMIT-free superset relation answers them with a
-// local residual evaluation for zero prompts.
-func (s *Session) runSelect(ctx context.Context, sel *ast.Select) (*schema.Relation, *Report, error) {
-	rc := s.rt.resultCache
-	if rc == nil {
-		return s.executeSelect(ctx, sel, nil)
-	}
-	// The cheap logical build (no candidate enumeration, no costing)
-	// yields both canonical forms: the flat fingerprint for exact
-	// matching and the structured shape for subsumption. The stamp is
-	// captured before execution, so a bind landing mid-flight keys this
-	// result under the old epochs, where no post-bind lookup can reach
-	// it.
-	built, err := logical.Build(sel, s)
+	st, err := s.RunStream(ctx, stmt)
 	if err != nil {
 		return nil, nil, err
 	}
-	shape := logical.Decompose(built)
-	comps := logical.Components(built)
-	stamp := s.rt.stampFor(comps)
-	if sel.Limit >= 0 || sel.Offset > 0 {
-		return s.executeShaped(ctx, sel, built, shape, stamp)
-	}
-	key := rescache.Key{Fingerprint: s.resultFingerprint(built), Stamp: stamp}
-	var popRel *schema.Relation
-	var popRep *Report
-	entry, cached, err := rc.Fetch(ctx, key, func() (*rescache.Entry, error) {
-		rel, rep, err := s.executeShaped(ctx, sel, built, shape, stamp)
-		if err != nil {
-			return nil, err
-		}
-		popRel, popRep = rel, rep
-		e := &rescache.Entry{Rel: rel, Plan: rep.Plan, Tables: comps}
-		if shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
-			// Producer-shaped plans (Project over base filters, no
-			// hidden columns) retain their decomposition so this entry
-			// can answer subsumed queries. Prompt pushdown merges
-			// predicates into the retrieval prompts and can change
-			// observable results, so pushdown sessions neither produce
-			// nor consume subsumption entries.
-			e.Prod = &rescache.Producer{
-				Opts:      s.optsFP,
-				FromKey:   shape.FromKey,
-				FromLabel: shape.FromLabel,
-				Conjuncts: shape.ConjunctTexts(),
-			}
-		}
-		return e, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cached {
-		// This caller was the singleflight leader: it executed (and
-		// populated the cache) and reports its real usage — which may
-		// itself have been a subsumption answer.
-		return popRel, popRep, nil
-	}
-	rep := &Report{Plan: entry.Plan, Cached: CacheExact}
-	s.account(rep)
-	return entry.Rel, rep, nil
-}
-
-// executeShaped plans one SELECT with residual plans over cached
-// relations competing as candidates, and executes the winner. A residual
-// winner whose backing entry was evicted between costing and execution
-// falls back to a fresh plan.
-func (s *Session) executeShaped(ctx context.Context, sel *ast.Select, built logical.Node, shape *logical.Shape, stamp string) (*schema.Relation, *Report, error) {
-	extras := s.residualCandidates(shape, stamp)
-	plan, cost, err := s.planSelectExtras(sel, built, extras)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cs := logical.FindCachedScan(plan); cs != nil {
-		rel, rep, err := s.executeResidual(ctx, plan, cost, cs)
-		if !errors.Is(err, errCachedEntryGone) {
-			return rel, rep, err
-		}
-		if plan, cost, err = s.planSelectFrom(sel, nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	return s.runPlan(ctx, plan, cost)
-}
-
-// executeSelect plans, optimizes and executes one SELECT against the base
-// tables, feeding the observed counters back into the shared statistics.
-// A non-nil built plan (already constructed for the result-cache
-// fingerprint) seeds the planner's first factory call so a cache miss
-// does not build twice.
-func (s *Session) executeSelect(ctx context.Context, sel *ast.Select, built logical.Node) (*schema.Relation, *Report, error) {
-	plan, cost, err := s.planSelectFrom(sel, built)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.runPlan(ctx, plan, cost)
-}
-
-// runPlan executes one planned query against the base tables, observing
-// its counters into the shared statistics and the session totals.
-func (s *Session) runPlan(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost) (*schema.Relation, *Report, error) {
-	rel, rep, err := s.execute(ctx, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Estimate = cost
-	s.observe(plan, rep.Metrics)
-	s.account(rep)
-	return rel, rep, nil
+	defer st.Close()
+	return st.drain()
 }
 
 // residualCandidates matches the incoming shape against the cache's
@@ -425,35 +303,6 @@ func residualsLocalSafe(residual []ast.Expr, from logical.Node) bool {
 // was evicted between plan choice and execution; the session replans
 // fresh.
 var errCachedEntryGone = errors.New("core: cached relation evicted")
-
-// executeResidual runs a winning residual plan locally over its cached
-// relation: no scheduler tenant, no model client, zero prompts. The
-// cached rows were cleaned by the producing run, so only the relational
-// operators run here.
-func (s *Session) executeResidual(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost, cs *logical.CachedScan) (*schema.Relation, *Report, error) {
-	entry, ok := s.rt.resultCache.Subsumed(rescache.Key{Fingerprint: cs.Source, Stamp: cs.Stamp})
-	if !ok {
-		return nil, nil, errCachedEntryGone
-	}
-	cs.Rel = entry.Rel
-	op, err := physical.Compile(plan, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	metrics := physical.NewMetrics()
-	pctx := &physical.Context{
-		Ctx:     ctx,
-		Cleaner: clean.New(s.opts.Clean),
-		Metrics: metrics,
-	}
-	rel, err := physical.Run(pctx, op)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{Plan: logical.Explain(plan), Estimate: cost, Metrics: metrics, Cached: CacheSubsumed}
-	s.account(rep)
-	return rel, rep, nil
-}
 
 // optionsFingerprint renders every session option that can change a
 // computed relation. Options that only change how the same relation is
@@ -547,35 +396,17 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 	}
 	rep := &Report{Plan: logical.Explain(plan), Estimate: cost}
 	if ex.Analyze {
-		cs := logical.FindCachedScan(plan)
-		if cs != nil {
-			_, execRep, rerr := s.executeResidual(ctx, plan, cost, cs)
-			switch {
-			case rerr == nil:
-				rep.Metrics = execRep.Metrics
-				rep.Cached = CacheSubsumed
-			case errors.Is(rerr, errCachedEntryGone):
-				// Evicted since planning: explain and run a fresh plan.
-				if plan, cost, rerr = s.planSelectFrom(ex.Stmt, nil); rerr != nil {
-					return nil, nil, rerr
-				}
-				rep = &Report{Plan: logical.Explain(plan), Estimate: cost}
-				cs = nil
-			default:
-				return nil, nil, rerr
-			}
+		st, err := s.openPlan(ctx, ex.Stmt, plan, cost)
+		if err != nil {
+			return nil, nil, err
 		}
-		if cs == nil {
-			_, execRep, err := s.execute(ctx, plan)
-			if err != nil {
-				return nil, nil, err
-			}
-			rep.Stats = execRep.Stats
-			rep.Metrics = execRep.Metrics
-			rep.Sched = execRep.Sched
-			s.observe(plan, execRep.Metrics)
-			s.account(rep)
+		defer st.Close()
+		if _, rep, err = st.drain(); err != nil {
+			return nil, nil, err
 		}
+		// A residual winner evicted since planning ran a fresh plan;
+		// explain the plan that executed.
+		plan, cost = st.plan, st.cost
 	}
 	text := ExplainText(plan, cost, rep.Metrics, rep.Stats, ex.Analyze)
 	rel := schema.NewRelation(schema.New(schema.Column{Name: "QUERY PLAN", Type: value.KindString}))
@@ -585,78 +416,9 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 	return rel, rep, nil
 }
 
-// execute compiles and runs one lowered plan.
-func (s *Session) execute(ctx context.Context, plan logical.Node) (*schema.Relation, *Report, error) {
-	var env *physical.Env
-	if db := s.rt.database(); db != nil {
-		env = &physical.Env{Data: db.Relation}
-	}
-	op, err := physical.Compile(plan, env)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	penv, err := s.promptEnv()
-	if err != nil {
-		return nil, nil, err
-	}
-	// The resilience layer sits below the recorders (retries happen
-	// inside one recorded call), so it attributes per-query faults and
-	// retries through the context rather than the call chain.
-	ctx = llm.WithRecorder(ctx, penv.primary)
-	var verifier llm.Client
-	if penv.verifier != nil {
-		verifier = penv.verifier
-	}
-	metrics := physical.NewMetrics()
-	pctx := &physical.Context{
-		Ctx:               ctx,
-		Client:            penv.primaryClient(),
-		Route:             penv.clientForRole,
-		Cache:             s.rt.cache,
-		Prompts:           s.rt.builder,
-		Cleaner:           clean.New(s.opts.Clean),
-		MaxScanIterations: s.opts.MaxScanIterations,
-		BatchWorkers:      s.opts.BatchWorkers,
-		Metrics:           metrics,
-		Verifier:          verifier,
-		VerifyTolerance:   s.opts.VerifyTolerance,
-	}
-	var tenant *llm.Tenant
-	if s.opts.Pipelined {
-		// Open this query's tenant on the engine-global scheduler: its
-		// prompts fair-share the per-endpoint worker budget with every
-		// other in-flight query, while accounting stays per query. The
-		// session's admission class and weight decide the dispatch band
-		// and the deficit share within it.
-		tenant = s.openTenant(ctx)
-		defer tenant.Close()
-		pctx.Scheduler = tenant
-	}
-	rel, err := physical.Run(pctx, op)
-	if tenant != nil {
-		// A satisfied LIMIT (or an error) can leave abandoned futures
-		// still talking to the model; their prompts were issued, so
-		// settle them before reading any counters.
-		tenant.Quiesce()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{Stats: penv.stats(), Plan: logical.Explain(plan), Metrics: metrics}
-	if tenant != nil {
-		// Pipelined prompts carry no per-call latency on the recorders;
-		// the query's simulated wall-clock is its makespan as if it ran
-		// alone against the full worker budget (exact per-query
-		// attribution under concurrency).
-		rep.Stats.SimulatedLatency += tenant.Makespan()
-		rep.Sched = tenant.Stats()
-	}
-	return rel, rep, nil
-}
-
 // openTenant opens one query's scheduler tenant in the session's
-// admission class and weight. Unknown class spellings fall back to
+// admission class and weight, which decide the dispatch band and the
+// deficit share within it. Unknown class spellings fall back to
 // interactive (the serve layer rejects them before they reach here;
 // direct API callers get the safe default).
 func (s *Session) openTenant(ctx context.Context) *llm.Tenant {

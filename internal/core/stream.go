@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/clean"
@@ -16,10 +17,10 @@ import (
 	"repro/internal/sql/parser"
 )
 
-// Stream is one query's incremental result delivery: rows leave as the
-// pipelined executor yields them, instead of waiting for the whole
-// relation to materialize. The contract mirrors the row iterators the
-// executor itself is built from:
+// Stream is one query's execution, delivered row by row as the pipelined
+// executor yields them. It is the session's only executor entry point: a
+// buffered Query is a Stream drained to io.EOF. The contract mirrors the
+// row iterators the executor itself is built from:
 //
 //	st, err := sess.QueryStream(ctx, sql)
 //	defer st.Close()
@@ -31,22 +32,26 @@ import (
 // consumer (and the tests) can check "the first row left before the
 // full relation was done" against the deterministic latency model
 // rather than a racy wall clock. Finish is valid only after Next
-// returned io.EOF; it settles accounting exactly like a buffered Query
-// (quiesce, observe, session totals, result-cache population). Close is
-// idempotent and safe mid-stream: it cascades through the operator tree
-// (stopping upstream prompt issue) and closes the scheduler tenant, so
-// an abandoned stream releases its slots and queued prompts
-// immediately.
+// returned io.EOF; it settles accounting (quiesce, observe, session
+// totals). Called earlier it releases the stream like Close and reports
+// an error: a partial relation is never cached or observed. Close is
+// idempotent and safe mid-stream: it
+// cascades through the operator tree (stopping upstream prompt issue),
+// fails the tenant's queued prompts and waits out the ones already at
+// the model, so nothing is in flight once it returns.
 //
 // Result-cache interplay: an exact hit replays the cached relation row
 // by row (zero prompts, vt 0); a subsumed hit streams the residual
 // plan's local evaluation; a miss streams the fresh execution while
-// accumulating the relation, then populates the cache on Finish. A
-// streaming miss executes outside the cache's singleflight — rows must
-// reach the client before the relation exists, so the stream cannot
-// lead a flight for concurrent buffered callers; identical concurrent
-// queries may therefore execute redundantly, and the first Finish wins
-// the population race. Results are bit-identical either way.
+// accumulating the relation. A miss leads the cache's singleflight for
+// its key: concurrent identical queries, buffered or streamed, wait for
+// the relation and replay it as an exact hit. The flight is settled the
+// moment the executor reports io.EOF, before Finish; a stream closed
+// before that settles it with an error, so the waiting callers retry
+// rather than inherit the abandonment. Until io.EOF or Close the flight
+// follows the consumer's pace (a wire server bounds a stalled reader
+// with a write deadline), so a caller must not issue the same statement
+// on the same goroutine while one of its streams is still open.
 type Stream struct {
 	s      *Session
 	schema *schema.Schema
@@ -59,21 +64,30 @@ type Stream struct {
 	plan    logical.Node
 	cost    *optimizer.PlanCost
 	metrics *physical.Metrics
+	// acc accumulates delivered rows: the finished relation a drain
+	// returns and a leader caches. explain renders plan once, at io.EOF.
+	acc     *schema.Relation
+	explain string
 
-	// Replay state: cache-exact hits and EXPLAIN fall back to a
-	// materialized relation with a pre-settled report.
+	// Replay state: exact hits and EXPLAIN deliver a materialized
+	// relation whose report is known at open.
 	replay *schema.Relation
 	idx    int
 	rep    *Report
 
-	// acc accumulates delivered rows: the finished relation for cache
-	// population.
-	acc      *schema.Relation
-	populate func(rel *schema.Relation, rep *Report)
+	// lead is this stream's result-cache flight when it executes a miss;
+	// entry is the cache entry io.EOF completes and settles it with.
+	lead  *rescache.Lead
+	entry *rescache.Entry
 
+	eof      bool
 	finished bool
 	closed   bool
 }
+
+// errStreamAbandoned settles the flight of a leading stream closed
+// before Finish; its followers retry.
+var errStreamAbandoned = errors.New("core: stream closed before completion")
 
 // QueryStream executes sql for incremental row consumption. It accepts
 // everything Query does; statements with no incremental production
@@ -88,89 +102,121 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 
 // RunStream is QueryStream over an already parsed statement.
 func (s *Session) RunStream(ctx context.Context, stmt ast.Statement) (*Stream, error) {
-	sel, ok := stmt.(*ast.Select)
-	if !ok {
-		rel, rep, err := s.Run(ctx, stmt)
+	switch stmt := stmt.(type) {
+	case *ast.Explain:
+		rel, rep, err := s.runExplain(ctx, stmt)
 		if err != nil {
 			return nil, err
 		}
-		// Query settled all accounting; the stream only replays.
-		return &Stream{s: s, schema: rel.Schema, replay: rel, rep: rep, cached: rep.Cached}, nil
+		return &Stream{s: s, schema: rel.Schema, cached: rep.Cached, replay: rel, rep: rep}, nil
+	case *ast.Select:
+		return s.openSelect(ctx, stmt)
+	default:
+		return nil, fmt.Errorf("core: only SELECT and EXPLAIN statements can be executed")
 	}
+}
 
+// openSelect opens one SELECT, consulting the runtime's result cache
+// when it is on. Truncating statements — LIMIT, and OFFSET even without
+// one (the builder lowers both to a Limit node) — are never stored and
+// never exact-matched: a truncated relation's content depends on the
+// executing plan's row order, so it must never be served as the query's
+// one true result — the same observation rule the optimizer statistics
+// follow (see observe). They do, however, participate as subsumption
+// consumers: a cached LIMIT-free superset relation answers them with a
+// local residual evaluation for zero prompts.
+func (s *Session) openSelect(ctx context.Context, sel *ast.Select) (*Stream, error) {
 	rc := s.rt.resultCache
 	if rc == nil {
-		plan, cost, err := s.planSelectFrom(sel, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.openLiveStream(ctx, plan, cost, nil)
+		return s.openShaped(ctx, sel, nil, nil, "")
 	}
-
-	// Mirror runSelect's cache flow (same fingerprints, same stamp-
-	// before-execution rule, same LIMIT exclusions) so a streamed query
-	// and a buffered query populate and hit identically.
+	// The cheap logical build (no candidate enumeration, no costing)
+	// yields both canonical forms: the flat fingerprint for exact
+	// matching and the structured shape for subsumption. The stamp is
+	// captured before execution, so a bind landing mid-flight keys this
+	// result under the old epochs, where no post-bind lookup can reach
+	// it.
 	built, err := logical.Build(sel, s)
 	if err != nil {
 		return nil, err
 	}
-	shape := logical.Decompose(built)
 	comps := logical.Components(built)
 	stamp := s.rt.stampFor(comps)
 	if sel.Limit >= 0 || sel.Offset > 0 {
-		return s.openShapedStream(ctx, sel, built, shape, stamp, nil)
+		return s.openShaped(ctx, sel, built, logical.Decompose(built), stamp)
 	}
 	key := rescache.Key{Fingerprint: s.resultFingerprint(built), Stamp: stamp}
-	if entry, ok := rc.Peek(key); ok {
-		rep := &Report{Plan: entry.Plan, Cached: CacheExact}
-		s.account(rep)
-		return &Stream{s: s, schema: entry.Rel.Schema, replay: entry.Rel, rep: rep, cached: CacheExact}, nil
-	}
-	populate := func(rel *schema.Relation, rep *Report) {
-		e := &rescache.Entry{Rel: rel, Plan: rep.Plan, Tables: comps}
-		if shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
-			// Same producer-retention rule as the buffered path: see
-			// runSelect.
-			e.Prod = &rescache.Producer{
-				Opts:      s.optsFP,
-				FromKey:   shape.FromKey,
-				FromLabel: shape.FromLabel,
-				Conjuncts: shape.ConjunctTexts(),
-			}
-		}
-		// Fetch with a prebuilt entry: an identical resident or in-flight
-		// result wins the race and this population is dropped — benign,
-		// the relations are bit-identical by construction.
-		rc.Fetch(ctx, key, func() (*rescache.Entry, error) { return e, nil })
-	}
-	return s.openShapedStream(ctx, sel, built, shape, stamp, populate)
-}
-
-// openShapedStream is executeShaped for streams: residual plans over
-// cached relations compete as candidates, and a residual winner whose
-// entry was evicted falls back to a fresh plan.
-func (s *Session) openShapedStream(ctx context.Context, sel *ast.Select, built logical.Node, shape *logical.Shape, stamp string, populate func(*schema.Relation, *Report)) (*Stream, error) {
-	extras := s.residualCandidates(shape, stamp)
-	plan, cost, err := s.planSelectExtras(sel, built, extras)
+	entry, lead, err := rc.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
 	}
+	if lead == nil {
+		rep := &Report{Plan: entry.Plan, Cached: CacheExact}
+		return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel, rep: rep}, nil
+	}
+
+	// This caller leads the key's flight. An open that fails — or
+	// panics — settles it here; once open, the stream owns it.
+	var st *Stream
+	defer func() {
+		if st == nil {
+			lead.Settle(nil, errStreamAbandoned)
+		}
+	}()
+	shape := logical.Decompose(built)
+	if st, err = s.openShaped(ctx, sel, built, shape, stamp); err != nil {
+		return nil, err
+	}
+	st.lead = lead
+	st.entry = &rescache.Entry{Tables: comps}
+	if shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
+		// Producer-shaped plans (Project over base filters, no hidden
+		// columns) retain their decomposition so this entry can answer
+		// subsumed queries. Prompt pushdown merges predicates into the
+		// retrieval prompts and can change observable results, so
+		// pushdown sessions neither produce nor consume subsumption
+		// entries.
+		st.entry.Prod = &rescache.Producer{
+			Opts:      s.optsFP,
+			FromKey:   shape.FromKey,
+			FromLabel: shape.FromLabel,
+			Conjuncts: shape.ConjunctTexts(),
+		}
+	}
+	return st, nil
+}
+
+// openShaped plans one SELECT with residual plans over cached relations
+// competing as candidates, and opens the winner.
+func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical.Node, shape *logical.Shape, stamp string) (*Stream, error) {
+	plan, cost, err := s.planSelectExtras(sel, built, s.residualCandidates(shape, stamp))
+	if err != nil {
+		return nil, err
+	}
+	return s.openPlan(ctx, sel, plan, cost)
+}
+
+// openPlan opens one planned SELECT. A residual winner streams locally
+// over its cached relation; when that entry was evicted between costing
+// and execution, sel is planned afresh. Everything else executes live.
+func (s *Session) openPlan(ctx context.Context, sel *ast.Select, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	if cs := logical.FindCachedScan(plan); cs != nil {
-		st, err := s.openResidualStream(ctx, plan, cost, cs, populate)
+		st, err := s.openResidual(ctx, plan, cost, cs)
 		if !errors.Is(err, errCachedEntryGone) {
 			return st, err
 		}
-		if plan, cost, err = s.planSelectFrom(sel, nil); err != nil {
+		if plan, cost, err = s.planSelect(sel); err != nil {
 			return nil, err
 		}
 	}
-	return s.openLiveStream(ctx, plan, cost, populate)
+	return s.openLive(ctx, plan, cost)
 }
 
-// openResidualStream streams a winning residual plan's local evaluation
-// over its cached relation: no scheduler tenant, no model client, zero
-// prompts.
-func (s *Session) openResidualStream(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost, cs *logical.CachedScan, populate func(*schema.Relation, *Report)) (*Stream, error) {
+// openResidual streams a winning residual plan's local evaluation over
+// its cached relation: no scheduler tenant, no model client, zero
+// prompts. The cached rows were cleaned by the producing run, so only
+// the relational operators run here.
+func (s *Session) openResidual(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost, cs *logical.CachedScan) (*Stream, error) {
 	entry, ok := s.rt.resultCache.Subsumed(rescache.Key{Fingerprint: cs.Source, Stamp: cs.Stamp})
 	if !ok {
 		return nil, errCachedEntryGone
@@ -191,22 +237,23 @@ func (s *Session) openResidualStream(ctx context.Context, plan logical.Node, cos
 		return nil, err
 	}
 	return &Stream{
-		s:        s,
-		schema:   st.Schema(),
-		st:       st,
-		plan:     plan,
-		cost:     cost,
-		metrics:  metrics,
-		cached:   CacheSubsumed,
-		acc:      schema.NewRelation(st.Schema().Clone()),
-		populate: populate,
+		s:       s,
+		schema:  st.Schema(),
+		cached:  CacheSubsumed,
+		st:      st,
+		plan:    plan,
+		cost:    cost,
+		metrics: metrics,
+		acc:     schema.NewRelation(st.Schema().Clone()),
 	}, nil
 }
 
-// openLiveStream opens a fresh execution for streaming — execute()'s
-// environment (recorder, verifier, scheduler tenant in the session's
-// admission class) wired to a RowStream instead of a materializing Run.
-func (s *Session) openLiveStream(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost, populate func(*schema.Relation, *Report)) (*Stream, error) {
+// openLive compiles one plan against the base tables and opens it: the
+// query's recorded, routed transport, the verifier, and — pipelined — a
+// tenant on the engine-global scheduler in the session's admission
+// class, whose prompts fair-share the per-endpoint worker budget with
+// every other in-flight query while accounting stays per query.
+func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	var env *physical.Env
 	if db := s.rt.database(); db != nil {
 		env = &physical.Env{Data: db.Relation}
@@ -219,6 +266,9 @@ func (s *Session) openLiveStream(ctx context.Context, plan logical.Node, cost *o
 	if err != nil {
 		return nil, err
 	}
+	// The resilience layer sits below the recorders (retries happen
+	// inside one recorded call), so it attributes per-query faults and
+	// retries through the context rather than the call chain.
 	ctx = llm.WithRecorder(ctx, penv.primary)
 	var verifier llm.Client
 	if penv.verifier != nil {
@@ -247,20 +297,20 @@ func (s *Session) openLiveStream(ctx context.Context, plan logical.Node, cost *o
 	if err != nil {
 		if tenant != nil {
 			tenant.Close()
+			tenant.Quiesce()
 		}
 		return nil, err
 	}
 	return &Stream{
-		s:        s,
-		schema:   st.Schema(),
-		st:       st,
-		tenant:   tenant,
-		penv:     penv,
-		plan:     plan,
-		cost:     cost,
-		metrics:  metrics,
-		acc:      schema.NewRelation(st.Schema().Clone()),
-		populate: populate,
+		s:       s,
+		schema:  st.Schema(),
+		st:      st,
+		tenant:  tenant,
+		penv:    penv,
+		plan:    plan,
+		cost:    cost,
+		metrics: metrics,
+		acc:     schema.NewRelation(st.Schema().Clone()),
 	}, nil
 }
 
@@ -279,6 +329,7 @@ func (st *Stream) Next() (schema.Tuple, llm.VTime, error) {
 	}
 	if st.replay != nil {
 		if st.idx >= len(st.replay.Rows) {
+			st.eof = true
 			return nil, 0, io.EOF
 		}
 		t := st.replay.Rows[st.idx]
@@ -286,42 +337,63 @@ func (st *Stream) Next() (schema.Tuple, llm.VTime, error) {
 		return t, 0, nil
 	}
 	t, vt, err := st.st.Next()
+	if err == io.EOF && !st.eof {
+		st.eof = true
+		st.explain = logical.Explain(st.plan)
+		if st.lead != nil {
+			// The relation is complete: settle the flight now, so followers
+			// wait on the execution, not on how fast this stream's consumer
+			// drains the last frames and calls Finish.
+			st.entry.Rel, st.entry.Plan = st.acc, st.explain
+			st.lead.Settle(st.entry, nil)
+		}
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if st.acc != nil {
-		st.acc.Append(t)
-	}
+	st.acc.Append(t)
 	return t, vt, nil
 }
 
 // Finish settles the completed stream: it releases the execution,
 // quiesces the tenant (abandoned futures were issued and must be
-// accounted), builds the Report a buffered Query would have returned,
-// feeds the optimizer statistics, folds the session totals, and
-// populates the result cache with the accumulated relation. Only valid
-// after Next returned io.EOF.
+// accounted), builds the Report, feeds the optimizer statistics and
+// folds the session totals. Only valid after Next returned io.EOF (which
+// already settled any result-cache flight the stream leads).
 func (st *Stream) Finish() (*Report, error) {
 	if st.finished {
 		return st.rep, nil
 	}
 	if st.closed {
-		return nil, errors.New("core: stream closed before completion")
+		return nil, errStreamAbandoned
+	}
+	if !st.eof {
+		st.Close()
+		return nil, errors.New("core: stream finished before io.EOF")
 	}
 	st.finished = true
 	st.closed = true
 	if st.replay != nil {
-		return st.rep, nil // settled at open
+		// An exact hit is one served query; EXPLAIN's replay was
+		// accounted by the execution it rendered.
+		if st.cached == CacheExact {
+			st.s.account(st.rep)
+		}
+		return st.rep, nil
 	}
 	st.st.Close()
 	if st.tenant != nil {
 		st.tenant.Quiesce()
 	}
-	rep := &Report{Plan: logical.Explain(st.plan), Estimate: st.cost, Metrics: st.metrics, Cached: st.cached}
+	rep := &Report{Plan: st.explain, Estimate: st.cost, Metrics: st.metrics, Cached: st.cached}
 	if st.penv != nil {
 		rep.Stats = st.penv.stats()
 	}
 	if st.tenant != nil {
+		// Pipelined prompts carry no per-call latency on the recorders;
+		// the query's simulated wall-clock is its makespan as if it ran
+		// alone against the full worker budget (exact per-query
+		// attribution under concurrency).
 		rep.Stats.SimulatedLatency += st.tenant.Makespan()
 		rep.Sched = st.tenant.Stats()
 		st.tenant.Close()
@@ -330,19 +402,21 @@ func (st *Stream) Finish() (*Report, error) {
 		st.s.observe(st.plan, st.metrics)
 	}
 	st.s.account(rep)
-	if st.populate != nil && st.acc != nil {
-		st.populate(st.acc, rep)
-	}
 	st.rep = rep
 	return rep, nil
 }
 
 // Close releases the stream. Safe (and required) mid-stream: the
-// operator close cascade stops upstream prompt issue, and closing the
-// tenant fails its queued prompts immediately without perturbing other
-// tenants — a disconnected client frees its slots right away.
-// Idempotent; a no-op after Finish.
+// operator close cascade stops upstream prompt issue, closing the tenant
+// fails its queued prompts without perturbing other tenants, and the
+// prompts already at the model are waited out — a disconnected client
+// frees its slots and leaves nothing in flight. A flight this stream
+// leads is settled with an error so its followers retry. Idempotent; a
+// no-op after Finish.
 func (st *Stream) Close() {
+	if st.lead != nil {
+		st.lead.Settle(nil, errStreamAbandoned) // no-op once Finish settled it
+	}
 	if st.closed {
 		return
 	}
@@ -352,5 +426,29 @@ func (st *Stream) Close() {
 	}
 	if st.tenant != nil {
 		st.tenant.Close()
+		st.tenant.Quiesce()
 	}
+}
+
+// drain consumes the stream to io.EOF and settles it — the buffered
+// consumption of the one query path. The relation is the one the stream
+// accumulated or replayed, handed back without a copy.
+func (st *Stream) drain() (*schema.Relation, *Report, error) {
+	for {
+		_, _, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	rep, err := st.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	if st.replay != nil {
+		return st.replay, rep, nil
+	}
+	return st.acc, rep, nil
 }

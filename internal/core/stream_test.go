@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -81,6 +82,45 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 	}
 	if firstVT > lastVT {
 		t.Errorf("vt not monotone: first %v > last %v", firstVT, lastVT)
+	}
+}
+
+// TestStreamFinishBeforeEOF: Finish on a partly read stream must fail
+// and leave no trace — no cached relation for the next Query to serve
+// as the statement's exact result, no truncated counters in the
+// optimizer statistics.
+func TestStreamFinishBeforeEOF(t *testing.T) {
+	w := world.Build()
+	rt := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), resultCacheOptions(), w)
+	const sql = `SELECT name, population FROM city WHERE population > 1000000`
+	want, _ := soloRun(t, w, sql)
+	if want.Cardinality() < 2 {
+		t.Fatalf("fixture vacuous: %d rows", want.Cardinality())
+	}
+
+	statsBefore := rt.stats.Snapshot()
+	st, err := rt.NewSession().QueryStream(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := st.Finish(); err == nil {
+		t.Fatalf("Finish before io.EOF succeeded: %+v", rep)
+	}
+	if !reflect.DeepEqual(rt.stats.Snapshot(), statsBefore) {
+		t.Error("a truncated stream was observed into the optimizer statistics")
+	}
+
+	rel, rep, err := rt.NewSession().Query(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cached != CacheNone || rel.String() != want.String() {
+		t.Errorf("query after a truncated Finish: cached=%q, %d rows, want a fresh %d-row execution",
+			rep.Cached, rel.Cardinality(), want.Cardinality())
 	}
 }
 

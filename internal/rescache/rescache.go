@@ -24,16 +24,19 @@
 // so a stale relation can never resurrect.
 //
 // A singleflight layer collapses K concurrent identical queries into one
-// execution: one leader runs the plan, the other K-1 block on its flight
-// and share the relation. Errors are never cached, and a joiner whose
-// leader failed retries rather than inheriting the failure (the leader's
+// execution. Reads are two-phase: Lookup returns a resident entry, a
+// concurrent flight's finished entry, or a Lead — the token of the one
+// caller that executes. The leader streams or materializes its result
+// however it likes and settles the lead once with the finished relation
+// or an error; the other K-1 block on its flight and share the relation.
+// Errors are never cached, and a follower whose leader failed or was
+// abandoned retries rather than inheriting the failure (the leader's
 // error may be its own cancellation).
 package rescache
 
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -449,32 +452,22 @@ func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 	return el.Value.(*cacheItem).entry.clone(), true
 }
 
-// Peek returns the resident entry for key without joining or starting a
-// singleflight — the streaming path's hit probe. A hit replays the
-// cached relation incrementally; a miss streams a fresh execution
-// outside the singleflight (rows must leave before the relation
-// completes, so the stream cannot lead a flight) and populates the
-// cache through Fetch with the finished relation. Peek counts a hit but
-// never a miss: the populating Fetch accounts the miss.
-func (c *Cache) Peek(key Key) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return el.Value.(*cacheItem).entry.clone(), true
-}
-
-// Fetch returns the result for key: from the cache when resident, from a
-// concurrent identical in-flight execution when one exists, otherwise by
-// invoking compute and storing its result. The returned bool reports
-// whether the result came from the cache or a shared flight — false
-// means this caller executed the query itself (and received compute's
-// own return value; hits and joiners receive a private deep copy).
-func (c *Cache) Fetch(ctx context.Context, key Key, compute func() (*Entry, error)) (*Entry, bool, error) {
+// Lookup is the first phase of a two-phase read. It returns exactly one
+// of three things:
+//
+//   - the resident entry for key (an exact hit);
+//   - the entry a concurrent identical execution finished while this
+//     caller waited on its flight — the wait ends early, with ctx's
+//     error, when ctx is done;
+//   - a Lead: no result exists and none is in flight, so this caller
+//     now owns the key's flight and must execute the query and Settle
+//     the lead exactly once, with the finished entry or an error.
+//
+// Entries returned are private deep copies. A follower whose leader
+// settled with an error retries — it joins the next flight or leads it —
+// rather than inheriting the failure, which may be the leader's own
+// cancellation. Errors are never cached.
+func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -482,23 +475,23 @@ func (c *Cache) Fetch(ctx context.Context, key Key, compute func() (*Entry, erro
 			c.hits++
 			entry := el.Value.(*cacheItem).entry
 			c.mu.Unlock()
-			return entry.clone(), true, nil
+			return entry.clone(), nil, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 			if f.err == nil {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				return f.entry.clone(), true, nil
+				return f.entry.clone(), nil, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, false, err
+				return nil, nil, err
 			}
 			continue // leader failed; next round joins a fresh flight or leads
 		}
@@ -506,53 +499,52 @@ func (c *Cache) Fetch(ctx context.Context, key Key, compute func() (*Entry, erro
 		c.flights[key] = f
 		c.misses++
 		c.mu.Unlock()
-
-		entry, err := c.lead(f, key, compute)
-		return entry, false, err
+		return nil, &Lead{c: c, key: key, f: f}, nil
 	}
 }
 
-// lead executes compute as the leader of flight f and settles the
-// flight no matter what: even when compute panics (an HTTP server
-// recovers handler panics and keeps running), joiners must see the
-// flight resolve with an error and retry rather than block forever on a
-// poisoned key. The panic itself propagates to the leader's caller.
-func (c *Cache) lead(f *flight, key Key, compute func() (*Entry, error)) (entry *Entry, err error) {
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		f.err = errors.New("rescache: leader panicked")
-		close(f.done)
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-	}()
+// Lead is the token of a caller that owns one key's flight: every
+// concurrent Lookup of the key waits on it until Settle. A leader that
+// fails, panics or is abandoned must still settle (with an error) —
+// otherwise the key stays poisoned until each follower's ctx gives up —
+// so holders settle from a deferred or Close path.
+type Lead struct {
+	c       *Cache
+	key     Key
+	f       *flight
+	settled bool
+}
 
-	entry, err = compute()
+// Settle resolves the flight. With err == nil the entry is stored (the
+// cache and the followers share a private copy; the leader's relation
+// stays its own) and every follower receives it; otherwise followers
+// retry and nothing is cached. Only the first call has an effect, so a
+// holder may settle on success and again, unconditionally, on release.
+// Not safe for concurrent use: one goroutine owns a lead.
+func (l *Lead) Settle(entry *Entry, err error) {
+	if l.settled {
+		return
+	}
+	l.settled = true
+	c, f := l.c, l.f
 	if err == nil {
-		// The flight and the cache keep a private copy; the leader's
-		// relation stays its own.
 		f.entry = entry.clone()
 	}
 	f.err = err
-	settled = true
 	close(f.done)
 
 	c.mu.Lock()
-	delete(c.flights, key)
+	delete(c.flights, l.key)
 	var stored bool
 	var evicted []Key
 	if err == nil {
-		stored, evicted = c.insertLocked(key, f.entry)
+		stored, evicted = c.insertLocked(l.key, f.entry)
 	}
 	sink := c.sink
 	c.mu.Unlock()
 	if err == nil {
-		notifySink(sink, key, f.entry, stored, evicted)
+		notifySink(sink, l.key, f.entry, stored, evicted)
 	}
-	return entry, err
 }
 
 // Dumped pairs one resident entry with its key, as returned by Dump.

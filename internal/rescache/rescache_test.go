@@ -32,9 +32,21 @@ func entryT(tables []string, cells ...string) *Entry {
 	return e
 }
 
+// fill is one full two-phase read: the cached or shared entry when
+// Lookup finds one, otherwise e, settled as this caller's result. The
+// bool reports whether the result came from the cache or a flight.
+func fill(c *Cache, key Key, e *Entry) (*Entry, bool, error) {
+	got, lead, err := c.Lookup(context.Background(), key)
+	if err != nil || lead == nil {
+		return got, err == nil, err
+	}
+	lead.Settle(e, nil)
+	return e, false, nil
+}
+
 func fetch(t *testing.T, c *Cache, key Key, e *Entry) (*Entry, bool) {
 	t.Helper()
-	got, cached, err := c.Fetch(context.Background(), key, func() (*Entry, error) { return e, nil })
+	got, cached, err := fill(c, key, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +179,13 @@ func TestStaleInsertDropped(t *testing.T) {
 	city := []string{"llm:city"}
 	key := Key{Fingerprint: "q", Stamp: ep.current(city)}
 
-	got, cached, err := c.Fetch(context.Background(), key, func() (*Entry, error) {
-		// The bump lands while this execution is in flight.
-		ep.bump(c, "llm:city")
-		return entryT(city, "stale"), nil
-	})
-	if err != nil || cached {
-		t.Fatalf("leader fetch: cached=%v err=%v", cached, err)
+	_, lead, err := c.Lookup(context.Background(), key)
+	if err != nil || lead == nil {
+		t.Fatalf("first lookup: lead=%v err=%v", lead, err)
 	}
-	if got.Rel.Rows[0][0].String() != "stale" {
-		t.Fatalf("leader must still receive its own result, got %q", got.Rel.Rows[0][0].String())
-	}
+	// The bump lands while this execution is in flight.
+	ep.bump(c, "llm:city")
+	lead.Settle(entryT(city, "stale"), nil)
 	if c.Len() != 0 {
 		t.Errorf("stale insert was retained (len = %d)", c.Len())
 	}
@@ -307,7 +315,7 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	}
 }
 
-// TestSingleflight: concurrent identical fetches share one computation.
+// TestSingleflight: concurrent identical lookups share one computation.
 func TestSingleflight(t *testing.T) {
 	c := New(Config{Capacity: 4})
 	var calls atomic.Int32
@@ -319,20 +327,22 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, _, err := c.Fetch(context.Background(), Key{Fingerprint: "q"}, func() (*Entry, error) {
-				calls.Add(1)
-				<-release
-				return entry("shared"), nil
-			})
+			got, lead, err := c.Lookup(context.Background(), Key{Fingerprint: "q"})
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			if lead != nil {
+				calls.Add(1)
+				<-release
+				got = entry("shared")
+				lead.Settle(got, nil)
+			}
 			rels[i] = got
 		}(i)
 	}
-	// The leader blocks in compute until released; every other goroutine
-	// either joins its flight or hits the populated entry afterwards.
+	// The leader blocks until released; every other goroutine either
+	// waits on its flight or hits the populated entry afterwards.
 	close(release)
 	wg.Wait()
 	if n := calls.Load(); n != 1 {
@@ -350,77 +360,101 @@ func TestSingleflight(t *testing.T) {
 }
 
 // TestLeaderErrorNotCachedAndJoinersRetry: errors are never cached, and
-// a joiner whose leader failed retries instead of inheriting the error.
+// a follower whose leader failed retries — it leads the next flight —
+// instead of inheriting the error.
 func TestLeaderErrorNotCachedAndJoinersRetry(t *testing.T) {
 	c := New(Config{Capacity: 4})
-	boom := errors.New("boom")
-	if _, _, err := c.Fetch(context.Background(), Key{Fingerprint: "q"}, func() (*Entry, error) {
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("leader error = %v", err)
+	key := Key{Fingerprint: "q"}
+	_, lead, err := c.Lookup(context.Background(), key)
+	if err != nil || lead == nil {
+		t.Fatalf("first lookup: lead=%v err=%v", lead, err)
 	}
-	got, cached, err := c.Fetch(context.Background(), Key{Fingerprint: "q"}, func() (*Entry, error) {
-		return entry("ok"), nil
-	})
-	if err != nil || cached || got.Rel.Rows[0][0].String() != "ok" {
-		t.Errorf("retry after failed leader: %v %v %v", got, cached, err)
+	type result struct {
+		lead *Lead
+		err  error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		_, l, err := c.Lookup(context.Background(), key)
+		follower <- result{l, err}
+	}()
+	lead.Settle(nil, errors.New("boom"))
+
+	r := <-follower
+	if r.err != nil || r.lead == nil {
+		t.Fatalf("follower after a failed leader: lead=%v err=%v, want a fresh lead", r.lead, r.err)
+	}
+	r.lead.Settle(entry("ok"), nil)
+	got, cached := fetch(t, c, key, entry("MUST NOT RUN"))
+	if !cached || got.Rel.Rows[0][0].String() != "ok" {
+		t.Errorf("lookup after the retry: cached=%v rel=%v", cached, got.Rel)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 1 entry / 2 misses (the failure cached nothing)", st)
 	}
 }
 
-// TestLeaderPanicDoesNotPoisonKey: a panicking compute must settle its
-// flight (joiners retry) instead of leaving the key blocked forever,
-// and the panic must reach the leader's caller.
+// TestLeaderPanicDoesNotPoisonKey: a leader that panics before settling
+// — its holder releases the lead from a deferred path — must resolve the
+// flight (followers retry) instead of leaving the key blocked forever.
+// A later settle never overrides the first. This pins the Lead contract
+// the holder relies on; the holder's own release paths (a failed open,
+// Close before io.EOF) are tested in core.
 func TestLeaderPanicDoesNotPoisonKey(t *testing.T) {
 	c := New(Config{Capacity: 4})
 	key := Key{Fingerprint: "q"}
 
+	leading := make(chan struct{})
+	follower := make(chan *Lead, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		c.Fetch(context.Background(), key, func() (*Entry, error) { panic("boom") })
+		_, lead, err := c.Lookup(context.Background(), key)
+		if err != nil || lead == nil {
+			t.Fatalf("first lookup: lead=%v err=%v", lead, err)
+		}
+		defer lead.Settle(nil, errors.New("abandoned"))
+		go func() {
+			close(leading)
+			_, l, _ := c.Lookup(context.Background(), key)
+			follower <- l
+		}()
+		<-leading
+		panic("boom")
 	}()
 
-	// The key must be usable again: a fresh fetch computes and succeeds.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		got, cached, err := c.Fetch(context.Background(), key, func() (*Entry, error) {
-			return entry("recovered"), nil
-		})
-		if err != nil || cached || got.Rel.Rows[0][0].String() != "recovered" {
-			t.Errorf("fetch after leader panic: %v %v %v", got, cached, err)
-		}
-	}()
+	// The waiting (or late) follower must get a usable lead.
+	var l *Lead
 	select {
-	case <-done:
+	case l = <-follower:
 	case <-time.After(5 * time.Second):
-		t.Fatal("cache key poisoned: fetch after leader panic never returned")
+		t.Fatal("cache key poisoned: follower never returned after the leader panicked")
+	}
+	if l == nil {
+		t.Fatal("follower got no lead after the leader panicked")
+	}
+	l.Settle(entry("recovered"), nil)
+	l.Settle(nil, errors.New("late release")) // no effect after the first settle
+	if got, cached := fetch(t, c, key, entry("MUST NOT RUN")); !cached || got.Rel.Rows[0][0].String() != "recovered" {
+		t.Errorf("lookup after recovery: cached=%v rel=%v", cached, got.Rel)
 	}
 }
 
 func TestFetchContextCancelled(t *testing.T) {
 	c := New(Config{Capacity: 4})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		c.Fetch(context.Background(), Key{Fingerprint: "q"}, func() (*Entry, error) {
-			close(started)
-			<-release
-			return entry("late"), nil
-		})
-	}()
-	<-started
+	_, lead, err := c.Lookup(context.Background(), Key{Fingerprint: "q"})
+	if err != nil || lead == nil {
+		t.Fatalf("first lookup: lead=%v err=%v", lead, err)
+	}
+	defer lead.Settle(entry("late"), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Fetch(ctx, Key{Fingerprint: "q"}, func() (*Entry, error) {
-		return entry("MUST NOT RUN"), nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled joiner error = %v", err)
+	if _, l, err := c.Lookup(ctx, Key{Fingerprint: "q"}); !errors.Is(err, context.Canceled) || l != nil {
+		t.Errorf("cancelled follower: lead=%v err=%v", l, err)
 	}
-	close(release)
 }
 
 // TestConcurrentInvalidationStorm hammers the cache from many goroutines
@@ -442,11 +476,9 @@ func TestConcurrentInvalidationStorm(t *testing.T) {
 				tables := []string{comp}
 				key := Key{Fingerprint: fmt.Sprintf("q%d", i%5), Stamp: ep.current(tables)}
 				want := key.Fingerprint + "@" + key.Stamp
-				got, _, err := c.Fetch(context.Background(), key, func() (*Entry, error) {
-					e := entryT(tables, want)
-					e.Prod = &Producer{Opts: "o|", FromKey: key.Fingerprint, FromLabel: comp}
-					return e, nil
-				})
+				e := entryT(tables, want)
+				e.Prod = &Producer{Opts: "o|", FromKey: key.Fingerprint, FromLabel: comp}
+				got, _, err := fill(c, key, e)
 				if err != nil {
 					t.Error(err)
 					return
@@ -585,10 +617,9 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 		t.Errorf("Load echoed %d StoreEntry calls, want 0", stores)
 	}
 
-	got, _, err := dst.Fetch(context.Background(), Key{Fingerprint: "hot", Stamp: ep.current(city)},
-		func() (*Entry, error) { return nil, errors.New("must not execute") })
-	if err != nil || got.Rel.Rows[0][0].String() != "hot" {
-		t.Fatalf("warm-loaded entry not served: %v %v", got, err)
+	got, lead, err := dst.Lookup(context.Background(), Key{Fingerprint: "hot", Stamp: ep.current(city)})
+	if err != nil || lead != nil || got.Rel.Rows[0][0].String() != "hot" {
+		t.Fatalf("warm-loaded entry not served: %v %v %v", got, lead, err)
 	}
 
 	// A load whose stamp is stale is refused.
@@ -620,7 +651,7 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 				key := Key{Fingerprint: fmt.Sprintf("q%d-%d", g, i%9), Stamp: ep.current(city)}
 				e := entryT(city, "v")
 				e.Prod = &Producer{Opts: "o|", FromKey: key.Fingerprint, Conjuncts: []string{"c > 1"}}
-				c.Fetch(context.Background(), key, func() (*Entry, error) { return e, nil })
+				fill(c, key, e)
 				if i%17 == 0 {
 					ep.bump(c, "llm:city")
 				}
@@ -653,8 +684,7 @@ func BenchmarkCandidates(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		e := entryT(city, "a", "b", "c", "d")
 		e.Prod = &Producer{Opts: "o|", FromKey: fmt.Sprintf("f%d", i), Conjuncts: []string{"c.pop > 5", "c.country = 'x'"}}
-		c.Fetch(context.Background(), Key{Fingerprint: fmt.Sprintf("f%d", i), Stamp: "s"},
-			func() (*Entry, error) { return e, nil })
+		fill(c, Key{Fingerprint: fmt.Sprintf("f%d", i), Stamp: "s"}, e)
 	}
 	tk := TablesKey(city)
 	b.ReportAllocs()
