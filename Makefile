@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-pipeline bench-optimizer bench-concurrency bench-resultcache bench-semcache bench-chaos bench-persist bench-sched bench-routing benchmark-smoke serve fuzz cover
+.PHONY: check vet build test race bench bench-artifacts bench-pipeline bench-optimizer bench-concurrency bench-resultcache bench-semcache bench-chaos bench-persist bench-sched bench-routing benchmark-smoke serve fuzz cover
 
 check: vet build race
 
@@ -19,6 +19,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# Regenerates all nine committed BENCH_*.json artifacts in one run (each
+# is deterministic; about 2 s) and fails when any differs from the
+# committed file. The per-artifact targets below regenerate one each.
+bench-artifacts:
+	$(GO) test -run '^$$' -bench 'Comparison$$' -benchtime=1x .
+	git diff --exit-code BENCH_*.json
 
 # Regenerates the committed BENCH_pipeline.json artifact (deterministic).
 bench-pipeline:

@@ -54,8 +54,8 @@ func run() error {
 	resultCache := flag.Bool("result-cache", false, "run the table/latency/extension experiments with the relation-level result cache on (default off = the paper's configuration)")
 	resultCacheSize := flag.Int("result-cache-size", rescache.DefaultSize, "max relations the result cache retains when -result-cache is set")
 	resultCacheBytes := flag.Int("result-cache-bytes", 0, "approximate byte budget for the result cache (0 = unlimited; the LRU evicts past it)")
-	pipeline := flag.Bool("pipeline", false, "run the table/latency/extension experiments with the pipelined streaming executor (default off = the paper's stop-and-go execution)")
-	workers := flag.Int("workers", 0, "per-endpoint LLM worker budget (0 = the engine default); in pipelined mode this is the shared scheduler's budget")
+	pipeline := flag.Bool("pipeline", false, "run the table/latency/extension experiments under the streaming execution policy (default off = the paper's stop-and-go policy)")
+	workers := flag.Int("workers", 0, "LLM worker budget (0 = the engine default): the scheduler's concurrent calls per endpoint, and under -pipeline=false also the width of a stop-and-go prompt wave")
 	flag.Parse()
 
 	runner, err := bench.NewRunner(*seed)

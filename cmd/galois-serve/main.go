@@ -7,7 +7,7 @@
 // Usage:
 //
 //	galois-serve [-addr :8080] [-model chatgpt] [-seed 1]
-//	             [-max-concurrent 16] [-workers 8] [-cache] [-pipeline]
+//	             [-max-concurrent 16] [-workers 8] [-cache]
 //	             [-result-cache] [-result-cache-size 256] [-result-cache-bytes N]
 //	             [-data-dir DIR] [-store-bytes N] [-store-ttl D] [-snapshot-interval 1m]
 //
@@ -78,7 +78,6 @@ func run() error {
 	resultCache := flag.Bool("result-cache", true, "enable the shared result cache (identical LIMIT-free queries served as whole relations: zero prompts, zero planning; invalidated on rebind/ANALYZE)")
 	resultCacheSize := flag.Int("result-cache-size", rescache.DefaultSize, "max relations the result cache retains")
 	resultCacheBytes := flag.Int("result-cache-bytes", 0, "approximate byte budget for the result cache (0 = unlimited; the LRU evicts past it)")
-	pipeline := flag.Bool("pipeline", true, "enable the pipelined streaming executor on the shared scheduler")
 	costbased := flag.Bool("costbased", true, "enable cost-based plan selection")
 	pushdown := flag.Bool("pushdown", false, "enable the prompt-pushdown optimization")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "max time to drain in-flight queries on SIGINT/SIGTERM")
@@ -108,7 +107,6 @@ func run() error {
 	opts.ResultCacheEnabled = *resultCache
 	opts.ResultCacheSize = *resultCacheSize
 	opts.ResultCacheBytes = *resultCacheBytes
-	opts.Pipelined = *pipeline
 	opts.BatchWorkers = *workers
 	opts.Resilient = *resilient
 	opts.Retries = *retries
@@ -167,8 +165,8 @@ func run() error {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("galois-serve: %s listening on %s — workers=%d max-concurrent=%d pipeline=%v cache=%v result-cache=%v",
-		modelDesc, *addr, *workers, *maxConcurrent, *pipeline, *cache, *resultCache)
+	log.Printf("galois-serve: %s listening on %s — workers=%d max-concurrent=%d cache=%v result-cache=%v",
+		modelDesc, *addr, *workers, *maxConcurrent, *cache, *resultCache)
 
 	select {
 	case err := <-errCh:

@@ -23,8 +23,8 @@ import (
 // every request opens a cheap session, executes under the runtime's
 // engine-global deficit-weighted scheduler, and renders the relation as
 // JSON — buffered, or streamed row by row (NDJSON / SSE) as the
-// pipelined executor yields tuples. An adaptive AIMD admission
-// controller decides how many queries execute at once; requests beyond
+// executor yields tuples. An adaptive AIMD admission controller decides
+// how many queries execute at once; requests beyond
 // it queue (and leave the queue when their client disconnects), and are
 // shed only when the controller has already collapsed to its floor.
 type server struct {

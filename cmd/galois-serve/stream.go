@@ -17,8 +17,8 @@ import (
 
 // Streaming delivery: instead of materializing the whole relation
 // before the first response byte, the handler walks core.QueryStream
-// and writes each row as the pipelined executor yields it — one
-// self-describing JSON frame per line (NDJSON), or the same frames
+// and writes each row as the executor yields it — one self-describing
+// JSON frame per line (NDJSON), or the same frames
 // wrapped in SSE events for EventSource clients. The frame sequence is
 // always header, zero or more rows, then exactly one terminal frame:
 // stats on success, error on a mid-stream failure (the 200 status line

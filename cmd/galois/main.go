@@ -51,9 +51,9 @@ func run() error {
 	resultCache := flag.Bool("result-cache", true, "enable the relation-level result cache (identical LIMIT-free queries served without planning or prompts; invalidated on rebind/ANALYZE)")
 	resultCacheSize := flag.Int("result-cache-size", rescache.DefaultSize, "max relations the result cache retains")
 	resultCacheBytes := flag.Int("result-cache-bytes", 0, "approximate byte budget for the result cache (0 = unlimited; the LRU evicts past it)")
-	pipeline := flag.Bool("pipeline", true, "enable the pipelined streaming executor (overlap prompt waves across operators; off = the paper's stop-and-go execution)")
+	pipeline := flag.Bool("pipeline", true, "run the streaming execution policy (overlap prompt waves across operators; off = the paper's stop-and-go policy)")
 	costbased := flag.Bool("costbased", true, "enable cost-based plan selection (enumerate candidate plans, pick the one with the fewest estimated prompts; off = the paper's fixed rewrite heuristics)")
-	workers := flag.Int("workers", 0, "per-endpoint LLM worker budget (0 = the engine default); in pipelined mode this is the shared scheduler's budget")
+	workers := flag.Int("workers", 0, "LLM worker budget (0 = the engine default): the scheduler's concurrent calls per endpoint, and under -pipeline=false also the width of a stop-and-go prompt wave")
 	resilient := flag.Bool("resilient", true, "enable the fault-tolerant LLM transport (deadlines, retries, circuit breaker, retry budget)")
 	retries := flag.Int("retries", 0, "max retries per prompt after a retryable failure (0 = default 3, negative = never retry)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff ceiling before the first retry; doubles per attempt with deterministic full jitter (0 = default 100ms)")

@@ -128,8 +128,8 @@ func (r *Runner) GroundTruth(ctx context.Context, sql string) (*schema.Relation,
 
 // PaperOptions is the published configuration: the engine defaults with
 // the prompt cache disabled (the paper's system had no prompt reuse) and
-// stop-and-go execution (each operator drains its input and issues one
-// blocking batch, with latency summed across operators — the model
+// the stop-and-go policy (each operator drains its input and issues one
+// settled prompt wave, with latency summed across waves — the model
 // behind the paper's ~20 s/query note). Experiments reproducing the
 // paper's numbers run with these; AblationCache and PipelineComparison
 // measure the respective engine upgrades.

@@ -126,8 +126,8 @@ type ChaosReport struct {
 	Outage    OutageScenario `json:"outage"`
 }
 
-// chaosOptions pins the differential's engine configuration: stop-and-go
-// serial batches and fixed heuristic plans, so the set and order of
+// chaosOptions pins the differential's engine configuration: the
+// stop-and-go policy and fixed heuristic plans, so the set and order of
 // issued prompts is a pure function of the query text, with the prompt
 // and result caches optionally on (the retry arms run them on to prove
 // faults cannot poison either tier).
@@ -232,7 +232,7 @@ func classifiedFailure(err error) bool {
 
 // runNoRetryControl runs the transient profile with retries disabled:
 // the availability loss the resilient transport exists to prevent. The
-// caches stay off — a failing query cancels its batch mid-flight, so
+// caches stay off — a failing query abandons its wave mid-flight, so
 // which sibling completions land in a cache is scheduling-dependent and
 // would make later prompt counts unstable.
 func (r *Runner) runNoRetryControl(ctx context.Context, p simllm.Profile, fp faultllm.Profile, baseline []queryOutcome) (NoRetryControl, error) {

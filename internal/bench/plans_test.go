@@ -13,7 +13,7 @@ import (
 	"repro/internal/simllm"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden plan files under testdata/plans")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // goldenPlanCases are the representative queries whose EXPLAIN output is
 // snapshotted: every optimizer rewrite or cost-model change shows up as

@@ -76,7 +76,7 @@ type RoutingReport struct {
 }
 
 // routingOptions pins the routing differential's engine configuration:
-// stop-and-go serial batches, fixed heuristic plans and both caches off,
+// the stop-and-go policy, fixed heuristic plans and both caches off,
 // so the set and order of issued prompts is a pure function of the query
 // text and every prompt is a distinct, attributable model call.
 func routingOptions() core.Options {

@@ -49,29 +49,33 @@ type Options struct {
 	Clean clean.Options
 	// MaxScanIterations caps the "return more results" loop per leaf.
 	MaxScanIterations int
-	// BatchWorkers bounds concurrent prompt execution: per-operator batch
-	// fan-out in stop-and-go mode (session-tier), and the engine-global
-	// scheduler's per-endpoint worker budget — shared fairly by all
-	// in-flight queries, fixed at NewRuntime — in pipelined mode.
+	// BatchWorkers is the engine-global scheduler's per-endpoint worker
+	// budget — the real concurrency of every query's prompts, shared
+	// fairly by all in-flight queries, fixed at NewRuntime — and, per
+	// session, the width of a stop-and-go prompt wave in the latency
+	// model.
 	BatchWorkers int
-	// Pipelined turns on the streaming executor: each query opens a
-	// tenant on the engine-global prompt scheduler (one bounded worker
-	// pool per model endpoint, alive for the runtime's lifetime,
-	// fair-shared round-robin across in-flight queries), the LLM
+	// Pipelined selects the execution policy of the one executor. Every
+	// query opens a tenant on the engine-global prompt scheduler (one
+	// bounded worker pool per model endpoint, alive for the runtime's
+	// lifetime, fair-shared across in-flight queries) and its LLM
+	// operators issue their prompts through it. On, the streaming policy:
 	// operators submit prompts as upstream tuples arrive (an attribute
 	// fetch starts while the key scan is still iterating "more results"
-	// pages, the verifier runs concurrently with the primary fetch), a
-	// satisfied LIMIT stops upstream prompt issue, and simulated latency
-	// is the tenant's makespan — the larger of the critical dependency
-	// path and the aggregate work spread over the worker budget — instead
-	// of summed waves. Results are identical to stop-and-go execution.
-	// Default on (DefaultOptions); off reproduces the paper's stop-and-go
-	// behavior.
+	// pages, the verifier runs alongside the primary fetch), a satisfied
+	// LIMIT stops upstream prompt issue, and simulated latency is the
+	// tenant's makespan — the larger of the critical dependency path and
+	// the aggregate work spread over the worker budget. Off, the paper's
+	// stop-and-go policy: each operator drains its input and issues one
+	// prompt wave that settles before rows move on, a LIMIT still pays
+	// for the full prompt set, and latency sums the waves (each
+	// ⌈prompts / BatchWorkers⌉ × its slowest prompt). Results are
+	// identical under both. Default on (DefaultOptions).
 	Pipelined bool
 	// CacheEnabled turns on the runtime-level prompt cache: completions
 	// are reused across operators and across every query of this runtime,
-	// concurrent identical prompts collapse into one model call, and
-	// duplicate prompts within one batch cost one completion. Default on
+	// and concurrent identical prompts (duplicates within one wave
+	// included) collapse into one model call. Default on
 	// (DefaultOptions).
 	CacheEnabled bool
 	// CacheSize caps the number of completions the prompt cache retains

@@ -155,9 +155,11 @@ func TestQueryCacheAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestPipelinedMatchesStopAndGo: the default pipelined executor must
-// return the same relation as stop-and-go execution with the same issued
-// prompts, at lower simulated latency, on a multi-operator query.
+// TestPipelinedMatchesStopAndGo: the default streaming policy must
+// return the same relation as the stop-and-go policy with the same issued
+// prompts, at lower simulated latency, on a multi-operator query. Both
+// run on a tenant, and each report's scheduler accounting agrees with its
+// simulated latency (a stop-and-go tenant's makespan is its wave sum).
 func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	const q = "SELECT name, capital FROM country WHERE continent = 'Europe'"
 	ctx := context.Background()
@@ -190,9 +192,14 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 		t.Errorf("pipelined latency %v must be positive and at most stop-and-go %v",
 			gotRep.Stats.SimulatedLatency, wantRep.Stats.SimulatedLatency)
 	}
+	for _, rep := range []*Report{wantRep, gotRep} {
+		if rep.Sched == nil || rep.Sched.Makespan() != rep.Stats.SimulatedLatency {
+			t.Errorf("scheduler accounting %+v disagrees with simulated latency %v", rep.Sched, rep.Stats.SimulatedLatency)
+		}
+	}
 }
 
-// TestPipelinedLimitQuery: a LIMIT query under the pipelined executor
+// TestPipelinedLimitQuery: a LIMIT query under the streaming policy
 // terminates early, settles abandoned in-flight prompts before the
 // report is built, and still returns the right rows.
 func TestPipelinedLimitQuery(t *testing.T) {
@@ -302,10 +309,9 @@ func TestDeterministicQueries(t *testing.T) {
 // prompts as the boolean filter, but the values stay for every later
 // literal), and once a table scan has left every city.population fact
 // resident the fetches are priced at zero — EXPLAIN says so — and the
-// statement runs for zero prompts, in both execution
-// modes (the class reaches the cache through Tenant.Submit and through
-// the stop-and-go batch alike) and with a verifier, whose completions
-// are resident under their own model. With the prompt cache off the same
+// statement runs for zero prompts, under both execution
+// policies and with a verifier, whose completions are resident under
+// their own model. With the prompt cache off the same
 // statement keeps the paper's per-key boolean prompts and EXPLAIN carries
 // no residency annotation.
 func TestResidentPromptsPricedAtZero(t *testing.T) {

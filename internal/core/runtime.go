@@ -85,9 +85,8 @@ type Runtime struct {
 	// refined from the per-operator counters of every executed query.
 	// Concurrency-safe; sessions observe into it concurrently.
 	stats *optimizer.Statistics
-	// sched is the engine-global prompt scheduler (nil when the runtime
-	// default is stop-and-go execution and no session asks otherwise —
-	// see scheduler()).
+	// sched is the engine-global prompt scheduler, created on first use
+	// (see scheduler()).
 	schedOnce sync.Once
 	sched     *llm.Scheduler
 

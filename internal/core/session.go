@@ -118,8 +118,8 @@ func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras [
 		return logical.Build(sel, s)
 	}
 	// Price plans with the worker budget that will actually apply: the
-	// runtime scheduler's shared per-endpoint budget in pipelined mode,
-	// the session's batch fan-out in stop-and-go mode.
+	// runtime scheduler's shared per-endpoint budget under the streaming
+	// policy, the session's wave width under stop-and-go.
 	workers := s.opts.BatchWorkers
 	if s.opts.Pipelined {
 		workers = s.rt.opts.BatchWorkers
@@ -198,9 +198,10 @@ type Report struct {
 	// pure EXPLAIN, which does not execute).
 	Metrics *physical.Metrics
 	// Sched is the query's simulated-latency accounting on the shared
-	// scheduler (critical path, per-endpoint work) — nil for stop-and-go
-	// execution. Concurrency benchmarks aggregate these across queries
-	// with llm.AggregateMakespan.
+	// scheduler (critical path, per-endpoint work; a stop-and-go query's
+	// critical path is its wave sum) — nil when no live execution ran.
+	// Concurrency benchmarks aggregate these across queries with
+	// llm.AggregateMakespan.
 	Sched *llm.TenantStats
 	// Cached reports whether (and how) the runtime's result cache
 	// answered the query: CacheExact for a verbatim hit (Plan still
@@ -418,21 +419,27 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 
 // openTenant opens one query's scheduler tenant in the session's
 // admission class and weight, which decide the dispatch band and the
-// deficit share within it. Unknown class spellings fall back to
-// interactive (the serve layer rejects them before they reach here;
-// direct API callers get the safe default).
+// deficit share within it, and in the session's execution policy:
+// stop-and-go tenants issue waves as wide as the session's BatchWorkers.
+// Unknown class spellings fall back to interactive (the serve layer
+// rejects them before they reach here; direct API callers get the safe
+// default).
 func (s *Session) openTenant(ctx context.Context) *llm.Tenant {
 	class, _ := llm.ParseClass(s.opts.AdmissionClass)
-	return s.rt.scheduler().TenantFor(ctx, "", class, s.opts.AdmissionWeight)
+	t := s.rt.scheduler().TenantFor(ctx, "", class, s.opts.AdmissionWeight)
+	if !s.opts.Pipelined {
+		t.SetWaves(s.opts.BatchWorkers)
+	}
+	return t
 }
 
 // observe feeds the executed plan's per-operator counters back into the
 // runtime's statistics, so later queries — of any session — plan against
 // what the engine actually saw (cardinalities, page sizes,
 // selectivities). Plans with a LIMIT are excluded: under one, operators
-// may not see their full input (the pipelined close-cascade stops
+// may not see their full input (the streaming close-cascade stops
 // producers mid-stream, and consumed row counts depend on the execution
-// strategy), so their counters describe the truncated run rather than
+// policy), so their counters describe the truncated run rather than
 // the data and would corrupt the estimates. Residual plans never reach
 // here: their counters describe cached rows, not the model.
 func (s *Session) observe(plan logical.Node, m *physical.Metrics) {

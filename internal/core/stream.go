@@ -17,8 +17,8 @@ import (
 	"repro/internal/sql/parser"
 )
 
-// Stream is one query's execution, delivered row by row as the pipelined
-// executor yields them. It is the session's only executor entry point: a
+// Stream is one query's execution, delivered row by row as the executor
+// yields them. It is the session's only executor entry point: a
 // buffered Query is a Stream drained to io.EOF. The contract mirrors the
 // row iterators the executor itself is built from:
 //
@@ -201,7 +201,7 @@ func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical
 // and execution, sel is planned afresh. Everything else executes live.
 func (s *Session) openPlan(ctx context.Context, sel *ast.Select, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	if cs := logical.FindCachedScan(plan); cs != nil {
-		st, err := s.openResidual(ctx, plan, cost, cs)
+		st, err := s.openResidual(plan, cost, cs)
 		if !errors.Is(err, errCachedEntryGone) {
 			return st, err
 		}
@@ -216,7 +216,7 @@ func (s *Session) openPlan(ctx context.Context, sel *ast.Select, plan logical.No
 // its cached relation: no scheduler tenant, no model client, zero
 // prompts. The cached rows were cleaned by the producing run, so only
 // the relational operators run here.
-func (s *Session) openResidual(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost, cs *logical.CachedScan) (*Stream, error) {
+func (s *Session) openResidual(plan logical.Node, cost *optimizer.PlanCost, cs *logical.CachedScan) (*Stream, error) {
 	entry, ok := s.rt.resultCache.Subsumed(rescache.Key{Fingerprint: cs.Source, Stamp: cs.Stamp})
 	if !ok {
 		return nil, errCachedEntryGone
@@ -228,7 +228,6 @@ func (s *Session) openResidual(ctx context.Context, plan logical.Node, cost *opt
 	}
 	metrics := physical.NewMetrics()
 	pctx := &physical.Context{
-		Ctx:     ctx,
 		Cleaner: clean.New(s.opts.Clean),
 		Metrics: metrics,
 	}
@@ -249,9 +248,9 @@ func (s *Session) openResidual(ctx context.Context, plan logical.Node, cost *opt
 }
 
 // openLive compiles one plan against the base tables and opens it: the
-// query's recorded, routed transport, the verifier, and — pipelined — a
-// tenant on the engine-global scheduler in the session's admission
-// class, whose prompts fair-share the per-endpoint worker budget with
+// query's recorded, routed transport, the verifier, and a tenant on the
+// engine-global scheduler in the session's admission class and execution
+// policy, whose prompts fair-share the per-endpoint worker budget with
 // every other in-flight query while accounting stays per query.
 func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	var env *physical.Env
@@ -275,30 +274,22 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 		verifier = penv.verifier
 	}
 	metrics := physical.NewMetrics()
+	tenant := s.openTenant(ctx)
 	pctx := &physical.Context{
-		Ctx:               ctx,
 		Client:            penv.primaryClient(),
 		Route:             penv.clientForRole,
-		Cache:             s.rt.cache,
 		Prompts:           s.rt.builder,
 		Cleaner:           clean.New(s.opts.Clean),
 		MaxScanIterations: s.opts.MaxScanIterations,
-		BatchWorkers:      s.opts.BatchWorkers,
+		Scheduler:         tenant,
 		Metrics:           metrics,
 		Verifier:          verifier,
 		VerifyTolerance:   s.opts.VerifyTolerance,
 	}
-	var tenant *llm.Tenant
-	if s.opts.Pipelined {
-		tenant = s.openTenant(ctx)
-		pctx.Scheduler = tenant
-	}
 	st, err := physical.OpenStream(pctx, op)
 	if err != nil {
-		if tenant != nil {
-			tenant.Close()
-			tenant.Quiesce()
-		}
+		tenant.Close()
+		tenant.Quiesce()
 		return nil, err
 	}
 	return &Stream{
@@ -390,10 +381,10 @@ func (st *Stream) Finish() (*Report, error) {
 		rep.Stats = st.penv.stats()
 	}
 	if st.tenant != nil {
-		// Pipelined prompts carry no per-call latency on the recorders;
-		// the query's simulated wall-clock is its makespan as if it ran
-		// alone against the full worker budget (exact per-query
-		// attribution under concurrency).
+		// Prompts carry no per-call latency on the recorders; the query's
+		// simulated wall-clock is its tenant's makespan as if it ran alone
+		// against the full worker budget (exact per-query attribution
+		// under concurrency), or its wave sum under stop-and-go.
 		rep.Stats.SimulatedLatency += st.tenant.Makespan()
 		rep.Sched = st.tenant.Stats()
 		st.tenant.Close()

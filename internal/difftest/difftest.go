@@ -1,7 +1,7 @@
 // Package difftest generates seeded random SQL queries over the
 // simulated world for differential testing: the same query is executed
-// by the batched (stop-and-go) and the pipelined streaming executor, and
-// the results must be identical — plus, on LIMIT-free plans, the prompt
+// under the stop-and-go and the streaming execution policies, and the
+// results must be identical — plus, on LIMIT-free plans, the prompt
 // counts must match exactly. The generator mirrors the sqllogictest-style
 // randomized harnesses production query engines lean on: cheap to run by
 // the hundreds, seeded for reproducibility, and shaped to hit every
@@ -18,9 +18,9 @@ import (
 // Query is one generated test case.
 type Query struct {
 	SQL string
-	// HasLimit marks plans whose pipelined execution may legitimately
+	// HasLimit marks plans whose streaming execution may legitimately
 	// issue fewer prompts (early termination), so prompt counts are not
-	// comparable.
+	// comparable across policies.
 	HasLimit bool
 }
 

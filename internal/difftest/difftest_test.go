@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 	"repro/internal/simllm"
 )
 
-// engines builds one batched and one pipelined engine over the same
-// simulated model seed, cache off so prompt counts are model calls.
+// engines builds one stop-and-go ("batched") and one streaming
+// ("pipelined") engine over the same simulated model seed, cache off so
+// prompt counts are model calls.
 func engines(t *testing.T) (*core.Engine, *core.Engine) {
 	t.Helper()
 	r, err := bench.NewRunner(1)
@@ -33,9 +35,11 @@ func engines(t *testing.T) (*core.Engine, *core.Engine) {
 }
 
 // TestDifferentialBatchedVsPipelined runs ~200 seeded random queries
-// through both executors and requires identical result relations — and,
-// on LIMIT-free plans, identical prompt counts. This is the randomized
-// cross-check CI runs under -race.
+// under both execution policies and requires identical result relations
+// — and, on LIMIT-free plans, identical prompt counts. Under stop-and-go
+// a LIMIT never cuts prompt issue short, so each LIMIT statement must
+// also issue exactly the prompts of its LIMIT-free form. This is the
+// randomized cross-check CI runs under -race.
 func TestDifferentialBatchedVsPipelined(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -59,15 +63,32 @@ func TestDifferentialBatchedVsPipelined(t *testing.T) {
 			t.Errorf("query %d: executors disagree on %q\nbatched:\n%s\npipelined:\n%s",
 				i, q.SQL, relB.String(), relP.String())
 		}
-		if !q.HasLimit && repB.Stats.Prompts != repP.Stats.Prompts {
-			t.Errorf("query %d: prompt counts differ on LIMIT-free %q: batched=%d pipelined=%d",
-				i, q.SQL, repB.Stats.Prompts, repP.Stats.Prompts)
+		if !q.HasLimit {
+			if repB.Stats.Prompts != repP.Stats.Prompts {
+				t.Errorf("query %d: prompt counts differ on LIMIT-free %q: batched=%d pipelined=%d",
+					i, q.SQL, repB.Stats.Prompts, repP.Stats.Prompts)
+			}
+			continue
+		}
+		// Both arms run the LIMIT-free form, keeping their adaptive
+		// statistics (and so every later plan choice) in lockstep.
+		free := q.SQL[:strings.Index(q.SQL, " LIMIT ")]
+		_, repFree, err := batched.Query(ctx, free)
+		if err != nil {
+			t.Fatalf("query %d (batched, LIMIT-free) %q: %v", i, free, err)
+		}
+		if _, _, err := pipelined.Query(ctx, free); err != nil {
+			t.Fatalf("query %d (pipelined, LIMIT-free) %q: %v", i, free, err)
+		}
+		if repB.Stats.Prompts != repFree.Stats.Prompts {
+			t.Errorf("query %d: stop-and-go %q issued %d prompts, its LIMIT-free form %d",
+				i, q.SQL, repB.Stats.Prompts, repFree.Stats.Prompts)
 		}
 	}
 }
 
 // TestDifferentialCostBased cross-checks the cost-based optimizer the
-// same way: whatever plan it picks, both executors must agree on the
+// same way: whatever plan it picks, both policies must agree on the
 // result.
 func TestDifferentialCostBased(t *testing.T) {
 	n := 60
@@ -93,7 +114,7 @@ func TestDifferentialCostBased(t *testing.T) {
 	ctx := context.Background()
 	// LIMIT queries are safe to include: the engine excludes plans with
 	// a LIMIT from statistics observation (their counters depend on the
-	// execution strategy), so the two arms' adaptive statistics — and
+	// execution policy), so the two arms' adaptive statistics — and
 	// with them every future plan choice — stay in lockstep.
 	for i := 0; i < n; i++ {
 		q := gen.Query()

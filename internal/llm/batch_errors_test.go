@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// TestBatchFailureNotMixedWithInternalCancels: when one prompt of a
-// batch fails, the batch cancels its siblings internally; the reported
-// error must contain only the real failure, never the secondary
-// context.Canceled the siblings died of.
+// TestBatchFailureNotMixedWithInternalCancels: when one prompt of a wave
+// fails, Settle reports the real failure — never a cancellation, which
+// would read as the caller giving up.
 func TestBatchFailureNotMixedWithInternalCancels(t *testing.T) {
 	boom := Transient(errors.New("backend 500"))
 	var n atomic.Int64
@@ -29,7 +28,7 @@ func TestBatchFailureNotMixedWithInternalCancels(t *testing.T) {
 	for i := range prompts {
 		prompts[i] = "p" + string(rune('a'+i))
 	}
-	_, err := CompleteBatch(context.Background(), client, prompts, 4)
+	_, err := runWave(waveTenant(context.Background(), nil, 4), client, prompts)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -44,7 +43,7 @@ func TestBatchFailureNotMixedWithInternalCancels(t *testing.T) {
 	}
 }
 
-// TestBatchCallerCancelReportedAsCancellation: a batch aborted by the
+// TestBatchCallerCancelReportedAsCancellation: a wave aborted by the
 // caller's own cancel reports exactly the caller's context error — it
 // must never classify (or read) as a backend failure.
 func TestBatchCallerCancelReportedAsCancellation(t *testing.T) {
@@ -52,7 +51,7 @@ func TestBatchCallerCancelReportedAsCancellation(t *testing.T) {
 	var n atomic.Int64
 	client := clientFunc("slow", func(cctx context.Context, prompt string) (string, error) {
 		if n.Add(1) == 2 {
-			cancel() // the user gives up mid-batch
+			cancel() // the user gives up mid-wave
 		}
 		if err := cctx.Err(); err != nil {
 			return "", err
@@ -64,7 +63,9 @@ func TestBatchCallerCancelReportedAsCancellation(t *testing.T) {
 	for i := range prompts {
 		prompts[i] = "p" + string(rune('a'+i))
 	}
-	_, err := CompleteBatch(ctx, client, prompts, 2)
+	tn := waveTenant(ctx, nil, 2)
+	defer tn.Close()
+	_, err := runWave(tn, client, prompts)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -85,8 +86,9 @@ func TestBatchCachedCallerCancel(t *testing.T) {
 	client := clientFunc("c", func(cctx context.Context, prompt string) (string, error) {
 		return "", cctx.Err()
 	})
-	cache := NewCache(16)
-	_, err := CompleteBatchCached(ctx, client, cache, PromptClass{}, []string{"a", "b", "c"}, 2)
+	tn := waveTenant(ctx, NewCache(16), 2)
+	defer tn.Close()
+	_, err := runWave(tn, client, []string{"a", "b", "c"})
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -279,30 +279,3 @@ func (c *Cache) Fetch(ctx context.Context, model string, class PromptClass, prom
 		return f.out, true, f.err
 	}
 }
-
-// CompleteCached issues one prompt through client, consulting cache when
-// non-nil: resident completions return immediately (recorded as cache
-// hits with zero simulated latency), concurrent identical prompts share
-// one model call. With a nil cache it is exactly client.Complete.
-func CompleteCached(ctx context.Context, client Client, cache *Cache, prompt string) (string, error) {
-	if cache == nil {
-		return client.Complete(ctx, prompt)
-	}
-	rec, _ := client.(*Recorder)
-	out, issued, err := cache.Fetch(ctx, client.Name(), PromptClass{}, prompt, func() (string, error) {
-		// The leader goes through the full client (a Recorder accounts the
-		// real call normally); joiners and hits bypass it entirely.
-		return client.Complete(ctx, prompt)
-	})
-	if err != nil {
-		return "", err
-	}
-	if rec != nil {
-		if issued {
-			rec.recordCache(0, 1)
-		} else {
-			rec.recordCache(1, 0)
-		}
-	}
-	return out, nil
-}

@@ -181,8 +181,8 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchCanceledContext: a canceled parent context must yield
-// an error, never a silently partial result slice.
+// TestCompleteBatchCanceledContext: a wave on a cancelled query must
+// yield an error, never a silently partial answer set.
 func TestCompleteBatchCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -190,25 +190,28 @@ func TestCompleteBatchCanceledContext(t *testing.T) {
 	for i := range prompts {
 		prompts[i] = fmt.Sprintf("p%d", i)
 	}
-	if out, err := CompleteBatch(ctx, &echoClient{}, prompts, 2); err == nil {
-		t.Errorf("canceled batch returned %d outputs with nil error", len(out))
-	}
-	if out, err := CompleteBatchCached(ctx, &echoClient{}, NewCache(8), PromptClass{}, prompts, 2); err == nil {
-		t.Errorf("canceled cached batch returned %d outputs with nil error", len(out))
+	for _, cache := range []*Cache{nil, NewCache(8)} {
+		tn := waveTenant(ctx, cache, 2)
+		if out, err := runWave(tn, &echoClient{}, prompts); err == nil {
+			t.Errorf("cancelled wave (cache %v) returned %d outputs with nil error", cache != nil, len(out))
+		}
+		tn.Close()
 	}
 }
 
+// TestCompleteCachedThroughRecorder: a repeated prompt through the cache
+// is one model call; the recorder counts the miss and the hit, and the
+// hit costs zero simulated time.
 func TestCompleteCachedThroughRecorder(t *testing.T) {
 	client := &echoClient{}
 	rec := NewRecorder(client)
-	cache := NewCache(8)
-	ctx := context.Background()
+	tn := waveTenant(context.Background(), NewCache(8), 4)
 
-	first, err := CompleteCached(ctx, rec, cache, "hello world")
+	first, _, err := tn.Do(rec, "hello world", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := CompleteCached(ctx, rec, cache, "hello world")
+	second, _, err := tn.Do(rec, "hello world", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,34 +225,39 @@ func TestCompleteCachedThroughRecorder(t *testing.T) {
 	if s.Prompts != 1 || s.CacheHits != 1 || s.CacheMisses != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	// The hit must cost zero simulated seconds: total latency equals one
-	// uncached call's.
-	if want := promptLatency(2, 3); s.SimulatedLatency != want {
-		t.Errorf("latency = %v, want the single call's %v", s.SimulatedLatency, want)
+	if want := promptLatency(2, 3); tn.Makespan() != want {
+		t.Errorf("latency = %v, want the single call's %v", tn.Makespan(), want)
 	}
 }
 
+// TestCompleteCachedNilCache: without a cache every prompt goes straight
+// to the model and no cache counters move.
 func TestCompleteCachedNilCache(t *testing.T) {
 	client := &echoClient{}
-	out, err := CompleteCached(context.Background(), client, nil, "p")
+	rec := NewRecorder(client)
+	out, _, err := waveTenant(context.Background(), nil, 1).Do(rec, "p", 0)
 	if err != nil || !strings.HasPrefix(out, "echo:") {
 		t.Fatalf("nil cache must pass through: %q, %v", out, err)
 	}
 	if client.calls != 1 {
 		t.Errorf("calls = %d", client.calls)
 	}
+	if s := rec.Stats(); s.CacheHits != 0 || s.CacheMisses != 0 {
+		t.Errorf("cacheless prompt moved cache counters: %+v", s)
+	}
 }
 
-// TestCompleteBatchCachedDedup: a batch of N prompts with K distinct
-// strings issues exactly K client calls, outputs stay positionally
-// aligned, and the recorder charges latency for K prompts only.
+// TestCompleteBatchCachedDedup: a wave of N prompts with K distinct
+// strings issues exactly K client calls, answers stay aligned, the
+// recorder counts K misses and N−K hits, and the wave is priced on the K
+// issued prompts only.
 func TestCompleteBatchCachedDedup(t *testing.T) {
 	client := &echoClient{}
 	rec := NewRecorder(client)
-	cache := NewCache(64)
+	tn := waveTenant(context.Background(), NewCache(64), 4)
 
 	prompts := []string{"a", "b", "a", "c", "b", "a", "a", "c"}
-	out, err := CompleteBatchCached(context.Background(), rec, cache, PromptClass{}, prompts, 4)
+	out, err := runWave(tn, rec, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,69 +273,74 @@ func TestCompleteBatchCachedDedup(t *testing.T) {
 	if s.Prompts != 3 || s.CacheMisses != 3 || s.CacheHits != len(prompts)-3 {
 		t.Errorf("stats = %+v", s)
 	}
+	// Three issued prompts fit one round of four.
+	if want := promptLatency(1, 2); tn.Makespan() != want {
+		t.Errorf("wave latency = %v, want one round %v", tn.Makespan(), want)
+	}
 }
 
-// TestCompleteBatchCachedCrossBatch: a second batch over prompts the cache
-// already holds issues zero client calls and zero simulated latency.
+// TestCompleteBatchCachedCrossBatch: a second wave over prompts the cache
+// already holds issues zero client calls and costs zero simulated time.
 func TestCompleteBatchCachedCrossBatch(t *testing.T) {
 	client := &echoClient{}
 	rec := NewRecorder(client)
-	cache := NewCache(64)
-	ctx := context.Background()
+	tn := waveTenant(context.Background(), NewCache(64), 2)
 
 	prompts := []string{"a", "b", "c"}
-	if _, err := CompleteBatchCached(ctx, rec, cache, PromptClass{}, prompts, 2); err != nil {
+	if _, err := runWave(tn, rec, prompts); err != nil {
 		t.Fatal(err)
 	}
-	warm := rec.Stats()
-	if _, err := CompleteBatchCached(ctx, rec, cache, PromptClass{}, prompts, 2); err != nil {
+	warm, warmLat := rec.Stats(), tn.Makespan()
+	if _, err := runWave(tn, rec, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if client.calls != 3 {
-		t.Errorf("second batch re-issued prompts: %d calls", client.calls)
+		t.Errorf("second wave re-issued prompts: %d calls", client.calls)
 	}
 	s := rec.Stats()
 	if s.Prompts != warm.Prompts {
-		t.Errorf("cached batch must not issue prompts: %d vs %d", s.Prompts, warm.Prompts)
+		t.Errorf("cached wave must not issue prompts: %d vs %d", s.Prompts, warm.Prompts)
 	}
-	if s.SimulatedLatency != warm.SimulatedLatency {
-		t.Errorf("cached batch must cost zero simulated time: %v vs %v", s.SimulatedLatency, warm.SimulatedLatency)
+	if tn.Makespan() != warmLat {
+		t.Errorf("cached wave must cost zero simulated time: %v vs %v", tn.Makespan(), warmLat)
 	}
 	if s.CacheHits != 3 {
 		t.Errorf("cache hits = %d, want 3", s.CacheHits)
 	}
 }
 
-// TestCompleteBatchCachedConcurrent hammers one cache from many batches
-// with overlapping prompt sets; under -race this exercises the
-// singleflight and LRU paths concurrently.
+// TestCompleteBatchCachedConcurrent hammers one cache from many queries'
+// waves with overlapping prompt sets on one scheduler; under -race this
+// exercises the singleflight and LRU paths concurrently.
 func TestCompleteBatchCachedConcurrent(t *testing.T) {
 	client := &echoClient{}
-	cache := NewCache(128)
-	ctx := context.Background()
+	s := NewScheduler(NewCache(128), 4)
 
-	const batches = 8
+	const queries = 8
 	var wg sync.WaitGroup
-	for b := 0; b < batches; b++ {
+	for q := 0; q < queries; q++ {
 		wg.Add(1)
-		go func(b int) {
+		go func(q int) {
 			defer wg.Done()
 			prompts := make([]string, 20)
 			for i := range prompts {
-				prompts[i] = fmt.Sprintf("p%02d", (b+i)%10)
+				prompts[i] = fmt.Sprintf("p%02d", (q+i)%10)
 			}
-			out, err := CompleteBatchCached(ctx, client, cache, PromptClass{}, prompts, 4)
+			tn := s.Tenant(context.Background(), "")
+			tn.SetWaves(4)
+			defer tn.Close()
+			out, err := runWave(tn, client, prompts)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for i, o := range out {
 				if o != "echo: "+prompts[i] {
-					t.Errorf("batch %d output %d misaligned: %q", b, i, o)
+					t.Errorf("query %d output %d misaligned: %q", q, i, o)
 					return
 				}
 			}
-		}(b)
+		}(q)
 	}
 	wg.Wait()
 
@@ -335,57 +348,6 @@ func TestCompleteBatchCachedConcurrent(t *testing.T) {
 	// must have been served by the cache or a shared flight.
 	if client.calls != 10 {
 		t.Errorf("client called %d times, want 10 distinct prompts", client.calls)
-	}
-}
-
-// failingClient fails prompts containing "fail", tagging the error with
-// the prompt, after waiting for `ready` so concurrent failures overlap.
-type failingClient struct {
-	ready *sync.WaitGroup
-}
-
-func (f *failingClient) Name() string { return "failing" }
-
-func (f *failingClient) Complete(ctx context.Context, p string) (string, error) {
-	if f.ready != nil {
-		f.ready.Done()
-		f.ready.Wait()
-	}
-	if strings.Contains(p, "fail") {
-		return "", fmt.Errorf("model refused %s", p)
-	}
-	return "ok", nil
-}
-
-// TestCompleteBatchJoinsDistinctErrors: when several prompts fail
-// concurrently, the returned error reports each distinct failure instead
-// of an arbitrary single one.
-func TestCompleteBatchJoinsDistinctErrors(t *testing.T) {
-	var ready sync.WaitGroup
-	ready.Add(2)
-	client := &failingClient{ready: &ready}
-	_, err := CompleteBatch(context.Background(), client, []string{"fail-one", "fail-two"}, 2)
-	if err == nil {
-		t.Fatal("batch must fail")
-	}
-	for _, want := range []string{"model refused fail-one", "model refused fail-two"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
-	}
-}
-
-func TestJoinDistinct(t *testing.T) {
-	a, b := errors.New("a"), errors.New("b")
-	if err := joinDistinct([]error{nil, nil}); err != nil {
-		t.Errorf("all-nil must join to nil, got %v", err)
-	}
-	err := joinDistinct([]error{nil, a, errors.New("a"), b})
-	if err == nil || !errors.Is(err, a) || !errors.Is(err, b) {
-		t.Fatalf("join = %v", err)
-	}
-	if strings.Count(err.Error(), "a") != 1 {
-		t.Errorf("duplicate messages must collapse: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -105,37 +104,43 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 	goroutinesAtMost(t, baseline)
 }
 
-// TestBatchGoroutineHygieneOnFailure: a batch aborted by one failing
-// prompt must cancel its siblings and leave no worker goroutines or
-// singleflight leaders behind, with or without the cache.
+// TestBatchGoroutineHygieneOnFailure: a stop-and-go wave abandoned after
+// one failing prompt — its query cancelled and its tenant closed, as a
+// failed stream does — leaves no worker goroutines or singleflight
+// leaders behind, with or without the cache.
 func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	boom := errors.New("poof")
-	var calls sync.Map
 	flaky := clientFunc("ep", func(ctx context.Context, prompt string) (string, error) {
 		if prompt == "p3" {
 			return "", Permanent(boom)
 		}
-		select { // siblings hang until the batch cancels them
+		select { // siblings hang until the query is cancelled
 		case <-ctx.Done():
 			return "", ctx.Err()
 		case <-time.After(5 * time.Second):
-			calls.Store(prompt, true)
 			return "slow", nil
 		}
 	})
-	prompts := make([]string, 16)
-	for i := range prompts {
-		prompts[i] = fmt.Sprintf("p%d", i)
+	for _, cache := range []*Cache{nil, NewCache(64)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tn := waveTenant(ctx, cache, 4)
+		w := tn.Wave()
+		var failed *Future
+		for i := 0; i < 16; i++ {
+			if f := w.Submit(flaky, fmt.Sprintf("p%d", i), 0, PromptClass{}); i == 3 {
+				failed = f
+			}
+		}
+		if _, _, err := failed.Wait(); !errors.Is(err, boom) {
+			t.Fatalf("failing prompt error = %v, want %v", err, boom)
+		}
+		cancel()
+		tn.Close()
+		tn.Quiesce()
+		if err := w.Settle(); err == nil {
+			t.Fatal("abandoned wave settled without error")
+		}
+		goroutinesAtMost(t, baseline)
 	}
-
-	if _, err := CompleteBatch(context.Background(), flaky, prompts, 4); !errors.Is(err, boom) {
-		t.Fatalf("CompleteBatch error = %v, want %v", err, boom)
-	}
-	goroutinesAtMost(t, baseline)
-
-	if _, err := CompleteBatchCached(context.Background(), flaky, NewCache(64), PromptClass{}, prompts, 4); !errors.Is(err, boom) {
-		t.Fatalf("CompleteBatchCached error = %v, want %v", err, boom)
-	}
-	goroutinesAtMost(t, baseline)
 }

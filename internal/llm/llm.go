@@ -1,7 +1,8 @@
 // Package llm defines the interface Galois uses to talk to a large
 // language model, plus instrumentation (prompt/token accounting, a
 // simulated latency model matching the paper's reported ~110 batched
-// prompts and ~20 s per query) and a bounded-concurrency batch helper.
+// prompts and ~20 s per query) and the engine-global prompt scheduler
+// every query issues its prompts through (Scheduler, Tenant).
 //
 // The engine never sees anything but this interface: text prompt in, text
 // completion out. The simulated models live in package simllm; a real
@@ -10,16 +11,16 @@ package llm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 	"unicode"
 )
 
-// DefaultBatchWorkers is the fallback bound on concurrent prompt
-// execution in batched operators. Every layer that needs a worker-count
-// default (engine options, physical operators) uses this constant.
+// DefaultBatchWorkers is the fallback worker budget: the scheduler's
+// concurrent calls per model endpoint, and the width of a stop-and-go
+// prompt wave. Every layer that needs a worker-count default (engine
+// options, the scheduler, the planner) uses this constant.
 const DefaultBatchWorkers = 8
 
 // Client is a large language model endpoint.
@@ -38,20 +39,18 @@ type Stats struct {
 	PromptTokens     int
 	CompletionTokens int
 	// CacheHits counts prompts answered without a model call (resident in
-	// the prompt cache, collapsed into a concurrent identical call, or
-	// deduplicated inside one batch).
+	// the prompt cache, or collapsed into a concurrent identical call).
 	CacheHits int
 	// CacheMisses counts prompts that went to the model while a cache was
 	// in play.
 	CacheMisses int
 	// SimulatedLatency is the wall-clock the prompts would have cost on a
-	// real API, assuming the execution the recorder observed. Stop-and-go
-	// execution sums per-operator batch waves (prompts inside one
-	// CompleteBatch overlap; sequential prompts add up). The pipelined
-	// executor instead reports the Scheduler's makespan — the larger of
-	// the longest cross-operator dependency chain and the aggregate work
-	// spread over the shared worker budget. Cached prompts cost nothing
-	// in both models.
+	// real API: the query tenant's makespan (Tenant.Makespan). Under the
+	// streaming policy that is the larger of the longest cross-operator
+	// dependency chain and the aggregate work spread over the shared
+	// worker budget; under the stop-and-go policy it sums the operators'
+	// prompt waves (prompts inside one wave overlap; waves add up).
+	// Cached prompts cost nothing under both.
 	SimulatedLatency time.Duration
 	// Retries counts prompt attempts resubmitted by the resilience layer
 	// after a retryable failure. Retries never inflate Prompts or
@@ -131,8 +130,9 @@ func EstimateLatency(promptTokens, completionTokens int) time.Duration {
 }
 
 // Recorder wraps a Client and accumulates Stats. It is safe for
-// concurrent use. Batches issued through CompleteBatch record the maximum
-// latency of the batch (prompts overlap); direct Complete calls add up.
+// concurrent use. Prompts a Tenant issues through it record their counts
+// and tokens here but no latency — the tenant owns wall-clock accounting;
+// direct Complete calls add their latency up.
 type Recorder struct {
 	inner Client
 
@@ -176,10 +176,10 @@ func (r *Recorder) Reset() {
 	r.stats = Stats{}
 }
 
-// recordOverlapped accounts one prompt issued through the pipelined
-// scheduler: the prompt and its tokens accrue, but no latency — the
-// scheduler owns wall-clock accounting (critical path vs worker area),
-// and the query's makespan is merged into Stats at the end.
+// recordOverlapped accounts one prompt issued through the scheduler: the
+// prompt and its tokens accrue, but no latency — the tenant owns
+// wall-clock accounting, and the query's makespan is merged into Stats
+// at the end.
 func (r *Recorder) recordOverlapped(pt, ct int) {
 	r.mu.Lock()
 	r.stats.Prompts++
@@ -207,211 +207,4 @@ func (r *Recorder) recordResilience(retries, faults, fastFails int) {
 	r.stats.Faults += faults
 	r.stats.BreakerFastFails += fastFails
 	r.mu.Unlock()
-}
-
-// recordBatch accounts a batch of prompts: tokens add up, latency is the
-// slowest prompt of each wave of `workers` concurrent calls.
-func (r *Recorder) recordBatch(prompts, outputs []string, workers int) {
-	if len(prompts) == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var totalPT, totalCT int
-	var maxLat time.Duration
-	for i := range prompts {
-		pt, ct := CountTokens(prompts[i]), CountTokens(outputs[i])
-		totalPT += pt
-		totalCT += ct
-		if l := promptLatency(pt, ct); l > maxLat {
-			maxLat = l
-		}
-	}
-	waves := (len(prompts) + workers - 1) / workers
-	r.mu.Lock()
-	r.stats.Prompts += len(prompts)
-	r.stats.PromptTokens += totalPT
-	r.stats.CompletionTokens += totalCT
-	r.stats.SimulatedLatency += time.Duration(waves) * maxLat
-	r.mu.Unlock()
-}
-
-// CompleteBatch runs the prompts through the client with at most workers
-// concurrent calls and returns completions positionally aligned with the
-// prompts. The first error cancels the remaining work; all distinct
-// errors are joined into the returned one. When client is a *Recorder the
-// batch is accounted with overlapping latency.
-func CompleteBatch(ctx context.Context, client Client, prompts []string, workers int) ([]string, error) {
-	return CompleteBatchCached(ctx, client, nil, PromptClass{}, prompts, workers)
-}
-
-// CompleteBatchCached is CompleteBatch with a prompt cache: the batch is
-// deduplicated first (N prompts with K distinct strings cost at most K
-// completions), each distinct prompt consults the cache, and concurrent
-// identical prompts — including ones from other batches sharing the cache
-// — collapse into one in-flight call. Prompts answered without a model
-// call are recorded as cache hits with zero simulated latency. A nil
-// cache degrades to the plain batch behavior. A batch is one operator's
-// prompt wave, so its completions enter the cache under one class.
-func CompleteBatchCached(ctx context.Context, client Client, cache *Cache, class PromptClass, prompts []string, workers int) ([]string, error) {
-	if len(prompts) == 0 {
-		return nil, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Unwrap the recorder: the batch is accounted once at the end so the
-	// latency model can overlap concurrent prompts.
-	rec, _ := client.(*Recorder)
-	raw := client
-	if rec != nil {
-		raw = rec.inner
-	}
-
-	// Intra-batch dedup: run each distinct prompt once, then fan the
-	// answers back out to the original positions.
-	distinct := prompts
-	var slot map[string]int
-	if cache != nil {
-		slot = make(map[string]int, len(prompts))
-		distinct = make([]string, 0, len(prompts))
-		for _, p := range prompts {
-			if _, ok := slot[p]; !ok {
-				slot[p] = len(distinct)
-				distinct = append(distinct, p)
-			}
-		}
-	}
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	outputs := make([]string, len(distinct))
-	issued := make([]bool, len(distinct))
-	errs := make([]error, len(distinct))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				var out string
-				var err error
-				if cache != nil {
-					out, issued[i], err = cache.Fetch(ctx, client.Name(), class, distinct[i], func() (string, error) {
-						return raw.Complete(ctx, distinct[i])
-					})
-				} else {
-					issued[i] = true
-					out, err = raw.Complete(ctx, distinct[i])
-				}
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				outputs[i] = out
-			}
-		}()
-	}
-	for i := range distinct {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if err := joinBatchErrors(parent, errs); err != nil {
-		return nil, err
-	}
-	// All dispatched jobs succeeded, but the parent context may have been
-	// canceled between dispatches, leaving undispatched slots empty —
-	// never return partial results as if they were answers.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	if rec != nil {
-		// Only the prompts that reached the model cost tokens and latency;
-		// everything else was served by the cache.
-		var issuedPrompts, issuedOutputs []string
-		for i := range distinct {
-			if issued[i] {
-				issuedPrompts = append(issuedPrompts, distinct[i])
-				issuedOutputs = append(issuedOutputs, outputs[i])
-			}
-		}
-		rec.recordBatch(issuedPrompts, issuedOutputs, workers)
-		if cache != nil {
-			rec.recordCache(len(prompts)-len(issuedPrompts), len(issuedPrompts))
-		}
-	}
-
-	if cache == nil {
-		return outputs, nil
-	}
-	full := make([]string, len(prompts))
-	for i, p := range prompts {
-		full[i] = outputs[slot[p]]
-	}
-	return full, nil
-}
-
-// joinBatchErrors reduces a batch's per-job errors to the one the
-// caller should see, keeping cancellation and backend failure apart.
-// The first failing job cancels the batch context, so sibling jobs die
-// with context.Canceled through no fault of the backend; joining those
-// secondary cancellations into the report would misattribute them. Real
-// failures therefore mask cancellations entirely, and a batch that died
-// only of cancellation reports the parent context's own error — the
-// caller's cancel or deadline — never a backend failure.
-func joinBatchErrors(parent context.Context, errs []error) error {
-	var failures, cancels []error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if IsCancellation(err) {
-			cancels = append(cancels, err)
-		} else {
-			failures = append(failures, err)
-		}
-	}
-	if len(failures) > 0 {
-		return joinDistinct(failures)
-	}
-	if len(cancels) == 0 {
-		return nil
-	}
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	return joinDistinct(cancels)
-}
-
-// joinDistinct joins the distinct non-nil errors (by message) so callers
-// see everything that actually failed, not just the first by slice order.
-func joinDistinct(errs []error) error {
-	var joined []error
-	seen := map[string]bool{}
-	for _, err := range errs {
-		if err == nil || seen[err.Error()] {
-			continue
-		}
-		seen[err.Error()] = true
-		joined = append(joined, err)
-	}
-	return errors.Join(joined...)
 }

@@ -96,13 +96,40 @@ func TestStatsAddAndString(t *testing.T) {
 	}
 }
 
+// waveTenant opens a stop-and-go tenant on a fresh scheduler running
+// workers concurrent calls per endpoint, with waves as wide.
+func waveTenant(ctx context.Context, cache *Cache, workers int) *Tenant {
+	tn := NewScheduler(cache, workers).Tenant(ctx, "wave")
+	tn.SetWaves(workers)
+	return tn
+}
+
+// runWave issues prompts through client as one settled wave and returns
+// the answers in prompt order.
+func runWave(tn *Tenant, client Client, prompts []string) ([]string, error) {
+	w := tn.Wave()
+	futures := make([]*Future, len(prompts))
+	for i, p := range prompts {
+		futures[i] = w.Submit(client, p, 0, PromptClass{})
+	}
+	if err := w.Settle(); err != nil {
+		return nil, err
+	}
+	out := make([]string, len(prompts))
+	for i, f := range futures {
+		out[i], _, _ = f.Wait()
+	}
+	return out, nil
+}
+
+// TestCompleteBatchOrder: a wave's answers stay aligned with its prompts.
 func TestCompleteBatchOrder(t *testing.T) {
 	client := &echoClient{}
 	prompts := make([]string, 50)
 	for i := range prompts {
 		prompts[i] = fmt.Sprintf("p%02d", i)
 	}
-	out, err := CompleteBatch(context.Background(), client, prompts, 8)
+	out, err := runWave(waveTenant(context.Background(), nil, 8), client, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +140,15 @@ func TestCompleteBatchOrder(t *testing.T) {
 	}
 }
 
+// TestCompleteBatchBoundsConcurrency: a wave never runs more concurrent
+// calls than the endpoint's worker budget.
 func TestCompleteBatchBoundsConcurrency(t *testing.T) {
 	client := &echoClient{}
 	prompts := make([]string, 40)
 	for i := range prompts {
 		prompts[i] = "x"
 	}
-	if _, err := CompleteBatch(context.Background(), client, prompts, 4); err != nil {
+	if _, err := runWave(waveTenant(context.Background(), nil, 4), client, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if client.maxSeen > 4 {
@@ -127,28 +156,38 @@ func TestCompleteBatchBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestCompleteBatchError: Settle surfaces a failing prompt of the wave.
 func TestCompleteBatchError(t *testing.T) {
 	client := &echoClient{failEvery: 5}
 	prompts := make([]string, 20)
 	for i := range prompts {
 		prompts[i] = "x"
 	}
-	if _, err := CompleteBatch(context.Background(), client, prompts, 4); err == nil {
-		t.Error("batch must surface the first error")
+	if _, err := runWave(waveTenant(context.Background(), nil, 4), client, prompts); err == nil {
+		t.Error("wave must surface the first error")
 	}
 }
 
+// TestCompleteBatchEmpty: an empty wave settles at once and costs nothing.
 func TestCompleteBatchEmpty(t *testing.T) {
-	out, err := CompleteBatch(context.Background(), &echoClient{}, nil, 4)
-	if err != nil || out != nil {
-		t.Errorf("empty batch = %v, %v", out, err)
+	tn := waveTenant(context.Background(), nil, 4)
+	out, err := runWave(tn, &echoClient{}, nil)
+	if err != nil || len(out) != 0 {
+		t.Errorf("empty wave = %v, %v", out, err)
+	}
+	if tn.Makespan() != 0 {
+		t.Errorf("empty wave cost %v", tn.Makespan())
 	}
 }
 
+// TestCompleteBatchThroughRecorder: a wave's prompts and tokens land on
+// the recorder, and its latency is ⌈issued / width⌉ rounds of its
+// slowest prompt — overlapped, not summed.
 func TestCompleteBatchThroughRecorder(t *testing.T) {
 	rec := NewRecorder(&echoClient{})
 	prompts := []string{"a b", "c d e", "f"}
-	out, err := CompleteBatch(context.Background(), rec, prompts, 2)
+	tn := waveTenant(context.Background(), nil, 2)
+	out, err := runWave(tn, rec, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,24 +195,32 @@ func TestCompleteBatchThroughRecorder(t *testing.T) {
 		t.Fatalf("outputs = %d", len(out))
 	}
 	s := rec.Stats()
-	if s.Prompts != 3 {
-		t.Errorf("recorder counted %d prompts", s.Prompts)
+	if s.Prompts != 3 || s.SimulatedLatency != 0 {
+		t.Errorf("recorder stats = %+v, want 3 prompts and no per-call latency", s)
 	}
-	// Batched latency overlaps: it must be far less than three sequential
-	// calls of the largest prompt.
-	seq := 3 * promptLatency(3, 4)
-	if s.SimulatedLatency >= seq {
-		t.Errorf("batched latency %v not overlapped (sequential would be %v)", s.SimulatedLatency, seq)
+	// Two rounds of the slowest prompt ("c d e" -> "echo: c d e").
+	if want := 2 * promptLatency(3, 4); tn.Makespan() != want {
+		t.Errorf("wave latency = %v, want %v", tn.Makespan(), want)
+	}
+	// Waves add up: a second one (a single prompt) costs one more round.
+	if _, err := runWave(tn, rec, []string{"g"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*promptLatency(3, 4) + promptLatency(1, 2); tn.Makespan() != want {
+		t.Errorf("two waves = %v, want %v", tn.Makespan(), want)
 	}
 }
 
+// TestCompleteBatchContextCancel: a wave on a cancelled query fails
+// instead of hanging.
 func TestCompleteBatchContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	blocker := &blockingClient{}
-	_, err := CompleteBatch(ctx, blocker, []string{"a", "b"}, 1)
-	// Either an error or empty completion is fine; it must not hang.
-	_ = err
+	tn := waveTenant(ctx, nil, 1)
+	defer tn.Close()
+	if _, err := runWave(tn, &blockingClient{}, []string{"a", "b"}); err == nil {
+		t.Error("cancelled wave settled without error")
+	}
 }
 
 type blockingClient struct{}

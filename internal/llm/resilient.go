@@ -183,7 +183,7 @@ type ResilienceCounters struct {
 // circuit breaker (closed/open/half-open with a single probe), and a
 // token-bucket retry budget. It implements Client, so it slots between
 // the engine's Recorder and the raw transport: every path that issues
-// prompts — batched operators, the pipelined scheduler, cache-miss
+// prompts — every operator prompt the scheduler runs, cache-miss
 // leaders — traverses it, and because retries happen inside one
 // Complete call, the Recorder above still records exactly one prompt
 // per success. Fair-share accounting and the simulated-makespan math

@@ -107,12 +107,11 @@ func promptCost(tokens int) int64 {
 	return 1
 }
 
-// Scheduler is the engine-global prompt scheduler of the pipelined
-// streaming executor: one bounded worker pool per model endpoint, shared
-// by every in-flight query of the engine and alive for the engine's
-// lifetime. Queries do not talk to it directly — each query execution
-// opens a Tenant, submits its prompts through that handle, and closes it
-// when done.
+// Scheduler is the engine-global prompt scheduler: one bounded worker
+// pool per model endpoint, shared by every in-flight query of the engine
+// and alive for the engine's lifetime. Queries do not talk to it
+// directly — each query execution opens a Tenant, submits its prompts
+// through that handle, and closes it when done.
 //
 // When every slot of an endpoint is busy, pending prompts wait in
 // per-tenant FIFO queues organised into two dispatch bands by admission
@@ -130,12 +129,11 @@ func promptCost(tokens int) int64 {
 // The worker budget is per model endpoint: a worker slot stands for one
 // concurrent connection to one API, and different models (the primary
 // and its verifier, say) are different APIs with independent rate
-// limits, so calls to one never queue behind calls to the other. Stop-
-// and-go execution is unaffected by this distinction — its batches are
-// single-endpoint and sequential by construction.
+// limits, so calls to one never queue behind calls to the other.
 //
-// Latency is accounted per tenant with a critical-path model instead of
-// summed per-operator waves. Each submitted prompt carries a ready time
+// Latency is accounted per tenant. A streaming tenant (the default) uses
+// a critical-path model; a stop-and-go tenant sums its prompt waves
+// instead (see SetWaves). Each submitted prompt carries a ready time
 // (the virtual completion time of the prompts it depends on) and
 // finishes at ready + promptLatency. The simulated wall-clock of one
 // query is
@@ -149,7 +147,7 @@ func promptCost(tokens int) int64 {
 // set and its dependencies, so the reported latency is deterministic
 // regardless of the real interleaving of the pool's goroutines — and of
 // which other tenants were in flight. Prompts answered by the cache cost
-// nothing on either axis, exactly like the stop-and-go accounting; which
+// nothing on either axis, under either policy; which
 // of two concurrent identical prompts becomes the singleflight leader
 // (and so carries the latency) depends on arrival order, making
 // cached-mode latency approximate.
@@ -347,9 +345,11 @@ func (b *band) purge(t *Tenant) []*job {
 
 // job is one queued or running prompt. tokens is the prompt's estimated
 // token count — counted once at Submit, reused by the latency model and
-// the recorder — and cost its deficit-counter price derived from it.
+// the recorder — and cost its deficit-counter price derived from it. wave
+// is the stop-and-go wave the prompt belongs to (nil: a wave of its own).
 type job struct {
 	t      *Tenant
+	wave   *Wave
 	client Client
 	class  PromptClass
 	prompt string
@@ -553,6 +553,9 @@ type Tenant struct {
 	tag    string
 	class  AdmissionClass
 	weight int64
+	// width is the stop-and-go wave width (SetWaves); 0 runs the
+	// streaming policy.
+	width int
 
 	inflight sync.WaitGroup // submitted futures not yet resolved
 	once     sync.Once
@@ -561,6 +564,65 @@ type Tenant struct {
 	mu   sync.Mutex
 	span VTime                    // latest dependency-chain completion
 	work map[string]time.Duration // per-endpoint issued-prompt latency
+}
+
+// SetWaves switches the tenant, before its first prompt, to the paper's
+// stop-and-go policy. Operators then drain their input before their
+// first prompt and issue each step as one Wave that settles before
+// anything downstream starts. The tenant's simulated latency becomes the
+// sum of its waves. A wave costs ⌈issued / width⌉ × its slowest issued
+// prompt: width concurrent calls per round. A prompt submitted outside a
+// Wave (a key-scan page) is a wave of one. The sum is kept as the
+// critical path, since stop-and-go waves run one after another.
+func (t *Tenant) SetWaves(width int) {
+	t.width = max(width, 1)
+}
+
+// StopAndGo reports whether the tenant runs the stop-and-go policy.
+func (t *Tenant) StopAndGo() bool { return t.width > 0 }
+
+// Wave is the set of prompts one operator issues for one batch of input.
+// Under the stop-and-go policy it is the unit of latency accounting and
+// a barrier: Settle waits it out. A streaming tenant accounts prompts on
+// the critical path instead, and Settle returns at once. A Wave is used
+// by one goroutine.
+type Wave struct {
+	t       *Tenant
+	futures []*Future     // stop-and-go only: what Settle waits for
+	issued  int           // prompts that reached the model; guarded by t.mu
+	slowest time.Duration // guarded by t.mu
+}
+
+// Wave opens a prompt wave on the tenant.
+func (t *Tenant) Wave() *Wave { return &Wave{t: t} }
+
+// Submit enqueues one prompt of the wave (see Tenant.Submit).
+func (w *Wave) Submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
+	f := w.t.submit(w, client, prompt, ready, class)
+	if w.t.width > 0 {
+		w.futures = append(w.futures, f)
+	}
+	return f
+}
+
+// Settle ends a stop-and-go wave: it waits for every prompt and reports
+// the first failure in submission order, so nothing downstream starts on
+// a partial wave. Under the streaming policy it returns nil at once, and
+// each answer is awaited where it is consumed.
+func (w *Wave) Settle() error {
+	for _, f := range w.futures {
+		if _, _, err := f.Wait(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cost is the wave's simulated duration under a width-wide connection
+// budget: ⌈issued / width⌉ rounds, each as slow as the slowest issued
+// prompt. Callers hold t.mu.
+func (w *Wave) cost(width int) time.Duration {
+	return time.Duration((w.issued+width-1)/width) * w.slowest
 }
 
 // Tag identifies the tenant in diagnostics and stats attribution.
@@ -589,6 +651,14 @@ func (t *Tenant) Workers() int { return t.s.workers }
 // spent and no tokens are counted — a fact already held costs a map
 // lookup. A cancelled tenant still fails first.
 func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...PromptClass) *Future {
+	var c PromptClass
+	if len(class) > 0 {
+		c = class[0]
+	}
+	return t.submit(nil, client, prompt, ready, c)
+}
+
+func (t *Tenant) submit(w *Wave, client Client, prompt string, ready VTime, class PromptClass) *Future {
 	if err := t.ctx.Err(); err != nil {
 		return &Future{done: resolved, err: err}
 	}
@@ -599,7 +669,7 @@ func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...Prom
 				rec.recordCache(1, 0)
 			}
 			t.mu.Lock()
-			if ready > t.span {
+			if t.width == 0 && ready > t.span {
 				t.span = ready
 			}
 			t.mu.Unlock()
@@ -608,10 +678,7 @@ func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...Prom
 	}
 	f := &Future{done: make(chan struct{})}
 	tokens := CountTokens(prompt)
-	j := &job{t: t, client: client, prompt: prompt, ready: ready, tokens: tokens, cost: promptCost(tokens), f: f}
-	if len(class) > 0 {
-		j.class = class[0]
-	}
+	j := &job{t: t, wave: w, client: client, class: class, prompt: prompt, ready: ready, tokens: tokens, cost: promptCost(tokens), f: f}
 	t.inflight.Add(1)
 	s.mu.Lock()
 	// Re-check under the lock: purge also runs under it, so a cancel
@@ -710,7 +777,7 @@ func (t *Tenant) Close() {
 func (s *Scheduler) complete(j *job) (string, VTime, error) {
 	t, client := j.t, j.client
 	// Unwrap the recorder: the scheduler does its own accounting so the
-	// recorder's per-call summed latency stays out of the pipelined model.
+	// recorder's per-call summed latency stays out of the tenant's model.
 	rec, _ := client.(*Recorder)
 	raw := client
 	if rec != nil {
@@ -749,9 +816,21 @@ func (s *Scheduler) complete(j *job) (string, VTime, error) {
 
 	end := j.ready + lat
 	t.mu.Lock()
-	t.work[client.Name()] += lat
-	if end > t.span {
-		t.span = end
+	switch {
+	case t.width == 0:
+		t.work[client.Name()] += lat
+		if end > t.span {
+			t.span = end
+		}
+	case issued:
+		w := j.wave
+		if w == nil {
+			w = &Wave{}
+		}
+		before := w.cost(t.width)
+		w.issued++
+		w.slowest = max(w.slowest, lat)
+		t.span += w.cost(t.width) - before
 	}
 	t.mu.Unlock()
 	return out, end, nil
@@ -773,7 +852,8 @@ func (t *Tenant) CriticalPath() VTime {
 }
 
 // AggregateWork returns the summed latency of every prompt this tenant
-// issued, across all endpoints.
+// issued, across all endpoints (zero under the stop-and-go policy, which
+// accounts waves instead).
 func (t *Tenant) AggregateWork() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -786,7 +866,9 @@ func (t *Tenant) AggregateWork() time.Duration {
 
 // Makespan returns the simulated wall-clock of the tenant's query run
 // alone against the full worker budget: the larger of its critical path
-// and its busiest endpoint's work spread over the connection budget.
+// and its busiest endpoint's work spread over the connection budget (a
+// stop-and-go tenant's critical path is its wave sum, and it keeps no
+// per-endpoint work).
 // Under concurrent tenants this is the per-query attribution; the
 // aggregate wall-clock of a set of concurrent tenants is
 // AggregateMakespan over their stats.

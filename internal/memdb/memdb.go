@@ -227,7 +227,7 @@ func (db *DB) Query(ctx context.Context, sel *ast.Select) (*schema.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return physical.Run(&physical.Context{Ctx: ctx}, op)
+	return physical.Run(&physical.Context{}, op)
 }
 
 // QuerySQL parses and executes a SELECT given as text.

@@ -20,25 +20,24 @@ import (
 // (Section 4's two critical steps: iteration and termination threshold).
 //
 // The page chain is inherently sequential — each prompt excludes the keys
-// of every previous page — but in pipelined mode the keys of a page flow
-// downstream as soon as the page lands, so attribute fetches and filters
-// start while the scan is still iterating.
+// of every previous page. Streaming, each page's keys flow downstream as
+// soon as the page lands, so attribute fetches and filters start while
+// the scan is still iterating; stop-and-go, the scan runs all its pages
+// before emitting a row.
 type llmKeyScanOp struct {
 	scan *logical.Scan
 	out  *schema.Schema
-
-	// stop-and-go state
-	rows   []schema.Tuple
-	cursor int
-	// pipelined state
 	pipe *pipe
 }
 
 func (s *llmKeyScanOp) Schema() *schema.Schema { return s.out }
 
+// Open starts the scan's producer: it runs the page chain on the query's
+// tenant and emits each page's new keys stamped with the page's virtual
+// completion time.
 func (s *llmKeyScanOp) Open(c *Context) error {
-	if c.Client == nil {
-		return fmt.Errorf("physical: LLM scan of %s without an LLM client", s.scan.Table.Name)
+	if err := c.canPrompt("LLM scan of " + s.scan.Table.Name); err != nil {
+		return err
 	}
 	conds, err := pushedConditions(s.scan.PushedFilter)
 	if err != nil {
@@ -49,51 +48,17 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	if maxIter <= 0 {
 		maxIter = 12
 	}
-
-	if c.Pipelined() {
-		s.openPipelined(c, conds, keyKind, maxIter)
-		return nil
-	}
-
 	client := c.ClientFor(llm.RoleKeyscan, s.scan.Table.Backend)
-	var keys []string
-	seen := map[string]bool{}
-	for iter := 0; iter < maxIter; iter++ {
-		p := c.Prompts.KeyList(s.scan.Table.Name, s.scan.Table.KeyColumn, conds, keys)
-		c.Metrics.Add(s.scan, 1, 0, 0)
-		resp, err := c.CompleteOn(client, p)
-		if err != nil {
-			return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
-		}
-		added, done := scanPage(resp, c.Cleaner, seen, &keys)
-		if done || added == 0 {
-			break
-		}
-	}
-
-	s.rows = s.rows[:0]
-	for _, k := range keys {
-		if t, ok := keyTuple(keyKind, k); ok {
-			s.rows = append(s.rows, t)
-		}
-	}
-	c.Metrics.Add(s.scan, 0, 0, len(s.rows))
-	s.cursor = 0
-	return nil
-}
-
-// openPipelined streams the scan: a producer runs the sequential page
-// chain on the query scheduler and emits each page's new keys downstream
-// stamped with the page's virtual completion time.
-func (s *llmKeyScanOp) openPipelined(c *Context, conds []prompt.Condition, keyKind value.Kind, maxIter int) {
-	client := c.ClientFor(llm.RoleKeyscan, s.scan.Table.Backend)
+	stopAndGo := c.Scheduler.StopAndGo()
 	s.pipe = newPipe(c.pipeBuffer())
 	s.pipe.run(func() error {
 		var keys []string
 		seen := map[string]bool{}
 		var vt llm.VTime
+		var rows []pipeRow
 		for iter := 0; iter < maxIter; iter++ {
-			if s.pipe.stopped() {
+			// A stop-and-go scan is one step: a LIMIT does not cut it short.
+			if !stopAndGo && s.pipe.stopped() {
 				return nil
 			}
 			p := c.Prompts.KeyList(s.scan.Table.Name, s.scan.Table.KeyColumn, conds, keys)
@@ -108,17 +73,23 @@ func (s *llmKeyScanOp) openPipelined(c *Context, conds []prompt.Condition, keyKi
 			for _, k := range keys[prev:] {
 				if t, ok := keyTuple(keyKind, k); ok {
 					c.Metrics.Add(s.scan, 0, 0, 1)
-					if !s.pipe.send(pipeRow{row: t, vt: vt}) {
-						return nil
-					}
+					rows = append(rows, pipeRow{row: t, vt: vt})
 				}
 			}
+			if !stopAndGo {
+				if !s.pipe.send(rows...) {
+					return nil
+				}
+				rows = rows[:0]
+			}
 			if done || added == 0 {
-				return nil
+				break
 			}
 		}
+		s.pipe.send(rows...)
 		return nil
 	})
+	return nil
 }
 
 // scanPage parses one list-prompt response, appending keys not seen on
@@ -167,22 +138,14 @@ func (s *llmKeyScanOp) Next() (schema.Tuple, error) {
 }
 
 func (s *llmKeyScanOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	if s.pipe != nil {
-		r, ok, err := s.pipe.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return nil, 0, io.EOF
-		}
-		return r.row, r.vt, nil
+	r, ok, err := s.pipe.next()
+	if err != nil {
+		return nil, 0, err
 	}
-	if s.cursor >= len(s.rows) {
+	if !ok {
 		return nil, 0, io.EOF
 	}
-	t := s.rows[s.cursor]
-	s.cursor++
-	return t, 0, nil
+	return r.row, r.vt, nil
 }
 
 // pushedConditions converts a pushed-down predicate into prompt
@@ -212,21 +175,18 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 }
 
 // llmFetchAttrOp retrieves one attribute per input tuple, appending the
-// cleaned value as a new column. Stop-and-go issues one batched prompt
-// wave per operator; pipelined mode submits the per-key prompt (and its
-// cross-model verification, concurrently) the moment the input tuple
-// arrives, and awaits answers in input order so results are identical.
+// cleaned value as a new column. Its producer submits the per-key prompt
+// — and the cross-model verification prompt — for each input wave, and
+// Next awaits answers in input order, so both policies yield identical
+// results. Streaming, each tuple is a wave of its own, issued the moment
+// it arrives, with its verification alongside; stop-and-go, the whole
+// input is one wave, and verification follows it as a second wave.
 type llmFetchAttrOp struct {
 	node  *logical.FetchAttr
 	input Operator
 	out   *schema.Schema
 
 	kind value.Kind
-
-	// stop-and-go state
-	rows   []schema.Tuple
-	cursor int
-	// pipelined state
 	pipe *pipe
 	pc   *Context
 }
@@ -234,106 +194,50 @@ type llmFetchAttrOp struct {
 func (f *llmFetchAttrOp) Schema() *schema.Schema { return f.out }
 
 func (f *llmFetchAttrOp) Open(c *Context) error {
-	if c.Client == nil {
-		return fmt.Errorf("physical: LLM fetch of %s without an LLM client", f.node.Attr)
+	if err := c.canPrompt("LLM fetch of " + f.node.Attr); err != nil {
+		return err
 	}
 	if err := f.input.Open(c); err != nil {
 		return err
 	}
 	f.kind = f.out.Columns[f.out.Len()-1].Type
-	class := llm.FetchClass(f.node.Table.Name, f.node.Attr)
-
-	if c.Pipelined() {
-		f.openPipelined(c, class)
-		return nil
-	}
-
-	rows, err := drain(f.input)
-	f.input.Close()
-	if err != nil {
-		return err
-	}
-
-	prompts := make([]string, len(rows))
-	for i, row := range rows {
-		key := row[f.node.KeyCol].String()
-		prompts[i] = c.Prompts.Attr(f.node.Table.Name, key, f.node.Attr)
-	}
-	fetchPrompts := len(rows)
-	if c.Verifier != nil {
-		fetchPrompts *= 2
-	}
-	c.Metrics.Add(f.node, fetchPrompts, len(rows), len(rows))
-	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFetch, f.node.Table.Backend), class, prompts)
-	if err != nil {
-		return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
-	}
-
-	values := make([]value.Value, len(rows))
-	for i := range rows {
-		values[i] = c.Cleaner.Cell(answers[i], f.kind)
-	}
-
-	// Cross-model verification (Section 6): ask a second model the same
-	// question and NULL out disagreements.
-	if c.Verifier != nil {
-		verdicts, err := c.CompleteBatch(c.Verifier, class, prompts)
-		if err != nil {
-			return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
-		}
-		tol := verifyTolerance(c)
-		for i := range values {
-			if values[i].IsNull() {
-				continue
-			}
-			other := c.Cleaner.Cell(verdicts[i], f.kind)
-			if !valuesAgree(values[i], other, tol) {
-				values[i] = value.Null()
-			}
-		}
-	}
-
-	f.rows = make([]schema.Tuple, len(rows))
-	for i, row := range rows {
-		f.rows[i] = append(row.Clone(), values[i])
-	}
-	f.cursor = 0
-	return nil
-}
-
-// openPipelined streams the fetch: the producer submits the attribute
-// prompt — and, with a verifier configured, the verification prompt
-// concurrently — as each input tuple arrives, anchored at the tuple's
-// virtual time.
-func (f *llmFetchAttrOp) openPipelined(c *Context, class llm.PromptClass) {
 	f.pc = c
+	class := llm.FetchClass(f.node.Table.Name, f.node.Attr)
+	client := c.ClientFor(llm.RoleFetch, f.node.Table.Backend)
+	perRow := 1
+	if c.Verifier != nil {
+		perRow = 2
+	}
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
-	client := c.ClientFor(llm.RoleFetch, f.node.Table.Backend)
 	f.pipe.run(func() error {
 		defer input.Close()
-		for {
-			row, vt, err := nextVT(input)
-			if err == io.EOF {
-				return nil
+		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
+			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
+			prompts := make([]string, len(rows))
+			w := c.Scheduler.Wave()
+			for i := range rows {
+				prompts[i] = c.Prompts.Attr(f.node.Table.Name, rows[i].row[f.node.KeyCol].String(), f.node.Attr)
+				rows[i].main = w.Submit(client, prompts[i], rows[i].vt, class)
 			}
-			if err != nil {
-				return err
+			if err := w.Settle(); err != nil {
+				return false, fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 			}
-			key := row[f.node.KeyCol].String()
-			p := c.Prompts.Attr(f.node.Table.Name, key, f.node.Attr)
-			prompts := 1
-			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, p, vt, class)}
+			// Cross-model verification (Section 6): ask a second model the
+			// same question; NextVT NULLs out disagreements.
 			if c.Verifier != nil {
-				prompts = 2
-				r.verify = c.Scheduler.Submit(c.Verifier, p, vt, class)
+				v := c.Scheduler.Wave()
+				for i := range rows {
+					rows[i].verify = v.Submit(c.Verifier, prompts[i], rows[i].vt, class)
+				}
+				if err := v.Settle(); err != nil {
+					return false, fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
+				}
 			}
-			c.Metrics.Add(f.node, prompts, 1, 1)
-			if !f.pipe.send(r) {
-				return nil
-			}
-		}
+			return f.pipe.send(rows...), nil
+		})
 	})
+	return nil
 }
 
 func verifyTolerance(c *Context) float64 {
@@ -381,15 +285,6 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, error) {
 }
 
 func (f *llmFetchAttrOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	if f.pipe == nil {
-		if f.cursor >= len(f.rows) {
-			return nil, 0, io.EOF
-		}
-		t := f.rows[f.cursor]
-		f.cursor++
-		return t, 0, nil
-	}
-
 	r, ok, err := f.pipe.next()
 	if err != nil {
 		return nil, 0, err
@@ -422,14 +317,12 @@ func (f *llmFetchAttrOp) NextVT() (schema.Tuple, llm.VTime, error) {
 
 // llmFilterOp keeps tuples for which the per-key boolean prompt answers
 // yes ("Has city Chicago population more than 1000000? Answer yes or no.").
+// Its producer submits one prompt per input tuple, in input waves as the
+// fetch does; Next awaits verdicts in input order and keeps the yes rows.
 type llmFilterOp struct {
 	node  *logical.LLMFilter
 	input Operator
 
-	// stop-and-go state
-	rows   []schema.Tuple
-	cursor int
-	// pipelined state
 	pipe *pipe
 	pc   *Context
 }
@@ -437,78 +330,37 @@ type llmFilterOp struct {
 func (f *llmFilterOp) Schema() *schema.Schema { return f.node.Schema() }
 
 func (f *llmFilterOp) Open(c *Context) error {
-	if c.Client == nil {
-		return fmt.Errorf("physical: LLM filter without an LLM client")
+	if err := c.canPrompt("LLM filter"); err != nil {
+		return err
 	}
 	if err := f.input.Open(c); err != nil {
 		return err
 	}
-
+	f.pc = c
 	ref := f.node.Cond.Left.(*ast.ColumnRef)
 	lit := f.node.Cond.Right.(*ast.Literal)
 	opPhrase := prompt.OpPhrase(f.node.Cond.Op)
 	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, lit.Val.String())
-	filterPrompt := func(row schema.Tuple) string {
-		key := row[f.node.KeyCol].String()
-		return c.Prompts.Filter(f.node.Table.Name, key, ref.Name, opPhrase, lit.Val.String())
-	}
-
-	if c.Pipelined() {
-		f.openPipelined(c, class, filterPrompt)
-		return nil
-	}
-
-	rows, err := drain(f.input)
-	f.input.Close()
-	if err != nil {
-		return err
-	}
-
-	prompts := make([]string, len(rows))
-	for i, row := range rows {
-		prompts[i] = filterPrompt(row)
-	}
-	answers, err := c.CompleteBatch(c.ClientFor(llm.RoleFilter, f.node.Table.Backend), class, prompts)
-	if err != nil {
-		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
-	}
-
-	f.rows = f.rows[:0]
-	for i, row := range rows {
-		if isYes(answers[i]) {
-			f.rows = append(f.rows, row)
-		}
-	}
-	c.Metrics.Add(f.node, len(rows), len(rows), len(f.rows))
-	f.cursor = 0
-	return nil
-}
-
-// openPipelined streams the filter: the boolean prompt for each tuple is
-// submitted as the tuple arrives; Next awaits verdicts in input order and
-// keeps the yes rows.
-func (f *llmFilterOp) openPipelined(c *Context, class llm.PromptClass, filterPrompt func(schema.Tuple) string) {
-	f.pc = c
+	client := c.ClientFor(llm.RoleFilter, f.node.Table.Backend)
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
-	client := c.ClientFor(llm.RoleFilter, f.node.Table.Backend)
 	f.pipe.run(func() error {
 		defer input.Close()
-		for {
-			row, vt, err := nextVT(input)
-			if err == io.EOF {
-				return nil
+		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
+			c.Metrics.Add(f.node, len(rows), len(rows), 0)
+			w := c.Scheduler.Wave()
+			for i := range rows {
+				key := rows[i].row[f.node.KeyCol].String()
+				p := c.Prompts.Filter(f.node.Table.Name, key, ref.Name, opPhrase, lit.Val.String())
+				rows[i].main = w.Submit(client, p, rows[i].vt, class)
 			}
-			if err != nil {
-				return err
+			if err := w.Settle(); err != nil {
+				return false, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 			}
-			c.Metrics.Add(f.node, 1, 1, 0)
-			r := pipeRow{row: row, vt: vt, main: c.Scheduler.Submit(client, filterPrompt(row), vt, class)}
-			if !f.pipe.send(r) {
-				return nil
-			}
-		}
+			return f.pipe.send(rows...), nil
+		})
 	})
+	return nil
 }
 
 func isYes(s string) bool {
@@ -529,15 +381,6 @@ func (f *llmFilterOp) Next() (schema.Tuple, error) {
 }
 
 func (f *llmFilterOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	if f.pipe == nil {
-		if f.cursor >= len(f.rows) {
-			return nil, 0, io.EOF
-		}
-		t := f.rows[f.cursor]
-		f.cursor++
-		return t, 0, nil
-	}
-
 	for {
 		r, ok, err := f.pipe.next()
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 )
 
 // scriptedLLM answers prompts from a rule table, recording every prompt.
-// It is safe for the concurrent calls batched operators make.
+// It is safe for the concurrent calls the scheduler makes.
 type scriptedLLM struct {
 	rules []struct {
 		contains string
@@ -54,16 +54,27 @@ func (s *scriptedLLM) on(contains, answer string) *scriptedLLM {
 	return s
 }
 
+// testTenant opens a query tenant on its own scheduler running workers
+// concurrent calls per endpoint: stop-and-go with waves as wide when
+// stopAndGo is set, streaming otherwise.
+func testTenant(ctx context.Context, cache *llm.Cache, workers int, stopAndGo bool) *llm.Tenant {
+	tn := llm.NewScheduler(cache, workers).Tenant(ctx, "test")
+	if stopAndGo {
+		tn.SetWaves(workers)
+	}
+	return tn
+}
+
+// llmCtx builds a Context running the stop-and-go policy, waves of two.
 func llmCtx(client *scriptedLLM) *Context {
 	b := prompt.NewBuilder()
 	b.IncludePreamble = false
 	return &Context{
-		Ctx:               context.Background(),
 		Client:            client,
 		Prompts:           b,
 		Cleaner:           clean.New(clean.DefaultOptions()),
 		MaxScanIterations: 5,
-		BatchWorkers:      2,
+		Scheduler:         testTenant(context.Background(), nil, 2, true),
 	}
 }
 
@@ -184,9 +195,9 @@ func TestLLMFetchAttr(t *testing.T) {
 	}
 }
 
-// TestLLMFetchAttrDedup: with a prompt cache configured, fetching an
-// attribute over duplicate keys issues exactly one model call per
-// distinct key (K < N prompts) and still aligns answers positionally.
+// TestLLMFetchAttrDedup: with a prompt cache configured, a stop-and-go
+// fetch over duplicate keys issues exactly one model call per distinct
+// key (K < N prompts) and still aligns answers positionally.
 func TestLLMFetchAttrDedup(t *testing.T) {
 	client := (&scriptedLLM{}).
 		on("population of the town Alpha", "100").
@@ -200,7 +211,7 @@ func TestLLMFetchAttrDedup(t *testing.T) {
 	}
 	op := &llmFetchAttrOp{node: fa, input: keyOp, out: fa.Schema()}
 	ctx := llmCtx(client)
-	ctx.Cache = llm.NewCache(16)
+	ctx.Scheduler = testTenant(context.Background(), llm.NewCache(16), 2, true)
 	rel, err := Run(ctx, op)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +245,7 @@ func TestLLMFetchAttrCachedAcrossQueries(t *testing.T) {
 		}
 		op := &llmFetchAttrOp{node: fa, input: keyOp, out: fa.Schema()}
 		ctx := llmCtx(client)
-		ctx.Cache = cache
+		ctx.Scheduler = testTenant(context.Background(), cache, 2, true)
 		if _, err := Run(ctx, op); err != nil {
 			t.Fatal(err)
 		}
@@ -295,6 +306,11 @@ func TestLLMOpsRequireClient(t *testing.T) {
 	ctx.Client = nil
 	if _, err := Run(ctx, op); err == nil {
 		t.Error("LLM scan without a client must fail")
+	}
+	ctx = llmCtx(&scriptedLLM{})
+	ctx.Scheduler = nil
+	if _, err := Run(ctx, op); err == nil {
+		t.Error("LLM scan without a scheduler tenant must fail")
 	}
 }
 

@@ -7,7 +7,6 @@
 package physical
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -21,7 +20,6 @@ import (
 // Context carries the runtime environment shared by all operators of one
 // query execution.
 type Context struct {
-	Ctx    context.Context
 	Client llm.Client // nil for DB-only plans
 	// Route, when non-nil, resolves the client one prompt role's calls
 	// go out on, given the role and the issuing table's pinned backend
@@ -31,27 +29,18 @@ type Context struct {
 	Route   func(role llm.Role, tableBackend string) llm.Client
 	Prompts *prompt.Builder // prompt construction
 	Cleaner *clean.Cleaner  // answer normalization
-	// Cache, when non-nil, is the engine's prompt cache: completions are
-	// reused across operators and queries, concurrent identical prompts
-	// collapse into one model call, and duplicate prompts within a batch
-	// cost one completion. Operators consult it transparently through
-	// Complete and CompleteBatch.
-	Cache *llm.Cache
 	// MaxScanIterations caps the "return more results" loop per leaf
 	// (Section 4's termination threshold).
 	MaxScanIterations int
-	// BatchWorkers bounds the concurrency of batched prompt execution. In
-	// pipelined mode the Scheduler's worker budget takes its place.
-	BatchWorkers int
-	// Scheduler, when non-nil, turns on the pipelined streaming executor:
-	// it is this query's tenant handle on the engine-global fair-share
-	// scheduler. The LLM operators submit prompts through it as upstream
-	// tuples arrive — instead of draining their input and issuing one
-	// blocking batch — competing for the shared per-endpoint worker
-	// budget with every other in-flight query, and latency is accounted
-	// per tenant with the scheduler's critical-path model rather than
-	// summed per-operator waves. Nil runs the stop-and-go execution the
-	// paper describes.
+	// Scheduler is this query's tenant handle on the engine-global
+	// fair-share scheduler; the LLM operators issue every prompt through
+	// it, competing for the shared per-endpoint worker budget (and the
+	// scheduler's prompt cache) with every other in-flight query. Its
+	// policy decides how they issue: streaming (the default) submits
+	// prompts as upstream tuples arrive, while stop-and-go
+	// (llm.Tenant.SetWaves) drains each operator's input and issues it as
+	// one settled wave, the execution the paper describes. Required by
+	// plans with LLM operators.
 	Scheduler *llm.Tenant
 	// PipelineBuffer bounds how many tuples a streaming LLM operator may
 	// run ahead of its consumer (0 means DefaultPipelineBuffer). Smaller
@@ -72,18 +61,6 @@ type Context struct {
 	VerifyTolerance float64
 }
 
-// Complete issues one prompt through the query's client, consulting the
-// prompt cache when one is configured.
-func (c *Context) Complete(prompt string) (string, error) {
-	return llm.CompleteCached(c.Ctx, c.Client, c.Cache, prompt)
-}
-
-// CompleteOn is Complete through an explicitly resolved client (a routed
-// role's backend chain).
-func (c *Context) CompleteOn(client llm.Client, prompt string) (string, error) {
-	return llm.CompleteCached(c.Ctx, client, c.Cache, prompt)
-}
-
 // ClientFor resolves the transport one prompt role's calls go out on for
 // a table binding, falling back to the query's primary client when no
 // router is installed.
@@ -96,20 +73,14 @@ func (c *Context) ClientFor(role llm.Role, tableBackend string) llm.Client {
 	return c.Client
 }
 
-// CompleteBatch issues one operator's prompts through the given client
-// (the query's main client or its verifier) with bounded concurrency,
-// deduplicating and caching — under the operator's prompt class — when a
-// prompt cache is configured.
-func (c *Context) CompleteBatch(client llm.Client, class llm.PromptClass, prompts []string) ([]string, error) {
-	workers := c.BatchWorkers
-	if workers <= 0 {
-		workers = llm.DefaultBatchWorkers
+// canPrompt reports why an LLM operator (named by what) cannot issue
+// prompts under this context, if it cannot.
+func (c *Context) canPrompt(what string) error {
+	if c.Client == nil || c.Scheduler == nil {
+		return fmt.Errorf("physical: %s without an LLM client and scheduler tenant", what)
 	}
-	return llm.CompleteBatchCached(c.Ctx, client, c.Cache, class, prompts, workers)
+	return nil
 }
-
-// Pipelined reports whether this query runs the streaming executor.
-func (c *Context) Pipelined() bool { return c.Scheduler != nil }
 
 // DefaultPipelineBuffer is the fallback bound on how far a streaming LLM
 // operator runs ahead of its consumer.
@@ -133,8 +104,8 @@ type Operator interface {
 // vtOperator is implemented by operators that report, next to each tuple,
 // the virtual time at which the tuple became available on the simulated-
 // latency axis — the completion time of the prompt chain that produced it.
-// The pipelined LLM operators use it as the ready time of downstream
-// prompts; prompt-free operators forward their input's timestamps.
+// The LLM operators use it as the ready time of downstream prompts;
+// prompt-free operators forward their input's timestamps.
 type vtOperator interface {
 	NextVT() (schema.Tuple, llm.VTime, error)
 }
@@ -178,8 +149,8 @@ func drainVT(op Operator) ([]schema.Tuple, llm.VTime, error) {
 // time — the simulated instant the prompt chain producing the row
 // completed — so "the first row arrived before the full relation" is a
 // checkable property of the latency model, not a racy wall-clock
-// observation. Close releases the operator tree (for pipelined plans,
-// the close cascade stops upstream prompt issue), and is idempotent;
+// observation. Close releases the operator tree (under the streaming
+// policy the close cascade stops upstream prompt issue), and is idempotent;
 // callers must Close even after an error or io.EOF.
 type RowStream struct {
 	op     Operator
@@ -379,9 +350,9 @@ func (l *limitOp) Next() (schema.Tuple, error) {
 
 func (l *limitOp) NextVT() (schema.Tuple, llm.VTime, error) {
 	// A satisfied limit — including LIMIT 0 — ends the stream without
-	// pulling (or skipping offset rows of) the input, so upstream
-	// operators never run, and in pipelined mode their producers are told
-	// to stop issuing prompts as soon as the tree is closed.
+	// pulling (or skipping offset rows of) the input; closing the tree
+	// then tells streaming producers to stop issuing prompts (stop-and-go
+	// waves run to completion).
 	if l.n >= 0 && l.emitted >= l.n {
 		return nil, 0, io.EOF
 	}
@@ -437,20 +408,5 @@ func (d *distinctOp) NextVT() (schema.Tuple, llm.VTime, error) {
 		}
 		d.seen[k] = true
 		return t, vt, nil
-	}
-}
-
-// drain materializes an operator's remaining stream.
-func drain(op Operator) ([]schema.Tuple, error) {
-	var rows []schema.Tuple
-	for {
-		t, err := op.Next()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, t)
 	}
 }

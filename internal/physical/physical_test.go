@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -108,7 +107,7 @@ func runSQL(t *testing.T, sql string) *schema.Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := Run(&Context{Ctx: context.Background()}, op)
+	rel, err := Run(&Context{}, op)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -306,7 +305,7 @@ func (p *pullCountingOp) Next() (schema.Tuple, error) {
 func TestLimitZeroNeverPullsInput(t *testing.T) {
 	probe := &pullCountingOp{inner: NewMemScan(peopleDef().Schema, peopleRows())}
 	op := &limitOp{input: probe, n: 0, offset: 2}
-	rel, err := Run(&Context{Ctx: context.Background()}, op)
+	rel, err := Run(&Context{}, op)
 	if err != nil {
 		t.Fatal(err)
 	}

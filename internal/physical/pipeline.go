@@ -1,26 +1,32 @@
-// Pipelined streaming execution of the LLM operators: instead of
-// draining their input and issuing one blocking batch (stop-and-go), the
-// operators run a bounded producer that submits prompts to the query's
-// shared llm.Scheduler as upstream tuples arrive and hands the in-flight
-// futures downstream through a channel. Answers are awaited in input
-// order, so results are bit-identical to the stop-and-go execution while
-// prompt waves of different operators overlap: an attribute fetch starts
-// while the key scan is still iterating "more results" pages, and the
-// verifier double-checks cells concurrently with the primary fetch.
+// The one executor of the LLM operators: each runs a bounded producer
+// that submits its prompts through the query's llm.Tenant and hands the
+// in-flight futures downstream through a channel; answers are awaited in
+// input order. The tenant's policy decides how the producer issues:
 //
-// The channel is bounded (Context.PipelineBuffer) and producers watch a
-// done signal, so closing the operator tree — a satisfied LIMIT, an
-// error, normal completion — stops upstream prompt issue promptly.
+//   - streaming (the default) submits prompts as upstream tuples arrive,
+//     so prompt waves of different operators overlap — an attribute fetch
+//     starts while the key scan is still iterating "more results" pages,
+//     and the verifier double-checks cells alongside the primary fetch;
+//   - stop-and-go, the paper's execution, drains each operator's input
+//     before its first prompt and issues it as one wave that settles
+//     before any row moves downstream, so a LIMIT still pays for the full
+//     prompt set and latency sums the waves.
+//
+// Results are identical under both. The channel is bounded
+// (Context.PipelineBuffer) and producers watch a done signal, so closing
+// the operator tree — a satisfied LIMIT, an error, normal completion —
+// stops streaming prompt issue promptly.
 package physical
 
 import (
+	"io"
 	"sync"
 
 	"repro/internal/llm"
 	"repro/internal/schema"
 )
 
-// pipeRow is one tuple in flight between a streaming producer and its
+// pipeRow is one tuple in flight between an LLM operator's producer and its
 // operator's Next: the tuple, the virtual time its upstream chain
 // completed, and the futures extending the chain.
 type pipeRow struct {
@@ -30,8 +36,7 @@ type pipeRow struct {
 	verify *llm.Future // cross-model verification; nil without a verifier
 }
 
-// pipe is the shared producer/consumer plumbing of the streaming LLM
-// operators: a bounded channel of in-flight rows, a done signal that
+// pipe is the shared producer/consumer plumbing of the LLM operators: a bounded channel of in-flight rows, a done signal that
 // stops the producer (LIMIT early termination, Close), and the
 // producer's exit error, surfaced to the consumer after the stream
 // drains.
@@ -58,15 +63,17 @@ func (p *pipe) run(produce func() error) {
 	}()
 }
 
-// send delivers one row downstream, giving up when the consumer has
-// terminated; it reports whether the producer should keep going.
-func (p *pipe) send(r pipeRow) bool {
-	select {
-	case p.out <- r:
-		return true
-	case <-p.done:
-		return false
+// send delivers rows downstream in order, giving up when the consumer
+// has terminated; it reports whether the producer should keep going.
+func (p *pipe) send(rows ...pipeRow) bool {
+	for _, r := range rows {
+		select {
+		case p.out <- r:
+		case <-p.done:
+			return false
+		}
 	}
+	return true
 }
 
 // stopped reports whether the consumer has terminated the stream; the
@@ -96,4 +103,35 @@ func (p *pipe) next() (r pipeRow, ok bool, err error) {
 func (p *pipe) close() {
 	p.stop.Do(func() { close(p.done) })
 	p.wg.Wait()
+}
+
+// inputWaves feeds an LLM operator's producer its input as prompt waves.
+// Streaming, each tuple is a wave of its own, handed over as it arrives;
+// stop-and-go, the whole input is drained first and handed over as one
+// wave (the drain-input barrier). wave reports whether the consumer still
+// wants rows.
+func (c *Context) inputWaves(input Operator, wave func([]pipeRow) (bool, error)) error {
+	stopAndGo := c.Scheduler.StopAndGo()
+	var rows []pipeRow
+	for {
+		t, vt, err := nextVT(input)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		rows = append(rows, pipeRow{row: t, vt: vt})
+		if !stopAndGo {
+			if more, err := wave(rows); !more || err != nil {
+				return err
+			}
+			rows = rows[:0]
+		}
+	}
+	if !stopAndGo {
+		return nil
+	}
+	_, err := wave(rows)
+	return err
 }

@@ -16,19 +16,17 @@ import (
 	"repro/internal/value"
 )
 
-// pipelinedCtx builds a Context running the streaming executor with its
-// own query-level scheduler.
+// pipelinedCtx builds a Context running the streaming policy on its own
+// scheduler.
 func pipelinedCtx(ctx context.Context, client llm.Client, workers, buffer int) *Context {
 	b := prompt.NewBuilder()
 	b.IncludePreamble = false
 	return &Context{
-		Ctx:               ctx,
 		Client:            client,
 		Prompts:           b,
 		Cleaner:           clean.New(clean.DefaultOptions()),
 		MaxScanIterations: 5,
-		BatchWorkers:      workers,
-		Scheduler:         llm.NewScheduler(nil, workers).Tenant(ctx, "test"),
+		Scheduler:         testTenant(ctx, nil, workers, false),
 		PipelineBuffer:    buffer,
 	}
 }
@@ -68,8 +66,8 @@ func townTree(t *testing.T) Operator {
 	return &llmFetchAttrOp{node: fa, input: filterOp, out: fa.Schema()}
 }
 
-// TestPipelinedMatchesStopAndGo: the streaming executor must produce
-// bit-identical results with the same prompts as stop-and-go execution,
+// TestPipelinedMatchesStopAndGo: the streaming policy must produce
+// bit-identical results with the same prompts as the stop-and-go policy,
 // at strictly lower simulated latency (the waves overlap).
 func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	// Stop-and-go reference.
@@ -82,10 +80,10 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyLat := legacyRec.Stats().SimulatedLatency + legacyVerify.Stats().SimulatedLatency
+	legacyLat := legacyCtx.Scheduler.Makespan()
 	legacyPrompts := legacyRec.Stats().Prompts + legacyVerify.Stats().Prompts
 
-	// Pipelined run.
+	// Streaming run.
 	pipeRec := llm.NewRecorder(townClient())
 	pipeVerify := llm.NewRecorder(townClient())
 	pctx := pipelinedCtx(context.Background(), pipeRec, 2, 4)
@@ -105,8 +103,10 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	if pipePrompts != legacyPrompts {
 		t.Errorf("pipelined issued %d prompts, stop-and-go %d", pipePrompts, legacyPrompts)
 	}
-	if pipeRec.Stats().SimulatedLatency != 0 || pipeVerify.Stats().SimulatedLatency != 0 {
-		t.Error("pipelined recorders must not accumulate per-call latency")
+	for _, rec := range []*llm.Recorder{legacyRec, legacyVerify, pipeRec, pipeVerify} {
+		if rec.Stats().SimulatedLatency != 0 {
+			t.Error("recorders must not accumulate per-call latency: the tenant owns it")
+		}
 	}
 	makespan := pctx.Scheduler.Makespan()
 	if makespan == 0 || makespan >= legacyLat {
@@ -181,6 +181,31 @@ func TestPipelinedLimitStopsUpstream(t *testing.T) {
 	}
 }
 
+// TestStopAndGoLimitRunsFullScan: under the stop-and-go policy a
+// satisfied LIMIT — LIMIT 0 included — does not cut the scan short:
+// every page up to the iteration cap is issued.
+func TestStopAndGoLimitRunsFullScan(t *testing.T) {
+	for _, n := range []int{0, 3} {
+		client := &pagingLLM{}
+		c := llmCtx(&scriptedLLM{})
+		c.Client = client
+		c.MaxScanIterations = 50
+
+		scan := logical.NewScan(townDef(), "t", "LLM")
+		op := &limitOp{input: &llmKeyScanOp{scan: scan, out: scan.Schema()}, n: n, offset: 0}
+		rel, err := Run(c, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Cardinality() != n {
+			t.Fatalf("LIMIT %d: rows = %d", n, rel.Cardinality())
+		}
+		if pages := client.count(); pages != 50 {
+			t.Errorf("stop-and-go LIMIT %d issued %d scan pages, want the full 50", n, pages)
+		}
+	}
+}
+
 // stallLLM signals the first call, then blocks until the context dies.
 type stallLLM struct {
 	started chan struct{}
@@ -219,15 +244,15 @@ func TestPipelinedCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchCancellation: the stop-and-go batch path must abort a prompt
-// wave mid-flight on context cancellation too.
+// TestBatchCancellation: the stop-and-go policy must abort a prompt wave
+// mid-flight on context cancellation too.
 func TestBatchCancellation(t *testing.T) {
 	client := &stallLLM{started: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	c := llmCtx(&scriptedLLM{})
-	c.Ctx = ctx
+	c.Scheduler = testTenant(ctx, nil, 2, true)
 	c.Client = client
 
 	scan := logical.NewScan(townDef(), "t", "LLM")
