@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -104,43 +105,46 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 	goroutinesAtMost(t, baseline)
 }
 
-// TestBatchGoroutineHygieneOnFailure: a stop-and-go wave abandoned after
-// one failing prompt — its query cancelled and its tenant closed, as a
-// failed stream does — leaves no worker goroutines or singleflight
-// leaders behind, with or without the cache.
+// TestBatchGoroutineHygieneOnFailure: a stop-and-go wave aborted by one
+// failing prompt must cancel its siblings at the model, send none of its
+// queued prompts, and leave no worker goroutines or singleflight leaders
+// behind, with or without the cache.
 func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	boom := errors.New("poof")
+	var calls atomic.Int32
 	flaky := clientFunc("ep", func(ctx context.Context, prompt string) (string, error) {
+		calls.Add(1)
 		if prompt == "p3" {
 			return "", Permanent(boom)
 		}
-		select { // siblings hang until the query is cancelled
+		select { // siblings hang until the wave cancels them
 		case <-ctx.Done():
 			return "", ctx.Err()
 		case <-time.After(5 * time.Second):
 			return "slow", nil
 		}
 	})
+	const width = 4
 	for _, cache := range []*Cache{nil, NewCache(64)} {
-		ctx, cancel := context.WithCancel(context.Background())
-		tn := waveTenant(ctx, cache, 4)
+		calls.Store(0)
+		tn := waveTenant(context.Background(), cache, width)
 		w := tn.Wave()
-		var failed *Future
 		for i := 0; i < 16; i++ {
-			if f := w.Submit(flaky, fmt.Sprintf("p%d", i), 0, PromptClass{}); i == 3 {
-				failed = f
-			}
+			w.Submit(flaky, fmt.Sprintf("p%d", i), 0, PromptClass{})
 		}
-		if _, _, err := failed.Wait(); !errors.Is(err, boom) {
-			t.Fatalf("failing prompt error = %v, want %v", err, boom)
+		begin := time.Now()
+		if err := w.Settle(); !errors.Is(err, boom) {
+			t.Fatalf("Settle error = %v, want %v", err, boom)
 		}
-		cancel()
+		if d := time.Since(begin); d > 2*time.Second {
+			t.Errorf("Settle took %v: the failure did not abort the wave", d)
+		}
+		if n := calls.Load(); n > width+1 {
+			t.Errorf("client saw %d calls, want at most %d", n, width+1)
+		}
+		waitDrained(t, "scheduler slots", func() bool { return tn.s.Busy() == 0 && tn.s.Queued() == 0 })
 		tn.Close()
-		tn.Quiesce()
-		if err := w.Settle(); err == nil {
-			t.Fatal("abandoned wave settled without error")
-		}
 		goroutinesAtMost(t, baseline)
 	}
 }

@@ -223,6 +223,28 @@ func TestCompleteBatchContextCancel(t *testing.T) {
 	}
 }
 
+// TestWaveClosedMidWave: prompts of a wave purged by Close fail the wave
+// even though no prompt failed at the model.
+func TestWaveClosedMidWave(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	gated := clientFunc("gate", func(ctx context.Context, prompt string) (string, error) {
+		close(started)
+		<-release
+		return "ok", nil
+	})
+	tn := waveTenant(context.Background(), nil, 1)
+	w := tn.Wave()
+	for _, p := range []string{"a", "b", "c"} {
+		w.Submit(gated, p, 0, PromptClass{})
+	}
+	<-started // "a" holds the only slot; "b" and "c" are queued
+	tn.Close()
+	close(release)
+	if err := w.Settle(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Settle after Close = %v, want context.Canceled", err)
+	}
+}
+
 type blockingClient struct{}
 
 func (b *blockingClient) Name() string { return "block" }

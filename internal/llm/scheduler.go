@@ -325,28 +325,38 @@ func (b *band) removeAt(i int) {
 	}
 }
 
-// purge drops every queued job of one tenant from the band, returning
-// the swept jobs so the caller can fail their futures outside the lock.
-func (b *band) purge(t *Tenant) []*job {
+// purge drops the queued jobs of one tenant from the band — only those
+// of wave w when w is non-nil — returning the swept jobs so the caller
+// can fail their futures outside the lock.
+func (b *band) purge(t *Tenant, w *Wave) []*job {
 	fl, ok := b.flows[t]
 	if !ok {
 		return nil
 	}
-	for i, other := range b.rr {
-		if other == fl {
-			b.removeAt(i)
-			break
+	var swept, kept []*job
+	for _, j := range fl.q {
+		if w == nil || j.wave == w {
+			swept = append(swept, j)
+		} else {
+			kept = append(kept, j)
 		}
 	}
-	q := fl.q
-	fl.q = nil
-	return q
+	fl.q = kept
+	if len(kept) == 0 {
+		for i, other := range b.rr {
+			if other == fl {
+				b.removeAt(i)
+				break
+			}
+		}
+	}
+	return swept
 }
 
 // job is one queued or running prompt. tokens is the prompt's estimated
 // token count — counted once at Submit, reused by the latency model and
 // the recorder — and cost its deficit-counter price derived from it. wave
-// is the stop-and-go wave the prompt belongs to (nil: a wave of its own).
+// is the wave the prompt was submitted in.
 type job struct {
 	t      *Tenant
 	wave   *Wave
@@ -532,11 +542,12 @@ func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionCl
 		closed: make(chan struct{}),
 		work:   map[string]time.Duration{},
 	}
+	t.stream = &Wave{t: t, ctx: ctx}
 	if ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
-				t.purge(ctx.Err())
+				t.purge(nil, ctx.Err())
 			case <-t.closed:
 			}
 		}()
@@ -556,6 +567,9 @@ type Tenant struct {
 	// width is the stop-and-go wave width (SetWaves); 0 runs the
 	// streaming policy.
 	width int
+	// stream is the streaming policy's one wave: stateless, shared by
+	// every operator of the query.
+	stream *Wave
 
 	inflight sync.WaitGroup // submitted futures not yet resolved
 	once     sync.Once
@@ -583,39 +597,73 @@ func (t *Tenant) StopAndGo() bool { return t.width > 0 }
 
 // Wave is the set of prompts one operator issues for one batch of input.
 // Under the stop-and-go policy it is the unit of latency accounting and
-// a barrier: Settle waits it out. A streaming tenant accounts prompts on
-// the critical path instead, and Settle returns at once. A Wave is used
-// by one goroutine.
+// a barrier: Settle waits it out, and its first failing prompt fails the
+// whole wave. A streaming tenant accounts prompts on the critical path
+// instead, and Settle returns at once. A Wave is used by one goroutine.
 type Wave struct {
-	t       *Tenant
-	futures []*Future     // stop-and-go only: what Settle waits for
+	t   *Tenant
+	ctx context.Context // the call context of the wave's prompts
+	// fail aborts a stop-and-go wave with its first failure; nil for the
+	// streaming wave and for a wave of one.
+	fail    context.CancelCauseFunc
+	futures []*Future     // what Settle waits for; only when fail is set
 	issued  int           // prompts that reached the model; guarded by t.mu
 	slowest time.Duration // guarded by t.mu
 }
 
-// Wave opens a prompt wave on the tenant.
-func (t *Tenant) Wave() *Wave { return &Wave{t: t} }
-
-// Submit enqueues one prompt of the wave (see Tenant.Submit).
-func (w *Wave) Submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
-	f := w.t.submit(w, client, prompt, ready, class)
-	if w.t.width > 0 {
-		w.futures = append(w.futures, f)
+// Wave opens a prompt wave on the tenant. Under the streaming policy it
+// is the tenant's shared, stateless wave.
+func (t *Tenant) Wave() *Wave {
+	if t.width == 0 {
+		return t.stream
 	}
-	return f
+	ctx, fail := context.WithCancelCause(t.ctx)
+	return &Wave{t: t, ctx: ctx, fail: fail}
 }
 
 // Settle ends a stop-and-go wave: it waits for every prompt and reports
-// the first failure in submission order, so nothing downstream starts on
-// a partial wave. Under the streaming policy it returns nil at once, and
-// each answer is awaited where it is consumed.
+// the failure that aborted the wave (else the first failure in
+// submission order, such as a prompt purged by Close), so nothing
+// downstream starts on a partial wave. Under the streaming policy it
+// returns nil at once, and each answer is awaited where it is consumed.
 func (w *Wave) Settle() error {
+	if w.fail == nil {
+		return nil
+	}
+	var first error
 	for _, f := range w.futures {
-		if _, _, err := f.Wait(); err != nil {
-			return err
+		if _, _, err := f.Wait(); err != nil && first == nil {
+			first = err
 		}
 	}
+	if err := w.err(); err != nil {
+		first = err
+	}
+	w.fail(nil) // release the wave's context
+	return first
+}
+
+// err reports why the wave's prompts must not run: the tenant's
+// cancellation, or the failure that aborted the wave.
+func (w *Wave) err() error {
+	if err := w.t.ctx.Err(); err != nil || w.fail == nil {
+		return err
+	}
+	if w.ctx.Err() != nil {
+		return context.Cause(w.ctx)
+	}
 	return nil
+}
+
+// abort fails a stop-and-go wave on its first failure, as the query
+// fails anyway: prompts of the wave still at the model see their call
+// context cancelled, and its queued prompts are failed unsent.
+func (w *Wave) abort(err error) {
+	if w.fail == nil {
+		return
+	}
+	w.fail(err)
+	w.t.purge(w, err)
 }
 
 // cost is the wave's simulated duration under a width-wide connection
@@ -650,19 +698,35 @@ func (t *Tenant) Workers() int { return t.s.workers }
 // slot path, but no goroutine starts, no worker slot or deficit is
 // spent and no tokens are counted — a fact already held costs a map
 // lookup. A cancelled tenant still fails first.
+//
+// Under the stop-and-go policy the prompt is a wave of one.
 func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...PromptClass) *Future {
 	var c PromptClass
 	if len(class) > 0 {
 		c = class[0]
 	}
-	return t.submit(nil, client, prompt, ready, c)
+	w := t.stream
+	if t.width > 0 {
+		w = &Wave{t: t, ctx: t.ctx}
+	}
+	return w.Submit(client, prompt, ready, c)
 }
 
-func (t *Tenant) submit(w *Wave, client Client, prompt string, ready VTime, class PromptClass) *Future {
-	if err := t.ctx.Err(); err != nil {
+// Submit enqueues one prompt of the wave (see Tenant.Submit). A prompt
+// submitted to an aborted wave fails at once.
+func (w *Wave) Submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
+	f := w.submit(client, prompt, ready, class)
+	if w.fail != nil {
+		w.futures = append(w.futures, f)
+	}
+	return f
+}
+
+func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
+	if err := w.err(); err != nil {
 		return &Future{done: resolved, err: err}
 	}
-	s := t.s
+	t, s := w.t, w.t.s
 	if s.cache != nil {
 		if out, ok := s.cache.hit(client.Name(), prompt); ok {
 			if rec, ok := client.(*Recorder); ok {
@@ -681,10 +745,10 @@ func (t *Tenant) submit(w *Wave, client Client, prompt string, ready VTime, clas
 	j := &job{t: t, wave: w, client: client, class: class, prompt: prompt, ready: ready, tokens: tokens, cost: promptCost(tokens), f: f}
 	t.inflight.Add(1)
 	s.mu.Lock()
-	// Re-check under the lock: purge also runs under it, so a cancel
-	// landing between the check above and here cannot strand this job in
-	// a queue the purge has already swept.
-	if err := t.ctx.Err(); err != nil {
+	// Re-check under the lock: purge also runs under it, so a cancel or
+	// an abort landing between the check above and here cannot strand
+	// this job in a queue the purge has already swept.
+	if err := w.err(); err != nil {
 		s.mu.Unlock()
 		f.err = err
 		close(f.done)
@@ -732,21 +796,25 @@ func (s *Scheduler) run(ep *endpoint, j *job) {
 	}
 }
 
-// exec runs one job to resolution.
+// exec runs one job to resolution; a failure aborts the job's wave.
 func (s *Scheduler) exec(j *job) {
 	defer j.t.inflight.Done()
 	defer close(j.f.done)
-	if err := j.t.ctx.Err(); err != nil {
+	if err := j.wave.err(); err != nil {
 		j.f.err = err
 		return
 	}
 	j.f.out, j.f.vt, j.f.err = s.complete(j)
+	if j.f.err != nil {
+		j.wave.abort(j.f.err)
+	}
 }
 
-// purge fails every queued-but-not-running job of one tenant, freeing
-// the queue without touching other tenants or the running slots. Called
-// on context cancellation and on Close.
-func (t *Tenant) purge(err error) {
+// purge fails every queued-but-not-running job of one tenant — of one of
+// its waves when w is non-nil — freeing the queue without touching other
+// tenants or the running slots. Called on context cancellation, on Close
+// and when a wave aborts.
+func (t *Tenant) purge(w *Wave, err error) {
 	if err == nil {
 		err = context.Canceled
 	}
@@ -754,7 +822,7 @@ func (t *Tenant) purge(err error) {
 	var purged []*job
 	s.mu.Lock()
 	for _, ep := range s.endpoints {
-		purged = append(purged, ep.bands[t.class].purge(t)...)
+		purged = append(purged, ep.bands[t.class].purge(t, w)...)
 	}
 	s.mu.Unlock()
 	for _, j := range purged {
@@ -768,7 +836,7 @@ func (t *Tenant) purge(err error) {
 // prompts (a cancelled or abandoned query's) are failed. Idempotent.
 func (t *Tenant) Close() {
 	t.once.Do(func() { close(t.closed) })
-	t.purge(t.ctx.Err())
+	t.purge(nil, t.ctx.Err())
 }
 
 // complete runs one job on its granted slot: through the cache when one
@@ -784,15 +852,16 @@ func (s *Scheduler) complete(j *job) (string, VTime, error) {
 		raw = rec.inner
 	}
 
+	ctx := j.wave.ctx
 	var out string
 	issued := true
 	var err error
 	if s.cache != nil {
-		out, issued, err = s.cache.Fetch(t.ctx, client.Name(), j.class, j.prompt, func() (string, error) {
-			return raw.Complete(t.ctx, j.prompt)
+		out, issued, err = s.cache.Fetch(ctx, client.Name(), j.class, j.prompt, func() (string, error) {
+			return raw.Complete(ctx, j.prompt)
 		})
 	} else {
-		out, err = raw.Complete(t.ctx, j.prompt)
+		out, err = raw.Complete(ctx, j.prompt)
 	}
 	if err != nil {
 		return "", 0, err
@@ -824,9 +893,6 @@ func (s *Scheduler) complete(j *job) (string, VTime, error) {
 		}
 	case issued:
 		w := j.wave
-		if w == nil {
-			w = &Wave{}
-		}
 		before := w.cost(t.width)
 		w.issued++
 		w.slowest = max(w.slowest, lat)

@@ -63,6 +63,7 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 			}
 			p := c.Prompts.KeyList(s.scan.Table.Name, s.scan.Table.KeyColumn, conds, keys)
 			c.Metrics.Add(s.scan, 1, 0, 0)
+			// Stop-and-go, each page is a wave of one.
 			resp, pageVT, err := c.Scheduler.Do(client, p, vt)
 			if err != nil {
 				return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
@@ -212,13 +213,14 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	input := f.input
 	f.pipe.run(func() error {
 		defer input.Close()
+		attrPrompt := func(r pipeRow) string {
+			return c.Prompts.Attr(f.node.Table.Name, r.row[f.node.KeyCol].String(), f.node.Attr)
+		}
 		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
 			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
-			prompts := make([]string, len(rows))
 			w := c.Scheduler.Wave()
 			for i := range rows {
-				prompts[i] = c.Prompts.Attr(f.node.Table.Name, rows[i].row[f.node.KeyCol].String(), f.node.Attr)
-				rows[i].main = w.Submit(client, prompts[i], rows[i].vt, class)
+				rows[i].main = w.Submit(client, attrPrompt(rows[i]), rows[i].vt, class)
 			}
 			if err := w.Settle(); err != nil {
 				return false, fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -228,7 +230,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 			if c.Verifier != nil {
 				v := c.Scheduler.Wave()
 				for i := range rows {
-					rows[i].verify = v.Submit(c.Verifier, prompts[i], rows[i].vt, class)
+					rows[i].verify = v.Submit(c.Verifier, attrPrompt(rows[i]), rows[i].vt, class)
 				}
 				if err := v.Settle(); err != nil {
 					return false, fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
