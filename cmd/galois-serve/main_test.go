@@ -192,6 +192,21 @@ func TestServeErrors(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty SQL: status %d, want 400", resp2.StatusCode)
 	}
+
+	// The engine rejects these; the server still answers them as the
+	// client's error, buffered or streamed.
+	for _, path := range []string{"/query", "/query?stream=ndjson"} {
+		for _, sql := range []string{"SELEC nonsense", "INSERT INTO country VALUES ('Atlantis')"} {
+			resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %q: status %d, want 400", path, sql, resp.StatusCode)
+			}
+		}
+	}
 }
 
 // failingLLM simulates a backend outage: every completion errors.

@@ -15,8 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/llm"
-	"repro/internal/sql/ast"
-	"repro/internal/sql/parser"
 )
 
 // server is the concurrent SQL front end over one shared core.Runtime:
@@ -227,24 +225,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.active.Add(-1)
 	defer s.queries.Add(1)
 
-	// Malformed or unexecutable SQL is the client's fault and must not
-	// surface as a server error; check it up front so everything failing
-	// later — planning against the shared bindings, the model backend —
-	// maps to 5xx, which retry policies and monitoring treat correctly.
-	// The session executes this parsed statement; the text is not parsed
-	// again.
-	stmt, err := parser.Parse(sql)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	switch stmt.(type) {
-	case *ast.Select, *ast.Explain:
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("only SELECT and EXPLAIN statements can be served"))
-		return
-	}
-
 	// The server-imposed per-query deadline: a query that outlives it
 	// answers 504 instead of holding its execution slot indefinitely.
 	if s.queryTimeout > 0 {
@@ -264,7 +244,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if mode != streamNone {
 		if _, ok := w.(http.Flusher); ok {
-			s.streamQuery(ctx, w, sess, stmt, mode, wantPlan)
+			s.streamQuery(ctx, w, sess, sql, mode, wantPlan)
 			return
 		}
 		// The response writer can't flush (buffering middleware, some
@@ -272,7 +252,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// rather than holding rows hostage in an unflushable pipe.
 	}
 
-	rel, rep, err := sess.Run(ctx, stmt)
+	rel, rep, err := sess.Query(ctx, sql)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -446,14 +426,19 @@ func querySQL(r *http.Request, params url.Values) (string, error) {
 	return "", fmt.Errorf("missing SQL: pass ?q= or a request body")
 }
 
-// writeQueryError maps an execution failure onto the HTTP status retry
-// policies expect: 504 when a deadline (the server's -query-timeout or
-// the client's own) expired mid-query, 503 + Retry-After when the model
-// endpoint's circuit breaker shed the call, 503 when the client
-// disconnected mid-flight, 500 for everything else.
+// writeQueryError maps a query failure onto the HTTP status retry
+// policies expect: 400 for SQL that does not parse or is not a SELECT or
+// EXPLAIN (the client's fault), 504 when a deadline (the server's
+// -query-timeout or the client's own) expired mid-query, 503 +
+// Retry-After when the model endpoint's circuit breaker shed the call,
+// 503 when the client disconnected mid-flight, 500 for everything else —
+// planning against the shared bindings and the model backend included,
+// which retry policies and monitoring treat correctly.
 func (s *server) writeQueryError(w http.ResponseWriter, err error) {
 	s.noteQueryError(err)
 	switch {
+	case errors.Is(err, core.ErrStatement):
+		writeError(w, http.StatusBadRequest, err)
 	case llm.Classify(err) == llm.ClassBreakerOpen:
 		w.Header().Set("Retry-After", s.breakerRetryAfter())
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -624,9 +609,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sql/ast"
 )
 
 // Streaming delivery: instead of materializing the whole relation
@@ -96,16 +95,16 @@ type streamFailure struct {
 // flight to the concurrent identical queries waiting on it.
 const streamStallTimeout = 10 * time.Second
 
-// streamQuery executes stmt over sess and writes the result as a frame
+// streamQuery executes sql over sess and writes the result as a frame
 // stream. Errors before the first frame still use the normal status
-// mapping (503/504/...); once the header is out every outcome travels
+// mapping (400/503/504/...); once the header is out every outcome travels
 // in-band. A client disconnect mid-stream cancels ctx, which fails the
 // executor's queued prompts and releases the scheduler tenant via the
 // deferred Close — the caller's admission slot is released when this
 // returns, exactly like a buffered query. So does a client that stops
 // reading for longer than the server's stall timeout.
-func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *core.Session, stmt ast.Statement, mode string, wantPlan bool) {
-	st, err := sess.RunStream(ctx, stmt)
+func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *core.Session, sql, mode string, wantPlan bool) {
+	st, err := sess.QueryStream(ctx, sql)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -169,7 +169,7 @@ func decodeValue(w wireValue) (value.Value, error) {
 }
 
 // encodeEntry serializes one cache entry for the durable tier. The
-// entry is the cache's immutable copy; no locks are needed.
+// entry is resident and read-only; no locks are needed.
 func encodeEntry(key rescache.Key, e *rescache.Entry) ([]byte, error) {
 	we := wireEntry{
 		Fingerprint: key.Fingerprint,

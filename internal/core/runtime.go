@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -60,6 +61,10 @@ type Runtime struct {
 	// across sessions so repeated identical traffic skips planning and
 	// execution entirely, and subsumed traffic skips the prompts.
 	resultCache *rescache.Cache
+	// memo maps SQL text to its parsed, built and fingerprinted form, so
+	// exact result-cache hits skip the front end (nil when the result
+	// cache is off).
+	memo *stmtMemo
 	// epochMu guards compEpochs: one binding epoch per invalidation
 	// component ("llm:<table>" per LLM binding, "db" for the attached
 	// store). Any operation that can change what a query observes —
@@ -240,6 +245,11 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 			MaxBytes:     opts.ResultCacheBytes,
 			CurrentStamp: rt.stampFor,
 		})
+		size := opts.ResultCacheSize
+		if size <= 0 {
+			size = rescache.DefaultSize
+		}
+		rt.memo = newStmtMemo(size)
 	}
 	return rt, nil
 }
@@ -278,18 +288,19 @@ func (rt *Runtime) bumpComponent(comp string) {
 }
 
 // stampFor serializes the current epochs of exactly the given components
-// (which logical.Components returns sorted) into the stamp result-cache
-// keys carry.
-func (rt *Runtime) stampFor(tables []string) string {
-	comps := append([]string(nil), tables...)
-	sort.Strings(comps)
+// into the stamp result-cache keys carry. comps must be sorted, as
+// logical.Components returns them; every exact hit pays for this call.
+func (rt *Runtime) stampFor(comps []string) string {
+	b := make([]byte, 0, 64)
 	rt.epochMu.Lock()
-	defer rt.epochMu.Unlock()
-	var b strings.Builder
-	for _, t := range comps {
-		fmt.Fprintf(&b, "%s=%d;", t, rt.compEpochs[t])
+	for _, c := range comps {
+		b = append(b, c...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, rt.compEpochs[c], 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	rt.epochMu.Unlock()
+	return string(b)
 }
 
 // ResultCacheStats reports the runtime-lifetime result-cache counters

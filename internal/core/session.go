@@ -214,22 +214,17 @@ type Report struct {
 // Query executes sql and returns the result relation plus an execution
 // report (prompt counts, simulated latency, the plan used). EXPLAIN and
 // EXPLAIN ANALYZE statements return the annotated plan as a one-column
-// relation instead of query results.
+// relation instead of query results. SQL that does not parse, and
+// statements other than SELECT and EXPLAIN, fail with an error wrapping
+// ErrStatement.
+//
+// Query is QueryStream drained: buffered and streamed callers share one
+// execution path, one result-cache flight per key and one accounting
+// point (Stream.Finish). The returned relation is read-only: an exact
+// hit hands out the result cache's resident relation itself, and the
+// relation an execution returns is the one it leaves resident.
 func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Report, error) {
-	stmt, err := parser.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Run(ctx, stmt)
-}
-
-// Run is Query over an already parsed statement, for callers that
-// parsed the text themselves (the server validates a statement before
-// admitting it and must not pay for the parse twice). It is RunStream
-// drained: buffered and streamed callers share one execution path, one
-// result-cache flight per key and one accounting point (Stream.Finish).
-func (s *Session) Run(ctx context.Context, stmt ast.Statement) (*schema.Relation, *Report, error) {
-	st, err := s.RunStream(ctx, stmt)
+	st, err := s.QueryStream(ctx, sql)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,14 +320,6 @@ func optionsFingerprint(o *Options) string {
 	}
 	fingerprintRoutes(&b, o.Routes)
 	return b.String()
-}
-
-// resultFingerprint keys one built (pre-optimization) plan for exact
-// result-cache matching: the options prefix plus the canonical plan
-// serialization — literals kept, table bindings folded in
-// (logical.Fingerprint).
-func (s *Session) resultFingerprint(plan logical.Node) string {
-	return s.optsFP + logical.Fingerprint(plan)
 }
 
 // writeSortedSet renders a per-conjunct option set deterministically.

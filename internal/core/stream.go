@@ -89,19 +89,34 @@ type Stream struct {
 // before Finish; its followers retry.
 var errStreamAbandoned = errors.New("core: stream closed before completion")
 
+// errMemoStale settles the flight a memoized statement led when its
+// rebuilt plan no longer matched the memo; its followers retry.
+var errMemoStale = errors.New("core: memoized statement went stale")
+
+// ErrStatement marks a statement the engine cannot execute as written:
+// SQL that does not parse, or a statement other than SELECT and EXPLAIN.
+// Query and QueryStream wrap such failures in it, so a server can answer
+// them as the client's error.
+var ErrStatement = errors.New("core: invalid statement")
+
 // QueryStream executes sql for incremental row consumption. It accepts
 // everything Query does; statements with no incremental production
 // (EXPLAIN renders a finished plan tree) run buffered and replay.
+//
+// With the result cache on, a SELECT the runtime's statement memo holds
+// skips the parser, the logical build and the fingerprint whenever its
+// table resolutions still replay: its result-cache key is the memoized
+// fingerprint under the current stamp.
 func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) {
+	if m := s.rt.memo; m != nil {
+		if e := m.get(sql); e != nil && e.valid(s) {
+			return s.openMemo(ctx, e)
+		}
+	}
 	stmt, err := parser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrStatement, err)
 	}
-	return s.RunStream(ctx, stmt)
-}
-
-// RunStream is QueryStream over an already parsed statement.
-func (s *Session) RunStream(ctx context.Context, stmt ast.Statement) (*Stream, error) {
 	switch stmt := stmt.(type) {
 	case *ast.Explain:
 		rel, rep, err := s.runExplain(ctx, stmt)
@@ -110,9 +125,9 @@ func (s *Session) RunStream(ctx context.Context, stmt ast.Statement) (*Stream, e
 		}
 		return &Stream{s: s, schema: rel.Schema, cached: rep.Cached, replay: rel, rep: rep}, nil
 	case *ast.Select:
-		return s.openSelect(ctx, stmt)
+		return s.openSelect(ctx, sql, stmt)
 	default:
-		return nil, fmt.Errorf("core: only SELECT and EXPLAIN statements can be executed")
+		return nil, fmt.Errorf("%w: only SELECT and EXPLAIN statements can be executed", ErrStatement)
 	}
 }
 
@@ -124,8 +139,8 @@ func (s *Session) RunStream(ctx context.Context, stmt ast.Statement) (*Stream, e
 // one true result — the same observation rule the optimizer statistics
 // follow (see observe). They do, however, participate as subsumption
 // consumers: a cached LIMIT-free superset relation answers them with a
-// local residual evaluation for zero prompts.
-func (s *Session) openSelect(ctx context.Context, sel *ast.Select) (*Stream, error) {
+// local residual evaluation for zero prompts. An exact hit memoizes sql.
+func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (*Stream, error) {
 	rc := s.rt.resultCache
 	if rc == nil {
 		return s.openShaped(ctx, sel, nil, nil, "")
@@ -136,7 +151,8 @@ func (s *Session) openSelect(ctx context.Context, sel *ast.Select) (*Stream, err
 	// captured before execution, so a bind landing mid-flight keys this
 	// result under the old epochs, where no post-bind lookup can reach
 	// it.
-	built, err := logical.Build(sel, s)
+	rec := &recordingResolver{s: s}
+	built, err := logical.Build(sel, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -145,18 +161,55 @@ func (s *Session) openSelect(ctx context.Context, sel *ast.Select) (*Stream, err
 	if sel.Limit >= 0 || sel.Offset > 0 {
 		return s.openShaped(ctx, sel, built, logical.Decompose(built), stamp)
 	}
-	key := rescache.Key{Fingerprint: s.resultFingerprint(built), Stamp: stamp}
-	entry, lead, err := rc.Lookup(ctx, key)
+	// The exact key is the result-affecting options prefix plus the
+	// canonical serialization of the built (pre-optimization) plan:
+	// literals kept, table bindings folded in.
+	fp := logical.Fingerprint(built)
+	entry, lead, err := rc.Lookup(ctx, rescache.Key{Fingerprint: s.optsFP + fp, Stamp: stamp})
 	if err != nil {
 		return nil, err
 	}
 	if lead == nil {
-		rep := &Report{Plan: entry.Plan, Cached: CacheExact}
-		return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel, rep: rep}, nil
+		s.rt.memo.put(&memoEntry{sql: sql, sel: sel, comps: comps, fp: fp, res: rec.res})
+		return s.replayHit(entry), nil
 	}
+	return s.openLead(ctx, sel, built, comps, stamp, lead)
+}
 
-	// This caller leads the key's flight. An open that fails — or
-	// panics — settles it here; once open, the stream owns it.
+// openMemo opens a memoized SELECT whose resolutions were just replayed:
+// the stamp and the exact probe come straight from the memo entry. A hit
+// replays the resident relation; a miss builds from the memoized AST and
+// leads the key's flight — unless a bind landed since the replay and the
+// build no longer yields the memoized fingerprint, in which case the
+// flight is released and the statement takes the unmemoized path.
+func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
+	stamp := s.rt.stampFor(e.comps)
+	entry, lead, err := s.rt.resultCache.Lookup(ctx, rescache.Key{Fingerprint: s.optsFP + e.fp, Stamp: stamp})
+	if err != nil {
+		return nil, err
+	}
+	if lead == nil {
+		return s.replayHit(entry), nil
+	}
+	built, err := logical.Build(e.sel, s)
+	if err != nil || logical.Fingerprint(built) != e.fp {
+		lead.Settle(nil, errMemoStale)
+		return s.openSelect(ctx, e.sql, e.sel)
+	}
+	return s.openLead(ctx, e.sel, built, e.comps, stamp, lead)
+}
+
+// replayHit opens an exact hit: the resident relation, replayed row by
+// row, with the plan of the run that populated it.
+func (s *Session) replayHit(entry *rescache.Entry) *Stream {
+	rep := &Report{Plan: entry.Plan, Cached: CacheExact}
+	return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel, rep: rep}
+}
+
+// openLead opens the execution of a result-cache miss whose flight this
+// caller leads. An open that fails — or panics — settles the flight
+// here; once open, the stream owns it.
+func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.Node, comps []string, stamp string, lead *rescache.Lead) (*Stream, error) {
 	var st *Stream
 	defer func() {
 		if st == nil {
@@ -164,7 +217,8 @@ func (s *Session) openSelect(ctx context.Context, sel *ast.Select) (*Stream, err
 		}
 	}()
 	shape := logical.Decompose(built)
-	if st, err = s.openShaped(ctx, sel, built, shape, stamp); err != nil {
+	st, err := s.openShaped(ctx, sel, built, shape, stamp)
+	if err != nil {
 		return nil, err
 	}
 	st.lead = lead
@@ -313,7 +367,9 @@ func (st *Stream) Schema() *schema.Schema { return st.schema }
 func (st *Stream) Cached() CacheOutcome { return st.cached }
 
 // Next pulls one row with its virtual availability time; io.EOF ends
-// the stream.
+// the stream. Rows are read-only: a replayed row belongs to the result
+// cache's resident relation, and a live row becomes part of the relation
+// this stream leaves resident.
 func (st *Stream) Next() (schema.Tuple, llm.VTime, error) {
 	if st.closed {
 		return nil, 0, errors.New("core: stream closed")

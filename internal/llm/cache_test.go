@@ -181,9 +181,9 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchCanceledContext: a wave on a cancelled query must
+// TestWaveCanceledContext: a wave on a cancelled query must
 // yield an error, never a silently partial answer set.
-func TestCompleteBatchCanceledContext(t *testing.T) {
+func TestWaveCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	prompts := make([]string, 10)
@@ -247,11 +247,11 @@ func TestCompleteCachedNilCache(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchCachedDedup: a wave of N prompts with K distinct
+// TestWaveCachedDedup: a wave of N prompts with K distinct
 // strings issues exactly K client calls, answers stay aligned, the
 // recorder counts K misses and N−K hits, and the wave is priced on the K
 // issued prompts only.
-func TestCompleteBatchCachedDedup(t *testing.T) {
+func TestWaveCachedDedup(t *testing.T) {
 	client := &echoClient{}
 	rec := NewRecorder(client)
 	tn := waveTenant(context.Background(), NewCache(64), 4)
@@ -279,9 +279,9 @@ func TestCompleteBatchCachedDedup(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchCachedCrossBatch: a second wave over prompts the cache
+// TestWaveCachedCrossWave: a second wave over prompts the cache
 // already holds issues zero client calls and costs zero simulated time.
-func TestCompleteBatchCachedCrossBatch(t *testing.T) {
+func TestWaveCachedCrossWave(t *testing.T) {
 	client := &echoClient{}
 	rec := NewRecorder(client)
 	tn := waveTenant(context.Background(), NewCache(64), 2)
@@ -309,10 +309,10 @@ func TestCompleteBatchCachedCrossBatch(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchCachedConcurrent hammers one cache from many queries'
+// TestWaveCachedConcurrent hammers one cache from many queries'
 // waves with overlapping prompt sets on one scheduler; under -race this
 // exercises the singleflight and LRU paths concurrently.
-func TestCompleteBatchCachedConcurrent(t *testing.T) {
+func TestWaveCachedConcurrent(t *testing.T) {
 	client := &echoClient{}
 	s := NewScheduler(NewCache(128), 4)
 

@@ -122,8 +122,8 @@ func runWave(tn *Tenant, client Client, prompts []string) ([]string, error) {
 	return out, nil
 }
 
-// TestCompleteBatchOrder: a wave's answers stay aligned with its prompts.
-func TestCompleteBatchOrder(t *testing.T) {
+// TestWaveOrder: a wave's answers stay aligned with its prompts.
+func TestWaveOrder(t *testing.T) {
 	client := &echoClient{}
 	prompts := make([]string, 50)
 	for i := range prompts {
@@ -140,9 +140,9 @@ func TestCompleteBatchOrder(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchBoundsConcurrency: a wave never runs more concurrent
+// TestWaveBoundsConcurrency: a wave never runs more concurrent
 // calls than the endpoint's worker budget.
-func TestCompleteBatchBoundsConcurrency(t *testing.T) {
+func TestWaveBoundsConcurrency(t *testing.T) {
 	client := &echoClient{}
 	prompts := make([]string, 40)
 	for i := range prompts {
@@ -156,8 +156,8 @@ func TestCompleteBatchBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchError: Settle surfaces a failing prompt of the wave.
-func TestCompleteBatchError(t *testing.T) {
+// TestWaveError: Settle surfaces a failing prompt of the wave.
+func TestWaveError(t *testing.T) {
 	client := &echoClient{failEvery: 5}
 	prompts := make([]string, 20)
 	for i := range prompts {
@@ -168,8 +168,8 @@ func TestCompleteBatchError(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchEmpty: an empty wave settles at once and costs nothing.
-func TestCompleteBatchEmpty(t *testing.T) {
+// TestWaveEmpty: an empty wave settles at once and costs nothing.
+func TestWaveEmpty(t *testing.T) {
 	tn := waveTenant(context.Background(), nil, 4)
 	out, err := runWave(tn, &echoClient{}, nil)
 	if err != nil || len(out) != 0 {
@@ -180,10 +180,10 @@ func TestCompleteBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchThroughRecorder: a wave's prompts and tokens land on
+// TestWaveThroughRecorder: a wave's prompts and tokens land on
 // the recorder, and its latency is ⌈issued / width⌉ rounds of its
 // slowest prompt — overlapped, not summed.
-func TestCompleteBatchThroughRecorder(t *testing.T) {
+func TestWaveThroughRecorder(t *testing.T) {
 	rec := NewRecorder(&echoClient{})
 	prompts := []string{"a b", "c d e", "f"}
 	tn := waveTenant(context.Background(), nil, 2)
@@ -211,9 +211,9 @@ func TestCompleteBatchThroughRecorder(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchContextCancel: a wave on a cancelled query fails
+// TestWaveContextCancel: a wave on a cancelled query fails
 // instead of hanging.
-func TestCompleteBatchContextCancel(t *testing.T) {
+func TestWaveContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tn := waveTenant(ctx, nil, 1)

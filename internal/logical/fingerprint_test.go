@@ -73,3 +73,15 @@ func TestFingerprintDeterministicAndDistinct(t *testing.T) {
 		t.Errorf("fingerprint misses structure: %q", fp)
 	}
 }
+
+// TestComponentsSortedAndDistinct pins the order result-cache stamps
+// rely on: the runtime serializes epochs in exactly the order Components
+// returns, without sorting again, so the components must come back
+// sorted and deduplicated whatever order the FROM clause reads them in.
+func TestComponentsSortedAndDistinct(t *testing.T) {
+	n := build(t, "SELECT c.name FROM city c, employees e, city d")
+	got := strings.Join(Components(n), ",")
+	if want := ComponentDB + "," + ComponentLLM("city"); got != want {
+		t.Errorf("Components = %q, want %q", got, want)
+	}
+}

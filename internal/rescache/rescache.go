@@ -32,6 +32,10 @@
 // Errors are never cached, and a follower whose leader failed or was
 // abandoned retries rather than inheriting the failure (the leader's
 // error may be its own cancellation).
+//
+// Entries are immutable and shared: the cache stores the entry a leader
+// settles, and hits, flight followers and subsumption readers receive
+// that same entry — no relation is ever copied on the read path.
 package rescache
 
 import (
@@ -53,8 +57,8 @@ const DefaultSize = 256
 type Key struct {
 	// Fingerprint is the canonical serialization of the built logical
 	// plan (literals kept, table bindings folded in) prefixed with every
-	// session option that can change the result — see
-	// core.Session's result fingerprint.
+	// session option that can change the result — see core's
+	// optionsFingerprint.
 	Fingerprint string
 	// Stamp serializes the per-component binding epochs of exactly the
 	// tables the plan reads, captured at lookup time. Rebinding one of
@@ -81,10 +85,12 @@ type Producer struct {
 	Conjuncts []string
 }
 
-// Entry is one cached query result.
+// Entry is one cached query result. Once settled or loaded it is shared
+// by the cache and every reader, and no one may modify it.
 type Entry struct {
-	// Rel is the result relation. The cache stores a private deep copy
-	// and hands out deep copies, so callers may mutate what they receive.
+	// Rel is the result relation, read-only: the cache stores the
+	// relation the leader settled and hands the same one to every hit,
+	// follower and subsumption reader.
 	Rel *schema.Relation
 	// Plan is the EXPLAIN rendering of the plan the populating run
 	// executed, served on hits so ?plan=1 responses stay meaningful.
@@ -94,18 +100,6 @@ type Entry struct {
 	Tables []string
 	// Prod is non-nil when this entry can answer subsumed queries.
 	Prod *Producer
-}
-
-// clone deep-copies an entry so cache-resident relations never alias
-// caller-visible ones.
-func (e *Entry) clone() *Entry {
-	out := &Entry{Rel: e.Rel.Clone(), Plan: e.Plan, Tables: append([]string(nil), e.Tables...)}
-	if e.Prod != nil {
-		p := *e.Prod
-		p.Conjuncts = append([]string(nil), p.Conjuncts...)
-		out.Prod = &p
-	}
-	return out
 }
 
 // approxBytes estimates an entry's resident size: tuples, strings,
@@ -192,7 +186,7 @@ type Config struct {
 // may do I/O) but sequentially consistent per key is NOT guaranteed
 // under concurrent churn; a persistent sink must tolerate a DropEntry
 // for a key it never stored and resolve races by its own ordering.
-// Entries passed to StoreEntry are the cache's private immutable copies:
+// Entries passed to StoreEntry are the resident entries themselves:
 // read-only, safe to retain.
 type Sink interface {
 	StoreEntry(key Key, e *Entry)
@@ -321,12 +315,12 @@ func tablesKeyHas(tablesKey, comp string) bool {
 	return false
 }
 
-// insertLocked stores an entry (already cloned by the caller), evicting
-// from the LRU's cold end while over the entry capacity or the byte
-// budget. Inserts whose stamp is no longer current are dropped. It
-// reports whether the entry is resident after the insert (eviction may
-// consume it immediately) and the keys evicted to make room, so the
-// caller can fire sink hooks after unlocking.
+// insertLocked stores an entry, evicting from the LRU's cold end while
+// over the entry capacity or the byte budget. Inserts whose stamp is no
+// longer current are dropped. It reports whether the entry is resident
+// after the insert (eviction may consume it immediately) and the keys
+// evicted to make room, so the caller can fire sink hooks after
+// unlocking.
 func (c *Cache) insertLocked(key Key, entry *Entry) (stored bool, evicted []Key) {
 	if c.current != nil && c.current(entry.Tables) != key.Stamp {
 		return false, nil
@@ -381,14 +375,15 @@ func notifySink(sink Sink, key Key, entry *Entry, stored bool, evicted []Key) {
 
 // Candidate is the cheap metadata view of one subsumption-capable entry,
 // returned by Candidates so the session can match and cost residual
-// plans without cloning any relation.
+// plans without touching any relation.
 type Candidate struct {
 	Key Key
 	// Rows is the cached cardinality; Schema the cached relation's
-	// output schema (cloned — safe to hold).
+	// output schema (the resident one — read-only).
 	Rows   int
 	Schema *schema.Schema
-	Prod   Producer
+	// Prod shares its Conjuncts with the resident entry (read-only).
+	Prod Producer
 }
 
 // Candidates returns the subsumption-capable entries reading exactly the
@@ -397,37 +392,21 @@ type Candidate struct {
 // ties so candidate order — and therefore plan choice on cost ties — is
 // deterministic.
 func (c *Cache) Candidates(tablesKey, stamp string) []Candidate {
-	// Resident entries are immutable — inserts replace the *Entry pointer,
-	// never mutate one in place — so only the pointer snapshot needs the
-	// lock; the per-candidate schema and conjunct clones (the expensive
-	// part, proportional to candidate count × schema width) happen outside
-	// it and no longer serialize concurrent planning passes.
 	c.mu.Lock()
-	type ref struct {
-		key Key
-		e   *Entry
-	}
-	var refs []ref
+	var out []Candidate
 	for el := range c.sets[tablesKey] {
 		item := el.Value.(*cacheItem)
 		if item.key.Stamp != stamp || item.entry.Prod == nil {
 			continue
 		}
-		refs = append(refs, ref{key: item.key, e: item.entry})
-	}
-	c.mu.Unlock()
-
-	out := make([]Candidate, 0, len(refs))
-	for _, r := range refs {
-		p := *r.e.Prod
-		p.Conjuncts = append([]string(nil), p.Conjuncts...)
 		out = append(out, Candidate{
-			Key:    r.key,
-			Rows:   r.e.Rel.Cardinality(),
-			Schema: r.e.Rel.Schema.Clone(),
-			Prod:   p,
+			Key:    item.key,
+			Rows:   item.entry.Rel.Cardinality(),
+			Schema: item.entry.Rel.Schema,
+			Prod:   *item.entry.Prod,
 		})
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rows != out[j].Rows {
 			return out[i].Rows < out[j].Rows
@@ -449,7 +428,7 @@ func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 	}
 	c.order.MoveToFront(el)
 	c.subsumed++
-	return el.Value.(*cacheItem).entry.clone(), true
+	return el.Value.(*cacheItem).entry, true
 }
 
 // Lookup is the first phase of a two-phase read. It returns exactly one
@@ -463,10 +442,10 @@ func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 //     now owns the key's flight and must execute the query and Settle
 //     the lead exactly once, with the finished entry or an error.
 //
-// Entries returned are private deep copies. A follower whose leader
-// settled with an error retries — it joins the next flight or leads it —
-// rather than inheriting the failure, which may be the leader's own
-// cancellation. Errors are never cached.
+// Entries returned are the shared, read-only resident (or settled) ones.
+// A follower whose leader settled with an error retries — it joins the
+// next flight or leads it — rather than inheriting the failure, which
+// may be the leader's own cancellation. Errors are never cached.
 func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
 	for {
 		c.mu.Lock()
@@ -475,7 +454,7 @@ func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
 			c.hits++
 			entry := el.Value.(*cacheItem).entry
 			c.mu.Unlock()
-			return entry.clone(), nil, nil
+			return entry, nil, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
@@ -488,7 +467,7 @@ func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				return f.entry.clone(), nil, nil
+				return f.entry, nil, nil
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
@@ -515,10 +494,9 @@ type Lead struct {
 	settled bool
 }
 
-// Settle resolves the flight. With err == nil the entry is stored (the
-// cache and the followers share a private copy; the leader's relation
-// stays its own) and every follower receives it; otherwise followers
-// retry and nothing is cached. Only the first call has an effect, so a
+// Settle resolves the flight. With err == nil the entry is stored and
+// every follower receives it — the leader's entry itself, which from now
+// on nobody may modify; otherwise followers retry and nothing is cached. Only the first call has an effect, so a
 // holder may settle on success and again, unconditionally, on release.
 // Not safe for concurrent use: one goroutine owns a lead.
 func (l *Lead) Settle(entry *Entry, err error) {
@@ -527,10 +505,7 @@ func (l *Lead) Settle(entry *Entry, err error) {
 	}
 	l.settled = true
 	c, f := l.c, l.f
-	if err == nil {
-		f.entry = entry.clone()
-	}
-	f.err = err
+	f.entry, f.err = entry, err
 	close(f.done)
 
 	c.mu.Lock()
@@ -556,8 +531,8 @@ type Dumped struct {
 // Dump snapshots the resident entries coldest-first, so replaying the
 // dump through Load reconstructs the same LRU order (each Load pushes to
 // the front; the last — hottest — entry ends up most recently used). The
-// returned entries are the cache's own immutable copies: read-only, safe
-// to serialize without further locking.
+// returned entries are the resident ones: read-only, safe to serialize
+// without further locking.
 func (c *Cache) Dump() []Dumped {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -574,11 +549,11 @@ func (c *Cache) Dump() []Dumped {
 // was admitted. Loads count as neither hits nor misses and do not fire
 // StoreEntry (warm-loaded state is not echoed back to the store it came
 // from), though entries they evict are dropped through the sink as
-// usual. The entry is deep-copied; the caller keeps ownership of e.
+// usual. The cache takes e as it is: the caller must not modify it
+// afterwards.
 func (c *Cache) Load(key Key, e *Entry) bool {
-	clone := e.clone()
 	c.mu.Lock()
-	stored, evicted := c.insertLocked(key, clone)
+	stored, evicted := c.insertLocked(key, e)
 	sink := c.sink
 	c.mu.Unlock()
 	if sink != nil {

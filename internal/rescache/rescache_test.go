@@ -107,23 +107,34 @@ func TestFetchPopulatesAndHits(t *testing.T) {
 	}
 }
 
-// TestHitsAreIsolatedCopies: mutating a relation handed out by the cache
-// (or the one the populating caller kept) must not corrupt later hits.
-func TestHitsAreIsolatedCopies(t *testing.T) {
+// TestReadsShareResidentEntry: the cache copies nothing. Hits, flight
+// followers and Subsumed all hand out the entry the leader settled —
+// which is why served relations are read-only.
+func TestReadsShareResidentEntry(t *testing.T) {
 	c := New(Config{Capacity: 4})
 	key := Key{Fingerprint: "q"}
-
-	leaderRel, _ := fetch(t, c, key, entry("clean"))
-	leaderRel.Rel.Rows[0][0] = value.Text("dirty-leader")
-
-	h1, _ := fetch(t, c, key, entry("MUST NOT RUN"))
-	if got := h1.Rel.Rows[0][0].String(); got != "clean" {
-		t.Errorf("leader mutation leaked into the cache: %q", got)
+	_, lead, err := c.Lookup(context.Background(), key)
+	if err != nil || lead == nil {
+		t.Fatalf("first lookup: lead=%v err=%v", lead, err)
 	}
-	h1.Rel.Rows[0][0] = value.Text("dirty-hit")
-	h2, _ := fetch(t, c, key, entry("MUST NOT RUN"))
-	if got := h2.Rel.Rows[0][0].String(); got != "clean" {
-		t.Errorf("hit mutation leaked into the cache: %q", got)
+	// A concurrent reader follows the flight, or hits if it arrives
+	// after Settle; either way it must get the settled entry.
+	follower := make(chan *Entry, 1)
+	go func() {
+		got, _, _ := c.Lookup(context.Background(), key)
+		follower <- got
+	}()
+	settled := entry("shared")
+	lead.Settle(settled, nil)
+
+	if got := <-follower; got != settled {
+		t.Errorf("follower got %p, want the settled entry %p", got, settled)
+	}
+	if got, _ := fetch(t, c, key, entry("MUST NOT RUN")); got != settled {
+		t.Errorf("hit got %p, want the settled entry %p", got, settled)
+	}
+	if got, ok := c.Subsumed(key); !ok || got != settled {
+		t.Errorf("Subsumed got %p (ok=%v), want the settled entry %p", got, ok, settled)
 	}
 }
 
@@ -278,7 +289,9 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	fetch(t, c, Key{Fingerprint: "big", Stamp: "s"}, big)
 	fetch(t, c, Key{Fingerprint: "small", Stamp: "s"}, small)
 	fetch(t, c, Key{Fingerprint: "plain", Stamp: "s"}, plain)
-	fetch(t, c, Key{Fingerprint: "stale", Stamp: "old"}, big.clone())
+	stale := entryT(city, "a", "b", "c")
+	stale.Prod = prod()
+	fetch(t, c, Key{Fingerprint: "stale", Stamp: "old"}, stale)
 	fetch(t, c, Key{Fingerprint: "other", Stamp: "s"}, other)
 
 	got := c.Candidates(TablesKey(city), "s")
@@ -299,9 +312,8 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	if !ok || e.Rel.Cardinality() != 3 {
 		t.Fatalf("Subsumed: ok=%v entry=%v", ok, e)
 	}
-	e.Rel.Rows[0][0] = value.Text("dirty")
-	if e2, _ := c.Subsumed(Key{Fingerprint: "big", Stamp: "s"}); e2.Rel.Rows[0][0].String() != "a" {
-		t.Error("Subsumed handed out an aliased relation")
+	if e2, _ := c.Subsumed(Key{Fingerprint: "big", Stamp: "s"}); e2 != e {
+		t.Error("Subsumed handed out a copy of the resident entry")
 	}
 	if _, ok := c.Subsumed(Key{Fingerprint: "gone", Stamp: "s"}); ok {
 		t.Error("Subsumed found a nonexistent entry")
@@ -630,8 +642,8 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 }
 
 // TestCandidatesConcurrentWithInserts hammers Candidates against
-// concurrent inserts and invalidation under -race: the clone-outside-
-// lock snapshot must never observe a torn entry.
+// concurrent inserts and invalidation under -race: the snapshot must
+// never observe a torn entry.
 func TestCandidatesConcurrentWithInserts(t *testing.T) {
 	ep := newEpochs()
 	c := New(Config{Capacity: 64, CurrentStamp: ep.current})
@@ -676,8 +688,8 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 }
 
 // BenchmarkCandidates measures one planning pass's candidate snapshot
-// over a populated table set — the path that used to deep-clone every
-// schema under the global mutex.
+// over a populated table set, which shares the resident schemas and
+// conjunct slices instead of copying them.
 func BenchmarkCandidates(b *testing.B) {
 	c := New(Config{Capacity: 256})
 	city := []string{"llm:city"}
