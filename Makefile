@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-artifacts bench-pipeline bench-optimizer bench-concurrency bench-resultcache bench-semcache bench-chaos bench-persist bench-sched bench-routing benchmark-smoke serve fuzz cover
+.PHONY: check vet build test race bench bench-artifacts benchmark-smoke serve fuzz cover
 
 check: vet build race
 
@@ -20,66 +20,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Regenerates all nine committed BENCH_*.json artifacts in one run (each
-# is deterministic; about 2 s) and fails when any differs from the
-# committed file. The per-artifact targets below regenerate one each.
+# Regenerates every committed BENCH_*.json artifact (the rows of
+# bench.Artifacts; each is deterministic) and fails when any differs from
+# the committed file. One artifact: add /<name> to the -run pattern.
 bench-artifacts:
-	$(GO) test -run '^$$' -bench 'Comparison$$' -benchtime=1x .
+	$(GO) test ./internal/bench -run TestArtifacts -update
 	git diff --exit-code BENCH_*.json
-
-# Regenerates the committed BENCH_pipeline.json artifact (deterministic).
-bench-pipeline:
-	$(GO) test -run '^$$' -bench BenchmarkPipelineComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_optimizer.json artifact (deterministic).
-bench-optimizer:
-	$(GO) test -run '^$$' -bench BenchmarkOptimizerComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_concurrency.json artifact
-# (deterministic): serial vs K-way-concurrent corpus on one shared
-# runtime and scheduler.
-bench-concurrency:
-	$(GO) test -run '^$$' -bench BenchmarkConcurrencyComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_resultcache.json artifact
-# (deterministic): repeated corpus traffic against the relation-level
-# result cache, with an epoch-bump invalidation probe.
-bench-resultcache:
-	$(GO) test -run '^$$' -bench BenchmarkResultCacheComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_semcache.json artifact
-# (deterministic): the subsumption tier answering never-seen near-miss
-# queries from cached relations, with a per-table invalidation probe.
-bench-semcache:
-	$(GO) test -run '^$$' -bench BenchmarkSemanticCacheComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_chaos.json artifact (deterministic):
-# the seeded chaos differential — corpus under transient/malformed fault
-# profiles with retries vs fault-free, the no-retry availability control,
-# and the breaker lifecycle under a total outage.
-bench-chaos:
-	$(GO) test -run '^$$' -bench BenchmarkChaosComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_persist.json artifact (deterministic):
-# the durable store across four runtime generations over one data
-# directory — cold fill, zero-prompt warm restart, a rebind probe, and
-# an ANALYZE whose invalidation survives the drain.
-bench-persist:
-	$(GO) test -run '^$$' -bench BenchmarkPersistComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_sched.json artifact (deterministic):
-# simulated mixed-class contention under round-robin vs deficit-weighted
-# dispatch, plus the live corpus solo vs K-way mixed-class concurrent.
-bench-sched:
-	$(GO) test -run '^$$' -bench BenchmarkSchedComparison -benchtime=1x .
-
-# Regenerates the committed BENCH_routing.json artifact (deterministic):
-# the multi-backend routing differential — single backend vs cheap/strong
-# pair with keyscan/filter routed cheap (bit-identical, lower weighted
-# cost) vs the same pair with a mid-corpus outage of the cheap backend
-# (zero failures, every prompt failing over down the declared chain).
-bench-routing:
-	$(GO) test -run '^$$' -bench BenchmarkRoutingComparison -benchtime=1x .
 
 # Smoke-runs the repository benchmark (benchmark/README.md): all four
 # workloads at tiny request counts through a real galois-serve

@@ -1,23 +1,24 @@
-// Package repro's root benchmarks regenerate every table and figure of
-// the paper's evaluation (Section 5) plus the DESIGN.md ablations, one
-// testing.B target per experiment:
+// Package repro's root benchmarks regenerate the tables and figures of
+// the paper's evaluation (Section 5), the ablations and the Section 6
+// explorations, and time the query hot path:
 //
 //	go test -bench=BenchmarkTable1 -benchmem         # Table 1
 //	go test -bench=BenchmarkTable2 -benchmem         # Table 2
 //	go test -bench=BenchmarkFigure3 -benchmem        # Figure 3 plan
 //	go test -bench=BenchmarkFigure4 -benchmem        # Figure 4 prompt
 //	go test -bench=BenchmarkPromptCounts -benchmem   # §5 latency note
-//	go test -bench=BenchmarkAblation -benchmem       # ablations A–D
+//	go test -bench=BenchmarkAblation -benchmem       # ablations A–C, E
+//	go test -bench='Query' -benchmem                 # one query, cold and cached
 //
 // Each benchmark reports the paper-relevant quantities as custom metrics
 // (cardinality diff %, cell match %, prompts/query) so `go test -bench=.`
-// output doubles as the reproduction record; EXPERIMENTS.md holds a
-// committed copy.
+// output doubles as the reproduction record. The committed BENCH_*.json
+// artifacts are not benchmarks: internal/bench's TestArtifacts checks
+// them and `make bench-artifacts` regenerates them.
 package main
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -80,14 +81,15 @@ func BenchmarkTable2(b *testing.B) {
 // Figure 3 plan); the golden-content check lives in the optimizer tests.
 func BenchmarkFigure3(b *testing.B) {
 	r := mustRunner(b)
-	engine, err := r.Engine(r.Model(simllm.ChatGPT), bench.PaperOptions())
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), bench.PaperOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess := rt.NewSession()
 	const q = `SELECT c.name, p.name FROM city c, mayor p WHERE c.mayor = p.name AND c.population > 1000000 AND p.age < 40`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Explain(q); err != nil {
+		if _, err := sess.Explain(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,24 +214,25 @@ func BenchmarkAblationCache(b *testing.B) {
 }
 
 // BenchmarkRepeatedQueryCached measures the repeated-traffic hot path the
-// cache targets: the same query against one warm engine. After the first
+// cache targets: the same query against one warm runtime. After the first
 // iteration every prompt is a cache hit, so this is the zero-model-call
 // serving cost.
 func BenchmarkRepeatedQueryCached(b *testing.B) {
 	r := mustRunner(b)
-	engine, err := r.Engine(r.Model(simllm.ChatGPT), core.DefaultOptions())
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess := rt.NewSession()
 	ctx := context.Background()
 	const q = `SELECT name FROM country WHERE independence_year > 1950`
-	if _, _, err := engine.Query(ctx, q); err != nil { // warm the cache
+	if _, _, err := sess.Query(ctx, q); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var prompts int
 	for i := 0; i < b.N; i++ {
-		_, rep, err := engine.Query(ctx, q)
+		_, rep, err := sess.Query(ctx, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,250 +241,19 @@ func BenchmarkRepeatedQueryCached(b *testing.B) {
 	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
 }
 
-// BenchmarkPipelineComparison measures the pipelined streaming executor
-// against stop-and-go execution — the multi-operator benchmark query and
-// the whole corpus, both with a GPT-3 verifier over ChatGPT — and writes
-// the machine-readable BENCH_pipeline.json artifact (prompts/query and
-// simulated latency per configuration) tracking the perf trajectory. The
-// report is deterministic, so the committed artifact is reproducible:
-//
-//	go test -run '^$' -bench BenchmarkPipelineComparison -benchtime=1x .
-func BenchmarkPipelineComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.PipelineReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.PipelineComparison(ctx, simllm.ChatGPT, simllm.GPT3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, bm := range rep.Benchmarks {
-		tag, _, _ := strings.Cut(bm.Name, "-") // "multiop-…" -> "multiop"
-		b.ReportMetric(bm.Speedup, tag+"_speedup_x")
-		b.ReportMetric(bm.Configs[0].AvgSimLatencyMS/1000, tag+"_stopgo_s/query")
-		b.ReportMetric(bm.Configs[1].AvgSimLatencyMS/1000, tag+"_pipelined_s/query")
-		if !bm.ResultsIdentical {
-			b.Fatalf("%s: pipelined execution changed a result", bm.Name)
-		}
-	}
-	if err := bench.WritePipelineArtifact("BENCH_pipeline.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkOptimizerComparison measures cost-based plan selection
-// against the fixed rewrite heuristics — the whole corpus per arm plus
-// the multi-predicate suite — and writes the machine-readable
-// BENCH_optimizer.json artifact (prompts/query per configuration,
-// per-query savings, estimate accuracy). The report is deterministic, so
-// the committed artifact is reproducible:
-//
-//	go test -run '^$' -bench BenchmarkOptimizerComparison -benchtime=1x .
-func BenchmarkOptimizerComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.OptimizerReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.OptimizerComparison(ctx, simllm.ChatGPT)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.Corpus[0].PromptsPerQuery, "fixed_prompts/query")
-	b.ReportMetric(rep.Corpus[1].PromptsPerQuery, "costbased_prompts/query")
-	b.ReportMetric(rep.Estimates.MaxRatio, "estimate_max_ratio")
-	best := 0.0
-	for _, q := range rep.MultiPredicate {
-		if q.SavingsPercent > best {
-			best = q.SavingsPercent
-		}
-	}
-	b.ReportMetric(best, "best_multipred_savings_%")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteOptimizerArtifact("BENCH_optimizer.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkConcurrencyComparison measures the shared-runtime concurrency
-// model: the corpus executed one query at a time versus K=4 queries at a
-// time against one runtime, sharing the engine-global scheduler's
-// per-endpoint worker budget — and writes the machine-readable
-// BENCH_concurrency.json artifact. The aggregate simulated makespan of
-// the concurrent arm must beat K-times-serial by at least 2x while every
-// relation and per-query prompt count stays bit-identical (the report is
-// deterministic, so the committed artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkConcurrencyComparison -benchtime=1x .
-func BenchmarkConcurrencyComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.ConcurrencyReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.ConcurrencyComparison(ctx, simllm.ChatGPT, bench.DefaultConcurrency, bench.DefaultServeWorkers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.SpeedupX, "aggregate_speedup_x")
-	b.ReportMetric(rep.Serial.AggregateMakespanMS/1000, "serial_corpus_s")
-	b.ReportMetric(rep.Concurrent.AggregateMakespanMS/1000, "concurrent_corpus_s")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteConcurrencyArtifact("BENCH_concurrency.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkChaosComparison runs the seeded chaos differential through
-// the fault-tolerant LLM transport — the corpus under transient and
-// malformed-output fault profiles with retries (relations, prompt counts
-// and simulated makespan must stay bit-identical to fault-free), the
-// no-retry availability control, and the breaker lifecycle under a total
-// outage — and writes the machine-readable BENCH_chaos.json artifact
-// (the report is deterministic, so the committed artifact is
-// reproducible):
-//
-//	go test -run '^$' -bench BenchmarkChaosComparison -benchtime=1x .
-func BenchmarkChaosComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.ChaosReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.ChaosComparison(ctx, simllm.ChatGPT)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rep.Transient.Faults), "injected_faults")
-	b.ReportMetric(float64(rep.Transient.Retries), "healing_retries")
-	b.ReportMetric(float64(rep.NoRetry.FailedQueries), "no_retry_lost_queries")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteChaosArtifact("BENCH_chaos.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkResultCacheComparison measures the semantic result
-// cache on repeated corpus traffic — one cold pass (where subsumption
-// already answers some queries from earlier results), two hot passes,
-// and a per-table PrimeTableKeys epoch bump — against a cache-off
-// control, and writes the machine-readable BENCH_resultcache.json
-// artifact. Repeated identical queries must cost zero prompts while
-// every relation stays bit-identical, and the epoch bump must
-// re-execute only the primed table's queries (the report is
-// deterministic, so the committed artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkResultCacheComparison -benchtime=1x .
-func BenchmarkResultCacheComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.ResultCacheReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.ResultCacheComparison(ctx, simllm.ChatGPT, bench.DefaultResultCacheRepeats)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rep.CachedFirstPrompts)/float64(rep.Queries), "cold_prompts/query")
-	b.ReportMetric(float64(rep.RepeatPromptsCacheable)/float64(rep.CacheableQueries*rep.Repeats), "hot_prompts/query")
-	b.ReportMetric(float64(rep.ResultCacheHits), "result_cache_hits")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteResultCacheArtifact("BENCH_resultcache.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSemanticCacheComparison measures the subsumption tier of the
-// semantic result cache on the fixed near-miss corpus — parents execute
-// cold and replay exactly hot, then children the cache has never seen
-// verbatim must each be answered by a residual plan over a cached
-// relation for zero prompts, bit-identical to direct execution on a
-// cache-off control — and writes the machine-readable
-// BENCH_semcache.json artifact (the report is deterministic, so the
-// committed artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkSemanticCacheComparison -benchtime=1x .
-func BenchmarkSemanticCacheComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.SemCacheReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.SemanticCacheComparison(ctx, simllm.ChatGPT)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rep.ColdPrompts)/float64(rep.Parents), "cold_prompts/parent")
-	b.ReportMetric(float64(rep.NearMissPrompts), "near_miss_prompts")
-	b.ReportMetric(float64(rep.NearMissSubsumed), "children_subsumed")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteSemCacheArtifact("BENCH_semcache.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRoutingComparison runs the multi-backend routing differential
-// — the corpus on a single strong backend, on a cheap/strong backend pair
-// with key scans and filters routed to the cheap backend (relations and
-// per-query prompt counts bit-identical, total weighted prompt cost
-// strictly lower), and on the same pair with the cheap backend suffering
-// a total outage mid-corpus (every prompt failing over down the declared
-// chain: zero failed queries, breaker open, bit-identical relations) —
-// and writes the machine-readable BENCH_routing.json artifact (the
-// report is deterministic, so the committed artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkRoutingComparison -benchtime=1x .
-func BenchmarkRoutingComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.RoutingReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.RoutingComparison(ctx, simllm.ChatGPT)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.Single.WeightedCost, "single_weighted_cost")
-	b.ReportMetric(rep.Routed.WeightedCost, "routed_weighted_cost")
-	b.ReportMetric(float64(rep.Failover.Failovers), "outage_failovers")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteRoutingArtifact("BENCH_routing.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkGaloisQuery measures one representative end-to-end query on the
 // simulated ChatGPT (micro-benchmark of the full pipeline).
 func BenchmarkGaloisQuery(b *testing.B) {
 	r := mustRunner(b)
-	engine, err := r.Engine(r.Model(simllm.ChatGPT), bench.PaperOptions())
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), bench.PaperOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess := rt.NewSession()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.Query(ctx, `SELECT name FROM country WHERE independence_year > 1950`); err != nil {
+		if _, _, err := sess.Query(ctx, `SELECT name FROM country WHERE independence_year > 1950`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -509,10 +281,6 @@ func BenchmarkQABaseline(b *testing.B) {
 	model := r.Model(simllm.ChatGPT)
 	rec := llm.NewRecorder(model)
 	q := spider.Queries()[10] // query 11, the independence question
-	truth, err := r.GroundTruth(context.Background(), q.SQL)
-	if err != nil {
-		b.Fatal(err)
-	}
 	builder := prompt.NewBuilder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -520,7 +288,6 @@ func BenchmarkQABaseline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	_ = truth
 }
 
 // BenchmarkPortability regenerates the Section 6 portability exploration:
@@ -575,74 +342,4 @@ func BenchmarkVerification(b *testing.B) {
 	b.ReportMetric(rows[0].CellMatch, "unverified_cell_%")
 	b.ReportMetric(rows[1].CellMatch, "verified_cell_%")
 	b.ReportMetric(rows[1].AvgPrompts-rows[0].AvgPrompts, "extra_prompts/query")
-}
-
-// BenchmarkPersistComparison measures the durable content-addressed
-// store across four process generations over one data directory — a
-// cold pass that fills the store, a warm restart that must serve the
-// whole corpus for zero prompts with bit-identical relations and
-// restored statistics, a rebind probe (warm-loaded relations of a
-// re-bound table re-execute; the rest stay free), and an ANALYZE probe
-// whose epoch bump persists across a drain so the primed table's
-// relations never warm-load in the next generation — and writes the
-// machine-readable BENCH_persist.json artifact (the report is
-// deterministic, so the committed artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkPersistComparison -benchtime=1x .
-func BenchmarkPersistComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.PersistReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.PersistComparison(ctx, simllm.ChatGPT, b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rep.ColdPrompts)/float64(rep.Queries), "cold_prompts/query")
-	b.ReportMetric(float64(rep.WarmPrompts), "warm_prompts")
-	b.ReportMetric(float64(rep.WarmRelations), "warm_relations")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WritePersistArtifact("BENCH_persist.json", rep); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSchedComparison measures the deficit-weighted fair scheduler
-// — the simulated mixed-class contention A/B (interactive chains over
-// saturating batch tenants, round-robin versus the shipped strict-
-// priority deficit bands, on a virtual clock) and the live corpus solo
-// versus K-way mixed-class concurrent — and writes the machine-readable
-// BENCH_sched.json artifact. Interactive p99 must improve with margin
-// while the worst first-dispatch wait stays inside the one-prompt
-// starvation bound, and classes/weights must be pure scheduling hints:
-// bit-identical relations, identical prompt counts, aggregate makespan
-// no worse than solo (the report is deterministic, so the committed
-// artifact is reproducible):
-//
-//	go test -run '^$' -bench BenchmarkSchedComparison -benchtime=1x .
-func BenchmarkSchedComparison(b *testing.B) {
-	r := mustRunner(b)
-	ctx := context.Background()
-	var rep *bench.SchedReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = r.SchedComparison(ctx, simllm.ChatGPT, bench.DefaultConcurrency, bench.DefaultServeWorkers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.P99ImprovementX, "interactive_p99_improvement_x")
-	b.ReportMetric(rep.Deficit.InteractiveP99MS/1000, "deficit_interactive_p99_s")
-	b.ReportMetric(rep.RoundRobin.InteractiveP99MS/1000, "rr_interactive_p99_s")
-	b.ReportMetric(rep.Deficit.MaxFirstWaitMS, "max_first_wait_ms")
-	if err := rep.CheckAcceptance(); err != nil {
-		b.Fatalf("acceptance criteria violated:\n%v", err)
-	}
-	if err := bench.WriteSchedArtifact("BENCH_sched.json", rep); err != nil {
-		b.Fatal(err)
-	}
 }

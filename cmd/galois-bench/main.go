@@ -2,7 +2,8 @@
 // evaluation section: Table 1 (result cardinality per model), Table 2
 // (cell-value matches per method and query class on ChatGPT), the latency
 // note of Section 5, the Figure 3 plan and Figure 4 prompt, plus the
-// ablations called out in DESIGN.md.
+// ablations, the Section 6 explorations and the committed BENCH_*.json
+// artifacts (bench.Artifacts).
 //
 // Usage:
 //
@@ -12,9 +13,8 @@
 //	galois-bench -figure 3      # the lowered plan for q'
 //	galois-bench -figure 4      # the few-shot prompt
 //	galois-bench -latency
-//	galois-bench -ablation pushdown|cleaning|joins|more|cache|pipeline|optimizer|
-//	                       concurrency|resultcache|chaos|persist|sched|routing|
-//	                       verify|portability|schemafree
+//	galois-bench -ablation pushdown|cleaning|joins|more|cache|verify|portability|schemafree
+//	galois-bench -ablation chaos # any artifact: its report JSON and acceptance verdict
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -44,7 +45,7 @@ func run() error {
 	table := flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
 	figure := flag.Int("figure", 0, "regenerate one figure (3 or 4); 0 = all")
 	latency := flag.Bool("latency", false, "only the latency measurement")
-	ablation := flag.String("ablation", "", "one ablation: pushdown, cleaning, joins, more, cache, pipeline, optimizer, concurrency, resultcache, chaos, persist, sched, routing, verify, portability, schemafree")
+	ablation := flag.String("ablation", "", "one ablation or committed artifact: "+strings.Join(ablationNames(), ", "))
 	explain := flag.String("explain", "", "print EXPLAIN ANALYZE for the given SQL under the cost-based engine and exit")
 	configPath := flag.String("config", "", "multi-backend routing declaration (galois.yaml) for -explain: plans are priced and routed across the declared backends")
 	seed := flag.Int64("seed", 1, "noise seed")
@@ -111,7 +112,7 @@ func run() error {
 		}
 	}
 	if *ablation != "" || !specific {
-		names := []string{"pushdown", "cleaning", "joins", "more", "cache", "pipeline", "optimizer", "concurrency", "resultcache", "chaos", "persist", "sched", "routing", "verify", "portability", "schemafree"}
+		names := ablationNames()
 		if *ablation != "" {
 			names = []string{*ablation}
 		}
@@ -160,11 +161,11 @@ func printTable2(ctx context.Context, r *bench.Runner, p simllm.Profile, opts co
 const Figure3SQL = `SELECT c.name, p.name FROM city c, mayor p WHERE c.mayor = p.name AND c.population > 1000000 AND p.age < 40`
 
 func printFigure3(r *bench.Runner, opts core.Options) error {
-	engine, err := r.Engine(r.Model(simllm.ChatGPT), opts)
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), opts)
 	if err != nil {
 		return err
 	}
-	plan, err := engine.Explain(Figure3SQL)
+	plan, err := rt.NewSession().Explain(Figure3SQL)
 	if err != nil {
 		return err
 	}
@@ -192,6 +193,20 @@ func printLatency(ctx context.Context, r *bench.Runner, opts core.Options) error
 	return nil
 }
 
+// paperAblations are the ablations and Section 6 explorations printed as
+// tables; every other -ablation name is a row of bench.Artifacts.
+var paperAblations = []string{"pushdown", "cleaning", "joins", "more", "cache", "verify", "portability", "schemafree"}
+
+// ablationNames lists every -ablation value: the paper ablations, then
+// the committed artifacts.
+func ablationNames() []string {
+	names := slices.Clone(paperAblations)
+	for _, a := range bench.Artifacts {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 func printAblation(ctx context.Context, r *bench.Runner, p simllm.Profile, name string, opts core.Options) error {
 	var rows []bench.AblationRow
 	var err error
@@ -212,22 +227,6 @@ func printAblation(ctx context.Context, r *bench.Runner, p simllm.Profile, name 
 	case "cache":
 		title = "Ablation E: engine-level prompt cache (LRU + singleflight + batch dedup; prompts = model calls issued)"
 		rows, err = r.AblationCache(ctx, p)
-	case "pipeline":
-		return printPipeline(ctx, r, p)
-	case "optimizer":
-		return printOptimizer(ctx, r, p)
-	case "concurrency":
-		return printConcurrency(ctx, r, p)
-	case "resultcache":
-		return printResultCache(ctx, r, p)
-	case "chaos":
-		return printChaos(ctx, r, p)
-	case "persist":
-		return printPersist(ctx, r, p)
-	case "sched":
-		return printSched(ctx, r, p)
-	case "routing":
-		return printRouting(ctx, r, p)
 	case "verify":
 		title = "Extension: verification by a second model (Section 6, Knowledge of the Unknown)"
 		rows, err = r.AblationVerification(ctx, p, simllm.GPT3)
@@ -236,6 +235,11 @@ func printAblation(ctx context.Context, r *bench.Runner, p simllm.Profile, name 
 	case "schemafree":
 		return printSchemaFree(ctx, r, p, opts)
 	default:
+		for _, a := range bench.Artifacts {
+			if a.Name == name {
+				return printArtifact(ctx, r, p, a)
+			}
+		}
 		return fmt.Errorf("unknown ablation %q", name)
 	}
 	if err != nil {
@@ -250,196 +254,51 @@ func printAblation(ctx context.Context, r *bench.Runner, p simllm.Profile, name 
 	return nil
 }
 
-func printPipeline(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.PipelineComparison(ctx, p, simllm.GPT3)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation F: pipelined streaming executor vs stop-and-go (identical result sets asserted)")
-	for _, bm := range rep.Benchmarks {
-		fmt.Printf("  %s (%d queries, results identical: %v, speedup %.2fx)\n",
-			bm.Name, bm.Configs[0].Queries, bm.ResultsIdentical, bm.Speedup)
-		for _, cfg := range bm.Configs {
-			fmt.Printf("    %-12s %6.1f prompts/query %8.1f s/query simulated\n",
-				cfg.Config, cfg.PromptsPerQuery, cfg.AvgSimLatencyMS/1000)
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-func printOptimizer(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.OptimizerComparison(ctx, p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation G: cost-based plan selection vs fixed rewrite heuristics")
-	fmt.Println("  config                prompts/query   cell%")
-	for _, arm := range rep.Corpus {
-		fmt.Printf("  %-20s %13.1f %7.1f\n", arm.Config, arm.PromptsPerQuery, arm.CellMatch)
-	}
-	fmt.Println("  multi-predicate suite (fixed → cost-based prompts):")
-	for _, q := range rep.MultiPredicate {
-		fmt.Printf("    %-22s %4d → %4d  (%+.1f%% saved)\n", q.Name, q.FixedPrompts, q.CostBasedPrompts, q.SavingsPercent)
-	}
-	fmt.Printf("  estimate accuracy over the corpus: mean ratio %.2f, max ratio %.2f (must stay ≤ 2)\n\n",
-		rep.Estimates.MeanRatio, rep.Estimates.MaxRatio)
-	return nil
-}
-
-func printConcurrency(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.ConcurrencyComparison(ctx, p, bench.DefaultConcurrency, bench.DefaultServeWorkers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation H: shared-runtime concurrency (one engine-global fair-share scheduler)")
-	fmt.Printf("  corpus of %d queries, per-endpoint worker budget W=%d\n", rep.Serial.Queries, rep.Workers)
-	fmt.Printf("  %-16s aggregate simulated makespan %8.1f s  (%d prompts)\n",
-		rep.Serial.Config, rep.Serial.AggregateMakespanMS/1000, rep.Serial.TotalPrompts)
-	fmt.Printf("  %-16s aggregate simulated makespan %8.1f s  (%d prompts)\n",
-		rep.Concurrent.Config, rep.Concurrent.AggregateMakespanMS/1000, rep.Concurrent.TotalPrompts)
-	fmt.Printf("  speedup %.2fx — results identical: %v, per-query prompts identical: %v\n\n",
-		rep.SpeedupX, rep.ResultsIdentical, rep.PromptsIdentical)
-	return nil
-}
-
-func printSched(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.SchedComparison(ctx, p, bench.DefaultConcurrency, bench.DefaultServeWorkers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation K: deficit-weighted fair scheduling (strict-priority classes + token-deficit rotation)")
-	fmt.Printf("  simulated contention: %d interactive chains over %d saturating batch tenants, W=%d\n",
-		rep.SimInteractive, rep.SimBatch, rep.Workers)
-	fmt.Printf("  %-18s interactive p50/p99 %7.1f / %7.1f s   batch p99 %6.1f s   makespan %6.1f s\n",
-		rep.RoundRobin.Policy, rep.RoundRobin.InteractiveP50MS/1000, rep.RoundRobin.InteractiveP99MS/1000,
-		rep.RoundRobin.BatchP99MS/1000, rep.RoundRobin.MakespanMS/1000)
-	fmt.Printf("  %-18s interactive p50/p99 %7.1f / %7.1f s   batch p99 %6.1f s   makespan %6.1f s\n",
-		rep.Deficit.Policy, rep.Deficit.InteractiveP50MS/1000, rep.Deficit.InteractiveP99MS/1000,
-		rep.Deficit.BatchP99MS/1000, rep.Deficit.MakespanMS/1000)
-	fmt.Printf("  interactive p99 improvement %.2fx; worst first-dispatch wait %.0f ms within the %.0f ms one-prompt bound\n",
-		rep.P99ImprovementX, rep.Deficit.MaxFirstWaitMS, rep.StarvationBoundMS)
-	fmt.Printf("  live corpus %-9s aggregate simulated makespan %8.1f s  (%d prompts)\n",
-		rep.Solo.Config, rep.Solo.AggregateMakespanMS/1000, rep.Solo.TotalPrompts)
-	fmt.Printf("  live corpus %-9s aggregate simulated makespan %8.1f s  (%d prompts)\n",
-		rep.Mixed.Config, rep.Mixed.AggregateMakespanMS/1000, rep.Mixed.TotalPrompts)
-	fmt.Printf("  results identical: %v, per-query prompts identical: %v\n\n",
-		rep.ResultsIdentical, rep.PromptsIdentical)
-	return nil
-}
-
-func printRouting(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.RoutingComparison(ctx, p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation L: multi-backend routing (cheap backend on keyscan/filter; failover on outage)")
-	fmt.Printf("  corpus of %d queries per arm; cheap backend priced at %.2fx the strong backend\n",
-		rep.Queries, rep.CheapCostWeight)
-	for _, arm := range []bench.RoutingArm{rep.Single, rep.Routed, rep.Failover} {
-		fmt.Printf("  %-28s weighted cost %7.1f (%4d prompts", arm.Config, arm.WeightedCost, arm.Prompts)
-		for _, name := range []string{"cheap", "strong"} {
-			if n, ok := arm.BackendPrompts[name]; ok {
-				fmt.Printf(", %s=%d", name, n)
-			}
-		}
-		fmt.Printf("), identical: %v/%v, failed: %d\n", arm.ResultsIdentical, arm.PromptsIdentical, arm.FailedQueries)
-	}
-	fmt.Printf("  outage at query %d: %d prompts failed over down the declared chain, breaker opened: %v\n\n",
-		rep.Failover.OutageAtQuery, rep.Failover.Failovers, rep.Failover.BreakerOpened)
-	return nil
-}
-
-func printResultCache(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.ResultCacheComparison(ctx, p, bench.DefaultResultCacheRepeats)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation I: semantic result cache (repeated dashboard traffic; prompt cache off in both arms)")
-	fmt.Printf("  corpus of %d queries (%d storable, %d LIMIT-bearing consume-only), %d hot passes\n",
-		rep.Queries, rep.CacheableQueries, rep.LimitQueries, rep.Repeats)
-	fmt.Printf("  first pass:   %d prompts uncached vs %d cached — %d queries already subsumed cold (results identical: %v)\n",
-		rep.UncachedFirstPrompts, rep.CachedFirstPrompts, rep.ColdSubsumed, rep.FirstRunIdentical)
-	fmt.Printf("  hot passes:   %d prompts on storable queries, %d on LIMIT queries (relations identical: %v)\n",
-		rep.RepeatPromptsCacheable, rep.RepeatPromptsLimit, rep.RepeatIdentical)
-	fmt.Printf("  result cache: %d exact hits / %d subsumed / %d misses / %d entries\n",
-		rep.ResultCacheHits, rep.ResultCacheSubsumedHits, rep.ResultCacheMisses, rep.ResultCacheEntries)
-	fmt.Printf("  per-table bump (ANALYZE): primed table re-executed: %v, unrelated tables retained: %v, relations still identical: %v\n\n",
-		rep.InvalidationReexecuted, rep.InvalidationRetained, rep.InvalidationIdentical)
-	return nil
-}
-
-func printChaos(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	rep, err := r.ChaosComparison(ctx, p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation J: fault-tolerant LLM transport (seeded chaos differential)")
-	fmt.Printf("  corpus of %d queries per arm; identical = relations/prompts/makespan bit-identical to fault-free\n", rep.Queries)
-	for _, arm := range []bench.ChaosArm{rep.Transient, rep.Malformed} {
-		fmt.Printf("  %-20s %3d faults healed by %3d retries, %d queries lost, identical: %v/%v/%v (hot pass: %v)\n",
-			arm.Config, arm.Faults, arm.Retries, arm.FailedQueries,
-			arm.ResultsIdentical, arm.PromptsIdentical, arm.MakespanIdentical, arm.HotIdentical)
-	}
-	fmt.Printf("  %-20s %d of %d queries lost without retries (all failures classified: %v)\n",
-		rep.NoRetry.Config, rep.NoRetry.FailedQueries, rep.NoRetry.Queries, rep.NoRetry.FailuresClassified)
-	o := rep.Outage
-	fmt.Printf("  outage: breaker opened after %d classified failures, shed fast while open: %v, cache kept serving: %v\n",
-		o.FailedDuringOutage, o.FastFailed && o.ShedClassified, o.CacheServedDuringOutage)
-	fmt.Printf("  recovery: half-open probe healed: %v, post-recovery identical (no stale cache entries): %v\n\n",
-		o.ProbeHealed, o.PostRecoveryOK && o.PostRecoveryIdentical)
-	return nil
-}
-
-func printPersist(ctx context.Context, r *bench.Runner, p simllm.Profile) error {
-	dir, err := os.MkdirTemp("", "galois-persist-*")
+// printArtifact runs one committed artifact's harness on p and prints its
+// report exactly as BENCH_<name>.json holds it (the committed file is the
+// chatgpt, seed 1 run), then its acceptance verdict.
+func printArtifact(ctx context.Context, r *bench.Runner, p simllm.Profile, a bench.Artifact) error {
+	dir, err := os.MkdirTemp("", "galois-bench-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	rep, err := r.PersistComparison(ctx, p, dir)
+	rep, err := a.Run(ctx, r, p, dir)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation K: durable store (four runtime generations over one data directory; prompt cache off)")
-	fmt.Printf("  corpus of %d queries (%d storable, %d LIMIT-bearing bypass the store)\n",
-		rep.Queries, rep.CacheableQueries, rep.LimitQueries)
-	fmt.Printf("  cold pass:    %d prompts; drained %d relations and %d statistics tables to disk\n",
-		rep.ColdPrompts, rep.WarmRelations, rep.WarmStatsTables)
-	fmt.Printf("  warm restart: %d prompts, relations bit-identical: %v, statistics restored: %v (all observed: %v)\n",
-		rep.WarmPrompts, rep.WarmIdentical, rep.StatsRestored, rep.AllStatsSeen)
-	fmt.Printf("  rebind probe: re-executed: %v, unrelated retained: %v, identical: %v; next restart warm-loads %d again\n",
-		rep.RebindReexecuted, rep.RebindRetained, rep.RebindIdentical, rep.ReopenWarmRelations)
-	fmt.Printf("  ANALYZE across drain: warm-loaded %d of %d (primed table's %d re-pay), stale served: %d, re-executed: %v, retained: %v, identical: %v\n\n",
-		rep.PostPrimeWarmRelations, rep.CacheableQueries, rep.PrimedCacheable,
-		rep.PostPrimeDroppedStale, rep.PrimedReexecuted, rep.PrimedRetained, rep.PrimedIdentical)
+	data, err := bench.EncodeArtifact(rep)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Artifact %s (BENCH_%s.json):\n%s", a.Name, a.Name, data)
+	if err := rep.CheckAcceptance(); err != nil {
+		fmt.Printf("acceptance: FAILED\n%v\n\n", err)
+	} else {
+		fmt.Print("acceptance: ok\n\n")
+	}
 	return nil
 }
 
 func printExplain(ctx context.Context, r *bench.Runner, p simllm.Profile, configPath, sql string) error {
 	opts := bench.CostBasedOptions()
-	var engine *core.Engine
-	if configPath != "" {
-		cfg, err := config.Load(configPath)
-		if err != nil {
-			return err
-		}
-		rt, err := r.RuntimeFromConfig(cfg, opts)
-		if err != nil {
-			return err
-		}
-		engine = rt.Engine()
+	var rt *core.Runtime
+	var err error
+	if configPath == "" {
+		rt, err = r.Runtime(r.Model(p), opts)
 	} else {
-		var err error
-		engine, err = r.Engine(r.Model(p), opts)
-		if err != nil {
-			return err
+		var cfg *config.Config
+		if cfg, err = config.Load(configPath); err == nil {
+			rt, err = r.RuntimeFromConfig(cfg, opts)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sql)), "EXPLAIN") {
 		sql = "EXPLAIN ANALYZE " + sql
 	}
-	rel, _, err := engine.Query(ctx, sql)
+	rel, _, err := rt.NewSession().Query(ctx, sql)
 	if err != nil {
 		return err
 	}

@@ -136,7 +136,7 @@ func run() error {
 		}
 		defer rt.CloseStore()
 	}
-	engine := rt.Engine()
+	sess := rt.NewSession()
 
 	ctx := context.Background()
 	isExplain := strings.HasPrefix(strings.ToUpper(sql), "EXPLAIN")
@@ -147,7 +147,7 @@ func run() error {
 		isExplain = true
 	}
 
-	rel, rep, err := engine.Query(ctx, sql)
+	rel, rep, err := sess.Query(ctx, sql)
 	if err != nil {
 		return err
 	}

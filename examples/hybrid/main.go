@@ -42,11 +42,12 @@ func main() {
 	// alpha-3 codes ("IT" vs "ITA"), so part of the join silently fails —
 	// the exact failure Section 5 reports.
 	model := runner.Model(simllm.ChatGPT)
-	engine, err := runner.Engine(model, core.DefaultOptions())
+	rt, err := runner.Runtime(model, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rel, rep, err := engine.Query(ctx, hybridSQL)
+	sess := rt.NewSession()
+	rel, rep, err := sess.Query(ctx, hybridSQL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,11 +59,12 @@ func main() {
 	// (Ablation C). The join recovers.
 	opts := core.DefaultOptions()
 	opts.Clean.Canonicalizer = clean.NewCanonicalizer(runner.World.Aliases())
-	engine2, err := runner.Engine(model, opts)
+	rt2, err := runner.Runtime(model, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rel2, _, err := engine2.Query(ctx, hybridSQL)
+	sess2 := rt2.NewSession()
+	rel2, _, err := sess2.Query(ctx, hybridSQL)
 	if err != nil {
 		log.Fatal(err)
 	}

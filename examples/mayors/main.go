@@ -43,11 +43,12 @@ func main() {
 	model := runner.Model(simllm.GPT3)
 
 	// Path (1): SQL through Galois.
-	engine, err := runner.Engine(model, core.DefaultOptions())
+	rt, err := runner.Runtime(model, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rel, rep, err := engine.Query(ctx, figure1SQL)
+	sess := rt.NewSession()
+	rel, rep, err := sess.Query(ctx, figure1SQL)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,10 +51,11 @@ func main() {
 	}
 	ctx := context.Background()
 	model := runner.Model(profile)
-	engine, err := runner.Engine(model, core.DefaultOptions())
+	rt, err := runner.Runtime(model, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
+	sess := rt.NewSession()
 	cellOpts := runner.CellOptions()
 	cleaner := clean.New(clean.DefaultOptions())
 	builder := prompt.NewBuilder()
@@ -74,7 +75,7 @@ func main() {
 	}
 
 	// (a) Galois.
-	rm, rep, err := engine.Query(ctx, query.SQL)
+	rm, rep, err := sess.Query(ctx, query.SQL)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,11 +24,13 @@ func main() {
 	w := world.Build()
 	model := simllm.New(simllm.ChatGPT, w, 1)
 
-	// The engine: bind the relation schema the query will use. No
+	// The engine: a shared runtime over the model, and a session to run
+	// queries on. Bind the relation schema the query will use. No
 	// instances are provided — only the schema and its key attribute
 	// (Section 3 of the paper).
-	engine := core.New(model, core.DefaultOptions())
-	err := engine.BindLLMTable(&schema.TableDef{
+	rt := core.NewRuntime(model, core.DefaultOptions())
+	sess := rt.NewSession()
+	err := rt.BindLLMTable(&schema.TableDef{
 		Name:      "country",
 		KeyColumn: "name",
 		Schema: schema.New(
@@ -43,7 +45,7 @@ func main() {
 
 	// Execute a SQL query whose data lives entirely in the LLM.
 	sql := `SELECT name, capital FROM country WHERE independence_year > 1950`
-	rel, rep, err := engine.Query(context.Background(), sql)
+	rel, rep, err := sess.Query(context.Background(), sql)
 	if err != nil {
 		log.Fatal(err)
 	}

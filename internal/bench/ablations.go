@@ -23,10 +23,11 @@ type AblationRow struct {
 // runConfig executes the given queries under one engine configuration and
 // aggregates the metrics.
 func (r *Runner) runConfig(ctx context.Context, p simllm.Profile, opts core.Options, queries []spider.Query, label string) (AblationRow, error) {
-	engine, err := r.Engine(r.Model(p), opts)
+	rt, err := r.Runtime(r.Model(p), opts)
 	if err != nil {
 		return AblationRow{}, err
 	}
+	sess := rt.NewSession()
 	cellOpts := r.CellOptions()
 	var cells, cards []float64
 	prompts := 0
@@ -35,7 +36,7 @@ func (r *Runner) runConfig(ctx context.Context, p simllm.Profile, opts core.Opti
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("bench: ground truth for query %d: %w", q.ID, err)
 		}
-		got, rep, err := engine.Query(ctx, q.SQL)
+		got, rep, err := sess.Query(ctx, q.SQL)
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("bench: %s query %d: %w", label, q.ID, err)
 		}

@@ -56,22 +56,15 @@ func (r *Runner) Model(p simllm.Profile) *simllm.Model {
 	return m
 }
 
-// Engine builds a Galois engine over the model with the LLM-side schema
-// bound and the ground-truth DB attached (for hybrid queries).
-func (r *Runner) Engine(client llm.Client, opts core.Options) (*core.Engine, error) {
-	rt, err := r.Runtime(client, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Engine(), nil
+// Runtime builds the shared engine tier over the model with the
+// LLM-side schema bound and the ground-truth DB attached; callers open
+// their sessions on it.
+func (r *Runner) Runtime(client llm.Client, opts core.Options) (*core.Runtime, error) {
+	return r.bind(core.NewRuntime(client, opts))
 }
 
-// Runtime builds the shared engine tier over the model with the
-// LLM-side schema bound and the ground-truth DB attached — the fixture
-// for concurrent-session workloads (galois-serve, the concurrency
-// benchmark) where callers open their own sessions.
-func (r *Runner) Runtime(client llm.Client, opts core.Options) (*core.Runtime, error) {
-	rt := core.NewRuntime(client, opts)
+// bind attaches the ground-truth DB to rt and binds the LLM-side schema.
+func (r *Runner) bind(rt *core.Runtime) (*core.Runtime, error) {
 	rt.AttachDB(r.DB)
 	for _, name := range LLMTables {
 		if err := rt.BindLLMTable(r.World.Table(name).Def); err != nil {
@@ -112,13 +105,7 @@ func (r *Runner) RuntimeFromConfig(cfg *config.Config, opts core.Options) (*core
 	if err != nil {
 		return nil, err
 	}
-	rt.AttachDB(r.DB)
-	for _, name := range LLMTables {
-		if err := rt.BindLLMTable(r.World.Table(name).Def); err != nil {
-			return nil, err
-		}
-	}
-	return rt, nil
+	return r.bind(rt)
 }
 
 // GroundTruth executes a query on the DBMS (result b in Section 5).
@@ -166,10 +153,11 @@ var Table1Paper = map[string]float64{"flan": -47.4, "tk": -43.7, "gpt3": 1.0, "c
 func (r *Runner) Table1(ctx context.Context, profiles []simllm.Profile, opts core.Options) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, len(profiles))
 	for _, p := range profiles {
-		engine, err := r.Engine(r.Model(p), opts)
+		rt, err := r.Runtime(r.Model(p), opts)
 		if err != nil {
 			return nil, err
 		}
+		sess := rt.NewSession()
 		var diffs []float64
 		for _, q := range spider.Queries() {
 			truth, err := r.GroundTruth(ctx, q.SQL)
@@ -179,7 +167,7 @@ func (r *Runner) Table1(ctx context.Context, profiles []simllm.Profile, opts cor
 			if truth.Cardinality() == 0 {
 				continue
 			}
-			got, _, err := engine.Query(ctx, q.SQL)
+			got, _, err := sess.Query(ctx, q.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s on query %d: %w", p.ID, q.ID, err)
 			}
@@ -211,10 +199,11 @@ var Table2Paper = []Table2Row{
 // Table2 regenerates the content experiment on one model.
 func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options) ([]Table2Row, error) {
 	model := r.Model(p)
-	engine, err := r.Engine(model, opts)
+	rt, err := r.Runtime(model, opts)
 	if err != nil {
 		return nil, err
 	}
+	sess := rt.NewSession()
 	cellOpts := r.CellOptions()
 	builder := prompt.NewBuilder()
 	cleaner := clean.New(opts.Clean)
@@ -241,7 +230,7 @@ func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options
 		}
 
 		// (a) Galois.
-		got, _, err := engine.Query(ctx, q.SQL)
+		got, _, err := sess.Query(ctx, q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: galois on query %d: %w", q.ID, err)
 		}
@@ -279,25 +268,25 @@ func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options
 // LatencyStats summarizes the prompt-count/latency observation in
 // Section 5 (~110 batched prompts, ~20 s per query on GPT-3).
 type LatencyStats struct {
-	Model            string
-	AvgPrompts       float64
-	AvgLatency       time.Duration
-	MaxPrompts       int
-	TotalPrompts     int
-	QueriesMeasured  int
-	AvgPromptsPerQry float64
+	Model           string
+	AvgPrompts      float64
+	AvgLatency      time.Duration
+	MaxPrompts      int
+	TotalPrompts    int
+	QueriesMeasured int
 }
 
 // Latency measures prompt counts and simulated latency across the corpus.
 func (r *Runner) Latency(ctx context.Context, p simllm.Profile, opts core.Options) (*LatencyStats, error) {
-	engine, err := r.Engine(r.Model(p), opts)
+	rt, err := r.Runtime(r.Model(p), opts)
 	if err != nil {
 		return nil, err
 	}
+	sess := rt.NewSession()
 	stats := &LatencyStats{Model: p.ID}
 	var totalLatency time.Duration
 	for _, q := range spider.Queries() {
-		_, rep, err := engine.Query(ctx, q.SQL)
+		_, rep, err := sess.Query(ctx, q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: latency run query %d: %w", q.ID, err)
 		}
@@ -311,7 +300,6 @@ func (r *Runner) Latency(ctx context.Context, p simllm.Profile, opts core.Option
 	if stats.QueriesMeasured > 0 {
 		stats.AvgPrompts = float64(stats.TotalPrompts) / float64(stats.QueriesMeasured)
 		stats.AvgLatency = totalLatency / time.Duration(stats.QueriesMeasured)
-		stats.AvgPromptsPerQry = stats.AvgPrompts
 	}
 	return stats, nil
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -178,7 +176,7 @@ func (r *Runner) runChaosArm(ctx context.Context, p simllm.Profile, config strin
 	for pass := 0; pass < 2; pass++ {
 		outcomes := make([]queryOutcome, len(corpus))
 		for i, q := range corpus {
-			outcomes[i] = runQuery(ctx, rt, q.SQL)
+			outcomes[i] = runQuery(ctx, rt, q.SQL, "", 0)
 			if outcomes[i].err != nil {
 				arm.FailedQueries++
 			}
@@ -249,7 +247,7 @@ func (r *Runner) runNoRetryControl(ctx context.Context, p simllm.Profile, fp fau
 		SurvivorsIdentical: true,
 	}
 	for i, q := range corpus {
-		out := runQuery(ctx, rt, q.SQL)
+		out := runQuery(ctx, rt, q.SQL, "", 0)
 		if out.err != nil {
 			ctl.FailedQueries++
 			if !classifiedFailure(out.err) {
@@ -278,7 +276,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	}
 	expect := make([]string, 6)
 	for i := 0; i < 6; i++ {
-		out := runQuery(ctx, control, corpus[i].SQL)
+		out := runQuery(ctx, control, corpus[i].SQL, "", 0)
 		if out.err != nil {
 			return OutageScenario{}, fmt.Errorf("bench: outage control: %w", out.err)
 		}
@@ -300,7 +298,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	sc := OutageScenario{BreakerThreshold: ChaosBreakerThreshold, FailuresClassified: true}
 
 	// Healthy: warm the caches with query 0.
-	if out := runQuery(ctx, rt, corpus[0].SQL); out.err != nil || out.rel != expect[0] {
+	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err != nil || out.rel != expect[0] {
 		return sc, fmt.Errorf("bench: pre-outage query failed or diverged: %v", out.err)
 	}
 
@@ -308,7 +306,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	// breaker opens (or, once open, shed with breaker-open errors).
 	inj.SetOutage(true)
 	for i := 1; i <= 3; i++ {
-		out := runQuery(ctx, rt, corpus[i].SQL)
+		out := runQuery(ctx, rt, corpus[i].SQL, "", 0)
 		if out.err == nil {
 			return sc, fmt.Errorf("bench: query %d succeeded during a total outage", i)
 		}
@@ -321,12 +319,12 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 
 	// The pre-outage query keeps answering from the result cache: zero
 	// prompts, no call anywhere near the dead backend.
-	if out := runQuery(ctx, rt, corpus[0].SQL); out.err == nil && out.prompts == 0 && out.rel == expect[0] {
+	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err == nil && out.prompts == 0 && out.rel == expect[0] {
 		sc.CacheServedDuringOutage = true
 	}
 
 	// A fresh query while open is shed fast with a breaker-open error.
-	if out := runQuery(ctx, rt, corpus[4].SQL); out.err != nil {
+	if out := runQuery(ctx, rt, corpus[4].SQL, "", 0); out.err != nil {
 		var le *llm.Error
 		sc.ShedClassified = errors.As(out.err, &le) && le.Class == llm.ClassBreakerOpen
 	}
@@ -347,7 +345,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	sc.PostRecoveryOK = true
 	sc.PostRecoveryIdentical = true
 	for _, i := range []int{4, 1, 2, 3, 0, 5} {
-		out := runQuery(ctx, rt, corpus[i].SQL)
+		out := runQuery(ctx, rt, corpus[i].SQL, "", 0)
 		if out.err != nil {
 			sc.PostRecoveryOK = false
 			continue
@@ -442,14 +440,4 @@ func (rep *ChaosReport) CheckAcceptance() error {
 	check(o.HalfOpenAfterCooldown && o.ProbeHealed, "outage: breaker did not recover via half-open probe (half-open=%v healed=%v)", o.HalfOpenAfterCooldown, o.ProbeHealed)
 	check(o.PostRecoveryOK && o.PostRecoveryIdentical, "outage: post-recovery queries failed or diverged (ok=%v identical=%v)", o.PostRecoveryOK, o.PostRecoveryIdentical)
 	return errors.Join(errs...)
-}
-
-// WriteChaosArtifact writes the report as indented JSON — the committed
-// BENCH_chaos.json tracking the fault-tolerance trajectory.
-func WriteChaosArtifact(path string, rep *ChaosReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

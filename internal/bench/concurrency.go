@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -64,16 +62,18 @@ type ConcurrencyReport struct {
 	PromptsIdentical bool `json:"prompts_identical"`
 }
 
-// concurrencyOptions pins the benchmark configuration: pipelined on the
-// shared scheduler, cache off (both arms pay for every prompt, and
-// per-query accounting becomes a pure function of the query), fixed
-// heuristic plans (no cost-based feedback, so plan choice cannot depend
-// on the order concurrent queries observe statistics).
-func concurrencyOptions(workers int) core.Options {
+// concurrencyOptions pins the configuration of the serial-versus-K-way
+// corpus runs (the concurrency and sched artifacts): pipelined on the
+// shared scheduler with DefaultServeWorkers per endpoint, cache off (both
+// arms pay for every prompt, and per-query accounting becomes a pure
+// function of the query), fixed heuristic plans (no cost-based feedback,
+// so plan choice cannot depend on the order concurrent queries observe
+// statistics).
+func concurrencyOptions() core.Options {
 	opts := PaperOptions()
 	opts.Pipelined = true
 	opts.Optimizer.CostBased = false
-	opts.BatchWorkers = workers
+	opts.BatchWorkers = DefaultServeWorkers
 	return opts
 }
 
@@ -90,9 +90,17 @@ type queryOutcome struct {
 	err    error
 }
 
-// runQuery executes one corpus query on a fresh session of rt.
-func runQuery(ctx context.Context, rt *core.Runtime, sql string) queryOutcome {
-	rel, rep, err := rt.NewSession().Query(ctx, sql)
+// runQuery executes one query on a fresh session of rt in the given
+// admission class and weight ("" keeps the runtime's defaults).
+func runQuery(ctx context.Context, rt *core.Runtime, sql, class string, weight int) queryOutcome {
+	sess := rt.NewSession()
+	if class != "" {
+		o := sess.Options()
+		o.AdmissionClass = class
+		o.AdmissionWeight = weight
+		sess.SetOptions(o)
+	}
+	rel, rep, err := sess.Query(ctx, sql)
 	if err != nil {
 		return queryOutcome{err: fmt.Errorf("%q: %w", sql, err)}
 	}
@@ -105,63 +113,60 @@ func runQuery(ctx context.Context, rt *core.Runtime, sql string) queryOutcome {
 	}
 }
 
-// ConcurrencyComparison measures the shared-runtime concurrency model:
-// the corpus executed one query at a time versus K queries at a time
-// against one runtime (one scheduler, one statistics store), with the
-// per-endpoint worker budget fixed at `workers` in both arms.
+// kWayRun is the outcome of kWayCorpus. Its arms leave Config to the
+// caller.
+type kWayRun struct {
+	serial, concurrent     ConcurrencyArm
+	serialTotal, concTotal time.Duration
+	// resultsIdentical / promptsIdentical report whether every query's
+	// relation / prompt count matched between the two arms.
+	resultsIdentical, promptsIdentical bool
+}
+
+// kWayCorpus runs the corpus on two fresh, identically configured
+// runtimes (concurrencyOptions): one query at a time, then
+// DefaultConcurrency queries at a time with query i in the admission
+// class and weight classOf(i) returns (nil keeps the default class).
 //
 // The serial arm's aggregate makespan sums each query's makespan — the
 // larger of its critical path and its work spread over the full budget;
-// a lone query cannot do better. The concurrent arm partitions the
-// corpus into batches of K and sums each batch's aggregate makespan —
-// max(any query's critical path, any endpoint's summed work over the
-// budget), the same list-scheduling bound lifted across queries
-// (llm.AggregateMakespan). With the cache off both are pure functions of
-// the prompt sets, so the report is deterministic and CI can diff it.
-func (r *Runner) ConcurrencyComparison(ctx context.Context, p simllm.Profile, k, workers int) (*ConcurrencyReport, error) {
-	if k < 1 {
-		k = DefaultConcurrency
-	}
-	if workers < 1 {
-		workers = DefaultServeWorkers
-	}
-	var corpus []string
-	for _, q := range spider.Queries() {
-		corpus = append(corpus, q.SQL)
-	}
-
-	// Serial arm: one runtime, one query at a time.
-	serialRT, err := r.Runtime(r.Model(p), concurrencyOptions(workers))
+// a lone query cannot do better. The concurrent arm sums each batch's
+// aggregate makespan — max(any query's critical path, any endpoint's
+// summed work over the budget), the same list-scheduling bound lifted
+// across queries (llm.AggregateMakespan). With the cache off both are
+// pure functions of the prompt sets, so the result is deterministic.
+func (r *Runner) kWayCorpus(ctx context.Context, p simllm.Profile, classOf func(i int) (string, int)) (*kWayRun, error) {
+	corpus := spider.Queries()
+	serialRT, err := r.Runtime(r.Model(p), concurrencyOptions())
 	if err != nil {
 		return nil, err
 	}
 	serial := make([]queryOutcome, len(corpus))
-	for i, sql := range corpus {
-		serial[i] = runQuery(ctx, serialRT, sql)
+	for i, q := range corpus {
+		serial[i] = runQuery(ctx, serialRT, q.SQL, "", 0)
 		if serial[i].err != nil {
 			return nil, fmt.Errorf("bench: serial arm: %w", serial[i].err)
 		}
 	}
 
-	// Concurrent arm: a fresh but identically configured runtime, K
-	// queries at a time.
-	concRT, err := r.Runtime(r.Model(p), concurrencyOptions(workers))
+	concRT, err := r.Runtime(r.Model(p), concurrencyOptions())
 	if err != nil {
 		return nil, err
 	}
+	run := &kWayRun{resultsIdentical: true, promptsIdentical: true}
 	concurrent := make([]queryOutcome, len(corpus))
-	var concTotal time.Duration
-	for lo := 0; lo < len(corpus); lo += k {
-		hi := lo + k
-		if hi > len(corpus) {
-			hi = len(corpus)
-		}
+	for lo := 0; lo < len(corpus); lo += DefaultConcurrency {
+		hi := min(lo+DefaultConcurrency, len(corpus))
 		var wg sync.WaitGroup
 		for i := lo; i < hi; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				concurrent[i] = runQuery(ctx, concRT, corpus[i])
+				class, weight := "", 0
+				if classOf != nil {
+					class, weight = classOf(i)
+				}
+				concurrent[i] = runQuery(ctx, concRT, corpus[i].SQL, class, weight)
 			}(i)
 		}
 		wg.Wait()
@@ -172,43 +177,50 @@ func (r *Runner) ConcurrencyComparison(ctx context.Context, p simllm.Profile, k,
 			}
 			batch = append(batch, concurrent[i].sched)
 		}
-		concTotal += llm.AggregateMakespan(workers, batch)
+		run.concTotal += llm.AggregateMakespan(DefaultServeWorkers, batch)
 	}
 
-	rep := &ConcurrencyReport{
-		Model:            p.ID,
-		Workers:          workers,
-		K:                k,
-		ResultsIdentical: true,
-		PromptsIdentical: true,
-	}
-	var serialTotal time.Duration
-	var serialPrompts, concPrompts int
 	for i := range corpus {
-		serialTotal += serial[i].makespan
-		serialPrompts += serial[i].prompts
-		concPrompts += concurrent[i].prompts
+		run.serialTotal += serial[i].makespan
+		run.serial.TotalPrompts += serial[i].prompts
+		run.concurrent.TotalPrompts += concurrent[i].prompts
 		if serial[i].rel != concurrent[i].rel {
-			rep.ResultsIdentical = false
+			run.resultsIdentical = false
 		}
 		if serial[i].prompts != concurrent[i].prompts {
-			rep.PromptsIdentical = false
+			run.promptsIdentical = false
 		}
 	}
-	rep.Serial = ConcurrencyArm{
-		Config:              "serial",
-		Queries:             len(corpus),
-		TotalPrompts:        serialPrompts,
-		AggregateMakespanMS: float64(serialTotal) / float64(time.Millisecond),
+	run.serial.Queries = len(corpus)
+	run.concurrent.Queries = len(corpus)
+	run.serial.AggregateMakespanMS = float64(run.serialTotal) / float64(time.Millisecond)
+	run.concurrent.AggregateMakespanMS = float64(run.concTotal) / float64(time.Millisecond)
+	return run, nil
+}
+
+// ConcurrencyComparison measures the shared-runtime concurrency model:
+// the corpus executed one query at a time versus DefaultConcurrency
+// queries at a time against one runtime (one scheduler, one statistics
+// store), with the per-endpoint worker budget fixed at
+// DefaultServeWorkers in both arms (see kWayCorpus).
+func (r *Runner) ConcurrencyComparison(ctx context.Context, p simllm.Profile) (*ConcurrencyReport, error) {
+	run, err := r.kWayCorpus(ctx, p, nil)
+	if err != nil {
+		return nil, err
 	}
-	rep.Concurrent = ConcurrencyArm{
-		Config:              fmt.Sprintf("concurrent-k%d", k),
-		Queries:             len(corpus),
-		TotalPrompts:        concPrompts,
-		AggregateMakespanMS: float64(concTotal) / float64(time.Millisecond),
+	rep := &ConcurrencyReport{
+		Model:            p.ID,
+		Workers:          DefaultServeWorkers,
+		K:                DefaultConcurrency,
+		Serial:           run.serial,
+		Concurrent:       run.concurrent,
+		ResultsIdentical: run.resultsIdentical,
+		PromptsIdentical: run.promptsIdentical,
 	}
-	if concTotal > 0 {
-		rep.SpeedupX = float64(serialTotal) / float64(concTotal)
+	rep.Serial.Config = "serial"
+	rep.Concurrent.Config = fmt.Sprintf("concurrent-k%d", DefaultConcurrency)
+	if run.concTotal > 0 {
+		rep.SpeedupX = float64(run.serialTotal) / float64(run.concTotal)
 	}
 	return rep, nil
 }
@@ -216,10 +228,17 @@ func (r *Runner) ConcurrencyComparison(ctx context.Context, p simllm.Profile, k,
 // CheckAcceptance enforces the concurrency acceptance criteria: K
 // concurrent corpus queries must finish in aggregate simulated makespan
 // at least 2x better than K-times-serial (i.e. strictly less than K× a
-// single query's latency, with margin), with bit-identical relations
-// and identical prompt counts per query.
+// single query's latency, with margin), with bit-identical relations,
+// identical prompt counts per query, and both arms running the same
+// non-empty corpus for the same total prompts.
 func (rep *ConcurrencyReport) CheckAcceptance() error {
 	var errs []error
+	if rep.Serial.Queries != rep.Concurrent.Queries || rep.Serial.Queries == 0 {
+		errs = append(errs, fmt.Errorf("arm sizes diverged: serial %d vs concurrent %d", rep.Serial.Queries, rep.Concurrent.Queries))
+	}
+	if rep.Serial.TotalPrompts != rep.Concurrent.TotalPrompts {
+		errs = append(errs, fmt.Errorf("total prompts diverged: serial %d vs concurrent %d", rep.Serial.TotalPrompts, rep.Concurrent.TotalPrompts))
+	}
 	if !rep.ResultsIdentical {
 		errs = append(errs, errors.New("concurrent execution changed a result relation"))
 	}
@@ -230,14 +249,4 @@ func (rep *ConcurrencyReport) CheckAcceptance() error {
 		errs = append(errs, fmt.Errorf("aggregate speedup %.2fx under shared scheduler, want >= 2x at k=%d", rep.SpeedupX, rep.K))
 	}
 	return errors.Join(errs...)
-}
-
-// WriteConcurrencyArtifact writes the report as indented JSON — the
-// committed BENCH_concurrency.json tracking the serving trajectory.
-func WriteConcurrencyArtifact(path string, rep *ConcurrencyReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -30,12 +30,13 @@ type PortabilityCell struct {
 func (r *Runner) Portability(ctx context.Context, profiles []simllm.Profile, opts core.Options) ([]PortabilityCell, error) {
 	results := map[string][]*schema.Relation{}
 	for _, p := range profiles {
-		engine, err := r.Engine(r.Model(p), opts)
+		rt, err := r.Runtime(r.Model(p), opts)
 		if err != nil {
 			return nil, err
 		}
+		sess := rt.NewSession()
 		for _, q := range spider.Queries() {
-			rel, _, err := engine.Query(ctx, q.SQL)
+			rel, _, err := sess.Query(ctx, q.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("bench: portability %s query %d: %w", p.ID, q.ID, err)
 			}
@@ -83,18 +84,18 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 	model := r.Model(p)
 
 	// Q1: the explicit join over the declared schema.
-	engine1, err := r.Engine(model, opts)
+	rt1, err := r.Runtime(model, opts)
 	if err != nil {
 		return nil, err
 	}
-	q1, _, err := engine1.Query(ctx, schemaFreeQ1)
+	q1, _, err := rt1.NewSession().Query(ctx, schemaFreeQ1)
 	if err != nil {
 		return nil, fmt.Errorf("bench: schema-free Q1: %w", err)
 	}
 
 	// Q2: a user-declared denormalized schema with the derived attribute;
 	// the LLM has no schema, so this is an equally valid formulation.
-	engine2 := core.New(model, opts)
+	rt2 := core.NewRuntime(model, opts)
 	flatCity := &schema.TableDef{
 		Name:      "city",
 		KeyColumn: "name",
@@ -103,10 +104,10 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 			schema.Column{Name: "mayor_birth_date", Type: value.KindDate},
 		),
 	}
-	if err := engine2.BindLLMTable(flatCity); err != nil {
+	if err := rt2.BindLLMTable(flatCity); err != nil {
 		return nil, err
 	}
-	q2, _, err := engine2.Query(ctx, schemaFreeQ2)
+	q2, _, err := rt2.NewSession().Query(ctx, schemaFreeQ2)
 	if err != nil {
 		return nil, fmt.Errorf("bench: schema-free Q2: %w", err)
 	}

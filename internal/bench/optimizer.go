@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -84,13 +82,15 @@ type OptimizerReport struct {
 	CorpusPromptsCostBased []int `json:"corpus_prompts_costbased"`
 }
 
-// optimizerArm runs the corpus on one engine, returning the aggregate
-// row and the per-query prompt counts.
-func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.Options, label string) (OptimizerArm, []int, *core.Engine, error) {
-	engine, err := r.Engine(r.Model(p), opts)
+// optimizerArm runs the corpus on one session of a fresh runtime,
+// returning the aggregate row, the per-query prompt counts and the
+// session (its statistics now refined by the corpus).
+func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.Options, label string) (OptimizerArm, []int, *core.Session, error) {
+	rt, err := r.Runtime(r.Model(p), opts)
 	if err != nil {
 		return OptimizerArm{}, nil, nil, err
 	}
+	sess := rt.NewSession()
 	cellOpts := r.CellOptions()
 	var cells []float64
 	var perQuery []int
@@ -100,7 +100,7 @@ func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.O
 		if err != nil {
 			return OptimizerArm{}, nil, nil, fmt.Errorf("bench: ground truth for query %d: %w", q.ID, err)
 		}
-		got, rep, err := engine.Query(ctx, q.SQL)
+		got, rep, err := sess.Query(ctx, q.SQL)
 		if err != nil {
 			return OptimizerArm{}, nil, nil, fmt.Errorf("bench: %s query %d: %w", label, q.ID, err)
 		}
@@ -113,22 +113,22 @@ func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.O
 	if n > 0 {
 		arm.PromptsPerQuery = float64(total) / float64(n)
 	}
-	return arm, perQuery, engine, nil
+	return arm, perQuery, sess, nil
 }
 
 // OptimizerComparison measures cost-based plan selection against the
-// fixed rewrite heuristics: the whole corpus per arm (one engine each,
+// fixed rewrite heuristics: the whole corpus per arm (one runtime each,
 // so the cost-based arm's statistics adapt query over query), then the
-// multi-predicate suite on the warmed engines, then an estimate-accuracy
+// multi-predicate suite on the warmed runtimes, then an estimate-accuracy
 // pass re-running the corpus on the cost-based arm and comparing
 // EXPLAIN's predicted prompt counts against the actuals. Deterministic
 // under the paper configuration (no cache, stop-and-go, fixed order).
 func (r *Runner) OptimizerComparison(ctx context.Context, p simllm.Profile) (*OptimizerReport, error) {
-	fixedArm, fixedPrompts, fixedEngine, err := r.optimizerArm(ctx, p, PaperOptions(), "fixed-heuristics")
+	fixedArm, fixedPrompts, fixedSess, err := r.optimizerArm(ctx, p, PaperOptions(), "fixed-heuristics")
 	if err != nil {
 		return nil, err
 	}
-	costArm, costPrompts, costEngine, err := r.optimizerArm(ctx, p, CostBasedOptions(), "cost-based")
+	costArm, costPrompts, costSess, err := r.optimizerArm(ctx, p, CostBasedOptions(), "cost-based")
 	if err != nil {
 		return nil, err
 	}
@@ -141,11 +141,11 @@ func (r *Runner) OptimizerComparison(ctx context.Context, p simllm.Profile) (*Op
 	}
 
 	for _, q := range OptimizerQueries {
-		_, fixedRep, err := fixedEngine.Query(ctx, q.SQL)
+		_, fixedRep, err := fixedSess.Query(ctx, q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fixed %s: %w", q.Name, err)
 		}
-		_, costRep, err := costEngine.Query(ctx, q.SQL)
+		_, costRep, err := costSess.Query(ctx, q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: cost-based %s: %w", q.Name, err)
 		}
@@ -165,7 +165,7 @@ func (r *Runner) OptimizerComparison(ctx context.Context, p simllm.Profile) (*Op
 	// predicted prompt count must track what execution actually issues.
 	var sum float64
 	for _, q := range spider.Queries() {
-		_, qRep, err := costEngine.Query(ctx, q.SQL)
+		_, qRep, err := costSess.Query(ctx, q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: estimate pass query %d: %w", q.ID, err)
 		}
@@ -204,9 +204,7 @@ func estRatio(est, actual float64) float64 {
 }
 
 // CheckAcceptance validates the optimizer acceptance criteria against
-// this report, returning every violation. It is the single source of
-// truth shared by TestOptimizerComparison and the BENCH_optimizer
-// benchmark gate:
+// this report, returning every violation:
 //
 //   - on the corpus, the cost-based plan never issues more prompts than
 //     the fixed-heuristic plan (strict, per query);
@@ -243,14 +241,4 @@ func (rep *OptimizerReport) CheckAcceptance() error {
 		errs = append(errs, fmt.Errorf("estimated prompts drift beyond 2x of actuals (max ratio %.2f)", rep.Estimates.MaxRatio))
 	}
 	return errors.Join(errs...)
-}
-
-// WriteOptimizerArtifact writes the report as indented JSON — the
-// committed BENCH_optimizer.json tracking the plan-selection trajectory.
-func WriteOptimizerArtifact(path string, rep *OptimizerReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

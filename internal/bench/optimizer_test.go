@@ -8,39 +8,19 @@ import (
 	"repro/internal/simllm"
 )
 
-// TestOptimizerComparison gates the cost-based optimizer's acceptance
-// criteria: on the corpus the chosen plans never issue more prompts than
-// the fixed heuristics, at least one multi-predicate query saves ≥10%,
-// and EXPLAIN's estimated prompt counts stay within 2x of actuals.
-func TestOptimizerComparison(t *testing.T) {
-	r, err := NewRunner(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.OptimizerComparison(context.Background(), simllm.ChatGPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.CheckAcceptance(); err != nil {
-		t.Errorf("acceptance criteria violated:\n%v\nmulti-predicate suite: %+v", err, rep.MultiPredicate)
-	}
-}
-
-// TestExplainAnalyzeThroughEngine exercises the SQL front end: EXPLAIN
-// returns the annotated plan without executing, EXPLAIN ANALYZE executes
-// and annotates actual counters.
+// TestExplainAnalyzeThroughEngine exercises the SQL front end through a
+// session: EXPLAIN returns the annotated plan without executing, EXPLAIN
+// ANALYZE executes and annotates actual counters.
 func TestExplainAnalyzeThroughEngine(t *testing.T) {
-	r, err := NewRunner(1)
+	r := runner(t)
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), CostBasedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := r.Engine(r.Model(simllm.ChatGPT), CostBasedOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := rt.NewSession()
 	ctx := context.Background()
 
-	rel, rep, err := engine.Query(ctx, "EXPLAIN SELECT name FROM city WHERE population > 1000000")
+	rel, rep, err := sess.Query(ctx, "EXPLAIN SELECT name FROM city WHERE population > 1000000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +34,7 @@ func TestExplainAnalyzeThroughEngine(t *testing.T) {
 		}
 	}
 
-	rel, rep, err = engine.Query(ctx, "EXPLAIN ANALYZE SELECT name FROM city WHERE population > 1000000")
+	rel, rep, err = sess.Query(ctx, "EXPLAIN ANALYZE SELECT name FROM city WHERE population > 1000000")
 	if err != nil {
 		t.Fatal(err)
 	}

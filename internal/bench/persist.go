@@ -2,17 +2,12 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 
 	"repro/internal/core"
-	"repro/internal/logical"
 	"repro/internal/simllm"
-	"repro/internal/spider"
-	"repro/internal/sql/parser"
 )
 
 // PersistQuery is one corpus query's record across the restart.
@@ -90,44 +85,13 @@ type PersistReport struct {
 // identical model, so any relation divergence is a persistence bug, not
 // noise. dir must be empty (or nonexistent) at entry.
 func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir string) (*PersistReport, error) {
-	type corpusQuery struct {
-		id      int
-		sql     string
-		limit   bool
-		rebound bool // reads the table the generation-2 probe rebinds
-		primed  bool // reads the table the generation-3 probe primes
-	}
-	var corpus []corpusQuery
-	for _, q := range spider.Queries() {
-		sel, err := parser.ParseSelect(q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("bench: parsing corpus query %d: %w", q.ID, err)
-		}
-		corpus = append(corpus, corpusQuery{id: q.ID, sql: q.SQL, limit: sel.Limit >= 0})
-	}
-
-	// Resolve which queries read the probed components on a throwaway
-	// runtime (planning only; nothing executes).
-	planRT, err := r.Runtime(r.Model(p), resultCacheOptions(false))
+	corpus, err := r.planCorpus(p)
 	if err != nil {
 		return nil, err
 	}
-	reboundComp := logical.ComponentLLM(LLMTables[0])
-	primedComp := logical.ComponentLLM(LLMTables[1])
-	for i, q := range corpus {
-		plan, err := planRT.NewSession().Plan(q.sql)
-		if err != nil {
-			return nil, fmt.Errorf("bench: planning corpus query %d: %w", q.id, err)
-		}
-		for _, comp := range logical.Components(plan) {
-			switch comp {
-			case reboundComp:
-				corpus[i].rebound = true
-			case primedComp:
-				corpus[i].primed = true
-			}
-		}
-	}
+	// The generation-2 probe rebinds one table, the generation-3 probe
+	// primes another.
+	rebound, primed := LLMTables[0], LLMTables[1]
 
 	generation := func() (*core.Runtime, error) {
 		rt, err := r.Runtime(r.Model(p), resultCacheOptions(true))
@@ -156,7 +120,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 			rep.LimitQueries++
 		} else {
 			rep.CacheableQueries++
-			if q.primed {
+			if q.reads(primed) {
 				rep.PrimedCacheable++
 			}
 		}
@@ -170,7 +134,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	}
 	cold := make([]queryOutcome, len(corpus))
 	for i, q := range corpus {
-		cold[i] = runQuery(ctx, rt1, q.sql)
+		cold[i] = runQuery(ctx, rt1, q.sql, "", 0)
 		if cold[i].err != nil {
 			return nil, fmt.Errorf("bench: cold generation: %w", cold[i].err)
 		}
@@ -200,7 +164,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 		}
 	}
 	for i, q := range corpus {
-		warm := runQuery(ctx, rt2, q.sql)
+		warm := runQuery(ctx, rt2, q.sql, "", 0)
 		if warm.err != nil {
 			return nil, fmt.Errorf("bench: warm generation: %w", warm.err)
 		}
@@ -216,21 +180,21 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	// Rebind probe: the warm-loaded entries obey live invalidation. Only
 	// the first rebound query must pay prompts — later ones may already
 	// be subsumed by relations this very pass repopulates.
-	if err := rt2.BindLLMTable(r.World.Table(LLMTables[0]).Def); err != nil {
+	if err := rt2.BindLLMTable(r.World.Table(rebound).Def); err != nil {
 		return nil, err
 	}
 	probedFirst := false
 	for i, q := range corpus {
-		probe := runQuery(ctx, rt2, q.sql)
+		probe := runQuery(ctx, rt2, q.sql, "", 0)
 		if probe.err != nil {
 			return nil, fmt.Errorf("bench: rebind probe: %w", probe.err)
 		}
 		if !q.limit {
-			if q.rebound && !probedFirst {
+			if q.reads(rebound) && !probedFirst {
 				probedFirst = true
 				rep.RebindReexecuted = probe.prompts > 0
 			}
-			if !q.rebound && probe.prompts != 0 {
+			if !q.reads(rebound) && probe.prompts != 0 {
 				rep.RebindRetained = false
 			}
 		}
@@ -249,7 +213,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 		return nil, err
 	}
 	rep.ReopenWarmRelations = rt3.Persistence().WarmRelations
-	rt3.PrimeTableKeys(LLMTables[1], 1)
+	rt3.PrimeTableKeys(primed, 1)
 	if err := rt3.CloseStore(); err != nil {
 		return nil, fmt.Errorf("bench: draining primed generation: %w", err)
 	}
@@ -265,16 +229,16 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	rep.PostPrimeDroppedStale = p4.DroppedStale
 	probedFirst = false
 	for i, q := range corpus {
-		probe := runQuery(ctx, rt4, q.sql)
+		probe := runQuery(ctx, rt4, q.sql, "", 0)
 		if probe.err != nil {
 			return nil, fmt.Errorf("bench: post-prime generation: %w", probe.err)
 		}
 		if !q.limit {
-			if q.primed && !probedFirst {
+			if q.reads(primed) && !probedFirst {
 				probedFirst = true
 				rep.PrimedReexecuted = probe.prompts > 0
 			}
-			if !q.primed && probe.prompts != 0 {
+			if !q.reads(primed) && probe.prompts != 0 {
 				rep.PrimedRetained = false
 			}
 		}
@@ -297,6 +261,15 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 // entries across restarts, and nothing stale is ever served.
 func (rep *PersistReport) CheckAcceptance() error {
 	var errs []error
+	if rep.CacheableQueries == 0 {
+		errs = append(errs, errors.New("no cacheable queries in the corpus"))
+	}
+	if rep.CacheableQueries+rep.LimitQueries != rep.Queries {
+		errs = append(errs, fmt.Errorf("per-class counts don't add up: %d + %d != %d", rep.CacheableQueries, rep.LimitQueries, rep.Queries))
+	}
+	if rep.PrimedCacheable == 0 {
+		errs = append(errs, errors.New("ANALYZE probe vacuous: no cacheable query reads the primed table"))
+	}
 	if rep.ColdPrompts == 0 {
 		errs = append(errs, errors.New("cold generation issued no prompts; fixture vacuous"))
 	}
@@ -340,14 +313,4 @@ func (rep *PersistReport) CheckAcceptance() error {
 		errs = append(errs, errors.New("re-execution after the persisted ANALYZE changed a relation"))
 	}
 	return errors.Join(errs...)
-}
-
-// WritePersistArtifact writes the report as indented JSON — the
-// committed BENCH_persist.json tracking warm restarts.
-func WritePersistArtifact(path string, rep *PersistReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

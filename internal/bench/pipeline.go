@@ -2,9 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -53,17 +52,18 @@ type PipelineReport struct {
 	Benchmarks []PipelineBenchmark `json:"benchmarks"`
 }
 
-// pipelineArm runs one query set in one execution mode on a fresh engine
+// pipelineArm runs one query set in one execution mode on a fresh runtime
 // (cache off — both arms pay for every prompt) and keeps the result
 // relations for the equivalence check.
 func (r *Runner) pipelineArm(ctx context.Context, p simllm.Profile, verifier simllm.Profile, queries []string, pipelined bool) (PipelineConfig, []*schema.Relation, error) {
 	opts := PaperOptions()
 	opts.Pipelined = pipelined
 	opts.Verifier = r.Model(verifier)
-	engine, err := r.Engine(r.Model(p), opts)
+	rt, err := r.Runtime(r.Model(p), opts)
 	if err != nil {
 		return PipelineConfig{}, nil, err
 	}
+	sess := rt.NewSession()
 	name := "stop-and-go"
 	if pipelined {
 		name = "pipelined"
@@ -72,7 +72,7 @@ func (r *Runner) pipelineArm(ctx context.Context, p simllm.Profile, verifier sim
 	prompts := 0
 	var latency time.Duration
 	for i, sql := range queries {
-		rel, rep, err := engine.Query(ctx, sql)
+		rel, rep, err := sess.Query(ctx, sql)
 		if err != nil {
 			return PipelineConfig{}, nil, fmt.Errorf("bench: %s query %d: %w", name, i, err)
 		}
@@ -155,12 +155,33 @@ func (r *Runner) PipelineComparison(ctx context.Context, p simllm.Profile, verif
 	return rep, nil
 }
 
-// WritePipelineArtifact writes the report as indented JSON — the
-// committed BENCH_pipeline.json tracking the perf trajectory.
-func WritePipelineArtifact(path string, rep *PipelineReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+// CheckAcceptance enforces the pipelining acceptance criteria: on the
+// multi-operator benchmark query the pipelined policy cuts simulated
+// latency at least 2x with identical results and the same number of
+// issued prompts, and on the whole corpus it is never slower and never
+// changes a result.
+func (rep *PipelineReport) CheckAcceptance() error {
+	if len(rep.Benchmarks) != 2 {
+		return fmt.Errorf("benchmarks = %d, want multiop + corpus", len(rep.Benchmarks))
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	var errs []error
+	multi, corpus := rep.Benchmarks[0], rep.Benchmarks[1]
+	if !multi.ResultsIdentical {
+		errs = append(errs, errors.New("multiop: pipelined execution changed the result"))
+	}
+	if multi.Speedup < 2 {
+		errs = append(errs, fmt.Errorf("multiop: speedup = %.2fx, want >= 2x (stop-and-go %.0f ms vs pipelined %.0f ms)",
+			multi.Speedup, multi.Configs[0].AvgSimLatencyMS, multi.Configs[1].AvgSimLatencyMS))
+	}
+	if multi.Configs[0].PromptsPerQuery != multi.Configs[1].PromptsPerQuery {
+		errs = append(errs, fmt.Errorf("multiop: prompt counts diverged: %.1f vs %.1f",
+			multi.Configs[0].PromptsPerQuery, multi.Configs[1].PromptsPerQuery))
+	}
+	if !corpus.ResultsIdentical {
+		errs = append(errs, errors.New("corpus: pipelined execution changed a result"))
+	}
+	if corpus.Speedup < 1 {
+		errs = append(errs, fmt.Errorf("corpus: pipelining slowed the corpus down: %.2fx", corpus.Speedup))
+	}
+	return errors.Join(errs...)
 }

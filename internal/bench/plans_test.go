@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/simllm"
 )
 
@@ -54,20 +53,16 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	engineFor := func(costBased, pushdown bool) (*core.Engine, error) {
-		opts := PaperOptions()
-		opts.Optimizer.CostBased = costBased
-		opts.Optimizer.PromptPushdown = pushdown
-		return r.Engine(r.Model(simllm.ChatGPT), opts)
-	}
-
 	for _, tc := range goldenPlanCases {
 		t.Run(tc.name, func(t *testing.T) {
-			engine, err := engineFor(tc.costBased, tc.pushdown)
+			opts := PaperOptions()
+			opts.Optimizer.CostBased = tc.costBased
+			opts.Optimizer.PromptPushdown = tc.pushdown
+			rt, err := r.Runtime(r.Model(simllm.ChatGPT), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel, _, err := engine.Query(ctx, "EXPLAIN "+tc.sql)
+			rel, _, err := rt.NewSession().Query(ctx, "EXPLAIN "+tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,11 +129,10 @@ func TestGoldenRoutedPlans(t *testing.T) {
 
 	opts := PaperOptions()
 	opts.Optimizer.CostBased = true
-	rt, err := core.NewRuntimeWithBackends(r.routedDefs(simllm.ChatGPT, nil), "strong", routingRoutes(), opts)
+	rt, err := r.routedRuntime(simllm.ChatGPT, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.attach(rt)
 
 	for _, tc := range goldenRoutedCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,14 +235,15 @@ func TestGoldenResidualPlans(t *testing.T) {
 			opts := PaperOptions()
 			opts.Optimizer.CostBased = true
 			opts.ResultCacheEnabled = true
-			engine, err := r.Engine(r.Model(simllm.ChatGPT), opts)
+			rt, err := r.Runtime(r.Model(simllm.ChatGPT), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := engine.Query(ctx, tc.parent); err != nil {
+			sess := rt.NewSession()
+			if _, _, err := sess.Query(ctx, tc.parent); err != nil {
 				t.Fatal(err)
 			}
-			rel, _, err := engine.Query(ctx, "EXPLAIN "+tc.child)
+			rel, _, err := sess.Query(ctx, "EXPLAIN "+tc.child)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/logical"
@@ -99,31 +98,55 @@ func resultCacheOptions(resultCache bool) core.Options {
 	return opts
 }
 
-// ResultCacheComparison measures the semantic result cache on repeated
-// corpus traffic — the dashboard pattern: one cold pass populating the
-// cache (with later corpus queries already free to subsume earlier
-// results), `repeats` hot passes replaying the identical SQL, then a
-// PrimeTableKeys bump on one table proving per-table invalidation. A
-// cache-off control run pins first-pass results bit-identical. With the
-// prompt cache off and fixed plans everything is a pure function of the
-// corpus, so the report is deterministic and CI can diff it.
-func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, repeats int) (*ResultCacheReport, error) {
-	if repeats < 1 {
-		repeats = DefaultResultCacheRepeats
+// corpusQuery is one corpus statement with what the invalidation probes
+// need to know about it.
+type corpusQuery struct {
+	id    int
+	sql   string
+	limit bool     // LIMIT-bearing: never stored in the result cache
+	comps []string // the invalidation components its plan reads
+}
+
+// reads reports whether q's plan reads the LLM binding of table.
+func (q corpusQuery) reads(table string) bool {
+	return slices.Contains(q.comps, logical.ComponentLLM(table))
+}
+
+// planCorpus parses every corpus query for LIMIT and plans it on a
+// throwaway runtime (nothing executes) to find the components it reads.
+func (r *Runner) planCorpus(p simllm.Profile) ([]corpusQuery, error) {
+	rt, err := r.Runtime(r.Model(p), resultCacheOptions(false))
+	if err != nil {
+		return nil, err
 	}
-	type corpusQuery struct {
-		id     int
-		sql    string
-		limit  bool
-		primed bool // reads the table the invalidation probe primes
-	}
+	sess := rt.NewSession()
 	var corpus []corpusQuery
 	for _, q := range spider.Queries() {
 		sel, err := parser.ParseSelect(q.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("bench: parsing corpus query %d: %w", q.ID, err)
 		}
-		corpus = append(corpus, corpusQuery{id: q.ID, sql: q.SQL, limit: sel.Limit >= 0})
+		plan, err := sess.Plan(q.SQL)
+		if err != nil {
+			return nil, fmt.Errorf("bench: planning corpus query %d: %w", q.ID, err)
+		}
+		corpus = append(corpus, corpusQuery{id: q.ID, sql: q.SQL, limit: sel.Limit >= 0, comps: logical.Components(plan)})
+	}
+	return corpus, nil
+}
+
+// ResultCacheComparison measures the semantic result cache on repeated
+// corpus traffic — the dashboard pattern: one cold pass populating the
+// cache (with later corpus queries already free to subsume earlier
+// results), DefaultResultCacheRepeats hot passes replaying the identical
+// SQL, then a PrimeTableKeys bump on one table proving per-table
+// invalidation. A cache-off control run pins first-pass results
+// bit-identical. With the prompt cache off and fixed plans everything is
+// a pure function of the corpus, so the report is deterministic.
+func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*ResultCacheReport, error) {
+	corpus, err := r.planCorpus(p)
+	if err != nil {
+		return nil, err
 	}
 
 	// Control arm: result cache off, one pass.
@@ -133,7 +156,7 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, re
 	}
 	control := make([]queryOutcome, len(corpus))
 	for i, q := range corpus {
-		control[i] = runQuery(ctx, controlRT, q.sql)
+		control[i] = runQuery(ctx, controlRT, q.sql, "", 0)
 		if control[i].err != nil {
 			return nil, fmt.Errorf("bench: control arm: %w", control[i].err)
 		}
@@ -145,35 +168,17 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, re
 	if err != nil {
 		return nil, err
 	}
-	// Resolve which queries read the to-be-primed table on a throwaway
-	// runtime (planning only; nothing executes).
-	planRT, err := r.Runtime(r.Model(p), resultCacheOptions(false))
-	if err != nil {
-		return nil, err
-	}
-	primedComp := logical.ComponentLLM(LLMTables[0])
-	for i, q := range corpus {
-		plan, err := planRT.NewSession().Plan(q.sql)
-		if err != nil {
-			return nil, fmt.Errorf("bench: planning corpus query %d: %w", q.id, err)
-		}
-		for _, comp := range logical.Components(plan) {
-			if comp == primedComp {
-				corpus[i].primed = true
-			}
-		}
-	}
 
 	rep := &ResultCacheReport{
 		Model:             p.ID,
 		Queries:           len(corpus),
-		Repeats:           repeats,
+		Repeats:           DefaultResultCacheRepeats,
 		FirstRunIdentical: true,
 		RepeatIdentical:   true,
 	}
 	cold := make([]queryOutcome, len(corpus))
 	for i, q := range corpus {
-		cold[i] = runQuery(ctx, rt, q.sql)
+		cold[i] = runQuery(ctx, rt, q.sql, "", 0)
 		if cold[i].err != nil {
 			return nil, fmt.Errorf("bench: cached arm cold pass: %w", cold[i].err)
 		}
@@ -193,9 +198,9 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, re
 			rep.ColdSubsumed++
 		}
 	}
-	for pass := 0; pass < repeats; pass++ {
+	for pass := 0; pass < DefaultResultCacheRepeats; pass++ {
 		for i, q := range corpus {
-			hot := runQuery(ctx, rt, q.sql)
+			hot := runQuery(ctx, rt, q.sql, "", 0)
 			if hot.err != nil {
 				return nil, fmt.Errorf("bench: cached arm hot pass %d: %w", pass+1, hot.err)
 			}
@@ -217,21 +222,22 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, re
 	// reading it must re-execute with prompts (later ones may already be
 	// subsumed by relations this very pass repopulates), while every
 	// LIMIT-free query not reading it is still answered for free.
-	rt.PrimeTableKeys(LLMTables[0], 1)
+	primed := LLMTables[0]
+	rt.PrimeTableKeys(primed, 1)
 	rep.InvalidationRetained = true
 	rep.InvalidationIdentical = true
 	probedFirst := false
 	for i, q := range corpus {
-		probe := runQuery(ctx, rt, q.sql)
+		probe := runQuery(ctx, rt, q.sql, "", 0)
 		if probe.err != nil {
 			return nil, fmt.Errorf("bench: invalidation probe: %w", probe.err)
 		}
 		if !q.limit {
-			if q.primed && !probedFirst {
+			if q.reads(primed) && !probedFirst {
 				probedFirst = true
 				rep.InvalidationReexecuted = probe.prompts > 0
 			}
-			if !q.primed && probe.prompts != 0 {
+			if !q.reads(primed) && probe.prompts != 0 {
 				rep.InvalidationRetained = false
 			}
 		}
@@ -263,6 +269,12 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile, re
 // entries while sparing every other table's — without changing a result.
 func (rep *ResultCacheReport) CheckAcceptance() error {
 	var errs []error
+	if rep.CacheableQueries == 0 {
+		errs = append(errs, errors.New("no cacheable queries in the corpus"))
+	}
+	if rep.CacheableQueries+rep.LimitQueries != rep.Queries {
+		errs = append(errs, fmt.Errorf("per-class counts don't add up: %d + %d != %d", rep.CacheableQueries, rep.LimitQueries, rep.Queries))
+	}
 	if rep.RepeatPromptsCacheable != 0 {
 		errs = append(errs, fmt.Errorf("repeated cacheable traffic cost %d prompts, want 0", rep.RepeatPromptsCacheable))
 	}
@@ -288,14 +300,4 @@ func (rep *ResultCacheReport) CheckAcceptance() error {
 		errs = append(errs, errors.New("re-execution after the epoch bump changed a relation"))
 	}
 	return errors.Join(errs...)
-}
-
-// WriteResultCacheArtifact writes the report as indented JSON — the
-// committed BENCH_resultcache.json tracking the serving hot path.
-func WriteResultCacheArtifact(path string, rep *ResultCacheReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/faultllm"
@@ -86,25 +84,26 @@ func routingOptions() core.Options {
 	return opts
 }
 
-// routedDefs declares the differential's two backends over the same
+// routedRuntime builds the differential's two-backend runtime over one
 // model profile and seed: "cheap" (a quarter of the price, first choice
-// for key scans and filters) and "strong" (the default), mutual
-// fallbacks. cheapClient substitutes the cheap backend's transport when
-// non-nil (the failover arm wraps it in a seeded outage injector).
-func (r *Runner) routedDefs(p simllm.Profile, cheapClient llm.Client) []core.BackendDef {
+// for key scans and filters) and "strong" (the default; fetch and verify
+// stay on it), mutual fallbacks, with the benchmark schema bound.
+// cheapClient substitutes the cheap backend's transport when non-nil
+// (the failover arm wraps it in a seeded outage injector).
+func (r *Runner) routedRuntime(p simllm.Profile, cheapClient llm.Client, opts core.Options) (*core.Runtime, error) {
 	if cheapClient == nil {
 		cheapClient = r.Model(p)
 	}
-	return []core.BackendDef{
+	defs := []core.BackendDef{
 		{Name: "cheap", Client: cheapClient, CostWeight: RoutingCheapCost, Fallback: []string{"strong"}},
 		{Name: "strong", Client: r.Model(p), Fallback: []string{"cheap"}},
 	}
-}
-
-// routingRoutes sends the cheap, high-volume prompt roles to the cheap
-// backend; fetch (and verify) stay on the default strong backend.
-func routingRoutes() map[string]string {
-	return map[string]string{"keyscan": "cheap", "filter": "cheap"}
+	routes := map[string]string{"keyscan": "cheap", "filter": "cheap"}
+	rt, err := core.NewRuntimeWithBackends(defs, "strong", routes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.bind(rt)
 }
 
 // runRoutingArm runs the corpus once on rt, recording per-query
@@ -119,7 +118,7 @@ func runRoutingArm(ctx context.Context, rt *core.Runtime, config string, onQuery
 		if onQuery != nil {
 			onQuery(i)
 		}
-		outcomes[i] = runQuery(ctx, rt, q.SQL)
+		outcomes[i] = runQuery(ctx, rt, q.SQL, "", 0)
 		if outcomes[i].err != nil {
 			arm.FailedQueries++
 		}
@@ -172,11 +171,10 @@ func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*Rout
 	rep.Single = singleArm
 
 	// Arm 2: cost-aware routing, both backends healthy.
-	routed, err := core.NewRuntimeWithBackends(r.routedDefs(p, nil), "strong", routingRoutes(), routingOptions())
+	routed, err := r.routedRuntime(p, nil, routingOptions())
 	if err != nil {
 		return nil, err
 	}
-	r.attach(routed)
 	routedArm, outcomes := runRoutingArm(ctx, routed, "routed-cheap-keyscan-filter", nil)
 	diffRoutingArm(&routedArm, baseline, outcomes)
 	rep.Routed = routedArm
@@ -193,11 +191,10 @@ func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*Rout
 		BreakerThreshold: RoutingBreakerThreshold,
 		Sleep:            instantSleep,
 	})
-	failover, err := core.NewRuntimeWithBackends(r.routedDefs(p, cheap), "strong", routingRoutes(), routingOptions())
+	failover, err := r.routedRuntime(p, cheap, routingOptions())
 	if err != nil {
 		return nil, err
 	}
-	r.attach(failover)
 	outageAt := len(corpus) / 2
 	failArm, outcomes := runRoutingArm(ctx, failover, "routed-primary-outage", func(i int) {
 		if i == outageAt {
@@ -209,19 +206,6 @@ func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*Rout
 	diffRoutingArm(&failArm, baseline, outcomes)
 	rep.Failover = failArm
 	return rep, nil
-}
-
-// attach binds the benchmark schema and ground-truth DB to a runtime
-// built outside Runner.Runtime (the multi-backend constructors).
-func (r *Runner) attach(rt *core.Runtime) {
-	rt.AttachDB(r.DB)
-	for _, name := range LLMTables {
-		// The benchmark tables are static and the names come from the
-		// fixture; binding cannot fail.
-		if err := rt.BindLLMTable(r.World.Table(name).Def); err != nil {
-			panic(fmt.Sprintf("bench: binding %s: %v", name, err))
-		}
-	}
 }
 
 // CheckAcceptance enforces the routing acceptance criteria: zero failed
@@ -258,14 +242,4 @@ func (rep *RoutingReport) CheckAcceptance() error {
 		"failover: weighted cost %.2f not above healthy routed %.2f (outage traffic must land on the strong meter)",
 		rep.Failover.WeightedCost, rep.Routed.WeightedCost)
 	return errors.Join(errs...)
-}
-
-// WriteRoutingArtifact writes the report as indented JSON — the
-// committed BENCH_routing.json tracking the routing trajectory.
-func WriteRoutingArtifact(path string, rep *RoutingReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,17 +2,12 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/simllm"
-	"repro/internal/spider"
 )
 
 // The sched benchmark measures what the deficit-weighted scheduler buys
@@ -189,137 +184,44 @@ func simArm(workers int, policy llm.SimPolicy, ts []llm.SimTenant) SchedSimArm {
 	}
 }
 
-// runClassedQuery executes one corpus query on a fresh session running
-// in the given admission class.
-func runClassedQuery(ctx context.Context, rt *core.Runtime, sql, class string, weight int) queryOutcome {
-	sess := rt.NewSession()
-	o := sess.Options()
-	o.AdmissionClass = class
-	o.AdmissionWeight = weight
-	sess.SetOptions(o)
-	rel, rep, err := sess.Query(ctx, sql)
-	if err != nil {
-		return queryOutcome{err: fmt.Errorf("%q: %w", sql, err)}
-	}
-	return queryOutcome{
-		rel:      rel.String(),
-		prompts:  rep.Stats.Prompts,
-		makespan: rep.Stats.SimulatedLatency,
-		sched:    rep.Sched,
-		cached:   rep.Cached,
-	}
-}
-
 // SchedComparison runs both halves of the scheduling benchmark: the
 // simulated policy A/B over the mixed workload, and the live corpus
 // solo versus K-way mixed-class concurrent (queries alternating between
 // the interactive and batch bands, batch at weight 2 to exercise the
 // weighted deficit). Cache off and fixed plans in both live arms, so
 // every reported number is a pure function of the prompt sets.
-func (r *Runner) SchedComparison(ctx context.Context, p simllm.Profile, k, workers int) (*SchedReport, error) {
-	if k < 1 {
-		k = DefaultConcurrency
-	}
-	if workers < 1 {
-		workers = DefaultServeWorkers
-	}
-
+func (r *Runner) SchedComparison(ctx context.Context, p simllm.Profile) (*SchedReport, error) {
 	workload := SchedWorkload()
 	rep := &SchedReport{
 		Model:             p.ID,
-		Workers:           workers,
-		K:                 k,
+		Workers:           DefaultServeWorkers,
+		K:                 DefaultConcurrency,
 		SimInteractive:    DefaultSimInteractive,
 		SimBatch:          DefaultSimBatch,
-		RoundRobin:        simArm(workers, llm.PolicyRoundRobin, workload),
-		Deficit:           simArm(workers, llm.PolicyDeficitWeighted, workload),
+		RoundRobin:        simArm(DefaultServeWorkers, llm.PolicyRoundRobin, workload),
+		Deficit:           simArm(DefaultServeWorkers, llm.PolicyDeficitWeighted, workload),
 		StarvationBoundMS: float64(schedWorkloadBound(workload)) / float64(time.Millisecond),
-		ResultsIdentical:  true,
-		PromptsIdentical:  true,
 	}
 	if rep.Deficit.InteractiveP99MS > 0 {
 		rep.P99ImprovementX = rep.RoundRobin.InteractiveP99MS / rep.Deficit.InteractiveP99MS
 	}
 
-	var corpus []string
-	for _, q := range spider.Queries() {
-		corpus = append(corpus, q.SQL)
-	}
-
-	// Solo arm: one runtime, one query at a time, default class.
-	soloRT, err := r.Runtime(r.Model(p), concurrencyOptions(workers))
+	// Odd corpus indexes run in the batch band at weight 2.
+	run, err := r.kWayCorpus(ctx, p, func(i int) (string, int) {
+		if i%2 == 1 {
+			return "batch", 2
+		}
+		return "interactive", 1
+	})
 	if err != nil {
 		return nil, err
 	}
-	solo := make([]queryOutcome, len(corpus))
-	for i, sql := range corpus {
-		solo[i] = runQuery(ctx, soloRT, sql)
-		if solo[i].err != nil {
-			return nil, fmt.Errorf("bench: solo arm: %w", solo[i].err)
-		}
-	}
-
-	// Mixed arm: a fresh but identically configured runtime, K queries
-	// at a time, odd corpus indexes demoted to the batch band at weight 2.
-	mixedRT, err := r.Runtime(r.Model(p), concurrencyOptions(workers))
-	if err != nil {
-		return nil, err
-	}
-	mixed := make([]queryOutcome, len(corpus))
-	var mixedTotal time.Duration
-	for lo := 0; lo < len(corpus); lo += k {
-		hi := lo + k
-		if hi > len(corpus) {
-			hi = len(corpus)
-		}
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				class, weight := "interactive", 1
-				if i%2 == 1 {
-					class, weight = "batch", 2
-				}
-				mixed[i] = runClassedQuery(ctx, mixedRT, corpus[i], class, weight)
-			}(i)
-		}
-		wg.Wait()
-		var batch []*llm.TenantStats
-		for i := lo; i < hi; i++ {
-			if mixed[i].err != nil {
-				return nil, fmt.Errorf("bench: mixed arm: %w", mixed[i].err)
-			}
-			batch = append(batch, mixed[i].sched)
-		}
-		mixedTotal += llm.AggregateMakespan(workers, batch)
-	}
-
-	var soloTotal time.Duration
-	var soloPrompts, mixedPrompts int
-	for i := range corpus {
-		soloTotal += solo[i].makespan
-		soloPrompts += solo[i].prompts
-		mixedPrompts += mixed[i].prompts
-		if solo[i].rel != mixed[i].rel {
-			rep.ResultsIdentical = false
-		}
-		if solo[i].prompts != mixed[i].prompts {
-			rep.PromptsIdentical = false
-		}
-	}
-	rep.Solo = SchedLiveArm{
-		Config:              "solo",
-		Queries:             len(corpus),
-		TotalPrompts:        soloPrompts,
-		AggregateMakespanMS: float64(soloTotal) / float64(time.Millisecond),
-	}
-	rep.Mixed = SchedLiveArm{
-		Config:              fmt.Sprintf("mixed-k%d", k),
-		Queries:             len(corpus),
-		TotalPrompts:        mixedPrompts,
-		AggregateMakespanMS: float64(mixedTotal) / float64(time.Millisecond),
-	}
+	rep.Solo = SchedLiveArm(run.serial)
+	rep.Solo.Config = "solo"
+	rep.Mixed = SchedLiveArm(run.concurrent)
+	rep.Mixed.Config = fmt.Sprintf("mixed-k%d", DefaultConcurrency)
+	rep.ResultsIdentical = run.resultsIdentical
+	rep.PromptsIdentical = run.promptsIdentical
 	return rep, nil
 }
 
@@ -354,14 +256,4 @@ func (rep *SchedReport) CheckAcceptance() error {
 			rep.Mixed.AggregateMakespanMS, rep.Solo.AggregateMakespanMS))
 	}
 	return errors.Join(errs...)
-}
-
-// WriteSchedArtifact writes the report as indented JSON — the committed
-// BENCH_sched.json tracking the scheduling trajectory.
-func WriteSchedArtifact(path string, rep *SchedReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/simllm"
@@ -122,7 +120,7 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 
 	// Cold pass: parents populate the cache.
 	for _, fam := range semCacheCorpus {
-		out := runQuery(ctx, rt, fam.sql)
+		out := runQuery(ctx, rt, fam.sql, "", 0)
 		if out.err != nil {
 			return nil, fmt.Errorf("bench: semcache cold parent: %w", out.err)
 		}
@@ -130,7 +128,7 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 	}
 	// Exact-hot pass: the same statements verbatim.
 	for _, fam := range semCacheCorpus {
-		out := runQuery(ctx, rt, fam.sql)
+		out := runQuery(ctx, rt, fam.sql, "", 0)
 		if out.err != nil {
 			return nil, fmt.Errorf("bench: semcache hot parent: %w", out.err)
 		}
@@ -141,11 +139,11 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 	for _, fam := range semCacheCorpus {
 		for _, child := range fam.children {
 			rep.Children++
-			out := runQuery(ctx, rt, child)
+			out := runQuery(ctx, rt, child, "", 0)
 			if out.err != nil {
 				return nil, fmt.Errorf("bench: semcache child: %w", out.err)
 			}
-			direct := runQuery(ctx, control, child)
+			direct := runQuery(ctx, control, child, "", 0)
 			if direct.err != nil {
 				return nil, fmt.Errorf("bench: semcache control child: %w", direct.err)
 			}
@@ -184,7 +182,7 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 	probedFirst := false
 	for _, fam := range semCacheCorpus {
 		for _, child := range fam.children {
-			out := runQuery(ctx, rt, child)
+			out := runQuery(ctx, rt, child, "", 0)
 			if out.err != nil {
 				return nil, fmt.Errorf("bench: semcache invalidation probe: %w", out.err)
 			}
@@ -209,6 +207,9 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 // direct execution — and invalidation stays per-table.
 func (rep *SemCacheReport) CheckAcceptance() error {
 	var errs []error
+	if rep.Children == 0 || rep.ColdPrompts == 0 {
+		errs = append(errs, fmt.Errorf("degenerate corpus: %d children, %d cold prompts", rep.Children, rep.ColdPrompts))
+	}
 	if rep.ExactHotPrompts != 0 {
 		errs = append(errs, fmt.Errorf("verbatim replays cost %d prompts, want 0", rep.ExactHotPrompts))
 	}
@@ -234,14 +235,4 @@ func (rep *SemCacheReport) CheckAcceptance() error {
 		errs = append(errs, errors.New("re-execution after the epoch bump changed a relation"))
 	}
 	return errors.Join(errs...)
-}
-
-// WriteSemCacheArtifact writes the report as indented JSON — the
-// committed BENCH_semcache.json tracking the subsumption tier.
-func WriteSemCacheArtifact(path string, rep *SemCacheReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -28,11 +28,11 @@ func TestSmoke(t *testing.T) {
 	t.Logf("ground truth: %d cities", truth.Cardinality())
 
 	for _, p := range simllm.AllProfiles() {
-		engine, err := r.Engine(r.Model(p), core.DefaultOptions())
+		rt, err := r.Runtime(r.Model(p), core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rep, err := engine.Query(ctx, `SELECT name FROM city WHERE population > 5000000`)
+		got, rep, err := rt.NewSession().Query(ctx, `SELECT name FROM city WHERE population > 5000000`)
 		if err != nil {
 			t.Fatalf("%s: %v", p.ID, err)
 		}

@@ -47,7 +47,7 @@ func TestStopAndGoGolden(t *testing.T) {
 	r := runner(t)
 	ctx := context.Background()
 	var got []stopAndGoRecord
-	record := func(arm string, e *core.Engine, sql string) {
+	record := func(arm string, e *core.Session, sql string) {
 		rel, rep, err := e.Query(ctx, sql)
 		if err != nil {
 			t.Fatalf("%s: %q: %v", arm, sql, err)
@@ -77,21 +77,23 @@ func TestStopAndGoGolden(t *testing.T) {
 		{"verified-gpt3", verified},
 		{"prompt-cache", chaosOptions(true)},
 	} {
-		e, err := r.Engine(r.Model(simllm.ChatGPT), arm.opts)
+		rt, err := r.Runtime(r.Model(simllm.ChatGPT), arm.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := rt.NewSession()
 		for _, q := range spider.Queries() {
 			record(arm.name, e, q.SQL)
 		}
 	}
 
-	// The differential harness's stop-and-go arm: one engine runs every
+	// The differential harness's stop-and-go arm: one runtime runs every
 	// query (statistics feedback shapes later plans), LIMIT rows are kept.
-	e, err := r.Engine(r.Model(simllm.ChatGPT), PaperOptions())
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), PaperOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := rt.NewSession()
 	gen := difftest.New(42)
 	for i := 0; i < 200; i++ {
 		q := gen.Query()

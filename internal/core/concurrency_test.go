@@ -282,27 +282,26 @@ func TestSessionStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestEngineTiersShared: the Engine wrapper's default session and any
-// extra session share one runtime — bindings and cache included.
+// TestEngineTiersShared: two sessions on one runtime share its tiers —
+// bindings and prompt cache included.
 func TestEngineTiersShared(t *testing.T) {
 	w := world.Build()
-	e := New(simllm.New(simllm.ChatGPT, w, 1), DefaultOptions())
-	if err := e.BindLLMTable(w.Table("country").Def); err != nil {
+	rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), DefaultOptions())
+	if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
+	if _, _, err := rt.NewSession().Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
 		t.Fatal(err)
 	}
-	misses := e.CacheStats().Misses
+	misses := rt.CacheStats().Misses
 	if misses == 0 {
 		t.Fatal("expected cache misses after first query")
 	}
 	// A second session over the same runtime replays from the cache.
-	sess := e.Runtime().NewSession()
-	if _, _, err := sess.Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
+	if _, _, err := rt.NewSession().Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
 		t.Fatal(err)
 	}
-	after := e.CacheStats()
+	after := rt.CacheStats()
 	if after.Misses != misses {
 		t.Errorf("second session re-issued prompts: misses %d -> %d", misses, after.Misses)
 	}

@@ -19,22 +19,17 @@
 // architecture: a shared, concurrency-safe Runtime (model endpoints,
 // table bindings, prompt cache, optimizer statistics, and the
 // engine-global fair-share prompt scheduler) and cheap per-query
-// Sessions on top (Runtime.NewSession). Engine bundles one runtime with
-// one session for the single-caller case; concurrent servers hold one
-// Runtime and open a Session per query.
+// Sessions on top (Runtime.NewSession). A single caller opens one session
+// and keeps it; concurrent servers hold one Runtime and open a Session per
+// query.
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/clean"
 	"repro/internal/llm"
-	"repro/internal/logical"
-	"repro/internal/memdb"
 	"repro/internal/optimizer"
-	"repro/internal/rescache"
-	"repro/internal/schema"
 )
 
 // Options configure a Runtime and the Sessions opened on it. Most fields
@@ -205,70 +200,4 @@ func (o *Options) resilientConfig() llm.ResilientConfig {
 		BreakerThreshold: o.BreakerThreshold,
 		BreakerCooldown:  o.BreakerCooldown,
 	}
-}
-
-// Engine executes SQL over an LLM and (optionally) a relational store.
-// It is the single-caller convenience bundle: one shared Runtime plus
-// one default Session, with every method delegating to the right tier.
-// Servers handling concurrent queries should use the tiers directly —
-// core.NewRuntime once, Runtime.NewSession per query — or simply call
-// Engine.Query concurrently, which opens no per-call state beyond the
-// query's scheduler tenant and is safe.
-type Engine struct {
-	rt   *Runtime
-	sess *Session
-}
-
-// New builds an engine (a runtime plus a default session) over the given
-// LLM client.
-func New(client llm.Client, opts Options) *Engine {
-	return NewRuntime(client, opts).Engine()
-}
-
-// Runtime exposes the engine's shared tier, for callers that open
-// additional concurrent sessions on it.
-func (e *Engine) Runtime() *Runtime { return e.rt }
-
-// Session exposes the engine's default session.
-func (e *Engine) Session() *Session { return e.sess }
-
-// Statistics exposes the planner's statistics store (never nil).
-func (e *Engine) Statistics() *optimizer.Statistics { return e.rt.Statistics() }
-
-// PrimeTableKeys seeds the planner's cardinality estimate for one table
-// — the engine's ANALYZE equivalent for operators who know their data's
-// scale before the first query runs.
-func (e *Engine) PrimeTableKeys(table string, keys int) { e.rt.PrimeTableKeys(table, keys) }
-
-// CacheStats reports the engine-lifetime prompt-cache counters (zero
-// value when the cache is disabled).
-func (e *Engine) CacheStats() llm.CacheStats { return e.rt.CacheStats() }
-
-// ResultCacheStats reports the engine-lifetime result-cache counters
-// (zero value when the result cache is disabled).
-func (e *Engine) ResultCacheStats() rescache.Stats { return e.rt.ResultCacheStats() }
-
-// AttachDB connects a relational store for DB-bound (and hybrid) queries.
-func (e *Engine) AttachDB(db *memdb.DB) { e.rt.AttachDB(db) }
-
-// BindLLMTable declares a relation whose tuples live in the LLM.
-func (e *Engine) BindLLMTable(def *schema.TableDef) error { return e.rt.BindLLMTable(def) }
-
-// ResolveTable implements logical.Resolver; see Runtime.ResolveTable.
-func (e *Engine) ResolveTable(name, explicit string) (*schema.TableDef, string, error) {
-	return e.rt.ResolveTable(name, explicit)
-}
-
-// Plan parses, plans and optimizes a query, returning the lowered
-// logical plan (what EXPLAIN shows).
-func (e *Engine) Plan(sql string) (logical.Node, error) { return e.sess.Plan(sql) }
-
-// Explain renders the optimized plan as an indented tree.
-func (e *Engine) Explain(sql string) (string, error) { return e.sess.Explain(sql) }
-
-// Query executes sql on the default session and returns the result
-// relation plus an execution report. Safe for concurrent calls: each
-// call plans and executes independently on the shared runtime.
-func (e *Engine) Query(ctx context.Context, sql string) (*schema.Relation, *Report, error) {
-	return e.sess.Query(ctx, sql)
 }

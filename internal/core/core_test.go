@@ -12,13 +12,15 @@ import (
 	"repro/internal/world"
 )
 
-func testEngine(t *testing.T, p simllm.Profile) (*Engine, *world.World) {
+// testSession opens a session on a runtime over a simulated model with
+// country, city and mayor bound to the LLM and employees plus country in
+// the attached DB.
+func testSession(t *testing.T, p simllm.Profile) *Session {
 	t.Helper()
 	w := world.Build()
-	model := simllm.New(p, w, 1)
-	e := New(model, DefaultOptions())
+	rt := NewRuntime(simllm.New(p, w, 1), DefaultOptions())
 	for _, name := range []string{"country", "city", "mayor"} {
-		if err := e.BindLLMTable(w.Table(name).Def); err != nil {
+		if err := rt.BindLLMTable(w.Table(name).Def); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,13 +32,13 @@ func testEngine(t *testing.T, p simllm.Profile) (*Engine, *world.World) {
 	if err := db.LoadRelation(w.Table("country").Def, w.Relation("country")); err != nil {
 		t.Fatal(err)
 	}
-	e.AttachDB(db)
-	return e, w
+	rt.AttachDB(db)
+	return rt.NewSession()
 }
 
 func TestBindRequiresKey(t *testing.T) {
-	e := New(nil, DefaultOptions())
-	err := e.BindLLMTable(&schema.TableDef{
+	rt := NewRuntime(nil, DefaultOptions())
+	err := rt.BindLLMTable(&schema.TableDef{
 		Name:      "bad",
 		KeyColumn: "missing",
 		Schema:    schema.New(schema.Column{Name: "x", Type: value.KindInt}),
@@ -47,7 +49,7 @@ func TestBindRequiresKey(t *testing.T) {
 }
 
 func TestResolvePrecedence(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 
 	// Unqualified: LLM wins by default.
 	_, source, err := e.ResolveTable("country", "")
@@ -75,12 +77,12 @@ func TestResolvePrecedence(t *testing.T) {
 	// DefaultSource flips the tie-break.
 	opts := DefaultOptions()
 	opts.DefaultSource = "DB"
-	e2 := New(nil, opts)
-	e2.AttachDB(mustDB(t))
-	if err := e2.BindLLMTable(world.Build().Table("country").Def); err != nil {
+	rt := NewRuntime(nil, opts)
+	rt.AttachDB(mustDB(t))
+	if err := rt.BindLLMTable(world.Build().Table("country").Def); err != nil {
 		t.Fatal(err)
 	}
-	_, source, err = e2.ResolveTable("country", "")
+	_, source, err = rt.NewSession().ResolveTable("country", "")
 	if err != nil || source != "DB" {
 		t.Errorf("DefaultSource=DB tie-break = %q, %v", source, err)
 	}
@@ -97,7 +99,7 @@ func mustDB(t *testing.T) *memdb.DB {
 }
 
 func TestQueryEndToEnd(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 	rel, rep, err := e.Query(context.Background(), "SELECT name FROM country WHERE continent = 'Europe'")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +124,7 @@ func TestQueryEndToEnd(t *testing.T) {
 // the same query twice on one engine costs zero model calls and zero
 // simulated seconds the second time, with every prompt served as a hit.
 func TestQueryCacheAcrossQueries(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 	const q = "SELECT name, capital FROM country WHERE continent = 'Europe'"
 	ctx := context.Background()
 
@@ -149,7 +151,7 @@ func TestQueryCacheAcrossQueries(t *testing.T) {
 	if first.Cardinality() != second.Cardinality() {
 		t.Errorf("cached result diverged: %d vs %d rows", first.Cardinality(), second.Cardinality())
 	}
-	cs := e.CacheStats()
+	cs := e.Runtime().CacheStats()
 	if cs.Hits == 0 || cs.Misses == 0 || cs.Entries == 0 {
 		t.Errorf("engine cache stats = %+v", cs)
 	}
@@ -169,11 +171,11 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 		opts := DefaultOptions()
 		opts.CacheEnabled = false // both modes pay for every prompt
 		opts.Pipelined = pipelined
-		e := New(simllm.New(simllm.GPT3, w, 1), opts)
-		if err := e.BindLLMTable(w.Table("country").Def); err != nil {
+		rt := NewRuntime(simllm.New(simllm.GPT3, w, 1), opts)
+		if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
 			t.Fatal(err)
 		}
-		rel, rep, err := e.Query(ctx, q)
+		rel, rep, err := rt.NewSession().Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +205,7 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 // terminates early, settles abandoned in-flight prompts before the
 // report is built, and still returns the right rows.
 func TestPipelinedLimitQuery(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 	rel, rep, err := e.Query(context.Background(), "SELECT name, capital FROM country LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
@@ -222,10 +224,11 @@ func TestQueryCacheDisabled(t *testing.T) {
 	w := world.Build()
 	opts := DefaultOptions()
 	opts.CacheEnabled = false
-	e := New(simllm.New(simllm.GPT3, w, 1), opts)
-	if err := e.BindLLMTable(w.Table("country").Def); err != nil {
+	rt := NewRuntime(simllm.New(simllm.GPT3, w, 1), opts)
+	if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
 		t.Fatal(err)
 	}
+	e := rt.NewSession()
 	const q = "SELECT name FROM country WHERE continent = 'Europe'"
 	ctx := context.Background()
 	_, rep1, err := e.Query(ctx, q)
@@ -245,7 +248,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 }
 
 func TestHybridQuery(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 	rel, _, err := e.Query(context.Background(),
 		"SELECT c.gdp, AVG(e.salary) FROM LLM.country c, DB.Employees e WHERE c.code = e.countryCode GROUP BY e.countryCode")
 	if err != nil {
@@ -260,7 +263,7 @@ func TestHybridQuery(t *testing.T) {
 }
 
 func TestExplainShowsLowering(t *testing.T) {
-	e, _ := testEngine(t, simllm.ChatGPT)
+	e := testSession(t, simllm.ChatGPT)
 	plan, err := e.Explain("SELECT name, population FROM city WHERE population > 1000000")
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +276,7 @@ func TestExplainShowsLowering(t *testing.T) {
 }
 
 func TestQueryParseError(t *testing.T) {
-	e, _ := testEngine(t, simllm.GPT3)
+	e := testSession(t, simllm.GPT3)
 	if _, _, err := e.Query(context.Background(), "SELEC nonsense"); err == nil {
 		t.Error("parse errors must surface")
 	}
@@ -283,7 +286,7 @@ func TestQueryParseError(t *testing.T) {
 }
 
 func TestDeterministicQueries(t *testing.T) {
-	e, _ := testEngine(t, simllm.ChatGPT)
+	e := testSession(t, simllm.ChatGPT)
 	ctx := context.Background()
 	sql := "SELECT name FROM country WHERE population > 100000000"
 	a, _, err := e.Query(ctx, sql)

@@ -319,12 +319,6 @@ func (rt *Runtime) NewSession() *Session {
 	return &Session{rt: rt, opts: rt.opts, optsFP: rt.optsFP}
 }
 
-// Engine wraps this runtime and a fresh default session in the
-// single-caller convenience bundle.
-func (rt *Runtime) Engine() *Engine {
-	return &Engine{rt: rt, sess: rt.NewSession()}
-}
-
 // Options returns the runtime's session defaults.
 func (rt *Runtime) Options() Options { return rt.opts }
 

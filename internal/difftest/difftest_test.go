@@ -11,27 +11,25 @@ import (
 	"repro/internal/simllm"
 )
 
-// engines builds one stop-and-go ("batched") and one streaming
-// ("pipelined") engine over the same simulated model seed, cache off so
-// prompt counts are model calls.
-func engines(t *testing.T) (*core.Engine, *core.Engine) {
+// session opens a session on a fresh runtime over the simulated ChatGPT
+// with the benchmark schema bound.
+func session(t *testing.T, r *bench.Runner, opts core.Options) *core.Session {
+	t.Helper()
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt.NewSession()
+}
+
+// runner builds the benchmark fixture.
+func runner(t *testing.T) *bench.Runner {
 	t.Helper()
 	r, err := bench.NewRunner(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedOpts := bench.PaperOptions() // stop-and-go, cache off
-	pipelinedOpts := bench.PaperOptions()
-	pipelinedOpts.Pipelined = true
-	batched, err := r.Engine(r.Model(simllm.ChatGPT), batchedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipelined, err := r.Engine(r.Model(simllm.ChatGPT), pipelinedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return batched, pipelined
+	return r
 }
 
 // TestDifferentialBatchedVsPipelined runs ~200 seeded random queries
@@ -45,7 +43,13 @@ func TestDifferentialBatchedVsPipelined(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	batched, pipelined := engines(t)
+	// One stop-and-go ("batched") and one streaming ("pipelined") session
+	// over the same simulated model seed, cache off so prompt counts are
+	// model calls.
+	r := runner(t)
+	pipelinedOpts := bench.PaperOptions()
+	pipelinedOpts.Pipelined = true
+	batched, pipelined := session(t, r, bench.PaperOptions()), session(t, r, pipelinedOpts)
 	gen := New(42)
 	ctx := context.Background()
 
@@ -95,21 +99,10 @@ func TestDifferentialCostBased(t *testing.T) {
 	if testing.Short() {
 		n = 15
 	}
-	r, err := bench.NewRunner(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchedOpts := bench.CostBasedOptions()
+	r := runner(t)
 	pipelinedOpts := bench.CostBasedOptions()
 	pipelinedOpts.Pipelined = true
-	batched, err := r.Engine(r.Model(simllm.ChatGPT), batchedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipelined, err := r.Engine(r.Model(simllm.ChatGPT), pipelinedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batched, pipelined := session(t, r, bench.CostBasedOptions()), session(t, r, pipelinedOpts)
 	gen := New(7)
 	ctx := context.Background()
 	// LIMIT queries are safe to include: the engine excludes plans with
@@ -157,10 +150,7 @@ func TestDifferentialConcurrentVsSerial(t *testing.T) {
 	}
 	const k = 6
 
-	r, err := bench.NewRunner(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runner(t)
 	opts := bench.PaperOptions() // cache off
 	opts.Pipelined = true
 	// Fixed heuristic plans: under cost-based planning the plan of query
@@ -170,17 +160,14 @@ func TestDifferentialConcurrentVsSerial(t *testing.T) {
 	opts.Optimizer.CostBased = false
 
 	// Serial arm: its own runtime, one query at a time.
-	serialEngine, err := r.Engine(r.Model(simllm.ChatGPT), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := session(t, r, opts)
 	gen := New(99)
 	queries := make([]Query, n)
 	serialRels := make([]string, n)
 	serialPrompts := make([]int, n)
 	for i := 0; i < n; i++ {
 		queries[i] = gen.Query()
-		rel, rep, err := serialEngine.Query(context.Background(), queries[i].SQL)
+		rel, rep, err := serial.Query(context.Background(), queries[i].SQL)
 		if err != nil {
 			t.Fatalf("query %d (serial) %q: %v", i, queries[i].SQL, err)
 		}
@@ -235,24 +222,14 @@ func TestDifferentialSubsumption(t *testing.T) {
 	if testing.Short() {
 		n = 16
 	}
-	r, err := bench.NewRunner(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runner(t)
 	cachedOpts := bench.PaperOptions()
 	cachedOpts.Pipelined = true
 	cachedOpts.Optimizer.CostBased = false
 	cachedOpts.ResultCacheEnabled = true
 	controlOpts := cachedOpts
 	controlOpts.ResultCacheEnabled = false
-	cached, err := r.Engine(r.Model(simllm.ChatGPT), cachedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	control, err := r.Engine(r.Model(simllm.ChatGPT), controlOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached, control := session(t, r, cachedOpts), session(t, r, controlOpts)
 
 	gen := New(1234)
 	ctx := context.Background()
