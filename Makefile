@@ -39,11 +39,12 @@ benchmark-smoke:
 serve:
 	$(GO) run ./cmd/galois-serve
 
-# Short fuzz smoke of the SQL parser and the simulated model's prompt
-# parser (same runs CI does).
+# Short fuzz smoke of the SQL parser, the simulated model's prompt parser
+# and the galois.yaml decoder (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
+	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 
 # Per-package coverage summary.
 cover:

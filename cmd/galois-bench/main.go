@@ -5,6 +5,10 @@
 // ablations, the Section 6 explorations and the committed BENCH_*.json
 // artifacts (bench.Artifacts).
 //
+// Tables, figures and the latency note run under the paper's
+// configuration (bench.PaperOptions); every other configuration is an
+// -ablation row or a committed artifact with its own arms.
+//
 // Usage:
 //
 //	galois-bench                 # everything
@@ -15,6 +19,10 @@
 //	galois-bench -latency
 //	galois-bench -ablation pushdown|cleaning|joins|more|cache|verify|portability|schemafree
 //	galois-bench -ablation chaos # any artifact: its report JSON and acceptance verdict
+//	galois-bench -explain "SELECT ..." [-config galois.yaml]
+//
+// -model (default chatgpt) picks the model of Table 2, the ablations and
+// -explain; -seed (default 1) the simulated models' noise seed.
 package main
 
 import (
@@ -26,11 +34,8 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/llm"
 	"repro/internal/prompt"
-	"repro/internal/rescache"
 	"repro/internal/simllm"
 )
 
@@ -49,14 +54,7 @@ func run() error {
 	explain := flag.String("explain", "", "print EXPLAIN ANALYZE for the given SQL under the cost-based engine and exit")
 	configPath := flag.String("config", "", "multi-backend routing declaration (galois.yaml) for -explain: plans are priced and routed across the declared backends")
 	seed := flag.Int64("seed", 1, "noise seed")
-	model := flag.String("model", "chatgpt", "model for Table 2 and ablations")
-	cache := flag.Bool("cache", false, "run the table/latency/extension experiments with the engine prompt cache on (default off = the paper's configuration; ablations define their own configs)")
-	cacheSize := flag.Int("cache-size", llm.DefaultCacheSize, "max completions the prompt cache retains when -cache is set")
-	resultCache := flag.Bool("result-cache", false, "run the table/latency/extension experiments with the relation-level result cache on (default off = the paper's configuration)")
-	resultCacheSize := flag.Int("result-cache-size", rescache.DefaultSize, "max relations the result cache retains when -result-cache is set")
-	resultCacheBytes := flag.Int("result-cache-bytes", 0, "approximate byte budget for the result cache (0 = unlimited; the LRU evicts past it)")
-	pipeline := flag.Bool("pipeline", false, "run the table/latency/extension experiments under the streaming execution policy (default off = the paper's stop-and-go policy)")
-	workers := flag.Int("workers", 0, "LLM worker budget (0 = the engine default): the scheduler's concurrent calls per endpoint, and under -pipeline=false also the width of a stop-and-go prompt wave")
+	model := flag.String("model", "chatgpt", "model for Table 2, the ablations and -explain")
 	flag.Parse()
 
 	runner, err := bench.NewRunner(*seed)
@@ -69,18 +67,9 @@ func run() error {
 	}
 	ctx := context.Background()
 	opts := bench.PaperOptions()
-	opts.CacheEnabled = *cache
-	opts.CacheSize = *cacheSize
-	opts.ResultCacheEnabled = *resultCache
-	opts.ResultCacheSize = *resultCacheSize
-	opts.ResultCacheBytes = *resultCacheBytes
-	opts.Pipelined = *pipeline
-	if *workers > 0 {
-		opts.BatchWorkers = *workers
-	}
 
 	if *explain != "" {
-		return printExplain(ctx, runner, profile, *configPath, *explain)
+		return printExplain(ctx, runner, *model, *configPath, *explain)
 	}
 	if *configPath != "" {
 		return fmt.Errorf("-config only applies to -explain (experiments declare their own backend arms)")
@@ -280,18 +269,8 @@ func printArtifact(ctx context.Context, r *bench.Runner, p simllm.Profile, a ben
 	return nil
 }
 
-func printExplain(ctx context.Context, r *bench.Runner, p simllm.Profile, configPath, sql string) error {
-	opts := bench.CostBasedOptions()
-	var rt *core.Runtime
-	var err error
-	if configPath == "" {
-		rt, err = r.Runtime(r.Model(p), opts)
-	} else {
-		var cfg *config.Config
-		if cfg, err = config.Load(configPath); err == nil {
-			rt, err = r.RuntimeFromConfig(cfg, opts)
-		}
-	}
+func printExplain(ctx context.Context, r *bench.Runner, model, configPath, sql string) error {
+	rt, _, err := r.RuntimeFor(model, configPath, bench.CostBasedOptions())
 	if err != nil {
 		return err
 	}

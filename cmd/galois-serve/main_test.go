@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/simllm"
@@ -776,5 +777,54 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 	if !st.Persistence.Enabled || st.Persistence.WarmRelations != 1 {
 		t.Errorf("/stats persistence = %+v, want enabled with 1 warm relation", st.Persistence)
+	}
+}
+
+// TestServeRouteParam: on a routed runtime a valid ?route= override
+// answers 200 and sends the routed role's prompts to its backend; an
+// unknown role, an undeclared backend, a malformed entry or an empty list
+// answers 400.
+func TestServeRouteParam(t *testing.T) {
+	cfg, err := config.Parse("default: strong\nbackends:\n  - name: cheap\n    model: chatgpt\n  - name: strong\n    model: chatgpt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bench.NewRunner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.CacheEnabled = false
+	rt, err := r.RuntimeFromConfig(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	defer ts.Close()
+
+	q := url.QueryEscape(`SELECT name FROM country WHERE continent = 'Europe'`)
+	for _, tc := range []struct {
+		route string
+		want  int
+	}{
+		{"keyscan=cheap, filter=cheap", http.StatusOK},
+		{"scan=cheap", http.StatusBadRequest},
+		{"keyscan=ghost", http.StatusBadRequest},
+		{"keyscan", http.StatusBadRequest},
+		{" , ", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(ts.URL + "/query?q=" + q + "&route=" + url.QueryEscape(tc.route))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("route=%q: status %d, want %d", tc.route, resp.StatusCode, tc.want)
+		}
+	}
+	for _, b := range rt.BackendStatuses() {
+		if b.Name == "cheap" && b.Prompts == 0 {
+			t.Error("the routed query sent no prompts to backend cheap")
+		}
 	}
 }

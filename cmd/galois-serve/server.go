@@ -13,8 +13,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/schema"
 )
 
 // server is the concurrent SQL front end over one shared core.Runtime:
@@ -129,6 +131,39 @@ type queryStats struct {
 	CacheHits          int     `json:"cache_hits"`
 	CacheMisses        int     `json:"cache_misses"`
 	SimulatedLatencyMS float64 `json:"simulated_latency_ms"`
+}
+
+// statsJSON renders a report's usage for the buffered response and the
+// stream's stats frame.
+func statsJSON(rep *core.Report) queryStats {
+	return queryStats{
+		Prompts:            rep.Stats.Prompts,
+		PromptTokens:       rep.Stats.PromptTokens,
+		CompletionTokens:   rep.Stats.CompletionTokens,
+		CacheHits:          rep.Stats.CacheHits,
+		CacheMisses:        rep.Stats.CacheMisses,
+		SimulatedLatencyMS: float64(rep.Stats.SimulatedLatency) / float64(time.Millisecond),
+	}
+}
+
+// columnsJSON renders a schema as the parallel column-name and type
+// lists of the buffered response and the stream's header frame.
+func columnsJSON(sch *schema.Schema) (columns, types []string) {
+	columns, types = make([]string, sch.Len()), make([]string, sch.Len())
+	for i, c := range sch.Columns {
+		columns[i] = c.QualifiedName()
+		types[i] = c.Type.String()
+	}
+	return columns, types
+}
+
+// cellsJSON renders one tuple's values.
+func cellsJSON(row schema.Tuple) []string {
+	cells := make([]string, len(row))
+	for i, v := range row {
+		cells[i] = v.String()
+	}
+	return cells
 }
 
 type errorResponse struct {
@@ -259,30 +294,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := queryResponse{
-		Columns:  make([]string, rel.Schema.Len()),
-		Types:    make([]string, rel.Schema.Len()),
 		Rows:     make([][]string, 0, rel.Cardinality()),
 		RowCount: rel.Cardinality(),
 		Cached:   cachedJSON(rep.Cached),
-		Stats: queryStats{
-			Prompts:            rep.Stats.Prompts,
-			PromptTokens:       rep.Stats.PromptTokens,
-			CompletionTokens:   rep.Stats.CompletionTokens,
-			CacheHits:          rep.Stats.CacheHits,
-			CacheMisses:        rep.Stats.CacheMisses,
-			SimulatedLatencyMS: float64(rep.Stats.SimulatedLatency) / float64(time.Millisecond),
-		},
+		Stats:    statsJSON(rep),
 	}
-	for i, c := range rel.Schema.Columns {
-		resp.Columns[i] = c.QualifiedName()
-		resp.Types[i] = c.Type.String()
-	}
+	resp.Columns, resp.Types = columnsJSON(rel.Schema)
 	for _, row := range rel.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		resp.Rows = append(resp.Rows, cells)
+		resp.Rows = append(resp.Rows, cellsJSON(row))
 	}
 	if wantPlan {
 		resp.Plan = rep.Plan
@@ -333,36 +352,22 @@ const maxAdmissionWeight = 64
 
 // routeParam parses the optional `route` query parameter —
 // role=backend pairs separated by commas — into the session's route
-// overrides, validating each role spelling and backend name against the
-// runtime's registry.
+// overrides, checking each backend name against the runtime's registry.
 func (s *server) routeParam(q url.Values) (map[string]string, error) {
 	raw := q.Get("route")
 	if raw == "" {
 		return nil, nil
 	}
-	out := map[string]string{}
-	for _, part := range strings.Split(raw, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		role, backend, ok := strings.Cut(part, "=")
-		role, backend = strings.TrimSpace(role), strings.TrimSpace(backend)
-		if !ok || role == "" || backend == "" {
-			return nil, fmt.Errorf("invalid route entry %q: want role=backend", part)
-		}
-		if _, err := llm.ParseRole(role); err != nil {
-			return nil, fmt.Errorf("invalid route parameter: %w", err)
-		}
+	routes, err := config.ParseRoutes(raw)
+	if err != nil {
+		return nil, fmt.Errorf("invalid route parameter: %w", err)
+	}
+	for _, backend := range routes {
 		if _, ok := s.rt.Registry().Get(backend); !ok {
 			return nil, fmt.Errorf("invalid route parameter: backend %q not declared", backend)
 		}
-		out[role] = backend
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("invalid route parameter %q: no role=backend pairs", raw)
-	}
-	return out, nil
+	return routes, nil
 }
 
 // congested reports whether this instant looks like backpressure, the

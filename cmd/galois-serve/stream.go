@@ -112,17 +112,8 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 	defer st.Close()
 
 	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.stallTimeout, mode: mode}
-	sch := st.Schema()
-	head := streamHeader{
-		Type:    "header",
-		Columns: make([]string, sch.Len()),
-		Types:   make([]string, sch.Len()),
-		Cached:  cachedJSON(st.Cached()),
-	}
-	for i, c := range sch.Columns {
-		head.Columns[i] = c.QualifiedName()
-		head.Types[i] = c.Type.String()
-	}
+	head := streamHeader{Type: "header", Cached: cachedJSON(st.Cached())}
+	head.Columns, head.Types = columnsJSON(st.Schema())
 	if fw.frame("header", head) != nil {
 		return
 	}
@@ -138,12 +129,8 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 			fw.frame("error", streamFailure{Type: "error", Error: err.Error()})
 			return
 		}
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
 		rows++
-		if fw.frame("row", streamRow{Type: "row", Cells: cells, VTMS: float64(vt) / float64(time.Millisecond)}) != nil {
+		if fw.frame("row", streamRow{Type: "row", Cells: cellsJSON(row), VTMS: float64(vt) / float64(time.Millisecond)}) != nil {
 			// The pipe is dead; the deferred Close stops upstream prompt
 			// issue and frees the tenant's slots.
 			return
@@ -156,18 +143,7 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 		fw.frame("error", streamFailure{Type: "error", Error: err.Error()})
 		return
 	}
-	tail := streamStats{
-		Type:     "stats",
-		RowCount: rows,
-		Stats: queryStats{
-			Prompts:            rep.Stats.Prompts,
-			PromptTokens:       rep.Stats.PromptTokens,
-			CompletionTokens:   rep.Stats.CompletionTokens,
-			CacheHits:          rep.Stats.CacheHits,
-			CacheMisses:        rep.Stats.CacheMisses,
-			SimulatedLatencyMS: float64(rep.Stats.SimulatedLatency) / float64(time.Millisecond),
-		},
-	}
+	tail := streamStats{Type: "stats", RowCount: rows, Stats: statsJSON(rep)}
 	if wantPlan {
 		tail.Plan = rep.Plan
 	}

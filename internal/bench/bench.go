@@ -7,6 +7,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/clean"
@@ -106,6 +107,31 @@ func (r *Runner) RuntimeFromConfig(cfg *config.Config, opts core.Options) (*core
 		return nil, err
 	}
 	return r.bind(rt)
+}
+
+// RuntimeFor builds the runtime the CLIs' -model/-config pair selects:
+// the backends configPath declares when it is set, the named simulated
+// model otherwise. It also returns the one-line description of the
+// model(s) the CLIs print.
+func (r *Runner) RuntimeFor(model, configPath string, opts core.Options) (*core.Runtime, string, error) {
+	if configPath == "" {
+		profile, ok := simllm.ProfileByName(model)
+		if !ok {
+			return nil, "", fmt.Errorf("unknown model %q (want flan, tk, gpt3 or chatgpt)", model)
+		}
+		rt, err := r.Runtime(r.Model(profile), opts)
+		return rt, fmt.Sprintf("%s (%s)", profile.DisplayName, profile.Params), err
+	}
+	cfg, err := config.Load(configPath)
+	if err != nil {
+		return nil, "", err
+	}
+	rt, err := r.RuntimeFromConfig(cfg, opts)
+	names := make([]string, len(cfg.Backends))
+	for i, b := range cfg.Backends {
+		names[i] = b.Name + "=" + b.Model
+	}
+	return rt, "routed: " + strings.Join(names, ", "), err
 }
 
 // GroundTruth executes a query on the DBMS (result b in Section 5).

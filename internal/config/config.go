@@ -1,5 +1,6 @@
 // Package config loads the engine's multi-backend routing declaration
-// — the `galois.yaml` the CLIs accept via -config. The file names the
+// — the `galois.yaml` the CLIs accept via -config — and parses the
+// per-session route overrides (ParseRoutes). The file names the
 // model backends (each with its own scheduler budget, optimizer pricing
 // and failover chain), the default backend, and the role routes:
 //
@@ -274,6 +275,34 @@ func (cfg *Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// ParseRoutes parses per-session route overrides,
+// "role=backend[,role=backend...]" (galois -route, galois-serve
+// ?route=), checking the format and each role's spelling; a repeated
+// role keeps its last backend. Whether a backend is declared is the
+// runtime's registry to say.
+func ParseRoutes(s string) (map[string]string, error) {
+	out := map[string]string{}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		role, backend, ok := strings.Cut(part, "=")
+		role, backend = strings.TrimSpace(role), strings.TrimSpace(backend)
+		if !ok || role == "" || backend == "" {
+			return nil, fmt.Errorf("route entry %q: want role=backend", part)
+		}
+		if _, err := llm.ParseRole(role); err != nil {
+			return nil, err
+		}
+		out[role] = backend
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no role=backend pairs in %q", s)
+	}
+	return out, nil
 }
 
 // stripComment removes a trailing '#' comment (quotes are not honored —

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/llm"
 )
 
 const sample = `
@@ -115,4 +117,80 @@ func TestParseQuotedAndBareList(t *testing.T) {
 	if cfg.Default != "" {
 		t.Fatalf("Default = %q, want first-declared semantics (empty)", cfg.Default)
 	}
+}
+
+func TestParseRoutes(t *testing.T) {
+	cases := []struct {
+		in   string
+		want map[string]string
+		frag string // error fragment; "" = must parse
+	}{
+		{"keyscan=cheap", map[string]string{"keyscan": "cheap"}, ""},
+		{" keyscan = cheap , filter=strong,", map[string]string{"keyscan": "cheap", "filter": "strong"}, ""},
+		{"fetch=a,fetch=b", map[string]string{"fetch": "b"}, ""},
+		{"verify=a,,filter=b", map[string]string{"verify": "a", "filter": "b"}, ""},
+		{"", nil, "no role=backend pairs"},
+		{" , ", nil, "no role=backend pairs"},
+		{"keyscan", nil, "want role=backend"},
+		{"keyscan=", nil, "want role=backend"},
+		{"=cheap", nil, "want role=backend"},
+		{"scan=cheap", nil, "unknown prompt role"},
+		{"Keyscan=cheap", nil, "unknown prompt role"},
+	}
+	for _, tc := range cases {
+		got, err := ParseRoutes(tc.in)
+		if tc.frag != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.frag) {
+				t.Errorf("ParseRoutes(%q) error = %v, want fragment %q", tc.in, err, tc.frag)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseRoutes(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// FuzzConfigParse: the decoder never panics, and a config it accepts
+// names only declared backends as its default, route targets and
+// fallbacks. ParseRoutes never panics on the same input, and what it
+// accepts has valid roles and non-empty backend names.
+func FuzzConfigParse(f *testing.F) {
+	repoConfig, err := os.ReadFile(filepath.Join("..", "..", "galois.yaml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(repoConfig))
+	f.Add(sample)
+	f.Add("keyscan=cheap,filter=strong")
+	f.Fuzz(func(t *testing.T, src string) {
+		if cfg, err := Parse(src); err == nil {
+			declared := map[string]bool{}
+			for _, b := range cfg.Backends {
+				declared[b.Name] = true
+			}
+			if cfg.Default != "" && !declared[cfg.Default] {
+				t.Errorf("default %q not declared", cfg.Default)
+			}
+			for role, target := range cfg.Routes {
+				if !declared[target] {
+					t.Errorf("route %s -> %q not declared", role, target)
+				}
+			}
+			for _, b := range cfg.Backends {
+				for _, fb := range b.Fallback {
+					if !declared[fb] {
+						t.Errorf("backend %q fallback %q not declared", b.Name, fb)
+					}
+				}
+			}
+		}
+		if routes, err := ParseRoutes(src); err == nil {
+			for role, backend := range routes {
+				if _, err := llm.ParseRole(role); err != nil || backend == "" {
+					t.Errorf("ParseRoutes accepted %q=%q", role, backend)
+				}
+			}
+		}
+	})
 }

@@ -30,11 +30,15 @@ import (
 	"repro/internal/clean"
 	"repro/internal/llm"
 	"repro/internal/optimizer"
+	"repro/internal/rescache"
 )
 
 // Options configure a Runtime and the Sessions opened on it. Most fields
-// are session-tier (each session may differ); CacheEnabled/CacheSize and
-// BatchWorkers-as-scheduler-budget are runtime-tier, fixed at NewRuntime.
+// are session-tier (each session may differ); the runtime-tier ones are
+// fixed at NewRuntime: CacheEnabled/CacheSize, the ResultCache* fields,
+// BatchWorkers as the scheduler's budget, and the transport's Retries,
+// RetryBackoff, PromptTimeout, BreakerThreshold and BreakerCooldown.
+// BindFlags declares the CLI-settable ones as flags.
 type Options struct {
 	// Optimizer selects plan rewrites, including the prompt-pushdown
 	// ablation.
@@ -90,8 +94,8 @@ type Options struct {
 	// epoch of the component they touch, invalidating exactly the
 	// entries reading it. Runtime-tier, fixed at NewRuntime. Default
 	// off (the paper configuration and the engine defaults report fresh
-	// per-query statistics); galois-serve enables it by default via
-	// -result-cache.
+	// per-query statistics); ServeOptions, the CLIs' starting point,
+	// turns it on.
 	ResultCacheEnabled bool
 	// ResultCacheSize caps the number of relations the result cache
 	// retains (0 means rescache.DefaultSize).
@@ -100,16 +104,14 @@ type Options struct {
 	// result cache's relations; the LRU evicts past it (0 means
 	// unlimited — only ResultCacheSize bounds it).
 	ResultCacheBytes int
-	// Resilient turns on the fault-tolerant LLM transport: the runtime
-	// wraps its primary client — and, memoized, any session verifier —
-	// in an llm.ResilientClient adding per-attempt deadlines, bounded
-	// deterministic-jitter retries, a per-endpoint circuit breaker and a
-	// token-bucket retry budget. Retries happen inside one recorded
-	// call, so fault-free accounting (prompts, cache counters, simulated
-	// makespan) is bit-identical with or without the wrapper. Runtime-
-	// tier, fixed at NewRuntime. Default on (DefaultOptions); off
-	// reproduces the fail-fast transport of the earlier engine.
-	Resilient bool
+	// The runtime wraps every backend — and, memoized, any session
+	// verifier — in an llm.ResilientClient: per-attempt deadlines,
+	// bounded deterministic-jitter retries, a per-endpoint circuit
+	// breaker and a token-bucket retry budget. Retries happen inside one
+	// recorded call, so fault-free accounting (prompts, cache counters,
+	// simulated makespan) is what an unwrapped client would report. The
+	// next five fields configure it.
+	//
 	// Retries bounds resubmissions per prompt after a retryable failure
 	// (0 means llm.DefaultMaxRetries; negative disables retries).
 	Retries int
@@ -186,7 +188,8 @@ func DefaultOptions() Options {
 		DefaultSource:     "LLM",
 		Pipelined:         true,
 		CacheEnabled:      true,
-		Resilient:         true,
+		CacheSize:         llm.DefaultCacheSize,
+		ResultCacheSize:   rescache.DefaultSize,
 	}
 }
 

@@ -115,8 +115,10 @@ type Runtime struct {
 
 // NewRuntime builds the shared runtime tier over the given LLM client.
 // opts become the default options of every session opened on it;
-// runtime-tier settings (CacheEnabled/CacheSize, BatchWorkers as the
-// shared scheduler's per-endpoint budget) are fixed here. The client
+// runtime-tier settings (CacheEnabled/CacheSize, the ResultCache*
+// fields, BatchWorkers as the shared scheduler's per-endpoint budget,
+// and the transport's Retries, RetryBackoff, PromptTimeout,
+// BreakerThreshold and BreakerCooldown) are fixed here. The client
 // becomes the sole backend of an implicit registry under its own name;
 // runtimes routing across several models use NewRuntimeWithBackends.
 // A nil client yields an empty registry: DB-only plans run, LLM-bound
@@ -143,8 +145,8 @@ type BackendDef struct {
 	// chains, scheduler pools and error attribution all use it.
 	Name string
 	// Client is the raw transport. The runtime wraps it in its own
-	// ResilientClient (independent breaker, retry budget) unless
-	// resilience is off or the caller pre-wrapped it.
+	// ResilientClient (independent breaker, retry budget) unless the
+	// caller pre-wrapped it.
 	Client llm.Client
 	// Workers overrides the shared scheduler's per-endpoint worker
 	// budget for this backend (0 = the runtime default).
@@ -180,9 +182,6 @@ func NewRuntimeWithBackends(defs []BackendDef, defaultName string, routes map[st
 func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string]string, opts Options) (*Runtime, error) {
 	opts.normalize()
 	wrap := func(inner llm.Client, endpoint string) llm.Client {
-		if !opts.Resilient {
-			return inner
-		}
 		// Never re-wrap: the chaos bench hands in a pre-built
 		// ResilientClient to control its test seams (fake clock, instant
 		// sleep), and double-wrapping would hide its breaker from the
@@ -351,7 +350,7 @@ func (rt *Runtime) SchedulerGauges() llm.SchedulerGauges {
 func (rt *Runtime) Statistics() *optimizer.Statistics { return rt.stats }
 
 // Client exposes the runtime's default backend (its calls traverse that
-// backend's resilient transport when resilience is on). Nil when the
+// backend's resilient transport). Nil when the
 // runtime was built without a client.
 func (rt *Runtime) Client() llm.Client {
 	if b := rt.registry.Default(); b != nil {
@@ -394,7 +393,7 @@ type EndpointHealth struct {
 
 // ResilienceHealth snapshots every resilient endpoint the runtime
 // manages — declared backends plus adopted session verifiers — sorted
-// by endpoint name. Empty when resilience is off.
+// by endpoint name.
 func (rt *Runtime) ResilienceHealth() []EndpointHealth {
 	var out []EndpointHealth
 	for _, b := range rt.registry.All() {

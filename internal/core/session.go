@@ -51,7 +51,8 @@ func (s *Session) Options() Options { return s.opts }
 
 // SetOptions replaces the session's per-query options (plan rewrites,
 // cleaning, verifier, pipelining). Runtime-tier settings — the prompt
-// cache and the shared scheduler's worker budget — are fixed at
+// cache, the result cache, the shared scheduler's worker budget and the
+// transport's retry, timeout and breaker settings — are fixed at
 // NewRuntime and ignored here. Not safe concurrently with Query.
 func (s *Session) SetOptions(opts Options) {
 	opts.normalize()
