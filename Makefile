@@ -39,12 +39,14 @@ benchmark-smoke:
 serve:
 	$(GO) run ./cmd/galois-serve
 
-# Short fuzz smoke of the SQL parser, the simulated model's prompt parser
-# and the galois.yaml decoder (same runs CI does).
+# Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
+# the galois.yaml decoder and the model-answer number decoder (same runs
+# CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
+	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
 
 # Per-package coverage summary.
 cover:

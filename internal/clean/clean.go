@@ -256,13 +256,14 @@ func ParseNumber(s string) (float64, bool) {
 		return 0, false
 	}
 
-	rest := strings.TrimSpace(s[i:])
-	// Scientific notation survives ("1.2e9").
-	if strings.HasPrefix(rest, "e") || strings.HasPrefix(rest, "E") {
-		if full, err := strconv.ParseFloat(strings.ReplaceAll(s[:len(s)], ",", ""), 64); err == nil {
+	// Scientific notation survives ("1.2e9 people"): an exponent is "e",
+	// an optional sign and at least one digit, right after the mantissa.
+	if j := exponentEnd(s, i); j > i {
+		if full, err := strconv.ParseFloat(numTok+s[i:j], 64); err == nil {
 			return full, true
 		}
 	}
+	rest := strings.TrimSpace(s[i:])
 	for _, m := range magnitudes {
 		if rest == m.suffix || strings.HasPrefix(rest, m.suffix+" ") ||
 			strings.HasPrefix(rest, m.suffix+".") || strings.HasPrefix(rest, m.suffix+",") {
@@ -272,6 +273,27 @@ func ParseNumber(s string) (float64, bool) {
 	// Units like "years", "people", "km²", "%" are ignored: the number
 	// stands.
 	return f, true
+}
+
+// exponentEnd returns the end of the exponent that starts at s[i] in the
+// lower-cased s, or i when there is none ("e", "e+" and "eggs" are not
+// exponents).
+func exponentEnd(s string, i int) int {
+	if i >= len(s) || s[i] != 'e' {
+		return i
+	}
+	j := i + 1
+	if j < len(s) && (s[j] == '+' || s[j] == '-') {
+		j++
+	}
+	digits := j
+	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		j++
+	}
+	if j == digits {
+		return i
+	}
+	return j
 }
 
 // ParseDate parses the date surface forms models produce.

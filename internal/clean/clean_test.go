@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"math"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -54,6 +55,15 @@ func TestParseNumber(t *testing.T) {
 		{"12%", 12, true},
 		{"The population of Chicago is 2.7 million.", 2.7e6, true},
 		{"The height of K2 is 8611.", 8611, true}, // digit glued to a letter skipped
+		{"1.2e9", 1.2e9, true},
+		{"1.2e9 people", 1.2e9, true},
+		{"about 3.4E6 km", 3.4e6, true},
+		{"2.5e+12 dollars", 2.5e12, true},
+		{"-4e-3 units", -4e-3, true},
+		{"12 eggs", 12, true},
+		{"5e", 5, true},
+		{"5e+", 5, true},
+		{"7 e9", 7, true},
 		{"no numbers here", 0, false},
 		{"", 0, false},
 		{"K2", 0, false},
@@ -80,6 +90,40 @@ func TestParseNumberCommasRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseNumber throws arbitrary model answers at the numeric decoder.
+// It must never panic, and it must read back every finite float the way
+// strconv's shortest 'g' form prints it, bare or followed by a unit.
+//
+// Run with: go test -run '^$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
+func FuzzParseNumber(f *testing.F) {
+	seeds := []struct {
+		s string
+		x float64
+	}{
+		{"1.2 million", 1.2e6},
+		{"about 3.4E6 km", 3.4e21},
+		{"$5,400", -1.5e-7},
+		{"The height of K2 is 8611.", 8611},
+		{"5e", 5e-324},
+		{"12 eggs", math.MaxFloat64},
+	}
+	for _, s := range seeds {
+		f.Add(s.s, s.x)
+	}
+	f.Fuzz(func(t *testing.T, s string, x float64) {
+		ParseNumber(s)
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return
+		}
+		g := strconv.FormatFloat(x, 'g', -1, 64)
+		for _, in := range []string{g, g + " units"} {
+			if got, ok := ParseNumber(in); !ok || got != x {
+				t.Errorf("ParseNumber(%q) = %g, %v; want %g, true", in, got, ok, x)
+			}
+		}
+	})
 }
 
 func commaFormat(n int64) string {

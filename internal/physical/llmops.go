@@ -94,10 +94,11 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 }
 
 // scanPage parses one list-prompt response, appending keys not seen on
-// earlier pages to *keys. done reports a Done/Unknown termination marker.
+// earlier pages to *keys. done reports a Done/Unknown termination marker,
+// recognized through list markers and punctuation ("- Done.").
 func scanPage(resp string, cleaner *clean.Cleaner, seen map[string]bool, keys *[]string) (added int, done bool) {
-	trimmed := strings.TrimSpace(resp)
-	if strings.EqualFold(trimmed, prompt.DoneMarker) || strings.EqualFold(trimmed, prompt.UnknownMarker) {
+	stripped := clean.Strip(resp)
+	if strings.EqualFold(stripped, prompt.DoneMarker) || strings.EqualFold(stripped, prompt.UnknownMarker) {
 		return 0, true
 	}
 	for _, item := range clean.SplitList(resp) {
@@ -209,13 +210,14 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	if c.Verifier != nil {
 		perRow = 2
 	}
+	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
+	attrPrompt := func(r pipeRow) string {
+		return pre + r.row[f.node.KeyCol].String() + post
+	}
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
 		defer input.Close()
-		attrPrompt := func(r pipeRow) string {
-			return c.Prompts.Attr(f.node.Table.Name, r.row[f.node.KeyCol].String(), f.node.Attr)
-		}
 		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
 			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
 			w := c.Scheduler.Wave()
@@ -341,8 +343,9 @@ func (f *llmFilterOp) Open(c *Context) error {
 	f.pc = c
 	ref := f.node.Cond.Left.(*ast.ColumnRef)
 	lit := f.node.Cond.Right.(*ast.Literal)
-	opPhrase := prompt.OpPhrase(f.node.Cond.Op)
-	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, lit.Val.String())
+	litText := lit.Val.String()
+	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
+	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)
 	client := c.ClientFor(llm.RoleFilter, f.node.Table.Backend)
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
@@ -352,8 +355,7 @@ func (f *llmFilterOp) Open(c *Context) error {
 			c.Metrics.Add(f.node, len(rows), len(rows), 0)
 			w := c.Scheduler.Wave()
 			for i := range rows {
-				key := rows[i].row[f.node.KeyCol].String()
-				p := c.Prompts.Filter(f.node.Table.Name, key, ref.Name, opPhrase, lit.Val.String())
+				p := pre + rows[i].row[f.node.KeyCol].String() + post
 				rows[i].main = w.Submit(client, p, rows[i].vt, class)
 			}
 			if err := w.Settle(); err != nil {

@@ -156,6 +156,24 @@ func (d *dynamicLLM) Complete(ctx context.Context, p string) (string, error) {
 	return d.f(p), nil
 }
 
+// TestScanPageMarkerPunctuation: a termination marker with punctuation or
+// a list bullet still ends the scan; it never becomes a key that would
+// then get fetch prompts of its own.
+func TestScanPageMarkerPunctuation(t *testing.T) {
+	cleaner := clean.New(clean.DefaultOptions())
+	for _, resp := range []string{"Done", "Done.", " unknown. ", "- Done", "\n* DONE;\n"} {
+		var keys []string
+		added, done := scanPage(resp, cleaner, map[string]bool{}, &keys)
+		if !done || added != 0 || len(keys) != 0 {
+			t.Errorf("scanPage(%q) = added %d, done %v, keys %q; want a termination marker", resp, added, done, keys)
+		}
+	}
+	var keys []string
+	if added, done := scanPage("- Alpha\n- Done Deal", cleaner, map[string]bool{}, &keys); done || added != 2 {
+		t.Errorf("a page of keys = added %d, done %v, keys %q", added, done, keys)
+	}
+}
+
 func TestLLMKeyScanUnknown(t *testing.T) {
 	client := (&scriptedLLM{}).on("towns", "Unknown")
 	scan := logical.NewScan(townDef(), "t", "LLM")

@@ -130,39 +130,31 @@ func (b *Builder) KeyList(relation, keyAttr string, conds []Condition, exclude [
 // Attr builds the per-key attribute fetch prompt: "What is the birth date
 // of the politician B. Obama? Answer with only the value."
 func (b *Builder) Attr(relation, key, attr string) string {
-	var s strings.Builder
-	s.WriteString(AttrAnchor)
-	s.WriteByte(' ')
-	s.WriteString(Humanize(attr))
-	s.WriteString(" of the ")
-	s.WriteString(Humanize(relation))
-	s.WriteByte(' ')
-	s.WriteString(key)
-	s.WriteString("? ")
-	s.WriteString(ValueFormat)
-	s.WriteString(" If unknown, answer " + UnknownMarker + ".")
-	return b.wrap(s.String())
+	pre, post := b.AttrTemplate(relation, attr)
+	return pre + key + post
+}
+
+// AttrTemplate returns the text of Attr's prompt before and after the key,
+// so an operator fetching one attribute for many keys builds the template
+// once and each prompt with one concatenation.
+func (b *Builder) AttrTemplate(relation, attr string) (pre, post string) {
+	return b.wrap(AttrAnchor + " " + Humanize(attr) + " of the " + Humanize(relation) + " "),
+		"? " + ValueFormat + " If unknown, answer " + UnknownMarker + "."
 }
 
 // Filter builds the per-key boolean selection prompt, instantiating the
 // paper's template "Has relationName keyName attributeName operator
 // value?" — e.g. "Has politician B. Obama age less than 40?".
 func (b *Builder) Filter(relation, key, attr, opPhrase, val string) string {
-	var s strings.Builder
-	s.WriteString(FilterAnchor)
-	s.WriteByte(' ')
-	s.WriteString(Humanize(relation))
-	s.WriteByte(' ')
-	s.WriteString(key)
-	s.WriteByte(' ')
-	s.WriteString(Humanize(attr))
-	s.WriteByte(' ')
-	s.WriteString(opPhrase)
-	s.WriteByte(' ')
-	s.WriteString(val)
-	s.WriteString("? ")
-	s.WriteString(YesNoFormat)
-	return b.wrap(s.String())
+	pre, post := b.FilterTemplate(relation, attr, opPhrase, val)
+	return pre + key + post
+}
+
+// FilterTemplate returns the text of Filter's prompt before and after the
+// key, as AttrTemplate does for Attr.
+func (b *Builder) FilterTemplate(relation, attr, opPhrase, val string) (pre, post string) {
+	return b.wrap(FilterAnchor + " " + Humanize(relation) + " "),
+		" " + Humanize(attr) + " " + opPhrase + " " + val + "? " + YesNoFormat
 }
 
 // Question builds the plain QA prompt for the T_M baseline.

@@ -56,6 +56,41 @@ func TestFilterPromptPaperTemplate(t *testing.T) {
 	}
 }
 
+// TestTemplatesMatchPrompts: an operator that builds pre+key+post from a
+// template sends exactly the prompt Attr/Filter build, and both keep the
+// wording the simulated model parses, with and without the preamble.
+func TestTemplatesMatchPrompts(t *testing.T) {
+	cases := []struct{ rel, attr, humanRel, humanAttr string }{
+		{"city", "population", "city", "population"},
+		{"world_city", "independence_year", "world city", "independence year"},
+		{"mayor", "birthDate", "mayor", "birth date"},
+	}
+	for _, preamble := range []string{"", FewShotPreamble + "\n"} {
+		b := &Builder{IncludePreamble: preamble != ""}
+		for _, c := range cases {
+			for _, key := range []string{"B. Obama", "São Paulo"} {
+				want := preamble + "What is the " + c.humanAttr + " of the " + c.humanRel + " " + key +
+					"? Answer with only the value. If unknown, answer Unknown."
+				pre, post := b.AttrTemplate(c.rel, c.attr)
+				if got := pre + key + post; got != want {
+					t.Errorf("AttrTemplate(%s, %s) + %q =\n%q\nwant\n%q", c.rel, c.attr, key, got, want)
+				}
+				if got := b.Attr(c.rel, key, c.attr); got != want {
+					t.Errorf("Attr(%s, %q, %s) =\n%q\nwant\n%q", c.rel, key, c.attr, got, want)
+				}
+				want = preamble + "Has " + c.humanRel + " " + key + " " + c.humanAttr + " less than 40? Answer yes or no."
+				pre, post = b.FilterTemplate(c.rel, c.attr, "less than", "40")
+				if got := pre + key + post; got != want {
+					t.Errorf("FilterTemplate(%s, %s) + %q =\n%q\nwant\n%q", c.rel, c.attr, key, got, want)
+				}
+				if got := b.Filter(c.rel, key, c.attr, "less than", "40"); got != want {
+					t.Errorf("Filter(%s, %q, %s) =\n%q\nwant\n%q", c.rel, key, c.attr, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPreambleIncluded(t *testing.T) {
 	b := NewBuilder()
 	got := b.KeyList("city", "name", nil, nil)

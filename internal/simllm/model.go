@@ -2,11 +2,10 @@ package simllm
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/clean"
 	"repro/internal/value"
@@ -18,9 +17,11 @@ import (
 // after construction and every random decision is a pure hash of
 // (seed, model, inputs).
 type Model struct {
-	profile   Profile
-	world     *world.World
-	seed      int64
+	profile Profile
+	world   *world.World
+	// hseed is the FNV-1a state after hashing "<seed>|<model id>", the
+	// prefix every h64 shares.
+	hseed     uint64
 	questions map[string]QuerySpec
 }
 
@@ -29,7 +30,7 @@ func New(p Profile, w *world.World, seed int64) *Model {
 	return &Model{
 		profile:   p,
 		world:     w,
-		seed:      seed,
+		hseed:     fnvString(fnvOffset64, strconv.FormatInt(seed, 10)+"|"+p.ID),
 		questions: map[string]QuerySpec{},
 	}
 }
@@ -67,15 +68,46 @@ func (m *Model) Complete(ctx context.Context, promptText string) (string, error)
 
 // ------------------------------------------------------------ determinism
 
-// h64 hashes the seed, model id and parts with FNV-1a.
-func (m *Model) h64(parts ...string) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", m.seed, m.profile.ID)
-	for _, p := range parts {
-		h.Write([]byte{0x1f})
-		h.Write([]byte(strings.ToLower(p)))
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvString continues an FNV-1a hash h over the bytes of s.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	return h.Sum64()
+	return h
+}
+
+// fnvLower continues h over strings.ToLower(s). It lower-cases ASCII
+// inline and hands anything else to strings.ToLower, so only a string
+// with non-ASCII bytes allocates.
+func fnvLower(h uint64, s string) uint64 {
+	start := h
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return fnvString(start, strings.ToLower(s))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// h64 hashes the seed, model id and parts with FNV-1a: the prefix
+// "<seed>|<model id>", then per part a 0x1f separator and the lower-cased
+// part.
+func (m *Model) h64(parts ...string) uint64 {
+	h := m.hseed
+	for _, p := range parts {
+		h = fnvLower((h^0x1f)*fnvPrime64, p)
+	}
+	return h
 }
 
 // h01 maps a hash to [0,1).

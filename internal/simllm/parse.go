@@ -65,10 +65,11 @@ func normKey(s string) string {
 // canon resolves alias spellings of entity names to their canonical form:
 // the model's understanding is tolerant even when its output is not.
 func (m *Model) canon(key string) string {
-	if c, ok := m.world.Aliases()[strings.ToLower(strings.TrimSpace(key))]; ok {
+	key = strings.TrimSpace(key)
+	if c, ok := m.world.Alias(strings.ToLower(key)); ok {
 		return c
 	}
-	return strings.TrimSpace(key)
+	return key
 }
 
 // handleList answers key-retrieval prompts, including the "more results"

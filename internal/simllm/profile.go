@@ -7,6 +7,14 @@
 // popularity-biased recall, hallucinated facts, surface-form variance
 // (alpha-2 vs alpha-3 country codes, "1.2 million"), response truncation
 // with "more results" fatigue, chatty wrapping, and weak mental arithmetic.
+//
+// The models are hosted inside galois-serve, so every completion's CPU is
+// counted in the server's own CPU per query (the repository benchmark's
+// server_cpu_ms_per_query), not in a remote backend. A completion therefore
+// costs only time linear in the prompt's length, plus one pass over the
+// relation's keys for a list prompt: the world's tables are read in place,
+// never copied, and a random decision is one hash that allocates only for
+// non-ASCII text.
 package simllm
 
 // Profile parameterizes one simulated model. All probabilities are in

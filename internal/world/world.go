@@ -247,8 +247,16 @@ func (w *World) AltSurface(rel, k, attr string) (string, bool) {
 	return s, ok
 }
 
-// Aliases returns alternate-spelling → canonical pairs for the data
-// cleaner's canonicalizer.
+// Alias returns the canonical form of one alternate spelling, which must
+// already be lower-cased. It reads the alias table in place: the table is
+// never written after Build, so concurrent callers need no lock.
+func (w *World) Alias(lowered string) (string, bool) {
+	c, ok := w.aliases[lowered]
+	return c, ok
+}
+
+// Aliases returns a copy of the alternate-spelling → canonical pairs, for
+// building the data cleaner's canonicalizer.
 func (w *World) Aliases() map[string]string {
 	out := make(map[string]string, len(w.aliases))
 	for k, v := range w.aliases {

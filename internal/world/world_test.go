@@ -115,6 +115,24 @@ func TestAltsAndAliases(t *testing.T) {
 	}
 }
 
+// TestAliasAgreesWithAliases: the in-place lookup answers exactly what the
+// copied table holds, entry by entry and on a miss.
+func TestAliasAgreesWithAliases(t *testing.T) {
+	w := Build()
+	aliases := w.Aliases()
+	if len(aliases) == 0 {
+		t.Fatal("no aliases")
+	}
+	for k, want := range aliases {
+		if got, ok := w.Alias(k); !ok || got != want {
+			t.Errorf("Alias(%q) = %q, %v; Aliases() has %q", k, got, ok, want)
+		}
+	}
+	if got, ok := w.Alias("atlantis"); ok {
+		t.Errorf("Alias(atlantis) = %q, want a miss", got)
+	}
+}
+
 func TestRefTargets(t *testing.T) {
 	w := Build()
 	cases := map[[2]string]string{
