@@ -17,8 +17,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The root package's end-to-end benchmarks, then the scheduler's own
+# (BenchmarkSchedulerMiss: the per-prompt cost of a model miss).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from
@@ -40,13 +42,14 @@ serve:
 	$(GO) run ./cmd/galois-serve
 
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
-# the galois.yaml decoder and the model-answer number decoder (same runs
-# CI does).
+# the galois.yaml decoder, the model-answer number decoder and the token
+# counter (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
+	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
 
 # Per-package coverage summary.
 cover:

@@ -105,6 +105,88 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 	goroutinesAtMost(t, baseline)
 }
 
+// TestSchedulerSlotGoroutineReuse: while a tenant is open, a miss runs
+// on a parked slot goroutine instead of a fresh one, so sequential
+// misses never hold more goroutines than the endpoint has slots.
+func TestSchedulerSlotGoroutineReuse(t *testing.T) {
+	const workers = 4
+	baseline := runtime.NumGoroutine()
+	s := NewScheduler(nil, workers)
+	tn := s.Tenant(context.Background(), "seq")
+	client := &echoLLM{name: "ep", answer: "ok"}
+	for i := 0; i < 200; i++ {
+		if _, _, err := tn.Do(client, fmt.Sprintf("p%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > baseline+workers+2 {
+			t.Fatalf("miss %d: %d goroutines, baseline %d, %d slots", i, n, baseline, workers)
+		}
+	}
+	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
+	if n := parked(s, "ep"); n < 1 || n > workers {
+		t.Errorf("%d parked slot goroutines after the misses, want 1..%d", n, workers)
+	}
+	tn.Close()
+	goroutinesAtMost(t, baseline)
+}
+
+// parked reports the slot goroutines parked on one endpoint.
+func parked(s *Scheduler, model string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ep, ok := s.endpoints[model]; ok {
+		return len(ep.idle)
+	}
+	return 0
+}
+
+// TestSchedulerSlotGoroutinesRetire: parked slot goroutines stay while
+// any tenant is open, never more than the endpoint's slots, and the
+// last Close retires them all.
+func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
+	const workers = 4
+	baseline := runtime.NumGoroutine()
+	s := NewScheduler(nil, workers)
+	var running atomic.Int32
+	release := make(chan struct{})
+	gated := clientFunc("ep", func(ctx context.Context, prompt string) (string, error) {
+		running.Add(1)
+		<-release
+		return "ok", nil
+	})
+	a := s.Tenant(context.Background(), "a")
+	b := s.Tenant(context.Background(), "b")
+	var futures []*Future
+	for i := 0; i < 8; i++ {
+		futures = append(futures, a.Submit(gated, fmt.Sprintf("a%d", i), 0), b.Submit(gated, fmt.Sprintf("b%d", i), 0))
+	}
+	waitDrained(t, "slot fill", func() bool { return running.Load() == workers })
+	close(release)
+	for _, f := range futures {
+		if _, _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
+
+	a.Close()
+	if n := parked(s, "ep"); n < 1 || n > workers {
+		t.Errorf("one tenant open: %d parked slot goroutines, want 1..%d", n, workers)
+	}
+	if n := runtime.NumGoroutine(); n > baseline+workers+2 {
+		t.Errorf("one tenant open: %d goroutines, baseline %d", n, baseline)
+	}
+
+	b.Close()
+	if n := parked(s, "ep"); n != 0 {
+		t.Errorf("no tenant open: %d parked slot goroutines", n)
+	}
+	goroutinesAtMost(t, baseline)
+	if s.Busy() != 0 || s.Queued() != 0 {
+		t.Errorf("Busy() = %d, Queued() = %d after the last Close", s.Busy(), s.Queued())
+	}
+}
+
 // TestBatchGoroutineHygieneOnFailure: a stop-and-go wave aborted by one
 // failing prompt must cancel its siblings at the model, send none of its
 // queued prompts, and leave no worker goroutines or singleflight leaders

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DefaultBatchWorkers is the fallback worker budget: the scheduler's
@@ -94,12 +95,23 @@ func (s Stats) String() string {
 // CountTokens approximates a tokenizer with whitespace splitting; good
 // enough for accounting and latency simulation. It equals
 // len(strings.Fields(s)) without building the fields: the count runs on
-// every prompt and completion the engine handles.
+// every prompt and completion the engine handles. ASCII bytes are
+// classified by table; only multi-byte runes (and invalid bytes, which
+// decode to U+FFFD as in strings.Fields) go through unicode.IsSpace.
 func CountTokens(s string) int {
 	n := 0
 	inField := false
-	for _, r := range s {
-		if unicode.IsSpace(r) {
+	for i := 0; i < len(s); {
+		var space bool
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+			i++
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+			i += size
+		}
+		if space {
 			inField = false
 		} else if !inField {
 			inField = true
@@ -108,6 +120,9 @@ func CountTokens(s string) int {
 	}
 	return n
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Latency model constants, set so that a typical Galois query
 // (~110 prompts, mostly batched) lands near the paper's ~20 s.

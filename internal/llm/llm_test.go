@@ -62,6 +62,22 @@ func TestCountTokens(t *testing.T) {
 	_ = sink
 }
 
+// FuzzCountTokens checks the promise of CountTokens' doc comment on
+// arbitrary input: the count is len(strings.Fields(s)).
+func FuzzCountTokens(f *testing.F) {
+	for _, seed := range []string{
+		"", "one two", "bad\xffutf8 \xc3(", "next\u0085line", "nbsp\u00a0sep",
+		"\v\f x", " \t\r\n", "\xe2\x80", "naïve 北京 🌍",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CountTokens(s), len(strings.Fields(s)); got != want {
+			t.Errorf("CountTokens(%q) = %d, strings.Fields has %d", s, got, want)
+		}
+	})
+}
+
 func TestRecorder(t *testing.T) {
 	rec := NewRecorder(&echoClient{})
 	ctx := context.Background()

@@ -160,15 +160,18 @@ type Scheduler struct {
 	endpoints map[string]*endpoint
 	epWorkers map[string]int  // per-endpoint worker overrides (else workers)
 	drained   [nClasses]int64 // queued prompts granted a slot, per class
+	open      int             // tenants opened and not yet closed
 }
 
 // endpoint is the dispatch state of one model API: how many of its
 // worker slots are running prompts (split by admission class for the
-// gauges), and the class bands of prompts waiting for a slot.
+// gauges), the class bands of prompts waiting for a slot, and the slot
+// goroutines parked for the next job. A parked goroutine holds no slot.
 type endpoint struct {
 	busy    int
 	busyCls [nClasses]int
 	bands   [nClasses]band
+	idle    []chan *job
 }
 
 func newEndpoint() *endpoint {
@@ -372,8 +375,10 @@ type job struct {
 // NewScheduler builds an engine-lifetime scheduler. workers bounds, per
 // model endpoint, both the real concurrency of the pool and the
 // connection budget of the latency model (0 or negative means
-// DefaultBatchWorkers). cache may be nil. The scheduler owns no
-// goroutines while idle; it needs no explicit shutdown.
+// DefaultBatchWorkers). cache may be nil. A slot goroutine that runs out
+// of work parks for the next prompt of its endpoint while any tenant is
+// open, and exits when the last one closes: the scheduler owns no
+// goroutines while no tenant is open, and needs no explicit shutdown.
 func NewScheduler(cache *Cache, workers int) *Scheduler {
 	if workers < 1 {
 		workers = DefaultBatchWorkers
@@ -513,7 +518,7 @@ func (s *Scheduler) endpointLocked(model string) *endpoint {
 // in diagnostics; empty auto-generates one.
 //
 // Callers must Close the tenant when the query is done (Close is
-// idempotent and also releases the context watcher).
+// idempotent, and the last Close retires the parked slot goroutines).
 func (s *Scheduler) Tenant(ctx context.Context, tag string) *Tenant {
 	return s.TenantFor(ctx, tag, ClassInteractive, 1)
 }
@@ -539,19 +544,15 @@ func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionCl
 		tag:    tag,
 		class:  class,
 		weight: int64(weight),
-		closed: make(chan struct{}),
 		work:   map[string]time.Duration{},
 	}
 	t.stream = &Wave{t: t, ctx: ctx}
 	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				t.purge(nil, ctx.Err())
-			case <-t.closed:
-			}
-		}()
+		t.unwatch = context.AfterFunc(ctx, func() { t.purge(nil, ctx.Err()) })
 	}
+	s.mu.Lock()
+	s.open++
+	s.mu.Unlock()
 	return t
 }
 
@@ -573,7 +574,9 @@ type Tenant struct {
 
 	inflight sync.WaitGroup // submitted futures not yet resolved
 	once     sync.Once
-	closed   chan struct{}
+	// unwatch stops the purge registered on ctx's cancellation; nil when
+	// ctx cannot be cancelled.
+	unwatch func() bool
 
 	mu   sync.Mutex
 	span VTime                    // latest dependency-chain completion
@@ -762,6 +765,13 @@ func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptCla
 		// queued work of any class.
 		ep.busy++
 		ep.busyCls[t.class]++
+		if n := len(ep.idle); n > 0 {
+			slot := ep.idle[n-1]
+			ep.idle = ep.idle[:n-1]
+			s.mu.Unlock()
+			slot <- j
+			return f
+		}
 		s.mu.Unlock()
 		go s.run(ep, j)
 		return f
@@ -777,22 +787,36 @@ func (t *Tenant) Do(client Client, prompt string, ready VTime) (string, VTime, e
 	return t.Submit(client, prompt, ready).Wait()
 }
 
-// run executes jobs on one granted worker slot: the handed job first,
-// then whatever dispatch hands it next, releasing the slot when the
-// endpoint's bands are empty.
+// run is one slot goroutine of an endpoint. It executes the handed job,
+// then whatever dispatch hands it next. When the endpoint's bands are
+// empty it releases the slot and parks until Submit hands it a job of a
+// newly granted slot, so a warm goroutine, stack already grown, serves
+// the next miss. It exits when no tenant is open, or when the last
+// Close wakes it with nil.
 func (s *Scheduler) run(ep *endpoint, j *job) {
+	var slot chan *job
 	for j != nil {
 		s.exec(j)
 		s.mu.Lock()
 		ep.busyCls[j.t.class]--
 		j = ep.dispatchLocked()
-		if j == nil {
-			ep.busy--
-		} else {
+		if j != nil {
 			ep.busyCls[j.t.class]++
 			s.drained[j.t.class]++
+			s.mu.Unlock()
+			continue
 		}
+		ep.busy--
+		if s.open == 0 {
+			s.mu.Unlock()
+			return
+		}
+		if slot == nil {
+			slot = make(chan *job, 1)
+		}
+		ep.idle = append(ep.idle, slot)
 		s.mu.Unlock()
+		j = <-slot
 	}
 }
 
@@ -832,10 +856,29 @@ func (t *Tenant) purge(w *Wave, err error) {
 	}
 }
 
-// Close releases the tenant: the context watcher exits, and any queued
-// prompts (a cancelled or abandoned query's) are failed. Idempotent.
+// Close releases the tenant: the purge registered on its context is
+// dropped, and any queued prompts (a cancelled or abandoned query's)
+// are failed. Closing the last open tenant wakes every parked slot
+// goroutine to exit. Idempotent.
 func (t *Tenant) Close() {
-	t.once.Do(func() { close(t.closed) })
+	t.once.Do(func() {
+		if t.unwatch != nil {
+			t.unwatch()
+		}
+		s := t.s
+		s.mu.Lock()
+		if s.open--; s.open == 0 {
+			// A parked goroutine's channel is empty, so these sends
+			// cannot block.
+			for _, ep := range s.endpoints {
+				for _, slot := range ep.idle {
+					slot <- nil
+				}
+				ep.idle = nil
+			}
+		}
+		s.mu.Unlock()
+	})
 	t.purge(nil, t.ctx.Err())
 }
 

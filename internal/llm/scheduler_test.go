@@ -583,3 +583,21 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 		t.Errorf("cancelled submit counted a hit: %d", got)
 	}
 }
+
+// BenchmarkSchedulerMiss is the scheduler's cost of one model miss: Submit
+// and Wait on an open tenant, with an instant client and a prompt the
+// size of a few-shot fetch prompt. Run with -benchmem.
+func BenchmarkSchedulerMiss(b *testing.B) {
+	s := NewScheduler(nil, DefaultBatchWorkers)
+	tn := s.Tenant(context.Background(), "bench")
+	defer tn.Close()
+	client := &echoLLM{name: "instant", answer: "ok"}
+	prompt := strings.Repeat("Q: what is the population of Paris? A: 2102650\n", 15) + "Q: what is the population of Rome? A:"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tn.Submit(client, prompt, 0).Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/prompt"
 	"repro/internal/schema"
@@ -227,17 +228,44 @@ func (w *World) Relation(name string) *schema.Relation {
 // the entity or attribute does not exist. Derived attributes resolve
 // through their reference chain.
 func (w *World) Fact(rel, k, attr string) (value.Value, bool) {
-	if v, ok := w.facts[key3(rel, k, attr)]; ok {
+	if v, ok := w.fact(rel, k, attr); ok {
 		return v, true
 	}
 	if d, ok := w.DerivedAttr(rel, attr); ok {
-		mid, ok := w.facts[key3(rel, k, d.Via)]
+		mid, ok := w.fact(rel, k, d.Via)
 		if !ok {
 			return value.Null(), false
 		}
 		return w.Fact(d.Target, mid.String(), d.TargetAttr)
 	}
 	return value.Null(), false
+}
+
+// fact indexes the fact table under key3(rel, k, attr) without building
+// the key string: ASCII parts are lower-cased into a stack buffer, and
+// indexing a map with string(buf) does not allocate. A non-ASCII part
+// falls back to key3, whose strings.ToLower is Unicode-aware.
+func (w *World) fact(rel, k, attr string) (value.Value, bool) {
+	var arr [128]byte
+	buf := arr[:0]
+	for i, part := range [3]string{rel, k, attr} {
+		if i > 0 {
+			buf = append(buf, '|')
+		}
+		for j := 0; j < len(part); j++ {
+			c := part[j]
+			if c >= utf8.RuneSelf {
+				v, ok := w.facts[key3(rel, k, attr)]
+				return v, ok
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf = append(buf, c)
+		}
+	}
+	v, ok := w.facts[string(buf)]
+	return v, ok
 }
 
 // AltSurface returns the registered alternate surface form of a fact

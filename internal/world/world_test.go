@@ -61,6 +61,49 @@ func TestFacts(t *testing.T) {
 	}
 }
 
+// TestFactAgreesWithKey3: the buffer-built lookup finds exactly what the
+// key3 string indexes, for every fact under mixed-case spellings and for
+// a non-ASCII part, and an ASCII hit does not allocate.
+func TestFactAgreesWithKey3(t *testing.T) {
+	w := Build()
+	mixed := func(s string) string {
+		b := []byte(s)
+		for i := 0; i < len(b); i += 2 {
+			if 'a' <= b[i] && b[i] <= 'z' {
+				b[i] -= 'a' - 'A'
+			}
+		}
+		return string(b)
+	}
+	for _, name := range w.Tables() {
+		tbl := w.Table(name)
+		ki := tbl.Def.KeyIndex()
+		for _, row := range tbl.Rows {
+			k := row[ki].String()
+			for _, c := range tbl.Def.Schema.Columns {
+				rel, key, attr := strings.ToUpper(name), mixed(k), mixed(c.Name)
+				want, wok := w.facts[key3(rel, key, attr)]
+				got, ok := w.Fact(rel, key, attr)
+				if ok != wok || !value.Equal(got, want) {
+					t.Fatalf("Fact(%q, %q, %q) = %v, %v; key3 has %v, %v", rel, key, attr, got, ok, want, wok)
+				}
+			}
+		}
+	}
+
+	w.facts[key3("country", "Türkiye", "code")] = value.Text("TUR")
+	if v, ok := w.Fact("Country", "TÜRKIYE", "Code"); !ok || v.AsString() != "TUR" {
+		t.Errorf("non-ASCII Fact = %v, %v; want TUR", v, ok)
+	}
+	if _, ok := w.Fact("country", "Türkei", "code"); ok {
+		t.Error("unknown non-ASCII entity must have no facts")
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { w.Fact("Country", "Italy", "Code") }); allocs != 0 {
+		t.Errorf("ASCII Fact hit allocates: %v allocs per run", allocs)
+	}
+}
+
 func TestKeysByPopularity(t *testing.T) {
 	w := Build()
 	kps := w.KeysByPopularity("country")
