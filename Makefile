@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-artifacts benchmark-smoke serve fuzz cover
+.PHONY: check vet build test race bench bench-artifacts benchmark-smoke serve fuzz cover netlines
 
 check: vet build race
 
@@ -55,3 +55,18 @@ fuzz:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Added, removed and net Go lines of the change since BASE, non-test and
+# test separately, from git diff --numstat. BASE defaults to HEAD, i.e.
+# the uncommitted change (stage new files first: untracked files are not
+# in the diff). With BASE=rev it counts everything since rev, uncommitted
+# changes included.
+BASE ?= HEAD
+netlines:
+	@git diff --numstat $(BASE) -- '*.go' | awk ' \
+		$$1 == "-" { next } \
+		{ k = ($$3 ~ /_test\.go$$/) ? "test" : "non-test"; add[k] += $$1; del[k] += $$2 } \
+		END { \
+			printf "non-test Go: +%d -%d net %d\n", add["non-test"], del["non-test"], add["non-test"] - del["non-test"]; \
+			printf "test Go:     +%d -%d net %d\n", add["test"], del["test"], add["test"] - del["test"] \
+		}'

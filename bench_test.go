@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/llm"
 	"repro/internal/prompt"
 	"repro/internal/simllm"
 	"repro/internal/spider"
@@ -279,12 +278,11 @@ func BenchmarkGroundTruthCorpus(b *testing.B) {
 func BenchmarkQABaseline(b *testing.B) {
 	r := mustRunner(b)
 	model := r.Model(simllm.ChatGPT)
-	rec := llm.NewRecorder(model)
 	q := spider.Queries()[10] // query 11, the independence question
 	builder := prompt.NewBuilder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rec.Complete(context.Background(), builder.Question(q.NL)); err != nil {
+		if _, err := model.Complete(context.Background(), builder.Question(q.NL)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,7 +42,8 @@ type ChaosArm struct {
 	// retries on, every transient profile must heal to zero.
 	FailedQueries int `json:"failed_queries"`
 	// ColdPrompts / HotPrompts count model calls recorded per pass
-	// (retries are not prompts: the Recorder sees one call per success).
+	// (retries are not prompts: a query's tenant counts one call per
+	// success).
 	ColdPrompts int `json:"cold_prompts"`
 	HotPrompts  int `json:"hot_prompts"`
 	// ColdMakespanMS sums per-query simulated makespans of the cold pass.

@@ -201,6 +201,35 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	}
 }
 
+// TestSchedMakespanPerEndpointBudget: with a backend that declares its
+// own worker budget, the report's scheduler snapshot prices each
+// endpoint's work over that budget, so its makespan is the reported
+// simulated latency under both policies.
+func TestSchedMakespanPerEndpointBudget(t *testing.T) {
+	const q = "SELECT name, capital, population FROM country"
+	for _, pipelined := range []bool{false, true} {
+		w := world.Build()
+		opts := DefaultOptions()
+		opts.CacheEnabled = false
+		opts.Pipelined = pipelined
+		rt, err := NewRuntimeWithBackends([]BackendDef{{Name: "gpt3", Client: simllm.New(simllm.GPT3, w, 1), Workers: 2}}, "", nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := rt.NewSession().Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.SimulatedLatency == 0 || rep.Sched.Makespan() != rep.Stats.SimulatedLatency {
+			t.Errorf("pipelined=%v: snapshot makespan %v disagrees with simulated latency %v",
+				pipelined, rep.Sched.Makespan(), rep.Stats.SimulatedLatency)
+		}
+	}
+}
+
 // TestPipelinedLimitQuery: a LIMIT query under the streaming policy
 // terminates early, settles abandoned in-flight prompts before the
 // report is built, and still returns the right rows.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/llm"
 	"repro/internal/optimizer"
@@ -103,110 +102,40 @@ func (s *Session) residentFor(router *llm.Router, overrides map[llm.Role]string)
 	}
 }
 
-// promptEnv is one query's routed transport environment: a routing view
-// with the session's overrides applied, one stats recorder per distinct
-// failover chain (an unrouted runtime degenerates to exactly one), and
-// the resolved verifier. Route resolution is memoized by chain, so every
-// operator sharing a route shares a recorder and the scheduler sees one
-// client identity per chain.
+// promptEnv is one query's routed transport: a routing view with the
+// session's overrides applied, and the resolved verifier.
 type promptEnv struct {
-	s      *Session
-	router *llm.Router
-
-	mu      sync.Mutex
-	byChain map[string]*llm.Recorder
-	recs    []*llm.Recorder
-
-	primary  *llm.Recorder
-	verifier *llm.Recorder // nil when verification is off this session
+	router   *llm.Router
+	verifier llm.Client // nil when verification is off this session
 }
 
-// promptEnv builds the environment for one query's execution.
+// promptEnv builds the transport for one query's execution.
 func (s *Session) promptEnv() (*promptEnv, error) {
 	overrides, err := s.routeOverrides()
 	if err != nil {
 		return nil, err
 	}
-	env := &promptEnv{
-		s:       s,
-		router:  s.rt.registry.Router(overrides),
-		byChain: map[string]*llm.Recorder{},
-	}
-	// The empty role resolves to the default backend's chain: the client
-	// operators fall back to and faults are attributed to by default.
-	env.primary = env.clientFor("", "")
+	env := &promptEnv{router: s.rt.registry.Router(overrides)}
 	if name, ok := s.verifyRoute(overrides); ok && name != "" {
-		env.verifier = env.clientFor(llm.RoleVerify, "")
+		env.verifier = env.client(llm.RoleVerify, "")
 	} else if s.opts.Verifier != nil {
-		adopted := s.rt.registry.Adopt(s.opts.Verifier)
-		rec := llm.NewRecorder(adopted)
-		env.recs = append(env.recs, rec)
-		env.verifier = rec
+		env.verifier = s.rt.registry.Adopt(s.opts.Verifier)
 	}
 	return env, nil
 }
 
-// clientFor resolves one prompt role (plus an optional table-pinned
-// backend) to its recorded, failover-capable client. Roles resolving to
-// the same chain share one recorder; resolution failures fall back to
-// the primary (overrides and pins are validated before execution, so
-// that path is defensive only).
-func (e *promptEnv) clientFor(role llm.Role, tableBackend string) *llm.Recorder {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	chain, err := e.router.Chain(role, tableBackend)
-	if err != nil || len(chain) == 0 {
-		return e.primary
-	}
-	names := make([]string, len(chain))
-	for i, b := range chain {
-		names[i] = b.Name()
-	}
-	key := strings.Join(names, "\x1f")
-	if rec, ok := e.byChain[key]; ok {
-		return rec
-	}
-	client, err := e.router.Client(role, tableBackend)
+// client resolves one prompt role (plus an optional table-pinned
+// backend) to its failover-capable client; the empty role resolves to
+// the default backend's chain. Nil (not a typed-nil interface) when
+// resolution fails — a clientless runtime; overrides and pins are
+// validated before execution — so operators fall back to the primary or
+// report the usual missing-client error.
+func (e *promptEnv) client(role llm.Role, tableBackend string) llm.Client {
+	c, err := e.router.Client(role, tableBackend)
 	if err != nil {
-		return e.primary
+		return nil
 	}
-	rec := llm.NewRecorder(client)
-	e.byChain[key] = rec
-	e.recs = append(e.recs, rec)
-	return rec
-}
-
-// clientForRole adapts clientFor to the physical layer's Route hook
-// signature. A clientless runtime resolves every role to nil (not a
-// typed-nil interface), so operators report the usual missing-client
-// error.
-func (e *promptEnv) clientForRole(role llm.Role, tableBackend string) llm.Client {
-	if rec := e.clientFor(role, tableBackend); rec != nil {
-		return rec
-	}
-	return nil
-}
-
-// primaryClient returns the default-chain client as an interface, nil
-// when the runtime has no backends.
-func (e *promptEnv) primaryClient() llm.Client {
-	if e.primary != nil {
-		return e.primary
-	}
-	return nil
-}
-
-// stats sums the usage of every distinct recorder the query routed
-// prompts through (the verifier's included, counted once even when it
-// shares the primary's chain).
-func (e *promptEnv) stats() llm.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var total llm.Stats
-	for _, rec := range e.recs {
-		total.Add(rec.Stats())
-	}
-	return total
+	return c
 }
 
 // fingerprintRoutes renders the session's route overrides into the

@@ -60,7 +60,6 @@ type Stream struct {
 	// Live execution state (nil when replaying a materialized result).
 	st      *physical.RowStream
 	tenant  *llm.Tenant
-	penv    *promptEnv
 	plan    logical.Node
 	cost    *optimizer.PlanCost
 	metrics *physical.Metrics
@@ -302,10 +301,11 @@ func (s *Session) openResidual(plan logical.Node, cost *optimizer.PlanCost, cs *
 }
 
 // openLive compiles one plan against the base tables and opens it: the
-// query's recorded, routed transport, the verifier, and a tenant on the
+// query's routed transport, the verifier, and a tenant on the
 // engine-global scheduler in the session's admission class and execution
 // policy, whose prompts fair-share the per-endpoint worker budget with
-// every other in-flight query while accounting stays per query.
+// every other in-flight query while the tenant keeps the query's
+// accounting.
 func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	var env *physical.Env
 	if db := s.rt.database(); db != nil {
@@ -319,25 +319,17 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 	if err != nil {
 		return nil, err
 	}
-	// The resilience layer sits below the recorders (retries happen
-	// inside one recorded call), so it attributes per-query faults and
-	// retries through the context rather than the call chain.
-	ctx = llm.WithRecorder(ctx, penv.primary)
-	var verifier llm.Client
-	if penv.verifier != nil {
-		verifier = penv.verifier
-	}
 	metrics := physical.NewMetrics()
 	tenant := s.openTenant(ctx)
 	pctx := &physical.Context{
-		Client:            penv.primaryClient(),
-		Route:             penv.clientForRole,
+		Client:            penv.client("", ""),
+		Route:             penv.client,
 		Prompts:           s.rt.builder,
 		Cleaner:           clean.New(s.opts.Clean),
 		MaxScanIterations: s.opts.MaxScanIterations,
 		Scheduler:         tenant,
 		Metrics:           metrics,
-		Verifier:          verifier,
+		Verifier:          penv.verifier,
 		VerifyTolerance:   s.opts.VerifyTolerance,
 	}
 	st, err := physical.OpenStream(pctx, op)
@@ -351,7 +343,6 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 		schema:  st.Schema(),
 		st:      st,
 		tenant:  tenant,
-		penv:    penv,
 		plan:    plan,
 		cost:    cost,
 		metrics: metrics,
@@ -433,15 +424,12 @@ func (st *Stream) Finish() (*Report, error) {
 		st.tenant.Quiesce()
 	}
 	rep := &Report{Plan: st.explain, Estimate: st.cost, Metrics: st.metrics, Cached: st.cached}
-	if st.penv != nil {
-		rep.Stats = st.penv.stats()
-	}
 	if st.tenant != nil {
-		// Prompts carry no per-call latency on the recorders; the query's
-		// simulated wall-clock is its tenant's makespan as if it ran alone
-		// against the full worker budget (exact per-query attribution
-		// under concurrency), or its wave sum under stop-and-go.
-		rep.Stats.SimulatedLatency += st.tenant.Makespan()
+		// The tenant is the query's accounting. Its simulated wall-clock
+		// is the makespan as if it ran alone against the full worker
+		// budget (exact per-query attribution under concurrency), or its
+		// wave sum under stop-and-go.
+		rep.Stats = st.tenant.Usage()
 		rep.Sched = st.tenant.Stats()
 		st.tenant.Close()
 	}

@@ -199,19 +199,18 @@ func TestWaveCanceledContext(t *testing.T) {
 	}
 }
 
-// TestCompleteCachedThroughRecorder: a repeated prompt through the cache
-// is one model call; the recorder counts the miss and the hit, and the
-// hit costs zero simulated time.
-func TestCompleteCachedThroughRecorder(t *testing.T) {
+// TestCompleteCachedUsage: a repeated prompt through the cache is one
+// model call; the tenant counts the miss and the hit, and the hit costs
+// zero simulated time.
+func TestCompleteCachedUsage(t *testing.T) {
 	client := &echoClient{}
-	rec := NewRecorder(client)
 	tn := waveTenant(context.Background(), NewCache(8), 4)
 
-	first, _, err := tn.Do(rec, "hello world", 0)
+	first, _, err := tn.Do(client, "hello world", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := tn.Do(rec, "hello world", 0)
+	second, _, err := tn.Do(client, "hello world", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +220,12 @@ func TestCompleteCachedThroughRecorder(t *testing.T) {
 	if client.calls != 1 {
 		t.Errorf("client called %d times, want 1", client.calls)
 	}
-	s := rec.Stats()
+	s := tn.Usage()
 	if s.Prompts != 1 || s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Errorf("stats = %+v", s)
+		t.Errorf("usage = %+v", s)
 	}
-	if want := promptLatency(2, 3); tn.Makespan() != want {
-		t.Errorf("latency = %v, want the single call's %v", tn.Makespan(), want)
+	if want := promptLatency(2, 3); s.SimulatedLatency != want {
+		t.Errorf("latency = %v, want the single call's %v", s.SimulatedLatency, want)
 	}
 }
 
@@ -234,30 +233,29 @@ func TestCompleteCachedThroughRecorder(t *testing.T) {
 // to the model and no cache counters move.
 func TestCompleteCachedNilCache(t *testing.T) {
 	client := &echoClient{}
-	rec := NewRecorder(client)
-	out, _, err := waveTenant(context.Background(), nil, 1).Do(rec, "p", 0)
+	tn := waveTenant(context.Background(), nil, 1)
+	out, _, err := tn.Do(client, "p", 0)
 	if err != nil || !strings.HasPrefix(out, "echo:") {
 		t.Fatalf("nil cache must pass through: %q, %v", out, err)
 	}
 	if client.calls != 1 {
 		t.Errorf("calls = %d", client.calls)
 	}
-	if s := rec.Stats(); s.CacheHits != 0 || s.CacheMisses != 0 {
+	if s := tn.Usage(); s.CacheHits != 0 || s.CacheMisses != 0 {
 		t.Errorf("cacheless prompt moved cache counters: %+v", s)
 	}
 }
 
 // TestWaveCachedDedup: a wave of N prompts with K distinct
 // strings issues exactly K client calls, answers stay aligned, the
-// recorder counts K misses and N−K hits, and the wave is priced on the K
+// tenant counts K misses and N−K hits, and the wave is priced on the K
 // issued prompts only.
 func TestWaveCachedDedup(t *testing.T) {
 	client := &echoClient{}
-	rec := NewRecorder(client)
 	tn := waveTenant(context.Background(), NewCache(64), 4)
 
 	prompts := []string{"a", "b", "a", "c", "b", "a", "a", "c"}
-	out, err := runWave(tn, rec, prompts)
+	out, err := runWave(tn, client, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +267,7 @@ func TestWaveCachedDedup(t *testing.T) {
 	if client.calls != 3 {
 		t.Errorf("client called %d times, want 3 distinct prompts", client.calls)
 	}
-	s := rec.Stats()
+	s := tn.Usage()
 	if s.Prompts != 3 || s.CacheMisses != 3 || s.CacheHits != len(prompts)-3 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -283,26 +281,25 @@ func TestWaveCachedDedup(t *testing.T) {
 // already holds issues zero client calls and costs zero simulated time.
 func TestWaveCachedCrossWave(t *testing.T) {
 	client := &echoClient{}
-	rec := NewRecorder(client)
 	tn := waveTenant(context.Background(), NewCache(64), 2)
 
 	prompts := []string{"a", "b", "c"}
-	if _, err := runWave(tn, rec, prompts); err != nil {
+	if _, err := runWave(tn, client, prompts); err != nil {
 		t.Fatal(err)
 	}
-	warm, warmLat := rec.Stats(), tn.Makespan()
-	if _, err := runWave(tn, rec, prompts); err != nil {
+	warm := tn.Usage()
+	if _, err := runWave(tn, client, prompts); err != nil {
 		t.Fatal(err)
 	}
 	if client.calls != 3 {
 		t.Errorf("second wave re-issued prompts: %d calls", client.calls)
 	}
-	s := rec.Stats()
+	s := tn.Usage()
 	if s.Prompts != warm.Prompts {
 		t.Errorf("cached wave must not issue prompts: %d vs %d", s.Prompts, warm.Prompts)
 	}
-	if tn.Makespan() != warmLat {
-		t.Errorf("cached wave must cost zero simulated time: %v vs %v", tn.Makespan(), warmLat)
+	if s.SimulatedLatency != warm.SimulatedLatency {
+		t.Errorf("cached wave must cost zero simulated time: %v vs %v", s.SimulatedLatency, warm.SimulatedLatency)
 	}
 	if s.CacheHits != 3 {
 		t.Errorf("cache hits = %d, want 3", s.CacheHits)

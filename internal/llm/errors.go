@@ -155,7 +155,7 @@ type ctxKey int
 
 const (
 	ctxKeyAttempt ctxKey = iota
-	ctxKeyRecorder
+	ctxKeyTenant
 )
 
 // WithAttempt marks ctx with the zero-based retry attempt of the prompt
@@ -175,20 +175,19 @@ func AttemptFromContext(ctx context.Context) int {
 	return 0
 }
 
-// WithRecorder attaches the query's stats recorder to ctx so layers
-// below the recorder itself (the resilience layer retries inside one
-// recorded call) can attribute faults, retries and breaker sheds to the
-// query that suffered them.
-func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
-	if rec == nil {
-		return ctx
+// chargeResilience attributes fault-recovery work to the query that
+// suffered it: the tenant TenantFor put in the prompt's context. The
+// resilience layer retries inside one call, below the scheduler, so the
+// context is its only path to the query. A call outside any tenant (a
+// health probe) charges nothing.
+func chargeResilience(ctx context.Context, retries, faults, fastFails int) {
+	t, _ := ctx.Value(ctxKeyTenant).(*Tenant)
+	if t == nil {
+		return
 	}
-	return context.WithValue(ctx, ctxKeyRecorder, rec)
-}
-
-// recorderFromContext returns the recorder attached by WithRecorder
-// (nil when none).
-func recorderFromContext(ctx context.Context) *Recorder {
-	rec, _ := ctx.Value(ctxKeyRecorder).(*Recorder)
-	return rec
+	t.mu.Lock()
+	t.usage.Retries += retries
+	t.usage.Faults += faults
+	t.usage.BreakerFastFails += fastFails
+	t.mu.Unlock()
 }

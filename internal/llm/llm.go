@@ -1,8 +1,10 @@
 // Package llm defines the interface Galois uses to talk to a large
-// language model, plus instrumentation (prompt/token accounting, a
-// simulated latency model matching the paper's reported ~110 batched
-// prompts and ~20 s per query) and the engine-global prompt scheduler
-// every query issues its prompts through (Scheduler, Tenant).
+// language model, a simulated latency model matching the paper's reported
+// ~110 batched prompts and ~20 s per query, and the engine-global prompt
+// scheduler every query issues its prompts through (Scheduler, Tenant).
+// A query's Tenant is its accounting: prompts, tokens, cache hits and
+// misses, the transport's retries and faults, and the simulated makespan
+// all accrue on it (Tenant.Usage).
 //
 // The engine never sees anything but this interface: text prompt in, text
 // completion out. The simulated models live in package simllm; a real
@@ -12,7 +14,6 @@ package llm
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -55,7 +56,7 @@ type Stats struct {
 	SimulatedLatency time.Duration
 	// Retries counts prompt attempts resubmitted by the resilience layer
 	// after a retryable failure. Retries never inflate Prompts or
-	// SimulatedLatency — the recorder sees one completed call per
+	// SimulatedLatency — the tenant sees one completed call per
 	// success — so these counters are the only trace fault recovery
 	// leaves in a query's stats.
 	Retries int
@@ -139,87 +140,7 @@ func promptLatency(promptTokens, completionTokens int) time.Duration {
 
 // EstimateLatency exposes the simulated-latency model of one prompt to
 // planners: the cost-based optimizer prices candidate plans with the same
-// per-prompt latency the recorders charge at execution time.
+// per-prompt latency a tenant charges at execution time.
 func EstimateLatency(promptTokens, completionTokens int) time.Duration {
 	return promptLatency(promptTokens, completionTokens)
-}
-
-// Recorder wraps a Client and accumulates Stats. It is safe for
-// concurrent use. Prompts a Tenant issues through it record their counts
-// and tokens here but no latency — the tenant owns wall-clock accounting;
-// direct Complete calls add their latency up.
-type Recorder struct {
-	inner Client
-
-	mu    sync.Mutex
-	stats Stats
-}
-
-// NewRecorder wraps client.
-func NewRecorder(client Client) *Recorder { return &Recorder{inner: client} }
-
-// Name implements Client.
-func (r *Recorder) Name() string { return r.inner.Name() }
-
-// Complete implements Client, recording usage.
-func (r *Recorder) Complete(ctx context.Context, prompt string) (string, error) {
-	out, err := r.inner.Complete(ctx, prompt)
-	if err != nil {
-		return "", err
-	}
-	pt, ct := CountTokens(prompt), CountTokens(out)
-	r.mu.Lock()
-	r.stats.Prompts++
-	r.stats.PromptTokens += pt
-	r.stats.CompletionTokens += ct
-	r.stats.SimulatedLatency += promptLatency(pt, ct)
-	r.mu.Unlock()
-	return out, nil
-}
-
-// Stats returns a snapshot of the accumulated usage.
-func (r *Recorder) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
-
-// Reset clears the accumulated usage.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stats = Stats{}
-}
-
-// recordOverlapped accounts one prompt issued through the scheduler: the
-// prompt and its tokens accrue, but no latency — the tenant owns
-// wall-clock accounting, and the query's makespan is merged into Stats
-// at the end.
-func (r *Recorder) recordOverlapped(pt, ct int) {
-	r.mu.Lock()
-	r.stats.Prompts++
-	r.stats.PromptTokens += pt
-	r.stats.CompletionTokens += ct
-	r.mu.Unlock()
-}
-
-// recordCache accounts prompts answered by (hits) or issued past (misses)
-// the prompt cache. Hits add zero simulated latency.
-func (r *Recorder) recordCache(hits, misses int) {
-	r.mu.Lock()
-	r.stats.CacheHits += hits
-	r.stats.CacheMisses += misses
-	r.mu.Unlock()
-}
-
-// recordResilience attributes fault-recovery work to this query. The
-// resilience layer sits below the recorder (retries happen inside one
-// recorded call), so it reports through the context instead of the call
-// chain; see WithRecorder.
-func (r *Recorder) recordResilience(retries, faults, fastFails int) {
-	r.mu.Lock()
-	r.stats.Retries += retries
-	r.stats.Faults += faults
-	r.stats.BreakerFastFails += fastFails
-	r.mu.Unlock()
 }

@@ -78,26 +78,18 @@ func FuzzCountTokens(f *testing.F) {
 	})
 }
 
-func TestRecorder(t *testing.T) {
-	rec := NewRecorder(&echoClient{})
-	ctx := context.Background()
-	out, err := rec.Complete(ctx, "hello world")
+// TestTenantUsage: an answered prompt counts once on its tenant, with
+// its tokens, and Usage prices it at the tenant's makespan.
+func TestTenantUsage(t *testing.T) {
+	tn := NewScheduler(nil, 2).Tenant(context.Background(), "")
+	defer tn.Close()
+	out, _, err := tn.Do(&echoClient{}, "hello world", 0)
 	if err != nil || !strings.HasPrefix(out, "echo:") {
-		t.Fatalf("Complete = %q, %v", out, err)
+		t.Fatalf("Do = %q, %v", out, err)
 	}
-	s := rec.Stats()
-	if s.Prompts != 1 || s.PromptTokens != 2 || s.CompletionTokens != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.SimulatedLatency <= 0 {
-		t.Error("latency must be positive")
-	}
-	rec.Reset()
-	if rec.Stats().Prompts != 0 {
-		t.Error("Reset failed")
-	}
-	if rec.Name() != "echo" {
-		t.Errorf("Name = %q", rec.Name())
+	want := Stats{Prompts: 1, PromptTokens: 2, CompletionTokens: 3, SimulatedLatency: promptLatency(2, 3)}
+	if got := tn.Usage(); got != want {
+		t.Errorf("usage = %+v, want %+v", got, want)
 	}
 }
 
@@ -196,30 +188,27 @@ func TestWaveEmpty(t *testing.T) {
 	}
 }
 
-// TestWaveThroughRecorder: a wave's prompts and tokens land on
-// the recorder, and its latency is ⌈issued / width⌉ rounds of its
-// slowest prompt — overlapped, not summed.
-func TestWaveThroughRecorder(t *testing.T) {
-	rec := NewRecorder(&echoClient{})
+// TestWaveUsage: a wave's prompts and tokens land on the tenant, and
+// its latency is ⌈issued / width⌉ rounds of its slowest prompt —
+// overlapped, not summed.
+func TestWaveUsage(t *testing.T) {
+	client := &echoClient{}
 	prompts := []string{"a b", "c d e", "f"}
 	tn := waveTenant(context.Background(), nil, 2)
-	out, err := runWave(tn, rec, prompts)
+	out, err := runWave(tn, client, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("outputs = %d", len(out))
 	}
-	s := rec.Stats()
-	if s.Prompts != 3 || s.SimulatedLatency != 0 {
-		t.Errorf("recorder stats = %+v, want 3 prompts and no per-call latency", s)
-	}
 	// Two rounds of the slowest prompt ("c d e" -> "echo: c d e").
-	if want := 2 * promptLatency(3, 4); tn.Makespan() != want {
-		t.Errorf("wave latency = %v, want %v", tn.Makespan(), want)
+	want := Stats{Prompts: 3, PromptTokens: 6, CompletionTokens: 9, SimulatedLatency: 2 * promptLatency(3, 4)}
+	if got := tn.Usage(); got != want {
+		t.Errorf("usage = %+v, want %+v", got, want)
 	}
 	// Waves add up: a second one (a single prompt) costs one more round.
-	if _, err := runWave(tn, rec, []string{"g"}); err != nil {
+	if _, err := runWave(tn, client, []string{"g"}); err != nil {
 		t.Fatal(err)
 	}
 	if want := 2*promptLatency(3, 4) + promptLatency(1, 2); tn.Makespan() != want {

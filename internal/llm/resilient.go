@@ -182,13 +182,14 @@ type ResilienceCounters struct {
 // deterministic-jitter retries, a completion validator, a per-endpoint
 // circuit breaker (closed/open/half-open with a single probe), and a
 // token-bucket retry budget. It implements Client, so it slots between
-// the engine's Recorder and the raw transport: every path that issues
-// prompts — every operator prompt the scheduler runs, cache-miss
-// leaders — traverses it, and because retries happen inside one
-// Complete call, the Recorder above still records exactly one prompt
-// per success. Fair-share accounting and the simulated-makespan math
-// are therefore bit-identical to a fault-free run; the retry overhead
-// shows up only in the resilience counters.
+// the scheduler and the raw transport: every path that issues prompts —
+// every operator prompt the scheduler runs, cache-miss leaders —
+// traverses it, and because retries happen inside one Complete call, the
+// query's tenant still counts exactly one prompt per success.
+// Fair-share accounting and the simulated-makespan math are therefore
+// bit-identical to a fault-free run; the retry overhead shows up only in
+// the resilience counters, which the client also charges to the tenant
+// in the call's context.
 type ResilientClient struct {
 	inner Client
 	cfg   ResilientConfig
@@ -262,9 +263,7 @@ func (r *ResilientClient) Complete(ctx context.Context, prompt string) (string, 
 	probe, err := r.admit()
 	if err != nil {
 		r.breakerFastFails.Add(1)
-		if rec := recorderFromContext(ctx); rec != nil {
-			rec.recordResilience(0, 0, 1)
-		}
+		chargeResilience(ctx, 0, 0, 1)
 		return "", err
 	}
 
@@ -289,9 +288,7 @@ func (r *ResilientClient) Complete(ctx context.Context, prompt string) (string, 
 			return "", err
 		}
 		r.faults.Add(1)
-		if rec := recorderFromContext(ctx); rec != nil {
-			rec.recordResilience(0, 1, 0)
-		}
+		chargeResilience(ctx, 0, 1, 0)
 		lastErr = err
 		if class == ClassPermanent {
 			break
@@ -313,9 +310,7 @@ func (r *ResilientClient) Complete(ctx context.Context, prompt string) (string, 
 			return "", serr
 		}
 		r.retries.Add(1)
-		if rec := recorderFromContext(ctx); rec != nil {
-			rec.recordResilience(1, 0, 0)
-		}
+		chargeResilience(ctx, 1, 0, 0)
 	}
 	r.onFailure(probe)
 	return "", r.withEndpoint(lastErr)

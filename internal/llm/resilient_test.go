@@ -446,19 +446,22 @@ func TestResilientBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestResilientRecorderAttribution: retries and faults land on the
-// query recorder passed through the context, and recorded prompt counts
-// stay identical to a fault-free run.
-func TestResilientRecorderAttribution(t *testing.T) {
+// TestResilientTenantAttribution: retries and faults land on the tenant
+// whose prompt suffered them, and its prompt count stays identical to a
+// fault-free run. A call outside any tenant charges nothing.
+func TestResilientTenantAttribution(t *testing.T) {
 	inner := newScripted(2, Transient(errors.New("blip")))
 	rc := NewResilient(inner, ResilientConfig{MaxRetries: 3, Sleep: instantSleep})
-	rec := NewRecorder(rc)
-	ctx := WithRecorder(context.Background(), rec)
+	tn := NewScheduler(nil, 1).Tenant(context.Background(), "")
+	defer tn.Close()
 
-	if _, err := rec.Complete(ctx, "hello world"); err != nil {
+	if _, _, err := tn.Do(rc, "hello world", 0); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if _, err := rc.Complete(context.Background(), "untenanted"); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	st := rec.Stats()
+	st := tn.Usage()
 	if st.Prompts != 1 {
 		t.Fatalf("Prompts = %d, want 1 — retries must not inflate prompt accounting", st.Prompts)
 	}
@@ -476,22 +479,18 @@ func TestResilientRecorderAttribution(t *testing.T) {
 	}
 }
 
-// TestResilientSchedulerPath: a ResilientClient installed under a
-// Recorder is traversed by the pipelined scheduler (which unwraps the
-// recorder), so faults during pipelined execution are retried and the
-// makespan matches the fault-free run.
+// TestResilientSchedulerPath: a ResilientClient is traversed by the
+// pipelined scheduler, so faults during pipelined execution are retried
+// and the makespan matches the fault-free run.
 func TestResilientSchedulerPath(t *testing.T) {
 	run := func(failures int) (Stats, VTime) {
 		inner := newScripted(failures, Transient(errors.New("blip")))
 		rc := NewResilient(inner, ResilientConfig{MaxRetries: 3, RetryBudgetReserve: 100, Sleep: instantSleep})
-		rec := NewRecorder(rc)
-		sched := NewScheduler(nil, 4)
-		ctx := WithRecorder(context.Background(), rec)
-		tenant := sched.Tenant(ctx, "")
+		tenant := NewScheduler(nil, 4).Tenant(context.Background(), "")
 		defer tenant.Close()
 		futs := make([]*Future, 6)
 		for i := range futs {
-			futs[i] = tenant.Submit(rec, fmt.Sprintf("prompt %d", i), 0)
+			futs[i] = tenant.Submit(rc, fmt.Sprintf("prompt %d", i), 0)
 		}
 		for _, f := range futs {
 			if _, _, err := f.Wait(); err != nil {
@@ -499,7 +498,7 @@ func TestResilientSchedulerPath(t *testing.T) {
 			}
 		}
 		tenant.Quiesce()
-		return rec.Stats(), tenant.Makespan()
+		return tenant.Usage(), tenant.Makespan()
 	}
 
 	cleanStats, cleanSpan := run(0)

@@ -131,8 +131,12 @@ func promptCost(tokens int) int64 {
 // and its verifier, say) are different APIs with independent rate
 // limits, so calls to one never queue behind calls to the other.
 //
-// Latency is accounted per tenant. A streaming tenant (the default) uses
-// a critical-path model; a stop-and-go tenant sums its prompt waves
+// Usage is accounted per tenant, and only there: the tenant counts its
+// prompts, tokens and cache hits and misses as the scheduler answers
+// them, and the resilient transport charges retries and faults to the
+// tenant in the call's context (Tenant.Usage). Latency too is per
+// tenant. A streaming tenant (the default) uses a critical-path model;
+// a stop-and-go tenant sums its prompt waves
 // instead (see SetWaves). Each submitted prompt carries a ready time
 // (the virtual completion time of the prompts it depends on) and
 // finishes at ready + promptLatency. The simulated wall-clock of one
@@ -358,8 +362,8 @@ func (b *band) purge(t *Tenant, w *Wave) []*job {
 
 // job is one queued or running prompt. tokens is the prompt's estimated
 // token count — counted once at Submit, reused by the latency model and
-// the recorder — and cost its deficit-counter price derived from it. wave
-// is the wave the prompt was submitted in.
+// the tenant's usage — and cost its deficit-counter price derived from
+// it. wave is the wave the prompt was submitted in.
 type job struct {
 	t      *Tenant
 	wave   *Wave
@@ -409,13 +413,6 @@ func (s *Scheduler) SetEndpointWorkers(name string, n int) {
 		s.epWorkers = map[string]int{}
 	}
 	s.epWorkers[name] = n
-}
-
-// EndpointWorkers reports the worker budget in effect for one endpoint.
-func (s *Scheduler) EndpointWorkers(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workersForLocked(name)
 }
 
 // workersForLocked resolves one endpoint's worker budget. Callers hold
@@ -527,7 +524,8 @@ func (s *Scheduler) Tenant(ctx context.Context, tag string) *Tenant {
 // deficit weight (values below 1 are clamped to 1). Weight scales the
 // tenant's share of its band: a weight-2 batch tenant drains twice the
 // prompt tokens per rotation of a weight-1 batch tenant. Class is fixed
-// for the tenant's lifetime.
+// for the tenant's lifetime. The tenant's prompts run under ctx with the
+// tenant attached, so the resilient transport can charge them.
 func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionClass, weight int) *Tenant {
 	if tag == "" {
 		tag = fmt.Sprintf("q%d", s.tags.Add(1))
@@ -540,13 +538,13 @@ func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionCl
 	}
 	t := &Tenant{
 		s:      s,
-		ctx:    ctx,
 		tag:    tag,
 		class:  class,
 		weight: int64(weight),
 		work:   map[string]time.Duration{},
 	}
-	t.stream = &Wave{t: t, ctx: ctx}
+	t.ctx = context.WithValue(ctx, ctxKeyTenant, t)
+	t.stream = &Wave{t: t, ctx: t.ctx}
 	if ctx.Done() != nil {
 		t.unwatch = context.AfterFunc(ctx, func() { t.purge(nil, ctx.Err()) })
 	}
@@ -557,8 +555,8 @@ func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionCl
 }
 
 // Tenant is one query's handle on the shared scheduler: prompts are
-// submitted through it, and simulated-latency accounting accrues on it.
-// Safe for concurrent use by the query's operators.
+// submitted through it, and the query's usage and simulated latency
+// accrue on it. Safe for concurrent use by the query's operators.
 type Tenant struct {
 	s      *Scheduler
 	ctx    context.Context
@@ -578,9 +576,10 @@ type Tenant struct {
 	// ctx cannot be cancelled.
 	unwatch func() bool
 
-	mu   sync.Mutex
-	span VTime                    // latest dependency-chain completion
-	work map[string]time.Duration // per-endpoint issued-prompt latency
+	mu    sync.Mutex
+	usage Stats                    // counters; SimulatedLatency stays 0
+	span  VTime                    // latest dependency-chain completion
+	work  map[string]time.Duration // per-endpoint issued-prompt latency
 }
 
 // SetWaves switches the tenant, before its first prompt, to the paper's
@@ -690,11 +689,11 @@ func (t *Tenant) Workers() int { return t.s.workers }
 
 // Submit enqueues one prompt whose dependencies complete at ready and
 // returns immediately; the shared pool resolves the future when a worker
-// slot of the client's endpoint is granted to this tenant. When client
-// is a *Recorder, tokens and prompt/cache counts are recorded on it, but
-// no latency — wall-clock lives in Makespan. class, when given, is the
-// prompt class the completion enters the cache under (the operator that
-// built the prompt knows it; omitted means unclassified).
+// slot of the client's endpoint is granted to this tenant. The answered
+// prompt, its tokens and its cache hit or miss count on the tenant's
+// Usage, its latency in Makespan. class, when given, is the prompt class
+// the completion enters the cache under (the operator that built the
+// prompt knows it; omitted means unclassified).
 //
 // A prompt whose completion is resident in the cache is answered here,
 // at ready: the hit is counted and its recency bumped exactly as on the
@@ -732,10 +731,8 @@ func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptCla
 	t, s := w.t, w.t.s
 	if s.cache != nil {
 		if out, ok := s.cache.hit(client.Name(), prompt); ok {
-			if rec, ok := client.(*Recorder); ok {
-				rec.recordCache(1, 0)
-			}
 			t.mu.Lock()
+			t.usage.CacheHits++
 			if t.width == 0 && ready > t.span {
 				t.span = ready
 			}
@@ -887,47 +884,42 @@ func (t *Tenant) Close() {
 // still costs nothing), else straight to the model.
 func (s *Scheduler) complete(j *job) (string, VTime, error) {
 	t, client := j.t, j.client
-	// Unwrap the recorder: the scheduler does its own accounting so the
-	// recorder's per-call summed latency stays out of the tenant's model.
-	rec, _ := client.(*Recorder)
-	raw := client
-	if rec != nil {
-		raw = rec.inner
-	}
-
 	ctx := j.wave.ctx
 	var out string
 	issued := true
 	var err error
 	if s.cache != nil {
 		out, issued, err = s.cache.Fetch(ctx, client.Name(), j.class, j.prompt, func() (string, error) {
-			return raw.Complete(ctx, j.prompt)
+			return client.Complete(ctx, j.prompt)
 		})
 	} else {
-		out, err = raw.Complete(ctx, j.prompt)
+		out, err = client.Complete(ctx, j.prompt)
 	}
 	if err != nil {
 		return "", 0, err
 	}
 
 	var lat time.Duration
+	var ct int
 	if issued {
-		ct := CountTokens(out)
+		ct = CountTokens(out)
 		lat = promptLatency(j.tokens, ct)
-		if rec != nil {
-			rec.recordOverlapped(j.tokens, ct)
-		}
-	}
-	if rec != nil && s.cache != nil {
-		if issued {
-			rec.recordCache(0, 1)
-		} else {
-			rec.recordCache(1, 0)
-		}
 	}
 
 	end := j.ready + lat
 	t.mu.Lock()
+	if issued {
+		t.usage.Prompts++
+		t.usage.PromptTokens += j.tokens
+		t.usage.CompletionTokens += ct
+	}
+	if s.cache != nil {
+		if issued {
+			t.usage.CacheMisses++
+		} else {
+			t.usage.CacheHits++
+		}
+	}
 	switch {
 	case t.width == 0:
 		t.work[client.Name()] += lat
@@ -974,64 +966,72 @@ func (t *Tenant) AggregateWork() time.Duration {
 }
 
 // Makespan returns the simulated wall-clock of the tenant's query run
-// alone against the full worker budget: the larger of its critical path
-// and its busiest endpoint's work spread over the connection budget (a
-// stop-and-go tenant's critical path is its wave sum, and it keeps no
-// per-endpoint work).
-// Under concurrent tenants this is the per-query attribution; the
-// aggregate wall-clock of a set of concurrent tenants is
+// alone against the full worker budget: the makespan of its Stats
+// snapshot. Under concurrent tenants this is the per-query attribution;
+// the aggregate wall-clock of a set of concurrent tenants is
 // AggregateMakespan over their stats.
-func (t *Tenant) Makespan() VTime {
+func (t *Tenant) Makespan() VTime { return t.Stats().Makespan() }
+
+// Usage returns the query's accounting: the prompts, tokens, cache and
+// resilience counters accrued on the tenant, with SimulatedLatency set
+// to its Makespan. Quiesce first: abandoned futures still count.
+func (t *Tenant) Usage() Stats {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.span
-	for ep, b := range t.work {
-		if area := b / time.Duration(t.s.EndpointWorkers(ep)); area > out {
-			out = area
-		}
-	}
-	return out
+	u := t.usage
+	t.mu.Unlock()
+	u.SimulatedLatency = t.Makespan()
+	return u
 }
 
-// Stats snapshots the tenant's simulated-latency accounting for
-// aggregation across concurrent queries.
+// Stats snapshots the tenant's simulated-latency accounting, with the
+// worker budget each endpoint had, for aggregation across concurrent
+// queries.
 func (t *Tenant) Stats() *TenantStats {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	work := make(map[string]time.Duration, len(t.work))
-	for ep, b := range t.work {
-		work[ep] = b
-	}
-	return &TenantStats{
+	ts := &TenantStats{
 		Tag:          t.tag,
 		Class:        t.class.String(),
 		Weight:       int(t.weight),
-		Workers:      t.s.workers,
 		CriticalPath: t.span,
-		Work:         work,
+		Work:         make(map[string]time.Duration, len(t.work)),
+		Workers:      make(map[string]int, len(t.work)),
 	}
+	for ep, b := range t.work {
+		ts.Work[ep] = b
+	}
+	t.mu.Unlock()
+	t.s.mu.Lock()
+	for ep := range ts.Work {
+		ts.Workers[ep] = t.s.workersForLocked(ep)
+	}
+	t.s.mu.Unlock()
+	return ts
 }
 
 // TenantStats is one query's simulated-latency accounting on the shared
-// scheduler: the longest dependency chain of its prompts and the summed
-// issued-prompt latency per model endpoint. Class and Weight record the
-// dispatch treatment the tenant received; they do not enter the latency
-// model (the makespan bound is schedule-independent by construction).
+// scheduler: the longest dependency chain of its prompts, the summed
+// issued-prompt latency per model endpoint, and the worker budget each
+// of those endpoints had (SetEndpointWorkers, else the scheduler
+// default). Class and Weight record the dispatch treatment the tenant
+// received; they do not enter the latency model (the makespan bound is
+// schedule-independent by construction).
 type TenantStats struct {
 	Tag          string
 	Class        string
 	Weight       int
-	Workers      int
 	CriticalPath VTime
 	Work         map[string]time.Duration
+	Workers      map[string]int
 }
 
-// Makespan is the query-alone simulated wall-clock of this snapshot
-// (critical path vs busiest endpoint area over the full budget).
+// Makespan is the query-alone simulated wall-clock of this snapshot: the
+// larger of the critical path and the busiest endpoint's work spread
+// over that endpoint's worker budget (a stop-and-go tenant's critical
+// path is its wave sum, and it keeps no per-endpoint work).
 func (ts *TenantStats) Makespan() VTime {
 	out := ts.CriticalPath
-	for _, b := range ts.Work {
-		if area := b / time.Duration(ts.Workers); area > out {
+	for ep, b := range ts.Work {
+		if area := b / time.Duration(ts.Workers[ep]); area > out {
 			out = area
 		}
 	}

@@ -130,11 +130,11 @@ func TestSchedulerPerEndpointBudget(t *testing.T) {
 }
 
 func TestSchedulerCacheHitsCostNothing(t *testing.T) {
-	rec := NewRecorder(&echoLLM{name: "m", answer: "x"})
+	client := &echoLLM{name: "m", answer: "x"}
 	cache := NewCache(8)
 	tn := tenant(NewScheduler(cache, 2), t)
 
-	if _, _, err := tn.Do(rec, "same prompt", 0); err != nil {
+	if _, _, err := tn.Do(client, "same prompt", 0); err != nil {
 		t.Fatal(err)
 	}
 	first := tn.Makespan()
@@ -143,7 +143,7 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	}
 	// The identical prompt again, even anchored later on the chain, adds
 	// neither span nor area.
-	_, end, err := tn.Do(rec, "same prompt", first)
+	_, end, err := tn.Do(client, "same prompt", first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,12 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	if got := tn.Makespan(); got != first {
 		t.Errorf("makespan grew on a cache hit: %v vs %v", got, first)
 	}
-	st := rec.Stats()
+	st := tn.Usage()
 	if st.Prompts != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("stats = %+v, want 1 prompt, 1 hit, 1 miss", st)
+		t.Errorf("usage = %+v, want 1 prompt, 1 hit, 1 miss", st)
 	}
-	if st.SimulatedLatency != 0 {
-		t.Errorf("recorder must carry no latency in pipelined mode, got %v", st.SimulatedLatency)
+	if st.SimulatedLatency != first {
+		t.Errorf("usage latency = %v, want the makespan %v", st.SimulatedLatency, first)
 	}
 }
 
@@ -520,14 +520,14 @@ func (h *holdLLM) Complete(ctx context.Context, p string) (string, error) {
 // TestSubmitResolvesResidentPromptInline: a prompt whose completion is
 // resident is answered inside Submit — at its ready time, with no
 // goroutine, worker slot, deficit or token accounting — while the hit is
-// counted once on the recorder and the cache, and a cancelled tenant
+// counted once on the tenant and the cache, and a cancelled tenant
 // still fails first.
 func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	const prompt = "What is the population of Chicago?"
 	class := FetchClass("city", "population")
 	cache := NewCache(8)
 	cache.Put("m", class, prompt, "2700000")
-	rec := NewRecorder(&echoLLM{name: "m", answer: "never asked"})
+	client := &echoLLM{name: "m", answer: "never asked"}
 	s := NewScheduler(cache, 1)
 	// Hold the endpoint's only worker slot: an inline hit must not need it.
 	gate := &holdLLM{started: make(chan struct{}), release: make(chan struct{})}
@@ -538,7 +538,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	tn := tenant(s, t)
 	before := runtime.NumGoroutine()
 	const ready = 3 * time.Second
-	f := tn.Submit(rec, prompt, ready, class)
+	f := tn.Submit(client, prompt, ready, class)
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("inline hit spawned goroutines: %d -> %d", before, got)
 	}
@@ -557,8 +557,8 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	if tn.AggregateWork() != 0 || tn.CriticalPath() != ready {
 		t.Errorf("hit accounting: work %v, critical path %v; want 0 and %v", tn.AggregateWork(), tn.CriticalPath(), ready)
 	}
-	if got := rec.Stats(); got != (Stats{CacheHits: 1}) {
-		t.Errorf("recorder stats = %+v, want exactly one cache hit", got)
+	if got := tn.Usage(); got != (Stats{CacheHits: 1, SimulatedLatency: ready}) {
+		t.Errorf("usage = %+v, want exactly one cache hit", got)
 	}
 	// (The held prompt is this cache's one miss, still in flight.)
 	if got := cache.Stats().Hits; got != 1 {
@@ -576,7 +576,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	cancelled := s.Tenant(ctx, "")
 	defer cancelled.Close()
 	cancel()
-	if _, _, err := cancelled.Submit(rec, prompt, 0, class).Wait(); !errors.Is(err, context.Canceled) {
+	if _, _, err := cancelled.Submit(client, prompt, 0, class).Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled tenant: err = %v, want context.Canceled", err)
 	}
 	if got := cache.Stats().Hits; got != 1 {

@@ -386,8 +386,7 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 		var rest []ast.Expr
 		for _, c := range SplitConjuncts(node.Cond) {
 			if o.opts.UseLLMFilter {
-				if bin, binding, ok := o.asLLMFilterPred(c, input); ok && !o.opts.DisableLLMFilter[conjKey(bin)] {
-					_ = binding
+				if bin, ok := o.asLLMFilterPred(c, input); ok && !o.opts.DisableLLMFilter[conjKey(bin)] {
 					llmFilters = append(llmFilters, bin)
 					continue
 				}
@@ -516,28 +515,13 @@ func bindingName(n logical.Node, lower string) string {
 // refuses to evaluate such a conjunct locally in a residual plan —
 // subsumption only fires when the cached producer already applied them.
 func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
-	o := &optimizer{bindings: map[string]scanInfo{}}
-	o.collectBindings(from)
-	bin, ok := c.(*ast.Binary)
+	cmp, ok := asColumnLiteral(c)
 	if !ok {
 		return true
 	}
-	switch bin.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return true
-	}
-	ref, refLeft := bin.Left.(*ast.ColumnRef)
-	_, litRight := bin.Right.(*ast.Literal)
-	if !refLeft || !litRight {
-		ref2, ok2 := bin.Right.(*ast.ColumnRef)
-		_, ok3 := bin.Left.(*ast.Literal)
-		if !ok2 || !ok3 {
-			return true
-		}
-		ref = ref2
-	}
-	binding, ok := o.bindingOf(ref)
+	o := &optimizer{bindings: map[string]scanInfo{}}
+	o.collectBindings(from)
+	binding, ok := o.bindingOf(cmp.ref)
 	if !ok {
 		// Unresolvable or ambiguous reference: refuse rather than guess.
 		return false
@@ -548,53 +532,68 @@ func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
 	}
 	// The key column is materialized by every LLM scan, so a predicate on
 	// it always runs as a local filter.
-	return strings.EqualFold(ref.Name, info.def.KeyColumn)
+	return strings.EqualFold(cmp.ref.Name, info.def.KeyColumn)
 }
 
-// asLLMFilterPred checks whether conjunct c can run as a per-key boolean
-// prompt: a comparison between one column of an LLM binding (non-key,
-// not yet fetched) and a literal. It returns the normalized binary with
-// the column on the left.
-func (o *optimizer) asLLMFilterPred(c ast.Expr, input logical.Node) (*ast.Binary, string, bool) {
-	bin, ok := c.(*ast.Binary)
+// columnLiteral is a comparison between a column and a literal, read
+// column first: for the mirrored form `literal op column`, op is the
+// mirrored operator and mirrored is set.
+type columnLiteral struct {
+	ref      *ast.ColumnRef
+	op       string
+	lit      *ast.Literal
+	mirrored bool
+}
+
+// asColumnLiteral matches e against a column-op-literal comparison in
+// either orientation — the one shape of conjunct the optimizer can turn
+// into a boolean prompt, merge into a retrieval prompt or estimate a
+// selectivity for.
+func asColumnLiteral(e ast.Expr) (columnLiteral, bool) {
+	bin, ok := e.(*ast.Binary)
 	if !ok {
-		return nil, "", false
+		return columnLiteral{}, false
 	}
 	switch bin.Op {
 	case "=", "!=", "<", "<=", ">", ">=":
 	default:
-		return nil, "", false
+		return columnLiteral{}, false
 	}
-	ref, refLeft := bin.Left.(*ast.ColumnRef)
-	lit, litRight := bin.Right.(*ast.Literal)
-	if !refLeft || !litRight {
-		// Try the mirrored form literal op column.
-		ref2, ok2 := bin.Right.(*ast.ColumnRef)
-		lit2, ok3 := bin.Left.(*ast.Literal)
-		if !ok2 || !ok3 {
-			return nil, "", false
+	if ref, ok := bin.Left.(*ast.ColumnRef); ok {
+		if lit, ok := bin.Right.(*ast.Literal); ok {
+			return columnLiteral{ref: ref, op: bin.Op, lit: lit}, true
 		}
-		ref, lit = ref2, lit2
-		bin = &ast.Binary{Op: mirrorOp(bin.Op), Left: ref, Right: lit}
-	} else {
-		bin = &ast.Binary{Op: bin.Op, Left: ref, Right: lit}
 	}
-	binding, ok := o.bindingOf(ref)
+	if ref, ok := bin.Right.(*ast.ColumnRef); ok {
+		if lit, ok := bin.Left.(*ast.Literal); ok {
+			return columnLiteral{ref: ref, op: mirrorOp(bin.Op), lit: lit, mirrored: true}, true
+		}
+	}
+	return columnLiteral{}, false
+}
+
+// asLLMFilterPred checks whether conjunct c can run as a per-key boolean
+// prompt: a comparison between one column of an LLM binding (non-key,
+// not yet fetched) and a literal. It returns a fresh binary with the
+// column on the left.
+func (o *optimizer) asLLMFilterPred(c ast.Expr, input logical.Node) (*ast.Binary, bool) {
+	cmp, ok := asColumnLiteral(c)
 	if !ok {
-		return nil, "", false
+		return nil, false
+	}
+	binding, ok := o.bindingOf(cmp.ref)
+	if !ok {
+		return nil, false
 	}
 	info := o.bindings[binding]
-	if info.source != "LLM" {
-		return nil, "", false
-	}
-	if strings.EqualFold(ref.Name, info.def.KeyColumn) {
-		return nil, "", false
+	if info.source != "LLM" || strings.EqualFold(cmp.ref.Name, info.def.KeyColumn) {
+		return nil, false
 	}
 	// Already fetched? Then a traditional filter is cheaper.
-	if input.Schema().IndexOf(bindingName(input, binding), ref.Name) >= 0 {
-		return nil, "", false
+	if input.Schema().IndexOf(bindingName(input, binding), cmp.ref.Name) >= 0 {
+		return nil, false
 	}
-	return bin, binding, true
+	return &ast.Binary{Op: cmp.op, Left: cmp.ref, Right: cmp.lit}, true
 }
 
 func mirrorOp(op string) string {
@@ -679,7 +678,7 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	case *logical.Filter:
 		input := o.promptPushdown(node.Input)
 		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" {
-			if simple, _, ok := o.asSimplePred(node.Cond); ok && !o.opts.PromptPushdownSkip[conjKey(simple)] {
+			if simple, ok := o.asSimplePred(node.Cond); ok && !o.opts.PromptPushdownSkip[conjKey(simple)] {
 				if scan.PushedFilter == nil {
 					scan.PushedFilter = simple
 				} else {
@@ -706,33 +705,24 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	}
 }
 
-// asSimplePred accepts column-op-literal comparisons regardless of source
-// (used only for prompt pushdown above an LLM scan).
-func (o *optimizer) asSimplePred(c ast.Expr) (*ast.Binary, string, bool) {
-	bin, ok := c.(*ast.Binary)
+// asSimplePred accepts column-op-literal comparisons, column first,
+// regardless of source (used only for prompt pushdown above an LLM
+// scan). It returns c itself.
+func (o *optimizer) asSimplePred(c ast.Expr) (*ast.Binary, bool) {
+	cmp, ok := asColumnLiteral(c)
+	if !ok || cmp.mirrored {
+		return nil, false
+	}
+	binding, ok := o.bindingOf(cmp.ref)
 	if !ok {
-		return nil, "", false
-	}
-	switch bin.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return nil, "", false
-	}
-	ref, okL := bin.Left.(*ast.ColumnRef)
-	_, okR := bin.Right.(*ast.Literal)
-	if !okL || !okR {
-		return nil, "", false
-	}
-	binding, ok := o.bindingOf(ref)
-	if !ok {
-		return nil, "", false
+		return nil, false
 	}
 	// Never merge a predicate on the key attribute into the retrieval
 	// prompt: the keys are already materialized, so a traditional filter
 	// is free, while a merged condition degrades the scan's accuracy —
 	// and every later attribute fetch depends on those keys being right.
-	if info, known := o.bindings[binding]; known && strings.EqualFold(ref.Name, info.def.KeyColumn) {
-		return nil, "", false
+	if info, known := o.bindings[binding]; known && strings.EqualFold(cmp.ref.Name, info.def.KeyColumn) {
+		return nil, false
 	}
-	return bin, binding, true
+	return c.(*ast.Binary), true
 }

@@ -274,24 +274,9 @@ func (s *Statistics) ObserveFilter(table, attr, op, lit string, in, out int) {
 // orientation), returning the normalized attribute, operator and literal
 // text.
 func simpleConjunct(e ast.Expr) (attr, op, lit string, ok bool) {
-	bin, isBin := e.(*ast.Binary)
-	if !isBin {
+	cmp, ok := asColumnLiteral(e)
+	if !ok {
 		return "", "", "", false
 	}
-	switch bin.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return "", "", "", false
-	}
-	if ref, okL := bin.Left.(*ast.ColumnRef); okL {
-		if l, okR := bin.Right.(*ast.Literal); okR {
-			return ref.Name, bin.Op, l.Val.String(), true
-		}
-	}
-	if ref, okR := bin.Right.(*ast.ColumnRef); okR {
-		if l, okL := bin.Left.(*ast.Literal); okL {
-			return ref.Name, mirrorOp(bin.Op), l.Val.String(), true
-		}
-	}
-	return "", "", "", false
+	return cmp.ref.Name, cmp.op, cmp.lit.Val.String(), true
 }

@@ -71,23 +71,18 @@ func townTree(t *testing.T) Operator {
 // at strictly lower simulated latency (the waves overlap).
 func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	// Stop-and-go reference.
-	legacyRec := llm.NewRecorder(townClient())
-	legacyVerify := llm.NewRecorder(townClient())
-	legacyCtx := llmCtx(&scriptedLLM{})
-	legacyCtx.Client = legacyRec
-	legacyCtx.Verifier = legacyVerify
+	legacyCtx := llmCtx(townClient())
+	legacyCtx.Verifier = townClient()
 	want, err := Run(legacyCtx, townTree(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacyLat := legacyCtx.Scheduler.Makespan()
-	legacyPrompts := legacyRec.Stats().Prompts + legacyVerify.Stats().Prompts
+	legacyPrompts := legacyCtx.Scheduler.Usage().Prompts
 
 	// Streaming run.
-	pipeRec := llm.NewRecorder(townClient())
-	pipeVerify := llm.NewRecorder(townClient())
-	pctx := pipelinedCtx(context.Background(), pipeRec, 2, 4)
-	pctx.Verifier = pipeVerify
+	pctx := pipelinedCtx(context.Background(), townClient(), 2, 4)
+	pctx.Verifier = townClient()
 	got, err := Run(pctx, townTree(t))
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +94,8 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	if got.Cardinality() != 2 {
 		t.Errorf("rows = %d, want 2:\n%s", got.Cardinality(), got.String())
 	}
-	pipePrompts := pipeRec.Stats().Prompts + pipeVerify.Stats().Prompts
-	if pipePrompts != legacyPrompts {
+	if pipePrompts := pctx.Scheduler.Usage().Prompts; pipePrompts != legacyPrompts {
 		t.Errorf("pipelined issued %d prompts, stop-and-go %d", pipePrompts, legacyPrompts)
-	}
-	for _, rec := range []*llm.Recorder{legacyRec, legacyVerify, pipeRec, pipeVerify} {
-		if rec.Stats().SimulatedLatency != 0 {
-			t.Error("recorders must not accumulate per-call latency: the tenant owns it")
-		}
 	}
 	makespan := pctx.Scheduler.Makespan()
 	if makespan == 0 || makespan >= legacyLat {
