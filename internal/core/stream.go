@@ -57,8 +57,10 @@ type Stream struct {
 	schema *schema.Schema
 	cached CacheOutcome
 
-	// Live execution state (nil when replaying a materialized result).
-	st      *physical.RowStream
+	// Live execution state (nil when replaying a materialized result):
+	// the opened operator tree, which Next pulls and Finish or Close
+	// releases.
+	op      physical.Operator
 	tenant  *llm.Tenant
 	plan    logical.Node
 	cost    *optimizer.PlanCost
@@ -279,25 +281,7 @@ func (s *Session) openResidual(plan logical.Node, cost *optimizer.PlanCost, cs *
 	if err != nil {
 		return nil, err
 	}
-	metrics := physical.NewMetrics()
-	pctx := &physical.Context{
-		Cleaner: clean.New(s.opts.Clean),
-		Metrics: metrics,
-	}
-	st, err := physical.OpenStream(pctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{
-		s:       s,
-		schema:  st.Schema(),
-		cached:  CacheSubsumed,
-		st:      st,
-		plan:    plan,
-		cost:    cost,
-		metrics: metrics,
-		acc:     schema.NewRelation(st.Schema().Clone()),
-	}, nil
+	return s.execute(op, &physical.Context{}, plan, cost, CacheSubsumed)
 }
 
 // openLive compiles one plan against the base tables and opens it: the
@@ -307,11 +291,11 @@ func (s *Session) openResidual(plan logical.Node, cost *optimizer.PlanCost, cs *
 // every other in-flight query while the tenant keeps the query's
 // accounting.
 func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
-	var env *physical.Env
+	var data func(table string) (*schema.Relation, error)
 	if db := s.rt.database(); db != nil {
-		env = &physical.Env{Data: db.Relation}
+		data = db.Relation
 	}
-	op, err := physical.Compile(plan, env)
+	op, err := physical.Compile(plan, data)
 	if err != nil {
 		return nil, err
 	}
@@ -319,34 +303,44 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 	if err != nil {
 		return nil, err
 	}
-	metrics := physical.NewMetrics()
 	tenant := s.openTenant(ctx)
-	pctx := &physical.Context{
-		Client:            penv.client("", ""),
+	st, err := s.execute(op, &physical.Context{
 		Route:             penv.client,
 		Prompts:           s.rt.builder,
 		Cleaner:           clean.New(s.opts.Clean),
 		MaxScanIterations: s.opts.MaxScanIterations,
 		Scheduler:         tenant,
-		Metrics:           metrics,
 		Verifier:          penv.verifier,
 		VerifyTolerance:   s.opts.VerifyTolerance,
-	}
-	st, err := physical.OpenStream(pctx, op)
+	}, plan, cost, CacheNone)
 	if err != nil {
 		tenant.Close()
 		tenant.Quiesce()
+	}
+	return st, err
+}
+
+// execute opens a compiled operator tree under pctx, collecting its
+// per-operator actuals, and hands it to a Stream that drives it row by
+// row; the Stream owns pctx's tenant, if any. A failed Open releases the
+// tree.
+func (s *Session) execute(op physical.Operator, pctx *physical.Context, plan logical.Node, cost *optimizer.PlanCost, cached CacheOutcome) (*Stream, error) {
+	pctx.Metrics = physical.NewMetrics()
+	if err := op.Open(pctx); err != nil {
+		op.Close()
 		return nil, err
 	}
+	out := op.Schema()
 	return &Stream{
 		s:       s,
-		schema:  st.Schema(),
-		st:      st,
-		tenant:  tenant,
+		schema:  out,
+		cached:  cached,
+		op:      op,
+		tenant:  pctx.Scheduler,
 		plan:    plan,
 		cost:    cost,
-		metrics: metrics,
-		acc:     schema.NewRelation(st.Schema().Clone()),
+		metrics: pctx.Metrics,
+		acc:     schema.NewRelation(out.Clone()),
 	}, nil
 }
 
@@ -374,7 +368,7 @@ func (st *Stream) Next() (schema.Tuple, llm.VTime, error) {
 		st.idx++
 		return t, 0, nil
 	}
-	t, vt, err := st.st.Next()
+	t, vt, err := st.op.Next()
 	if err == io.EOF && !st.eof {
 		st.eof = true
 		st.explain = logical.Explain(st.plan)
@@ -419,7 +413,7 @@ func (st *Stream) Finish() (*Report, error) {
 		}
 		return st.rep, nil
 	}
-	st.st.Close()
+	st.op.Close()
 	if st.tenant != nil {
 		st.tenant.Quiesce()
 	}
@@ -456,8 +450,8 @@ func (st *Stream) Close() {
 		return
 	}
 	st.closed = true
-	if st.st != nil {
-		st.st.Close()
+	if st.op != nil {
+		st.op.Close()
 	}
 	if st.tenant != nil {
 		st.tenant.Close()

@@ -223,7 +223,7 @@ func (db *DB) Query(ctx context.Context, sel *ast.Select) (*schema.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	op, err := physical.Compile(plan, &physical.Env{Data: db.Relation})
+	op, err := physical.Compile(plan, db.Relation)
 	if err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ func (a *hashAggOp) Open(c *Context) error {
 	if err := a.input.Open(c); err != nil {
 		return err
 	}
-	rows, vt, err := drainVT(a.input)
+	rows, vt, err := drain(a.input)
 	a.input.Close()
 	if err != nil {
 		return err
@@ -245,11 +245,7 @@ func (a *hashAggOp) Open(c *Context) error {
 			}
 			keyVals[i] = v
 		}
-		idx := make([]int, len(keyVals))
-		for i := range idx {
-			idx[i] = i
-		}
-		k := keyVals.Key(idx)
+		k := keyVals.Key()
 		g, ok := groups[k]
 		if !ok {
 			g = &group{key: keyVals}
@@ -309,12 +305,7 @@ func (a *hashAggOp) Open(c *Context) error {
 
 func (a *hashAggOp) Close() error { return nil }
 
-func (a *hashAggOp) Next() (schema.Tuple, error) {
-	t, _, err := a.NextVT()
-	return t, err
-}
-
-func (a *hashAggOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (a *hashAggOp) Next() (schema.Tuple, llm.VTime, error) {
 	if a.cursor >= len(a.results) {
 		return nil, 0, io.EOF
 	}
@@ -354,7 +345,7 @@ func (s *sortOp) Open(c *Context) error {
 	if err := s.input.Open(c); err != nil {
 		return err
 	}
-	rows, vt, err := drainVT(s.input)
+	rows, vt, err := drain(s.input)
 	s.input.Close()
 	if err != nil {
 		return err
@@ -426,12 +417,7 @@ func compareForSort(a, b value.Value) int {
 
 func (s *sortOp) Close() error { return nil }
 
-func (s *sortOp) Next() (schema.Tuple, error) {
-	t, _, err := s.NextVT()
-	return t, err
-}
-
-func (s *sortOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (s *sortOp) Next() (schema.Tuple, llm.VTime, error) {
 	if s.cursor >= len(s.rows) {
 		return nil, 0, io.EOF
 	}

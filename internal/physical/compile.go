@@ -8,24 +8,19 @@ import (
 	"repro/internal/schema"
 )
 
-// Env provides what compilation needs beyond the plan itself: access to
-// the DB-side base relations.
-type Env struct {
-	// Data returns the materialized relation for a DB-bound table.
-	Data func(table string) (*schema.Relation, error)
-}
-
-// Compile lowers a logical plan to a physical operator tree.
-func Compile(n logical.Node, env *Env) (Operator, error) {
+// Compile lowers a logical plan to a physical operator tree. data returns
+// the materialized relation of a DB-bound table; nil when the plan reads
+// none (LLM-only and residual plans).
+func Compile(n logical.Node, data func(table string) (*schema.Relation, error)) (Operator, error) {
 	switch node := n.(type) {
 	case *logical.Scan:
 		if node.Source == "LLM" {
 			return &llmKeyScanOp{scan: node, out: node.Schema()}, nil
 		}
-		if env == nil || env.Data == nil {
+		if data == nil {
 			return nil, fmt.Errorf("physical: no data source for table %s", node.Table.Name)
 		}
-		rel, err := env.Data(node.Table.Name)
+		rel, err := data(node.Table.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -44,21 +39,21 @@ func Compile(n logical.Node, env *Env) (Operator, error) {
 		return NewMemScan(node.Schema(), rel), nil
 
 	case *logical.FetchAttr:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
 		return &llmFetchAttrOp{node: node, input: input, out: node.Schema()}, nil
 
 	case *logical.LLMFilter:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
 		return &llmFilterOp{node: node, input: input}, nil
 
 	case *logical.Filter:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
@@ -69,25 +64,25 @@ func Compile(n logical.Node, env *Env) (Operator, error) {
 		return NewFilter(input, pred), nil
 
 	case *logical.Join:
-		left, err := Compile(node.Left, env)
+		left, err := Compile(node.Left, data)
 		if err != nil {
 			return nil, err
 		}
-		right, err := Compile(node.Right, env)
+		right, err := Compile(node.Right, data)
 		if err != nil {
 			return nil, err
 		}
 		return buildJoin(node, left, right)
 
 	case *logical.Aggregate:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
 		return newHashAgg(node, input)
 
 	case *logical.Project:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
@@ -102,14 +97,14 @@ func Compile(n logical.Node, env *Env) (Operator, error) {
 		return op, nil
 
 	case *logical.StripProject:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
 		return &stripOp{input: input, out: node.Schema(), keep: node.Keep}, nil
 
 	case *logical.Distinct:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
@@ -120,14 +115,14 @@ func Compile(n logical.Node, env *Env) (Operator, error) {
 		return &distinctOp{input: input, keyCols: k}, nil
 
 	case *logical.Sort:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}
 		return newSort(node, input)
 
 	case *logical.Limit:
-		input, err := Compile(node.Input, env)
+		input, err := Compile(node.Input, data)
 		if err != nil {
 			return nil, err
 		}

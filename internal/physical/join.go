@@ -9,95 +9,80 @@ import (
 	"repro/internal/value"
 )
 
-// hashJoinOp implements equi-joins (inner and left outer) by building a
-// hash table over the right input. An optional residual predicate runs on
-// the combined tuple.
-type hashJoinOp struct {
+// joinOp implements every join, inner and left outer, as one loop: Open
+// drains the right input into buckets, and Next streams the left input,
+// pairing each left row with the rows of its bucket and keeping the
+// combinations the residual predicate accepts. When the ON condition has
+// equality conjuncts across the two sides, the buckets are keyed by those
+// expressions (a hash join); otherwise every right row shares one bucket
+// (a nested-loop join under the whole condition, or a cross join without
+// one).
+type joinOp struct {
 	left, right Operator
 	out         *schema.Schema
-	leftKeys    []expr.Func // compiled against the left schema
+	leftKeys    []expr.Func // compiled against the left schema; none for a nested loop
 	rightKeys   []expr.Func // compiled against the right schema
 	residual    expr.Func   // compiled against the combined schema; may be nil
 	leftOuter   bool
 
-	table   map[string][]schema.Tuple
-	current []schema.Tuple // pending matches for the current left row
+	buckets map[string][]schema.Tuple
+	buildVT llm.VTime // the buckets exist once the right side drained
+
+	leftRow schema.Tuple // nil between left rows
+	leftVT  llm.VTime
+	matches []schema.Tuple // the current left row's bucket
 	cursor  int
-	leftRow schema.Tuple
 	matched bool
-	done    bool
-	buildVT llm.VTime // the hash table exists once the right side drained
-	leftVT  llm.VTime // virtual time of the current left row
 }
 
-func (j *hashJoinOp) Schema() *schema.Schema { return j.out }
+func (j *joinOp) Schema() *schema.Schema { return j.out }
 
-func (j *hashJoinOp) Open(c *Context) error {
+func (j *joinOp) Open(c *Context) error {
 	if err := j.right.Open(c); err != nil {
 		return err
 	}
-	rows, buildVT, err := drainVT(j.right)
+	rows, buildVT, err := drain(j.right)
 	j.right.Close()
 	if err != nil {
 		return err
 	}
 	j.buildVT = buildVT
-	j.table = make(map[string][]schema.Tuple, len(rows))
+	j.buckets = make(map[string][]schema.Tuple, len(rows))
 	for _, r := range rows {
-		k, err := joinKey(j.rightKeys, r)
+		k, ok, err := joinKey(j.rightKeys, r)
 		if err != nil {
 			return err
 		}
-		if k == "" {
-			continue // NULL keys never match
+		if ok {
+			j.buckets[k] = append(j.buckets[k], r)
 		}
-		j.table[k] = append(j.table[k], r)
 	}
-	j.current, j.cursor, j.done = nil, 0, false
-	j.leftRow = nil
+	j.leftRow, j.matches, j.cursor = nil, nil, 0
 	return j.left.Open(c)
 }
 
-func (j *hashJoinOp) Close() error { return j.left.Close() }
+func (j *joinOp) Close() error { return j.left.Close() }
 
-func (j *hashJoinOp) Next() (schema.Tuple, error) {
-	t, _, err := j.NextVT()
-	return t, err
-}
-
-// NextVT stamps each output row with the later of the build side's
-// high-water mark and the current left row's availability.
-func (j *hashJoinOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	t, err := j.nextRow()
-	if err != nil {
-		return nil, 0, err
-	}
-	vt := j.buildVT
-	if j.leftVT > vt {
-		vt = j.leftVT
-	}
-	return t, vt, nil
-}
-
-func (j *hashJoinOp) nextRow() (schema.Tuple, error) {
+// Next stamps each output row with the later of the build side's
+// high-water time and the current left row's.
+func (j *joinOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		// Emit pending matches.
-		for j.cursor < len(j.current) {
-			combined := j.leftRow.Concat(j.current[j.cursor])
+		for j.leftRow != nil && j.cursor < len(j.matches) {
+			combined := j.leftRow.Concat(j.matches[j.cursor])
 			j.cursor++
 			if j.residual != nil {
 				ok, err := expr.EvalBool(j.residual, combined)
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				if !ok {
 					continue
 				}
 			}
 			j.matched = true
-			return combined, nil
+			return combined, max(j.buildVT, j.leftVT), nil
 		}
-		// Left-outer: emit the unmatched left row padded with NULLs.
+		// Left outer: the unmatched left row, padded with NULLs.
 		if j.leftRow != nil && j.leftOuter && !j.matched {
 			pad := make(schema.Tuple, j.out.Len()-len(j.leftRow))
 			for i := range pad {
@@ -105,144 +90,49 @@ func (j *hashJoinOp) nextRow() (schema.Tuple, error) {
 			}
 			row := j.leftRow.Concat(pad)
 			j.leftRow = nil
-			return row, nil
+			return row, max(j.buildVT, j.leftVT), nil
 		}
-		// Advance the left input.
-		t, vt, err := nextVT(j.left)
+		t, vt, err := j.left.Next()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		j.leftRow = t
-		j.leftVT = vt
-		j.matched = false
-		j.cursor = 0
-		k, err := joinKey(j.leftKeys, t)
+		k, ok, err := joinKey(j.leftKeys, t)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		j.current = j.table[k]
+		j.leftRow, j.leftVT, j.matches, j.cursor, j.matched = t, vt, nil, 0, false
+		if ok {
+			j.matches = j.buckets[k]
+		}
 	}
 }
 
-// joinKey renders the composite key; "" marks a NULL component.
-func joinKey(funcs []expr.Func, t schema.Tuple) (string, error) {
+// joinKey renders a row's bucket key; ok is false when a component is
+// NULL, which never matches. With no key expressions every row shares the
+// empty key.
+func joinKey(funcs []expr.Func, t schema.Tuple) (key string, ok bool, err error) {
 	var b []byte
 	for _, f := range funcs {
 		v, err := f(t)
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
 		if v.IsNull() {
-			return "", nil
+			return "", false, nil
 		}
 		b = append(b, v.Key()...)
 		b = append(b, 0x1f)
 	}
-	return string(b), nil
+	return string(b), true, nil
 }
 
-// nlJoinOp is the fallback nested-loop join for non-equi or cross joins.
-type nlJoinOp struct {
-	left, right Operator
-	out         *schema.Schema
-	pred        expr.Func // may be nil (cross join)
-	leftOuter   bool
-
-	rightRows []schema.Tuple
-	leftRow   schema.Tuple
-	cursor    int
-	matched   bool
-	buildVT   llm.VTime
-	leftVT    llm.VTime
-}
-
-func (j *nlJoinOp) Schema() *schema.Schema { return j.out }
-
-func (j *nlJoinOp) Open(c *Context) error {
-	if err := j.right.Open(c); err != nil {
-		return err
-	}
-	rows, buildVT, err := drainVT(j.right)
-	j.right.Close()
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
-	j.buildVT = buildVT
-	j.leftRow, j.cursor = nil, 0
-	return j.left.Open(c)
-}
-
-func (j *nlJoinOp) Close() error { return j.left.Close() }
-
-func (j *nlJoinOp) Next() (schema.Tuple, error) {
-	t, _, err := j.NextVT()
-	return t, err
-}
-
-func (j *nlJoinOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	t, err := j.nextRow()
-	if err != nil {
-		return nil, 0, err
-	}
-	vt := j.buildVT
-	if j.leftVT > vt {
-		vt = j.leftVT
-	}
-	return t, vt, nil
-}
-
-func (j *nlJoinOp) nextRow() (schema.Tuple, error) {
-	for {
-		if j.leftRow != nil {
-			for j.cursor < len(j.rightRows) {
-				combined := j.leftRow.Concat(j.rightRows[j.cursor])
-				j.cursor++
-				if j.pred != nil {
-					ok, err := expr.EvalBool(j.pred, combined)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				j.matched = true
-				return combined, nil
-			}
-			if j.leftOuter && !j.matched {
-				pad := make(schema.Tuple, j.out.Len()-len(j.leftRow))
-				for i := range pad {
-					pad[i] = value.Null()
-				}
-				row := j.leftRow.Concat(pad)
-				j.leftRow = nil
-				return row, nil
-			}
-			j.leftRow = nil
-		}
-		t, vt, err := nextVT(j.left)
-		if err != nil {
-			return nil, err
-		}
-		j.leftRow = t
-		j.leftVT = vt
-		j.cursor = 0
-		j.matched = false
-	}
-}
-
-// buildJoin selects hash vs nested-loop based on the ON condition.
+// buildJoin splits the ON condition into the equality conjuncts across
+// the two sides, which key the buckets, and the residual rest.
 func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
-	out := node.Schema()
-	leftOuter := node.Type == ast.JoinLeft
-
+	j := &joinOp{left: left, right: right, out: node.Schema(), leftOuter: node.Type == ast.JoinLeft}
 	if node.On == nil {
-		return &nlJoinOp{left: left, right: right, out: out, leftOuter: leftOuter}, nil
+		return j, nil
 	}
-
-	// Partition conjuncts into equi-keys across sides and residuals.
-	var leftExprs, rightExprs []ast.Expr
 	var residuals []ast.Expr
 	for _, c := range splitAnd(node.On) {
 		l, r, ok := equiSides(c, left.Schema(), right.Schema())
@@ -250,25 +140,11 @@ func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
 			residuals = append(residuals, c)
 			continue
 		}
-		leftExprs = append(leftExprs, l)
-		rightExprs = append(rightExprs, r)
-	}
-
-	if len(leftExprs) == 0 {
-		pred, err := expr.Compile(node.On, out)
+		lf, err := expr.Compile(l, left.Schema())
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinOp{left: left, right: right, out: out, pred: pred, leftOuter: leftOuter}, nil
-	}
-
-	j := &hashJoinOp{left: left, right: right, out: out, leftOuter: leftOuter}
-	for i := range leftExprs {
-		lf, err := expr.Compile(leftExprs[i], left.Schema())
-		if err != nil {
-			return nil, err
-		}
-		rf, err := expr.Compile(rightExprs[i], right.Schema())
+		rf, err := expr.Compile(r, right.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +156,7 @@ func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
 		for _, c := range residuals[1:] {
 			res = &ast.Binary{Op: "AND", Left: res, Right: c}
 		}
-		pred, err := expr.Compile(res, out)
+		pred, err := expr.Compile(res, j.out)
 		if err != nil {
 			return nil, err
 		}

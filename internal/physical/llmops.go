@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/clean"
@@ -36,7 +35,8 @@ func (s *llmKeyScanOp) Schema() *schema.Schema { return s.out }
 // tenant and emits each page's new keys stamped with the page's virtual
 // completion time.
 func (s *llmKeyScanOp) Open(c *Context) error {
-	if err := c.canPrompt("LLM scan of " + s.scan.Table.Name); err != nil {
+	client, err := c.client(llm.RoleKeyscan, s.scan.Table.Backend, "LLM scan of "+s.scan.Table.Name)
+	if err != nil {
 		return err
 	}
 	conds, err := pushedConditions(s.scan.PushedFilter)
@@ -48,7 +48,6 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	if maxIter <= 0 {
 		maxIter = 12
 	}
-	client := c.ClientFor(llm.RoleKeyscan, s.scan.Table.Backend)
 	stopAndGo := c.Scheduler.StopAndGo()
 	s.pipe = newPipe(c.pipeBuffer())
 	s.pipe.run(func() error {
@@ -127,25 +126,12 @@ func keyTuple(kind value.Kind, k string) (schema.Tuple, bool) {
 	return schema.Tuple{v}, true
 }
 
-func (s *llmKeyScanOp) Close() error {
-	if s.pipe != nil {
-		s.pipe.close()
-	}
-	return nil
-}
+func (s *llmKeyScanOp) Close() error { return s.pipe.close() }
 
-func (s *llmKeyScanOp) Next() (schema.Tuple, error) {
-	t, _, err := s.NextVT()
-	return t, err
-}
-
-func (s *llmKeyScanOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	r, ok, err := s.pipe.next()
+func (s *llmKeyScanOp) Next() (schema.Tuple, llm.VTime, error) {
+	r, err := s.pipe.next()
 	if err != nil {
 		return nil, 0, err
-	}
-	if !ok {
-		return nil, 0, io.EOF
 	}
 	return r.row, r.vt, nil
 }
@@ -196,7 +182,8 @@ type llmFetchAttrOp struct {
 func (f *llmFetchAttrOp) Schema() *schema.Schema { return f.out }
 
 func (f *llmFetchAttrOp) Open(c *Context) error {
-	if err := c.canPrompt("LLM fetch of " + f.node.Attr); err != nil {
+	client, err := c.client(llm.RoleFetch, f.node.Table.Backend, "LLM fetch of "+f.node.Attr)
+	if err != nil {
 		return err
 	}
 	if err := f.input.Open(c); err != nil {
@@ -205,7 +192,6 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	f.kind = f.out.Columns[f.out.Len()-1].Type
 	f.pc = c
 	class := llm.FetchClass(f.node.Table.Name, f.node.Attr)
-	client := c.ClientFor(llm.RoleFetch, f.node.Table.Backend)
 	perRow := 1
 	if c.Verifier != nil {
 		perRow = 2
@@ -218,27 +204,27 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	input := f.input
 	f.pipe.run(func() error {
 		defer input.Close()
-		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
+		return f.pipe.feed(c, input, func(rows []pipeRow) error {
 			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
 			w := c.Scheduler.Wave()
 			for i := range rows {
 				rows[i].main = w.Submit(client, attrPrompt(rows[i]), rows[i].vt, class)
 			}
 			if err := w.Settle(); err != nil {
-				return false, fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
+				return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 			}
 			// Cross-model verification (Section 6): ask a second model the
-			// same question; NextVT NULLs out disagreements.
+			// same question; Next NULLs out disagreements.
 			if c.Verifier != nil {
 				v := c.Scheduler.Wave()
 				for i := range rows {
 					rows[i].verify = v.Submit(c.Verifier, attrPrompt(rows[i]), rows[i].vt, class)
 				}
 				if err := v.Settle(); err != nil {
-					return false, fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
+					return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 				}
 			}
-			return f.pipe.send(rows...), nil
+			return nil
 		})
 	})
 	return nil
@@ -276,25 +262,13 @@ func valuesAgree(a, b value.Value, tol float64) bool {
 	return strings.EqualFold(strings.TrimSpace(a.String()), strings.TrimSpace(b.String()))
 }
 
-func (f *llmFetchAttrOp) Close() error {
-	if f.pipe != nil {
-		f.pipe.close() // the producer closes the input on exit
-	}
-	return nil
-}
+// Close stops the producer, which closes the input on exit.
+func (f *llmFetchAttrOp) Close() error { return f.pipe.close() }
 
-func (f *llmFetchAttrOp) Next() (schema.Tuple, error) {
-	t, _, err := f.NextVT()
-	return t, err
-}
-
-func (f *llmFetchAttrOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	r, ok, err := f.pipe.next()
+func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
+	r, err := f.pipe.next()
 	if err != nil {
 		return nil, 0, err
-	}
-	if !ok {
-		return nil, 0, io.EOF
 	}
 	answer, vt, err := r.main.Wait()
 	if err != nil {
@@ -334,7 +308,8 @@ type llmFilterOp struct {
 func (f *llmFilterOp) Schema() *schema.Schema { return f.node.Schema() }
 
 func (f *llmFilterOp) Open(c *Context) error {
-	if err := c.canPrompt("LLM filter"); err != nil {
+	client, err := c.client(llm.RoleFilter, f.node.Table.Backend, "LLM filter")
+	if err != nil {
 		return err
 	}
 	if err := f.input.Open(c); err != nil {
@@ -346,12 +321,11 @@ func (f *llmFilterOp) Open(c *Context) error {
 	litText := lit.Val.String()
 	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
 	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)
-	client := c.ClientFor(llm.RoleFilter, f.node.Table.Backend)
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
 		defer input.Close()
-		return c.inputWaves(input, func(rows []pipeRow) (bool, error) {
+		return f.pipe.feed(c, input, func(rows []pipeRow) error {
 			c.Metrics.Add(f.node, len(rows), len(rows), 0)
 			w := c.Scheduler.Wave()
 			for i := range rows {
@@ -359,9 +333,9 @@ func (f *llmFilterOp) Open(c *Context) error {
 				rows[i].main = w.Submit(client, p, rows[i].vt, class)
 			}
 			if err := w.Settle(); err != nil {
-				return false, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
+				return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 			}
-			return f.pipe.send(rows...), nil
+			return nil
 		})
 	})
 	return nil
@@ -372,26 +346,14 @@ func isYes(s string) bool {
 	return strings.HasPrefix(s, "yes") || strings.HasPrefix(s, "true")
 }
 
-func (f *llmFilterOp) Close() error {
-	if f.pipe != nil {
-		f.pipe.close() // the producer closes the input on exit
-	}
-	return nil
-}
+// Close stops the producer, which closes the input on exit.
+func (f *llmFilterOp) Close() error { return f.pipe.close() }
 
-func (f *llmFilterOp) Next() (schema.Tuple, error) {
-	t, _, err := f.NextVT()
-	return t, err
-}
-
-func (f *llmFilterOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		r, ok, err := f.pipe.next()
+		r, err := f.pipe.next()
 		if err != nil {
 			return nil, 0, err
-		}
-		if !ok {
-			return nil, 0, io.EOF
 		}
 		answer, vt, err := r.main.Wait()
 		if err != nil {

@@ -65,12 +65,17 @@ func testTenant(ctx context.Context, cache *llm.Cache, workers int, stopAndGo bo
 	return tn
 }
 
+// routeTo routes every prompt role to client.
+func routeTo(client llm.Client) func(llm.Role, string) llm.Client {
+	return func(llm.Role, string) llm.Client { return client }
+}
+
 // llmCtx builds a Context running the stop-and-go policy, waves of two.
 func llmCtx(client *scriptedLLM) *Context {
 	b := prompt.NewBuilder()
 	b.IncludePreamble = false
 	return &Context{
-		Client:            client,
+		Route:             routeTo(client),
 		Prompts:           b,
 		Cleaner:           clean.New(clean.DefaultOptions()),
 		MaxScanIterations: 5,
@@ -138,7 +143,7 @@ func TestLLMKeyScanIterationCap(t *testing.T) {
 	scan := logical.NewScan(townDef(), "t", "LLM")
 	op := &llmKeyScanOp{scan: scan, out: scan.Schema()}
 	ctx := llmCtx(client)
-	ctx.Client = dyn
+	ctx.Route = routeTo(dyn)
 	ctx.MaxScanIterations = 3
 	rel, err := Run(ctx, op)
 	if err != nil {
@@ -321,7 +326,7 @@ func TestLLMOpsRequireClient(t *testing.T) {
 	scan := logical.NewScan(townDef(), "t", "LLM")
 	op := &llmKeyScanOp{scan: scan, out: scan.Schema()}
 	ctx := llmCtx(&scriptedLLM{})
-	ctx.Client = nil
+	ctx.Route = nil
 	if _, err := Run(ctx, op); err == nil {
 		t.Error("LLM scan without a client must fail")
 	}

@@ -54,17 +54,3 @@ func (m *Metrics) Get(n logical.Node) (NodeMetrics, bool) {
 	nm, ok := m.m[n]
 	return nm, ok
 }
-
-// TotalPrompts sums requested prompts across all nodes.
-func (m *Metrics) TotalPrompts() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := 0
-	for _, nm := range m.m {
-		total += nm.Prompts
-	}
-	return total
-}

@@ -1,9 +1,12 @@
 // Package physical executes logical plans with an iterator (Open/Next/
-// Close) operator model. Traditional operators (scans, filters, joins,
+// Close) operator model in which every tuple carries its virtual
+// availability time. Traditional operators (scans, filters, joins,
 // aggregation, sorting) implement exact relational semantics over
 // materialized tuples; the LLM-backed operators (key scan, attribute
 // fetch, boolean filter) realize the paper's prompt-based physical
-// operators against any llm.Client.
+// operators against any llm.Client. A consumer drives the tree itself:
+// Open the root, pull Next until io.EOF, Close; Run is that loop
+// materialized.
 package physical
 
 import (
@@ -20,12 +23,10 @@ import (
 // Context carries the runtime environment shared by all operators of one
 // query execution.
 type Context struct {
-	Client llm.Client // nil for DB-only plans
-	// Route, when non-nil, resolves the client one prompt role's calls
-	// go out on, given the role and the issuing table's pinned backend
-	// ("" when unpinned). The session installs it over the runtime's
-	// backend registry; operators resolve through ClientFor. Nil routes
-	// every role to Client.
+	// Route resolves the client one prompt role's calls go out on, given
+	// the role and the issuing table's pinned backend ("" when unpinned);
+	// it returns nil when no model serves the role. The session installs
+	// it over the runtime's backend registry. Nil for DB-only plans.
 	Route   func(role llm.Role, tableBackend string) llm.Client
 	Prompts *prompt.Builder // prompt construction
 	Cleaner *clean.Cleaner  // answer normalization
@@ -61,25 +62,18 @@ type Context struct {
 	VerifyTolerance float64
 }
 
-// ClientFor resolves the transport one prompt role's calls go out on for
-// a table binding, falling back to the query's primary client when no
-// router is installed.
-func (c *Context) ClientFor(role llm.Role, tableBackend string) llm.Client {
+// client resolves the transport one prompt role's calls go out on for a
+// table binding, or reports why an LLM operator (named by what) cannot
+// issue prompts under this context.
+func (c *Context) client(role llm.Role, tableBackend, what string) (llm.Client, error) {
+	var cl llm.Client
 	if c.Route != nil {
-		if cl := c.Route(role, tableBackend); cl != nil {
-			return cl
-		}
+		cl = c.Route(role, tableBackend)
 	}
-	return c.Client
-}
-
-// canPrompt reports why an LLM operator (named by what) cannot issue
-// prompts under this context, if it cannot.
-func (c *Context) canPrompt(what string) error {
-	if c.Client == nil || c.Scheduler == nil {
-		return fmt.Errorf("physical: %s without an LLM client and scheduler tenant", what)
+	if cl == nil || c.Scheduler == nil {
+		return nil, fmt.Errorf("physical: %s without an LLM client and scheduler tenant", what)
 	}
-	return nil
+	return cl, nil
 }
 
 // DefaultPipelineBuffer is the fallback bound on how far a streaming LLM
@@ -93,117 +87,57 @@ func (c *Context) pipeBuffer() int {
 	return DefaultPipelineBuffer
 }
 
-// Operator is one physical operator.
+// Operator is one physical operator. Next returns each tuple together
+// with its virtual availability time on the simulated-latency axis: the
+// completion time of the prompt chain that produced it. The LLM operators
+// use it as the ready time of the prompts they issue for the tuple;
+// prompt-free operators forward their input's times, and an operator
+// that materializes its input (a join's build side, an aggregate, a sort)
+// stamps what it derives with the input's high-water time. Scans of
+// materialized data report 0: their tuples are available immediately.
+// io.EOF ends the stream. Close releases the operator and its inputs
+// (under the streaming policy it stops upstream prompt issue); it is
+// safe after a failed Open.
 type Operator interface {
 	Schema() *schema.Schema
 	Open(*Context) error
-	Next() (schema.Tuple, error) // io.EOF at end of stream
+	Next() (schema.Tuple, llm.VTime, error)
 	Close() error
 }
 
-// vtOperator is implemented by operators that report, next to each tuple,
-// the virtual time at which the tuple became available on the simulated-
-// latency axis — the completion time of the prompt chain that produced it.
-// The LLM operators use it as the ready time of downstream prompts;
-// prompt-free operators forward their input's timestamps.
-type vtOperator interface {
-	NextVT() (schema.Tuple, llm.VTime, error)
-}
-
-// nextVT pulls one tuple with its virtual timestamp. Operators unaware of
-// virtual time report zero: their tuples are available immediately.
-func nextVT(op Operator) (schema.Tuple, llm.VTime, error) {
-	if s, ok := op.(vtOperator); ok {
-		return s.NextVT()
-	}
-	t, err := op.Next()
-	return t, 0, err
-}
-
-// drainVT materializes an operator's remaining stream together with the
+// drain materializes an operator's remaining stream together with the
 // high-water virtual time across the consumed tuples — the availability
-// time of anything derived from the whole input (a hash table, a sorted
-// run, an aggregate).
-func drainVT(op Operator) ([]schema.Tuple, llm.VTime, error) {
+// time of anything derived from the whole input.
+func drain(op Operator) ([]schema.Tuple, llm.VTime, error) {
 	var rows []schema.Tuple
 	var vt llm.VTime
 	for {
-		t, tvt, err := nextVT(op)
+		t, tvt, err := op.Next()
 		if err == io.EOF {
 			return rows, vt, nil
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if tvt > vt {
-			vt = tvt
-		}
+		vt = max(vt, tvt)
 		rows = append(rows, t)
 	}
 }
 
-// RowStream is one query execution consumed row by row: the iterator
-// surface streaming consumers (galois-serve's NDJSON/SSE delivery) pull
-// from, instead of waiting for Run to materialize the whole relation.
-// Each Next returns the tuple together with its virtual availability
-// time — the simulated instant the prompt chain producing the row
-// completed — so "the first row arrived before the full relation" is a
-// checkable property of the latency model, not a racy wall-clock
-// observation. Close releases the operator tree (under the streaming
-// policy the close cascade stops upstream prompt issue), and is idempotent;
-// callers must Close even after an error or io.EOF.
-type RowStream struct {
-	op     Operator
-	closed bool
-}
-
-// OpenStream opens the operator tree for incremental consumption. On an
-// Open error the tree is released before returning.
-func OpenStream(ctx *Context, op Operator) (*RowStream, error) {
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, err
-	}
-	return &RowStream{op: op}, nil
-}
-
-// Schema reports the stream's output columns.
-func (s *RowStream) Schema() *schema.Schema { return s.op.Schema() }
-
-// Next pulls one tuple with its virtual availability timestamp; io.EOF
-// ends the stream.
-func (s *RowStream) Next() (schema.Tuple, llm.VTime, error) {
-	return nextVT(s.op)
-}
-
-// Close releases the operator tree. Idempotent.
-func (s *RowStream) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.op.Close()
-}
-
-// Run drains an operator into a materialized relation — the buffered
-// consumption of the same stream surface.
+// Run opens an operator tree, drains it into a materialized relation and
+// closes it: the buffered consumption of the same iterator a streaming
+// consumer drives by hand.
 func Run(ctx *Context, op Operator) (*schema.Relation, error) {
-	st, err := OpenStream(ctx, op)
+	err := op.Open(ctx)
+	var rows []schema.Tuple
+	if err == nil {
+		rows, _, err = drain(op)
+	}
+	op.Close()
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	out := schema.NewRelation(st.Schema().Clone())
-	for {
-		t, _, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.Append(t)
-	}
+	return &schema.Relation{Schema: op.Schema().Clone(), Rows: rows}, nil
 }
 
 // memScan iterates a materialized relation under the scan's qualified
@@ -224,13 +158,13 @@ func (s *memScan) Schema() *schema.Schema { return s.out }
 func (s *memScan) Open(*Context) error    { s.next = 0; return nil }
 func (s *memScan) Close() error           { return nil }
 
-func (s *memScan) Next() (schema.Tuple, error) {
+func (s *memScan) Next() (schema.Tuple, llm.VTime, error) {
 	if s.next >= len(s.rel.Rows) {
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	}
 	t := s.rel.Rows[s.next]
 	s.next++
-	return t, nil
+	return t, 0, nil
 }
 
 // filterOp streams tuples passing the predicate.
@@ -248,14 +182,9 @@ func (f *filterOp) Schema() *schema.Schema { return f.input.Schema() }
 func (f *filterOp) Open(c *Context) error  { return f.input.Open(c) }
 func (f *filterOp) Close() error           { return f.input.Close() }
 
-func (f *filterOp) Next() (schema.Tuple, error) {
-	t, _, err := f.NextVT()
-	return t, err
-}
-
-func (f *filterOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (f *filterOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		t, vt, err := nextVT(f.input)
+		t, vt, err := f.input.Next()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -280,13 +209,8 @@ func (p *projectOp) Schema() *schema.Schema { return p.out }
 func (p *projectOp) Open(c *Context) error  { return p.input.Open(c) }
 func (p *projectOp) Close() error           { return p.input.Close() }
 
-func (p *projectOp) Next() (schema.Tuple, error) {
-	t, _, err := p.NextVT()
-	return t, err
-}
-
-func (p *projectOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	t, vt, err := nextVT(p.input)
+func (p *projectOp) Next() (schema.Tuple, llm.VTime, error) {
+	t, vt, err := p.input.Next()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -312,13 +236,8 @@ func (s *stripOp) Schema() *schema.Schema { return s.out }
 func (s *stripOp) Open(c *Context) error  { return s.input.Open(c) }
 func (s *stripOp) Close() error           { return s.input.Close() }
 
-func (s *stripOp) Next() (schema.Tuple, error) {
-	t, _, err := s.NextVT()
-	return t, err
-}
-
-func (s *stripOp) NextVT() (schema.Tuple, llm.VTime, error) {
-	t, vt, err := nextVT(s.input)
+func (s *stripOp) Next() (schema.Tuple, llm.VTime, error) {
+	t, vt, err := s.input.Next()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -343,12 +262,7 @@ func (l *limitOp) Open(c *Context) error {
 
 func (l *limitOp) Close() error { return l.input.Close() }
 
-func (l *limitOp) Next() (schema.Tuple, error) {
-	t, _, err := l.NextVT()
-	return t, err
-}
-
-func (l *limitOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (l *limitOp) Next() (schema.Tuple, llm.VTime, error) {
 	// A satisfied limit — including LIMIT 0 — ends the stream without
 	// pulling (or skipping offset rows of) the input; closing the tree
 	// then tells streaming producers to stop issuing prompts (stop-and-go
@@ -357,12 +271,12 @@ func (l *limitOp) NextVT() (schema.Tuple, llm.VTime, error) {
 		return nil, 0, io.EOF
 	}
 	for l.skipped < l.offset {
-		if _, _, err := nextVT(l.input); err != nil {
+		if _, _, err := l.input.Next(); err != nil {
 			return nil, 0, err
 		}
 		l.skipped++
 	}
-	t, vt, err := nextVT(l.input)
+	t, vt, err := l.input.Next()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -374,7 +288,6 @@ func (l *limitOp) NextVT() (schema.Tuple, llm.VTime, error) {
 type distinctOp struct {
 	input   Operator
 	keyCols int
-	idx     []int
 	seen    map[string]bool
 }
 
@@ -382,27 +295,18 @@ func (d *distinctOp) Schema() *schema.Schema { return d.input.Schema() }
 
 func (d *distinctOp) Open(c *Context) error {
 	d.seen = map[string]bool{}
-	d.idx = make([]int, d.keyCols)
-	for i := range d.idx {
-		d.idx[i] = i
-	}
 	return d.input.Open(c)
 }
 
 func (d *distinctOp) Close() error { return d.input.Close() }
 
-func (d *distinctOp) Next() (schema.Tuple, error) {
-	t, _, err := d.NextVT()
-	return t, err
-}
-
-func (d *distinctOp) NextVT() (schema.Tuple, llm.VTime, error) {
+func (d *distinctOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		t, vt, err := nextVT(d.input)
+		t, vt, err := d.input.Next()
 		if err != nil {
 			return nil, 0, err
 		}
-		k := t.Key(d.idx)
+		k := t[:d.keyCols].Key()
 		if d.seen[k] {
 			continue
 		}

@@ -2,11 +2,14 @@ package physical
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/schema"
+	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
@@ -80,16 +83,14 @@ func (fixture) ResolveTable(name, explicit string) (*schema.TableDef, string, er
 	return nil, "", fmt.Errorf("no table %s", name)
 }
 
-func fixtureEnv() *Env {
-	return &Env{Data: func(table string) (*schema.Relation, error) {
-		switch strings.ToLower(table) {
-		case "people":
-			return peopleRows(), nil
-		case "cities":
-			return cityRows(), nil
-		}
-		return nil, fmt.Errorf("no data for %s", table)
-	}}
+func fixtureData(table string) (*schema.Relation, error) {
+	switch strings.ToLower(table) {
+	case "people":
+		return peopleRows(), nil
+	case "cities":
+		return cityRows(), nil
+	}
+	return nil, fmt.Errorf("no data for %s", table)
 }
 
 // runSQL compiles and runs a DB-only query over the fixtures.
@@ -103,7 +104,7 @@ func runSQL(t *testing.T, sql string) *schema.Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Compile(plan, fixtureEnv())
+	op, err := Compile(plan, fixtureData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +173,25 @@ func TestLeftJoin(t *testing.T) {
 	}
 	if rel.Cardinality() != 5 {
 		t.Errorf("rows = %d", rel.Cardinality())
+	}
+}
+
+// TestLeftJoinResidual: an unmatched left row is padded whether the
+// bucket is keyed (equality plus a residual) or shared (no equality).
+func TestLeftJoinResidual(t *testing.T) {
+	rel := runSQL(t, "SELECT c.name, p.name FROM cities c LEFT JOIN people p ON p.city = c.name AND p.age > 40")
+	// Rome keeps Cid, Paris keeps Bob and Eve, Tiny is padded.
+	if rel.Cardinality() != 4 {
+		t.Fatalf("rows = %d:\n%s", rel.Cardinality(), rel.String())
+	}
+	rel = runSQL(t, "SELECT c.name, p.name FROM cities c LEFT JOIN people p ON p.age > c.population")
+	if rel.Cardinality() != 3 {
+		t.Fatalf("rows = %d:\n%s", rel.Cardinality(), rel.String())
+	}
+	for _, row := range rel.Rows {
+		if !row[1].IsNull() {
+			t.Errorf("no person is older than a population: %v", row)
+		}
 	}
 }
 
@@ -286,6 +306,116 @@ func TestDistinctOp(t *testing.T) {
 	}
 }
 
+// vtScan replays rows stamped with fixed virtual times.
+type vtScan struct {
+	out  *schema.Schema
+	rows []schema.Tuple
+	vts  []llm.VTime
+	next int
+}
+
+func (s *vtScan) Schema() *schema.Schema { return s.out }
+func (s *vtScan) Open(*Context) error    { s.next = 0; return nil }
+func (s *vtScan) Close() error           { return nil }
+func (s *vtScan) Next() (schema.Tuple, llm.VTime, error) {
+	if s.next >= len(s.rows) {
+		return nil, 0, io.EOF
+	}
+	s.next++
+	return s.rows[s.next-1], s.vts[s.next-1], nil
+}
+
+// intScan builds a one-column vtScan over keys (nil is NULL).
+func intScan(table string, keys []any, vts ...llm.VTime) *vtScan {
+	s := &vtScan{out: schema.New(schema.Column{Table: table, Name: "k", Type: value.KindInt}), vts: vts}
+	for _, k := range keys {
+		v := value.Null()
+		if k != nil {
+			v = value.Int(int64(k.(int)))
+		}
+		s.rows = append(s.rows, schema.Tuple{v})
+	}
+	return s
+}
+
+// joinOf compiles a join of two scans the way Compile does.
+func joinOf(t *testing.T, left, right *vtScan, typ ast.JoinType, on ast.Expr) Operator {
+	t.Helper()
+	node := logical.NewJoin(logical.NewCachedScan("l", "", "", 0, left.out), logical.NewCachedScan("r", "", "", 0, right.out), typ, on)
+	op, err := buildJoin(node, left, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// TestJoinRows: NULL keys never match, an inner join drops them, a left
+// join pads them, and a keyless join pairs every row with every row.
+func TestJoinRows(t *testing.T) {
+	on := &ast.Binary{Op: "=", Left: &ast.ColumnRef{Table: "l", Name: "k"}, Right: &ast.ColumnRef{Table: "r", Name: "k"}}
+	for _, c := range []struct {
+		name string
+		typ  ast.JoinType
+		on   ast.Expr
+		want string
+	}{
+		{"inner", ast.JoinInner, on, "[1 1]"},
+		{"left", ast.JoinLeft, on, "[1 1] [NULL NULL] [2 NULL]"},
+		{"cross", ast.JoinCross, nil, "[1 1] [1 NULL] [NULL 1] [NULL NULL] [2 1] [2 NULL]"},
+	} {
+		op := joinOf(t, intScan("l", []any{1, nil, 2}, 0, 0, 0), intScan("r", []any{1, nil}, 0, 0), c.typ, c.on)
+		rel, err := Run(&Context{}, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range rel.Rows {
+			got = append(got, fmt.Sprint(row))
+		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("%s join = %s, want %s", c.name, g, c.want)
+		}
+	}
+}
+
+// TestJoinVirtualTime: a joined row — padded or matched, keyed bucket or
+// shared — is available once both the whole build side and its left row
+// are.
+func TestJoinVirtualTime(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		on   ast.Expr
+	}{
+		{"hash", &ast.Binary{Op: "=", Left: &ast.ColumnRef{Table: "l", Name: "k"}, Right: &ast.ColumnRef{Table: "r", Name: "k"}}},
+		{"nested loop", &ast.Binary{Op: "<=", Left: &ast.ColumnRef{Table: "l", Name: "k"}, Right: &ast.ColumnRef{Table: "r", Name: "k"}}},
+	} {
+		op := joinOf(t, intScan("l", []any{1, 2, 3}, 10, 50, 90), intScan("r", []any{1, 2}, 40, 20), ast.JoinLeft, c.on)
+		if err := op.Open(&Context{}); err != nil {
+			t.Fatal(err)
+		}
+		var vts []llm.VTime
+		for {
+			_, vt, err := op.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			vts = append(vts, vt)
+		}
+		op.Close()
+		// Left rows 1, 2 and 3 (padded) surface at max(40, their own time).
+		want := []llm.VTime{40, 40, 50, 90}
+		if c.name == "hash" {
+			want = []llm.VTime{40, 50, 90}
+		}
+		if fmt.Sprint(vts) != fmt.Sprint(want) {
+			t.Errorf("%s join row times = %v, want %v", c.name, vts, want)
+		}
+	}
+}
+
 // pullCountingOp counts how often its input stream is pulled.
 type pullCountingOp struct {
 	inner Operator
@@ -295,7 +425,7 @@ type pullCountingOp struct {
 func (p *pullCountingOp) Schema() *schema.Schema { return p.inner.Schema() }
 func (p *pullCountingOp) Open(c *Context) error  { return p.inner.Open(c) }
 func (p *pullCountingOp) Close() error           { return p.inner.Close() }
-func (p *pullCountingOp) Next() (schema.Tuple, error) {
+func (p *pullCountingOp) Next() (schema.Tuple, llm.VTime, error) {
 	p.pulls++
 	return p.inner.Next()
 }

@@ -88,33 +88,42 @@ func (p *pipe) stopped() bool {
 	}
 }
 
-// next yields the following in-flight row. ok=false means the stream
-// ended: err carries the producer's failure, nil for clean EOF.
-func (p *pipe) next() (r pipeRow, ok bool, err error) {
-	r, ok = <-p.out
-	if !ok {
-		return pipeRow{}, false, p.err
+// next yields the following in-flight row. When the stream has ended it
+// returns the producer's failure, or io.EOF after a clean finish.
+func (p *pipe) next() (pipeRow, error) {
+	r, ok := <-p.out
+	if ok {
+		return r, nil
 	}
-	return r, true, nil
+	if p.err != nil {
+		return pipeRow{}, p.err
+	}
+	return pipeRow{}, io.EOF
 }
 
 // close tells the producer to stop and waits for it to exit, so Close
-// returns with no goroutine still touching the operator or its input.
-func (p *pipe) close() {
-	p.stop.Do(func() { close(p.done) })
-	p.wg.Wait()
+// returns with no goroutine still touching the operator or its input. A
+// nil pipe (the operator never started its producer) closes as a no-op.
+func (p *pipe) close() error {
+	if p != nil {
+		p.stop.Do(func() { close(p.done) })
+		p.wg.Wait()
+	}
+	return nil
 }
 
-// inputWaves feeds an LLM operator's producer its input as prompt waves.
-// Streaming, each tuple is a wave of its own, handed over as it arrives;
-// stop-and-go, the whole input is drained first and handed over as one
-// wave (the drain-input barrier). wave reports whether the consumer still
-// wants rows.
-func (c *Context) inputWaves(input Operator, wave func([]pipeRow) (bool, error)) error {
+// feed drives an LLM operator's producer: it reads the input as prompt
+// waves, lets issue submit each wave's prompts, and hands the wave's rows
+// downstream. Streaming, each tuple is a wave of its own, issued as it
+// arrives, and a consumer that has terminated stops the feed before
+// another wave is issued; stop-and-go, the whole input is drained first
+// and issued as one wave (the drain-input barrier) that runs to
+// completion.
+func (p *pipe) feed(c *Context, input Operator, issue func([]pipeRow) error) error {
 	stopAndGo := c.Scheduler.StopAndGo()
 	var rows []pipeRow
 	for {
-		t, vt, err := nextVT(input)
+		t, vt, err := input.Next()
 		if err == io.EOF {
 			break
 		}
@@ -122,16 +131,23 @@ func (c *Context) inputWaves(input Operator, wave func([]pipeRow) (bool, error))
 			return err
 		}
 		rows = append(rows, pipeRow{row: t, vt: vt})
-		if !stopAndGo {
-			if more, err := wave(rows); !more || err != nil {
-				return err
-			}
-			rows = rows[:0]
+		if stopAndGo {
+			continue
 		}
+		if p.stopped() {
+			return nil
+		}
+		if err := issue(rows); err != nil || !p.send(rows...) {
+			return err
+		}
+		rows = rows[:0]
 	}
 	if !stopAndGo {
 		return nil
 	}
-	_, err := wave(rows)
-	return err
+	if err := issue(rows); err != nil {
+		return err
+	}
+	p.send(rows...)
+	return nil
 }

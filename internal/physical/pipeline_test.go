@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/prompt"
+	"repro/internal/schema"
 	"repro/internal/sql/ast"
 	"repro/internal/value"
 )
@@ -22,7 +24,7 @@ func pipelinedCtx(ctx context.Context, client llm.Client, workers, buffer int) *
 	b := prompt.NewBuilder()
 	b.IncludePreamble = false
 	return &Context{
-		Client:            client,
+		Route:             routeTo(client),
 		Prompts:           b,
 		Cleaner:           clean.New(clean.DefaultOptions()),
 		MaxScanIterations: 5,
@@ -177,7 +179,7 @@ func TestStopAndGoLimitRunsFullScan(t *testing.T) {
 	for _, n := range []int{0, 3} {
 		client := &pagingLLM{}
 		c := llmCtx(&scriptedLLM{})
-		c.Client = client
+		c.Route = routeTo(client)
 		c.MaxScanIterations = 50
 
 		scan := logical.NewScan(townDef(), "t", "LLM")
@@ -192,6 +194,56 @@ func TestStopAndGoLimitRunsFullScan(t *testing.T) {
 		if pages := client.count(); pages != 50 {
 			t.Errorf("stop-and-go LIMIT %d issued %d scan pages, want the full 50", n, pages)
 		}
+	}
+}
+
+// gateOp yields its first row at once and each later one only after
+// wait returns.
+type gateOp struct {
+	out  *schema.Schema
+	rows []schema.Tuple
+	wait func()
+	next int
+}
+
+func (g *gateOp) Schema() *schema.Schema { return g.out }
+func (g *gateOp) Open(*Context) error    { return nil }
+func (g *gateOp) Close() error           { return nil }
+func (g *gateOp) Next() (schema.Tuple, llm.VTime, error) {
+	if g.next >= len(g.rows) {
+		return nil, 0, io.EOF
+	}
+	if g.next > 0 {
+		g.wait()
+	}
+	g.next++
+	return g.rows[g.next-1], 0, nil
+}
+
+// TestClosedStreamIssuesNoPrompts: once its consumer has closed it, a
+// streaming fetch issues no prompt for an upstream row that arrives
+// afterwards.
+func TestClosedStreamIssuesNoPrompts(t *testing.T) {
+	client := (&scriptedLLM{}).on("population of the town", "100")
+	scan := logical.NewScan(townDef(), "t", "LLM")
+	fa, err := logical.NewFetchAttr(scan, townDef(), "t", "population", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateOp{out: scan.Schema(), rows: keysRelation("Alpha", "Beta").Rows}
+	op := &llmFetchAttrOp{node: fa, input: gate, out: fa.Schema()}
+	gate.wait = func() { <-op.pipe.done } // Beta arrives after Close
+	pctx := pipelinedCtx(context.Background(), client, 2, 4)
+	pctx.Metrics = NewMetrics()
+	if err := op.Open(pctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := op.Next(); err != nil {
+		t.Fatal(err)
+	}
+	op.Close()
+	if nm, _ := pctx.Metrics.Get(fa); nm.Prompts != 1 {
+		t.Errorf("closed fetch issued %d prompts, want 1 (Alpha only)", nm.Prompts)
 	}
 }
 
@@ -242,7 +294,7 @@ func TestBatchCancellation(t *testing.T) {
 
 	c := llmCtx(&scriptedLLM{})
 	c.Scheduler = testTenant(ctx, nil, 2, true)
-	c.Client = client
+	c.Route = routeTo(client)
 
 	scan := logical.NewScan(townDef(), "t", "LLM")
 	keyOp := &memScan{out: scan.Schema(), rel: keysRelation("Alpha", "Beta", "Gamma", "Delta")}

@@ -91,11 +91,7 @@ func Parse(text string, expected *schema.Schema, cleaner *clean.Cleaner) *schema
 		for i, f := range fields {
 			row[i] = cleaner.Cell(f, expected.Columns[i].Type)
 		}
-		idx := make([]int, cols)
-		for i := range idx {
-			idx[i] = i
-		}
-		k := row.Key(idx)
+		k := row.Key()
 		if seen[k] {
 			continue
 		}

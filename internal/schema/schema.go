@@ -154,12 +154,12 @@ func (t Tuple) Concat(u Tuple) Tuple {
 	return out
 }
 
-// Key returns a composite hash key over the fields at idx; used by joins,
-// GROUP BY and DISTINCT.
-func (t Tuple) Key(idx []int) string {
+// Key returns a composite hash key over the tuple's fields; GROUP BY and
+// DISTINCT key a group by the Key of its (leading) columns.
+func (t Tuple) Key() string {
 	var b strings.Builder
-	for _, i := range idx {
-		b.WriteString(t[i].Key())
+	for _, v := range t {
+		b.WriteString(v.Key())
 		b.WriteByte('\x1f')
 	}
 	return b.String()

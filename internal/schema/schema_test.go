@@ -83,8 +83,8 @@ func TestTupleOps(t *testing.T) {
 	if len(cat) != 3 {
 		t.Errorf("Concat len = %d", len(cat))
 	}
-	k1 := Tuple{value.Int(2)}.Key([]int{0})
-	k2 := Tuple{value.Float(2)}.Key([]int{0})
+	k1 := Tuple{value.Int(2)}.Key()
+	k2 := Tuple{value.Float(2)}.Key()
 	if k1 != k2 {
 		t.Error("numeric-equal tuples should share keys")
 	}
