@@ -42,14 +42,15 @@ serve:
 	$(GO) run ./cmd/galois-serve
 
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
-# the galois.yaml decoder, the model-answer number decoder and the token
-# counter (same runs CI does).
+# the galois.yaml decoder, the model-answer number decoder, the token
+# counter and the prompt template's token count (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
 	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
+	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
 
 # Per-package coverage summary.
 cover:

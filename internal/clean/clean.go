@@ -154,10 +154,15 @@ func leadingEnumeration(s string) int {
 	return 0
 }
 
+// unknownAnswers are the answers that mean the model does not know.
+var unknownAnswers = []string{"unknown", "n/a", "na", "none", "null", "i don't know", "i do not know", "not available", "no answer"}
+
 func isUnknown(s string) bool {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "unknown", "n/a", "na", "none", "null", "i don't know", "i do not know", "not available", "no answer":
-		return true
+	s = strings.TrimSpace(s)
+	for _, u := range unknownAnswers {
+		if strings.EqualFold(s, u) {
+			return true
+		}
 	}
 	return false
 }

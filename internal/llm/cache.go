@@ -11,11 +11,15 @@ import (
 // cache built with size 0.
 const DefaultCacheSize = 4096
 
-// cacheKey identifies one completion: the same prompt sent to two models
-// is two entries.
+// cacheKey identifies one completion: the id of the prompt's template
+// and the key it was instantiated with, or, for a raw-text prompt, id 0
+// and the whole text. The same prompt sent to two models is two entries.
+// The key says nothing about the template's text: the entry holds its
+// template, and a lookup checks it (see same).
 type cacheKey struct {
-	model  string
-	prompt string
+	model string
+	tmpl  uint64
+	key   string
 }
 
 // PromptClass names the family of per-key prompts one physical operator
@@ -72,18 +76,20 @@ type classKey struct {
 }
 
 // flight is one in-flight completion shared by every concurrent caller of
-// the same (model, prompt); done is closed once out/err are set.
+// the same (model, template, key); done is closed once out/err are set.
 type flight struct {
+	tmpl *Template
 	done chan struct{}
 	out  string
 	err  error
 }
 
-// cacheEntry is one resident completion, stored inside the LRU list.
+// cacheEntry is one resident completion, stored inside the LRU list; its
+// class is its template's.
 type cacheEntry struct {
-	key   cacheKey
-	class PromptClass
-	out   string
+	key  cacheKey
+	tmpl *Template
+	out  string
 }
 
 // CacheStats is a snapshot of a cache's lifetime counters.
@@ -93,11 +99,15 @@ type CacheStats struct {
 	Entries int // completions currently resident
 }
 
-// Cache is a concurrency-safe LRU of prompt completions keyed by
-// (model name, prompt), with a singleflight layer that collapses
+// Cache is a concurrency-safe LRU of prompt completions keyed by (model
+// name, template id, key), with a singleflight layer that collapses
 // concurrent identical prompts into one in-flight model call. An engine
 // typically shares one Cache across all its queries, so repeated traffic
-// reuses completions across operators and across queries.
+// reuses completions across operators and across queries. A lookup hashes
+// the key, not the template's text, and builds no prompt; a hit, and a
+// join of an in-flight call, also compares the template's text, so a
+// template whose id collides with another's costs a model call and never
+// gets the other's answer.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -130,12 +140,12 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached completion for (model, prompt), bumping its
-// recency. It does not touch the hit/miss counters; Fetch does.
+// Get returns the cached completion for the raw-text prompt (model,
+// prompt), bumping its recency. It does not touch the hit/miss counters.
 func (c *Cache) Get(model, prompt string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[cacheKey{model, prompt}]
+	el, ok := c.entries[cacheKey{model: model, key: prompt}]
 	if !ok {
 		return "", false
 	}
@@ -143,28 +153,35 @@ func (c *Cache) Get(model, prompt string) (string, bool) {
 	return el.Value.(*cacheEntry).out, true
 }
 
-// Put stores a completion under its prompt class, evicting the least
-// recently used entry when over capacity.
+// Put stores the completion of a raw-text prompt under its prompt class,
+// evicting the least recently used entry when over capacity.
 func (c *Cache) Put(model string, class PromptClass, prompt, out string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(cacheKey{model, prompt}, class, out)
+	c.insertLocked(cacheKey{model: model, key: prompt}, rawTemplate(class), out)
 }
 
-// insertLocked stores one completion. A prompt that is already resident
-// keeps the class it entered under.
-func (c *Cache) insertLocked(key cacheKey, class PromptClass, out string) {
+// insertLocked stores one completion of template tp. A prompt that is
+// already resident keeps the class it entered under; an entry of a
+// colliding template is taken over.
+func (c *Cache) insertLocked(key cacheKey, tp *Template, out string) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).out = out
+		e := el.Value.(*cacheEntry)
+		if !same(e.tmpl, tp) {
+			c.count(key.model, e.tmpl.class, -1)
+			c.count(key.model, tp.class, 1)
+			e.tmpl = tp
+		}
+		e.out = out
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, class: class, out: out})
-	c.count(key.model, class, 1)
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, tmpl: tp, out: out})
+	c.count(key.model, tp.class, 1)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Remove(c.order.Back()).(*cacheEntry)
 		delete(c.entries, oldest.key)
-		c.count(oldest.key.model, oldest.class, -1)
+		c.count(oldest.key.model, oldest.tmpl.class, -1)
 	}
 }
 
@@ -195,18 +212,19 @@ func (c *Cache) Resident(model string, class PromptClass) int {
 	return c.resident[classKey{model, class}]
 }
 
-// hit returns the resident completion for (model, prompt), counting the
-// hit and bumping its recency — a resident prompt's whole cost. It never
-// waits: a prompt that is merely in flight is not a hit here.
-func (c *Cache) hit(model, prompt string) (string, bool) {
+// hit returns the resident completion of key instantiating tp for model,
+// counting the hit and bumping its recency — a resident prompt's whole
+// cost. It never waits: a prompt that is merely in flight is not a hit
+// here.
+func (c *Cache) hit(model string, tp *Template, key string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hitLocked(cacheKey{model, prompt})
+	return c.hitLocked(cacheKey{model, tp.id, key}, tp)
 }
 
-func (c *Cache) hitLocked(key cacheKey) (string, bool) {
+func (c *Cache) hitLocked(key cacheKey, tp *Template) (string, bool) {
 	el, ok := c.entries[key]
-	if !ok {
+	if !ok || !same(el.Value.(*cacheEntry).tmpl, tp) {
 		return "", false
 	}
 	c.order.MoveToFront(el)
@@ -228,23 +246,26 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}
 }
 
-// Fetch returns the completion for (model, prompt): from the cache when
-// resident, from a concurrent identical in-flight call when one exists,
-// otherwise by invoking complete and storing its result under class. The
-// returned bool reports whether this caller issued the model call itself —
-// false means the answer cost nothing. Errors are never cached, and a joiner
-// whose leader failed retries rather than inheriting the failure — the
-// leader's error may be its own cancellation, which must not spuriously
-// fail an unrelated query sharing the cache.
-func (c *Cache) Fetch(ctx context.Context, model string, class PromptClass, prompt string, complete func() (string, error)) (string, bool, error) {
-	key := cacheKey{model, prompt}
+// fetch returns the completion of key instantiating tp for model: from
+// the cache when resident, from a concurrent identical in-flight call when
+// one exists, otherwise by invoking complete and storing its result under
+// tp's class. The returned bool reports whether this caller issued the
+// model call itself — false means the answer cost nothing. Errors are
+// never cached, and a joiner whose leader failed retries rather than
+// inheriting the failure — the leader's error may be its own
+// cancellation, which must not spuriously fail an unrelated query sharing
+// the cache. A flight of a template colliding with tp is not joined:
+// complete runs beside it.
+func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string, complete func() (string, error)) (string, bool, error) {
+	key := cacheKey{model, tp.id, k}
 	for {
 		c.mu.Lock()
-		if out, ok := c.hitLocked(key); ok {
+		if out, ok := c.hitLocked(key, tp); ok {
 			c.mu.Unlock()
 			return out, false, nil
 		}
-		if f, ok := c.flights[key]; ok {
+		f, ok := c.flights[key]
+		if ok && same(f.tmpl, tp) {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
@@ -262,20 +283,25 @@ func (c *Cache) Fetch(ctx context.Context, model string, class PromptClass, prom
 			}
 			continue // leader failed; next round joins a fresh flight or leads
 		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
 		c.misses++
-		c.mu.Unlock()
-
-		f.out, f.err = complete()
-		close(f.done)
-
-		c.mu.Lock()
-		delete(c.flights, key)
-		if f.err == nil {
-			c.insertLocked(key, class, f.out)
+		lead := !ok
+		if lead {
+			f = &flight{tmpl: tp, done: make(chan struct{})}
+			c.flights[key] = f
 		}
 		c.mu.Unlock()
-		return f.out, true, f.err
+
+		out, err := complete()
+		c.mu.Lock()
+		if lead {
+			f.out, f.err = out, err
+			close(f.done)
+			delete(c.flights, key)
+		}
+		if err == nil {
+			c.insertLocked(key, tp, out)
+		}
+		c.mu.Unlock()
+		return out, true, err
 	}
 }

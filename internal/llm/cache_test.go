@@ -81,7 +81,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], _, errs[g] = c.Fetch(context.Background(), "m", PromptClass{}, "same prompt", func() (string, error) {
+			outs[g], _, errs[g] = c.fetch(context.Background(), "m", rawText, "same prompt", func() (string, error) {
 				<-gate // hold the flight open until all callers joined
 				atomic.AddInt32(&calls, 1)
 				return "answer", nil
@@ -108,7 +108,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheFetchStatsCounters(t *testing.T) {
 	c := NewCache(8)
 	fetch := func(prompt string) {
-		if _, _, err := c.Fetch(context.Background(), "m", PromptClass{}, prompt, func() (string, error) {
+		if _, _, err := c.fetch(context.Background(), "m", rawText, prompt, func() (string, error) {
 			return "out", nil
 		}); err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestCacheFetchStatsCounters(t *testing.T) {
 func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(8)
 	boom := errors.New("boom")
-	if _, issued, err := c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
+	if _, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 		return "", boom
 	}); !issued || !errors.Is(err, boom) {
 		t.Fatalf("issued=%v err=%v", issued, err)
@@ -136,7 +136,7 @@ func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 		t.Error("errors must not be cached")
 	}
 	// The next fetch must retry the model.
-	out, issued, err := c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
+	out, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 		return "recovered", nil
 	})
 	if err != nil || !issued || out != "recovered" {
@@ -153,7 +153,7 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	release := make(chan struct{})
 
 	go func() {
-		c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
+		c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 			close(leaderStarted)
 			<-release
 			return "", context.Canceled // the leader's query went away
@@ -166,7 +166,7 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, _, err = c.Fetch(context.Background(), "m", PromptClass{}, "p", func() (string, error) {
+		out, _, err = c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 			return "answer", nil
 		})
 	}()
@@ -389,7 +389,7 @@ func checkResidency(t *testing.T, c *Cache) {
 	}
 }
 
-// residencyOp applies one random Put or Fetch over a small key space of
+// residencyOp applies one random Put or fetch over a small key space of
 // two models and five classes (the zero class included), so inserts,
 // overwrites, hits and evictions all occur.
 func residencyOp(c *Cache, rng *rand.Rand) {
@@ -402,7 +402,7 @@ func residencyOp(c *Cache, rng *rand.Rand) {
 		c.Put(model, class, prompt, "out")
 		return
 	}
-	_, _, _ = c.Fetch(context.Background(), model, class, prompt, func() (string, error) {
+	_, _, _ = c.fetch(context.Background(), model, rawTemplate(class), prompt, func() (string, error) {
 		if rng.Intn(8) == 0 {
 			return "", errors.New("boom") // errors are never cached
 		}
@@ -410,7 +410,7 @@ func residencyOp(c *Cache, rng *rand.Rand) {
 	})
 }
 
-// TestCacheResidencyInvariant: after every step of random Put / Fetch /
+// TestCacheResidencyInvariant: after every step of random Put / fetch /
 // evict sequences, at several capacities, the per-class counts match the
 // resident entries exactly.
 func TestCacheResidencyInvariant(t *testing.T) {

@@ -213,7 +213,7 @@ func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 		tn := waveTenant(context.Background(), cache, width)
 		w := tn.Wave()
 		for i := 0; i < 16; i++ {
-			w.Submit(flaky, fmt.Sprintf("p%d", i), 0, PromptClass{})
+			w.Submit(flaky, nil, fmt.Sprintf("p%d", i), 0)
 		}
 		begin := time.Now()
 		if err := w.Settle(); !errors.Is(err, boom) {

@@ -100,30 +100,52 @@ func (s Stats) String() string {
 // classified by table; only multi-byte runes (and invalid bytes, which
 // decode to U+FFFD as in strings.Fields) go through unicode.IsSpace.
 func CountTokens(s string) int {
-	n := 0
-	inField := false
-	for i := 0; i < len(s); {
-		var space bool
-		if c := s[i]; c < utf8.RuneSelf {
-			space = asciiSpace[c]
-			i++
-		} else {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			space = unicode.IsSpace(r)
-			i += size
-		}
-		if space {
-			inField = false
-		} else if !inField {
-			inField = true
-			n++
-		}
-	}
+	n, _, _, _ := scanTokens(s)
 	return n
 }
 
-// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+// scanTokens is CountTokens' scan. It also reports whether the first and
+// the last rune of s are inside a word, so a text joined to a neighbour
+// can tell whether a word runs across the join, and whether s ends in an
+// incomplete UTF-8 sequence that the bytes after it could complete.
+func scanTokens(s string) (n int, first, last, open bool) {
+	if s != "" {
+		r, _ := utf8.DecodeRuneInString(s)
+		first = !unicode.IsSpace(r)
+	}
+	var prev uint8 // 1 inside a word
+	for i := 0; i < len(s); {
+		var word uint8
+		if c := s[i]; c < utf8.RuneSelf {
+			word = asciiWord[c]
+			i++
+		} else {
+			if len(s)-i < utf8.UTFMax && !utf8.FullRuneInString(s[i:]) {
+				open = true
+			}
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if !unicode.IsSpace(r) {
+				word = 1
+			}
+			i += size
+		}
+		n += int(word &^ prev) // a word starts
+		prev = word
+	}
+	return n, first, prev == 1, open
+}
+
+// asciiWord is 1 for the ASCII bytes unicode.IsSpace rejects.
+var asciiWord = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		switch c {
+		case '\t', '\n', '\v', '\f', '\r', ' ':
+		default:
+			t[c] = 1
+		}
+	}
+	return t
+}()
 
 // Latency model constants, set so that a typical Galois query
 // (~110 prompts, mostly batched) lands near the paper's ~20 s.

@@ -118,7 +118,7 @@ func runWave(tn *Tenant, client Client, prompts []string) ([]string, error) {
 	w := tn.Wave()
 	futures := make([]*Future, len(prompts))
 	for i, p := range prompts {
-		futures[i] = w.Submit(client, p, 0, PromptClass{})
+		futures[i] = w.Submit(client, nil, p, 0)
 	}
 	if err := w.Settle(); err != nil {
 		return nil, err
@@ -240,7 +240,7 @@ func TestWaveClosedMidWave(t *testing.T) {
 	tn := waveTenant(context.Background(), nil, 1)
 	w := tn.Wave()
 	for _, p := range []string{"a", "b", "c"} {
-		w.Submit(gated, p, 0, PromptClass{})
+		w.Submit(gated, nil, p, 0)
 	}
 	<-started // "a" holds the only slot; "b" and "c" are queued
 	tn.Close()

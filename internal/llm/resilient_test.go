@@ -538,7 +538,7 @@ func TestResilientCacheNeverPoisoned(t *testing.T) {
 	})
 	cache := NewCache(64)
 	for i := 0; i < 4; i++ {
-		out, _, err := cache.Fetch(context.Background(), rc.Name(), PromptClass{}, "p", func() (string, error) {
+		out, _, err := cache.fetch(context.Background(), rc.Name(), rawText, "p", func() (string, error) {
 			return rc.Complete(context.Background(), "p")
 		})
 		if err != nil {

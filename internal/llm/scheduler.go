@@ -360,20 +360,22 @@ func (b *band) purge(t *Tenant, w *Wave) []*job {
 	return swept
 }
 
-// job is one queued or running prompt. tokens is the prompt's estimated
-// token count — counted once at Submit, reused by the latency model and
-// the tenant's usage — and cost its deficit-counter price derived from
-// it. wave is the wave the prompt was submitted in.
+// job is one queued or running prompt: key instantiating tmpl, whose
+// text is built only when the prompt goes to the model. tokens is the
+// prompt's estimated token count — counted once at Submit, reused by the
+// latency model and the tenant's usage — and cost its deficit-counter
+// price derived from it. wave is the wave the prompt was submitted in.
+// The job is its own Future.
 type job struct {
+	Future
 	t      *Tenant
 	wave   *Wave
 	client Client
-	class  PromptClass
-	prompt string
+	tmpl   *Template
+	key    string
 	ready  VTime
 	tokens int
 	cost   int64
-	f      *Future
 }
 
 // NewScheduler builds an engine-lifetime scheduler. workers bounds, per
@@ -684,22 +686,14 @@ func (t *Tenant) Class() AdmissionClass { return t.class }
 // Weight reports the tenant's deficit weight within its band.
 func (t *Tenant) Weight() int { return int(t.weight) }
 
-// Workers reports the scheduler's per-endpoint worker budget.
-func (t *Tenant) Workers() int { return t.s.workers }
-
-// Submit enqueues one prompt whose dependencies complete at ready and
-// returns immediately; the shared pool resolves the future when a worker
-// slot of the client's endpoint is granted to this tenant. The answered
-// prompt, its tokens and its cache hit or miss count on the tenant's
-// Usage, its latency in Makespan. class, when given, is the prompt class
-// the completion enters the cache under (the operator that built the
-// prompt knows it; omitted means unclassified).
-//
-// A prompt whose completion is resident in the cache is answered here,
-// at ready: the hit is counted and its recency bumped exactly as on the
-// slot path, but no goroutine starts, no worker slot or deficit is
-// spent and no tokens are counted — a fact already held costs a map
-// lookup. A cancelled tenant still fails first.
+// Submit enqueues one raw-text prompt whose dependencies complete at
+// ready and returns immediately; the shared pool resolves the future when
+// a worker slot of the client's endpoint is granted to this tenant. The
+// answered prompt, its tokens and its cache hit or miss count on the
+// tenant's Usage, its latency in Makespan. class, when given, is the
+// prompt class the completion enters the cache under (omitted means
+// unclassified). A raw-text prompt is the template-less case of
+// Wave.Submit: its whole text is the key.
 //
 // Under the stop-and-go policy the prompt is a wave of one.
 func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...PromptClass) *Future {
@@ -711,26 +705,38 @@ func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...Prom
 	if t.width > 0 {
 		w = &Wave{t: t, ctx: t.ctx}
 	}
-	return w.Submit(client, prompt, ready, c)
+	return w.submit(client, rawTemplate(c), prompt, ready)
 }
 
-// Submit enqueues one prompt of the wave (see Tenant.Submit). A prompt
-// submitted to an aborted wave fails at once.
-func (w *Wave) Submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
-	f := w.submit(client, prompt, ready, class)
+// Submit enqueues, as one prompt of the wave, key instantiating the
+// template tp; a nil tp submits key as an unclassified raw-text prompt.
+// The completion enters the cache under tp's class. A prompt submitted
+// to an aborted wave fails at once.
+//
+// A prompt whose completion is resident in the cache is answered here,
+// at ready: the hit is counted and its recency bumped exactly as on the
+// slot path, but no goroutine starts, no worker slot or deficit is
+// spent, no tokens are counted and no prompt text is built — a fact
+// already held costs a map lookup on the key. A cancelled tenant still
+// fails first.
+func (w *Wave) Submit(client Client, tp *Template, key string, ready VTime) *Future {
+	if tp == nil {
+		tp = rawText
+	}
+	f := w.submit(client, tp, key, ready)
 	if w.fail != nil {
 		w.futures = append(w.futures, f)
 	}
 	return f
 }
 
-func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptClass) *Future {
+func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Future {
 	if err := w.err(); err != nil {
 		return &Future{done: resolved, err: err}
 	}
 	t, s := w.t, w.t.s
 	if s.cache != nil {
-		if out, ok := s.cache.hit(client.Name(), prompt); ok {
+		if out, ok := s.cache.hit(client.Name(), tp, key); ok {
 			t.mu.Lock()
 			t.usage.CacheHits++
 			if t.width == 0 && ready > t.span {
@@ -740,9 +746,10 @@ func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptCla
 			return &Future{done: resolved, out: out, vt: ready}
 		}
 	}
-	f := &Future{done: make(chan struct{})}
-	tokens := CountTokens(prompt)
-	j := &job{t: t, wave: w, client: client, class: class, prompt: prompt, ready: ready, tokens: tokens, cost: promptCost(tokens), f: f}
+	tokens := tp.tokens(key)
+	j := &job{t: t, wave: w, client: client, tmpl: tp, key: key, ready: ready, tokens: tokens, cost: promptCost(tokens)}
+	j.done = make(chan struct{})
+	f := &j.Future
 	t.inflight.Add(1)
 	s.mu.Lock()
 	// Re-check under the lock: purge also runs under it, so a cancel or
@@ -750,8 +757,8 @@ func (w *Wave) submit(client Client, prompt string, ready VTime, class PromptCla
 	// this job in a queue the purge has already swept.
 	if err := w.err(); err != nil {
 		s.mu.Unlock()
-		f.err = err
-		close(f.done)
+		j.err = err
+		close(j.done)
 		t.inflight.Done()
 		return f
 	}
@@ -820,14 +827,14 @@ func (s *Scheduler) run(ep *endpoint, j *job) {
 // exec runs one job to resolution; a failure aborts the job's wave.
 func (s *Scheduler) exec(j *job) {
 	defer j.t.inflight.Done()
-	defer close(j.f.done)
+	defer close(j.done)
 	if err := j.wave.err(); err != nil {
-		j.f.err = err
+		j.err = err
 		return
 	}
-	j.f.out, j.f.vt, j.f.err = s.complete(j)
-	if j.f.err != nil {
-		j.wave.abort(j.f.err)
+	j.out, j.vt, j.err = s.complete(j)
+	if j.err != nil {
+		j.wave.abort(j.err)
 	}
 }
 
@@ -847,8 +854,8 @@ func (t *Tenant) purge(w *Wave, err error) {
 	}
 	s.mu.Unlock()
 	for _, j := range purged {
-		j.f.err = err
-		close(j.f.done)
+		j.err = err
+		close(j.done)
 		j.t.inflight.Done()
 	}
 }
@@ -881,19 +888,19 @@ func (t *Tenant) Close() {
 
 // complete runs one job on its granted slot: through the cache when one
 // is configured (a prompt that became resident or in flight since Submit
-// still costs nothing), else straight to the model.
+// still costs nothing), else straight to the model. The prompt's text is
+// built here, only for the model call.
 func (s *Scheduler) complete(j *job) (string, VTime, error) {
 	t, client := j.t, j.client
 	ctx := j.wave.ctx
+	call := func() (string, error) { return client.Complete(ctx, j.tmpl.text(j.key)) }
 	var out string
 	issued := true
 	var err error
 	if s.cache != nil {
-		out, issued, err = s.cache.Fetch(ctx, client.Name(), j.class, j.prompt, func() (string, error) {
-			return client.Complete(ctx, j.prompt)
-		})
+		out, issued, err = s.cache.fetch(ctx, client.Name(), j.tmpl, j.key, call)
 	} else {
-		out, err = client.Complete(ctx, j.prompt)
+		out, err = call()
 	}
 	if err != nil {
 		return "", 0, err

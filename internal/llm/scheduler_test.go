@@ -601,3 +601,24 @@ func BenchmarkSchedulerMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTemplatedHit is the cost of one resident templated prompt:
+// Submit and Wait of a fetch whose answer the cache holds, answered from
+// the key without building the prompt's text. Run with -benchmem.
+func BenchmarkTemplatedHit(b *testing.B) {
+	tn := NewScheduler(NewCache(8), DefaultBatchWorkers).Tenant(context.Background(), "bench")
+	defer tn.Close()
+	client := &echoLLM{name: "instant", answer: "2872800"}
+	tmpl, _ := collidingTemplates()
+	w := tn.Wave()
+	if _, _, err := w.Submit(client, tmpl, "Rome", 0).Wait(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := w.Submit(client, tmpl, "Rome", 0).Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

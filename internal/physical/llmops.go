@@ -168,7 +168,9 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 // Next awaits answers in input order, so both policies yield identical
 // results. Streaming, each tuple is a wave of its own, issued the moment
 // it arrives, with its verification alongside; stop-and-go, the whole
-// input is one wave, and verification follows it as a second wave.
+// input is one wave, and verification follows it as a second wave. Open
+// builds the prompt template once; each prompt is submitted as the
+// template and the tuple's key.
 type llmFetchAttrOp struct {
 	node  *logical.FetchAttr
 	input Operator
@@ -191,15 +193,12 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	}
 	f.kind = f.out.Columns[f.out.Len()-1].Type
 	f.pc = c
-	class := llm.FetchClass(f.node.Table.Name, f.node.Attr)
 	perRow := 1
 	if c.Verifier != nil {
 		perRow = 2
 	}
 	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
-	attrPrompt := func(r pipeRow) string {
-		return pre + r.row[f.node.KeyCol].String() + post
-	}
+	tmpl := llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr))
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
@@ -208,7 +207,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
 			w := c.Scheduler.Wave()
 			for i := range rows {
-				rows[i].main = w.Submit(client, attrPrompt(rows[i]), rows[i].vt, class)
+				rows[i].main = w.Submit(client, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 			}
 			if err := w.Settle(); err != nil {
 				return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -218,7 +217,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 			if c.Verifier != nil {
 				v := c.Scheduler.Wave()
 				for i := range rows {
-					rows[i].verify = v.Submit(c.Verifier, attrPrompt(rows[i]), rows[i].vt, class)
+					rows[i].verify = v.Submit(c.Verifier, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 				}
 				if err := v.Settle(); err != nil {
 					return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -320,7 +319,7 @@ func (f *llmFilterOp) Open(c *Context) error {
 	lit := f.node.Cond.Right.(*ast.Literal)
 	litText := lit.Val.String()
 	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
-	class := llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)
+	tmpl := llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText))
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
@@ -329,8 +328,7 @@ func (f *llmFilterOp) Open(c *Context) error {
 			c.Metrics.Add(f.node, len(rows), len(rows), 0)
 			w := c.Scheduler.Wave()
 			for i := range rows {
-				p := pre + rows[i].row[f.node.KeyCol].String() + post
-				rows[i].main = w.Submit(client, p, rows[i].vt, class)
+				rows[i].main = w.Submit(client, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 			}
 			if err := w.Settle(); err != nil {
 				return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/clean"
@@ -13,9 +14,9 @@ import (
 )
 
 // Model is one simulated LLM. It implements the llm.Client interface
-// (Name/Complete) and is safe for concurrent use: all state is immutable
-// after construction and every random decision is a pure hash of
-// (seed, model, inputs).
+// (Name/Complete) and is safe for concurrent use: its state is immutable
+// after construction, apart from a memo of pure functions, and every
+// random decision is a pure hash of (seed, model, inputs).
 type Model struct {
 	profile Profile
 	world   *world.World
@@ -23,6 +24,9 @@ type Model struct {
 	// prefix every h64 shares.
 	hseed     uint64
 	questions map[string]QuerySpec
+	// known memoises knownKeys per relation (string → []string): a pure
+	// function of the seed, the profile and the relation.
+	known sync.Map
 }
 
 // New builds a model over the world with the given noise seed.
@@ -131,14 +135,19 @@ func (m *Model) knows(rel, key string, pop float64) bool {
 	return m.h01("know", rel, key) < p
 }
 
-// knownKeys returns the keys the model recalls, most popular first.
+// knownKeys returns the keys the model recalls, most popular first. The
+// slice is shared by every caller: it is read-only.
 func (m *Model) knownKeys(rel string) []string {
+	if keys, ok := m.known.Load(rel); ok {
+		return keys.([]string)
+	}
 	var out []string
 	for _, kp := range m.world.KeysByPopularity(rel) {
 		if m.knows(rel, kp.Key, kp.Pop) {
 			out = append(out, kp.Key)
 		}
 	}
+	m.known.Store(rel, out)
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/prompt"
+	"repro/internal/world"
 )
 
 // dispatch routes one incoming prompt to the matching behaviour. A real
@@ -66,7 +67,7 @@ func normKey(s string) string {
 // the model's understanding is tolerant even when its output is not.
 func (m *Model) canon(key string) string {
 	key = strings.TrimSpace(key)
-	if c, ok := m.world.Alias(strings.ToLower(key)); ok {
+	if c, ok := m.world.Alias(key); ok {
 		return c
 	}
 	return key
@@ -126,8 +127,10 @@ func (m *Model) handleList(body string) string {
 
 	// Recalled entities passing the pushed conditions.
 	var avail []string
+	var buf [128]byte
 	for _, k := range m.knownKeys(rel) {
-		if exclude[normKey(k)] {
+		// exclude[normKey(k)], lower-cased on the stack.
+		if exclude[string(world.FoldKey(&buf, strings.TrimRight(strings.TrimSpace(k), ".,;")))] {
 			continue
 		}
 		if !m.passesPushed(rel, k, conds) {

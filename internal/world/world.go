@@ -57,6 +57,14 @@ type Table struct {
 	Def        *schema.TableDef
 	Rows       []schema.Tuple
 	Popularity []float64
+
+	// The lookup indexes, built once by Build and never written after:
+	// rowOf maps a lower-cased key to its first row; attrOf maps a
+	// lower-cased column label or name, or derived attribute, to the
+	// attribute name; byPop is KeysByPopularity's answer.
+	rowOf  map[string]int
+	attrOf map[string]string
+	byPop  []KeyPop
 }
 
 // Build constructs the world. The result is deterministic: every call
@@ -81,6 +89,7 @@ func Build() *World {
 	w.addEmployees()
 	w.registerReferences()
 	w.indexNouns()
+	w.indexTables()
 	return w
 }
 
@@ -121,7 +130,8 @@ func (w *World) addDerived(rel, attr, via, target, targetAttr string) {
 
 // DerivedAttr returns the derivation of a virtual attribute, if any.
 func (w *World) DerivedAttr(rel, attr string) (Derived, bool) {
-	d, ok := w.deriveds[strings.ToLower(rel)+"|"+strings.ToLower(attr)]
+	var buf [128]byte
+	d, ok := w.deriveds[string(FoldKey(&buf, rel, attr))]
 	return d, ok
 }
 
@@ -171,14 +181,16 @@ func (w *World) addRefAttr(rel, attr, target string) {
 
 // EntityAlt returns an alternate spelling for the entity, if registered.
 func (w *World) EntityAlt(rel, k string) (string, bool) {
-	s, ok := w.entityAlts[strings.ToLower(rel)+"|"+strings.ToLower(k)]
+	var buf [128]byte
+	s, ok := w.entityAlts[string(FoldKey(&buf, rel, k))]
 	return s, ok
 }
 
 // RefTarget returns the relation whose key the attribute references, if
 // any ("city", "country" → "country").
 func (w *World) RefTarget(rel, attr string) (string, bool) {
-	t, ok := w.refAttrs[strings.ToLower(rel)+"|"+strings.ToLower(attr)]
+	var buf [128]byte
+	t, ok := w.refAttrs[string(FoldKey(&buf, rel, attr))]
 	return t, ok
 }
 
@@ -187,6 +199,42 @@ func (w *World) indexNouns() {
 		human := prompt.Humanize(name)
 		w.nounIndex[human] = name
 		w.nounIndex[prompt.Pluralize(human)] = name
+	}
+}
+
+// indexTables builds every table's lookup indexes (see Table) once the
+// tables and derived attributes are registered. The first row of a key,
+// and the first column of a label in column order, win, as in a scan;
+// derived attributes answer labels no column claims.
+func (w *World) indexTables() {
+	for name, t := range w.tables {
+		ki := t.Def.KeyIndex()
+		t.rowOf = make(map[string]int, len(t.Rows))
+		t.byPop = make([]KeyPop, len(t.Rows))
+		for i, row := range t.Rows {
+			k := row[ki].String()
+			t.byPop[i] = KeyPop{Key: k, Pop: t.Popularity[i]}
+			lk := strings.ToLower(k)
+			if _, ok := t.rowOf[lk]; !ok {
+				t.rowOf[lk] = i
+			}
+		}
+		t.attrOf = map[string]string{}
+		label := func(label, attr string) {
+			if _, ok := t.attrOf[label]; !ok {
+				t.attrOf[label] = attr
+			}
+		}
+		for _, c := range t.Def.Schema.Columns {
+			label(strings.ToLower(prompt.Humanize(c.Name)), c.Name)
+			label(strings.ToLower(c.Name), c.Name)
+		}
+		for k := range w.deriveds {
+			if rel, attr, _ := strings.Cut(k, "|"); rel == name {
+				label(strings.ToLower(prompt.Humanize(attr)), attr)
+				label(attr, attr)
+			}
+		}
 	}
 }
 
@@ -241,45 +289,53 @@ func (w *World) Fact(rel, k, attr string) (value.Value, bool) {
 	return value.Null(), false
 }
 
-// fact indexes the fact table under key3(rel, k, attr) without building
-// the key string: ASCII parts are lower-cased into a stack buffer, and
-// indexing a map with string(buf) does not allocate. A non-ASCII part
-// falls back to key3, whose strings.ToLower is Unicode-aware.
+// fact indexes the fact table under key3(rel, k, attr).
 func (w *World) fact(rel, k, attr string) (value.Value, bool) {
-	var arr [128]byte
-	buf := arr[:0]
-	for i, part := range [3]string{rel, k, attr} {
+	var buf [128]byte
+	v, ok := w.facts[string(FoldKey(&buf, rel, k, attr))]
+	return v, ok
+}
+
+// FoldKey writes strings.ToLower of the '|'-joined parts into buf and
+// returns the bytes written, so that a map of lower-cased keys is indexed
+// as m[string(FoldKey(&buf, parts...))] without building the key: ASCII
+// parts are lower-cased in place, and indexing a map with string(bytes)
+// does not allocate. A part with non-ASCII bytes goes through
+// strings.ToLower, which is Unicode-aware, and allocates.
+func FoldKey(buf *[128]byte, parts ...string) []byte {
+	out := buf[:0]
+	for i, part := range parts {
 		if i > 0 {
-			buf = append(buf, '|')
+			out = append(out, '|')
 		}
 		for j := 0; j < len(part); j++ {
 			c := part[j]
 			if c >= utf8.RuneSelf {
-				v, ok := w.facts[key3(rel, k, attr)]
-				return v, ok
+				return []byte(strings.ToLower(strings.Join(parts, "|")))
 			}
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
 			}
-			buf = append(buf, c)
+			out = append(out, c)
 		}
 	}
-	v, ok := w.facts[string(buf)]
-	return v, ok
+	return out
 }
 
 // AltSurface returns the registered alternate surface form of a fact
 // ("IT" for country code "ITA"), if any.
 func (w *World) AltSurface(rel, k, attr string) (string, bool) {
-	s, ok := w.alts[key3(rel, k, attr)]
+	var buf [128]byte
+	s, ok := w.alts[string(FoldKey(&buf, rel, k, attr))]
 	return s, ok
 }
 
-// Alias returns the canonical form of one alternate spelling, which must
-// already be lower-cased. It reads the alias table in place: the table is
+// Alias returns the canonical form of one alternate spelling, matched
+// case-insensitively. It reads the alias table in place: the table is
 // never written after Build, so concurrent callers need no lock.
-func (w *World) Alias(lowered string) (string, bool) {
-	c, ok := w.aliases[lowered]
+func (w *World) Alias(spelling string) (string, bool) {
+	var buf [128]byte
+	c, ok := w.aliases[string(FoldKey(&buf, spelling))]
 	return c, ok
 }
 
@@ -300,28 +356,21 @@ type KeyPop struct {
 }
 
 // KeysByPopularity returns the keys of a relation, most famous first.
+// The slice is the world's own index, shared by every caller: it is
+// read-only.
 func (w *World) KeysByPopularity(rel string) []KeyPop {
-	t := w.Table(rel)
-	if t == nil {
-		return nil
+	if t := w.Table(rel); t != nil {
+		return t.byPop
 	}
-	ki := t.Def.KeyIndex()
-	out := make([]KeyPop, len(t.Rows))
-	for i, row := range t.Rows {
-		out[i] = KeyPop{Key: row[ki].String(), Pop: t.Popularity[i]}
-	}
-	return out
+	return nil
 }
 
-// Popularity returns the popularity of one entity (0 when unknown).
+// Popularity returns the popularity of one entity, matched
+// case-insensitively (0 when unknown).
 func (w *World) Popularity(rel, k string) float64 {
-	t := w.Table(rel)
-	if t == nil {
-		return 0
-	}
-	ki := t.Def.KeyIndex()
-	for i, row := range t.Rows {
-		if strings.EqualFold(row[ki].String(), k) {
+	if t := w.Table(rel); t != nil {
+		var buf [128]byte
+		if i, ok := t.rowOf[string(FoldKey(&buf, k))]; ok {
 			return t.Popularity[i]
 		}
 	}
@@ -341,28 +390,14 @@ func (w *World) FindRelation(noun string) (string, bool) {
 	return "", false
 }
 
-// FindAttr maps a humanized attribute label back to the schema column
-// name of a relation ("independence year" → "independence_year").
+// FindAttr maps a humanized attribute label, or a column name, back to
+// the schema column name of a relation ("independence year" →
+// "independence_year"). Derived (schema-less) attributes answer too.
 func (w *World) FindAttr(rel, label string) (string, bool) {
-	t := w.Table(rel)
-	if t == nil {
-		return "", false
-	}
-	label = strings.ToLower(strings.TrimSpace(label))
-	for _, c := range t.Def.Schema.Columns {
-		if strings.ToLower(prompt.Humanize(c.Name)) == label || strings.EqualFold(c.Name, label) {
-			return c.Name, true
-		}
-	}
-	// Derived (schema-less) attributes answer too.
-	for k := range w.deriveds {
-		parts := strings.SplitN(k, "|", 2)
-		if parts[0] != strings.ToLower(rel) {
-			continue
-		}
-		if strings.ToLower(prompt.Humanize(parts[1])) == label || parts[1] == label {
-			return parts[1], true
-		}
+	if t := w.Table(rel); t != nil {
+		var buf [128]byte
+		attr, ok := t.attrOf[string(FoldKey(&buf, strings.TrimSpace(label)))]
+		return attr, ok
 	}
 	return "", false
 }
