@@ -18,9 +18,11 @@ race:
 	$(GO) test -race ./...
 
 # The root package's end-to-end benchmarks, then the scheduler's own
-# (BenchmarkSchedulerMiss: the per-prompt cost of a model miss).
+# (BenchmarkSchedulerMiss: the per-prompt cost of a model miss) and the
+# LLM operators' (BenchmarkResidentFetch: a fetch-then-filter whose every
+# answer is resident).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from

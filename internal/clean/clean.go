@@ -50,6 +50,10 @@ type Cleaner struct {
 // New builds a Cleaner.
 func New(opts Options) *Cleaner { return &Cleaner{opts: opts} }
 
+// Options reports the normalizations the Cleaner applies. Two Cleaners
+// with equal Options clean every answer alike.
+func (c *Cleaner) Options() Options { return c.opts }
+
 // Cell converts one raw LLM answer into a typed value for a column of the
 // given kind. With type enforcement off, unparseable strings pass through
 // as TEXT; with it on they become NULL.
@@ -270,9 +274,12 @@ func ParseNumber(s string) (float64, bool) {
 	}
 	rest := strings.TrimSpace(s[i:])
 	for _, m := range magnitudes {
-		if rest == m.suffix || strings.HasPrefix(rest, m.suffix+" ") ||
-			strings.HasPrefix(rest, m.suffix+".") || strings.HasPrefix(rest, m.suffix+",") {
-			return f * m.mult, true
+		// The suffix is a whole word: the rest ends there, or goes on
+		// with a space, a period or a comma.
+		if strings.HasPrefix(rest, m.suffix) {
+			if n := len(m.suffix); n == len(rest) || rest[n] == ' ' || rest[n] == '.' || rest[n] == ',' {
+				return f * m.mult, true
+			}
 		}
 	}
 	// Units like "years", "people", "km²", "%" are ignored: the number
@@ -324,7 +331,9 @@ func ParseDate(s string) (value.Value, bool) {
 }
 
 // Canonicalizer rewrites known aliases to canonical spellings. Lookups are
-// case-insensitive; the canonical form is returned verbatim.
+// case-insensitive; the canonical form is returned verbatim. It is
+// immutable once built, so one pointer always means one alias table and
+// Options compare by value.
 type Canonicalizer struct {
 	aliases map[string]string
 }
@@ -358,11 +367,6 @@ func (c *Canonicalizer) Fingerprint() string {
 		h.Write([]byte{';'})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Add registers one alias.
-func (c *Canonicalizer) Add(alias, canonical string) {
-	c.aliases[strings.ToLower(strings.TrimSpace(alias))] = canonical
 }
 
 // Apply rewrites s if it is a known alias; otherwise s is returned

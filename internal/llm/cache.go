@@ -77,19 +77,36 @@ type classKey struct {
 
 // flight is one in-flight completion shared by every concurrent caller of
 // the same (model, template, key); done is closed once out/err are set.
+// val is the leader's decoding of out (see Template.value).
 type flight struct {
 	tmpl *Template
 	done chan struct{}
 	out  string
+	val  any
 	err  error
 }
 
 // cacheEntry is one resident completion, stored inside the LRU list; its
-// class is its template's.
+// class is its template's. Beside the text it holds one decoded slot: val
+// is out decoded by dec, the template that stored it last (nil when dec
+// has no decoder).
 type cacheEntry struct {
 	key  cacheKey
 	tmpl *Template
 	out  string
+	dec  *Template
+	val  any
+}
+
+// slot is the decoded value a consumer of tp may take from an entry or a
+// flight holding val, dec's decoding of the text: val when dec's decoder
+// tag is tp's, else nil. A template with another decoder decodes the text
+// itself, so no decoder's value ever reaches another's consumer.
+func slot(dec *Template, val any, tp *Template) any {
+	if val != nil && dec.tag == tp.tag {
+		return val
+	}
+	return nil
 }
 
 // CacheStats is a snapshot of a cache's lifetime counters.
@@ -108,6 +125,12 @@ type CacheStats struct {
 // join of an in-flight call, also compares the template's text, so a
 // template whose id collides with another's costs a model call and never
 // gets the other's answer.
+//
+// An entry also holds one decoded slot: the answer decoded once, on the
+// miss, by the decoder of the template that stored it. A hit from a
+// template with the same decoder tag gets that value and reads no text;
+// any other hit gets the text and decodes it itself. The slot lives and
+// dies with its entry, so capacity bounds it.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -158,13 +181,13 @@ func (c *Cache) Get(model, prompt string) (string, bool) {
 func (c *Cache) Put(model string, class PromptClass, prompt, out string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(cacheKey{model: model, key: prompt}, rawTemplate(class), out)
+	c.insertLocked(cacheKey{model: model, key: prompt}, rawTemplate(class), out, nil)
 }
 
-// insertLocked stores one completion of template tp. A prompt that is
-// already resident keeps the class it entered under; an entry of a
-// colliding template is taken over.
-func (c *Cache) insertLocked(key cacheKey, tp *Template, out string) {
+// insertLocked stores one completion of template tp and tp's decoding of
+// it, val. A prompt that is already resident keeps the class it entered
+// under; an entry of a colliding template is taken over.
+func (c *Cache) insertLocked(key cacheKey, tp *Template, out string, val any) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		if !same(e.tmpl, tp) {
@@ -172,11 +195,11 @@ func (c *Cache) insertLocked(key cacheKey, tp *Template, out string) {
 			c.count(key.model, tp.class, 1)
 			e.tmpl = tp
 		}
-		e.out = out
+		e.out, e.dec, e.val = out, tp, val
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, tmpl: tp, out: out})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, tmpl: tp, out: out, dec: tp, val: val})
 	c.count(key.model, tp.class, 1)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Remove(c.order.Back()).(*cacheEntry)
@@ -213,23 +236,45 @@ func (c *Cache) Resident(model string, class PromptClass) int {
 }
 
 // hit returns the resident completion of key instantiating tp for model,
-// counting the hit and bumping its recency — a resident prompt's whole
-// cost. It never waits: a prompt that is merely in flight is not a hit
-// here.
-func (c *Cache) hit(model string, tp *Template, key string) (string, bool) {
+// with its decoded slot when that is tp's decoder's (else nil), counting
+// the hit and bumping its recency — a resident prompt's whole cost. It
+// never waits: a prompt that is merely in flight is not a hit here.
+func (c *Cache) hit(model string, tp *Template, key string) (string, any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hitLocked(cacheKey{model, tp.id, key}, tp)
 }
 
-func (c *Cache) hitLocked(key cacheKey, tp *Template) (string, bool) {
+func (c *Cache) hitLocked(key cacheKey, tp *Template) (string, any, bool) {
 	el, ok := c.entries[key]
-	if !ok || !same(el.Value.(*cacheEntry).tmpl, tp) {
-		return "", false
+	if !ok {
+		return "", nil, false
+	}
+	e := el.Value.(*cacheEntry)
+	if !same(e.tmpl, tp) {
+		return "", nil, false
 	}
 	c.order.MoveToFront(el)
 	c.hits++
-	return el.Value.(*cacheEntry).out, true
+	return e.out, slot(e.dec, e.val, tp), true
+}
+
+// EachDecoded calls fn for every resident entry holding a decoded slot:
+// its completion, the slot, and the completion decoded again now by the
+// decoder that filled the slot. The decoding runs outside the lock, on a
+// snapshot. For tests: a slot must equal its fresh decoding.
+func (c *Cache) EachDecoded(fn func(out string, slot, fresh any)) {
+	c.mu.Lock()
+	var held []cacheEntry
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.val != nil {
+			held = append(held, *e)
+		}
+	}
+	c.mu.Unlock()
+	for _, e := range held {
+		fn(e.out, e.val, e.dec.decode(e.out))
+	}
 }
 
 // Len reports the number of resident completions.
@@ -249,20 +294,22 @@ func (c *Cache) Stats() CacheStats {
 // fetch returns the completion of key instantiating tp for model: from
 // the cache when resident, from a concurrent identical in-flight call when
 // one exists, otherwise by invoking complete and storing its result under
-// tp's class. The returned bool reports whether this caller issued the
-// model call itself — false means the answer cost nothing. Errors are
-// never cached, and a joiner whose leader failed retries rather than
-// inheriting the failure — the leader's error may be its own
-// cancellation, which must not spuriously fail an unrelated query sharing
-// the cache. A flight of a template colliding with tp is not joined:
-// complete runs beside it.
-func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string, complete func() (string, error)) (string, bool, error) {
+// tp's class. Beside the text it returns tp's decoding of it when one was
+// held (a resident slot, a leader's value) or made: a miss decodes its
+// answer once, outside the lock, and stores the value with the text. The
+// returned bool reports whether this caller issued the model call itself
+// — false means the answer cost nothing. Errors are never cached, and a
+// joiner whose leader failed retries rather than inheriting the failure —
+// the leader's error may be its own cancellation, which must not
+// spuriously fail an unrelated query sharing the cache. A flight of a
+// template colliding with tp is not joined: complete runs beside it.
+func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string, complete func() (string, error)) (string, any, bool, error) {
 	key := cacheKey{model, tp.id, k}
 	for {
 		c.mu.Lock()
-		if out, ok := c.hitLocked(key, tp); ok {
+		if out, val, ok := c.hitLocked(key, tp); ok {
 			c.mu.Unlock()
-			return out, false, nil
+			return out, val, false, nil
 		}
 		f, ok := c.flights[key]
 		if ok && same(f.tmpl, tp) {
@@ -270,16 +317,16 @@ func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string,
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return "", false, ctx.Err()
+				return "", nil, false, ctx.Err()
 			}
 			if f.err == nil {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				return f.out, false, nil
+				return f.out, slot(f.tmpl, f.val, tp), false, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return "", false, err
+				return "", nil, false, err
 			}
 			continue // leader failed; next round joins a fresh flight or leads
 		}
@@ -292,16 +339,20 @@ func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string,
 		c.mu.Unlock()
 
 		out, err := complete()
+		var val any
+		if err == nil {
+			val = tp.value(out, nil)
+		}
 		c.mu.Lock()
 		if lead {
-			f.out, f.err = out, err
+			f.out, f.val, f.err = out, val, err
 			close(f.done)
 			delete(c.flights, key)
 		}
 		if err == nil {
-			c.insertLocked(key, tp, out)
+			c.insertLocked(key, tp, out, val)
 		}
 		c.mu.Unlock()
-		return out, true, err
+		return out, val, true, err
 	}
 }

@@ -81,7 +81,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs[g], _, errs[g] = c.fetch(context.Background(), "m", rawText, "same prompt", func() (string, error) {
+			outs[g], _, _, errs[g] = c.fetch(context.Background(), "m", rawText, "same prompt", func() (string, error) {
 				<-gate // hold the flight open until all callers joined
 				atomic.AddInt32(&calls, 1)
 				return "answer", nil
@@ -108,7 +108,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheFetchStatsCounters(t *testing.T) {
 	c := NewCache(8)
 	fetch := func(prompt string) {
-		if _, _, err := c.fetch(context.Background(), "m", rawText, prompt, func() (string, error) {
+		if _, _, _, err := c.fetch(context.Background(), "m", rawText, prompt, func() (string, error) {
 			return "out", nil
 		}); err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestCacheFetchStatsCounters(t *testing.T) {
 func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(8)
 	boom := errors.New("boom")
-	if _, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
+	if _, _, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 		return "", boom
 	}); !issued || !errors.Is(err, boom) {
 		t.Fatalf("issued=%v err=%v", issued, err)
@@ -136,7 +136,7 @@ func TestCacheFetchDoesNotCacheErrors(t *testing.T) {
 		t.Error("errors must not be cached")
 	}
 	// The next fetch must retry the model.
-	out, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
+	out, _, issued, err := c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 		return "recovered", nil
 	})
 	if err != nil || !issued || out != "recovered" {
@@ -166,7 +166,7 @@ func TestCacheFetchRetriesAfterLeaderFailure(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		out, _, err = c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
+		out, _, _, err = c.fetch(context.Background(), "m", rawText, "p", func() (string, error) {
 			return "answer", nil
 		})
 	}()
@@ -206,11 +206,11 @@ func TestCompleteCachedUsage(t *testing.T) {
 	client := &echoClient{}
 	tn := waveTenant(context.Background(), NewCache(8), 4)
 
-	first, _, err := tn.Do(client, "hello world", 0)
+	first, _, err := tn.Do(client, nil, "hello world", 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := tn.Do(client, "hello world", 0)
+	second, _, err := tn.Do(client, nil, "hello world", 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCompleteCachedUsage(t *testing.T) {
 func TestCompleteCachedNilCache(t *testing.T) {
 	client := &echoClient{}
 	tn := waveTenant(context.Background(), nil, 1)
-	out, _, err := tn.Do(client, "p", 0)
+	out, _, err := tn.Do(client, nil, "p", 0).Wait()
 	if err != nil || !strings.HasPrefix(out, "echo:") {
 		t.Fatalf("nil cache must pass through: %q, %v", out, err)
 	}
@@ -402,7 +402,7 @@ func residencyOp(c *Cache, rng *rand.Rand) {
 		c.Put(model, class, prompt, "out")
 		return
 	}
-	_, _, _ = c.fetch(context.Background(), model, rawTemplate(class), prompt, func() (string, error) {
+	_, _, _, _ = c.fetch(context.Background(), model, rawTemplate(class), prompt, func() (string, error) {
 		if rng.Intn(8) == 0 {
 			return "", errors.New("boom") // errors are never cached
 		}

@@ -63,7 +63,7 @@ func TestSchedulerSlotsReleasedOnFailure(t *testing.T) {
 	})
 	next := s.Tenant(context.Background(), "healthy")
 	defer next.Close()
-	if out, _, err := next.Do(good, "hello", 0); err != nil || out != "ok:hello" {
+	if out, _, err := next.Do(good, nil, "hello", 0).Wait(); err != nil || out != "ok:hello" {
 		t.Fatalf("post-failure query: %q, %v", out, err)
 	}
 }
@@ -115,7 +115,7 @@ func TestSchedulerSlotGoroutineReuse(t *testing.T) {
 	tn := s.Tenant(context.Background(), "seq")
 	client := &echoLLM{name: "ep", answer: "ok"}
 	for i := 0; i < 200; i++ {
-		if _, _, err := tn.Do(client, fmt.Sprintf("p%d", i), 0); err != nil {
+		if _, _, err := tn.Do(client, nil, fmt.Sprintf("p%d", i), 0).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if n := runtime.NumGoroutine(); n > baseline+workers+2 {

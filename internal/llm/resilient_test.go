@@ -455,7 +455,7 @@ func TestResilientTenantAttribution(t *testing.T) {
 	tn := NewScheduler(nil, 1).Tenant(context.Background(), "")
 	defer tn.Close()
 
-	if _, _, err := tn.Do(rc, "hello world", 0); err != nil {
+	if _, _, err := tn.Do(rc, nil, "hello world", 0).Wait(); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	if _, err := rc.Complete(context.Background(), "untenanted"); err != nil {
@@ -538,7 +538,7 @@ func TestResilientCacheNeverPoisoned(t *testing.T) {
 	})
 	cache := NewCache(64)
 	for i := 0; i < 4; i++ {
-		out, _, err := cache.fetch(context.Background(), rc.Name(), rawText, "p", func() (string, error) {
+		out, _, _, err := cache.fetch(context.Background(), rc.Name(), rawText, "p", func() (string, error) {
 			return rc.Complete(context.Background(), "p")
 		})
 		if err != nil {

@@ -19,10 +19,12 @@ type VTime = time.Duration
 
 // Future is one prompt in flight on a Scheduler. Wait blocks until the
 // completion is available and returns it together with the prompt's
-// virtual completion time.
+// virtual completion time; Decoded returns, instead of the text, what the
+// prompt's template decodes it to.
 type Future struct {
 	done chan struct{}
 	out  string
+	val  any // the template's decoding of out; nil without a decoder
 	vt   VTime
 	err  error
 }
@@ -40,6 +42,14 @@ var resolved = func() chan struct{} {
 func (f *Future) Wait() (string, VTime, error) {
 	<-f.done
 	return f.out, f.vt, f.err
+}
+
+// Decoded is Wait for a prompt whose template has a decoder: it returns
+// the decoded answer (see Template.WithDecoder), nil without a decoder.
+// A resident answer decoded by the same decoder is not decoded again.
+func (f *Future) Decoded() (any, VTime, error) {
+	<-f.done
+	return f.val, f.vt, f.err
 }
 
 // AdmissionClass partitions tenants into dispatch bands. The bands are
@@ -701,24 +711,31 @@ func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...Prom
 	if len(class) > 0 {
 		c = class[0]
 	}
-	w := t.stream
+	return t.single().submit(client, rawTemplate(c), prompt, ready)
+}
+
+// single is the wave of a prompt submitted on its own: the streaming
+// wave, or under the stop-and-go policy a wave of one.
+func (t *Tenant) single() *Wave {
 	if t.width > 0 {
-		w = &Wave{t: t, ctx: t.ctx}
+		return &Wave{t: t, ctx: t.ctx}
 	}
-	return w.submit(client, rawTemplate(c), prompt, ready)
+	return t.stream
 }
 
 // Submit enqueues, as one prompt of the wave, key instantiating the
 // template tp; a nil tp submits key as an unclassified raw-text prompt.
-// The completion enters the cache under tp's class. A prompt submitted
-// to an aborted wave fails at once.
+// The completion enters the cache under tp's class, with tp's decoding
+// of it when tp has a decoder. A prompt submitted to an aborted wave
+// fails at once.
 //
 // A prompt whose completion is resident in the cache is answered here,
 // at ready: the hit is counted and its recency bumped exactly as on the
 // slot path, but no goroutine starts, no worker slot or deficit is
 // spent, no tokens are counted and no prompt text is built — a fact
-// already held costs a map lookup on the key. A cancelled tenant still
-// fails first.
+// already held costs a map lookup on the key. When the entry's decoded
+// slot is tp's decoder's, the future carries that value and the text is
+// not decoded again. A cancelled tenant still fails first.
 func (w *Wave) Submit(client Client, tp *Template, key string, ready VTime) *Future {
 	if tp == nil {
 		tp = rawText
@@ -736,14 +753,14 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 	}
 	t, s := w.t, w.t.s
 	if s.cache != nil {
-		if out, ok := s.cache.hit(client.Name(), tp, key); ok {
+		if out, val, ok := s.cache.hit(client.Name(), tp, key); ok {
 			t.mu.Lock()
 			t.usage.CacheHits++
 			if t.width == 0 && ready > t.span {
 				t.span = ready
 			}
 			t.mu.Unlock()
-			return &Future{done: resolved, out: out, vt: ready}
+			return &Future{done: resolved, out: out, val: tp.value(out, val), vt: ready}
 		}
 	}
 	tokens := tp.tokens(key)
@@ -785,10 +802,17 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 	return f
 }
 
-// Do is Submit + Wait: issue one prompt and block for its answer. Used by
-// inherently sequential chains (the key scan's "more results" loop).
-func (t *Tenant) Do(client Client, prompt string, ready VTime) (string, VTime, error) {
-	return t.Submit(client, prompt, ready).Wait()
+// Do issues key instantiating tp (nil: key is an unclassified raw-text
+// prompt) on its own, as Submit does, and blocks until it resolves; the
+// returned future is settled. Used by inherently sequential chains (the
+// key scan's "more results" loop).
+func (t *Tenant) Do(client Client, tp *Template, key string, ready VTime) *Future {
+	if tp == nil {
+		tp = rawText
+	}
+	f := t.single().submit(client, tp, key, ready)
+	<-f.done
+	return f
 }
 
 // run is one slot goroutine of an endpoint. It executes the handed job,
@@ -832,7 +856,7 @@ func (s *Scheduler) exec(j *job) {
 		j.err = err
 		return
 	}
-	j.out, j.vt, j.err = s.complete(j)
+	j.out, j.val, j.vt, j.err = s.complete(j)
 	if j.err != nil {
 		j.wave.abort(j.err)
 	}
@@ -889,22 +913,25 @@ func (t *Tenant) Close() {
 // complete runs one job on its granted slot: through the cache when one
 // is configured (a prompt that became resident or in flight since Submit
 // still costs nothing), else straight to the model. The prompt's text is
-// built here, only for the model call.
-func (s *Scheduler) complete(j *job) (string, VTime, error) {
+// built here, only for the model call, and its answer is decoded here,
+// once, on the slot goroutine.
+func (s *Scheduler) complete(j *job) (string, any, VTime, error) {
 	t, client := j.t, j.client
 	ctx := j.wave.ctx
 	call := func() (string, error) { return client.Complete(ctx, j.tmpl.text(j.key)) }
 	var out string
+	var val any
 	issued := true
 	var err error
 	if s.cache != nil {
-		out, issued, err = s.cache.fetch(ctx, client.Name(), j.tmpl, j.key, call)
+		out, val, issued, err = s.cache.fetch(ctx, client.Name(), j.tmpl, j.key, call)
 	} else {
 		out, err = call()
 	}
 	if err != nil {
-		return "", 0, err
+		return "", nil, 0, err
 	}
+	val = j.tmpl.value(out, val)
 
 	var lat time.Duration
 	var ct int
@@ -941,7 +968,7 @@ func (s *Scheduler) complete(j *job) (string, VTime, error) {
 		t.span += w.cost(t.width) - before
 	}
 	t.mu.Unlock()
-	return out, end, nil
+	return out, val, end, nil
 }
 
 // Quiesce blocks until every future this tenant submitted has resolved.

@@ -10,9 +10,13 @@ import "hash/maphash"
 // completion by the template's id and the key, and the full text is
 // built only when the prompt goes to the model.
 //
-// A raw-text prompt (a key-scan page, an ad-hoc Tenant.Submit) is the
-// template-less case: id 0, no text around the key, and the whole text
-// as the key.
+// A template may also carry a decoder (WithDecoder): what the operator
+// makes of an answer. A miss decodes its answer once, the cache keeps the
+// value beside the text, and a hit returns the value without reading the
+// text again.
+//
+// A raw-text prompt (an ad-hoc Tenant.Submit) is the template-less case:
+// id 0, no text around the key, and the whole text as the key.
 type Template struct {
 	pre, post string
 	class     PromptClass
@@ -25,6 +29,10 @@ type Template struct {
 	preTok, postTok   int
 	preWord, postWord bool
 	preOpen           bool
+	// decode turns an answer into the value the operator consumes; nil
+	// when the operator reads the text. tag identifies decode.
+	decode func(string) any
+	tag    any
 }
 
 // templateSeed seeds every template id; ids are never persisted.
@@ -45,6 +53,27 @@ func NewTemplate(pre, post string, class PromptClass) *Template {
 	tp.preTok, _, tp.preWord, tp.preOpen = scanTokens(pre)
 	tp.postTok, tp.postWord, _, _ = scanTokens(post)
 	return tp
+}
+
+// WithDecoder returns a copy of tp whose answers are decoded by decode.
+// decode must be a pure function of the answer that never returns nil.
+// tag names it and must be comparable: a decoded value is handed only to
+// a template of the same text and an equal tag, so two decoders sharing a
+// tag must agree on every answer.
+func (tp *Template) WithDecoder(tag any, decode func(string) any) *Template {
+	d := *tp
+	d.tag, d.decode = tag, decode
+	return &d
+}
+
+// value is what a consumer of tp reads from the answer out: v, when it is
+// tp's decoding of out already, else out decoded now. It is nil for a
+// template without a decoder.
+func (tp *Template) value(out string, v any) any {
+	if v == nil && tp.decode != nil {
+		v = tp.decode(out)
+	}
+	return v
 }
 
 // rawText is the template of an unclassified raw-text prompt.

@@ -4,7 +4,10 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/prompt"
 )
 
 // FuzzTemplateTokens checks Template.Tokens against its doc comment on
@@ -143,5 +146,108 @@ func TestTemplatedHitBuildsNoText(t *testing.T) {
 	}
 	if got := len(client.calls); got != 1 {
 		t.Errorf("model calls = %d, want only the first miss", got)
+	}
+}
+
+// TestKeyListTemplateText: a key-scan page built from KeyListTemplate is
+// byte for byte the prompt KeyList builds, and its template counts its
+// tokens as CountTokens counts the text.
+func TestKeyListTemplateText(t *testing.T) {
+	conds := []prompt.Condition{
+		{Attr: "population", OpPhrase: "more than", Value: "1000000"},
+		{Attr: "elevation", OpPhrase: "less than", Value: "100"},
+	}
+	for _, preamble := range []bool{false, true} {
+		b := &prompt.Builder{IncludePreamble: preamble}
+		for n := 0; n <= len(conds); n++ {
+			first, pre, post := b.KeyListTemplate("city", "name", conds[:n])
+			pages := [][]string{nil, {"Paris"}, {"Paris", "New York City"}}
+			for _, exclude := range pages {
+				tp, key := NewTemplate(first, "", PromptClass{}), ""
+				if len(exclude) > 0 {
+					tp, key = NewTemplate(pre, post, PromptClass{}), strings.Join(exclude, "; ")
+				}
+				want := b.KeyList("city", "name", conds[:n], exclude)
+				if got := tp.text(key); got != want {
+					t.Errorf("preamble %v, %d conds, exclude %q:\n%q\nwant\n%q", preamble, n, exclude, got, want)
+				}
+				if got, want := tp.tokens(key), CountTokens(want); got != want {
+					t.Errorf("preamble %v, %d conds, exclude %q: %d tokens, CountTokens = %d", preamble, n, exclude, got, want)
+				}
+			}
+		}
+	}
+}
+
+// decodeCounter is a decoder that counts its calls.
+type decodeCounter struct{ calls atomic.Int32 }
+
+func (d *decodeCounter) decode(s string) any {
+	d.calls.Add(1)
+	return strings.ToUpper(s)
+}
+
+// TestDecodedSlot: a miss decodes its answer once and the cache keeps the
+// value; a hit with the same decoder tag returns it without decoding, a
+// hit with another tag decodes the text itself, and a template without a
+// decoder reads the text.
+func TestDecodedSlot(t *testing.T) {
+	base, _ := collidingTemplates()
+	var upper, other decodeCounter
+	a := base.WithDecoder("upper", upper.decode)
+	b := base.WithDecoder("other", other.decode)
+	client := &textLLM{calls: make(chan string, 8)}
+	tn := tenant(NewScheduler(NewCache(8), 2), t)
+	w := tn.Wave()
+	want := strings.ToUpper("answer to " + base.text("Rome"))
+	for i := 0; i < 3; i++ {
+		if v, _, err := w.Submit(client, a, "Rome", 0).Decoded(); err != nil || v != want {
+			t.Fatalf("Decoded = %v, %v; want %q", v, err, want)
+		}
+	}
+	if got := upper.calls.Load(); got != 1 {
+		t.Errorf("decodes = %d, want 1: only the miss decodes", got)
+	}
+	if v, _, _ := w.Submit(client, b, "Rome", 0).Decoded(); v != want || other.calls.Load() != 1 {
+		t.Errorf("other tag: Decoded = %v after %d decodes; want its own decoding, once", v, other.calls.Load())
+	}
+	if v, _, _ := w.Submit(client, base, "Rome", 0).Decoded(); v != nil {
+		t.Errorf("template without a decoder: Decoded = %v, want nil", v)
+	}
+	if got := len(client.calls); got != 1 {
+		t.Errorf("model calls = %d, want 1", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Submit(client, a, "Rome", 0).Decoded() }); allocs > 1 {
+		t.Errorf("decoded hit: %.0f allocs, want at most 1 (the future)", allocs)
+	}
+}
+
+// TestDecodedFlight: prompts submitted while their answer is at the model
+// reuse the leader's decoded value when their decoder tag matches, and
+// decode the text themselves when it does not — whether they join the
+// flight or, reaching the cache after it lands, hit its entry.
+func TestDecodedFlight(t *testing.T) {
+	base, _ := collidingTemplates()
+	var upper, other decodeCounter
+	a := base.WithDecoder("upper", upper.decode)
+	b := base.WithDecoder("other", other.decode)
+	client := &textLLM{calls: make(chan string, 8), release: make(chan struct{})}
+	tn := tenant(NewScheduler(NewCache(8), 4), t)
+	w := tn.Wave()
+	leader := w.Submit(client, a, "Oslo", 0)
+	<-client.calls // the leader is at the model
+	joiners := []*Future{w.Submit(client, a, "Oslo", 0), w.Submit(client, a, "Oslo", 0), w.Submit(client, b, "Oslo", 0)}
+	close(client.release)
+	want := strings.ToUpper("answer to " + base.text("Oslo"))
+	for i, f := range append(joiners, leader) {
+		if v, _, err := f.Decoded(); err != nil || v != want {
+			t.Errorf("future %d: Decoded = %v, %v; want %q", i, v, err, want)
+		}
+	}
+	if len(client.calls) != 0 {
+		t.Errorf("joiners called the model %d more times", len(client.calls))
+	}
+	if u, o := upper.calls.Load(), other.calls.Load(); u != 1 || o != 1 {
+		t.Errorf("decodes: upper %d, other %d; want the leader's one and the other tag's own", u, o)
 	}
 }

@@ -23,6 +23,11 @@ import (
 // soon as the page lands, so attribute fetches and filters start while
 // the scan is still iterating; stop-and-go, the scan runs all its pages
 // before emitting a row.
+//
+// Open builds the page prompts' templates once: the first page is a
+// template with an empty key, and a later page's key is its exclusion
+// list. Each page's answer is decoded once, into its cleaned keys, and a
+// resident page is not decoded again.
 type llmKeyScanOp struct {
 	scan *logical.Scan
 	out  *schema.Schema
@@ -48,6 +53,12 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	if maxIter <= 0 {
 		maxIter = 12
 	}
+	cleaner := c.Cleaner
+	decode := func(resp string) any { return decodePage(resp, cleaner, keyKind) }
+	tag := pageTag{keyKind, cleaner.Options()}
+	first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
+	firstPage := llm.NewTemplate(first, "", llm.PromptClass{}).WithDecoder(tag, decode)
+	morePage := llm.NewTemplate(pre, post, llm.PromptClass{}).WithDecoder(tag, decode)
 	stopAndGo := c.Scheduler.StopAndGo()
 	s.pipe = newPipe(c.pipeBuffer())
 	s.pipe.run(func() error {
@@ -60,29 +71,37 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 			if !stopAndGo && s.pipe.stopped() {
 				return nil
 			}
-			p := c.Prompts.KeyList(s.scan.Table.Name, s.scan.Table.KeyColumn, conds, keys)
+			tmpl, key := firstPage, ""
+			if len(keys) > 0 {
+				tmpl, key = morePage, strings.Join(keys, "; ")
+			}
 			c.Metrics.Add(s.scan, 1, 0, 0)
 			// Stop-and-go, each page is a wave of one.
-			resp, pageVT, err := c.Scheduler.Do(client, p, vt)
+			decoded, pageVT, err := c.Scheduler.Do(client, tmpl, key, vt).Decoded()
 			if err != nil {
 				return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
 			}
 			vt = pageVT
-			prev := len(keys)
-			added, done := scanPage(resp, c.Cleaner, seen, &keys)
-			for _, k := range keys[prev:] {
-				if t, ok := keyTuple(keyKind, k); ok {
-					c.Metrics.Add(s.scan, 0, 0, 1)
-					rows = append(rows, pipeRow{row: t, vt: vt})
+			page := decoded.(*keyPage)
+			prevKeys, prevRows := len(keys), len(rows)
+			for _, k := range page.keys {
+				if seen[k.lower] {
+					continue
+				}
+				seen[k.lower] = true
+				keys = append(keys, k.key)
+				if !k.val.IsNull() {
+					rows = append(rows, pipeRow{row: schema.Tuple{k.val}, vt: vt})
 				}
 			}
+			c.Metrics.Add(s.scan, 0, 0, len(rows)-prevRows)
 			if !stopAndGo {
 				if !s.pipe.send(rows...) {
 					return nil
 				}
 				rows = rows[:0]
 			}
-			if done || added == 0 {
+			if page.done || len(keys) == prevKeys {
 				break
 			}
 		}
@@ -92,38 +111,50 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	return nil
 }
 
-// scanPage parses one list-prompt response, appending keys not seen on
-// earlier pages to *keys. done reports a Done/Unknown termination marker,
-// recognized through list markers and punctuation ("- Done.").
-func scanPage(resp string, cleaner *clean.Cleaner, seen map[string]bool, keys *[]string) (added int, done bool) {
+// pageTag names a key-scan page decoder: the key column's kind and the
+// cleaner's options. It compares by value, as every query builds its own
+// Cleaner.
+type pageTag struct {
+	kind value.Kind
+	opts clean.Options
+}
+
+// keyPage is one key-scan page decoded: its keys in answer order, and
+// whether it ended the list with a Done/Unknown marker.
+type keyPage struct {
+	keys []pageKey
+	done bool
+}
+
+// pageKey is one cleaned key of a page: the key, its lower-cased form
+// (keys repeated across pages are told apart case-insensitively), and
+// the key typed as its column, NULL when it violates the column's type.
+type pageKey struct {
+	key, lower string
+	val        value.Value
+}
+
+// decodePage parses one list-prompt response into its cleaned keys. A
+// Done/Unknown termination marker is recognized through list markers and
+// punctuation ("- Done.").
+func decodePage(resp string, cleaner *clean.Cleaner, kind value.Kind) *keyPage {
 	stripped := clean.Strip(resp)
 	if strings.EqualFold(stripped, prompt.DoneMarker) || strings.EqualFold(stripped, prompt.UnknownMarker) {
-		return 0, true
+		return &keyPage{done: true}
 	}
+	page := &keyPage{}
 	for _, item := range clean.SplitList(resp) {
 		k := cleaner.Key(item)
 		if k == "" {
 			continue
 		}
-		lower := strings.ToLower(k)
-		if seen[lower] {
-			continue
+		v, err := value.ParseAs(kind, k)
+		if err != nil {
+			v = value.Null()
 		}
-		seen[lower] = true
-		*keys = append(*keys, k)
-		added++
+		page.keys = append(page.keys, pageKey{key: k, lower: strings.ToLower(k), val: v})
 	}
-	return added, false
-}
-
-// keyTuple converts one cleaned key into a single-column tuple, enforcing
-// the key's type constraint.
-func keyTuple(kind value.Kind, k string) (schema.Tuple, bool) {
-	v, err := value.ParseAs(kind, k)
-	if err != nil || v.IsNull() {
-		return nil, false
-	}
-	return schema.Tuple{v}, true
+	return page
 }
 
 func (s *llmKeyScanOp) Close() error { return s.pipe.close() }
@@ -170,13 +201,13 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 // it arrives, with its verification alongside; stop-and-go, the whole
 // input is one wave, and verification follows it as a second wave. Open
 // builds the prompt template once; each prompt is submitted as the
-// template and the tuple's key.
+// template and the tuple's key; each answer is cleaned once, when it
+// arrives from the model, and a resident answer is not cleaned again.
 type llmFetchAttrOp struct {
 	node  *logical.FetchAttr
 	input Operator
 	out   *schema.Schema
 
-	kind value.Kind
 	pipe *pipe
 	pc   *Context
 }
@@ -191,14 +222,16 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	if err := f.input.Open(c); err != nil {
 		return err
 	}
-	f.kind = f.out.Columns[f.out.Len()-1].Type
+	kind := f.out.Columns[f.out.Len()-1].Type
 	f.pc = c
 	perRow := 1
 	if c.Verifier != nil {
 		perRow = 2
 	}
+	cleaner := c.Cleaner
 	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
-	tmpl := llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr))
+	tmpl := llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr)).
+		WithDecoder(cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
@@ -227,6 +260,13 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 		})
 	})
 	return nil
+}
+
+// cellTag names an attribute fetch's decoder: the attribute's kind and
+// the cleaner's options, compared by value as pageTag is.
+type cellTag struct {
+	kind value.Kind
+	opts clean.Options
 }
 
 func verifyTolerance(c *Context) float64 {
@@ -269,13 +309,13 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	answer, vt, err := r.main.Wait()
+	cell, vt, err := r.main.Decoded()
 	if err != nil {
 		return nil, 0, fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 	}
-	v := f.pc.Cleaner.Cell(answer, f.kind)
+	v := cell.(value.Value)
 	if r.verify != nil {
-		verdict, verifyVT, err := r.verify.Wait()
+		other, verifyVT, err := r.verify.Decoded()
 		if err != nil {
 			return nil, 0, fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 		}
@@ -283,8 +323,7 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 			vt = verifyVT
 		}
 		if !v.IsNull() {
-			other := f.pc.Cleaner.Cell(verdict, f.kind)
-			if !valuesAgree(v, other, verifyTolerance(f.pc)) {
+			if !valuesAgree(v, other.(value.Value), verifyTolerance(f.pc)) {
 				v = value.Null()
 			}
 		}
@@ -296,6 +335,7 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 // yes ("Has city Chicago population more than 1000000? Answer yes or no.").
 // Its producer submits one prompt per input tuple, in input waves as the
 // fetch does; Next awaits verdicts in input order and keeps the yes rows.
+// An answer is read as a verdict once, when it arrives from the model.
 type llmFilterOp struct {
 	node  *logical.LLMFilter
 	input Operator
@@ -319,7 +359,8 @@ func (f *llmFilterOp) Open(c *Context) error {
 	lit := f.node.Cond.Right.(*ast.Literal)
 	litText := lit.Val.String()
 	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
-	tmpl := llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText))
+	tmpl := llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)).
+		WithDecoder(verdictTag{}, func(answer string) any { return isYes(answer) })
 	f.pipe = newPipe(c.pipeBuffer())
 	input := f.input
 	f.pipe.run(func() error {
@@ -339,6 +380,9 @@ func (f *llmFilterOp) Open(c *Context) error {
 	return nil
 }
 
+// verdictTag names the filter's decoder, isYes.
+type verdictTag struct{}
+
 func isYes(s string) bool {
 	s = strings.ToLower(strings.TrimSpace(s))
 	return strings.HasPrefix(s, "yes") || strings.HasPrefix(s, "true")
@@ -353,11 +397,11 @@ func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		answer, vt, err := r.main.Wait()
+		yes, vt, err := r.main.Decoded()
 		if err != nil {
 			return nil, 0, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 		}
-		if isYes(answer) {
+		if yes.(bool) {
 			f.pc.Metrics.Add(f.node, 0, 0, 1)
 			return r.row, vt, nil
 		}

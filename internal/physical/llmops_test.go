@@ -167,15 +167,12 @@ func (d *dynamicLLM) Complete(ctx context.Context, p string) (string, error) {
 func TestScanPageMarkerPunctuation(t *testing.T) {
 	cleaner := clean.New(clean.DefaultOptions())
 	for _, resp := range []string{"Done", "Done.", " unknown. ", "- Done", "\n* DONE;\n"} {
-		var keys []string
-		added, done := scanPage(resp, cleaner, map[string]bool{}, &keys)
-		if !done || added != 0 || len(keys) != 0 {
-			t.Errorf("scanPage(%q) = added %d, done %v, keys %q; want a termination marker", resp, added, done, keys)
+		if page := decodePage(resp, cleaner, value.KindString); !page.done || len(page.keys) != 0 {
+			t.Errorf("decodePage(%q) = %+v; want a termination marker", resp, page)
 		}
 	}
-	var keys []string
-	if added, done := scanPage("- Alpha\n- Done Deal", cleaner, map[string]bool{}, &keys); done || added != 2 {
-		t.Errorf("a page of keys = added %d, done %v, keys %q", added, done, keys)
+	if page := decodePage("- Alpha\n- Done Deal", cleaner, value.KindString); page.done || len(page.keys) != 2 {
+		t.Errorf("a page of keys = %+v", page)
 	}
 }
 
@@ -396,5 +393,56 @@ func TestValuesAgree(t *testing.T) {
 		if got := valuesAgree(c.a, c.b, c.tol); got != c.want {
 			t.Errorf("valuesAgree(%v, %v) = %v", c.a, c.b, got)
 		}
+	}
+}
+
+// BenchmarkResidentFetch is one query's fetch-then-filter over 64 keys
+// whose every answer the prompt cache holds: the cost of a fully
+// resident LLM operator pair, prompt lookups and answer decoding
+// included. Run with -benchmem.
+func BenchmarkResidentFetch(b *testing.B) {
+	client := &dynamicLLM{f: func(p string) string {
+		if strings.HasSuffix(p, prompt.YesNoFormat) {
+			return "Yes."
+		}
+		return "About 1.2 million people."
+	}}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("Town %d", i)
+	}
+	in := keysRelation(keys...)
+	sched := llm.NewScheduler(llm.NewCache(1024), llm.DefaultBatchWorkers)
+	cond := &ast.Binary{
+		Op:    ">",
+		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
+		Right: &ast.Literal{Val: value.Int(1000000)},
+	}
+	query := func() {
+		scan := logical.NewScan(townDef(), "t", "LLM")
+		fa, err := logical.NewFetchAttr(scan, townDef(), "t", "population", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
+		op := &llmFilterOp{node: filter, input: &llmFetchAttrOp{node: fa, input: &memScan{out: scan.Schema(), rel: in}, out: fa.Schema()}}
+		tn := sched.Tenant(context.Background(), "bench")
+		defer tn.Close()
+		ctx := &Context{
+			Route:     routeTo(client),
+			Prompts:   prompt.NewBuilder(),
+			Cleaner:   clean.New(clean.DefaultOptions()),
+			Scheduler: tn,
+		}
+		rel, err := Run(ctx, op)
+		if err != nil || rel.Cardinality() != len(keys) {
+			b.Fatalf("rows %d, %v; want %d", rel.Cardinality(), err, len(keys))
+		}
+	}
+	query() // make every answer resident
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
 	}
 }

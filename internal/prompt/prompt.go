@@ -127,6 +127,21 @@ func (b *Builder) KeyList(relation, keyAttr string, conds []Condition, exclude [
 	return b.wrap(s.String())
 }
 
+// excludeMark stands for the exclusion list in KeyListTemplate. After the
+// list, KeyList writes only fixed text, so the last mark in a prompt is
+// the list's.
+const excludeMark = "\x00"
+
+// KeyListTemplate returns KeyList's prompts as text around a key, so a
+// key scan builds them once: first is the whole first-page prompt (its
+// key is empty), and a later page's prompt, excluding keys, is pre +
+// strings.Join(keys, "; ") + post.
+func (b *Builder) KeyListTemplate(relation, keyAttr string, conds []Condition) (first, pre, post string) {
+	more := b.KeyList(relation, keyAttr, conds, []string{excludeMark})
+	i := strings.LastIndex(more, excludeMark)
+	return b.KeyList(relation, keyAttr, conds, nil), more[:i], more[i+len(excludeMark):]
+}
+
 // Attr builds the per-key attribute fetch prompt: "What is the birth date
 // of the politician B. Obama? Answer with only the value."
 func (b *Builder) Attr(relation, key, attr string) string {
