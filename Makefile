@@ -17,7 +17,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The root package's end-to-end benchmarks, then the scheduler's own
+# The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
+# never-seen templated statement on a warm runtime, where planning is the
+# cost), then the scheduler's own
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss) and the
 # LLM operators' (BenchmarkResidentFetch: a fetch-then-filter whose every
 # answer is resident).
@@ -45,7 +47,8 @@ serve:
 
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
 # the galois.yaml decoder, the model-answer number decoder, the token
-# counter and the prompt template's token count (same runs CI does).
+# counter, the prompt template's token count and the durable store's
+# segment replay (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
@@ -53,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
 	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
+	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
 
 # Per-package coverage summary.
 cover:

@@ -9,6 +9,7 @@
 //	go test -bench=BenchmarkPromptCounts -benchmem   # §5 latency note
 //	go test -bench=BenchmarkAblation -benchmem       # ablations A–C, E
 //	go test -bench='Query' -benchmem                 # one query, cold and cached
+//	go test -bench=AdhocPlan -benchmem               # never-seen templated statements, warm
 //
 // Each benchmark reports the paper-relevant quantities as custom metrics
 // (cardinality diff %, cell match %, prompts/query) so `go test -bench=.`
@@ -19,10 +20,12 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/prompt"
 	"repro/internal/simllm"
 	"repro/internal/spider"
@@ -238,6 +241,51 @@ func BenchmarkRepeatedQueryCached(b *testing.B) {
 		prompts += rep.Stats.Prompts
 	}
 	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
+}
+
+// BenchmarkAdhocPlan measures ad-hoc serving on a warm ServeOptions()
+// runtime: one full scan per LLM table leaves every fact resident in the
+// prompt cache, so each iteration — a templated statement with fresh
+// literals, text the runtime has never seen (difftest's Adhoc) — issues
+// no prompt, and parsing, planning, execution and the result cache's
+// insert and evict are the whole cost.
+func BenchmarkAdhocPlan(b *testing.B) {
+	r := mustRunner(b)
+	rt, err := r.Runtime(r.Model(simllm.ChatGPT), core.ServeOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := rt.NewSession()
+	ctx := context.Background()
+	for _, name := range bench.LLMTables {
+		var cols []string
+		for _, c := range r.World.Table(name).Def.Schema.Columns {
+			cols = append(cols, c.Name)
+		}
+		if _, _, err := sess.Query(ctx, "SELECT "+strings.Join(cols, ", ")+" FROM "+name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gen := difftest.New(1)
+	run := func(n int) (prompts int) {
+		for i := 0; i < n; i++ {
+			_, rep, err := sess.Query(ctx, gen.Adhoc().SQL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prompts += rep.Stats.Prompts
+		}
+		return prompts
+	}
+	run(500) // every template once, then some
+	before := rt.PlanCacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	prompts := run(b.N)
+	b.StopTimer()
+	after := rt.PlanCacheStats()
+	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
+	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "plan_hits/query")
 }
 
 // BenchmarkGaloisQuery measures one representative end-to-end query on the

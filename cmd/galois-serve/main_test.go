@@ -326,6 +326,61 @@ func TestServeHealthzAndStats(t *testing.T) {
 	}
 }
 
+// TestServeStatsPlanCache: /stats reports the plan cache as one
+// trailing plan_cache object, and every key that existed before it keeps
+// its name and position.
+func TestServeStatsPlanCache(t *testing.T) {
+	_, rt := testRuntime(t, core.ServeOptions())
+	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	defer ts.Close()
+	// EXPLAIN plans without executing, so no observation moves the
+	// statistics between the two: the second reuses the first's choice.
+	for _, sql := range []string{
+		`EXPLAIN SELECT name FROM city WHERE population > 1000000`,
+		`EXPLAIN SELECT name FROM city WHERE population > 2000000`,
+	} {
+		if resp, _ := postQuery(t, ts, sql); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", sql, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	body := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		body[tok.(string)] = v
+	}
+	want := []string{
+		"queries_served", "active", "max_active", "waiting", "max_concurrent", "workers_per_endpoint",
+		"cache_hits", "cache_misses", "cache_entries",
+		"result_cache_hits", "result_cache_subsumed_hits", "result_cache_misses", "result_cache_entries", "result_cache_bytes",
+		"table_epochs", "max_queue", "shed", "timeouts", "resilience", "backends", "failovers",
+		"admission", "sched", "persistence", "plan_cache",
+	}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Errorf("/stats keys:\n got %v\nwant %v", keys, want)
+	}
+	if got, want := string(body["plan_cache"]), `{"hits":1,"guard_failures":0,"misses":1,"entries":1}`; got != want {
+		t.Errorf("plan_cache = %s, want %s", got, want)
+	}
+}
+
 // TestServeQueuedClientDisconnect: a request abandoned while waiting for
 // admission frees its queue spot and does not wedge the gate.
 func TestServeQueuedClientDisconnect(t *testing.T) {

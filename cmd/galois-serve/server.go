@@ -562,6 +562,11 @@ type serverStats struct {
 	// -data-dir): what warm start restored, what it rejected, and the
 	// segment store's own accounting.
 	Persistence core.PersistCounters `json:"persistence"`
+	// PlanCache counts the cost-based planner's plan-cache outcomes:
+	// statements planned from a cached choice (hits), ones whose cached
+	// choice no longer held (guard_failures) or that found none (misses),
+	// and the resident entries.
+	PlanCache core.PlanCacheStats `json:"plan_cache"`
 }
 
 // admissionStats is the /stats rendering of the adaptive gate.
@@ -608,6 +613,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Admission:               admissionStats{Limit: limit, Floor: floor, Ceil: ceil, Increases: inc, Decreases: dec, BatchLimit: batchLimit, BatchActive: batchActive},
 		Sched:                   s.rt.SchedulerGauges(),
 		Persistence:             s.rt.Persistence(),
+		PlanCache:               s.rt.PlanCacheStats(),
 	})
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"container/list"
-	"sync"
-
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
 )
@@ -17,12 +14,7 @@ import (
 // (memoEntry.valid). Only LIMIT/OFFSET-free SELECTs whose key was found
 // in the result cache are memoized, so never-repeated statements do not
 // occupy it. Bounded LRU; safe for concurrent use.
-type stmtMemo struct {
-	mu       sync.Mutex
-	capacity int
-	items    map[string]*list.Element
-	order    *list.List // front = most recently used
-}
+type stmtMemo = lru[string, *memoEntry]
 
 // memoEntry is one memoized statement. It is immutable once stored.
 type memoEntry struct {
@@ -40,39 +32,7 @@ type resolution struct {
 	source         string
 }
 
-func newStmtMemo(capacity int) *stmtMemo {
-	return &stmtMemo{capacity: capacity, items: map[string]*list.Element{}, order: list.New()}
-}
-
-// get returns the entry memoized for sql, or nil.
-func (m *stmtMemo) get(sql string) *memoEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.items[sql]
-	if !ok {
-		return nil
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*memoEntry)
-}
-
-// put stores e under its text, replacing any older entry for it and
-// evicting the least recently used entry past capacity.
-func (m *stmtMemo) put(e *memoEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.items[e.sql]; ok {
-		el.Value = e
-		m.order.MoveToFront(el)
-		return
-	}
-	m.items[e.sql] = m.order.PushFront(e)
-	if m.order.Len() > m.capacity {
-		back := m.order.Back()
-		m.order.Remove(back)
-		delete(m.items, back.Value.(*memoEntry).sql)
-	}
-}
+func newStmtMemo(capacity int) *stmtMemo { return newLRU[string, *memoEntry](capacity) }
 
 // valid reports whether every table resolution the entry's build made
 // still resolves to the same definition and source through s: a bind

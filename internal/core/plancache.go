@@ -1,0 +1,139 @@
+package core
+
+import (
+	"strconv"
+	"strings"
+	"sync/atomic"
+
+	"repro/internal/logical"
+	"repro/internal/optimizer"
+	"repro/internal/sql/ast"
+)
+
+// planCacheSize bounds the plan cache: one entry per statement template
+// and planning configuration.
+const planCacheSize = 128
+
+// planCache holds the runtime's cost-based plan choices by statement
+// template (optimizer.Template: the built plan with its comparison
+// literals taken out) and planning configuration. An entry is reused
+// only when every input its enumeration read answers the same for the
+// new statement's literals (optimizer.Guarded), so a statement gets the
+// plan a fresh enumeration would pick, without the enumeration.
+type planCache struct {
+	entries *lru[string, *optimizer.Guarded]
+	// hits replanned from an entry; guardFailures found an entry whose
+	// guards failed and planned afresh; misses found none, or had a
+	// template that cannot be cached.
+	hits, guardFailures, misses atomic.Int64
+}
+
+func newPlanCache() *planCache {
+	return &planCache{entries: newLRU[string, *optimizer.Guarded](planCacheSize)}
+}
+
+// PlanCacheStats are the plan cache's runtime-lifetime counters.
+type PlanCacheStats struct {
+	Hits          int64 `json:"hits"`
+	GuardFailures int64 `json:"guard_failures"`
+	Misses        int64 `json:"misses"`
+	Entries       int   `json:"entries"`
+}
+
+// PlanCacheStats reports the plan cache's counters.
+func (rt *Runtime) PlanCacheStats() PlanCacheStats {
+	pc := rt.plans
+	if pc == nil {
+		return PlanCacheStats{}
+	}
+	return PlanCacheStats{
+		Hits:          pc.hits.Load(),
+		GuardFailures: pc.guardFailures.Load(),
+		Misses:        pc.misses.Load(),
+		Entries:       pc.entries.len(),
+	}
+}
+
+// planFactory returns the candidate factory of one SELECT: its first
+// call hands out built when non-nil (already constructed for the
+// result-cache fingerprint, so a miss does not build twice), every
+// further call builds afresh, since optimization mutates its input.
+func (s *Session) planFactory(sel *ast.Select, built logical.Node) func() (logical.Node, error) {
+	return func() (logical.Node, error) {
+		if built != nil {
+			plan := built
+			built = nil
+			return plan, nil
+		}
+		return logical.Build(sel, s)
+	}
+}
+
+// planCostBased runs the cost-based enumeration through the runtime's
+// plan cache. Sessions that pin per-conjunct or per-join knobs bypass
+// it: those sets are keyed by conjunct text, which carries literals.
+func (s *Session) planCostBased(sel *ast.Select, built logical.Node, params optimizer.CostParams, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
+	o := s.opts.Optimizer
+	enumerate := func() (logical.Node, *optimizer.PlanCost, error) {
+		plan, cost, _, err := optimizer.ChooseBestExtra(s.planFactory(sel, built), o, s.rt.stats, params, extras)
+		return plan, cost, err
+	}
+	pc := s.rt.plans
+	if pc == nil || len(o.DisableLLMFilter) > 0 || len(o.PromptPushdownSkip) > 0 || len(o.SwapJoins) > 0 {
+		return enumerate()
+	}
+	if built == nil {
+		var err error
+		if built, err = logical.Build(sel, s); err != nil {
+			return nil, nil, err
+		}
+	}
+	tpl, ok := optimizer.NewTemplate(built, s.planInputs(params))
+	if !ok {
+		pc.misses.Add(1)
+		return enumerate()
+	}
+	if g := pc.entries.get(tpl.Key()); g != nil {
+		plan, cost, ok, err := g.Replan(built, tpl, o, s.rt.stats, params, extras)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ok {
+			pc.hits.Add(1)
+			return plan, cost, nil
+		}
+		pc.guardFailures.Add(1)
+	} else {
+		pc.misses.Add(1)
+	}
+	plan, cost, g, err := optimizer.ChooseBestGuarded(s.planFactory(sel, built), o, s.rt.stats, params, extras, tpl)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g != nil {
+		pc.entries.put(tpl.Key(), g)
+	}
+	return plan, cost, nil
+}
+
+// planInputs renders the planning inputs no guard covers — the
+// optimizer switches, the worker budget, the execution policy, whether
+// fetches are verified and the session's route overrides — as the
+// prefix of a statement's plan-cache key.
+func (s *Session) planInputs(p optimizer.CostParams) string {
+	o := s.opts.Optimizer
+	var b strings.Builder
+	for _, on := range []bool{o.PushdownPredicates, o.UseLLMFilter, o.PromptPushdown} {
+		b.WriteString(strconv.FormatBool(on))
+		b.WriteByte(',')
+	}
+	b.WriteString("workers=")
+	b.WriteString(strconv.Itoa(p.Workers))
+	b.WriteString(",pipelined=")
+	b.WriteString(strconv.FormatBool(s.opts.Pipelined))
+	b.WriteString(",verify=")
+	b.WriteString(strconv.FormatBool(p.Verifier))
+	b.WriteByte('|')
+	fingerprintRoutes(&b, s.opts.Routes)
+	return b.String()
+}

@@ -65,6 +65,10 @@ type Runtime struct {
 	// exact result-cache hits skip the front end (nil when the result
 	// cache is off).
 	memo *stmtMemo
+	// plans is the cost-based planner's cache of plan choices by
+	// statement template, each reused only while the inputs it was chosen
+	// on are unchanged (nil: every statement enumerates).
+	plans *planCache
 	// epochMu guards compEpochs: one binding epoch per invalidation
 	// component ("llm:<table>" per LLM binding, "db" for the attached
 	// store). Any operation that can change what a query observes —
@@ -234,6 +238,7 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		optsFP:     optionsFingerprint(&opts),
 		builder:    prompt.NewBuilder(),
 		stats:      optimizer.NewStatistics(),
+		plans:      newPlanCache(),
 	}
 	if opts.CacheEnabled {
 		rt.cache = llm.NewCache(opts.CacheSize)

@@ -106,18 +106,10 @@ func (s *Session) planSelect(sel *ast.Select) (logical.Node, *optimizer.PlanCost
 // are priced with the same Estimate and win only when strictly cheaper,
 // so cache answering is a plan-choice decision, not a bypass. A non-nil
 // built plan (already constructed for the result-cache fingerprint) is
-// consumed by the factory's first call, so a cache miss does not build
-// twice; candidate enumeration still rebuilds for every further
-// candidate, since optimization mutates its input.
+// the first candidate, so a cache miss does not build twice. Under
+// CostBased the runtime's plan cache may replace the enumeration (see
+// planCostBased).
 func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
-	factory := func() (logical.Node, error) {
-		if built != nil {
-			plan := built
-			built = nil
-			return plan, nil
-		}
-		return logical.Build(sel, s)
-	}
 	// Price plans with the worker budget that will actually apply: the
 	// runtime scheduler's shared per-endpoint budget under the streaming
 	// policy, the session's wave width under stop-and-go.
@@ -140,10 +132,9 @@ func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras [
 		Resident: s.residentFor(router, overrides),
 	}
 	if s.opts.Optimizer.CostBased {
-		plan, cost, _, err := optimizer.ChooseBestExtra(factory, s.opts.Optimizer, s.rt.stats, params, extras)
-		return plan, cost, err
+		return s.planCostBased(sel, built, params, extras)
 	}
-	plan, err := factory()
+	plan, err := s.planFactory(sel, built)()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -171,7 +171,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.put(&memoEntry{sql: sql, sel: sel, comps: comps, fp: fp, res: rec.res})
+		s.rt.memo.put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp, res: rec.res})
 		return s.replayHit(entry), nil
 	}
 	return s.openLead(ctx, sel, built, comps, stamp, lead)

@@ -247,6 +247,67 @@ func (g *Generator) join() Query {
 	return q
 }
 
+// Adhoc generates one statement in the style of ad-hoc serving traffic:
+// one of a fixed set of templates per table — a selection of the key, a
+// selection of the key and the filtered attribute, a filtered group-by
+// aggregate, a two-predicate selection, a two-table join — with fresh
+// numeric thresholds. The templates repeat while the statement text
+// almost never does, which is what a planner caching by template sees.
+func (g *Generator) Adhoc() Query {
+	t := tables[g.pick(len(tables))]
+	var nums []int
+	group := ""
+	for i, a := range t.attrs {
+		if a.numeric {
+			nums = append(nums, i)
+		} else if group == "" {
+			group = a.name
+		}
+	}
+	i := nums[g.pick(len(nums))]
+	a := t.attrs[i]
+	pred := func(alias string, i int) string {
+		op := ">"
+		if i%2 == 1 {
+			op = "<"
+		}
+		return fmt.Sprintf("%s%s %s %s", alias, t.attrs[i].name, op, g.threshold(t.attrs[i]))
+	}
+	switch g.pick(5) {
+	case 0:
+		return Query{SQL: fmt.Sprintf("SELECT %s FROM %s WHERE %s", t.key, t.name, pred("", i))}
+	case 1:
+		return Query{SQL: fmt.Sprintf("SELECT %s, %s FROM %s WHERE %s", t.key, a.name, t.name, pred("", i))}
+	case 2:
+		if group != "" {
+			return Query{SQL: fmt.Sprintf("SELECT %s, COUNT(*) FROM %s WHERE %s GROUP BY %s", group, t.name, pred("", i), group)}
+		}
+		return Query{SQL: fmt.Sprintf("SELECT AVG(%s) FROM %s WHERE %s", a.name, t.name, pred("", i))}
+	case 3:
+		j := nums[g.pick(len(nums))]
+		if j == i {
+			return Query{SQL: fmt.Sprintf("SELECT %s FROM %s WHERE %s", t.key, t.name, pred("", i))}
+		}
+		return Query{SQL: fmt.Sprintf("SELECT %s, %s FROM %s WHERE %s AND %s", t.key, a.name, t.name, pred("", i), pred("", j))}
+	default:
+		e := joinEdges[g.pick(len(joinEdges))]
+		l := tableByName(e.left)
+		t = tableByName(e.right)
+		for i = 0; !t.attrs[i].numeric; i++ {
+		}
+		return Query{SQL: fmt.Sprintf("SELECT a.%s, b.%s FROM %s a, %s b WHERE a.%s = b.%s AND %s",
+			l.key, t.attrs[i].name, l.name, t.name, e.leftAttr, t.key, pred("b.", i))}
+	}
+}
+
+// threshold draws a fresh literal for a numeric attribute: one of its
+// reference literals scaled by a random factor in [0.25, 1.75).
+func (g *Generator) threshold(a attr) string {
+	var base float64
+	fmt.Sscan(a.lits[g.pick(len(a.lits))], &base)
+	return fmt.Sprintf("%.2f", base*(0.25+1.5*g.rnd.Float64()))
+}
+
 // SubsumptionPair is one parent/child case for the semantic result
 // cache: the child's plan is subsumed by the parent's, so a warm cache
 // must answer the child with a residual plan and zero prompts — and the

@@ -106,7 +106,7 @@ type PlanCost struct {
 
 // estimator walks one plan accumulating totals.
 type estimator struct {
-	st       *Statistics
+	st       statsReader
 	p        CostParams
 	bindings map[string]scanInfo // lower(binding) → table info
 	out      *PlanCost
@@ -126,6 +126,12 @@ const verifierEndpoint = "\x00verifier"
 // using the given statistics. It never fails: unresolvable expressions
 // fall back to generic selectivities.
 func Estimate(n logical.Node, st *Statistics, p CostParams) *PlanCost {
+	return estimate(n, st, p)
+}
+
+// estimate is Estimate reading statistics through st, so the
+// enumeration can record what it read.
+func estimate(n logical.Node, st statsReader, p CostParams) *PlanCost {
 	if p.Workers <= 0 {
 		p.Workers = llm.DefaultBatchWorkers
 	}

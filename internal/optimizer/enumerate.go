@@ -59,6 +59,13 @@ type ExtraPlan struct {
 // ChooseBestExtra is ChooseBest with externally supplied extra
 // candidates joining the enumeration.
 func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, []ChoiceSummary, error) {
+	return chooseBest(factory, base, st, p, extras, nil)
+}
+
+// chooseBest is the enumeration. With a recorder, every statistics and
+// cost-hook read the candidates make goes through it, and it learns the
+// decision points and the winning candidate (see ChooseBestGuarded).
+func chooseBest(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, rec *recorder) (logical.Node, *PlanCost, []ChoiceSummary, error) {
 	if st == nil {
 		st = NewStatistics()
 	}
@@ -77,10 +84,75 @@ func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Sta
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	filterKeys, pushedKeys, joins := decisionKeys(probe)
+	points := assemblePoints(filterKeys, pushedKeys, joins, base.PromptPushdown)
 
-	var filterKeys []string
-	var pushedKeys []string
-	joins := 0
+	var src statsReader = st
+	cp := p
+	if rec != nil {
+		src, cp = rec.wrap(st, p)
+	}
+	var best *scored
+	var summaries []ChoiceSummary
+	for mask := 0; mask < 1<<len(points); mask++ {
+		opts, label := candidate(base, st, points, mask)
+		plan, err := factory()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		plan, err = optimizeWith(plan, opts, src)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		cost := estimate(plan, src, cp)
+		summaries = append(summaries, ChoiceSummary{Label: label, Prompts: cost.Prompts, Latency: cost.Latency})
+		if best == nil || less(cost, best.cost) {
+			best = &scored{plan: plan, cost: cost, label: label, idx: mask}
+		}
+	}
+	if rec != nil {
+		rec.decided(filterKeys, pushedKeys, joins, best.idx, len(summaries))
+	}
+	return compete(best, summaries, len(summaries), st, p, extras)
+}
+
+// scored is the running winner: a plan, its estimate, its choice label
+// and its position among the compared candidates.
+type scored struct {
+	plan  logical.Node
+	cost  *PlanCost
+	label string
+	idx   int
+}
+
+// compete prices the extras against the best of the enumerated
+// candidates and settles the winner's choice label and candidate count.
+// summaries holds the enumerated candidates' rows; nil skips them.
+func compete(best *scored, summaries []ChoiceSummary, enumerated int, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, []ChoiceSummary, error) {
+	if best == nil { // no candidates — cannot happen, mask 0 always runs
+		return nil, nil, nil, fmt.Errorf("optimizer: no candidate plans")
+	}
+	for i, ex := range extras {
+		cost := Estimate(ex.Plan, st, p)
+		if summaries != nil {
+			summaries = append(summaries, ChoiceSummary{Label: ex.Label, Prompts: cost.Prompts, Latency: cost.Latency})
+		}
+		if less(cost, best.cost) {
+			best = &scored{plan: ex.Plan, cost: cost, label: ex.Label, idx: enumerated + i}
+		}
+	}
+	if summaries != nil {
+		summaries[best.idx].Chosen = true
+	}
+	best.cost.Candidates = enumerated + len(extras)
+	best.cost.Choice = best.label
+	return best.plan, best.cost, summaries, nil
+}
+
+// decisionKeys reads the decision points off the probe plan: the
+// distinct conjuncts lowered to boolean prompts and merged into
+// retrieval prompts (each sorted), and the number of joins.
+func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins int) {
 	seen := map[string]bool{}
 	var walk func(logical.Node)
 	walk = func(n logical.Node) {
@@ -111,15 +183,18 @@ func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Sta
 	walk(probe)
 	sort.Strings(filterKeys)
 	sort.Strings(pushedKeys)
+	return filterKeys, pushedKeys, joins
+}
 
-	// Assemble the decision points under the bit budget: filter-mode
-	// choices matter most (they change prompt counts directly), then
-	// pushdown, then join order (latency only).
+// assemblePoints lays the decision points out under the bit budget:
+// filter-mode choices matter most (they change prompt counts directly),
+// then pushdown, then join order (latency only).
+func assemblePoints(filterKeys, pushedKeys []string, joins int, pushdown bool) []choicePoint {
 	var points []choicePoint
 	for _, k := range filterKeys {
 		points = append(points, choicePoint{kind: "fetch", key: k})
 	}
-	if base.PromptPushdown {
+	if pushdown {
 		for _, k := range pushedKeys {
 			points = append(points, choicePoint{kind: "nopush", key: k})
 		}
@@ -130,75 +205,38 @@ func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Sta
 	if len(points) > maxCandidateBits {
 		points = points[:maxCandidateBits]
 	}
+	return points
+}
 
-	type scored struct {
-		plan  logical.Node
-		cost  *PlanCost
-		label string
-	}
-	var best *scored
-	var summaries []ChoiceSummary
-	bestIdx := -1
-
-	for mask := 0; mask < 1<<len(points); mask++ {
-		opts := base
-		opts.Stats = st
-		opts.DisableLLMFilter = map[string]bool{}
-		opts.PromptPushdownSkip = map[string]bool{}
-		opts.SwapJoins = map[int]bool{}
-		var parts []string
-		for i, pt := range points {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			switch pt.kind {
-			case "fetch":
-				opts.DisableLLMFilter[pt.key] = true
-				parts = append(parts, "fetch{"+pt.key+"}")
-			case "nopush":
-				opts.PromptPushdownSkip[pt.key] = true
-				parts = append(parts, "stage{"+pt.key+"}")
-			case "swap":
-				opts.SwapJoins[pt.join] = true
-				parts = append(parts, fmt.Sprintf("swap{%d}", pt.join))
-			}
+// candidate renders one mask over the decision points as the options
+// that lower it and its choice label.
+func candidate(base Options, st *Statistics, points []choicePoint, mask int) (Options, string) {
+	opts := base
+	opts.Stats = st
+	opts.DisableLLMFilter = map[string]bool{}
+	opts.PromptPushdownSkip = map[string]bool{}
+	opts.SwapJoins = map[int]bool{}
+	var parts []string
+	for i, pt := range points {
+		if mask&(1<<i) == 0 {
+			continue
 		}
-		label := "paper"
-		if len(parts) > 0 {
-			label = strings.Join(parts, " ")
-		}
-
-		plan, err := factory()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		plan, err = Optimize(plan, opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cost := Estimate(plan, st, p)
-		summaries = append(summaries, ChoiceSummary{Label: label, Prompts: cost.Prompts, Latency: cost.Latency})
-
-		if best == nil || less(cost, best.cost) {
-			best = &scored{plan: plan, cost: cost, label: label}
-			bestIdx = len(summaries) - 1
+		switch pt.kind {
+		case "fetch":
+			opts.DisableLLMFilter[pt.key] = true
+			parts = append(parts, "fetch{"+pt.key+"}")
+		case "nopush":
+			opts.PromptPushdownSkip[pt.key] = true
+			parts = append(parts, "stage{"+pt.key+"}")
+		case "swap":
+			opts.SwapJoins[pt.join] = true
+			parts = append(parts, fmt.Sprintf("swap{%d}", pt.join))
 		}
 	}
-	for _, ex := range extras {
-		cost := Estimate(ex.Plan, st, p)
-		summaries = append(summaries, ChoiceSummary{Label: ex.Label, Prompts: cost.Prompts, Latency: cost.Latency})
-		if less(cost, best.cost) {
-			best = &scored{plan: ex.Plan, cost: cost, label: ex.Label}
-			bestIdx = len(summaries) - 1
-		}
+	if len(parts) == 0 {
+		return opts, "paper"
 	}
-	if best == nil { // no candidates — cannot happen, mask 0 always runs
-		return nil, nil, nil, fmt.Errorf("optimizer: no candidate plans")
-	}
-	summaries[bestIdx].Chosen = true
-	best.cost.Candidates = len(summaries)
-	best.cost.Choice = best.label
-	return best.plan, best.cost, summaries, nil
+	return opts, strings.Join(parts, " ")
 }
 
 // Cheaper reports whether a costs strictly less than b: the

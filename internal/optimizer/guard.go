@@ -1,0 +1,268 @@
+package optimizer
+
+import (
+	"repro/internal/llm"
+	"repro/internal/logical"
+)
+
+// Guarded is one cost-based choice together with every input the
+// enumeration read to make it: statistics (table cardinalities and page
+// sizes, predicate selectivities, the filter-ordering reads included)
+// and the cost hooks (prompt-cache residency, backend prices), each with
+// the answer it got. A read of a statement literal is kept by its
+// template slot, and the winning candidate by its decision points'
+// slots, since conjunct text carries the literal.
+//
+// Replan applies the choice to another statement of the same template
+// only when every guard, replayed for that statement's literals, returns
+// the same answer — the narrowest validity region of parametric query
+// optimization (Ioannidis et al., VLDB 1992): equal inputs. Under equal
+// inputs every candidate the enumeration would compare is priced the
+// same, so it would pick the same one. A Guarded is immutable and safe
+// for concurrent use.
+type Guarded struct {
+	guards []guard
+	// fetch and push are the slots of the enumeration's boolean-filter
+	// and pushdown decision points in enumeration order (conjunct text
+	// order, which the literals decide); joins counts the join points.
+	fetch, push []int
+	joins       int
+	// mask is the winning enumerated candidate, candidates how many were
+	// enumerated.
+	mask, candidates int
+}
+
+// readKind names one planning input.
+type readKind uint8
+
+const (
+	readTable readKind = iota
+	readSelectivity
+	readResident
+	readPrice
+)
+
+// read is one planning input with its arguments. A selectivity read
+// keeps its attribute, operator and literal in class.
+type read struct {
+	kind  readKind
+	role  llm.Role
+	table string
+	class llm.PromptClass
+}
+
+// answer is what one read returned: a table's key count, page size and
+// seen flag in x, y and seen; a selectivity or a residency count in x; a
+// price's cost weight, speed factor and backend in x, y and backend.
+type answer struct {
+	x, y    float64
+	seen    bool
+	backend string
+}
+
+func tableAnswer(ts TableStats) answer {
+	return answer{x: ts.Keys, y: ts.PageSize, seen: ts.Seen}
+}
+
+func priceAnswer(bp BackendPrice) answer {
+	return answer{x: bp.CostWeight, y: bp.SpeedFactor, backend: bp.Backend}
+}
+
+// guard is one recorded read. slot >= 0 marks a literal read: the
+// literal in its class stands for that slot.
+type guard struct {
+	read
+	slot int
+	want answer
+}
+
+// recorder is the statistics reader and the cost hooks one guarded
+// enumeration runs through: each distinct read becomes a guard. A read
+// that answers differently within one enumeration (a concurrent
+// observation landed mid-way) makes the choice unguardable.
+type recorder struct {
+	t        *Template
+	st       *Statistics
+	p        CostParams
+	seen     map[read]int
+	guards   []guard
+	unstable bool
+	g        *Guarded
+}
+
+// wrap returns the statistics reader and cost hooks the candidates read
+// through.
+func (r *recorder) wrap(st *Statistics, p CostParams) (statsReader, CostParams) {
+	r.st, r.p = st, p
+	if p.Resident != nil {
+		p.Resident = func(role llm.Role, table string, class llm.PromptClass) int {
+			n := r.p.Resident(role, table, class)
+			r.note(read{kind: readResident, role: role, table: table, class: class}, answer{x: float64(n)})
+			return n
+		}
+	}
+	if p.Price != nil {
+		p.Price = func(role llm.Role, table string) BackendPrice {
+			bp := r.p.Price(role, table)
+			r.note(read{kind: readPrice, role: role, table: table}, priceAnswer(bp))
+			return bp
+		}
+	}
+	return r, p
+}
+
+// Table implements statsReader.
+func (r *recorder) Table(table string) TableStats {
+	ts := r.st.Table(table)
+	r.note(read{kind: readTable, table: table}, tableAnswer(ts))
+	return ts
+}
+
+// Selectivity implements statsReader.
+func (r *recorder) Selectivity(table, attr, op, lit string) float64 {
+	sel := r.st.Selectivity(table, attr, op, lit)
+	r.note(read{kind: readSelectivity, table: table, class: llm.PromptClass{Attr: attr, Op: op, Literal: lit}}, answer{x: sel})
+	return sel
+}
+
+// note records one read and its answer as a guard, by slot when it
+// reads a statement literal (a selectivity's, or a filter class's).
+func (r *recorder) note(rd read, a answer) {
+	if i, ok := r.seen[rd]; ok {
+		if r.guards[i].want != a {
+			r.unstable = true
+		}
+		return
+	}
+	slot := -1
+	if rd.kind == readSelectivity || rd.kind == readResident && rd.class.Op != "" && rd.class != llm.FilterFamily(rd.class.Table, rd.class.Attr) {
+		slot = r.t.slotOfLit(rd.class.Literal)
+	}
+	r.seen[rd] = len(r.guards)
+	r.guards = append(r.guards, guard{read: rd, slot: slot, want: a})
+}
+
+// decided records the enumeration's decision points and winner. A
+// decision point whose conjunct is no slot's leaves the choice
+// unguarded.
+func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candidates int) {
+	fetch, ok := r.slotsOf(filterKeys)
+	if !ok {
+		return
+	}
+	push, ok := r.slotsOf(pushedKeys)
+	if !ok {
+		return
+	}
+	r.g = &Guarded{guards: append([]guard(nil), r.guards...), fetch: fetch, push: push, joins: joins, mask: mask, candidates: candidates}
+}
+
+// slotsOf maps conjunct keys to their slots.
+func (r *recorder) slotsOf(keys []string) ([]int, bool) {
+	var slots []int
+	for _, k := range keys {
+		i := r.t.slotOfKey(k)
+		if i < 0 {
+			return nil, false
+		}
+		slots = append(slots, i)
+	}
+	return slots, true
+}
+
+// ChooseBestGuarded is ChooseBestExtra for a statement of template t,
+// also returning the choice with its guards for Replan. The Guarded is
+// nil when the choice cannot be replayed: a read changed its answer
+// mid-enumeration, or a decision point is not a slot's conjunct.
+func ChooseBestGuarded(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
+	rec := &recorder{t: t, seen: map[read]int{}}
+	plan, cost, _, err := chooseBest(factory, base, st, p, extras, rec)
+	if err != nil || rec.unstable {
+		return plan, cost, nil, err
+	}
+	return plan, cost, rec.g, nil
+}
+
+// Replan plans built, a statement of the template g was recorded under,
+// with g's choice when every guard holds for t's literals: built is
+// optimized once under the stored decisions and estimated once, and the
+// extras compete as in ChooseBestExtra. It reports false, leaving built
+// untouched, when a guard fails or the statement's decision points fall
+// in another order; the caller then enumerates afresh.
+func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, bool, error) {
+	if st == nil {
+		st = NewStatistics()
+	}
+	filterKeys, ok := g.keys(t, g.fetch)
+	if !ok {
+		return nil, nil, false, nil
+	}
+	pushedKeys, ok := g.keys(t, g.push)
+	if !ok {
+		return nil, nil, false, nil
+	}
+	for i := range g.guards {
+		if !g.guards[i].holds(t, st, p) {
+			return nil, nil, false, nil
+		}
+	}
+	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
+	opts, label := candidate(base, st, points, g.mask)
+	plan, err := Optimize(built, opts)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	best := &scored{plan: plan, cost: Estimate(plan, st, p), label: label, idx: g.mask}
+	plan, cost, _, err := compete(best, nil, g.candidates, st, p, extras)
+	return plan, cost, err == nil, err
+}
+
+// keys renders decision-point slots as t's conjunct keys, reporting
+// false unless they are strictly ascending — the order the enumeration
+// sorts them into, which decides the candidates' order and so the
+// winner among equal-cost ones.
+func (g *Guarded) keys(t *Template, slots []int) ([]string, bool) {
+	if len(slots) == 0 {
+		return nil, true
+	}
+	keys := make([]string, len(slots))
+	for i, s := range slots {
+		if s >= len(t.slots) {
+			return nil, false
+		}
+		keys[i] = t.slots[s].key
+		if i > 0 && keys[i-1] >= keys[i] {
+			return nil, false
+		}
+	}
+	return keys, true
+}
+
+// holds replays the guard's read for t's literals.
+func (gd *guard) holds(t *Template, st *Statistics, p CostParams) bool {
+	rd := gd.read
+	if gd.slot >= 0 {
+		if gd.slot >= len(t.slots) {
+			return false
+		}
+		rd.class.Literal = t.slots[gd.slot].lit
+	}
+	var got answer
+	switch rd.kind {
+	case readTable:
+		got = tableAnswer(st.Table(rd.table))
+	case readSelectivity:
+		got.x = st.Selectivity(rd.table, rd.class.Attr, rd.class.Op, rd.class.Literal)
+	case readResident:
+		if p.Resident == nil {
+			return false
+		}
+		got.x = float64(p.Resident(rd.role, rd.table, rd.class))
+	case readPrice:
+		if p.Price == nil {
+			return false
+		}
+		got = priceAnswer(p.Price(rd.role, rd.table))
+	}
+	return got == gd.want
+}

@@ -75,6 +75,16 @@ type scanInfo struct {
 // Optimize rewrites the plan under the given options. The input plan is
 // not mutated except for Scan.PushedFilter annotations.
 func Optimize(n logical.Node, opts Options) (logical.Node, error) {
+	var src statsReader
+	if opts.Stats != nil {
+		src = opts.Stats
+	}
+	return optimizeWith(n, opts, src)
+}
+
+// optimizeWith is Optimize reading filter selectivities through src (nil:
+// no reordering), so the enumeration can record what it read.
+func optimizeWith(n logical.Node, opts Options, src statsReader) (logical.Node, error) {
 	o := &optimizer{opts: opts, bindings: map[string]scanInfo{}}
 	o.collectBindings(n)
 	if opts.PushdownPredicates {
@@ -91,8 +101,8 @@ func Optimize(n logical.Node, opts Options) (logical.Node, error) {
 	if opts.PromptPushdown {
 		n = o.promptPushdown(n)
 	}
-	if opts.Stats != nil {
-		n = orderLLMFilters(n, opts.Stats)
+	if src != nil {
+		n = orderLLMFilters(n, src)
 	}
 	return n, nil
 }
@@ -124,7 +134,7 @@ func swapJoins(n logical.Node, swap map[int]bool, idx *int) logical.Node {
 // nodes most-selective-first: with one boolean prompt per surviving
 // tuple, running the filter that discards the most tuples first
 // minimizes the prompts the rest of the chain issues.
-func orderLLMFilters(n logical.Node, st *Statistics) logical.Node {
+func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 	if _, ok := n.(*logical.LLMFilter); ok {
 		var chain []*logical.LLMFilter
 		cur := n

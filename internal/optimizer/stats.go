@@ -67,6 +67,14 @@ func (t TableStats) ScanPrompts(rows float64) float64 {
 	return pages + 1
 }
 
+// statsReader is what planning reads from a Statistics store: the
+// enumeration substitutes a recorder (see guard.go) that notes every
+// answer it hands out.
+type statsReader interface {
+	Table(table string) TableStats
+	Selectivity(table, attr, op, lit string) float64
+}
+
 // selObs is one running selectivity estimate.
 type selObs struct {
 	sum   float64

@@ -322,7 +322,7 @@ func decodeBody(body []byte) (diskRec, error) {
 	var r diskRec
 	off := 0
 	str := func() (string, error) {
-		n, used := binary.Uvarint(body[off:])
+		n, used := uvarint(body[off:])
 		if used <= 0 || n > uint64(len(body)-off-used) {
 			return "", errors.New("store: malformed record")
 		}
@@ -342,7 +342,7 @@ func decodeBody(body []byte) (diskRec, error) {
 		return r, err
 	}
 	w, used := binary.Varint(body[off:])
-	if used <= 0 {
+	if used <= 0 || !canonical(body[off:off+used]) {
 		return r, errors.New("store: malformed record")
 	}
 	r.written = w
@@ -352,7 +352,7 @@ func decodeBody(body []byte) (diskRec, error) {
 	}
 	r.flags = body[off]
 	off++
-	n, used := binary.Uvarint(body[off:])
+	n, used := uvarint(body[off:])
 	if used <= 0 || n > uint64(len(body)-off-used) {
 		return r, errors.New("store: malformed record")
 	}
@@ -362,6 +362,23 @@ func decodeBody(body []byte) (diskRec, error) {
 		return r, errors.New("store: malformed record")
 	}
 	return r, nil
+}
+
+// uvarint decodes one unsigned varint, rejecting (used 0) an encoding
+// that is not the shortest: encodeBody never writes one, so every record
+// decodeBody accepts re-encodes to its own bytes.
+func uvarint(b []byte) (uint64, int) {
+	n, used := binary.Uvarint(b)
+	if used <= 0 || !canonical(b[:used]) {
+		return 0, 0
+	}
+	return n, used
+}
+
+// canonical reports whether a varint encoding is the shortest for its
+// value: no trailing zero group after the first byte.
+func canonical(enc []byte) bool {
+	return len(enc) == 1 || enc[len(enc)-1] != 0
 }
 
 // applyRecord folds one replayed record into the index: later records
