@@ -20,11 +20,13 @@ race:
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the
 # cost), then the scheduler's own
-# (BenchmarkSchedulerMiss: the per-prompt cost of a model miss) and the
-# LLM operators' (BenchmarkResidentFetch: a fetch-then-filter whose every
-# answer is resident).
+# (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
+# BenchmarkCachedMiss: the same through the prompt cache, a new key every
+# time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
+# whose every answer is resident) and the goroutine pool's (BenchmarkGo:
+# one task handed to a parked goroutine).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from

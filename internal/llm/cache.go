@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"container/list"
 	"context"
 	"strings"
 	"sync"
@@ -75,36 +74,37 @@ type classKey struct {
 	class PromptClass
 }
 
-// flight is one in-flight completion shared by every concurrent caller of
-// the same (model, template, key); done is closed once out/err are set.
-// val is the leader's decoding of out (see Template.value).
-type flight struct {
-	tmpl *Template
-	done chan struct{}
-	out  string
-	val  any
-	err  error
-}
-
-// cacheEntry is one resident completion, stored inside the LRU list; its
-// class is its template's. Beside the text it holds one decoded slot: val
-// is out decoded by dec, the template that stored it last (nil when dec
-// has no decoder).
+// cacheEntry is one completion of key instantiating tmpl. It is pending
+// while its model call is in flight, then resident: linked into the LRU
+// order, its class counted. Beside the text it holds one decoded slot:
+// val is out decoded by tmpl (nil when tmpl has no decoder). out, val and
+// err are written once, when the call settles, and never again: a
+// colliding template or a Put replaces the entry rather than rewrite it,
+// so a joiner may read them without the lock once done is closed.
 type cacheEntry struct {
 	key  cacheKey
 	tmpl *Template
 	out  string
-	dec  *Template
 	val  any
+	err  error
+	// prev and next link a resident entry into the LRU ring; both are nil
+	// while it is pending.
+	prev, next *cacheEntry
+	// done is made by the first caller that joins the pending call and
+	// closed when the call settles; nil while nobody waits.
+	done chan struct{}
 }
 
-// slot is the decoded value a consumer of tp may take from an entry or a
-// flight holding val, dec's decoding of the text: val when dec's decoder
-// tag is tp's, else nil. A template with another decoder decodes the text
-// itself, so no decoder's value ever reaches another's consumer.
-func slot(dec *Template, val any, tp *Template) any {
-	if val != nil && dec.tag == tp.tag {
-		return val
+// pending reports whether e's call is still in flight.
+func (e *cacheEntry) pending() bool { return e.next == nil }
+
+// slot is the decoded value a consumer of tp may take from e: val when
+// e's template has tp's decoder tag, else nil. A template with another
+// decoder decodes the text itself, so no decoder's value ever reaches
+// another's consumer.
+func (e *cacheEntry) slot(tp *Template) any {
+	if e.val != nil && e.tmpl.tag == tp.tag {
+		return e.val
 	}
 	return nil
 }
@@ -126,6 +126,11 @@ type CacheStats struct {
 // template whose id collides with another's costs a model call and never
 // gets the other's answer.
 //
+// The singleflight lives in the same map as the completions: a call in
+// flight is a pending entry, which becomes resident when it succeeds and
+// leaves the map when it fails. A pending entry is outside the LRU order,
+// so no eviction removes it, and no hit, count or walk sees it.
+//
 // An entry also holds one decoded slot: the answer decoded once, on the
 // miss, by the decoder of the template that stored it. A hit from a
 // template with the same decoder tag gets that value and reads no text;
@@ -134,11 +139,13 @@ type CacheStats struct {
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[cacheKey]*list.Element
-	order    *list.List // front = most recently used
-	flights  map[cacheKey]*flight
-	// resident counts the entries of each (model, class); it sums to
-	// order.Len() and holds no zero counts.
+	entries  map[cacheKey]*cacheEntry // resident and pending
+	// lru is the sentinel of the ring of resident entries: lru.next is
+	// the most recently used, lru.prev the least. n counts them.
+	lru cacheEntry
+	n   int
+	// resident counts the entries of each (model, class); it sums to n
+	// and holds no zero counts.
 	resident map[classKey]int
 	// families counts the boolean-filter entries of each (model,
 	// FilterFamily) under the same discipline.
@@ -153,14 +160,14 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
-		entries:  map[cacheKey]*list.Element{},
-		order:    list.New(),
-		flights:  map[cacheKey]*flight{},
+		entries:  map[cacheKey]*cacheEntry{},
 		resident: map[classKey]int{},
 		families: map[classKey]int{},
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Get returns the cached completion for the raw-text prompt (model,
@@ -168,44 +175,67 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Get(model, prompt string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[cacheKey{model: model, key: prompt}]
-	if !ok {
+	e, ok := c.entries[cacheKey{model: model, key: prompt}]
+	if !ok || e.pending() {
 		return "", false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).out, true
+	c.touchLocked(e)
+	return e.out, true
 }
 
 // Put stores the completion of a raw-text prompt under its prompt class,
-// evicting the least recently used entry when over capacity.
+// replacing any completion of the prompt and evicting the least recently
+// used entry when over capacity.
 func (c *Cache) Put(model string, class PromptClass, prompt, out string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(cacheKey{model: model, key: prompt}, rawTemplate(class), out, nil)
+	key := cacheKey{model: model, key: prompt}
+	if e, ok := c.entries[key]; ok && !e.pending() {
+		c.dropLocked(e)
+	}
+	e := &cacheEntry{key: key, tmpl: rawTemplate(class), out: out}
+	c.entries[key] = e
+	c.admitLocked(e)
 }
 
-// insertLocked stores one completion of template tp and tp's decoding of
-// it, val. A prompt that is already resident keeps the class it entered
-// under; an entry of a colliding template is taken over.
-func (c *Cache) insertLocked(key cacheKey, tp *Template, out string, val any) {
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if !same(e.tmpl, tp) {
-			c.count(key.model, e.tmpl.class, -1)
-			c.count(key.model, tp.class, 1)
-			e.tmpl = tp
-		}
-		e.out, e.dec, e.val = out, tp, val
-		c.order.MoveToFront(el)
-		return
+// admitLocked makes e, already in the map, resident: most recently used
+// and counted under its class. The least recently used entries are
+// evicted while over capacity.
+func (c *Cache) admitLocked(e *cacheEntry) {
+	c.pushFront(e)
+	c.n++
+	c.count(e.key.model, e.tmpl.class, 1)
+	for c.n > c.capacity {
+		c.dropLocked(c.lru.prev)
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, tmpl: tp, out: out, dec: tp, val: val})
-	c.count(key.model, tp.class, 1)
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Remove(c.order.Back()).(*cacheEntry)
-		delete(c.entries, oldest.key)
-		c.count(oldest.key.model, oldest.tmpl.class, -1)
+}
+
+// dropLocked removes the resident entry e from the cache.
+func (c *Cache) dropLocked(e *cacheEntry) {
+	e.unlink()
+	c.n--
+	delete(c.entries, e.key)
+	c.count(e.key.model, e.tmpl.class, -1)
+}
+
+// touchLocked makes the resident entry e the most recently used.
+func (c *Cache) touchLocked(e *cacheEntry) {
+	if c.lru.next != e {
+		e.unlink()
+		c.pushFront(e)
 	}
+}
+
+// pushFront links e into the LRU ring as the most recently used.
+func (c *Cache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the LRU ring.
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // count moves one entry in or out of its class's count and, for a
@@ -242,21 +272,17 @@ func (c *Cache) Resident(model string, class PromptClass) int {
 func (c *Cache) hit(model string, tp *Template, key string) (string, any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hitLocked(cacheKey{model, tp.id, key}, tp)
+	return c.hitLocked(c.entries[cacheKey{model, tp.id, key}], tp)
 }
 
-func (c *Cache) hitLocked(key cacheKey, tp *Template) (string, any, bool) {
-	el, ok := c.entries[key]
-	if !ok {
+// hitLocked is hit on the map's entry e for the key, nil when absent.
+func (c *Cache) hitLocked(e *cacheEntry, tp *Template) (string, any, bool) {
+	if e == nil || e.pending() || !same(e.tmpl, tp) {
 		return "", nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if !same(e.tmpl, tp) {
-		return "", nil, false
-	}
-	c.order.MoveToFront(el)
+	c.touchLocked(e)
 	c.hits++
-	return e.out, slot(e.dec, e.val, tp), true
+	return e.out, e.slot(tp), true
 }
 
 // EachDecoded calls fn for every resident entry holding a decoded slot:
@@ -265,15 +291,15 @@ func (c *Cache) hitLocked(key cacheKey, tp *Template) (string, any, bool) {
 // snapshot. For tests: a slot must equal its fresh decoding.
 func (c *Cache) EachDecoded(fn func(out string, slot, fresh any)) {
 	c.mu.Lock()
-	var held []cacheEntry
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.val != nil {
-			held = append(held, *e)
+	var held []*cacheEntry
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		if e.val != nil {
+			held = append(held, e)
 		}
 	}
 	c.mu.Unlock()
 	for _, e := range held {
-		fn(e.out, e.val, e.dec.decode(e.out))
+		fn(e.out, e.val, e.tmpl.decode(e.out))
 	}
 }
 
@@ -281,14 +307,14 @@ func (c *Cache) EachDecoded(fn func(out string, slot, fresh any)) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.n
 }
 
 // Stats returns a snapshot of the lifetime counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len()}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.n}
 }
 
 // fetch returns the completion of key instantiating tp for model: from
@@ -301,40 +327,50 @@ func (c *Cache) Stats() CacheStats {
 // — false means the answer cost nothing. Errors are never cached, and a
 // joiner whose leader failed retries rather than inheriting the failure —
 // the leader's error may be its own cancellation, which must not
-// spuriously fail an unrelated query sharing the cache. A flight of a
-// template colliding with tp is not joined: complete runs beside it.
+// spuriously fail an unrelated query sharing the cache.
+//
+// A template colliding with tp never shares its answer: its resident
+// entry gives way to tp's call, and beside its pending one tp's call runs
+// uncached.
 func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string, complete func() (string, error)) (string, any, bool, error) {
 	key := cacheKey{model, tp.id, k}
 	for {
 		c.mu.Lock()
-		if out, val, ok := c.hitLocked(key, tp); ok {
+		e := c.entries[key]
+		if out, val, ok := c.hitLocked(e, tp); ok {
 			c.mu.Unlock()
 			return out, val, false, nil
 		}
-		f, ok := c.flights[key]
-		if ok && same(f.tmpl, tp) {
+		if e != nil && e.pending() && same(e.tmpl, tp) {
+			if e.done == nil {
+				e.done = make(chan struct{})
+			}
+			done := e.done
 			c.mu.Unlock()
 			select {
-			case <-f.done:
+			case <-done:
 			case <-ctx.Done():
 				return "", nil, false, ctx.Err()
 			}
-			if f.err == nil {
+			if e.err == nil {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				return f.out, slot(f.tmpl, f.val, tp), false, nil
+				return e.out, e.slot(tp), false, nil
 			}
 			if err := ctx.Err(); err != nil {
 				return "", nil, false, err
 			}
-			continue // leader failed; next round joins a fresh flight or leads
+			continue // leader failed; next round joins a fresh call or leads
 		}
 		c.misses++
-		lead := !ok
-		if lead {
-			f = &flight{tmpl: tp, done: make(chan struct{})}
-			c.flights[key] = f
+		var lead *cacheEntry
+		if e == nil || !e.pending() {
+			if e != nil {
+				c.dropLocked(e) // a colliding template's completion
+			}
+			lead = &cacheEntry{key: key, tmpl: tp}
+			c.entries[key] = lead
 		}
 		c.mu.Unlock()
 
@@ -343,16 +379,28 @@ func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string,
 		if err == nil {
 			val = tp.value(out, nil)
 		}
-		c.mu.Lock()
-		if lead {
-			f.out, f.val, f.err = out, val, err
-			close(f.done)
-			delete(c.flights, key)
+		if lead != nil {
+			c.settle(lead, out, val, err)
 		}
-		if err == nil {
-			c.insertLocked(key, tp, out, val)
-		}
-		c.mu.Unlock()
 		return out, val, true, err
+	}
+}
+
+// settle ends the pending entry e's call: the result is published to its
+// joiners, and e becomes resident on success or leaves the map on failure
+// — unless a Put has replaced it meanwhile.
+func (c *Cache) settle(e *cacheEntry, out string, val any, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.out, e.val, e.err = out, val, err
+	if e.done != nil {
+		close(e.done)
+	}
+	switch {
+	case c.entries[e.key] != e:
+	case err != nil:
+		delete(c.entries, e.key)
+	default:
+		c.admitLocked(e)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCacheGetPut(t *testing.T) {
@@ -377,7 +378,7 @@ func checkResidency(t *testing.T, c *Cache) {
 		}
 		counts[ck] = n
 	}
-	entries := c.order.Len()
+	entries := c.n
 	c.mu.Unlock()
 	if sum != entries {
 		t.Errorf("Σ resident = %d, Len = %d", sum, entries)
@@ -465,5 +466,207 @@ func TestCacheResidencyConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+	checkResidency(t, c)
+}
+
+// fetchResult is what one fetch returned.
+type fetchResult struct {
+	out    string
+	val    any
+	issued bool
+	err    error
+}
+
+// heldFetch starts a fetch of key instantiating tp whose model call
+// blocks until answer is sent to, or fails when it is closed, and waits
+// until the call is at the model: the cache then holds a pending entry
+// for the key.
+func heldFetch(c *Cache, tp *Template, key string) (answer chan<- fetchResult, got <-chan fetchResult) {
+	ans, res, atModel := make(chan fetchResult, 1), make(chan fetchResult, 1), make(chan struct{})
+	go func() {
+		out, val, issued, err := c.fetch(context.Background(), "m", tp, key, func() (string, error) {
+			close(atModel)
+			a, ok := <-ans
+			if !ok {
+				return "", errors.New("model down")
+			}
+			return a.out, a.err
+		})
+		res <- fetchResult{out, val, issued, err}
+	}()
+	<-atModel
+	return ans, res
+}
+
+// joiners starts n fetches of key instantiating tp whose own model calls
+// answer with answer, and waits until one of them waits on the pending
+// entry (the first joiner makes its done channel).
+func joiners(t *testing.T, c *Cache, tp *Template, key, answer string, n int) <-chan fetchResult {
+	t.Helper()
+	res := make(chan fetchResult, n)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	t.Cleanup(cancel)
+	for i := 0; i < n; i++ {
+		go func() {
+			out, val, issued, err := c.fetch(ctx, "m", tp, key, func() (string, error) { return answer, nil })
+			res <- fetchResult{out, val, issued, err}
+		}()
+	}
+	waitDrained(t, "joiners", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.entries[cacheKey{"m", tp.id, key}].done != nil
+	})
+	return res
+}
+
+// TestPendingEntryInvisible: a call in flight is a pending entry that no
+// lookup, count, walk or eviction sees; it becomes resident, with its
+// decoded slot, only when the call succeeds.
+func TestPendingEntryInvisible(t *testing.T) {
+	class := FetchClass("city", "population")
+	tp := NewTemplate("population of ", "?", class).WithDecoder("len", func(s string) any { return len(s) })
+	c := NewCache(2)
+	answer, got := heldFetch(c, tp, "Oslo")
+
+	if _, _, ok := c.hit("m", tp, "Oslo"); ok {
+		t.Error("hit sees a pending entry")
+	}
+	raw := rawTemplate(class)
+	rawAnswer, rawGot := heldFetch(c, raw, "Bergen")
+	if _, ok := c.Get("m", "Bergen"); ok {
+		t.Error("Get sees a pending entry")
+	}
+	// Fill the cache past its capacity: evictions must not touch the two
+	// pending entries.
+	for i := 0; i < 5; i++ {
+		c.Put("m", PromptClass{}, fmt.Sprintf("filler %d", i), "x")
+	}
+	if n, s := c.Len(), c.Stats(); n != 2 || s.Entries != 2 || s.Hits != 0 || s.Misses != 2 {
+		t.Errorf("Len = %d, stats %+v; want the two fillers resident and two misses", n, s)
+	}
+	if n := c.Resident("m", class); n != 0 {
+		t.Errorf("Resident = %d while both calls are in flight", n)
+	}
+	c.EachDecoded(func(out string, _, _ any) { t.Errorf("EachDecoded walks %q", out) })
+	checkResidency(t, c)
+
+	answer <- fetchResult{out: "372000"}
+	rawAnswer <- fetchResult{out: "285000"}
+	if r := <-got; r.err != nil || r.out != "372000" || r.val != 6 || !r.issued {
+		t.Errorf("leader = %+v", r)
+	}
+	if r := <-rawGot; r.err != nil || r.out != "285000" {
+		t.Errorf("raw leader = %+v", r)
+	}
+	if out, val, ok := c.hit("m", tp, "Oslo"); !ok || out != "372000" || val != 6 {
+		t.Errorf("settled hit = %q, %v, %v", out, val, ok)
+	}
+	if out, ok := c.Get("m", "Bergen"); !ok || out != "285000" {
+		t.Errorf("settled Get = %q, %v", out, ok)
+	}
+	if n := c.Resident("m", class); n != 2 {
+		t.Errorf("Resident = %d after both calls settled, want 2", n)
+	}
+	walked := 0
+	c.EachDecoded(func(out string, slot, fresh any) {
+		if walked++; slot != fresh {
+			t.Errorf("slot %v, fresh %v", slot, fresh)
+		}
+	})
+	if walked != 1 {
+		t.Errorf("EachDecoded walked %d entries, want the one decoded", walked)
+	}
+	checkResidency(t, c)
+}
+
+// TestFailingLeaderCachesNothing: a leader whose call fails leaves no
+// entry behind, and its joiners retry: one of them leads a fresh call
+// while the others join it, so the failure costs exactly one more call.
+func TestFailingLeaderCachesNothing(t *testing.T) {
+	c := NewCache(8)
+	answer, got := heldFetch(c, rawText, "p")
+	const n = 4
+	waiting := joiners(t, c, rawText, "p", "answer", n)
+	close(answer) // the leader's call fails
+	if r := <-got; !r.issued || r.err == nil {
+		t.Fatalf("leader = %+v, want its failure", r)
+	}
+	for i := 0; i < n; i++ {
+		if r := <-waiting; r.err != nil || r.out != "answer" {
+			t.Errorf("joiner %d = %+v, want its retried answer", i, r)
+		}
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != n-1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want the failed and the retried call, %d hits and one entry", s, n-1)
+	}
+	checkResidency(t, c)
+
+	// Without joiners a failure leaves the key absent.
+	answer, got = heldFetch(c, rawText, "q")
+	answer <- fetchResult{err: errors.New("boom")}
+	<-got
+	c.mu.Lock()
+	_, held := c.entries[cacheKey{"m", 0, "q"}]
+	c.mu.Unlock()
+	if held {
+		t.Error("a failed call left its entry in the map")
+	}
+}
+
+// TestCollisionBesidePendingEntry: a template colliding with a pending
+// entry runs its own call beside it, uncached, and neither template
+// receives the other's answer.
+func TestCollisionBesidePendingEntry(t *testing.T) {
+	a, b := collidingTemplates()
+	c := NewCache(8)
+	answer, got := heldFetch(c, a, "Paris")
+	out, _, issued, err := c.fetch(context.Background(), "m", b, "Paris", func() (string, error) { return "mayor", nil })
+	if err != nil || !issued || out != "mayor" {
+		t.Fatalf("colliding fetch = %q, %v, %v; want its own call", out, issued, err)
+	}
+	answer <- fetchResult{out: "population"}
+	if r := <-got; r.out != "population" {
+		t.Errorf("leader got %q", r.out)
+	}
+	if out, _, ok := c.hit("m", a, "Paris"); !ok || out != "population" {
+		t.Errorf("a's hit = %q, %v", out, ok)
+	}
+	if _, _, ok := c.hit("m", b, "Paris"); ok {
+		t.Error("b hit a's entry")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want two calls and a's entry alone", s)
+	}
+	checkResidency(t, c)
+}
+
+// TestJoinerReadsSettledFields: joiners read the answer of the call they
+// joined without the lock, while a colliding template takes the entry
+// over and the key is fetched again. Under -race this fails if a takeover
+// or an insert rewrote the joined entry instead of replacing it.
+func TestJoinerReadsSettledFields(t *testing.T) {
+	a, b := collidingTemplates()
+	c := NewCache(4)
+	for round := 0; round < 100; round++ {
+		key := fmt.Sprintf("k%d", round%3)
+		answer, got := heldFetch(c, a, key)
+		waiting := joiners(t, c, a, key, "unused", 1)
+		answer <- fetchResult{out: "a-answer"}
+		if r := <-got; r.out != "a-answer" {
+			t.Fatalf("round %d: leader got %q", round, r.out)
+		}
+		// The joiner may not have read its answer yet: take the settled
+		// entry over at once, put a back, and take it over again.
+		for _, tp := range []*Template{b, a, b} {
+			want := map[*Template]string{a: "a-again", b: "b-answer"}[tp]
+			if out, _, _, err := c.fetch(context.Background(), "m", tp, key, func() (string, error) { return want, nil }); err != nil || out != want {
+				t.Fatalf("round %d: fetch = %q, %v; want %q", round, out, err, want)
+			}
+		}
+		if r := <-waiting; r.err != nil || r.out != "a-answer" || r.issued {
+			t.Fatalf("round %d: joiner = %+v, want the joined call's answer", round, r)
+		}
+	}
 	checkResidency(t, c)
 }

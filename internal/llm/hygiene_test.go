@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/gopool"
 )
 
 // waitDrained polls cond for a few seconds — plenty for goroutines or
@@ -110,6 +112,7 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 // misses never hold more goroutines than the endpoint has slots.
 func TestSchedulerSlotGoroutineReuse(t *testing.T) {
 	const workers = 4
+	quietPool(t)
 	baseline := runtime.NumGoroutine()
 	s := NewScheduler(nil, workers)
 	tn := s.Tenant(context.Background(), "seq")
@@ -123,28 +126,31 @@ func TestSchedulerSlotGoroutineReuse(t *testing.T) {
 		}
 	}
 	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
-	if n := parked(s, "ep"); n < 1 || n > workers {
+	if n := parked(); n < 1 || n > workers {
 		t.Errorf("%d parked slot goroutines after the misses, want 1..%d", n, workers)
 	}
 	tn.Close()
 	goroutinesAtMost(t, baseline)
 }
 
-// parked reports the slot goroutines parked on one endpoint.
-func parked(s *Scheduler, model string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ep, ok := s.endpoints[model]; ok {
-		return len(ep.idle)
-	}
-	return 0
+// parked reports the goroutines parked in the pool slots run on.
+func parked() int { return gopool.Idle() }
+
+// quietPool waits until every goroutine an earlier test parked in the
+// pool has retired, so parked counts this test's alone.
+func quietPool(t *testing.T) {
+	t.Helper()
+	waitDrained(t, "goroutine pool", func() bool { return parked() == 0 })
 }
 
-// TestSchedulerSlotGoroutinesRetire: parked slot goroutines stay while
-// any tenant is open, never more than the endpoint's slots, and the
-// last Close retires them all.
+// TestSchedulerSlotGoroutinesRetire: slot goroutines outlive the last
+// Close, parked in the pool and never more than the slots that ran, so a
+// tenant opened right after it runs its miss without starting a
+// goroutine. Left idle, every one retires after the pool's linger, and
+// the goroutine count returns to its baseline.
 func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 	const workers = 4
+	quietPool(t)
 	baseline := runtime.NumGoroutine()
 	s := NewScheduler(nil, workers)
 	var running atomic.Int32
@@ -161,6 +167,10 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 		futures = append(futures, a.Submit(gated, fmt.Sprintf("a%d", i), 0), b.Submit(gated, fmt.Sprintf("b%d", i), 0))
 	}
 	waitDrained(t, "slot fill", func() bool { return running.Load() == workers })
+	// Every slot goroutine parks after this instant, so none can retire
+	// before linger has passed since it.
+	const linger = 100 * time.Millisecond // gopool's idle linger
+	released := time.Now()
 	close(release)
 	for _, f := range futures {
 		if _, _, err := f.Wait(); err != nil {
@@ -170,17 +180,29 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
 
 	a.Close()
-	if n := parked(s, "ep"); n < 1 || n > workers {
-		t.Errorf("one tenant open: %d parked slot goroutines, want 1..%d", n, workers)
+	b.Close()
+	n := parked()
+	started := gopool.Started()
+	c := s.Tenant(context.Background(), "c")
+	if out, _, err := c.Do(&echoLLM{name: "ep", answer: "warm"}, nil, "next query", 0).Wait(); err != nil || out != "warm" {
+		t.Fatalf("miss after the last Close: %q, %v", out, err)
+	}
+	c.Close()
+	if time.Since(released) >= linger {
+		t.Logf("the test stalled past the linger: not checking reuse")
+	} else {
+		if n < 1 || n > workers {
+			t.Errorf("after the last Close: %d parked slot goroutines, want 1..%d", n, workers)
+		}
+		if n := gopool.Started() - started; n != 0 {
+			t.Errorf("a miss right after the last Close started %d goroutines, want a parked one", n)
+		}
 	}
 	if n := runtime.NumGoroutine(); n > baseline+workers+2 {
-		t.Errorf("one tenant open: %d goroutines, baseline %d", n, baseline)
+		t.Errorf("after the last Close: %d goroutines, baseline %d", n, baseline)
 	}
 
-	b.Close()
-	if n := parked(s, "ep"); n != 0 {
-		t.Errorf("no tenant open: %d parked slot goroutines", n)
-	}
+	waitDrained(t, "parked slot goroutines", func() bool { return parked() == 0 })
 	goroutinesAtMost(t, baseline)
 	if s.Busy() != 0 || s.Queued() != 0 {
 		t.Errorf("Busy() = %d, Queued() = %d after the last Close", s.Busy(), s.Queued())

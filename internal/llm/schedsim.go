@@ -232,7 +232,7 @@ func Simulate(workers int, policy SimPolicy, tenants []SimTenant) SimResult {
 		now = e.at
 		switch e.kind {
 		case kindReady:
-			j := &job{t: dummies[e.tenant], cost: int64(max(1, tenants[e.tenant].Costs[e.idx]))}
+			j := &job{t: dummies[e.tenant], tokens: tenants[e.tenant].Costs[e.idx]}
 			meta[j] = coord{e.tenant, e.idx}
 			disp.enqueue(j)
 		case kindDone:

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/gopool"
 )
 
 // VTime is a point on the simulated-latency axis of one query execution:
@@ -174,18 +176,15 @@ type Scheduler struct {
 	endpoints map[string]*endpoint
 	epWorkers map[string]int  // per-endpoint worker overrides (else workers)
 	drained   [nClasses]int64 // queued prompts granted a slot, per class
-	open      int             // tenants opened and not yet closed
 }
 
 // endpoint is the dispatch state of one model API: how many of its
 // worker slots are running prompts (split by admission class for the
-// gauges), the class bands of prompts waiting for a slot, and the slot
-// goroutines parked for the next job. A parked goroutine holds no slot.
+// gauges) and the class bands of prompts waiting for a slot.
 type endpoint struct {
 	busy    int
 	busyCls [nClasses]int
 	bands   [nClasses]band
-	idle    []chan *job
 }
 
 func newEndpoint() *endpoint {
@@ -276,7 +275,7 @@ func (b *band) dispatch() *job {
 			fl.deficit += b.quantum * fl.weight
 			b.visited = true
 		}
-		if fl.deficit >= fl.q[0].cost {
+		if fl.deficit >= fl.q[0].cost() {
 			return b.serve()
 		}
 		b.next++
@@ -292,7 +291,7 @@ func (b *band) dispatch() *job {
 	k := int64(-1)
 	for _, fl := range b.rr {
 		qw := b.quantum * fl.weight
-		need := (fl.q[0].cost - fl.deficit + qw - 1) / qw
+		need := (fl.q[0].cost() - fl.deficit + qw - 1) / qw
 		if k < 0 || need < k {
 			k = need
 		}
@@ -304,7 +303,7 @@ func (b *band) dispatch() *job {
 		if b.next >= len(b.rr) {
 			b.next = 0
 		}
-		if fl := b.rr[b.next]; fl.deficit >= fl.q[0].cost {
+		if fl := b.rr[b.next]; fl.deficit >= fl.q[0].cost() {
 			b.visited = true
 			return b.serve()
 		}
@@ -319,7 +318,7 @@ func (b *band) dispatch() *job {
 func (b *band) serve() *job {
 	fl := b.rr[b.next]
 	j := fl.q[0]
-	fl.deficit -= j.cost
+	fl.deficit -= j.cost()
 	fl.q = fl.q[1:]
 	if len(fl.q) == 0 {
 		b.removeAt(b.next)
@@ -373,28 +372,32 @@ func (b *band) purge(t *Tenant, w *Wave) []*job {
 // job is one queued or running prompt: key instantiating tmpl, whose
 // text is built only when the prompt goes to the model. tokens is the
 // prompt's estimated token count — counted once at Submit, reused by the
-// latency model and the tenant's usage — and cost its deficit-counter
-// price derived from it. wave is the wave the prompt was submitted in.
-// The job is its own Future.
+// latency model, the deficit counters (cost) and the tenant's usage.
+// wave is the wave the prompt was submitted in, ep the endpoint whose
+// slot it runs on. The job is its own Future.
 type job struct {
 	Future
 	t      *Tenant
 	wave   *Wave
+	ep     *endpoint
 	client Client
 	tmpl   *Template
 	key    string
 	ready  VTime
 	tokens int
-	cost   int64
 }
+
+// cost is the job's deficit-counter price.
+func (j *job) cost() int64 { return promptCost(j.tokens) }
 
 // NewScheduler builds an engine-lifetime scheduler. workers bounds, per
 // model endpoint, both the real concurrency of the pool and the
 // connection budget of the latency model (0 or negative means
-// DefaultBatchWorkers). cache may be nil. A slot goroutine that runs out
-// of work parks for the next prompt of its endpoint while any tenant is
-// open, and exits when the last one closes: the scheduler owns no
-// goroutines while no tenant is open, and needs no explicit shutdown.
+// DefaultBatchWorkers). cache may be nil. A granted slot runs on a
+// goroutine of the process-wide gopool, which parks it, stack grown, for
+// the next miss of any endpoint or tenant and retires it after a short
+// idle linger: the scheduler owns no goroutines of its own, and needs no
+// explicit shutdown.
 func NewScheduler(cache *Cache, workers int) *Scheduler {
 	if workers < 1 {
 		workers = DefaultBatchWorkers
@@ -527,7 +530,7 @@ func (s *Scheduler) endpointLocked(model string) *endpoint {
 // in diagnostics; empty auto-generates one.
 //
 // Callers must Close the tenant when the query is done (Close is
-// idempotent, and the last Close retires the parked slot goroutines).
+// idempotent).
 func (s *Scheduler) Tenant(ctx context.Context, tag string) *Tenant {
 	return s.TenantFor(ctx, tag, ClassInteractive, 1)
 }
@@ -560,9 +563,6 @@ func (s *Scheduler) TenantFor(ctx context.Context, tag string, class AdmissionCl
 	if ctx.Done() != nil {
 		t.unwatch = context.AfterFunc(ctx, func() { t.purge(nil, ctx.Err()) })
 	}
-	s.mu.Lock()
-	s.open++
-	s.mu.Unlock()
 	return t
 }
 
@@ -583,7 +583,6 @@ type Tenant struct {
 	stream *Wave
 
 	inflight sync.WaitGroup // submitted futures not yet resolved
-	once     sync.Once
 	// unwatch stops the purge registered on ctx's cancellation; nil when
 	// ctx cannot be cancelled.
 	unwatch func() bool
@@ -764,7 +763,7 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 		}
 	}
 	tokens := tp.tokens(key)
-	j := &job{t: t, wave: w, client: client, tmpl: tp, key: key, ready: ready, tokens: tokens, cost: promptCost(tokens)}
+	j := &job{t: t, wave: w, client: client, tmpl: tp, key: key, ready: ready, tokens: tokens}
 	j.done = make(chan struct{})
 	f := &j.Future
 	t.inflight.Add(1)
@@ -780,21 +779,15 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 		return f
 	}
 	ep := s.endpointLocked(client.Name())
+	j.ep = ep
 	if ep.busy < s.workersForLocked(client.Name()) {
 		// A free slot means every band is empty (dispatch runs under the
 		// same lock that frees slots), so direct placement cannot overtake
 		// queued work of any class.
 		ep.busy++
 		ep.busyCls[t.class]++
-		if n := len(ep.idle); n > 0 {
-			slot := ep.idle[n-1]
-			ep.idle = ep.idle[:n-1]
-			s.mu.Unlock()
-			slot <- j
-			return f
-		}
 		s.mu.Unlock()
-		go s.run(ep, j)
+		gopool.Go(j)
 		return f
 	}
 	ep.bands[t.class].enqueue(j)
@@ -815,36 +808,28 @@ func (t *Tenant) Do(client Client, tp *Template, key string, ready VTime) *Futur
 	return f
 }
 
-// run is one slot goroutine of an endpoint. It executes the handed job,
-// then whatever dispatch hands it next. When the endpoint's bands are
-// empty it releases the slot and parks until Submit hands it a job of a
-// newly granted slot, so a warm goroutine, stack already grown, serves
-// the next miss. It exits when no tenant is open, or when the last
-// Close wakes it with nil.
-func (s *Scheduler) run(ep *endpoint, j *job) {
-	var slot chan *job
-	for j != nil {
+// Run is the slot a job was granted at Submit, as a gopool task: the
+// handoff passes the job itself, so starting a slot allocates nothing.
+func (j *job) Run() { j.t.s.run(j) }
+
+// run is one granted slot of an endpoint, on a pooled goroutine. It
+// executes j, then whatever dispatch hands it next, and releases the slot
+// when the endpoint's bands are empty; the goroutine then parks in the
+// pool, stack already grown, for the next miss.
+func (s *Scheduler) run(j *job) {
+	ep := j.ep
+	for {
 		s.exec(j)
 		s.mu.Lock()
 		ep.busyCls[j.t.class]--
-		j = ep.dispatchLocked()
-		if j != nil {
-			ep.busyCls[j.t.class]++
-			s.drained[j.t.class]++
-			s.mu.Unlock()
-			continue
-		}
-		ep.busy--
-		if s.open == 0 {
+		if j = ep.dispatchLocked(); j == nil {
+			ep.busy--
 			s.mu.Unlock()
 			return
 		}
-		if slot == nil {
-			slot = make(chan *job, 1)
-		}
-		ep.idle = append(ep.idle, slot)
+		ep.busyCls[j.t.class]++
+		s.drained[j.t.class]++
 		s.mu.Unlock()
-		j = <-slot
 	}
 }
 
@@ -886,27 +871,11 @@ func (t *Tenant) purge(w *Wave, err error) {
 
 // Close releases the tenant: the purge registered on its context is
 // dropped, and any queued prompts (a cancelled or abandoned query's)
-// are failed. Closing the last open tenant wakes every parked slot
-// goroutine to exit. Idempotent.
+// are failed. Idempotent.
 func (t *Tenant) Close() {
-	t.once.Do(func() {
-		if t.unwatch != nil {
-			t.unwatch()
-		}
-		s := t.s
-		s.mu.Lock()
-		if s.open--; s.open == 0 {
-			// A parked goroutine's channel is empty, so these sends
-			// cannot block.
-			for _, ep := range s.endpoints {
-				for _, slot := range ep.idle {
-					slot <- nil
-				}
-				ep.idle = nil
-			}
-		}
-		s.mu.Unlock()
-	})
+	if t.unwatch != nil {
+		t.unwatch()
+	}
 	t.purge(nil, t.ctx.Err())
 }
 

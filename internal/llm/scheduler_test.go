@@ -622,3 +622,28 @@ func BenchmarkTemplatedHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCachedMiss is the cost of one model miss through the prompt
+// cache: Submit and Wait of a templated fetch whose key the cache does
+// not hold, on an open tenant with an instant client. The keys cycle
+// through far more than the cache's capacity, so every iteration
+// registers an in-flight call, builds the prompt, inserts the answer and
+// evicts the least recently used entry. Run with -benchmem.
+func BenchmarkCachedMiss(b *testing.B) {
+	tn := NewScheduler(NewCache(128), DefaultBatchWorkers).Tenant(context.Background(), "bench")
+	defer tn.Close()
+	client := &echoLLM{name: "instant", answer: "2872800"}
+	tmpl, _ := collidingTemplates()
+	w := tn.Wave()
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("city %d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := w.Submit(client, tmpl, keys[i%len(keys)], 0).Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

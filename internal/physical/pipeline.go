@@ -22,6 +22,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/gopool"
 	"repro/internal/llm"
 	"repro/internal/schema"
 )
@@ -41,26 +42,32 @@ type pipeRow struct {
 // producer's exit error, surfaced to the consumer after the stream
 // drains.
 type pipe struct {
-	out  chan pipeRow
-	done chan struct{}
-	stop sync.Once
-	wg   sync.WaitGroup
-	err  error // written by the producer before out closes
+	out     chan pipeRow
+	done    chan struct{}
+	stop    sync.Once
+	wg      sync.WaitGroup
+	produce func() error
+	err     error // written by the producer before out closes
 }
 
 func newPipe(buffer int) *pipe {
 	return &pipe{out: make(chan pipeRow, buffer), done: make(chan struct{})}
 }
 
-// run starts produce in the background. The producer owns its upstream
-// iteration; its error reaches the consumer through next.
+// run starts produce in the background, on a warm gopool goroutine. The
+// producer owns its upstream iteration; its error reaches the consumer
+// through next.
 func (p *pipe) run(produce func() error) {
+	p.produce = produce
 	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.err = produce()
-		close(p.out)
-	}()
+	gopool.Go(p)
+}
+
+// Run is the producer, as a gopool task.
+func (p *pipe) Run() {
+	defer p.wg.Done()
+	p.err = p.produce()
+	close(p.out)
 }
 
 // send delivers rows downstream in order, giving up when the consumer
