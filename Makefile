@@ -49,8 +49,9 @@ serve:
 
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
 # the galois.yaml decoder, the model-answer number decoder, the token
-# counter, the prompt template's token count and the durable store's
-# segment replay (same runs CI does).
+# counter, the prompt template's token count, the durable store's
+# segment replay and the persisted result-cache entry decoder (same runs
+# CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
 
 # Per-package coverage summary.
 cover:

@@ -34,7 +34,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	opts := core.ServeOptions()
 	var store core.StoreConfig
 	model := flag.String("model", "chatgpt", "simulated model: flan, tk, gpt3, chatgpt")
@@ -76,11 +76,16 @@ func run() error {
 	if store.Dir != "" {
 		// A one-shot CLI has no background traffic: warm-load on open,
 		// flush on the way out. Repeated invocations over one -data-dir
-		// behave like one long-lived session.
+		// behave like one long-lived session, so a failed final flush
+		// fails the run: the next one would silently pay again.
 		if err := rt.OpenStore(store); err != nil {
 			return fmt.Errorf("opening durable store: %w", err)
 		}
-		defer rt.CloseStore()
+		defer func() {
+			if cerr := rt.CloseStore(); cerr != nil && err == nil {
+				err = fmt.Errorf("draining durable store: %w", cerr)
+			}
+		}()
 	}
 	sess := rt.NewSession()
 

@@ -183,23 +183,18 @@ func (r *Runner) Table1(ctx context.Context, profiles []simllm.Profile, opts cor
 		if err != nil {
 			return nil, err
 		}
-		sess := rt.NewSession()
-		var diffs []float64
-		for _, q := range spider.Queries() {
-			truth, err := r.GroundTruth(ctx, q.SQL)
-			if err != nil {
-				return nil, fmt.Errorf("bench: ground truth for query %d: %w", q.ID, err)
-			}
-			if truth.Cardinality() == 0 {
-				continue
-			}
-			got, _, err := sess.Query(ctx, q.SQL)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s on query %d: %w", p.ID, q.ID, err)
-			}
-			diffs = append(diffs, eval.CardinalityDiffPercent(truth.Cardinality(), got.Cardinality()))
+		scored, err := r.scoredPass(ctx, rt, spider.Queries(), p.ID)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, Table1Row{Model: p.ID, DiffPercent: eval.Mean(diffs), Queries: len(diffs)})
+		_, card, _ := summarize(scored)
+		queries := 0
+		for _, s := range scored {
+			if s.truth.Cardinality() > 0 {
+				queries++
+			}
+		}
+		rows = append(rows, Table1Row{Model: p.ID, DiffPercent: card, Queries: queries})
 	}
 	return rows, nil
 }
@@ -229,7 +224,6 @@ func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options
 	if err != nil {
 		return nil, err
 	}
-	sess := rt.NewSession()
 	cellOpts := r.CellOptions()
 	builder := prompt.NewBuilder()
 	cleaner := clean.New(opts.Clean)
@@ -249,18 +243,16 @@ func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options
 		}
 	}
 
-	for _, q := range spider.Queries() {
-		truth, err := r.GroundTruth(ctx, q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ground truth for query %d: %w", q.ID, err)
-		}
-
-		// (a) Galois.
-		got, _, err := sess.Query(ctx, q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("bench: galois on query %d: %w", q.ID, err)
-		}
-		record("R_M", q.Class, eval.MatchContent(truth, got, cellOpts).Percent())
+	// (a) Galois. The model answers each prompt as a pure function of
+	// its text, so the Galois pass may run ahead of the QA baselines.
+	queries := spider.Queries()
+	galois, err := r.scoredPass(ctx, rt, queries, "galois")
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range queries {
+		truth := galois[i].truth
+		record("R_M", q.Class, galois[i].cell)
 
 		// (c) plain QA and (d) QA with chain of thought.
 		for _, m := range []struct {
@@ -308,20 +300,14 @@ func (r *Runner) Latency(ctx context.Context, p simllm.Profile, opts core.Option
 	if err != nil {
 		return nil, err
 	}
-	sess := rt.NewSession()
-	stats := &LatencyStats{Model: p.ID}
-	var totalLatency time.Duration
-	for _, q := range spider.Queries() {
-		_, rep, err := sess.Query(ctx, q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("bench: latency run query %d: %w", q.ID, err)
-		}
-		stats.TotalPrompts += rep.Stats.Prompts
-		totalLatency += rep.Stats.SimulatedLatency
-		if rep.Stats.Prompts > stats.MaxPrompts {
-			stats.MaxPrompts = rep.Stats.Prompts
-		}
-		stats.QueriesMeasured++
+	outs, err := cleanPass(ctx, rt, corpusSQL(), "latency run")
+	if err != nil {
+		return nil, err
+	}
+	prompts, totalLatency := totals(outs)
+	stats := &LatencyStats{Model: p.ID, TotalPrompts: prompts, QueriesMeasured: len(outs)}
+	for _, o := range outs {
+		stats.MaxPrompts = max(stats.MaxPrompts, o.prompts)
 	}
 	if stats.QueriesMeasured > 0 {
 		stats.AvgPrompts = float64(stats.TotalPrompts) / float64(stats.QueriesMeasured)

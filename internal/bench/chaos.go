@@ -132,7 +132,6 @@ type ChaosReport struct {
 // faults cannot poison either tier).
 func chaosOptions(caches bool) core.Options {
 	opts := PaperOptions()
-	opts.Optimizer.CostBased = false
 	opts.CacheEnabled = caches
 	opts.ResultCacheEnabled = caches
 	return opts
@@ -164,62 +163,46 @@ func chaosTransport(model llm.Client, p faultllm.Profile, retries bool) (*faultl
 }
 
 // runChaosArm runs the corpus twice (cold, then cache-hot) through one
-// fault profile with retries on, requiring every query to succeed.
-func (r *Runner) runChaosArm(ctx context.Context, p simllm.Profile, config string, fp faultllm.Profile) (ChaosArm, [2][]queryOutcome, error) {
+// fault profile with retries on, counting every failed query, and diffs
+// both passes against the fault-free baseline's (the zero value: the
+// arm is the baseline).
+func (r *Runner) runChaosArm(ctx context.Context, p simllm.Profile, config string, fp faultllm.Profile, baseline [2][]queryOutcome) (ChaosArm, [2][]queryOutcome, error) {
 	var passes [2][]queryOutcome
 	inj, rc := chaosTransport(r.Model(p), fp, true)
 	rt, err := r.Runtime(rc, chaosOptions(true))
 	if err != nil {
 		return ChaosArm{}, passes, err
 	}
-	corpus := spider.Queries()
-	arm := ChaosArm{Config: config, Profile: inj.Profile(), Queries: len(corpus)}
-	for pass := 0; pass < 2; pass++ {
-		outcomes := make([]queryOutcome, len(corpus))
-		for i, q := range corpus {
-			outcomes[i] = runQuery(ctx, rt, q.SQL, "", 0)
-			if outcomes[i].err != nil {
-				arm.FailedQueries++
-			}
-			if pass == 0 {
-				arm.ColdPrompts += outcomes[i].prompts
-				arm.ColdMakespanMS += float64(outcomes[i].makespan) / float64(time.Millisecond)
-			} else {
-				arm.HotPrompts += outcomes[i].prompts
-			}
-		}
-		passes[pass] = outcomes
+	corpus := corpusSQL()
+	for i := range passes {
+		passes[i] = runPass(ctx, rt, corpus, nil)
 	}
-	res := rc.Counters()
-	arm.Retries = res.Retries
-	arm.Faults = res.Faults
-	ic := inj.Counters()
-	arm.InjectedTransient = ic.Transient
-	arm.InjectedTimeouts = ic.Timeouts
-	arm.InjectedMalformed = ic.Malformed
+	if baseline[0] == nil {
+		baseline = passes
+	}
+	cold, hot := diffPasses(baseline[0], passes[0]), diffPasses(baseline[1], passes[1])
+	res, ic := rc.Counters(), inj.Counters()
+	arm := ChaosArm{
+		Config:            config,
+		Profile:           inj.Profile(),
+		Queries:           len(corpus),
+		FailedQueries:     cold.failed + hot.failed,
+		Retries:           res.Retries,
+		Faults:            res.Faults,
+		InjectedTransient: ic.Transient,
+		InjectedTimeouts:  ic.Timeouts,
+		InjectedMalformed: ic.Malformed,
+		ResultsIdentical:  cold.rels,
+		HotIdentical:      hot.rels,
+		PromptsIdentical:  cold.prompts && hot.prompts,
+		MakespanIdentical: cold.makespan,
+	}
+	arm.ColdPrompts, _ = totals(passes[0])
+	arm.HotPrompts, _ = totals(passes[1])
+	for _, o := range passes[0] {
+		arm.ColdMakespanMS += ms(o.makespan)
+	}
 	return arm, passes, nil
-}
-
-// diffArm fills an arm's differential fields against the baseline passes.
-func diffArm(arm *ChaosArm, baseline, got [2][]queryOutcome) {
-	arm.ResultsIdentical = true
-	arm.HotIdentical = true
-	arm.PromptsIdentical = true
-	arm.MakespanIdentical = true
-	for i := range baseline[0] {
-		if got[0][i].rel != baseline[0][i].rel {
-			arm.ResultsIdentical = false
-		}
-		if got[1][i].rel != baseline[1][i].rel {
-			arm.HotIdentical = false
-		}
-		if got[0][i].prompts != baseline[0][i].prompts || got[1][i].prompts != baseline[1][i].prompts {
-			arm.PromptsIdentical = false
-		}
-		if got[0][i].makespan != baseline[0][i].makespan {
-			arm.MakespanIdentical = false
-		}
-	}
 }
 
 // classifiedFailure reports whether err carries the transport's error
@@ -240,24 +223,18 @@ func (r *Runner) runNoRetryControl(ctx context.Context, p simllm.Profile, fp fau
 	if err != nil {
 		return NoRetryControl{}, err
 	}
-	corpus := spider.Queries()
+	outs := runPass(ctx, rt, corpusSQL(), nil)
+	d := diffPasses(baseline, outs)
 	ctl := NoRetryControl{
 		Config:             "transient-no-retries",
-		Queries:            len(corpus),
+		Queries:            len(outs),
+		FailedQueries:      d.failed,
 		FailuresClassified: true,
-		SurvivorsIdentical: true,
+		SurvivorsIdentical: d.rels,
 	}
-	for i, q := range corpus {
-		out := runQuery(ctx, rt, q.SQL, "", 0)
-		if out.err != nil {
-			ctl.FailedQueries++
-			if !classifiedFailure(out.err) {
-				ctl.FailuresClassified = false
-			}
-			continue
-		}
-		if out.rel != baseline[i].rel {
-			ctl.SurvivorsIdentical = false
+	for _, o := range outs {
+		if o.err != nil && !classifiedFailure(o.err) {
+			ctl.FailuresClassified = false
 		}
 	}
 	return ctl, nil
@@ -275,13 +252,9 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	if err != nil {
 		return OutageScenario{}, err
 	}
-	expect := make([]string, 6)
-	for i := 0; i < 6; i++ {
-		out := runQuery(ctx, control, corpus[i].SQL, "", 0)
-		if out.err != nil {
-			return OutageScenario{}, fmt.Errorf("bench: outage control: %w", out.err)
-		}
-		expect[i] = out.rel
+	expect, err := cleanPass(ctx, control, corpusSQL()[:6], "outage control")
+	if err != nil {
+		return OutageScenario{}, err
 	}
 
 	clock := time.Unix(0, 0)
@@ -299,7 +272,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 	sc := OutageScenario{BreakerThreshold: ChaosBreakerThreshold, FailuresClassified: true}
 
 	// Healthy: warm the caches with query 0.
-	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err != nil || out.rel != expect[0] {
+	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err != nil || out.rel != expect[0].rel {
 		return sc, fmt.Errorf("bench: pre-outage query failed or diverged: %v", out.err)
 	}
 
@@ -320,7 +293,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 
 	// The pre-outage query keeps answering from the result cache: zero
 	// prompts, no call anywhere near the dead backend.
-	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err == nil && out.prompts == 0 && out.rel == expect[0] {
+	if out := runQuery(ctx, rt, corpus[0].SQL, "", 0); out.err == nil && out.prompts == 0 && out.rel == expect[0].rel {
 		sc.CacheServedDuringOutage = true
 	}
 
@@ -351,7 +324,7 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 			sc.PostRecoveryOK = false
 			continue
 		}
-		if out.rel != expect[i] {
+		if out.rel != expect[i].rel {
 			sc.PostRecoveryIdentical = false
 		}
 	}
@@ -369,33 +342,23 @@ func (r *Runner) runOutageScenario(ctx context.Context, p simllm.Profile) (Outag
 func (r *Runner) ChaosComparison(ctx context.Context, p simllm.Profile) (*ChaosReport, error) {
 	rep := &ChaosReport{Model: p.ID, Seed: r.Seed, Queries: len(spider.Queries())}
 
-	baseline, basePasses, err := r.runChaosArm(ctx, p, "fault-free", faultllm.Profile{Seed: r.Seed})
-	if err != nil {
-		return nil, err
-	}
-	diffArm(&baseline, basePasses, basePasses)
-	rep.Baseline = baseline
-
 	transientProfile := faultllm.Profile{
 		Seed:          r.Seed,
 		TransientRate: ChaosTransientRate,
 		TimeoutRate:   ChaosTimeoutRate,
 	}
-	transient, passes, err := r.runChaosArm(ctx, p, "transient-retries", transientProfile)
-	if err != nil {
+	var basePasses [2][]queryOutcome
+	var err error
+	if rep.Baseline, basePasses, err = r.runChaosArm(ctx, p, "fault-free", faultllm.Profile{Seed: r.Seed}, basePasses); err != nil {
 		return nil, err
 	}
-	diffArm(&transient, basePasses, passes)
-	rep.Transient = transient
-
-	malformed, passes, err := r.runChaosArm(ctx, p, "malformed-validated",
-		faultllm.Profile{Seed: r.Seed, MalformedRate: ChaosMalformedRate})
-	if err != nil {
+	if rep.Transient, _, err = r.runChaosArm(ctx, p, "transient-retries", transientProfile, basePasses); err != nil {
 		return nil, err
 	}
-	diffArm(&malformed, basePasses, passes)
-	rep.Malformed = malformed
-
+	malformedProfile := faultllm.Profile{Seed: r.Seed, MalformedRate: ChaosMalformedRate}
+	if rep.Malformed, _, err = r.runChaosArm(ctx, p, "malformed-validated", malformedProfile, basePasses); err != nil {
+		return nil, err
+	}
 	if rep.NoRetry, err = r.runNoRetryControl(ctx, p, transientProfile, basePasses[0]); err != nil {
 		return nil, err
 	}
@@ -411,12 +374,8 @@ func (r *Runner) ChaosComparison(ctx context.Context, p simllm.Profile) (*ChaosR
 // retries the same faults lose queries (all classified); and the outage
 // scenario walks the full breaker lifecycle with no cache poisoning.
 func (rep *ChaosReport) CheckAcceptance() error {
-	var errs []error
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			errs = append(errs, fmt.Errorf(format, args...))
-		}
-	}
+	var v violations
+	check := v.check
 	check(rep.Baseline.FailedQueries == 0, "baseline: %d queries failed", rep.Baseline.FailedQueries)
 	check(rep.Baseline.Retries == 0 && rep.Baseline.Faults == 0,
 		"baseline: transport reported recovery work (%d retries, %d faults) with no faults injected",
@@ -440,5 +399,5 @@ func (rep *ChaosReport) CheckAcceptance() error {
 	check(o.CacheServedDuringOutage, "outage: cached relation not served during the outage")
 	check(o.HalfOpenAfterCooldown && o.ProbeHealed, "outage: breaker did not recover via half-open probe (half-open=%v healed=%v)", o.HalfOpenAfterCooldown, o.ProbeHealed)
 	check(o.PostRecoveryOK && o.PostRecoveryIdentical, "outage: post-recovery queries failed or diverged (ok=%v identical=%v)", o.PostRecoveryOK, o.PostRecoveryIdentical)
-	return errors.Join(errs...)
+	return errors.Join(v...)
 }

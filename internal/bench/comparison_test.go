@@ -1,50 +1,49 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"repro/internal/simllm"
 )
 
+// TestArtifacts checks every row, acceptance and determinism included.
+// The per-artifact tests below run the same checks for one row each,
+// plus a one-line summary of its report.
+
+// artifact returns the Artifacts row called name.
+func artifact(t *testing.T, name string) Artifact {
+	t.Helper()
+	for _, a := range Artifacts {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no artifact named %q", name)
+	return Artifact{}
+}
+
 // runArtifact runs the Artifacts row called name on ChatGPT in a fresh
 // runner and fails the test unless the report meets its acceptance
 // criteria.
 func runArtifact(t *testing.T, name string) Report {
 	t.Helper()
-	for _, a := range Artifacts {
-		if a.Name != name {
-			continue
-		}
-		rep, err := a.Run(context.Background(), runner(t), simllm.ChatGPT, t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.CheckAcceptance(); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	rep, err := artifact(t, name).Run(context.Background(), runner(t), simllm.ChatGPT, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no artifact named %q", name)
-	return nil
+	if err := rep.CheckAcceptance(); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
-// checkDeterministic runs the Artifacts row called name twice, each in a
-// fresh runner and scratch directory, and fails unless both reports
-// encode byte for byte alike.
+// checkDeterministic checks the Artifacts row called name as
+// TestArtifacts does: two runs in fresh runners, each byte-identical to
+// the committed file.
 func checkDeterministic(t *testing.T, name string) {
 	t.Helper()
-	var runs [2][]byte
-	for i := range runs {
-		var err error
-		if runs[i], err = EncodeArtifact(runArtifact(t, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(runs[0], runs[1]) {
-		t.Errorf("%s comparison not deterministic:\n%s", name, firstDiff(runs[0], runs[1]))
-	}
+	checkArtifact(t, artifact(t, name))
 }
 
 // TestConcurrencyComparison is the acceptance gate of the shared-runtime
@@ -55,12 +54,6 @@ func checkDeterministic(t *testing.T, name string) {
 // double-checks the runtime's concurrency safety too.
 func TestConcurrencyComparison(t *testing.T) {
 	rep := runArtifact(t, "concurrency").(*ConcurrencyReport)
-	if rep.Serial.Queries != rep.Concurrent.Queries || rep.Serial.Queries == 0 {
-		t.Errorf("arm sizes diverged: serial %d vs concurrent %d", rep.Serial.Queries, rep.Concurrent.Queries)
-	}
-	if rep.Serial.TotalPrompts != rep.Concurrent.TotalPrompts {
-		t.Errorf("total prompts diverged: serial %d vs concurrent %d", rep.Serial.TotalPrompts, rep.Concurrent.TotalPrompts)
-	}
 	t.Logf("corpus of %d: serial %.1f s -> concurrent-k%d %.1f s (%.2fx, W=%d)",
 		rep.Serial.Queries, rep.Serial.AggregateMakespanMS/1000,
 		rep.K, rep.Concurrent.AggregateMakespanMS/1000, rep.SpeedupX, rep.Workers)
@@ -91,13 +84,6 @@ func TestChaosDeterministic(t *testing.T) { checkDeterministic(t, "chaos") }
 // other table's, without changing a result.
 func TestResultCacheComparison(t *testing.T) {
 	rep := runArtifact(t, "resultcache").(*ResultCacheReport)
-	if rep.CacheableQueries == 0 {
-		t.Fatal("no cacheable queries in the corpus")
-	}
-	if rep.CacheableQueries+rep.LimitQueries != rep.Queries {
-		t.Errorf("per-class counts don't add up: %d + %d != %d",
-			rep.CacheableQueries, rep.LimitQueries, rep.Queries)
-	}
 	t.Logf("corpus of %d (%d cacheable): cold %d prompts, hot %d prompts, %d cache hits",
 		rep.Queries, rep.CacheableQueries, rep.CachedFirstPrompts,
 		rep.RepeatPromptsCacheable+rep.RepeatPromptsLimit, rep.ResultCacheHits)
@@ -112,9 +98,6 @@ func TestResultCacheDeterministic(t *testing.T) { checkDeterministic(t, "resultc
 // bumped table's entries.
 func TestSemanticCacheComparison(t *testing.T) {
 	rep := runArtifact(t, "semcache").(*SemCacheReport)
-	if rep.Children == 0 || rep.ColdPrompts == 0 {
-		t.Fatalf("degenerate corpus: %d children, %d cold prompts", rep.Children, rep.ColdPrompts)
-	}
 	t.Logf("%d parents (%d cold prompts), %d children all subsumed for 0 prompts",
 		rep.Parents, rep.ColdPrompts, rep.Children)
 }
@@ -141,16 +124,6 @@ func TestRoutingDeterministic(t *testing.T) { checkDeterministic(t, "routing") }
 // prime must re-execute exactly the primed table's cacheable queries.
 func TestPersistComparison(t *testing.T) {
 	rep := runArtifact(t, "persist").(*PersistReport)
-	if rep.CacheableQueries == 0 {
-		t.Fatal("no cacheable queries in the corpus")
-	}
-	if rep.CacheableQueries+rep.LimitQueries != rep.Queries {
-		t.Errorf("per-class counts don't add up: %d + %d != %d",
-			rep.CacheableQueries, rep.LimitQueries, rep.Queries)
-	}
-	if rep.PrimedCacheable == 0 {
-		t.Error("ANALYZE probe vacuous: no cacheable query reads the primed table")
-	}
 	t.Logf("corpus of %d (%d cacheable): cold %d prompts, warm %d prompts, %d relations restored",
 		rep.Queries, rep.CacheableQueries, rep.ColdPrompts, rep.WarmPrompts, rep.WarmRelations)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/simllm"
-	"repro/internal/spider"
 )
 
 // DefaultConcurrency is the K of the committed concurrency benchmark:
@@ -72,45 +71,8 @@ type ConcurrencyReport struct {
 func concurrencyOptions() core.Options {
 	opts := PaperOptions()
 	opts.Pipelined = true
-	opts.Optimizer.CostBased = false
 	opts.BatchWorkers = DefaultServeWorkers
 	return opts
-}
-
-// queryOutcome is one query's record in one arm.
-type queryOutcome struct {
-	rel     string
-	prompts int
-	// makespan is the query-alone simulated wall-clock (serial arm).
-	makespan time.Duration
-	// sched is the query's scheduler accounting (concurrent aggregation).
-	sched *llm.TenantStats
-	// cached reports how the result cache answered (cache-on arms only).
-	cached core.CacheOutcome
-	err    error
-}
-
-// runQuery executes one query on a fresh session of rt in the given
-// admission class and weight ("" keeps the runtime's defaults).
-func runQuery(ctx context.Context, rt *core.Runtime, sql, class string, weight int) queryOutcome {
-	sess := rt.NewSession()
-	if class != "" {
-		o := sess.Options()
-		o.AdmissionClass = class
-		o.AdmissionWeight = weight
-		sess.SetOptions(o)
-	}
-	rel, rep, err := sess.Query(ctx, sql)
-	if err != nil {
-		return queryOutcome{err: fmt.Errorf("%q: %w", sql, err)}
-	}
-	return queryOutcome{
-		rel:      rel.String(),
-		prompts:  rep.Stats.Prompts,
-		makespan: rep.Stats.SimulatedLatency,
-		sched:    rep.Sched,
-		cached:   rep.Cached,
-	}
 }
 
 // kWayRun is the outcome of kWayCorpus. Its arms leave Config to the
@@ -118,9 +80,8 @@ func runQuery(ctx context.Context, rt *core.Runtime, sql, class string, weight i
 type kWayRun struct {
 	serial, concurrent     ConcurrencyArm
 	serialTotal, concTotal time.Duration
-	// resultsIdentical / promptsIdentical report whether every query's
-	// relation / prompt count matched between the two arms.
-	resultsIdentical, promptsIdentical bool
+	// diff is the concurrent arm's differential against the serial one.
+	diff passDiff
 }
 
 // kWayCorpus runs the corpus on two fresh, identically configured
@@ -136,24 +97,21 @@ type kWayRun struct {
 // across queries (llm.AggregateMakespan). With the cache off both are
 // pure functions of the prompt sets, so the result is deterministic.
 func (r *Runner) kWayCorpus(ctx context.Context, p simllm.Profile, classOf func(i int) (string, int)) (*kWayRun, error) {
-	corpus := spider.Queries()
+	corpus := corpusSQL()
 	serialRT, err := r.Runtime(r.Model(p), concurrencyOptions())
 	if err != nil {
 		return nil, err
 	}
-	serial := make([]queryOutcome, len(corpus))
-	for i, q := range corpus {
-		serial[i] = runQuery(ctx, serialRT, q.SQL, "", 0)
-		if serial[i].err != nil {
-			return nil, fmt.Errorf("bench: serial arm: %w", serial[i].err)
-		}
+	serial, err := cleanPass(ctx, serialRT, corpus, "serial arm")
+	if err != nil {
+		return nil, err
 	}
 
 	concRT, err := r.Runtime(r.Model(p), concurrencyOptions())
 	if err != nil {
 		return nil, err
 	}
-	run := &kWayRun{resultsIdentical: true, promptsIdentical: true}
+	run := &kWayRun{}
 	concurrent := make([]queryOutcome, len(corpus))
 	for lo := 0; lo < len(corpus); lo += DefaultConcurrency {
 		hi := min(lo+DefaultConcurrency, len(corpus))
@@ -166,7 +124,7 @@ func (r *Runner) kWayCorpus(ctx context.Context, p simllm.Profile, classOf func(
 				if classOf != nil {
 					class, weight = classOf(i)
 				}
-				concurrent[i] = runQuery(ctx, concRT, corpus[i].SQL, class, weight)
+				concurrent[i] = runQuery(ctx, concRT, corpus[i], class, weight)
 			}(i)
 		}
 		wg.Wait()
@@ -180,21 +138,13 @@ func (r *Runner) kWayCorpus(ctx context.Context, p simllm.Profile, classOf func(
 		run.concTotal += llm.AggregateMakespan(DefaultServeWorkers, batch)
 	}
 
-	for i := range corpus {
-		run.serialTotal += serial[i].makespan
-		run.serial.TotalPrompts += serial[i].prompts
-		run.concurrent.TotalPrompts += concurrent[i].prompts
-		if serial[i].rel != concurrent[i].rel {
-			run.resultsIdentical = false
-		}
-		if serial[i].prompts != concurrent[i].prompts {
-			run.promptsIdentical = false
-		}
-	}
+	run.serial.TotalPrompts, run.serialTotal = totals(serial)
+	run.concurrent.TotalPrompts, _ = totals(concurrent)
+	run.diff = diffPasses(serial, concurrent)
 	run.serial.Queries = len(corpus)
 	run.concurrent.Queries = len(corpus)
-	run.serial.AggregateMakespanMS = float64(run.serialTotal) / float64(time.Millisecond)
-	run.concurrent.AggregateMakespanMS = float64(run.concTotal) / float64(time.Millisecond)
+	run.serial.AggregateMakespanMS = ms(run.serialTotal)
+	run.concurrent.AggregateMakespanMS = ms(run.concTotal)
 	return run, nil
 }
 
@@ -214,8 +164,8 @@ func (r *Runner) ConcurrencyComparison(ctx context.Context, p simllm.Profile) (*
 		K:                DefaultConcurrency,
 		Serial:           run.serial,
 		Concurrent:       run.concurrent,
-		ResultsIdentical: run.resultsIdentical,
-		PromptsIdentical: run.promptsIdentical,
+		ResultsIdentical: run.diff.rels,
+		PromptsIdentical: run.diff.prompts,
 	}
 	rep.Serial.Config = "serial"
 	rep.Concurrent.Config = fmt.Sprintf("concurrent-k%d", DefaultConcurrency)

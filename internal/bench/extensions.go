@@ -28,19 +28,14 @@ type PortabilityCell struct {
 // equivalent results across LLMs". Overlap of a pair is the mean of
 // matching A's result against B's and vice versa.
 func (r *Runner) Portability(ctx context.Context, profiles []simllm.Profile, opts core.Options) ([]PortabilityCell, error) {
-	results := map[string][]*schema.Relation{}
+	results := map[string][]queryOutcome{}
 	for _, p := range profiles {
 		rt, err := r.Runtime(r.Model(p), opts)
 		if err != nil {
 			return nil, err
 		}
-		sess := rt.NewSession()
-		for _, q := range spider.Queries() {
-			rel, _, err := sess.Query(ctx, q.SQL)
-			if err != nil {
-				return nil, fmt.Errorf("bench: portability %s query %d: %w", p.ID, q.ID, err)
-			}
-			results[p.ID] = append(results[p.ID], rel)
+		if results[p.ID], err = cleanPass(ctx, rt, corpusSQL(), "portability "+p.ID); err != nil {
+			return nil, err
 		}
 	}
 	cellOpts := r.CellOptions()
@@ -50,8 +45,8 @@ func (r *Runner) Portability(ctx context.Context, profiles []simllm.Profile, opt
 			a, b := profiles[i].ID, profiles[j].ID
 			var overlaps []float64
 			for k := range results[a] {
-				ab := eval.MatchContent(results[a][k], results[b][k], cellOpts).Percent()
-				ba := eval.MatchContent(results[b][k], results[a][k], cellOpts).Percent()
+				ab := eval.MatchContent(results[a][k].relation, results[b][k].relation, cellOpts).Percent()
+				ba := eval.MatchContent(results[b][k].relation, results[a][k].relation, cellOpts).Percent()
 				overlaps = append(overlaps, (ab+ba)/2)
 			}
 			out = append(out, PortabilityCell{ModelA: a, ModelB: b, Overlap: eval.Mean(overlaps)})
@@ -88,10 +83,11 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 	if err != nil {
 		return nil, err
 	}
-	q1, _, err := rt1.NewSession().Query(ctx, schemaFreeQ1)
+	scored, err := r.scoredPass(ctx, rt1, []spider.Query{{SQL: schemaFreeQ1}}, "schema-free Q1")
 	if err != nil {
-		return nil, fmt.Errorf("bench: schema-free Q1: %w", err)
+		return nil, err
 	}
+	q1, truth := scored[0].relation, scored[0].truth
 
 	// Q2: a user-declared denormalized schema with the derived attribute;
 	// the LLM has no schema, so this is an equally valid formulation.
@@ -112,11 +108,6 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 		return nil, fmt.Errorf("bench: schema-free Q2: %w", err)
 	}
 
-	truth, err := r.GroundTruth(ctx, schemaFreeQ1)
-	if err != nil {
-		return nil, err
-	}
-
 	cellOpts := r.CellOptions()
 	ab := eval.MatchContent(q1, q2, cellOpts).Percent()
 	ba := eval.MatchContent(q2, q1, cellOpts).Percent()
@@ -124,7 +115,7 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 		Q1Rows:        q1.Cardinality(),
 		Q2Rows:        q2.Cardinality(),
 		MutualOverlap: (ab + ba) / 2,
-		Q1Truth:       eval.MatchContent(truth, q1, cellOpts).Percent(),
+		Q1Truth:       scored[0].cell,
 		Q2Truth:       eval.MatchContent(truth, q2, cellOpts).Percent(),
 	}, nil
 }
@@ -134,19 +125,9 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 // Unknown": "verification is easier than generation"). It reports the
 // corpus with and without a GPT-3 verifier over the primary model.
 func (r *Runner) AblationVerification(ctx context.Context, primary, verifier simllm.Profile) ([]AblationRow, error) {
-	queries := spider.Queries()
-
-	plain := PaperOptions()
 	verified := PaperOptions()
 	verified.Verifier = r.Model(verifier)
-
-	a, err := r.runConfig(ctx, primary, plain, queries, "unverified")
-	if err != nil {
-		return nil, err
-	}
-	b, err := r.runConfig(ctx, primary, verified, queries, "verified-by-"+verifier.ID)
-	if err != nil {
-		return nil, err
-	}
-	return []AblationRow{a, b}, nil
+	return r.ablation(ctx, primary, spider.Queries(),
+		ablationArm{"unverified", PaperOptions()},
+		ablationArm{"verified-by-" + verifier.ID, verified})
 }

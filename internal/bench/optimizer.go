@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/simllm"
 	"repro/internal/spider"
 )
@@ -82,40 +81,6 @@ type OptimizerReport struct {
 	CorpusPromptsCostBased []int `json:"corpus_prompts_costbased"`
 }
 
-// optimizerArm runs the corpus on one session of a fresh runtime,
-// returning the aggregate row, the per-query prompt counts and the
-// session (its statistics now refined by the corpus).
-func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.Options, label string) (OptimizerArm, []int, *core.Session, error) {
-	rt, err := r.Runtime(r.Model(p), opts)
-	if err != nil {
-		return OptimizerArm{}, nil, nil, err
-	}
-	sess := rt.NewSession()
-	cellOpts := r.CellOptions()
-	var cells []float64
-	var perQuery []int
-	total := 0
-	for _, q := range spider.Queries() {
-		truth, err := r.GroundTruth(ctx, q.SQL)
-		if err != nil {
-			return OptimizerArm{}, nil, nil, fmt.Errorf("bench: ground truth for query %d: %w", q.ID, err)
-		}
-		got, rep, err := sess.Query(ctx, q.SQL)
-		if err != nil {
-			return OptimizerArm{}, nil, nil, fmt.Errorf("bench: %s query %d: %w", label, q.ID, err)
-		}
-		cells = append(cells, eval.MatchContent(truth, got, cellOpts).Percent())
-		perQuery = append(perQuery, rep.Stats.Prompts)
-		total += rep.Stats.Prompts
-	}
-	n := len(spider.Queries())
-	arm := OptimizerArm{Config: label, Queries: n, CellMatch: eval.Mean(cells)}
-	if n > 0 {
-		arm.PromptsPerQuery = float64(total) / float64(n)
-	}
-	return arm, perQuery, sess, nil
-}
-
 // OptimizerComparison measures cost-based plan selection against the
 // fixed rewrite heuristics: the whole corpus per arm (one runtime each,
 // so the cost-based arm's statistics adapt query over query), then the
@@ -124,36 +89,42 @@ func (r *Runner) optimizerArm(ctx context.Context, p simllm.Profile, opts core.O
 // EXPLAIN's predicted prompt counts against the actuals. Deterministic
 // under the paper configuration (no cache, stop-and-go, fixed order).
 func (r *Runner) OptimizerComparison(ctx context.Context, p simllm.Profile) (*OptimizerReport, error) {
-	fixedArm, fixedPrompts, fixedSess, err := r.optimizerArm(ctx, p, PaperOptions(), "fixed-heuristics")
-	if err != nil {
-		return nil, err
-	}
-	costArm, costPrompts, costSess, err := r.optimizerArm(ctx, p, CostBasedOptions(), "cost-based")
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &OptimizerReport{
-		Model:                  p.ID,
-		Corpus:                 []OptimizerArm{fixedArm, costArm},
-		CorpusPromptsFixed:     fixedPrompts,
-		CorpusPromptsCostBased: costPrompts,
-	}
-
+	rep := &OptimizerReport{Model: p.ID}
+	var suite []string
 	for _, q := range OptimizerQueries {
-		_, fixedRep, err := fixedSess.Query(ctx, q.SQL)
+		suite = append(suite, q.SQL)
+	}
+	var corpusPrompts [2][]int
+	var suites [2][]queryOutcome
+	var costRT *core.Runtime
+	for i, opts := range []core.Options{PaperOptions(), CostBasedOptions()} {
+		label := [...]string{"fixed-heuristics", "cost-based"}[i]
+		rt, err := r.Runtime(r.Model(p), opts)
 		if err != nil {
-			return nil, fmt.Errorf("bench: fixed %s: %w", q.Name, err)
+			return nil, err
 		}
-		_, costRep, err := costSess.Query(ctx, q.SQL)
+		scored, err := r.scoredPass(ctx, rt, spider.Queries(), label)
 		if err != nil {
-			return nil, fmt.Errorf("bench: cost-based %s: %w", q.Name, err)
+			return nil, err
 		}
+		for _, s := range scored {
+			corpusPrompts[i] = append(corpusPrompts[i], s.prompts)
+		}
+		cell, _, prompts := summarize(scored)
+		rep.Corpus = append(rep.Corpus, OptimizerArm{Config: label, Queries: len(scored), PromptsPerQuery: prompts, CellMatch: cell})
+		if suites[i], err = cleanPass(ctx, rt, suite, label+" multi-predicate suite"); err != nil {
+			return nil, err
+		}
+		costRT = rt
+	}
+	rep.CorpusPromptsFixed, rep.CorpusPromptsCostBased = corpusPrompts[0], corpusPrompts[1]
+
+	for i, q := range OptimizerQueries {
 		res := OptimizerQueryResult{
 			Name:             q.Name,
 			SQL:              q.SQL,
-			FixedPrompts:     fixedRep.Stats.Prompts,
-			CostBasedPrompts: costRep.Stats.Prompts,
+			FixedPrompts:     suites[0][i].prompts,
+			CostBasedPrompts: suites[1][i].prompts,
 		}
 		if res.FixedPrompts > 0 {
 			res.SavingsPercent = 100 * float64(res.FixedPrompts-res.CostBasedPrompts) / float64(res.FixedPrompts)
@@ -163,25 +134,21 @@ func (r *Runner) OptimizerComparison(ctx context.Context, p simllm.Profile) (*Op
 
 	// Estimate accuracy: with one adaptation pass behind it, EXPLAIN's
 	// predicted prompt count must track what execution actually issues.
+	est, err := cleanPass(ctx, costRT, corpusSQL(), "estimate pass")
+	if err != nil {
+		return nil, err
+	}
 	var sum float64
-	for _, q := range spider.Queries() {
-		_, qRep, err := costSess.Query(ctx, q.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("bench: estimate pass query %d: %w", q.ID, err)
-		}
-		est := 0.0
-		if qRep.Estimate != nil {
-			est = qRep.Estimate.Prompts
-		}
-		ratio := estRatio(est, float64(qRep.Stats.Prompts))
+	for _, o := range est {
+		ratio := estRatio(o.estimate, float64(o.prompts))
 		sum += ratio
 		if ratio > rep.Estimates.MaxRatio {
 			rep.Estimates.MaxRatio = ratio
 		}
-		rep.Estimates.Queries++
 	}
-	if rep.Estimates.Queries > 0 {
-		rep.Estimates.MeanRatio = sum / float64(rep.Estimates.Queries)
+	rep.Estimates.Queries = len(est)
+	if len(est) > 0 {
+		rep.Estimates.MeanRatio = sum / float64(len(est))
 	}
 	return rep, nil
 }

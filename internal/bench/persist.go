@@ -104,15 +104,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 		return rt, nil
 	}
 
-	rep := &PersistReport{
-		Model:           p.ID,
-		Queries:         len(corpus),
-		WarmIdentical:   true,
-		RebindRetained:  true,
-		RebindIdentical: true,
-		PrimedRetained:  true,
-		PrimedIdentical: true,
-	}
+	rep := &PersistReport{Model: p.ID, Queries: len(corpus)}
 	perQuery := make([]PersistQuery, len(corpus))
 	for i, q := range corpus {
 		perQuery[i] = PersistQuery{ID: q.id, Limit: q.limit}
@@ -132,14 +124,14 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	if err != nil {
 		return nil, err
 	}
-	cold := make([]queryOutcome, len(corpus))
-	for i, q := range corpus {
-		cold[i] = runQuery(ctx, rt1, q.sql, "", 0)
-		if cold[i].err != nil {
-			return nil, fmt.Errorf("bench: cold generation: %w", cold[i].err)
-		}
-		perQuery[i].ColdPrompts = cold[i].prompts
-		rep.ColdPrompts += cold[i].prompts
+	stmts := corpusSQL()
+	cold, err := cleanPass(ctx, rt1, stmts, "cold generation")
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range cold {
+		perQuery[i].ColdPrompts = o.prompts
+		rep.ColdPrompts += o.prompts
 	}
 	coldStats := rt1.Statistics().Snapshot()
 	if err := rt1.CloseStore(); err != nil {
@@ -163,44 +155,26 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 			rep.AllStatsSeen = false
 		}
 	}
+	warm, err := cleanPass(ctx, rt2, stmts, "warm generation")
+	if err != nil {
+		return nil, err
+	}
 	for i, q := range corpus {
-		warm := runQuery(ctx, rt2, q.sql, "", 0)
-		if warm.err != nil {
-			return nil, fmt.Errorf("bench: warm generation: %w", warm.err)
-		}
-		perQuery[i].WarmPrompts = warm.prompts
+		perQuery[i].WarmPrompts = warm[i].prompts
 		if !q.limit {
-			rep.WarmPrompts += warm.prompts
-		}
-		if warm.rel != cold[i].rel {
-			rep.WarmIdentical = false
+			rep.WarmPrompts += warm[i].prompts
 		}
 	}
+	rep.WarmIdentical = diffPasses(cold, warm).rels
 
-	// Rebind probe: the warm-loaded entries obey live invalidation. Only
-	// the first rebound query must pay prompts — later ones may already
-	// be subsumed by relations this very pass repopulates.
+	// Rebind probe: the warm-loaded entries obey live invalidation.
 	if err := rt2.BindLLMTable(r.World.Table(rebound).Def); err != nil {
 		return nil, err
 	}
-	probedFirst := false
-	for i, q := range corpus {
-		probe := runQuery(ctx, rt2, q.sql, "", 0)
-		if probe.err != nil {
-			return nil, fmt.Errorf("bench: rebind probe: %w", probe.err)
-		}
-		if !q.limit {
-			if q.reads(rebound) && !probedFirst {
-				probedFirst = true
-				rep.RebindReexecuted = probe.prompts > 0
-			}
-			if !q.reads(rebound) && probe.prompts != 0 {
-				rep.RebindRetained = false
-			}
-		}
-		if probe.rel != cold[i].rel {
-			rep.RebindIdentical = false
-		}
+	rep.RebindReexecuted, rep.RebindRetained, rep.RebindIdentical, err =
+		probeInvalidation(ctx, rt2, stmts, cold, probing(corpus, rebound), "rebind probe")
+	if err != nil {
+		return nil, err
 	}
 	if err := rt2.CloseStore(); err != nil {
 		return nil, fmt.Errorf("bench: draining warm generation: %w", err)
@@ -227,24 +201,10 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	p4 := rt4.Persistence()
 	rep.PostPrimeWarmRelations = p4.WarmRelations
 	rep.PostPrimeDroppedStale = p4.DroppedStale
-	probedFirst = false
-	for i, q := range corpus {
-		probe := runQuery(ctx, rt4, q.sql, "", 0)
-		if probe.err != nil {
-			return nil, fmt.Errorf("bench: post-prime generation: %w", probe.err)
-		}
-		if !q.limit {
-			if q.reads(primed) && !probedFirst {
-				probedFirst = true
-				rep.PrimedReexecuted = probe.prompts > 0
-			}
-			if !q.reads(primed) && probe.prompts != 0 {
-				rep.PrimedRetained = false
-			}
-		}
-		if probe.rel != cold[i].rel {
-			rep.PrimedIdentical = false
-		}
+	rep.PrimedReexecuted, rep.PrimedRetained, rep.PrimedIdentical, err =
+		probeInvalidation(ctx, rt4, stmts, cold, probing(corpus, primed), "post-prime generation")
+	if err != nil {
+		return nil, err
 	}
 	if err := rt4.CloseStore(); err != nil {
 		return nil, fmt.Errorf("bench: draining post-prime generation: %w", err)

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/schema"
 	"repro/internal/simllm"
-	"repro/internal/spider"
 )
 
 // PipelineQuery is the multi-operator benchmark query of the pipelined
@@ -52,69 +49,37 @@ type PipelineReport struct {
 	Benchmarks []PipelineBenchmark `json:"benchmarks"`
 }
 
-// pipelineArm runs one query set in one execution mode on a fresh runtime
-// (cache off — both arms pay for every prompt) and keeps the result
-// relations for the equivalence check.
-func (r *Runner) pipelineArm(ctx context.Context, p simllm.Profile, verifier simllm.Profile, queries []string, pipelined bool) (PipelineConfig, []*schema.Relation, error) {
-	opts := PaperOptions()
-	opts.Pipelined = pipelined
-	opts.Verifier = r.Model(verifier)
-	rt, err := r.Runtime(r.Model(p), opts)
-	if err != nil {
-		return PipelineConfig{}, nil, err
-	}
-	sess := rt.NewSession()
-	name := "stop-and-go"
-	if pipelined {
-		name = "pipelined"
-	}
-	var rels []*schema.Relation
-	prompts := 0
-	var latency time.Duration
-	for i, sql := range queries {
-		rel, rep, err := sess.Query(ctx, sql)
-		if err != nil {
-			return PipelineConfig{}, nil, fmt.Errorf("bench: %s query %d: %w", name, i, err)
-		}
-		rels = append(rels, rel)
-		prompts += rep.Stats.Prompts
-		latency += rep.Stats.SimulatedLatency
-	}
-	n := len(queries)
-	cfg := PipelineConfig{
-		Config:            name,
-		Queries:           n,
-		TotalSimLatencyMS: float64(latency) / float64(time.Millisecond),
-	}
-	if n > 0 {
-		cfg.PromptsPerQuery = float64(prompts) / float64(n)
-		cfg.AvgSimLatencyMS = cfg.TotalSimLatencyMS / float64(n)
-	}
-	return cfg, rels, nil
-}
-
-// pipelineBenchmark compares both modes on one query set.
+// pipelineBenchmark compares both modes on one query set, each on a
+// fresh runtime (cache off — both arms pay for every prompt).
 func (r *Runner) pipelineBenchmark(ctx context.Context, p simllm.Profile, verifier simllm.Profile, name string, queries []string) (PipelineBenchmark, error) {
-	off, offRels, err := r.pipelineArm(ctx, p, verifier, queries, false)
-	if err != nil {
-		return PipelineBenchmark{}, err
-	}
-	on, onRels, err := r.pipelineArm(ctx, p, verifier, queries, true)
-	if err != nil {
-		return PipelineBenchmark{}, err
-	}
-	bm := PipelineBenchmark{Name: name, Configs: []PipelineConfig{off, on}, ResultsIdentical: true}
+	bm := PipelineBenchmark{Name: name}
 	if len(queries) == 1 {
 		bm.SQL = queries[0]
 	}
-	for i := range offRels {
-		if offRels[i].String() != onRels[i].String() {
-			bm.ResultsIdentical = false
-			break
+	var passes [2][]queryOutcome
+	for i, mode := range []string{"stop-and-go", "pipelined"} {
+		opts := PaperOptions()
+		opts.Pipelined = i == 1
+		opts.Verifier = r.Model(verifier)
+		rt, err := r.Runtime(r.Model(p), opts)
+		if err != nil {
+			return PipelineBenchmark{}, err
 		}
+		if passes[i], err = cleanPass(ctx, rt, queries, mode); err != nil {
+			return PipelineBenchmark{}, err
+		}
+		prompts, latency := totals(passes[i])
+		n := len(queries)
+		cfg := PipelineConfig{Config: mode, Queries: n, TotalSimLatencyMS: ms(latency)}
+		if n > 0 {
+			cfg.PromptsPerQuery = float64(prompts) / float64(n)
+			cfg.AvgSimLatencyMS = cfg.TotalSimLatencyMS / float64(n)
+		}
+		bm.Configs = append(bm.Configs, cfg)
 	}
-	if on.TotalSimLatencyMS > 0 {
-		bm.Speedup = off.TotalSimLatencyMS / on.TotalSimLatencyMS
+	bm.ResultsIdentical = diffPasses(passes[0], passes[1]).rels
+	if on := bm.Configs[1].TotalSimLatencyMS; on > 0 {
+		bm.Speedup = bm.Configs[0].TotalSimLatencyMS / on
 	}
 	return bm, nil
 }
@@ -141,17 +106,11 @@ func (r *Runner) PipelineComparison(ctx context.Context, p simllm.Profile, verif
 	if err != nil {
 		return nil, err
 	}
-	rep.Benchmarks = append(rep.Benchmarks, multi)
-
-	var corpus []string
-	for _, q := range spider.Queries() {
-		corpus = append(corpus, q.SQL)
-	}
-	full, err := r.pipelineBenchmark(ctx, p, verifier, "corpus", corpus)
+	full, err := r.pipelineBenchmark(ctx, p, verifier, "corpus", corpusSQL())
 	if err != nil {
 		return nil, err
 	}
-	rep.Benchmarks = append(rep.Benchmarks, full)
+	rep.Benchmarks = append(rep.Benchmarks, multi, full)
 	return rep, nil
 }
 

@@ -93,7 +93,6 @@ type ResultCacheReport struct {
 func resultCacheOptions(resultCache bool) core.Options {
 	opts := PaperOptions()
 	opts.Pipelined = true
-	opts.Optimizer.CostBased = false
 	opts.ResultCacheEnabled = resultCache
 	return opts
 }
@@ -102,7 +101,6 @@ func resultCacheOptions(resultCache bool) core.Options {
 // need to know about it.
 type corpusQuery struct {
 	id    int
-	sql   string
 	limit bool     // LIMIT-bearing: never stored in the result cache
 	comps []string // the invalidation components its plan reads
 }
@@ -112,8 +110,16 @@ func (q corpusQuery) reads(table string) bool {
 	return slices.Contains(q.comps, logical.ComponentLLM(table))
 }
 
+// probing classifies a planned corpus for an invalidation probe of
+// table's LLM binding: LIMIT-free statements are counted, readers of
+// table must re-execute.
+func probing(corpus []corpusQuery, table string) func(i int) (counted, reads bool) {
+	return func(i int) (bool, bool) { return !corpus[i].limit, corpus[i].reads(table) }
+}
+
 // planCorpus parses every corpus query for LIMIT and plans it on a
 // throwaway runtime (nothing executes) to find the components it reads.
+// Its order is corpus order: statement i of corpusSQL is its entry i.
 func (r *Runner) planCorpus(p simllm.Profile) ([]corpusQuery, error) {
 	rt, err := r.Runtime(r.Model(p), resultCacheOptions(false))
 	if err != nil {
@@ -130,7 +136,7 @@ func (r *Runner) planCorpus(p simllm.Profile) ([]corpusQuery, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: planning corpus query %d: %w", q.ID, err)
 		}
-		corpus = append(corpus, corpusQuery{id: q.ID, sql: q.SQL, limit: sel.Limit >= 0, comps: logical.Components(plan)})
+		corpus = append(corpus, corpusQuery{id: q.ID, limit: sel.Limit >= 0, comps: logical.Components(plan)})
 	}
 	return corpus, nil
 }
@@ -149,17 +155,16 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*
 		return nil, err
 	}
 
+	stmts := corpusSQL()
+
 	// Control arm: result cache off, one pass.
 	controlRT, err := r.Runtime(r.Model(p), resultCacheOptions(false))
 	if err != nil {
 		return nil, err
 	}
-	control := make([]queryOutcome, len(corpus))
-	for i, q := range corpus {
-		control[i] = runQuery(ctx, controlRT, q.sql, "", 0)
-		if control[i].err != nil {
-			return nil, fmt.Errorf("bench: control arm: %w", control[i].err)
-		}
+	control, err := cleanPass(ctx, controlRT, stmts, "control arm")
+	if err != nil {
+		return nil, err
 	}
 
 	// Cached arm: fresh identically seeded runtime, cold pass + hot
@@ -168,23 +173,16 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*
 	if err != nil {
 		return nil, err
 	}
-
+	cold, err := cleanPass(ctx, rt, stmts, "cached arm cold pass")
+	if err != nil {
+		return nil, err
+	}
 	rep := &ResultCacheReport{
 		Model:             p.ID,
 		Queries:           len(corpus),
 		Repeats:           DefaultResultCacheRepeats,
-		FirstRunIdentical: true,
+		FirstRunIdentical: diffPasses(control, cold).rels,
 		RepeatIdentical:   true,
-	}
-	cold := make([]queryOutcome, len(corpus))
-	for i, q := range corpus {
-		cold[i] = runQuery(ctx, rt, q.sql, "", 0)
-		if cold[i].err != nil {
-			return nil, fmt.Errorf("bench: cached arm cold pass: %w", cold[i].err)
-		}
-		if cold[i].rel != control[i].rel {
-			rep.FirstRunIdentical = false
-		}
 	}
 	perQuery := make([]ResultCacheQuery, len(corpus))
 	for i, q := range corpus {
@@ -197,18 +195,26 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*
 		if perQuery[i].FirstSubsumed {
 			rep.ColdSubsumed++
 		}
+		if q.limit {
+			rep.LimitQueries++
+		} else {
+			rep.CacheableQueries++
+		}
 	}
 	for pass := 0; pass < DefaultResultCacheRepeats; pass++ {
-		for i, q := range corpus {
-			hot := runQuery(ctx, rt, q.sql, "", 0)
-			if hot.err != nil {
-				return nil, fmt.Errorf("bench: cached arm hot pass %d: %w", pass+1, hot.err)
-			}
-			perQuery[i].RepeatPrompts += hot.prompts
-			if hot.rel != cold[i].rel {
-				rep.RepeatIdentical = false
+		hot, err := cleanPass(ctx, rt, stmts, fmt.Sprintf("cached arm hot pass %d", pass+1))
+		if err != nil {
+			return nil, err
+		}
+		for i, o := range hot {
+			perQuery[i].RepeatPrompts += o.prompts
+			if corpus[i].limit {
+				rep.RepeatPromptsLimit += o.prompts
+			} else {
+				rep.RepeatPromptsCacheable += o.prompts
 			}
 		}
+		rep.RepeatIdentical = rep.RepeatIdentical && diffPasses(cold, hot).rels
 	}
 	rcs := rt.ResultCacheStats()
 	rep.ResultCacheHits = rcs.Hits
@@ -224,39 +230,14 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*
 	// LIMIT-free query not reading it is still answered for free.
 	primed := LLMTables[0]
 	rt.PrimeTableKeys(primed, 1)
-	rep.InvalidationRetained = true
-	rep.InvalidationIdentical = true
-	probedFirst := false
-	for i, q := range corpus {
-		probe := runQuery(ctx, rt, q.sql, "", 0)
-		if probe.err != nil {
-			return nil, fmt.Errorf("bench: invalidation probe: %w", probe.err)
-		}
-		if !q.limit {
-			if q.reads(primed) && !probedFirst {
-				probedFirst = true
-				rep.InvalidationReexecuted = probe.prompts > 0
-			}
-			if !q.reads(primed) && probe.prompts != 0 {
-				rep.InvalidationRetained = false
-			}
-		}
-		if probe.rel != cold[i].rel {
-			rep.InvalidationIdentical = false
-		}
+	rep.InvalidationReexecuted, rep.InvalidationRetained, rep.InvalidationIdentical, err =
+		probeInvalidation(ctx, rt, stmts, cold, probing(corpus, primed), "invalidation probe")
+	if err != nil {
+		return nil, err
 	}
 
-	for i, q := range corpus {
-		rep.UncachedFirstPrompts += control[i].prompts
-		rep.CachedFirstPrompts += cold[i].prompts
-		if q.limit {
-			rep.LimitQueries++
-			rep.RepeatPromptsLimit += perQuery[i].RepeatPrompts
-		} else {
-			rep.CacheableQueries++
-			rep.RepeatPromptsCacheable += perQuery[i].RepeatPrompts
-		}
-	}
+	rep.UncachedFirstPrompts, _ = totals(control)
+	rep.CachedFirstPrompts, _ = totals(cold)
 	rep.PerQuery = perQuery
 	return rep, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/faultllm"
@@ -73,17 +72,6 @@ type RoutingReport struct {
 	Failover        RoutingArm `json:"failover"`
 }
 
-// routingOptions pins the routing differential's engine configuration:
-// the stop-and-go policy, fixed heuristic plans and both caches off,
-// so the set and order of issued prompts is a pure function of the query
-// text and every prompt is a distinct, attributable model call.
-func routingOptions() core.Options {
-	opts := PaperOptions()
-	opts.Optimizer.CostBased = false
-	opts.ResultCacheEnabled = false
-	return opts
-}
-
 // routedRuntime builds the differential's two-backend runtime over one
 // model profile and seed: "cheap" (a quarter of the price, first choice
 // for key scans and filters) and "strong" (the default; fetch and verify
@@ -106,46 +94,32 @@ func (r *Runner) routedRuntime(p simllm.Profile, cheapClient llm.Client, opts co
 	return r.bind(rt)
 }
 
-// runRoutingArm runs the corpus once on rt, recording per-query
-// outcomes and the per-backend meters afterwards. onQuery (when
-// non-nil) runs before each corpus query — the failover arm's outage
-// trigger.
-func runRoutingArm(ctx context.Context, rt *core.Runtime, config string, onQuery func(i int)) (RoutingArm, []queryOutcome) {
-	corpus := spider.Queries()
-	arm := RoutingArm{Config: config, Queries: len(corpus), OutageAtQuery: -1}
-	outcomes := make([]queryOutcome, len(corpus))
-	for i, q := range corpus {
-		if onQuery != nil {
-			onQuery(i)
-		}
-		outcomes[i] = runQuery(ctx, rt, q.SQL, "", 0)
-		if outcomes[i].err != nil {
-			arm.FailedQueries++
-		}
-		arm.Prompts += outcomes[i].prompts
+// runRoutingArm runs the corpus once on rt against the single-backend
+// baseline pass (nil: the arm is the baseline), recording the
+// per-backend meters afterwards. before (when non-nil) runs before each
+// corpus query — the failover arm's outage trigger.
+func runRoutingArm(ctx context.Context, rt *core.Runtime, config string, baseline []queryOutcome, before func(i int)) (RoutingArm, []queryOutcome) {
+	outs := runPass(ctx, rt, corpusSQL(), before)
+	if baseline == nil {
+		baseline = outs
 	}
-	arm.BackendPrompts = map[string]int64{}
+	d := diffPasses(baseline, outs)
+	arm := RoutingArm{
+		Config:           config,
+		Queries:          len(outs),
+		FailedQueries:    d.failed,
+		ResultsIdentical: d.rels,
+		PromptsIdentical: d.prompts,
+		OutageAtQuery:    -1,
+		BackendPrompts:   map[string]int64{},
+		Failovers:        rt.Failovers(),
+	}
+	arm.Prompts, _ = totals(outs)
 	for _, b := range rt.Registry().Backends() {
 		arm.BackendPrompts[b.Name()] = b.Prompts()
 		arm.WeightedCost += float64(b.Prompts()) * b.CostWeight()
 	}
-	arm.Failovers = rt.Failovers()
-	return arm, outcomes
-}
-
-// diffRoutingArm fills an arm's differential fields against the
-// single-backend baseline.
-func diffRoutingArm(arm *RoutingArm, baseline, got []queryOutcome) {
-	arm.ResultsIdentical = true
-	arm.PromptsIdentical = true
-	for i := range baseline {
-		if got[i].rel != baseline[i].rel {
-			arm.ResultsIdentical = false
-		}
-		if got[i].prompts != baseline[i].prompts {
-			arm.PromptsIdentical = false
-		}
-	}
+	return arm, outs
 }
 
 // RoutingComparison runs the routing differential: the corpus on a
@@ -154,30 +128,30 @@ func diffRoutingArm(arm *RoutingArm, baseline, got []queryOutcome) {
 // weighted prompt cost strictly lower), and on the same pair with the
 // cheap backend suffering a total outage from the middle of the corpus
 // onward — every prompt failing over to the strong backend with zero
-// query failures and bit-identical relations. Deterministic end to end;
-// CI diffs the committed artifact.
+// query failures and bit-identical relations. Every arm runs under
+// PaperOptions — stop-and-go, fixed heuristic plans, both caches off —
+// so the set and order of issued prompts is a pure function of the
+// query text and every prompt is a distinct, attributable model call.
+// Deterministic end to end; CI diffs the committed artifact.
 func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*RoutingReport, error) {
 	corpus := spider.Queries()
 	rep := &RoutingReport{Model: p.ID, Seed: r.Seed, Queries: len(corpus), CheapCostWeight: RoutingCheapCost}
 
 	// Arm 1: the pre-routing engine — one backend, every prompt at
 	// weight 1.0.
-	single, err := r.Runtime(r.Model(p), routingOptions())
+	single, err := r.Runtime(r.Model(p), PaperOptions())
 	if err != nil {
 		return nil, err
 	}
-	singleArm, baseline := runRoutingArm(ctx, single, "single-backend", nil)
-	diffRoutingArm(&singleArm, baseline, baseline)
-	rep.Single = singleArm
+	var baseline []queryOutcome
+	rep.Single, baseline = runRoutingArm(ctx, single, "single-backend", nil, nil)
 
 	// Arm 2: cost-aware routing, both backends healthy.
-	routed, err := r.routedRuntime(p, nil, routingOptions())
+	routed, err := r.routedRuntime(p, nil, PaperOptions())
 	if err != nil {
 		return nil, err
 	}
-	routedArm, outcomes := runRoutingArm(ctx, routed, "routed-cheap-keyscan-filter", nil)
-	diffRoutingArm(&routedArm, baseline, outcomes)
-	rep.Routed = routedArm
+	rep.Routed, _ = runRoutingArm(ctx, routed, "routed-cheap-keyscan-filter", baseline, nil)
 
 	// Arm 3: the same routing with the cheap backend dying mid-corpus.
 	// The injector is fault-free until the trigger flips it to a total
@@ -191,20 +165,18 @@ func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*Rout
 		BreakerThreshold: RoutingBreakerThreshold,
 		Sleep:            instantSleep,
 	})
-	failover, err := r.routedRuntime(p, cheap, routingOptions())
+	failover, err := r.routedRuntime(p, cheap, PaperOptions())
 	if err != nil {
 		return nil, err
 	}
 	outageAt := len(corpus) / 2
-	failArm, outcomes := runRoutingArm(ctx, failover, "routed-primary-outage", func(i int) {
+	rep.Failover, _ = runRoutingArm(ctx, failover, "routed-primary-outage", baseline, func(i int) {
 		if i == outageAt {
 			inj.SetOutage(true)
 		}
 	})
-	failArm.OutageAtQuery = outageAt
-	failArm.BreakerOpened = cheap.Counters().BreakerOpens >= 1
-	diffRoutingArm(&failArm, baseline, outcomes)
-	rep.Failover = failArm
+	rep.Failover.OutageAtQuery = outageAt
+	rep.Failover.BreakerOpened = cheap.Counters().BreakerOpens >= 1
 	return rep, nil
 }
 
@@ -215,12 +187,8 @@ func (r *Runner) RoutingComparison(ctx context.Context, p simllm.Profile) (*Rout
 // arm failing over mid-corpus (breaker open, failovers counted) with no
 // result divergence.
 func (rep *RoutingReport) CheckAcceptance() error {
-	var errs []error
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			errs = append(errs, fmt.Errorf(format, args...))
-		}
-	}
+	var v violations
+	check := v.check
 	check(rep.Single.FailedQueries == 0, "single: %d queries failed", rep.Single.FailedQueries)
 	check(rep.Routed.FailedQueries == 0, "routed: %d queries failed", rep.Routed.FailedQueries)
 	check(rep.Failover.FailedQueries == 0, "failover: %d queries failed despite the fallback chain", rep.Failover.FailedQueries)
@@ -241,5 +209,5 @@ func (rep *RoutingReport) CheckAcceptance() error {
 	check(rep.Failover.WeightedCost > rep.Routed.WeightedCost,
 		"failover: weighted cost %.2f not above healthy routed %.2f (outage traffic must land on the strong meter)",
 		rep.Failover.WeightedCost, rep.Routed.WeightedCost)
-	return errors.Join(errs...)
+	return errors.Join(v...)
 }

@@ -220,8 +220,8 @@ func (r *Runner) SchedComparison(ctx context.Context, p simllm.Profile) (*SchedR
 	rep.Solo.Config = "solo"
 	rep.Mixed = SchedLiveArm(run.concurrent)
 	rep.Mixed.Config = fmt.Sprintf("mixed-k%d", DefaultConcurrency)
-	rep.ResultsIdentical = run.resultsIdentical
-	rep.PromptsIdentical = run.promptsIdentical
+	rep.ResultsIdentical = run.diff.rels
+	rep.PromptsIdentical = run.diff.prompts
 	return rep, nil
 }
 

@@ -116,53 +116,52 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 		return nil, err
 	}
 
-	rep := &SemCacheReport{Model: p.ID, Parents: len(semCacheCorpus), ChildrenIdentical: true}
-
-	// Cold pass: parents populate the cache.
-	for _, fam := range semCacheCorpus {
-		out := runQuery(ctx, rt, fam.sql, "", 0)
-		if out.err != nil {
-			return nil, fmt.Errorf("bench: semcache cold parent: %w", out.err)
-		}
-		rep.ColdPrompts += out.prompts
-	}
-	// Exact-hot pass: the same statements verbatim.
-	for _, fam := range semCacheCorpus {
-		out := runQuery(ctx, rt, fam.sql, "", 0)
-		if out.err != nil {
-			return nil, fmt.Errorf("bench: semcache hot parent: %w", out.err)
-		}
-		rep.ExactHotPrompts += out.prompts
-	}
-	// Near-miss pass: children on first sight, against the control.
-	childRels := map[string]string{}
-	for _, fam := range semCacheCorpus {
+	var parents, children []string
+	var family []int // family[i] is child i's index in semCacheCorpus
+	for f, fam := range semCacheCorpus {
+		parents = append(parents, fam.sql)
 		for _, child := range fam.children {
-			rep.Children++
-			out := runQuery(ctx, rt, child, "", 0)
-			if out.err != nil {
-				return nil, fmt.Errorf("bench: semcache child: %w", out.err)
-			}
-			direct := runQuery(ctx, control, child, "", 0)
-			if direct.err != nil {
-				return nil, fmt.Errorf("bench: semcache control child: %w", direct.err)
-			}
-			if out.rel != direct.rel {
-				rep.ChildrenIdentical = false
-			}
-			childRels[child] = out.rel
-			rec := SemCacheChild{
-				Parent:   fam.sql,
-				Child:    child,
-				Prompts:  out.prompts,
-				Subsumed: out.cached == core.CacheSubsumed,
-			}
-			rep.NearMissPrompts += rec.Prompts
-			if rec.Subsumed {
-				rep.NearMissSubsumed++
-			}
-			rep.PerChild = append(rep.PerChild, rec)
+			children = append(children, child)
+			family = append(family, f)
 		}
+	}
+	rep := &SemCacheReport{Model: p.ID, Parents: len(parents), Children: len(children)}
+
+	// Cold pass: parents populate the cache. Exact-hot pass: the same
+	// statements verbatim.
+	cold, err := cleanPass(ctx, rt, parents, "semcache cold parent")
+	if err != nil {
+		return nil, err
+	}
+	hot, err := cleanPass(ctx, rt, parents, "semcache hot parent")
+	if err != nil {
+		return nil, err
+	}
+	rep.ColdPrompts, _ = totals(cold)
+	rep.ExactHotPrompts, _ = totals(hot)
+
+	// Near-miss pass: children on first sight, against the control.
+	near, err := cleanPass(ctx, rt, children, "semcache child")
+	if err != nil {
+		return nil, err
+	}
+	direct, err := cleanPass(ctx, control, children, "semcache control child")
+	if err != nil {
+		return nil, err
+	}
+	rep.ChildrenIdentical = diffPasses(direct, near).rels
+	for i, o := range near {
+		rec := SemCacheChild{
+			Parent:   semCacheCorpus[family[i]].sql,
+			Child:    children[i],
+			Prompts:  o.prompts,
+			Subsumed: o.cached == core.CacheSubsumed,
+		}
+		rep.NearMissPrompts += rec.Prompts
+		if rec.Subsumed {
+			rep.NearMissSubsumed++
+		}
+		rep.PerChild = append(rep.PerChild, rec)
 	}
 	rcs := rt.ResultCacheStats()
 	rep.ResultCacheHits = rcs.Hits
@@ -177,26 +176,12 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 	// no relation changes.
 	bumped := semCacheCorpus[0].table
 	rt.PrimeTableKeys(bumped, 1)
-	rep.InvalidationRetained = true
-	rep.InvalidationIdentical = true
-	probedFirst := false
-	for _, fam := range semCacheCorpus {
-		for _, child := range fam.children {
-			out := runQuery(ctx, rt, child, "", 0)
-			if out.err != nil {
-				return nil, fmt.Errorf("bench: semcache invalidation probe: %w", out.err)
-			}
-			if fam.table == bumped && !probedFirst {
-				probedFirst = true
-				rep.InvalidationReexecuted = out.prompts > 0
-			}
-			if fam.table != bumped && out.prompts != 0 {
-				rep.InvalidationRetained = false
-			}
-			if out.rel != childRels[child] {
-				rep.InvalidationIdentical = false
-			}
-		}
+	rep.InvalidationReexecuted, rep.InvalidationRetained, rep.InvalidationIdentical, err =
+		probeInvalidation(ctx, rt, children, near, func(i int) (bool, bool) {
+			return true, semCacheCorpus[family[i]].table == bumped
+		}, "semcache invalidation probe")
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -699,18 +699,13 @@ func (t *Tenant) Weight() int { return int(t.weight) }
 // ready and returns immediately; the shared pool resolves the future when
 // a worker slot of the client's endpoint is granted to this tenant. The
 // answered prompt, its tokens and its cache hit or miss count on the
-// tenant's Usage, its latency in Makespan. class, when given, is the
-// prompt class the completion enters the cache under (omitted means
-// unclassified). A raw-text prompt is the template-less case of
+// tenant's Usage, its latency in Makespan. The completion enters the
+// cache unclassified. A raw-text prompt is the template-less case of
 // Wave.Submit: its whole text is the key.
 //
 // Under the stop-and-go policy the prompt is a wave of one.
-func (t *Tenant) Submit(client Client, prompt string, ready VTime, class ...PromptClass) *Future {
-	var c PromptClass
-	if len(class) > 0 {
-		c = class[0]
-	}
-	return t.single().submit(client, rawTemplate(c), prompt, ready)
+func (t *Tenant) Submit(client Client, prompt string, ready VTime) *Future {
+	return t.single().submit(client, rawText, prompt, ready)
 }
 
 // single is the wave of a prompt submitted on its own: the streaming

@@ -538,7 +538,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	tn := tenant(s, t)
 	before := runtime.NumGoroutine()
 	const ready = 3 * time.Second
-	f := tn.Submit(client, prompt, ready, class)
+	f := tn.Submit(client, prompt, ready)
 	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("inline hit spawned goroutines: %d -> %d", before, got)
 	}
@@ -576,7 +576,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	cancelled := s.Tenant(ctx, "")
 	defer cancelled.Close()
 	cancel()
-	if _, _, err := cancelled.Submit(client, prompt, 0, class).Wait(); !errors.Is(err, context.Canceled) {
+	if _, _, err := cancelled.Submit(client, prompt, 0).Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled tenant: err = %v, want context.Canceled", err)
 	}
 	if got := cache.Stats().Hits; got != 1 {

@@ -99,13 +99,18 @@ func Bool(v bool) Value {
 	return Value{kind: KindBool, i: i}
 }
 
-// epoch is the zero day for DATE values.
-var epoch = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
+// secondsPerDay converts between DATE payloads (days since 1970-01-01)
+// and Unix seconds. Days are counted through Unix seconds, not
+// time.Duration, whose ±292-year range would clamp earlier and later
+// dates.
+const secondsPerDay = 24 * 60 * 60
 
 // Date returns a DATE value for the given calendar day.
 func Date(year int, month time.Month, day int) Value {
+	// A UTC midnight is a whole number of days from the epoch, so the
+	// division is exact (and floors) on either side of it.
 	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
-	return Value{kind: KindDate, i: int64(t.Sub(epoch).Hours() / 24)}
+	return Value{kind: KindDate, i: t.Unix() / secondsPerDay}
 }
 
 // DateFromTime returns a DATE value for the day containing t (UTC).
@@ -135,7 +140,7 @@ func (v Value) AsBool() bool { return v.i != 0 }
 // AsTime returns the DATE payload as a UTC midnight time.
 // It is valid only for KindDate.
 func (v Value) AsTime() time.Time {
-	return epoch.Add(time.Duration(v.i) * 24 * time.Hour)
+	return time.Unix(v.i*secondsPerDay, 0).UTC()
 }
 
 // Numeric reports the value as a float64 if it is numeric (INTEGER, FLOAT,

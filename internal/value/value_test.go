@@ -77,6 +77,51 @@ func TestDate(t *testing.T) {
 	}
 }
 
+// TestDateOutsideDurationRange pins DATE values far from 1970: days are
+// counted through Unix seconds, so dates beyond time.Duration's ±292
+// years neither clamp nor shift, whichever way they enter.
+func TestDateOutsideDurationRange(t *testing.T) {
+	for _, tc := range []struct {
+		text  string
+		year  int
+		month time.Month
+		day   int
+	}{
+		{"0001-01-01", 1, time.January, 1},
+		{"1066-10-14", 1066, time.October, 14},
+		{"1677-09-21", 1677, time.September, 21},
+		{"2262-04-12", 2262, time.April, 12},
+		{"9999-12-31", 9999, time.December, 31},
+	} {
+		d := Date(tc.year, tc.month, tc.day)
+		if got := d.String(); got != tc.text {
+			t.Errorf("Date(%s).String() = %q", tc.text, got)
+		}
+		if d2 := DateFromTime(time.Date(tc.year, tc.month, tc.day, 23, 59, 0, 0, time.UTC)); !Equal(d, d2) {
+			t.Errorf("DateFromTime(%s) = %v, want %v", tc.text, d2, d)
+		}
+		parsed, err := ParseAs(KindDate, tc.text)
+		if err != nil {
+			t.Fatalf("ParseAs(DATE, %q): %v", tc.text, err)
+		}
+		if !Equal(parsed, d) || parsed.String() != tc.text {
+			t.Errorf("ParseAs(DATE, %q) = %v, want %v", tc.text, parsed, d)
+		}
+		if tm := d.AsTime(); tm.Year() != tc.year || tm.Month() != tc.month || tm.Day() != tc.day || tm.Location() != time.UTC {
+			t.Errorf("Date(%s).AsTime() = %v", tc.text, tm)
+		}
+	}
+	// Consecutive days stay one apart across the old clamp boundaries.
+	for _, pair := range [][2]Value{
+		{Date(1677, time.September, 21), Date(1677, time.September, 22)},
+		{Date(2262, time.April, 11), Date(2262, time.April, 12)},
+	} {
+		if c, err := Compare(pair[0], pair[1]); err != nil || c >= 0 {
+			t.Errorf("%v does not sort before %v (%d, %v)", pair[0], pair[1], c, err)
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -333,7 +378,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(days uint16) bool {
-		d := DateFromTime(epoch.Add(time.Duration(days) * 24 * time.Hour))
+		d := DateFromTime(time.Date(1970, time.January, 1+int(days), 0, 0, 0, 0, time.UTC))
 		back, err := ParseAs(KindDate, d.String())
 		return err == nil && Equal(d, back)
 	}
