@@ -23,10 +23,12 @@ race:
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
 # BenchmarkCachedMiss: the same through the prompt cache, a new key every
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
-# whose every answer is resident) and the goroutine pool's (BenchmarkGo:
-# one task handed to a parked goroutine).
+# whose every answer is resident), the goroutine pool's (BenchmarkGo:
+# one task handed to a parked goroutine) and galois-serve's
+# (BenchmarkServeExactHit: one warm exact hit through the HTTP handler,
+# buffered and NDJSON).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./cmd/galois-serve
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from
@@ -50,8 +52,8 @@ serve:
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
 # the galois.yaml decoder, the model-answer number decoder, the token
 # counter, the prompt template's token count, the durable store's
-# segment replay and the persisted result-cache entry decoder (same runs
-# CI does).
+# segment replay, the persisted result-cache entry decoder and
+# galois-serve's /query parameter decoders (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./cmd/galois-serve
 
 # Per-package coverage summary.
 cover:

@@ -1,15 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/bench"
@@ -20,7 +26,7 @@ import (
 )
 
 // testRuntime builds the benchmark world's runtime for serving tests.
-func testRuntime(t *testing.T, opts core.Options) (*bench.Runner, *core.Runtime) {
+func testRuntime(t testing.TB, opts core.Options) (*bench.Runner, *core.Runtime) {
 	t.Helper()
 	r, err := bench.NewRunner(1)
 	if err != nil {
@@ -774,6 +780,85 @@ func TestServeBodyTooLarge(t *testing.T) {
 	resp, qr := postQuery(t, ts, atLimit)
 	if resp.StatusCode != http.StatusOK || qr.RowCount == 0 {
 		t.Fatalf("at-limit body: status %d rows %d, want 200 with rows", resp.StatusCode, qr.RowCount)
+	}
+
+	// A chunked body (no Content-Length, so ContentLength == -1 on the
+	// server) is held to the same bound.
+	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	var length atomic.Int64
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		length.Store(r.ContentLength)
+		srv.ServeHTTP(w, r)
+	}))
+	defer chunked.Close()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{{atLimit, http.StatusOK}, {over, http.StatusRequestEntityTooLarge}} {
+		// A MultiReader has no known length: the client sends it chunked.
+		resp, err := http.Post(chunked.URL+"/query", "text/plain", io.MultiReader(strings.NewReader(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := length.Load(); got != -1 {
+			t.Fatalf("fixture: server saw ContentLength %d, want -1 (chunked)", got)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("chunked %d-byte body: status %d, want %d", len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestServeBodyShortOfDeclaredLength: a client that declares a
+// Content-Length and sends fewer bytes gets a 400, and the server never
+// allocates the declared length ahead of the bytes that arrive.
+func TestServeBodyShortOfDeclaredLength(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.CacheEnabled = false
+	_, rt := testRuntime(t, opts)
+	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	defer ts.Close()
+	const sql = "SELECT name FROM country"
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: galois\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n%s", maxBodyBytes, sql)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("short body: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+
+	// The same request straight into querySQL: the body ends early, as
+	// the server's body reader reports it, after a 1 MiB declaration.
+	const n = 16
+	reqs := make([]*http.Request, n)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/query",
+			io.MultiReader(strings.NewReader(sql), iotest.ErrReader(io.ErrUnexpectedEOF)))
+		reqs[i].ContentLength = maxBodyBytes
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		if _, err := querySQL(req, url.Values{}); err == nil {
+			t.Fatal("a body short of its declared length was accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > maxBodyBytes/8 {
+		t.Errorf("querySQL allocated %d bytes per short body, want far below the declared %d", per, maxBodyBytes)
 	}
 }
 

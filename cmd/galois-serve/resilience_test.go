@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/faultllm"
+	"repro/internal/llm"
 	"repro/internal/simllm"
 )
 
@@ -253,6 +254,54 @@ func TestServeIdleBurstNotShed(t *testing.T) {
 	for i, code := range codes {
 		if code != http.StatusOK {
 			t.Fatalf("burst request %d: status %d, want 200", i, code)
+		}
+	}
+}
+
+// TestCongestedBreakers: congested() allocates nothing, flips when one
+// breaker opens — first a declared backend's, then an adopted client's —
+// and stays set while that breaker is half-open.
+func TestCongestedBreakers(t *testing.T) {
+	for _, adopted := range []bool{false, true} {
+		r, err := bench.NewRunner(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.CacheEnabled = false
+		opts.Retries = -1
+		opts.BreakerThreshold = 2
+		opts.BreakerCooldown = 10 * time.Millisecond
+		declared := faultllm.Wrap(r.Model(simllm.ChatGPT), faultllm.Profile{Seed: 1})
+		rt, err := r.Runtime(declared, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(rt, serverConfig{maxConcurrent: 4})
+		backend, failing := rt.Registry().Default(), declared
+		if adopted {
+			failing = faultllm.Wrap(r.Model(simllm.GPT3), faultllm.Profile{Seed: 2})
+			backend = rt.Registry().Adopt(failing)
+		}
+		if s.congested() {
+			t.Fatalf("adopted=%v: congested before any failure", adopted)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.congested() }); allocs != 0 {
+			t.Errorf("adopted=%v: congested() = %.0f allocs, want 0", adopted, allocs)
+		}
+		failing.SetOutage(true)
+		for i := 0; i < opts.BreakerThreshold; i++ {
+			if _, err := backend.Complete(context.Background(), "prompt"); err == nil {
+				t.Fatalf("adopted=%v: a call succeeded during an outage", adopted)
+			}
+		}
+		rc, _ := backend.Resilience()
+		if rc.State() != llm.BreakerOpen || !s.congested() {
+			t.Fatalf("adopted=%v: breaker %s, congested %v; want open and congested", adopted, rc.State(), s.congested())
+		}
+		waitFor(t, func() bool { return rc.State() == llm.BreakerHalfOpen })
+		if !s.congested() {
+			t.Errorf("adopted=%v: a half-open breaker is not congestion", adopted)
 		}
 	}
 }

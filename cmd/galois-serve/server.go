@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/rescache"
 	"repro/internal/schema"
 )
 
@@ -34,7 +36,12 @@ type server struct {
 	maxQueue      int
 	queryTimeout  time.Duration
 	stallTimeout  time.Duration // streamStallTimeout; tests shorten it
-	mux           *http.ServeMux
+	// keepBodies keeps an exact hit's encoded response on its
+	// result-cache entry, so later hits of the same encoding write it
+	// without encoding. Tests turn it off to compare against the
+	// encoding path.
+	keepBodies bool
+	mux        *http.ServeMux
 
 	queries   atomic.Int64 // completed (ok or failed) queries
 	active    atomic.Int64 // currently executing (inside the gate)
@@ -85,6 +92,7 @@ func newServer(rt *core.Runtime, cfg serverConfig) *server {
 		maxQueue:      cfg.maxQueue,
 		queryTimeout:  cfg.queryTimeout,
 		stallTimeout:  streamStallTimeout,
+		keepBodies:    true,
 		mux:           http.NewServeMux(),
 	}
 	s.adm = newAdmission(cfg.maxConcurrent, cfg.admissionFloor, cfg.maxQueue, cfg.admissionCooldown, &s.waiting)
@@ -292,7 +300,33 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
+	// An exact hit's body is a pure function of its cache entry: the
+	// first hit of an encoding keeps the bytes there, later ones write
+	// them as they are.
+	hit, slot := rep.Hit(), bodySlot(streamNone, wantPlan)
+	body, keep := s.keptBody(hit, slot)
+	if !keep {
+		writeJSON(w, http.StatusOK, response(rel, rep, wantPlan))
+		return
+	}
+	if body == nil {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(response(rel, rep, wantPlan)); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		body = hit.Attach(slot, buf.Bytes())
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone
+}
 
+// response builds the buffered JSON response of one query. A miss
+// encodes it straight to the client and an exact hit into the bytes its
+// entry keeps, both with json.Encoder.Encode (what writeJSON uses), so a
+// kept body is byte-identical to a fresh encoding.
+func response(rel *schema.Relation, rep *core.Report, wantPlan bool) queryResponse {
 	resp := queryResponse{
 		Rows:     make([][]string, 0, rel.Cardinality()),
 		RowCount: rel.Cardinality(),
@@ -306,7 +340,42 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if wantPlan {
 		resp.Plan = rep.Plan
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
+}
+
+// bodySlots counts the encodings bodySlot numbers.
+const bodySlots = 6
+
+// The build fails unless a rescache.Entry has exactly one body slot per
+// encoding.
+var _ = [1]struct{}{}[rescache.BodySlots-bodySlots]
+
+// bodySlot numbers the encodings an exact hit's body is kept in, one
+// rescache.Entry slot each: buffered JSON, NDJSON and SSE, each with
+// and without ?plan=1.
+func bodySlot(mode string, wantPlan bool) int {
+	slot := 0
+	switch mode {
+	case streamNDJSON:
+		slot = 2
+	case streamSSE:
+		slot = 4
+	}
+	if wantPlan {
+		slot++
+	}
+	return slot
+}
+
+// keptBody returns the bytes hit keeps in slot, or nil, and whether a
+// body may be kept there: keep is false for a response that is not an
+// exact hit (hit is nil), for a slot that declined a body, and when the
+// server keeps no bodies.
+func (s *server) keptBody(hit *core.HitBody, slot int) (body []byte, keep bool) {
+	if hit == nil || !s.keepBodies {
+		return nil, false
+	}
+	return hit.Cached(slot)
 }
 
 // planParam parses the optional `plan` query parameter. Absent (or
@@ -378,15 +447,7 @@ func (s *server) routeParam(q url.Values) (map[string]string, error) {
 // probing its way back).
 func (s *server) congested() bool {
 	g := s.rt.SchedulerGauges()
-	if g.Interactive.Queued+g.Batch.Queued > g.Workers {
-		return true
-	}
-	for _, ep := range s.rt.ResilienceHealth() {
-		if ep.Breaker != llm.BreakerClosed.String() {
-			return true
-		}
-	}
-	return false
+	return g.Interactive.Queued+g.Batch.Queued > g.Workers || !s.rt.Registry().BreakersClosed()
 }
 
 // maxBodyBytes bounds a /query request body; a body past it answers 413
@@ -406,8 +467,13 @@ func querySQL(r *http.Request, params url.Values) (string, error) {
 	if r.Body == nil {
 		return "", fmt.Errorf("missing SQL: pass ?q= or a request body")
 	}
+	// A declared length past the limit answers without reading the body.
+	if r.ContentLength > maxBodyBytes {
+		return "", errBodyTooLarge
+	}
 	// Read one byte past the limit: exactly-at-limit bodies pass, anything
-	// longer is detected instead of truncated.
+	// longer is detected instead of truncated. The buffer grows only as
+	// bytes arrive, never to a length the client merely declared.
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return "", fmt.Errorf("reading request body: %w", err)

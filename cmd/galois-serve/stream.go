@@ -21,7 +21,8 @@ import (
 // wrapped in SSE events for EventSource clients. The frame sequence is
 // always header, zero or more rows, then exactly one terminal frame:
 // stats on success, error on a mid-stream failure (the 200 status line
-// is long gone by then, so failures must travel in-band).
+// is long gone by then, so failures must travel in-band). An exact hit
+// has every row at open, so its frames leave in one write.
 const (
 	streamNone   = ""       // buffered queryResponse JSON
 	streamNDJSON = "ndjson" // application/x-ndjson, one frame per line
@@ -87,7 +88,7 @@ type streamFailure struct {
 	Error string `json:"error"`
 }
 
-// streamStallTimeout bounds how long one frame write may block on a
+// streamStallTimeout bounds how long one write may block on a
 // client that stopped reading. A streamed miss leads the result cache's
 // flight for its statement until the executor reaches the end of the
 // relation, and the executor only advances as frames are written; a
@@ -112,6 +113,21 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 	defer st.Close()
 
 	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.stallTimeout, mode: mode}
+	// An exact hit has every row at open: its frames leave in one flush,
+	// and the first hit of an encoding keeps them on the cache entry for
+	// the next ones. A hit whose slot declined a body streams frame by
+	// frame, as a miss does, rather than encode it whole again.
+	hit, slot := st.Hit(), bodySlot(mode, wantPlan)
+	body, keep := s.keptBody(hit, slot)
+	if body != nil {
+		if err := finishReplay(st); err != nil {
+			s.writeQueryError(w, err)
+			return
+		}
+		_ = fw.send(body) // a failed write means the client is gone
+		return
+	}
+	fw.hold = keep
 	head := streamHeader{Type: "header", Cached: cachedJSON(st.Cached())}
 	head.Columns, head.Types = columnsJSON(st.Schema())
 	if fw.frame("header", head) != nil {
@@ -126,7 +142,7 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 		}
 		if err != nil {
 			s.noteQueryError(err)
-			fw.frame("error", streamFailure{Type: "error", Error: err.Error()})
+			fw.fail(err)
 			return
 		}
 		rows++
@@ -140,30 +156,79 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 	rep, err := st.Finish()
 	if err != nil {
 		s.noteQueryError(err)
-		fw.frame("error", streamFailure{Type: "error", Error: err.Error()})
+		fw.fail(err)
 		return
 	}
 	tail := streamStats{Type: "stats", RowCount: rows, Stats: statsJSON(rep)}
 	if wantPlan {
 		tail.Plan = rep.Plan
 	}
-	fw.frame("stats", tail)
+	if fw.frame("stats", tail) == nil && fw.hold {
+		_ = fw.send(hit.Attach(slot, fw.buf))
+	}
+}
+
+// finishReplay drains an exact hit's replay and finishes it, accounting
+// the query exactly as a frame-by-frame delivery would.
+func finishReplay(st *core.Stream) error {
+	for {
+		if _, _, err := st.Next(); err != nil {
+			if !errors.Is(err, io.EOF) {
+				return err
+			}
+			_, err = st.Finish()
+			return err
+		}
+	}
 }
 
 // frameWriter writes one JSON frame per call and flushes it
 // immediately — a streamed row must reach the network now, not when
-// some buffer happens to fill. Each frame must reach the connection
-// within stall of its write. The first frame commits the content type
-// and the 200 status line.
+// some buffer happens to fill. Each frame, or each chunk of a held
+// stream, must reach the connection within stall of its start (send).
+// The first write commits the content type
+// and the 200 status line. With hold set, frames collect in buf instead,
+// for one send once the stream is complete.
 type frameWriter struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
 	stall   time.Duration
 	mode    string
 	started bool
+	hold    bool
+	buf     []byte
 }
 
 func (f *frameWriter) frame(event string, v any) error {
+	if f.hold {
+		var err error
+		f.buf, err = appendFrame(f.buf, f.mode, event, v)
+		return err
+	}
+	b, err := appendFrame(f.buf[:0], f.mode, event, v)
+	if err != nil {
+		return err
+	}
+	f.buf = b // reused by the next frame: Write has copied it
+	return f.send(b)
+}
+
+// fail ends the stream with an error frame, sending whatever is held.
+func (f *frameWriter) fail(err error) {
+	if f.frame("error", streamFailure{Type: "error", Error: err.Error()}) == nil && f.hold {
+		_ = f.send(f.buf)
+	}
+}
+
+// sendChunk bounds the bytes one stall deadline covers.
+const sendChunk = 64 << 10
+
+// send writes b — one frame, or a whole held stream — and flushes it
+// once. Each chunk of at most sendChunk bytes gets its own stall
+// deadline, so a large held stream to a slow client that is still
+// reading is held to the pace a frame-by-frame stream is, not to one
+// deadline for the whole transfer.
+func (f *frameWriter) send(b []byte) error {
 	if !f.started {
 		f.started = true
 		if f.mode == streamSSE {
@@ -176,19 +241,34 @@ func (f *frameWriter) frame(event string, v any) error {
 		f.w.Header().Set("X-Accel-Buffering", "no")
 		f.w.WriteHeader(http.StatusOK)
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	// Writers without deadline support (test recorders) just skip it.
-	_ = f.rc.SetWriteDeadline(time.Now().Add(f.stall))
-	if f.mode == streamSSE {
-		_, err = fmt.Fprintf(f.w, "event: %s\ndata: %s\n\n", event, data)
-	} else {
-		_, err = f.w.Write(append(data, '\n'))
-	}
-	if err != nil {
-		return err
+	for len(b) > 0 {
+		n := min(len(b), sendChunk)
+		// Writers without deadline support (test recorders) just skip it.
+		_ = f.rc.SetWriteDeadline(time.Now().Add(f.stall))
+		if _, err := f.w.Write(b[:n]); err != nil {
+			return err
+		}
+		b = b[n:]
 	}
 	return f.rc.Flush()
+}
+
+// appendFrame appends one frame in mode's encoding to dst: its JSON
+// and a newline for NDJSON, an event carrying the JSON as data for SSE.
+// It encodes what a streamed miss writes frame by frame and what an
+// exact hit keeps.
+func appendFrame(dst []byte, mode, event string, v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	if mode == streamSSE {
+		dst = append(dst, "event: "...)
+		dst = append(dst, event...)
+		dst = append(dst, "\ndata: "...)
+		dst = append(dst, data...)
+		return append(dst, "\n\n"...), nil
+	}
+	dst = append(dst, data...)
+	return append(dst, '\n'), nil
 }

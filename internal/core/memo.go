@@ -22,7 +22,11 @@ type memoEntry struct {
 	sel   *ast.Select
 	comps []string // logical.Components of the build (sorted)
 	fp    string   // logical.Fingerprint of the build, without the options prefix
-	res   []resolution
+	// optsFP is the options prefix of the session that memoized the
+	// statement, and key its full result-cache fingerprint (optsFP+fp),
+	// so a hit under the same prefix builds no key string.
+	optsFP, key string
+	res         []resolution
 }
 
 // resolution is one table lookup a logical build made.

@@ -460,10 +460,10 @@ func TestResultCacheLeaderOpenFailure(t *testing.T) {
 }
 
 // TestExactHitAllocs pins the allocation count of an exact-hit Query
-// from SQL text — hot repeat traffic's whole engine path — at 4: the
-// key, the stamp, the Stream and the Report. The statement memo skips
-// parse, build and fingerprint, and the resident relation is handed back
-// without a copy (109 allocs before both).
+// from SQL text — hot repeat traffic's whole engine path — at 3: the
+// stamp, the Stream and the Report. The statement memo skips parse,
+// build and fingerprint and keeps the full key, and the resident
+// relation is handed back without a copy (109 allocs before all three).
 func TestExactHitAllocs(t *testing.T) {
 	w := world.Build()
 	opts := DefaultOptions()
@@ -484,8 +484,8 @@ func TestExactHitAllocs(t *testing.T) {
 			t.Fatalf("repeat query cached = %q, want %q", rep.Cached, CacheExact)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("exact-hit Query = %.0f allocs, want <= 4", allocs)
+	if allocs > 3 {
+		t.Errorf("exact-hit Query = %.0f allocs, want <= 3", allocs)
 	}
 }
 
@@ -725,5 +725,74 @@ func TestResidentRelationsImmutable(t *testing.T) {
 		if got := relDigest(d.Entry.Rel); got != want {
 			t.Errorf("resident relation changed after insert: %.60q\n%s", d.Key.Fingerprint, d.Entry.Rel.String())
 		}
+	}
+}
+
+// TestHitBodyOnlyOnExactHits: an exact hit's report and stream expose
+// its entry's encoded-body slots, and a body attached through one hit is
+// what the next hit finds; a miss and a subsumed hit expose none, and
+// the persistence codec ignores kept bodies.
+func TestHitBodyOnlyOnExactHits(t *testing.T) {
+	w := world.Build()
+	sess := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), resultCacheOptions(), w).NewSession()
+	ctx := context.Background()
+	query := func(sql string, want CacheOutcome) *Report {
+		t.Helper()
+		_, rep, err := sess.Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cached != want {
+			t.Fatalf("%s: cached = %q, want %q", sql, rep.Cached, want)
+		}
+		return rep
+	}
+	if query(rcQuery, CacheNone).Hit() != nil {
+		t.Error("a miss exposes a hit body")
+	}
+	hit := query(rcQuery, CacheExact).Hit()
+	if hit == nil {
+		t.Fatal("an exact hit exposes no hit body")
+	}
+	if b, keep := hit.Cached(0); b != nil || !keep {
+		t.Fatalf("exact hit slot 0 = %q (keep %v), want an empty slot", b, keep)
+	}
+	if got := string(hit.Attach(0, []byte("encoded"))); got != "encoded" {
+		t.Fatalf("attach returned %q", got)
+	}
+	st, err := sess.QueryStream(ctx, rcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if h := st.Hit(); h == nil {
+		t.Error("the next exact hit's stream exposes no hit body")
+	} else if b, _ := h.Cached(0); string(b) != "encoded" {
+		t.Error("the next exact hit's stream does not find the attached body")
+	}
+	if query(rcQuery+` LIMIT 3`, CacheSubsumed).Hit() != nil {
+		t.Error("a subsumed hit exposes a hit body")
+	}
+
+	// Bodies are never persisted: the codec writes the entry as if it
+	// had none, and a decoded entry has empty slots.
+	e := hit.entry
+	withBody, err := encodeEntry(hit.key, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := encodeEntry(hit.key, &rescache.Entry{Rel: e.Rel, Plan: e.Plan, Tables: e.Tables, Prod: e.Prod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(withBody) != string(bare) {
+		t.Error("the persisted form of an entry includes its kept body")
+	}
+	_, loaded, err := decodeEntry(withBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, keep := loaded.Body(0); b != nil || !keep {
+		t.Errorf("decoded entry slot 0 = %q (keep %v), want an empty slot", b, keep)
 	}
 }

@@ -166,13 +166,15 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 	// canonical serialization of the built (pre-optimization) plan:
 	// literals kept, table bindings folded in.
 	fp := logical.Fingerprint(built)
-	entry, lead, err := rc.Lookup(ctx, rescache.Key{Fingerprint: s.optsFP + fp, Stamp: stamp})
+	key := rescache.Key{Fingerprint: s.optsFP + fp, Stamp: stamp}
+	entry, lead, err := rc.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp, res: rec.res})
-		return s.replayHit(entry), nil
+		s.rt.memo.put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp,
+			optsFP: s.optsFP, key: key.Fingerprint, res: rec.res})
+		return s.replayHit(key, entry), nil
 	}
 	return s.openLead(ctx, sel, built, comps, stamp, lead)
 }
@@ -182,29 +184,66 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 // replays the resident relation; a miss builds from the memoized AST and
 // leads the key's flight — unless a bind landed since the replay and the
 // build no longer yields the memoized fingerprint, in which case the
-// flight is released and the statement takes the unmemoized path.
+// flight is released and the statement takes the unmemoized path. A
+// session under the options prefix the entry was memoized with reuses
+// its full key; any other concatenates its own.
 func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
-	stamp := s.rt.stampFor(e.comps)
-	entry, lead, err := s.rt.resultCache.Lookup(ctx, rescache.Key{Fingerprint: s.optsFP + e.fp, Stamp: stamp})
+	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.comps)}
+	if s.optsFP != e.optsFP {
+		key.Fingerprint = s.optsFP + e.fp
+	}
+	entry, lead, err := s.rt.resultCache.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	if lead == nil {
-		return s.replayHit(entry), nil
+		return s.replayHit(key, entry), nil
 	}
 	built, err := logical.Build(e.sel, s)
 	if err != nil || logical.Fingerprint(built) != e.fp {
 		lead.Settle(nil, errMemoStale)
 		return s.openSelect(ctx, e.sql, e.sel)
 	}
-	return s.openLead(ctx, e.sel, built, e.comps, stamp, lead)
+	return s.openLead(ctx, e.sel, built, e.comps, key.Stamp, lead)
 }
 
 // replayHit opens an exact hit: the resident relation, replayed row by
-// row, with the plan of the run that populated it.
-func (s *Session) replayHit(entry *rescache.Entry) *Stream {
-	rep := &Report{Plan: entry.Plan, Cached: CacheExact}
+// row, with the plan of the run that populated it. Its report carries
+// the entry's encoded-body slots.
+func (s *Session) replayHit(key rescache.Key, entry *rescache.Entry) *Stream {
+	rep := &Report{Plan: entry.Plan, Cached: CacheExact,
+		hit: HitBody{rc: s.rt.resultCache, key: key, entry: entry}}
 	return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel, rep: rep}
+}
+
+// HitBody is an exact hit's handle on the encoded-body slots of the
+// result-cache entry it replays (rescache.Entry.Body). The response of
+// an exact hit is a pure function of the entry, so a server can encode
+// it once and keep the bytes there, bounded by the result cache's byte
+// budget and dropped with the entry.
+type HitBody struct {
+	rc    *rescache.Cache
+	key   rescache.Key
+	entry *rescache.Entry
+}
+
+// Cached returns the bytes kept in slot, or nil; keep is false once the
+// slot declined a body (rescache.Entry.Body).
+func (h *HitBody) Cached(slot int) (body []byte, keep bool) { return h.entry.Body(slot) }
+
+// Attach offers body for slot and returns the bytes to serve: body, or
+// the identical bytes an earlier attach kept (rescache.Cache.AttachBody).
+func (h *HitBody) Attach(slot int, body []byte) []byte {
+	return h.rc.AttachBody(h.key, h.entry, slot, body)
+}
+
+// Hit returns the encoded-body handle of an exact hit, nil for every
+// other stream.
+func (st *Stream) Hit() *HitBody {
+	if st.rep == nil {
+		return nil
+	}
+	return st.rep.Hit()
 }
 
 // openLead opens the execution of a result-cache miss whose flight this

@@ -310,6 +310,33 @@ func (g *Registry) All() []*Backend {
 	return append(out, extra...)
 }
 
+// BreakersClosed reports whether the breaker of every resilient backend,
+// declared or adopted, is closed: false as soon as one is open or
+// half-open. It allocates nothing, so a caller may sample it on every
+// query completion.
+func (g *Registry) BreakersClosed() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, b := range g.order {
+		if !b.breakerClosed() {
+			return false
+		}
+	}
+	for _, b := range g.adopted {
+		if !b.breakerClosed() {
+			return false
+		}
+	}
+	return true
+}
+
+// breakerClosed reports whether b has no resilient transport or its
+// breaker is closed.
+func (b *Backend) breakerClosed() bool {
+	rc, ok := b.Resilience()
+	return !ok || rc.State() == BreakerClosed
+}
+
 // Validate checks that every fallback name and route target resolves to
 // a declared backend and that no fallback chain names its own backend.
 func (g *Registry) Validate() error {

@@ -36,6 +36,15 @@
 // Entries are immutable and shared: the cache stores the entry a leader
 // settles, and hits, flight followers and subsumption readers receive
 // that same entry — no relation is ever copied on the read path.
+//
+// An owner that serves entries over a wire may keep encoded response
+// bodies beside them: each Entry has BodySlots lazily filled byte slots,
+// numbered by the owner, whose meaning the cache does not know.
+// AttachBody charges a kept body to its entry's resident bytes, so the
+// body is bounded by the same budget and freed with the entry on
+// eviction or invalidation. A slot whose body could not be kept is
+// marked declined, so the owner stops encoding for it. Bodies are never
+// persisted.
 package rescache
 
 import (
@@ -44,6 +53,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/schema"
 )
@@ -100,6 +110,31 @@ type Entry struct {
 	Tables []string
 	// Prod is non-nil when this entry can answer subsumed queries.
 	Prod *Producer
+
+	// bodies are the owner's encodings of this entry, attached lazily by
+	// AttachBody and read lock-free by Body.
+	bodies [BodySlots]atomic.Pointer[[]byte]
+}
+
+// BodySlots is the number of encoded-body slots an Entry carries. The
+// owner numbers its encodings 0..BodySlots-1.
+const BodySlots = 6
+
+// declined marks a slot whose body AttachBody could not keep.
+var declined []byte
+
+// Body returns the bytes attached to slot, or nil when none are. keep is
+// false once an attach to slot was declined: no body will be kept there,
+// so the owner need not encode one to offer.
+func (e *Entry) Body(slot int) (body []byte, keep bool) {
+	switch p := e.bodies[slot].Load(); p {
+	case nil:
+		return nil, true
+	case &declined:
+		return nil, false
+	default:
+		return *p, true
+	}
 }
 
 // approxBytes estimates an entry's resident size: tuples, strings,
@@ -371,6 +406,39 @@ func notifySink(sink Sink, key Key, entry *Entry, stored bool, evicted []Key) {
 		// key is at best stale; make sure it cannot outlive the insert.
 		sink.DropEntry(key)
 	}
+}
+
+// AttachBody keeps an exact-size copy of body in slot of e, the entry
+// resident under key, and returns the bytes to serve. The first attach
+// wins: a later one gets the winner's bytes back, and only the winner's
+// are charged to the entry's resident bytes. Attaching never evicts:
+// when body does not fit the byte budget, or e is no longer resident
+// under key (evicted, invalidated, or a flight's entry that was never
+// stored), nothing is kept, the slot is marked declined for good, and
+// body itself is returned.
+func (c *Cache) AttachBody(key Key, e *Entry, slot int, body []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Every store to a slot happens under c.mu; Body reads lock-free.
+	if kept, keep := e.Body(slot); kept != nil || !keep {
+		if kept == nil {
+			return body
+		}
+		return kept
+	}
+	el, ok := c.entries[key]
+	if !ok || el.Value.(*cacheItem).entry != e || (c.maxBytes > 0 && c.bytes+len(body) > c.maxBytes) {
+		e.bodies[slot].Store(&declined)
+		return body
+	}
+	// An encoder's buffer may have grown past its length: keeping a copy
+	// makes the charge what the slot retains.
+	kept := make([]byte, len(body))
+	copy(kept, body)
+	e.bodies[slot].Store(&kept)
+	el.Value.(*cacheItem).bytes += len(kept)
+	c.bytes += len(kept)
+	return kept
 }
 
 // Candidate is the cheap metadata view of one subsumption-capable entry,

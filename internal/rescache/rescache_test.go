@@ -708,3 +708,123 @@ func BenchmarkCandidates(b *testing.B) {
 		}
 	})
 }
+
+// TestAttachBodyAccounting: an attached body is kept at its exact size
+// and charged to its entry's resident bytes, every later reader of the
+// slot sees it, and evicting the entry returns the byte count to its
+// pre-insert value.
+func TestAttachBodyAccounting(t *testing.T) {
+	c := New(Config{Capacity: 1})
+	key := Key{Fingerprint: "a"}
+	e, _ := fetch(t, c, key, entry("x", "y"))
+	inserted := c.Stats().Bytes
+	// An encoder's buffer: spare capacity past the encoded bytes.
+	body := append(make([]byte, 0, 256), `{"rows":[["x"],["y"]]}`...)
+	if got := c.AttachBody(key, e, 1, body); string(got) != string(body) {
+		t.Fatalf("attach returned %q", got)
+	}
+	if got := c.Stats().Bytes; got != inserted+len(body) {
+		t.Errorf("bytes after attach = %d, want %d", got, inserted+len(body))
+	}
+	got, keep := e.Body(1)
+	if string(got) != string(body) || !keep {
+		t.Errorf("slot 1 = %q (keep %v), want the attached body", got, keep)
+	}
+	if cap(got) != len(body) {
+		t.Errorf("kept body has capacity %d, want its length %d", cap(got), len(body))
+	}
+	if b, keep := e.Body(0); b != nil || !keep {
+		t.Error("attach filled or declined another slot")
+	}
+	hit, _ := fetch(t, c, key, entry("MUST NOT RUN"))
+	if b, _ := hit.Body(1); string(b) != string(body) {
+		t.Error("a later hit does not see the attached body")
+	}
+
+	fetch(t, c, Key{Fingerprint: "b"}, entry("z")) // evicts a
+	if _, ok := c.Subsumed(key); ok {
+		t.Fatal("a still resident after a capacity-1 insert")
+	}
+	if got, want := c.Stats().Bytes, approxBytes(entry("z")); got != want {
+		t.Errorf("bytes after evicting the bodied entry = %d, want %d (b alone)", got, want)
+	}
+}
+
+// TestAttachBodyNeverEvicts: under a byte budget too tight for the body,
+// attaching keeps nothing, evicts nothing, still returns the bytes to
+// serve and declines the slot for good; an entry no longer resident
+// under its key keeps nothing either.
+func TestAttachBodyNeverEvicts(t *testing.T) {
+	one := approxBytes(entry("x"))
+	c := New(Config{Capacity: 16, MaxBytes: 2*one + 10})
+	ka, kb := Key{Fingerprint: "a"}, Key{Fingerprint: "b"}
+	ea, _ := fetch(t, c, ka, entry("x"))
+	fetch(t, c, kb, entry("x"))
+	before := c.Stats()
+	body := make([]byte, 11)
+	if got := c.AttachBody(ka, ea, 0, body); len(got) != len(body) {
+		t.Fatalf("attach returned %d bytes, want the %d offered", len(got), len(body))
+	}
+	if b, keep := ea.Body(0); b != nil || keep {
+		t.Errorf("over-budget slot = %q (keep %v), want nothing kept and the slot declined", b, keep)
+	}
+	if after := c.Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
+		t.Errorf("over-budget attach moved the cache: %+v -> %+v", before, after)
+	}
+	if got := c.AttachBody(ka, ea, 0, body[:10]); len(got) != 10 {
+		t.Errorf("attach to a declined slot returned %d bytes, want the 10 offered", len(got))
+	}
+	if b, _ := ea.Body(0); b != nil {
+		t.Error("a declined slot kept a later body")
+	}
+	if got := c.AttachBody(ka, ea, 1, body[:10]); len(got) != 10 {
+		t.Errorf("attach returned %d bytes, want 10", len(got))
+	}
+	if b, _ := ea.Body(1); b == nil {
+		t.Error("a body that fits the budget was not kept")
+	}
+
+	stale := entry("x")
+	if c.AttachBody(Key{Fingerprint: "gone"}, stale, 0, body) == nil {
+		t.Error("attach to an entry that is not resident returned nothing to serve")
+	}
+	if b, keep := stale.Body(0); b != nil || keep {
+		t.Error("a body was kept, or the slot not declined, on an entry that is not resident")
+	}
+	if c.AttachBody(kb, stale, 1, body[:1]) == nil {
+		t.Error("attach to a replaced entry returned nothing to serve")
+	}
+	if b, keep := stale.Body(1); b != nil || keep {
+		t.Error("a body was kept, or the slot not declined, on an entry another one replaced under its key")
+	}
+}
+
+// TestAttachBodyRaceAttachesOnce: concurrent first hits each offer their
+// own bytes; one attach wins, every caller is handed the winner's bytes,
+// and they are charged once.
+func TestAttachBodyRaceAttachesOnce(t *testing.T) {
+	c := New(Config{Capacity: 4})
+	key := Key{Fingerprint: "a"}
+	e, _ := fetch(t, c, key, entry("x"))
+	inserted := c.Stats().Bytes
+	const n = 16
+	got := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = c.AttachBody(key, e, 3, []byte(fmt.Sprintf("body-%02d", i)))
+		}(i)
+	}
+	wg.Wait()
+	kept, _ := e.Body(3)
+	for i, b := range got {
+		if string(b) != string(kept) {
+			t.Errorf("caller %d served %q, want the kept %q", i, b, kept)
+		}
+	}
+	if got := c.Stats().Bytes; got != inserted+len(kept) {
+		t.Errorf("bytes = %d, want %d (one body charged)", got, inserted+len(kept))
+	}
+}
