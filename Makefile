@@ -14,8 +14,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The caches' singleflight and eviction run ten times more under -race:
+# the substrate (internal/lru) and its two concurrent owners.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm
 
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the
@@ -24,11 +27,13 @@ race:
 # BenchmarkCachedMiss: the same through the prompt cache, a new key every
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
 # whose every answer is resident), the goroutine pool's (BenchmarkGo:
-# one task handed to a parked goroutine) and galois-serve's
-# (BenchmarkServeExactHit: one warm exact hit through the HTTP handler,
-# buffered and NDJSON).
+# one task handed to a parked goroutine), the result cache's
+# (BenchmarkCandidates: one planning pass's subsumption candidates), the
+# cache substrate's (BenchmarkFlight: one led, settled and admitted miss
+# that evicts) and galois-serve's (BenchmarkServeExactHit: one warm exact
+# hit through the HTTP handler, buffered and NDJSON).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./cmd/galois-serve
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./cmd/galois-serve
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from

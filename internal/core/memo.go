@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/lru"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
 )
@@ -14,7 +15,7 @@ import (
 // (memoEntry.valid). Only LIMIT/OFFSET-free SELECTs whose key was found
 // in the result cache are memoized, so never-repeated statements do not
 // occupy it. Bounded LRU; safe for concurrent use.
-type stmtMemo = lru[string, *memoEntry]
+type stmtMemo = lru.Map[string, *memoEntry]
 
 // memoEntry is one memoized statement. It is immutable once stored.
 type memoEntry struct {
@@ -35,8 +36,6 @@ type resolution struct {
 	def            *schema.TableDef
 	source         string
 }
-
-func newStmtMemo(capacity int) *stmtMemo { return newLRU[string, *memoEntry](capacity) }
 
 // valid reports whether every table resolution the entry's build made
 // still resolves to the same definition and source through s: a bind

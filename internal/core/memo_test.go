@@ -30,17 +30,17 @@ func TestStatementMemoAdmission(t *testing.T) {
 	}
 
 	query(rcQuery)
-	if rt.memo.get(rcQuery) != nil {
+	if rt.memo.Get(rcQuery) != nil {
 		t.Error("a statement was memoized before its key was ever found in the cache")
 	}
 	query(rcQuery)
-	if rt.memo.get(rcQuery) == nil {
+	if rt.memo.Get(rcQuery) == nil {
 		t.Fatal("an exact hit was not memoized")
 	}
 	limited := rcQuery + " LIMIT 3"
 	query(limited)
 	query(limited)
-	if rt.memo.get(limited) != nil {
+	if rt.memo.Get(limited) != nil {
 		t.Error("a LIMIT statement was memoized")
 	}
 	for _, sql := range []string{
@@ -50,10 +50,10 @@ func TestStatementMemoAdmission(t *testing.T) {
 		query(sql)
 		query(sql)
 	}
-	if n := rt.memo.order.Len(); n != 2 {
+	if n := rt.memo.Len(); n != 2 {
 		t.Errorf("memo holds %d entries, want its capacity 2", n)
 	}
-	if rt.memo.get(rcQuery) != nil {
+	if rt.memo.Get(rcQuery) != nil {
 		t.Error("the least recently used entry survived past capacity")
 	}
 }
@@ -103,7 +103,7 @@ func TestMemoShadowingBind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := rt.memo.get(rcQuery); e == nil || len(e.res) != 1 || e.res[0].source != "DB" {
+	if e := rt.memo.Get(rcQuery); e == nil || len(e.res) != 1 || e.res[0].source != "DB" {
 		t.Fatalf("memo entry = %+v, want one DB resolution", e)
 	}
 	if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
@@ -218,7 +218,7 @@ func checkSessions(t *testing.T, rt *Runtime, sess [2]*Session, want [2]string) 
 		if rep.Cached != step.cached {
 			t.Errorf("session %d cached = %q, want %q", step.i, rep.Cached, step.cached)
 		}
-		if k > 0 && rt.memo.get(rcQuery) == nil {
+		if k > 0 && rt.memo.Get(rcQuery) == nil {
 			t.Errorf("step %d: the statement is not memoized", k)
 		}
 	}
@@ -246,7 +246,7 @@ func TestMemoStaleRebuildFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := rt.memo.get(rcQuery)
+	e := rt.memo.Get(rcQuery)
 	if e == nil {
 		t.Fatal("the statement was not memoized")
 	}

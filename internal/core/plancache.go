@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logical"
+	"repro/internal/lru"
 	"repro/internal/optimizer"
 	"repro/internal/sql/ast"
 )
@@ -21,7 +22,7 @@ const planCacheSize = 128
 // new statement's literals (optimizer.Guarded), so a statement gets the
 // plan a fresh enumeration would pick, without the enumeration.
 type planCache struct {
-	entries *lru[string, *optimizer.Guarded]
+	entries *lru.Map[string, *optimizer.Guarded]
 	// hits replanned from an entry; guardFailures found an entry whose
 	// guards failed and planned afresh; misses found none, or had a
 	// template that cannot be cached.
@@ -29,7 +30,7 @@ type planCache struct {
 }
 
 func newPlanCache() *planCache {
-	return &planCache{entries: newLRU[string, *optimizer.Guarded](planCacheSize)}
+	return &planCache{entries: lru.NewMap[string, *optimizer.Guarded](planCacheSize)}
 }
 
 // PlanCacheStats are the plan cache's runtime-lifetime counters.
@@ -50,7 +51,7 @@ func (rt *Runtime) PlanCacheStats() PlanCacheStats {
 		Hits:          pc.hits.Load(),
 		GuardFailures: pc.guardFailures.Load(),
 		Misses:        pc.misses.Load(),
-		Entries:       pc.entries.len(),
+		Entries:       pc.entries.Len(),
 	}
 }
 
@@ -93,7 +94,7 @@ func (s *Session) planCostBased(sel *ast.Select, built logical.Node, params opti
 		pc.misses.Add(1)
 		return enumerate()
 	}
-	if g := pc.entries.get(tpl.Key()); g != nil {
+	if g := pc.entries.Get(tpl.Key()); g != nil {
 		plan, cost, ok, err := g.Replan(built, tpl, o, s.rt.stats, params, extras)
 		if err != nil {
 			return nil, nil, err
@@ -111,7 +112,7 @@ func (s *Session) planCostBased(sel *ast.Select, built logical.Node, params opti
 		return nil, nil, err
 	}
 	if g != nil {
-		pc.entries.put(tpl.Key(), g)
+		pc.entries.Put(tpl.Key(), g)
 	}
 	return plan, cost, nil
 }

@@ -214,13 +214,26 @@ func newDiffRig(t *testing.T) *diffRig {
 	return &diffRig{t: t, rt: rt, w: w, s: rt.NewSession(), model: rt.Registry().Default().Name()}
 }
 
-// put inserts n completions of one prompt class.
+// put inserts n completions of one prompt class: model calls, through
+// the runtime's scheduler, of a canned client under the runtime's model
+// name.
 func (d *diffRig) put(class llm.PromptClass, n int) {
+	tn := d.rt.scheduler().Tenant(context.Background(), "")
+	defer tn.Close()
+	client, tp := cannedClient{name: d.model, answer: "yes"}, llm.NewTemplate("", "", class)
 	for k := 0; k < n; k++ {
 		d.puts++
-		d.rt.cache.Put(d.model, class, fmt.Sprintf("%v #%d", class, d.puts), "yes")
+		if _, _, err := tn.Do(client, tp, fmt.Sprintf("%v #%d", class, d.puts), 0).Wait(); err != nil {
+			d.t.Fatal(err)
+		}
 	}
 }
+
+// cannedClient answers every prompt with answer, under the model name.
+type cannedClient struct{ name, answer string }
+
+func (c cannedClient) Name() string                                     { return c.name }
+func (c cannedClient) Complete(context.Context, string) (string, error) { return c.answer, nil }
 
 // compare renders EXPLAIN sql through the plan cache and through a fresh
 // enumeration (a runtime without a plan cache, same inputs otherwise),

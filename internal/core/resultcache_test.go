@@ -570,7 +570,7 @@ func TestResultCacheNoStaleAcrossEpochBump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	memoized := rt.memo.get(rcQuery)
+	memoized := rt.memo.Get(rcQuery)
 	if memoized == nil {
 		t.Fatal("the statement was not memoized")
 	}
@@ -625,7 +625,7 @@ func TestResultCacheNoStaleAcrossEpochBump(t *testing.T) {
 			storm(v)
 		}
 	}
-	if rt.memo.get(rcQuery) != memoized {
+	if rt.memo.Get(rcQuery) != memoized {
 		t.Error("the storm left the memoized path: its memo entry was rebuilt")
 	}
 }

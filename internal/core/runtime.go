@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/logical"
+	"repro/internal/lru"
 	"repro/internal/memdb"
 	"repro/internal/optimizer"
 	"repro/internal/prompt"
@@ -253,7 +254,7 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		if size <= 0 {
 			size = rescache.DefaultSize
 		}
-		rt.memo = newStmtMemo(size)
+		rt.memo = lru.NewMap[string, *memoEntry](size)
 	}
 	return rt, nil
 }

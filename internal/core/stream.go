@@ -110,7 +110,7 @@ var ErrStatement = errors.New("core: invalid statement")
 // fingerprint under the current stamp.
 func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) {
 	if m := s.rt.memo; m != nil {
-		if e := m.get(sql); e != nil && e.valid(s) {
+		if e := m.Get(sql); e != nil && e.valid(s) {
 			return s.openMemo(ctx, e)
 		}
 	}
@@ -172,7 +172,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp,
+		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp,
 			optsFP: s.optsFP, key: key.Fingerprint, res: rec.res})
 		return s.replayHit(key, entry), nil
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // DefaultCacheSize is the fallback capacity (in completions) of a prompt
@@ -74,35 +76,26 @@ type classKey struct {
 	class PromptClass
 }
 
-// cacheEntry is one completion of key instantiating tmpl. It is pending
-// while its model call is in flight, then resident: linked into the LRU
-// order, its class counted. Beside the text it holds one decoded slot:
-// val is out decoded by tmpl (nil when tmpl has no decoder). out, val and
-// err are written once, when the call settles, and never again: a
-// colliding template or a Put replaces the entry rather than rewrite it,
-// so a joiner may read them without the lock once done is closed.
-type cacheEntry struct {
-	key  cacheKey
+// completion is what the cache holds for one key: the answer out, given
+// to a prompt of tmpl, and one decoded slot, val, which is out decoded by
+// tmpl (nil when tmpl has no decoder). A pending node holds only its
+// template until its call settles; after that nothing rewrites it — a
+// colliding template replaces the node — so a joiner may read it once
+// the node has settled.
+type completion struct {
 	tmpl *Template
 	out  string
 	val  any
-	err  error
-	// prev and next link a resident entry into the LRU ring; both are nil
-	// while it is pending.
-	prev, next *cacheEntry
-	// done is made by the first caller that joins the pending call and
-	// closed when the call settles; nil while nobody waits.
-	done chan struct{}
 }
 
-// pending reports whether e's call is still in flight.
-func (e *cacheEntry) pending() bool { return e.next == nil }
+// node is one entry of the cache.
+type node = lru.Node[cacheKey, completion]
 
 // slot is the decoded value a consumer of tp may take from e: val when
 // e's template has tp's decoder tag, else nil. A template with another
 // decoder decodes the text itself, so no decoder's value ever reaches
 // another's consumer.
-func (e *cacheEntry) slot(tp *Template) any {
+func (e *completion) slot(tp *Template) any {
 	if e.val != nil && e.tmpl.tag == tp.tag {
 		return e.val
 	}
@@ -126,10 +119,11 @@ type CacheStats struct {
 // template whose id collides with another's costs a model call and never
 // gets the other's answer.
 //
-// The singleflight lives in the same map as the completions: a call in
-// flight is a pending entry, which becomes resident when it succeeds and
-// leaves the map when it fails. A pending entry is outside the LRU order,
-// so no eviction removes it, and no hit, count or walk sees it.
+// The cache is an lru.Cache, whose pending nodes are the singleflight: a
+// call in flight is a pending node, which becomes resident when it
+// succeeds and leaves the map when it fails. A pending node is outside
+// the LRU order, so no eviction removes it, and no hit, count or walk
+// sees it.
 //
 // An entry also holds one decoded slot: the answer decoded once, on the
 // miss, by the decoder of the template that stored it. A hit from a
@@ -137,15 +131,10 @@ type CacheStats struct {
 // any other hit gets the text and decodes it itself. The slot lives and
 // dies with its entry, so capacity bounds it.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[cacheKey]*cacheEntry // resident and pending
-	// lru is the sentinel of the ring of resident entries: lru.next is
-	// the most recently used, lru.prev the least. n counts them.
-	lru cacheEntry
-	n   int
-	// resident counts the entries of each (model, class); it sums to n
-	// and holds no zero counts.
+	mu  sync.Mutex
+	lru *lru.Cache[cacheKey, completion]
+	// resident counts the entries of each (model, class); it sums to
+	// lru.Len() and holds no zero counts.
 	resident map[classKey]int
 	// families counts the boolean-filter entries of each (model,
 	// FilterFamily) under the same discipline.
@@ -160,93 +149,21 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	c := &Cache{
-		capacity: capacity,
-		entries:  map[cacheKey]*cacheEntry{},
-		resident: map[classKey]int{},
-		families: map[classKey]int{},
-	}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c := &Cache{resident: map[classKey]int{}, families: map[classKey]int{}}
+	c.lru = lru.New(capacity, 0, c.count)
 	return c
 }
 
-// Get returns the cached completion for the raw-text prompt (model,
-// prompt), bumping its recency. It does not touch the hit/miss counters.
-func (c *Cache) Get(model, prompt string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey{model: model, key: prompt}]
-	if !ok || e.pending() {
-		return "", false
-	}
-	c.touchLocked(e)
-	return e.out, true
-}
-
-// Put stores the completion of a raw-text prompt under its prompt class,
-// replacing any completion of the prompt and evicting the least recently
-// used entry when over capacity.
-func (c *Cache) Put(model string, class PromptClass, prompt, out string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := cacheKey{model: model, key: prompt}
-	if e, ok := c.entries[key]; ok && !e.pending() {
-		c.dropLocked(e)
-	}
-	e := &cacheEntry{key: key, tmpl: rawTemplate(class), out: out}
-	c.entries[key] = e
-	c.admitLocked(e)
-}
-
-// admitLocked makes e, already in the map, resident: most recently used
-// and counted under its class. The least recently used entries are
-// evicted while over capacity.
-func (c *Cache) admitLocked(e *cacheEntry) {
-	c.pushFront(e)
-	c.n++
-	c.count(e.key.model, e.tmpl.class, 1)
-	for c.n > c.capacity {
-		c.dropLocked(c.lru.prev)
-	}
-}
-
-// dropLocked removes the resident entry e from the cache.
-func (c *Cache) dropLocked(e *cacheEntry) {
-	e.unlink()
-	c.n--
-	delete(c.entries, e.key)
-	c.count(e.key.model, e.tmpl.class, -1)
-}
-
-// touchLocked makes the resident entry e the most recently used.
-func (c *Cache) touchLocked(e *cacheEntry) {
-	if c.lru.next != e {
-		e.unlink()
-		c.pushFront(e)
-	}
-}
-
-// pushFront links e into the LRU ring as the most recently used.
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev, e.next = &c.lru, c.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// unlink takes e out of the LRU ring.
-func (e *cacheEntry) unlink() {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-// count moves one entry in or out of its class's count and, for a
-// boolean-filter class, its family's; a count that reaches zero is
-// dropped.
-func (c *Cache) count(model string, class PromptClass, delta int) {
+// count is the residency hook: it moves the entry n in or out of its
+// class's count and, for a boolean-filter class, its family's; a count
+// that reaches zero is dropped.
+func (c *Cache) count(n *node, delta int) {
 	bump := func(m map[classKey]int, ck classKey) {
 		if m[ck] += delta; m[ck] == 0 {
 			delete(m, ck)
 		}
 	}
+	model, class := n.Key.model, n.Val.tmpl.class
 	bump(c.resident, classKey{model, class})
 	if fam, ok := class.family(); ok {
 		bump(c.families, classKey{model, fam})
@@ -272,17 +189,13 @@ func (c *Cache) Resident(model string, class PromptClass) int {
 func (c *Cache) hit(model string, tp *Template, key string) (string, any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hitLocked(c.entries[cacheKey{model, tp.id, key}], tp)
-}
-
-// hitLocked is hit on the map's entry e for the key, nil when absent.
-func (c *Cache) hitLocked(e *cacheEntry, tp *Template) (string, any, bool) {
-	if e == nil || e.pending() || !same(e.tmpl, tp) {
+	n := c.lru.Peek(cacheKey{model, tp.id, key})
+	if n == nil || !same(n.Val.tmpl, tp) {
 		return "", nil, false
 	}
-	c.touchLocked(e)
+	c.lru.Touch(n)
 	c.hits++
-	return e.out, e.slot(tp), true
+	return n.Val.out, n.Val.slot(tp), true
 }
 
 // EachDecoded calls fn for every resident entry holding a decoded slot:
@@ -291,10 +204,10 @@ func (c *Cache) hitLocked(e *cacheEntry, tp *Template) (string, any, bool) {
 // snapshot. For tests: a slot must equal its fresh decoding.
 func (c *Cache) EachDecoded(fn func(out string, slot, fresh any)) {
 	c.mu.Lock()
-	var held []*cacheEntry
-	for e := c.lru.next; e != &c.lru; e = e.next {
-		if e.val != nil {
-			held = append(held, e)
+	var held []*completion
+	for n := range c.lru.Coldest() {
+		if n.Val.val != nil {
+			held = append(held, &n.Val)
 		}
 	}
 	c.mu.Unlock()
@@ -307,14 +220,14 @@ func (c *Cache) EachDecoded(fn func(out string, slot, fresh any)) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.n
+	return c.lru.Len()
 }
 
 // Stats returns a snapshot of the lifetime counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.n}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len()}
 }
 
 // fetch returns the completion of key instantiating tp for model: from
@@ -333,74 +246,44 @@ func (c *Cache) Stats() CacheStats {
 // entry gives way to tp's call, and beside its pending one tp's call runs
 // uncached.
 func (c *Cache) fetch(ctx context.Context, model string, tp *Template, k string, complete func() (string, error)) (string, any, bool, error) {
-	key := cacheKey{model, tp.id, k}
-	for {
-		c.mu.Lock()
-		e := c.entries[key]
-		if out, val, ok := c.hitLocked(e, tp); ok {
-			c.mu.Unlock()
-			return out, val, false, nil
-		}
-		if e != nil && e.pending() && same(e.tmpl, tp) {
-			if e.done == nil {
-				e.done = make(chan struct{})
-			}
-			done := e.done
-			c.mu.Unlock()
-			select {
-			case <-done:
-			case <-ctx.Done():
-				return "", nil, false, ctx.Err()
-			}
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				c.mu.Unlock()
-				return e.out, e.slot(tp), false, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return "", nil, false, err
-			}
-			continue // leader failed; next round joins a fresh call or leads
-		}
-		c.misses++
-		var lead *cacheEntry
-		if e == nil || !e.pending() {
-			if e != nil {
-				c.dropLocked(e) // a colliding template's completion
-			}
-			lead = &cacheEntry{key: key, tmpl: tp}
-			c.entries[key] = lead
-		}
+	c.mu.Lock()
+	n, lead, err := c.lru.Acquire(ctx, &c.mu, cacheKey{model, tp.id, k}, func(n *node) bool {
+		return same(n.Val.tmpl, tp)
+	})
+	switch {
+	case err != nil:
 		c.mu.Unlock()
-
-		out, err := complete()
-		var val any
-		if err == nil {
-			val = tp.value(out, nil)
-		}
-		if lead != nil {
-			c.settle(lead, out, val, err)
-		}
-		return out, val, true, err
+		return "", nil, false, err
+	case n != nil && !lead:
+		c.hits++
+		c.mu.Unlock()
+		return n.Val.out, n.Val.slot(tp), false, nil
+	case lead:
+		n.Val.tmpl = tp
 	}
+	c.misses++
+	c.mu.Unlock()
+
+	out, err := complete()
+	var val any
+	if err == nil {
+		val = tp.value(out, nil)
+	}
+	if lead {
+		c.settle(n, out, val, err)
+	}
+	return out, val, true, err
 }
 
-// settle ends the pending entry e's call: the result is published to its
-// joiners, and e becomes resident on success or leaves the map on failure
-// — unless a Put has replaced it meanwhile.
-func (c *Cache) settle(e *cacheEntry, out string, val any, err error) {
+// settle ends the pending node n's call: the result is published to its
+// joiners, and n becomes resident on success or leaves the map on
+// failure.
+func (c *Cache) settle(n *node, out string, val any, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.out, e.val, e.err = out, val, err
-	if e.done != nil {
-		close(e.done)
-	}
-	switch {
-	case c.entries[e.key] != e:
-	case err != nil:
-		delete(c.entries, e.key)
-	default:
-		c.admitLocked(e)
+	n.Val.out, n.Val.val = out, val
+	c.lru.Settle(n, err != nil)
+	if err == nil {
+		c.lru.Admit(n, 0)
 	}
 }

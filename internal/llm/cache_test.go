@@ -12,22 +12,39 @@ import (
 	"time"
 )
 
+// seed puts the completion out of prompt, a raw-text prompt of class,
+// into the cache through fetch, as a model miss.
+func seed(c *Cache, model string, class PromptClass, prompt, out string) {
+	_, _, _, _ = c.fetch(context.Background(), model, classTemplate(class), prompt, func() (string, error) { return out, nil })
+}
+
+// classTemplate is the template of a raw-text prompt of class: no text
+// around the key.
+func classTemplate(class PromptClass) *Template { return NewTemplate("", "", class) }
+
+// get returns the resident completion of the raw-text prompt, counting a
+// hit. Every class's template has the same id and text, so any serves.
+func get(c *Cache, model, prompt string) (string, bool) {
+	out, _, ok := c.hit(model, classTemplate(PromptClass{}), prompt)
+	return out, ok
+}
+
 func TestCacheGetPut(t *testing.T) {
 	c := NewCache(4)
-	if _, ok := c.Get("m", "p"); ok {
+	if _, ok := get(c, "m", "p"); ok {
 		t.Fatal("empty cache must miss")
 	}
-	c.Put("m", PromptClass{}, "p", "out")
-	if got, ok := c.Get("m", "p"); !ok || got != "out" {
+	seed(c, "m", PromptClass{}, "p", "out")
+	if got, ok := get(c, "m", "p"); !ok || got != "out" {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
 	// The same prompt under another model is a different entry.
-	if _, ok := c.Get("other", "p"); ok {
+	if _, ok := get(c, "other", "p"); ok {
 		t.Error("model name must be part of the key")
 	}
-	c.Put("m", PromptClass{}, "p", "updated")
-	if got, _ := c.Get("m", "p"); got != "updated" {
-		t.Errorf("Put must overwrite, got %q", got)
+	seed(c, "m", PromptClass{}, "p", "updated")
+	if got, _ := get(c, "m", "p"); got != "out" {
+		t.Errorf("a resident completion must be served, not fetched again, got %q", got)
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
@@ -36,20 +53,20 @@ func TestCacheGetPut(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("m", PromptClass{}, "a", "1")
-	c.Put("m", PromptClass{}, "b", "2")
+	seed(c, "m", PromptClass{}, "a", "1")
+	seed(c, "m", PromptClass{}, "b", "2")
 	// Touch a so b becomes the least recently used.
-	if _, ok := c.Get("m", "a"); !ok {
+	if _, ok := get(c, "m", "a"); !ok {
 		t.Fatal("a must be resident")
 	}
-	c.Put("m", PromptClass{}, "c", "3")
-	if _, ok := c.Get("m", "b"); ok {
+	seed(c, "m", PromptClass{}, "c", "3")
+	if _, ok := get(c, "m", "b"); ok {
 		t.Error("b was least recently used and must be evicted")
 	}
-	if _, ok := c.Get("m", "a"); !ok {
+	if _, ok := get(c, "m", "a"); !ok {
 		t.Error("a was touched and must survive")
 	}
-	if _, ok := c.Get("m", "c"); !ok {
+	if _, ok := get(c, "m", "c"); !ok {
 		t.Error("c was just inserted and must be resident")
 	}
 	if c.Len() != 2 {
@@ -60,7 +77,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDefaultCapacity(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < DefaultCacheSize+10; i++ {
-		c.Put("m", PromptClass{}, fmt.Sprintf("p%d", i), "out")
+		seed(c, "m", PromptClass{}, fmt.Sprintf("p%d", i), "out")
 	}
 	if c.Len() != DefaultCacheSize {
 		t.Errorf("Len = %d, want %d", c.Len(), DefaultCacheSize)
@@ -104,6 +121,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if s.Misses != 1 || s.Hits != goroutines-1 {
 		t.Errorf("stats = %+v, want 1 miss and %d hits", s, goroutines-1)
 	}
+	checkQuiescent(t, c)
 }
 
 func TestCacheFetchStatsCounters(t *testing.T) {
@@ -312,7 +330,8 @@ func TestWaveCachedCrossWave(t *testing.T) {
 // exercises the singleflight and LRU paths concurrently.
 func TestWaveCachedConcurrent(t *testing.T) {
 	client := &echoClient{}
-	s := NewScheduler(NewCache(128), 4)
+	cache := NewCache(128)
+	s := NewScheduler(cache, 4)
 
 	const queries = 8
 	var wg sync.WaitGroup
@@ -347,6 +366,7 @@ func TestWaveCachedConcurrent(t *testing.T) {
 	if client.calls != 10 {
 		t.Errorf("client called %d times, want 10 distinct prompts", client.calls)
 	}
+	checkQuiescent(t, cache)
 }
 
 // checkResidency asserts the class-count invariant: the per-class
@@ -378,7 +398,7 @@ func checkResidency(t *testing.T, c *Cache) {
 		}
 		counts[ck] = n
 	}
-	entries := c.n
+	entries := c.lru.Len()
 	c.mu.Unlock()
 	if sum != entries {
 		t.Errorf("Σ resident = %d, Len = %d", sum, entries)
@@ -390,9 +410,23 @@ func checkResidency(t *testing.T, c *Cache) {
 	}
 }
 
-// residencyOp applies one random Put or fetch over a small key space of
-// two models and five classes (the zero class included), so inserts,
-// overwrites, hits and evictions all occur.
+// checkQuiescent asserts, once every call has settled, the substrate's
+// invariants (no pending entry; the ring, the count and the map agree)
+// and the class counts' (checkResidency).
+func checkQuiescent(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	err := c.lru.CheckQuiescent()
+	c.mu.Unlock()
+	if err != nil {
+		t.Error(err)
+	}
+	checkResidency(t, c)
+}
+
+// residencyOp applies one random seeding or failing fetch over a small
+// key space of two models and five classes (the zero class included), so
+// inserts, hits, failures and evictions all occur.
 func residencyOp(c *Cache, rng *rand.Rand) {
 	classes := []PromptClass{{}, FetchClass("city", "population"), FetchClass("city", "mayor"),
 		FilterClass("city", "population", ">", "5"), FilterClass("city", "population", ">", "7")}
@@ -400,10 +434,10 @@ func residencyOp(c *Cache, rng *rand.Rand) {
 	class := classes[rng.Intn(len(classes))]
 	prompt := fmt.Sprintf("key %d of %v", rng.Intn(12), class)
 	if rng.Intn(2) == 0 {
-		c.Put(model, class, prompt, "out")
+		seed(c, model, class, prompt, "out")
 		return
 	}
-	_, _, _, _ = c.fetch(context.Background(), model, rawTemplate(class), prompt, func() (string, error) {
+	_, _, _, _ = c.fetch(context.Background(), model, classTemplate(class), prompt, func() (string, error) {
 		if rng.Intn(8) == 0 {
 			return "", errors.New("boom") // errors are never cached
 		}
@@ -411,8 +445,8 @@ func residencyOp(c *Cache, rng *rand.Rand) {
 	})
 }
 
-// TestCacheResidencyInvariant: after every step of random Put / fetch /
-// evict sequences, at several capacities, the per-class counts match the
+// TestCacheResidencyInvariant: after every step of random fetch / evict
+// sequences, at several capacities, the per-class counts match the
 // resident entries exactly.
 func TestCacheResidencyInvariant(t *testing.T) {
 	for _, capacity := range []int{1, 3, 16, 200} {
@@ -428,8 +462,8 @@ func TestCacheResidencyInvariant(t *testing.T) {
 	}
 	// A class whose last entry is evicted disappears.
 	c := NewCache(1)
-	c.Put("m", FetchClass("city", "population"), "a", "1")
-	c.Put("m", FetchClass("city", "mayor"), "b", "2")
+	seed(c, "m", FetchClass("city", "population"), "a", "1")
+	seed(c, "m", FetchClass("city", "mayor"), "b", "2")
 	if got := c.Resident("m", FetchClass("city", "population")); got != 0 {
 		t.Errorf("evicted class still reports %d resident", got)
 	}
@@ -438,9 +472,9 @@ func TestCacheResidencyInvariant(t *testing.T) {
 	}
 	// A filter family adds up its literals and ignores the fetch class.
 	c = NewCache(8)
-	c.Put("m", FilterClass("city", "population", ">", "5"), "a", "yes")
-	c.Put("m", FilterClass("city", "population", "<", "7"), "b", "no")
-	c.Put("m", FetchClass("city", "population"), "c", "9")
+	seed(c, "m", FilterClass("city", "population", ">", "5"), "a", "yes")
+	seed(c, "m", FilterClass("city", "population", "<", "7"), "b", "no")
+	seed(c, "m", FetchClass("city", "population"), "c", "9")
 	if got := c.Resident("m", FilterFamily("City", "population")); got != 2 {
 		t.Errorf("filter family holds %d completions, want 2", got)
 	}
@@ -466,7 +500,7 @@ func TestCacheResidencyConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	checkResidency(t, c)
+	checkQuiescent(t, c)
 }
 
 // fetchResult is what one fetch returned.
@@ -515,7 +549,7 @@ func joiners(t *testing.T, c *Cache, tp *Template, key, answer string, n int) <-
 	waitDrained(t, "joiners", func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.entries[cacheKey{"m", tp.id, key}].done != nil
+		return c.lru.Joined(cacheKey{"m", tp.id, key})
 	})
 	return res
 }
@@ -532,18 +566,18 @@ func TestPendingEntryInvisible(t *testing.T) {
 	if _, _, ok := c.hit("m", tp, "Oslo"); ok {
 		t.Error("hit sees a pending entry")
 	}
-	raw := rawTemplate(class)
+	raw := classTemplate(class)
 	rawAnswer, rawGot := heldFetch(c, raw, "Bergen")
-	if _, ok := c.Get("m", "Bergen"); ok {
-		t.Error("Get sees a pending entry")
+	if _, _, ok := c.hit("m", raw, "Bergen"); ok {
+		t.Error("a raw-text hit sees a pending entry")
 	}
 	// Fill the cache past its capacity: evictions must not touch the two
 	// pending entries.
 	for i := 0; i < 5; i++ {
-		c.Put("m", PromptClass{}, fmt.Sprintf("filler %d", i), "x")
+		seed(c, "m", PromptClass{}, fmt.Sprintf("filler %d", i), "x")
 	}
-	if n, s := c.Len(), c.Stats(); n != 2 || s.Entries != 2 || s.Hits != 0 || s.Misses != 2 {
-		t.Errorf("Len = %d, stats %+v; want the two fillers resident and two misses", n, s)
+	if n, s := c.Len(), c.Stats(); n != 2 || s.Entries != 2 || s.Hits != 0 || s.Misses != 7 {
+		t.Errorf("Len = %d, stats %+v; want the two fillers resident and seven misses", n, s)
 	}
 	if n := c.Resident("m", class); n != 0 {
 		t.Errorf("Resident = %d while both calls are in flight", n)
@@ -562,8 +596,8 @@ func TestPendingEntryInvisible(t *testing.T) {
 	if out, val, ok := c.hit("m", tp, "Oslo"); !ok || out != "372000" || val != 6 {
 		t.Errorf("settled hit = %q, %v, %v", out, val, ok)
 	}
-	if out, ok := c.Get("m", "Bergen"); !ok || out != "285000" {
-		t.Errorf("settled Get = %q, %v", out, ok)
+	if out, _, ok := c.hit("m", raw, "Bergen"); !ok || out != "285000" {
+		t.Errorf("settled raw-text hit = %q, %v", out, ok)
 	}
 	if n := c.Resident("m", class); n != 2 {
 		t.Errorf("Resident = %d after both calls settled, want 2", n)
@@ -606,12 +640,10 @@ func TestFailingLeaderCachesNothing(t *testing.T) {
 	answer, got = heldFetch(c, rawText, "q")
 	answer <- fetchResult{err: errors.New("boom")}
 	<-got
-	c.mu.Lock()
-	_, held := c.entries[cacheKey{"m", 0, "q"}]
-	c.mu.Unlock()
-	if held {
-		t.Error("a failed call left its entry in the map")
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after a failed call, want 1", c.Len())
 	}
+	checkQuiescent(t, c) // no pending entry left behind
 }
 
 // TestCollisionBesidePendingEntry: a template colliding with a pending
@@ -638,7 +670,7 @@ func TestCollisionBesidePendingEntry(t *testing.T) {
 	if s := c.Stats(); s.Misses != 2 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want two calls and a's entry alone", s)
 	}
-	checkResidency(t, c)
+	checkQuiescent(t, c)
 }
 
 // TestJoinerReadsSettledFields: joiners read the answer of the call they
@@ -668,5 +700,5 @@ func TestJoinerReadsSettledFields(t *testing.T) {
 			t.Fatalf("round %d: joiner = %+v, want the joined call's answer", round, r)
 		}
 	}
-	checkResidency(t, c)
+	checkQuiescent(t, c)
 }

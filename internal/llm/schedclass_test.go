@@ -203,6 +203,8 @@ func TestSchedulerClassGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A slot is released just after its last future resolves.
+	waitDrained(t, "slots", func() bool { return s.Busy() == 0 })
 
 	g = s.Gauges()
 	if g.Batch.Busy != 0 || g.Batch.Queued != 0 || g.Interactive.Busy != 0 || g.Interactive.Queued != 0 {

@@ -524,11 +524,13 @@ func (h *holdLLM) Complete(ctx context.Context, p string) (string, error) {
 // still fails first.
 func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	const prompt = "What is the population of Chicago?"
-	class := FetchClass("city", "population")
 	cache := NewCache(8)
-	cache.Put("m", class, prompt, "2700000")
 	client := &echoLLM{name: "m", answer: "never asked"}
 	s := NewScheduler(cache, 1)
+	if _, _, err := tenant(s, t).Do(&echoLLM{name: "m", answer: "2700000"}, nil, prompt, 0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, "seeding slot", func() bool { return s.Busy() == 0 })
 	// Hold the endpoint's only worker slot: an inline hit must not need it.
 	gate := &holdLLM{started: make(chan struct{}), release: make(chan struct{})}
 	holder := tenant(s, t)
@@ -560,7 +562,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	if got := tn.Usage(); got != (Stats{CacheHits: 1, SimulatedLatency: ready}) {
 		t.Errorf("usage = %+v, want exactly one cache hit", got)
 	}
-	// (The held prompt is this cache's one miss, still in flight.)
+	// (The seeding prompt and the held one are this cache's misses.)
 	if got := cache.Stats().Hits; got != 1 {
 		t.Errorf("cache hits = %d, want 1", got)
 	}

@@ -79,15 +79,6 @@ func (tp *Template) value(out string, v any) any {
 // rawText is the template of an unclassified raw-text prompt.
 var rawText = &Template{}
 
-// rawTemplate is the template-less template of a raw-text prompt of one
-// class.
-func rawTemplate(class PromptClass) *Template {
-	if class == (PromptClass{}) {
-		return rawText
-	}
-	return &Template{class: class}
-}
-
 // text is the prompt for key: pre + key + post. For a raw-text prompt it
 // is the key itself, and building it allocates nothing.
 func (tp *Template) text(key string) string { return tp.pre + key + tp.post }

@@ -23,15 +23,17 @@
 // CurrentStamp validator drops inserts whose execution straddled a bump,
 // so a stale relation can never resurrect.
 //
-// A singleflight layer collapses K concurrent identical queries into one
-// execution. Reads are two-phase: Lookup returns a resident entry, a
+// A singleflight collapses K concurrent identical queries into one
+// execution. It is the pending-node protocol of internal/lru, the one the
+// prompt cache uses: a query in flight is a pending node in the cache's
+// own map. Reads are two-phase: Lookup returns a resident entry, a
 // concurrent flight's finished entry, or a Lead — the token of the one
 // caller that executes. The leader streams or materializes its result
 // however it likes and settles the lead once with the finished relation
-// or an error; the other K-1 block on its flight and share the relation.
-// Errors are never cached, and a follower whose leader failed or was
-// abandoned retries rather than inheriting the failure (the leader's
-// error may be its own cancellation).
+// or an error; the other K-1 wait on its pending node and share the
+// relation. Errors are never cached, and a follower whose leader failed
+// or was abandoned retries rather than inheriting the failure (the
+// leader's error may be its own cancellation).
 //
 // Entries are immutable and shared: the cache stores the entry a leader
 // settles, and hits, flight followers and subsumption readers receive
@@ -48,13 +50,13 @@
 package rescache
 
 import (
-	"container/list"
 	"context"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/schema"
 )
 
@@ -184,21 +186,9 @@ type Stats struct {
 // sorts them).
 func TablesKey(tables []string) string { return strings.Join(tables, ",") }
 
-// flight is one in-flight execution shared by every concurrent caller of
-// the same key; done is closed once entry/err are set.
-type flight struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
-
-// cacheItem is one resident result, stored inside the LRU list.
-type cacheItem struct {
-	key       Key
-	entry     *Entry
-	bytes     int
-	tablesKey string
-}
+// node holds one key's entry, once its lead settles or it is loaded. Its
+// byte charge is the entry's approxBytes plus its kept bodies.
+type node = lru.Node[Key, *Entry]
 
 // Config configures a Cache.
 type Config struct {
@@ -232,21 +222,19 @@ type Sink interface {
 // epoch stamps, a subsumption index by table set, and a singleflight
 // layer. A runtime shares one Cache across all its sessions.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	maxBytes int
-	current  func([]string) string
-	sink     Sink
-	entries  map[Key]*list.Element
-	order    *list.List // front = most recently used
+	mu      sync.Mutex
+	lru     *lru.Cache[Key, *Entry]
+	current func([]string) string
+	sink    Sink
 	// sets indexes resident entries by the exact table set they read,
 	// so Candidates scans only plausibly-matching entries.
-	sets     map[string]map[*list.Element]bool
-	flights  map[Key]*flight
+	sets map[string]map[*node]bool
+	// dropped collects the keys of the resident entries that left, for
+	// unlock to tell the sink.
+	dropped  []Key
 	hits     int
 	subsumed int
 	misses   int
-	bytes    int
 }
 
 // New builds a cache from cfg.
@@ -254,15 +242,9 @@ func New(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultSize
 	}
-	return &Cache{
-		capacity: cfg.Capacity,
-		maxBytes: cfg.MaxBytes,
-		current:  cfg.CurrentStamp,
-		entries:  map[Key]*list.Element{},
-		order:    list.New(),
-		sets:     map[string]map[*list.Element]bool{},
-		flights:  map[Key]*flight{},
-	}
+	c := &Cache{current: cfg.CurrentStamp, sets: map[string]map[*node]bool{}}
+	c.lru = lru.New(cfg.Capacity, cfg.MaxBytes, c.index)
+	return c
 }
 
 // SetSink installs (or, with nil, removes) the residency observer.
@@ -278,7 +260,7 @@ func (c *Cache) SetSink(s Sink) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.Len()
 }
 
 // Stats returns a snapshot of the lifetime counters.
@@ -286,21 +268,43 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, SubsumedHits: c.subsumed, Misses: c.misses,
-		Entries: c.order.Len(), Bytes: c.bytes}
+		Entries: c.lru.Len(), Bytes: c.lru.Bytes()}
 }
 
-// removeLocked drops one resident entry and its index records.
-func (c *Cache) removeLocked(el *list.Element) {
-	item := el.Value.(*cacheItem)
-	c.order.Remove(el)
-	delete(c.entries, item.key)
-	c.bytes -= item.bytes
-	if set := c.sets[item.tablesKey]; set != nil {
-		delete(set, el)
-		if len(set) == 0 {
-			delete(c.sets, item.tablesKey)
+// index is the residency hook: a node that joins (delta 1) is indexed
+// under its table set; one that leaves is unindexed, and its key waits
+// for the sink.
+func (c *Cache) index(n *node, delta int) {
+	tk := TablesKey(n.Val.Tables)
+	if delta > 0 {
+		if c.sets[tk] == nil {
+			c.sets[tk] = map[*node]bool{}
+		}
+		c.sets[tk][n] = true
+		return
+	}
+	delete(c.sets[tk], n)
+	if len(c.sets[tk]) == 0 {
+		delete(c.sets, tk)
+	}
+	c.dropped = append(c.dropped, n.Key)
+}
+
+// unlock releases c.mu, then tells the sink of the entries that left
+// meanwhile, except the one under *except when it is non-nil, and
+// returns the sink. Hooks run outside the mutex, so a sink may do I/O.
+func (c *Cache) unlock(except *Key) Sink {
+	dropped, sink := c.dropped, c.sink
+	c.dropped = nil
+	c.mu.Unlock()
+	if sink != nil {
+		for _, k := range dropped {
+			if except == nil || k != *except {
+				sink.DropEntry(k)
+			}
 		}
 	}
+	return sink
 }
 
 // InvalidateComponent evicts every entry whose plan reads the given
@@ -310,33 +314,24 @@ func (c *Cache) removeLocked(el *list.Element) {
 // tables are untouched.
 func (c *Cache) InvalidateComponent(comp string) {
 	c.mu.Lock()
-	var victims []*list.Element
+	var victims []*node
 	for tk, set := range c.sets {
 		if !tablesKeyHas(tk, comp) {
 			continue
 		}
-		for el := range set {
-			item := el.Value.(*cacheItem)
+		for n := range set {
 			// An insert that raced the bump and landed already
 			// re-stamped is still valid; keep it.
-			if c.current != nil && c.current(item.entry.Tables) == item.key.Stamp {
+			if !c.stale(n.Key, n.Val) {
 				continue
 			}
-			victims = append(victims, el)
+			victims = append(victims, n)
 		}
 	}
-	dropped := make([]Key, 0, len(victims))
-	for _, el := range victims {
-		dropped = append(dropped, el.Value.(*cacheItem).key)
-		c.removeLocked(el)
+	for _, n := range victims {
+		c.lru.Remove(n)
 	}
-	sink := c.sink
-	c.mu.Unlock()
-	if sink != nil {
-		for _, k := range dropped {
-			sink.DropEntry(k)
-		}
-	}
+	c.unlock(nil)
 }
 
 // tablesKeyHas reports whether the comma-joined component set contains
@@ -350,62 +345,10 @@ func tablesKeyHas(tablesKey, comp string) bool {
 	return false
 }
 
-// insertLocked stores an entry, evicting from the LRU's cold end while
-// over the entry capacity or the byte budget. Inserts whose stamp is no
-// longer current are dropped. It reports whether the entry is resident
-// after the insert (eviction may consume it immediately) and the keys
-// evicted to make room, so the caller can fire sink hooks after
-// unlocking.
-func (c *Cache) insertLocked(key Key, entry *Entry) (stored bool, evicted []Key) {
-	if c.current != nil && c.current(entry.Tables) != key.Stamp {
-		return false, nil
-	}
-	if el, ok := c.entries[key]; ok {
-		item := el.Value.(*cacheItem)
-		b := approxBytes(entry)
-		c.bytes += b - item.bytes
-		item.entry, item.bytes = entry, b
-		c.order.MoveToFront(el)
-	} else {
-		item := &cacheItem{key: key, entry: entry, bytes: approxBytes(entry), tablesKey: TablesKey(entry.Tables)}
-		el := c.order.PushFront(item)
-		c.entries[key] = el
-		if c.sets[item.tablesKey] == nil {
-			c.sets[item.tablesKey] = map[*list.Element]bool{}
-		}
-		c.sets[item.tablesKey][el] = true
-		c.bytes += item.bytes
-	}
-	// Byte eviction may consume the whole list: a single relation larger
-	// than the budget is simply not cached.
-	for c.order.Len() > 0 && (c.order.Len() > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
-		back := c.order.Back()
-		evicted = append(evicted, back.Value.(*cacheItem).key)
-		c.removeLocked(back)
-	}
-	_, stored = c.entries[key]
-	return stored, evicted
-}
-
-// notifySink fires the post-insert hooks for one settled insert: drops
-// for evicted keys, then the store for the new entry when it stayed
-// resident. Must be called WITHOUT c.mu held.
-func notifySink(sink Sink, key Key, entry *Entry, stored bool, evicted []Key) {
-	if sink == nil {
-		return
-	}
-	for _, k := range evicted {
-		if k != key {
-			sink.DropEntry(k)
-		}
-	}
-	if stored {
-		sink.StoreEntry(key, entry)
-	} else {
-		// Stale-stamp or over-budget: whatever the store holds under this
-		// key is at best stale; make sure it cannot outlive the insert.
-		sink.DropEntry(key)
-	}
+// stale reports whether e, keyed by key, was computed under epochs that
+// are no longer current: such an entry is never stored.
+func (c *Cache) stale(key Key, e *Entry) bool {
+	return c.current != nil && c.current(e.Tables) != key.Stamp
 }
 
 // AttachBody keeps an exact-size copy of body in slot of e, the entry
@@ -426,8 +369,8 @@ func (c *Cache) AttachBody(key Key, e *Entry, slot int, body []byte) []byte {
 		}
 		return kept
 	}
-	el, ok := c.entries[key]
-	if !ok || el.Value.(*cacheItem).entry != e || (c.maxBytes > 0 && c.bytes+len(body) > c.maxBytes) {
+	n := c.lru.Peek(key)
+	if n == nil || n.Val != e || !c.lru.Charge(n, len(body)) {
 		e.bodies[slot].Store(&declined)
 		return body
 	}
@@ -436,8 +379,6 @@ func (c *Cache) AttachBody(key Key, e *Entry, slot int, body []byte) []byte {
 	kept := make([]byte, len(body))
 	copy(kept, body)
 	e.bodies[slot].Store(&kept)
-	el.Value.(*cacheItem).bytes += len(kept)
-	c.bytes += len(kept)
 	return kept
 }
 
@@ -462,16 +403,16 @@ type Candidate struct {
 func (c *Cache) Candidates(tablesKey, stamp string) []Candidate {
 	c.mu.Lock()
 	var out []Candidate
-	for el := range c.sets[tablesKey] {
-		item := el.Value.(*cacheItem)
-		if item.key.Stamp != stamp || item.entry.Prod == nil {
+	for n := range c.sets[tablesKey] {
+		e := n.Val
+		if n.Key.Stamp != stamp || e.Prod == nil {
 			continue
 		}
 		out = append(out, Candidate{
-			Key:    item.key,
-			Rows:   item.entry.Rel.Cardinality(),
-			Schema: item.entry.Rel.Schema,
-			Prod:   *item.entry.Prod,
+			Key:    n.Key,
+			Rows:   e.Rel.Cardinality(),
+			Schema: e.Rel.Schema,
+			Prod:   *e.Prod,
 		})
 	}
 	c.mu.Unlock()
@@ -490,13 +431,13 @@ func (c *Cache) Candidates(tablesKey, stamp string) []Candidate {
 func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	n := c.lru.Peek(key)
+	if n == nil {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
+	c.lru.Touch(n)
 	c.subsumed++
-	return el.Value.(*cacheItem).entry, true
+	return n.Val, true
 }
 
 // Lookup is the first phase of a two-phase read. It returns exactly one
@@ -515,39 +456,18 @@ func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 // next flight or leads it — rather than inheriting the failure, which
 // may be the leader's own cancellation. Errors are never cached.
 func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
-	for {
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.order.MoveToFront(el)
-			c.hits++
-			entry := el.Value.(*cacheItem).entry
-			c.mu.Unlock()
-			return entry, nil, nil
-		}
-		if f, ok := c.flights[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
-			}
-			if f.err == nil {
-				c.mu.Lock()
-				c.hits++
-				c.mu.Unlock()
-				return f.entry, nil, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			continue // leader failed; next round joins a fresh flight or leads
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, lead, err := c.lru.Acquire(ctx, &c.mu, key, nil)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case lead:
 		c.misses++
-		c.mu.Unlock()
-		return nil, &Lead{c: c, key: key, f: f}, nil
+		return nil, &Lead{c: c, n: n}, nil
 	}
+	c.hits++
+	return n.Val, nil, nil
 }
 
 // Lead is the token of a caller that owns one key's flight: every
@@ -557,36 +477,45 @@ func (c *Cache) Lookup(ctx context.Context, key Key) (*Entry, *Lead, error) {
 // so holders settle from a deferred or Close path.
 type Lead struct {
 	c       *Cache
-	key     Key
-	f       *flight
+	n       *node
 	settled bool
 }
 
-// Settle resolves the flight. With err == nil the entry is stored and
-// every follower receives it — the leader's entry itself, which from now
-// on nobody may modify; otherwise followers retry and nothing is cached. Only the first call has an effect, so a
-// holder may settle on success and again, unconditionally, on release.
-// Not safe for concurrent use: one goroutine owns a lead.
+// Settle resolves the flight. With err == nil every follower receives
+// entry — the leader's entry itself, which from now on nobody may
+// modify — and the cache stores it unless its stamp is no longer
+// current; otherwise followers retry and nothing is cached. Only the
+// first call has an effect, so a holder may settle on success and
+// again, unconditionally, on release. Not safe for concurrent use: one
+// goroutine owns a lead.
 func (l *Lead) Settle(entry *Entry, err error) {
 	if l.settled {
 		return
 	}
 	l.settled = true
-	c, f := l.c, l.f
-	f.entry, f.err = entry, err
-	close(f.done)
-
+	c, n := l.c, l.n
 	c.mu.Lock()
-	delete(c.flights, l.key)
-	var stored bool
-	var evicted []Key
-	if err == nil {
-		stored, evicted = c.insertLocked(l.key, f.entry)
+	n.Val = entry
+	c.lru.Settle(n, err != nil)
+	switch {
+	case err != nil:
+		c.mu.Unlock()
+		return
+	case c.stale(n.Key, entry):
+		c.lru.Remove(n)
+	default:
+		c.lru.Admit(n, approxBytes(entry))
 	}
-	sink := c.sink
-	c.mu.Unlock()
-	if err == nil {
-		notifySink(sink, l.key, f.entry, stored, evicted)
+	stored := n.Resident()
+	// The sink hears of the evictions, then of the entry: stored, or
+	// (stale stamp, over budget) dropped, so that whatever the store
+	// holds under its key cannot outlive the insert.
+	switch sink := c.unlock(&n.Key); {
+	case sink == nil:
+	case stored:
+		sink.StoreEntry(n.Key, entry)
+	default:
+		sink.DropEntry(n.Key)
 	}
 }
 
@@ -604,10 +533,9 @@ type Dumped struct {
 func (c *Cache) Dump() []Dumped {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Dumped, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		item := el.Value.(*cacheItem)
-		out = append(out, Dumped{Key: item.key, Entry: item.entry})
+	out := make([]Dumped, 0, c.lru.Len())
+	for n := range c.lru.Coldest() {
+		out = append(out, Dumped{Key: n.Key, Entry: n.Val})
 	}
 	return out
 }
@@ -617,19 +545,11 @@ func (c *Cache) Dump() []Dumped {
 // was admitted. Loads count as neither hits nor misses and do not fire
 // StoreEntry (warm-loaded state is not echoed back to the store it came
 // from), though entries they evict are dropped through the sink as
-// usual. The cache takes e as it is: the caller must not modify it
-// afterwards.
+// usual. A key in flight is left to its leader: the load is refused.
+// The cache takes e as it is: the caller must not modify it afterwards.
 func (c *Cache) Load(key Key, e *Entry) bool {
 	c.mu.Lock()
-	stored, evicted := c.insertLocked(key, e)
-	sink := c.sink
-	c.mu.Unlock()
-	if sink != nil {
-		for _, k := range evicted {
-			if k != key {
-				sink.DropEntry(k)
-			}
-		}
-	}
+	stored := !c.stale(key, e) && c.lru.Put(key, e, approxBytes(e)).Resident()
+	c.unlock(&key)
 	return stored
 }

@@ -53,6 +53,39 @@ func fetch(t *testing.T, c *Cache, key Key, e *Entry) (*Entry, bool) {
 	return got, cached
 }
 
+// checkQuiescent asserts, once every flight has settled, the substrate's
+// invariants (no pending node; the ring, the count, the map and the byte
+// total agree) and the cache's own: every resident entry is indexed
+// under its table set and nothing else is, and every kept body is
+// charged to a resident entry — the charges are the entries'
+// approxBytes plus their kept bodies.
+func checkQuiescent(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.lru.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+	want, indexed := 0, 0
+	for n := range c.lru.Coldest() {
+		want += approxBytes(n.Val)
+		for slot := range BodySlots {
+			b, _ := n.Val.Body(slot)
+			want += len(b)
+		}
+		if !c.sets[TablesKey(n.Val.Tables)][n] {
+			t.Errorf("resident entry %v is not indexed", n.Key)
+		}
+	}
+	for _, set := range c.sets {
+		indexed += len(set)
+	}
+	if want != c.lru.Bytes() || indexed != c.lru.Len() {
+		t.Errorf("resident entries and bodies make %d bytes, charged %d; %d indexed of %d resident",
+			want, c.lru.Bytes(), indexed, c.lru.Len())
+	}
+}
+
 // epochs is a test stand-in for the runtime's per-component epoch store:
 // current renders a stamp, bump advances one component and invalidates.
 type epochs struct {
@@ -369,6 +402,7 @@ func TestSingleflight(t *testing.T) {
 	if st.Hits != k-1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want %d hits / 1 miss", st, k-1)
 	}
+	checkQuiescent(t, c)
 }
 
 // TestLeaderErrorNotCachedAndJoinersRetry: errors are never cached, and
@@ -516,6 +550,7 @@ func TestConcurrentInvalidationStorm(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	checkQuiescent(t, c)
 }
 
 // recordingSink logs sink callbacks under its own lock, and optionally
@@ -685,6 +720,7 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	checkQuiescent(t, c)
 }
 
 // BenchmarkCandidates measures one planning pass's candidate snapshot
@@ -748,6 +784,7 @@ func TestAttachBodyAccounting(t *testing.T) {
 	if got, want := c.Stats().Bytes, approxBytes(entry("z")); got != want {
 		t.Errorf("bytes after evicting the bodied entry = %d, want %d (b alone)", got, want)
 	}
+	checkQuiescent(t, c)
 }
 
 // TestAttachBodyNeverEvicts: under a byte budget too tight for the body,
@@ -797,6 +834,7 @@ func TestAttachBodyNeverEvicts(t *testing.T) {
 	if b, keep := stale.Body(1); b != nil || keep {
 		t.Error("a body was kept, or the slot not declined, on an entry another one replaced under its key")
 	}
+	checkQuiescent(t, c)
 }
 
 // TestAttachBodyRaceAttachesOnce: concurrent first hits each offer their
@@ -827,4 +865,5 @@ func TestAttachBodyRaceAttachesOnce(t *testing.T) {
 	if got := c.Stats().Bytes; got != inserted+len(kept) {
 		t.Errorf("bytes = %d, want %d (one body charged)", got, inserted+len(kept))
 	}
+	checkQuiescent(t, c)
 }

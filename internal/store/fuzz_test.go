@@ -2,16 +2,18 @@ package store
 
 import (
 	"bytes"
-	"container/list"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/lru"
 )
 
 // replayStore is the in-memory half of a Store, enough to replay
 // segments into.
 func replayStore() *Store {
-	return &Store{index: map[string]*rec{}, order: list.New()}
+	return &Store{live: lru.New[string, rec](math.MaxInt, 0, nil)}
 }
 
 // FuzzStoreSegment feeds arbitrary bytes to segment replay. Replay never
@@ -103,12 +105,18 @@ func checkReplay(t *testing.T, data []byte) {
 	if v := prefix.applySegment(data[:valid]); v != valid || prefix.ctr.DroppedCorrupt != 0 {
 		t.Fatalf("the valid prefix replays to %d with %d drops, want %d and none", v, prefix.ctr.DroppedCorrupt, valid)
 	}
-	if prefix.liveBytes != full.liveBytes || prefix.order.Len() != full.order.Len() {
+	if prefix.live.Bytes() != full.live.Bytes() || prefix.live.Len() != full.live.Len() {
 		t.Fatalf("the valid prefix replays to %d records (%d B), the segment to %d (%d B)",
-			prefix.order.Len(), prefix.liveBytes, full.order.Len(), full.liveBytes)
+			prefix.live.Len(), prefix.live.Bytes(), full.live.Len(), full.live.Bytes())
 	}
-	for a, b := prefix.order.Front(), full.order.Front(); a != nil; a, b = a.Next(), b.Next() {
-		ra, rb := a.Value.(*rec), b.Value.(*rec)
+	var fullRecs []*rec
+	for n := range full.live.Coldest() {
+		fullRecs = append(fullRecs, &n.Val)
+	}
+	i := 0
+	for n := range prefix.live.Coldest() {
+		ra, rb := &n.Val, fullRecs[i]
+		i++
 		if ra.kind != rb.kind || ra.key != rb.key || ra.stamp != rb.stamp || ra.written != rb.written ||
 			ra.pinned != rb.pinned || !bytes.Equal(ra.payload, rb.payload) {
 			t.Fatalf("live record %+v from the prefix, %+v from the segment", ra, rb)

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,7 +42,7 @@ import (
 	"sync"
 	"time"
 
-	"container/list"
+	"repro/internal/lru"
 )
 
 const (
@@ -129,8 +130,6 @@ type rec struct {
 	written int64 // unix nanoseconds
 	pinned  bool
 	payload []byte
-	size    int
-	elem    *list.Element
 }
 
 // Store is a concurrency-safe handle on one store directory. One process
@@ -147,11 +146,10 @@ type Store struct {
 	activeSize int64
 	closed     bool
 
-	index map[string]*rec // indexKey(kind, key) -> live record
-	// order lists live records oldest-written first: the byte budget's
-	// eviction order. Values are *rec.
-	order     *list.List
-	liveBytes int
+	// live indexes the live records by indexKey(kind, key) and sums their
+	// sizes. Its recency order is write order: Coldest yields the oldest
+	// written first, the byte budget's eviction order.
+	live *lru.Cache[string, rec]
 
 	ctr Counters
 }
@@ -172,12 +170,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		index: map[string]*rec{},
-		order: list.New(),
-	}
+	// The live set has no bound of its own: the store evicts by itself.
+	s := &Store{dir: dir, opts: opts, live: lru.New[string, rec](math.MaxInt, 0, nil)}
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
@@ -186,7 +180,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.removeOrphans()
 	s.expireLocked(opts.Now())
-	s.ctr.Loaded = len(s.index)
+	s.ctr.Loaded = s.live.Len()
 	return s, nil
 }
 
@@ -385,26 +379,21 @@ func canonical(enc []byte) bool {
 // supersede earlier ones for the same (kind, key); tombstones delete.
 func (s *Store) applyRecord(d diskRec) {
 	ik := indexKey(d.kind, d.key)
-	if old, ok := s.index[ik]; ok {
-		s.order.Remove(old.elem)
-		s.liveBytes -= old.size
-		delete(s.index, ik)
-	}
 	if d.flags&flagTombstone != 0 {
+		if old := s.live.Peek(ik); old != nil {
+			s.live.Remove(old)
+		}
 		return
 	}
-	r := &rec{
+	r := rec{
 		kind:    d.kind,
 		key:     d.key,
 		stamp:   d.stamp,
 		written: d.written,
 		pinned:  d.flags&flagPinned != 0,
 		payload: d.payload,
-		size:    recordOverhead + len(d.kind) + len(d.key) + len(d.stamp) + len(d.payload),
 	}
-	r.elem = s.order.PushBack(r)
-	s.index[ik] = r
-	s.liveBytes += r.size
+	s.live.Put(ik, r, recordOverhead+len(d.kind)+len(d.key)+len(d.stamp)+len(d.payload))
 }
 
 // removeOrphans deletes segment files the manifest does not name — the
@@ -430,31 +419,20 @@ func (s *Store) removeOrphans() {
 
 // expireLocked drops every record past the TTL.
 func (s *Store) expireLocked(now time.Time) {
-	if s.opts.TTL <= 0 {
-		return
-	}
-	cutoff := now.Add(-s.opts.TTL).UnixNano()
-	for el := s.order.Front(); el != nil; {
-		next := el.Next()
-		r := el.Value.(*rec)
-		if r.written <= cutoff {
-			s.dropLocked(r)
-			s.ctr.DroppedExpired++
-		}
-		el = next
+	for n := range s.live.Coldest() {
+		s.dropExpiredLocked(n, now)
 	}
 }
 
-// dropLocked removes one record from the in-memory live set.
-func (s *Store) dropLocked(r *rec) {
-	s.order.Remove(r.elem)
-	delete(s.index, indexKey(r.kind, r.key))
-	s.liveBytes -= r.size
-}
-
-// expiredLocked reports whether r is past the TTL at time now.
-func (s *Store) expiredLocked(r *rec, now time.Time) bool {
-	return s.opts.TTL > 0 && r.written <= now.Add(-s.opts.TTL).UnixNano()
+// dropExpiredLocked drops the record n when it is past the TTL at time
+// now, and reports whether it did.
+func (s *Store) dropExpiredLocked(n *lru.Node[string, rec], now time.Time) bool {
+	if s.opts.TTL <= 0 || n.Val.written > now.Add(-s.opts.TTL).UnixNano() {
+		return false
+	}
+	s.live.Remove(n)
+	s.ctr.DroppedExpired++
+	return true
 }
 
 // appendFrame encodes and appends one record frame to the active
@@ -575,18 +553,17 @@ func (s *Store) evictLocked() error {
 	if s.opts.MaxBytes <= 0 {
 		return nil
 	}
-	el := s.order.Front()
-	for s.liveBytes > s.opts.MaxBytes && el != nil {
-		next := el.Next()
-		r := el.Value.(*rec)
-		if !r.pinned {
+	for n := range s.live.Coldest() {
+		if s.live.Bytes() <= s.opts.MaxBytes {
+			break
+		}
+		if r := &n.Val; !r.pinned {
 			if err := s.appendFrame(diskRec{kind: r.kind, key: r.key, written: s.opts.Now().UnixNano(), flags: flagTombstone}); err != nil {
 				return err
 			}
-			s.dropLocked(r)
+			s.live.Remove(n)
 			s.ctr.Evicted++
 		}
-		el = next
 	}
 	return nil
 }
@@ -596,14 +573,14 @@ func (s *Store) evictLocked() error {
 func (s *Store) Delete(kind, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.index[indexKey(kind, key)]
-	if !ok {
+	n := s.live.Peek(indexKey(kind, key))
+	if n == nil {
 		return nil
 	}
 	if err := s.appendFrame(diskRec{kind: kind, key: key, written: s.opts.Now().UnixNano(), flags: flagTombstone}); err != nil {
 		return err
 	}
-	s.dropLocked(r)
+	s.live.Remove(n)
 	return nil
 }
 
@@ -612,16 +589,11 @@ func (s *Store) Delete(kind, key string) error {
 func (s *Store) Get(kind, key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.index[indexKey(kind, key)]
-	if !ok {
+	n := s.live.Peek(indexKey(kind, key))
+	if n == nil || s.dropExpiredLocked(n, s.opts.Now()) {
 		return Record{}, false
 	}
-	if s.expiredLocked(r, s.opts.Now()) {
-		s.dropLocked(r)
-		s.ctr.DroppedExpired++
-		return Record{}, false
-	}
-	return recordOf(r), true
+	return recordOf(&n.Val), true
 }
 
 // All returns every live record of one kind, key-ordered (deterministic
@@ -631,18 +603,10 @@ func (s *Store) All(kind string) []Record {
 	defer s.mu.Unlock()
 	now := s.opts.Now()
 	var out []Record
-	for el := s.order.Front(); el != nil; {
-		next := el.Next()
-		r := el.Value.(*rec)
-		if r.kind == kind {
-			if s.expiredLocked(r, now) {
-				s.dropLocked(r)
-				s.ctr.DroppedExpired++
-			} else {
-				out = append(out, recordOf(r))
-			}
+	for n := range s.live.Coldest() {
+		if n.Val.kind == kind && !s.dropExpiredLocked(n, now) {
+			out = append(out, recordOf(&n.Val))
 		}
-		el = next
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -689,8 +653,8 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: compacting: %w", err)
 	}
 	var size int64
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		r := el.Value.(*rec)
+	for n := range s.live.Coldest() {
+		r := &n.Val
 		var flags byte
 		if r.pinned {
 			flags |= flagPinned
@@ -741,8 +705,8 @@ func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.ctr
-	c.Records = len(s.index)
-	c.LiveBytes = s.liveBytes
+	c.Records = s.live.Len()
+	c.LiveBytes = s.live.Bytes()
 	c.Segments = len(s.man.Segments)
 	return c
 }
