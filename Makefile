@@ -30,10 +30,10 @@ race:
 # one task handed to a parked goroutine), the result cache's
 # (BenchmarkCandidates: one planning pass's subsumption candidates), the
 # cache substrate's (BenchmarkFlight: one led, settled and admitted miss
-# that evicts) and galois-serve's (BenchmarkServeExactHit: one warm exact
-# hit through the HTTP handler, buffered and NDJSON).
+# that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
+# exact hit through the HTTP handler, buffered and NDJSON).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./cmd/galois-serve
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from
@@ -58,7 +58,7 @@ serve:
 # the galois.yaml decoder, the model-answer number decoder, the token
 # counter, the prompt template's token count, the durable store's
 # segment replay, the persisted result-cache entry decoder and
-# galois-serve's /query parameter decoders (same runs CI does).
+# internal/serve's /query parameter decoders (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
@@ -68,7 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./cmd/galois-serve
+	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./internal/serve
 
 # Per-package coverage summary.
 cover:

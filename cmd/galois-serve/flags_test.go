@@ -8,6 +8,7 @@ import (
 	"repro/internal/clean"
 	"repro/internal/core"
 	"repro/internal/optimizer"
+	"repro/internal/serve"
 )
 
 // TestParseFlags: the argument lists the repository benchmark starts the
@@ -53,7 +54,7 @@ func TestParseFlags(t *testing.T) {
 		if c.store != tc.store {
 			t.Errorf("%v: store = %+v, want %+v", tc.args, c.store, tc.store)
 		}
-		if want := (serverConfig{maxConcurrent: 16}); c.server != want {
+		if want := (serve.Config{MaxConcurrent: 16}); c.server != want {
 			t.Errorf("%v: server = %+v, want %+v", tc.args, c.server, want)
 		}
 	}

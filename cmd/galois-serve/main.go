@@ -11,31 +11,10 @@
 //	             [-result-cache] [-result-cache-size 256] [-result-cache-bytes N]
 //	             [-data-dir DIR] [-store-bytes N] [-store-ttl D] [-snapshot-interval 1m]
 //
-// Endpoints:
-//
-//	POST /query            SQL in the request body (or GET /query?q=...);
-//	                       ?plan=1 includes the executed plan, ?class=batch
-//	                       runs in the scheduler's batch band, ?weight=N
-//	                       scales the deficit share. Returns the relation,
-//	                       row count and per-query prompt stats as JSON —
-//	                       or as a row stream: Accept: application/x-ndjson
-//	                       delivers NDJSON frames (header, rows, stats
-//	                       trailer) as the executor yields tuples, and
-//	                       ?stream=1 the same frames as SSE events.
-//	GET  /healthz          liveness probe.
-//	GET  /stats            serving counters, admission-controller and
-//	                       scheduler state, shared cache statistics.
-//
-// Concurrency model: all queries share one per-endpoint LLM worker
-// budget (-workers), divided by the engine-global deficit-weighted
-// scheduler — interactive queries drain with strict priority, batch
-// queries soak up idle slots, and a batch backlog can never delay an
-// interactive prompt by more than the one already on the wire. The
-// admission controller moves its effective concurrency limit between
-// -admission-floor and -max-concurrent by AIMD on backpressure signals;
-// excess requests queue FIFO (abandoning the queue when their client
-// disconnects) and are shed with 503 + Retry-After only at the floor.
-// SIGINT/SIGTERM drain in-flight queries before exit.
+// The endpoints and the concurrency model are internal/serve's; this
+// command parses the flags, opens the durable store, listens, and on
+// SIGINT/SIGTERM drains in-flight queries before the store's final
+// flush.
 package main
 
 import (
@@ -52,6 +31,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -75,7 +55,7 @@ type cliConfig struct {
 	shutdownGrace           time.Duration
 	opts                    core.Options
 	store                   core.StoreConfig
-	server                  serverConfig
+	server                  serve.Config
 }
 
 // parseFlags parses the command-line arguments (program name excluded).
@@ -87,10 +67,10 @@ func parseFlags(args []string) (*cliConfig, error) {
 	fs.StringVar(&c.configPath, "config", "", "multi-backend routing declaration (galois.yaml): named backends with per-role routes, optimizer pricing and failover chains; overrides -model")
 	fs.Int64Var(&c.seed, "seed", 1, "noise seed for the simulated model")
 	fs.DurationVar(&c.shutdownGrace, "shutdown-grace", 30*time.Second, "max time to drain in-flight queries on SIGINT/SIGTERM")
-	fs.IntVar(&c.server.maxConcurrent, "max-concurrent", 16, "admission gate: max concurrently executing queries (0 = 2x workers)")
-	fs.IntVar(&c.server.maxQueue, "max-queue", 0, "max requests waiting for an execution slot; past it requests are shed with 503 + Retry-After once the adaptive limit is at its floor (0 = 4x max-concurrent)")
-	fs.IntVar(&c.server.admissionFloor, "admission-floor", 0, "lower bound of the adaptive concurrency limit; AIMD moves the limit between this and -max-concurrent (0 = max-concurrent/4, minimum 1)")
-	fs.DurationVar(&c.server.queryTimeout, "query-timeout", 0, "server-imposed deadline per query; expiry answers 504 (0 = none)")
+	fs.IntVar(&c.server.MaxConcurrent, "max-concurrent", 16, "admission gate: max concurrently executing queries (0 = 2x workers)")
+	fs.IntVar(&c.server.MaxQueue, "max-queue", 0, "max requests waiting for an execution slot; past it requests are shed with 503 + Retry-After once the adaptive limit is at its floor (0 = 4x max-concurrent)")
+	fs.IntVar(&c.server.AdmissionFloor, "admission-floor", 0, "lower bound of the adaptive concurrency limit; AIMD moves the limit between this and -max-concurrent (0 = max-concurrent/4, minimum 1)")
+	fs.DurationVar(&c.server.QueryTimeout, "query-timeout", 0, "server-imposed deadline per query; expiry answers 504 (0 = none)")
 	c.opts.BindFlags(fs)
 	c.store.BindFlags(fs)
 	fs.DurationVar(&c.store.SnapshotInterval, "snapshot-interval", c.store.SnapshotInterval, "how often the background snapshot flushes statistics and epochs to the durable store (0 = only on drain)")
@@ -115,14 +95,14 @@ func run(c *cliConfig) error {
 			c.store.Dir, p.WarmRelations, p.WarmStatsTables, p.DroppedStale, p.DroppedCorrupt)
 	}
 
-	srv := &http.Server{Addr: c.addr, Handler: newServer(rt, c.server)}
+	srv := &http.Server{Addr: c.addr, Handler: serve.New(rt, c.server)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("galois-serve: %s listening on %s — workers=%d max-concurrent=%d cache=%v result-cache=%v",
-		modelDesc, c.addr, c.opts.BatchWorkers, c.server.maxConcurrent, c.opts.CacheEnabled, c.opts.ResultCacheEnabled)
+		modelDesc, c.addr, c.opts.BatchWorkers, c.server.MaxConcurrent, c.opts.CacheEnabled, c.opts.ResultCacheEnabled)
 
 	select {
 	case err := <-errCh:

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -22,7 +22,7 @@ import (
 // bytes of the limit, so both sides of it are reached.
 func FuzzQueryParams(f *testing.F) {
 	_, rt := testRuntime(f, core.ServeOptions())
-	s := newServer(rt, serverConfig{maxConcurrent: 1})
+	s := newServer(rt, Config{MaxConcurrent: 1})
 	// Non-space padding keeps TrimSpace from walking the whole body.
 	padding := bytes.Repeat([]byte{'x'}, maxBodyBytes+64)
 	f.Add("q=SELECT+name+FROM+country", []byte(""), false, false, false, int16(0), "")

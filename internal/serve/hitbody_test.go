@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -41,7 +41,7 @@ func isExact(body []byte) bool { return bytes.Contains(body, []byte(`"cached":"e
 // uncached is a second front end over rt that encodes every hit afresh:
 // the reference a kept body must equal byte for byte.
 func uncached(rt *core.Runtime) *server {
-	s := newServer(rt, serverConfig{maxConcurrent: 4})
+	s := newServer(rt, Config{MaxConcurrent: 4})
 	s.keepBodies = false
 	return s
 }
@@ -52,7 +52,7 @@ func uncached(rt *core.Runtime) *server {
 // encoded on the uncached path.
 func TestServeExactHitBodiesIdentical(t *testing.T) {
 	_, rt := testRuntime(t, core.ServeOptions())
-	kept, plain := newServer(rt, serverConfig{maxConcurrent: 4}), uncached(rt)
+	kept, plain := newServer(rt, Config{MaxConcurrent: 4}), uncached(rt)
 	for _, q := range spider.Queries() {
 		serveBody(t, plain, q.SQL, "") // populate
 		for _, enc := range encodings {
@@ -95,7 +95,7 @@ func TestServeHitBodyInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, plain := newServer(rt, serverConfig{maxConcurrent: 4}), uncached(rt)
+	kept, plain := newServer(rt, Config{MaxConcurrent: 4}), uncached(rt)
 	const sql = `SELECT name FROM country WHERE continent = 'Europe'`
 
 	steps := []struct {
@@ -148,7 +148,7 @@ func TestServeHitBodyBytes(t *testing.T) {
 	opts.CacheEnabled = false
 	opts.ResultCacheSize = 1
 	_, rt := testRuntime(t, opts)
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 	serveBody(t, srv, b, "")
 	bOnly := bytesOf(rt)
 	serveBody(t, srv, a, "") // evicts b
@@ -170,7 +170,7 @@ func TestServeHitBodyBytes(t *testing.T) {
 	opts.ResultCacheSize = 16
 	opts.ResultCacheBytes = inserted + bOnly + 8
 	_, tight := testRuntime(t, opts)
-	srv, plain := newServer(tight, serverConfig{maxConcurrent: 4}), uncached(tight)
+	srv, plain := newServer(tight, Config{MaxConcurrent: 4}), uncached(tight)
 	serveBody(t, srv, a, "")
 	serveBody(t, srv, b, "")
 	before := tight.ResultCacheStats()
@@ -227,7 +227,7 @@ func TestServeDeclinedSlotStreams(t *testing.T) {
 	opts := core.ServeOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	serveBody(t, newServer(rt, serverConfig{maxConcurrent: 4}), sql, "")
+	serveBody(t, newServer(rt, Config{MaxConcurrent: 4}), sql, "")
 	opts.ResultCacheBytes = rt.ResultCacheStats().Bytes + 8 // the entry, not its body
 	for _, tc := range []struct {
 		name    string
@@ -238,7 +238,7 @@ func TestServeDeclinedSlotStreams(t *testing.T) {
 		{"declined", opts, func(frames int) int { return frames }},
 	} {
 		_, rt := testRuntime(t, tc.opts)
-		srv, plain := newServer(rt, serverConfig{maxConcurrent: 4}), uncached(rt)
+		srv, plain := newServer(rt, Config{MaxConcurrent: 4}), uncached(rt)
 		serveBody(t, srv, sql, "") // populate
 		want := serveBody(t, plain, sql, "stream=ndjson")
 		frames := bytes.Count(want, []byte("\n"))
@@ -274,7 +274,7 @@ func TestFrameWriterSendChunks(t *testing.T) {
 // all serve the same bytes, and the body is charged once.
 func TestServeHitBodyConcurrentFill(t *testing.T) {
 	_, rt := testRuntime(t, core.ServeOptions())
-	srv, plain := newServer(rt, serverConfig{maxConcurrent: 16}), uncached(rt)
+	srv, plain := newServer(rt, Config{MaxConcurrent: 16}), uncached(rt)
 	const sql = `SELECT name FROM country WHERE continent = 'Europe'`
 	for _, enc := range encodings {
 		serveBody(t, srv, sql, "")
@@ -310,7 +310,7 @@ func TestServeHitBodyConcurrentFill(t *testing.T) {
 // repeat traffic short of the network.
 func BenchmarkServeExactHit(b *testing.B) {
 	_, rt := testRuntime(b, core.ServeOptions())
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 	const sql = `SELECT name, population FROM city WHERE population > 1000000`
 	for _, mode := range []struct{ name, params string }{{"buffered", ""}, {"ndjson", "stream=ndjson"}} {
 		b.Run(mode.name, func(b *testing.B) {

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -49,7 +49,7 @@ func TestServeHealthzReadiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	// Healthy: one endpoint, breaker closed, 200.
@@ -115,7 +115,7 @@ func TestServeQueryTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(rt, serverConfig{maxConcurrent: 2, queryTimeout: 20 * time.Millisecond})
+	srv := newServer(rt, Config{MaxConcurrent: 2, QueryTimeout: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -144,7 +144,7 @@ func TestServeQueueSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(rt, serverConfig{maxConcurrent: 1, maxQueue: 1})
+	srv := newServer(rt, Config{MaxConcurrent: 1, MaxQueue: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -226,7 +226,7 @@ func TestServeIdleBurstNotShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(rt, serverConfig{maxConcurrent: 4, maxQueue: 1})
+	srv := newServer(rt, Config{MaxConcurrent: 4, MaxQueue: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -277,7 +277,7 @@ func TestCongestedBreakers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newServer(rt, serverConfig{maxConcurrent: 4})
+		s := newServer(rt, Config{MaxConcurrent: 4})
 		backend, failing := rt.Registry().Default(), declared
 		if adopted {
 			failing = faultllm.Wrap(r.Model(simllm.GPT3), faultllm.Profile{Seed: 2})

@@ -1,4 +1,35 @@
-package main
+// Package serve is Galois's concurrent SQL front end over HTTP: one
+// shared core.Runtime (model endpoints, prompt cache, optimizer
+// statistics, and the engine-global fair-share prompt scheduler) serving
+// any number of concurrent queries, each in its own cheap session.
+// New returns the handler; cmd/galois-serve puts it on a listener.
+//
+// Endpoints:
+//
+//	POST /query            SQL in the request body (or GET /query?q=...);
+//	                       ?plan=1 includes the executed plan, ?class=batch
+//	                       runs in the scheduler's batch band, ?weight=N
+//	                       scales the deficit share. Returns the relation,
+//	                       row count and per-query prompt stats as JSON —
+//	                       or as a row stream: Accept: application/x-ndjson
+//	                       delivers NDJSON frames (header, rows, stats
+//	                       trailer) as the executor yields tuples, and
+//	                       ?stream=1 the same frames as SSE events.
+//	GET  /healthz          liveness probe.
+//	GET  /stats            serving counters, admission-controller and
+//	                       scheduler state, shared cache statistics.
+//
+// Concurrency model: all queries share one per-endpoint LLM worker
+// budget (-workers), divided by the engine-global deficit-weighted
+// scheduler — interactive queries drain with strict priority, batch
+// queries soak up idle slots, and a batch backlog can never delay an
+// interactive prompt by more than the one already on the wire. The
+// admission controller moves its effective concurrency limit between
+// Config.AdmissionFloor and Config.MaxConcurrent by AIMD on backpressure
+// signals; excess requests queue FIFO (abandoning the queue when their
+// client disconnects) and are shed with 503 + Retry-After only at the
+// floor.
+package serve
 
 import (
 	"bytes"
@@ -51,51 +82,55 @@ type server struct {
 	timeouts  atomic.Int64 // queries answered 504 (deadline expired)
 }
 
-// serverConfig tunes the front end's degradation behavior alongside the
-// admission controller.
-type serverConfig struct {
-	// maxConcurrent is the admission controller's ceiling on
+// Config tunes the front end's degradation behavior alongside the
+// admission controller. Its exported fields are galois-serve's
+// -max-concurrent, -max-queue, -admission-floor and -query-timeout.
+type Config struct {
+	// MaxConcurrent is the admission controller's ceiling on
 	// simultaneously executing queries (0 or negative means 2× the
 	// scheduler's per-endpoint worker budget — enough to keep the pool
 	// busy without unbounded overcommit).
-	maxConcurrent int
-	// maxQueue bounds requests waiting for an execution slot. While the
+	MaxConcurrent int
+	// MaxQueue bounds requests waiting for an execution slot. While the
 	// adaptive limit is above its floor a full queue cuts the limit and
 	// still admits the request into the queue; at the floor the bound is
 	// hard and one past it is refused immediately with 503 + Retry-After
-	// (0 or negative means 4× maxConcurrent).
-	maxQueue int
-	// queryTimeout bounds one query end to end; expiry answers 504
+	// (0 or negative means 4× MaxConcurrent).
+	MaxQueue int
+	// QueryTimeout bounds one query end to end; expiry answers 504
 	// (0 means no server-imposed deadline).
-	queryTimeout time.Duration
-	// admissionFloor is the adaptive limit's lower bound — the
+	QueryTimeout time.Duration
+	// AdmissionFloor is the adaptive limit's lower bound — the
 	// concurrency the server insists on even when every completion
-	// reports congestion (0 means maxConcurrent/4, minimum 1).
-	admissionFloor int
+	// reports congestion (0 means MaxConcurrent/4, minimum 1).
+	AdmissionFloor int
 	// admissionCooldown spaces multiplicative limit cuts (0 means the
 	// 250ms default; negative disables the rate limit — tests drive
 	// deterministic cut sequences that way).
 	admissionCooldown time.Duration
 }
 
+// New returns the HTTP front end over rt: /query, /healthz and /stats.
+func New(rt *core.Runtime, cfg Config) http.Handler { return newServer(rt, cfg) }
+
 // newServer wires the routes over the runtime.
-func newServer(rt *core.Runtime, cfg serverConfig) *server {
-	if cfg.maxConcurrent <= 0 {
-		cfg.maxConcurrent = 2 * rt.Options().BatchWorkers
+func newServer(rt *core.Runtime, cfg Config) *server {
+	if cfg.MaxConcurrent <= 0 {
+		cfg.MaxConcurrent = 2 * rt.Options().BatchWorkers
 	}
-	if cfg.maxQueue <= 0 {
-		cfg.maxQueue = 4 * cfg.maxConcurrent
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 4 * cfg.MaxConcurrent
 	}
 	s := &server{
 		rt:            rt,
-		maxConcurrent: cfg.maxConcurrent,
-		maxQueue:      cfg.maxQueue,
-		queryTimeout:  cfg.queryTimeout,
+		maxConcurrent: cfg.MaxConcurrent,
+		maxQueue:      cfg.MaxQueue,
+		queryTimeout:  cfg.QueryTimeout,
 		stallTimeout:  streamStallTimeout,
 		keepBodies:    true,
 		mux:           http.NewServeMux(),
 	}
-	s.adm = newAdmission(cfg.maxConcurrent, cfg.admissionFloor, cfg.maxQueue, cfg.admissionCooldown, &s.waiting)
+	s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionFloor, cfg.MaxQueue, cfg.admissionCooldown, &s.waiting)
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)

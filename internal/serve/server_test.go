@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bufio"
@@ -62,7 +62,7 @@ func TestServeConcurrentQueries(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 8}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 8}))
 	defer ts.Close()
 
 	queries := []string{
@@ -146,7 +146,7 @@ func TestServeAdmissionGate(t *testing.T) {
 	}
 	// maxQueue is raised past the burst: this test exercises the ordered
 	// drain of the gate, not load shedding (see TestServeQueueSaturation).
-	srv := newServer(rt, serverConfig{maxConcurrent: 2, maxQueue: 16})
+	srv := newServer(rt, Config{MaxConcurrent: 2, MaxQueue: 16})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -175,7 +175,7 @@ func TestServeAdmissionGate(t *testing.T) {
 // statement likewise.
 func TestServeErrors(t *testing.T) {
 	_, rt := testRuntime(t, core.DefaultOptions())
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader("SELEC nonsense"))
@@ -237,7 +237,7 @@ func TestServeBackendFailureIs5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	resp, _ := postQuery(t, ts, `SELECT name FROM country WHERE continent = 'Europe'`)
@@ -251,7 +251,7 @@ func TestServeBackendFailureIs5xx(t *testing.T) {
 // type) both work.
 func TestServeFormEncodedQuery(t *testing.T) {
 	_, rt := testRuntime(t, core.DefaultOptions())
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	const sql = `SELECT name FROM country WHERE continent = 'Europe'`
@@ -290,7 +290,7 @@ func TestServeFormEncodedQuery(t *testing.T) {
 // served queries and the shared cache.
 func TestServeHealthzAndStats(t *testing.T) {
 	_, rt := testRuntime(t, core.DefaultOptions())
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -337,7 +337,7 @@ func TestServeHealthzAndStats(t *testing.T) {
 // its name and position.
 func TestServeStatsPlanCache(t *testing.T) {
 	_, rt := testRuntime(t, core.ServeOptions())
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 	// EXPLAIN plans without executing, so no observation moves the
 	// statistics between the two: the second reuses the first's choice.
@@ -401,7 +401,7 @@ func TestServeQueuedClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(rt, serverConfig{maxConcurrent: 1})
+	srv := newServer(rt, Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -440,7 +440,7 @@ func TestServeQueuedClientDisconnect(t *testing.T) {
 // every other verb is a 405 with an Allow header and runs nothing.
 func TestServeMethodNotAllowed(t *testing.T) {
 	_, rt := testRuntime(t, core.DefaultOptions())
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -484,7 +484,7 @@ func TestServeMethodNotAllowed(t *testing.T) {
 // silent "no plan".
 func TestServePlanParam(t *testing.T) {
 	_, rt := testRuntime(t, core.DefaultOptions())
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	get := func(t *testing.T, plan string) (*http.Response, queryResponse) {
@@ -542,7 +542,7 @@ func TestServeCancelledQueuedCounters(t *testing.T) {
 	}
 	// maxQueue must exceed the cancelled burst: every request is meant to
 	// queue (then be abandoned), not be shed up front.
-	srv := newServer(rt, serverConfig{maxConcurrent: 1, maxQueue: 16})
+	srv := newServer(rt, Config{MaxConcurrent: 1, MaxQueue: 16})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -613,7 +613,7 @@ func TestServeResultCache(t *testing.T) {
 	opts.CacheEnabled = false
 	opts.ResultCacheEnabled = true
 	r, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	const sql = `SELECT name FROM country WHERE continent = 'Europe'`
@@ -682,7 +682,7 @@ func TestServeResultCacheSubsumption(t *testing.T) {
 	opts.CacheEnabled = false
 	opts.ResultCacheEnabled = true
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	// The parent populates the cache with a producer-shaped relation.
@@ -764,7 +764,7 @@ func TestServeBodyTooLarge(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	// One byte over: 413, and the error names the limit.
@@ -784,7 +784,7 @@ func TestServeBodyTooLarge(t *testing.T) {
 
 	// A chunked body (no Content-Length, so ContentLength == -1 on the
 	// server) is held to the same bound.
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 	var length atomic.Int64
 	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		length.Store(r.ContentLength)
@@ -817,7 +817,7 @@ func TestServeBodyShortOfDeclaredLength(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 	const sql = "SELECT name FROM country"
 
@@ -876,7 +876,7 @@ func TestServeWarmRestart(t *testing.T) {
 	if err := rt1.OpenStore(core.StoreConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(newServer(rt1, serverConfig{maxConcurrent: 4}))
+	ts1 := httptest.NewServer(newServer(rt1, Config{MaxConcurrent: 4}))
 	resp, cold := postQuery(t, ts1, sql)
 	if resp.StatusCode != http.StatusOK || cold.Stats.Prompts == 0 {
 		t.Fatalf("cold query: status %d prompts %d", resp.StatusCode, cold.Stats.Prompts)
@@ -891,7 +891,7 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt2.CloseStore()
-	ts2 := httptest.NewServer(newServer(rt2, serverConfig{maxConcurrent: 4}))
+	ts2 := httptest.NewServer(newServer(rt2, Config{MaxConcurrent: 4}))
 	defer ts2.Close()
 
 	resp, warm := postQuery(t, ts2, sql)
@@ -939,7 +939,7 @@ func TestServeRouteParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	q := url.QueryEscape(`SELECT name FROM country WHERE continent = 'Europe'`)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bufio"
@@ -61,7 +61,7 @@ func TestServeStreamNDJSON(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	const sql = `SELECT name, population FROM city WHERE population > 1000000`
@@ -141,7 +141,7 @@ func TestServeStreamSSE(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/query?stream=1", "text/plain",
@@ -184,7 +184,7 @@ func TestServeStreamSSE(t *testing.T) {
 func TestServeStreamBadParam(t *testing.T) {
 	opts := core.DefaultOptions()
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/query?stream=frobnicate", "text/plain", strings.NewReader(`SELECT name FROM country`))
@@ -215,7 +215,7 @@ func TestServeStreamFallbackBuffered(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 
 	req := httptest.NewRequest(http.MethodPost, "/query",
 		strings.NewReader(`SELECT name FROM country WHERE continent = 'Europe'`))
@@ -252,7 +252,7 @@ func TestServeStreamDisconnectMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(rt, serverConfig{maxConcurrent: 2})
+	srv := newServer(rt, Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -332,7 +332,7 @@ func TestServeStreamStalledLeader(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.ResultCacheEnabled = true
 	_, rt := testRuntime(t, opts)
-	srv := newServer(rt, serverConfig{maxConcurrent: 4})
+	srv := newServer(rt, Config{MaxConcurrent: 4})
 	srv.stallTimeout = 300 * time.Millisecond
 	ts := httptest.NewUnstartedServer(srv)
 	ts.Listener = smallBufListener{ts.Listener}
@@ -397,7 +397,7 @@ func TestServeStreamClassParams(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
-	ts := httptest.NewServer(newServer(rt, serverConfig{maxConcurrent: 4}))
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
 	defer ts.Close()
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query?class=batch&weight=4",
