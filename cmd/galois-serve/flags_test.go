@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -57,5 +58,18 @@ func TestParseFlags(t *testing.T) {
 		if want := (serve.Config{MaxConcurrent: 16}); c.server != want {
 			t.Errorf("%v: server = %+v, want %+v", tc.args, c.server, want)
 		}
+	}
+}
+
+// TestNewHTTPServerDeadlines: the listener bounds how long a client may
+// take over its request headers, and sets no whole-request read deadline
+// (one would cancel a long streamed query's context).
+func TestNewHTTPServerDeadlines(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != serve.StallTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, serve.StallTimeout)
+	}
+	if srv.ReadTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, want none", srv.ReadTimeout)
 	}
 }

@@ -95,7 +95,7 @@ func run(c *cliConfig) error {
 			c.store.Dir, p.WarmRelations, p.WarmStatsTables, p.DroppedStale, p.DroppedCorrupt)
 	}
 
-	srv := &http.Server{Addr: c.addr, Handler: serve.New(rt, c.server)}
+	srv := newHTTPServer(c.addr, serve.New(rt, c.server))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -127,4 +127,13 @@ func run(c *cliConfig) error {
 	}
 	log.Printf("galois-serve: bye")
 	return nil
+}
+
+// newHTTPServer puts h on addr. A client must finish its request headers
+// within serve.StallTimeout, or it would hold a connection and a
+// goroutine forever. There is deliberately no ReadTimeout: it would
+// expire in net/http's background read while a long streamed query
+// runs, and that cancels the request's context.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: serve.StallTimeout}
 }

@@ -158,9 +158,6 @@ type Options struct {
 	// with a second model and NULLs out disagreements (Section 6,
 	// "Knowledge of the Unknown").
 	Verifier llm.Client
-	// VerifyTolerance is the relative error under which two numeric
-	// answers agree (0 means the 10% default).
-	VerifyTolerance float64
 }
 
 // normalize fills the zero values every tier agrees on; Runtime

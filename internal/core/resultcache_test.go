@@ -736,21 +736,27 @@ func TestHitBodyOnlyOnExactHits(t *testing.T) {
 	w := world.Build()
 	sess := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), resultCacheOptions(), w).NewSession()
 	ctx := context.Background()
-	query := func(sql string, want CacheOutcome) *Report {
+	// query runs sql as a drained stream and returns the stream's hit body.
+	query := func(sql string, want CacheOutcome) *HitBody {
 		t.Helper()
-		_, rep, err := sess.Query(ctx, sql)
+		st, err := sess.QueryStream(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_, rep, err := st.drain()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Cached != want {
 			t.Fatalf("%s: cached = %q, want %q", sql, rep.Cached, want)
 		}
-		return rep
+		return st.Hit()
 	}
-	if query(rcQuery, CacheNone).Hit() != nil {
+	if query(rcQuery, CacheNone) != nil {
 		t.Error("a miss exposes a hit body")
 	}
-	hit := query(rcQuery, CacheExact).Hit()
+	hit := query(rcQuery, CacheExact)
 	if hit == nil {
 		t.Fatal("an exact hit exposes no hit body")
 	}
@@ -770,7 +776,7 @@ func TestHitBodyOnlyOnExactHits(t *testing.T) {
 	} else if b, _ := h.Cached(0); string(b) != "encoded" {
 		t.Error("the next exact hit's stream does not find the attached body")
 	}
-	if query(rcQuery+` LIMIT 3`, CacheSubsumed).Hit() != nil {
+	if query(rcQuery+` LIMIT 3`, CacheSubsumed) != nil {
 		t.Error("a subsumed hit exposes a hit body")
 	}
 

@@ -201,17 +201,6 @@ type Report struct {
 	// CacheSubsumed for a residual plan evaluated locally over a cached
 	// relation (Plan shows the residual plan, Stats all zero).
 	Cached CacheOutcome
-
-	hit HitBody // an exact hit's entry; zero otherwise
-}
-
-// Hit returns the encoded-body handle of an exact hit's report, nil for
-// every other report.
-func (r *Report) Hit() *HitBody {
-	if r.hit.entry == nil {
-		return nil
-	}
-	return &r.hit
 }
 
 // Query executes sql and returns the result relation plus an execution
@@ -319,7 +308,7 @@ func optionsFingerprint(o *Options) string {
 		o.Clean.Canonicalizer.Fingerprint())
 	fmt.Fprintf(&b, "scan=%d|", o.MaxScanIterations)
 	if o.Verifier != nil {
-		fmt.Fprintf(&b, "verify=%s,%g|", o.Verifier.Name(), o.VerifyTolerance)
+		fmt.Fprintf(&b, "verify=%s|", o.Verifier.Name())
 	}
 	fingerprintRoutes(&b, o.Routes)
 	return b.String()

@@ -71,10 +71,12 @@ type Stream struct {
 	explain string
 
 	// Replay state: exact hits and EXPLAIN deliver a materialized
-	// relation whose report is known at open.
+	// relation whose report is known at open; an exact hit also carries
+	// its entry's encoded-body slots.
 	replay *schema.Relation
 	idx    int
 	rep    *Report
+	hit    HitBody
 
 	// lead is this stream's result-cache flight when it executes a miss;
 	// entry is the cache entry io.EOF completes and settles it with.
@@ -208,12 +210,12 @@ func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 }
 
 // replayHit opens an exact hit: the resident relation, replayed row by
-// row, with the plan of the run that populated it. Its report carries
-// the entry's encoded-body slots.
+// row, with the plan of the run that populated it and the entry's
+// encoded-body slots.
 func (s *Session) replayHit(key rescache.Key, entry *rescache.Entry) *Stream {
-	rep := &Report{Plan: entry.Plan, Cached: CacheExact,
+	return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel,
+		rep: &Report{Plan: entry.Plan, Cached: CacheExact},
 		hit: HitBody{rc: s.rt.resultCache, key: key, entry: entry}}
-	return &Stream{s: s, schema: entry.Rel.Schema, cached: CacheExact, replay: entry.Rel, rep: rep}
 }
 
 // HitBody is an exact hit's handle on the encoded-body slots of the
@@ -240,10 +242,10 @@ func (h *HitBody) Attach(slot int, body []byte) []byte {
 // Hit returns the encoded-body handle of an exact hit, nil for every
 // other stream.
 func (st *Stream) Hit() *HitBody {
-	if st.rep == nil {
+	if st.hit.entry == nil {
 		return nil
 	}
-	return st.rep.Hit()
+	return &st.hit
 }
 
 // openLead opens the execution of a result-cache miss whose flight this
@@ -350,7 +352,6 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 		MaxScanIterations: s.opts.MaxScanIterations,
 		Scheduler:         tenant,
 		Verifier:          penv.verifier,
-		VerifyTolerance:   s.opts.VerifyTolerance,
 	}, plan, cost, CacheNone)
 	if err != nil {
 		tenant.Close()

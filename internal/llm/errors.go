@@ -135,16 +135,6 @@ func Classify(err error) ErrorClass {
 	return ClassPermanent
 }
 
-// IsRetryable reports whether the resilience layer may resubmit after
-// this failure.
-func IsRetryable(err error) bool {
-	switch Classify(err) {
-	case ClassTransient, ClassDeadline:
-		return true
-	}
-	return false
-}
-
 // IsCancellation reports whether the failure is the caller's own context
 // ending — not a backend failure, and never to be reported as one.
 func IsCancellation(err error) bool { return Classify(err) == ClassCanceled }

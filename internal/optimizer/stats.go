@@ -161,16 +161,6 @@ func (s *Statistics) Selectivity(table, attr, op, lit string) float64 {
 	return defaultSelectivity(op)
 }
 
-// SelectivityOf estimates the selectivity of an arbitrary conjunct over
-// the named table: column-op-literal forms consult the store, anything
-// else gets a generic 0.5.
-func (s *Statistics) SelectivityOf(table string, e ast.Expr) float64 {
-	if attr, op, lit, ok := simpleConjunct(e); ok {
-		return s.Selectivity(table, attr, op, lit)
-	}
-	return 0.5
-}
-
 // ObserveScan feeds back one executed key scan: the number of keys it
 // materialized and the number of list prompts it issued.
 func (s *Statistics) ObserveScan(table string, keys, pages int) {

@@ -269,12 +269,9 @@ type cellTag struct {
 	opts clean.Options
 }
 
-func verifyTolerance(c *Context) float64 {
-	if c.VerifyTolerance > 0 {
-		return c.VerifyTolerance
-	}
-	return 0.1
-}
+// verifyTolerance is the relative error under which a verifier's numeric
+// answer agrees with the fetched one.
+const verifyTolerance = 0.1
 
 // valuesAgree compares two independently produced answers: numerics within
 // a relative tolerance, strings case-insensitively.
@@ -323,7 +320,7 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 			vt = verifyVT
 		}
 		if !v.IsNull() {
-			if !valuesAgree(v, other.(value.Value), verifyTolerance(f.pc)) {
+			if !valuesAgree(v, other.(value.Value), verifyTolerance) {
 				v = value.Null()
 			}
 		}

@@ -57,9 +57,6 @@ type Context struct {
 	// "verify generated query answers by another model"). Cells the
 	// verifier disagrees with become NULL.
 	Verifier llm.Client
-	// VerifyTolerance is the relative error under which two numeric
-	// answers count as agreeing (default 0.1 when Verifier is set).
-	VerifyTolerance float64
 }
 
 // client resolves the transport one prompt role's calls go out on for a

@@ -32,7 +32,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,7 +65,7 @@ type server struct {
 	maxConcurrent int
 	maxQueue      int
 	queryTimeout  time.Duration
-	stallTimeout  time.Duration // streamStallTimeout; tests shorten it
+	stallTimeout  time.Duration // StallTimeout; tests shorten it
 	// keepBodies keeps an exact hit's encoded response on its
 	// result-cache entry, so later hits of the same encoding write it
 	// without encoding. Tests turn it off to compare against the
@@ -126,7 +125,7 @@ func newServer(rt *core.Runtime, cfg Config) *server {
 		maxConcurrent: cfg.MaxConcurrent,
 		maxQueue:      cfg.MaxQueue,
 		queryTimeout:  cfg.QueryTimeout,
-		stallTimeout:  streamStallTimeout,
+		stallTimeout:  StallTimeout,
 		keepBodies:    true,
 		mux:           http.NewServeMux(),
 	}
@@ -176,8 +175,7 @@ type queryStats struct {
 	SimulatedLatencyMS float64 `json:"simulated_latency_ms"`
 }
 
-// statsJSON renders a report's usage for the buffered response and the
-// stream's stats frame.
+// statsJSON renders a report's usage for the stats frame.
 func statsJSON(rep *core.Report) queryStats {
 	return queryStats{
 		Prompts:            rep.Stats.Prompts,
@@ -190,7 +188,7 @@ func statsJSON(rep *core.Report) queryStats {
 }
 
 // columnsJSON renders a schema as the parallel column-name and type
-// lists of the buffered response and the stream's header frame.
+// lists of the header frame.
 func columnsJSON(sch *schema.Schema) (columns, types []string) {
 	columns, types = make([]string, sch.Len()), make([]string, sch.Len())
 	for i, c := range sch.Columns {
@@ -320,62 +318,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sess.SetOptions(o)
 	}
 
-	if mode != streamNone {
-		if _, ok := w.(http.Flusher); ok {
-			s.streamQuery(ctx, w, sess, sql, mode, wantPlan)
-			return
-		}
-		// The response writer can't flush (buffering middleware, some
-		// test recorders): degrade to the buffered JSON body below
-		// rather than holding rows hostage in an unflushable pipe.
+	// A stream needs a writer that flushes: over one that cannot
+	// (buffering middleware, some test recorders) rows would be held
+	// hostage in the pipe, so the answer degrades to the buffered body.
+	if _, ok := w.(http.Flusher); !ok {
+		mode = streamNone
 	}
-
-	rel, rep, err := sess.Query(ctx, sql)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	// An exact hit's body is a pure function of its cache entry: the
-	// first hit of an encoding keeps the bytes there, later ones write
-	// them as they are.
-	hit, slot := rep.Hit(), bodySlot(streamNone, wantPlan)
-	body, keep := s.keptBody(hit, slot)
-	if !keep {
-		writeJSON(w, http.StatusOK, response(rel, rep, wantPlan))
-		return
-	}
-	if body == nil {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(response(rel, rep, wantPlan)); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body = hit.Attach(slot, buf.Bytes())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a failed write means the client is gone
-}
-
-// response builds the buffered JSON response of one query. A miss
-// encodes it straight to the client and an exact hit into the bytes its
-// entry keeps, both with json.Encoder.Encode (what writeJSON uses), so a
-// kept body is byte-identical to a fresh encoding.
-func response(rel *schema.Relation, rep *core.Report, wantPlan bool) queryResponse {
-	resp := queryResponse{
-		Rows:     make([][]string, 0, rel.Cardinality()),
-		RowCount: rel.Cardinality(),
-		Cached:   cachedJSON(rep.Cached),
-		Stats:    statsJSON(rep),
-	}
-	resp.Columns, resp.Types = columnsJSON(rel.Schema)
-	for _, row := range rel.Rows {
-		resp.Rows = append(resp.Rows, cellsJSON(row))
-	}
-	if wantPlan {
-		resp.Plan = rep.Plan
-	}
-	return resp
+	s.deliver(ctx, w, sess, sql, mode, wantPlan)
 }
 
 // bodySlots counts the encodings bodySlot numbers.
@@ -532,20 +481,34 @@ func querySQL(r *http.Request, params url.Values) (string, error) {
 	return "", fmt.Errorf("missing SQL: pass ?q= or a request body")
 }
 
-// writeQueryError maps a query failure onto the HTTP status retry
-// policies expect: 400 for SQL that does not parse or is not a SELECT or
-// EXPLAIN (the client's fault), 504 when a deadline (the server's
-// -query-timeout or the client's own) expired mid-query, 503 +
-// Retry-After when the model endpoint's circuit breaker shed the call,
-// 503 when the client disconnected mid-flight, 500 for everything else —
-// planning against the shared bindings and the model backend included,
-// which retry policies and monitoring treat correctly.
-func (s *server) writeQueryError(w http.ResponseWriter, err error) {
-	s.noteQueryError(err)
+// fail answers a failed query and folds it into the degradation
+// counters. Once a stream is past its 200 status line the failure
+// travels in-band, as an error frame. Before that — and always for a
+// buffered query, which writes nothing before its stats frame — it maps
+// onto the HTTP status retry policies expect: 400 for SQL that does not
+// parse or is not a SELECT or EXPLAIN (the client's fault), 504 when a
+// deadline (the server's -query-timeout or the client's own) expired
+// mid-query, 503 + Retry-After when the model endpoint's circuit breaker
+// shed the call, 503 when the client disconnected mid-flight, 500 for
+// everything else — planning against the shared bindings and the model
+// backend included, which retry policies and monitoring treat correctly.
+func (s *server) fail(f *frameWriter, err error) {
+	breakerOpen := llm.Classify(err) == llm.ClassBreakerOpen
+	switch {
+	case breakerOpen:
+		s.shed.Add(1)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Add(1)
+	}
+	if f.started {
+		_ = f.frame("error", streamFailure{Type: "error", Error: err.Error()})
+		return
+	}
+	w := f.w
 	switch {
 	case errors.Is(err, core.ErrStatement):
 		writeError(w, http.StatusBadRequest, err)
-	case llm.Classify(err) == llm.ClassBreakerOpen:
+	case breakerOpen:
 		w.Header().Set("Retry-After", s.breakerRetryAfter())
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -554,19 +517,6 @@ func (s *server) writeQueryError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
 		writeError(w, http.StatusInternalServerError, err)
-	}
-}
-
-// noteQueryError folds one failed query into the degradation counters,
-// independent of how the failure reaches the client — the status line
-// for buffered responses, an in-band error frame for streams already
-// past their headers.
-func (s *server) noteQueryError(err error) {
-	switch {
-	case llm.Classify(err) == llm.ClassBreakerOpen:
-		s.shed.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Add(1)
 	}
 }
 

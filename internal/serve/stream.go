@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,17 +13,22 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/llm"
+	"repro/internal/schema"
 )
 
-// Streaming delivery: instead of materializing the whole relation
-// before the first response byte, the handler walks core.QueryStream
-// and writes each row as the executor yields it — one self-describing
-// JSON frame per line (NDJSON), or the same frames
-// wrapped in SSE events for EventSource clients. The frame sequence is
-// always header, zero or more rows, then exactly one terminal frame:
-// stats on success, error on a mid-stream failure (the 200 status line
-// is long gone by then, so failures must travel in-band). An exact hit
-// has every row at open, so its frames leave in one write.
+// Delivery: every /query walks core.QueryStream once and writes it in
+// one of three encodings. A stream writes each row as the executor
+// yields it, instead of materializing the whole relation before the
+// first response byte — one self-describing JSON frame per line
+// (NDJSON), or the same frames wrapped in SSE events for EventSource
+// clients. The frame sequence is always header, zero or more rows, then
+// exactly one terminal frame: stats on success, error on a mid-stream
+// failure (the 200 status line is long gone by then, so failures must
+// travel in-band). The buffered encoding collects the same walk into one
+// queryResponse and writes it at the terminal frame, so its failures
+// keep their status codes. An exact hit has every row at open, so its
+// response leaves in one write.
 const (
 	streamNone   = ""       // buffered queryResponse JSON
 	streamNDJSON = "ndjson" // application/x-ndjson, one frame per line
@@ -88,49 +94,45 @@ type streamFailure struct {
 	Error string `json:"error"`
 }
 
-// streamStallTimeout bounds how long one write may block on a
+// StallTimeout bounds how long one stream write may block on a
 // client that stopped reading. A streamed miss leads the result cache's
 // flight for its statement until the executor reaches the end of the
 // relation, and the executor only advances as frames are written; a
 // stalled client is therefore cut off, and the deferred Close hands the
 // flight to the concurrent identical queries waiting on it.
-const streamStallTimeout = 10 * time.Second
+const StallTimeout = 10 * time.Second
 
-// streamQuery executes sql over sess and writes the result as a frame
-// stream. Errors before the first frame still use the normal status
-// mapping (400/503/504/...); once the header is out every outcome travels
-// in-band. A client disconnect mid-stream cancels ctx, which fails the
-// executor's queued prompts and releases the scheduler tenant via the
-// deferred Close — the caller's admission slot is released when this
-// returns, exactly like a buffered query. So does a client that stops
-// reading for longer than the server's stall timeout.
-func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *core.Session, sql, mode string, wantPlan bool) {
+// deliver executes sql over sess and writes the result in mode's
+// encoding. Every failure goes through fail. A client disconnect
+// cancels ctx, which fails the executor's queued prompts and releases
+// the scheduler tenant via the deferred Close — the caller's admission
+// slot is released when this returns. So does a client that stops
+// reading a stream for longer than the server's stall timeout.
+func (s *server) deliver(ctx context.Context, w http.ResponseWriter, sess *core.Session, sql, mode string, wantPlan bool) {
+	fw := &frameWriter{w: w, stall: s.stallTimeout, mode: mode}
 	st, err := sess.QueryStream(ctx, sql)
 	if err != nil {
-		s.writeQueryError(w, err)
+		s.fail(fw, err)
 		return
 	}
 	defer st.Close()
 
-	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.stallTimeout, mode: mode}
-	// An exact hit has every row at open: its frames leave in one flush,
-	// and the first hit of an encoding keeps them on the cache entry for
-	// the next ones. A hit whose slot declined a body streams frame by
-	// frame, as a miss does, rather than encode it whole again.
+	// An exact hit's response is a pure function of its cache entry: it
+	// leaves in one write, and the first hit of an encoding keeps the
+	// bytes on the entry for the next ones. A hit whose slot declined a
+	// body is delivered as a miss is, rather than encoded whole again.
 	hit, slot := st.Hit(), bodySlot(mode, wantPlan)
 	body, keep := s.keptBody(hit, slot)
 	if body != nil {
 		if err := finishReplay(st); err != nil {
-			s.writeQueryError(w, err)
+			s.fail(fw, err)
 			return
 		}
 		_ = fw.send(body) // a failed write means the client is gone
 		return
 	}
 	fw.hold = keep
-	head := streamHeader{Type: "header", Cached: cachedJSON(st.Cached())}
-	head.Columns, head.Types = columnsJSON(st.Schema())
-	if fw.frame("header", head) != nil {
+	if fw.header(st) != nil {
 		return
 	}
 
@@ -141,12 +143,11 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 			break
 		}
 		if err != nil {
-			s.noteQueryError(err)
-			fw.fail(err)
+			s.fail(fw, err)
 			return
 		}
 		rows++
-		if fw.frame("row", streamRow{Type: "row", Cells: cellsJSON(row), VTMS: float64(vt) / float64(time.Millisecond)}) != nil {
+		if fw.row(row, vt) != nil {
 			// The pipe is dead; the deferred Close stops upstream prompt
 			// issue and frees the tenant's slots.
 			return
@@ -155,15 +156,14 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, sess *c
 
 	rep, err := st.Finish()
 	if err != nil {
-		s.noteQueryError(err)
-		fw.fail(err)
+		s.fail(fw, err)
 		return
 	}
 	tail := streamStats{Type: "stats", RowCount: rows, Stats: statsJSON(rep)}
 	if wantPlan {
 		tail.Plan = rep.Plan
 	}
-	if fw.frame("stats", tail) == nil && fw.hold {
+	if fw.stats(tail) == nil && fw.hold {
 		_ = fw.send(hit.Attach(slot, fw.buf))
 	}
 }
@@ -188,15 +188,55 @@ func finishReplay(st *core.Stream) error {
 // stream, must reach the connection within stall of its start (send).
 // The first write commits the content type
 // and the 200 status line. With hold set, frames collect in buf instead,
-// for one send once the stream is complete.
+// for one send once the stream is complete. In the buffered mode
+// (streamNone) the frames fill resp, which is written, or held in buf,
+// at the stats frame.
 type frameWriter struct {
 	w       http.ResponseWriter
-	rc      *http.ResponseController
+	rc      *http.ResponseController // made by the first stream send
 	stall   time.Duration
 	mode    string
 	started bool
 	hold    bool
 	buf     []byte
+	resp    *queryResponse
+}
+
+// header delivers the stream's schema and how the result cache answered.
+func (f *frameWriter) header(st *core.Stream) error {
+	columns, types := columnsJSON(st.Schema())
+	if f.mode == streamNone {
+		f.resp = &queryResponse{Columns: columns, Types: types, Rows: [][]string{}, Cached: cachedJSON(st.Cached())}
+		return nil
+	}
+	return f.frame("header", streamHeader{Type: "header", Columns: columns, Types: types, Cached: cachedJSON(st.Cached())})
+}
+
+// row delivers one tuple available at virtual time vt.
+func (f *frameWriter) row(row schema.Tuple, vt llm.VTime) error {
+	if f.mode == streamNone {
+		f.resp.Rows = append(f.resp.Rows, cellsJSON(row))
+		return nil
+	}
+	return f.frame("row", streamRow{Type: "row", Cells: cellsJSON(row), VTMS: float64(vt) / float64(time.Millisecond)})
+}
+
+// stats ends a successful delivery: the stats frame, or the buffered
+// body, both encoded with json.Encoder.Encode's bytes, so a kept body is
+// byte-identical to a fresh encoding.
+func (f *frameWriter) stats(tail streamStats) error {
+	if f.mode != streamNone {
+		return f.frame("stats", tail)
+	}
+	f.resp.RowCount, f.resp.Plan, f.resp.Stats = tail.RowCount, tail.Plan, tail.Stats
+	if !f.hold {
+		writeJSON(f.w, http.StatusOK, f.resp)
+		return nil
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(f.resp)
+	f.buf = buf.Bytes()
+	return err
 }
 
 func (f *frameWriter) frame(event string, v any) error {
@@ -213,22 +253,23 @@ func (f *frameWriter) frame(event string, v any) error {
 	return f.send(b)
 }
 
-// fail ends the stream with an error frame, sending whatever is held.
-func (f *frameWriter) fail(err error) {
-	if f.frame("error", streamFailure{Type: "error", Error: err.Error()}) == nil && f.hold {
-		_ = f.send(f.buf)
-	}
-}
-
 // sendChunk bounds the bytes one stall deadline covers.
 const sendChunk = 64 << 10
 
-// send writes b — one frame, or a whole held stream — and flushes it
-// once. Each chunk of at most sendChunk bytes gets its own stall
+// send writes b: a buffered body in one plain write, as any JSON
+// response is, or one frame or a whole held stream, flushed once. Each
+// chunk of a stream, at most sendChunk bytes, gets its own stall
 // deadline, so a large held stream to a slow client that is still
 // reading is held to the pace a frame-by-frame stream is, not to one
 // deadline for the whole transfer.
 func (f *frameWriter) send(b []byte) error {
+	if f.mode == streamNone {
+		f.started = true
+		f.w.Header().Set("Content-Type", "application/json")
+		f.w.WriteHeader(http.StatusOK)
+		_, err := f.w.Write(b)
+		return err
+	}
 	if !f.started {
 		f.started = true
 		if f.mode == streamSSE {
@@ -240,6 +281,9 @@ func (f *frameWriter) send(b []byte) error {
 		// Tell buffering reverse proxies not to defeat the flushes.
 		f.w.Header().Set("X-Accel-Buffering", "no")
 		f.w.WriteHeader(http.StatusOK)
+		if f.rc == nil {
+			f.rc = http.NewResponseController(f.w)
+		}
 	}
 	for len(b) > 0 {
 		n := min(len(b), sendChunk)
@@ -255,8 +299,8 @@ func (f *frameWriter) send(b []byte) error {
 
 // appendFrame appends one frame in mode's encoding to dst: its JSON
 // and a newline for NDJSON, an event carrying the JSON as data for SSE.
-// It encodes what a streamed miss writes frame by frame and what an
-// exact hit keeps.
+// It encodes what a streamed miss writes frame by frame and what a
+// streamed exact hit keeps.
 func appendFrame(dst []byte, mode, event string, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {

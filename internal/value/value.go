@@ -83,11 +83,7 @@ func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 // Float returns a FLOAT value.
 func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
 
-// String_ returns a TEXT value. (Named with a trailing underscore to avoid
-// clashing with the fmt.Stringer method.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
-
-// Text returns a TEXT value; alias of String_ that reads better at call sites.
+// Text returns a TEXT value.
 func Text(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a BOOLEAN value.
