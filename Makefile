@@ -22,7 +22,8 @@ race:
 
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the
-# cost), then the scheduler's own
+# cost), then the planner's (BenchmarkChoose: one templated enumeration
+# of a two-conjunct join, as on a plan-cache miss), the scheduler's
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
 # BenchmarkCachedMiss: the same through the prompt cache, a new key every
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
@@ -33,7 +34,7 @@ race:
 # that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
 # exact hit through the HTTP handler, buffered and NDJSON).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from
@@ -57,8 +58,9 @@ serve:
 # Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
 # the galois.yaml decoder, the model-answer number decoder, the token
 # counter, the prompt template's token count, the durable store's
-# segment replay, the persisted result-cache entry decoder and
-# internal/serve's /query parameter decoders (same runs CI does).
+# segment replay and MANIFEST reader, the persisted result-cache entry
+# decoder and internal/serve's /query parameter decoders (same runs CI
+# does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
 	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./internal/serve
 

@@ -412,3 +412,29 @@ func TestResidentPromptsPricedAtZero(t *testing.T) {
 		t.Errorf("cache off: plan must not depend on earlier queries:\n%s", plan)
 	}
 }
+
+// TestExplainResidualTieKeepsFreshPlan: under the fixed heuristics a
+// residual plan over a cached relation competes with the fresh plan and
+// wins only when strictly cheaper. Over a DB table both cost nothing, so
+// the fresh plan keeps the tie and EXPLAIN names its choice.
+func TestExplainResidualTieKeepsFreshPlan(t *testing.T) {
+	w := world.Build()
+	opts := DefaultOptions()
+	opts.ResultCacheEnabled = true
+	opts.Optimizer.CostBased = false
+	opts.DefaultSource = "DB"
+	rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)
+	db := memdb.New()
+	if err := db.LoadRelation(w.Table("country").Def, w.Relation("country")); err != nil {
+		t.Fatal(err)
+	}
+	rt.AttachDB(db)
+	s := rt.NewSession()
+	if _, _, err := s.Query(context.Background(), "SELECT name, continent FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	plan := explainText(t, s, "SELECT name FROM country WHERE continent = 'Europe'")
+	if strings.Contains(plan, "residual") || !strings.Contains(plan, "(cost-based, 2 candidates, choice: paper)") {
+		t.Errorf("a residual tied at zero cost must lose to the fresh plan, labelled paper:\n%s", plan)
+	}
+}

@@ -70,51 +70,25 @@ func (s *Session) planFactory(sel *ast.Select, built logical.Node) func() (logic
 	}
 }
 
-// planCostBased runs the cost-based enumeration through the runtime's
-// plan cache. Sessions that pin per-conjunct or per-join knobs bypass
-// it: those sets are keyed by conjunct text, which carries literals.
-func (s *Session) planCostBased(sel *ast.Select, built logical.Node, params optimizer.CostParams, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
-	o := s.opts.Optimizer
-	enumerate := func() (logical.Node, *optimizer.PlanCost, error) {
-		plan, cost, _, err := optimizer.ChooseBestExtra(s.planFactory(sel, built), o, s.rt.stats, params, extras)
-		return plan, cost, err
-	}
-	pc := s.rt.plans
-	if pc == nil || len(o.DisableLLMFilter) > 0 || len(o.PromptPushdownSkip) > 0 || len(o.SwapJoins) > 0 {
-		return enumerate()
-	}
-	if built == nil {
-		var err error
-		if built, err = logical.Build(sel, s); err != nil {
-			return nil, nil, err
-		}
-	}
-	tpl, ok := optimizer.NewTemplate(built, s.planInputs(params))
-	if !ok {
+// replan plans built, a statement of template tpl, from the template's
+// cached choice when every guard holds for its literals (a hit),
+// counting the hit, guard failure or miss. It returns a nil plan unless
+// it hit.
+func (pc *planCache) replan(built logical.Node, tpl *optimizer.Template, base optimizer.Options, st *optimizer.Statistics, p optimizer.CostParams, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
+	g := pc.entries.Get(tpl.Key())
+	if g == nil {
 		pc.misses.Add(1)
-		return enumerate()
+		return nil, nil, nil
 	}
-	if g := pc.entries.Get(tpl.Key()); g != nil {
-		plan, cost, ok, err := g.Replan(built, tpl, o, s.rt.stats, params, extras)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			pc.hits.Add(1)
-			return plan, cost, nil
-		}
+	plan, cost, err := g.Replan(built, tpl, base, st, p, extras)
+	switch {
+	case err != nil:
+	case plan != nil:
+		pc.hits.Add(1)
+	default:
 		pc.guardFailures.Add(1)
-	} else {
-		pc.misses.Add(1)
 	}
-	plan, cost, g, err := optimizer.ChooseBestGuarded(s.planFactory(sel, built), o, s.rt.stats, params, extras, tpl)
-	if err != nil {
-		return nil, nil, err
-	}
-	if g != nil {
-		pc.entries.Put(tpl.Key(), g)
-	}
-	return plan, cost, nil
+	return plan, cost, err
 }
 
 // planInputs renders the planning inputs no guard covers — the

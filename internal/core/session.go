@@ -75,14 +75,15 @@ func (s *Session) Stats() SessionStats {
 }
 
 // Plan parses, plans and optimizes a query, returning the lowered logical
-// plan (what EXPLAIN shows). Under a cost-based configuration this is the
-// cheapest enumerated candidate.
+// plan a fresh execution would run. Under a cost-based configuration
+// this is the cheapest enumerated candidate. It never considers residual
+// plans over cached relations, which EXPLAIN and execution also weigh.
 func (s *Session) Plan(sql string) (logical.Node, error) {
 	sel, err := parser.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := s.planSelect(sel)
+	plan, _, err := s.plan(sel, nil, nil)
 	return plan, err
 }
 
@@ -92,24 +93,17 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 	return s.rt.resolveTable(name, explicit, s.opts.DefaultSource)
 }
 
-// planSelect builds and optimizes the plan for one SELECT, returning the
-// planner's cost prediction alongside it. With CostBased on, candidates
-// are enumerated and the cheapest wins; otherwise the fixed heuristics
-// apply and the estimate prices the resulting single plan.
-func (s *Session) planSelect(sel *ast.Select) (logical.Node, *optimizer.PlanCost, error) {
-	return s.planSelectExtras(sel, nil, nil)
-}
-
-// planSelectExtras is the planner entry point: fresh candidates (one
-// under the fixed heuristics, an enumeration under CostBased) compete
-// against any pre-built residual plans over cached relations. The extras
-// are priced with the same Estimate and win only when strictly cheaper,
-// so cache answering is a plan-choice decision, not a bypass. A non-nil
-// built plan (already constructed for the result-cache fingerprint) is
-// the first candidate, so a cache miss does not build twice. Under
-// CostBased the runtime's plan cache may replace the enumeration (see
-// planCostBased).
-func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
+// plan is the planner entry point: it builds and optimizes the plan for
+// one SELECT (optimizer.Choose), returning the planner's cost prediction
+// alongside it. Fresh candidates compete against any pre-built residual
+// plans over cached relations, so cache answering is a plan-choice
+// decision, not a bypass. A non-nil built plan (already constructed for
+// the result-cache fingerprint) is the first candidate, so a cache miss
+// does not build twice. Under CostBased the runtime's plan cache may
+// replace the enumeration; sessions that pin per-conjunct or per-join
+// knobs bypass it, since those sets are keyed by conjunct text, which
+// carries literals.
+func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	// Price plans with the worker budget that will actually apply: the
 	// runtime scheduler's shared per-endpoint budget under the streaming
 	// policy, the session's wave width under stop-and-go.
@@ -131,27 +125,27 @@ func (s *Session) planSelectExtras(sel *ast.Select, built logical.Node, extras [
 		Price:    s.priceFor(router),
 		Resident: s.residentFor(router, overrides),
 	}
-	if s.opts.Optimizer.CostBased {
-		return s.planCostBased(sel, built, params, extras)
-	}
-	plan, err := s.planFactory(sel, built)()
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err = optimizer.Optimize(plan, s.opts.Optimizer)
-	if err != nil {
-		return nil, nil, err
-	}
-	cost := optimizer.Estimate(plan, s.rt.stats, params)
-	for _, ex := range extras {
-		exCost := optimizer.Estimate(ex.Plan, s.rt.stats, params)
-		if optimizer.Cheaper(exCost, cost) {
-			plan, cost = ex.Plan, exCost
-			cost.Choice = ex.Label
+	o := s.opts.Optimizer
+	pc := s.rt.plans
+	var tpl *optimizer.Template
+	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 && len(o.PromptPushdownSkip) == 0 && len(o.SwapJoins) == 0 {
+		if built == nil {
+			if built, err = logical.Build(sel, s); err != nil {
+				return nil, nil, err
+			}
+		}
+		if tpl, _ = optimizer.NewTemplate(built, s.planInputs(params)); tpl == nil {
+			pc.misses.Add(1)
+		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, params, extras); plan != nil || err != nil {
+			return plan, cost, err
 		}
 	}
-	if len(extras) > 0 {
-		cost.Candidates = 1 + len(extras)
+	plan, cost, g, err := optimizer.Choose(s.planFactory(sel, built), o, s.rt.stats, params, extras, tpl)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g != nil {
+		pc.entries.Put(tpl.Key(), g)
 	}
 	return plan, cost, nil
 }
@@ -229,7 +223,7 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 // relation that can answer it: same FROM tree, weaker-or-equal producer
 // conjuncts, same result-affecting options, and a residual chain that
 // compiles against the producer's output columns. The candidates then
-// compete in planSelectExtras on estimated cost.
+// compete in plan on estimated cost.
 func (s *Session) residualCandidates(shape *logical.Shape, stamp string) []optimizer.ExtraPlan {
 	rc := s.rt.resultCache
 	if rc == nil || shape == nil || s.opts.Optimizer.PromptPushdown {
@@ -357,20 +351,17 @@ func (s *Session) account(rep *Report) {
 // exactly as they do for execution, so EXPLAIN shows the
 // "residual over cached(...)" plan a subsumed query would actually run.
 func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Relation, *Report, error) {
-	var plan logical.Node
-	var cost *optimizer.PlanCost
-	var err error
+	var built logical.Node
+	var shape *logical.Shape
+	var stamp string
 	if s.rt.resultCache != nil {
-		built, berr := logical.Build(ex.Stmt, s)
-		if berr != nil {
-			return nil, nil, berr
+		var err error
+		if built, _, stamp, err = s.buildKeyed(ex.Stmt, s); err != nil {
+			return nil, nil, err
 		}
-		shape := logical.Decompose(built)
-		stamp := s.rt.stampFor(logical.Components(built))
-		plan, cost, err = s.planSelectExtras(ex.Stmt, built, s.residualCandidates(shape, stamp))
-	} else {
-		plan, cost, err = s.planSelect(ex.Stmt)
+		shape = logical.Decompose(built)
 	}
+	plan, cost, err := s.plan(ex.Stmt, built, s.residualCandidates(shape, stamp))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -148,19 +148,11 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 	if rc == nil {
 		return s.openShaped(ctx, sel, nil, nil, "")
 	}
-	// The cheap logical build (no candidate enumeration, no costing)
-	// yields both canonical forms: the flat fingerprint for exact
-	// matching and the structured shape for subsumption. The stamp is
-	// captured before execution, so a bind landing mid-flight keys this
-	// result under the old epochs, where no post-bind lookup can reach
-	// it.
 	rec := &recordingResolver{s: s}
-	built, err := logical.Build(sel, rec)
+	built, comps, stamp, err := s.buildKeyed(sel, rec)
 	if err != nil {
 		return nil, err
 	}
-	comps := logical.Components(built)
-	stamp := s.rt.stampFor(comps)
 	if sel.Limit >= 0 || sel.Offset > 0 {
 		return s.openShaped(ctx, sel, built, logical.Decompose(built), stamp)
 	}
@@ -179,6 +171,22 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 		return s.replayHit(key, entry), nil
 	}
 	return s.openLead(ctx, sel, built, comps, stamp, lead)
+}
+
+// buildKeyed builds sel through r for the result cache. The cheap
+// logical build (no candidate enumeration, no costing) yields both
+// canonical forms: the flat fingerprint for exact matching and the
+// structured shape for subsumption. It returns the build, its table
+// components and their stamp, captured before execution, so a bind
+// landing mid-flight keys this result under the old epochs, where no
+// post-bind lookup can reach it.
+func (s *Session) buildKeyed(sel *ast.Select, r logical.Resolver) (logical.Node, []string, string, error) {
+	built, err := logical.Build(sel, r)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	comps := logical.Components(built)
+	return built, comps, s.rt.stampFor(comps), nil
 }
 
 // openMemo opens a memoized SELECT whose resolutions were just replayed:
@@ -285,7 +293,7 @@ func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.N
 // openShaped plans one SELECT with residual plans over cached relations
 // competing as candidates, and opens the winner.
 func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical.Node, shape *logical.Shape, stamp string) (*Stream, error) {
-	plan, cost, err := s.planSelectExtras(sel, built, s.residualCandidates(shape, stamp))
+	plan, cost, err := s.plan(sel, built, s.residualCandidates(shape, stamp))
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +309,7 @@ func (s *Session) openPlan(ctx context.Context, sel *ast.Select, plan logical.No
 		if !errors.Is(err, errCachedEntryGone) {
 			return st, err
 		}
-		if plan, cost, err = s.planSelect(sel); err != nil {
+		if plan, cost, err = s.plan(sel, nil, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -102,9 +102,6 @@ func Wrap(inner llm.Client, p Profile) *Injector {
 // and endpoint accounting.
 func (in *Injector) Name() string { return in.inner.Name() }
 
-// Inner returns the wrapped client.
-func (in *Injector) Inner() llm.Client { return in.inner }
-
 // Profile returns the (normalized) fault profile.
 func (in *Injector) Profile() Profile { return in.p }
 

@@ -224,10 +224,6 @@ func (r *ResilientClient) Name() string {
 	return r.inner.Name()
 }
 
-// Inner returns the wrapped transport (the chaos bench reaches through
-// to the injector).
-func (r *ResilientClient) Inner() Client { return r.inner }
-
 // Config returns the normalized configuration in effect.
 func (r *ResilientClient) Config() ResilientConfig { return r.cfg }
 

@@ -1,0 +1,41 @@
+package optimizer
+
+import (
+	"testing"
+
+	"repro/internal/llm"
+	"repro/internal/logical"
+	"repro/internal/sql/parser"
+)
+
+// BenchmarkChoose is one templated enumeration of a two-conjunct join
+// statement, as on a plan-cache miss under a prompt cache: eight
+// candidates (two filter lowerings, two join orders), each built,
+// lowered and estimated, with every read recorded as a guard.
+func BenchmarkChoose(b *testing.B) {
+	sel, err := parser.ParseSelect(`SELECT c.name FROM city c, mayor m WHERE c.mayor = m.name AND c.population > 1000000 AND m.age < 40`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	built, err := factory()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tpl, ok := NewTemplate(built, "")
+	if !ok {
+		b.Fatal("no template")
+	}
+	st := NewStatistics()
+	st.SetTableKeys("city", 24)
+	st.SetTableKeys("mayor", 24)
+	p := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
+	base := Defaults()
+	base.CostBased = true
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, cost, g, err := Choose(factory, base, st, p, nil, tpl); err != nil || g == nil || cost.Candidates != 8 {
+			b.Fatalf("Choose: %v (guarded %t)", err, g != nil)
+		}
+	}
+}

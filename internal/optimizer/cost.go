@@ -94,11 +94,11 @@ type PlanCost struct {
 	// fetch-then-filter sibling buys the attribute once for every literal
 	// to come. Always 0 without a prompt cache.
 	Overrented int
-	// Candidates is the number of plans the cost-based optimizer
-	// compared (1 when the plan was estimated without enumeration).
+	// Candidates is the number of plans Choose compared, extras
+	// included (1 for a plan estimated alone).
 	Candidates int
 	// Choice describes the knobs of the chosen candidate ("paper" for
-	// the fixed-heuristic shape).
+	// the fixed-heuristic shape), or an extra's label.
 	Choice string
 	// Nodes holds the per-operator estimates for EXPLAIN annotation.
 	Nodes map[logical.Node]NodeEstimate

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/logical"
 )
@@ -13,14 +12,6 @@ import (
 // count, so 6 bits bound the search at 64 plans.
 const maxCandidateBits = 6
 
-// ChoiceSummary records one enumerated candidate for EXPLAIN.
-type ChoiceSummary struct {
-	Label   string
-	Prompts float64
-	Latency time.Duration
-	Chosen  bool
-}
-
 // choicePoint is one binary decision of the candidate space.
 type choicePoint struct {
 	kind string // "fetch", "swap", "nopush"
@@ -28,46 +19,56 @@ type choicePoint struct {
 	join int
 }
 
-// ChooseBest enumerates candidate plans and returns the one with the
-// lowest estimated cost (fewest prompts, then shortest makespan; ties
-// keep the fixed-heuristic shape). factory must return a fresh logical
-// plan on every call — Optimize annotates plans in place, so candidates
-// cannot share nodes.
+// ExtraPlan is a pre-built candidate injected into Choose's comparison
+// from outside the rewrite space — the session's residual plans over
+// cached relations. Extras are priced with the same Estimate and compete
+// against the fresh plan, so cache answering and plan selection unify.
+type ExtraPlan struct {
+	Plan  logical.Node
+	Label string
+}
+
+// Choose plans one statement and returns the chosen plan with its
+// estimate. factory must return a fresh logical plan on every call —
+// Optimize annotates plans in place, so candidates cannot share nodes.
 //
-// The candidate space is spanned by:
+// Without base.CostBased the fixed heuristics lower one plan, and an
+// extra wins only when strictly cheaper (a full tie keeps the fresh
+// plan). With it, candidates are enumerated and the cheapest wins
+// (fewest overrented filter stages, then fewest prompts, then shortest
+// makespan; ties keep the fixed-heuristic shape), extras included. The
+// candidate space is spanned by:
 //   - per eligible conjunct: per-key boolean prompt (LLMFilter) vs
 //     fetch-then-filter;
 //   - per join: input order (inner/cross joins only);
 //   - per pushable conjunct (only when base.PromptPushdown is on):
 //     merged into the retrieval prompt vs staged;
 //   - filter chains are always reordered most-selective-first using st.
-func ChooseBest(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams) (logical.Node, *PlanCost, []ChoiceSummary, error) {
-	return ChooseBestExtra(factory, base, st, p, nil)
-}
-
-// ExtraPlan is a pre-built candidate injected into ChooseBestExtra's
-// comparison from outside the rewrite space — the session's residual
-// plans over cached relations. Extras are priced with the same Estimate
-// and compete under the same order as enumerated candidates, so cache
-// answering and plan selection unify: a residual plan wins exactly when
-// it is estimated strictly cheaper than every fresh execution.
-type ExtraPlan struct {
-	Plan  logical.Node
-	Label string
-}
-
-// ChooseBestExtra is ChooseBest with externally supplied extra
-// candidates joining the enumeration.
-func ChooseBestExtra(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, []ChoiceSummary, error) {
-	return chooseBest(factory, base, st, p, extras, nil)
-}
-
-// chooseBest is the enumeration. With a recorder, every statistics and
-// cost-hook read the candidates make goes through it, and it learns the
-// decision points and the winning candidate (see ChooseBestGuarded).
-func chooseBest(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, rec *recorder) (logical.Node, *PlanCost, []ChoiceSummary, error) {
+//
+// With a template t (cost-based only), every statistics and cost-hook
+// read the candidates make is recorded, and the choice comes back with
+// its guards for Replan. The Guarded is nil without t, and when the
+// choice cannot be replayed: a read changed its answer mid-enumeration,
+// or a decision point is not a slot's conjunct.
+func Choose(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
 	if st == nil {
 		st = NewStatistics()
+	}
+	if !base.CostBased {
+		plan, err := factory()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if plan, err = Optimize(plan, base); err != nil {
+			return nil, nil, nil, err
+		}
+		best := &scored{plan: plan, cost: Estimate(plan, st, p), label: "paper"}
+		plan, cost := compete(best, 1, st, p, extras, cheaper)
+		return plan, cost, nil, nil
+	}
+	var rec *recorder
+	if t != nil {
+		rec = &recorder{t: t, seen: map[read]int{}}
 	}
 
 	// Probe pass: the fixed-heuristic plan reveals the decision points.
@@ -93,7 +94,6 @@ func chooseBest(factory func() (logical.Node, error), base Options, st *Statisti
 		src, cp = rec.wrap(st, p)
 	}
 	var best *scored
-	var summaries []ChoiceSummary
 	for mask := 0; mask < 1<<len(points); mask++ {
 		opts, label := candidate(base, st, points, mask)
 		plan, err := factory()
@@ -105,48 +105,42 @@ func chooseBest(factory func() (logical.Node, error), base Options, st *Statisti
 			return nil, nil, nil, err
 		}
 		cost := estimate(plan, src, cp)
-		summaries = append(summaries, ChoiceSummary{Label: label, Prompts: cost.Prompts, Latency: cost.Latency})
 		if best == nil || less(cost, best.cost) {
-			best = &scored{plan: plan, cost: cost, label: label, idx: mask}
+			best = &scored{plan: plan, cost: cost, label: label, mask: mask}
 		}
 	}
+	enumerated := 1 << len(points)
 	if rec != nil {
-		rec.decided(filterKeys, pushedKeys, joins, best.idx, len(summaries))
+		rec.decided(filterKeys, pushedKeys, joins, best.mask, enumerated)
 	}
-	return compete(best, summaries, len(summaries), st, p, extras)
+	plan, cost := compete(best, enumerated, st, p, extras, less)
+	if rec == nil || rec.unstable {
+		return plan, cost, nil, nil
+	}
+	return plan, cost, rec.g, nil
 }
 
 // scored is the running winner: a plan, its estimate, its choice label
-// and its position among the compared candidates.
+// and, for an enumerated candidate, its mask over the decision points.
 type scored struct {
 	plan  logical.Node
 	cost  *PlanCost
 	label string
-	idx   int
+	mask  int
 }
 
-// compete prices the extras against the best of the enumerated
-// candidates and settles the winner's choice label and candidate count.
-// summaries holds the enumerated candidates' rows; nil skips them.
-func compete(best *scored, summaries []ChoiceSummary, enumerated int, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, []ChoiceSummary, error) {
-	if best == nil { // no candidates — cannot happen, mask 0 always runs
-		return nil, nil, nil, fmt.Errorf("optimizer: no candidate plans")
-	}
-	for i, ex := range extras {
-		cost := Estimate(ex.Plan, st, p)
-		if summaries != nil {
-			summaries = append(summaries, ChoiceSummary{Label: ex.Label, Prompts: cost.Prompts, Latency: cost.Latency})
-		}
-		if less(cost, best.cost) {
-			best = &scored{plan: ex.Plan, cost: cost, label: ex.Label, idx: enumerated + i}
+// compete prices the extras against the best fresh candidate under the
+// order better and settles the winner's choice label and candidate
+// count.
+func compete(best *scored, fresh int, st *Statistics, p CostParams, extras []ExtraPlan, better func(a, b *PlanCost) bool) (logical.Node, *PlanCost) {
+	for _, ex := range extras {
+		if cost := Estimate(ex.Plan, st, p); better(cost, best.cost) {
+			best = &scored{plan: ex.Plan, cost: cost, label: ex.Label}
 		}
 	}
-	if summaries != nil {
-		summaries[best.idx].Chosen = true
-	}
-	best.cost.Candidates = enumerated + len(extras)
+	best.cost.Candidates = fresh + len(extras)
 	best.cost.Choice = best.label
-	return best.plan, best.cost, summaries, nil
+	return best.plan, best.cost
 }
 
 // decisionKeys reads the decision points off the probe plan: the
@@ -239,14 +233,13 @@ func candidate(base Options, st *Statistics, points []choicePoint, mask int) (Op
 	return opts, strings.Join(parts, " ")
 }
 
-// Cheaper reports whether a costs strictly less than b: the
+// cheaper reports whether a costs strictly less than b: the
 // backend-weighted prompt cost dominates (it is the money), the estimated
 // makespan breaks ties. On an unpriced estimate Cost equals Prompts, so
 // single-backend planning is ordered exactly as before routing existed.
-// Sessions running without cost-based enumeration use it to decide
-// whether a residual plan over a cached relation beats the
-// fixed-heuristic plan; strictness means fresh execution wins full ties.
-func Cheaper(a, b *PlanCost) bool {
+// It is the fixed heuristics' order for extras; strictness means fresh
+// execution wins full ties.
+func cheaper(a, b *PlanCost) bool {
 	const eps = 1e-9
 	if a.Cost < b.Cost-eps {
 		return true
@@ -260,11 +253,11 @@ func Cheaper(a, b *PlanCost) bool {
 // less is the enumeration's order: a candidate that rents boolean
 // prompts past the rent-or-buy point loses to one that does not (its
 // fetch-then-filter sibling is always among the candidates; only ever
-// the case with a prompt cache), then Cheaper decides. Strict comparison
+// the case with a prompt cache), then cheaper decides. Strict comparison
 // keeps the first (paper-shaped) candidate on full ties.
 func less(a, b *PlanCost) bool {
 	if a.Overrented != b.Overrented {
 		return a.Overrented < b.Overrented
 	}
-	return Cheaper(a, b)
+	return cheaper(a, b)
 }

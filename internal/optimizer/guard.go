@@ -170,51 +170,38 @@ func (r *recorder) slotsOf(keys []string) ([]int, bool) {
 	return slots, true
 }
 
-// ChooseBestGuarded is ChooseBestExtra for a statement of template t,
-// also returning the choice with its guards for Replan. The Guarded is
-// nil when the choice cannot be replayed: a read changed its answer
-// mid-enumeration, or a decision point is not a slot's conjunct.
-func ChooseBestGuarded(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
-	rec := &recorder{t: t, seen: map[read]int{}}
-	plan, cost, _, err := chooseBest(factory, base, st, p, extras, rec)
-	if err != nil || rec.unstable {
-		return plan, cost, nil, err
-	}
-	return plan, cost, rec.g, nil
-}
-
 // Replan plans built, a statement of the template g was recorded under,
 // with g's choice when every guard holds for t's literals: built is
 // optimized once under the stored decisions and estimated once, and the
-// extras compete as in ChooseBestExtra. It reports false, leaving built
+// extras compete as in Choose. It returns a nil plan, leaving built
 // untouched, when a guard fails or the statement's decision points fall
 // in another order; the caller then enumerates afresh.
-func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, bool, error) {
+func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, error) {
 	if st == nil {
 		st = NewStatistics()
 	}
 	filterKeys, ok := g.keys(t, g.fetch)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	pushedKeys, ok := g.keys(t, g.push)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	for i := range g.guards {
 		if !g.guards[i].holds(t, st, p) {
-			return nil, nil, false, nil
+			return nil, nil, nil
 		}
 	}
 	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
 	opts, label := candidate(base, st, points, g.mask)
 	plan, err := Optimize(built, opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	best := &scored{plan: plan, cost: Estimate(plan, st, p), label: label, idx: g.mask}
-	plan, cost, _, err := compete(best, nil, g.candidates, st, p, extras)
-	return plan, cost, err == nil, err
+	best := &scored{plan: plan, cost: Estimate(plan, st, p), label: label}
+	plan, cost := compete(best, g.candidates, st, p, extras, less)
+	return plan, cost, nil
 }
 
 // keys renders decision-point slots as t's conjunct keys, reporting

@@ -36,7 +36,7 @@ type Options struct {
 	// plans (per-conjunct LLM-filter vs fetch-then-filter, per-conjunct
 	// prompt pushdown, join input order, filter order by selectivity) and
 	// picks the one whose estimated prompt count — then estimated
-	// makespan — is lowest. Consumed by ChooseBest, not by Optimize.
+	// makespan — is lowest. Consumed by Choose, not by Optimize.
 	CostBased bool
 	// Stats supply cardinalities and selectivities. When non-nil,
 	// Optimize additionally reorders chains of per-key boolean filters

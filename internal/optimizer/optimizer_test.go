@@ -347,6 +347,41 @@ func TestPromptPushdownSkipsKeyPredicate(t *testing.T) {
 	}
 }
 
+// costBased returns the paper defaults with cost-based plan selection on.
+func costBased() Options {
+	o := Defaults()
+	o.CostBased = true
+	return o
+}
+
+// candidateCosts prices every candidate Choose enumerates for one
+// statement under base (no per-candidate knobs), keyed by choice label.
+func candidateCosts(t *testing.T, factory func() (logical.Node, error), base Options, st *Statistics, p CostParams) map[string]*PlanCost {
+	t.Helper()
+	probe, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe, err = Optimize(probe, base); err != nil {
+		t.Fatal(err)
+	}
+	filterKeys, pushedKeys, joins := decisionKeys(probe)
+	points := assemblePoints(filterKeys, pushedKeys, joins, base.PromptPushdown)
+	costs := map[string]*PlanCost{}
+	for mask := 0; mask < 1<<len(points); mask++ {
+		opts, label := candidate(base, st, points, mask)
+		plan, err := factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = Optimize(plan, opts); err != nil {
+			t.Fatal(err)
+		}
+		costs[label] = estimate(plan, st, p)
+	}
+	return costs
+}
+
 // TestCostBasedChoosesFetchWhenAttrProjected pins the headline win of
 // plan enumeration: when a filtered attribute is also projected, the
 // fixed heuristics pay a per-key boolean prompt AND a later fetch, while
@@ -358,7 +393,8 @@ func TestCostBasedChoosesFetchWhenAttrProjected(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
-	plan, cost, choices, err := ChooseBest(factory, Defaults(), NewStatistics(), CostParams{Workers: 8})
+	st, p := NewStatistics(), CostParams{Workers: 8}
+	plan, cost, _, err := Choose(factory, costBased(), st, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,14 +405,13 @@ func TestCostBasedChoosesFetchWhenAttrProjected(t *testing.T) {
 	if !strings.Contains(explain, "LLMFetchAttr city.population") {
 		t.Errorf("fetch missing:\n%s", explain)
 	}
-	if len(choices) < 2 {
-		t.Errorf("expected at least 2 candidates, got %d", len(choices))
+	choices := candidateCosts(t, factory, costBased(), st, p)
+	if len(choices) < 2 || cost.Candidates != len(choices) {
+		t.Errorf("expected at least 2 candidates, got %d (estimate says %d)", len(choices), cost.Candidates)
 	}
 	// The chosen plan must be at least as cheap as the paper-shaped one.
-	for _, ch := range choices {
-		if ch.Label == "paper" && cost.Prompts > ch.Prompts {
-			t.Errorf("chosen plan (%f prompts) beats paper (%f)", cost.Prompts, ch.Prompts)
-		}
+	if paper := choices["paper"]; paper == nil || cost.Prompts > paper.Prompts {
+		t.Errorf("chosen plan (%f prompts) beats paper (%+v)", cost.Prompts, paper)
 	}
 }
 
@@ -419,21 +454,10 @@ func TestJoinOrderChangesEstimatedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
-	_, _, choices, err := ChooseBest(factory, Defaults(), NewStatistics(), CostParams{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var paper, swapped *ChoiceSummary
-	for i := range choices {
-		switch choices[i].Label {
-		case "paper":
-			paper = &choices[i]
-		case "swap{0}":
-			swapped = &choices[i]
-		}
-	}
+	choices := candidateCosts(t, factory, costBased(), NewStatistics(), CostParams{Workers: 8})
+	paper, swapped := choices["paper"], choices["swap{0}"]
 	if paper == nil || swapped == nil {
-		t.Fatalf("expected paper and swap{0} candidates, got %+v", choices)
+		t.Fatalf("expected paper and swap{0} candidates, got %v", choices)
 	}
 	if paper.Prompts != swapped.Prompts {
 		t.Errorf("join order must not change prompt counts: %f vs %f", paper.Prompts, swapped.Prompts)
@@ -462,7 +486,7 @@ func TestResidencyPricing(t *testing.T) {
 	st.SetTableKeys("city", 24)
 	pages := st.Table("city").ScanPrompts(24)
 
-	plan, off, _, err := ChooseBest(factory, Defaults(), st, CostParams{Workers: 8})
+	plan, off, _, err := Choose(factory, costBased(), st, CostParams{Workers: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +498,7 @@ func TestResidencyPricing(t *testing.T) {
 	}
 
 	cold := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
-	plan, cost, _, err := ChooseBest(factory, Defaults(), st, cold)
+	plan, cost, _, err := Choose(factory, costBased(), st, cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +516,7 @@ func TestResidencyPricing(t *testing.T) {
 		}
 		return 0
 	}}
-	plan, cost, _, err = ChooseBest(factory, Defaults(), st, warm)
+	plan, cost, _, err = Choose(factory, costBased(), st, warm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +542,7 @@ func TestResidencyPricing(t *testing.T) {
 		Label: "residual over cached(city)",
 	}
 	for name, p := range map[string]CostParams{"cold": cold, "warm": warm} {
-		_, cost, _, err := ChooseBestExtra(factory, Defaults(), st, p, []ExtraPlan{residual})
+		_, cost, _, err := Choose(factory, costBased(), st, p, []ExtraPlan{residual}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,13 +595,99 @@ func TestRentOrBuy(t *testing.T) {
 			}
 			return 0
 		}}
-		plan, cost, _, err := ChooseBest(factory, Defaults(), st, p)
+		plan, cost, _, err := Choose(factory, costBased(), st, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := strings.Contains(logical.Explain(plan), "LLMFilter"); got != tc.filter || cost.Overrented != 0 {
 			t.Errorf("%d filter completions resident (%d of this literal): boolean filter = %t (overrented %d), want %t (0)\n%s",
 				tc.spent, tc.own, got, cost.Overrented, tc.filter, logical.Explain(plan))
+		}
+	}
+}
+
+// TestChooseFixedHeuristicsExtras pins how extras compete with the
+// fixed-heuristic plan when cost-based selection is off: an extra wins
+// only when strictly cheaper — a full tie keeps the fresh plan, and an
+// extra that rents fewer boolean prompts past the rent-or-buy point but
+// costs more loses, though the enumeration's order would prefer it.
+func TestChooseFixedHeuristicsExtras(t *testing.T) {
+	sel, err := parser.ParseSelect("SELECT name FROM city WHERE population > 1000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	st := NewStatistics()
+	st.SetTableKeys("city", 24)
+	// The filter backend charges a quarter of the fetch backend, and the
+	// attribute's filter family is past break-even (see TestRentOrBuy).
+	p := CostParams{Workers: 8,
+		Price: func(role llm.Role, _ string) BackendPrice {
+			if role == llm.RoleFilter {
+				return BackendPrice{Backend: "cheap", CostWeight: 0.25, SpeedFactor: 1}
+			}
+			return BackendPrice{Backend: "strong", CostWeight: 1, SpeedFactor: 1}
+		},
+		Resident: func(role llm.Role, _ string, class llm.PromptClass) int {
+			if role == llm.RoleFilter && class == llm.FilterFamily("city", "population") {
+				return 500
+			}
+			return 0
+		},
+	}
+	lowered := func(opts Options) ExtraPlan {
+		plan, err := factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = Optimize(plan, opts); err != nil {
+			t.Fatal(err)
+		}
+		return ExtraPlan{Plan: plan}
+	}
+	fetchOpts := Defaults()
+	fetchOpts.DisableLLMFilter = map[string]bool{"population > 1000000": true}
+	fetch := lowered(fetchOpts)
+	fetch.Label = "fetch"
+	twin := lowered(Defaults())
+	twin.Label = "twin"
+	residual := ExtraPlan{
+		Plan:  logical.NewCachedScan("city", "fp", "stamp", 5, schema.New(schema.Column{Table: "city", Name: "name", Type: value.KindString})),
+		Label: "residual over cached(city)",
+	}
+
+	fresh := Estimate(twin.Plan, st, p)
+	fetchCost := Estimate(fetch.Plan, st, p)
+	if fresh.Overrented != 1 || fetchCost.Overrented != 0 || !cheaper(fresh, fetchCost) || !less(fetchCost, fresh) {
+		t.Fatalf("setup: heuristic plan %v (overrented %d), fetch plan %v (overrented %d): want the fetch plan first under less only",
+			fresh, fresh.Overrented, fetchCost, fetchCost.Overrented)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		extras []ExtraPlan
+		want   *ExtraPlan // nil: the fresh plan
+	}{
+		{name: "none"},
+		{name: "costlier, less overrented", extras: []ExtraPlan{fetch}},
+		{name: "full tie", extras: []ExtraPlan{twin}},
+		{name: "strictly cheaper", extras: []ExtraPlan{fetch, twin, residual}, want: &residual},
+	} {
+		plan, cost, g, err := Choose(factory, Defaults(), st, p, tc.extras, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLabel := "paper"
+		if tc.want != nil {
+			wantLabel = tc.want.Label
+			if plan != tc.want.Plan {
+				t.Errorf("%s: chose %s, want the extra %q", tc.name, logical.Explain(plan), wantLabel)
+			}
+		} else if plan == twin.Plan || !strings.Contains(logical.Explain(plan), "LLMFilter population") {
+			t.Errorf("%s: want the fresh heuristic plan, got\n%s", tc.name, logical.Explain(plan))
+		}
+		if cost.Choice != wantLabel || cost.Candidates != 1+len(tc.extras) || g != nil {
+			t.Errorf("%s: choice %q of %d candidates (guarded %v), want %q of %d", tc.name, cost.Choice, cost.Candidates, g != nil, wantLabel, 1+len(tc.extras))
 		}
 	}
 }

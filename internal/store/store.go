@@ -38,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -196,6 +197,39 @@ func (s *Store) loadManifest() error {
 	}
 	if err := json.Unmarshal(data, &s.man); err != nil {
 		return fmt.Errorf("store: corrupt manifest: %w", err)
+	}
+	if err := s.man.check(); err != nil {
+		return fmt.Errorf("store: corrupt manifest: %w", err)
+	}
+	return nil
+}
+
+// check rejects a manifest the store could not act on safely: a segment
+// that is not a file `seg-<digits>.log` of the store's own directory
+// (replay truncates the tail segment and Compact deletes them all), a
+// segment listed twice, or one numbered above the generation — the next
+// roll or compaction would create that live segment afresh, truncating
+// it. A generation that cannot advance is rejected for the same reason.
+func (m *manifest) check() error {
+	if m.Generation == math.MaxUint64 {
+		return errors.New("generation cannot advance")
+	}
+	seen := make(map[string]bool, len(m.Segments))
+	for _, name := range m.Segments {
+		digits, ok := strings.CutPrefix(name, segPrefix)
+		if ok {
+			digits, ok = strings.CutSuffix(digits, segSuffix)
+		}
+		n, err := strconv.ParseUint(digits, 10, 64)
+		switch {
+		case !ok || err != nil:
+			return fmt.Errorf("segment %q is not %s<n>%s", name, segPrefix, segSuffix)
+		case seen[name]:
+			return fmt.Errorf("segment %q listed twice", name)
+		case n > m.Generation:
+			return fmt.Errorf("segment %q above generation %d", name, m.Generation)
+		}
+		seen[name] = true
 	}
 	return nil
 }

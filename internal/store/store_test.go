@@ -171,6 +171,96 @@ func TestMidFlushKill(t *testing.T) {
 	}
 }
 
+// manifestFixture lays out a store directory inside a parent that also
+// holds a file outside it: dir holds one valid segment (seg-000001.log,
+// generation 1) and the MANIFEST man; the parent holds victim. It
+// returns dir and a check that nothing in the parent outside dir, nor
+// the segment when keepSeg is set, changed.
+func manifestFixture(t testing.TB, seg []byte, man []byte) (dir string, untouched func(keepSeg bool) error) {
+	t.Helper()
+	root := t.TempDir()
+	dir = filepath.Join(root, "data")
+	victim := filepath.Join(root, "victim")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{
+		victim:                               []byte("outside the data directory"),
+		filepath.Join(dir, "seg-000001.log"): seg,
+		filepath.Join(dir, manifestName):     man,
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, func(keepSeg bool) error {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			return err
+		}
+		if len(entries) != 2 {
+			return fmt.Errorf("parent holds %d entries, want data and victim", len(entries))
+		}
+		want := map[string][]byte{victim: []byte("outside the data directory")}
+		if keepSeg {
+			want[filepath.Join(dir, "seg-000001.log")] = seg
+		}
+		for path, data := range want {
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				return fmt.Errorf("%s changed: %q, %v", path, got, err)
+			}
+		}
+		return nil
+	}
+}
+
+// validSegment returns the bytes of a one-record seg-000001.log.
+func validSegment(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("rel", "a", "llm:city=1;", []byte("payload-a"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+// TestCorruptManifestRejected: Open refuses a manifest it could not act
+// on safely, touching neither the listed segment nor anything outside
+// the directory — a segment path that leaves the directory (replay
+// would truncate it, Compact delete it), a segment listed twice, and a
+// segment numbered above the generation (the next roll would recreate
+// that live segment empty).
+func TestCorruptManifestRejected(t *testing.T) {
+	seg := validSegment(t)
+	for name, man := range map[string]string{
+		"outside the directory": `{"generation":1,"segments":["../victim"]}`,
+		"listed twice":          `{"generation":1,"segments":["seg-000001.log","seg-000001.log"]}`,
+		"above the generation":  `{"generation":0,"segments":["seg-000001.log"]}`,
+	} {
+		dir, untouched := manifestFixture(t, seg, []byte(man))
+		if s, err := Open(dir, Options{}); err == nil {
+			s.Close()
+			t.Errorf("%s: Open accepted %s", name, man)
+		} else if !strings.Contains(err.Error(), "corrupt manifest") {
+			t.Errorf("%s: Open: %v, want a corrupt manifest", name, err)
+		}
+		if err := untouched(true); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // putFrameHeader writes magic/length/CRC for body into the 12-byte
 // header (test helper mirroring appendFrame's framing).
 func putFrameHeader(header, body []byte) {
