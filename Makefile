@@ -15,10 +15,12 @@ test:
 	$(GO) test ./...
 
 # The caches' singleflight and eviction run ten times more under -race:
-# the substrate (internal/lru) and its two concurrent owners.
+# the substrate (internal/lru) and its two concurrent owners; so does the
+# LLM operators' hand-off from inline execution to a producer
+# (internal/physical).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm
+	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm ./internal/physical
 
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the

@@ -223,7 +223,7 @@ func (d *diffRig) put(class llm.PromptClass, n int) {
 	client, tp := cannedClient{name: d.model, answer: "yes"}, llm.NewTemplate("", "", class)
 	for k := 0; k < n; k++ {
 		d.puts++
-		if _, _, err := tn.Do(client, tp, fmt.Sprintf("%v #%d", class, d.puts), 0).Wait(); err != nil {
+		if _, _, err := tn.Single().Submit(client, tp, fmt.Sprintf("%v #%d", class, d.puts), 0).Wait(); err != nil {
 			d.t.Fatal(err)
 		}
 	}

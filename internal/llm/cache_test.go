@@ -225,11 +225,11 @@ func TestCompleteCachedUsage(t *testing.T) {
 	client := &echoClient{}
 	tn := waveTenant(context.Background(), NewCache(8), 4)
 
-	first, _, err := tn.Do(client, nil, "hello world", 0).Wait()
+	first, _, err := tn.Single().Submit(client, nil, "hello world", 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := tn.Do(client, nil, "hello world", 0).Wait()
+	second, _, err := tn.Single().Submit(client, nil, "hello world", 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestCompleteCachedUsage(t *testing.T) {
 func TestCompleteCachedNilCache(t *testing.T) {
 	client := &echoClient{}
 	tn := waveTenant(context.Background(), nil, 1)
-	out, _, err := tn.Do(client, nil, "p", 0).Wait()
+	out, _, err := tn.Single().Submit(client, nil, "p", 0).Wait()
 	if err != nil || !strings.HasPrefix(out, "echo:") {
 		t.Fatalf("nil cache must pass through: %q, %v", out, err)
 	}

@@ -65,7 +65,7 @@ func TestSchedulerSlotsReleasedOnFailure(t *testing.T) {
 	})
 	next := s.Tenant(context.Background(), "healthy")
 	defer next.Close()
-	if out, _, err := next.Do(good, nil, "hello", 0).Wait(); err != nil || out != "ok:hello" {
+	if out, _, err := next.Wave().Submit(good, nil, "hello", 0).Wait(); err != nil || out != "ok:hello" {
 		t.Fatalf("post-failure query: %q, %v", out, err)
 	}
 }
@@ -118,7 +118,7 @@ func TestSchedulerSlotGoroutineReuse(t *testing.T) {
 	tn := s.Tenant(context.Background(), "seq")
 	client := &echoLLM{name: "ep", answer: "ok"}
 	for i := 0; i < 200; i++ {
-		if _, _, err := tn.Do(client, nil, fmt.Sprintf("p%d", i), 0).Wait(); err != nil {
+		if _, _, err := tn.Single().Submit(client, nil, fmt.Sprintf("p%d", i), 0).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if n := runtime.NumGoroutine(); n > baseline+workers+2 {
@@ -184,7 +184,7 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 	n := parked()
 	started := gopool.Started()
 	c := s.Tenant(context.Background(), "c")
-	if out, _, err := c.Do(&echoLLM{name: "ep", answer: "warm"}, nil, "next query", 0).Wait(); err != nil || out != "warm" {
+	if out, _, err := c.Single().Submit(&echoLLM{name: "ep", answer: "warm"}, nil, "next query", 0).Wait(); err != nil || out != "warm" {
 		t.Fatalf("miss after the last Close: %q, %v", out, err)
 	}
 	c.Close()

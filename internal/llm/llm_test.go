@@ -83,7 +83,7 @@ func FuzzCountTokens(f *testing.F) {
 func TestTenantUsage(t *testing.T) {
 	tn := NewScheduler(nil, 2).Tenant(context.Background(), "")
 	defer tn.Close()
-	out, _, err := tn.Do(&echoClient{}, nil, "hello world", 0).Wait()
+	out, _, err := tn.Single().Submit(&echoClient{}, nil, "hello world", 0).Wait()
 	if err != nil || !strings.HasPrefix(out, "echo:") {
 		t.Fatalf("Do = %q, %v", out, err)
 	}

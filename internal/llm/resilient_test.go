@@ -455,7 +455,7 @@ func TestResilientTenantAttribution(t *testing.T) {
 	tn := NewScheduler(nil, 1).Tenant(context.Background(), "")
 	defer tn.Close()
 
-	if _, _, err := tn.Do(rc, nil, "hello world", 0).Wait(); err != nil {
+	if _, _, err := tn.Single().Submit(rc, nil, "hello world", 0).Wait(); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	if _, err := rc.Complete(context.Background(), "untenanted"); err != nil {

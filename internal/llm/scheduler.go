@@ -54,6 +54,18 @@ func (f *Future) Decoded() (any, VTime, error) {
 	return f.val, f.vt, f.err
 }
 
+// Settled reports, without blocking, whether the prompt has resolved:
+// true when Wait and Decoded would return at once. A resident prompt is
+// settled at Submit.
+func (f *Future) Settled() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // AdmissionClass partitions tenants into dispatch bands. The bands are
 // drained in strict priority order — every queued interactive prompt is
 // granted a freed slot before any queued batch prompt — which is what
@@ -598,8 +610,8 @@ type Tenant struct {
 // first prompt and issue each step as one Wave that settles before
 // anything downstream starts. The tenant's simulated latency becomes the
 // sum of its waves. A wave costs ⌈issued / width⌉ × its slowest issued
-// prompt: width concurrent calls per round. A prompt submitted outside a
-// Wave (a key-scan page) is a wave of one. The sum is kept as the
+// prompt: width concurrent calls per round. A prompt submitted through
+// Single (a key-scan page) is a wave of one. The sum is kept as the
 // critical path, since stop-and-go waves run one after another.
 func (t *Tenant) SetWaves(width int) {
 	t.width = max(width, 1)
@@ -705,12 +717,15 @@ func (t *Tenant) Weight() int { return int(t.weight) }
 //
 // Under the stop-and-go policy the prompt is a wave of one.
 func (t *Tenant) Submit(client Client, prompt string, ready VTime) *Future {
-	return t.single().submit(client, rawText, prompt, ready)
+	return t.Single().submit(client, rawText, prompt, ready)
 }
 
-// single is the wave of a prompt submitted on its own: the streaming
-// wave, or under the stop-and-go policy a wave of one.
-func (t *Tenant) single() *Wave {
+// Single is the wave of a prompt submitted on its own: the streaming
+// wave, or under the stop-and-go policy a wave of one, accounted as its
+// own wave and never settled (its Settle returns nil at once). Inherently
+// sequential chains (the key scan's "more results" pages) submit each
+// link through it.
+func (t *Tenant) Single() *Wave {
 	if t.width > 0 {
 		return &Wave{t: t, ctx: t.ctx}
 	}
@@ -787,19 +802,6 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 	}
 	ep.bands[t.class].enqueue(j)
 	s.mu.Unlock()
-	return f
-}
-
-// Do issues key instantiating tp (nil: key is an unclassified raw-text
-// prompt) on its own, as Submit does, and blocks until it resolves; the
-// returned future is settled. Used by inherently sequential chains (the
-// key scan's "more results" loop).
-func (t *Tenant) Do(client Client, tp *Template, key string, ready VTime) *Future {
-	if tp == nil {
-		tp = rawText
-	}
-	f := t.single().submit(client, tp, key, ready)
-	<-f.done
 	return f
 }
 

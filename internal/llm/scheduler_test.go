@@ -48,7 +48,7 @@ func TestSchedulerChainLatency(t *testing.T) {
 	prompts := []string{"p one", "p one two", "p one two three"}
 	var want VTime
 	for _, p := range prompts {
-		out, end, err := tn.Do(client, nil, p, vt).Wait()
+		out, end, err := tn.Single().Submit(client, nil, p, vt).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	cache := NewCache(8)
 	tn := tenant(NewScheduler(cache, 2), t)
 
-	if _, _, err := tn.Do(client, nil, "same prompt", 0).Wait(); err != nil {
+	if _, _, err := tn.Single().Submit(client, nil, "same prompt", 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	first := tn.Makespan()
@@ -143,7 +143,7 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	}
 	// The identical prompt again, even anchored later on the chain, adds
 	// neither span nor area.
-	_, end, err := tn.Do(client, nil, "same prompt", first).Wait()
+	_, end, err := tn.Single().Submit(client, nil, "same prompt", first).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSchedulerCancelDoesNotPerturbOtherTenants(t *testing.T) {
 	// The slots are free again: a fresh tenant completes immediately.
 	c := s.Tenant(context.Background(), "c")
 	defer c.Close()
-	if _, _, err := c.Do(&echoLLM{name: "blocking-gate", answer: "x"}, nil, "fresh prompt", 0).Wait(); err != nil {
+	if _, _, err := c.Single().Submit(&echoLLM{name: "blocking-gate", answer: "x"}, nil, "fresh prompt", 0).Wait(); err != nil {
 		t.Fatalf("scheduler wedged after cancellation: %v", err)
 	}
 }
@@ -470,7 +470,7 @@ func TestSchedulerTenantIsolationAccounting(t *testing.T) {
 func TestSchedulerErrorPropagates(t *testing.T) {
 	client := &failingLLM{}
 	tn := tenant(NewScheduler(nil, 2), t)
-	if _, _, err := tn.Do(client, nil, "boom", 0).Wait(); err == nil || !strings.Contains(err.Error(), "model failure") {
+	if _, _, err := tn.Single().Submit(client, nil, "boom", 0).Wait(); err == nil || !strings.Contains(err.Error(), "model failure") {
 		t.Errorf("err = %v, want model failure", err)
 	}
 }
@@ -497,7 +497,7 @@ func TestSchedulerSubmitAfterCancelResolvesImmediately(t *testing.T) {
 	s := NewScheduler(nil, 2)
 	tn := s.Tenant(ctx, "dead")
 	defer tn.Close()
-	if _, _, err := tn.Do(&echoLLM{name: "m", answer: "x"}, nil, "p", 0).Wait(); !errors.Is(err, context.Canceled) {
+	if _, _, err := tn.Single().Submit(&echoLLM{name: "m", answer: "x"}, nil, "p", 0).Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -527,7 +527,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	cache := NewCache(8)
 	client := &echoLLM{name: "m", answer: "never asked"}
 	s := NewScheduler(cache, 1)
-	if _, _, err := tenant(s, t).Do(&echoLLM{name: "m", answer: "2700000"}, nil, prompt, 0).Wait(); err != nil {
+	if _, _, err := tenant(s, t).Single().Submit(&echoLLM{name: "m", answer: "2700000"}, nil, prompt, 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	waitDrained(t, "seeding slot", func() bool { return s.Busy() == 0 })

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/clean"
@@ -19,10 +20,13 @@ import (
 // (Section 4's two critical steps: iteration and termination threshold).
 //
 // The page chain is inherently sequential — each prompt excludes the keys
-// of every previous page. Streaming, each page's keys flow downstream as
-// soon as the page lands, so attribute fetches and filters start while
-// the scan is still iterating; stop-and-go, the scan runs all its pages
-// before emitting a row.
+// of every previous page. Streaming, the scan runs inline, one page per
+// pull, while its pages are resident; the first page that would wait
+// hands the chain to a producer, and from then on each page's keys flow
+// downstream as soon as the page lands, so attribute fetches and filters
+// start while the scan is still iterating. Stop-and-go, the producer
+// starts at Open and runs all the pages before emitting a row. Inline
+// and producer share one step pair: submitPage, then absorb.
 //
 // Open builds the page prompts' templates once: the first page is a
 // template with an empty key, and a later page's key is its exclusion
@@ -31,14 +35,28 @@ import (
 type llmKeyScanOp struct {
 	scan *logical.Scan
 	out  *schema.Schema
-	pipe *pipe
+	pipe pipe // not started while the scan runs inline
+
+	c                   *Context
+	client              llm.Client
+	firstPage, morePage *llm.Template
+	maxIter             int
+
+	// The page chain, handed to the producer when it starts.
+	keys  []string
+	seen  map[string]bool
+	vt    llm.VTime
+	iter  int
+	page  *llm.Future // submitted, not yet absorbed
+	ended bool        // no page follows the last absorbed one
+	rows  []pipeRow   // absorbed; inline, rows[next:] are not yet returned
+	next  int
 }
 
 func (s *llmKeyScanOp) Schema() *schema.Schema { return s.out }
 
-// Open starts the scan's producer: it runs the page chain on the query's
-// tenant and emits each page's new keys stamped with the page's virtual
-// completion time.
+// Open prepares the page chain on the query's tenant; under the
+// stop-and-go policy it also starts the producer.
 func (s *llmKeyScanOp) Open(c *Context) error {
 	client, err := c.client(llm.RoleKeyscan, s.scan.Table.Backend, "LLM scan of "+s.scan.Table.Name)
 	if err != nil {
@@ -49,65 +67,89 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 		return err
 	}
 	keyKind := s.out.Columns[0].Type
-	maxIter := c.MaxScanIterations
-	if maxIter <= 0 {
-		maxIter = 12
+	s.maxIter = c.MaxScanIterations
+	if s.maxIter <= 0 {
+		s.maxIter = 12
 	}
 	cleaner := c.Cleaner
 	decode := func(resp string) any { return decodePage(resp, cleaner, keyKind) }
 	tag := pageTag{keyKind, cleaner.Options()}
 	first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
-	firstPage := llm.NewTemplate(first, "", llm.PromptClass{}).WithDecoder(tag, decode)
-	morePage := llm.NewTemplate(pre, post, llm.PromptClass{}).WithDecoder(tag, decode)
-	stopAndGo := c.Scheduler.StopAndGo()
-	s.pipe = newPipe(c.pipeBuffer())
-	s.pipe.run(func() error {
-		var keys []string
-		seen := map[string]bool{}
-		var vt llm.VTime
-		var rows []pipeRow
-		for iter := 0; iter < maxIter; iter++ {
-			// A stop-and-go scan is one step: a LIMIT does not cut it short.
+	s.firstPage = llm.NewTemplate(first, "", llm.PromptClass{}).WithDecoder(tag, decode)
+	s.morePage = llm.NewTemplate(pre, post, llm.PromptClass{}).WithDecoder(tag, decode)
+	s.c, s.client, s.seen = c, client, map[string]bool{}
+	if c.Scheduler.StopAndGo() {
+		s.pipe.start(c, s)
+	}
+	return nil
+}
+
+// submitPage issues the chain's next page, ready when the previous one
+// completed. Stop-and-go, each page is a wave of one.
+func (s *llmKeyScanOp) submitPage() {
+	tmpl, key := s.firstPage, ""
+	if len(s.keys) > 0 {
+		tmpl, key = s.morePage, strings.Join(s.keys, "; ")
+	}
+	s.c.Metrics.Add(s.scan, 1, 0, 0)
+	s.iter++
+	s.page = s.c.Scheduler.Single().Submit(s.client, tmpl, key, s.vt)
+}
+
+// absorb awaits the submitted page and appends its new keys to rows,
+// stamped with the page's virtual completion time. The chain ends on a
+// Done/Unknown marker, a page without new keys or the iteration cap.
+func (s *llmKeyScanOp) absorb() error {
+	decoded, vt, err := s.page.Decoded()
+	s.page = nil
+	if err != nil {
+		return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
+	}
+	s.vt = vt
+	page := decoded.(*keyPage)
+	prevKeys, prevRows := len(s.keys), len(s.rows)
+	// The page's rows share one allocation, each capped at its own cell.
+	vals := make([]value.Value, 0, len(page.keys))
+	for _, k := range page.keys {
+		if s.seen[k.lower] {
+			continue
+		}
+		s.seen[k.lower] = true
+		s.keys = append(s.keys, k.key)
+		if !k.val.IsNull() {
+			vals = append(vals, k.val)
+			n := len(vals)
+			s.rows = append(s.rows, pipeRow{row: vals[n-1 : n : n], vt: vt})
+		}
+	}
+	s.c.Metrics.Add(s.scan, 0, 0, len(s.rows)-prevRows)
+	s.ended = page.done || len(s.keys) == prevKeys || s.iter >= s.maxIter
+	return nil
+}
+
+// produce runs the rest of the chain. Streaming, it emits each page's
+// rows as the page lands and stops once the consumer has closed the
+// stream; stop-and-go, it is one step, which a LIMIT does not cut short.
+func (s *llmKeyScanOp) produce() error {
+	stopAndGo := s.c.Scheduler.StopAndGo()
+	for !s.ended {
+		if s.page == nil {
 			if !stopAndGo && s.pipe.stopped() {
 				return nil
 			}
-			tmpl, key := firstPage, ""
-			if len(keys) > 0 {
-				tmpl, key = morePage, strings.Join(keys, "; ")
-			}
-			c.Metrics.Add(s.scan, 1, 0, 0)
-			// Stop-and-go, each page is a wave of one.
-			decoded, pageVT, err := c.Scheduler.Do(client, tmpl, key, vt).Decoded()
-			if err != nil {
-				return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
-			}
-			vt = pageVT
-			page := decoded.(*keyPage)
-			prevKeys, prevRows := len(keys), len(rows)
-			for _, k := range page.keys {
-				if seen[k.lower] {
-					continue
-				}
-				seen[k.lower] = true
-				keys = append(keys, k.key)
-				if !k.val.IsNull() {
-					rows = append(rows, pipeRow{row: schema.Tuple{k.val}, vt: vt})
-				}
-			}
-			c.Metrics.Add(s.scan, 0, 0, len(rows)-prevRows)
-			if !stopAndGo {
-				if !s.pipe.send(rows...) {
-					return nil
-				}
-				rows = rows[:0]
-			}
-			if page.done || len(keys) == prevKeys {
-				break
-			}
+			s.submitPage()
 		}
-		s.pipe.send(rows...)
-		return nil
-	})
+		if err := s.absorb(); err != nil {
+			return err
+		}
+		if !stopAndGo {
+			if !s.pipe.send(s.rows...) {
+				return nil
+			}
+			s.rows = s.rows[:0]
+		}
+	}
+	s.pipe.send(s.rows...)
 	return nil
 }
 
@@ -159,7 +201,28 @@ func decodePage(resp string, cleaner *clean.Cleaner, kind value.Kind) *keyPage {
 
 func (s *llmKeyScanOp) Close() error { return s.pipe.close() }
 
+// Next returns the absorbed rows inline, submitting and absorbing the
+// next page when they run out; a page still pending starts the producer.
 func (s *llmKeyScanOp) Next() (schema.Tuple, llm.VTime, error) {
+	for !s.pipe.started() {
+		if s.next < len(s.rows) {
+			r := s.rows[s.next]
+			s.next++
+			return r.row, r.vt, nil
+		}
+		s.rows, s.next = s.rows[:0], 0
+		if s.ended {
+			return nil, 0, io.EOF
+		}
+		s.submitPage()
+		if !s.page.Settled() {
+			s.pipe.start(s.c, s) // from the pending page
+			break
+		}
+		if err := s.absorb(); err != nil {
+			return nil, 0, err
+		}
+	}
 	r, err := s.pipe.next()
 	if err != nil {
 		return nil, 0, err
@@ -194,7 +257,7 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 }
 
 // llmFetchAttrOp retrieves one attribute per input tuple, appending the
-// cleaned value as a new column. Its producer submits the per-key prompt
+// cleaned value as a new column. Its issue step submits the per-key prompt
 // — and the cross-model verification prompt — for each input wave, and
 // Next awaits answers in input order, so both policies yield identical
 // results. Streaming, each tuple is a wave of its own, issued the moment
@@ -208,8 +271,9 @@ type llmFetchAttrOp struct {
 	input Operator
 	out   *schema.Schema
 
-	pipe *pipe
-	pc   *Context
+	client llm.Client
+	tmpl   *llm.Template
+	x      exchange
 }
 
 func (f *llmFetchAttrOp) Schema() *schema.Schema { return f.out }
@@ -223,42 +287,42 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 		return err
 	}
 	kind := f.out.Columns[f.out.Len()-1].Type
-	f.pc = c
+	cleaner := c.Cleaner
+	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
+	f.client = client
+	f.tmpl = llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr)).
+		WithDecoder(cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
+	f.x.open(c, f.input, f)
+	return nil
+}
+
+// issue submits the wave's fetch prompts and, with a verifier, their
+// verification.
+func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
+	c := f.x.c
 	perRow := 1
 	if c.Verifier != nil {
 		perRow = 2
 	}
-	cleaner := c.Cleaner
-	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
-	tmpl := llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr)).
-		WithDecoder(cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
-	f.pipe = newPipe(c.pipeBuffer())
-	input := f.input
-	f.pipe.run(func() error {
-		defer input.Close()
-		return f.pipe.feed(c, input, func(rows []pipeRow) error {
-			c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
-			w := c.Scheduler.Wave()
-			for i := range rows {
-				rows[i].main = w.Submit(client, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
-			}
-			if err := w.Settle(); err != nil {
-				return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
-			}
-			// Cross-model verification (Section 6): ask a second model the
-			// same question; Next NULLs out disagreements.
-			if c.Verifier != nil {
-				v := c.Scheduler.Wave()
-				for i := range rows {
-					rows[i].verify = v.Submit(c.Verifier, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
-				}
-				if err := v.Settle(); err != nil {
-					return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
-				}
-			}
-			return nil
-		})
-	})
+	c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
+	w := c.Scheduler.Wave()
+	for i := range rows {
+		rows[i].main = w.Submit(f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+	}
+	if err := w.Settle(); err != nil {
+		return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
+	}
+	// Cross-model verification (Section 6): ask a second model the same
+	// question; Next NULLs out disagreements.
+	if c.Verifier != nil {
+		v := c.Scheduler.Wave()
+		for i := range rows {
+			rows[i].verify = v.Submit(c.Verifier, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+		}
+		if err := v.Settle(); err != nil {
+			return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
+		}
+	}
 	return nil
 }
 
@@ -298,11 +362,10 @@ func valuesAgree(a, b value.Value, tol float64) bool {
 	return strings.EqualFold(strings.TrimSpace(a.String()), strings.TrimSpace(b.String()))
 }
 
-// Close stops the producer, which closes the input on exit.
-func (f *llmFetchAttrOp) Close() error { return f.pipe.close() }
+func (f *llmFetchAttrOp) Close() error { return f.x.close() }
 
 func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
-	r, err := f.pipe.next()
+	r, err := f.x.next()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -325,20 +388,23 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 			}
 		}
 	}
-	return append(r.row.Clone(), v), vt, nil
+	out := make(schema.Tuple, len(r.row), len(r.row)+1)
+	copy(out, r.row)
+	return append(out, v), vt, nil
 }
 
 // llmFilterOp keeps tuples for which the per-key boolean prompt answers
 // yes ("Has city Chicago population more than 1000000? Answer yes or no.").
-// Its producer submits one prompt per input tuple, in input waves as the
+// Its issue step submits one prompt per input tuple, in input waves as the
 // fetch does; Next awaits verdicts in input order and keeps the yes rows.
 // An answer is read as a verdict once, when it arrives from the model.
 type llmFilterOp struct {
 	node  *logical.LLMFilter
 	input Operator
 
-	pipe *pipe
-	pc   *Context
+	client llm.Client
+	tmpl   *llm.Template
+	x      exchange
 }
 
 func (f *llmFilterOp) Schema() *schema.Schema { return f.node.Schema() }
@@ -351,29 +417,28 @@ func (f *llmFilterOp) Open(c *Context) error {
 	if err := f.input.Open(c); err != nil {
 		return err
 	}
-	f.pc = c
 	ref := f.node.Cond.Left.(*ast.ColumnRef)
 	lit := f.node.Cond.Right.(*ast.Literal)
 	litText := lit.Val.String()
 	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
-	tmpl := llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)).
+	f.client = client
+	f.tmpl = llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)).
 		WithDecoder(verdictTag{}, func(answer string) any { return isYes(answer) })
-	f.pipe = newPipe(c.pipeBuffer())
-	input := f.input
-	f.pipe.run(func() error {
-		defer input.Close()
-		return f.pipe.feed(c, input, func(rows []pipeRow) error {
-			c.Metrics.Add(f.node, len(rows), len(rows), 0)
-			w := c.Scheduler.Wave()
-			for i := range rows {
-				rows[i].main = w.Submit(client, tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
-			}
-			if err := w.Settle(); err != nil {
-				return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
-			}
-			return nil
-		})
-	})
+	f.x.open(c, f.input, f)
+	return nil
+}
+
+// issue submits the wave's filter prompts.
+func (f *llmFilterOp) issue(rows []pipeRow) error {
+	c := f.x.c
+	c.Metrics.Add(f.node, len(rows), len(rows), 0)
+	w := c.Scheduler.Wave()
+	for i := range rows {
+		rows[i].main = w.Submit(f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+	}
+	if err := w.Settle(); err != nil {
+		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
+	}
 	return nil
 }
 
@@ -385,12 +450,11 @@ func isYes(s string) bool {
 	return strings.HasPrefix(s, "yes") || strings.HasPrefix(s, "true")
 }
 
-// Close stops the producer, which closes the input on exit.
-func (f *llmFilterOp) Close() error { return f.pipe.close() }
+func (f *llmFilterOp) Close() error { return f.x.close() }
 
 func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		r, err := f.pipe.next()
+		r, err := f.x.next()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -399,7 +463,7 @@ func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 			return nil, 0, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 		}
 		if yes.(bool) {
-			f.pc.Metrics.Add(f.node, 0, 0, 1)
+			f.x.c.Metrics.Add(f.node, 0, 0, 1)
 			return r.row, vt, nil
 		}
 	}

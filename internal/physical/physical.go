@@ -44,7 +44,9 @@ type Context struct {
 	// plans with LLM operators.
 	Scheduler *llm.Tenant
 	// PipelineBuffer bounds how many tuples a streaming LLM operator may
-	// run ahead of its consumer (0 means DefaultPipelineBuffer). Smaller
+	// run ahead of its consumer once it has started its producer, at its
+	// first answer that had to wait (0 means DefaultPipelineBuffer);
+	// before that it runs inline and issues only what is pulled. Smaller
 	// buffers make LIMIT-driven early termination cut upstream prompt
 	// issue sooner; larger ones decouple stages more.
 	PipelineBuffer int

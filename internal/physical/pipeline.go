@@ -1,21 +1,28 @@
-// The one executor of the LLM operators: each runs a bounded producer
-// that submits its prompts through the query's llm.Tenant and hands the
-// in-flight futures downstream through a channel; answers are awaited in
-// input order. The tenant's policy decides how the producer issues:
+// The one executor of the LLM operators. Each submits its prompts
+// through the query's llm.Tenant and hands rows downstream with their
+// in-flight futures; answers are awaited in input order. The tenant's
+// policy decides how an operator issues:
 //
-//   - streaming (the default) submits prompts as upstream tuples arrive,
-//     so prompt waves of different operators overlap — an attribute fetch
-//     starts while the key scan is still iterating "more results" pages,
-//     and the verifier double-checks cells alongside the primary fetch;
-//   - stop-and-go, the paper's execution, drains each operator's input
-//     before its first prompt and issues it as one wave that settles
-//     before any row moves downstream, so a LIMIT still pays for the full
-//     prompt set and latency sums the waves.
+//   - streaming (the default) submits prompts as upstream tuples arrive.
+//     An operator starts inline: Next pulls a row, submits its prompts
+//     and returns it when its answers are already settled, as resident
+//     prompts' are. At the first answer still pending it inserts an
+//     exchange (Volcano's, placed at run time): a bounded producer goes
+//     on from the operator's state, and later rows come through its
+//     channel, so the prompt waves of different operators overlap — an
+//     attribute fetch starts while the key scan is still iterating "more
+//     results" pages, and the verifier runs alongside the primary fetch;
+//   - stop-and-go, the paper's execution, starts the producer at Open. It
+//     drains the operator's input before the first prompt and issues it
+//     as one wave that settles before any row moves downstream, so a
+//     LIMIT still pays for the full prompt set and latency sums the
+//     waves.
 //
-// Results are identical under both. The channel is bounded
-// (Context.PipelineBuffer) and producers watch a done signal, so closing
-// the operator tree — a satisfied LIMIT, an error, normal completion —
-// stops streaming prompt issue promptly.
+// Results are identical under both, whichever goroutine submits: a
+// prompt's virtual time is its ready time plus its latency. The channel
+// is bounded (Context.PipelineBuffer) and producers watch a done signal,
+// so closing the operator tree — a satisfied LIMIT, an error, normal
+// completion — stops streaming prompt issue promptly.
 package physical
 
 import (
@@ -37,36 +44,45 @@ type pipeRow struct {
 	verify *llm.Future // cross-model verification; nil without a verifier
 }
 
-// pipe is the shared producer/consumer plumbing of the LLM operators: a bounded channel of in-flight rows, a done signal that
-// stops the producer (LIMIT early termination, Close), and the
-// producer's exit error, surfaced to the consumer after the stream
-// drains.
+// pipe is the shared producer/consumer plumbing of the LLM operators
+// once their exchange has started: a bounded channel of in-flight rows,
+// a done signal that stops the producer (LIMIT early termination,
+// Close), and the producer's exit error, surfaced to the consumer after
+// the stream drains. The zero pipe is not started.
 type pipe struct {
-	out     chan pipeRow
-	done    chan struct{}
-	stop    sync.Once
-	wg      sync.WaitGroup
-	produce func() error
-	err     error // written by the producer before out closes
+	out  chan pipeRow
+	done chan struct{}
+	stop sync.Once
+	wg   sync.WaitGroup
+	src  producer
+	err  error // written by the producer before out closes
 }
 
-func newPipe(buffer int) *pipe {
-	return &pipe{out: make(chan pipeRow, buffer), done: make(chan struct{})}
+// producer is an LLM operator's producer loop: it issues the operator's
+// remaining prompts, from the state the operator has reached, and sends
+// the rows down the operator's pipe. The operator itself implements it,
+// so starting a producer allocates no closure.
+type producer interface {
+	produce() error
 }
 
-// run starts produce in the background, on a warm gopool goroutine. The
-// producer owns its upstream iteration; its error reaches the consumer
-// through next.
-func (p *pipe) run(produce func() error) {
-	p.produce = produce
+// start runs src's producer loop in the background, on a warm gopool
+// goroutine, behind a channel of c's pipeline buffer. The producer owns
+// the operator's upstream iteration from here on; its error reaches the
+// consumer through next.
+func (p *pipe) start(c *Context, src producer) {
+	p.out, p.done, p.src = make(chan pipeRow, c.pipeBuffer()), make(chan struct{}), src
 	p.wg.Add(1)
 	gopool.Go(p)
 }
 
+// started reports whether the producer was started.
+func (p *pipe) started() bool { return p.out != nil }
+
 // Run is the producer, as a gopool task.
 func (p *pipe) Run() {
 	defer p.wg.Done()
-	p.err = p.produce()
+	p.err = p.src.produce()
 	close(p.out)
 }
 
@@ -110,27 +126,90 @@ func (p *pipe) next() (pipeRow, error) {
 
 // close tells the producer to stop and waits for it to exit, so Close
 // returns with no goroutine still touching the operator or its input. A
-// nil pipe (the operator never started its producer) closes as a no-op.
+// pipe never started closes as a no-op.
 func (p *pipe) close() error {
-	if p != nil {
+	if p.started() {
 		p.stop.Do(func() { close(p.done) })
 		p.wg.Wait()
 	}
 	return nil
 }
 
-// feed drives an LLM operator's producer: it reads the input as prompt
-// waves, lets issue submit each wave's prompts, and hands the wave's rows
-// downstream. Streaming, each tuple is a wave of its own, issued as it
-// arrives, and a consumer that has terminated stops the feed before
-// another wave is issued; stop-and-go, the whole input is drained first
-// and issued as one wave (the drain-input barrier) that runs to
+// issuer is the issue step of a fetch or filter: it submits the prompts
+// of one wave of input rows and stores their futures in the rows.
+type issuer interface {
+	issue(rows []pipeRow) error
+}
+
+// exchange runs a fetch or filter over its input: inline until a row's
+// answers would wait, then through a producer that feeds the rest of the
+// input to the same issue step.
+type exchange struct {
+	c     *Context
+	input Operator // nil until opened, and after an inline Close
+	op    issuer
+	pipe  pipe       // not started while the operator runs inline
+	one   [1]pipeRow // the inline row, as the one-row wave issue takes
+}
+
+// open starts the exchange over an opened input: stop-and-go, the
+// producer starts at once; streaming, the operator runs inline.
+func (x *exchange) open(c *Context, input Operator, op issuer) {
+	x.c, x.input, x.op = c, input, op
+	if c.Scheduler.StopAndGo() {
+		x.pipe.start(c, x)
+	}
+}
+
+// next yields the following row with its futures. Inline, it pulls and
+// issues one input row, and starts the producer when that row's answers
+// are still pending; the row itself is returned either way.
+func (x *exchange) next() (pipeRow, error) {
+	if x.pipe.started() {
+		return x.pipe.next()
+	}
+	t, vt, err := x.input.Next()
+	if err != nil {
+		return pipeRow{}, err
+	}
+	rows := x.one[:]
+	rows[0] = pipeRow{row: t, vt: vt}
+	if err := x.op.issue(rows); err != nil {
+		return pipeRow{}, err
+	}
+	if r := rows[0]; !r.main.Settled() || r.verify != nil && !r.verify.Settled() {
+		x.pipe.start(x.c, x) // from the input's current position
+	}
+	return rows[0], nil
+}
+
+// close stops the producer, which closes the input on exit, or closes
+// the input itself when no producer was started.
+func (x *exchange) close() error {
+	if x.pipe.started() {
+		return x.pipe.close()
+	}
+	if in := x.input; in != nil {
+		x.input = nil
+		return in.Close()
+	}
+	return nil
+}
+
+// produce reads the input as prompt waves, lets the issue step submit
+// each wave's prompts, and hands the wave's rows downstream; it closes
+// the input on exit. Streaming, each tuple is a wave of its own, issued
+// as it arrives, and a consumer that has terminated stops the feed
+// before another wave is issued; stop-and-go, the whole input is drained
+// first and issued as one wave (the drain-input barrier) that runs to
 // completion.
-func (p *pipe) feed(c *Context, input Operator, issue func([]pipeRow) error) error {
-	stopAndGo := c.Scheduler.StopAndGo()
+func (x *exchange) produce() error {
+	defer x.input.Close()
+	p := &x.pipe
+	stopAndGo := x.c.Scheduler.StopAndGo()
 	var rows []pipeRow
 	for {
-		t, vt, err := input.Next()
+		t, vt, err := x.input.Next()
 		if err == io.EOF {
 			break
 		}
@@ -144,7 +223,7 @@ func (p *pipe) feed(c *Context, input Operator, issue func([]pipeRow) error) err
 		if p.stopped() {
 			return nil
 		}
-		if err := issue(rows); err != nil || !p.send(rows...) {
+		if err := x.op.issue(rows); err != nil || !p.send(rows...) {
 			return err
 		}
 		rows = rows[:0]
@@ -152,7 +231,7 @@ func (p *pipe) feed(c *Context, input Operator, issue func([]pipeRow) error) err
 	if !stopAndGo {
 		return nil
 	}
-	if err := issue(rows); err != nil {
+	if err := x.op.issue(rows); err != nil {
 		return err
 	}
 	p.send(rows...)

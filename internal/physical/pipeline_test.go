@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,23 +50,28 @@ func townClient() *scriptedLLM {
 
 // townTree builds scan → LLM filter (population > 1M) → fetch population:
 // the multi-operator prompt chain the pipelined executor overlaps.
-func townTree(t *testing.T) Operator {
+func townTree(t *testing.T) *llmFetchAttrOp {
 	t.Helper()
 	def := townDef()
 	scan := logical.NewScan(def, "t", "LLM")
+	return filterFetch(t, &llmKeyScanOp{scan: scan, out: scan.Schema()}, scan)
+}
+
+// filterFetch puts an LLM filter (population > 1M), then a population
+// fetch, over input, which produces the keys of scan.
+func filterFetch(t *testing.T, input Operator, scan *logical.Scan) *llmFetchAttrOp {
+	t.Helper()
 	cond := &ast.Binary{
 		Op:    ">",
 		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
 		Right: &ast.Literal{Val: value.Int(1000000)},
 	}
-	filter := &logical.LLMFilter{Input: scan, Table: def, Binding: "t", Cond: cond, KeyCol: 0}
-	fa, err := logical.NewFetchAttr(filter, def, "t", "population", 0)
+	filter := &logical.LLMFilter{Input: scan, Table: scan.Table, Binding: "t", Cond: cond, KeyCol: 0}
+	fa, err := logical.NewFetchAttr(filter, scan.Table, "t", "population", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanOp := &llmKeyScanOp{scan: scan, out: scan.Schema()}
-	filterOp := &llmFilterOp{node: filter, input: scanOp}
-	return &llmFetchAttrOp{node: fa, input: filterOp, out: fa.Schema()}
+	return &llmFetchAttrOp{node: fa, input: &llmFilterOp{node: filter, input: input}, out: fa.Schema()}
 }
 
 // TestPipelinedMatchesStopAndGo: the streaming policy must produce
@@ -232,7 +238,7 @@ func TestClosedStreamIssuesNoPrompts(t *testing.T) {
 	}
 	gate := &gateOp{out: scan.Schema(), rows: keysRelation("Alpha", "Beta").Rows}
 	op := &llmFetchAttrOp{node: fa, input: gate, out: fa.Schema()}
-	gate.wait = func() { <-op.pipe.done } // Beta arrives after Close
+	gate.wait = func() { <-op.x.pipe.done } // Beta arrives after Close
 	pctx := pipelinedCtx(context.Background(), client, 2, 4)
 	pctx.Metrics = NewMetrics()
 	if err := op.Open(pctx); err != nil {
@@ -359,5 +365,195 @@ func TestPipelinedErrorPropagates(t *testing.T) {
 	pctx := pipelinedCtx(context.Background(), client, 2, 4)
 	if _, err := Run(pctx, townTree(t)); err == nil {
 		t.Error("pipelined model failure must propagate")
+	}
+}
+
+// TestResidentChainRunsInline: when every prompt of a streaming scan →
+// filter → fetch tree is resident, the tree drains on the consumer's
+// goroutine: no operator starts a producer, and the result is the one
+// the cold run produced.
+func TestResidentChainRunsInline(t *testing.T) {
+	sched := llm.NewScheduler(llm.NewCache(64), 2)
+	var want string
+	for run := 0; run < 2; run++ {
+		pctx := pipelinedCtx(context.Background(), townClient(), 2, 4)
+		pctx.Scheduler = sched.Tenant(context.Background(), "test")
+		fetch := townTree(t)
+		rel, err := Run(pctx, fetch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = rel.String()
+			continue
+		}
+		if got := rel.String(); got != want {
+			t.Errorf("resident run diverged:\ncold:\n%s\nresident:\n%s", want, got)
+		}
+		if n := pctx.Scheduler.Usage().Prompts; n != 0 {
+			t.Errorf("resident run issued %d model prompts", n)
+		}
+		filter := fetch.input.(*llmFilterOp)
+		scan := filter.input.(*llmKeyScanOp)
+		if fetch.x.pipe.started() || filter.x.pipe.started() || scan.pipe.started() {
+			t.Errorf("resident run started a producer: fetch %v, filter %v, scan %v",
+				fetch.x.pipe.started(), filter.x.pipe.started(), scan.pipe.started())
+		}
+	}
+}
+
+// gatedLLM answers as its script does, but holds every call — except one
+// whose prompt contains pass — until release is closed. overlap closes
+// once a filter call and a fetch call are held at the same time.
+type gatedLLM struct {
+	*scriptedLLM
+	pass    string
+	release chan struct{}
+	overlap chan struct{}
+
+	mu      sync.Mutex
+	held    map[string]int // held calls by operator: "filter", "fetch"
+	reached bool
+}
+
+func (g *gatedLLM) Complete(ctx context.Context, p string) (string, error) {
+	if !strings.Contains(p, g.pass) {
+		op := "fetch"
+		if strings.HasPrefix(p, "Has town") {
+			op = "filter"
+		}
+		g.mu.Lock()
+		g.held[op]++
+		if g.held["filter"] > 0 && g.held["fetch"] > 0 && !g.reached {
+			g.reached = true
+			close(g.overlap)
+		}
+		g.mu.Unlock()
+		<-g.release
+	}
+	return g.scriptedLLM.Complete(ctx, p)
+}
+
+// sixTowns scripts filter verdicts and populations for six towns, under
+// the name townClient answers as.
+func sixTowns() *scriptedLLM {
+	c := &scriptedLLM{}
+	for i, town := range []string{"Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta"} {
+		verdict := "yes"
+		if town == "Epsilon" {
+			verdict = "no"
+		}
+		c.on("Has town "+town+" population more than 1000000", verdict).
+			on("population of the town "+town, fmt.Sprintf("%d", (i+2)*1000000))
+	}
+	return c
+}
+
+// TestInlineChainOverlapsMisses: a streaming memScan → filter → fetch
+// chain whose first two rows are resident and whose later rows miss
+// starts inline and inserts its exchanges at the first misses, so the
+// filter's and the fetch's misses are in flight at once. The relation
+// and the prompt count equal stop-and-go's over the same resident set.
+func TestInlineChainOverlapsMisses(t *testing.T) {
+	scan := logical.NewScan(townDef(), "t", "LLM")
+	towns := keysRelation("Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta")
+	tree := func(keys *schema.Relation) Operator {
+		return filterFetch(t, &memScan{out: scan.Schema(), rel: keys}, scan)
+	}
+	// warmed returns a scheduler whose cache holds Alpha's and Beta's
+	// verdicts and populations.
+	warmed := func() *llm.Scheduler {
+		sched := llm.NewScheduler(llm.NewCache(64), 8)
+		pctx := pipelinedCtx(context.Background(), sixTowns(), 8, 4)
+		pctx.Scheduler = sched.Tenant(context.Background(), "warm")
+		if _, err := Run(pctx, tree(keysRelation("Alpha", "Beta"))); err != nil {
+			t.Fatal(err)
+		}
+		return sched
+	}
+
+	ref := llmCtx(sixTowns())
+	ref.Scheduler = warmed().Tenant(context.Background(), "stop-and-go")
+	ref.Scheduler.SetWaves(8)
+	want, err := Run(ref, tree(towns))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client := &gatedLLM{
+		scriptedLLM: sixTowns(),
+		pass:        "Has town Gamma", // the first miss
+		release:     make(chan struct{}),
+		overlap:     make(chan struct{}),
+		held:        map[string]int{},
+	}
+	pctx := pipelinedCtx(context.Background(), client, 8, 4)
+	pctx.Scheduler = warmed().Tenant(context.Background(), "streaming")
+	type result struct {
+		rel *schema.Relation
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rel, err := Run(pctx, tree(towns))
+		done <- result{rel, err}
+	}()
+	select {
+	case <-client.overlap:
+	case <-time.After(5 * time.Second):
+		t.Error("the filter's and the fetch's misses were never in flight at once")
+	}
+	close(client.release)
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.rel.String() != want.String() {
+		t.Errorf("streaming result diverged:\nstop-and-go:\n%s\nstreaming:\n%s", want.String(), got.rel.String())
+	}
+	if got.rel.Cardinality() != 5 {
+		t.Errorf("rows = %d, want 5:\n%s", got.rel.Cardinality(), got.rel.String())
+	}
+	if p, w := pctx.Scheduler.Usage().Prompts, ref.Scheduler.Usage().Prompts; p != w || p != 7 {
+		t.Errorf("streaming issued %d prompts, stop-and-go %d; want 7 (4 verdicts, 3 populations)", p, w)
+	}
+}
+
+// TestResidentLimitScanIssuesNoExtraPages: a LIMIT 3 over a fully
+// resident key scan runs inline and submits exactly the three pages it
+// needs — no more than the producer run ahead of the same LIMIT when
+// the pages were misses.
+func TestResidentLimitScanIssuesNoExtraPages(t *testing.T) {
+	client := &pagingLLM{}
+	sched := llm.NewScheduler(llm.NewCache(256), 2)
+	scan := logical.NewScan(townDef(), "t", "LLM")
+	run := func(limit int) (pages int, keyScan *llmKeyScanOp) {
+		pctx := pipelinedCtx(context.Background(), client, 2, 2)
+		pctx.Scheduler = sched.Tenant(context.Background(), "test")
+		pctx.MaxScanIterations = 50
+		pctx.Metrics = NewMetrics()
+		keyScan = &llmKeyScanOp{scan: scan, out: scan.Schema()}
+		rel, err := Run(pctx, &limitOp{input: keyScan, n: limit, offset: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit >= 0 && rel.Cardinality() != limit {
+			t.Fatalf("LIMIT %d: rows = %d", limit, rel.Cardinality())
+		}
+		pctx.Scheduler.Quiesce()
+		nm, _ := pctx.Metrics.Get(scan)
+		return nm.Prompts, keyScan
+	}
+	cold, coldScan := run(3)
+	if !coldScan.pipe.started() {
+		t.Fatal("a scan of missing pages never started its producer")
+	}
+	run(-1) // every page of the chain resident
+	resident, residentScan := run(3)
+	if residentScan.pipe.started() {
+		t.Error("a resident scan started a producer")
+	}
+	if resident != 3 || resident > cold {
+		t.Errorf("resident LIMIT 3 submitted %d pages, want 3 (the producer path submitted %d)", resident, cold)
 	}
 }

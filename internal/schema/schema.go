@@ -51,7 +51,32 @@ var ErrNoColumn = fmt.Errorf("no such column")
 // Matching is case-insensitive. When table is empty, the name must be
 // unambiguous across the schema.
 func (s *Schema) Resolve(table, name string) (int, error) {
-	found := -1
+	i, ambiguous := s.lookup(table, name)
+	switch {
+	case ambiguous:
+		return -1, fmt.Errorf("%w: %s", ErrAmbiguous, name)
+	case i < 0:
+		ref := name
+		if table != "" {
+			ref = table + "." + name
+		}
+		return -1, fmt.Errorf("%w: %s", ErrNoColumn, ref)
+	}
+	return i, nil
+}
+
+// IndexOf is Resolve without error detail; it returns -1 when unresolved.
+// It allocates nothing, as the optimizer probes columns it expects to be
+// missing.
+func (s *Schema) IndexOf(table, name string) int {
+	i, _ := s.lookup(table, name)
+	return i
+}
+
+// lookup is Resolve's match: the column's index, or -1 when none
+// matches or, reported as ambiguous, when a second column matches too.
+func (s *Schema) lookup(table, name string) (found int, ambiguous bool) {
+	found = -1
 	for i, c := range s.Columns {
 		if !strings.EqualFold(c.Name, name) {
 			continue
@@ -60,27 +85,11 @@ func (s *Schema) Resolve(table, name string) (int, error) {
 			continue
 		}
 		if found >= 0 {
-			return -1, fmt.Errorf("%w: %s", ErrAmbiguous, name)
+			return -1, true
 		}
 		found = i
 	}
-	if found < 0 {
-		ref := name
-		if table != "" {
-			ref = table + "." + name
-		}
-		return -1, fmt.Errorf("%w: %s", ErrNoColumn, ref)
-	}
-	return found, nil
-}
-
-// IndexOf is Resolve without error detail; it returns -1 when unresolved.
-func (s *Schema) IndexOf(table, name string) int {
-	i, err := s.Resolve(table, name)
-	if err != nil {
-		return -1
-	}
-	return i
+	return found, false
 }
 
 // Concat returns a new schema with the columns of s followed by those of t.

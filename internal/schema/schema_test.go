@@ -39,6 +39,31 @@ func TestResolve(t *testing.T) {
 	if i := s.IndexOf("x", "y"); i != -1 {
 		t.Errorf("IndexOf missing = %d", i)
 	}
+	if i := s.IndexOf("", "name"); i != -1 {
+		t.Errorf("IndexOf ambiguous = %d", i)
+	}
+	for _, c := range []struct{ table, name, want string }{
+		{"", "name", "ambiguous column reference: name"},
+		{"c", "mayor", "no such column: c.mayor"},
+		{"", "mayor", "no such column: mayor"},
+	} {
+		if _, err := s.Resolve(c.table, c.name); err == nil || err.Error() != c.want {
+			t.Errorf("Resolve(%q, %q) error = %v, want %q", c.table, c.name, err, c.want)
+		}
+	}
+}
+
+// TestIndexOfMissingAllocatesNothing: the optimizer probes columns it
+// expects to be missing, so a miss must not build an error.
+func TestIndexOfMissingAllocatesNothing(t *testing.T) {
+	s := citySchema()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if s.IndexOf("c", "mayor") != -1 || s.IndexOf("", "name") != -1 {
+			t.Fatal("unresolved column resolved")
+		}
+	}); allocs != 0 {
+		t.Errorf("IndexOf of an unresolved column allocates %v times", allocs)
+	}
 }
 
 func TestConcatProjectClone(t *testing.T) {
