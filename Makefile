@@ -57,14 +57,15 @@ benchmark-smoke:
 serve:
 	$(GO) run ./cmd/galois-serve
 
-# Short fuzz smoke of the SQL parser, the simulated model's prompt parser,
-# the galois.yaml decoder, the model-answer number decoder, the token
-# counter, the prompt template's token count, the durable store's
-# segment replay and MANIFEST reader, the persisted result-cache entry
-# decoder and internal/serve's /query parameter decoders (same runs CI
-# does).
+# Short fuzz smoke of the SQL parser, a built plan's canonical form, the
+# simulated model's prompt parser, the galois.yaml decoder, the
+# model-answer number decoder, the token counter, the prompt template's
+# token count, the durable store's segment replay and MANIFEST reader,
+# the persisted result-cache entry decoder and internal/serve's /query
+# parameter decoders (same runs CI does).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
+	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/logical"
 	"repro/internal/lru"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
@@ -21,11 +22,11 @@ type stmtMemo = lru.Map[string, *memoEntry]
 type memoEntry struct {
 	sql   string
 	sel   *ast.Select
-	comps []string // logical.Components of the build (sorted)
-	fp    string   // logical.Fingerprint of the build, without the options prefix
+	canon logical.Canonical // of the build, without options prefix or Shape (no plan retained)
 	// optsFP is the options prefix of the session that memoized the
-	// statement, and key its full result-cache fingerprint (optsFP+fp),
-	// so a hit under the same prefix builds no key string.
+	// statement, and key its full result-cache fingerprint
+	// (optsFP+canon.Fingerprint), so a hit under the same prefix builds
+	// no key string.
 	optsFP, key string
 	res         []resolution
 }

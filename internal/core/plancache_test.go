@@ -174,7 +174,7 @@ func conjunctsOf(t *testing.T, sql string) []conjunct {
 		return nil
 	}
 	var out []conjunct
-	for _, c := range optimizer.SplitConjuncts(sel.Where) {
+	for _, c := range ast.Conjuncts(sel.Where) {
 		bin, ok := c.(*ast.Binary)
 		if !ok {
 			continue

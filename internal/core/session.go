@@ -224,14 +224,14 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 // conjuncts, same result-affecting options, and a residual chain that
 // compiles against the producer's output columns. The candidates then
 // compete in plan on estimated cost.
-func (s *Session) residualCandidates(shape *logical.Shape, stamp string) []optimizer.ExtraPlan {
-	rc := s.rt.resultCache
+func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []optimizer.ExtraPlan {
+	rc, shape := s.rt.resultCache, canon.Shape
 	if rc == nil || shape == nil || s.opts.Optimizer.PromptPushdown {
 		return nil
 	}
 	opts := s.optsFP
 	var extras []optimizer.ExtraPlan
-	for _, c := range rc.Candidates(rescache.TablesKey(shape.Tables), stamp) {
+	for _, c := range rc.Candidates(rescache.TablesKey(canon.Components), stamp) {
 		if c.Prod.Opts != opts {
 			continue
 		}
@@ -352,16 +352,17 @@ func (s *Session) account(rep *Report) {
 // "residual over cached(...)" plan a subsumed query would actually run.
 func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Relation, *Report, error) {
 	var built logical.Node
-	var shape *logical.Shape
+	var canon logical.Canonical
 	var stamp string
 	if s.rt.resultCache != nil {
 		var err error
-		if built, _, stamp, err = s.buildKeyed(ex.Stmt, s); err != nil {
+		if built, err = logical.Build(ex.Stmt, s); err != nil {
 			return nil, nil, err
 		}
-		shape = logical.Decompose(built)
+		canon = logical.Canonicalize(built)
+		stamp = s.rt.stampFor(canon.Components)
 	}
-	plan, cost, err := s.plan(ex.Stmt, built, s.residualCandidates(shape, stamp))
+	plan, cost, err := s.plan(ex.Stmt, built, s.residualCandidates(canon, stamp))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -146,47 +146,37 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (*Stream, error) {
 	rc := s.rt.resultCache
 	if rc == nil {
-		return s.openShaped(ctx, sel, nil, nil, "")
+		return s.openShaped(ctx, sel, nil, logical.Canonical{}, "")
 	}
+	// The cheap logical build (no candidate enumeration, no costing)
+	// yields the canonical form. Its components are stamped before
+	// execution, so a bind landing mid-flight keys this result under the
+	// old epochs, where no post-bind lookup can reach it.
 	rec := &recordingResolver{s: s}
-	built, comps, stamp, err := s.buildKeyed(sel, rec)
+	built, err := logical.Build(sel, rec)
 	if err != nil {
 		return nil, err
 	}
+	canon := logical.Canonicalize(built)
+	stamp := s.rt.stampFor(canon.Components)
 	if sel.Limit >= 0 || sel.Offset > 0 {
-		return s.openShaped(ctx, sel, built, logical.Decompose(built), stamp)
+		return s.openShaped(ctx, sel, built, canon, stamp)
 	}
 	// The exact key is the result-affecting options prefix plus the
-	// canonical serialization of the built (pre-optimization) plan:
-	// literals kept, table bindings folded in.
-	fp := logical.Fingerprint(built)
-	key := rescache.Key{Fingerprint: s.optsFP + fp, Stamp: stamp}
+	// fingerprint of the built (pre-optimization) plan: literals kept,
+	// table bindings folded in.
+	key := rescache.Key{Fingerprint: s.optsFP + canon.Fingerprint, Stamp: stamp}
 	entry, lead, err := rc.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: sel, comps: comps, fp: fp,
+		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: sel,
+			canon:  logical.Canonical{Fingerprint: canon.Fingerprint, Components: canon.Components},
 			optsFP: s.optsFP, key: key.Fingerprint, res: rec.res})
 		return s.replayHit(key, entry), nil
 	}
-	return s.openLead(ctx, sel, built, comps, stamp, lead)
-}
-
-// buildKeyed builds sel through r for the result cache. The cheap
-// logical build (no candidate enumeration, no costing) yields both
-// canonical forms: the flat fingerprint for exact matching and the
-// structured shape for subsumption. It returns the build, its table
-// components and their stamp, captured before execution, so a bind
-// landing mid-flight keys this result under the old epochs, where no
-// post-bind lookup can reach it.
-func (s *Session) buildKeyed(sel *ast.Select, r logical.Resolver) (logical.Node, []string, string, error) {
-	built, err := logical.Build(sel, r)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	comps := logical.Components(built)
-	return built, comps, s.rt.stampFor(comps), nil
+	return s.openLead(ctx, sel, built, canon, stamp, lead)
 }
 
 // openMemo opens a memoized SELECT whose resolutions were just replayed:
@@ -198,9 +188,9 @@ func (s *Session) buildKeyed(sel *ast.Select, r logical.Resolver) (logical.Node,
 // session under the options prefix the entry was memoized with reuses
 // its full key; any other concatenates its own.
 func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
-	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.comps)}
+	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.canon.Components)}
 	if s.optsFP != e.optsFP {
-		key.Fingerprint = s.optsFP + e.fp
+		key.Fingerprint = s.optsFP + e.canon.Fingerprint
 	}
 	entry, lead, err := s.rt.resultCache.Lookup(ctx, key)
 	if err != nil {
@@ -209,12 +199,13 @@ func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	if lead == nil {
 		return s.replayHit(key, entry), nil
 	}
-	built, err := logical.Build(e.sel, s)
-	if err != nil || logical.Fingerprint(built) != e.fp {
-		lead.Settle(nil, errMemoStale)
-		return s.openSelect(ctx, e.sql, e.sel)
+	if built, err := logical.Build(e.sel, s); err == nil {
+		if canon := logical.Canonicalize(built); canon.Fingerprint == e.canon.Fingerprint {
+			return s.openLead(ctx, e.sel, built, canon, key.Stamp, lead)
+		}
 	}
-	return s.openLead(ctx, e.sel, built, e.comps, key.Stamp, lead)
+	lead.Settle(nil, errMemoStale)
+	return s.openSelect(ctx, e.sql, e.sel)
 }
 
 // replayHit opens an exact hit: the resident relation, replayed row by
@@ -259,21 +250,20 @@ func (st *Stream) Hit() *HitBody {
 // openLead opens the execution of a result-cache miss whose flight this
 // caller leads. An open that fails — or panics — settles the flight
 // here; once open, the stream owns it.
-func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.Node, comps []string, stamp string, lead *rescache.Lead) (*Stream, error) {
+func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.Node, canon logical.Canonical, stamp string, lead *rescache.Lead) (*Stream, error) {
 	var st *Stream
 	defer func() {
 		if st == nil {
 			lead.Settle(nil, errStreamAbandoned)
 		}
 	}()
-	shape := logical.Decompose(built)
-	st, err := s.openShaped(ctx, sel, built, shape, stamp)
+	st, err := s.openShaped(ctx, sel, built, canon, stamp)
 	if err != nil {
 		return nil, err
 	}
 	st.lead = lead
-	st.entry = &rescache.Entry{Tables: comps}
-	if shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
+	st.entry = &rescache.Entry{Tables: canon.Components}
+	if shape := canon.Shape; shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
 		// Producer-shaped plans (Project over base filters, no hidden
 		// columns) retain their decomposition so this entry can answer
 		// subsumed queries. Prompt pushdown merges predicates into the
@@ -292,8 +282,8 @@ func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.N
 
 // openShaped plans one SELECT with residual plans over cached relations
 // competing as candidates, and opens the winner.
-func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical.Node, shape *logical.Shape, stamp string) (*Stream, error) {
-	plan, cost, err := s.plan(sel, built, s.residualCandidates(shape, stamp))
+func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical.Node, canon logical.Canonical, stamp string) (*Stream, error) {
+	plan, cost, err := s.plan(sel, built, s.residualCandidates(canon, stamp))
 	if err != nil {
 		return nil, err
 	}

@@ -327,7 +327,9 @@ func TestSchedulerCancelDoesNotPerturbOtherTenants(t *testing.T) {
 }
 
 // gatedLLM records started calls and blocks completions until released
-// (or the call context is cancelled).
+// (or the call context is cancelled). A call whose context is already
+// done when the gate opens fails with the cancel: with both cases ready,
+// select would otherwise pick one at random.
 type gatedLLM struct {
 	release chan struct{}
 	started chan struct{}
@@ -341,6 +343,9 @@ func (g *gatedLLM) Complete(ctx context.Context, p string) (string, error) {
 	}
 	select {
 	case <-g.release:
+		if err := ctx.Err(); err != nil {
+			return "", err
+		}
 		return "ok done", nil
 	case <-ctx.Done():
 		return "", ctx.Err()

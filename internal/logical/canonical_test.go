@@ -1,11 +1,13 @@
 package logical
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
+	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
 
@@ -84,4 +86,48 @@ func TestComponentsSortedAndDistinct(t *testing.T) {
 	if want := ComponentDB + "," + ComponentLLM("city"); got != want {
 		t.Errorf("Components = %q, want %q", got, want)
 	}
+}
+
+// FuzzCanonical: whatever statement builds against the two-table
+// resolver, its one rendering is deterministic and agrees with every
+// separate derivation — Render with the verbatim predicate writes the
+// same bytes, the FROM key is the FROM tree's own fingerprint, and the
+// components equal a separate Components walk.
+func FuzzCanonical(f *testing.F) {
+	for _, sql := range []string{
+		"SELECT name FROM city WHERE population > 1000000",
+		"SELECT DISTINCT c.country FROM city c, employees e WHERE c.country = e.countryCode AND e.salary < 5.5",
+		"SELECT c.name FROM city c LEFT JOIN employees e ON c.name = e.countryCode AND 3 < e.id ORDER BY c.name DESC LIMIT 2 OFFSET 1",
+		"SELECT country, COUNT(*) FROM LLM.city GROUP BY country HAVING COUNT(*) > 2",
+		"SELECT e.id FROM DB.employees e CROSS JOIN city c WHERE e.id IN (1, 2) AND c.name LIKE 'R%' OR c.population IS NULL",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		sel, err := parser.ParseSelect(sql)
+		if err != nil {
+			return
+		}
+		n, err := Build(sel, fakeResolver{})
+		if err != nil {
+			return
+		}
+		c := Canonicalize(n)
+		if again := Canonicalize(n); again.Fingerprint != c.Fingerprint {
+			t.Fatalf("%s: two renders differ:\n%s\n%s", sql, c.Fingerprint, again.Fingerprint)
+		}
+		var b strings.Builder
+		Render(&b, n, verbatim)
+		if b.String() != c.Fingerprint {
+			t.Fatalf("%s: Render %q, Canonicalize %q", sql, b.String(), c.Fingerprint)
+		}
+		if c.Shape != nil {
+			if want := Fingerprint(c.Shape.From); c.Shape.FromKey != want {
+				t.Fatalf("%s: FromKey %q, want %q", sql, c.Shape.FromKey, want)
+			}
+		}
+		if want := Components(n); !slices.Equal(c.Components, want) {
+			t.Fatalf("%s: components %v, want %v", sql, c.Components, want)
+		}
+	})
 }

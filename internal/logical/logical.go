@@ -184,17 +184,21 @@ func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Describe implements Node.
 func (j *Join) Describe() string {
-	name := "Join"
+	if j.On == nil {
+		return j.name()
+	}
+	return j.name() + " ON " + j.On.String()
+}
+
+// name names the join kind.
+func (j *Join) name() string {
 	switch j.Type {
 	case ast.JoinCross:
-		name = "CrossJoin"
+		return "CrossJoin"
 	case ast.JoinLeft:
-		name = "LeftJoin"
+		return "LeftJoin"
 	}
-	if j.On == nil {
-		return name
-	}
-	return name + " ON " + j.On.String()
+	return "Join"
 }
 
 // AggSpec is one aggregate computed by an Aggregate node.

@@ -2,7 +2,7 @@ package logical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/schema"
@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the structured side of the plan's canonical form. The
-// flat text rendered by Fingerprint keys exact-match result caching;
-// Decompose breaks the same built plan into the pieces subsumption
+// flat text rendered by Canonicalize keys exact-match result caching;
+// its Shape breaks the same built plan into the pieces subsumption
 // matching needs: the FROM tree, the conjuncts filtering it, and the
 // operator chain above. A cached relation R answers an incoming query Q
 // when both read the same FROM tree, R's conjuncts are a subset of Q's
@@ -31,27 +31,32 @@ func ComponentLLM(table string) string { return "llm:" + strings.ToLower(table) 
 // Components returns the sorted invalidation components of every base
 // relation the plan reads.
 func Components(n Node) []string {
-	set := map[string]bool{}
+	var comps []string
 	var walk func(Node)
 	walk = func(n Node) {
 		if s, ok := n.(*Scan); ok {
-			if s.Source == "LLM" {
-				set[ComponentLLM(s.Table.Name)] = true
-			} else {
-				set[ComponentDB] = true
-			}
+			comps = addComponent(comps, s)
 		}
 		for _, c := range n.Children() {
 			walk(c)
 		}
 	}
 	walk(n)
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	slices.Sort(comps)
+	return comps
+}
+
+// addComponent adds the invalidation component of s to comps unless it
+// is already there.
+func addComponent(comps []string, s *Scan) []string {
+	c := ComponentDB
+	if s.Source == "LLM" {
+		c = ComponentLLM(s.Table.Name)
 	}
-	sort.Strings(out)
-	return out
+	if slices.Contains(comps, c) {
+		return comps
+	}
+	return append(comps, c)
 }
 
 // Conjunct is one AND-ed base-filter predicate in canonical form: the
@@ -65,14 +70,15 @@ type Conjunct struct {
 // Shape is the structured canonical form of one built (pre-optimization)
 // plan. The builder emits a fixed single-input chain —
 // Strip?(Limit?(Sort?(Distinct?(Project(Filter*(Aggregate?(Filter*(FROM))))))))
-// — and Decompose splits it at the base filters directly above the FROM
-// tree.
+// — and Canonicalize splits it at the base filters directly above the
+// FROM tree.
 type Shape struct {
 	// From is the root of the maximal Scan/Join subtree.
 	From Node
 	// FromKey canonically serializes the FROM tree (bindings, sources,
-	// declared schemas, join structure with literals). Two shapes can
-	// only subsume one another when their FromKeys are equal.
+	// declared schemas, join structure with literals): its span of the
+	// plan's fingerprint. Two shapes can only subsume one another when
+	// their FromKeys are equal.
 	FromKey string
 	// FromLabel renders the FROM tree for humans; EXPLAIN's
 	// "residual over cached(...)" nodes carry it.
@@ -83,8 +89,6 @@ type Shape struct {
 	// Upper is the operator chain above the base filters, outermost
 	// first. For a plain filtered projection it is just [Project].
 	Upper []Node
-	// Tables are the sorted invalidation components the plan reads.
-	Tables []string
 	// Producer reports whether this plan's result can answer subsumed
 	// queries: the upper chain must be exactly one Project with no
 	// hidden columns — no Sort, Distinct, Aggregate or Limit — so the
@@ -92,9 +96,6 @@ type Shape struct {
 	// residual consumer (including ones adding Sort/Limit/Distinct on
 	// top) reproduces bit-identically.
 	Producer bool
-	// HasLimit reports a truncating plan (a Limit node anywhere): its
-	// result must never be stored as the query's complete relation.
-	HasLimit bool
 }
 
 // ConjunctTexts returns the canonical texts of the base conjuncts.
@@ -106,26 +107,15 @@ func (s *Shape) ConjunctTexts() []string {
 	return out
 }
 
-// Decompose computes the structured canonical form of a built plan. It
-// returns nil when the plan does not fit the builder's single-input
-// chain over a Scan/Join FROM tree (defensive: such plans simply do not
-// participate in subsumption).
-func Decompose(n Node) *Shape {
-	var chain []Node
-	cur := n
-walk:
-	for {
-		switch cur.(type) {
-		case *StripProject, *Limit, *Sort, *Distinct, *Project, *Aggregate, *Filter:
-			chain = append(chain, cur)
-			cur = cur.Children()[0]
-		default:
-			break walk
-		}
-	}
-	if !fromOnly(cur) {
-		return nil
-	}
+// Decompose returns the structured canonical form of a built plan,
+// Canonicalize(n).Shape: nil when the plan does not fit the builder's
+// single-input chain over a Scan/Join FROM tree (defensive: such plans
+// simply do not participate in subsumption).
+func Decompose(n Node) *Shape { return Canonicalize(n).Shape }
+
+// decompose splits the chain above the FROM tree from, whose canonical
+// text is fromKey, into base conjuncts and the upper chain.
+func decompose(chain []Node, from Node, fromKey string) *Shape {
 	// Peel the run of Filters sitting directly on the FROM tree: those
 	// are the base conjuncts (WHERE, and HAVING when no aggregate
 	// intervenes). A Filter above an Aggregate stays in the upper chain.
@@ -136,59 +126,33 @@ walk:
 		}
 		base--
 	}
-	var conjs []Conjunct
+	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel(from), Upper: chain[:base]}
 	seen := map[string]bool{}
 	for _, f := range chain[base:] {
-		for _, e := range splitAnd(f.(*Filter).Cond) {
-			t := e.String()
-			if seen[t] {
-				continue
+		for _, e := range ast.Conjuncts(f.(*Filter).Cond) {
+			if t := e.String(); !seen[t] {
+				seen[t] = true
+				sh.Conjuncts = append(sh.Conjuncts, Conjunct{Text: t, Expr: e})
 			}
-			seen[t] = true
-			conjs = append(conjs, Conjunct{Text: t, Expr: e})
 		}
 	}
-	upper := chain[:base]
-	producer := false
-	if len(upper) == 1 {
-		if p, ok := upper[0].(*Project); ok && p.Hidden == 0 {
-			producer = true
-		}
+	if len(sh.Upper) == 1 {
+		p, ok := sh.Upper[0].(*Project)
+		sh.Producer = ok && p.Hidden == 0
 	}
-	hasLimit := false
-	for _, c := range chain {
-		if _, ok := c.(*Limit); ok {
-			hasLimit = true
-		}
-	}
-	return &Shape{
-		From:      cur,
-		FromKey:   Fingerprint(cur),
-		FromLabel: fromLabel(cur),
-		Conjuncts: conjs,
-		Upper:     upper,
-		Tables:    Components(cur),
-		Producer:  producer,
-		HasLimit:  hasLimit,
-	}
+	return sh
 }
 
 // fromOnly reports whether the subtree consists solely of Scan and Join
 // nodes — a pure FROM tree.
 func fromOnly(n Node) bool {
-	switch n.(type) {
+	switch node := n.(type) {
 	case *Scan:
 		return true
 	case *Join:
-		for _, c := range n.Children() {
-			if !fromOnly(c) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
+		return fromOnly(node.Left) && fromOnly(node.Right)
 	}
+	return false
 }
 
 // fromLabel renders a FROM tree compactly for cache diagnostics and
@@ -202,14 +166,6 @@ func fromLabel(n Node) string {
 	default:
 		return "?"
 	}
-}
-
-// splitAnd flattens a predicate into its AND-ed conjuncts.
-func splitAnd(e ast.Expr) []ast.Expr {
-	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
-		return append(splitAnd(b.Left), splitAnd(b.Right)...)
-	}
-	return []ast.Expr{e}
 }
 
 // Subsumes reports whether a cached producer — over the FROM tree
@@ -252,11 +208,7 @@ func Subsumes(in *Shape, fromKey string, producerConjuncts []string) ([]ast.Expr
 func BuildResidual(in *Shape, cs *CachedScan, residual []ast.Expr) (Node, error) {
 	var out Node = cs
 	if len(residual) > 0 {
-		cond := residual[0]
-		for _, c := range residual[1:] {
-			cond = &ast.Binary{Op: "AND", Left: cond, Right: c}
-		}
-		out = &Filter{Input: out, Cond: cond}
+		out = &Filter{Input: out, Cond: ast.And(residual)}
 	}
 	for i := len(in.Upper) - 1; i >= 0; i-- {
 		n, err := rewire(in.Upper[i], out)

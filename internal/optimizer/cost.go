@@ -342,7 +342,7 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		ts := e.st.Table(node.Table.Name)
 		rows := ts.Keys
 		if node.PushedFilter != nil {
-			for _, c := range SplitConjuncts(node.PushedFilter) {
+			for _, c := range ast.Conjuncts(node.PushedFilter) {
 				rows *= e.conjunctSelectivity(c)
 			}
 		}
@@ -396,7 +396,7 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 	case *logical.Filter:
 		in := e.node(node.Input)
 		rows := in.Rows
-		for _, c := range SplitConjuncts(node.Cond) {
+		for _, c := range ast.Conjuncts(node.Cond) {
 			rows *= e.conjunctSelectivity(c)
 		}
 		return e.record(n, NodeEstimate{Rows: rows, Start: in.Start, Done: in.Done})

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/logical"
+	"repro/internal/sql/ast"
 )
 
 // maxCandidateBits caps the enumeration: every bit doubles the candidate
@@ -161,7 +162,7 @@ func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins in
 			joins++
 		case *logical.Scan:
 			if node.PushedFilter != nil {
-				for _, c := range SplitConjuncts(node.PushedFilter) {
+				for _, c := range ast.Conjuncts(node.PushedFilter) {
 					k := conjKey(c)
 					if !seen["push:"+k] {
 						seen["push:"+k] = true

@@ -245,31 +245,14 @@ func (o *optimizer) coveredBy(e ast.Expr, bindings map[string]bool) bool {
 	return ok
 }
 
-// SplitConjuncts flattens a predicate into its AND-ed conjuncts.
-func SplitConjuncts(e ast.Expr) []ast.Expr {
-	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
-		return append(SplitConjuncts(b.Left), SplitConjuncts(b.Right)...)
-	}
-	return []ast.Expr{e}
-}
-
-// joinConjuncts re-ANDs a conjunct list (nil for empty).
-func joinConjuncts(cs []ast.Expr) ast.Expr {
-	if len(cs) == 0 {
-		return nil
-	}
-	e := cs[0]
-	for _, c := range cs[1:] {
-		e = &ast.Binary{Op: "AND", Left: e, Right: c}
-	}
-	return e
-}
+// SplitConjuncts is ast.Conjuncts, kept for callers outside the engine.
+func SplitConjuncts(e ast.Expr) []ast.Expr { return ast.Conjuncts(e) }
 
 // push distributes pending conjuncts down the tree.
 func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 	switch node := n.(type) {
 	case *logical.Filter:
-		return o.push(node.Input, append(pending, SplitConjuncts(node.Cond)...))
+		return o.push(node.Input, append(pending, ast.Conjuncts(node.Cond)...))
 
 	case *logical.Join:
 		leftB := subtreeBindings(node.Left)
@@ -277,7 +260,7 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		var toLeft, toRight, toJoin, stay []ast.Expr
 		conjs := pending
 		if node.On != nil {
-			conjs = append(conjs, SplitConjuncts(node.On)...)
+			conjs = append(conjs, ast.Conjuncts(node.On)...)
 		}
 		for _, c := range conjs {
 			switch {
@@ -297,14 +280,14 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		if jt == ast.JoinCross && len(toJoin) > 0 {
 			jt = ast.JoinInner
 		}
-		var out logical.Node = logical.NewJoin(left, right, jt, joinConjuncts(toJoin))
-		if rest := joinConjuncts(stay); rest != nil {
+		var out logical.Node = logical.NewJoin(left, right, jt, ast.And(toJoin))
+		if rest := ast.And(stay); rest != nil {
 			out = &logical.Filter{Input: out, Cond: rest}
 		}
 		return out
 
 	case *logical.Scan:
-		if rest := joinConjuncts(pending); rest != nil {
+		if rest := ast.And(pending); rest != nil {
 			return &logical.Filter{Input: node, Cond: rest}
 		}
 		return node
@@ -319,7 +302,7 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 				n = rebuilt
 			}
 		}
-		if rest := joinConjuncts(pending); rest != nil {
+		if rest := ast.And(pending); rest != nil {
 			return &logical.Filter{Input: n, Cond: rest}
 		}
 		return n
@@ -394,7 +377,7 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 		}
 		var llmFilters []*ast.Binary
 		var rest []ast.Expr
-		for _, c := range SplitConjuncts(node.Cond) {
+		for _, c := range ast.Conjuncts(node.Cond) {
 			if o.opts.UseLLMFilter {
 				if bin, ok := o.asLLMFilterPred(c, input); ok && !o.opts.DisableLLMFilter[conjKey(bin)] {
 					llmFilters = append(llmFilters, bin)
@@ -416,7 +399,7 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 			}
 			out = &logical.LLMFilter{Input: out, Table: info.def, Binding: bindingName(out, binding), Cond: bin, KeyCol: keyCol}
 		}
-		if cond := joinConjuncts(rest); cond != nil {
+		if cond := ast.And(rest); cond != nil {
 			var err error
 			out, err = o.ensureAttrsFor(out, cond)
 			if err != nil {

@@ -62,7 +62,7 @@ func optimize(t *testing.T, sql string, opts Options) logical.Node {
 
 func TestSplitConjuncts(t *testing.T) {
 	sel, _ := parser.ParseSelect("SELECT x FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)")
-	cs := SplitConjuncts(sel.Where)
+	cs := ast.Conjuncts(sel.Where)
 	if len(cs) != 3 {
 		t.Fatalf("conjuncts = %d: %v", len(cs), cs)
 	}

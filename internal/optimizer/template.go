@@ -11,10 +11,10 @@ import (
 // Template is a built plan's identity with its comparison literals taken
 // out. Two statements that differ only in the literals of their
 // column-op-literal conjuncts — the only literals the enumeration reads —
-// share a key: the plan's canonical form (operators, table bindings with
-// source, key and schema, projections, LIMIT/OFFSET counts, every other
-// literal) with each such literal replaced by a placeholder tagged with
-// its kind. The literals themselves are the template's slots, in plan
+// share a key: the plan's canonical form (logical.Render: operators,
+// table bindings with source, key and schema, projections, LIMIT/OFFSET
+// counts, every other literal) with each such literal replaced by a
+// placeholder tagged with its kind. The literals themselves are the template's slots, in plan
 // order.
 type Template struct {
 	key   string
@@ -45,7 +45,7 @@ func NewTemplate(built logical.Node, prefix string) (*Template, bool) {
 	var b strings.Builder
 	b.Grow(len(prefix) + 256)
 	b.WriteString(prefix)
-	t.render(&b, built)
+	logical.Render(&b, built, t.conjuncts)
 	for i := range t.slots {
 		for j := i + 1; j < len(t.slots); j++ {
 			if strings.EqualFold(t.slots[i].lit, t.slots[j].lit) || t.slots[i].key == t.slots[j].key {
@@ -57,51 +57,12 @@ func NewTemplate(built logical.Node, prefix string) (*Template, bool) {
 	return t, true
 }
 
-// render writes one node's canonical form, like logical.Fingerprint but
-// with predicates rendered through conjuncts.
-func (t *Template) render(b *strings.Builder, n logical.Node) {
-	b.WriteByte('(')
-	switch node := n.(type) {
-	case *logical.Filter:
-		b.WriteString("Filter")
-		t.conjuncts(b, node.Cond)
-	case *logical.Join:
-		b.WriteString("Join ")
-		b.WriteString(node.Type.String())
-		if node.On != nil {
-			t.conjuncts(b, node.On)
-		}
-	case *logical.Scan:
-		b.WriteString(node.Describe())
-		b.WriteString("|src=")
-		b.WriteString(node.Source)
-		b.WriteString("|key=")
-		b.WriteString(node.Table.KeyColumn)
-		b.WriteString("|cols=")
-		for _, c := range node.Table.Schema.Columns {
-			b.WriteString(c.Name)
-			b.WriteByte(':')
-			b.WriteString(c.Type.String())
-			b.WriteByte(',')
-		}
-	case *logical.Distinct:
-		b.WriteString("Distinct|keycols=")
-		b.WriteString(strconv.Itoa(node.KeyCols))
-	default:
-		b.WriteString(n.Describe())
-	}
-	for _, c := range n.Children() {
-		t.render(b, c)
-	}
-	b.WriteByte(')')
-}
-
 // conjuncts writes a predicate as its flattened conjunct list. A
 // column-op-literal conjunct keeps its column, operator and orientation
 // and becomes a slot; any other conjunct is written verbatim, length
 // prefixed so no literal inside it can fake a boundary.
 func (t *Template) conjuncts(b *strings.Builder, e ast.Expr) {
-	for _, c := range SplitConjuncts(e) {
+	for _, c := range ast.Conjuncts(e) {
 		cmp, ok := asColumnLiteral(c)
 		if !ok {
 			text := c.String()

@@ -61,4 +61,24 @@ func TestTemplateKey(t *testing.T) {
 			t.Errorf("%s: a statement repeating a literal has a template", sql)
 		}
 	}
+	// The same literals under another join kind, with or without
+	// DISTINCT, or in a comma join instead of JOIN … ON: another plan.
+	for _, pair := range [][2]string{
+		{`SELECT c.name FROM city c LEFT JOIN mayor m ON c.mayor = m.name WHERE m.age < 40`,
+			`SELECT c.name FROM city c JOIN mayor m ON c.mayor = m.name WHERE m.age < 40`},
+		{`SELECT DISTINCT c.country FROM city c WHERE c.population > 5`,
+			`SELECT c.country FROM city c WHERE c.population > 5`},
+		{`SELECT c.name FROM city c, mayor m WHERE c.mayor = m.name AND m.age < 40`,
+			`SELECT c.name FROM city c JOIN mayor m ON c.mayor = m.name AND m.age < 40`},
+	} {
+		a, okA := templateOf(t, pair[0])
+		b, okB := templateOf(t, pair[1])
+		if !okA || !okB {
+			t.Errorf("%s / %s: no template", pair[0], pair[1])
+			continue
+		}
+		if a.Key() == b.Key() {
+			t.Errorf("%s shares the template of %s", pair[0], pair[1])
+		}
+	}
 }

@@ -134,7 +134,7 @@ func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
 		return j, nil
 	}
 	var residuals []ast.Expr
-	for _, c := range splitAnd(node.On) {
+	for _, c := range ast.Conjuncts(node.On) {
 		l, r, ok := equiSides(c, left.Schema(), right.Schema())
 		if !ok {
 			residuals = append(residuals, c)
@@ -152,24 +152,13 @@ func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
 		j.rightKeys = append(j.rightKeys, rf)
 	}
 	if len(residuals) > 0 {
-		res := residuals[0]
-		for _, c := range residuals[1:] {
-			res = &ast.Binary{Op: "AND", Left: res, Right: c}
-		}
-		pred, err := expr.Compile(res, j.out)
+		pred, err := expr.Compile(ast.And(residuals), j.out)
 		if err != nil {
 			return nil, err
 		}
 		j.residual = pred
 	}
 	return j, nil
-}
-
-func splitAnd(e ast.Expr) []ast.Expr {
-	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
-		return append(splitAnd(b.Left), splitAnd(b.Right)...)
-	}
-	return []ast.Expr{e}
 }
 
 // equiSides decomposes "a = b" with a resolvable on one side and b on the

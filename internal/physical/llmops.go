@@ -237,7 +237,7 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 		return nil, nil
 	}
 	var out []prompt.Condition
-	for _, c := range splitAnd(e) {
+	for _, c := range ast.Conjuncts(e) {
 		b, ok := c.(*ast.Binary)
 		if !ok {
 			return nil, fmt.Errorf("physical: cannot push %s into a prompt", c.String())

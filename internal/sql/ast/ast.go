@@ -545,3 +545,27 @@ func HasAggregate(e Expr) bool {
 	})
 	return found
 }
+
+// Conjuncts flattens a predicate into its AND-ed conjuncts, left to
+// right.
+func Conjuncts(e Expr) []Expr { return appendConjuncts(nil, e) }
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == "AND" {
+		return appendConjuncts(appendConjuncts(dst, b.Left), b.Right)
+	}
+	return append(dst, e)
+}
+
+// And re-ANDs a conjunct list left-deep, the inverse of Conjuncts; nil
+// for an empty list.
+func And(cs []Expr) Expr {
+	if len(cs) == 0 {
+		return nil
+	}
+	e := cs[0]
+	for _, c := range cs[1:] {
+		e = &Binary{Op: "AND", Left: e, Right: c}
+	}
+	return e
+}

@@ -134,3 +134,27 @@ func TestCaseString(t *testing.T) {
 		t.Errorf("Case.String() = %q", got)
 	}
 }
+
+// TestConjunctsAnd: Conjuncts flattens every AND, whatever its nesting,
+// left to right and keeps an OR whole; And rebuilds left-deep.
+func TestConjunctsAnd(t *testing.T) {
+	ref := func(n string) Expr { return &ColumnRef{Name: n} }
+	e := &Binary{Op: "AND",
+		Left:  ref("a"),
+		Right: &Binary{Op: "AND", Left: &Binary{Op: "OR", Left: ref("b"), Right: ref("c")}, Right: ref("d")},
+	}
+	cs := Conjuncts(e)
+	var got []string
+	for _, c := range cs {
+		got = append(got, c.String())
+	}
+	if len(got) != 3 || got[0] != "a" || got[1] != "b OR c" || got[2] != "d" {
+		t.Fatalf("Conjuncts = %q", got)
+	}
+	if s := And(cs).String(); s != "(a AND (b OR c)) AND d" {
+		t.Errorf("And = %q", s)
+	}
+	if And(nil) != nil || len(Conjuncts(ref("x"))) != 1 {
+		t.Error("And(nil) or a lone conjunct")
+	}
+}
