@@ -15,12 +15,13 @@ test:
 	$(GO) test ./...
 
 # The caches' singleflight and eviction run ten times more under -race:
-# the substrate (internal/lru) and its two concurrent owners; so does the
+# the substrate (internal/lru) and its two concurrent owners; so do the
 # LLM operators' hand-off from inline execution to a producer
-# (internal/physical).
+# (internal/physical) and the goroutine pool's park, handoff and
+# retirement (internal/gopool).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm ./internal/physical
+	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm ./internal/physical ./internal/gopool
 
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the

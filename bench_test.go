@@ -278,12 +278,12 @@ func BenchmarkAdhocPlan(b *testing.B) {
 		return prompts
 	}
 	run(500) // every template once, then some
-	before := rt.PlanCacheStats()
+	before := rt.Stats().PlanCache
 	b.ReportAllocs()
 	b.ResetTimer()
 	prompts := run(b.N)
 	b.StopTimer()
-	after := rt.PlanCacheStats()
+	after := rt.Stats().PlanCache
 	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
 	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "plan_hits/query")
 }

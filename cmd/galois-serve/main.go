@@ -90,7 +90,7 @@ func run(c *cliConfig) error {
 		if err := rt.OpenStore(c.store); err != nil {
 			return fmt.Errorf("opening durable store: %w", err)
 		}
-		p := rt.Persistence()
+		p := rt.Stats().Persistence
 		log.Printf("galois-serve: durable store at %s — warm-loaded %d relations, %d stats tables (dropped %d stale, %d corrupt)",
 			c.store.Dir, p.WarmRelations, p.WarmStatsTables, p.DroppedStale, p.DroppedCorrupt)
 	}

@@ -92,7 +92,7 @@ func TestCleaningAblationSharedCache(t *testing.T) {
 	if differ == 0 {
 		t.Error("no query's result depends on cleaning: the test is vacuous")
 	}
-	if st := rt.CacheStats(); st.Hits == 0 {
+	if st := rt.Stats().CacheStats; st.Hits == 0 {
 		t.Errorf("the arms shared no prompt answer: %+v", st)
 	}
 }

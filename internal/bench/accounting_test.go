@@ -93,10 +93,10 @@ func faultyRoutedRuntime(t *testing.T, r *Runner, opts core.Options) *core.Runti
 // backendMeters sums the runtime's lifetime per-backend prompt counts and
 // resilience retry and fault counters.
 func backendMeters(rt *core.Runtime) (prompts, retries, faults int64) {
-	for _, b := range rt.BackendStatuses() {
+	for _, b := range rt.Stats().Backends {
 		prompts += b.Prompts
 	}
-	for _, h := range rt.ResilienceHealth() {
+	for _, h := range rt.Stats().Resilience {
 		retries += h.Counters.Retries
 		faults += h.Counters.Faults
 	}

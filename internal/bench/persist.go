@@ -144,7 +144,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	if err != nil {
 		return nil, err
 	}
-	p2 := rt2.Persistence()
+	p2 := rt2.Stats().Persistence
 	rep.WarmRelations = p2.WarmRelations
 	rep.WarmStatsTables = p2.WarmStatsTables
 	warmStats := rt2.Statistics().Snapshot()
@@ -186,7 +186,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	if err != nil {
 		return nil, err
 	}
-	rep.ReopenWarmRelations = rt3.Persistence().WarmRelations
+	rep.ReopenWarmRelations = rt3.Stats().Persistence.WarmRelations
 	rt3.PrimeTableKeys(primed, 1)
 	if err := rt3.CloseStore(); err != nil {
 		return nil, fmt.Errorf("bench: draining primed generation: %w", err)
@@ -198,7 +198,7 @@ func (r *Runner) PersistComparison(ctx context.Context, p simllm.Profile, dir st
 	if err != nil {
 		return nil, err
 	}
-	p4 := rt4.Persistence()
+	p4 := rt4.Stats().Persistence
 	rep.PostPrimeWarmRelations = p4.WarmRelations
 	rep.PostPrimeDroppedStale = p4.DroppedStale
 	rep.PrimedReexecuted, rep.PrimedRetained, rep.PrimedIdentical, err =

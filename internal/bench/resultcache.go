@@ -216,7 +216,7 @@ func (r *Runner) ResultCacheComparison(ctx context.Context, p simllm.Profile) (*
 		}
 		rep.RepeatIdentical = rep.RepeatIdentical && diffPasses(cold, hot).rels
 	}
-	rcs := rt.ResultCacheStats()
+	rcs := rt.Stats().ResultCacheStats
 	rep.ResultCacheHits = rcs.Hits
 	rep.ResultCacheSubsumedHits = rcs.SubsumedHits
 	rep.ResultCacheMisses = rcs.Misses

@@ -112,7 +112,7 @@ func runRoutingArm(ctx context.Context, rt *core.Runtime, config string, baselin
 		PromptsIdentical: d.prompts,
 		OutageAtQuery:    -1,
 		BackendPrompts:   map[string]int64{},
-		Failovers:        rt.Failovers(),
+		Failovers:        rt.Stats().Failovers,
 	}
 	arm.Prompts, _ = totals(outs)
 	for _, b := range rt.Registry().Backends() {

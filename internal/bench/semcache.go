@@ -163,7 +163,7 @@ func (r *Runner) SemanticCacheComparison(ctx context.Context, p simllm.Profile) 
 		}
 		rep.PerChild = append(rep.PerChild, rec)
 	}
-	rcs := rt.ResultCacheStats()
+	rcs := rt.Stats().ResultCacheStats
 	rep.ResultCacheHits = rcs.Hits
 	rep.ResultCacheSubsumedHits = rcs.SubsumedHits
 	rep.ResultCacheEntries = rcs.Entries

@@ -293,7 +293,7 @@ func TestEngineTiersShared(t *testing.T) {
 	if _, _, err := rt.NewSession().Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
 		t.Fatal(err)
 	}
-	misses := rt.CacheStats().Misses
+	misses := rt.Stats().CacheStats.Misses
 	if misses == 0 {
 		t.Fatal("expected cache misses after first query")
 	}
@@ -301,7 +301,7 @@ func TestEngineTiersShared(t *testing.T) {
 	if _, _, err := rt.NewSession().Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
 		t.Fatal(err)
 	}
-	after := rt.CacheStats()
+	after := rt.Stats().CacheStats
 	if after.Misses != misses {
 		t.Errorf("second session re-issued prompts: misses %d -> %d", misses, after.Misses)
 	}

@@ -151,7 +151,7 @@ func TestQueryCacheAcrossQueries(t *testing.T) {
 	if first.Cardinality() != second.Cardinality() {
 		t.Errorf("cached result diverged: %d vs %d rows", first.Cardinality(), second.Cardinality())
 	}
-	cs := e.Runtime().CacheStats()
+	cs := e.Runtime().Stats().CacheStats
 	if cs.Hits == 0 || cs.Misses == 0 || cs.Entries == 0 {
 		t.Errorf("engine cache stats = %+v", cs)
 	}

@@ -58,13 +58,14 @@ func drainedRuntime(t *testing.T, rt *Runtime, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if rt.scheduler().Busy() == 0 && rt.scheduler().Queued() == 0 && runtime.NumGoroutine() <= baseline+2 {
+		g := rt.scheduler().Gauges()
+		if g.Interactive.Busy+g.Interactive.Queued+g.Batch.Busy+g.Batch.Queued == 0 && runtime.NumGoroutine() <= baseline+2 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("runtime did not drain: busy=%d queued=%d goroutines=%d (baseline %d)",
-		rt.scheduler().Busy(), rt.scheduler().Queued(), runtime.NumGoroutine(), baseline)
+	t.Fatalf("runtime did not drain: sched=%+v goroutines=%d (baseline %d)",
+		rt.scheduler().Gauges(), runtime.NumGoroutine(), baseline)
 }
 
 // hygieneOptions: pipelined on the shared scheduler, caches off so every

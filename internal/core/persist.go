@@ -44,8 +44,7 @@ type StoreConfig struct {
 	SnapshotInterval time.Duration
 }
 
-// PersistCounters snapshots the durable tier for /stats and the bench
-// report.
+// PersistCounters snapshots the durable tier (Stats.Persistence).
 type PersistCounters struct {
 	// Enabled reports whether a store was opened on this runtime.
 	Enabled bool `json:"enabled"`
@@ -373,13 +372,13 @@ func (rt *Runtime) OpenStore(cfg StoreConfig) error {
 // without an open store.
 func (rt *Runtime) FlushStore() error {
 	snap := rt.stats.Snapshot()
-	epochs := rt.TableEpochs()
 
 	rt.persistMu.Lock()
 	defer rt.persistMu.Unlock()
 	if rt.pstore == nil {
 		return nil
 	}
+	epochs := rt.tableEpochs()
 	var firstErr error
 	if payload, err := json.Marshal(snap); err == nil {
 		if err := rt.pstore.Put(kindStats, metaKey, "", payload, true); err != nil && firstErr == nil {
@@ -414,12 +413,14 @@ func (rt *Runtime) FlushStore() error {
 // degrade to in-memory-only invalidation, which is already correct
 // within this process's lifetime.
 func (rt *Runtime) persistEpochs() {
-	epochs := rt.TableEpochs()
 	rt.persistMu.Lock()
 	defer rt.persistMu.Unlock()
 	if rt.pstore == nil {
 		return
 	}
+	// Copied under persistMu: a copy taken before it could be written
+	// after a concurrent bump's newer one.
+	epochs := rt.tableEpochs()
 	payload, err := json.Marshal(epochs)
 	if err == nil {
 		err = rt.pstore.Put(kindEpochs, metaKey, "", payload, true)
@@ -464,18 +465,6 @@ func (rt *Runtime) CloseStore() error {
 	}
 	rt.pstore = nil
 	return err
-}
-
-// Persistence snapshots the durable tier's counters (zero value when no
-// store was ever opened; frozen at their final values after CloseStore).
-func (rt *Runtime) Persistence() PersistCounters {
-	rt.persistMu.Lock()
-	defer rt.persistMu.Unlock()
-	ctr := rt.pctr
-	if rt.pstore != nil {
-		ctr.Store = rt.pstore.Counters()
-	}
-	return ctr
 }
 
 // runtimeSink mirrors result-cache residency changes to the durable

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/simllm"
@@ -52,7 +55,7 @@ func TestWarmStartServesWithoutExecution(t *testing.T) {
 
 	rt2, client2 := persistRuntime(t, w, dir)
 	defer rt2.CloseStore()
-	p := rt2.Persistence()
+	p := rt2.Stats().Persistence
 	if p.WarmRelations != 1 {
 		t.Fatalf("warm relations = %d, want 1 (%+v)", p.WarmRelations, p)
 	}
@@ -118,7 +121,7 @@ func TestWarmLoadDropsCorruptSegments(t *testing.T) {
 	}
 
 	rt2, _ := persistRuntime(t, w, dir)
-	p := rt2.Persistence()
+	p := rt2.Stats().Persistence
 	if p.Store.DroppedCorrupt == 0 {
 		t.Fatalf("damage not detected: %+v", p)
 	}
@@ -138,7 +141,7 @@ func TestWarmLoadDropsCorruptSegments(t *testing.T) {
 	// Third generation: the repaired store round-trips again.
 	rt3, client3 := persistRuntime(t, w, dir)
 	defer rt3.CloseStore()
-	if p := rt3.Persistence(); p.WarmRelations != 1 {
+	if p := rt3.Stats().Persistence; p.WarmRelations != 1 {
 		t.Fatalf("repaired store did not warm-load: %+v", p)
 	}
 	if _, rep, err := rt3.NewSession().Query(ctx, rcQuery); err != nil || rep.Cached != CacheExact || client3.calls.Load() != 0 {
@@ -161,7 +164,7 @@ func TestStaleEpochStampNeverServed(t *testing.T) {
 	if _, _, err := rt1.NewSession().Query(ctx, rcQuery); err != nil {
 		t.Fatal(err)
 	}
-	epochs := rt1.TableEpochs()
+	epochs := rt1.Stats().TableEpochs
 	if err := rt1.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +189,13 @@ func TestStaleEpochStampNeverServed(t *testing.T) {
 
 	rt2, client2 := persistRuntime(t, w, dir)
 	defer rt2.CloseStore()
-	p := rt2.Persistence()
+	p := rt2.Stats().Persistence
 	if p.WarmRelations != 0 || p.DroppedStale == 0 {
 		t.Fatalf("stale relation admitted: %+v", p)
 	}
 	// The merged epoch survived into the live table and the query
 	// re-executes rather than serving the pre-bump relation.
-	if got := rt2.TableEpochs()["llm:country"]; got != epochs["llm:country"] {
+	if got := rt2.Stats().TableEpochs["llm:country"]; got != epochs["llm:country"] {
 		t.Errorf("persisted bump not merged: llm:country = %d, want %d", got, epochs["llm:country"])
 	}
 	if _, rep, err := rt2.NewSession().Query(ctx, rcQuery); err != nil || rep.Cached != CacheNone || client2.calls.Load() == 0 {
@@ -218,7 +221,7 @@ func TestPostRestartRebindInvalidatesWarmLoad(t *testing.T) {
 	}
 
 	rt2, client2 := persistRuntime(t, w, dir)
-	if p := rt2.Persistence(); p.WarmRelations != 1 {
+	if p := rt2.Stats().Persistence; p.WarmRelations != 1 {
 		t.Fatalf("fixture vacuous, nothing warm-loaded: %+v", p)
 	}
 	if err := rt2.BindLLMTable(w.Table("country").Def); err != nil {
@@ -236,10 +239,10 @@ func TestPostRestartRebindInvalidatesWarmLoad(t *testing.T) {
 	// warm-loads; the stale one is gone for good.
 	rt3, _ := persistRuntime(t, w, dir)
 	defer rt3.CloseStore()
-	if p := rt3.Persistence(); p.WarmRelations != 1 || p.DroppedStale != 0 {
+	if p := rt3.Stats().Persistence; p.WarmRelations != 1 || p.DroppedStale != 0 {
 		t.Errorf("third generation saw stale state: %+v", p)
 	}
-	if got := rt3.TableEpochs()["llm:country"]; got != 2 {
+	if got := rt3.Stats().TableEpochs["llm:country"]; got != 2 {
 		t.Errorf("rebind epoch lost across restart: llm:country = %d, want 2", got)
 	}
 }
@@ -279,5 +282,64 @@ func TestValueCodecRoundTrip(t *testing.T) {
 	}
 	if rel2.String() != rel1.String() {
 		t.Errorf("codec round-trip diverged:\n%s\nwant:\n%s", rel2.String(), rel1.String())
+	}
+}
+
+// TestDurableEpochsNeverLag: concurrent bumps on distinct tables leave
+// the durable epoch table equal to the live one once they return, alone
+// (every other round) and racing back-to-back flushes as the snapshot
+// ticker would. A table copied before persistMu could be written after a
+// newer one, and then the store would lag a bump that had already
+// returned.
+func TestDurableEpochsNeverLag(t *testing.T) {
+	rt := NewRuntime(nil, DefaultOptions())
+	if err := rt.OpenStore(StoreConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.CloseStore()
+	const rounds, tables, bumps = 200, 4, 20
+	lagging := 0
+	for round := 0; round < rounds; round++ {
+		var bumpers, flusher sync.WaitGroup
+		var done atomic.Bool
+		if round%2 == 1 {
+			flusher.Add(1)
+			go func() {
+				defer flusher.Done()
+				for !done.Load() {
+					if err := rt.FlushStore(); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		for i := 0; i < tables; i++ {
+			bumpers.Add(1)
+			go func(table string) {
+				defer bumpers.Done()
+				for j := 0; j < bumps; j++ {
+					rt.PrimeTableKeys(table, j+1)
+				}
+			}("t" + strconv.Itoa(i))
+		}
+		bumpers.Wait()
+		done.Store(true)
+		flusher.Wait()
+		rt.persistMu.Lock()
+		rec, ok := rt.pstore.Get(kindEpochs, metaKey)
+		rt.persistMu.Unlock()
+		if !ok {
+			t.Fatal("no durable epoch table")
+		}
+		var stored map[string]uint64
+		if err := json.Unmarshal(rec.Payload, &stored); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stored, rt.tableEpochs()) {
+			lagging++
+		}
+	}
+	if lagging != 0 {
+		t.Errorf("the durable epoch table lagged the live one in %d of %d rounds", lagging, rounds)
 	}
 }

@@ -41,20 +41,6 @@ type PlanCacheStats struct {
 	Entries       int   `json:"entries"`
 }
 
-// PlanCacheStats reports the plan cache's counters.
-func (rt *Runtime) PlanCacheStats() PlanCacheStats {
-	pc := rt.plans
-	if pc == nil {
-		return PlanCacheStats{}
-	}
-	return PlanCacheStats{
-		Hits:          pc.hits.Load(),
-		GuardFailures: pc.guardFailures.Load(),
-		Misses:        pc.misses.Load(),
-		Entries:       pc.entries.Len(),
-	}
-}
-
 // planFactory returns the candidate factory of one SELECT: its first
 // call hands out built when non-nil (already constructed for the
 // result-cache fingerprint, so a miss does not build twice), every

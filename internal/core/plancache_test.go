@@ -52,11 +52,11 @@ func explainText(t *testing.T, s *Session, sql string) string {
 // moved.
 func planCounts(t *testing.T, s *Session, sql string) PlanCacheStats {
 	t.Helper()
-	before := s.rt.PlanCacheStats()
+	before := s.rt.Stats().PlanCache
 	if _, err := s.Plan(sql); err != nil {
 		t.Fatal(err)
 	}
-	after := s.rt.PlanCacheStats()
+	after := s.rt.Stats().PlanCache
 	return PlanCacheStats{
 		Hits:          after.Hits - before.Hits,
 		GuardFailures: after.GuardFailures - before.GuardFailures,
@@ -241,9 +241,9 @@ func (c cannedClient) Complete(context.Context, string) (string, error) { return
 // how the plan cache answered.
 func (d *diffRig) compare(sql string) (string, PlanCacheStats) {
 	d.t.Helper()
-	before := d.rt.PlanCacheStats()
+	before := d.rt.Stats().PlanCache
 	got := explainText(d.t, d.s, sql)
-	after := d.rt.PlanCacheStats()
+	after := d.rt.Stats().PlanCache
 	saved := d.rt.plans
 	d.rt.plans = nil
 	want := explainText(d.t, d.s, sql)
@@ -391,7 +391,7 @@ func TestPlanCacheMatchesFreshPlanning(t *testing.T) {
 			hits++
 		}
 	}
-	st := d.rt.PlanCacheStats()
+	st := d.rt.Stats().PlanCache
 	t.Logf("plan cache over %d statements: %d hits, %+v", n, hits, st)
 	if hits < n/8 || st.GuardFailures == 0 {
 		t.Errorf("the test exercised too little: %d hits, %d guard failures", hits, st.GuardFailures)
@@ -426,7 +426,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := rt.PlanCacheStats(); st.Hits == 0 {
+	if st := rt.Stats().PlanCache; st.Hits == 0 {
 		t.Errorf("no statement reused a cached plan: %+v", st)
 	}
 }

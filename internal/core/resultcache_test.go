@@ -86,7 +86,7 @@ func TestResultCacheHitServesWithoutExecution(t *testing.T) {
 	if rep2.Plan != rep1.Plan {
 		t.Errorf("cached plan diverged:\n%s\nwant:\n%s", rep2.Plan, rep1.Plan)
 	}
-	st := rt.ResultCacheStats()
+	st := rt.Stats().ResultCacheStats
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Errorf("result cache stats = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
@@ -110,9 +110,9 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := client.calls.Load()
-		epochBefore := rt.TableEpochs()[comp]
+		epochBefore := rt.Stats().TableEpochs[comp]
 		fn()
-		if got := rt.TableEpochs()[comp]; got <= epochBefore {
+		if got := rt.Stats().TableEpochs[comp]; got <= epochBefore {
 			t.Fatalf("%s did not bump table_epochs[%s]: %d -> %d", name, comp, epochBefore, got)
 		}
 		_, rep, err := rt.NewSession().Query(ctx, rcQuery)
@@ -144,7 +144,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	})
 	check("AttachDB", "db", func() { rt.AttachDB(mustDB(t)) })
 
-	if eps := rt.TableEpochs(); eps["llm:country"] == 0 || eps["llm:city"] == 0 || eps["db"] == 0 {
+	if eps := rt.Stats().TableEpochs; eps["llm:country"] == 0 || eps["llm:city"] == 0 || eps["db"] == 0 {
 		t.Errorf("per-table epochs not tracked: %v", eps)
 	}
 }
@@ -170,7 +170,7 @@ func TestResultCacheLimitBypass(t *testing.T) {
 			}
 		}
 	}
-	if st := rt.ResultCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	if st := rt.Stats().ResultCacheStats; st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("truncating queries touched the result cache: %+v", st)
 	}
 }
@@ -284,7 +284,7 @@ func TestResultCacheSingleflightStorm(t *testing.T) {
 			if cachedCount.Load() != k-1 {
 				t.Errorf("%d of %d callers were cached, want %d (all but the leader)", cachedCount.Load(), k, k-1)
 			}
-			if st := rt.ResultCacheStats(); st.Misses != 1 || st.Hits != k-1 {
+			if st := rt.Stats().ResultCacheStats; st.Misses != 1 || st.Hits != k-1 {
 				t.Errorf("result cache stats = %+v, want 1 miss / %d hits", st, k-1)
 			}
 		})
@@ -342,7 +342,7 @@ func TestResultCacheAbandonedLeader(t *testing.T) {
 	if relead != 1 {
 		t.Errorf("%d followers executed after the leader was abandoned, want exactly 1", relead)
 	}
-	if st := rt.ResultCacheStats(); st.Misses != 2 || st.Hits != k-1 {
+	if st := rt.Stats().ResultCacheStats; st.Misses != 2 || st.Hits != k-1 {
 		t.Errorf("result cache stats = %+v, want 2 misses (leader, re-leader) / %d hits", st, k-1)
 	}
 	drainedRuntime(t, rt, baseline)
@@ -453,7 +453,7 @@ func TestResultCacheLeaderOpenFailure(t *testing.T) {
 		t.Errorf("follower cached = %q with %d rows, want a fresh execution of the solo relation (%d rows)",
 			r.rep.Cached, r.rel.Cardinality(), soloRel.Cardinality())
 	}
-	if st := rt.ResultCacheStats(); st.Misses != 2 || st.Hits != 0 {
+	if st := rt.Stats().ResultCacheStats; st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("result cache stats = %+v, want 2 misses (failed leader, re-leader) / 0 hits", st)
 	}
 	drainedRuntime(t, rt, baseline)
@@ -706,7 +706,7 @@ func TestResidentRelationsImmutable(t *testing.T) {
 		}
 	}
 
-	st := rt.ResultCacheStats()
+	st := rt.Stats().ResultCacheStats
 	if st.Hits == 0 || st.SubsumedHits == 0 {
 		t.Fatalf("fixture vacuous: %+v, want exact and subsumed hits", st)
 	}

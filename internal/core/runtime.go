@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,14 +79,14 @@ type Runtime struct {
 	// and the differential harness pins all candidate plans
 	// result-identical.
 	//
-	// Lock order: the result cache validates inserts by calling
-	// stampFor while holding its own mutex, so epochMu is always
-	// acquired after (never around) the cache lock; bumpComponent
-	// writes the epoch first and only then — with no lock held —
-	// invalidates, which is what makes a stale straddling insert
-	// impossible: either it re-reads the bumped stamp and drops
-	// itself, or it lands early enough for the invalidation scan to
-	// remove it.
+	// Lock order: epochMu is a leaf. The result cache validates inserts
+	// by calling stampFor while holding its own mutex, and the durable
+	// tier copies the table while holding persistMu, so epochMu may be
+	// taken inside either lock, never around one. bumpComponent writes
+	// the epoch first and only then — with no lock held — invalidates,
+	// which is what makes a stale straddling insert impossible: either
+	// it re-reads the bumped stamp and drops itself, or it lands early
+	// enough for the invalidation scan to remove it.
 	epochMu    sync.Mutex
 	compEpochs map[string]uint64
 	// stats feed the cost-based optimizer: table cardinalities, page
@@ -108,9 +107,12 @@ type Runtime struct {
 	db      *memdb.DB
 
 	// persistMu guards the durable tier (nil pstore = persistence off).
-	// It is a leaf below the result-cache mutex and epochMu: sink hooks
-	// and flushes acquire it only with no other runtime lock held, and
-	// nothing under it calls back into the cache or the epoch table.
+	// It is never taken inside the result-cache mutex or epochMu: sink
+	// hooks and flushes acquire it with no other runtime lock held, and
+	// nothing under it calls back into the cache. FlushStore and
+	// persistEpochs copy the epoch table under it (epochMu inside
+	// persistMu, never the reverse), so the durable table is written in
+	// the order it was copied and cannot go back behind a completed bump.
 	persistMu sync.Mutex
 	pstore    *store.Store
 	pctr      PersistCounters
@@ -259,10 +261,10 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 	return rt, nil
 }
 
-// TableEpochs snapshots the per-component binding epochs ("llm:<table>"
-// per LLM binding, "db" for the attached store) — the stamps result-cache
-// keys carry (stampFor), as /stats exposes them.
-func (rt *Runtime) TableEpochs() map[string]uint64 {
+// tableEpochs copies the per-component binding epochs ("llm:<table>" per
+// LLM binding, "db" for the attached store): the stamps result-cache keys
+// carry (stampFor).
+func (rt *Runtime) tableEpochs() map[string]uint64 {
 	rt.epochMu.Lock()
 	defer rt.epochMu.Unlock()
 	out := make(map[string]uint64, len(rt.compEpochs))
@@ -308,15 +310,6 @@ func (rt *Runtime) stampFor(comps []string) string {
 	return string(b)
 }
 
-// ResultCacheStats reports the runtime-lifetime result-cache counters
-// (zero value when the result cache is disabled).
-func (rt *Runtime) ResultCacheStats() rescache.Stats {
-	if rt.resultCache == nil {
-		return rescache.Stats{}
-	}
-	return rt.resultCache.Stats()
-}
-
 // NewSession opens a lightweight per-query session carrying the
 // runtime's default options. Sessions are cheap (no pools, no maps) and
 // any number may run queries concurrently against one runtime.
@@ -344,14 +337,6 @@ func (rt *Runtime) scheduler() *llm.Scheduler {
 	return rt.sched
 }
 
-// SchedulerGauges snapshots the shared scheduler's dispatch state:
-// per-class queued/busy counts and cumulative deficit-scheduler drain
-// counters. The observability feed for galois-serve /stats and the
-// queue-depth signal its adaptive admission controller samples.
-func (rt *Runtime) SchedulerGauges() llm.SchedulerGauges {
-	return rt.scheduler().Gauges()
-}
-
 // Statistics exposes the planner's statistics store (never nil).
 func (rt *Runtime) Statistics() *optimizer.Statistics { return rt.stats }
 
@@ -373,10 +358,6 @@ func (rt *Runtime) Registry() *llm.Registry { return rt.registry }
 // EXPLAIN annotates routes.
 func (rt *Runtime) Routed() bool { return rt.routed }
 
-// Failovers reports how many prompts failed over to a fallback backend,
-// runtime-lifetime.
-func (rt *Runtime) Failovers() int64 { return rt.registry.Failovers() }
-
 // tableBackend resolves a table name to its pinned backend ("" when the
 // table is unbound or unpinned).
 func (rt *Runtime) tableBackend(name string) string {
@@ -386,71 +367,6 @@ func (rt *Runtime) tableBackend(name string) string {
 		return def.Backend
 	}
 	return ""
-}
-
-// EndpointHealth is one model endpoint's resilience snapshot: breaker
-// position plus lifetime fault-recovery counters. Serve's /healthz and
-// /stats render these.
-type EndpointHealth struct {
-	Endpoint string                 `json:"endpoint"`
-	Breaker  string                 `json:"breaker"`
-	Counters llm.ResilienceCounters `json:"counters"`
-}
-
-// ResilienceHealth snapshots every resilient endpoint the runtime
-// manages — declared backends plus adopted session verifiers — sorted
-// by endpoint name.
-func (rt *Runtime) ResilienceHealth() []EndpointHealth {
-	var out []EndpointHealth
-	for _, b := range rt.registry.All() {
-		rc, ok := b.Resilience()
-		if !ok {
-			continue
-		}
-		out = append(out, EndpointHealth{Endpoint: b.Name(), Breaker: rc.State().String(), Counters: rc.Counters()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
-}
-
-// BackendStatus is one backend's /stats row: routing metadata plus
-// lifetime traffic and resilience state.
-type BackendStatus struct {
-	Name        string                 `json:"name"`
-	Model       string                 `json:"model"`
-	Default     bool                   `json:"default,omitempty"`
-	Workers     int                    `json:"workers,omitempty"`
-	CostWeight  float64                `json:"cost_weight"`
-	SpeedFactor float64                `json:"speed_factor"`
-	Fallback    []string               `json:"fallback,omitempty"`
-	Prompts     int64                  `json:"prompts"`
-	Breaker     string                 `json:"breaker,omitempty"`
-	Counters    llm.ResilienceCounters `json:"counters"`
-}
-
-// BackendStatuses snapshots every backend the runtime routes over, in
-// declaration order (adopted verifier backends follow, sorted by name).
-func (rt *Runtime) BackendStatuses() []BackendStatus {
-	def := rt.registry.Default()
-	var out []BackendStatus
-	for _, b := range rt.registry.All() {
-		st := BackendStatus{
-			Name:        b.Name(),
-			Model:       b.Raw().Name(),
-			Default:     b == def,
-			Workers:     b.Workers(),
-			CostWeight:  b.CostWeight(),
-			SpeedFactor: b.SpeedFactor(),
-			Fallback:    b.Fallback(),
-			Prompts:     b.Prompts(),
-		}
-		if rc, ok := b.Resilience(); ok {
-			st.Breaker = rc.State().String()
-			st.Counters = rc.Counters()
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // PrimeTableKeys seeds the planner's cardinality estimate for one table
@@ -464,15 +380,6 @@ func (rt *Runtime) PrimeTableKeys(table string, keys int) {
 	// targets LLM tables (DB cardinalities are known exactly), so the
 	// LLM component is the one bumped.
 	rt.bumpComponent(logical.ComponentLLM(table))
-}
-
-// CacheStats reports the runtime-lifetime prompt-cache counters (zero
-// value when the cache is disabled).
-func (rt *Runtime) CacheStats() llm.CacheStats {
-	if rt.cache == nil {
-		return llm.CacheStats{}
-	}
-	return rt.cache.Stats()
 }
 
 // AttachDB connects a relational store for DB-bound (and hybrid) queries.

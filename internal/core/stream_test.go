@@ -148,7 +148,7 @@ func TestQueryStreamEarlyCloseHygiene(t *testing.T) {
 	// is non-preemptible and drains asynchronously. Poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		g := rt.SchedulerGauges()
+		g := rt.Stats().Sched
 		if g.Interactive.Busy == 0 && g.Interactive.Queued == 0 && g.Batch.Busy == 0 && g.Batch.Queued == 0 {
 			break
 		}

@@ -43,6 +43,25 @@ func drained(t *testing.T) {
 	waitFor(t, "the pool to drain", func() bool { return Idle() == 0 })
 }
 
+// settled waits until no goroutine is parked and the goroutine count has
+// held still for a while, and returns that count. A worker reap has just
+// retired leaves the idle list before it exits, so Idle() == 0 alone
+// can still count it.
+func settled(t *testing.T) int {
+	t.Helper()
+	drained(t)
+	n, still := runtime.NumGoroutine(), 0
+	waitFor(t, "the goroutine count to settle", func() bool {
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+		return still >= 20
+	})
+	return n
+}
+
 // top returns the parked worker that Go hands the next task to.
 func top() *worker {
 	pool.mu.Lock()
@@ -88,8 +107,8 @@ func TestReuseIsLIFO(t *testing.T) {
 // park, each parked goroutine retires once the linger passes without a
 // task, and the process returns to its baseline goroutine count.
 func TestIdleCapAndRetirement(t *testing.T) {
-	drained(t)
-	baseline := runtime.NumGoroutine()
+	baseline := settled(t)
+	started := Started()
 	const burst = maxIdle + 8
 	gates := make([]*gate, burst)
 	for i := range gates {
@@ -99,8 +118,8 @@ func TestIdleCapAndRetirement(t *testing.T) {
 	for _, g := range gates {
 		<-g.started
 	}
-	if n := runtime.NumGoroutine(); n < baseline+burst {
-		t.Fatalf("%d goroutines running a burst of %d, baseline %d", n, burst, baseline)
+	if n := Started() - started; n != burst {
+		t.Fatalf("a burst of %d started %d goroutines, want one per task", burst, n)
 	}
 	released := time.Now()
 	for _, g := range gates {
@@ -120,8 +139,7 @@ func TestIdleCapAndRetirement(t *testing.T) {
 // goroutines at once (meaningful under -race): every task runs once, and
 // the pool drains afterwards.
 func TestConcurrentGo(t *testing.T) {
-	drained(t)
-	baseline := runtime.NumGoroutine()
+	baseline := settled(t)
 	var wg sync.WaitGroup
 	const senders, each = 8, 500
 	wg.Add(senders * each)

@@ -102,11 +102,12 @@ func (e *completion) slot(tp *Template) any {
 	return nil
 }
 
-// CacheStats is a snapshot of a cache's lifetime counters.
+// CacheStats is a snapshot of a cache's lifetime counters, tagged with
+// the keys galois-serve's /stats renders them under.
 type CacheStats struct {
-	Hits    int // served from memory or from a concurrent in-flight call
-	Misses  int // required a model call
-	Entries int // completions currently resident
+	Hits    int `json:"cache_hits"`    // served from memory or from a concurrent in-flight call
+	Misses  int `json:"cache_misses"`  // required a model call
+	Entries int `json:"cache_entries"` // completions currently resident
 }
 
 // Cache is a concurrency-safe LRU of prompt completions keyed by (model

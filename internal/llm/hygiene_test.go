@@ -26,6 +26,19 @@ func waitDrained(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("%s did not drain", what)
 }
 
+// busySlots and queuedPrompts sum a scheduler's running slots and
+// waiting prompts over both classes: the zeros the slot-hygiene tests
+// wait for.
+func busySlots(s *Scheduler) int {
+	g := s.Gauges()
+	return g.Interactive.Busy + g.Batch.Busy
+}
+
+func queuedPrompts(s *Scheduler) int {
+	g := s.Gauges()
+	return g.Interactive.Queued + g.Batch.Queued
+}
+
 // goroutinesAtMost waits for the goroutine count to return to the
 // baseline (with a little slack for runtime housekeeping).
 func goroutinesAtMost(t *testing.T, baseline int) {
@@ -56,7 +69,7 @@ func TestSchedulerSlotsReleasedOnFailure(t *testing.T) {
 		}
 	}
 	tenant.Close()
-	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 && s.Queued() == 0 })
+	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 && queuedPrompts(s) == 0 })
 	goroutinesAtMost(t, baseline)
 
 	// The budget is fully available to the next tenant.
@@ -103,7 +116,7 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 	}
 	tenant.Close()
 	close(release)
-	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 && s.Queued() == 0 })
+	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 && queuedPrompts(s) == 0 })
 	goroutinesAtMost(t, baseline)
 }
 
@@ -125,7 +138,7 @@ func TestSchedulerSlotGoroutineReuse(t *testing.T) {
 			t.Fatalf("miss %d: %d goroutines, baseline %d, %d slots", i, n, baseline, workers)
 		}
 	}
-	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
+	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 })
 	if n := parked(); n < 1 || n > workers {
 		t.Errorf("%d parked slot goroutines after the misses, want 1..%d", n, workers)
 	}
@@ -177,7 +190,7 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitDrained(t, "scheduler slots", func() bool { return s.Busy() == 0 })
+	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 })
 
 	a.Close()
 	b.Close()
@@ -204,8 +217,8 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 
 	waitDrained(t, "parked slot goroutines", func() bool { return parked() == 0 })
 	goroutinesAtMost(t, baseline)
-	if s.Busy() != 0 || s.Queued() != 0 {
-		t.Errorf("Busy() = %d, Queued() = %d after the last Close", s.Busy(), s.Queued())
+	if busySlots(s) != 0 || queuedPrompts(s) != 0 {
+		t.Errorf("busy = %d, queued = %d after the last Close", busySlots(s), queuedPrompts(s))
 	}
 }
 
@@ -247,7 +260,7 @@ func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 		if n := calls.Load(); n > width+1 {
 			t.Errorf("client saw %d calls, want at most %d", n, width+1)
 		}
-		waitDrained(t, "scheduler slots", func() bool { return tn.s.Busy() == 0 && tn.s.Queued() == 0 })
+		waitDrained(t, "scheduler slots", func() bool { return busySlots(tn.s) == 0 && queuedPrompts(tn.s) == 0 })
 		tn.Close()
 		goroutinesAtMost(t, baseline)
 	}

@@ -204,7 +204,7 @@ func TestSchedulerClassGauges(t *testing.T) {
 		}
 	}
 	// A slot is released just after its last future resolves.
-	waitDrained(t, "slots", func() bool { return s.Busy() == 0 })
+	waitDrained(t, "slots", func() bool { return busySlots(s) == 0 })
 
 	g = s.Gauges()
 	if g.Batch.Busy != 0 || g.Batch.Queued != 0 || g.Interactive.Busy != 0 || g.Interactive.Queued != 0 {

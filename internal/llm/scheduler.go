@@ -451,34 +451,6 @@ func (s *Scheduler) workersForLocked(name string) int {
 	return s.workers
 }
 
-// Busy reports the worker slots currently running prompts, summed over
-// all endpoints. Zero when the scheduler is idle — the invariant the
-// slot-hygiene tests assert after failed and cancelled queries.
-func (s *Scheduler) Busy() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var busy int
-	for _, ep := range s.endpoints {
-		busy += ep.busy
-	}
-	return busy
-}
-
-// Queued reports the prompts waiting for a worker slot, summed over all
-// endpoints and tenants. Zero when no tenant has pending work — a
-// purged or closed tenant must leave nothing behind.
-func (s *Scheduler) Queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var queued int
-	for _, ep := range s.endpoints {
-		for c := range ep.bands {
-			queued += ep.bands[c].queued()
-		}
-	}
-	return queued
-}
-
 // ClassGauges is one admission class's live dispatch state, summed over
 // endpoints.
 type ClassGauges struct {

@@ -535,7 +535,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	if _, _, err := tenant(s, t).Single().Submit(&echoLLM{name: "m", answer: "2700000"}, nil, prompt, 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	waitDrained(t, "seeding slot", func() bool { return s.Busy() == 0 })
+	waitDrained(t, "seeding slot", func() bool { return busySlots(s) == 0 })
 	// Hold the endpoint's only worker slot: an inline hit must not need it.
 	gate := &holdLLM{started: make(chan struct{}), release: make(chan struct{})}
 	holder := tenant(s, t)
@@ -576,7 +576,7 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	if _, _, err := held.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	waitDrained(t, "held slot", func() bool { return s.Busy() == 0 })
+	waitDrained(t, "held slot", func() bool { return busySlots(s) == 0 })
 
 	// A cancelled context wins over a hit, and counts none.
 	ctx, cancel := context.WithCancel(context.Background())

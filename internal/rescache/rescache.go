@@ -167,18 +167,19 @@ func approxBytes(e *Entry) int {
 	return n
 }
 
-// Stats is a snapshot of a cache's lifetime counters.
+// Stats is a snapshot of a cache's lifetime counters, tagged with the
+// keys galois-serve's /stats renders them under.
 type Stats struct {
-	Hits int // exact hits: served from memory or a concurrent in-flight execution
+	Hits int `json:"result_cache_hits"` // exact hits: served from memory or a concurrent in-flight execution
 	// SubsumedHits counts queries answered by a residual plan over a
 	// cached relation. They are a subset of neither Hits nor Misses:
 	// an exact-miss query answered via subsumption counts one Miss
 	// (the exact key was absent) and one SubsumedHit (zero prompts
 	// were spent anyway).
-	SubsumedHits int
-	Misses       int // exact misses: required planning (subsumed or full execution)
-	Entries      int // relations currently resident
-	Bytes        int // approximate resident bytes across all entries
+	SubsumedHits int `json:"result_cache_subsumed_hits"`
+	Misses       int `json:"result_cache_misses"`  // exact misses: required planning (subsumed or full execution)
+	Entries      int `json:"result_cache_entries"` // relations currently resident
+	Bytes        int `json:"result_cache_bytes"`   // approximate resident bytes across all entries
 }
 
 // TablesKey canonicalizes a component set into the index key Candidates

@@ -315,18 +315,32 @@ func (a *admission) grantLocked() {
 	}
 }
 
-// snapshot reports the controller's observable state for /stats.
-func (a *admission) snapshot() (limit, floor, ceil int, increases, decreases int64) {
-	a.mu.Lock()
-	limit = a.limit
-	a.mu.Unlock()
-	return limit, a.floor, a.ceil, a.increases.Load(), a.decreases.Load()
+// admissionStats is the /stats rendering of the adaptive gate: the
+// effective concurrency limit between its floor and ceiling, how many
+// additive growths / multiplicative cuts moved it there, and the batch
+// band's sub-limit inside it with its current occupancy — the headroom
+// congestion sheds before cutting interactive capacity.
+type admissionStats struct {
+	Limit       int   `json:"limit"`
+	Floor       int   `json:"floor"`
+	Ceil        int   `json:"ceil"`
+	Increases   int64 `json:"increases"`
+	Decreases   int64 `json:"decreases"`
+	BatchLimit  int   `json:"batch_limit"`
+	BatchActive int   `json:"batch_active"`
 }
 
-// batchSnapshot reports the batch band's position: its sub-limit and how
-// many batch-class queries currently hold slots.
-func (a *admission) batchSnapshot() (batchLimit, batchActive int) {
+// stats snapshots the controller's observable state for /stats.
+func (a *admission) stats() admissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.batchLimit, a.batchActive
+	return admissionStats{
+		Limit:       a.limit,
+		Floor:       a.floor,
+		Ceil:        a.ceil,
+		Increases:   a.increases.Load(),
+		Decreases:   a.decreases.Load(),
+		BatchLimit:  a.batchLimit,
+		BatchActive: a.batchActive,
+	}
 }

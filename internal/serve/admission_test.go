@@ -23,29 +23,29 @@ func TestAdmissionAIMDLimitMoves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if limit, floor, ceil, _, _ := a.snapshot(); limit != 8 || floor != 2 || ceil != 8 {
-		t.Fatalf("fresh controller = limit %d floor %d ceil %d, want 8/2/8", limit, floor, ceil)
+	if st := a.stats(); st.Limit != 8 || st.Floor != 2 || st.Ceil != 8 {
+		t.Fatalf("fresh controller = limit %d floor %d ceil %d, want 8/2/8", st.Limit, st.Floor, st.Ceil)
 	}
 
 	// Multiplicative decrease: 8 -> 4 -> 2, then clamped at the floor.
 	a.release(true)
 	a.release(true)
 	a.release(true)
-	limit, _, _, inc, dec := a.snapshot()
-	if limit != 2 || dec != 2 {
-		t.Fatalf("after three congested releases: limit %d decreases %d, want 2/2 (floor clamps the third)", limit, dec)
+	st := a.stats()
+	if st.Limit != 2 || st.Decreases != 2 {
+		t.Fatalf("after three congested releases: limit %d decreases %d, want 2/2 (floor clamps the third)", st.Limit, st.Decreases)
 	}
 
 	// Additive increase: one per healthy completion, capped at the ceiling.
 	for i := 0; i < 10; i++ {
 		a.release(false)
 	}
-	limit, _, _, inc, dec = a.snapshot()
-	if limit != 8 {
-		t.Fatalf("after recovery: limit %d, want ceiling 8", limit)
+	st = a.stats()
+	if st.Limit != 8 {
+		t.Fatalf("after recovery: limit %d, want ceiling 8", st.Limit)
 	}
-	if inc != 6 {
-		t.Fatalf("increases = %d, want 6 (2 -> 8, capped thereafter)", inc)
+	if st.Increases != 6 {
+		t.Fatalf("increases = %d, want 6 (2 -> 8, capped thereafter)", st.Increases)
 	}
 	if waiting.Load() != 0 {
 		t.Fatalf("waiting gauge = %d, want 0 (nothing ever queued)", waiting.Load())
@@ -75,9 +75,8 @@ func TestAdmissionFullQueueCutsBeforeShedding(t *testing.T) {
 		go func() { acquired <- a.acquire(nil) }()
 		waitFor(t, func() bool { return waiting.Load() == want })
 	}
-	limit, _, _, _, dec := a.snapshot()
-	if limit != 1 || dec != 2 {
-		t.Fatalf("after queue-full arrivals: limit %d decreases %d, want 1/2", limit, dec)
+	if st := a.stats(); st.Limit != 1 || st.Decreases != 2 {
+		t.Fatalf("after queue-full arrivals: limit %d decreases %d, want 1/2", st.Limit, st.Decreases)
 	}
 
 	// Floor AND full queue: the next arrival is shed, synchronously.
@@ -193,8 +192,8 @@ func TestAdmissionBatchCutFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bl, ba := a.batchSnapshot(); bl != 8 || ba != 4 {
-		t.Fatalf("batch band = limit %d active %d, want 8/4", bl, ba)
+	if st := a.stats(); st.BatchLimit != 8 || st.BatchActive != 4 {
+		t.Fatalf("batch band = limit %d active %d, want 8/4", st.BatchLimit, st.BatchActive)
 	}
 
 	// Congested batch completions: the batch sub-limit halves 8 -> 4 ->
@@ -202,27 +201,26 @@ func TestAdmissionBatchCutFirst(t *testing.T) {
 	a.releaseClass(true, true)
 	a.releaseClass(true, true)
 	a.releaseClass(true, true)
-	limit, _, _, _, dec := a.snapshot()
-	bl, ba := a.batchSnapshot()
-	if limit != 8 {
-		t.Fatalf("global limit = %d, want 8 (batch headroom absorbs the cuts)", limit)
+	st := a.stats()
+	if st.Limit != 8 {
+		t.Fatalf("global limit = %d, want 8 (batch headroom absorbs the cuts)", st.Limit)
 	}
-	if bl != 1 || dec != 3 {
-		t.Fatalf("batch limit = %d decreases = %d, want 1/3 (8 -> 4 -> 2 -> 1)", bl, dec)
+	if st.BatchLimit != 1 || st.Decreases != 3 {
+		t.Fatalf("batch limit = %d decreases = %d, want 1/3 (8 -> 4 -> 2 -> 1)", st.BatchLimit, st.Decreases)
 	}
-	if ba != 1 {
-		t.Fatalf("batch active = %d, want 1", ba)
+	if st.BatchActive != 1 {
+		t.Fatalf("batch active = %d, want 1", st.BatchActive)
 	}
 
 	// Batch band already minimal: the next congested sample (batch work
 	// still present) cuts the global limit.
 	a.releaseClass(true, true)
-	limit, _, _, _, dec = a.snapshot()
-	if limit != 4 || dec != 4 {
-		t.Fatalf("after cut at minimal batch band: limit %d decreases %d, want 4/4", limit, dec)
+	st = a.stats()
+	if st.Limit != 4 || st.Decreases != 4 {
+		t.Fatalf("after cut at minimal batch band: limit %d decreases %d, want 4/4", st.Limit, st.Decreases)
 	}
-	if _, ba := a.batchSnapshot(); ba != 0 {
-		t.Fatalf("batch active = %d, want 0", ba)
+	if st.BatchActive != 0 {
+		t.Fatalf("batch active = %d, want 0", st.BatchActive)
 	}
 
 	// Recovery: healthy completions grow the global limit back to the
@@ -232,10 +230,9 @@ func TestAdmissionBatchCutFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a.releaseClass(false, false)
 	}
-	limit, _, _, _, _ = a.snapshot()
-	bl, _ = a.batchSnapshot()
-	if limit != 8 || bl != 1 {
-		t.Fatalf("global-first recovery: limit %d batch %d, want 8/1", limit, bl)
+	st = a.stats()
+	if st.Limit != 8 || st.BatchLimit != 1 {
+		t.Fatalf("global-first recovery: limit %d batch %d, want 8/1", st.Limit, st.BatchLimit)
 	}
 	for i := 0; i < 7; i++ {
 		if err := a.acquireClass(nil, false); err != nil {
@@ -243,7 +240,7 @@ func TestAdmissionBatchCutFirst(t *testing.T) {
 		}
 		a.releaseClass(false, false)
 	}
-	if bl, _ := a.batchSnapshot(); bl != 8 {
+	if bl := a.stats().BatchLimit; bl != 8 {
 		t.Fatalf("batch band after recovery = %d, want 8", bl)
 	}
 }
@@ -266,7 +263,7 @@ func TestAdmissionInteractivePassesBlockedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.releaseClass(true, true) // 2 -> 1
-	if bl, _ := a.batchSnapshot(); bl != 1 {
+	if bl := a.stats().BatchLimit; bl != 1 {
 		t.Fatalf("batch limit = %d, want 1", bl)
 	}
 

@@ -142,7 +142,7 @@ func TestServeHitBodyInvalidation(t *testing.T) {
 func TestServeHitBodyBytes(t *testing.T) {
 	const a = `SELECT name FROM country WHERE continent = 'Europe'`
 	const b = `SELECT name FROM country WHERE continent = 'Asia'`
-	bytesOf := func(rt *core.Runtime) int { return rt.ResultCacheStats().Bytes }
+	bytesOf := func(rt *core.Runtime) int { return rt.Stats().ResultCacheStats.Bytes }
 
 	opts := core.ServeOptions()
 	opts.CacheEnabled = false
@@ -173,14 +173,14 @@ func TestServeHitBodyBytes(t *testing.T) {
 	srv, plain := newServer(tight, Config{MaxConcurrent: 4}), uncached(tight)
 	serveBody(t, srv, a, "")
 	serveBody(t, srv, b, "")
-	before := tight.ResultCacheStats()
+	before := tight.Stats().ResultCacheStats
 	if before.Entries != 2 {
 		t.Fatalf("fixture: %d entries resident, want 2", before.Entries)
 	}
 	if got, want := serveBody(t, srv, a, ""), serveBody(t, plain, a, ""); !isExact(got) || !bytes.Equal(got, want) {
 		t.Errorf("over-budget hit served %q, want %q", got, want)
 	}
-	if after := tight.ResultCacheStats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
+	if after := tight.Stats().ResultCacheStats; after.Entries != before.Entries || after.Bytes != before.Bytes {
 		t.Errorf("an over-budget body moved the cache: %+v -> %+v", before, after)
 	}
 }
@@ -228,7 +228,7 @@ func TestServeDeclinedSlotStreams(t *testing.T) {
 	opts.CacheEnabled = false
 	_, rt := testRuntime(t, opts)
 	serveBody(t, newServer(rt, Config{MaxConcurrent: 4}), sql, "")
-	opts.ResultCacheBytes = rt.ResultCacheStats().Bytes + 8 // the entry, not its body
+	opts.ResultCacheBytes = rt.Stats().ResultCacheStats.Bytes + 8 // the entry, not its body
 	for _, tc := range []struct {
 		name    string
 		opts    core.Options
@@ -279,7 +279,7 @@ func TestServeHitBodyConcurrentFill(t *testing.T) {
 	for _, enc := range encodings {
 		serveBody(t, srv, sql, "")
 		want := serveBody(t, plain, sql, enc)
-		before := rt.ResultCacheStats().Bytes
+		before := rt.Stats().ResultCacheStats.Bytes
 		const n = 8
 		got := make([][]byte, n)
 		var wg sync.WaitGroup
@@ -299,7 +299,7 @@ func TestServeHitBodyConcurrentFill(t *testing.T) {
 				t.Errorf("?%s: concurrent hit %d served %q, want %q", enc, i, b, want)
 			}
 		}
-		if after := rt.ResultCacheStats().Bytes; after != before+len(want) {
+		if after := rt.Stats().ResultCacheStats.Bytes; after != before+len(want) {
 			t.Errorf("?%s: bytes %d -> %d, want one body (%d) charged", enc, before, after, len(want))
 		}
 	}

@@ -258,7 +258,7 @@ func TestServeIdleBurstNotShed(t *testing.T) {
 	}
 }
 
-// TestCongestedBreakers: congested() allocates nothing, flips when one
+// TestCongestedBreakers: Runtime.Congested allocates nothing, flips when one
 // breaker opens — first a declared backend's, then an adopted client's —
 // and stays set while that breaker is half-open.
 func TestCongestedBreakers(t *testing.T) {
@@ -277,17 +277,16 @@ func TestCongestedBreakers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newServer(rt, Config{MaxConcurrent: 4})
 		backend, failing := rt.Registry().Default(), declared
 		if adopted {
 			failing = faultllm.Wrap(r.Model(simllm.GPT3), faultllm.Profile{Seed: 2})
 			backend = rt.Registry().Adopt(failing)
 		}
-		if s.congested() {
+		if rt.Congested() {
 			t.Fatalf("adopted=%v: congested before any failure", adopted)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { s.congested() }); allocs != 0 {
-			t.Errorf("adopted=%v: congested() = %.0f allocs, want 0", adopted, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { rt.Congested() }); allocs != 0 {
+			t.Errorf("adopted=%v: Congested() = %.0f allocs, want 0", adopted, allocs)
 		}
 		failing.SetOutage(true)
 		for i := 0; i < opts.BreakerThreshold; i++ {
@@ -296,11 +295,11 @@ func TestCongestedBreakers(t *testing.T) {
 			}
 		}
 		rc, _ := backend.Resilience()
-		if rc.State() != llm.BreakerOpen || !s.congested() {
-			t.Fatalf("adopted=%v: breaker %s, congested %v; want open and congested", adopted, rc.State(), s.congested())
+		if rc.State() != llm.BreakerOpen || !rt.Congested() {
+			t.Fatalf("adopted=%v: breaker %s, congested %v; want open and congested", adopted, rc.State(), rt.Congested())
 		}
 		waitFor(t, func() bool { return rc.State() == llm.BreakerHalfOpen })
-		if !s.congested() {
+		if !rt.Congested() {
 			t.Errorf("adopted=%v: a half-open breaker is not congestion", adopted)
 		}
 	}

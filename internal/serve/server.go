@@ -290,7 +290,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Releasing the slot samples this completion's congestion signals
 	// (scheduler backlog, breaker state) into the adaptive limit.
-	defer func() { s.adm.releaseClass(s.congested(), isBatch) }()
+	defer func() { s.adm.releaseClass(s.rt.Congested(), isBatch) }()
 	n := s.active.Add(1)
 	for {
 		high := s.maxActive.Load()
@@ -423,17 +423,6 @@ func (s *server) routeParam(q url.Values) (map[string]string, error) {
 	return routes, nil
 }
 
-// congested reports whether this instant looks like backpressure, the
-// signal the admission controller folds in at each query completion:
-// the scheduler holding more queued prompts than its worker budget can
-// start (queries are stacking up behind the model), or any endpoint's
-// circuit breaker away from closed (the backend is failing or still
-// probing its way back).
-func (s *server) congested() bool {
-	g := s.rt.SchedulerGauges()
-	return g.Interactive.Queued+g.Batch.Queued > g.Workers || !s.rt.Registry().BreakersClosed()
-}
-
 // maxBodyBytes bounds a /query request body; a body past it answers 413
 // rather than being silently truncated to a SQL prefix.
 const maxBodyBytes = 1 << 20
@@ -547,7 +536,7 @@ type healthResponse struct {
 // breaker is open: a probe should stop routing traffic here, because no
 // query touching the model can succeed until a cooldown probe heals one.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	eps := s.rt.ResilienceHealth()
+	eps := s.rt.Stats().Resilience
 	open := 0
 	for _, ep := range eps {
 		if ep.Breaker == llm.BreakerOpen.String() {
@@ -564,107 +553,36 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, healthResponse{Status: status, Endpoints: eps})
 }
 
-// serverStats is the /stats JSON: serving counters plus the shared
-// runtime tiers' views.
+// serverStats is the /stats JSON: the front end's own serving and
+// degradation counters, then the shared runtime's snapshot.
 type serverStats struct {
 	QueriesServed int64 `json:"queries_served"`
 	Active        int64 `json:"active"`
 	MaxActive     int64 `json:"max_active"`
 	Waiting       int64 `json:"waiting"`
 	MaxConcurrent int   `json:"max_concurrent"`
-	Workers       int   `json:"workers_per_endpoint"`
-	CacheHits     int   `json:"cache_hits"`
-	CacheMisses   int   `json:"cache_misses"`
-	CacheEntries  int   `json:"cache_entries"`
-	// Result-cache counters: whole relations served without planning or
-	// prompts (exact hits), queries answered by a residual plan over a
-	// cached relation (subsumed hits), resident entries and their
-	// approximate bytes, plus the per-component binding epochs entries
-	// are currently keyed under.
-	ResultCacheHits         int               `json:"result_cache_hits"`
-	ResultCacheSubsumedHits int               `json:"result_cache_subsumed_hits"`
-	ResultCacheMisses       int               `json:"result_cache_misses"`
-	ResultCacheEntries      int               `json:"result_cache_entries"`
-	ResultCacheBytes        int               `json:"result_cache_bytes"`
-	TableEpochs             map[string]uint64 `json:"table_epochs"`
-	// Degradation counters and the per-endpoint resilience snapshot:
-	// requests shed with 503 (saturated queue or open breaker), queries
-	// answered 504, the queue bound, and each model endpoint's breaker
-	// state with its retry/fault accounting.
-	MaxQueue   int                   `json:"max_queue"`
-	Shed       int64                 `json:"shed"`
-	Timeouts   int64                 `json:"timeouts"`
-	Resilience []core.EndpointHealth `json:"resilience,omitempty"`
-	// Backends lists every model backend the runtime routes over — name,
-	// underlying model, pricing coefficients, fallback chain, lifetime
-	// prompt count and breaker state — and Failovers counts the prompts
-	// that failed over to a fallback backend, runtime-lifetime.
-	Backends  []core.BackendStatus `json:"backends,omitempty"`
-	Failovers int64                `json:"failovers"`
-	// Admission is the AIMD controller's live position: the effective
-	// concurrency limit between its floor and max_concurrent, and how
-	// many additive growths / multiplicative cuts moved it there.
+	// Degradation counters: the queue bound, requests shed with 503
+	// (saturated queue or open breaker) and queries answered 504.
+	MaxQueue int   `json:"max_queue"`
+	Shed     int64 `json:"shed"`
+	Timeouts int64 `json:"timeouts"`
+	// Admission is the AIMD controller's live position.
 	Admission admissionStats `json:"admission"`
-	// Sched is the engine-global scheduler's dispatch state: per-class
-	// queued/busy prompt counts and the cumulative drain counters of the
-	// deficit-weighted bands.
-	Sched llm.SchedulerGauges `json:"sched"`
-	// Persistence snapshots the durable tier (zero/disabled without
-	// -data-dir): what warm start restored, what it rejected, and the
-	// segment store's own accounting.
-	Persistence core.PersistCounters `json:"persistence"`
-	// PlanCache counts the cost-based planner's plan-cache outcomes:
-	// statements planned from a cached choice (hits), ones whose cached
-	// choice no longer held (guard_failures) or that found none (misses),
-	// and the resident entries.
-	PlanCache core.PlanCacheStats `json:"plan_cache"`
-}
-
-// admissionStats is the /stats rendering of the adaptive gate.
-type admissionStats struct {
-	Limit     int   `json:"limit"`
-	Floor     int   `json:"floor"`
-	Ceil      int   `json:"ceil"`
-	Increases int64 `json:"increases"`
-	Decreases int64 `json:"decreases"`
-	// BatchLimit/BatchActive are the batch band's sub-limit inside the
-	// global limit and its current occupancy — the headroom congestion
-	// sheds before cutting interactive capacity.
-	BatchLimit  int `json:"batch_limit"`
-	BatchActive int `json:"batch_active"`
+	core.Stats
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.rt.CacheStats()
-	rcs := s.rt.ResultCacheStats()
-	limit, floor, ceil, inc, dec := s.adm.snapshot()
-	batchLimit, batchActive := s.adm.batchSnapshot()
 	writeJSON(w, http.StatusOK, serverStats{
-		QueriesServed:           s.queries.Load(),
-		Active:                  s.active.Load(),
-		MaxActive:               s.maxActive.Load(),
-		Waiting:                 s.waiting.Load(),
-		MaxConcurrent:           s.maxConcurrent,
-		Workers:                 s.rt.Options().BatchWorkers,
-		CacheHits:               cs.Hits,
-		CacheMisses:             cs.Misses,
-		CacheEntries:            cs.Entries,
-		ResultCacheHits:         rcs.Hits,
-		ResultCacheSubsumedHits: rcs.SubsumedHits,
-		ResultCacheMisses:       rcs.Misses,
-		ResultCacheEntries:      rcs.Entries,
-		ResultCacheBytes:        rcs.Bytes,
-		TableEpochs:             s.rt.TableEpochs(),
-		MaxQueue:                s.maxQueue,
-		Shed:                    s.shed.Load(),
-		Timeouts:                s.timeouts.Load(),
-		Resilience:              s.rt.ResilienceHealth(),
-		Backends:                s.rt.BackendStatuses(),
-		Failovers:               s.rt.Failovers(),
-		Admission:               admissionStats{Limit: limit, Floor: floor, Ceil: ceil, Increases: inc, Decreases: dec, BatchLimit: batchLimit, BatchActive: batchActive},
-		Sched:                   s.rt.SchedulerGauges(),
-		Persistence:             s.rt.Persistence(),
-		PlanCache:               s.rt.PlanCacheStats(),
+		QueriesServed: s.queries.Load(),
+		Active:        s.active.Load(),
+		MaxActive:     s.maxActive.Load(),
+		Waiting:       s.waiting.Load(),
+		MaxConcurrent: s.maxConcurrent,
+		MaxQueue:      s.maxQueue,
+		Shed:          s.shed.Load(),
+		Timeouts:      s.timeouts.Load(),
+		Admission:     s.adm.stats(),
+		Stats:         s.rt.Stats(),
 	})
 }
 

@@ -324,7 +324,7 @@ func TestServeHealthzAndStats(t *testing.T) {
 	if st.QueriesServed != 2 {
 		t.Errorf("queries_served = %d, want 2", st.QueriesServed)
 	}
-	if st.CacheHits == 0 || st.CacheEntries == 0 {
+	if st.CacheStats.Hits == 0 || st.CacheStats.Entries == 0 {
 		t.Errorf("stats cache counters empty: %+v", st)
 	}
 	if st.MaxConcurrent != 4 {
@@ -333,8 +333,8 @@ func TestServeHealthzAndStats(t *testing.T) {
 }
 
 // TestServeStatsPlanCache: /stats reports the plan cache as one
-// trailing plan_cache object, and every key that existed before it keeps
-// its name and position.
+// trailing plan_cache object, after the front end's own counters and the
+// rest of the runtime snapshot, each key in its place.
 func TestServeStatsPlanCache(t *testing.T) {
 	_, rt := testRuntime(t, core.ServeOptions())
 	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
@@ -373,11 +373,11 @@ func TestServeStatsPlanCache(t *testing.T) {
 		body[tok.(string)] = v
 	}
 	want := []string{
-		"queries_served", "active", "max_active", "waiting", "max_concurrent", "workers_per_endpoint",
+		"queries_served", "active", "max_active", "waiting", "max_concurrent",
+		"max_queue", "shed", "timeouts", "admission", "workers_per_endpoint",
 		"cache_hits", "cache_misses", "cache_entries",
 		"result_cache_hits", "result_cache_subsumed_hits", "result_cache_misses", "result_cache_entries", "result_cache_bytes",
-		"table_epochs", "max_queue", "shed", "timeouts", "resilience", "backends", "failovers",
-		"admission", "sched", "persistence", "plan_cache",
+		"table_epochs", "resilience", "backends", "failovers", "sched", "persistence", "plan_cache",
 	}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("/stats keys:\n got %v\nwant %v", keys, want)
@@ -641,9 +641,9 @@ func TestServeResultCache(t *testing.T) {
 	if err := json.NewDecoder(statsResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.ResultCacheHits != 1 || st.ResultCacheMisses != 1 || st.ResultCacheEntries != 1 {
+	if st.ResultCacheStats.Hits != 1 || st.ResultCacheStats.Misses != 1 || st.ResultCacheStats.Entries != 1 {
 		t.Errorf("result cache stats = %d/%d/%d, want 1/1/1",
-			st.ResultCacheHits, st.ResultCacheMisses, st.ResultCacheEntries)
+			st.ResultCacheStats.Hits, st.ResultCacheStats.Misses, st.ResultCacheStats.Entries)
 	}
 
 	// A rebind invalidates: the same SQL re-executes.
@@ -717,11 +717,11 @@ func TestServeResultCacheSubsumption(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.ResultCacheSubsumedHits != 2 {
-		t.Errorf("result_cache_subsumed_hits = %d, want 2", st.ResultCacheSubsumedHits)
+	if st.ResultCacheStats.SubsumedHits != 2 {
+		t.Errorf("result_cache_subsumed_hits = %d, want 2", st.ResultCacheStats.SubsumedHits)
 	}
-	if st.ResultCacheBytes <= 0 {
-		t.Errorf("result_cache_bytes = %d, want > 0", st.ResultCacheBytes)
+	if st.ResultCacheStats.Bytes <= 0 {
+		t.Errorf("result_cache_bytes = %d, want > 0", st.ResultCacheStats.Bytes)
 	}
 	if st.TableEpochs == nil {
 		t.Error("table_epochs missing from /stats")
@@ -962,7 +962,7 @@ func TestServeRouteParam(t *testing.T) {
 			t.Errorf("route=%q: status %d, want %d", tc.route, resp.StatusCode, tc.want)
 		}
 	}
-	for _, b := range rt.BackendStatuses() {
+	for _, b := range rt.Stats().Backends {
 		if b.Name == "cheap" && b.Prompts == 0 {
 			t.Error("the routed query sent no prompts to backend cheap")
 		}

@@ -276,7 +276,7 @@ func TestServeStreamDisconnectMidStream(t *testing.T) {
 	// The query is mid-execution: the header frame is out (or about to
 	// be) and the row prompts hold scheduler slots, gated inside the
 	// model. The client now disconnects.
-	waitFor(t, func() bool { return rt.SchedulerGauges().Interactive.Busy > 0 })
+	waitFor(t, func() bool { return rt.Stats().Sched.Interactive.Busy > 0 })
 	cancel()
 	<-done
 
@@ -284,7 +284,7 @@ func TestServeStreamDisconnectMidStream(t *testing.T) {
 	// scheduler slots and queues empty, waiting gauge zero.
 	waitFor(t, func() bool { return srv.active.Load() == 0 })
 	waitFor(t, func() bool {
-		g := rt.SchedulerGauges()
+		g := rt.Stats().Sched
 		return g.Interactive.Busy == 0 && g.Interactive.Queued == 0 && g.Batch.Busy == 0 && g.Batch.Queued == 0
 	})
 	if srv.waiting.Load() != 0 {
@@ -365,7 +365,7 @@ func TestServeStreamStalledLeader(t *testing.T) {
 			break // the leader's client now stops reading
 		}
 	}
-	if st := rt.ResultCacheStats(); st.Misses != 1 {
+	if st := rt.Stats().ResultCacheStats; st.Misses != 1 {
 		t.Fatalf("stalled stream did not lead the flight: %+v", st)
 	}
 
@@ -417,7 +417,7 @@ func TestServeStreamClassParams(t *testing.T) {
 	}
 	// The batch band's drain counter moved: the query's prompts really
 	// were dispatched as batch work.
-	if g := rt.SchedulerGauges(); g.Batch.Drained == 0 && g.Batch.Busy == 0 {
+	if g := rt.Stats().Sched; g.Batch.Drained == 0 && g.Batch.Busy == 0 {
 		// Drained counts queued->granted transitions only; on an idle
 		// scheduler every prompt may take the direct path. Accept either,
 		// but the class must at least parse and execute (checked above).
