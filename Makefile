@@ -14,11 +14,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The caches' singleflight and eviction run ten times more under -race:
-# the substrate (internal/lru) and its two concurrent owners; so do the
-# LLM operators' hand-off from inline execution to a producer
-# (internal/physical) and the goroutine pool's park, handoff and
-# retirement (internal/gopool).
+# -race covers the executor under both policies, the 200-query
+# randomized differential harness (internal/difftest), every feature's
+# concurrency, chaos, persistence, scheduling, routing and subsumption
+# tests, and TestArtifacts: every committed BENCH_*.json is regenerated,
+# acceptance-checked and diffed byte for byte. The caches' singleflight
+# and eviction run ten times more under -race: the substrate
+# (internal/lru) and its two concurrent owners; so do the LLM operators'
+# hand-off from inline execution to a producer (internal/physical) and
+# the goroutine pool's park, handoff and retirement (internal/gopool).
+# CI's check job runs `make check`.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm ./internal/physical ./internal/gopool
@@ -63,7 +68,8 @@ serve:
 # model-answer number decoder, the token counter, the prompt template's
 # token count, the durable store's segment replay and MANIFEST reader,
 # the persisted result-cache entry decoder and internal/serve's /query
-# parameter decoders (same runs CI does).
+# parameter decoders. CI's fuzz job runs `make fuzz`, so a new target is
+# one line here.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical

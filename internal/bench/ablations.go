@@ -19,10 +19,12 @@ type AblationRow struct {
 	Queries    int
 }
 
-// ablationArm is one engine configuration of an ablation.
+// ablationArm is one engine configuration of an ablation; a non-nil
+// verifier turns on Section 6 verification by that model.
 type ablationArm struct {
-	label string
-	opts  core.Options
+	label    string
+	opts     core.Options
+	verifier *simllm.Profile
 }
 
 // ablation runs queries under each configuration on a fresh runtime and
@@ -30,7 +32,7 @@ type ablationArm struct {
 func (r *Runner) ablation(ctx context.Context, p simllm.Profile, queries []spider.Query, arms ...ablationArm) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, a := range arms {
-		rt, err := r.Runtime(r.Model(p), a.opts)
+		rt, err := r.verifiedRuntime(p, a.verifier, a.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -52,8 +54,8 @@ func (r *Runner) AblationPushdown(ctx context.Context, p simllm.Profile) ([]Abla
 	merged := PaperOptions()
 	merged.Optimizer.PromptPushdown = true
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassSelection),
-		ablationArm{"staged-prompts", PaperOptions()},
-		ablationArm{"prompt-pushdown", merged})
+		ablationArm{"staged-prompts", PaperOptions(), nil},
+		ablationArm{"prompt-pushdown", merged, nil})
 }
 
 // AblationCleaning compares the full cleaner against one with numeric
@@ -63,8 +65,8 @@ func (r *Runner) AblationCleaning(ctx context.Context, p simllm.Profile) ([]Abla
 	withoutClean := PaperOptions()
 	withoutClean.Clean = clean.Options{NormalizeNumbers: false, EnforceTypes: false}
 	return r.ablation(ctx, p, spider.Queries(),
-		ablationArm{"cleaning-on", PaperOptions()},
-		ablationArm{"cleaning-off", withoutClean})
+		ablationArm{"cleaning-on", PaperOptions(), nil},
+		ablationArm{"cleaning-off", withoutClean, nil})
 }
 
 // AblationJoinFormats shows that canonicalizing entity surface forms
@@ -73,8 +75,8 @@ func (r *Runner) AblationJoinFormats(ctx context.Context, p simllm.Profile) ([]A
 	canon := PaperOptions()
 	canon.Clean.Canonicalizer = clean.NewCanonicalizer(r.World.Aliases())
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassJoin),
-		ablationArm{"raw-surface-forms", PaperOptions()},
-		ablationArm{"canonicalized", canon})
+		ablationArm{"raw-surface-forms", PaperOptions(), nil},
+		ablationArm{"canonicalized", canon, nil})
 }
 
 // AblationMoreResults sweeps the termination threshold of the "return more
@@ -84,7 +86,7 @@ func (r *Runner) AblationMoreResults(ctx context.Context, p simllm.Profile, iter
 	for _, n := range iterations {
 		opts := PaperOptions()
 		opts.MaxScanIterations = n
-		arms = append(arms, ablationArm{fmt.Sprintf("max-iterations=%d", n), opts})
+		arms = append(arms, ablationArm{fmt.Sprintf("max-iterations=%d", n), opts, nil})
 	}
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassOther), arms...)
 }
@@ -102,6 +104,6 @@ func (r *Runner) AblationCache(ctx context.Context, p simllm.Profile) ([]Ablatio
 	on := core.DefaultOptions()
 	on.CacheEnabled = true
 	return r.ablation(ctx, p, spider.Queries(),
-		ablationArm{"cache-off", off},
-		ablationArm{"cache-on", on})
+		ablationArm{"cache-off", off, nil},
+		ablationArm{"cache-on", on, nil})
 }

@@ -64,6 +64,27 @@ func (r *Runner) Runtime(client llm.Client, opts core.Options) (*core.Runtime, e
 	return r.bind(core.NewRuntime(client, opts))
 }
 
+// verifiedRuntime builds the bench runtime over the primary model with
+// Section 6 verification by verifier: the primary and the verifier are
+// declared backends under their profile IDs, and the verify role routes
+// to the verifier's. When both are one profile the primary verifies
+// itself, on its own backend. A nil verifier builds the unverified
+// Runtime.
+func (r *Runner) verifiedRuntime(primary simllm.Profile, verifier *simllm.Profile, opts core.Options) (*core.Runtime, error) {
+	if verifier == nil {
+		return r.Runtime(r.Model(primary), opts)
+	}
+	defs := []core.BackendDef{{Name: primary.ID, Client: r.Model(primary)}}
+	if verifier.ID != primary.ID {
+		defs = append(defs, core.BackendDef{Name: verifier.ID, Client: r.Model(*verifier)})
+	}
+	rt, err := core.NewRuntimeWithBackends(defs, primary.ID, map[string]string{string(llm.RoleVerify): verifier.ID}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.bind(rt)
+}
+
 // bind attaches the ground-truth DB to rt and binds the LLM-side schema.
 func (r *Runner) bind(rt *core.Runtime) (*core.Runtime, error) {
 	rt.AttachDB(r.DB)

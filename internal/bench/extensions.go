@@ -125,9 +125,7 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 // Unknown": "verification is easier than generation"). It reports the
 // corpus with and without a GPT-3 verifier over the primary model.
 func (r *Runner) AblationVerification(ctx context.Context, primary, verifier simllm.Profile) ([]AblationRow, error) {
-	verified := PaperOptions()
-	verified.Verifier = r.Model(verifier)
 	return r.ablation(ctx, primary, spider.Queries(),
-		ablationArm{"unverified", PaperOptions()},
-		ablationArm{"verified-by-" + verifier.ID, verified})
+		ablationArm{"unverified", PaperOptions(), nil},
+		ablationArm{"verified-by-" + verifier.ID, PaperOptions(), &verifier})
 }

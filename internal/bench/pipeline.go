@@ -60,8 +60,7 @@ func (r *Runner) pipelineBenchmark(ctx context.Context, p simllm.Profile, verifi
 	for i, mode := range []string{"stop-and-go", "pipelined"} {
 		opts := PaperOptions()
 		opts.Pipelined = i == 1
-		opts.Verifier = r.Model(verifier)
-		rt, err := r.Runtime(r.Model(p), opts)
+		rt, err := r.verifiedRuntime(p, &verifier, opts)
 		if err != nil {
 			return PipelineBenchmark{}, err
 		}

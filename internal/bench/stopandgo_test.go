@@ -67,17 +67,16 @@ func TestStopAndGoGolden(t *testing.T) {
 		})
 	}
 
-	verified := PaperOptions()
-	verified.Verifier = r.Model(simllm.GPT3)
 	for _, arm := range []struct {
-		name string
-		opts core.Options
+		name     string
+		opts     core.Options
+		verifier *simllm.Profile
 	}{
-		{"plain", PaperOptions()},
-		{"verified-gpt3", verified},
-		{"prompt-cache", chaosOptions(true)},
+		{"plain", PaperOptions(), nil},
+		{"verified-gpt3", PaperOptions(), &simllm.GPT3},
+		{"prompt-cache", chaosOptions(true), nil},
 	} {
-		rt, err := r.Runtime(r.Model(simllm.ChatGPT), arm.opts)
+		rt, err := r.verifiedRuntime(simllm.ChatGPT, arm.verifier, arm.opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -263,25 +263,6 @@ func TestSessionDefaultSourceOverride(t *testing.T) {
 	}
 }
 
-// TestSessionStatsAccumulate: the per-session counters sum the session's
-// own queries, independent of other sessions on the runtime.
-func TestSessionStatsAccumulate(t *testing.T) {
-	w := world.Build()
-	rt := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), DefaultOptions(), w)
-	a, b := rt.NewSession(), rt.NewSession()
-	for i := 0; i < 2; i++ {
-		if _, _, err := a.Query(context.Background(), `SELECT name FROM country WHERE continent = 'Europe'`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Stats(); got.Queries != 2 {
-		t.Errorf("session a queries = %d, want 2", got.Queries)
-	}
-	if got := b.Stats(); got.Queries != 0 || got.Totals.Prompts != 0 {
-		t.Errorf("session b stats = %+v, want zero", got)
-	}
-}
-
 // TestEngineTiersShared: two sessions on one runtime share its tiers —
 // bindings and prompt cache included.
 func TestEngineTiersShared(t *testing.T) {

@@ -104,13 +104,12 @@ type Options struct {
 	// result cache's relations; the LRU evicts past it (0 means
 	// unlimited — only ResultCacheSize bounds it).
 	ResultCacheBytes int
-	// The runtime wraps every backend — and, memoized, any session
-	// verifier — in an llm.ResilientClient: per-attempt deadlines,
-	// bounded deterministic-jitter retries, a per-endpoint circuit
-	// breaker and a token-bucket retry budget. Retries happen inside one
-	// recorded call, so fault-free accounting (prompts, cache counters,
-	// simulated makespan) is what an unwrapped client would report. The
-	// next five fields configure it.
+	// The runtime wraps every backend in an llm.ResilientClient:
+	// per-attempt deadlines, bounded deterministic-jitter retries, a
+	// per-endpoint circuit breaker and a token-bucket retry budget.
+	// Retries happen inside one recorded call, so fault-free accounting
+	// (prompts, cache counters, simulated makespan) is what an unwrapped
+	// client would report. The next five fields configure it.
 	//
 	// Retries bounds resubmissions per prompt after a retryable failure
 	// (0 means llm.DefaultMaxRetries; negative disables retries).
@@ -148,16 +147,14 @@ type Options struct {
 	// LLM binding and a DB table exist: "LLM" (default) or "DB".
 	DefaultSource string
 	// Routes overrides, per session, which named backend each prompt
-	// role ("keyscan", "fetch", "filter", "verify") resolves to on a
-	// multi-backend runtime. Overrides win over table pins and the
-	// runtime's role routes; names must be declared backends. Routing
-	// selects the model answering, so Routes participates in the result
-	// cache's options fingerprint.
+	// role ("keyscan", "fetch", "filter", "verify") resolves to. Overrides
+	// win over table pins and the runtime's role routes; names must be
+	// declared backends. A verify route — here or runtime-wide — turns
+	// on Section 6's verification ("Knowledge of the Unknown"): the
+	// routed backend double-checks every fetched attribute value and
+	// disagreements become NULL. Routing selects the model answering, so
+	// Routes participates in the result cache's options fingerprint.
 	Routes map[string]string
-	// Verifier, when non-nil, double-checks every fetched attribute value
-	// with a second model and NULLs out disagreements (Section 6,
-	// "Knowledge of the Unknown").
-	Verifier llm.Client
 }
 
 // normalize fills the zero values every tier agrees on; Runtime

@@ -342,8 +342,8 @@ func TestDeterministicQueries(t *testing.T) {
 // literal), and once a table scan has left every city.population fact
 // resident the fetches are priced at zero — EXPLAIN says so — and the
 // statement runs for zero prompts, under both execution
-// policies and with a verifier, whose completions are resident under
-// their own model. With the prompt cache off the same
+// policies and with a verify route to a second backend, whose
+// completions are resident under that backend. With the prompt cache off the same
 // statement keeps the paper's per-key boolean prompts and EXPLAIN carries
 // no residency annotation.
 func TestResidentPromptsPricedAtZero(t *testing.T) {
@@ -363,12 +363,19 @@ func TestResidentPromptsPricedAtZero(t *testing.T) {
 		w := world.Build()
 		opts := DefaultOptions()
 		opts.Pipelined = tc.pipelined
-		if tc.verify {
-			opts.Verifier = simllm.New(simllm.GPT3, w, 1)
-		}
 		opts.Optimizer.CostBased = true
 		opts.ResultCacheEnabled = false // only the prompt cache may answer
 		rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)
+		if tc.verify {
+			var err error
+			rt, err = NewRuntimeWithBackends([]BackendDef{
+				{Name: "chatgpt", Client: simllm.New(simllm.ChatGPT, w, 1)},
+				{Name: "gpt3", Client: simllm.New(simllm.GPT3, w, 1)},
+			}, "chatgpt", map[string]string{"verify": "gpt3"}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
 			t.Fatal(err)
 		}

@@ -78,9 +78,11 @@ func (pc *planCache) replan(built logical.Node, tpl *optimizer.Template, base op
 }
 
 // planInputs renders the planning inputs no guard covers — the
-// optimizer switches, the worker budget, the execution policy, whether
-// fetches are verified and the session's route overrides — as the
-// prefix of a statement's plan-cache key.
+// optimizer switches, the worker budget, the execution policy and the
+// session's route overrides — as the prefix of a statement's plan-cache
+// key. Whether fetches are verified needs no key of its own: a verify
+// override is one of the routes, and the runtime's verify route holds
+// for every statement the cache serves.
 func (s *Session) planInputs(p optimizer.CostParams) string {
 	o := s.opts.Optimizer
 	var b strings.Builder
@@ -92,8 +94,6 @@ func (s *Session) planInputs(p optimizer.CostParams) string {
 	b.WriteString(strconv.Itoa(p.Workers))
 	b.WriteString(",pipelined=")
 	b.WriteString(strconv.FormatBool(s.opts.Pipelined))
-	b.WriteString(",verify=")
-	b.WriteString(strconv.FormatBool(p.Verifier))
 	b.WriteByte('|')
 	fingerprintRoutes(&b, s.opts.Routes)
 	return b.String()

@@ -126,18 +126,15 @@ func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
 		b.Pipelined = false // the same worker budget, as a wave width
 		keyed(t, rt, a, b)
 	})
-	t.Run("verifier", func(t *testing.T) {
-		rt, w := serveRuntime(t, ServeOptions())
-		a := rt.Options()
-		b := a
-		b.Verifier = simllm.New(simllm.GPT3, w, 2)
-		keyed(t, rt, a, b)
-	})
-	t.Run("route overrides", func(t *testing.T) {
+	// routedRuntime declares a strong backend, a cheap one and a gpt3
+	// verifier, with city bound.
+	routedRuntime := func(t *testing.T) *Runtime {
+		t.Helper()
 		w := world.Build()
 		rt, err := NewRuntimeWithBackends([]BackendDef{
 			{Name: "strong", Client: simllm.New(simllm.ChatGPT, w, 1)},
 			{Name: "cheap", Client: simllm.New(simllm.Flan, w, 1), CostWeight: 0.25},
+			{Name: "verifier", Client: simllm.New(simllm.GPT3, w, 2)},
 		}, "strong", nil, ServeOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -145,6 +142,17 @@ func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
 		if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
 			t.Fatal(err)
 		}
+		return rt
+	}
+	t.Run("verifier", func(t *testing.T) {
+		rt := routedRuntime(t)
+		a := rt.Options()
+		b := a
+		b.Routes = map[string]string{"verify": "verifier"}
+		keyed(t, rt, a, b)
+	})
+	t.Run("route overrides", func(t *testing.T) {
+		rt := routedRuntime(t)
 		a := rt.Options()
 		b := a
 		b.Routes = map[string]string{"filter": "cheap"}

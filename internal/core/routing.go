@@ -32,26 +32,25 @@ func (s *Session) routeOverrides() (map[llm.Role]string, error) {
 
 // verifyRoute reports the backend the verify role is explicitly routed
 // to — session override first, then the runtime's role route. A verify
-// route turns verification on even without an Options.Verifier client:
-// the routed backend provides the second opinion.
+// route is what turns verification on (Section 6, "Knowledge of the
+// Unknown"): the routed backend provides the second opinion.
 func (s *Session) verifyRoute(overrides map[llm.Role]string) (string, bool) {
 	if b, ok := overrides[llm.RoleVerify]; ok && b != "" {
 		return b, true
 	}
-	if b, ok := s.rt.registry.Routes()[llm.RoleVerify]; ok && b != "" {
-		return b, true
-	}
-	return "", false
+	return s.rt.registry.Route(llm.RoleVerify)
 }
 
-// verifyEnabled reports whether fetched values are double-checked this
-// session: an explicit verifier client or a routed verify backend.
-func (s *Session) verifyEnabled(overrides map[llm.Role]string) bool {
-	if s.opts.Verifier != nil {
-		return true
+// pin is the backend a table's binding pins one role's prompts to (""
+// for none). Verification is a second opinion on the fetched value, so
+// it never follows the table's pin: only the verify route decides who
+// checks. Pricing, residency and execution all resolve through here, so
+// a plan is priced on the backend that answers.
+func (rt *Runtime) pin(role llm.Role, table string) string {
+	if role == llm.RoleVerify {
+		return ""
 	}
-	_, ok := s.verifyRoute(overrides)
-	return ok
+	return rt.tableBackend(table)
 }
 
 // priceFor builds the optimizer's backend-pricing hook over a routing
@@ -64,7 +63,7 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 		return nil
 	}
 	return func(role llm.Role, table string) optimizer.BackendPrice {
-		b, err := router.Backend(role, s.rt.tableBackend(table))
+		b, err := router.Backend(role, s.rt.pin(role, table))
 		if err != nil || b == nil {
 			b = s.rt.registry.Default()
 		}
@@ -77,24 +76,13 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 // role's prompts would be keyed under at execution — the same resolution
 // promptEnv performs. Nil (every prompt priced) when the prompt cache is
 // off.
-func (s *Session) residentFor(router *llm.Router, overrides map[llm.Role]string) func(role llm.Role, table string, class llm.PromptClass) int {
+func (s *Session) residentFor(router *llm.Router) func(role llm.Role, table string, class llm.PromptClass) int {
 	cache := s.rt.cache
 	if cache == nil {
 		return nil
 	}
 	return func(role llm.Role, table string, class llm.PromptClass) int {
-		pin := ""
-		if role != llm.RoleVerify {
-			pin = s.rt.tableBackend(table)
-		} else if _, routed := s.verifyRoute(overrides); !routed {
-			// Verification ignores table pins, and without a verify route
-			// it runs on the session's own verifier client.
-			if s.opts.Verifier == nil {
-				return 0
-			}
-			return cache.Resident(s.rt.registry.Adopt(s.opts.Verifier).Name(), class)
-		}
-		b, err := router.Backend(role, pin)
+		b, err := router.Backend(role, s.rt.pin(role, table))
 		if err != nil {
 			return 0
 		}
@@ -116,10 +104,8 @@ func (s *Session) promptEnv() (*promptEnv, error) {
 		return nil, err
 	}
 	env := &promptEnv{router: s.rt.registry.Router(overrides)}
-	if name, ok := s.verifyRoute(overrides); ok && name != "" {
-		env.verifier = env.client(llm.RoleVerify, "")
-	} else if s.opts.Verifier != nil {
-		env.verifier = s.rt.registry.Adopt(s.opts.Verifier)
+	if _, ok := s.verifyRoute(overrides); ok {
+		env.verifier = env.client(llm.RoleVerify, s.rt.pin(llm.RoleVerify, ""))
 	}
 	return env, nil
 }

@@ -353,11 +353,6 @@ func (rt *Runtime) Client() llm.Client {
 // Registry exposes the runtime's named-backend set.
 func (rt *Runtime) Registry() *llm.Registry { return rt.registry }
 
-// Routed reports whether backends were declared explicitly — the
-// configuration under which the optimizer prices plans per backend and
-// EXPLAIN annotates routes.
-func (rt *Runtime) Routed() bool { return rt.routed }
-
 // tableBackend resolves a table name to its pinned backend ("" when the
 // table is unbound or unpinned).
 func (rt *Runtime) tableBackend(name string) string {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/llm"
 	"repro/internal/logical"
@@ -20,10 +19,10 @@ import (
 )
 
 // Session is the lightweight per-query (or per-connection) tier over a
-// shared Runtime: it carries the query options, accumulates per-session
-// metrics, and holds nothing heavier — the model endpoints, the prompt
-// cache, the optimizer statistics and the global scheduler all live in
-// the Runtime. Open one with Runtime.NewSession.
+// shared Runtime: it carries the query options and holds nothing
+// heavier — the model endpoints, the prompt cache, the optimizer
+// statistics and the global scheduler all live in the Runtime. Open one
+// with Runtime.NewSession.
 //
 // A Session is safe for concurrent use, but its unit of isolation is the
 // query: each Query call plans and executes independently, opening its
@@ -37,10 +36,6 @@ type Session struct {
 	// optsFP is optionsFingerprint(&opts), rendered once per SetOptions
 	// rather than on every query.
 	optsFP string
-
-	mu      sync.Mutex
-	queries int
-	totals  llm.Stats
 }
 
 // Runtime returns the shared tier this session runs on.
@@ -50,7 +45,8 @@ func (s *Session) Runtime() *Runtime { return s.rt }
 func (s *Session) Options() Options { return s.opts }
 
 // SetOptions replaces the session's per-query options (plan rewrites,
-// cleaning, verifier, pipelining). Runtime-tier settings — the prompt
+// cleaning, pipelining, route overrides — a verify route, which turns
+// on verification, among them). Runtime-tier settings — the prompt
 // cache, the result cache, the shared scheduler's worker budget and the
 // transport's retry, timeout and breaker settings — are fixed at
 // NewRuntime and ignored here. Not safe concurrently with Query.
@@ -58,20 +54,6 @@ func (s *Session) SetOptions(opts Options) {
 	opts.normalize()
 	s.opts = opts
 	s.optsFP = optionsFingerprint(&s.opts)
-}
-
-// SessionStats summarize a session's lifetime usage.
-type SessionStats struct {
-	Queries int
-	Totals  llm.Stats
-}
-
-// Stats returns the session-lifetime counters: queries executed and the
-// summed LLM usage across them.
-func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SessionStats{Queries: s.queries, Totals: s.totals}
 }
 
 // Plan parses, plans and optimizes a query, returning the lowered logical
@@ -119,11 +101,12 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 		return nil, nil, err
 	}
 	router := s.rt.registry.Router(overrides)
+	_, verify := s.verifyRoute(overrides)
 	params := optimizer.CostParams{
 		Workers:  workers,
-		Verifier: s.verifyEnabled(overrides),
+		Verifier: verify,
 		Price:    s.priceFor(router),
-		Resident: s.residentFor(router, overrides),
+		Resident: s.residentFor(router),
 	}
 	o := s.opts.Optimizer
 	pc := s.rt.plans
@@ -301,9 +284,6 @@ func optionsFingerprint(o *Options) string {
 	fmt.Fprintf(&b, "clean=%t,%t,%s|", o.Clean.NormalizeNumbers, o.Clean.EnforceTypes,
 		o.Clean.Canonicalizer.Fingerprint())
 	fmt.Fprintf(&b, "scan=%d|", o.MaxScanIterations)
-	if o.Verifier != nil {
-		fmt.Fprintf(&b, "verify=%s|", o.Verifier.Name())
-	}
 	fingerprintRoutes(&b, o.Routes)
 	return b.String()
 }
@@ -335,14 +315,6 @@ func writeSortedIntSet(b *strings.Builder, set map[int]bool) {
 	}
 	sort.Ints(keys)
 	fmt.Fprintf(b, "%v|", keys)
-}
-
-// account folds one executed query into the session-lifetime counters.
-func (s *Session) account(rep *Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	s.totals.Add(rep.Stats)
 }
 
 // runExplain plans (and for ANALYZE also executes) the inner SELECT and

@@ -35,8 +35,7 @@ type Stats struct {
 	// too.
 	Resilience []EndpointHealth `json:"resilience,omitempty"`
 	// Backends lists every backend the runtime routes over, in
-	// declaration order (adopted verifier backends follow, sorted by
-	// name).
+	// declaration order.
 	Backends []BackendStatus `json:"backends,omitempty"`
 	// Failovers counts the prompts that failed over to a fallback
 	// backend.
@@ -92,7 +91,7 @@ func (rt *Runtime) Stats() Stats {
 		st.ResultCacheStats = rt.resultCache.Stats()
 	}
 	def := rt.registry.Default()
-	for _, b := range rt.registry.All() {
+	for _, b := range rt.registry.Backends() {
 		bs := BackendStatus{
 			Name:        b.Name(),
 			Model:       b.Raw().Name(),

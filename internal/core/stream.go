@@ -427,9 +427,9 @@ func (st *Stream) Next() (schema.Tuple, llm.VTime, error) {
 
 // Finish settles the completed stream: it releases the execution,
 // quiesces the tenant (abandoned futures were issued and must be
-// accounted), builds the Report, feeds the optimizer statistics and
-// folds the session totals. Only valid after Next returned io.EOF (which
-// already settled any result-cache flight the stream leads).
+// accounted), builds the Report and feeds the optimizer statistics.
+// Only valid after Next returned io.EOF (which already settled any
+// result-cache flight the stream leads).
 func (st *Stream) Finish() (*Report, error) {
 	if st.finished {
 		return st.rep, nil
@@ -444,11 +444,6 @@ func (st *Stream) Finish() (*Report, error) {
 	st.finished = true
 	st.closed = true
 	if st.replay != nil {
-		// An exact hit is one served query; EXPLAIN's replay was
-		// accounted by the execution it rendered.
-		if st.cached == CacheExact {
-			st.s.account(st.rep)
-		}
 		return st.rep, nil
 	}
 	st.op.Close()
@@ -468,7 +463,6 @@ func (st *Stream) Finish() (*Report, error) {
 	if st.cached == CacheNone {
 		st.s.observe(st.plan, st.metrics)
 	}
-	st.s.account(rep)
 	st.rep = rep
 	return rep, nil
 }

@@ -3,7 +3,6 @@ package llm
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -127,10 +126,8 @@ func (b *Backend) Fallback() []string { return append([]string(nil), b.fallback.
 func (b *Backend) Prompts() int64 { return b.prompts.Load() }
 
 // Registry is the named-backend set one runtime owns: declared backends
-// in declaration order, a default, per-role routes, and the memoized
-// adoption of ad-hoc clients (session verifiers) into backends with
-// their own independent resilience — the registry subsumes the old
-// per-runtime verifier-wrapper cache.
+// in declaration order, a default and per-role routes. Every client a
+// query's prompts reach — the verifier included — is one of them.
 type Registry struct {
 	// wrap turns a declared raw client into the transport calls traverse
 	// (normally a ResilientClient named after the backend). Nil means no
@@ -142,20 +139,18 @@ type Registry struct {
 	byName      map[string]*Backend
 	defaultName string
 	routes      map[Role]string
-	adopted     map[Client]*Backend
 	failovers   atomic.Int64
 }
 
 // NewRegistry builds an empty registry. wrap, when non-nil, wraps every
-// declared or adopted client (the runtime passes its resilient-transport
+// declared client (the runtime passes its resilient-transport
 // constructor); the endpoint argument is the backend name the wrapper
 // should report.
 func NewRegistry(wrap func(inner Client, endpoint string) Client) *Registry {
 	return &Registry{
-		wrap:    wrap,
-		byName:  map[string]*Backend{},
-		routes:  map[Role]string{},
-		adopted: map[Client]*Backend{},
+		wrap:   wrap,
+		byName: map[string]*Backend{},
+		routes: map[Role]string{},
 	}
 }
 
@@ -173,18 +168,6 @@ func (g *Registry) Add(spec BackendSpec) (*Backend, error) {
 	if _, ok := g.byName[spec.Name]; ok {
 		return nil, fmt.Errorf("llm registry: duplicate backend %q", spec.Name)
 	}
-	b := g.newBackend(spec)
-	g.byName[spec.Name] = b
-	g.order = append(g.order, b)
-	if g.defaultName == "" {
-		g.defaultName = spec.Name
-	}
-	return b, nil
-}
-
-// newBackend wraps and normalizes one spec. Callers hold g.mu (or are
-// constructing the registry).
-func (g *Registry) newBackend(spec BackendSpec) *Backend {
 	client := spec.Client
 	if g.wrap != nil {
 		client = g.wrap(spec.Client, spec.Name)
@@ -195,7 +178,7 @@ func (g *Registry) newBackend(spec BackendSpec) *Backend {
 	if spec.SpeedFactor <= 0 {
 		spec.SpeedFactor = 1
 	}
-	return &Backend{
+	b := &Backend{
 		name:     spec.Name,
 		client:   client,
 		raw:      spec.Client,
@@ -204,6 +187,12 @@ func (g *Registry) newBackend(spec BackendSpec) *Backend {
 		speed:    spec.SpeedFactor,
 		fallback: append([]string(nil), spec.Fallback...),
 	}
+	g.byName[spec.Name] = b
+	g.order = append(g.order, b)
+	if g.defaultName == "" {
+		g.defaultName = spec.Name
+	}
+	return b, nil
 }
 
 // SetDefault names the backend unrouted roles resolve to.
@@ -253,76 +242,26 @@ func (g *Registry) Backends() []*Backend {
 	return append([]*Backend(nil), g.order...)
 }
 
-// Routes snapshots the role → backend bindings.
-func (g *Registry) Routes() map[Role]string {
+// Route reports the backend one prompt role is bound to runtime-wide,
+// if any.
+func (g *Registry) Route(role Role) (string, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[Role]string, len(g.routes))
-	for r, b := range g.routes {
-		out[r] = b
-	}
-	return out
+	b, ok := g.routes[role]
+	return b, ok
 }
 
 // Failovers reports how many times a routed call failed over to a
 // fallback backend, lifetime.
 func (g *Registry) Failovers() int64 { return g.failovers.Load() }
 
-// Adopt turns an ad-hoc client (a per-session verifier, say) into a
-// backend with its own independent resilience, memoized per client so
-// repeated sessions share one wrapper — breaker state and retry budget
-// included. A client that is already one of this registry's backends is
-// returned as-is; adopted backends take the client's own name and are
-// not routable by name.
-func (g *Registry) Adopt(c Client) *Backend {
-	if c == nil {
-		return nil
-	}
-	if b, ok := c.(*Backend); ok {
-		return b
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, b := range g.order {
-		if b.raw == c || b.client == c {
-			return b
-		}
-	}
-	if b, ok := g.adopted[c]; ok {
-		return b
-	}
-	b := g.newBackend(BackendSpec{Name: c.Name(), Client: c})
-	g.adopted[c] = b
-	return b
-}
-
-// All returns every backend the registry knows — declared ones in
-// declaration order, then adopted ones sorted by name.
-func (g *Registry) All() []*Backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := append([]*Backend(nil), g.order...)
-	extra := make([]*Backend, 0, len(g.adopted))
-	for _, b := range g.adopted {
-		extra = append(extra, b)
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i].name < extra[j].name })
-	return append(out, extra...)
-}
-
-// BreakersClosed reports whether the breaker of every resilient backend,
-// declared or adopted, is closed: false as soon as one is open or
-// half-open. It allocates nothing, so a caller may sample it on every
-// query completion.
+// BreakersClosed reports whether the breaker of every resilient backend
+// is closed: false as soon as one is open or half-open. It allocates
+// nothing, so a caller may sample it on every query completion.
 func (g *Registry) BreakersClosed() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, b := range g.order {
-		if !b.breakerClosed() {
-			return false
-		}
-	}
-	for _, b := range g.adopted {
 		if !b.breakerClosed() {
 			return false
 		}

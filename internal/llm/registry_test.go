@@ -224,47 +224,6 @@ func TestRouterSingleChainReturnsBackendDirect(t *testing.T) {
 	}
 }
 
-func TestRegistryAdoptMemoized(t *testing.T) {
-	wraps := 0
-	g := NewRegistry(func(inner Client, endpoint string) Client {
-		wraps++
-		return inner
-	})
-	declared := mustAdd(t, g, BackendSpec{Name: "declared", Client: okClient("m1")})
-
-	verifier := okClient("verifier-model")
-	a1 := g.Adopt(verifier)
-	a2 := g.Adopt(verifier)
-	if a1 == nil || a1 != a2 {
-		t.Fatalf("Adopt not memoized: %p vs %p", a1, a2)
-	}
-	if a1.Name() != "verifier-model" {
-		t.Fatalf("adopted name = %q, want the client's own name", a1.Name())
-	}
-	// One wrap for the declared backend, one for the adopted client — not
-	// one per Adopt call.
-	if wraps != 2 {
-		t.Fatalf("wrap calls = %d, want 2", wraps)
-	}
-	// Adopting a declared backend's raw client returns that backend.
-	if got := g.Adopt(declared.Raw()); got != declared {
-		t.Fatalf("Adopt(declared raw) = %p, want the declared backend %p", got, declared)
-	}
-	// Adopting a *Backend returns it unchanged.
-	if got := g.Adopt(declared); got != declared {
-		t.Fatalf("Adopt(*Backend) = %p, want it back", got)
-	}
-	if g.Adopt(nil) != nil {
-		t.Fatalf("Adopt(nil): want nil")
-	}
-
-	// All lists declared backends first, then adopted ones.
-	all := g.All()
-	if len(all) != 2 || all[0] != declared || all[1] != a1 {
-		t.Fatalf("All = %v, want [declared adopted]", all)
-	}
-}
-
 func TestRegistryNormalizesPricing(t *testing.T) {
 	g := NewRegistry(nil)
 	b := mustAdd(t, g, BackendSpec{Name: "x", Client: okClient("m")})

@@ -35,7 +35,8 @@ type CostParams struct {
 	// Workers is the per-endpoint prompt concurrency budget.
 	Workers int
 	// Verifier doubles every attribute fetch with a second-model prompt
-	// (on its own endpoint, so it adds work but overlaps in time).
+	// on the verify role's backend: it adds work there but overlaps in
+	// time.
 	Verifier bool
 	// Price resolves the backend an operator role's prompts route to for
 	// a given base table ("" when the role has no table binding) together
@@ -112,15 +113,10 @@ type estimator struct {
 	out      *PlanCost
 	// workBy accumulates prompt work per endpoint: each backend runs its
 	// own worker pool, so areas bound the makespan independently. The
-	// unpriced estimate uses the "" key for the primary endpoint and a
-	// reserved key for the verifier (its prompts overlap on a second
-	// endpoint), reproducing the single-backend model exactly.
+	// unpriced estimate keys its one endpoint "", a verifier routed to
+	// that sole backend included, as the scheduler counts it.
 	workBy map[string]time.Duration
 }
-
-// verifierEndpoint keys the unpriced verifier's work area; the NUL byte
-// keeps it from colliding with any declarable backend name.
-const verifierEndpoint = "\x00verifier"
 
 // Estimate predicts the prompt count and makespan of a lowered plan
 // using the given statistics. It never fails: unresolvable expressions
@@ -369,13 +365,9 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		resident := e.residentShare(llm.RoleFetch, node.Table.Name, class)
 		prompts, start, done := e.keyStage(in, bp, attrLat, resident)
 		if e.p.Verifier {
-			vbp := e.price(llm.RoleVerify, node.Table.Name)
-			if e.p.Price == nil {
-				vbp.Backend = verifierEndpoint
-			}
-			// The verifier overlaps on its own endpoint: it adds prompts
-			// and work, not chain latency.
-			verify, _, _ := e.keyStage(in, vbp, attrLat, e.residentShare(llm.RoleVerify, node.Table.Name, class))
+			// The verifier overlaps with the fetch: it adds prompts and
+			// work on its endpoint, not chain latency.
+			verify, _, _ := e.keyStage(in, e.price(llm.RoleVerify, node.Table.Name), attrLat, e.residentShare(llm.RoleVerify, node.Table.Name, class))
 			prompts += verify
 		}
 		return e.record(n, NodeEstimate{Rows: in.Rows, Prompts: prompts, Start: start, Done: done, Backend: bp.Backend, Resident: resident})

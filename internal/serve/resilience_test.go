@@ -259,10 +259,11 @@ func TestServeIdleBurstNotShed(t *testing.T) {
 }
 
 // TestCongestedBreakers: Runtime.Congested allocates nothing, flips when one
-// breaker opens — first a declared backend's, then an adopted client's —
-// and stays set while that breaker is half-open.
+// breaker opens — first the default backend's, then the second declared
+// backend's, the verifier the verify role routes to — and stays set
+// while that breaker is half-open.
 func TestCongestedBreakers(t *testing.T) {
-	for _, adopted := range []bool{false, true} {
+	for _, verifier := range []bool{false, true} {
 		r, err := bench.NewRunner(1)
 		if err != nil {
 			t.Fatal(err)
@@ -272,35 +273,39 @@ func TestCongestedBreakers(t *testing.T) {
 		opts.Retries = -1
 		opts.BreakerThreshold = 2
 		opts.BreakerCooldown = 10 * time.Millisecond
-		declared := faultllm.Wrap(r.Model(simllm.ChatGPT), faultllm.Profile{Seed: 1})
-		rt, err := r.Runtime(declared, opts)
+		primary := faultllm.Wrap(r.Model(simllm.ChatGPT), faultllm.Profile{Seed: 1})
+		checker := faultllm.Wrap(r.Model(simllm.GPT3), faultllm.Profile{Seed: 2})
+		rt, err := core.NewRuntimeWithBackends([]core.BackendDef{
+			{Name: "chatgpt", Client: primary},
+			{Name: "gpt3", Client: checker},
+		}, "chatgpt", map[string]string{"verify": "gpt3"}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		backend, failing := rt.Registry().Default(), declared
-		if adopted {
-			failing = faultllm.Wrap(r.Model(simllm.GPT3), faultllm.Profile{Seed: 2})
-			backend = rt.Registry().Adopt(failing)
+		backend, failing := rt.Registry().Default(), primary
+		if verifier {
+			backend, _ = rt.Registry().Get("gpt3")
+			failing = checker
 		}
 		if rt.Congested() {
-			t.Fatalf("adopted=%v: congested before any failure", adopted)
+			t.Fatalf("verifier=%v: congested before any failure", verifier)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { rt.Congested() }); allocs != 0 {
-			t.Errorf("adopted=%v: Congested() = %.0f allocs, want 0", adopted, allocs)
+			t.Errorf("verifier=%v: Congested() = %.0f allocs, want 0", verifier, allocs)
 		}
 		failing.SetOutage(true)
 		for i := 0; i < opts.BreakerThreshold; i++ {
 			if _, err := backend.Complete(context.Background(), "prompt"); err == nil {
-				t.Fatalf("adopted=%v: a call succeeded during an outage", adopted)
+				t.Fatalf("verifier=%v: a call succeeded during an outage", verifier)
 			}
 		}
 		rc, _ := backend.Resilience()
 		if rc.State() != llm.BreakerOpen || !rt.Congested() {
-			t.Fatalf("adopted=%v: breaker %s, congested %v; want open and congested", adopted, rc.State(), rt.Congested())
+			t.Fatalf("verifier=%v: breaker %s, congested %v; want open and congested", verifier, rc.State(), rt.Congested())
 		}
 		waitFor(t, func() bool { return rc.State() == llm.BreakerHalfOpen })
 		if !rt.Congested() {
-			t.Errorf("adopted=%v: a half-open breaker is not congestion", adopted)
+			t.Errorf("verifier=%v: a half-open breaker is not congestion", verifier)
 		}
 	}
 }

@@ -920,6 +920,74 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 }
 
+// TestServeRouteVerify: ?route=verify=<backend> turns verification on
+// for that request: the named backend answers one prompt per fetched
+// value, and a value it disagrees with comes back NULL.
+func TestServeRouteVerify(t *testing.T) {
+	cfg, err := config.Parse("default: strong\nbackends:\n  - name: strong\n    model: chatgpt\n  - name: checker\n    model: flan\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bench.NewRunner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.CacheEnabled = false
+	rt, err := r.RuntimeFromConfig(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(rt, Config{MaxConcurrent: 4}))
+	defer ts.Close()
+
+	get := func(route string) queryResponse {
+		t.Helper()
+		u := ts.URL + "/query?q=" + url.QueryEscape(`SELECT name, population FROM city`)
+		if route != "" {
+			u += "&route=" + url.QueryEscape(route)
+		}
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qr queryResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("route=%q: status %d", route, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	checker, _ := rt.Registry().Get("checker")
+	plain := get("")
+	if checker.Prompts() != 0 {
+		t.Fatalf("an unrouted request sent %d prompts to the checker", checker.Prompts())
+	}
+	verified := get("verify=checker")
+	if n := checker.Prompts(); n != int64(verified.Stats.Prompts-plain.Stats.Prompts) || n != int64(plain.RowCount) {
+		t.Errorf("checker answered %d prompts; want one per fetched row (%d), the request's extra %d", n, plain.RowCount, verified.Stats.Prompts-plain.Stats.Prompts)
+	}
+	if verified.RowCount != plain.RowCount {
+		t.Fatalf("verified rows = %d, want %d", verified.RowCount, plain.RowCount)
+	}
+	nulled := 0
+	for i, row := range verified.Rows {
+		switch {
+		case row[1] == plain.Rows[i][1]:
+		case row[1] == "NULL":
+			nulled++
+		default:
+			t.Errorf("row %d: verified %v, want %v or a NULL population", i, row, plain.Rows[i])
+		}
+	}
+	if nulled == 0 {
+		t.Error("verification NULLed no value")
+	}
+}
+
 // TestServeRouteParam: on a routed runtime a valid ?route= override
 // answers 200 and sends the routed role's prompts to its backend; an
 // unknown role, an undeclared backend, a malformed entry or an empty list
