@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,6 +156,15 @@ func TestParseRoutes(t *testing.T) {
 // names only declared backends as its default, route targets and
 // fallbacks. ParseRoutes never panics on the same input, and what it
 // accepts has valid roles and non-empty backend names.
+// stubClient stands in for a backend's model where only the
+// declaration matters; it is never called.
+type stubClient string
+
+func (c stubClient) Name() string { return string(c) }
+func (c stubClient) Complete(context.Context, string) (string, error) {
+	return "", nil
+}
+
 func FuzzConfigParse(f *testing.F) {
 	repoConfig, err := os.ReadFile(filepath.Join("..", "..", "galois.yaml"))
 	if err != nil {
@@ -183,6 +193,16 @@ func FuzzConfigParse(f *testing.F) {
 						t.Errorf("backend %q fallback %q not declared", b.Name, fb)
 					}
 				}
+			}
+			// What the file boundary accepts, the engine's registry
+			// accepts too: the two validators of one declaration agree.
+			specs := make([]llm.BackendSpec, len(cfg.Backends))
+			for i, b := range cfg.Backends {
+				specs[i] = llm.BackendSpec{Name: b.Name, Client: stubClient(b.Model), Workers: b.Workers,
+					CostWeight: b.Cost, SpeedFactor: b.Speed, Fallback: b.Fallback}
+			}
+			if _, err := llm.NewRegistry(specs, cfg.Default, cfg.Routes, nil); err != nil {
+				t.Errorf("Parse accepted a declaration NewRegistry rejects: %v", err)
 			}
 		}
 		if routes, err := ParseRoutes(src); err == nil {

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
+	"repro/internal/llm"
 	"repro/internal/optimizer"
 	"repro/internal/rescache"
 	"repro/internal/schema"
@@ -17,15 +19,17 @@ import (
 )
 
 // Record kinds in the durable store. Relations are keyed by the hashed
-// plan fingerprint; the two singleton kinds ("stats", "epochs") live
-// under one well-known key and are pinned so byte-budget eviction can
-// never sacrifice the planner's learned state or the epoch table to
-// make room for one more relation.
+// plan fingerprint; the three singleton kinds ("stats", "epochs",
+// "backends") live under one well-known key and are pinned so
+// byte-budget eviction can never sacrifice the planner's learned state,
+// the epoch table or the backend declaration to make room for one more
+// relation.
 const (
-	kindRel    = "rel"
-	kindStats  = "stats"
-	kindEpochs = "epochs"
-	metaKey    = "global"
+	kindRel      = "rel"
+	kindStats    = "stats"
+	kindEpochs   = "epochs"
+	kindBackends = "backends"
+	metaKey      = "global"
 )
 
 // StoreConfig configures the runtime's durable tier (see OpenStore).
@@ -54,8 +58,10 @@ type PersistCounters struct {
 	WarmStatsTables int `json:"warm_stats_tables"`
 	// DroppedStale counts persisted relations rejected on warm load
 	// because their epoch stamp no longer matched (rebind before or
-	// during the downtime); DroppedCorrupt those whose payload failed to
-	// decode. Both are deleted from the store, never served.
+	// during the downtime) or because the data directory was written
+	// under another backend declaration (see OpenStore);
+	// DroppedCorrupt those whose payload failed to decode. Both are
+	// deleted from the store, never served.
 	DroppedStale   int `json:"dropped_stale"`
 	DroppedCorrupt int `json:"dropped_corrupt"`
 	// Snapshots counts stats+epochs flushes (drain, ticker, explicit);
@@ -238,9 +244,12 @@ func decodeEntry(payload []byte) (rescache.Key, *rescache.Entry, error) {
 // (max wins — a bump recorded before the restart is never forgotten),
 // persisted statistics restore into the planner (live observations
 // win), and persisted relations load into the result cache when — and
-// only when — their recorded epoch stamp still equals the post-merge
-// stamp of the components they read. Stale or undecodable records are
-// deleted, never served.
+// only when — the directory was written under the runtime's backend
+// declaration (see declaration) and their recorded epoch stamp equals
+// the post-merge stamp of the components they read. A relation is what
+// the declared models answered, so a changed declaration drops every
+// one; statistics and epochs steer plan choice, not results, and load
+// regardless. Stale or undecodable records are deleted, never served.
 //
 // Call it once, after the boot-time binds (BindLLMTable / AttachDB /
 // PrimeTableKeys) and before serving traffic; entries cached before
@@ -302,10 +311,16 @@ func (rt *Runtime) OpenStore(cfg StoreConfig) error {
 		}
 	}
 
-	// 3. Relations: admit iff the persisted stamp equals the post-merge
+	// 3. Relations: admit iff the backend declaration is the one they
+	// were computed under and the persisted stamp equals the post-merge
 	// stamp of the tables the plan reads. The sink is not installed yet,
 	// so loads cannot echo back into the store they came from.
-	if rt.resultCache != nil {
+	if rec, ok := st.Get(kindBackends, metaKey); !ok || string(rec.Payload) != declaration(rt.registry) {
+		for _, rec := range st.All(kindRel) {
+			ctr.DroppedStale++
+			st.Delete(kindRel, rec.Key)
+		}
+	} else if rt.resultCache != nil {
 		for _, rec := range st.All(kindRel) {
 			key, entry, err := decodeEntry(rec.Payload)
 			if err != nil {
@@ -338,8 +353,9 @@ func (rt *Runtime) OpenStore(cfg StoreConfig) error {
 		rt.resultCache.SetSink(runtimeSink{rt: rt})
 	}
 
-	// Persist the merged baseline immediately: a crash right after boot
-	// must still find the current epochs on disk.
+	// Persist the merged baseline and the live declaration immediately:
+	// a crash right after boot must still find the current epochs on
+	// disk.
 	if err := rt.FlushStore(); err != nil {
 		return err
 	}
@@ -367,9 +383,9 @@ func (rt *Runtime) OpenStore(cfg StoreConfig) error {
 }
 
 // FlushStore makes the durable tier current: it writes the statistics
-// snapshot and the epoch table (both pinned) and fsyncs, which also
-// hardens any relation appends still sitting in OS buffers. No-op
-// without an open store.
+// snapshot, the epoch table and the backend declaration (all pinned) and
+// fsyncs, which also hardens any relation appends still sitting in OS
+// buffers. No-op without an open store.
 func (rt *Runtime) FlushStore() error {
 	snap := rt.stats.Snapshot()
 
@@ -378,28 +394,19 @@ func (rt *Runtime) FlushStore() error {
 	if rt.pstore == nil {
 		return nil
 	}
-	epochs := rt.tableEpochs()
-	var firstErr error
-	if payload, err := json.Marshal(snap); err == nil {
-		if err := rt.pstore.Put(kindStats, metaKey, "", payload, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	} else if firstErr == nil {
-		firstErr = err
+	payload, err := json.Marshal(snap)
+	if err == nil {
+		err = rt.pstore.Put(kindStats, metaKey, "", payload, true)
 	}
-	if payload, err := json.Marshal(epochs); err == nil {
-		if err := rt.pstore.Put(kindEpochs, metaKey, "", payload, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	} else if firstErr == nil {
-		firstErr = err
+	if perr := rt.putEpochs(); err == nil {
+		err = perr
 	}
-	if err := rt.pstore.Sync(); err != nil && firstErr == nil {
-		firstErr = err
+	if serr := rt.pstore.Sync(); err == nil {
+		err = serr
 	}
-	if firstErr != nil {
+	if err != nil {
 		rt.pctr.Errors++
-		return firstErr
+		return err
 	}
 	rt.pctr.Snapshots++
 	return nil
@@ -418,19 +425,50 @@ func (rt *Runtime) persistEpochs() {
 	if rt.pstore == nil {
 		return
 	}
-	// Copied under persistMu: a copy taken before it could be written
-	// after a concurrent bump's newer one.
-	epochs := rt.tableEpochs()
-	payload, err := json.Marshal(epochs)
-	if err == nil {
-		err = rt.pstore.Put(kindEpochs, metaKey, "", payload, true)
-	}
+	err := rt.putEpochs()
 	if err == nil {
 		err = rt.pstore.Sync()
 	}
 	if err != nil {
 		rt.pctr.Errors++
 	}
+}
+
+// putEpochs puts the pinned epoch table and backend declaration records,
+// unsynced. The caller holds persistMu over an open store: the epochs
+// are copied under it, since a copy taken before it could be written
+// after a concurrent bump's newer one.
+func (rt *Runtime) putEpochs() error {
+	payload, err := json.Marshal(rt.tableEpochs())
+	if err != nil {
+		return err
+	}
+	if err := rt.pstore.Put(kindEpochs, metaKey, "", payload, true); err != nil {
+		return err
+	}
+	return rt.pstore.Put(kindBackends, metaKey, "", []byte(declaration(rt.registry)), true)
+}
+
+// declaration renders the backend declaration persisted relations are
+// bound to: the default backend, each backend's name, model
+// (Raw().Name()) and fallback chain, and the role routes in llm.Roles
+// order. Pricing and worker budgets are left out: they steer plan
+// choice, not what a model answers. A model's noise seed is not visible
+// through llm.Client, so a seed change alone goes unnoticed.
+func declaration(g *llm.Registry) string {
+	var b strings.Builder
+	if d := g.Default(); d != nil {
+		fmt.Fprintf(&b, "default %s\n", d.Name())
+	}
+	for _, be := range g.Backends() {
+		fmt.Fprintf(&b, "backend %s model=%s fallback=%s\n", be.Name(), be.Raw().Name(), strings.Join(be.Fallback(), ","))
+	}
+	for _, role := range llm.Roles {
+		if target, ok := g.Route(role); ok {
+			fmt.Fprintf(&b, "route %s=%s\n", role, target)
+		}
+	}
+	return b.String()
 }
 
 // CloseStore drains the durable tier on graceful shutdown: it stops the

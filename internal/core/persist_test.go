@@ -343,3 +343,82 @@ func TestDurableEpochsNeverLag(t *testing.T) {
 		t.Errorf("the durable epoch table lagged the live one in %d of %d rounds", lagging, rounds)
 	}
 }
+
+// galoisRuntime builds a runtime shaped like galois.yaml — "cheap" and
+// "strong" ChatGPT backends failing over to each other, strong the
+// default, with the given role routes — binds the schema and opens the
+// durable store at dir.
+func galoisRuntime(t *testing.T, w *world.World, dir string, routes map[string]string) *Runtime {
+	t.Helper()
+	rt, err := NewRuntimeWithBackends([]BackendDef{
+		{Name: "cheap", Client: simllm.New(simllm.ChatGPT, w, 1), CostWeight: 0.25, Fallback: []string{"strong"}},
+		{Name: "strong", Client: simllm.New(simllm.ChatGPT, w, 1), Fallback: []string{"cheap"}},
+	}, "strong", routes, resultCacheOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"country", "city", "mayor", "stadium", "mountain"} {
+		if err := rt.BindLLMTable(w.Table(name).Def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.OpenStore(StoreConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestPersistedRelationsBoundToDeclaration: a persisted relation is what
+// the declared backends answered, so a restart under another backend
+// declaration — a verify route added, or another model altogether —
+// drops it (counted stale) and re-executes, while the planner's
+// statistics still load. The same declaration warm-loads as before.
+func TestPersistedRelationsBoundToDeclaration(t *testing.T) {
+	w := world.Build()
+	ctx := context.Background()
+	routes := map[string]string{"keyscan": "cheap", "filter": "cheap"}
+	verified := map[string]string{"keyscan": "cheap", "filter": "cheap", "verify": "cheap"}
+	for _, arm := range []struct {
+		name   string
+		reopen func(dir string) *Runtime
+		warm   int
+	}{
+		{"same declaration", func(dir string) *Runtime { return galoisRuntime(t, w, dir, routes) }, 1},
+		{"verify route added", func(dir string) *Runtime { return galoisRuntime(t, w, dir, verified) }, 0},
+		{"single flan client", func(dir string) *Runtime {
+			rt := runtimeOver(t, simllm.New(simllm.Flan, w, 1), resultCacheOptions(), w)
+			if err := rt.OpenStore(StoreConfig{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			return rt
+		}, 0},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			rt1 := galoisRuntime(t, w, dir, routes)
+			if _, _, err := rt1.NewSession().Query(ctx, rcQuery); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt1.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+
+			rt2 := arm.reopen(dir)
+			defer rt2.CloseStore()
+			p := rt2.Stats().Persistence
+			if p.WarmRelations != arm.warm || p.DroppedStale != 1-arm.warm {
+				t.Fatalf("warm relations = %d, dropped stale = %d; want %d and %d (%+v)", p.WarmRelations, p.DroppedStale, arm.warm, 1-arm.warm, p)
+			}
+			if p.WarmStatsTables == 0 {
+				t.Errorf("statistics not restored: %+v", p)
+			}
+			_, rep, err := rt2.NewSession().Query(ctx, rcQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := rep.Cached == CacheExact && rep.Stats.Prompts == 0; hit != (arm.warm == 1) {
+				t.Errorf("cached=%q prompts=%d, want a warm hit: %v", rep.Cached, rep.Stats.Prompts, arm.warm == 1)
+			}
+		})
+	}
+}

@@ -146,28 +146,11 @@ func NewRuntime(client llm.Client, opts Options) *Runtime {
 
 // BackendDef declares one named model backend for a multi-backend
 // runtime: the transport, the scheduler worker budget, the optimizer's
-// pricing coefficients and the failover chain.
-type BackendDef struct {
-	// Name is the backend's identity: routes, table pins, fallback
-	// chains, scheduler pools and error attribution all use it.
-	Name string
-	// Client is the raw transport. The runtime wraps it in its own
-	// ResilientClient (independent breaker, retry budget) unless the
-	// caller pre-wrapped it.
-	Client llm.Client
-	// Workers overrides the shared scheduler's per-endpoint worker
-	// budget for this backend (0 = the runtime default).
-	Workers int
-	// CostWeight is the relative price per prompt the optimizer charges
-	// plans routing to this backend (0 = 1.0).
-	CostWeight float64
-	// SpeedFactor scales the backend's estimated per-prompt latency in
-	// plan pricing (0 = 1.0; below 1 is faster).
-	SpeedFactor float64
-	// Fallback names the backends calls fail over to, in order, when
-	// this backend sheds or exhausts a call.
-	Fallback []string
-}
+// pricing coefficients and the failover chain. It is the registry's own
+// declaration (llm.BackendSpec); the runtime wraps each Client in its
+// own ResilientClient (independent breaker, retry budget) unless the
+// caller pre-wrapped it, and Workers = 0 means the runtime default.
+type BackendDef = llm.BackendSpec
 
 // NewRuntimeWithBackends builds a runtime routing prompts across named
 // backends. defaultName selects the backend unrouted roles use (""
@@ -183,9 +166,8 @@ func NewRuntimeWithBackends(defs []BackendDef, defaultName string, routes map[st
 }
 
 // newRuntimeBackends is the shared runtime constructor. An empty defs
-// slice (the implicit nil-client path) builds an empty registry and
-// skips validation; explicit construction requires at least one
-// backend.
+// slice (the implicit nil-client path) builds an empty registry;
+// explicit construction requires at least one backend.
 func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string]string, opts Options) (*Runtime, error) {
 	opts.normalize()
 	wrap := func(inner llm.Client, endpoint string) llm.Client {
@@ -200,37 +182,9 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		cfg.Endpoint = endpoint
 		return llm.NewResilient(inner, cfg)
 	}
-	registry := llm.NewRegistry(wrap)
-	for _, def := range defs {
-		if _, err := registry.Add(llm.BackendSpec{
-			Name:        def.Name,
-			Client:      def.Client,
-			Workers:     def.Workers,
-			CostWeight:  def.CostWeight,
-			SpeedFactor: def.SpeedFactor,
-			Fallback:    def.Fallback,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if defaultName != "" {
-		if err := registry.SetDefault(defaultName); err != nil {
-			return nil, err
-		}
-	}
-	for roleName, backend := range routes {
-		role, err := llm.ParseRole(roleName)
-		if err != nil {
-			return nil, err
-		}
-		if err := registry.SetRoute(role, backend); err != nil {
-			return nil, err
-		}
-	}
-	if len(defs) > 0 {
-		if err := registry.Validate(); err != nil {
-			return nil, err
-		}
+	registry, err := llm.NewRegistry(defs, defaultName, routes, wrap)
+	if err != nil {
+		return nil, err
 	}
 	rt := &Runtime{
 		registry:   registry,

@@ -3,7 +3,7 @@ package llm
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 )
 
@@ -79,6 +79,7 @@ type Backend struct {
 	cost     float64
 	speed    float64
 	fallback []string
+	chain    []*Backend // this backend, then its deduplicated fallbacks
 	prompts  atomic.Int64
 }
 
@@ -119,7 +120,7 @@ func (b *Backend) CostWeight() float64 { return b.cost }
 // SpeedFactor reports the backend's latency multiplier in plan pricing.
 func (b *Backend) SpeedFactor() float64 { return b.speed }
 
-// Fallback reports the backend's failover chain, in order.
+// Fallback reports the backend's declared failover chain, in order.
 func (b *Backend) Fallback() []string { return append([]string(nil), b.fallback...) }
 
 // Prompts reports the lifetime count of completed calls.
@@ -128,13 +129,9 @@ func (b *Backend) Prompts() int64 { return b.prompts.Load() }
 // Registry is the named-backend set one runtime owns: declared backends
 // in declaration order, a default and per-role routes. Every client a
 // query's prompts reach — the verifier included — is one of them.
+// NewRegistry builds it whole and nothing writes it afterwards, so
+// readers take no lock.
 type Registry struct {
-	// wrap turns a declared raw client into the transport calls traverse
-	// (normally a ResilientClient named after the backend). Nil means no
-	// wrapping.
-	wrap func(inner Client, endpoint string) Client
-
-	mu          sync.Mutex
 	order       []*Backend
 	byName      map[string]*Backend
 	defaultName string
@@ -142,111 +139,102 @@ type Registry struct {
 	failovers   atomic.Int64
 }
 
-// NewRegistry builds an empty registry. wrap, when non-nil, wraps every
-// declared client (the runtime passes its resilient-transport
-// constructor); the endpoint argument is the backend name the wrapper
-// should report.
-func NewRegistry(wrap func(inner Client, endpoint string) Client) *Registry {
-	return &Registry{
-		wrap:   wrap,
-		byName: map[string]*Backend{},
-		routes: map[Role]string{},
+// NewRegistry builds the registry one backend declaration describes:
+// specs in declaration order, the default backend ("" = the first
+// declared) and the runtime-wide role routes (role name → backend). It
+// rejects empty or duplicate names, nil clients, an undeclared default,
+// misspelled roles, undeclared route targets and fallbacks that name
+// their own or an undeclared backend, and resolves every backend's
+// deduplicated failover chain once. No specs build an empty registry.
+// wrap, when non-nil, wraps every declared client (the runtime passes
+// its resilient-transport constructor); the endpoint argument is the
+// backend name the wrapper should report. Zero pricing coefficients
+// normalize to 1.
+func NewRegistry(specs []BackendSpec, defaultName string, routes map[string]string, wrap func(inner Client, endpoint string) Client) (*Registry, error) {
+	g := &Registry{byName: make(map[string]*Backend, len(specs)), routes: make(map[Role]string, len(routes))}
+	for _, spec := range specs {
+		switch {
+		case spec.Name == "":
+			return nil, fmt.Errorf("llm registry: backend with empty name")
+		case spec.Client == nil:
+			return nil, fmt.Errorf("llm registry: backend %q has no client", spec.Name)
+		case g.byName[spec.Name] != nil:
+			return nil, fmt.Errorf("llm registry: duplicate backend %q", spec.Name)
+		}
+		client := spec.Client
+		if wrap != nil {
+			client = wrap(spec.Client, spec.Name)
+		}
+		b := &Backend{
+			name:     spec.Name,
+			client:   client,
+			raw:      spec.Client,
+			workers:  spec.Workers,
+			cost:     orOne(spec.CostWeight),
+			speed:    orOne(spec.SpeedFactor),
+			fallback: append([]string(nil), spec.Fallback...),
+		}
+		g.byName[spec.Name] = b
+		g.order = append(g.order, b)
 	}
+	if defaultName == "" && len(g.order) > 0 {
+		defaultName = g.order[0].name
+	}
+	if defaultName != "" && g.byName[defaultName] == nil {
+		return nil, fmt.Errorf("llm registry: default backend %q not declared", defaultName)
+	}
+	g.defaultName = defaultName
+	for roleName, target := range routes {
+		role, err := ParseRole(roleName)
+		if err != nil {
+			return nil, err
+		}
+		if g.byName[target] == nil {
+			return nil, fmt.Errorf("llm registry: route %s -> %q: backend not declared", role, target)
+		}
+		g.routes[role] = target
+	}
+	for _, b := range g.order {
+		b.chain = []*Backend{b}
+		for _, fb := range b.fallback {
+			next := g.byName[fb]
+			switch {
+			case fb == b.name:
+				return nil, fmt.Errorf("llm registry: backend %q lists itself as fallback", b.name)
+			case next == nil:
+				return nil, fmt.Errorf("llm registry: backend %q fallback %q not declared", b.name, fb)
+			case !slices.Contains(b.chain, next):
+				b.chain = append(b.chain, next)
+			}
+		}
+	}
+	return g, nil
 }
 
-// Add declares one backend. The first backend added becomes the default
-// until SetDefault overrides it. Names must be unique.
-func (g *Registry) Add(spec BackendSpec) (*Backend, error) {
-	if spec.Name == "" {
-		return nil, fmt.Errorf("llm registry: backend with empty name")
+// orOne normalizes an unset pricing coefficient to 1.
+func orOne(f float64) float64 {
+	if f <= 0 {
+		return 1
 	}
-	if spec.Client == nil {
-		return nil, fmt.Errorf("llm registry: backend %q has no client", spec.Name)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.byName[spec.Name]; ok {
-		return nil, fmt.Errorf("llm registry: duplicate backend %q", spec.Name)
-	}
-	client := spec.Client
-	if g.wrap != nil {
-		client = g.wrap(spec.Client, spec.Name)
-	}
-	if spec.CostWeight <= 0 {
-		spec.CostWeight = 1
-	}
-	if spec.SpeedFactor <= 0 {
-		spec.SpeedFactor = 1
-	}
-	b := &Backend{
-		name:     spec.Name,
-		client:   client,
-		raw:      spec.Client,
-		workers:  spec.Workers,
-		cost:     spec.CostWeight,
-		speed:    spec.SpeedFactor,
-		fallback: append([]string(nil), spec.Fallback...),
-	}
-	g.byName[spec.Name] = b
-	g.order = append(g.order, b)
-	if g.defaultName == "" {
-		g.defaultName = spec.Name
-	}
-	return b, nil
-}
-
-// SetDefault names the backend unrouted roles resolve to.
-func (g *Registry) SetDefault(name string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.byName[name]; !ok {
-		return fmt.Errorf("llm registry: default backend %q not declared", name)
-	}
-	g.defaultName = name
-	return nil
-}
-
-// SetRoute binds one prompt role to a backend.
-func (g *Registry) SetRoute(role Role, backend string) error {
-	if _, err := ParseRole(string(role)); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.byName[backend]; !ok {
-		return fmt.Errorf("llm registry: route %s -> %q: backend not declared", role, backend)
-	}
-	g.routes[role] = backend
-	return nil
+	return f
 }
 
 // Get returns a declared backend by name.
 func (g *Registry) Get(name string) (*Backend, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	b, ok := g.byName[name]
 	return b, ok
 }
 
 // Default returns the default backend (nil on an empty registry).
-func (g *Registry) Default() *Backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.byName[g.defaultName]
-}
+func (g *Registry) Default() *Backend { return g.byName[g.defaultName] }
 
-// Backends returns the declared backends in declaration order.
-func (g *Registry) Backends() []*Backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]*Backend(nil), g.order...)
-}
+// Backends returns the declared backends in declaration order. The
+// slice is the registry's own: read-only.
+func (g *Registry) Backends() []*Backend { return g.order }
 
 // Route reports the backend one prompt role is bound to runtime-wide,
 // if any.
 func (g *Registry) Route(role Role) (string, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	b, ok := g.routes[role]
 	return b, ok
 }
@@ -259,8 +247,6 @@ func (g *Registry) Failovers() int64 { return g.failovers.Load() }
 // is closed: false as soon as one is open or half-open. It allocates
 // nothing, so a caller may sample it on every query completion.
 func (g *Registry) BreakersClosed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, b := range g.order {
 		if !b.breakerClosed() {
 			return false
@@ -274,27 +260,6 @@ func (g *Registry) BreakersClosed() bool {
 func (b *Backend) breakerClosed() bool {
 	rc, ok := b.Resilience()
 	return !ok || rc.State() == BreakerClosed
-}
-
-// Validate checks that every fallback name and route target resolves to
-// a declared backend and that no fallback chain names its own backend.
-func (g *Registry) Validate() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.order) == 0 {
-		return fmt.Errorf("llm registry: no backends declared")
-	}
-	for _, b := range g.order {
-		for _, fb := range b.fallback {
-			if fb == b.name {
-				return fmt.Errorf("llm registry: backend %q lists itself as fallback", b.name)
-			}
-			if _, ok := g.byName[fb]; !ok {
-				return fmt.Errorf("llm registry: backend %q fallback %q not declared", b.name, fb)
-			}
-		}
-	}
-	return nil
 }
 
 // Router builds a routing view over the registry with per-session role
@@ -314,11 +279,11 @@ type Router struct {
 }
 
 // Chain resolves one role (with an optional table-bound backend name)
-// to its failover chain.
+// to its failover chain. The chain was resolved when the registry was
+// built: the slice is shared and read-only, and resolving allocates
+// nothing.
 func (r *Router) Chain(role Role, tableBackend string) ([]*Backend, error) {
 	g := r.reg
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	name := g.defaultName
 	if routed, ok := g.routes[role]; ok {
 		name = routed
@@ -333,18 +298,7 @@ func (r *Router) Chain(role Role, tableBackend string) ([]*Backend, error) {
 	if !ok {
 		return nil, fmt.Errorf("llm registry: role %s resolves to unknown backend %q", role, name)
 	}
-	chain := []*Backend{primary}
-	seen := map[string]bool{primary.name: true}
-	for _, fb := range primary.fallback {
-		if seen[fb] {
-			continue
-		}
-		if b, ok := g.byName[fb]; ok {
-			chain = append(chain, b)
-			seen[fb] = true
-		}
-	}
-	return chain, nil
+	return primary.chain, nil
 }
 
 // Backend resolves the primary backend one role's prompts route to —
@@ -369,7 +323,7 @@ func (r *Router) Client(role Role, tableBackend string) (Client, error) {
 	if len(chain) == 1 {
 		return chain[0], nil
 	}
-	return &Routed{reg: r.reg, role: role, chain: chain}, nil
+	return &Routed{reg: r.reg, chain: chain}, nil
 }
 
 // Routed is a failover client over a backend chain. It reports the
@@ -379,24 +333,11 @@ func (r *Router) Client(role Role, tableBackend string) (Client, error) {
 // done — it is the endpoint answering that changes).
 type Routed struct {
 	reg   *Registry
-	role  Role
 	chain []*Backend
 }
 
 // Name implements Client with the primary backend's name.
 func (c *Routed) Name() string { return c.chain[0].Name() }
-
-// Role reports the prompt role this client routes.
-func (c *Routed) Role() Role { return c.role }
-
-// Chain reports the backend names in failover order.
-func (c *Routed) Chain() []string {
-	out := make([]string, len(c.chain))
-	for i, b := range c.chain {
-		out[i] = b.Name()
-	}
-	return out
-}
 
 // Complete implements Client: try each backend in chain order, moving on
 // only while the failure is one another backend could do better on (see

@@ -14,13 +14,15 @@ func okClient(name string) Client {
 	})
 }
 
-func mustAdd(t *testing.T, g *Registry, spec BackendSpec) *Backend {
+// mustRegistry builds a registry without a wrap hook, failing the test
+// on a rejected declaration.
+func mustRegistry(t *testing.T, specs []BackendSpec, defaultName string, routes map[string]string) *Registry {
 	t.Helper()
-	b, err := g.Add(spec)
+	g, err := NewRegistry(specs, defaultName, routes, nil)
 	if err != nil {
-		t.Fatalf("Add(%s): %v", spec.Name, err)
+		t.Fatalf("NewRegistry: %v", err)
 	}
-	return b
+	return g
 }
 
 func chainNames(t *testing.T, r *Router, role Role, tableBackend string) []string {
@@ -37,88 +39,168 @@ func chainNames(t *testing.T, r *Router, role Role, tableBackend string) []strin
 }
 
 func TestRegistryResolutionOrder(t *testing.T) {
-	g := NewRegistry(nil)
-	mustAdd(t, g, BackendSpec{Name: "strong", Client: okClient("m-strong")})
-	mustAdd(t, g, BackendSpec{Name: "cheap", Client: okClient("m-cheap")})
-	mustAdd(t, g, BackendSpec{Name: "pinned", Client: okClient("m-pinned")})
-	mustAdd(t, g, BackendSpec{Name: "over", Client: okClient("m-over")})
-	if err := g.SetRoute(RoleKeyscan, "cheap"); err != nil {
-		t.Fatalf("SetRoute: %v", err)
+	specs := []BackendSpec{
+		{Name: "strong", Client: okClient("m-strong")},
+		{Name: "cheap", Client: okClient("m-cheap")},
+		{Name: "pinned", Client: okClient("m-pinned")},
+		{Name: "over", Client: okClient("m-over")},
 	}
-
-	// Unrouted role: the default (first declared) backend.
-	r := g.Router(nil)
-	if got := chainNames(t, r, RoleFetch, ""); !reflect.DeepEqual(got, []string{"strong"}) {
-		t.Fatalf("default resolution = %v, want [strong]", got)
-	}
-	// Registry role route beats the default.
-	if got := chainNames(t, r, RoleKeyscan, ""); !reflect.DeepEqual(got, []string{"cheap"}) {
-		t.Fatalf("role route = %v, want [cheap]", got)
-	}
-	// Table pin beats the role route.
-	if got := chainNames(t, r, RoleKeyscan, "pinned"); !reflect.DeepEqual(got, []string{"pinned"}) {
-		t.Fatalf("table pin = %v, want [pinned]", got)
-	}
-	// Session override beats everything.
-	r = g.Router(map[Role]string{RoleKeyscan: "over"})
-	if got := chainNames(t, r, RoleKeyscan, "pinned"); !reflect.DeepEqual(got, []string{"over"}) {
-		t.Fatalf("session override = %v, want [over]", got)
-	}
-
-	// SetDefault moves the unrouted resolution.
-	if err := g.SetDefault("cheap"); err != nil {
-		t.Fatalf("SetDefault: %v", err)
-	}
-	r = g.Router(nil)
-	if got := chainNames(t, r, RoleFetch, ""); !reflect.DeepEqual(got, []string{"cheap"}) {
-		t.Fatalf("after SetDefault = %v, want [cheap]", got)
+	routes := map[string]string{"keyscan": "cheap"}
+	for _, tc := range []struct {
+		name        string
+		defaultName string
+		overrides   map[Role]string
+		role        Role
+		table       string
+		want        string
+	}{
+		{"unrouted role: the first declared", "", nil, RoleFetch, "", "strong"},
+		{"role route beats the default", "", nil, RoleKeyscan, "", "cheap"},
+		{"table pin beats the role route", "", nil, RoleKeyscan, "pinned", "pinned"},
+		{"session override beats everything", "", map[Role]string{RoleKeyscan: "over"}, RoleKeyscan, "pinned", "over"},
+		{"declared default moves the unrouted role", "cheap", nil, RoleFetch, "", "cheap"},
+		{"declared default leaves routed roles", "pinned", nil, RoleKeyscan, "", "cheap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := mustRegistry(t, specs, tc.defaultName, routes).Router(tc.overrides)
+			if got := chainNames(t, r, tc.role, tc.table); !reflect.DeepEqual(got, []string{tc.want}) {
+				t.Fatalf("resolution = %v, want [%s]", got, tc.want)
+			}
+		})
 	}
 }
 
 func TestRegistryChainFallbacksDeduped(t *testing.T) {
-	g := NewRegistry(nil)
-	mustAdd(t, g, BackendSpec{Name: "a", Client: okClient("ma"), Fallback: []string{"b", "c", "b"}})
-	mustAdd(t, g, BackendSpec{Name: "b", Client: okClient("mb")})
-	mustAdd(t, g, BackendSpec{Name: "c", Client: okClient("mc")})
+	g := mustRegistry(t, []BackendSpec{
+		{Name: "a", Client: okClient("ma"), Fallback: []string{"b", "c", "b"}},
+		{Name: "b", Client: okClient("mb"), Fallback: []string{"a"}},
+		{Name: "c", Client: okClient("mc")},
+	}, "", nil)
 	r := g.Router(nil)
 	if got := chainNames(t, r, RoleFetch, ""); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("chain = %v, want [a b c]", got)
 	}
+	if got := chainNames(t, r, RoleFetch, "b"); !reflect.DeepEqual(got, []string{"b", "a"}) {
+		t.Fatalf("chain = %v, want [b a]", got)
+	}
+	a, _ := g.Get("a")
+	if got := a.Fallback(); !reflect.DeepEqual(got, []string{"b", "c", "b"}) {
+		t.Fatalf("Fallback = %v, want the declared list", got)
+	}
 }
 
+// TestRegistryValidate: every declaration NewRegistry rejects, each
+// named in its error.
 func TestRegistryValidate(t *testing.T) {
-	empty := NewRegistry(nil)
-	if err := empty.Validate(); err == nil {
-		t.Fatalf("Validate on empty registry: want error")
+	a := BackendSpec{Name: "a", Client: okClient("ma")}
+	for _, tc := range []struct {
+		name        string
+		specs       []BackendSpec
+		defaultName string
+		routes      map[string]string
+		want        string
+	}{
+		{"empty name", []BackendSpec{{Name: "", Client: okClient("x")}}, "", nil, "empty name"},
+		{"nil client", []BackendSpec{{Name: "nil"}}, "", nil, `"nil" has no client`},
+		{"duplicate", []BackendSpec{a, {Name: "a", Client: okClient("dup")}}, "", nil, `duplicate backend "a"`},
+		{"undeclared default", []BackendSpec{a}, "ghost", nil, `default backend "ghost" not declared`},
+		{"default on an empty registry", nil, "ghost", nil, `default backend "ghost" not declared`},
+		{"role spelling", []BackendSpec{a}, "", map[string]string{"fetchh": "a"}, `unknown prompt role "fetchh"`},
+		{"undeclared route target", []BackendSpec{a}, "", map[string]string{"verify": "ghost"}, `route verify -> "ghost": backend not declared`},
+		{"self fallback", []BackendSpec{{Name: "a", Client: okClient("ma"), Fallback: []string{"a"}}}, "", nil, `"a" lists itself as fallback`},
+		{"undeclared fallback", []BackendSpec{{Name: "a", Client: okClient("ma"), Fallback: []string{"ghost"}}}, "", nil, `"a" fallback "ghost" not declared`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewRegistry(tc.specs, tc.defaultName, tc.routes, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewRegistry = %v, %v; want an error containing %q", g, err, tc.want)
+			}
+		})
 	}
-	g := NewRegistry(nil)
-	mustAdd(t, g, BackendSpec{Name: "a", Client: okClient("ma"), Fallback: []string{"a"}})
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "itself") {
-		t.Fatalf("self-fallback Validate = %v, want itself-as-fallback error", err)
+
+	// No specs: an empty registry, whose roles resolve to no backend.
+	empty := mustRegistry(t, nil, "", nil)
+	if empty.Default() != nil || len(empty.Backends()) != 0 {
+		t.Fatalf("empty registry: default %v, backends %v", empty.Default(), empty.Backends())
 	}
-	g2 := NewRegistry(nil)
-	mustAdd(t, g2, BackendSpec{Name: "a", Client: okClient("ma"), Fallback: []string{"ghost"}})
-	if err := g2.Validate(); err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Fatalf("unknown-fallback Validate = %v, want undeclared-backend error", err)
+	if _, err := empty.Router(nil).Client(RoleFetch, ""); err == nil {
+		t.Fatalf("Client on an empty registry: want error")
 	}
-	if _, err := g2.Add(BackendSpec{Name: "a", Client: okClient("dup")}); err == nil {
-		t.Fatalf("duplicate Add: want error")
+}
+
+// TestRegistryWrapsEveryClient: the wrap hook sees each declared client
+// under its backend name, and Raw keeps the declared one.
+func TestRegistryWrapsEveryClient(t *testing.T) {
+	var wrapped []string
+	wrap := func(inner Client, endpoint string) Client {
+		wrapped = append(wrapped, endpoint+"<-"+inner.Name())
+		return clientFunc(endpoint, func(ctx context.Context, prompt string) (string, error) {
+			return "wrapped " + prompt, nil
+		})
 	}
-	if _, err := g2.Add(BackendSpec{Name: "", Client: okClient("x")}); err == nil {
-		t.Fatalf("empty-name Add: want error")
+	g, err := NewRegistry([]BackendSpec{
+		{Name: "x", Client: okClient("mx")},
+		{Name: "y", Client: okClient("my")},
+	}, "", nil, wrap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g2.Add(BackendSpec{Name: "nil"}); err == nil {
-		t.Fatalf("nil-client Add: want error")
+	if !reflect.DeepEqual(wrapped, []string{"x<-mx", "y<-my"}) {
+		t.Fatalf("wrap calls = %v", wrapped)
+	}
+	x, _ := g.Get("x")
+	if x.Raw().Name() != "mx" {
+		t.Fatalf("Raw = %q, want the declared client", x.Raw().Name())
+	}
+	if out, _ := x.Complete(context.Background(), "q"); out != "wrapped q" {
+		t.Fatalf("Complete = %q, want the wrapped transport's answer", out)
+	}
+}
+
+var (
+	chainSink   []*Backend
+	backendSink *Backend
+)
+
+// TestRouterResolvesWithoutAllocating: chains are resolved when the
+// registry is built, so resolving a role (the optimizer's pricing and
+// residency hooks do it per operator, plan-cache guards per replay)
+// allocates nothing, on one backend and on several with fallbacks.
+func TestRouterResolvesWithoutAllocating(t *testing.T) {
+	single := mustRegistry(t, []BackendSpec{{Name: "solo", Client: okClient("m")}}, "", nil)
+	pair := mustRegistry(t, []BackendSpec{
+		{Name: "cheap", Client: okClient("mc"), Fallback: []string{"strong"}},
+		{Name: "strong", Client: okClient("ms"), Fallback: []string{"cheap"}},
+	}, "strong", map[string]string{"keyscan": "cheap", "filter": "cheap"})
+	for name, g := range map[string]*Registry{"single": single, "pair": pair} {
+		r := g.Router(map[Role]string{RoleVerify: g.Default().Name()})
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			for _, role := range Roles {
+				// Kept in package variables, so the compiler cannot elide
+				// a result that escapes.
+				if chainSink, err = r.Chain(role, ""); err != nil {
+					t.Fatal(err)
+				}
+				if backendSink, err = r.Backend(role, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per resolution of every role, want 0", name, allocs)
+		}
 	}
 }
 
 func TestRoutedFailoverChainAttribution(t *testing.T) {
-	g := NewRegistry(nil)
 	down := clientFunc("m-down", func(ctx context.Context, prompt string) (string, error) {
 		return "", &Error{Class: ClassBreakerOpen, Endpoint: "primary", Err: ErrBreakerOpen}
 	})
-	mustAdd(t, g, BackendSpec{Name: "primary", Client: down, Fallback: []string{"backup"}})
-	mustAdd(t, g, BackendSpec{Name: "backup", Client: okClient("m-backup")})
+	g := mustRegistry(t, []BackendSpec{
+		{Name: "primary", Client: down, Fallback: []string{"backup"}},
+		{Name: "backup", Client: okClient("m-backup")},
+	}, "", nil)
 
 	r := g.Router(nil)
 	c, err := r.Client(RoleFetch, "")
@@ -152,15 +234,16 @@ func TestRoutedFailoverChainAttribution(t *testing.T) {
 }
 
 func TestRoutedExhaustedChainError(t *testing.T) {
-	g := NewRegistry(nil)
 	shed := func(name string) Client {
 		return clientFunc(name, func(ctx context.Context, prompt string) (string, error) {
 			return "", &Error{Class: ClassBreakerOpen, Endpoint: name, Err: ErrBreakerOpen}
 		})
 	}
-	mustAdd(t, g, BackendSpec{Name: "a", Client: shed("a"), Fallback: []string{"b", "c"}})
-	mustAdd(t, g, BackendSpec{Name: "b", Client: shed("b")})
-	mustAdd(t, g, BackendSpec{Name: "c", Client: shed("c")})
+	g := mustRegistry(t, []BackendSpec{
+		{Name: "a", Client: shed("a"), Fallback: []string{"b", "c"}},
+		{Name: "b", Client: shed("b")},
+		{Name: "c", Client: shed("c")},
+	}, "", nil)
 
 	r := g.Router(nil)
 	c, err := r.Client(RoleFilter, "")
@@ -184,7 +267,6 @@ func TestRoutedExhaustedChainError(t *testing.T) {
 }
 
 func TestRoutedPermanentDoesNotFailOver(t *testing.T) {
-	g := NewRegistry(nil)
 	calls := 0
 	bad := clientFunc("bad", func(ctx context.Context, prompt string) (string, error) {
 		calls++
@@ -195,8 +277,10 @@ func TestRoutedPermanentDoesNotFailOver(t *testing.T) {
 		backupCalls++
 		return "ok", nil
 	})
-	mustAdd(t, g, BackendSpec{Name: "a", Client: bad, Fallback: []string{"b"}})
-	mustAdd(t, g, BackendSpec{Name: "b", Client: backup})
+	g := mustRegistry(t, []BackendSpec{
+		{Name: "a", Client: bad, Fallback: []string{"b"}},
+		{Name: "b", Client: backup},
+	}, "", nil)
 
 	r := g.Router(nil)
 	c, _ := r.Client(RoleFetch, "")
@@ -212,8 +296,8 @@ func TestRoutedPermanentDoesNotFailOver(t *testing.T) {
 }
 
 func TestRouterSingleChainReturnsBackendDirect(t *testing.T) {
-	g := NewRegistry(nil)
-	b := mustAdd(t, g, BackendSpec{Name: "solo", Client: okClient("m")})
+	g := mustRegistry(t, []BackendSpec{{Name: "solo", Client: okClient("m")}}, "", nil)
+	b, _ := g.Get("solo")
 	r := g.Router(nil)
 	c, err := r.Client(RoleVerify, "")
 	if err != nil {
@@ -225,12 +309,15 @@ func TestRouterSingleChainReturnsBackendDirect(t *testing.T) {
 }
 
 func TestRegistryNormalizesPricing(t *testing.T) {
-	g := NewRegistry(nil)
-	b := mustAdd(t, g, BackendSpec{Name: "x", Client: okClient("m")})
+	g := mustRegistry(t, []BackendSpec{
+		{Name: "x", Client: okClient("m")},
+		{Name: "y", Client: okClient("m2"), CostWeight: 0.25, SpeedFactor: 0.5},
+	}, "", nil)
+	b, _ := g.Get("x")
 	if b.CostWeight() != 1 || b.SpeedFactor() != 1 {
 		t.Fatalf("zero pricing normalized to %v/%v, want 1/1", b.CostWeight(), b.SpeedFactor())
 	}
-	c := mustAdd(t, g, BackendSpec{Name: "y", Client: okClient("m2"), CostWeight: 0.25, SpeedFactor: 0.5})
+	c, _ := g.Get("y")
 	if c.CostWeight() != 0.25 || c.SpeedFactor() != 0.5 {
 		t.Fatalf("explicit pricing = %v/%v, want 0.25/0.5", c.CostWeight(), c.SpeedFactor())
 	}

@@ -36,7 +36,8 @@ type CostParams struct {
 	Workers int
 	// Verifier doubles every attribute fetch with a second-model prompt
 	// on the verify role's backend: it adds work there but overlaps in
-	// time.
+	// time. With a prompt cache (Resident set), a verifier on the fetch's
+	// own backend costs nothing: the fetch's completions answer it.
 	Verifier bool
 	// Price resolves the backend an operator role's prompts route to for
 	// a given base table ("" when the role has no table binding) together
@@ -290,11 +291,22 @@ func (e *estimator) overrented(table, attr string, class llm.PromptClass, rows, 
 	spent := e.p.Resident(llm.RoleFilter, table, llm.FilterFamily(table, attr)) - e.p.Resident(llm.RoleFilter, table, class)
 	fetch := e.price(llm.RoleFetch, table)
 	buy := rows * (1 - e.residentShare(llm.RoleFetch, table, llm.FetchClass(table, attr))) * fetch.CostWeight
-	if e.p.Verifier {
+	if e.verifies(table) {
 		buy += rows * (1 - e.residentShare(llm.RoleVerify, table, llm.FetchClass(table, attr))) * e.price(llm.RoleVerify, table).CostWeight
 	}
 	const eps = 1e-9
 	return float64(spent)*bp.CostWeight+rent >= buy-eps
+}
+
+// verifies reports whether the table's attribute fetches pay for
+// verification prompts. A verifier on the fetch's own backend asks the
+// fetch's prompt under the fetch's model name, so with a prompt cache
+// the fetch's completion answers it: no model call, always agreeing.
+func (e *estimator) verifies(table string) bool {
+	if !e.p.Verifier {
+		return false
+	}
+	return e.p.Resident == nil || e.price(llm.RoleVerify, table).Backend != e.price(llm.RoleFetch, table).Backend
 }
 
 // keyStage prices one streaming per-key prompt operator over in.Rows
@@ -364,7 +376,7 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		bp := e.price(llm.RoleFetch, node.Table.Name)
 		resident := e.residentShare(llm.RoleFetch, node.Table.Name, class)
 		prompts, start, done := e.keyStage(in, bp, attrLat, resident)
-		if e.p.Verifier {
+		if e.verifies(node.Table.Name) {
 			// The verifier overlaps with the fetch: it adds prompts and
 			// work on its endpoint, not chain latency.
 			verify, _, _ := e.keyStage(in, e.price(llm.RoleVerify, node.Table.Name), attrLat, e.residentShare(llm.RoleVerify, node.Table.Name, class))
