@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-artifacts benchmark-smoke serve fuzz cover netlines
+.PHONY: check vet build test race bench bench-smoke bench-artifacts benchmark-smoke serve fuzz cover netlines
 
-check: vet build race
+check: vet build race bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,8 +41,14 @@ race:
 # cache substrate's (BenchmarkFlight: one led, settled and admitted miss
 # that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
 # exact hit through the HTTP handler, buffered and NDJSON).
+BENCH_PKGS = . ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
+
+# Runs every benchmark of the bench target's packages once, so one that
+# panics or fails is seen by check; it measures nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from

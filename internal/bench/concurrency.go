@@ -135,7 +135,7 @@ func (r *Runner) kWayCorpus(ctx context.Context, p simllm.Profile, classOf func(
 			}
 			batch = append(batch, concurrent[i].sched)
 		}
-		run.concTotal += llm.AggregateMakespan(DefaultServeWorkers, batch)
+		run.concTotal += llm.AggregateMakespan(batch)
 	}
 
 	run.serial.TotalPrompts, run.serialTotal = totals(serial)

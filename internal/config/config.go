@@ -10,7 +10,7 @@
 //	  - name: cheap
 //	    model: gpt3        # simulated model profile
 //	    seed: 7            # optional noise seed (0 = the CLI's -seed)
-//	    workers: 2         # optional per-endpoint worker budget
+//	    workers: 2         # optional per-endpoint worker budget (below)
 //	    cost: 0.25         # optimizer price per prompt (default 1.0)
 //	    speed: 0.5         # optimizer latency multiplier (default 1.0)
 //	    fallback: [strong] # failover chain, in order
@@ -24,6 +24,11 @@
 // list of flat maps, one string map, flow lists, '#' comments — parsed
 // by hand so the engine stays dependency-free. Anything outside the
 // subset is a load error, not silently ignored.
+//
+// A backend's workers key is its per-endpoint worker budget (default: the
+// engine's -workers). It bounds both how many of the backend's prompts
+// run at once and the planner's latency estimate for them under the
+// streaming policy.
 package config
 
 import (
@@ -45,8 +50,8 @@ type Backend struct {
 	Model string
 	// Seed overrides the model's noise seed (0 = inherit the CLI seed).
 	Seed int64
-	// Workers overrides the scheduler's per-endpoint worker budget
-	// (0 = the engine default).
+	// Workers overrides the per-endpoint worker budget the scheduler
+	// dispatches and the planner estimates with (0 = the engine default).
 	Workers int
 	// Cost is the optimizer's relative price per prompt (0 = 1.0).
 	Cost float64

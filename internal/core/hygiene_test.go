@@ -51,21 +51,20 @@ func (g *gatedClient) Complete(ctx context.Context, prompt string) (string, erro
 	}
 }
 
-// drainedRuntime asserts the runtime's scheduler released every worker
-// slot and queue spot and the process goroutine count returned to its
-// pre-query baseline.
+// drainedRuntime asserts the runtime's scheduler is quiescent (every
+// worker slot released, no job or flow left queued) and the process
+// goroutine count returned to its pre-query baseline.
 func drainedRuntime(t *testing.T, rt *Runtime, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		g := rt.scheduler().Gauges()
-		if g.Interactive.Busy+g.Interactive.Queued+g.Batch.Busy+g.Batch.Queued == 0 && runtime.NumGoroutine() <= baseline+2 {
+		if rt.sched.CheckQuiescent() == nil && runtime.NumGoroutine() <= baseline+2 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("runtime did not drain: sched=%+v goroutines=%d (baseline %d)",
-		rt.scheduler().Gauges(), runtime.NumGoroutine(), baseline)
+	t.Fatalf("runtime did not drain: sched: %v; goroutines=%d (baseline %d)",
+		rt.sched.CheckQuiescent(), runtime.NumGoroutine(), baseline)
 }
 
 // hygieneOptions: pipelined on the shared scheduler, caches off so every

@@ -226,7 +226,7 @@ func newDiffRig(t *testing.T) *diffRig {
 // the runtime's scheduler, of a canned client under the runtime's model
 // name.
 func (d *diffRig) put(class llm.PromptClass, n int) {
-	tn := d.rt.scheduler().Tenant(context.Background(), "")
+	tn := d.rt.sched.Tenant(context.Background(), "")
 	defer tn.Close()
 	client, tp := cannedClient{name: d.model, answer: "yes"}, llm.NewTemplate("", "", class)
 	for k := 0; k < n; k++ {

@@ -55,9 +55,11 @@ func (rt *Runtime) pin(role llm.Role, table string) string {
 
 // priceFor builds the optimizer's backend-pricing hook over a routing
 // view: each operator role is charged the cost weight and speed factor
-// of the backend it would route to. Nil (unpriced estimates, identical
-// to the single-backend planner) when the runtime declared no explicit
-// backends.
+// of the backend it would route to and, under the streaming policy, the
+// worker budget the scheduler gives that backend (a stop-and-go wave is
+// as wide as the session's BatchWorkers whatever the backend). Nil
+// (unpriced estimates, identical to the single-backend planner) when the
+// runtime declared no explicit backends.
 func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string) optimizer.BackendPrice {
 	if !s.rt.routed {
 		return nil
@@ -67,7 +69,11 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 		if err != nil || b == nil {
 			b = s.rt.registry.Default()
 		}
-		return optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
+		bp := optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
+		if s.opts.Pipelined {
+			bp.Workers = b.Workers()
+		}
+		return bp
 	}
 }
 

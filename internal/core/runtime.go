@@ -94,10 +94,11 @@ type Runtime struct {
 	// refined from the per-operator counters of every executed query.
 	// Concurrency-safe; sessions observe into it concurrently.
 	stats *optimizer.Statistics
-	// sched is the engine-global prompt scheduler, created on first use
-	// (see scheduler()).
-	schedOnce sync.Once
-	sched     *llm.Scheduler
+	// sched is the engine-global prompt scheduler, built with the
+	// runtime over the declared per-backend worker budgets. It lives for
+	// the runtime's lifetime: every pipelined query of every session
+	// shares its per-endpoint worker budget.
+	sched *llm.Scheduler
 
 	// mu guards the table bindings and the attached store: BindLLMTable /
 	// AttachDB write, concurrent session planners read through
@@ -200,6 +201,7 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 	if opts.CacheEnabled {
 		rt.cache = llm.NewCache(opts.CacheSize)
 	}
+	rt.sched = llm.NewScheduler(rt.cache, opts.BatchWorkers, registry.Backends()...)
 	if opts.ResultCacheEnabled {
 		rt.resultCache = rescache.New(rescache.Config{
 			Capacity:     opts.ResultCacheSize,
@@ -273,23 +275,6 @@ func (rt *Runtime) NewSession() *Session {
 
 // Options returns the runtime's session defaults.
 func (rt *Runtime) Options() Options { return rt.opts }
-
-// scheduler returns the engine-global prompt scheduler, creating it on
-// first use. It lives for the runtime's lifetime: every pipelined query
-// of every session shares its per-endpoint worker budget.
-func (rt *Runtime) scheduler() *llm.Scheduler {
-	rt.schedOnce.Do(func() {
-		rt.sched = llm.NewScheduler(rt.cache, rt.opts.BatchWorkers)
-		// Declared per-backend worker budgets override the shared
-		// default for their endpoint's pool.
-		for _, b := range rt.registry.Backends() {
-			if b.Workers() > 0 {
-				rt.sched.SetEndpointWorkers(b.Name(), b.Workers())
-			}
-		}
-	})
-	return rt.sched
-}
 
 // Statistics exposes the planner's statistics store (never nil).
 func (rt *Runtime) Statistics() *optimizer.Statistics { return rt.stats }

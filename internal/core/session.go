@@ -369,7 +369,7 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 // default).
 func (s *Session) openTenant(ctx context.Context) *llm.Tenant {
 	class, _ := llm.ParseClass(s.opts.AdmissionClass)
-	t := s.rt.scheduler().TenantFor(ctx, "", class, s.opts.AdmissionWeight)
+	t := s.rt.sched.TenantFor(ctx, "", class, s.opts.AdmissionWeight)
 	if !s.opts.Pipelined {
 		t.SetWaves(s.opts.BatchWorkers)
 	}

@@ -82,7 +82,7 @@ func (rt *Runtime) Stats() Stats {
 		Workers:     rt.opts.BatchWorkers,
 		TableEpochs: rt.tableEpochs(),
 		Failovers:   rt.registry.Failovers(),
-		Sched:       rt.scheduler().Gauges(),
+		Sched:       rt.sched.Gauges(),
 	}
 	if rt.cache != nil {
 		st.CacheStats = rt.cache.Stats()
@@ -133,6 +133,6 @@ func (rt *Runtime) Stats() Stats {
 // probing its way back). It allocates nothing, so an admission
 // controller may sample it on every query completion.
 func (rt *Runtime) Congested() bool {
-	g := rt.scheduler().Gauges()
+	g := rt.sched.Gauges()
 	return g.Interactive.Queued+g.Batch.Queued > g.Workers || !rt.registry.BreakersClosed()
 }

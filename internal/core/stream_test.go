@@ -147,13 +147,9 @@ func TestQueryStreamEarlyCloseHygiene(t *testing.T) {
 	// prompt immediately — but a slot whose prompt is already in flight
 	// is non-preemptible and drains asynchronously. Poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g := rt.Stats().Sched
-		if g.Interactive.Busy == 0 && g.Interactive.Queued == 0 && g.Batch.Busy == 0 && g.Batch.Queued == 0 {
-			break
-		}
+	for err := rt.sched.CheckQuiescent(); err != nil; err = rt.sched.CheckQuiescent() {
 		if time.Now().After(deadline) {
-			t.Fatalf("scheduler state leaked after early close: %+v", g)
+			t.Fatalf("scheduler state leaked after early close: %v", err)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -291,8 +291,8 @@ func TestWaveCachedDedup(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 	// Three issued prompts fit one round of four.
-	if want := promptLatency(1, 2); tn.Makespan() != want {
-		t.Errorf("wave latency = %v, want one round %v", tn.Makespan(), want)
+	if want := promptLatency(1, 2); tn.Stats().Makespan() != want {
+		t.Errorf("wave latency = %v, want one round %v", tn.Stats().Makespan(), want)
 	}
 }
 

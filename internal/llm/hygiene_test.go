@@ -26,17 +26,24 @@ func waitDrained(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("%s did not drain", what)
 }
 
-// busySlots and queuedPrompts sum a scheduler's running slots and
-// waiting prompts over both classes: the zeros the slot-hygiene tests
-// wait for.
+// quiescent waits for the scheduler's CheckQuiescent to pass: a slot
+// still being released gets a few seconds, a leaked slot, job or flow
+// fails with the check's error.
+func quiescent(t *testing.T, s *Scheduler) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for err := s.CheckQuiescent(); err != nil; err = s.CheckQuiescent() {
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// busySlots sums a scheduler's running slots over both classes.
 func busySlots(s *Scheduler) int {
 	g := s.Gauges()
 	return g.Interactive.Busy + g.Batch.Busy
-}
-
-func queuedPrompts(s *Scheduler) int {
-	g := s.Gauges()
-	return g.Interactive.Queued + g.Batch.Queued
 }
 
 // goroutinesAtMost waits for the goroutine count to return to the
@@ -69,7 +76,7 @@ func TestSchedulerSlotsReleasedOnFailure(t *testing.T) {
 		}
 	}
 	tenant.Close()
-	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 && queuedPrompts(s) == 0 })
+	quiescent(t, s)
 	goroutinesAtMost(t, baseline)
 
 	// The budget is fully available to the next tenant.
@@ -116,7 +123,7 @@ func TestSchedulerSlotsReleasedOnCancel(t *testing.T) {
 	}
 	tenant.Close()
 	close(release)
-	waitDrained(t, "scheduler slots", func() bool { return busySlots(s) == 0 && queuedPrompts(s) == 0 })
+	quiescent(t, s)
 	goroutinesAtMost(t, baseline)
 }
 
@@ -217,8 +224,8 @@ func TestSchedulerSlotGoroutinesRetire(t *testing.T) {
 
 	waitDrained(t, "parked slot goroutines", func() bool { return parked() == 0 })
 	goroutinesAtMost(t, baseline)
-	if busySlots(s) != 0 || queuedPrompts(s) != 0 {
-		t.Errorf("busy = %d, queued = %d after the last Close", busySlots(s), queuedPrompts(s))
+	if err := s.CheckQuiescent(); err != nil {
+		t.Errorf("after the last Close: %v", err)
 	}
 }
 
@@ -260,7 +267,7 @@ func TestBatchGoroutineHygieneOnFailure(t *testing.T) {
 		if n := calls.Load(); n > width+1 {
 			t.Errorf("client saw %d calls, want at most %d", n, width+1)
 		}
-		waitDrained(t, "scheduler slots", func() bool { return busySlots(tn.s) == 0 && queuedPrompts(tn.s) == 0 })
+		quiescent(t, tn.s)
 		tn.Close()
 		goroutinesAtMost(t, baseline)
 	}

@@ -47,7 +47,7 @@ type Stats struct {
 	// in play.
 	CacheMisses int
 	// SimulatedLatency is the wall-clock the prompts would have cost on a
-	// real API: the query tenant's makespan (Tenant.Makespan). Under the
+	// real API: the query tenant's makespan (TenantStats.Makespan). Under the
 	// streaming policy that is the larger of the longest cross-operator
 	// dependency chain and the aggregate work spread over the shared
 	// worker budget; under the stop-and-go policy it sums the operators'

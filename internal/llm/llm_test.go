@@ -183,8 +183,8 @@ func TestWaveEmpty(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty wave = %v, %v", out, err)
 	}
-	if tn.Makespan() != 0 {
-		t.Errorf("empty wave cost %v", tn.Makespan())
+	if tn.Stats().Makespan() != 0 {
+		t.Errorf("empty wave cost %v", tn.Stats().Makespan())
 	}
 }
 
@@ -211,8 +211,8 @@ func TestWaveUsage(t *testing.T) {
 	if _, err := runWave(tn, client, []string{"g"}); err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*promptLatency(3, 4) + promptLatency(1, 2); tn.Makespan() != want {
-		t.Errorf("two waves = %v, want %v", tn.Makespan(), want)
+	if want := 2*promptLatency(3, 4) + promptLatency(1, 2); tn.Stats().Makespan() != want {
+		t.Errorf("two waves = %v, want %v", tn.Stats().Makespan(), want)
 	}
 }
 

@@ -51,8 +51,8 @@ type BackendSpec struct {
 	// (normally in a ResilientClient with an independent breaker and
 	// retry budget).
 	Client Client
-	// Workers overrides the scheduler's per-endpoint worker budget for
-	// this backend (0 means the scheduler default).
+	// Workers overrides the per-endpoint worker budget for this backend,
+	// fixed when the scheduler is built (0 means the scheduler default).
 	Workers int
 	// CostWeight is the backend's relative price per prompt (1.0 when
 	// zero). The optimizer prices plans in prompt-count × weight, so a
@@ -110,8 +110,8 @@ func (b *Backend) Resilience() (*ResilientClient, bool) {
 	return rc, ok
 }
 
-// Workers reports the backend's per-endpoint worker override (0 = the
-// scheduler default).
+// Workers reports the backend's declared per-endpoint worker budget (0 =
+// the scheduler default).
 func (b *Backend) Workers() int { return b.workers }
 
 // CostWeight reports the backend's relative price per prompt.

@@ -498,7 +498,7 @@ func TestResilientSchedulerPath(t *testing.T) {
 			}
 		}
 		tenant.Quiesce()
-		return tenant.Usage(), tenant.Makespan()
+		return tenant.Usage(), tenant.Stats().Makespan()
 	}
 
 	cleanStats, cleanSpan := run(0)

@@ -257,7 +257,7 @@ func TestSchedulerStatsClassWeight(t *testing.T) {
 	if got := bs.Makespan(); got != one {
 		t.Errorf("batch tenant solo makespan = %v, want %v", got, one)
 	}
-	if got := AggregateMakespan(2, []*TenantStats{as, bs}); got != 6*one/2 {
+	if got := AggregateMakespan([]*TenantStats{as, bs}); got != 6*one/2 {
 		t.Errorf("mixed-class aggregate makespan = %v, want %v", got, 6*one/2)
 	}
 }

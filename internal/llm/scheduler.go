@@ -182,11 +182,14 @@ func promptCost(tokens int) int64 {
 type Scheduler struct {
 	cache   *Cache
 	workers int
-	tags    atomic.Int64 // auto-generated tenant tags
+	// budget holds the declared per-endpoint worker budgets (else
+	// workers). Built by NewScheduler and never written after, so it is
+	// read without s.mu.
+	budget map[string]int
+	tags   atomic.Int64 // auto-generated tenant tags
 
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
-	epWorkers map[string]int  // per-endpoint worker overrides (else workers)
 	drained   [nClasses]int64 // queued prompts granted a slot, per class
 }
 
@@ -405,47 +408,34 @@ func (j *job) cost() int64 { return promptCost(j.tokens) }
 // NewScheduler builds an engine-lifetime scheduler. workers bounds, per
 // model endpoint, both the real concurrency of the pool and the
 // connection budget of the latency model (0 or negative means
-// DefaultBatchWorkers). cache may be nil. A granted slot runs on a
+// DefaultBatchWorkers); a declared backend with a positive Workers()
+// bounds its own endpoint instead. The budgets are fixed here for the
+// scheduler's lifetime. cache may be nil. A granted slot runs on a
 // goroutine of the process-wide gopool, which parks it, stack grown, for
 // the next miss of any endpoint or tenant and retires it after a short
 // idle linger: the scheduler owns no goroutines of its own, and needs no
 // explicit shutdown.
-func NewScheduler(cache *Cache, workers int) *Scheduler {
+func NewScheduler(cache *Cache, workers int, declared ...*Backend) *Scheduler {
 	if workers < 1 {
 		workers = DefaultBatchWorkers
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		cache:     cache,
 		workers:   workers,
+		budget:    map[string]int{},
 		endpoints: map[string]*endpoint{},
 	}
+	for _, b := range declared {
+		if b.Workers() > 0 {
+			s.budget[b.Name()] = b.Workers()
+		}
+	}
+	return s
 }
 
-// Workers reports the default per-endpoint worker budget.
-func (s *Scheduler) Workers() int { return s.workers }
-
-// SetEndpointWorkers overrides one endpoint's worker budget — both the
-// live slot count and the connection budget of its latency model.
-// Backend registries apply each backend's declared worker count here;
-// n <= 0 restores the scheduler default. Set before traffic flows: a
-// lowered budget does not preempt slots already granted.
-func (s *Scheduler) SetEndpointWorkers(name string, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		delete(s.epWorkers, name)
-		return
-	}
-	if s.epWorkers == nil {
-		s.epWorkers = map[string]int{}
-	}
-	s.epWorkers[name] = n
-}
-
-// workersForLocked resolves one endpoint's worker budget. Callers hold
-// s.mu.
-func (s *Scheduler) workersForLocked(name string) int {
-	if n, ok := s.epWorkers[name]; ok {
+// workersFor resolves one endpoint's worker budget.
+func (s *Scheduler) workersFor(name string) int {
+	if n, ok := s.budget[name]; ok {
 		return n
 	}
 	return s.workers
@@ -488,6 +478,26 @@ func (s *Scheduler) Gauges() SchedulerGauges {
 		Interactive: per[ClassInteractive],
 		Batch:       per[ClassBatch],
 	}
+}
+
+// CheckQuiescent checks the invariants that hold once every tenant's
+// prompts have settled: no band of any endpoint keeps a flow in its
+// rotation or its flow set (so no job is queued), and no slot is busy.
+func (s *Scheduler) CheckQuiescent() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, ep := range s.endpoints {
+		for c := range ep.bands {
+			if b := &ep.bands[c]; len(b.rr) != 0 || len(b.flows) != 0 {
+				return fmt.Errorf("llm scheduler: %s band of %q keeps %d flows in rotation, %d in its set, %d jobs queued",
+					AdmissionClass(c), name, len(b.rr), len(b.flows), b.queued())
+			}
+		}
+		if ep.busy != 0 || ep.busyCls != [nClasses]int{} {
+			return fmt.Errorf("llm scheduler: %q has %d busy slots (%v by class)", name, ep.busy, ep.busyCls)
+		}
+	}
+	return nil
 }
 
 // endpointLocked returns the dispatch state of one model endpoint.
@@ -670,20 +680,11 @@ func (w *Wave) cost(width int) time.Duration {
 	return time.Duration((w.issued+width-1)/width) * w.slowest
 }
 
-// Tag identifies the tenant in diagnostics and stats attribution.
-func (t *Tenant) Tag() string { return t.tag }
-
-// Class reports the tenant's admission class.
-func (t *Tenant) Class() AdmissionClass { return t.class }
-
-// Weight reports the tenant's deficit weight within its band.
-func (t *Tenant) Weight() int { return int(t.weight) }
-
 // Submit enqueues one raw-text prompt whose dependencies complete at
 // ready and returns immediately; the shared pool resolves the future when
 // a worker slot of the client's endpoint is granted to this tenant. The
 // answered prompt, its tokens and its cache hit or miss count on the
-// tenant's Usage, its latency in Makespan. The completion enters the
+// tenant's Usage, its latency in its Stats. The completion enters the
 // cache unclassified. A raw-text prompt is the template-less case of
 // Wave.Submit: its whole text is the key.
 //
@@ -762,7 +763,7 @@ func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Fut
 	}
 	ep := s.endpointLocked(client.Name())
 	j.ep = ep
-	if ep.busy < s.workersForLocked(client.Name()) {
+	if ep.busy < s.workersFor(client.Name()) {
 		// A free slot means every band is empty (dispatch runs under the
 		// same lock that frees slots), so direct placement cannot overtake
 		// queued work of any class.
@@ -916,42 +917,15 @@ func (s *Scheduler) complete(j *job) (string, any, VTime, error) {
 // makespan.
 func (t *Tenant) Quiesce() { t.inflight.Wait() }
 
-// CriticalPath returns the tenant's longest dependency chain scheduled
-// so far.
-func (t *Tenant) CriticalPath() VTime {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.span
-}
-
-// AggregateWork returns the summed latency of every prompt this tenant
-// issued, across all endpoints (zero under the stop-and-go policy, which
-// accounts waves instead).
-func (t *Tenant) AggregateWork() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total time.Duration
-	for _, b := range t.work {
-		total += b
-	}
-	return total
-}
-
-// Makespan returns the simulated wall-clock of the tenant's query run
-// alone against the full worker budget: the makespan of its Stats
-// snapshot. Under concurrent tenants this is the per-query attribution;
-// the aggregate wall-clock of a set of concurrent tenants is
-// AggregateMakespan over their stats.
-func (t *Tenant) Makespan() VTime { return t.Stats().Makespan() }
-
 // Usage returns the query's accounting: the prompts, tokens, cache and
 // resilience counters accrued on the tenant, with SimulatedLatency set
-// to its Makespan. Quiesce first: abandoned futures still count.
+// to the makespan of its Stats. Quiesce first: abandoned futures still
+// count.
 func (t *Tenant) Usage() Stats {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	u := t.usage
-	t.mu.Unlock()
-	u.SimulatedLatency = t.Makespan()
+	u.SimulatedLatency = makespan(t.span, t.work, t.s.workersFor)
 	return u
 }
 
@@ -960,6 +934,7 @@ func (t *Tenant) Usage() Stats {
 // queries.
 func (t *Tenant) Stats() *TenantStats {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ts := &TenantStats{
 		Tag:          t.tag,
 		Class:        t.class.String(),
@@ -970,23 +945,18 @@ func (t *Tenant) Stats() *TenantStats {
 	}
 	for ep, b := range t.work {
 		ts.Work[ep] = b
+		ts.Workers[ep] = t.s.workersFor(ep)
 	}
-	t.mu.Unlock()
-	t.s.mu.Lock()
-	for ep := range ts.Work {
-		ts.Workers[ep] = t.s.workersForLocked(ep)
-	}
-	t.s.mu.Unlock()
 	return ts
 }
 
 // TenantStats is one query's simulated-latency accounting on the shared
 // scheduler: the longest dependency chain of its prompts, the summed
 // issued-prompt latency per model endpoint, and the worker budget each
-// of those endpoints had (SetEndpointWorkers, else the scheduler
-// default). Class and Weight record the dispatch treatment the tenant
-// received; they do not enter the latency model (the makespan bound is
-// schedule-independent by construction).
+// of those endpoints had (its backend's declared budget, else the
+// scheduler default). Class and Weight record the dispatch treatment the
+// tenant received; they do not enter the latency model (the makespan
+// bound is schedule-independent by construction).
 type TenantStats struct {
 	Tag          string
 	Class        string
@@ -1001,47 +971,43 @@ type TenantStats struct {
 // over that endpoint's worker budget (a stop-and-go tenant's critical
 // path is its wave sum, and it keeps no per-endpoint work).
 func (ts *TenantStats) Makespan() VTime {
-	out := ts.CriticalPath
-	for ep, b := range ts.Work {
-		if area := b / time.Duration(ts.Workers[ep]); area > out {
-			out = area
-		}
+	return makespan(ts.CriticalPath, ts.Work, func(ep string) int { return ts.Workers[ep] })
+}
+
+// makespan is the list-scheduling bound: the larger of a critical path
+// and each endpoint's work spread over that endpoint's worker budget.
+func makespan(span VTime, work map[string]time.Duration, workers func(ep string) int) VTime {
+	out := span
+	for ep, b := range work {
+		out = max(out, b/time.Duration(workers(ep)))
 	}
 	return out
 }
 
 // AggregateMakespan bounds the simulated wall-clock of a set of queries
-// run concurrently against one scheduler with the given per-endpoint
-// worker budget: the same list-scheduling bound the per-query model
-// uses, lifted across tenants — no schedule beats any single query's
-// critical path, and no schedule beats an endpoint's total work (summed
-// over all tenants) spread over its connection budget. Like the
-// per-query makespan, it is a pure function of the prompt sets when the
-// cache is off, so concurrency benchmarks built on it are deterministic.
-// It is also dispatch-policy-independent: any work-conserving drain
-// order (round-robin, deficit-weighted, …) meets the same bound, which
-// is why switching policies cannot regress aggregate throughput.
-func AggregateMakespan(workers int, stats []*TenantStats) VTime {
-	if workers < 1 {
-		workers = DefaultBatchWorkers
-	}
-	var out VTime
+// run concurrently against one scheduler: the same list-scheduling bound
+// the per-query model uses, lifted across tenants — no schedule beats
+// any single query's critical path, and no schedule beats an endpoint's
+// total work (summed over all tenants) spread over the worker budget the
+// snapshots record for it. Like the per-query makespan, it is a pure
+// function of the prompt sets when the cache is off, so concurrency
+// benchmarks built on it are deterministic. It is also
+// dispatch-policy-independent: any work-conserving drain order
+// (round-robin, deficit-weighted, …) meets the same bound, which is why
+// switching policies cannot regress aggregate throughput.
+func AggregateMakespan(stats []*TenantStats) VTime {
+	var span VTime
 	work := map[string]time.Duration{}
+	workers := map[string]int{}
 	for _, ts := range stats {
 		if ts == nil {
 			continue
 		}
-		if ts.CriticalPath > out {
-			out = ts.CriticalPath
-		}
+		span = max(span, ts.CriticalPath)
 		for ep, b := range ts.Work {
 			work[ep] += b
+			workers[ep] = ts.Workers[ep]
 		}
 	}
-	for _, b := range work {
-		if area := b / time.Duration(workers); area > out {
-			out = area
-		}
-	}
-	return out
+	return makespan(span, work, func(ep string) int { return workers[ep] })
 }

@@ -61,11 +61,11 @@ func TestSchedulerChainLatency(t *testing.T) {
 		}
 		vt = end
 	}
-	if got := tn.CriticalPath(); got != want {
+	if got := tn.Stats().CriticalPath; got != want {
 		t.Errorf("critical path = %v, want %v", got, want)
 	}
 	// Three prompts on four workers: the chain dominates the area bound.
-	if got := tn.Makespan(); got != want {
+	if got := tn.Stats().Makespan(); got != want {
 		t.Errorf("makespan = %v, want chain %v", got, want)
 	}
 }
@@ -91,10 +91,10 @@ func TestSchedulerAreaBoundDominates(t *testing.T) {
 			t.Fatalf("independent prompt ends at %v, want %v", end, one)
 		}
 	}
-	if got := tn.CriticalPath(); got != one {
+	if got := tn.Stats().CriticalPath; got != one {
 		t.Errorf("critical path = %v, want %v", got, one)
 	}
-	if got, want := tn.Makespan(), time.Duration(n)*one/2; got != want {
+	if got, want := tn.Stats().Makespan(), time.Duration(n)*one/2; got != want {
 		t.Errorf("makespan = %v, want area bound %v", got, want)
 	}
 }
@@ -121,10 +121,10 @@ func TestSchedulerPerEndpointBudget(t *testing.T) {
 	}
 	one := latOf("independent prompt", "a b c")
 	want := time.Duration(n) * one / 2 // each endpoint's own area
-	if got := tn.Makespan(); got != want {
+	if got := tn.Stats().Makespan(); got != want {
 		t.Errorf("makespan = %v, want per-endpoint area %v (summed would be %v)", got, want, 2*want)
 	}
-	if got := tn.AggregateWork(); got != 2*time.Duration(n)*one {
+	if got := totalWork(tn); got != 2*time.Duration(n)*one {
 		t.Errorf("aggregate work = %v, want %v", got, 2*time.Duration(n)*one)
 	}
 }
@@ -137,7 +137,7 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	if _, _, err := tn.Single().Submit(client, nil, "same prompt", 0).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	first := tn.Makespan()
+	first := tn.Stats().Makespan()
 	if first == 0 {
 		t.Fatal("issued prompt must cost latency")
 	}
@@ -150,7 +150,7 @@ func TestSchedulerCacheHitsCostNothing(t *testing.T) {
 	if end != first {
 		t.Errorf("cache hit must complete at its ready time: %v, want %v", end, first)
 	}
-	if got := tn.Makespan(); got != first {
+	if got := tn.Stats().Makespan(); got != first {
 		t.Errorf("makespan grew on a cache hit: %v vs %v", got, first)
 	}
 	st := tn.Usage()
@@ -240,6 +240,7 @@ func TestSchedulerCancellation(t *testing.T) {
 		}
 	}
 	tn.Quiesce()
+	quiescent(t, s)
 }
 
 // TestSchedulerCancelDoesNotPerturbOtherTenants: cancelling one query
@@ -311,11 +312,11 @@ func TestSchedulerCancelDoesNotPerturbOtherTenants(t *testing.T) {
 	// B's accounting covers exactly its three issued prompts; none of A's
 	// cancelled work leaked into it.
 	want := 3 * latOf("b0 prompt", "ok done")
-	if got := b.AggregateWork(); got != want {
+	if got := totalWork(b); got != want {
 		t.Errorf("tenant b aggregate work = %v, want %v", got, want)
 	}
-	if a.AggregateWork() != 0 {
-		t.Errorf("cancelled tenant accounted work %v, want 0", a.AggregateWork())
+	if totalWork(a) != 0 {
+		t.Errorf("cancelled tenant accounted work %v, want 0", totalWork(a))
 	}
 
 	// The slots are free again: a fresh tenant completes immediately.
@@ -324,6 +325,7 @@ func TestSchedulerCancelDoesNotPerturbOtherTenants(t *testing.T) {
 	if _, _, err := c.Single().Submit(&echoLLM{name: "blocking-gate", answer: "x"}, nil, "fresh prompt", 0).Wait(); err != nil {
 		t.Fatalf("scheduler wedged after cancellation: %v", err)
 	}
+	quiescent(t, s)
 }
 
 // gatedLLM records started calls and blocks completions until released
@@ -452,24 +454,33 @@ func TestSchedulerTenantIsolationAccounting(t *testing.T) {
 		}
 	}
 	one := latOf("shared pool prompt", "w x y z")
-	if got := a.AggregateWork(); got != 4*one {
+	if got := totalWork(a); got != 4*one {
 		t.Errorf("tenant a work = %v, want %v", got, 4*one)
 	}
-	if got := b.AggregateWork(); got != 2*one {
+	if got := totalWork(b); got != 2*one {
 		t.Errorf("tenant b work = %v, want %v", got, 2*one)
 	}
 	// Per-tenant makespans price each query as if it ran alone.
-	if got := a.Makespan(); got != 4*one/2 {
+	if got := a.Stats().Makespan(); got != 4*one/2 {
 		t.Errorf("tenant a makespan = %v, want %v", got, 4*one/2)
 	}
-	if got := b.Makespan(); got != one {
+	if got := b.Stats().Makespan(); got != one {
 		t.Errorf("tenant b makespan = %v, want %v", got, one)
 	}
 	// The concurrent aggregate: 6 prompts of work on 2 workers.
-	got := AggregateMakespan(2, []*TenantStats{a.Stats(), b.Stats()})
+	got := AggregateMakespan([]*TenantStats{a.Stats(), b.Stats()})
 	if want := 6 * one / 2; got != want {
 		t.Errorf("aggregate makespan = %v, want %v", got, want)
 	}
+}
+
+// totalWork sums a tenant's issued-prompt latency over its endpoints.
+func totalWork(tn *Tenant) time.Duration {
+	var total time.Duration
+	for _, w := range tn.Stats().Work {
+		total += w
+	}
+	return total
 }
 
 func TestSchedulerErrorPropagates(t *testing.T) {
@@ -489,8 +500,101 @@ func (f *failingLLM) Complete(ctx context.Context, p string) (string, error) {
 
 func TestSchedulerDefaultWorkers(t *testing.T) {
 	s := NewScheduler(nil, 0)
-	if s.Workers() != DefaultBatchWorkers {
-		t.Errorf("workers = %d, want %d", s.Workers(), DefaultBatchWorkers)
+	if s.Gauges().Workers != DefaultBatchWorkers {
+		t.Errorf("workers = %d, want %d", s.Gauges().Workers, DefaultBatchWorkers)
+	}
+}
+
+// peakLLM blocks every call until released and records the most calls
+// it ever had in flight at once.
+type peakLLM struct {
+	name             string
+	started, release chan struct{}
+	mu               sync.Mutex
+	cur, peak        int
+}
+
+func (p *peakLLM) Name() string { return p.name }
+func (p *peakLLM) Complete(ctx context.Context, _ string) (string, error) {
+	p.mu.Lock()
+	p.cur++
+	p.peak = max(p.peak, p.cur)
+	p.mu.Unlock()
+	p.started <- struct{}{}
+	<-p.release
+	p.mu.Lock()
+	p.cur--
+	p.mu.Unlock()
+	return "ok", nil
+}
+
+func (p *peakLLM) peakCalls() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.peak
+}
+
+// TestDeclaredWorkersBoundDispatch: a declared backend's worker budget
+// bounds its endpoint's slots from the scheduler's construction on,
+// while an undeclared endpoint runs at the scheduler default, and each
+// query's snapshot records the budget its endpoints had.
+func TestDeclaredWorkersBoundDispatch(t *testing.T) {
+	started, release := make(chan struct{}, 8), make(chan struct{}) // one start per prompt
+	one := &peakLLM{name: "one", started: started, release: release}
+	free := &peakLLM{name: "free", started: started, release: release}
+	reg, err := NewRegistry([]BackendSpec{{Name: "one", Client: one, Workers: 1}}, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(nil, 4, reg.Backends()...)
+	tn := tenant(s, t)
+	var futs []*Future
+	for i := 0; i < 4; i++ {
+		futs = append(futs, tn.Submit(reg.Default(), fmt.Sprintf("one %d", i), 0), tn.Submit(free, fmt.Sprintf("free %d", i), 0))
+	}
+	// One slot of "one" and all four of "free" run; the other three
+	// prompts of "one" wait for its single slot.
+	for i := 0; i < 5; i++ {
+		<-started
+	}
+	if g := s.Gauges(); g.Interactive.Busy != 5 || g.Interactive.Queued != 3 {
+		t.Errorf("busy %d, queued %d; want 5 and 3", g.Interactive.Busy, g.Interactive.Queued)
+	}
+	close(release)
+	for _, f := range futs {
+		if _, _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if one.peakCalls() != 1 || free.peakCalls() != 4 {
+		t.Errorf("peak calls in flight: one %d, free %d; want 1 and 4", one.peakCalls(), free.peakCalls())
+	}
+	if st := tn.Stats(); st.Workers["one"] != 1 || st.Workers["free"] != 4 {
+		t.Errorf("snapshot budgets = %v, want one:1 free:4", st.Workers)
+	}
+	quiescent(t, s)
+}
+
+var (
+	usageSink Stats
+	statsSink *TenantStats
+)
+
+// TestFinishedTenantAccountingAllocs pins what a finished query's
+// accounting costs: Usage takes no snapshot, Stats takes one (the
+// struct and its two maps).
+func TestFinishedTenantAccountingAllocs(t *testing.T) {
+	tn := tenant(NewScheduler(nil, 2), t)
+	if _, _, err := tn.Submit(&echoLLM{name: "m", answer: "x"}, "p", 0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	tn.Quiesce()
+	allocs := testing.AllocsPerRun(100, func() {
+		usageSink = tn.Usage()
+		statsSink = tn.Stats()
+	})
+	if allocs > 5 {
+		t.Errorf("Usage + Stats after a miss = %v allocs, want at most %d", allocs, 5)
 	}
 }
 
@@ -505,6 +609,7 @@ func TestSchedulerSubmitAfterCancelResolvesImmediately(t *testing.T) {
 	if _, _, err := tn.Single().Submit(&echoLLM{name: "m", answer: "x"}, nil, "p", 0).Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
+	quiescent(t, s)
 }
 
 // holdLLM occupies a worker slot of endpoint "m" from its single call
@@ -561,8 +666,8 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	if g := s.Gauges(); g.Interactive.Busy != 1 || g.Interactive.Queued != 0 || g.Interactive.Drained != 0 {
 		t.Errorf("inline hit touched the dispatch state (1 held slot expected): %+v", g.Interactive)
 	}
-	if tn.AggregateWork() != 0 || tn.CriticalPath() != ready {
-		t.Errorf("hit accounting: work %v, critical path %v; want 0 and %v", tn.AggregateWork(), tn.CriticalPath(), ready)
+	if totalWork(tn) != 0 || tn.Stats().CriticalPath != ready {
+		t.Errorf("hit accounting: work %v, critical path %v; want 0 and %v", totalWork(tn), tn.Stats().CriticalPath, ready)
 	}
 	if got := tn.Usage(); got != (Stats{CacheHits: 1, SimulatedLatency: ready}) {
 		t.Errorf("usage = %+v, want exactly one cache hit", got)

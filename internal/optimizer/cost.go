@@ -23,11 +23,13 @@ const (
 // BackendPrice carries the planner-visible coefficients of the backend
 // one operator role routes to: CostWeight scales the money axis (cheap
 // models price their prompts below 1), SpeedFactor scales the per-prompt
-// unit latency (slower models stretch the makespan).
+// unit latency (slower models stretch the makespan), and Workers is the
+// backend's own worker budget (0 means CostParams.Workers).
 type BackendPrice struct {
 	Backend     string
 	CostWeight  float64
 	SpeedFactor float64
+	Workers     int
 }
 
 // CostParams fix the execution environment the estimate assumes.
@@ -116,7 +118,22 @@ type estimator struct {
 	// own worker pool, so areas bound the makespan independently. The
 	// unpriced estimate keys its one endpoint "", a verifier routed to
 	// that sole backend included, as the scheduler counts it.
-	workBy map[string]time.Duration
+	workBy map[string]area
+}
+
+// area is one endpoint's prompt work and the worker budget it spreads
+// over.
+type area struct {
+	work    time.Duration
+	workers int
+}
+
+// accrue adds work to the area of bp's endpoint.
+func (e *estimator) accrue(bp BackendPrice, work time.Duration) {
+	a := e.workBy[bp.Backend]
+	a.work += work
+	a.workers = bp.Workers
+	e.workBy[bp.Backend] = a
 }
 
 // Estimate predicts the prompt count and makespan of a lowered plan
@@ -137,7 +154,7 @@ func estimate(n logical.Node, st statsReader, p CostParams) *PlanCost {
 		p:        p,
 		bindings: map[string]scanInfo{},
 		out:      &PlanCost{Candidates: 1, Choice: "estimate", Priced: p.Price != nil, Nodes: map[logical.Node]NodeEstimate{}},
-		workBy:   map[string]time.Duration{},
+		workBy:   map[string]area{},
 	}
 	var collect func(logical.Node)
 	collect = func(n logical.Node) {
@@ -152,20 +169,18 @@ func estimate(n logical.Node, st statsReader, p CostParams) *PlanCost {
 
 	root := e.node(n)
 	e.out.Latency = root.Done
-	for _, work := range e.workBy {
-		if area := work / time.Duration(p.Workers); area > e.out.Latency {
-			e.out.Latency = area
-		}
+	for _, a := range e.workBy {
+		e.out.Latency = max(e.out.Latency, a.work/time.Duration(a.workers))
 	}
 	return e.out
 }
 
 // price resolves the backend and coefficients for one operator role. The
-// unpriced estimate (no Price hook) yields neutral coefficients and no
-// backend attribution.
+// unpriced estimate (no Price hook) yields neutral coefficients, the
+// shared worker budget and no backend attribution.
 func (e *estimator) price(role llm.Role, table string) BackendPrice {
 	if e.p.Price == nil {
-		return BackendPrice{CostWeight: 1, SpeedFactor: 1}
+		return BackendPrice{CostWeight: 1, SpeedFactor: 1, Workers: e.p.Workers}
 	}
 	bp := e.p.Price(role, table)
 	if bp.CostWeight <= 0 {
@@ -173,6 +188,9 @@ func (e *estimator) price(role llm.Role, table string) BackendPrice {
 	}
 	if bp.SpeedFactor <= 0 {
 		bp.SpeedFactor = 1
+	}
+	if bp.Workers <= 0 {
+		bp.Workers = e.p.Workers
 	}
 	return bp
 }
@@ -186,12 +204,12 @@ func (bp BackendPrice) unit(base time.Duration) time.Duration {
 }
 
 // waves is the batched-latency estimate of issuing n prompts of the given
-// unit latency over the worker budget.
-func (e *estimator) waves(n float64, unit time.Duration) time.Duration {
+// unit latency over a worker budget.
+func waves(n float64, unit time.Duration, workers int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	w := n / float64(e.p.Workers)
+	w := n / float64(workers)
 	if f := float64(int(w)); f < w {
 		w = f + 1
 	}
@@ -317,12 +335,12 @@ func (e *estimator) verifies(table string) bool {
 func (e *estimator) keyStage(in NodeEstimate, bp BackendPrice, base time.Duration, resident float64) (issued float64, start, done time.Duration) {
 	issued = in.Rows * (1 - resident)
 	unit := bp.unit(base)
-	e.workBy[bp.Backend] += time.Duration(issued * float64(unit))
+	e.accrue(bp, time.Duration(issued*float64(unit)))
 	e.out.Cost += issued * bp.CostWeight
 	if resident >= 1 {
 		return issued, in.Start, in.Done
 	}
-	start, done = promptStage(in, unit, e.waves(issued, unit))
+	start, done = promptStage(in, unit, waves(issued, unit, bp.Workers))
 	return issued, start, done
 }
 
@@ -361,7 +379,7 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		bp := e.price(llm.RoleKeyscan, node.Table.Name)
 		unit := bp.unit(listLat)
 		done := time.Duration(pages) * unit
-		e.workBy[bp.Backend] += done
+		e.accrue(bp, done)
 		e.out.Cost += pages * bp.CostWeight
 		return e.record(n, NodeEstimate{Rows: rows, Prompts: pages, Start: unit, Done: done, Backend: bp.Backend})
 

@@ -85,7 +85,7 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyLat := legacyCtx.Scheduler.Makespan()
+	legacyLat := legacyCtx.Scheduler.Stats().Makespan()
 	legacyPrompts := legacyCtx.Scheduler.Usage().Prompts
 
 	// Streaming run.
@@ -105,7 +105,7 @@ func TestPipelinedMatchesStopAndGo(t *testing.T) {
 	if pipePrompts := pctx.Scheduler.Usage().Prompts; pipePrompts != legacyPrompts {
 		t.Errorf("pipelined issued %d prompts, stop-and-go %d", pipePrompts, legacyPrompts)
 	}
-	makespan := pctx.Scheduler.Makespan()
+	makespan := pctx.Scheduler.Stats().Makespan()
 	if makespan == 0 || makespan >= legacyLat {
 		t.Errorf("pipelined makespan %v must be positive and below stop-and-go %v", makespan, legacyLat)
 	}
@@ -122,12 +122,17 @@ func TestPipelinedVTimePropagation(t *testing.T) {
 	// 8 workers: with every prompt independent the span would be one
 	// prompt latency; the staged chain forces list page → filter → fetch
 	// in sequence, so the span must cover at least three per-prompt bases.
-	span := pctx.Scheduler.CriticalPath()
+	st := pctx.Scheduler.Stats()
+	span := st.CriticalPath
 	if span < 3*420*time.Millisecond {
 		t.Errorf("critical path %v too short for a 3-deep prompt chain", span)
 	}
-	if span > pctx.Scheduler.AggregateWork() {
-		t.Errorf("critical path %v cannot exceed aggregate work %v", span, pctx.Scheduler.AggregateWork())
+	var work time.Duration
+	for _, w := range st.Work {
+		work += w
+	}
+	if span > work {
+		t.Errorf("critical path %v cannot exceed aggregate work %v", span, work)
 	}
 }
 
