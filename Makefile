@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-artifacts benchmark-smoke serve fuzz cover netlines
+.PHONY: check vet build test race bench bench-smoke bench-compare bench-artifacts benchmark-smoke serve fuzz cover netlines
 
 check: vet build race bench-smoke
 
@@ -49,6 +49,21 @@ bench:
 # panics or fails is seen by check; it measures nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+
+# Compares the bench target's benchmarks at BASE (a git revision; HEAD,
+# the default, compares the uncommitted change) with the working tree:
+# both sides' test binaries are built first, BASE's from a git archive
+# under $(TMPDIR), then run alternately COUNT times each, and the medians
+# of ns/op, B/op, allocs/op and the custom units are printed side by
+# side. BENCH narrows the benchmarks (a -test.bench pattern), PKGS the
+# packages and BENCHTIME sets -test.benchtime, e.g.
+# make bench-compare BASE=HEAD~1 PKGS=./internal/physical BENCHTIME=4000x.
+COUNT ?= 10
+BENCH ?= .
+BENCHTIME ?= 1s
+PKGS ?= $(BENCH_PKGS)
+bench-compare:
+	BENCHTIME=$(BENCHTIME) bash scripts/bench-compare.sh $(BASE) $(COUNT) '$(BENCH)' $(PKGS)
 
 # Regenerates every committed BENCH_*.json artifact (the rows of
 # bench.Artifacts; each is deterministic) and fails when any differs from

@@ -55,11 +55,12 @@ func (rt *Runtime) pin(role llm.Role, table string) string {
 
 // priceFor builds the optimizer's backend-pricing hook over a routing
 // view: each operator role is charged the cost weight and speed factor
-// of the backend it would route to and, under the streaming policy, the
-// worker budget the scheduler gives that backend (a stop-and-go wave is
-// as wide as the session's BatchWorkers whatever the backend). Nil
-// (unpriced estimates, identical to the single-backend planner) when the
-// runtime declared no explicit backends.
+// of the backend it would route to and the worker budget the scheduler
+// gives that backend: under the streaming policy its declared budget,
+// under stop-and-go the session's wave width capped by that budget (a
+// backend that declares none leaves Workers 0, the CostParams
+// default). Nil (unpriced estimates, identical to the single-backend
+// planner) when the runtime declared no explicit backends.
 func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string) optimizer.BackendPrice {
 	if !s.rt.routed {
 		return nil
@@ -70,8 +71,8 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 			b = s.rt.registry.Default()
 		}
 		bp := optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
-		if s.opts.Pipelined {
-			bp.Workers = b.Workers()
+		if bp.Workers = b.Workers(); !s.opts.Pipelined && bp.Workers > 0 {
+			bp.Workers = min(bp.Workers, s.opts.BatchWorkers)
 		}
 		return bp
 	}

@@ -88,7 +88,8 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	// Price plans with the worker budget that will actually apply: the
 	// runtime scheduler's shared per-endpoint budget under the streaming
-	// policy, the session's wave width under stop-and-go.
+	// policy, the session's wave width under stop-and-go. A backend's
+	// declared budget overrides the first and caps the second (priceFor).
 	workers := s.opts.BatchWorkers
 	if s.opts.Pipelined {
 		workers = s.rt.opts.BatchWorkers
@@ -363,7 +364,8 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 // openTenant opens one query's scheduler tenant in the session's
 // admission class and weight, which decide the dispatch band and the
 // deficit share within it, and in the session's execution policy:
-// stop-and-go tenants issue waves as wide as the session's BatchWorkers.
+// stop-and-go tenants issue waves as wide as the session's BatchWorkers,
+// or as the backend's declared worker budget where that is smaller.
 // Unknown class spellings fall back to interactive (the serve layer
 // rejects them before they reach here; direct API callers get the safe
 // default).

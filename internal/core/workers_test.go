@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/simllm"
 	"repro/internal/world"
@@ -73,5 +74,46 @@ func TestPlannerPricesDeclaredWorkers(t *testing.T) {
 	}
 	if one.Stats.Prompts != eight.Stats.Prompts {
 		t.Errorf("prompts = %d at 1 worker, %d at 8: the budget must not change the plan's prompts", one.Stats.Prompts, eight.Stats.Prompts)
+	}
+}
+
+// TestStopAndGoWavesHonourDeclaredWorkers: a stop-and-go wave on a
+// backend runs no more prompts at once than that backend declares, in
+// the executed latency and in the planner's estimate, so a one-worker
+// cheap backend is slower than an eight-worker one under either policy
+// (both read 12.0015 s while waves ignored the budget). The streaming
+// latencies and the prompts stay as they were.
+func TestStopAndGoWavesHonourDeclaredWorkers(t *testing.T) {
+	w := world.Build()
+	for _, c := range []struct {
+		workers   int
+		pipelined bool
+		latency   time.Duration
+	}{
+		{1, false, 33414500 * time.Microsecond},
+		{8, false, 12001500 * time.Microsecond},
+		{1, true, 29494500 * time.Microsecond},
+		{8, true, 5561500 * time.Microsecond},
+	} {
+		s := workersRuntime(t, w, c.workers).NewSession()
+		opts := s.Options()
+		opts.Pipelined = c.pipelined
+		s.SetOptions(opts)
+		_, rep, err := s.Query(context.Background(), workersSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.SimulatedLatency != c.latency || rep.Stats.Prompts != 52 {
+			t.Errorf("workers %d, pipelined %v: latency %v over %d prompts, want %v over 52",
+				c.workers, c.pipelined, rep.Stats.SimulatedLatency, rep.Stats.Prompts, c.latency)
+		}
+		// The planner prices a wave at the same width as the scheduler.
+		want := 7315 * time.Millisecond
+		if c.workers == 1 {
+			want = 19530 * time.Millisecond
+		}
+		if rep.Estimate.Latency != want {
+			t.Errorf("workers %d, pipelined %v: estimated %v, want %v", c.workers, c.pipelined, rep.Estimate.Latency, want)
+		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 // from.
 type VTime = time.Duration
 
-// Future is one prompt in flight on a Scheduler. Wait blocks until the
+// Future is one submitted prompt on a Scheduler. Wait blocks until the
 // completion is available and returns it together with the prompt's
 // virtual completion time; Decoded returns, instead of the text, what the
-// prompt's template decodes it to.
+// prompt's template decodes it to. A caller that reads resident answers
+// with Wave.Lookup first gets a Future only for a prompt that may wait.
 type Future struct {
 	done chan struct{}
 	out  string
@@ -32,7 +33,8 @@ type Future struct {
 }
 
 // resolved is the done channel of every future that is settled at
-// Submit (a cancelled tenant, a resident prompt): already closed, shared.
+// Submit (a cancelled tenant or aborted wave, a resident prompt submitted
+// without a Lookup first): already closed, shared.
 var resolved = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -441,6 +443,16 @@ func (s *Scheduler) workersFor(name string) int {
 	return s.workers
 }
 
+// waveWidth is how many prompts of a stop-and-go wave of the given width
+// run at once on one endpoint: the width, capped by the endpoint's
+// declared worker budget when its backend declares one.
+func (s *Scheduler) waveWidth(width int, name string) int {
+	if n, ok := s.budget[name]; ok {
+		return min(width, n)
+	}
+	return width
+}
+
 // ClassGauges is one admission class's live dispatch state, summed over
 // endpoints.
 type ClassGauges struct {
@@ -592,7 +604,8 @@ type Tenant struct {
 // first prompt and issue each step as one Wave that settles before
 // anything downstream starts. The tenant's simulated latency becomes the
 // sum of its waves. A wave costs ⌈issued / width⌉ × its slowest issued
-// prompt: width concurrent calls per round. A prompt submitted through
+// prompt: width concurrent calls per round, or fewer on an endpoint
+// whose backend declares a smaller worker budget. A prompt submitted through
 // Single (a key-scan page) is a wave of one. The sum is kept as the
 // critical path, since stop-and-go waves run one after another.
 func (t *Tenant) SetWaves(width int) {
@@ -712,12 +725,12 @@ func (t *Tenant) Single() *Wave {
 // fails at once.
 //
 // A prompt whose completion is resident in the cache is answered here,
-// at ready: the hit is counted and its recency bumped exactly as on the
-// slot path, but no goroutine starts, no worker slot or deficit is
-// spent, no tokens are counted and no prompt text is built — a fact
-// already held costs a map lookup on the key. When the entry's decoded
-// slot is tp's decoder's, the future carries that value and the text is
-// not decoded again. A cancelled tenant still fails first.
+// at ready, as by Lookup: no goroutine starts, no worker slot or deficit
+// is spent, no tokens are counted and no prompt text is built. The hit is
+// counted on the tenant at once, and the answer comes in a settled
+// Future. An operator that reads many resident prompts calls Lookup
+// first and submits only its misses, so a hit costs it neither the
+// Future nor the tenant lock.
 func (w *Wave) Submit(client Client, tp *Template, key string, ready VTime) *Future {
 	if tp == nil {
 		tp = rawText
@@ -729,22 +742,61 @@ func (w *Wave) Submit(client Client, tp *Template, key string, ready VTime) *Fut
 	return f
 }
 
+// Lookup reads the answer to key instantiating tp (nil: a raw-text
+// prompt) when the cache holds it: the completion, tp's decoding of it
+// and true. A fact already held costs a map lookup on the key: the hit is
+// counted on the cache and its recency bumped exactly as on the slot
+// path, and an entry whose decoded slot is tp's decoder's is not decoded
+// again. Lookup allocates nothing and touches no tenant state: the caller
+// counts its hits, with the latest ready time among them, and folds them
+// into the tenant with FoldHits. A hit joins no stop-and-go wave, as it
+// has nothing to wait for. A miss reports false, and so does a cancelled
+// tenant or an aborted wave, hit or not: the caller then submits the
+// prompt, whose future fails.
+func (w *Wave) Lookup(client Client, tp *Template, key string) (out string, val any, ok bool) {
+	c := w.t.s.cache
+	if c == nil {
+		return "", nil, false
+	}
+	// The wave's context is done exactly when err reports a failure;
+	// polling Done takes no lock once the channel exists, where Err locks
+	// the context on every call.
+	select {
+	case <-w.ctx.Done():
+		return "", nil, false
+	default:
+	}
+	if tp == nil {
+		tp = rawText
+	}
+	if out, val, ok = c.hit(client.Name(), tp, key); !ok {
+		return "", nil, false
+	}
+	return out, tp.value(out, val), true
+}
+
+// FoldHits adds, in one step, hits prompts a caller answered with
+// Lookup to the tenant's cache hits. latest is the latest of their ready
+// times: under the streaming policy the critical path reaches at least
+// latest, as if each hit had been submitted.
+func (t *Tenant) FoldHits(hits int, latest VTime) {
+	t.mu.Lock()
+	t.usage.CacheHits += hits
+	if t.width == 0 && latest > t.span {
+		t.span = latest
+	}
+	t.mu.Unlock()
+}
+
 func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Future {
+	if out, val, ok := w.Lookup(client, tp, key); ok {
+		w.t.FoldHits(1, ready)
+		return &Future{done: resolved, out: out, val: val, vt: ready}
+	}
 	if err := w.err(); err != nil {
 		return &Future{done: resolved, err: err}
 	}
 	t, s := w.t, w.t.s
-	if s.cache != nil {
-		if out, val, ok := s.cache.hit(client.Name(), tp, key); ok {
-			t.mu.Lock()
-			t.usage.CacheHits++
-			if t.width == 0 && ready > t.span {
-				t.span = ready
-			}
-			t.mu.Unlock()
-			return &Future{done: resolved, out: out, val: tp.value(out, val), vt: ready}
-		}
-	}
 	tokens := tp.tokens(key)
 	j := &job{t: t, wave: w, client: client, tmpl: tp, key: key, ready: ready, tokens: tokens}
 	j.done = make(chan struct{})
@@ -900,11 +952,11 @@ func (s *Scheduler) complete(j *job) (string, any, VTime, error) {
 			t.span = end
 		}
 	case issued:
-		w := j.wave
-		before := w.cost(t.width)
+		w, width := j.wave, s.waveWidth(t.width, client.Name())
+		before := w.cost(width)
 		w.issued++
 		w.slowest = max(w.slowest, lat)
-		t.span += w.cost(t.width) - before
+		t.span += w.cost(width) - before
 	}
 	t.mu.Unlock()
 	return out, val, end, nil

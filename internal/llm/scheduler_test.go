@@ -696,6 +696,58 @@ func TestSubmitResolvesResidentPromptInline(t *testing.T) {
 	}
 }
 
+// TestLookupReadsResidentPrompt: Lookup answers a resident prompt with
+// its text and decoded slot, counts the hit on the cache but leaves the
+// tenant alone until FoldHits, reports a miss as false, fails a cancelled
+// tenant first, and allocates nothing on a hit.
+func TestLookupReadsResidentPrompt(t *testing.T) {
+	cache := NewCache(8)
+	s := NewScheduler(cache, 2)
+	base, _ := collidingTemplates()
+	tmpl := base.WithDecoder("len", func(out string) any { return len(out) })
+	client := &echoLLM{name: "m", answer: "2872800"}
+	tn := tenant(s, t)
+	w := tn.Wave()
+	if _, _, ok := w.Lookup(client, tmpl, "Rome"); ok {
+		t.Fatal("Lookup of a prompt never asked reported a hit")
+	}
+	if _, _, err := w.Submit(client, tmpl, "Rome", 0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	seeded, hits := tn.Usage(), cache.Stats().Hits
+
+	out, val, ok := w.Lookup(client, tmpl, "Rome")
+	if !ok || out != "2872800" || val != len("2872800") {
+		t.Fatalf("Lookup = %q, %v, %v; want the resident answer and its decoding", out, val, ok)
+	}
+	if got := cache.Stats().Hits; got != hits+1 {
+		t.Errorf("cache hits = %d, want %d", got, hits+1)
+	}
+	if got := tn.Usage(); got != seeded {
+		t.Errorf("Lookup touched the tenant: usage %+v, was %+v", got, seeded)
+	}
+	const ready = 5 * time.Second
+	tn.FoldHits(1, ready)
+	if got := tn.Usage(); got.CacheHits != seeded.CacheHits+1 || tn.Stats().CriticalPath != ready {
+		t.Errorf("after FoldHits: usage %+v, critical path %v; want one more hit and %v", got, tn.Stats().CriticalPath, ready)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Lookup(client, tmpl, "Rome") }); allocs != 0 {
+		t.Errorf("Lookup hit = %.0f allocs, want 0", allocs)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := s.Tenant(ctx, "")
+	defer cancelled.Close()
+	cancel()
+	hits = cache.Stats().Hits
+	if _, _, ok := cancelled.Wave().Lookup(client, tmpl, "Rome"); ok {
+		t.Error("Lookup on a cancelled tenant reported a hit")
+	}
+	if got := cache.Stats().Hits; got != hits {
+		t.Errorf("cancelled Lookup counted a hit: %d, was %d", got, hits)
+	}
+}
+
 // BenchmarkSchedulerMiss is the scheduler's cost of one model miss: Submit
 // and Wait on an open tenant, with an instant client and a prompt the
 // size of a few-shot fetch prompt. Run with -benchmem.

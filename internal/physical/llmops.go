@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/clean"
@@ -31,8 +32,9 @@ import (
 // Open builds the page prompts' templates once: the first page is a
 // template with an empty key, and a later page's key is its exclusion
 // list. Each page's answer is decoded once, into its cleaned keys, and a
-// resident page is not decoded again.
+// resident page is read with its decoding and not decoded again.
 type llmKeyScanOp struct {
+	tally
 	scan *logical.Scan
 	out  *schema.Schema
 	pipe pipe // not started while the scan runs inline
@@ -43,14 +45,15 @@ type llmKeyScanOp struct {
 	maxIter             int
 
 	// The page chain, handed to the producer when it starts.
-	keys  []string
-	seen  map[string]bool
-	vt    llm.VTime
-	iter  int
-	page  *llm.Future // submitted, not yet absorbed
-	ended bool        // no page follows the last absorbed one
-	rows  []pipeRow   // absorbed; inline, rows[next:] are not yet returned
-	next  int
+	keys    []string
+	seen    map[string]bool
+	vt      llm.VTime
+	iter    int
+	page    answer    // the page asked, until absorbed
+	pending bool      // a page was asked and not yet absorbed
+	ended   bool      // no page follows the last absorbed one
+	rows    []pipeRow // absorbed; inline, rows[next:] are not yet returned
+	next    int
 }
 
 func (s *llmKeyScanOp) Schema() *schema.Schema { return s.out }
@@ -58,7 +61,7 @@ func (s *llmKeyScanOp) Schema() *schema.Schema { return s.out }
 // Open prepares the page chain on the query's tenant; under the
 // stop-and-go policy it also starts the producer.
 func (s *llmKeyScanOp) Open(c *Context) error {
-	client, err := c.client(llm.RoleKeyscan, s.scan.Table.Backend, "LLM scan of "+s.scan.Table.Name)
+	client, err := c.client(llm.RoleKeyscan, s.scan.Table.Backend, "LLM scan of ", s.scan.Table.Name)
 	if err != nil {
 		return err
 	}
@@ -77,39 +80,45 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
 	s.firstPage = llm.NewTemplate(first, "", llm.PromptClass{}).WithDecoder(tag, decode)
 	s.morePage = llm.NewTemplate(pre, post, llm.PromptClass{}).WithDecoder(tag, decode)
-	s.c, s.client, s.seen = c, client, map[string]bool{}
+	s.c, s.client = c, client
 	if c.Scheduler.StopAndGo() {
 		s.pipe.start(c, s)
 	}
 	return nil
 }
 
-// submitPage issues the chain's next page, ready when the previous one
+// submitPage asks the chain's next page, ready when the previous one
 // completed. Stop-and-go, each page is a wave of one.
 func (s *llmKeyScanOp) submitPage() {
 	tmpl, key := s.firstPage, ""
 	if len(s.keys) > 0 {
 		tmpl, key = s.morePage, strings.Join(s.keys, "; ")
 	}
-	s.c.Metrics.Add(s.scan, 1, 0, 0)
+	s.asked(1, 0)
 	s.iter++
-	s.page = s.c.Scheduler.Single().Submit(s.client, tmpl, key, s.vt)
+	s.page, s.pending = s.ask(s.c.Scheduler.Single(), s.client, tmpl, key, s.vt), true
 }
 
-// absorb awaits the submitted page and appends its new keys to rows,
+// absorb awaits the asked page and appends its new keys to rows,
 // stamped with the page's virtual completion time. The chain ends on a
 // Done/Unknown marker, a page without new keys or the iteration cap.
 func (s *llmKeyScanOp) absorb() error {
-	decoded, vt, err := s.page.Decoded()
-	s.page = nil
+	decoded, vt, err := s.page.decoded(s.vt)
+	s.page, s.pending = answer{}, false
 	if err != nil {
 		return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
 	}
 	s.vt = vt
 	page := decoded.(*keyPage)
 	prevKeys, prevRows := len(s.keys), len(s.rows)
-	// The page's rows share one allocation, each capped at its own cell.
+	// The page's rows share one allocation, each capped at its own cell,
+	// and the chain's key list, rows and seen set grow once per page.
 	vals := make([]value.Value, 0, len(page.keys))
+	s.keys = slices.Grow(s.keys, len(page.keys))
+	s.rows = slices.Grow(s.rows, len(page.keys))
+	if s.seen == nil {
+		s.seen = make(map[string]bool, len(page.keys))
+	}
 	for _, k := range page.keys {
 		if s.seen[k.lower] {
 			continue
@@ -122,7 +131,7 @@ func (s *llmKeyScanOp) absorb() error {
 			s.rows = append(s.rows, pipeRow{row: vals[n-1 : n : n], vt: vt})
 		}
 	}
-	s.c.Metrics.Add(s.scan, 0, 0, len(s.rows)-prevRows)
+	s.nm.RowsOut += len(s.rows) - prevRows
 	s.ended = page.done || len(s.keys) == prevKeys || s.iter >= s.maxIter
 	return nil
 }
@@ -133,7 +142,7 @@ func (s *llmKeyScanOp) absorb() error {
 func (s *llmKeyScanOp) produce() error {
 	stopAndGo := s.c.Scheduler.StopAndGo()
 	for !s.ended {
-		if s.page == nil {
+		if !s.pending {
 			if !stopAndGo && s.pipe.stopped() {
 				return nil
 			}
@@ -199,7 +208,13 @@ func decodePage(resp string, cleaner *clean.Cleaner, kind value.Kind) *keyPage {
 	return page
 }
 
-func (s *llmKeyScanOp) Close() error { return s.pipe.close() }
+// Close stops the producer, if one was started, and folds the scan's
+// tally.
+func (s *llmKeyScanOp) Close() error {
+	err := s.pipe.close()
+	s.fold(s.c, s.scan)
+	return err
+}
 
 // Next returns the absorbed rows inline, submitting and absorbing the
 // next page when they run out; a page still pending starts the producer.
@@ -215,7 +230,7 @@ func (s *llmKeyScanOp) Next() (schema.Tuple, llm.VTime, error) {
 			return nil, 0, io.EOF
 		}
 		s.submitPage()
-		if !s.page.Settled() {
+		if !s.page.settled() {
 			s.pipe.start(s.c, s) // from the pending page
 			break
 		}
@@ -263,9 +278,9 @@ func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
 // results. Streaming, each tuple is a wave of its own, issued the moment
 // it arrives, with its verification alongside; stop-and-go, the whole
 // input is one wave, and verification follows it as a second wave. Open
-// builds the prompt template once; each prompt is submitted as the
-// template and the tuple's key; each answer is cleaned once, when it
-// arrives from the model, and a resident answer is not cleaned again.
+// builds the prompt template once; each prompt is asked as the template
+// and the tuple's key; each answer is cleaned once, when it arrives from
+// the model, and a resident answer is read cleaned.
 type llmFetchAttrOp struct {
 	node  *logical.FetchAttr
 	input Operator
@@ -279,7 +294,7 @@ type llmFetchAttrOp struct {
 func (f *llmFetchAttrOp) Schema() *schema.Schema { return f.out }
 
 func (f *llmFetchAttrOp) Open(c *Context) error {
-	client, err := c.client(llm.RoleFetch, f.node.Table.Backend, "LLM fetch of "+f.node.Attr)
+	client, err := c.client(llm.RoleFetch, f.node.Table.Backend, "LLM fetch of ", f.node.Attr)
 	if err != nil {
 		return err
 	}
@@ -296,7 +311,7 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	return nil
 }
 
-// issue submits the wave's fetch prompts and, with a verifier, their
+// issue asks the wave's fetch prompts and, with a verifier, their
 // verification.
 func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	c := f.x.c
@@ -304,10 +319,11 @@ func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	if c.Verifier != nil {
 		perRow = 2
 	}
-	c.Metrics.Add(f.node, perRow*len(rows), len(rows), len(rows))
+	f.x.asked(perRow*len(rows), len(rows))
+	f.x.nm.RowsOut += len(rows)
 	w := c.Scheduler.Wave()
 	for i := range rows {
-		rows[i].main = w.Submit(f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+		rows[i].main = f.x.ask(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 	}
 	if err := w.Settle(); err != nil {
 		return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -317,7 +333,7 @@ func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	if c.Verifier != nil {
 		v := c.Scheduler.Wave()
 		for i := range rows {
-			rows[i].verify = v.Submit(c.Verifier, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+			rows[i].verify = f.x.ask(v, c.Verifier, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 		}
 		if err := v.Settle(); err != nil {
 			return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -362,20 +378,20 @@ func valuesAgree(a, b value.Value, tol float64) bool {
 	return strings.EqualFold(strings.TrimSpace(a.String()), strings.TrimSpace(b.String()))
 }
 
-func (f *llmFetchAttrOp) Close() error { return f.x.close() }
+func (f *llmFetchAttrOp) Close() error { return f.x.close(f.node) }
 
 func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 	r, err := f.x.next()
 	if err != nil {
 		return nil, 0, err
 	}
-	cell, vt, err := r.main.Decoded()
+	cell, vt, err := r.main.decoded(r.vt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 	}
 	v := cell.(value.Value)
-	if r.verify != nil {
-		other, verifyVT, err := r.verify.Decoded()
+	if f.x.c.Verifier != nil {
+		other, verifyVT, err := r.verify.decoded(r.vt)
 		if err != nil {
 			return nil, 0, fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
 		}
@@ -395,9 +411,10 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 
 // llmFilterOp keeps tuples for which the per-key boolean prompt answers
 // yes ("Has city Chicago population more than 1000000? Answer yes or no.").
-// Its issue step submits one prompt per input tuple, in input waves as the
+// Its issue step asks one prompt per input tuple, in input waves as the
 // fetch does; Next awaits verdicts in input order and keeps the yes rows.
-// An answer is read as a verdict once, when it arrives from the model.
+// An answer is read as a verdict once, when it arrives from the model,
+// and a resident answer is read as its verdict.
 type llmFilterOp struct {
 	node  *logical.LLMFilter
 	input Operator
@@ -410,7 +427,7 @@ type llmFilterOp struct {
 func (f *llmFilterOp) Schema() *schema.Schema { return f.node.Schema() }
 
 func (f *llmFilterOp) Open(c *Context) error {
-	client, err := c.client(llm.RoleFilter, f.node.Table.Backend, "LLM filter")
+	client, err := c.client(llm.RoleFilter, f.node.Table.Backend, "LLM filter", "")
 	if err != nil {
 		return err
 	}
@@ -428,13 +445,13 @@ func (f *llmFilterOp) Open(c *Context) error {
 	return nil
 }
 
-// issue submits the wave's filter prompts.
+// issue asks the wave's filter prompts.
 func (f *llmFilterOp) issue(rows []pipeRow) error {
 	c := f.x.c
-	c.Metrics.Add(f.node, len(rows), len(rows), 0)
+	f.x.asked(len(rows), len(rows))
 	w := c.Scheduler.Wave()
 	for i := range rows {
-		rows[i].main = w.Submit(f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+		rows[i].main = f.x.ask(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
 	}
 	if err := w.Settle(); err != nil {
 		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
@@ -450,7 +467,7 @@ func isYes(s string) bool {
 	return strings.HasPrefix(s, "yes") || strings.HasPrefix(s, "true")
 }
 
-func (f *llmFilterOp) Close() error { return f.x.close() }
+func (f *llmFilterOp) Close() error { return f.x.close(f.node) }
 
 func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
@@ -458,12 +475,12 @@ func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		yes, vt, err := r.main.Decoded()
+		yes, vt, err := r.main.decoded(r.vt)
 		if err != nil {
 			return nil, 0, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
 		}
 		if yes.(bool) {
-			f.x.c.Metrics.Add(f.node, 0, 0, 1)
+			f.x.nm.RowsOut++ // issue, maybe running meanwhile, leaves it alone
 			return r.row, vt, nil
 		}
 	}

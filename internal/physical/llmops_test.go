@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -396,18 +397,22 @@ func TestValuesAgree(t *testing.T) {
 	}
 }
 
-// BenchmarkResidentFetch is one query's fetch-then-filter over 64 keys
-// whose every answer the prompt cache holds: the cost of a fully
-// resident LLM operator pair, prompt lookups and answer decoding
-// included. Run with -benchmem.
-func BenchmarkResidentFetch(b *testing.B) {
+// residentFetchKeys is the input size of residentFetch's query: 64 keys,
+// so 128 resident prompts (one fetch and one verdict per key).
+const residentFetchKeys = 64
+
+// residentFetch builds one query's fetch-then-filter over
+// residentFetchKeys keys, as a real query runs it (with a Metrics
+// collector), and runs it once so that every later run finds each
+// answer resident in the prompt cache.
+func residentFetch(tb testing.TB) func() {
 	client := &dynamicLLM{f: func(p string) string {
 		if strings.HasSuffix(p, prompt.YesNoFormat) {
 			return "Yes."
 		}
 		return "About 1.2 million people."
 	}}
-	keys := make([]string, 64)
+	keys := make([]string, residentFetchKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("Town %d", i)
 	}
@@ -422,7 +427,7 @@ func BenchmarkResidentFetch(b *testing.B) {
 		scan := logical.NewScan(townDef(), "t", "LLM")
 		fa, err := logical.NewFetchAttr(scan, townDef(), "t", "population", 0)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
 		op := &llmFilterOp{node: filter, input: &llmFetchAttrOp{node: fa, input: &memScan{out: scan.Schema(), rel: in}, out: fa.Schema()}}
@@ -433,16 +438,46 @@ func BenchmarkResidentFetch(b *testing.B) {
 			Prompts:   prompt.NewBuilder(),
 			Cleaner:   clean.New(clean.DefaultOptions()),
 			Scheduler: tn,
+			Metrics:   NewMetrics(),
 		}
 		rel, err := Run(ctx, op)
 		if err != nil || rel.Cardinality() != len(keys) {
-			b.Fatalf("rows %d, %v; want %d", rel.Cardinality(), err, len(keys))
+			tb.Fatalf("rows %d, %v; want %d", rel.Cardinality(), err, len(keys))
 		}
 	}
 	query() // make every answer resident
+	return query
+}
+
+// TestResidentFetchAllocs pins what a fully resident fetch-then-filter
+// costs in allocations: at most one per resident prompt (the fetched
+// rows, and the query's fixed cost). A resident prompt is a cache
+// lookup, with no Future and no per-prompt accounting object (249
+// allocs for the 128 prompts when each hit was a Future).
+func TestResidentFetchAllocs(t *testing.T) {
+	query := residentFetch(t)
+	if allocs := testing.AllocsPerRun(20, query); allocs > 2*residentFetchKeys {
+		t.Errorf("resident fetch-then-filter = %.0f allocs, want <= %d (one per resident prompt)", allocs, 2*residentFetchKeys)
+	}
+}
+
+// BenchmarkResidentFetch is one query's fetch-then-filter over 64 keys
+// whose every answer the prompt cache holds: the cost of a fully
+// resident LLM operator pair, prompt lookups, answer decoding and
+// per-operator metrics included. Beside the per-query numbers it reports
+// ns and allocs per resident prompt. Run with -benchmem.
+func BenchmarkResidentFetch(b *testing.B) {
+	query := residentFetch(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	prompts := float64(2 * residentFetchKeys * b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/prompts, "ns/prompt")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/prompts, "allocs/prompt")
 }

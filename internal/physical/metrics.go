@@ -18,8 +18,11 @@ type NodeMetrics struct {
 }
 
 // Metrics collects per-node actuals for EXPLAIN ANALYZE and for the
-// optimizer's statistics feedback. Safe for concurrent use (pipelined
-// producers update it from their goroutines). A nil *Metrics ignores all
+// optimizer's statistics feedback. An LLM operator counts its own node's
+// deltas while it runs and adds them once, when it closes (see tally), so
+// the collector is complete once the operator tree has closed. Safe for
+// concurrent use: operators close on different goroutines (a producer
+// closes its operator's input when it exits). A nil *Metrics ignores all
 // updates.
 type Metrics struct {
 	mu sync.Mutex

@@ -62,15 +62,16 @@ type Context struct {
 }
 
 // client resolves the transport one prompt role's calls go out on for a
-// table binding, or reports why an LLM operator (named by what) cannot
-// issue prompts under this context.
-func (c *Context) client(role llm.Role, tableBackend, what string) (llm.Client, error) {
+// table binding, or reports why an LLM operator (named by what and its
+// subject, joined only on failure) cannot issue prompts under this
+// context.
+func (c *Context) client(role llm.Role, tableBackend, what, subject string) (llm.Client, error) {
 	var cl llm.Client
 	if c.Route != nil {
 		cl = c.Route(role, tableBackend)
 	}
 	if cl == nil || c.Scheduler == nil {
-		return nil, fmt.Errorf("physical: %s without an LLM client and scheduler tenant", what)
+		return nil, fmt.Errorf("physical: %s%s without an LLM client and scheduler tenant", what, subject)
 	}
 	return cl, nil
 }

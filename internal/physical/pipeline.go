@@ -1,11 +1,16 @@
-// The one executor of the LLM operators. Each submits its prompts
-// through the query's llm.Tenant and hands rows downstream with their
-// in-flight futures; answers are awaited in input order. The tenant's
-// policy decides how an operator issues:
+// The one executor of the LLM operators. Each asks its prompts through
+// the query's llm.Tenant and hands rows downstream with their answers:
+// a resident prompt is read from the prompt cache on the spot
+// (llm.Wave.Lookup), a settled value with no future and no lock of the
+// tenant's, and only a miss is submitted for a future. Answers are
+// awaited in input order. An operator counts its own hits and per-node
+// metrics as it runs and folds them into the tenant and the query's
+// Metrics once, at Close (tally). The tenant's policy decides how an
+// operator issues:
 //
 //   - streaming (the default) submits prompts as upstream tuples arrive.
-//     An operator starts inline: Next pulls a row, submits its prompts
-//     and returns it when its answers are already settled, as resident
+//     An operator starts inline: Next pulls a row, asks its prompts and
+//     returns it when its answers are already settled, as resident
 //     prompts' are. At the first answer still pending it inserts an
 //     exchange (Volcano's, placed at run time): a bounded producer goes
 //     on from the operator's state, and later rows come through its
@@ -31,17 +36,87 @@ import (
 
 	"repro/internal/gopool"
 	"repro/internal/llm"
+	"repro/internal/logical"
 	"repro/internal/schema"
 )
 
 // pipeRow is one tuple in flight between an LLM operator's producer and its
 // operator's Next: the tuple, the virtual time its upstream chain
-// completed, and the futures extending the chain.
+// completed, and the answers extending the chain.
 type pipeRow struct {
 	row    schema.Tuple
 	vt     llm.VTime
-	main   *llm.Future // fetch or filter prompt; nil for key-scan rows
-	verify *llm.Future // cross-model verification; nil without a verifier
+	main   answer // fetch or filter prompt; zero for key-scan rows
+	verify answer // cross-model verification; zero without a verifier
+}
+
+// answer is one prompt's outcome as an LLM operator holds it: the value
+// of a resident prompt, read by tally.ask and settled at the prompt's
+// ready time, or the future of a prompt that went to the scheduler. The
+// zero answer is a settled nil value.
+type answer struct {
+	f   *llm.Future // nil when settled at ask
+	val any         // the resident answer's decoding
+}
+
+// settled reports, without blocking, whether decoded would return at once.
+func (a answer) settled() bool { return a.f == nil || a.f.Settled() }
+
+// decoded awaits the answer: its decoding and virtual completion time. A
+// resident answer completes at ready, its prompt's ready time.
+func (a answer) decoded(ready llm.VTime) (any, llm.VTime, error) {
+	if a.f == nil {
+		return a.val, ready, nil
+	}
+	return a.f.Decoded()
+}
+
+// tally is one LLM operator's accounting while it runs: its prompts'
+// cache hits with the latest ready time among them, and its per-node
+// counters. The operator keeps it in its own fields, written by whichever
+// goroutine runs its issue step (the inline consumer, then its
+// producer), so a resident prompt takes no tenant or metrics lock; a
+// filter's Next, which may run beside its producer, writes only
+// nm.RowsOut, which its issue step leaves alone. fold hands it to the
+// tenant and the query's Metrics once, at Close: after the producer has
+// exited, and before the query reads its usage or metrics.
+type tally struct {
+	hits     int
+	latest   llm.VTime
+	nm       NodeMetrics
+	reported bool // an issue step ran, if on no rows: the node has metrics
+}
+
+// ask answers one prompt of wave w: from the prompt cache when it is
+// resident, counting the hit, else as a submitted future.
+func (a *tally) ask(w *llm.Wave, client llm.Client, tp *llm.Template, key string, ready llm.VTime) answer {
+	if _, val, ok := w.Lookup(client, tp, key); ok {
+		a.hits++
+		a.latest = max(a.latest, ready)
+		return answer{val: val}
+	}
+	return answer{f: w.Submit(client, tp, key, ready)}
+}
+
+// asked counts one issue step: prompts asked for rowsIn input rows.
+func (a *tally) asked(prompts, rowsIn int) {
+	a.nm.Prompts += prompts
+	a.nm.RowsIn += rowsIn
+	a.reported = true
+}
+
+// fold adds the tally to c's tenant and, as node n's counters, to c's
+// Metrics, and clears it, so a second Close adds nothing. An operator
+// whose issue step never ran reports no metrics, and one that never
+// opened touches no c.
+func (a *tally) fold(c *Context, n logical.Node) {
+	if a.hits > 0 {
+		c.Scheduler.FoldHits(a.hits, a.latest)
+	}
+	if a.reported {
+		c.Metrics.Add(n, a.nm.Prompts, a.nm.RowsIn, a.nm.RowsOut)
+	}
+	*a = tally{}
 }
 
 // pipe is the shared producer/consumer plumbing of the LLM operators
@@ -135,16 +210,17 @@ func (p *pipe) close() error {
 	return nil
 }
 
-// issuer is the issue step of a fetch or filter: it submits the prompts
-// of one wave of input rows and stores their futures in the rows.
+// issuer is the issue step of a fetch or filter: it asks the prompts of
+// one wave of input rows and stores their answers in the rows.
 type issuer interface {
 	issue(rows []pipeRow) error
 }
 
 // exchange runs a fetch or filter over its input: inline until a row's
 // answers would wait, then through a producer that feeds the rest of the
-// input to the same issue step.
+// input to the same issue step. Its tally is the operator's.
 type exchange struct {
+	tally
 	c     *Context
 	input Operator // nil until opened, and after an inline Close
 	op    issuer
@@ -161,7 +237,7 @@ func (x *exchange) open(c *Context, input Operator, op issuer) {
 	}
 }
 
-// next yields the following row with its futures. Inline, it pulls and
+// next yields the following row with its answers. Inline, it pulls and
 // issues one input row, and starts the producer when that row's answers
 // are still pending; the row itself is returned either way.
 func (x *exchange) next() (pipeRow, error) {
@@ -177,23 +253,25 @@ func (x *exchange) next() (pipeRow, error) {
 	if err := x.op.issue(rows); err != nil {
 		return pipeRow{}, err
 	}
-	if r := rows[0]; !r.main.Settled() || r.verify != nil && !r.verify.Settled() {
+	if r := rows[0]; !r.main.settled() || !r.verify.settled() {
 		x.pipe.start(x.c, x) // from the input's current position
 	}
 	return rows[0], nil
 }
 
 // close stops the producer, which closes the input on exit, or closes
-// the input itself when no producer was started.
-func (x *exchange) close() error {
+// the input itself when no producer was started; then it folds the
+// operator's tally, as node n's.
+func (x *exchange) close(n logical.Node) error {
+	var err error
 	if x.pipe.started() {
-		return x.pipe.close()
-	}
-	if in := x.input; in != nil {
+		err = x.pipe.close()
+	} else if in := x.input; in != nil {
 		x.input = nil
-		return in.Close()
+		err = in.Close()
 	}
-	return nil
+	x.fold(x.c, n)
+	return err
 }
 
 // produce reads the input as prompt waves, lets the issue step submit

@@ -562,3 +562,129 @@ func TestResidentLimitScanIssuesNoExtraPages(t *testing.T) {
 		t.Errorf("resident LIMIT 3 submitted %d pages, want 3 (the producer path submitted %d)", resident, cold)
 	}
 }
+
+// TestFoldedAccounting: the LLM operators count their cache hits and
+// per-node metrics in their own fields and fold them into the tenant and
+// Metrics at Close. A streamed key scan → filter → fetch over six towns,
+// whose scan pages and Alpha's, Beta's and Delta's answers are resident,
+// must report what prompt-by-prompt accounting reported: the pinned
+// tenant hits, critical path and per-node counters. The cases take hits
+// before and after the filter's and the fetch's inline-to-producer
+// hand-off (at Gamma, the first miss), a LIMIT that closes the tree on
+// the inline prefix, one that closes it after the hand-off, and
+// stop-and-go. In every case the tenant's hits and misses are the
+// cache's, and each prompt the operators asked is one of them.
+func TestFoldedAccounting(t *testing.T) {
+	world := func() *scriptedLLM {
+		return sixTowns().
+			on("Do not repeat", "Done").
+			on("List the names of all towns", "Alpha\nBeta\nGamma\nDelta\nEpsilon\nZeta")
+	}
+	scan := logical.NewScan(townDef(), "t", "LLM")
+	type counts struct {
+		hits                int
+		span                llm.VTime
+		scan, filter, fetch NodeMetrics
+	}
+	for _, tc := range []struct {
+		name      string
+		limit     int // -1: none
+		stopAndGo bool
+		handoff   bool    // streaming: the filter and the fetch start producers
+		want      *counts // nil: the run's counts depend on how far producers ran
+	}{
+		{"handoff", -1, false, true, &counts{8, 1008 * time.Millisecond,
+			NodeMetrics{2, 0, 6}, NodeMetrics{6, 6, 5}, NodeMetrics{5, 5, 5}}},
+		{"limit-inline", 1, false, false, &counts{3, 0,
+			NodeMetrics{1, 0, 6}, NodeMetrics{1, 1, 1}, NodeMetrics{1, 1, 1}}},
+		{"limit-handoff", 3, false, true, nil},
+		{"stop-and-go", -1, true, true, &counts{8, 1501500 * time.Microsecond,
+			NodeMetrics{2, 0, 6}, NodeMetrics{6, 6, 5}, NodeMetrics{5, 5, 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := llm.NewCache(64)
+			sched := llm.NewScheduler(cache, 8)
+			warm := pipelinedCtx(context.Background(), world(), 8, 4)
+			warm.Scheduler = sched.Tenant(context.Background(), "warm")
+			if _, err := Run(warm, &llmKeyScanOp{scan: scan, out: scan.Schema()}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(warm, filterFetch(t, &memScan{out: scan.Schema(), rel: keysRelation("Alpha", "Beta", "Delta")}, scan)); err != nil {
+				t.Fatal(err)
+			}
+			before := cache.Stats()
+
+			pctx := pipelinedCtx(context.Background(), world(), 8, 2)
+			pctx.Scheduler = sched.Tenant(context.Background(), tc.name)
+			if tc.stopAndGo {
+				pctx.Scheduler.SetWaves(2)
+			}
+			pctx.Metrics = NewMetrics()
+			fetch := filterFetch(t, &llmKeyScanOp{scan: scan, out: scan.Schema()}, scan)
+			var root Operator = fetch
+			if tc.limit >= 0 {
+				root = &limitOp{input: fetch, n: tc.limit}
+			}
+			if _, err := Run(pctx, root); err != nil {
+				t.Fatal(err)
+			}
+			pctx.Scheduler.Quiesce()
+			filter := fetch.input.(*llmFilterOp)
+			if h := filter.x.pipe.started() && fetch.x.pipe.started(); h != tc.handoff {
+				t.Errorf("filter and fetch started producers: %v, want %v", h, tc.handoff)
+			}
+			node := func(n logical.Node) NodeMetrics {
+				nm, _ := pctx.Metrics.Get(n)
+				return nm
+			}
+			u, after := pctx.Scheduler.Usage(), cache.Stats()
+			got := counts{u.CacheHits, pctx.Scheduler.Stats().CriticalPath, node(scan), node(filter.node), node(fetch.node)}
+			if tc.want != nil && got != *tc.want {
+				t.Errorf("accounting = %+v, want %+v", got, *tc.want)
+			}
+			if u.CacheHits != after.Hits-before.Hits || u.CacheMisses != after.Misses-before.Misses {
+				t.Errorf("tenant hits/misses %d/%d, cache counted %d/%d",
+					u.CacheHits, u.CacheMisses, after.Hits-before.Hits, after.Misses-before.Misses)
+			}
+			if asked := got.scan.Prompts + got.filter.Prompts + got.fetch.Prompts; asked != u.CacheHits+u.CacheMisses {
+				t.Errorf("operators asked %d prompts, tenant counted %d hits + %d misses", asked, u.CacheHits, u.CacheMisses)
+			}
+		})
+	}
+}
+
+// laterOp hands on its input's rows as available at vt, as rows derived
+// from a slower upstream chain are.
+type laterOp struct {
+	Operator
+	vt llm.VTime
+}
+
+func (l *laterOp) Next() (schema.Tuple, llm.VTime, error) {
+	t, _, err := l.Operator.Next()
+	return t, l.vt, err
+}
+
+// TestFoldedHitsReachCriticalPath: a resident answer completes at its
+// prompt's ready time, so a query whose every prompt is resident still
+// has the critical path of its latest input row once the fetch folds its
+// hits at Close.
+func TestFoldedHitsReachCriticalPath(t *testing.T) {
+	scan := logical.NewScan(townDef(), "t", "LLM")
+	sched := llm.NewScheduler(llm.NewCache(64), 2)
+	const later = 3 * time.Second
+	for _, vt := range []llm.VTime{0, later} {
+		pctx := pipelinedCtx(context.Background(), townClient(), 2, 4)
+		pctx.Scheduler = sched.Tenant(context.Background(), "test")
+		fetch := filterFetch(t, &laterOp{&memScan{out: scan.Schema(), rel: keysRelation("Alpha", "Beta")}, vt}, scan)
+		if _, err := Run(pctx, fetch); err != nil {
+			t.Fatal(err)
+		}
+		if vt == 0 {
+			continue // the cold run makes every answer resident
+		}
+		if u, span := pctx.Scheduler.Usage(), pctx.Scheduler.Stats().CriticalPath; u.CacheHits != 4 || u.Prompts != 0 || span != later {
+			t.Errorf("resident run: %d hits, %d prompts, critical path %v; want 4, 0 and %v", u.CacheHits, u.Prompts, span, later)
+		}
+	}
+}
