@@ -37,7 +37,8 @@ race:
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
 # whose every answer is resident), the goroutine pool's (BenchmarkGo:
 # one task handed to a parked goroutine), the result cache's
-# (BenchmarkCandidates: one planning pass's subsumption candidates), the
+# (BenchmarkCandidates: the subsumption probe over 256 resident producers,
+# one probe that finds nothing and one that finds a residual), the
 # cache substrate's (BenchmarkFlight: one led, settled and admitted miss
 # that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
 # exact hit through the HTTP handler, buffered and NDJSON).
@@ -88,8 +89,9 @@ serve:
 # simulated model's prompt parser, the galois.yaml decoder, the
 # model-answer number decoder, the token counter, the prompt template's
 # token count, the durable store's segment replay and MANIFEST reader,
-# the persisted result-cache entry decoder and internal/serve's /query
-# parameter decoders. CI's fuzz job runs `make fuzz`, so a new target is
+# the persisted result-cache entry decoder, internal/serve's /query
+# parameter decoders and the result cache's conjunct index (against a
+# linear scan). CI's fuzz job runs `make fuzz`, so a new target is
 # one line here.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
@@ -103,6 +105,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 30s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzSubsumptionIndex -fuzztime 30s ./internal/rescache
 
 # Per-package coverage summary.
 cover:

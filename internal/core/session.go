@@ -11,7 +11,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
-	"repro/internal/rescache"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -203,7 +202,7 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 }
 
 // residualCandidates matches the incoming shape against the cache's
-// subsumption index and returns one pre-built residual plan per cached
+// conjunct index and returns one pre-built residual plan per cached
 // relation that can answer it: same FROM tree, weaker-or-equal producer
 // conjuncts, same result-affecting options, and a residual chain that
 // compiles against the producer's output columns. The candidates then
@@ -213,12 +212,8 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 	if rc == nil || shape == nil || s.opts.Optimizer.PromptPushdown {
 		return nil
 	}
-	opts := s.optsFP
 	var extras []optimizer.ExtraPlan
-	for _, c := range rc.Candidates(rescache.TablesKey(canon.Components), stamp) {
-		if c.Prod.Opts != opts {
-			continue
-		}
+	for _, c := range rc.Subsumers(canon.Components, stamp, s.optsFP, shape.FromKey, shape.Texts) {
 		residual, ok := logical.Subsumes(shape, c.Prod.FromKey, c.Prod.Conjuncts)
 		if !ok {
 			continue

@@ -274,7 +274,7 @@ func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.N
 			Opts:      s.optsFP,
 			FromKey:   shape.FromKey,
 			FromLabel: shape.FromLabel,
-			Conjuncts: shape.ConjunctTexts(),
+			Conjuncts: shape.Texts,
 		}
 	}
 	return st, nil

@@ -274,3 +274,59 @@ func TestDifferentialSubsumption(t *testing.T) {
 	}
 	t.Logf("%d/%d children answered by subsumption on first sight", subsumed, n)
 }
+
+// TestSubsumptionMetamorphic is the metamorphic subsumption check under
+// the server's options (core.ServeOptions: cost-based planning, prompt
+// and result caches on): for every parent ⊒ child pair Pair builds from
+// seeds 1–4, a runtime holding the parent's cached relation answers the
+// child, and the relation must be bit-identical to executing the child
+// directly on a runtime without a result cache. A child seen for the
+// first time must be answered by a residual over a cached relation, for
+// zero prompts. Each seed gets a fresh cached runtime, so its children
+// can be answered only by the parents of that seed.
+func TestSubsumptionMetamorphic(t *testing.T) {
+	n := 100
+	if testing.Short() {
+		n = 25
+	}
+	r := runner(t)
+	controlOpts := core.ServeOptions()
+	controlOpts.ResultCacheEnabled = false
+	control := session(t, r, controlOpts)
+	ctx := context.Background()
+	subsumed := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		cached := session(t, r, core.ServeOptions())
+		gen := New(seed)
+		seen := map[string]bool{}
+		for i := 0; i < n; i++ {
+			p := gen.Pair()
+			if _, _, err := cached.Query(ctx, p.Parent); err != nil {
+				t.Fatalf("seed %d pair %d parent %q: %v", seed, i, p.Parent, err)
+			}
+			relC, repC, err := cached.Query(ctx, p.Child)
+			if err != nil {
+				t.Fatalf("seed %d pair %d child (cached) %q: %v", seed, i, p.Child, err)
+			}
+			relD, _, err := control.Query(ctx, p.Child)
+			if err != nil {
+				t.Fatalf("seed %d pair %d child (direct) %q: %v", seed, i, p.Child, err)
+			}
+			if relC.String() != relD.String() {
+				t.Errorf("seed %d pair %d: child %q over cached %q diverged\ncached:\n%s\ndirect:\n%s",
+					seed, i, p.Child, p.Parent, relC.String(), relD.String())
+			}
+			if !seen[p.Child] && p.Child != p.Parent {
+				if repC.Cached != core.CacheSubsumed || repC.Stats.Prompts != 0 {
+					t.Errorf("seed %d pair %d: child %q answered with cached=%q for %d prompts, want %q for 0 (parent %q)",
+						seed, i, p.Child, repC.Cached, repC.Stats.Prompts, core.CacheSubsumed, p.Parent)
+				} else {
+					subsumed++
+				}
+			}
+			seen[p.Parent] = true
+			seen[p.Child] = true
+		}
+	}
+	t.Logf("%d children answered by a residual on first sight", subsumed)
+}

@@ -559,7 +559,7 @@ func joiners(t *testing.T, c *Cache, tp *Template, key, answer string, n int) <-
 // decoded slot, only when the call succeeds.
 func TestPendingEntryInvisible(t *testing.T) {
 	class := FetchClass("city", "population")
-	tp := NewTemplate("population of ", "?", class).WithDecoder("len", func(s string) any { return len(s) })
+	tp := withDecoder(NewTemplate("population of ", "?", class), "len", func(s string) any { return len(s) })
 	c := NewCache(2)
 	answer, got := heldFetch(c, tp, "Oslo")
 

@@ -49,7 +49,7 @@ func (f *Future) Wait() (string, VTime, error) {
 }
 
 // Decoded is Wait for a prompt whose template has a decoder: it returns
-// the decoded answer (see Template.WithDecoder), nil without a decoder.
+// the decoded answer (see NewDecodedTemplate), nil without a decoder.
 // A resident answer decoded by the same decoder is not decoded again.
 func (f *Future) Decoded() (any, VTime, error) {
 	<-f.done
@@ -729,13 +729,28 @@ func (t *Tenant) Single() *Wave {
 // is spent, no tokens are counted and no prompt text is built. The hit is
 // counted on the tenant at once, and the answer comes in a settled
 // Future. An operator that reads many resident prompts calls Lookup
-// first and submits only its misses, so a hit costs it neither the
-// Future nor the tenant lock.
+// first and submits only its misses, with SubmitMiss, so a hit costs it
+// neither the Future nor the tenant lock.
 func (w *Wave) Submit(client Client, tp *Template, key string, ready VTime) *Future {
 	if tp == nil {
 		tp = rawText
 	}
-	f := w.submit(client, tp, key, ready)
+	return w.track(w.submit(client, tp, key, ready))
+}
+
+// SubmitMiss is Submit for a prompt whose Lookup has just missed: it
+// enqueues the prompt without probing the cache again. A completion that
+// lands in between is still not asked twice: the prompt's slot reads the
+// cache before it calls the model, and counts a hit there.
+func (w *Wave) SubmitMiss(client Client, tp *Template, key string, ready VTime) *Future {
+	if tp == nil {
+		tp = rawText
+	}
+	return w.track(w.enqueue(client, tp, key, ready))
+}
+
+// track adds f to what a stop-and-go wave's Settle waits for.
+func (w *Wave) track(f *Future) *Future {
 	if w.fail != nil {
 		w.futures = append(w.futures, f)
 	}
@@ -788,11 +803,18 @@ func (t *Tenant) FoldHits(hits int, latest VTime) {
 	t.mu.Unlock()
 }
 
+// submit answers a resident prompt at once and enqueues any other.
 func (w *Wave) submit(client Client, tp *Template, key string, ready VTime) *Future {
 	if out, val, ok := w.Lookup(client, tp, key); ok {
 		w.t.FoldHits(1, ready)
 		return &Future{done: resolved, out: out, val: val, vt: ready}
 	}
+	return w.enqueue(client, tp, key, ready)
+}
+
+// enqueue hands a prompt to a free worker slot of its endpoint, or
+// queues it in its tenant's band; a failed wave fails it at once.
+func (w *Wave) enqueue(client Client, tp *Template, key string, ready VTime) *Future {
 	if err := w.err(); err != nil {
 		return &Future{done: resolved, err: err}
 	}

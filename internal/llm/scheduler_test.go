@@ -704,7 +704,7 @@ func TestLookupReadsResidentPrompt(t *testing.T) {
 	cache := NewCache(8)
 	s := NewScheduler(cache, 2)
 	base, _ := collidingTemplates()
-	tmpl := base.WithDecoder("len", func(out string) any { return len(out) })
+	tmpl := withDecoder(base, "len", func(out string) any { return len(out) })
 	client := &echoLLM{name: "m", answer: "2872800"}
 	tn := tenant(s, t)
 	w := tn.Wave()
@@ -745,6 +745,36 @@ func TestLookupReadsResidentPrompt(t *testing.T) {
 	}
 	if got := cache.Stats().Hits; got != hits {
 		t.Errorf("cancelled Lookup counted a hit: %d, was %d", got, hits)
+	}
+}
+
+// TestSubmitMiss: a prompt submitted with SubmitMiss after its Lookup
+// missed is asked once and counted as one miss, and one that became
+// resident in between is answered by the cache in its slot — no model
+// call, one hit, the decoded value — though SubmitMiss itself skips the
+// probe.
+func TestSubmitMiss(t *testing.T) {
+	cache := NewCache(8)
+	base, _ := collidingTemplates()
+	tmpl := withDecoder(base, "len", func(out string) any { return len(out) })
+	client := &textLLM{calls: make(chan string, 8)}
+	tn := tenant(NewScheduler(cache, 2), t)
+	w := tn.Wave()
+	if _, _, ok := w.Lookup(client, tmpl, "Rome"); ok {
+		t.Fatal("Lookup of a prompt never asked reported a hit")
+	}
+	f := w.SubmitMiss(client, tmpl, "Rome", 0)
+	out, _, err := f.Wait()
+	if val, _, _ := f.Decoded(); err != nil || val != len(out) {
+		t.Fatalf("SubmitMiss = %q, %v, %v", out, val, err)
+	}
+	f = w.SubmitMiss(client, tmpl, "Rome", 0)
+	again, _, err := f.Wait()
+	if val, _, _ := f.Decoded(); err != nil || again != out || val != len(out) {
+		t.Errorf("SubmitMiss of a resident prompt = %q, %v, %v; want %q", again, val, err, out)
+	}
+	if u := tn.Usage(); len(client.calls) != 1 || u.Prompts != 1 || u.CacheMisses != 1 || u.CacheHits != 1 {
+		t.Errorf("%d model calls, usage %+v; want 1 call, 1 miss and 1 hit", len(client.calls), u)
 	}
 }
 

@@ -10,10 +10,10 @@ import "hash/maphash"
 // completion by the template's id and the key, and the full text is
 // built only when the prompt goes to the model.
 //
-// A template may also carry a decoder (WithDecoder): what the operator
-// makes of an answer. A miss decodes its answer once, the cache keeps the
-// value beside the text, and a hit returns the value without reading the
-// text again.
+// A template may also carry a decoder (NewDecodedTemplate): what the
+// operator makes of an answer. A miss decodes its answer once, the cache
+// keeps the value beside the text, and a hit returns the value without
+// reading the text again.
 //
 // A raw-text prompt (an ad-hoc Tenant.Submit) is the template-less case:
 // id 0, no text around the key, and the whole text as the key.
@@ -41,7 +41,17 @@ var templateSeed = maphash.MakeSeed()
 // NewTemplate builds the template of the prompts pre + key + post, whose
 // completions are cached under class.
 func NewTemplate(pre, post string, class PromptClass) *Template {
-	tp := &Template{pre: pre, post: post, class: class}
+	return NewDecodedTemplate(pre, post, class, nil, nil)
+}
+
+// NewDecodedTemplate is NewTemplate for an operator that decodes its
+// answers with decode, built in one allocation. decode must be a pure
+// function of the answer that never returns nil. tag names it and must
+// be comparable: a decoded value is handed only to a template of the same
+// text and an equal tag, so two decoders sharing a tag must agree on
+// every answer.
+func NewDecodedTemplate(pre, post string, class PromptClass, tag any, decode func(string) any) *Template {
+	tp := &Template{pre: pre, post: post, class: class, decode: decode, tag: tag}
 	var h maphash.Hash
 	h.SetSeed(templateSeed)
 	h.WriteString(pre)
@@ -53,17 +63,6 @@ func NewTemplate(pre, post string, class PromptClass) *Template {
 	tp.preTok, _, tp.preWord, tp.preOpen = scanTokens(pre)
 	tp.postTok, tp.postWord, _, _ = scanTokens(post)
 	return tp
-}
-
-// WithDecoder returns a copy of tp whose answers are decoded by decode.
-// decode must be a pure function of the answer that never returns nil.
-// tag names it and must be comparable: a decoded value is handed only to
-// a template of the same text and an equal tag, so two decoders sharing a
-// tag must agree on every answer.
-func (tp *Template) WithDecoder(tag any, decode func(string) any) *Template {
-	d := *tp
-	d.tag, d.decode = tag, decode
-	return &d
 }
 
 // value is what a consumer of tp reads from the answer out: v, when it is

@@ -187,6 +187,12 @@ func (d *decodeCounter) decode(s string) any {
 	return strings.ToUpper(s)
 }
 
+// withDecoder returns a template of tp's text and class whose answers
+// are decoded by decode under tag.
+func withDecoder(tp *Template, tag any, decode func(string) any) *Template {
+	return NewDecodedTemplate(tp.pre, tp.post, tp.class, tag, decode)
+}
+
 // TestDecodedSlot: a miss decodes its answer once and the cache keeps the
 // value; a hit with the same decoder tag returns it without decoding, a
 // hit with another tag decodes the text itself, and a template without a
@@ -194,8 +200,8 @@ func (d *decodeCounter) decode(s string) any {
 func TestDecodedSlot(t *testing.T) {
 	base, _ := collidingTemplates()
 	var upper, other decodeCounter
-	a := base.WithDecoder("upper", upper.decode)
-	b := base.WithDecoder("other", other.decode)
+	a := withDecoder(base, "upper", upper.decode)
+	b := withDecoder(base, "other", other.decode)
 	client := &textLLM{calls: make(chan string, 8)}
 	tn := tenant(NewScheduler(NewCache(8), 2), t)
 	w := tn.Wave()
@@ -229,8 +235,8 @@ func TestDecodedSlot(t *testing.T) {
 func TestDecodedFlight(t *testing.T) {
 	base, _ := collidingTemplates()
 	var upper, other decodeCounter
-	a := base.WithDecoder("upper", upper.decode)
-	b := base.WithDecoder("other", other.decode)
+	a := withDecoder(base, "upper", upper.decode)
+	b := withDecoder(base, "other", other.decode)
 	client := &textLLM{calls: make(chan string, 8), release: make(chan struct{})}
 	tn := tenant(NewScheduler(NewCache(8), 4), t)
 	w := tn.Wave()

@@ -88,6 +88,34 @@ func TestComponentsSortedAndDistinct(t *testing.T) {
 	}
 }
 
+// TestSubsumesResidual: the shape keeps each base conjunct once, in plan
+// order; a producer whose conjuncts the consumer's contain answers it with
+// the consumer's other conjuncts as the residual, while one with a
+// conjunct the consumer lacks, or over another FROM tree, does not — and
+// a rejection allocates nothing.
+func TestSubsumesResidual(t *testing.T) {
+	sh := Decompose(build(t, "SELECT name FROM city WHERE population > 5 AND name < 'M' AND population > 5"))
+	if len(sh.Texts) != 2 || len(sh.Exprs) != 2 || sh.Texts[0] != sh.Exprs[0].String() {
+		t.Fatalf("conjuncts %q, %d expressions: want 2, deduplicated and index for index", sh.Texts, len(sh.Exprs))
+	}
+	if residual, ok := Subsumes(sh, sh.FromKey, sh.Texts[1:]); !ok || len(residual) != 1 || residual[0] != sh.Exprs[0] {
+		t.Errorf("weaker producer: residual %v, ok %v; want the first conjunct", residual, ok)
+	}
+	if residual, ok := Subsumes(sh, sh.FromKey, nil); !ok || len(residual) != 2 {
+		t.Errorf("unfiltered producer: residual %v, ok %v; want both conjuncts", residual, ok)
+	}
+	stricter := []string{sh.Texts[0], "city.population > 6"}
+	if _, ok := Subsumes(sh, sh.FromKey, stricter); ok {
+		t.Error("a producer with a conjunct the consumer lacks subsumed it")
+	}
+	if _, ok := Subsumes(sh, "other", nil); ok {
+		t.Error("a producer over another FROM tree subsumed it")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Subsumes(sh, sh.FromKey, stricter) }); allocs != 0 {
+		t.Errorf("rejected Subsumes: %.0f allocs, want 0", allocs)
+	}
+}
+
 // FuzzCanonical: whatever statement builds against the two-table
 // resolver, its one rendering is deterministic and agrees with every
 // separate derivation — Render with the verbatim predicate writes the

@@ -59,14 +59,6 @@ func addComponent(comps []string, s *Scan) []string {
 	return append(comps, c)
 }
 
-// Conjunct is one AND-ed base-filter predicate in canonical form: the
-// rendered text (the unit of subsumption comparison) plus the expression
-// itself (re-used to build residual filters).
-type Conjunct struct {
-	Text string
-	Expr ast.Expr
-}
-
 // Shape is the structured canonical form of one built (pre-optimization)
 // plan. The builder emits a fixed single-input chain —
 // Strip?(Limit?(Sort?(Distinct?(Project(Filter*(Aggregate?(Filter*(FROM))))))))
@@ -83,9 +75,12 @@ type Shape struct {
 	// FromLabel renders the FROM tree for humans; EXPLAIN's
 	// "residual over cached(...)" nodes carry it.
 	FromLabel string
-	// Conjuncts are the AND-ed base-filter predicates directly above
-	// the FROM tree, in plan order, deduplicated by rendered text.
-	Conjuncts []Conjunct
+	// Texts are the canonical texts of the AND-ed base-filter predicates
+	// directly above the FROM tree, in plan order, deduplicated: the unit
+	// of subsumption comparison. Exprs are those predicates, index for
+	// index, re-used to build residual filters.
+	Texts []string
+	Exprs []ast.Expr
 	// Upper is the operator chain above the base filters, outermost
 	// first. For a plain filtered projection it is just [Project].
 	Upper []Node
@@ -96,15 +91,6 @@ type Shape struct {
 	// residual consumer (including ones adding Sort/Limit/Distinct on
 	// top) reproduces bit-identically.
 	Producer bool
-}
-
-// ConjunctTexts returns the canonical texts of the base conjuncts.
-func (s *Shape) ConjunctTexts() []string {
-	out := make([]string, len(s.Conjuncts))
-	for i, c := range s.Conjuncts {
-		out[i] = c.Text
-	}
-	return out
 }
 
 // Decompose returns the structured canonical form of a built plan,
@@ -127,12 +113,11 @@ func decompose(chain []Node, from Node, fromKey string) *Shape {
 		base--
 	}
 	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel(from), Upper: chain[:base]}
-	seen := map[string]bool{}
 	for _, f := range chain[base:] {
 		for _, e := range ast.Conjuncts(f.(*Filter).Cond) {
-			if t := e.String(); !seen[t] {
-				seen[t] = true
-				sh.Conjuncts = append(sh.Conjuncts, Conjunct{Text: t, Expr: e})
+			if t := e.String(); !slices.Contains(sh.Texts, t) {
+				sh.Texts = append(sh.Texts, t)
+				sh.Exprs = append(sh.Exprs, e)
 			}
 		}
 	}
@@ -181,21 +166,17 @@ func Subsumes(in *Shape, fromKey string, producerConjuncts []string) ([]ast.Expr
 	if in == nil || in.FromKey != fromKey {
 		return nil, false
 	}
-	prod := map[string]bool{}
+	// Both lists are a query's handful of conjuncts: scans, not a map.
 	for _, t := range producerConjuncts {
-		prod[t] = true
-	}
-	matched := 0
-	var residual []ast.Expr
-	for _, c := range in.Conjuncts {
-		if prod[c.Text] {
-			matched++
-			continue
+		if !slices.Contains(in.Texts, t) {
+			return nil, false
 		}
-		residual = append(residual, c.Expr)
 	}
-	if matched != len(prod) {
-		return nil, false
+	var residual []ast.Expr
+	for i, t := range in.Texts {
+		if !slices.Contains(producerConjuncts, t) {
+			residual = append(residual, in.Exprs[i])
+		}
 	}
 	return residual, true
 }

@@ -78,8 +78,8 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	decode := func(resp string) any { return decodePage(resp, cleaner, keyKind) }
 	tag := pageTag{keyKind, cleaner.Options()}
 	first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
-	s.firstPage = llm.NewTemplate(first, "", llm.PromptClass{}).WithDecoder(tag, decode)
-	s.morePage = llm.NewTemplate(pre, post, llm.PromptClass{}).WithDecoder(tag, decode)
+	s.firstPage = llm.NewDecodedTemplate(first, "", llm.PromptClass{}, tag, decode)
+	s.morePage = llm.NewDecodedTemplate(pre, post, llm.PromptClass{}, tag, decode)
 	s.c, s.client = c, client
 	if c.Scheduler.StopAndGo() {
 		s.pipe.start(c, s)
@@ -305,8 +305,8 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	cleaner := c.Cleaner
 	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
 	f.client = client
-	f.tmpl = llm.NewTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr)).
-		WithDecoder(cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
+	f.tmpl = llm.NewDecodedTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr),
+		cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
 	f.x.open(c, f.input, f)
 	return nil
 }
@@ -439,8 +439,8 @@ func (f *llmFilterOp) Open(c *Context) error {
 	litText := lit.Val.String()
 	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
 	f.client = client
-	f.tmpl = llm.NewTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText)).
-		WithDecoder(verdictTag{}, func(answer string) any { return isYes(answer) })
+	f.tmpl = llm.NewDecodedTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText),
+		verdictTag{}, func(answer string) any { return isYes(answer) })
 	f.x.open(c, f.input, f)
 	return nil
 }

@@ -95,7 +95,7 @@ func (a *tally) ask(w *llm.Wave, client llm.Client, tp *llm.Template, key string
 		a.latest = max(a.latest, ready)
 		return answer{val: val}
 	}
-	return answer{f: w.Submit(client, tp, key, ready)}
+	return answer{f: w.SubmitMiss(client, tp, key, ready)}
 }
 
 // asked counts one issue step: prompts asked for rowsIn input rows.

@@ -7,11 +7,21 @@
 //
 // Beyond exact matches the cache is *semantic*: entries whose plan was a
 // plain filtered projection (shape Project(Filter*(FROM))) retain their
-// producing plan's canonical decomposition (Producer), and Candidates
-// exposes them — indexed by the exact table set they read — so the
-// session can answer a subsumed query (stricter filters, column subset,
-// added LIMIT/ORDER BY/DISTINCT) by evaluating a residual plan over the
-// cached relation, again for zero prompts.
+// producing plan's canonical decomposition (Producer), so the session can
+// answer a subsumed query (stricter filters, column subset, added
+// LIMIT/ORDER BY/DISTINCT) by evaluating a residual plan over the cached
+// relation, again for zero prompts. Subsumers finds those entries through
+// a conjunct index: producers are grouped by table set, stamp, options
+// prefix and FROM tree — all four must equal the consumer's — and within
+// a group a producer is filed under its first conjunct text, or on the
+// group's free list when it has none. A producer can answer a consumer
+// only when every one of its conjuncts is among the consumer's, so a
+// probe visits the free list and the producers filed under the
+// consumer's own texts, and checks only their remaining conjuncts. This
+// is an inverted file for set containment (after Helmer & Moerkotte's
+// set-containment joins, VLDB 1997) in the role of view matching's filter
+// tree (Goldstein & Larson, SIGMOD 2001): a miss over a full cache costs
+// a few map lookups, not a scan of every relation over the same tables.
 //
 // Correctness hinges on invalidation: a cached relation is only valid
 // for the binding state it was computed under. The runtime keeps one
@@ -51,7 +61,7 @@ package rescache
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,9 +101,10 @@ type Producer struct {
 	// FROM tree; FromLabel its human rendering.
 	FromKey   string
 	FromLabel string
-	// Conjuncts are the canonical texts of the base-filter predicates
-	// the producer applied. A consumer whose conjunct set contains all
-	// of them is answerable from this entry.
+	// Conjuncts are the distinct canonical texts of the base-filter
+	// predicates the producer applied. A consumer whose conjunct set
+	// contains all of them is answerable from this entry; the conjunct
+	// index files the entry under the first.
 	Conjuncts []string
 }
 
@@ -182,10 +193,10 @@ type Stats struct {
 	Bytes        int `json:"result_cache_bytes"`   // approximate resident bytes across all entries
 }
 
-// TablesKey canonicalizes a component set into the index key Candidates
-// looks up by. Components must already be sorted (logical.Components
-// sorts them).
-func TablesKey(tables []string) string { return strings.Join(tables, ",") }
+// tablesKey canonicalizes a component set into the key the conjunct
+// index groups producers by. Components must already be sorted
+// (logical.Components sorts them).
+func tablesKey(tables []string) string { return strings.Join(tables, ",") }
 
 // node holds one key's entry, once its lead settles or it is loaded. Its
 // byte charge is the entry's approxBytes plus its kept bodies.
@@ -220,16 +231,16 @@ type Sink interface {
 }
 
 // Cache is a concurrency-safe LRU of result relations with per-table
-// epoch stamps, a subsumption index by table set, and a singleflight
+// epoch stamps, a conjunct index of its producers, and a singleflight
 // layer. A runtime shares one Cache across all its sessions.
 type Cache struct {
 	mu      sync.Mutex
 	lru     *lru.Cache[Key, *Entry]
 	current func([]string) string
 	sink    Sink
-	// sets indexes resident entries by the exact table set they read,
-	// so Candidates scans only plausibly-matching entries.
-	sets map[string]map[*node]bool
+	// groups is the conjunct index of the resident producers: by group,
+	// then by the text each is filed under ("" for the free list).
+	groups map[group]map[string][]*node
 	// dropped collects the keys of the resident entries that left, for
 	// unlock to tell the sink.
 	dropped  []Key
@@ -243,7 +254,7 @@ func New(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultSize
 	}
-	c := &Cache{current: cfg.CurrentStamp, sets: map[string]map[*node]bool{}}
+	c := &Cache{current: cfg.CurrentStamp, groups: map[group]map[string][]*node{}}
 	c.lru = lru.New(cfg.Capacity, cfg.MaxBytes, c.index)
 	return c
 }
@@ -272,23 +283,58 @@ func (c *Cache) Stats() Stats {
 		Entries: c.lru.Len(), Bytes: c.lru.Bytes()}
 }
 
-// index is the residency hook: a node that joins (delta 1) is indexed
-// under its table set; one that leaves is unindexed, and its key waits
-// for the sink.
+// group is the class of producers a consumer can be answered from: the
+// table set, stamp, options prefix and FROM tree must all be equal.
+type group struct{ tables, stamp, opts, from string }
+
+// groupOf returns the group of the resident producer n.
+func groupOf(n *node) group {
+	p := n.Val.Prod
+	return group{tablesKey(n.Val.Tables), n.Key.Stamp, p.Opts, p.FromKey}
+}
+
+// filedUnder returns the text p is filed under in its group: its first
+// conjunct, or "" (the free list) when it has none. No conjunct renders
+// as "".
+func filedUnder(p *Producer) string {
+	if len(p.Conjuncts) == 0 {
+		return ""
+	}
+	return p.Conjuncts[0]
+}
+
+// index is the residency hook: a producer that joins (delta 1) is filed
+// in the conjunct index and one that leaves is unfiled; the key of every
+// entry that leaves waits for the sink.
 func (c *Cache) index(n *node, delta int) {
-	tk := TablesKey(n.Val.Tables)
-	if delta > 0 {
-		if c.sets[tk] == nil {
-			c.sets[tk] = map[*node]bool{}
-		}
-		c.sets[tk][n] = true
+	if delta < 0 {
+		c.dropped = append(c.dropped, n.Key)
+	}
+	if n.Val.Prod == nil {
 		return
 	}
-	delete(c.sets[tk], n)
-	if len(c.sets[tk]) == 0 {
-		delete(c.sets, tk)
+	gk, text := groupOf(n), filedUnder(n.Val.Prod)
+	g := c.groups[gk]
+	if delta > 0 {
+		if g == nil {
+			g = map[string][]*node{}
+			c.groups[gk] = g
+		}
+		g[text] = append(g[text], n)
+		return
 	}
-	c.dropped = append(c.dropped, n.Key)
+	list := g[text]
+	i := slices.Index(list, n)
+	list[i] = list[len(list)-1]
+	list[len(list)-1] = nil
+	switch list = list[:len(list)-1]; {
+	case len(list) > 0:
+		g[text] = list
+	case len(g) > 1:
+		delete(g, text)
+	default:
+		delete(c.groups, gk)
+	}
 }
 
 // unlock releases c.mu, then tells the sink of the entries that left
@@ -315,35 +361,14 @@ func (c *Cache) unlock(except *Key) Sink {
 // tables are untouched.
 func (c *Cache) InvalidateComponent(comp string) {
 	c.mu.Lock()
-	var victims []*node
-	for tk, set := range c.sets {
-		if !tablesKeyHas(tk, comp) {
-			continue
+	for n := range c.lru.Coldest() {
+		// An insert that raced the bump and landed already re-stamped is
+		// still valid; keep it.
+		if slices.Contains(n.Val.Tables, comp) && c.stale(n.Key, n.Val) {
+			c.lru.Remove(n)
 		}
-		for n := range set {
-			// An insert that raced the bump and landed already
-			// re-stamped is still valid; keep it.
-			if !c.stale(n.Key, n.Val) {
-				continue
-			}
-			victims = append(victims, n)
-		}
-	}
-	for _, n := range victims {
-		c.lru.Remove(n)
 	}
 	c.unlock(nil)
-}
-
-// tablesKeyHas reports whether the comma-joined component set contains
-// comp.
-func tablesKeyHas(tablesKey, comp string) bool {
-	for _, t := range strings.Split(tablesKey, ",") {
-		if t == comp {
-			return true
-		}
-	}
-	return false
 }
 
 // stale reports whether e, keyed by key, was computed under epochs that
@@ -383,9 +408,9 @@ func (c *Cache) AttachBody(key Key, e *Entry, slot int, body []byte) []byte {
 	return kept
 }
 
-// Candidate is the cheap metadata view of one subsumption-capable entry,
-// returned by Candidates so the session can match and cost residual
-// plans without touching any relation.
+// Candidate is the cheap metadata view of one cached producer that can
+// answer a consumer, returned by Subsumers so the session can build and
+// cost residual plans without touching any relation.
 type Candidate struct {
 	Key Key
 	// Rows is the cached cardinality; Schema the cached relation's
@@ -396,38 +421,64 @@ type Candidate struct {
 	Prod Producer
 }
 
-// Candidates returns the subsumption-capable entries reading exactly the
-// given table set under the given stamp, fewest rows first (a smaller
-// cached relation makes a cheaper residual scan), fingerprint-ordered on
-// ties so candidate order — and therefore plan choice on cost ties — is
-// deterministic.
-func (c *Cache) Candidates(tablesKey, stamp string) []Candidate {
+// Subsumers returns the resident producers that can answer a consumer
+// reading the sorted component set tables under stamp, with options
+// prefix opts, FROM tree fromKey and the distinct conjunct texts texts:
+// the producers of that group whose every conjunct is among texts. They
+// come fewest rows first (a smaller cached relation makes a cheaper
+// residual scan), fingerprint-ordered on ties, so candidate order — and
+// therefore plan choice on cost ties — is deterministic.
+//
+// The probe reads the conjunct index: it visits the group's free list
+// and the producers filed under each of texts, checks each one's
+// remaining conjuncts by a linear scan, and copies out and sorts only
+// the survivors. A probe that finds nothing allocates nothing but, for a
+// consumer of several tables, the joined table-set key.
+func (c *Cache) Subsumers(tables []string, stamp, opts, fromKey string, texts []string) []Candidate {
 	c.mu.Lock()
 	var out []Candidate
-	for n := range c.sets[tablesKey] {
-		e := n.Val
-		if n.Key.Stamp != stamp || e.Prod == nil {
-			continue
+	if g := c.groups[group{tablesKey(tables), stamp, opts, fromKey}]; g != nil {
+		out = appendCovered(out, g[""], texts)
+		for _, t := range texts {
+			out = appendCovered(out, g[t], texts)
 		}
-		out = append(out, Candidate{
-			Key:    n.Key,
-			Rows:   e.Rel.Cardinality(),
-			Schema: e.Rel.Schema,
-			Prod:   *e.Prod,
-		})
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rows != out[j].Rows {
-			return out[i].Rows < out[j].Rows
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if a.Rows != b.Rows {
+			return a.Rows - b.Rows
 		}
-		return out[i].Key.Fingerprint < out[j].Key.Fingerprint
+		return strings.Compare(a.Key.Fingerprint, b.Key.Fingerprint)
 	})
 	return out
 }
 
+// appendCovered appends to out the producers of list, each filed under
+// one of texts or on the free list, whose other conjuncts are among texts
+// too.
+func appendCovered(out []Candidate, list []*node, texts []string) []Candidate {
+	for _, n := range list {
+		e := n.Val
+		if containsAll(texts, e.Prod.Conjuncts[min(1, len(e.Prod.Conjuncts)):]) {
+			out = append(out, Candidate{Key: n.Key, Rows: e.Rel.Cardinality(), Schema: e.Rel.Schema, Prod: *e.Prod})
+		}
+	}
+	return out
+}
+
+// containsAll reports whether every one of sub is among texts. Both are
+// a query's handful of conjuncts, so a linear scan beats hashing.
+func containsAll(texts, sub []string) bool {
+	for _, t := range sub {
+		if !slices.Contains(texts, t) {
+			return false
+		}
+	}
+	return true
+}
+
 // Subsumed fetches the entry a winning residual plan reads, counting a
-// subsumption hit. The entry may have been evicted since Candidates ran;
+// subsumption hit. The entry may have been evicted since Subsumers ran;
 // the caller falls back to fresh execution then.
 func (c *Cache) Subsumed(key Key) (*Entry, bool) {
 	c.mu.Lock()

@@ -55,10 +55,11 @@ func fetch(t *testing.T, c *Cache, key Key, e *Entry) (*Entry, bool) {
 
 // checkQuiescent asserts, once every flight has settled, the substrate's
 // invariants (no pending node; the ring, the count, the map and the byte
-// total agree) and the cache's own: every resident entry is indexed
-// under its table set and nothing else is, and every kept body is
-// charged to a resident entry — the charges are the entries'
-// approxBytes plus their kept bodies.
+// total agree) and the cache's own: every resident producer is filed in
+// the conjunct index exactly once, in its group under its first conjunct
+// (or on the free list), the index holds nothing else and no empty list
+// or group, and every kept body is charged to a resident entry — the
+// charges are the entries' approxBytes plus their kept bodies.
 func checkQuiescent(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
@@ -66,23 +67,36 @@ func checkQuiescent(t *testing.T, c *Cache) {
 	if err := c.lru.CheckQuiescent(); err != nil {
 		t.Error(err)
 	}
-	want, indexed := 0, 0
+	want, producers, filed := 0, 0, 0
 	for n := range c.lru.Coldest() {
 		want += approxBytes(n.Val)
 		for slot := range BodySlots {
 			b, _ := n.Val.Body(slot)
 			want += len(b)
 		}
-		if !c.sets[TablesKey(n.Val.Tables)][n] {
-			t.Errorf("resident entry %v is not indexed", n.Key)
+		if n.Val.Prod != nil {
+			producers++
 		}
 	}
-	for _, set := range c.sets {
-		indexed += len(set)
+	for gk, g := range c.groups {
+		if len(g) == 0 {
+			t.Errorf("empty group %+v left in the index", gk)
+		}
+		for text, list := range g {
+			if len(list) == 0 {
+				t.Errorf("empty list %q left in group %+v", text, gk)
+			}
+			for _, n := range list {
+				filed++
+				if !n.Resident() || n.Val.Prod == nil || groupOf(n) != gk || filedUnder(n.Val.Prod) != text {
+					t.Errorf("entry %v misfiled under %q in group %+v", n.Key, text, gk)
+				}
+			}
+		}
 	}
-	if want != c.lru.Bytes() || indexed != c.lru.Len() {
-		t.Errorf("resident entries and bodies make %d bytes, charged %d; %d indexed of %d resident",
-			want, c.lru.Bytes(), indexed, c.lru.Len())
+	if want != c.lru.Bytes() || filed != producers {
+		t.Errorf("resident entries and bodies make %d bytes, charged %d; %d filed of %d resident producers",
+			want, c.lru.Bytes(), filed, producers)
 	}
 }
 
@@ -302,9 +316,10 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestCandidatesAndSubsumed: the subsumption index returns only
-// producer-capable entries of the exact table set and stamp, smallest
-// relation first, and Subsumed counts its own statistic.
+// TestCandidatesAndSubsumed: the conjunct index returns only
+// producer-capable entries of the exact table set and stamp whose
+// conjuncts the consumer's contain, smallest relation first, and
+// Subsumed counts its own statistic.
 func TestCandidatesAndSubsumed(t *testing.T) {
 	c := New(Config{Capacity: 8})
 	city := []string{"llm:city"}
@@ -327,7 +342,10 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	fetch(t, c, Key{Fingerprint: "stale", Stamp: "old"}, stale)
 	fetch(t, c, Key{Fingerprint: "other", Stamp: "s"}, other)
 
-	got := c.Candidates(TablesKey(city), "s")
+	if got := c.Subsumers(city, "s", "o|", "from", nil); len(got) != 1 || got[0].Key.Fingerprint != "big" {
+		t.Errorf("a consumer without c.pop > 5 got %v, want only big", got)
+	}
+	got := c.Subsumers(city, "s", "o|", "from", []string{"c.pop > 5"})
 	if len(got) != 2 {
 		t.Fatalf("candidates = %d, want 2", len(got))
 	}
@@ -537,7 +555,7 @@ func TestConcurrentInvalidationStorm(t *testing.T) {
 				case i%31 == 0:
 					ep.bump(c, comp)
 				case i%7 == 0:
-					for _, cand := range c.Candidates(TablesKey(tables), ep.current(tables)) {
+					for _, cand := range c.Subsumers(tables, ep.current(tables), "o|", key.Fingerprint, nil) {
 						if e, ok := c.Subsumed(cand.Key); ok {
 							if e.Rel.Rows[0][0].String() != cand.Key.Fingerprint+"@"+cand.Key.Stamp {
 								t.Errorf("subsumption served a mismatched relation")
@@ -676,7 +694,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCandidatesConcurrentWithInserts hammers Candidates against
+// TestCandidatesConcurrentWithInserts hammers the probe against
 // concurrent inserts and invalidation under -race: the snapshot must
 // never observe a torn entry.
 func TestCandidatesConcurrentWithInserts(t *testing.T) {
@@ -697,7 +715,7 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 				}
 				key := Key{Fingerprint: fmt.Sprintf("q%d-%d", g, i%9), Stamp: ep.current(city)}
 				e := entryT(city, "v")
-				e.Prod = &Producer{Opts: "o|", FromKey: key.Fingerprint, Conjuncts: []string{"c > 1"}}
+				e.Prod = &Producer{Opts: "o|", FromKey: "from", Conjuncts: []string{"c > 1"}}
 				fill(c, key, e)
 				if i%17 == 0 {
 					ep.bump(c, "llm:city")
@@ -711,7 +729,7 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 		case <-deadline:
 			done = true
 		default:
-			for _, cand := range c.Candidates(TablesKey(city), ep.current(city)) {
+			for _, cand := range c.Subsumers(city, ep.current(city), "o|", "from", []string{"c > 2", "c > 1"}) {
 				if len(cand.Prod.Conjuncts) != 1 || cand.Schema == nil {
 					t.Errorf("torn candidate: %+v", cand)
 				}
@@ -723,26 +741,52 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 	checkQuiescent(t, c)
 }
 
-// BenchmarkCandidates measures one planning pass's candidate snapshot
-// over a populated table set, which shares the resident schemas and
-// conjunct slices instead of copying them.
-func BenchmarkCandidates(b *testing.B) {
-	c := New(Config{Capacity: 256})
-	city := []string{"llm:city"}
-	for i := 0; i < 64; i++ {
-		e := entryT(city, "a", "b", "c", "d")
-		e.Prod = &Producer{Opts: "o|", FromKey: fmt.Sprintf("f%d", i), Conjuncts: []string{"c.pop > 5", "c.country = 'x'"}}
+// residentProducers fills a cache with 256 producers over one table set
+// and stamp, as a server's full result cache holds them: 4 FROM trees,
+// each entry filed under its own population threshold. It returns the
+// texts of a consumer that finds none of them and of one that finds
+// producer 7 (and no other).
+func residentProducers() (c *Cache, miss, hit []string) {
+	c = New(Config{Capacity: 256})
+	for i := 0; i < 256; i++ {
+		e := entryT([]string{"llm:city"}, "a", "b", "c", "d")
+		e.Prod = &Producer{Opts: "o|", FromKey: fmt.Sprintf("from%d", i%4),
+			Conjuncts: []string{fmt.Sprintf("c.pop > %d", i), "c.country = 'x'"}}
 		fill(c, Key{Fingerprint: fmt.Sprintf("f%d", i), Stamp: "s"}, e)
 	}
-	tk := TablesKey(city)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if got := c.Candidates(tk, "s"); len(got) != 64 {
-				b.Fatalf("candidates = %d", len(got))
+	return c, []string{"c.pop > 999", "c.country = 'x'"}, []string{"c.name < 'M'", "c.pop > 7", "c.country = 'x'"}
+}
+
+// BenchmarkCandidates measures one planning pass's subsumption probe over
+// 256 resident producers: one that finds nothing, the common miss, and
+// one that finds a producer to run a residual over.
+func BenchmarkCandidates(b *testing.B) {
+	c, miss, hit := residentProducers()
+	city := []string{"llm:city"}
+	for _, bc := range []struct {
+		name  string
+		texts []string
+		want  int
+	}{{"miss", miss, 0}, {"residual", hit, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if got := c.Subsumers(city, "s", "o|", "from3", bc.texts); len(got) != bc.want {
+					b.Fatalf("candidates = %d, want %d", len(got), bc.want)
+				}
 			}
-		}
-	})
+		})
+	}
+}
+
+// TestEmptyProbeAllocs pins the probe of a consumer no resident producer
+// answers, the common result-cache miss, at zero allocations.
+func TestEmptyProbeAllocs(t *testing.T) {
+	c, miss, _ := residentProducers()
+	city := []string{"llm:city"}
+	if allocs := testing.AllocsPerRun(100, func() { c.Subsumers(city, "s", "o|", "from3", miss) }); allocs != 0 {
+		t.Errorf("empty probe: %.0f allocs, want 0", allocs)
+	}
 }
 
 // TestAttachBodyAccounting: an attached body is kept at its exact size
