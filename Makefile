@@ -31,7 +31,8 @@ race:
 # The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
 # never-seen templated statement on a warm runtime, where planning is the
 # cost), then the planner's (BenchmarkChoose: one templated enumeration
-# of a two-conjunct join, as on a plan-cache miss), the scheduler's
+# of a two-conjunct join, as on a plan-cache miss, each candidate lowered
+# and estimated), the scheduler's
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
 # BenchmarkCachedMiss: the same through the prompt cache, a new key every
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter
@@ -86,6 +87,7 @@ serve:
 	$(GO) run ./cmd/galois-serve
 
 # Short fuzz smoke of the SQL parser, a built plan's canonical form, the
+# optimizer's purity (it never changes the plan it rewrites), the
 # simulated model's prompt parser, the galois.yaml decoder, the
 # model-answer number decoder, the token counter, the prompt template's
 # token count, the durable store's segment replay and MANIFEST reader,
@@ -96,6 +98,7 @@ serve:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical
+	$(GO) test -run '^$$' -fuzz FuzzOptimizePure -fuzztime 30s ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean

@@ -73,7 +73,11 @@ func explainNode(b *strings.Builder, n logical.Node, depth int, cost *optimizer.
 		}
 	}
 	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		explainNode(b, c, depth+1, cost, m, analyzed)
+	left, right := logical.Inputs(n)
+	if left != nil {
+		explainNode(b, left, depth+1, cost, m, analyzed)
+	}
+	if right != nil {
+		explainNode(b, right, depth+1, cost, m, analyzed)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/lru"
 	"repro/internal/optimizer"
-	"repro/internal/sql/ast"
 )
 
 // planCacheSize bounds the plan cache: one entry per statement template
@@ -39,21 +38,6 @@ type PlanCacheStats struct {
 	GuardFailures int64 `json:"guard_failures"`
 	Misses        int64 `json:"misses"`
 	Entries       int   `json:"entries"`
-}
-
-// planFactory returns the candidate factory of one SELECT: its first
-// call hands out built when non-nil (already constructed for the
-// result-cache fingerprint, so a miss does not build twice), every
-// further call builds afresh, since optimization mutates its input.
-func (s *Session) planFactory(sel *ast.Select, built logical.Node) func() (logical.Node, error) {
-	return func() (logical.Node, error) {
-		if built != nil {
-			plan := built
-			built = nil
-			return plan, nil
-		}
-		return logical.Build(sel, s)
-	}
 }
 
 // replan plans built, a statement of template tpl, from the template's

@@ -79,12 +79,18 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 // alongside it. Fresh candidates compete against any pre-built residual
 // plans over cached relations, so cache answering is a plan-choice
 // decision, not a bypass. A non-nil built plan (already constructed for
-// the result-cache fingerprint) is the first candidate, so a cache miss
+// the result-cache fingerprint) is planned directly, so a cache miss
 // does not build twice. Under CostBased the runtime's plan cache may
 // replace the enumeration; sessions that pin per-conjunct or per-join
 // knobs bypass it, since those sets are keyed by conjunct text, which
 // carries literals.
 func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
+	if built == nil {
+		var err error
+		if built, err = logical.Build(sel, s); err != nil {
+			return nil, nil, err
+		}
+	}
 	// Price plans with the worker budget that will actually apply: the
 	// runtime scheduler's shared per-endpoint budget under the streaming
 	// policy, the session's wave width under stop-and-go. A backend's
@@ -112,18 +118,13 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 	pc := s.rt.plans
 	var tpl *optimizer.Template
 	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 && len(o.PromptPushdownSkip) == 0 && len(o.SwapJoins) == 0 {
-		if built == nil {
-			if built, err = logical.Build(sel, s); err != nil {
-				return nil, nil, err
-			}
-		}
 		if tpl, _ = optimizer.NewTemplate(built, s.planInputs(params)); tpl == nil {
 			pc.misses.Add(1)
 		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, params, extras); plan != nil || err != nil {
 			return plan, cost, err
 		}
 	}
-	plan, cost, g, err := optimizer.Choose(s.planFactory(sel, built), o, s.rt.stats, params, extras, tpl)
+	plan, cost, g, err := optimizer.Choose(built, o, s.rt.stats, params, extras, tpl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +237,7 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 		}
 		// Column coverage is decided here: the residual compiles exactly
 		// when everything the query computes resolves over the columns
-		// the producer projected. Rel stays nil for validation; the
+		// the producer projected. Validation compiles without data; the
 		// winning plan re-fetches the relation before execution.
 		if _, err := physical.Compile(plan, nil); err != nil {
 			continue
@@ -386,8 +387,7 @@ func (s *Session) observe(plan logical.Node, m *physical.Metrics) {
 	if m == nil || hasLimit(plan) {
 		return
 	}
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
+	logical.Walk(plan, func(n logical.Node) bool {
 		switch node := n.(type) {
 		case *logical.Scan:
 			if node.Source == "LLM" && node.PushedFilter == nil {
@@ -402,22 +402,18 @@ func (s *Session) observe(plan logical.Node, m *physical.Metrics) {
 				s.rt.stats.ObserveFilter(node.Table.Name, ref.Name, node.Cond.Op, lit.Val.String(), nm.RowsIn, nm.RowsOut)
 			}
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(plan)
+		return true
+	})
 }
 
 // hasLimit reports whether the plan contains a Limit node.
 func hasLimit(n logical.Node) bool {
-	if _, ok := n.(*logical.Limit); ok {
-		return true
-	}
-	for _, c := range n.Children() {
-		if hasLimit(c) {
-			return true
+	found := false
+	logical.Walk(n, func(n logical.Node) bool {
+		if !found {
+			_, found = n.(*logical.Limit)
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }

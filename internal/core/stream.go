@@ -315,8 +315,8 @@ func (s *Session) openResidual(plan logical.Node, cost *optimizer.PlanCost, cs *
 	if !ok {
 		return nil, errCachedEntryGone
 	}
-	cs.Rel = entry.Rel
-	op, err := physical.Compile(plan, nil)
+	// A residual plan reads one cached relation: cs's, the entry's.
+	op, err := physical.Compile(plan, func(string) (*schema.Relation, error) { return entry.Rel, nil })
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ walk:
 		switch from.(type) {
 		case *StripProject, *Limit, *Sort, *Distinct, *Project, *Aggregate, *Filter:
 			chain = append(chain, from)
-			from = from.Children()[0]
+			from, _ = Inputs(from)
 		default:
 			break walk
 		}
@@ -130,8 +130,12 @@ func (r *renderer) node(n Node) {
 	default:
 		b.WriteString(n.Describe())
 	}
-	for _, c := range n.Children() {
-		r.node(c)
+	left, right := Inputs(n)
+	if left != nil {
+		r.node(left)
+	}
+	if right != nil {
+		r.node(right)
 	}
 	b.WriteByte(')')
 	if n == r.from {

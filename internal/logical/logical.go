@@ -7,6 +7,13 @@
 // "LLM"); the optimizer package lowers LLM-bound subtrees by injecting
 // FetchAttr and LLMFilter nodes before operators that need attributes not
 // yet retrieved.
+//
+// A node is immutable once built: a rewrite never assigns a field of a
+// node it was given, it path-copies — it allocates new nodes from the
+// changed operator up to the root (WithInput rebuilds one) and may reuse
+// any subtree it left unchanged. Plans rewritten from one built tree can
+// therefore share nodes with it and with each other; within one plan
+// every node appears once.
 package logical
 
 import (
@@ -22,8 +29,6 @@ import (
 type Node interface {
 	// Schema is the output schema of the operator.
 	Schema() *schema.Schema
-	// Children returns the input operators.
-	Children() []Node
 	// Describe renders the operator line for EXPLAIN.
 	Describe() string
 }
@@ -64,9 +69,6 @@ func NewScan(def *schema.TableDef, binding, source string) *Scan {
 
 // Schema implements Node.
 func (s *Scan) Schema() *schema.Schema { return s.out }
-
-// Children implements Node.
-func (s *Scan) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *Scan) Describe() string {
@@ -116,9 +118,6 @@ func NewFetchAttr(input Node, def *schema.TableDef, binding, attr string, keyCol
 // Schema implements Node.
 func (f *FetchAttr) Schema() *schema.Schema { return f.out }
 
-// Children implements Node.
-func (f *FetchAttr) Children() []Node { return []Node{f.Input} }
-
 // Describe implements Node.
 func (f *FetchAttr) Describe() string {
 	return fmt.Sprintf("LLMFetchAttr %s.%s (per key %s.%s)", f.Binding, f.Attr, f.Binding, f.Table.KeyColumn)
@@ -138,9 +137,6 @@ type LLMFilter struct {
 // Schema implements Node.
 func (f *LLMFilter) Schema() *schema.Schema { return f.Input.Schema() }
 
-// Children implements Node.
-func (f *LLMFilter) Children() []Node { return []Node{f.Input} }
-
 // Describe implements Node.
 func (f *LLMFilter) Describe() string {
 	return fmt.Sprintf("LLMFilter %s (per key %s.%s)", f.Cond.String(), f.Binding, f.Table.KeyColumn)
@@ -154,9 +150,6 @@ type Filter struct {
 
 // Schema implements Node.
 func (f *Filter) Schema() *schema.Schema { return f.Input.Schema() }
-
-// Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
 
 // Describe implements Node.
 func (f *Filter) Describe() string { return "Filter " + f.Cond.String() }
@@ -178,9 +171,6 @@ func NewJoin(left, right Node, jt ast.JoinType, on ast.Expr) *Join {
 
 // Schema implements Node.
 func (j *Join) Schema() *schema.Schema { return j.out }
-
-// Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Describe implements Node.
 func (j *Join) Describe() string {
@@ -276,9 +266,6 @@ func aggType(call *ast.FuncCall, in *schema.Schema) (value.Kind, error) {
 // Schema implements Node.
 func (a *Aggregate) Schema() *schema.Schema { return a.out }
 
-// Children implements Node.
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
-
 // Describe implements Node.
 func (a *Aggregate) Describe() string {
 	var parts []string
@@ -338,9 +325,6 @@ func NewProjectTyped(input Node, items []ast.SelectItem, hidden int, in *schema.
 // Schema implements Node.
 func (p *Project) Schema() *schema.Schema { return p.out }
 
-// Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Input} }
-
 // Describe implements Node.
 func (p *Project) Describe() string {
 	parts := make([]string, 0, len(p.Items))
@@ -373,9 +357,6 @@ func NewStripProject(input Node, keep int) *StripProject {
 // Schema implements Node.
 func (s *StripProject) Schema() *schema.Schema { return s.out }
 
-// Children implements Node.
-func (s *StripProject) Children() []Node { return []Node{s.Input} }
-
 // Describe implements Node.
 func (s *StripProject) Describe() string {
 	return fmt.Sprintf("Project (first %d columns)", s.Keep)
@@ -391,9 +372,6 @@ type Distinct struct {
 // Schema implements Node.
 func (d *Distinct) Schema() *schema.Schema { return d.Input.Schema() }
 
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
-
 // Describe implements Node.
 func (d *Distinct) Describe() string { return "Distinct" }
 
@@ -405,9 +383,6 @@ type Sort struct {
 
 // Schema implements Node.
 func (s *Sort) Schema() *schema.Schema { return s.Input.Schema() }
-
-// Children implements Node.
-func (s *Sort) Children() []Node { return []Node{s.Input} }
 
 // Describe implements Node.
 func (s *Sort) Describe() string {
@@ -431,9 +406,6 @@ type Limit struct {
 // Schema implements Node.
 func (l *Limit) Schema() *schema.Schema { return l.Input.Schema() }
 
-// Children implements Node.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-
 // Describe implements Node.
 func (l *Limit) Describe() string {
 	if l.Offset > 0 {
@@ -454,9 +426,92 @@ func explain(b *strings.Builder, n Node, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(n.Describe())
 	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		explain(b, c, depth+1)
+	left, right := Inputs(n)
+	if left != nil {
+		explain(b, left, depth+1)
 	}
+	if right != nil {
+		explain(b, right, depth+1)
+	}
+}
+
+// Inputs returns n's input operators: both sides of a Join, the one
+// input of every other interior node (second result nil), and two nils
+// for a leaf.
+func Inputs(n Node) (Node, Node) {
+	switch node := n.(type) {
+	case *Join:
+		return node.Left, node.Right
+	case *FetchAttr:
+		return node.Input, nil
+	case *LLMFilter:
+		return node.Input, nil
+	case *Filter:
+		return node.Input, nil
+	case *Aggregate:
+		return node.Input, nil
+	case *Project:
+		return node.Input, nil
+	case *StripProject:
+		return node.Input, nil
+	case *Distinct:
+		return node.Input, nil
+	case *Sort:
+		return node.Input, nil
+	case *Limit:
+		return node.Input, nil
+	}
+	return nil, nil
+}
+
+// Walk visits n and every operator below it in preorder, left input
+// before right. The visitor returns false to prune the subtree.
+func Walk(n Node, visit func(Node) bool) {
+	if !visit(n) {
+		return
+	}
+	left, right := Inputs(n)
+	if left != nil {
+		Walk(left, visit)
+	}
+	if right != nil {
+		Walk(right, visit)
+	}
+}
+
+// WithInput returns a copy of the single-input operator n over input.
+// FetchAttr and StripProject derive their schema from the new input;
+// Project and Aggregate keep the one typed at build time against the
+// full declared schema (an input before lowering may hold only key
+// columns); every other operator passes its input's schema through.
+func WithInput(n Node, input Node) (Node, error) {
+	switch node := n.(type) {
+	case *FetchAttr:
+		return NewFetchAttr(input, node.Table, node.Binding, node.Attr, node.KeyCol)
+	case *StripProject:
+		return NewStripProject(input, node.Keep), nil
+	case *Project:
+		p := *node
+		p.Input = input
+		return &p, nil
+	case *Aggregate:
+		a := *node
+		a.Input = input
+		return &a, nil
+	case *LLMFilter:
+		f := *node
+		f.Input = input
+		return &f, nil
+	case *Filter:
+		return &Filter{Input: input, Cond: node.Cond}, nil
+	case *Distinct:
+		return &Distinct{Input: input, KeyCols: node.KeyCols}, nil
+	case *Sort:
+		return &Sort{Input: input, Items: node.Items}, nil
+	case *Limit:
+		return &Limit{Input: input, N: node.N, Offset: node.Offset}, nil
+	}
+	return nil, fmt.Errorf("logical: %T has no single input to replace", n)
 }
 
 // InferType computes the static type of e against s. It errs on the side

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
@@ -292,5 +293,52 @@ func TestInferType(t *testing.T) {
 		if got != c.want {
 			t.Errorf("InferType(%s) = %v, want %v", c.src, got, c.want)
 		}
+	}
+}
+
+// TestAccessorsDoNotAllocate pins the plan accessors at zero
+// allocations: Walk over a built join plan, and Inputs on every node
+// kind.
+func TestAccessorsDoNotAllocate(t *testing.T) {
+	plan := build(t, "SELECT DISTINCT c.name FROM city c JOIN employees e ON c.country = e.countryCode WHERE e.salary > 1.5 ORDER BY e.salary LIMIT 3")
+	agg := build(t, "SELECT country, COUNT(*) FROM city GROUP BY country")
+	var nodes []Node
+	for _, n := range []Node{plan, agg} {
+		Walk(n, func(n Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+	}
+	scan := NewScan(cityDef(), "c", "LLM")
+	fetch, err := NewFetchAttr(scan, cityDef(), "c", "population", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond := &ast.Binary{Op: ">", Left: &ast.ColumnRef{Name: "population"}, Right: &ast.Literal{Val: value.Int(1)}}
+	nodes = append(nodes, fetch, &LLMFilter{Input: scan, Table: cityDef(), Binding: "c", Cond: cond},
+		NewCachedScan("city", "fp", "stamp", 1, scan.Schema()))
+	kinds := map[string]bool{}
+	for _, n := range nodes {
+		kinds[fmt.Sprintf("%T", n)] = true
+	}
+	if len(kinds) != 12 {
+		t.Fatalf("want all 12 node kinds, got %v", kinds)
+	}
+
+	count := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		Walk(plan, func(Node) bool {
+			count++
+			return true
+		})
+	}); allocs != 0 || count == 0 {
+		t.Errorf("Walk: %v allocs over %d visits, want 0", allocs, count)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range nodes {
+			Inputs(n)
+		}
+	}); allocs != 0 {
+		t.Errorf("Inputs: %v allocs, want 0", allocs)
 	}
 }

@@ -32,16 +32,12 @@ func ComponentLLM(table string) string { return "llm:" + strings.ToLower(table) 
 // relation the plan reads.
 func Components(n Node) []string {
 	var comps []string
-	var walk func(Node)
-	walk = func(n Node) {
+	Walk(n, func(n Node) bool {
 		if s, ok := n.(*Scan); ok {
 			comps = addComponent(comps, s)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+		return true
+	})
 	slices.Sort(comps)
 	return comps
 }
@@ -182,17 +178,18 @@ func Subsumes(in *Shape, fromKey string, producerConjuncts []string) ([]ast.Expr
 }
 
 // BuildResidual rebuilds the incoming shape's plan over a cached
-// relation: the upper chain is copied node-for-node onto a residual
-// Filter (the conjuncts the producer did not already apply) over cs.
-// Expressions are reused as-is; whether they resolve against the
-// producer's output schema is decided by compiling the returned plan.
+// relation: the upper chain is copied node-for-node (WithInput) onto a
+// residual Filter (the conjuncts the producer did not already apply)
+// over cs. Expressions are reused as-is; whether they resolve against
+// the producer's output schema is decided by compiling the returned
+// plan.
 func BuildResidual(in *Shape, cs *CachedScan, residual []ast.Expr) (Node, error) {
 	var out Node = cs
 	if len(residual) > 0 {
 		out = &Filter{Input: out, Cond: ast.And(residual)}
 	}
 	for i := len(in.Upper) - 1; i >= 0; i-- {
-		n, err := rewire(in.Upper[i], out)
+		n, err := WithInput(in.Upper[i], out)
 		if err != nil {
 			return nil, err
 		}
@@ -201,42 +198,18 @@ func BuildResidual(in *Shape, cs *CachedScan, residual []ast.Expr) (Node, error)
 	return out, nil
 }
 
-// rewire shallow-copies one chain operator onto a new input. Output
-// schemas are reused: they were typed at build time and the residual
-// preserves column positions.
-func rewire(n Node, input Node) (Node, error) {
-	switch node := n.(type) {
-	case *Filter:
-		return &Filter{Input: input, Cond: node.Cond}, nil
-	case *Project:
-		return &Project{Input: input, Items: node.Items, Hidden: node.Hidden, out: node.out}, nil
-	case *Aggregate:
-		return &Aggregate{Input: input, GroupBy: node.GroupBy, Aggs: node.Aggs, out: node.out}, nil
-	case *StripProject:
-		return &StripProject{Input: input, Keep: node.Keep, out: node.out}, nil
-	case *Distinct:
-		return &Distinct{Input: input, KeyCols: node.KeyCols}, nil
-	case *Sort:
-		return &Sort{Input: input, Items: node.Items}, nil
-	case *Limit:
-		return &Limit{Input: input, N: node.N, Offset: node.Offset}, nil
-	default:
-		return nil, fmt.Errorf("logical: cannot rebuild %T over a cached relation", n)
-	}
-}
-
 // CachedScan is the leaf of a residual plan: it reads a relation the
 // result cache materialized earlier instead of any base table. Source
-// and Stamp identify the producing cache entry (its exact-match key);
-// Rel is attached immediately before execution, after the residual plan
-// has won costing — the entry may have been evicted in between, in
-// which case the session falls back to fresh execution.
+// and Stamp identify the producing cache entry (its exact-match key).
+// The session looks the entry up after the residual plan has won costing
+// and physical.Compile reads its relation by Source — the entry may have
+// been evicted in between, in which case the session falls back to
+// fresh execution.
 type CachedScan struct {
 	Label  string // FROM-tree label of the producing plan
 	Source string // exact-match fingerprint of the producing entry
 	Stamp  string // per-table epoch stamp the entry is valid under
 	Rows   int    // cached cardinality, for costing
-	Rel    *schema.Relation
 	out    *schema.Schema
 }
 
@@ -249,9 +222,6 @@ func NewCachedScan(label, source, stamp string, rows int, out *schema.Schema) *C
 // Schema implements Node.
 func (c *CachedScan) Schema() *schema.Schema { return c.out }
 
-// Children implements Node.
-func (c *CachedScan) Children() []Node { return nil }
-
 // Describe implements Node.
 func (c *CachedScan) Describe() string {
 	return fmt.Sprintf("residual over cached(%s) [%d rows]", c.Label, c.Rows)
@@ -260,13 +230,12 @@ func (c *CachedScan) Describe() string {
 // FindCachedScan returns the plan's CachedScan leaf, or nil when the
 // plan executes against base tables.
 func FindCachedScan(n Node) *CachedScan {
-	if cs, ok := n.(*CachedScan); ok {
-		return cs
-	}
-	for _, c := range n.Children() {
-		if cs := FindCachedScan(c); cs != nil {
-			return cs
+	var found *CachedScan
+	Walk(n, func(n Node) bool {
+		if found == nil {
+			found, _ = n.(*CachedScan)
 		}
-	}
-	return nil
+		return found == nil
+	})
+	return found
 }

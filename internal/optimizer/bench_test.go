@@ -10,15 +10,14 @@ import (
 
 // BenchmarkChoose is one templated enumeration of a two-conjunct join
 // statement, as on a plan-cache miss under a prompt cache: eight
-// candidates (two filter lowerings, two join orders), each built,
-// lowered and estimated, with every read recorded as a guard.
+// candidates (two filter lowerings, two join orders), each lowered and
+// estimated, with every read recorded as a guard.
 func BenchmarkChoose(b *testing.B) {
 	sel, err := parser.ParseSelect(`SELECT c.name FROM city c, mayor m WHERE c.mayor = m.name AND c.population > 1000000 AND m.age < 40`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
-	built, err := factory()
+	built, err := logical.Build(sel, resolver{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func BenchmarkChoose(b *testing.B) {
 	base.CostBased = true
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, cost, g, err := Choose(factory, base, st, p, nil, tpl); err != nil || g == nil || cost.Candidates != 8 {
+		if _, cost, g, err := Choose(built, base, st, p, nil, tpl); err != nil || g == nil || cost.Candidates != 8 {
 			b.Fatalf("Choose: %v (guarded %t)", err, g != nil)
 		}
 	}

@@ -152,21 +152,10 @@ func estimate(n logical.Node, st statsReader, p CostParams) *PlanCost {
 	e := &estimator{
 		st:       st,
 		p:        p,
-		bindings: map[string]scanInfo{},
+		bindings: bindingsOf(n),
 		out:      &PlanCost{Candidates: 1, Choice: "estimate", Priced: p.Price != nil, Nodes: map[logical.Node]NodeEstimate{}},
 		workBy:   map[string]area{},
 	}
-	var collect func(logical.Node)
-	collect = func(n logical.Node) {
-		if s, ok := n.(*logical.Scan); ok {
-			e.bindings[strings.ToLower(s.Binding)] = scanInfo{def: s.Table, source: s.Source}
-		}
-		for _, c := range n.Children() {
-			collect(c)
-		}
-	}
-	collect(n)
-
 	root := e.node(n)
 	e.out.Latency = root.Done
 	for _, a := range e.workBy {
@@ -486,9 +475,8 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 	default:
 		// Project, StripProject and anything prompt-free with one
 		// input: cardinality and timing pass through.
-		children := n.Children()
-		if len(children) == 1 {
-			in := e.node(children[0])
+		if input, _ := logical.Inputs(n); input != nil {
+			in := e.node(input)
 			return e.record(n, NodeEstimate{Rows: in.Rows, Start: in.Start, Done: in.Done})
 		}
 		return e.record(n, NodeEstimate{})

@@ -29,9 +29,8 @@ type ExtraPlan struct {
 	Label string
 }
 
-// Choose plans one statement and returns the chosen plan with its
-// estimate. factory must return a fresh logical plan on every call —
-// Optimize annotates plans in place, so candidates cannot share nodes.
+// Choose plans one built statement and returns the chosen plan with its
+// estimate. Every candidate is optimized from built.
 //
 // Without base.CostBased the fixed heuristics lower one plan, and an
 // extra wins only when strictly cheaper (a full tie keeps the fresh
@@ -51,16 +50,13 @@ type ExtraPlan struct {
 // its guards for Replan. The Guarded is nil without t, and when the
 // choice cannot be replayed: a read changed its answer mid-enumeration,
 // or a decision point is not a slot's conjunct.
-func Choose(factory func() (logical.Node, error), base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
+func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
 	if st == nil {
 		st = NewStatistics()
 	}
 	if !base.CostBased {
-		plan, err := factory()
+		plan, err := Optimize(built, base)
 		if err != nil {
-			return nil, nil, nil, err
-		}
-		if plan, err = Optimize(plan, base); err != nil {
 			return nil, nil, nil, err
 		}
 		best := &scored{plan: plan, cost: Estimate(plan, st, p), label: "paper"}
@@ -78,11 +74,7 @@ func Choose(factory func() (logical.Node, error), base Options, st *Statistics, 
 	probeOpts.DisableLLMFilter = nil
 	probeOpts.PromptPushdownSkip = nil
 	probeOpts.SwapJoins = nil
-	probe, err := factory()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	probe, err = Optimize(probe, probeOpts)
+	probe, err := Optimize(built, probeOpts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -97,11 +89,7 @@ func Choose(factory func() (logical.Node, error), base Options, st *Statistics, 
 	var best *scored
 	for mask := 0; mask < 1<<len(points); mask++ {
 		opts, label := candidate(base, st, points, mask)
-		plan, err := factory()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		plan, err = optimizeWith(plan, opts, src)
+		plan, err := optimizeWith(built, opts, src)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -149,8 +137,7 @@ func compete(best *scored, fresh int, st *Statistics, p CostParams, extras []Ext
 // retrieval prompts (each sorted), and the number of joins.
 func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins int) {
 	seen := map[string]bool{}
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
+	logical.Walk(probe, func(n logical.Node) bool {
 		switch node := n.(type) {
 		case *logical.LLMFilter:
 			k := conjKey(node.Cond)
@@ -171,11 +158,8 @@ func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins in
 				}
 			}
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(probe)
+		return true
+	})
 	sort.Strings(filterKeys)
 	sort.Strings(pushedKeys)
 	return filterKeys, pushedKeys, joins

@@ -173,9 +173,9 @@ func (r *recorder) slotsOf(keys []string) ([]int, bool) {
 // Replan plans built, a statement of the template g was recorded under,
 // with g's choice when every guard holds for t's literals: built is
 // optimized once under the stored decisions and estimated once, and the
-// extras compete as in Choose. It returns a nil plan, leaving built
-// untouched, when a guard fails or the statement's decision points fall
-// in another order; the caller then enumerates afresh.
+// extras compete as in Choose. It returns a nil plan when a guard fails
+// or the statement's decision points fall in another order; the caller
+// then enumerates afresh.
 func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, error) {
 	if st == nil {
 		st = NewStatistics()

@@ -72,8 +72,21 @@ type scanInfo struct {
 	source string
 }
 
-// Optimize rewrites the plan under the given options. The input plan is
-// not mutated except for Scan.PushedFilter annotations.
+// bindingsOf returns the base relation bindings of the plan, keyed by
+// lower-cased binding name.
+func bindingsOf(n logical.Node) map[string]scanInfo {
+	out := map[string]scanInfo{}
+	logical.Walk(n, func(n logical.Node) bool {
+		if s, ok := n.(*logical.Scan); ok {
+			out[strings.ToLower(s.Binding)] = scanInfo{def: s.Table, source: s.Source}
+		}
+		return true
+	})
+	return out
+}
+
+// Optimize rewrites the plan under the given options into a new plan,
+// which may share unchanged subtrees with n.
 func Optimize(n logical.Node, opts Options) (logical.Node, error) {
 	var src statsReader
 	if opts.Stats != nil {
@@ -85,8 +98,7 @@ func Optimize(n logical.Node, opts Options) (logical.Node, error) {
 // optimizeWith is Optimize reading filter selectivities through src (nil:
 // no reordering), so the enumeration can record what it read.
 func optimizeWith(n logical.Node, opts Options, src statsReader) (logical.Node, error) {
-	o := &optimizer{opts: opts, bindings: map[string]scanInfo{}}
-	o.collectBindings(n)
+	o := &optimizer{opts: opts, bindings: bindingsOf(n)}
 	if opts.PushdownPredicates {
 		n = o.push(n, nil)
 	}
@@ -119,13 +131,36 @@ func swapJoins(n logical.Node, swap map[int]bool, idx *int) logical.Node {
 		if swap[i] && j.Type != ast.JoinLeft {
 			left, right = right, left
 		}
-		return logical.NewJoin(left, right, j.Type, j.On)
+		return join(j, left, right)
 	}
-	children := n.Children()
-	if len(children) == 1 {
-		if rebuilt, err := rebuildUnary(n, swapJoins(children[0], swap, idx)); err == nil {
-			return rebuilt
-		}
+	if input, _ := logical.Inputs(n); input != nil {
+		return rewrapOr(n, swapJoins(input, swap, idx))
+	}
+	return n
+}
+
+// join returns j over left and right: j itself when they are its
+// inputs, else a new join.
+func join(j *logical.Join, left, right logical.Node) logical.Node {
+	if left == j.Left && right == j.Right {
+		return j
+	}
+	return logical.NewJoin(left, right, j.Type, j.On)
+}
+
+// rewrap returns the single-input node n over input: n itself when input
+// already is its input, else a copy (logical.WithInput).
+func rewrap(n, input logical.Node) (logical.Node, error) {
+	if in, _ := logical.Inputs(n); in == input {
+		return n, nil
+	}
+	return logical.WithInput(n, input)
+}
+
+// rewrapOr is rewrap keeping n unchanged when it cannot be rebuilt.
+func rewrapOr(n, input logical.Node) logical.Node {
+	if out, err := rewrap(n, input); err == nil {
+		return out
 	}
 	return n
 }
@@ -156,6 +191,15 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 			// filter, so the innermost runs first.
 			return si > sj
 		})
+		// Keep the chain when its order and its input stand.
+		same := input == cur
+		for i, c := 0, n; same && i < len(chain); i++ {
+			same = chain[i] == c
+			c = chain[i].Input
+		}
+		if same {
+			return n
+		}
 		out := input
 		for i := len(chain) - 1; i >= 0; i-- {
 			lf := chain[i]
@@ -165,13 +209,10 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 	}
 	switch node := n.(type) {
 	case *logical.Join:
-		return logical.NewJoin(orderLLMFilters(node.Left, st), orderLLMFilters(node.Right, st), node.Type, node.On)
+		return join(node, orderLLMFilters(node.Left, st), orderLLMFilters(node.Right, st))
 	default:
-		children := n.Children()
-		if len(children) == 1 {
-			if rebuilt, err := rebuildUnary(n, orderLLMFilters(children[0], st)); err == nil {
-				return rebuilt
-			}
+		if input, _ := logical.Inputs(n); input != nil {
+			return rewrapOr(n, orderLLMFilters(input, st))
 		}
 		return n
 	}
@@ -180,15 +221,6 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 type optimizer struct {
 	opts     Options
 	bindings map[string]scanInfo
-}
-
-func (o *optimizer) collectBindings(n logical.Node) {
-	if s, ok := n.(*logical.Scan); ok {
-		o.bindings[strings.ToLower(s.Binding)] = scanInfo{def: s.Table, source: s.Source}
-	}
-	for _, c := range n.Children() {
-		o.collectBindings(c)
-	}
 }
 
 // bindingOf resolves the binding a column reference belongs to, consulting
@@ -215,16 +247,12 @@ func (o *optimizer) bindingOf(ref *ast.ColumnRef) (string, bool) {
 // subtreeBindings returns the set of bindings produced under n.
 func subtreeBindings(n logical.Node) map[string]bool {
 	out := map[string]bool{}
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
+	logical.Walk(n, func(n logical.Node) bool {
 		if s, ok := n.(*logical.Scan); ok {
 			out[strings.ToLower(s.Binding)] = true
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+		return true
+	})
 	return out
 }
 
@@ -295,12 +323,8 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 	default:
 		// Do not push through projections/aggregates; reattach pending
 		// above and continue independently below.
-		children := n.Children()
-		if len(children) == 1 {
-			rebuilt, err := rebuildUnary(n, o.push(children[0], nil))
-			if err == nil {
-				n = rebuilt
-			}
+		if input, _ := logical.Inputs(n); input != nil {
+			n = rewrapOr(n, o.push(input, nil))
 		}
 		if rest := ast.And(pending); rest != nil {
 			return &logical.Filter{Input: n, Cond: rest}
@@ -327,38 +351,6 @@ func isEquiAcross(c ast.Expr, o *optimizer, leftB, rightB map[string]bool) bool 
 		return false
 	}
 	return (leftB[lb] && rightB[rb]) || (leftB[rb] && rightB[lb])
-}
-
-// rebuildUnary reconstructs a single-input node over a new input,
-// refreshing derived schemas.
-func rebuildUnary(n logical.Node, input logical.Node) (logical.Node, error) {
-	switch node := n.(type) {
-	case *logical.Filter:
-		return &logical.Filter{Input: input, Cond: node.Cond}, nil
-	case *logical.Project:
-		// Types were inferred at build time against the full declared
-		// schema; re-deriving them against a pre-lowering input (which
-		// may hold only key columns) would fail, so rewire in place.
-		node.Input = input
-		return node, nil
-	case *logical.Aggregate:
-		node.Input = input
-		return node, nil
-	case *logical.Sort:
-		return &logical.Sort{Input: input, Items: node.Items}, nil
-	case *logical.Limit:
-		return &logical.Limit{Input: input, N: node.N, Offset: node.Offset}, nil
-	case *logical.Distinct:
-		return &logical.Distinct{Input: input, KeyCols: node.KeyCols}, nil
-	case *logical.StripProject:
-		return logical.NewStripProject(input, node.Keep), nil
-	case *logical.FetchAttr:
-		return logical.NewFetchAttr(input, node.Table, node.Binding, node.Attr, node.KeyCol)
-	case *logical.LLMFilter:
-		return &logical.LLMFilter{Input: input, Table: node.Table, Binding: node.Binding, Cond: node.Cond, KeyCol: node.KeyCol}, nil
-	default:
-		return nil, fmt.Errorf("optimizer: cannot rebuild %T", n)
-	}
 }
 
 // ------------------------------------------------------------- lowering
@@ -475,15 +467,15 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 		return logical.NewProject(input, node.Items, node.Hidden)
 
 	default:
-		children := n.Children()
-		if len(children) != 1 {
+		input, _ := logical.Inputs(n)
+		if input == nil {
 			return n, nil
 		}
-		input, err := o.lower(children[0])
+		input, err := o.lower(input)
 		if err != nil {
 			return nil, err
 		}
-		return rebuildUnary(n, input)
+		return rewrap(n, input)
 	}
 }
 
@@ -512,8 +504,7 @@ func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
 	if !ok {
 		return true
 	}
-	o := &optimizer{bindings: map[string]scanInfo{}}
-	o.collectBindings(from)
+	o := &optimizer{bindings: bindingsOf(from)}
 	binding, ok := o.bindingOf(cmp.ref)
 	if !ok {
 		// Unresolvable or ambiguous reference: refuse rather than guess.
@@ -659,43 +650,37 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	case *logical.LLMFilter:
 		input := o.promptPushdown(node.Input)
 		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" && !o.opts.PromptPushdownSkip[conjKey(node.Cond)] {
-			if scan.PushedFilter == nil {
-				scan.PushedFilter = node.Cond
-			} else {
-				scan.PushedFilter = &ast.Binary{Op: "AND", Left: scan.PushedFilter, Right: node.Cond}
-			}
-			return scan
+			return pushInto(scan, node.Cond)
 		}
-		node.Input = input
-		return node
+		return rewrapOr(node, input)
 	case *logical.Filter:
 		input := o.promptPushdown(node.Input)
 		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" {
 			if simple, ok := o.asSimplePred(node.Cond); ok && !o.opts.PromptPushdownSkip[conjKey(simple)] {
-				if scan.PushedFilter == nil {
-					scan.PushedFilter = simple
-				} else {
-					scan.PushedFilter = &ast.Binary{Op: "AND", Left: scan.PushedFilter, Right: simple}
-				}
-				return scan
+				return pushInto(scan, simple)
 			}
 		}
-		node.Input = input
-		return node
+		return rewrapOr(node, input)
 	case *logical.Join:
-		node.Left = o.promptPushdown(node.Left)
-		node.Right = o.promptPushdown(node.Right)
-		return logical.NewJoin(node.Left, node.Right, node.Type, node.On)
+		return join(node, o.promptPushdown(node.Left), o.promptPushdown(node.Right))
 	default:
-		children := n.Children()
-		if len(children) == 1 {
-			rebuilt, err := rebuildUnary(n, o.promptPushdown(children[0]))
-			if err == nil {
-				return rebuilt
-			}
+		if input, _ := logical.Inputs(n); input != nil {
+			return rewrapOr(n, o.promptPushdown(input))
 		}
 		return n
 	}
+}
+
+// pushInto returns a copy of the LLM scan with cond merged into its
+// retrieval prompt.
+func pushInto(scan *logical.Scan, cond ast.Expr) *logical.Scan {
+	out := *scan
+	if out.PushedFilter == nil {
+		out.PushedFilter = cond
+	} else {
+		out.PushedFilter = &ast.Binary{Op: "AND", Left: out.PushedFilter, Right: cond}
+	}
+	return &out
 }
 
 // asSimplePred accepts column-op-literal comparisons, column first,

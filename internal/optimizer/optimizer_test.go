@@ -356,13 +356,10 @@ func costBased() Options {
 
 // candidateCosts prices every candidate Choose enumerates for one
 // statement under base (no per-candidate knobs), keyed by choice label.
-func candidateCosts(t *testing.T, factory func() (logical.Node, error), base Options, st *Statistics, p CostParams) map[string]*PlanCost {
+func candidateCosts(t *testing.T, built logical.Node, base Options, st *Statistics, p CostParams) map[string]*PlanCost {
 	t.Helper()
-	probe, err := factory()
+	probe, err := Optimize(built, base)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if probe, err = Optimize(probe, base); err != nil {
 		t.Fatal(err)
 	}
 	filterKeys, pushedKeys, joins := decisionKeys(probe)
@@ -370,11 +367,8 @@ func candidateCosts(t *testing.T, factory func() (logical.Node, error), base Opt
 	costs := map[string]*PlanCost{}
 	for mask := 0; mask < 1<<len(points); mask++ {
 		opts, label := candidate(base, st, points, mask)
-		plan, err := factory()
+		plan, err := Optimize(built, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if plan, err = Optimize(plan, opts); err != nil {
 			t.Fatal(err)
 		}
 		costs[label] = estimate(plan, st, p)
@@ -392,9 +386,12 @@ func TestCostBasedChoosesFetchWhenAttrProjected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	built, err := logical.Build(sel, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, p := NewStatistics(), CostParams{Workers: 8}
-	plan, cost, _, err := Choose(factory, costBased(), st, p, nil, nil)
+	plan, cost, _, err := Choose(built, costBased(), st, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +402,7 @@ func TestCostBasedChoosesFetchWhenAttrProjected(t *testing.T) {
 	if !strings.Contains(explain, "LLMFetchAttr city.population") {
 		t.Errorf("fetch missing:\n%s", explain)
 	}
-	choices := candidateCosts(t, factory, costBased(), st, p)
+	choices := candidateCosts(t, built, costBased(), st, p)
 	if len(choices) < 2 || cost.Candidates != len(choices) {
 		t.Errorf("expected at least 2 candidates, got %d (estimate says %d)", len(choices), cost.Candidates)
 	}
@@ -453,8 +450,11 @@ func TestJoinOrderChangesEstimatedLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
-	choices := candidateCosts(t, factory, costBased(), NewStatistics(), CostParams{Workers: 8})
+	built, err := logical.Build(sel, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices := candidateCosts(t, built, costBased(), NewStatistics(), CostParams{Workers: 8})
 	paper, swapped := choices["paper"], choices["swap{0}"]
 	if paper == nil || swapped == nil {
 		t.Fatalf("expected paper and swap{0} candidates, got %v", choices)
@@ -481,12 +481,15 @@ func TestResidencyPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	built, err := logical.Build(sel, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := NewStatistics()
 	st.SetTableKeys("city", 24)
 	pages := st.Table("city").ScanPrompts(24)
 
-	plan, off, _, err := Choose(factory, costBased(), st, CostParams{Workers: 8}, nil, nil)
+	plan, off, _, err := Choose(built, costBased(), st, CostParams{Workers: 8}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +501,7 @@ func TestResidencyPricing(t *testing.T) {
 	}
 
 	cold := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
-	plan, cost, _, err := Choose(factory, costBased(), st, cold, nil, nil)
+	plan, cost, _, err := Choose(built, costBased(), st, cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +519,7 @@ func TestResidencyPricing(t *testing.T) {
 		}
 		return 0
 	}}
-	plan, cost, _, err = Choose(factory, costBased(), st, warm, nil, nil)
+	plan, cost, _, err = Choose(built, costBased(), st, warm, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +545,7 @@ func TestResidencyPricing(t *testing.T) {
 		Label: "residual over cached(city)",
 	}
 	for name, p := range map[string]CostParams{"cold": cold, "warm": warm} {
-		_, cost, _, err := Choose(factory, costBased(), st, p, []ExtraPlan{residual}, nil)
+		_, cost, _, err := Choose(built, costBased(), st, p, []ExtraPlan{residual}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +567,10 @@ func TestRentOrBuy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	built, err := logical.Build(sel, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := NewStatistics()
 	st.SetTableKeys("city", 24)
 	price := func(role llm.Role, _ string) BackendPrice {
@@ -595,7 +601,7 @@ func TestRentOrBuy(t *testing.T) {
 			}
 			return 0
 		}}
-		plan, cost, _, err := Choose(factory, costBased(), st, p, nil, nil)
+		plan, cost, _, err := Choose(built, costBased(), st, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,7 +622,10 @@ func TestChooseFixedHeuristicsExtras(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func() (logical.Node, error) { return logical.Build(sel, resolver{}) }
+	built, err := logical.Build(sel, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := NewStatistics()
 	st.SetTableKeys("city", 24)
 	// The filter backend charges a quarter of the fetch backend, and the
@@ -636,11 +645,8 @@ func TestChooseFixedHeuristicsExtras(t *testing.T) {
 		},
 	}
 	lowered := func(opts Options) ExtraPlan {
-		plan, err := factory()
+		plan, err := Optimize(built, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if plan, err = Optimize(plan, opts); err != nil {
 			t.Fatal(err)
 		}
 		return ExtraPlan{Plan: plan}
@@ -673,7 +679,7 @@ func TestChooseFixedHeuristicsExtras(t *testing.T) {
 		{name: "full tie", extras: []ExtraPlan{twin}},
 		{name: "strictly cheaper", extras: []ExtraPlan{fetch, twin, residual}, want: &residual},
 	} {
-		plan, cost, g, err := Choose(factory, Defaults(), st, p, tc.extras, nil)
+		plan, cost, g, err := Choose(built, Defaults(), st, p, tc.extras, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,10 @@ import (
 )
 
 // Compile lowers a logical plan to a physical operator tree. data returns
-// the materialized relation of a DB-bound table; nil when the plan reads
-// none (LLM-only and residual plans).
-func Compile(n logical.Node, data func(table string) (*schema.Relation, error)) (Operator, error) {
+// the materialized relation of a DB-bound table by name, and of a
+// CachedScan by its Source; nil when the plan reads none (LLM-only
+// plans, and residual plans compiled only to validate them).
+func Compile(n logical.Node, data func(name string) (*schema.Relation, error)) (Operator, error) {
 	switch node := n.(type) {
 	case *logical.Scan:
 		if node.Source == "LLM" {
@@ -28,13 +29,16 @@ func Compile(n logical.Node, data func(table string) (*schema.Relation, error)) 
 
 	case *logical.CachedScan:
 		// Residual execution over a relation the result cache
-		// materialized earlier: no data source, no scheduler, no
-		// prompts — just an in-memory scan under the producer's schema.
-		// Rel is nil during candidate validation (the session compiles
-		// against an empty stand-in) and attached before execution.
-		rel := node.Rel
-		if rel == nil {
-			rel = schema.NewRelation(node.Schema())
+		// materialized earlier: no scheduler, no prompts — just an
+		// in-memory scan under the producer's schema. Candidate
+		// validation passes no data and compiles against an empty
+		// stand-in.
+		if data == nil {
+			return NewMemScan(node.Schema(), schema.NewRelation(node.Schema())), nil
+		}
+		rel, err := data(node.Source)
+		if err != nil {
+			return nil, err
 		}
 		return NewMemScan(node.Schema(), rel), nil
 
