@@ -87,8 +87,9 @@ serve:
 	$(GO) run ./cmd/galois-serve
 
 # Short fuzz smoke of the SQL parser, a built plan's canonical form, the
-# optimizer's purity (it never changes the plan it rewrites), the
-# simulated model's prompt parser, the galois.yaml decoder, the
+# optimizer's purity (it never changes the plan it rewrites), predicate
+# pushdown's equivalence (memdb returns the same rows with it on and
+# off), the simulated model's prompt parser, the galois.yaml decoder, the
 # model-answer number decoder, the token counter, the prompt template's
 # token count, the durable store's segment replay and MANIFEST reader,
 # the persisted result-cache entry decoder, internal/serve's /query
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical
 	$(GO) test -run '^$$' -fuzz FuzzOptimizePure -fuzztime 30s ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz FuzzPushdownEquivalent -fuzztime 30s ./internal/memdb
 	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean

@@ -50,9 +50,9 @@ type Options struct {
 	MaxScanIterations int
 	// BatchWorkers is the engine-global scheduler's per-endpoint worker
 	// budget — the real concurrency of every query's prompts, shared
-	// fairly by all in-flight queries, fixed at NewRuntime — and, per
-	// session, the width of a stop-and-go prompt wave in the latency
-	// model.
+	// fairly by all in-flight queries, fixed at NewRuntime, where a
+	// backend declares no workers — and, per session, the width of a
+	// stop-and-go prompt wave (llm.Scheduler.Width, which prices plans).
 	BatchWorkers int
 	// Pipelined selects the execution policy of the one executor. Every
 	// query opens a tenant on the engine-global prompt scheduler (one

@@ -18,7 +18,7 @@ import (
 // flags.
 func ExplainText(plan logical.Node, cost *optimizer.PlanCost, m *physical.Metrics, stats llm.Stats, analyzed bool) string {
 	var b strings.Builder
-	explainNode(&b, plan, 0, cost, m, analyzed)
+	logical.WriteExplain(&b, plan, 0, func(n logical.Node) string { return annotate(n, cost, m, analyzed) })
 	if cost != nil {
 		fmt.Fprintf(&b, "estimated: prompts=%.1f latency=%s", cost.Prompts, cost.Latency.Round(time.Millisecond))
 		if cost.Priced {
@@ -44,40 +44,34 @@ func ExplainText(plan logical.Node, cost *optimizer.PlanCost, m *physical.Metric
 	return b.String()
 }
 
-func explainNode(b *strings.Builder, n logical.Node, depth int, cost *optimizer.PlanCost, m *physical.Metrics, analyzed bool) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(n.Describe())
+// annotate is one operator's EXPLAIN suffix: its estimate and, in
+// analyze mode, its actual counters.
+func annotate(n logical.Node, cost *optimizer.PlanCost, m *physical.Metrics, analyzed bool) string {
+	var b strings.Builder
 	if cost != nil {
 		if est, ok := cost.Nodes[n]; ok {
 			if est.Prompts > 0 || est.Resident > 0 {
-				fmt.Fprintf(b, "  (est rows=%.1f prompts=%.1f", est.Rows, est.Prompts)
+				fmt.Fprintf(&b, "  (est rows=%.1f prompts=%.1f", est.Rows, est.Prompts)
 				if est.Resident > 0 {
 					// The share of this operator's prompts the prompt
 					// cache already holds, priced at zero.
-					fmt.Fprintf(b, " resident=%.0f%%", 100*est.Resident)
+					fmt.Fprintf(&b, " resident=%.0f%%", 100*est.Resident)
 				}
 				if est.Backend != "" {
 					// Routed runtimes annotate which backend the
 					// operator's prompts go to.
-					fmt.Fprintf(b, " route=%s", est.Backend)
+					fmt.Fprintf(&b, " route=%s", est.Backend)
 				}
 				b.WriteString(")")
 			} else {
-				fmt.Fprintf(b, "  (est rows=%.1f)", est.Rows)
+				fmt.Fprintf(&b, "  (est rows=%.1f)", est.Rows)
 			}
 		}
 	}
 	if analyzed {
 		if nm, ok := m.Get(n); ok {
-			fmt.Fprintf(b, " [actual rows=%d prompts=%d]", nm.RowsOut, nm.Prompts)
+			fmt.Fprintf(&b, " [actual rows=%d prompts=%d]", nm.RowsOut, nm.Prompts)
 		}
 	}
-	b.WriteByte('\n')
-	left, right := logical.Inputs(n)
-	if left != nil {
-		explainNode(b, left, depth+1, cost, m, analyzed)
-	}
-	if right != nil {
-		explainNode(b, right, depth+1, cost, m, analyzed)
-	}
+	return b.String()
 }

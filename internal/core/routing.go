@@ -55,12 +55,10 @@ func (rt *Runtime) pin(role llm.Role, table string) string {
 
 // priceFor builds the optimizer's backend-pricing hook over a routing
 // view: each operator role is charged the cost weight and speed factor
-// of the backend it would route to and the worker budget the scheduler
-// gives that backend: under the streaming policy its declared budget,
-// under stop-and-go the session's wave width capped by that budget (a
-// backend that declares none leaves Workers 0, the CostParams
-// default). Nil (unpriced estimates, identical to the single-backend
-// planner) when the runtime declared no explicit backends.
+// of the backend it would route to (the width that backend runs at is
+// CostParams.Workers'). Nil (unpriced estimates, identical to the
+// single-backend planner) when the runtime declared no explicit
+// backends.
 func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string) optimizer.BackendPrice {
 	if !s.rt.routed {
 		return nil
@@ -70,11 +68,7 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 		if err != nil || b == nil {
 			b = s.rt.registry.Default()
 		}
-		bp := optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
-		if bp.Workers = b.Workers(); !s.opts.Pipelined && bp.Workers > 0 {
-			bp.Workers = min(bp.Workers, s.opts.BatchWorkers)
-		}
-		return bp
+		return optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
 	}
 }
 

@@ -91,14 +91,6 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 			return nil, nil, err
 		}
 	}
-	// Price plans with the worker budget that will actually apply: the
-	// runtime scheduler's shared per-endpoint budget under the streaming
-	// policy, the session's wave width under stop-and-go. A backend's
-	// declared budget overrides the first and caps the second (priceFor).
-	workers := s.opts.BatchWorkers
-	if s.opts.Pipelined {
-		workers = s.rt.opts.BatchWorkers
-	}
 	// On a multi-backend runtime, plans are priced against the backend
 	// each operator role routes to (session overrides included); the
 	// single-backend estimate stays unpriced and byte-identical.
@@ -109,7 +101,7 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 	router := s.rt.registry.Router(overrides)
 	_, verify := s.verifyRoute(overrides)
 	params := optimizer.CostParams{
-		Workers:  workers,
+		Workers:  s.rt.sched.Widths(s.wave()),
 		Verifier: verify,
 		Price:    s.priceFor(router),
 		Resident: s.residentFor(router),
@@ -118,7 +110,7 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 	pc := s.rt.plans
 	var tpl *optimizer.Template
 	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 && len(o.PromptPushdownSkip) == 0 && len(o.SwapJoins) == 0 {
-		if tpl, _ = optimizer.NewTemplate(built, s.planInputs(params)); tpl == nil {
+		if tpl, _ = optimizer.NewTemplate(built, s.planInputs()); tpl == nil {
 			pc.misses.Add(1)
 		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, params, extras); plan != nil || err != nil {
 			return plan, cost, err
@@ -359,19 +351,25 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 
 // openTenant opens one query's scheduler tenant in the session's
 // admission class and weight, which decide the dispatch band and the
-// deficit share within it, and in the session's execution policy:
-// stop-and-go tenants issue waves as wide as the session's BatchWorkers,
-// or as the backend's declared worker budget where that is smaller.
+// deficit share within it, and in the session's execution policy (wave).
 // Unknown class spellings fall back to interactive (the serve layer
 // rejects them before they reach here; direct API callers get the safe
 // default).
 func (s *Session) openTenant(ctx context.Context) *llm.Tenant {
 	class, _ := llm.ParseClass(s.opts.AdmissionClass)
 	t := s.rt.sched.TenantFor(ctx, "", class, s.opts.AdmissionWeight)
-	if !s.opts.Pipelined {
-		t.SetWaves(s.opts.BatchWorkers)
-	}
+	t.SetWaves(s.wave())
 	return t
+}
+
+// wave is the session's execution policy as llm.Scheduler.Width reads it,
+// for the tenant and the planner alike: 0 for the streaming policy, else
+// the stop-and-go wave width, the session's BatchWorkers.
+func (s *Session) wave() int {
+	if s.opts.Pipelined {
+		return 0
+	}
+	return s.opts.BatchWorkers
 }
 
 // observe feeds the executed plan's per-operator counters back into the

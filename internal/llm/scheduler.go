@@ -1,8 +1,10 @@
 package llm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -435,22 +437,33 @@ func NewScheduler(cache *Cache, workers int, declared ...*Backend) *Scheduler {
 	return s
 }
 
-// workersFor resolves one endpoint's worker budget.
-func (s *Scheduler) workersFor(name string) int {
-	if n, ok := s.budget[name]; ok {
-		return n
+// Width is how many prompts endpoint runs at once for a tenant of one
+// policy, wave being 0 for streaming and the stop-and-go wave width
+// otherwise: the backend's declared worker budget, else the scheduler's,
+// and under stop-and-go the wave width capped by a declared budget.
+// Dispatch, the latency model and the planner's estimate all read it.
+func (s *Scheduler) Width(endpoint string, wave int) int {
+	if n, declared := s.budget[endpoint]; declared {
+		return min(cmp.Or(wave, n), n)
 	}
-	return s.workers
+	return cmp.Or(wave, s.workers)
 }
 
-// waveWidth is how many prompts of a stop-and-go wave of the given width
-// run at once on one endpoint: the width, capped by the endpoint's
-// declared worker budget when its backend declares one.
-func (s *Scheduler) waveWidth(width int, name string) int {
-	if n, ok := s.budget[name]; ok {
-		return min(width, n)
-	}
-	return width
+// Widths is Width for one policy, as a value the planner carries.
+type Widths struct {
+	s    *Scheduler
+	wave int
+}
+
+// Widths returns Width's rule for the policy of wave.
+func (s *Scheduler) Widths(wave int) Widths { return Widths{s: s, wave: wave} }
+
+// unbudgeted, declaring no budget, is what the zero Widths reads.
+var unbudgeted = &Scheduler{workers: DefaultBatchWorkers}
+
+// Of is the width endpoint runs at under w's policy.
+func (w Widths) Of(endpoint string) int {
+	return cmp.Or(w.s, unbudgeted).Width(endpoint, w.wave)
 }
 
 // ClassGauges is one admission class's live dispatch state, summed over
@@ -600,16 +613,18 @@ type Tenant struct {
 }
 
 // SetWaves switches the tenant, before its first prompt, to the paper's
-// stop-and-go policy. Operators then drain their input before their
+// stop-and-go policy with waves width wide (0 keeps it streaming, as
+// Width reads wave). Operators then drain their input before their
 // first prompt and issue each step as one Wave that settles before
 // anything downstream starts. The tenant's simulated latency becomes the
 // sum of its waves. A wave costs ⌈issued / width⌉ × its slowest issued
-// prompt: width concurrent calls per round, or fewer on an endpoint
-// whose backend declares a smaller worker budget. A prompt submitted through
+// prompt (WaveCost): width concurrent calls per round, or fewer on an
+// endpoint whose backend declares a smaller worker budget (Width). A
+// prompt submitted through
 // Single (a key-scan page) is a wave of one. The sum is kept as the
 // critical path, since stop-and-go waves run one after another.
 func (t *Tenant) SetWaves(width int) {
-	t.width = max(width, 1)
+	t.width = max(width, 0)
 }
 
 // StopAndGo reports whether the tenant runs the stop-and-go policy.
@@ -686,11 +701,11 @@ func (w *Wave) abort(err error) {
 	w.t.purge(w, err)
 }
 
-// cost is the wave's simulated duration under a width-wide connection
-// budget: ⌈issued / width⌉ rounds, each as slow as the slowest issued
-// prompt. Callers hold t.mu.
-func (w *Wave) cost(width int) time.Duration {
-	return time.Duration((w.issued+width-1)/width) * w.slowest
+// WaveCost is the simulated duration of prompts issued at once over width
+// concurrent calls: ⌈prompts / width⌉ rounds, each as slow as the slowest
+// prompt. The planner passes fractional estimated counts.
+func WaveCost(prompts float64, width int, slowest time.Duration) time.Duration {
+	return time.Duration(math.Ceil(prompts/float64(width))) * slowest
 }
 
 // Submit enqueues one raw-text prompt whose dependencies complete at
@@ -837,7 +852,7 @@ func (w *Wave) enqueue(client Client, tp *Template, key string, ready VTime) *Fu
 	}
 	ep := s.endpointLocked(client.Name())
 	j.ep = ep
-	if ep.busy < s.workersFor(client.Name()) {
+	if ep.busy < s.Width(client.Name(), 0) {
 		// A free slot means every band is empty (dispatch runs under the
 		// same lock that frees slots), so direct placement cannot overtake
 		// queued work of any class.
@@ -974,11 +989,11 @@ func (s *Scheduler) complete(j *job) (string, any, VTime, error) {
 			t.span = end
 		}
 	case issued:
-		w, width := j.wave, s.waveWidth(t.width, client.Name())
-		before := w.cost(width)
+		w, width := j.wave, s.Width(client.Name(), t.width)
+		before := WaveCost(float64(w.issued), width, w.slowest)
 		w.issued++
 		w.slowest = max(w.slowest, lat)
-		t.span += w.cost(width) - before
+		t.span += WaveCost(float64(w.issued), width, w.slowest) - before
 	}
 	t.mu.Unlock()
 	return out, val, end, nil
@@ -999,7 +1014,7 @@ func (t *Tenant) Usage() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	u := t.usage
-	u.SimulatedLatency = makespan(t.span, t.work, t.s.workersFor)
+	u.SimulatedLatency = Makespan(t.span, t.work, t.s.Widths(t.width).Of)
 	return u
 }
 
@@ -1019,7 +1034,7 @@ func (t *Tenant) Stats() *TenantStats {
 	}
 	for ep, b := range t.work {
 		ts.Work[ep] = b
-		ts.Workers[ep] = t.s.workersFor(ep)
+		ts.Workers[ep] = t.s.Width(ep, t.width)
 	}
 	return ts
 }
@@ -1045,15 +1060,17 @@ type TenantStats struct {
 // over that endpoint's worker budget (a stop-and-go tenant's critical
 // path is its wave sum, and it keeps no per-endpoint work).
 func (ts *TenantStats) Makespan() VTime {
-	return makespan(ts.CriticalPath, ts.Work, func(ep string) int { return ts.Workers[ep] })
+	return Makespan(ts.CriticalPath, ts.Work, func(ep string) int { return ts.Workers[ep] })
 }
 
-// makespan is the list-scheduling bound: the larger of a critical path
-// and each endpoint's work spread over that endpoint's worker budget.
-func makespan(span VTime, work map[string]time.Duration, workers func(ep string) int) VTime {
+// Makespan is the list-scheduling bound (Graham): the larger of a
+// critical path and each endpoint's work spread over the width that
+// endpoint runs at. The scheduler bounds a query with it and the planner
+// its estimate.
+func Makespan(span VTime, work map[string]time.Duration, width func(endpoint string) int) VTime {
 	out := span
 	for ep, b := range work {
-		out = max(out, b/time.Duration(workers(ep)))
+		out = max(out, b/time.Duration(width(ep)))
 	}
 	return out
 }
@@ -1083,5 +1100,5 @@ func AggregateMakespan(stats []*TenantStats) VTime {
 			workers[ep] = ts.Workers[ep]
 		}
 	}
-	return makespan(span, work, func(ep string) int { return workers[ep] })
+	return Makespan(span, work, func(ep string) int { return workers[ep] })
 }

@@ -418,20 +418,26 @@ func (l *Limit) Describe() string {
 // -explain flag and the Figure 3 golden test use.
 func Explain(n Node) string {
 	var b strings.Builder
-	explain(&b, n, 0)
+	WriteExplain(&b, n, 0, nil)
 	return b.String()
 }
 
-func explain(b *strings.Builder, n Node, depth int) {
+// WriteExplain writes n's tree to b as Explain renders it, indented depth
+// levels; a non-nil annotate returns each operator's suffix (EXPLAIN's
+// estimates and actuals), written after its description.
+func WriteExplain(b *strings.Builder, n Node, depth int, annotate func(Node) string) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(n.Describe())
+	if annotate != nil {
+		b.WriteString(annotate(n))
+	}
 	b.WriteByte('\n')
 	left, right := Inputs(n)
 	if left != nil {
-		explain(b, left, depth+1)
+		WriteExplain(b, left, depth+1, annotate)
 	}
 	if right != nil {
-		explain(b, right, depth+1)
+		WriteExplain(b, right, depth+1, annotate)
 	}
 }
 

@@ -215,11 +215,16 @@ func (db *DB) exec(ctx context.Context, stmt ast.Statement) (*schema.Relation, e
 
 // Query plans, optimizes and executes a parsed SELECT.
 func (db *DB) Query(ctx context.Context, sel *ast.Select) (*schema.Relation, error) {
+	return db.query(sel, optimizer.Defaults())
+}
+
+// query is Query under the given optimizer options.
+func (db *DB) query(sel *ast.Select, opts optimizer.Options) (*schema.Relation, error) {
 	plan, err := logical.Build(sel, db)
 	if err != nil {
 		return nil, err
 	}
-	plan, err = optimizer.Optimize(plan, optimizer.Defaults())
+	plan, err = optimizer.Optimize(plan, opts)
 	if err != nil {
 		return nil, err
 	}

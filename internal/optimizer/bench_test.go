@@ -28,7 +28,7 @@ func BenchmarkChoose(b *testing.B) {
 	st := NewStatistics()
 	st.SetTableKeys("city", 24)
 	st.SetTableKeys("mayor", 24)
-	p := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
+	p := CostParams{Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
 	base := Defaults()
 	base.CostBased = true
 	b.ReportAllocs()

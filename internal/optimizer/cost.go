@@ -21,21 +21,24 @@ const (
 )
 
 // BackendPrice carries the planner-visible coefficients of the backend
-// one operator role routes to: CostWeight scales the money axis (cheap
-// models price their prompts below 1), SpeedFactor scales the per-prompt
-// unit latency (slower models stretch the makespan), and Workers is the
-// backend's own worker budget (0 means CostParams.Workers).
+// one operator role routes to, both positive as the registry normalizes
+// them: CostWeight scales the money axis (cheap models price their
+// prompts below 1) and SpeedFactor scales the per-prompt unit latency
+// (slower models stretch the makespan). The width the backend runs at is
+// CostParams.Workers'.
 type BackendPrice struct {
 	Backend     string
 	CostWeight  float64
 	SpeedFactor float64
-	Workers     int
 }
 
 // CostParams fix the execution environment the estimate assumes.
 type CostParams struct {
-	// Workers is the per-endpoint prompt concurrency budget.
-	Workers int
+	// Workers is the width each endpoint runs at under the execution
+	// policy: the scheduler's own rule (llm.Scheduler.Widths), so a plan
+	// is priced as the scheduler charges it. The unpriced estimate's one
+	// endpoint is "". The zero value is the default width, streaming.
+	Workers llm.Widths
 	// Verifier doubles every attribute fetch with a second-model prompt
 	// on the verify role's backend: it adds work there but overlaps in
 	// time. With a prompt cache (Resident set), a verifier on the fetch's
@@ -114,26 +117,12 @@ type estimator struct {
 	p        CostParams
 	bindings map[string]scanInfo // lower(binding) → table info
 	out      *PlanCost
-	// workBy accumulates prompt work per endpoint: each backend runs its
-	// own worker pool, so areas bound the makespan independently. The
-	// unpriced estimate keys its one endpoint "", a verifier routed to
-	// that sole backend included, as the scheduler counts it.
-	workBy map[string]area
-}
-
-// area is one endpoint's prompt work and the worker budget it spreads
-// over.
-type area struct {
-	work    time.Duration
-	workers int
-}
-
-// accrue adds work to the area of bp's endpoint.
-func (e *estimator) accrue(bp BackendPrice, work time.Duration) {
-	a := e.workBy[bp.Backend]
-	a.work += work
-	a.workers = bp.Workers
-	e.workBy[bp.Backend] = a
+	// work accumulates prompt work per endpoint, as the scheduler's
+	// tenant does: each backend runs its own worker pool, so each bounds
+	// the makespan independently. The unpriced estimate keys its one
+	// endpoint "", a verifier routed to that sole backend included, as
+	// the scheduler counts it.
+	work map[string]time.Duration
 }
 
 // Estimate predicts the prompt count and makespan of a lowered plan
@@ -146,42 +135,26 @@ func Estimate(n logical.Node, st *Statistics, p CostParams) *PlanCost {
 // estimate is Estimate reading statistics through st, so the
 // enumeration can record what it read.
 func estimate(n logical.Node, st statsReader, p CostParams) *PlanCost {
-	if p.Workers <= 0 {
-		p.Workers = llm.DefaultBatchWorkers
-	}
 	e := &estimator{
 		st:       st,
 		p:        p,
 		bindings: bindingsOf(n),
 		out:      &PlanCost{Candidates: 1, Choice: "estimate", Priced: p.Price != nil, Nodes: map[logical.Node]NodeEstimate{}},
-		workBy:   map[string]area{},
+		work:     map[string]time.Duration{},
 	}
 	root := e.node(n)
-	e.out.Latency = root.Done
-	for _, a := range e.workBy {
-		e.out.Latency = max(e.out.Latency, a.work/time.Duration(a.workers))
-	}
+	e.out.Latency = llm.Makespan(root.Done, e.work, e.p.Workers.Of)
 	return e.out
 }
 
 // price resolves the backend and coefficients for one operator role. The
-// unpriced estimate (no Price hook) yields neutral coefficients, the
-// shared worker budget and no backend attribution.
+// unpriced estimate (no Price hook) yields neutral coefficients and no
+// backend attribution.
 func (e *estimator) price(role llm.Role, table string) BackendPrice {
 	if e.p.Price == nil {
-		return BackendPrice{CostWeight: 1, SpeedFactor: 1, Workers: e.p.Workers}
+		return BackendPrice{CostWeight: 1, SpeedFactor: 1}
 	}
-	bp := e.p.Price(role, table)
-	if bp.CostWeight <= 0 {
-		bp.CostWeight = 1
-	}
-	if bp.SpeedFactor <= 0 {
-		bp.SpeedFactor = 1
-	}
-	if bp.Workers <= 0 {
-		bp.Workers = e.p.Workers
-	}
-	return bp
+	return e.p.Price(role, table)
 }
 
 // unit stretches a prompt's base latency by the backend's speed factor.
@@ -190,19 +163,6 @@ func (bp BackendPrice) unit(base time.Duration) time.Duration {
 		return base
 	}
 	return time.Duration(float64(base) * bp.SpeedFactor)
-}
-
-// waves is the batched-latency estimate of issuing n prompts of the given
-// unit latency over a worker budget.
-func waves(n float64, unit time.Duration, workers int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	w := n / float64(workers)
-	if f := float64(int(w)); f < w {
-		w = f + 1
-	}
-	return time.Duration(w) * unit
 }
 
 // tableOf resolves the base table a column reference belongs to. Like
@@ -318,18 +278,18 @@ func (e *estimator) verifies(table string) bool {
 
 // keyStage prices one streaming per-key prompt operator over in.Rows
 // tuples of which the resident share hits the cache: the prompts that
-// reach the model accrue on the backend's cost and work area, and the
+// reach the model accrue on the backend's cost and work, and the
 // stage adds prompt latency to the dependency chain unless every prompt
 // is resident.
 func (e *estimator) keyStage(in NodeEstimate, bp BackendPrice, base time.Duration, resident float64) (issued float64, start, done time.Duration) {
 	issued = in.Rows * (1 - resident)
 	unit := bp.unit(base)
-	e.accrue(bp, time.Duration(issued*float64(unit)))
+	e.work[bp.Backend] += time.Duration(issued * float64(unit))
 	e.out.Cost += issued * bp.CostWeight
 	if resident >= 1 {
 		return issued, in.Start, in.Done
 	}
-	start, done = promptStage(in, unit, waves(issued, unit, bp.Workers))
+	start, done = promptStage(in, unit, llm.WaveCost(issued, e.p.Workers.Of(bp.Backend), unit))
 	return issued, start, done
 }
 
@@ -368,7 +328,7 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		bp := e.price(llm.RoleKeyscan, node.Table.Name)
 		unit := bp.unit(listLat)
 		done := time.Duration(pages) * unit
-		e.accrue(bp, done)
+		e.work[bp.Backend] += done
 		e.out.Cost += pages * bp.CostWeight
 		return e.record(n, NodeEstimate{Rows: rows, Prompts: pages, Start: unit, Done: done, Backend: bp.Backend})
 

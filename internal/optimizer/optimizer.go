@@ -285,10 +285,20 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 	case *logical.Join:
 		leftB := subtreeBindings(node.Left)
 		rightB := subtreeBindings(node.Right)
-		var toLeft, toRight, toJoin, stay []ast.Expr
-		conjs := pending
+		var toLeft, toRight, toJoin, stay, on []ast.Expr
 		if node.On != nil {
-			conjs = append(conjs, ast.Conjuncts(node.On)...)
+			on = ast.Conjuncts(node.On)
+		}
+		conjs := append(pending, on...)
+		if node.Type == ast.JoinLeft {
+			// A left outer join pads unmatched left rows with NULLs. A
+			// WHERE conjunct filters the padded rows too, so only a
+			// left-only one may go below; an ON conjunct never drops a
+			// left row, so only a right-only one may go below, and the
+			// rest stay in ON.
+			toLeft, stay = o.split(pending, leftB)
+			toRight, toJoin = o.split(on, rightB)
+			conjs = nil
 		}
 		for _, c := range conjs {
 			switch {
@@ -331,6 +341,18 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		}
 		return n
 	}
+}
+
+// split partitions cs into the conjuncts bindings cover and the rest.
+func (o *optimizer) split(cs []ast.Expr, bindings map[string]bool) (in, out []ast.Expr) {
+	for _, c := range cs {
+		if o.coveredBy(c, bindings) {
+			in = append(in, c)
+		} else {
+			out = append(out, c)
+		}
+	}
+	return in, out
 }
 
 // isEquiAcross reports whether c is colA = colB with the columns on

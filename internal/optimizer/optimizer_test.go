@@ -390,7 +390,7 @@ func TestCostBasedChoosesFetchWhenAttrProjected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, p := NewStatistics(), CostParams{Workers: 8}
+	st, p := NewStatistics(), CostParams{}
 	plan, cost, _, err := Choose(built, costBased(), st, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestJoinOrderChangesEstimatedLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices := candidateCosts(t, built, costBased(), NewStatistics(), CostParams{Workers: 8})
+	choices := candidateCosts(t, built, costBased(), NewStatistics(), CostParams{})
 	paper, swapped := choices["paper"], choices["swap{0}"]
 	if paper == nil || swapped == nil {
 		t.Fatalf("expected paper and swap{0} candidates, got %v", choices)
@@ -489,7 +489,7 @@ func TestResidencyPricing(t *testing.T) {
 	st.SetTableKeys("city", 24)
 	pages := st.Table("city").ScanPrompts(24)
 
-	plan, off, _, err := Choose(built, costBased(), st, CostParams{Workers: 8}, nil, nil)
+	plan, off, _, err := Choose(built, costBased(), st, CostParams{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestResidencyPricing(t *testing.T) {
 		t.Errorf("no prompt cache: est prompts = %v (overrented %d), want %v (0)", off.Prompts, off.Overrented, want)
 	}
 
-	cold := CostParams{Workers: 8, Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
+	cold := CostParams{Resident: func(llm.Role, string, llm.PromptClass) int { return 0 }}
 	plan, cost, _, err := Choose(built, costBased(), st, cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +513,7 @@ func TestResidencyPricing(t *testing.T) {
 	}
 
 	fetchClass := llm.FetchClass("city", "population")
-	warm := CostParams{Workers: 8, Resident: func(role llm.Role, table string, class llm.PromptClass) int {
+	warm := CostParams{Resident: func(role llm.Role, table string, class llm.PromptClass) int {
 		if role == llm.RoleFetch && table == "city" && class == fetchClass {
 			return 24
 		}
@@ -592,7 +592,7 @@ func TestRentOrBuy(t *testing.T) {
 		{spent: 500, filter: false}, // and ever after
 		{spent: 524, own: 24, filter: true},
 	} {
-		p := CostParams{Workers: 8, Price: price, Resident: func(role llm.Role, _ string, class llm.PromptClass) int {
+		p := CostParams{Price: price, Resident: func(role llm.Role, _ string, class llm.PromptClass) int {
 			switch {
 			case role == llm.RoleFilter && class == family:
 				return tc.spent
@@ -630,7 +630,7 @@ func TestChooseFixedHeuristicsExtras(t *testing.T) {
 	st.SetTableKeys("city", 24)
 	// The filter backend charges a quarter of the fetch backend, and the
 	// attribute's filter family is past break-even (see TestRentOrBuy).
-	p := CostParams{Workers: 8,
+	p := CostParams{
 		Price: func(role llm.Role, _ string) BackendPrice {
 			if role == llm.RoleFilter {
 				return BackendPrice{Backend: "cheap", CostWeight: 0.25, SpeedFactor: 1}
