@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-compare bench-artifacts benchmark-smoke serve fuzz cover netlines
+.PHONY: check vet build test race bench bench-smoke examples bench-compare bench-artifacts benchmark-smoke serve fuzz cover netlines
 
-check: vet build race bench-smoke
+check: vet build race bench-smoke examples
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,11 @@ bench:
 # panics or fails is seen by check; it measures nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+
+# Runs every example program (examples/*) and fails when one exits
+# non-zero; no test executes them. Their output is discarded.
+examples:
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Compares the bench target's benchmarks at BASE (a git revision; HEAD,
 # the default, compares the uncommitted change) with the working tree:

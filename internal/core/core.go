@@ -153,7 +153,10 @@ type Options struct {
 	// on Section 6's verification ("Knowledge of the Unknown"): the
 	// routed backend double-checks every fetched attribute value and
 	// disagreements become NULL. Routing selects the model answering, so
-	// Routes participates in the result cache's options fingerprint.
+	// Routes participates in the options key that prefixes the result
+	// cache's and the plan cache's keys. SetOptions and NewRuntime parse
+	// and validate the map once and keep their own copy; an invalid route
+	// fails every query with the route error.
 	Routes map[string]string
 }
 
@@ -170,6 +173,16 @@ func (o *Options) normalize() {
 	if o.DefaultSource == "" {
 		o.DefaultSource = "LLM"
 	}
+}
+
+// wave is the execution policy as llm.Scheduler.Width reads it, for the
+// tenant and the planner alike: 0 for the streaming policy, else the
+// stop-and-go wave width, BatchWorkers.
+func (o *Options) wave() int {
+	if o.Pipelined {
+		return 0
+	}
+	return o.BatchWorkers
 }
 
 // DefaultOptions is the paper-faithful configuration.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/logical"
@@ -59,25 +57,4 @@ func (pc *planCache) replan(built logical.Node, tpl *optimizer.Template, base op
 		pc.guardFailures.Add(1)
 	}
 	return plan, cost, err
-}
-
-// planInputs renders the planning inputs no guard covers — the
-// optimizer switches, the execution policy (wave, which with the
-// runtime's budgets fixes the widths) and the session's route overrides —
-// as the prefix of a statement's plan-cache key. Whether fetches are
-// verified needs no key of its own: a verify override is one of the
-// routes, and the runtime's verify route holds for every statement the
-// cache serves.
-func (s *Session) planInputs() string {
-	o := s.opts.Optimizer
-	var b strings.Builder
-	for _, on := range []bool{o.PushdownPredicates, o.UseLLMFilter, o.PromptPushdown} {
-		b.WriteString(strconv.FormatBool(on))
-		b.WriteByte(',')
-	}
-	b.WriteString("wave=")
-	b.WriteString(strconv.Itoa(s.wave()))
-	b.WriteByte('|')
-	fingerprintRoutes(&b, s.opts.Routes)
-	return b.String()
 }

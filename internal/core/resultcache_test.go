@@ -506,7 +506,7 @@ func TestResultFingerprintOptionSetsUnambiguous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.optsFP + logical.Fingerprint(plan)
+		return s.res.key + logical.Fingerprint(plan)
 	}
 
 	a := fingerprint(map[string]bool{"a b": true, "c": true})

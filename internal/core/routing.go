@@ -2,43 +2,86 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/clean"
 	"repro/internal/llm"
 	"repro/internal/optimizer"
 )
 
-// routeOverrides parses and validates the session's per-role backend
-// overrides against the runtime's registry. Nil when the session sets
-// none.
-func (s *Session) routeOverrides() (map[llm.Role]string, error) {
-	if len(s.opts.Routes) == 0 {
-		return nil, nil
-	}
-	out := make(map[llm.Role]string, len(s.opts.Routes))
-	for roleName, backend := range s.opts.Routes {
-		role, err := llm.ParseRole(roleName)
-		if err != nil {
-			return nil, fmt.Errorf("core: session route: %w", err)
-		}
-		if _, ok := s.rt.registry.Get(backend); !ok {
-			return nil, fmt.Errorf("core: session route %s -> %q: backend not declared", role, backend)
-		}
-		out[role] = backend
-	}
-	return out, nil
+// resolved is a session's options resolved against its runtime, once:
+// by NewRuntime for the session defaults, by SetOptions for a session
+// that changes them. Every query the session plans and executes reads
+// it. Immutable; sessions under the runtime's defaults share the
+// runtime's.
+type resolved struct {
+	key     string            // optionsFingerprint: every result-cache key's prefix
+	planKey string            // key and the wave: every plan-cache key's prefix
+	wave    int               // Options.wave
+	routes  map[string]string // the session's own copy of Options.Routes
+	// route resolves one prompt role, with a table's pinned backend, to
+	// its failover-capable client (physical.Context.Route).
+	route    func(role llm.Role, tableBackend string) llm.Client
+	verifier llm.Client // nil when verification is off
+	params   optimizer.CostParams
+	cleaner  *clean.Cleaner
+	err      error // an invalid route override; every query returns it
 }
 
-// verifyRoute reports the backend the verify role is explicitly routed
-// to — session override first, then the runtime's role route. A verify
-// route is what turns verification on (Section 6, "Knowledge of the
-// Unknown"): the routed backend provides the second opinion.
-func (s *Session) verifyRoute(overrides map[llm.Role]string) (string, bool) {
-	if b, ok := overrides[llm.RoleVerify]; ok && b != "" {
-		return b, true
+// resolve resolves normalized options, whose optionsFingerprint is key,
+// against rt. A verify route, a session override or the runtime's, is
+// what turns verification on (Section 6, "Knowledge of the Unknown"):
+// the routed backend provides the second opinion.
+func (rt *Runtime) resolve(opts *Options, key string) *resolved {
+	r := &resolved{key: key, wave: opts.wave(), routes: maps.Clone(opts.Routes), cleaner: clean.New(opts.Clean)}
+	r.planKey = key + "wave=" + strconv.Itoa(r.wave) + "|"
+	overrides := make(map[llm.Role]string, len(r.routes))
+	for roleName, backend := range r.routes {
+		role, err := llm.ParseRole(roleName)
+		if err != nil {
+			r.err = fmt.Errorf("core: session route: %w", err)
+			return r
+		}
+		if _, ok := rt.registry.Get(backend); !ok {
+			r.err = fmt.Errorf("core: session route %s -> %q: backend not declared", role, backend)
+			return r
+		}
+		overrides[role] = backend
 	}
-	return s.rt.registry.Route(llm.RoleVerify)
+	router := rt.registry.Router(overrides)
+	r.route = func(role llm.Role, tableBackend string) llm.Client {
+		c, err := router.Client(role, tableBackend)
+		if err != nil {
+			return nil
+		}
+		return c
+	}
+	_, verify := overrides[llm.RoleVerify]
+	if !verify {
+		_, verify = rt.registry.Route(llm.RoleVerify)
+	}
+	if verify {
+		r.verifier = r.route(llm.RoleVerify, "")
+	}
+	// On a multi-backend runtime, plans are priced against the backend
+	// each operator role routes to (session overrides included); the
+	// single-backend estimate stays unpriced.
+	r.params = optimizer.CostParams{
+		Workers:  rt.sched.Widths(r.wave),
+		Verifier: verify,
+		Price:    rt.priceFor(router),
+		Resident: rt.residentFor(router),
+	}
+	return r
+}
+
+// matches reports whether r is the resolution of normalized options
+// whose optionsFingerprint is key.
+func (r *resolved) matches(opts *Options, key string) bool {
+	return r.key == key && r.wave == opts.wave() && r.cleaner.Options() == opts.Clean && maps.Equal(r.routes, opts.Routes)
 }
 
 // pin is the backend a table's binding pins one role's prompts to (""
@@ -59,14 +102,14 @@ func (rt *Runtime) pin(role llm.Role, table string) string {
 // CostParams.Workers'). Nil (unpriced estimates, identical to the
 // single-backend planner) when the runtime declared no explicit
 // backends.
-func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string) optimizer.BackendPrice {
-	if !s.rt.routed {
+func (rt *Runtime) priceFor(router *llm.Router) func(role llm.Role, table string) optimizer.BackendPrice {
+	if !rt.routed {
 		return nil
 	}
 	return func(role llm.Role, table string) optimizer.BackendPrice {
-		b, err := router.Backend(role, s.rt.pin(role, table))
+		b, err := router.Backend(role, rt.pin(role, table))
 		if err != nil || b == nil {
-			b = s.rt.registry.Default()
+			b = rt.registry.Default()
 		}
 		return optimizer.BackendPrice{Backend: b.Name(), CostWeight: b.CostWeight(), SpeedFactor: b.SpeedFactor()}
 	}
@@ -74,55 +117,21 @@ func (s *Session) priceFor(router *llm.Router) func(role llm.Role, table string)
 
 // residentFor builds the optimizer's prompt-cache residency hook: how
 // many completions of a prompt class are resident for the model the
-// role's prompts would be keyed under at execution — the same resolution
-// promptEnv performs. Nil (every prompt priced) when the prompt cache is
-// off.
-func (s *Session) residentFor(router *llm.Router) func(role llm.Role, table string, class llm.PromptClass) int {
-	cache := s.rt.cache
+// role's prompts would be keyed under at execution, resolved as the
+// resolution's route resolves it. Nil (every prompt priced) when the
+// prompt cache is off.
+func (rt *Runtime) residentFor(router *llm.Router) func(role llm.Role, table string, class llm.PromptClass) int {
+	cache := rt.cache
 	if cache == nil {
 		return nil
 	}
 	return func(role llm.Role, table string, class llm.PromptClass) int {
-		b, err := router.Backend(role, s.rt.pin(role, table))
+		b, err := router.Backend(role, rt.pin(role, table))
 		if err != nil {
 			return 0
 		}
 		return cache.Resident(b.Name(), class)
 	}
-}
-
-// promptEnv is one query's routed transport: a routing view with the
-// session's overrides applied, and the resolved verifier.
-type promptEnv struct {
-	router   *llm.Router
-	verifier llm.Client // nil when verification is off this session
-}
-
-// promptEnv builds the transport for one query's execution.
-func (s *Session) promptEnv() (*promptEnv, error) {
-	overrides, err := s.routeOverrides()
-	if err != nil {
-		return nil, err
-	}
-	env := &promptEnv{router: s.rt.registry.Router(overrides)}
-	if _, ok := s.verifyRoute(overrides); ok {
-		env.verifier = env.client(llm.RoleVerify, s.rt.pin(llm.RoleVerify, ""))
-	}
-	return env, nil
-}
-
-// client resolves one prompt role (plus an optional table-pinned
-// backend) to its failover-capable client; the empty role resolves to
-// the default backend's chain. Nil (not a typed-nil interface) when
-// resolution fails — a clientless runtime; overrides and pins are
-// validated before execution — so operators fall back to the primary or
-// report the usual missing-client error.
-func (e *promptEnv) client(role llm.Role, tableBackend string) llm.Client {
-	c, err := e.router.Client(role, tableBackend)
-	if err != nil {
-		return nil
-	}
-	return c
 }
 
 // fingerprintRoutes renders the session's route overrides into the

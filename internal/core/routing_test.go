@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
 	"repro/internal/simllm"
@@ -144,8 +143,8 @@ func TestVerifiedSessionKeyedApart(t *testing.T) {
 	opts := verified.Options()
 	opts.Routes = map[string]string{"verify": "checker"}
 	verified.SetOptions(opts)
-	if plain.optsFP == verified.optsFP {
-		t.Fatalf("verified and unverified sessions share the options fingerprint %q", plain.optsFP)
+	if plain.res.key == verified.res.key {
+		t.Fatalf("verified and unverified sessions share the options fingerprint %q", plain.res.key)
 	}
 
 	run := func(s *Session, want CacheOutcome) map[string]string {
@@ -169,17 +168,84 @@ func TestVerifiedSessionKeyedApart(t *testing.T) {
 	run(plain, CacheExact)
 }
 
-// TestVerifyRouteAllocs: resolving the verify route — every plan and
-// every execution does — allocates nothing.
+// TestVerifyRouteAllocs: routes are resolved once, when the options are
+// set. A runtime verify route turns verification on for the sessions
+// under the runtime's defaults, and a planned query resolves no routes:
+// a session with route overrides plans in no more allocations than one
+// without (no override map, routing view or pricing hook per query).
 func TestVerifyRouteAllocs(t *testing.T) {
 	rt := verifyRuntime(t, map[string]string{"verify": "checker"})
-	s := rt.NewSession()
-	overrides := map[llm.Role]string{llm.RoleFetch: "primary"}
-	if allocs := testing.AllocsPerRun(100, func() { s.verifyRoute(overrides) }); allocs != 0 {
-		t.Errorf("verifyRoute = %.0f allocs, want 0", allocs)
+	plain, routed := rt.NewSession(), rt.NewSession()
+	if v := plain.res.verifier; !plain.res.params.Verifier || v == nil || v.Name() != "checker" {
+		t.Errorf("verifier = %v (priced %v); want the runtime's checker route", v, plain.res.params.Verifier)
 	}
-	if b, ok := s.verifyRoute(nil); !ok || b != "checker" {
-		t.Errorf("verifyRoute = %q, %v; want the runtime's checker route", b, ok)
+	opts := routed.Options()
+	opts.Routes = map[string]string{"fetch": "primary"}
+	routed.SetOptions(opts)
+	sel, err := parser.ParseSelect(verifySQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPlan := func(s *Session) float64 {
+		t.Helper()
+		built, err := logical.Build(sel, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, _, err := s.plan(sel, built, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if p, r := perPlan(plain), perPlan(routed); r > p {
+		t.Errorf("planning allocates %.0f times with route overrides, %.0f without: routes resolved per query", r, p)
+	}
+}
+
+// TestSessionOwnsRoutes: SetOptions keeps its own copy of the route
+// overrides, so a caller that reuses its map afterwards moves neither the
+// backend that answers nor the result-cache key.
+func TestSessionOwnsRoutes(t *testing.T) {
+	w := world.Build()
+	rt, err := NewRuntimeWithBackends([]BackendDef{
+		{Name: "strong", Client: simllm.New(simllm.ChatGPT, w, 1)},
+		{Name: "cheap", Client: simllm.New(simllm.GPT3, w, 1)},
+	}, "strong", nil, ServeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.BindLLMTable(w.Table("city").Def); err != nil {
+		t.Fatal(err)
+	}
+	routedTo := func(backend string) *Session {
+		s := rt.NewSession()
+		opts := s.Options()
+		opts.Routes = map[string]string{"fetch": backend}
+		s.SetOptions(opts)
+		return s
+	}
+	s := rt.NewSession()
+	routes := map[string]string{"fetch": "cheap"}
+	opts := s.Options()
+	opts.Routes = routes
+	s.SetOptions(opts)
+	routes["fetch"] = "strong"
+
+	if got := s.Options().Routes["fetch"]; got != "cheap" {
+		t.Errorf("session fetch route = %q after the caller's map changed, want cheap", got)
+	}
+	if rep, _ := populations(t, s); rep.Cached != CacheNone {
+		t.Fatalf("first run cached = %q, want an execution", rep.Cached)
+	}
+	if n := backendPrompts(t, rt, "cheap"); n == 0 {
+		t.Error("the fetches did not go to cheap: the session read the caller's changed map")
+	}
+	if rep, _ := populations(t, routedTo("cheap")); rep.Cached != CacheExact {
+		t.Errorf("a fetch=cheap session got %q, want the exact hit the first run left", rep.Cached)
+	}
+	if rep, _ := populations(t, routedTo("strong")); rep.Cached != CacheNone {
+		t.Errorf("a fetch=strong session got %q, want its own execution", rep.Cached)
 	}
 }
 

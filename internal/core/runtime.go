@@ -47,9 +47,11 @@ type Runtime struct {
 	// then does the optimizer price plans per backend and EXPLAIN
 	// annotate routes; an implicit registry reproduces single-client
 	// behavior bit for bit.
-	routed  bool
-	opts    Options
-	optsFP  string // optionsFingerprint(&opts): opening a session formats nothing
+	routed bool
+	opts   Options
+	// res is opts resolved, shared by every session under the defaults:
+	// opening a session formats and resolves nothing.
+	res     *resolved
 	builder *prompt.Builder
 	// cache is the runtime-level prompt cache (nil when disabled): the
 	// shared stateful tier between the executor and the model, persistent
@@ -136,12 +138,11 @@ func NewRuntime(client llm.Client, opts Options) *Runtime {
 	if client != nil {
 		defs = []BackendDef{{Name: client.Name(), Client: client}}
 	}
-	rt, err := newRuntimeBackends(defs, "", nil, opts)
+	rt, err := newRuntimeBackends(defs, "", nil, opts, false)
 	if err != nil {
 		// Unreachable: at most one backend, no routes, no fallbacks.
 		panic(fmt.Sprintf("core: implicit registry: %v", err))
 	}
-	rt.routed = false
 	return rt
 }
 
@@ -163,13 +164,14 @@ func NewRuntimeWithBackends(defs []BackendDef, defaultName string, routes map[st
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("core: no backends declared")
 	}
-	return newRuntimeBackends(defs, defaultName, routes, opts)
+	return newRuntimeBackends(defs, defaultName, routes, opts, true)
 }
 
-// newRuntimeBackends is the shared runtime constructor. An empty defs
-// slice (the implicit nil-client path) builds an empty registry;
-// explicit construction requires at least one backend.
-func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string]string, opts Options) (*Runtime, error) {
+// newRuntimeBackends is the shared runtime constructor; routed reports
+// whether the backends were declared explicitly. An empty defs slice
+// (the implicit nil-client path) builds an empty registry; explicit
+// construction requires at least one backend.
+func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string]string, opts Options, routed bool) (*Runtime, error) {
 	opts.normalize()
 	wrap := func(inner llm.Client, endpoint string) llm.Client {
 		// Never re-wrap: the chaos bench hands in a pre-built
@@ -189,11 +191,10 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 	}
 	rt := &Runtime{
 		registry:   registry,
-		routed:     true,
+		routed:     routed,
 		llmDefs:    map[string]*schema.TableDef{},
 		compEpochs: map[string]uint64{},
 		opts:       opts,
-		optsFP:     optionsFingerprint(&opts),
 		builder:    prompt.NewBuilder(),
 		stats:      optimizer.NewStatistics(),
 		plans:      newPlanCache(),
@@ -214,6 +215,8 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		}
 		rt.memo = lru.NewMap[string, *memoEntry](size)
 	}
+	rt.res = rt.resolve(&rt.opts, optionsFingerprint(&rt.opts))
+	rt.opts.Routes = rt.res.routes
 	return rt, nil
 }
 
@@ -270,7 +273,7 @@ func (rt *Runtime) stampFor(comps []string) string {
 // runtime's default options. Sessions are cheap (no pools, no maps) and
 // any number may run queries concurrently against one runtime.
 func (rt *Runtime) NewSession() *Session {
-	return &Session{rt: rt, opts: rt.opts, optsFP: rt.optsFP}
+	return &Session{rt: rt, opts: rt.opts, res: rt.res}
 }
 
 // Options returns the runtime's session defaults.

@@ -32,9 +32,9 @@ type Session struct {
 	// opts are this session's options, seeded from the runtime defaults.
 	// Mutate via SetOptions before issuing queries.
 	opts Options
-	// optsFP is optionsFingerprint(&opts), rendered once per SetOptions
-	// rather than on every query.
-	optsFP string
+	// res is opts resolved against rt, once per SetOptions rather than on
+	// every query: the runtime's own while opts resolve alike.
+	res *resolved
 }
 
 // Runtime returns the shared tier this session runs on.
@@ -45,14 +45,24 @@ func (s *Session) Options() Options { return s.opts }
 
 // SetOptions replaces the session's per-query options (plan rewrites,
 // cleaning, pipelining, route overrides — a verify route, which turns
-// on verification, among them). Runtime-tier settings — the prompt
-// cache, the result cache, the shared scheduler's worker budget and the
-// transport's retry, timeout and breaker settings — are fixed at
-// NewRuntime and ignored here. Not safe concurrently with Query.
+// on verification, among them) and resolves them once: the options key
+// that prefixes the session's result-cache and plan-cache keys, the
+// routing view and verifier, the planner's cost parameters and the
+// cleaner, which every later query reads. The session keeps its own copy
+// of opts.Routes, so the caller may reuse the map. Undeclared or
+// misspelled routes fail every query with the route error.
+// Runtime-tier settings — the prompt cache, the result cache, the shared
+// scheduler's worker budget and the transport's retry, timeout and
+// breaker settings — are fixed at NewRuntime and ignored here. Not safe
+// concurrently with Query.
 func (s *Session) SetOptions(opts Options) {
 	opts.normalize()
+	key := optionsFingerprint(&opts)
+	if s.res = s.rt.res; !s.res.matches(&opts, key) {
+		s.res = s.rt.resolve(&opts, key)
+	}
+	opts.Routes = s.res.routes
 	s.opts = opts
-	s.optsFP = optionsFingerprint(&s.opts)
 }
 
 // Plan parses, plans and optimizes a query, returning the lowered logical
@@ -91,32 +101,20 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 			return nil, nil, err
 		}
 	}
-	// On a multi-backend runtime, plans are priced against the backend
-	// each operator role routes to (session overrides included); the
-	// single-backend estimate stays unpriced and byte-identical.
-	overrides, err := s.routeOverrides()
-	if err != nil {
-		return nil, nil, err
-	}
-	router := s.rt.registry.Router(overrides)
-	_, verify := s.verifyRoute(overrides)
-	params := optimizer.CostParams{
-		Workers:  s.rt.sched.Widths(s.wave()),
-		Verifier: verify,
-		Price:    s.priceFor(router),
-		Resident: s.residentFor(router),
+	if s.res.err != nil {
+		return nil, nil, s.res.err
 	}
 	o := s.opts.Optimizer
 	pc := s.rt.plans
 	var tpl *optimizer.Template
 	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 && len(o.PromptPushdownSkip) == 0 && len(o.SwapJoins) == 0 {
-		if tpl, _ = optimizer.NewTemplate(built, s.planInputs()); tpl == nil {
+		if tpl, _ = optimizer.NewTemplate(built, s.res.planKey); tpl == nil {
 			pc.misses.Add(1)
-		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, params, extras); plan != nil || err != nil {
+		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil || err != nil {
 			return plan, cost, err
 		}
 	}
-	plan, cost, g, err := optimizer.Choose(built, o, s.rt.stats, params, extras, tpl)
+	plan, cost, g, err := optimizer.Choose(built, o, s.rt.stats, s.res.params, extras, tpl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -206,7 +204,7 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 		return nil
 	}
 	var extras []optimizer.ExtraPlan
-	for _, c := range rc.Subsumers(canon.Components, stamp, s.optsFP, shape.FromKey, shape.Texts) {
+	for _, c := range rc.Subsumers(canon.Components, stamp, s.res.key, shape.FromKey, shape.Texts) {
 		residual, ok := logical.Subsumes(shape, c.Prod.FromKey, c.Prod.Conjuncts)
 		if !ok {
 			continue
@@ -358,18 +356,8 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 func (s *Session) openTenant(ctx context.Context) *llm.Tenant {
 	class, _ := llm.ParseClass(s.opts.AdmissionClass)
 	t := s.rt.sched.TenantFor(ctx, "", class, s.opts.AdmissionWeight)
-	t.SetWaves(s.wave())
+	t.SetWaves(s.res.wave)
 	return t
-}
-
-// wave is the session's execution policy as llm.Scheduler.Width reads it,
-// for the tenant and the planner alike: 0 for the streaming policy, else
-// the stop-and-go wave width, the session's BatchWorkers.
-func (s *Session) wave() int {
-	if s.opts.Pipelined {
-		return 0
-	}
-	return s.opts.BatchWorkers
 }
 
 // observe feeds the executed plan's per-operator counters back into the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/clean"
 	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/optimizer"
@@ -165,7 +164,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 	// The exact key is the result-affecting options prefix plus the
 	// fingerprint of the built (pre-optimization) plan: literals kept,
 	// table bindings folded in.
-	key := rescache.Key{Fingerprint: s.optsFP + canon.Fingerprint, Stamp: stamp}
+	key := rescache.Key{Fingerprint: s.res.key + canon.Fingerprint, Stamp: stamp}
 	entry, lead, err := rc.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
@@ -173,7 +172,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 	if lead == nil {
 		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: sel,
 			canon:  logical.Canonical{Fingerprint: canon.Fingerprint, Components: canon.Components},
-			optsFP: s.optsFP, key: key.Fingerprint, res: rec.res})
+			optsFP: s.res.key, key: key.Fingerprint, res: rec.res})
 		return s.replayHit(key, entry), nil
 	}
 	return s.openLead(ctx, sel, built, canon, stamp, lead)
@@ -189,8 +188,8 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 // its full key; any other concatenates its own.
 func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.canon.Components)}
-	if s.optsFP != e.optsFP {
-		key.Fingerprint = s.optsFP + e.canon.Fingerprint
+	if s.res.key != e.optsFP {
+		key.Fingerprint = s.res.key + e.canon.Fingerprint
 	}
 	entry, lead, err := s.rt.resultCache.Lookup(ctx, key)
 	if err != nil {
@@ -271,7 +270,7 @@ func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.N
 		// pushdown sessions neither produce nor consume subsumption
 		// entries.
 		st.entry.Prod = &rescache.Producer{
-			Opts:      s.optsFP,
+			Opts:      s.res.key,
 			FromKey:   shape.FromKey,
 			FromLabel: shape.FromLabel,
 			Conjuncts: shape.Texts,
@@ -338,18 +337,14 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 	if err != nil {
 		return nil, err
 	}
-	penv, err := s.promptEnv()
-	if err != nil {
-		return nil, err
-	}
 	tenant := s.openTenant(ctx)
 	st, err := s.execute(op, &physical.Context{
-		Route:             penv.client,
+		Route:             s.res.route,
 		Prompts:           s.rt.builder,
-		Cleaner:           clean.New(s.opts.Clean),
+		Cleaner:           s.res.cleaner,
 		MaxScanIterations: s.opts.MaxScanIterations,
 		Scheduler:         tenant,
-		Verifier:          penv.verifier,
+		Verifier:          s.res.verifier,
 	}, plan, cost, CacheNone)
 	if err != nil {
 		tenant.Close()

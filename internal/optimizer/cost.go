@@ -32,7 +32,10 @@ type BackendPrice struct {
 	SpeedFactor float64
 }
 
-// CostParams fix the execution environment the estimate assumes.
+// CostParams fix the execution environment the estimate assumes. A
+// session builds its CostParams once, when its options are set, and
+// hands the same value to every plan; the hooks read live state (table
+// pins, prompt-cache residency) when called, so they stay current.
 type CostParams struct {
 	// Workers is the width each endpoint runs at under the execution
 	// policy: the scheduler's own rule (llm.Scheduler.Widths), so a plan

@@ -94,7 +94,7 @@ func (s *llmKeyScanOp) submitPage() {
 	if len(s.keys) > 0 {
 		tmpl, key = s.morePage, strings.Join(s.keys, "; ")
 	}
-	s.asked(1, 0)
+	s.took(0)
 	s.iter++
 	s.page, s.pending = s.ask(s.c.Scheduler.Single(), s.client, tmpl, key, s.vt), true
 }
@@ -312,18 +312,14 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 }
 
 // issue asks the wave's fetch prompts and, with a verifier, their
-// verification.
+// verification. A NULL key's cell is NULL.
 func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	c := f.x.c
-	perRow := 1
-	if c.Verifier != nil {
-		perRow = 2
-	}
-	f.x.asked(perRow*len(rows), len(rows))
+	f.x.took(len(rows))
 	f.x.nm.RowsOut += len(rows)
 	w := c.Scheduler.Wave()
 	for i := range rows {
-		rows[i].main = f.x.ask(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+		rows[i].main = f.x.askKey(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol], rows[i].vt, nullCell)
 	}
 	if err := w.Settle(); err != nil {
 		return fmt.Errorf("physical: fetching %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -333,7 +329,7 @@ func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	if c.Verifier != nil {
 		v := c.Scheduler.Wave()
 		for i := range rows {
-			rows[i].verify = f.x.ask(v, c.Verifier, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+			rows[i].verify = f.x.askKey(v, c.Verifier, f.tmpl, rows[i].row[f.node.KeyCol], rows[i].vt, nil)
 		}
 		if err := v.Settle(); err != nil {
 			return fmt.Errorf("physical: verifying %s.%s: %w", f.node.Table.Name, f.node.Attr, err)
@@ -341,6 +337,9 @@ func (f *llmFetchAttrOp) issue(rows []pipeRow) error {
 	}
 	return nil
 }
+
+// nullCell is a NULL key's fetched cell.
+var nullCell any = value.Null()
 
 // cellTag names an attribute fetch's decoder: the attribute's kind and
 // the cleaner's options, compared by value as pageTag is.
@@ -445,13 +444,14 @@ func (f *llmFilterOp) Open(c *Context) error {
 	return nil
 }
 
-// issue asks the wave's filter prompts.
+// issue asks the wave's filter prompts. A NULL key's row is dropped, as
+// SQL drops a row whose condition is unknown.
 func (f *llmFilterOp) issue(rows []pipeRow) error {
 	c := f.x.c
-	f.x.asked(len(rows), len(rows))
+	f.x.took(len(rows))
 	w := c.Scheduler.Wave()
 	for i := range rows {
-		rows[i].main = f.x.ask(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol].String(), rows[i].vt)
+		rows[i].main = f.x.askKey(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol], rows[i].vt, false)
 	}
 	if err := w.Settle(); err != nil {
 		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)

@@ -376,6 +376,68 @@ func TestFetchVerification(t *testing.T) {
 	}
 }
 
+// TestNullKeyAsksNothing: a NULL key — the padding of an outer join —
+// asks the model nothing under either policy. A fetch gives it a NULL
+// cell with no fetch or verification prompt, a filter drops its row, and
+// the node metrics count only the prompts asked.
+func TestNullKeyAsksNothing(t *testing.T) {
+	keys := keysRelation("Alpha", "Beta")
+	keys.Rows = []schema.Tuple{keys.Rows[0], {value.Null()}, keys.Rows[1], {value.Null()}}
+	cond := &ast.Binary{
+		Op:    ">",
+		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
+		Right: &ast.Literal{Val: value.Int(150)},
+	}
+	for _, stopAndGo := range []bool{true, false} {
+		client := (&scriptedLLM{}).
+			on("population of the town Alpha", "100").
+			on("population of the town Beta", "200").
+			on("Has town Beta", "yes")
+		verifier := (&scriptedLLM{}).
+			on("population of the town Alpha", "100").
+			on("population of the town Beta", "200")
+		newCtx := func() *Context {
+			ctx := llmCtx(client)
+			ctx.Scheduler = testTenant(context.Background(), nil, 2, stopAndGo)
+			ctx.Metrics = NewMetrics()
+			return ctx
+		}
+		scan := logical.NewScan(townDef(), "t", "LLM")
+		fa, err := logical.NewFetchAttr(scan, townDef(), "t", "population", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := newCtx()
+		ctx.Verifier = verifier
+		rel, err := Run(ctx, &llmFetchAttrOp{node: fa, input: &memScan{out: scan.Schema(), rel: keys}, out: fa.Schema()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []string{"100", "NULL", "200", "NULL"} {
+			if got := rel.Rows[i][1].String(); got != want {
+				t.Errorf("stop-and-go %v: fetched row %d = %s, want %s", stopAndGo, i, got, want)
+			}
+		}
+		nm, _ := ctx.Metrics.Get(fa)
+		if client.calls != 2 || verifier.calls != 2 || nm.Prompts != 4 || nm.RowsIn != 4 {
+			t.Errorf("stop-and-go %v: fetch asked %d, verifier %d, metrics %+v; want 2, 2 and 4 prompts over 4 rows",
+				stopAndGo, client.calls, verifier.calls, nm)
+		}
+
+		filter := &logical.LLMFilter{Input: scan, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
+		ctx = newCtx()
+		rel, err = Run(ctx, &llmFilterOp{node: filter, input: &memScan{out: scan.Schema(), rel: keys}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm, _ = ctx.Metrics.Get(filter)
+		if rel.Cardinality() != 1 || rel.Rows[0][0].String() != "Beta" || client.calls != 4 || nm.Prompts != 2 || nm.RowsOut != 1 {
+			t.Errorf("stop-and-go %v: filter kept %v after %d calls in all, metrics %+v; want Beta after 2 filter prompts",
+				stopAndGo, rel.Rows, client.calls, nm)
+		}
+	}
+}
+
 func TestValuesAgree(t *testing.T) {
 	cases := []struct {
 		a, b value.Value

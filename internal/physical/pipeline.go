@@ -38,6 +38,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/logical"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // pipeRow is one tuple in flight between an LLM operator's producer and its
@@ -87,9 +88,10 @@ type tally struct {
 	reported bool // an issue step ran, if on no rows: the node has metrics
 }
 
-// ask answers one prompt of wave w: from the prompt cache when it is
-// resident, counting the hit, else as a submitted future.
+// ask answers one prompt of wave w, counting it: from the prompt cache
+// when it is resident, counting the hit, else as a submitted future.
 func (a *tally) ask(w *llm.Wave, client llm.Client, tp *llm.Template, key string, ready llm.VTime) answer {
+	a.nm.Prompts++
 	if _, val, ok := w.Lookup(client, tp, key); ok {
 		a.hits++
 		a.latest = max(a.latest, ready)
@@ -98,9 +100,17 @@ func (a *tally) ask(w *llm.Wave, client llm.Client, tp *llm.Template, key string
 	return answer{f: w.SubmitMiss(client, tp, key, ready)}
 }
 
-// asked counts one issue step: prompts asked for rowsIn input rows.
-func (a *tally) asked(prompts, rowsIn int) {
-	a.nm.Prompts += prompts
+// askKey is ask for one row's key. A NULL key, the padding of an outer
+// join, asks nothing: its answer is null.
+func (a *tally) askKey(w *llm.Wave, client llm.Client, tp *llm.Template, key value.Value, ready llm.VTime, null any) answer {
+	if key.IsNull() {
+		return answer{val: null}
+	}
+	return a.ask(w, client, tp, key.String(), ready)
+}
+
+// took counts one issue step over rowsIn input rows.
+func (a *tally) took(rowsIn int) {
 	a.nm.RowsIn += rowsIn
 	a.reported = true
 }
