@@ -98,9 +98,10 @@ serve:
 # model-answer number decoder, the token counter, the prompt template's
 # token count, the durable store's segment replay and MANIFEST reader,
 # the persisted result-cache entry decoder, internal/serve's /query
-# parameter decoders and the result cache's conjunct index (against a
-# linear scan). CI's fuzz job runs `make fuzz`, so a new target is
-# one line here.
+# parameter decoders, the result cache's conjunct index (against a
+# linear scan) and the desugaring of IN and BETWEEN (each against its
+# expansion into comparisons). CI's fuzz job runs `make fuzz`, so a new
+# target is one line here.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
 	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzSubsumptionIndex -fuzztime 30s ./internal/rescache
+	$(GO) test -run '^$$' -fuzz FuzzExprDesugar -fuzztime 30s ./internal/expr
 
 # Per-package coverage summary.
 cover:

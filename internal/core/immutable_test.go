@@ -96,7 +96,7 @@ func TestPlanningLeavesBuiltPlan(t *testing.T) {
 // render is the built plan's canonical rendering, predicates verbatim.
 func render(n logical.Node) string {
 	var b strings.Builder
-	logical.Render(&b, n, func(b *strings.Builder, e ast.Expr) {
+	logical.Render(&b, n, func(b *strings.Builder, e ast.Expr, _ []logical.Conjunct) {
 		b.WriteByte(' ')
 		b.WriteString(e.String())
 	})

@@ -376,16 +376,15 @@ func (s *Session) observe(plan logical.Node, m *physical.Metrics) {
 	logical.Walk(plan, func(n logical.Node) bool {
 		switch node := n.(type) {
 		case *logical.Scan:
-			if node.Source == "LLM" && node.PushedFilter == nil {
+			if node.Source == "LLM" && len(node.Pushed) == 0 {
 				if nm, ok := m.Get(node); ok && nm.Prompts > 0 {
 					s.rt.stats.ObserveScan(node.Table.Name, nm.RowsOut, nm.Prompts)
 				}
 			}
 		case *logical.LLMFilter:
 			if nm, ok := m.Get(node); ok && nm.RowsIn > 0 {
-				ref := node.Cond.Left.(*ast.ColumnRef)
-				lit := node.Cond.Right.(*ast.Literal)
-				s.rt.stats.ObserveFilter(node.Table.Name, ref.Name, node.Cond.Op, lit.Val.String(), nm.RowsIn, nm.RowsOut)
+				c := &node.Cond
+				s.rt.stats.ObserveFilter(node.Table.Name, c.Col.Name, c.Op, c.LitText, nm.RowsIn, nm.RowsOut)
 			}
 		}
 		return true

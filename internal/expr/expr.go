@@ -67,11 +67,8 @@ func Compile(e ast.Expr, s *schema.Schema) (Func, error) {
 			return nil, fmt.Errorf("expr: unknown unary operator %q", n.Op)
 		}
 
-	case *ast.InList:
-		return compileInList(n, s)
-
-	case *ast.Between:
-		return compileBetween(n, s)
+	case *ast.InList, *ast.Between:
+		return Compile(desugar(n), s)
 
 	case *ast.Like:
 		return compileLike(n, s)
@@ -234,79 +231,37 @@ func compileBinary(n *ast.Binary, s *schema.Schema) (Func, error) {
 	}
 }
 
-func compileInList(n *ast.InList, s *schema.Schema) (Func, error) {
-	inner, err := Compile(n.Expr, s)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]Func, len(n.List))
-	for i, e := range n.List {
-		f, err := Compile(e, s)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = f
-	}
-	not := n.Not
-	return func(t schema.Tuple) (value.Value, error) {
-		v, err := inner(t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if v.IsNull() {
-			return value.Null(), nil
-		}
-		for _, item := range items {
-			iv, err := item(t)
-			if err != nil {
-				return value.Null(), err
-			}
-			if value.Equal(v, iv) {
-				return value.Bool(!not), nil
+// desugar expands the abbreviations SQL defines by comparisons, so
+// their three-valued logic is the AND, OR and NOT closures' own:
+// `x [NOT] IN (a, b, …)` is `[NOT] (x = a OR x = b …)` and
+// `x [NOT] BETWEEN lo AND hi` is `[NOT] (x >= lo AND x <= hi)`. Any other
+// expression is returned as it is.
+func desugar(e ast.Expr) ast.Expr {
+	var out ast.Expr
+	not := false
+	switch n := e.(type) {
+	case *ast.InList:
+		for _, item := range n.List {
+			eq := &ast.Binary{Op: "=", Left: n.Expr, Right: item}
+			if out == nil {
+				out = eq
+			} else {
+				out = &ast.Binary{Op: "OR", Left: out, Right: eq}
 			}
 		}
-		return value.Bool(not), nil
-	}, nil
-}
-
-func compileBetween(n *ast.Between, s *schema.Schema) (Func, error) {
-	inner, err := Compile(n.Expr, s)
-	if err != nil {
-		return nil, err
+		not = n.Not
+	case *ast.Between:
+		out = &ast.Binary{Op: "AND",
+			Left:  &ast.Binary{Op: ">=", Left: n.Expr, Right: n.Lo},
+			Right: &ast.Binary{Op: "<=", Left: n.Expr, Right: n.Hi}}
+		not = n.Not
+	default:
+		return e
 	}
-	lo, err := Compile(n.Lo, s)
-	if err != nil {
-		return nil, err
+	if not {
+		return &ast.Unary{Op: "NOT", Expr: out}
 	}
-	hi, err := Compile(n.Hi, s)
-	if err != nil {
-		return nil, err
-	}
-	not := n.Not
-	return func(t schema.Tuple) (value.Value, error) {
-		v, err := inner(t)
-		if err != nil {
-			return value.Null(), err
-		}
-		lv, err := lo(t)
-		if err != nil {
-			return value.Null(), err
-		}
-		hv, err := hi(t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if v.IsNull() || lv.IsNull() || hv.IsNull() {
-			return value.Null(), nil
-		}
-		cl, err1 := value.Compare(v, lv)
-		ch, err2 := value.Compare(v, hv)
-		if err1 != nil || err2 != nil {
-			return value.Bool(false), nil
-		}
-		in := cl >= 0 && ch <= 0
-		return value.Bool(in != not), nil
-	}, nil
+	return out
 }
 
 func compileLike(n *ast.Like, s *schema.Schema) (Func, error) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/schema"
+	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
@@ -285,4 +286,107 @@ func TestEvalBool(t *testing.T) {
 	if ok {
 		t.Error("NULL predicate must evaluate to false in WHERE")
 	}
+}
+
+// TestThreeValuedTruthTable evaluates every connective and predicate
+// form over TRUE, FALSE and NULL operands, with a NULL in every operand
+// position, against SQL's three-valued logic written out by hand. The
+// row has a = 5 and n NULL; T, F and N are predicates that are TRUE,
+// FALSE and NULL on it.
+func TestThreeValuedTruthTable(t *testing.T) {
+	const T, F, N = "(a = 5)", "(a = 6)", "(n = 5)"
+	cases := []struct{ cond, want string }{
+		{T + " AND " + T, "TRUE"}, {T + " AND " + F, "FALSE"}, {T + " AND " + N, "NULL"},
+		{F + " AND " + T, "FALSE"}, {F + " AND " + F, "FALSE"}, {F + " AND " + N, "FALSE"},
+		{N + " AND " + T, "NULL"}, {N + " AND " + F, "FALSE"}, {N + " AND " + N, "NULL"},
+		{T + " OR " + T, "TRUE"}, {T + " OR " + F, "TRUE"}, {T + " OR " + N, "TRUE"},
+		{F + " OR " + T, "TRUE"}, {F + " OR " + F, "FALSE"}, {F + " OR " + N, "NULL"},
+		{N + " OR " + T, "TRUE"}, {N + " OR " + F, "NULL"}, {N + " OR " + N, "NULL"},
+		{"NOT " + T, "FALSE"}, {"NOT " + F, "TRUE"}, {"NOT " + N, "NULL"},
+
+		{"a = 5", "TRUE"}, {"a != 5", "FALSE"}, {"a < 5", "FALSE"},
+		{"a <= 5", "TRUE"}, {"a > 5", "FALSE"}, {"a >= 5", "TRUE"},
+		{"n = 5", "NULL"}, {"5 = n", "NULL"}, {"n = n", "NULL"}, {"a = NULL", "NULL"},
+		{"n != 5", "NULL"}, {"n < 5", "NULL"}, {"5 >= n", "NULL"},
+
+		{"a IN (5, 7)", "TRUE"}, {"a IN (6, 7)", "FALSE"},
+		{"a IN (5, NULL)", "TRUE"}, {"a IN (NULL, 5)", "TRUE"}, {"a IN (6, NULL)", "NULL"},
+		{"a IN (NULL)", "NULL"}, {"n IN (5, 7)", "NULL"}, {"n IN (NULL)", "NULL"},
+		{"a NOT IN (5, 7)", "FALSE"}, {"a NOT IN (6, 7)", "TRUE"},
+		{"a NOT IN (5, NULL)", "FALSE"}, {"a NOT IN (6, NULL)", "NULL"},
+		{"a NOT IN (NULL)", "NULL"}, {"n NOT IN (5, 7)", "NULL"},
+
+		{"a BETWEEN 1 AND 9", "TRUE"}, {"a BETWEEN 6 AND 9", "FALSE"}, {"a BETWEEN 1 AND 4", "FALSE"},
+		{"a BETWEEN NULL AND 9", "NULL"}, {"a BETWEEN NULL AND 4", "FALSE"},
+		{"a BETWEEN 1 AND NULL", "NULL"}, {"a BETWEEN 6 AND NULL", "FALSE"},
+		{"a BETWEEN NULL AND NULL", "NULL"}, {"n BETWEEN 1 AND 9", "NULL"},
+		{"a NOT BETWEEN 1 AND 9", "FALSE"}, {"a NOT BETWEEN 6 AND 9", "TRUE"},
+		{"a NOT BETWEEN NULL AND 9", "NULL"}, {"a NOT BETWEEN NULL AND 4", "TRUE"},
+		{"a NOT BETWEEN 1 AND NULL", "NULL"}, {"a NOT BETWEEN 6 AND NULL", "TRUE"},
+		{"n NOT BETWEEN 1 AND 9", "NULL"},
+		{"NOT (a BETWEEN NULL AND 4)", "TRUE"}, {"NOT (a IN (6, NULL))", "NULL"},
+	}
+	tuple := row(5, 2.5, "x")
+	for _, tc := range cases {
+		v := evalWhere(t, tc.cond, tuple)
+		got := "NULL"
+		if !v.IsNull() {
+			got = "FALSE"
+			if v.AsBool() {
+				got = "TRUE"
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.cond, got, tc.want)
+		}
+	}
+}
+
+// FuzzExprDesugar checks that IN and BETWEEN, with and without NOT,
+// evaluate as the comparisons SQL defines them by, on rows of NULLs,
+// numbers, numeric and non-numeric text and booleans: the result and
+// whether evaluation fails agree.
+func FuzzExprDesugar(f *testing.F) {
+	f.Add(uint8(1), uint8(0), uint8(2), uint8(3), false)
+	f.Add(uint8(1), uint8(4), uint8(0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, x, a, b, c uint8, not bool) {
+		vals := []value.Value{value.Null(), value.Int(1), value.Int(2), value.Float(2), value.Text("2"), value.Text("x"), value.Bool(true)}
+		pick := func(k uint8) value.Value { return vals[int(k)%len(vals)] }
+		tuple := schema.Tuple{pick(x), pick(a), pick(b), pick(c)}
+		s := schema.New(
+			schema.Column{Name: "x", Type: value.KindString},
+			schema.Column{Name: "a", Type: value.KindString},
+			schema.Column{Name: "b", Type: value.KindString},
+			schema.Column{Name: "c", Type: value.KindString},
+		)
+		X, A, B, C := &ast.ColumnRef{Name: "x"}, &ast.ColumnRef{Name: "a"}, &ast.ColumnRef{Name: "b"}, &ast.ColumnRef{Name: "c"}
+		cmp := func(op string, l, r ast.Expr) ast.Expr { return &ast.Binary{Op: op, Left: l, Right: r} }
+		negate := func(e ast.Expr) ast.Expr {
+			if not {
+				return &ast.Unary{Op: "NOT", Expr: e}
+			}
+			return e
+		}
+		forms := []struct{ abbr, expansion ast.Expr }{
+			{&ast.InList{Expr: X, List: []ast.Expr{A, B, C}, Not: not},
+				negate(cmp("OR", cmp("OR", cmp("=", X, A), cmp("=", X, B)), cmp("=", X, C)))},
+			{&ast.Between{Expr: X, Lo: A, Hi: B, Not: not},
+				negate(cmp("AND", cmp(">=", X, A), cmp("<=", X, B)))},
+		}
+		for _, form := range forms {
+			fa, err := Compile(form.abbr, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fe, err := Compile(form.expansion, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, erra := fa(tuple)
+			ve, erre := fe(tuple)
+			if (erra != nil) != (erre != nil) || va.IsNull() != ve.IsNull() || !va.IsNull() && va.AsBool() != ve.AsBool() {
+				t.Fatalf("%s on %v = %v (%v), its expansion %s = %v (%v)", form.abbr, tuple, va, erra, form.expansion, ve, erre)
+			}
+		}
+	})
 }

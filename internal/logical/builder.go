@@ -57,7 +57,7 @@ func Build(sel *ast.Select, r Resolver) (Node, error) {
 	// Comma-style joins express the join predicate in WHERE; leave it
 	// there — the optimizer turns cross+filter into keyed joins.
 	if sel.Where != nil {
-		root = &Filter{Input: root, Cond: sel.Where}
+		root = NewFilter(root, sel.Where)
 	}
 
 	// Aggregation. Collect aggregate calls from the output expressions,
@@ -194,7 +194,7 @@ func Build(sel *ast.Select, r Resolver) (Node, error) {
 	}
 
 	if having != nil {
-		root = &Filter{Input: root, Cond: having}
+		root = NewFilter(root, having)
 	}
 
 	// Expand * / t.* against the full declared columns (an LLM-bound

@@ -62,16 +62,17 @@ func Fingerprint(n Node) string { return Canonicalize(n).Fingerprint }
 
 // Render appends n's canonical form to b, each node parenthesized with
 // its children in order. pred writes every Filter condition and Join ON
-// predicate after the node's name: the fingerprint writes it verbatim;
-// the plan-cache template (optimizer.NewTemplate) writes the conjuncts
-// with their comparison literals masked.
-func Render(b *strings.Builder, n Node, pred func(*strings.Builder, ast.Expr)) {
+// predicate after the node's name, given as written and as its
+// classified conjuncts: the fingerprint writes it verbatim; the
+// plan-cache template (optimizer.NewTemplate) writes the conjuncts with
+// their comparison literals masked.
+func Render(b *strings.Builder, n Node, pred func(*strings.Builder, ast.Expr, []Conjunct)) {
 	r := renderer{b: b, pred: pred}
 	r.node(n)
 }
 
 // verbatim writes a predicate as the fingerprint does.
-func verbatim(b *strings.Builder, e ast.Expr) {
+func verbatim(b *strings.Builder, e ast.Expr, _ []Conjunct) {
 	b.WriteByte(' ')
 	b.WriteString(e.String())
 }
@@ -81,7 +82,7 @@ func verbatim(b *strings.Builder, e ast.Expr) {
 // components of the scans it renders.
 type renderer struct {
 	b          *strings.Builder
-	pred       func(*strings.Builder, ast.Expr)
+	pred       func(*strings.Builder, ast.Expr, []Conjunct)
 	from       Node
 	start, end int
 	collect    bool
@@ -97,12 +98,12 @@ func (r *renderer) node(n Node) {
 	switch node := n.(type) {
 	case *Filter:
 		b.WriteString("Filter")
-		r.pred(b, node.Cond)
+		r.pred(b, node.Cond, node.conjs)
 	case *Join:
 		b.WriteString(node.name())
 		if node.On != nil {
 			b.WriteString(" ON")
-			r.pred(b, node.On)
+			r.pred(b, node.On, node.conjs)
 		}
 	case *Scan:
 		b.WriteString(node.Describe())

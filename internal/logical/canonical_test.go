@@ -23,11 +23,11 @@ func fpTableDef(name, key string) *schema.TableDef {
 }
 
 func popFilter(in Node, n int64) *Filter {
-	return &Filter{Input: in, Cond: &ast.Binary{
+	return NewFilter(in, &ast.Binary{
 		Op:    ">",
 		Left:  &ast.ColumnRef{Table: "c", Name: "population"},
 		Right: &ast.Literal{Val: value.Int(n)},
-	}}
+	})
 }
 
 func TestFingerprintDeterministicAndDistinct(t *testing.T) {

@@ -14,6 +14,11 @@
 // any subtree it left unchanged. Plans rewritten from one built tree can
 // therefore share nodes with it and with each other; within one plan
 // every node appears once.
+//
+// A predicate's conjuncts are classified once, when the Filter or Join
+// holding them is built (Conjunct): planning, costing, execution and
+// statistics feedback read their fields and never render, split or
+// type-assert the condition again.
 package logical
 
 import (
@@ -36,14 +41,15 @@ type Node interface {
 // Scan reads a base relation. For Source "DB" it produces every column;
 // for Source "LLM" it produces only the key attribute (the paper's leaf
 // retrieval), with other attributes fetched lazily by FetchAttr nodes.
-// PushedFilter holds a selection merged into the retrieval prompt by the
-// pushdown optimization; it is nil by default.
+// Pushed holds the column-op-literal comparisons the prompt pushdown
+// optimization merged into an LLM scan's retrieval prompt, in merge
+// order; it is empty by default.
 type Scan struct {
-	Table        *schema.TableDef
-	Binding      string // alias used in the query ("c" for "city c")
-	Source       string // "DB" or "LLM"
-	PushedFilter ast.Expr
-	out          *schema.Schema
+	Table   *schema.TableDef
+	Binding string // alias used in the query ("c" for "city c")
+	Source  string // "DB" or "LLM"
+	Pushed  []Conjunct
+	out     *schema.Schema
 }
 
 // NewScan builds a scan node. For LLM sources the output schema contains
@@ -78,8 +84,16 @@ func (s *Scan) Describe() string {
 	} else {
 		fmt.Fprintf(&b, "Scan %s AS %s", s.Table.Name, s.Binding)
 	}
-	if s.PushedFilter != nil {
-		fmt.Fprintf(&b, " [pushed: %s]", s.PushedFilter.String())
+	if len(s.Pushed) > 0 {
+		// The pushed comparisons read as their left-deep AND renders.
+		pushed := s.Pushed[0].Comparison()
+		for i, c := range s.Pushed[1:] {
+			if i > 0 {
+				pushed = "(" + pushed + ")"
+			}
+			pushed += " AND " + c.Comparison()
+		}
+		fmt.Fprintf(&b, " [pushed: %s]", pushed)
 	}
 	return b.String()
 }
@@ -124,13 +138,14 @@ func (f *FetchAttr) Describe() string {
 }
 
 // LLMFilter filters tuples of an LLM-bound relation with one boolean prompt
-// per key ("Has city c.name more than 1M population?"). Cond references
-// exactly one non-key attribute of the relation compared to a literal.
+// per key ("Has city c.name more than 1M population?"). Cond is one
+// column-op-literal comparison on a non-key attribute of the relation,
+// read column first whatever its written orientation.
 type LLMFilter struct {
 	Input   Node
 	Table   *schema.TableDef
 	Binding string
-	Cond    *ast.Binary // attr op literal
+	Cond    Conjunct
 	KeyCol  int
 }
 
@@ -139,14 +154,34 @@ func (f *LLMFilter) Schema() *schema.Schema { return f.Input.Schema() }
 
 // Describe implements Node.
 func (f *LLMFilter) Describe() string {
-	return fmt.Sprintf("LLMFilter %s (per key %s.%s)", f.Cond.String(), f.Binding, f.Table.KeyColumn)
+	return fmt.Sprintf("LLMFilter %s (per key %s.%s)", f.Cond.Comparison(), f.Binding, f.Table.KeyColumn)
 }
 
 // Filter keeps tuples satisfying Cond; executed by the traditional engine.
+// Cond is the condition as written (the fingerprint, EXPLAIN and the
+// compiled predicate read it); Conjuncts are its AND-ed terms, classified
+// by the constructor.
 type Filter struct {
 	Input Node
 	Cond  ast.Expr
+	conjs []Conjunct
 }
+
+// NewFilter builds a filter on cond as written, classifying its
+// conjuncts.
+func NewFilter(input Node, cond ast.Expr) *Filter {
+	return &Filter{Input: input, Cond: cond, conjs: classify(nil, cond)}
+}
+
+// FilterOf builds a filter on conjuncts already classified; its Cond is
+// their left-deep AND.
+func FilterOf(input Node, cs []Conjunct) *Filter {
+	return &Filter{Input: input, Cond: and(cs), conjs: cs}
+}
+
+// Conjuncts returns the filter's classified conjuncts, in Cond's order.
+// The slice is the node's own: read it, never write it.
+func (f *Filter) Conjuncts() []Conjunct { return f.conjs }
 
 // Schema implements Node.
 func (f *Filter) Schema() *schema.Schema { return f.Input.Schema() }
@@ -154,20 +189,43 @@ func (f *Filter) Schema() *schema.Schema { return f.Input.Schema() }
 // Describe implements Node.
 func (f *Filter) Describe() string { return "Filter " + f.Cond.String() }
 
-// Join combines two inputs. On is nil for cross joins.
+// Join combines two inputs. On is nil for cross joins; like a Filter's
+// Cond, it is kept as written, with its conjuncts classified by the
+// constructor.
 type Join struct {
 	Left  Node
 	Right Node
 	Type  ast.JoinType
 	On    ast.Expr
+	conjs []Conjunct
 	out   *schema.Schema
 }
 
-// NewJoin builds a join node with the concatenated schema.
+// NewJoin builds a join node with the concatenated schema, classifying
+// the conjuncts of on.
 func NewJoin(left, right Node, jt ast.JoinType, on ast.Expr) *Join {
-	return &Join{Left: left, Right: right, Type: jt, On: on,
+	return &Join{Left: left, Right: right, Type: jt, On: on, conjs: classify(nil, on),
 		out: left.Schema().Concat(right.Schema())}
 }
+
+// JoinOf builds a join node on ON conjuncts already classified; its On
+// is their left-deep AND (nil for none).
+func JoinOf(left, right Node, jt ast.JoinType, on []Conjunct) *Join {
+	return &Join{Left: left, Right: right, Type: jt, On: and(on), conjs: on,
+		out: left.Schema().Concat(right.Schema())}
+}
+
+// WithInputs returns a copy of j over left and right, its ON predicate
+// kept.
+func (j *Join) WithInputs(left, right Node) *Join {
+	out := *j
+	out.Left, out.Right, out.out = left, right, left.Schema().Concat(right.Schema())
+	return &out
+}
+
+// Conjuncts returns the ON predicate's classified conjuncts, in On's
+// order. The slice is the node's own: read it, never write it.
+func (j *Join) Conjuncts() []Conjunct { return j.conjs }
 
 // Schema implements Node.
 func (j *Join) Schema() *schema.Schema { return j.out }
@@ -509,7 +567,9 @@ func WithInput(n Node, input Node) (Node, error) {
 		f.Input = input
 		return &f, nil
 	case *Filter:
-		return &Filter{Input: input, Cond: node.Cond}, nil
+		f := *node
+		f.Input = input
+		return &f, nil
 	case *Distinct:
 		return &Distinct{Input: input, KeyCols: node.KeyCols}, nil
 	case *Sort:

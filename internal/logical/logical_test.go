@@ -315,7 +315,7 @@ func TestAccessorsDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cond := &ast.Binary{Op: ">", Left: &ast.ColumnRef{Name: "population"}, Right: &ast.Literal{Val: value.Int(1)}}
-	nodes = append(nodes, fetch, &LLMFilter{Input: scan, Table: cityDef(), Binding: "c", Cond: cond},
+	nodes = append(nodes, fetch, &LLMFilter{Input: scan, Table: cityDef(), Binding: "c", Cond: NewConjunct(cond)},
 		NewCachedScan("city", "fp", "stamp", 1, scan.Schema()))
 	kinds := map[string]bool{}
 	for _, n := range nodes {

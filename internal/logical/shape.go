@@ -110,10 +110,10 @@ func decompose(chain []Node, from Node, fromKey string) *Shape {
 	}
 	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel(from), Upper: chain[:base]}
 	for _, f := range chain[base:] {
-		for _, e := range ast.Conjuncts(f.(*Filter).Cond) {
-			if t := e.String(); !slices.Contains(sh.Texts, t) {
-				sh.Texts = append(sh.Texts, t)
-				sh.Exprs = append(sh.Exprs, e)
+		for _, c := range f.(*Filter).conjs {
+			if !slices.Contains(sh.Texts, c.Text) {
+				sh.Texts = append(sh.Texts, c.Text)
+				sh.Exprs = append(sh.Exprs, c.Expr)
 			}
 		}
 	}
@@ -186,7 +186,7 @@ func Subsumes(in *Shape, fromKey string, producerConjuncts []string) ([]ast.Expr
 func BuildResidual(in *Shape, cs *CachedScan, residual []ast.Expr) (Node, error) {
 	var out Node = cs
 	if len(residual) > 0 {
-		out = &Filter{Input: out, Cond: ast.And(residual)}
+		out = NewFilter(out, ast.And(residual))
 	}
 	for i := len(in.Upper) - 1; i >= 0; i-- {
 		n, err := WithInput(in.Upper[i], out)

@@ -193,21 +193,13 @@ func (e *estimator) tableOf(ref *ast.ColumnRef) string {
 	return found
 }
 
-// conjunctSelectivity estimates one conjunct, resolving its column to a
-// table when possible.
-func (e *estimator) conjunctSelectivity(c ast.Expr) float64 {
-	if attr, op, lit, ok := simpleConjunct(c); ok {
-		table := ""
-		if bin, isBin := c.(*ast.Binary); isBin {
-			if ref, isRef := bin.Left.(*ast.ColumnRef); isRef {
-				table = e.tableOf(ref)
-			} else if ref, isRef := bin.Right.(*ast.ColumnRef); isRef {
-				table = e.tableOf(ref)
-			}
-		}
-		return e.st.Selectivity(table, attr, op, lit)
+// conjunctSelectivity estimates one conjunct, resolving a comparison's
+// column to a table when possible; any other conjunct gets 0.5.
+func (e *estimator) conjunctSelectivity(c *logical.Conjunct) float64 {
+	if c.Col == nil {
+		return 0.5
 	}
-	return 0.5
+	return e.st.Selectivity(e.tableOf(c.Col), c.Col.Name, c.Op, c.LitText)
 }
 
 func (e *estimator) record(n logical.Node, est NodeEstimate) NodeEstimate {
@@ -319,10 +311,8 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 		}
 		ts := e.st.Table(node.Table.Name)
 		rows := ts.Keys
-		if node.PushedFilter != nil {
-			for _, c := range ast.Conjuncts(node.PushedFilter) {
-				rows *= e.conjunctSelectivity(c)
-			}
+		for i := range node.Pushed {
+			rows *= e.conjunctSelectivity(&node.Pushed[i])
 		}
 		pages := ts.ScanPrompts(rows)
 		// The page chain is sequential: each "more results" prompt
@@ -356,10 +346,10 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 
 	case *logical.LLMFilter:
 		in := e.node(node.Input)
-		sel := e.conjunctSelectivity(node.Cond)
+		sel := e.conjunctSelectivity(&node.Cond)
 		bp := e.price(llm.RoleFilter, node.Table.Name)
-		attr := node.Cond.Left.(*ast.ColumnRef).Name
-		class := llm.FilterClass(node.Table.Name, attr, node.Cond.Op, node.Cond.Right.(*ast.Literal).Val.String())
+		attr := node.Cond.Col.Name
+		class := llm.FilterClass(node.Table.Name, attr, node.Cond.Op, node.Cond.LitText)
 		resident := e.residentShare(llm.RoleFilter, node.Table.Name, class)
 		prompts, start, done := e.keyStage(in, bp, filterLat, resident)
 		if e.overrented(node.Table.Name, attr, class, in.Rows, prompts*bp.CostWeight, bp) {
@@ -370,8 +360,9 @@ func (e *estimator) node(n logical.Node) NodeEstimate {
 	case *logical.Filter:
 		in := e.node(node.Input)
 		rows := in.Rows
-		for _, c := range ast.Conjuncts(node.Cond) {
-			rows *= e.conjunctSelectivity(c)
+		cs := node.Conjuncts()
+		for i := range cs {
+			rows *= e.conjunctSelectivity(&cs[i])
 		}
 		return e.record(n, NodeEstimate{Rows: rows, Start: in.Start, Done: in.Done})
 

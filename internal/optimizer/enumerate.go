@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/logical"
-	"repro/internal/sql/ast"
 )
 
 // maxCandidateBits caps the enumeration: every bit doubles the candidate
@@ -140,7 +139,7 @@ func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins in
 	logical.Walk(probe, func(n logical.Node) bool {
 		switch node := n.(type) {
 		case *logical.LLMFilter:
-			k := conjKey(node.Cond)
+			k := node.Cond.Key
 			if !seen[k] {
 				seen[k] = true
 				filterKeys = append(filterKeys, k)
@@ -148,13 +147,10 @@ func decisionKeys(probe logical.Node) (filterKeys, pushedKeys []string, joins in
 		case *logical.Join:
 			joins++
 		case *logical.Scan:
-			if node.PushedFilter != nil {
-				for _, c := range ast.Conjuncts(node.PushedFilter) {
-					k := conjKey(c)
-					if !seen["push:"+k] {
-						seen["push:"+k] = true
-						pushedKeys = append(pushedKeys, k)
-					}
+			for _, c := range node.Pushed {
+				if !seen["push:"+c.Key] {
+					seen["push:"+c.Key] = true
+					pushedKeys = append(pushedKeys, c.Key)
 				}
 			}
 		}

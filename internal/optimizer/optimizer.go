@@ -10,6 +10,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,9 +47,9 @@ type Options struct {
 	// Per-candidate knobs set by the enumerator; zero values reproduce
 	// the fixed heuristics.
 
-	// DisableLLMFilter lists conjuncts (normalized, lower-cased rendered
-	// text) lowered as fetch-then-filter instead of a per-key boolean
-	// prompt.
+	// DisableLLMFilter lists conjuncts, by their logical.Conjunct Key
+	// (the lower-cased column-first text), lowered as fetch-then-filter
+	// instead of a per-key boolean prompt.
 	DisableLLMFilter map[string]bool
 	// PromptPushdownSkip lists conjuncts kept out of the retrieval
 	// prompt even when PromptPushdown is on.
@@ -57,9 +58,6 @@ type Options struct {
 	// (inner/cross joins only).
 	SwapJoins map[int]bool
 }
-
-// conjKey normalizes a conjunct for the per-conjunct option maps.
-func conjKey(e ast.Expr) string { return strings.ToLower(e.String()) }
 
 // Defaults returns the paper-faithful configuration.
 func Defaults() Options {
@@ -145,7 +143,7 @@ func join(j *logical.Join, left, right logical.Node) logical.Node {
 	if left == j.Left && right == j.Right {
 		return j
 	}
-	return logical.NewJoin(left, right, j.Type, j.On)
+	return j.WithInputs(left, right)
 }
 
 // rewrap returns the single-input node n over input: n itself when input
@@ -185,8 +183,9 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 		// chain[0] is the outermost (last to run); rebuild with the
 		// most selective filter innermost (first to run).
 		sort.SliceStable(chain, func(i, j int) bool {
-			si := st.Selectivity(chain[i].Table.Name, chain[i].Cond.Left.(*ast.ColumnRef).Name, chain[i].Cond.Op, chain[i].Cond.Right.(*ast.Literal).Val.String())
-			sj := st.Selectivity(chain[j].Table.Name, chain[j].Cond.Left.(*ast.ColumnRef).Name, chain[j].Cond.Op, chain[j].Cond.Right.(*ast.Literal).Val.String())
+			ci, cj := &chain[i].Cond, &chain[j].Cond
+			si := st.Selectivity(chain[i].Table.Name, ci.Col.Name, ci.Op, ci.LitText)
+			sj := st.Selectivity(chain[j].Table.Name, cj.Col.Name, cj.Op, cj.LitText)
 			// Descending: the outermost slot gets the least selective
 			// filter, so the innermost runs first.
 			return si > sj
@@ -202,8 +201,9 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 		}
 		out := input
 		for i := len(chain) - 1; i >= 0; i-- {
-			lf := chain[i]
-			out = &logical.LLMFilter{Input: out, Table: lf.Table, Binding: lf.Binding, Cond: lf.Cond, KeyCol: lf.KeyCol}
+			lf := *chain[i]
+			lf.Input = out
+			out = &lf
 		}
 		return out
 	}
@@ -277,18 +277,16 @@ func (o *optimizer) coveredBy(e ast.Expr, bindings map[string]bool) bool {
 func SplitConjuncts(e ast.Expr) []ast.Expr { return ast.Conjuncts(e) }
 
 // push distributes pending conjuncts down the tree.
-func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
+func (o *optimizer) push(n logical.Node, pending []logical.Conjunct) logical.Node {
 	switch node := n.(type) {
 	case *logical.Filter:
-		return o.push(node.Input, append(pending, ast.Conjuncts(node.Cond)...))
+		return o.push(node.Input, append(pending, node.Conjuncts()...))
 
 	case *logical.Join:
 		leftB := subtreeBindings(node.Left)
 		rightB := subtreeBindings(node.Right)
-		var toLeft, toRight, toJoin, stay, on []ast.Expr
-		if node.On != nil {
-			on = ast.Conjuncts(node.On)
-		}
+		var toLeft, toRight, toJoin, stay []logical.Conjunct
+		on := node.Conjuncts()
 		conjs := append(pending, on...)
 		if node.Type == ast.JoinLeft {
 			// A left outer join pads unmatched left rows with NULLs. A
@@ -302,11 +300,11 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		}
 		for _, c := range conjs {
 			switch {
-			case o.coveredBy(c, leftB):
+			case o.coveredBy(c.Expr, leftB):
 				toLeft = append(toLeft, c)
-			case o.coveredBy(c, rightB):
+			case o.coveredBy(c.Expr, rightB):
 				toRight = append(toRight, c)
-			case isEquiAcross(c, o, leftB, rightB):
+			case isEquiAcross(c.Expr, o, leftB, rightB):
 				toJoin = append(toJoin, c)
 			default:
 				stay = append(stay, c)
@@ -318,15 +316,15 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		if jt == ast.JoinCross && len(toJoin) > 0 {
 			jt = ast.JoinInner
 		}
-		var out logical.Node = logical.NewJoin(left, right, jt, ast.And(toJoin))
-		if rest := ast.And(stay); rest != nil {
-			out = &logical.Filter{Input: out, Cond: rest}
+		var out logical.Node = logical.JoinOf(left, right, jt, toJoin)
+		if len(stay) > 0 {
+			out = logical.FilterOf(out, stay)
 		}
 		return out
 
 	case *logical.Scan:
-		if rest := ast.And(pending); rest != nil {
-			return &logical.Filter{Input: node, Cond: rest}
+		if len(pending) > 0 {
+			return logical.FilterOf(node, pending)
 		}
 		return node
 
@@ -336,17 +334,17 @@ func (o *optimizer) push(n logical.Node, pending []ast.Expr) logical.Node {
 		if input, _ := logical.Inputs(n); input != nil {
 			n = rewrapOr(n, o.push(input, nil))
 		}
-		if rest := ast.And(pending); rest != nil {
-			return &logical.Filter{Input: n, Cond: rest}
+		if len(pending) > 0 {
+			return logical.FilterOf(n, pending)
 		}
 		return n
 	}
 }
 
 // split partitions cs into the conjuncts bindings cover and the rest.
-func (o *optimizer) split(cs []ast.Expr, bindings map[string]bool) (in, out []ast.Expr) {
+func (o *optimizer) split(cs []logical.Conjunct, bindings map[string]bool) (in, out []logical.Conjunct) {
 	for _, c := range cs {
-		if o.coveredBy(c, bindings) {
+		if o.coveredBy(c.Expr, bindings) {
 			in = append(in, c)
 		} else {
 			out = append(out, c)
@@ -389,37 +387,33 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		var llmFilters []*ast.Binary
-		var rest []ast.Expr
-		for _, c := range ast.Conjuncts(node.Cond) {
-			if o.opts.UseLLMFilter {
-				if bin, ok := o.asLLMFilterPred(c, input); ok && !o.opts.DisableLLMFilter[conjKey(bin)] {
-					llmFilters = append(llmFilters, bin)
-					continue
-				}
+		var llmFilters, rest []logical.Conjunct
+		for _, c := range node.Conjuncts() {
+			if o.opts.UseLLMFilter && o.llmFilterable(c, input) && !o.opts.DisableLLMFilter[c.Key] {
+				llmFilters = append(llmFilters, c)
+				continue
 			}
 			rest = append(rest, c)
 		}
 		out := input
-		for _, bin := range llmFilters {
-			ref := bin.Left.(*ast.ColumnRef)
-			binding, _ := o.bindingOf(ref)
+		for _, c := range llmFilters {
+			binding, _ := o.bindingOf(c.Col)
 			info := o.bindings[binding]
 			keyCol := out.Schema().IndexOf(bindingName(out, binding), info.def.KeyColumn)
 			if keyCol < 0 {
 				// Key not materialized here; fall back to fetch+filter.
-				rest = append(rest, bin)
+				rest = append(rest, c)
 				continue
 			}
-			out = &logical.LLMFilter{Input: out, Table: info.def, Binding: bindingName(out, binding), Cond: bin, KeyCol: keyCol}
+			out = &logical.LLMFilter{Input: out, Table: info.def, Binding: bindingName(out, binding), Cond: c, KeyCol: keyCol}
 		}
-		if cond := ast.And(rest); cond != nil {
-			var err error
-			out, err = o.ensureAttrsFor(out, cond)
-			if err != nil {
+		for _, c := range rest {
+			if out, err = o.ensureAttrsFor(out, c.Expr); err != nil {
 				return nil, err
 			}
-			out = &logical.Filter{Input: out, Cond: cond}
+		}
+		if len(rest) > 0 {
+			out = logical.FilterOf(out, rest)
 		}
 		return out, nil
 
@@ -449,7 +443,7 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 				}
 			}
 		}
-		return logical.NewJoin(left, right, node.Type, node.On), nil
+		return join(node, left, right), nil
 
 	case *logical.Aggregate:
 		input, err := o.lower(node.Input)
@@ -522,12 +516,12 @@ func bindingName(n logical.Node, lower string) string {
 // refuses to evaluate such a conjunct locally in a residual plan —
 // subsumption only fires when the cached producer already applied them.
 func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
-	cmp, ok := asColumnLiteral(c)
-	if !ok {
+	cmp := logical.NewConjunct(c)
+	if cmp.Col == nil {
 		return true
 	}
 	o := &optimizer{bindings: bindingsOf(from)}
-	binding, ok := o.bindingOf(cmp.ref)
+	binding, ok := o.bindingOf(cmp.Col)
 	if !ok {
 		// Unresolvable or ambiguous reference: refuse rather than guess.
 		return false
@@ -538,83 +532,26 @@ func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
 	}
 	// The key column is materialized by every LLM scan, so a predicate on
 	// it always runs as a local filter.
-	return strings.EqualFold(cmp.ref.Name, info.def.KeyColumn)
+	return strings.EqualFold(cmp.Col.Name, info.def.KeyColumn)
 }
 
-// columnLiteral is a comparison between a column and a literal, read
-// column first: for the mirrored form `literal op column`, op is the
-// mirrored operator and mirrored is set.
-type columnLiteral struct {
-	ref      *ast.ColumnRef
-	op       string
-	lit      *ast.Literal
-	mirrored bool
-}
-
-// asColumnLiteral matches e against a column-op-literal comparison in
-// either orientation — the one shape of conjunct the optimizer can turn
-// into a boolean prompt, merge into a retrieval prompt or estimate a
-// selectivity for.
-func asColumnLiteral(e ast.Expr) (columnLiteral, bool) {
-	bin, ok := e.(*ast.Binary)
-	if !ok {
-		return columnLiteral{}, false
-	}
-	switch bin.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return columnLiteral{}, false
-	}
-	if ref, ok := bin.Left.(*ast.ColumnRef); ok {
-		if lit, ok := bin.Right.(*ast.Literal); ok {
-			return columnLiteral{ref: ref, op: bin.Op, lit: lit}, true
-		}
-	}
-	if ref, ok := bin.Right.(*ast.ColumnRef); ok {
-		if lit, ok := bin.Left.(*ast.Literal); ok {
-			return columnLiteral{ref: ref, op: mirrorOp(bin.Op), lit: lit, mirrored: true}, true
-		}
-	}
-	return columnLiteral{}, false
-}
-
-// asLLMFilterPred checks whether conjunct c can run as a per-key boolean
+// llmFilterable reports whether conjunct c can run as a per-key boolean
 // prompt: a comparison between one column of an LLM binding (non-key,
-// not yet fetched) and a literal. It returns a fresh binary with the
-// column on the left.
-func (o *optimizer) asLLMFilterPred(c ast.Expr, input logical.Node) (*ast.Binary, bool) {
-	cmp, ok := asColumnLiteral(c)
-	if !ok {
-		return nil, false
+// not yet fetched) and a literal.
+func (o *optimizer) llmFilterable(c logical.Conjunct, input logical.Node) bool {
+	if c.Col == nil {
+		return false
 	}
-	binding, ok := o.bindingOf(cmp.ref)
+	binding, ok := o.bindingOf(c.Col)
 	if !ok {
-		return nil, false
+		return false
 	}
 	info := o.bindings[binding]
-	if info.source != "LLM" || strings.EqualFold(cmp.ref.Name, info.def.KeyColumn) {
-		return nil, false
+	if info.source != "LLM" || strings.EqualFold(c.Col.Name, info.def.KeyColumn) {
+		return false
 	}
 	// Already fetched? Then a traditional filter is cheaper.
-	if input.Schema().IndexOf(bindingName(input, binding), cmp.ref.Name) >= 0 {
-		return nil, false
-	}
-	return &ast.Binary{Op: cmp.op, Left: cmp.ref, Right: cmp.lit}, true
-}
-
-func mirrorOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
+	return input.Schema().IndexOf(bindingName(input, binding), c.Col.Name) < 0
 }
 
 // ensureAttrsFor injects FetchAttr nodes for every unresolved reference
@@ -671,15 +608,15 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	switch node := n.(type) {
 	case *logical.LLMFilter:
 		input := o.promptPushdown(node.Input)
-		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" && !o.opts.PromptPushdownSkip[conjKey(node.Cond)] {
+		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" && !o.opts.PromptPushdownSkip[node.Cond.Key] {
 			return pushInto(scan, node.Cond)
 		}
 		return rewrapOr(node, input)
 	case *logical.Filter:
 		input := o.promptPushdown(node.Input)
 		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" {
-			if simple, ok := o.asSimplePred(node.Cond); ok && !o.opts.PromptPushdownSkip[conjKey(simple)] {
-				return pushInto(scan, simple)
+			if cs := node.Conjuncts(); len(cs) == 1 && o.pushable(cs[0]) && !o.opts.PromptPushdownSkip[cs[0].Key] {
+				return pushInto(scan, cs[0])
 			}
 		}
 		return rewrapOr(node, input)
@@ -693,36 +630,29 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	}
 }
 
-// pushInto returns a copy of the LLM scan with cond merged into its
-// retrieval prompt.
-func pushInto(scan *logical.Scan, cond ast.Expr) *logical.Scan {
+// pushInto returns a copy of the LLM scan with c merged into its
+// retrieval prompt. The copy's list is its own: candidates share scans.
+func pushInto(scan *logical.Scan, c logical.Conjunct) *logical.Scan {
 	out := *scan
-	if out.PushedFilter == nil {
-		out.PushedFilter = cond
-	} else {
-		out.PushedFilter = &ast.Binary{Op: "AND", Left: out.PushedFilter, Right: cond}
-	}
+	out.Pushed = append(slices.Clip(scan.Pushed), c)
 	return &out
 }
 
-// asSimplePred accepts column-op-literal comparisons, column first,
-// regardless of source (used only for prompt pushdown above an LLM
-// scan). It returns c itself.
-func (o *optimizer) asSimplePred(c ast.Expr) (*ast.Binary, bool) {
-	cmp, ok := asColumnLiteral(c)
-	if !ok || cmp.mirrored {
-		return nil, false
+// pushable accepts a filter's column-op-literal comparison written
+// column first, regardless of source (used only for prompt pushdown
+// above an LLM scan).
+func (o *optimizer) pushable(c logical.Conjunct) bool {
+	if c.Col == nil || c.Mirrored {
+		return false
 	}
-	binding, ok := o.bindingOf(cmp.ref)
+	binding, ok := o.bindingOf(c.Col)
 	if !ok {
-		return nil, false
+		return false
 	}
 	// Never merge a predicate on the key attribute into the retrieval
 	// prompt: the keys are already materialized, so a traditional filter
 	// is free, while a merged condition degrades the scan's accuracy —
 	// and every later attribute fetch depends on those keys being right.
-	if info, known := o.bindings[binding]; known && strings.EqualFold(cmp.ref.Name, info.def.KeyColumn) {
-		return nil, false
-	}
-	return c.(*ast.Binary), true
+	info, known := o.bindings[binding]
+	return !known || !strings.EqualFold(c.Col.Name, info.def.KeyColumn)
 }

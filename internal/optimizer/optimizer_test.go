@@ -62,7 +62,7 @@ func optimize(t *testing.T, sql string, opts Options) logical.Node {
 
 func TestSplitConjuncts(t *testing.T) {
 	sel, _ := parser.ParseSelect("SELECT x FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)")
-	cs := ast.Conjuncts(sel.Where)
+	cs := SplitConjuncts(sel.Where)
 	if len(cs) != 3 {
 		t.Fatalf("conjuncts = %d: %v", len(cs), cs)
 	}
@@ -694,6 +694,41 @@ func TestChooseFixedHeuristicsExtras(t *testing.T) {
 		}
 		if cost.Choice != wantLabel || cost.Candidates != 1+len(tc.extras) || g != nil {
 			t.Errorf("%s: choice %q of %d candidates (guarded %v), want %q of %d", tc.name, cost.Choice, cost.Candidates, g != nil, wantLabel, 1+len(tc.extras))
+		}
+	}
+}
+
+// TestDisableLLMFilterKeyFoldsCase pins the option key's lower-casing,
+// which callers outside the engine rely on: with CostBased off, the key
+// "country = 'italy'" lowers `country = 'Italy'`, written either way
+// round, as fetch-then-filter, and without it both run as a boolean
+// prompt.
+func TestDisableLLMFilterKeyFoldsCase(t *testing.T) {
+	for _, where := range []string{"country = 'Italy'", "'Italy' = country"} {
+		sel, err := parser.ParseSelect("SELECT name FROM city WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := logical.Build(sel, resolver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Defaults()
+		plan, _, _, err := Choose(built, opts, nil, CostParams{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if explain := logical.Explain(plan); !strings.Contains(explain, "LLMFilter country = 'Italy'") {
+			t.Errorf("%s: want a boolean prompt filter, got\n%s", where, explain)
+		}
+		opts.DisableLLMFilter = map[string]bool{"country = 'italy'": true}
+		plan, _, _, err = Choose(built, opts, nil, CostParams{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if explain := logical.Explain(plan); strings.Contains(explain, "LLMFilter") ||
+			!strings.Contains(explain, "Filter "+where) || !strings.Contains(explain, "LLMFetchAttr city.country") {
+			t.Errorf("%s: want fetch-then-filter, got\n%s", where, explain)
 		}
 	}
 }

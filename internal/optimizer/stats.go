@@ -3,8 +3,6 @@ package optimizer
 import (
 	"strings"
 	"sync"
-
-	"repro/internal/sql/ast"
 )
 
 // Default statistics. Prompts are the dominant cost, so the defaults only
@@ -266,15 +264,4 @@ func (s *Statistics) ObserveFilter(table, attr, op, lit string, in, out int) {
 		o.count++
 		s.sels[k] = o
 	}
-}
-
-// simpleConjunct deconstructs a column-op-literal comparison (either
-// orientation), returning the normalized attribute, operator and literal
-// text.
-func simpleConjunct(e ast.Expr) (attr, op, lit string, ok bool) {
-	cmp, ok := asColumnLiteral(e)
-	if !ok {
-		return "", "", "", false
-	}
-	return cmp.ref.Name, cmp.op, cmp.lit.Val.String(), true
 }

@@ -14,8 +14,10 @@ import (
 // share a key: the plan's canonical form (logical.Render: operators,
 // table bindings with source, key and schema, projections, LIMIT/OFFSET
 // counts, every other literal) with each such literal replaced by a
-// placeholder tagged with its kind. The literals themselves are the template's slots, in plan
-// order.
+// placeholder tagged with its kind. The literals themselves are the
+// template's slots, in plan order. It is written from the Filters' and
+// Joins' classified conjuncts (logical.Conjunct): a slot's literal text
+// and lowering key are the conjunct's LitText and Key.
 type Template struct {
 	key   string
 	slots []slot
@@ -26,7 +28,7 @@ type slot struct {
 	// lit is the literal as statistics and prompt classes read it
 	// (Value.String).
 	lit string
-	// key is its conjunct's conjKey, column first: the text the
+	// key is its conjunct's Key, column first: the text the
 	// per-conjunct lowering decisions are keyed by.
 	key string
 }
@@ -57,35 +59,31 @@ func NewTemplate(built logical.Node, prefix string) (*Template, bool) {
 	return t, true
 }
 
-// conjuncts writes a predicate as its flattened conjunct list. A
+// conjuncts writes a predicate as its classified conjunct list. A
 // column-op-literal conjunct keeps its column, operator and orientation
 // and becomes a slot; any other conjunct is written verbatim, length
 // prefixed so no literal inside it can fake a boundary.
-func (t *Template) conjuncts(b *strings.Builder, e ast.Expr) {
-	for _, c := range ast.Conjuncts(e) {
-		cmp, ok := asColumnLiteral(c)
-		if !ok {
-			text := c.String()
+func (t *Template) conjuncts(b *strings.Builder, _ ast.Expr, cs []logical.Conjunct) {
+	for i := range cs {
+		c := &cs[i]
+		if c.Col == nil {
 			b.WriteString("|")
-			b.WriteString(strconv.Itoa(len(text)))
+			b.WriteString(strconv.Itoa(len(c.Text)))
 			b.WriteByte(':')
-			b.WriteString(text)
+			b.WriteString(c.Text)
 			continue
 		}
 		b.WriteString("|[")
-		b.WriteString(cmp.ref.String())
+		b.WriteString(c.Col.String())
 		b.WriteByte(' ')
-		b.WriteString(cmp.op)
+		b.WriteString(c.Op)
 		b.WriteString(" ?")
-		b.WriteString(cmp.lit.Val.Kind().String())
-		if cmp.mirrored {
+		b.WriteString(c.Lit.Val.Kind().String())
+		if c.Mirrored {
 			b.WriteString(" mirrored")
 		}
 		b.WriteByte(']')
-		t.slots = append(t.slots, slot{
-			lit: cmp.lit.Val.String(),
-			key: conjKey(&ast.Binary{Op: cmp.op, Left: cmp.ref, Right: cmp.lit}),
-		})
+		t.slots = append(t.slots, slot{lit: c.LitText, key: c.Key})
 	}
 }
 

@@ -130,14 +130,11 @@ func joinKey(funcs []expr.Func, t schema.Tuple) (key string, ok bool, err error)
 // the two sides, which key the buckets, and the residual rest.
 func buildJoin(node *logical.Join, left, right Operator) (Operator, error) {
 	j := &joinOp{left: left, right: right, out: node.Schema(), leftOuter: node.Type == ast.JoinLeft}
-	if node.On == nil {
-		return j, nil
-	}
 	var residuals []ast.Expr
-	for _, c := range ast.Conjuncts(node.On) {
-		l, r, ok := equiSides(c, left.Schema(), right.Schema())
+	for _, c := range node.Conjuncts() {
+		l, r, ok := equiSides(c.Expr, left.Schema(), right.Schema())
 		if !ok {
-			residuals = append(residuals, c)
+			residuals = append(residuals, c.Expr)
 			continue
 		}
 		lf, err := expr.Compile(l, left.Schema())

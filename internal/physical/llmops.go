@@ -11,7 +11,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/prompt"
 	"repro/internal/schema"
-	"repro/internal/sql/ast"
 	"repro/internal/value"
 )
 
@@ -65,10 +64,7 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 	if err != nil {
 		return err
 	}
-	conds, err := pushedConditions(s.scan.PushedFilter)
-	if err != nil {
-		return err
-	}
+	conds := pushedConditions(s.scan.Pushed)
 	keyKind := s.out.Columns[0].Type
 	s.maxIter = c.MaxScanIterations
 	if s.maxIter <= 0 {
@@ -245,30 +241,14 @@ func (s *llmKeyScanOp) Next() (schema.Tuple, llm.VTime, error) {
 	return r.row, r.vt, nil
 }
 
-// pushedConditions converts a pushed-down predicate into prompt
-// conditions.
-func pushedConditions(e ast.Expr) ([]prompt.Condition, error) {
-	if e == nil {
-		return nil, nil
-	}
+// pushedConditions phrases the comparisons merged into a scan's
+// retrieval prompt as prompt conditions.
+func pushedConditions(pushed []logical.Conjunct) []prompt.Condition {
 	var out []prompt.Condition
-	for _, c := range ast.Conjuncts(e) {
-		b, ok := c.(*ast.Binary)
-		if !ok {
-			return nil, fmt.Errorf("physical: cannot push %s into a prompt", c.String())
-		}
-		ref, okL := b.Left.(*ast.ColumnRef)
-		lit, okR := b.Right.(*ast.Literal)
-		if !okL || !okR {
-			return nil, fmt.Errorf("physical: cannot push %s into a prompt", c.String())
-		}
-		out = append(out, prompt.Condition{
-			Attr:     prompt.Humanize(ref.Name),
-			OpPhrase: prompt.OpPhrase(b.Op),
-			Value:    lit.Val.String(),
-		})
+	for _, c := range pushed {
+		out = append(out, prompt.Condition{Attr: prompt.Humanize(c.Col.Name), OpPhrase: prompt.OpPhrase(c.Op), Value: c.LitText})
 	}
-	return out, nil
+	return out
 }
 
 // llmFetchAttrOp retrieves one attribute per input tuple, appending the
@@ -433,12 +413,10 @@ func (f *llmFilterOp) Open(c *Context) error {
 	if err := f.input.Open(c); err != nil {
 		return err
 	}
-	ref := f.node.Cond.Left.(*ast.ColumnRef)
-	lit := f.node.Cond.Right.(*ast.Literal)
-	litText := lit.Val.String()
-	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, ref.Name, prompt.OpPhrase(f.node.Cond.Op), litText)
+	cond := &f.node.Cond
+	pre, post := c.Prompts.FilterTemplate(f.node.Table.Name, cond.Col.Name, prompt.OpPhrase(cond.Op), cond.LitText)
 	f.client = client
-	f.tmpl = llm.NewDecodedTemplate(pre, post, llm.FilterClass(f.node.Table.Name, ref.Name, f.node.Cond.Op, litText),
+	f.tmpl = llm.NewDecodedTemplate(pre, post, llm.FilterClass(f.node.Table.Name, cond.Col.Name, cond.Op, cond.LitText),
 		verdictTag{}, func(answer string) any { return isYes(answer) })
 	f.x.open(c, f.input, f)
 	return nil
@@ -454,7 +432,7 @@ func (f *llmFilterOp) issue(rows []pipeRow) error {
 		rows[i].main = f.x.askKey(w, f.client, f.tmpl, rows[i].row[f.node.KeyCol], rows[i].vt, false)
 	}
 	if err := w.Settle(); err != nil {
-		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
+		return fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.Comparison(), err)
 	}
 	return nil
 }
@@ -477,7 +455,7 @@ func (f *llmFilterOp) Next() (schema.Tuple, llm.VTime, error) {
 		}
 		yes, vt, err := r.main.decoded(r.vt)
 		if err != nil {
-			return nil, 0, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.String(), err)
+			return nil, 0, fmt.Errorf("physical: LLM filter %s: %w", f.node.Cond.Comparison(), err)
 		}
 		if yes.(bool) {
 			f.x.nm.RowsOut++ // issue, maybe running meanwhile, leaves it alone

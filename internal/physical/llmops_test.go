@@ -300,7 +300,7 @@ func TestLLMFilter(t *testing.T) {
 		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
 		Right: &ast.Literal{Val: value.Int(1000000)},
 	}
-	filter := &logical.LLMFilter{Input: scan, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
+	filter := &logical.LLMFilter{Input: scan, Table: townDef(), Binding: "t", Cond: logical.NewConjunct(cond), KeyCol: 0}
 	op := &llmFilterOp{node: filter, input: keyOp}
 	rel, err := Run(llmCtx(client), op)
 	if err != nil {
@@ -424,7 +424,7 @@ func TestNullKeyAsksNothing(t *testing.T) {
 				stopAndGo, client.calls, verifier.calls, nm)
 		}
 
-		filter := &logical.LLMFilter{Input: scan, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
+		filter := &logical.LLMFilter{Input: scan, Table: townDef(), Binding: "t", Cond: logical.NewConjunct(cond), KeyCol: 0}
 		ctx = newCtx()
 		rel, err = Run(ctx, &llmFilterOp{node: filter, input: &memScan{out: scan.Schema(), rel: keys}})
 		if err != nil {
@@ -491,7 +491,7 @@ func residentFetch(tb testing.TB) func() {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
+		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: logical.NewConjunct(cond), KeyCol: 0}
 		op := &llmFilterOp{node: filter, input: &llmFetchAttrOp{node: fa, input: &memScan{out: scan.Schema(), rel: in}, out: fa.Schema()}}
 		tn := sched.Tenant(context.Background(), "bench")
 		defer tn.Close()

@@ -66,7 +66,7 @@ func filterFetch(t *testing.T, input Operator, scan *logical.Scan) *llmFetchAttr
 		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
 		Right: &ast.Literal{Val: value.Int(1000000)},
 	}
-	filter := &logical.LLMFilter{Input: scan, Table: scan.Table, Binding: "t", Cond: cond, KeyCol: 0}
+	filter := &logical.LLMFilter{Input: scan, Table: scan.Table, Binding: "t", Cond: logical.NewConjunct(cond), KeyCol: 0}
 	fa, err := logical.NewFetchAttr(filter, scan.Table, "t", "population", 0)
 	if err != nil {
 		t.Fatal(err)

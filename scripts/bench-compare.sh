@@ -25,7 +25,20 @@ shift 3
 pkgs=("$@")
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench-compare.XXXXXX")
-trap 'rm -rf "$work"' EXIT
+# A signal stops the running test binary, and waits for it, before the
+# temporary directory goes: each binary runs in the background under
+# `wait`, so the trap fires at once instead of after the benchmark.
+child=
+cleanup() {
+	if [ -n "$child" ]; then
+		kill "$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+	rm -rf "$work"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 mkdir -p "$work/src" "$work/bin/base" "$work/bin/tree"
 git -C "$root" archive "$base" | tar -x -C "$work/src"
@@ -43,8 +56,11 @@ run() {
 	local side=$1 dir=$2 i=0 pkg
 	for pkg in "${pkgs[@]}"; do
 		i=$((i + 1))
-		(cd "$dir/$pkg" && "$work/bin/$side/$i.test" -test.run '^$' -test.bench "$bench" -test.benchtime "${BENCHTIME:-1s}" -test.benchmem -test.count 1 -test.timeout 10m) |
-			awk -v side="$side" -v pkg="$pkg" '/^Benchmark/ { for (k = 3; k < NF; k += 2) print side, pkg, $1, $(k + 1), $k }' >>"$work/results"
+		(cd "$dir/$pkg" && exec "$work/bin/$side/$i.test" -test.run '^$' -test.bench "$bench" -test.benchtime "${BENCHTIME:-1s}" -test.benchmem -test.count 1 -test.timeout 10m) >"$work/out" &
+		child=$!
+		wait "$child"
+		child=
+		awk -v side="$side" -v pkg="$pkg" '/^Benchmark/ { for (k = 3; k < NF; k += 2) print side, pkg, $1, $(k + 1), $k }' "$work/out" >>"$work/results"
 	done
 }
 : >"$work/results"
