@@ -28,9 +28,11 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/lru ./internal/rescache ./internal/llm ./internal/physical ./internal/gopool
 
-# The root package's end-to-end benchmarks (BenchmarkAdhocPlan: a
-# never-seen templated statement on a warm runtime, where planning is the
-# cost), then the planner's (BenchmarkChoose: one templated enumeration
+# The root package's end-to-end timings of the query hot path
+# (BenchmarkAdhocPlan: a never-seen templated statement on a warm
+# runtime, where planning is the cost; the paper's numbers are
+# BENCH_paper.json, not benchmarks), then the planner's
+# (BenchmarkChoose: one templated enumeration
 # of a two-conjunct join, as on a plan-cache miss, each candidate lowered
 # and estimated), the scheduler's
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
@@ -48,7 +50,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 
 # Runs every benchmark of the bench target's packages once, so one that
-# panics or fails is seen by check; it measures nothing.
+# panics or fails is seen by check; it measures nothing, and no
+# experiment runs here (TestArtifacts runs them under go test).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 

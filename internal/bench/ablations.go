@@ -10,13 +10,19 @@ import (
 	"repro/internal/spider"
 )
 
+// Ablation is one ablation's arms, run on one model.
+type Ablation struct {
+	Model string        `json:"model"`
+	Arms  []AblationRow `json:"arms"`
+}
+
 // AblationRow is one configuration's outcome on the corpus (or a subset).
 type AblationRow struct {
-	Config     string
-	CellMatch  float64 // avg cell match % vs ground truth
-	CardDiff   float64 // avg cardinality diff %
-	AvgPrompts float64 // prompts per query
-	Queries    int
+	Config     string  `json:"config"`
+	CellMatch  float64 `json:"cell_match_pct"` // avg cell match % vs ground truth
+	CardDiff   float64 `json:"card_diff_pct"`  // avg cardinality diff %
+	AvgPrompts float64 `json:"prompts_per_query"`
+	Queries    int     `json:"queries"`
 }
 
 // ablationArm is one engine configuration of an ablation; a non-nil
@@ -29,28 +35,28 @@ type ablationArm struct {
 
 // ablation runs queries under each configuration on a fresh runtime and
 // aggregates each scored pass into a row.
-func (r *Runner) ablation(ctx context.Context, p simllm.Profile, queries []spider.Query, arms ...ablationArm) ([]AblationRow, error) {
-	var rows []AblationRow
+func (r *Runner) ablation(ctx context.Context, p simllm.Profile, queries []spider.Query, arms ...ablationArm) (Ablation, error) {
+	out := Ablation{Model: p.ID}
 	for _, a := range arms {
 		rt, err := r.verifiedRuntime(p, a.verifier, a.opts)
 		if err != nil {
-			return nil, err
+			return Ablation{}, err
 		}
 		scored, err := r.scoredPass(ctx, rt, queries, a.label)
 		if err != nil {
-			return nil, err
+			return Ablation{}, err
 		}
 		cell, card, prompts := summarize(scored)
-		rows = append(rows, AblationRow{Config: a.label, CellMatch: cell, CardDiff: card, AvgPrompts: prompts, Queries: len(queries)})
+		out.Arms = append(out.Arms, AblationRow{Config: a.label, CellMatch: cell, CardDiff: card, AvgPrompts: prompts, Queries: len(queries)})
 	}
-	return rows, nil
+	return out, nil
 }
 
-// AblationPushdown compares staged prompts (key scan + per-key boolean
+// ablationPushdown compares staged prompts (key scan + per-key boolean
 // filters) against merged prompts (selection pushed into the list prompt),
 // the Section 6 optimization: fewer prompt executions, lower per-condition
 // accuracy.
-func (r *Runner) AblationPushdown(ctx context.Context, p simllm.Profile) ([]AblationRow, error) {
+func (r *Runner) ablationPushdown(ctx context.Context, p simllm.Profile) (Ablation, error) {
 	merged := PaperOptions()
 	merged.Optimizer.PromptPushdown = true
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassSelection),
@@ -58,10 +64,10 @@ func (r *Runner) AblationPushdown(ctx context.Context, p simllm.Profile) ([]Abla
 		ablationArm{"prompt-pushdown", merged, nil})
 }
 
-// AblationCleaning compares the full cleaner against one with numeric
+// ablationCleaning compares the full cleaner against one with numeric
 // normalization and type enforcement disabled (Section 4: "a simple but
 // crucial step to limit the incorrect output due to model hallucinations").
-func (r *Runner) AblationCleaning(ctx context.Context, p simllm.Profile) ([]AblationRow, error) {
+func (r *Runner) ablationCleaning(ctx context.Context, p simllm.Profile) (Ablation, error) {
 	withoutClean := PaperOptions()
 	withoutClean.Clean = clean.Options{NormalizeNumbers: false, EnforceTypes: false}
 	return r.ablation(ctx, p, spider.Queries(),
@@ -69,9 +75,9 @@ func (r *Runner) AblationCleaning(ctx context.Context, p simllm.Profile) ([]Abla
 		ablationArm{"cleaning-off", withoutClean, nil})
 }
 
-// AblationJoinFormats shows that canonicalizing entity surface forms
+// ablationJoinFormats shows that canonicalizing entity surface forms
 // before joining repairs the IT-vs-ITA failures of Section 5.
-func (r *Runner) AblationJoinFormats(ctx context.Context, p simllm.Profile) ([]AblationRow, error) {
+func (r *Runner) ablationJoinFormats(ctx context.Context, p simllm.Profile) (Ablation, error) {
 	canon := PaperOptions()
 	canon.Clean.Canonicalizer = clean.NewCanonicalizer(r.World.Aliases())
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassJoin),
@@ -79,11 +85,15 @@ func (r *Runner) AblationJoinFormats(ctx context.Context, p simllm.Profile) ([]A
 		ablationArm{"canonicalized", canon, nil})
 }
 
-// AblationMoreResults sweeps the termination threshold of the "return more
-// results" loop (Section 4's user-specified threshold alternative).
-func (r *Runner) AblationMoreResults(ctx context.Context, p simllm.Profile, iterations []int) ([]AblationRow, error) {
+// moreResultsSweep is the more-results ablation's iteration budgets.
+var moreResultsSweep = []int{1, 2, 4, 8, 12}
+
+// ablationMoreResults sweeps the termination threshold of the "return
+// more results" loop (Section 4's user-specified threshold alternative)
+// over moreResultsSweep.
+func (r *Runner) ablationMoreResults(ctx context.Context, p simllm.Profile) (Ablation, error) {
 	var arms []ablationArm
-	for _, n := range iterations {
+	for _, n := range moreResultsSweep {
 		opts := PaperOptions()
 		opts.MaxScanIterations = n
 		arms = append(arms, ablationArm{fmt.Sprintf("max-iterations=%d", n), opts, nil})
@@ -91,19 +101,17 @@ func (r *Runner) AblationMoreResults(ctx context.Context, p simllm.Profile, iter
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassOther), arms...)
 }
 
-// AblationCache measures the engine-level prompt cache on a repeated-key
+// ablationCache measures the engine-level prompt cache on a repeated-key
 // workload: one engine per config runs the full corpus, so with the cache
 // on the key scans and attribute fetches that recur across queries are
 // served from memory, concurrent identical prompts collapse, and
 // duplicate prompts inside one batch cost one completion. AvgPrompts
 // counts only model calls actually issued — the cache-on arm must show a
 // clear drop.
-func (r *Runner) AblationCache(ctx context.Context, p simllm.Profile) ([]AblationRow, error) {
+func (r *Runner) ablationCache(ctx context.Context, p simllm.Profile) (Ablation, error) {
 	off := core.DefaultOptions()
 	off.CacheEnabled = false
-	on := core.DefaultOptions()
-	on.CacheEnabled = true
 	return r.ablation(ctx, p, spider.Queries(),
 		ablationArm{"cache-off", off, nil},
-		ablationArm{"cache-on", on, nil})
+		ablationArm{"cache-on", core.DefaultOptions(), nil})
 }

@@ -10,35 +10,6 @@ import (
 	"repro/internal/spider"
 )
 
-// TestAblationCacheShape: the engine-level prompt cache must cut issued
-// model calls substantially on the corpus (key scans and attribute
-// fetches recur across queries) without changing results — the simulated
-// models answer each prompt as a pure function, so a cached completion is
-// bit-identical to a fresh one.
-func TestAblationCacheShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment")
-	}
-	r := runner(t)
-	rows, err := r.AblationCache(context.Background(), simllm.ChatGPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, on := rows[0], rows[1]
-	if off.AvgPrompts <= 0 {
-		t.Fatalf("cache-off arm issued no prompts: %+v", off)
-	}
-	if on.AvgPrompts >= 0.8*off.AvgPrompts {
-		t.Errorf("cache must measurably cut prompts/query: on=%.1f off=%.1f", on.AvgPrompts, off.AvgPrompts)
-	}
-	if diff := on.CellMatch - off.CellMatch; diff > 0.01 || diff < -0.01 {
-		t.Errorf("cache must not change results: on=%.2f off=%.2f", on.CellMatch, off.CellMatch)
-	}
-	if diff := on.CardDiff - off.CardDiff; diff > 0.01 || diff < -0.01 {
-		t.Errorf("cache must not change cardinality: on=%.2f off=%.2f", on.CardDiff, off.CardDiff)
-	}
-}
-
 // TestCleaningAblationSharedCache: the cleaning ablation's two arms run
 // side by side on one runtime, so on one prompt cache. Their fetch
 // prompts are the same text, so each answer is resident for both arms,

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"os"
 
 	"repro/internal/simllm"
 )
@@ -29,6 +28,9 @@ type Artifact struct {
 // every row against its committed file, make bench-artifacts regenerates
 // them, and galois-bench -ablation <name> prints one.
 var Artifacts = []Artifact{
+	{"paper", func(ctx context.Context, r *Runner, p simllm.Profile, _ string) (Report, error) {
+		return r.paper(ctx, p)
+	}},
 	{"pipeline", func(ctx context.Context, r *Runner, p simllm.Profile, _ string) (Report, error) {
 		return r.PipelineComparison(ctx, p, simllm.GPT3)
 	}},
@@ -66,13 +68,4 @@ func EncodeArtifact(rep Report) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteArtifact writes a report to path as EncodeArtifact renders it.
-func WriteArtifact(path string, rep Report) error {
-	data, err := EncodeArtifact(rep)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

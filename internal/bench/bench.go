@@ -1,14 +1,15 @@
 // Package bench wires the full reproduction together: it builds the
 // synthetic world, loads the ground-truth DBMS, binds the LLM-side schema,
-// and regenerates every experiment in the paper's evaluation (Table 1,
-// Table 2, the latency note) plus the ablations DESIGN.md calls out.
+// and regenerates every experiment in the paper's evaluation (PAPER.md:
+// Table 1, Table 2, the latency note), the ablations and Section 6
+// explorations README describes, and the engine's own benchmarks, each
+// as a committed BENCH_<name>.json artifact (Artifacts).
 package bench
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/clean"
 	"repro/internal/config"
@@ -16,8 +17,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/memdb"
-	"repro/internal/prompt"
-	"repro/internal/qa"
 	"repro/internal/schema"
 	"repro/internal/simllm"
 	"repro/internal/spider"
@@ -165,8 +164,8 @@ func (r *Runner) GroundTruth(ctx context.Context, sql string) (*schema.Relation,
 // the stop-and-go policy (each operator drains its input and issues one
 // settled prompt wave, with latency summed across waves — the model
 // behind the paper's ~20 s/query note). Experiments reproducing the
-// paper's numbers run with these; AblationCache and PipelineComparison
-// measure the respective engine upgrades.
+// paper's numbers run with these; the paper artifact's cache ablation
+// and PipelineComparison measure the respective engine upgrades.
 func PaperOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.CacheEnabled = false
@@ -182,157 +181,4 @@ func (r *Runner) CellOptions() eval.CellOptions {
 		NumericTolerance: 0.05,
 		Canon:            clean.NewCanonicalizer(r.World.Aliases()),
 	}
-}
-
-// ----------------------------------------------------------------- Table 1
-
-// Table1Row is one model's cardinality result.
-type Table1Row struct {
-	Model       string
-	DiffPercent float64 // 1−f as % (paper: Flan −47.4 … GPT-3 +1.0)
-	Queries     int     // queries with non-empty ground truth
-}
-
-// Table1Paper holds the published numbers for side-by-side reporting.
-var Table1Paper = map[string]float64{"flan": -47.4, "tk": -43.7, "gpt3": 1.0, "chatgpt": -19.5}
-
-// Table1 regenerates the cardinality experiment for the given profiles.
-func (r *Runner) Table1(ctx context.Context, profiles []simllm.Profile, opts core.Options) ([]Table1Row, error) {
-	rows := make([]Table1Row, 0, len(profiles))
-	for _, p := range profiles {
-		rt, err := r.Runtime(r.Model(p), opts)
-		if err != nil {
-			return nil, err
-		}
-		scored, err := r.scoredPass(ctx, rt, spider.Queries(), p.ID)
-		if err != nil {
-			return nil, err
-		}
-		_, card, _ := summarize(scored)
-		queries := 0
-		for _, s := range scored {
-			if s.truth.Cardinality() > 0 {
-				queries++
-			}
-		}
-		rows = append(rows, Table1Row{Model: p.ID, DiffPercent: card, Queries: queries})
-	}
-	return rows, nil
-}
-
-// ----------------------------------------------------------------- Table 2
-
-// Table2Row is one method's per-class cell-match percentages.
-type Table2Row struct {
-	Method     string // "R_M", "T_M", "T_M^C"
-	All        float64
-	Selections float64
-	Aggregates float64
-	Joins      float64
-}
-
-// Table2Paper holds the published ChatGPT numbers.
-var Table2Paper = []Table2Row{
-	{Method: "R_M", All: 50, Selections: 80, Aggregates: 29, Joins: 0},
-	{Method: "T_M", All: 44, Selections: 71, Aggregates: 20, Joins: 8},
-	{Method: "T_M^C", All: 41, Selections: 71, Aggregates: 13, Joins: 0},
-}
-
-// Table2 regenerates the content experiment on one model.
-func (r *Runner) Table2(ctx context.Context, p simllm.Profile, opts core.Options) ([]Table2Row, error) {
-	model := r.Model(p)
-	rt, err := r.Runtime(model, opts)
-	if err != nil {
-		return nil, err
-	}
-	cellOpts := r.CellOptions()
-	builder := prompt.NewBuilder()
-	cleaner := clean.New(opts.Clean)
-
-	type acc struct{ all, sel, agg, join []float64 }
-	method := map[string]*acc{"R_M": {}, "T_M": {}, "T_M^C": {}}
-	record := func(name string, class spider.Class, pct float64) {
-		a := method[name]
-		a.all = append(a.all, pct)
-		switch class {
-		case spider.ClassSelection:
-			a.sel = append(a.sel, pct)
-		case spider.ClassAggregate:
-			a.agg = append(a.agg, pct)
-		case spider.ClassJoin:
-			a.join = append(a.join, pct)
-		}
-	}
-
-	// (a) Galois. The model answers each prompt as a pure function of
-	// its text, so the Galois pass may run ahead of the QA baselines.
-	queries := spider.Queries()
-	galois, err := r.scoredPass(ctx, rt, queries, "galois")
-	if err != nil {
-		return nil, err
-	}
-	for i, q := range queries {
-		truth := galois[i].truth
-		record("R_M", q.Class, galois[i].cell)
-
-		// (c) plain QA and (d) QA with chain of thought.
-		for _, m := range []struct {
-			name string
-			cot  bool
-		}{{"T_M", false}, {"T_M^C", true}} {
-			res, err := qa.Ask(ctx, model, builder, q.NL, truth.Schema, cleaner, m.cot)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s on query %d: %w", m.name, q.ID, err)
-			}
-			record(m.name, q.Class, eval.MatchContent(truth, res.Relation, cellOpts).Percent())
-		}
-	}
-
-	var out []Table2Row
-	for _, name := range []string{"R_M", "T_M", "T_M^C"} {
-		a := method[name]
-		out = append(out, Table2Row{
-			Method:     name,
-			All:        eval.Mean(a.all),
-			Selections: eval.Mean(a.sel),
-			Aggregates: eval.Mean(a.agg),
-			Joins:      eval.Mean(a.join),
-		})
-	}
-	return out, nil
-}
-
-// ----------------------------------------------------------- latency note
-
-// LatencyStats summarizes the prompt-count/latency observation in
-// Section 5 (~110 batched prompts, ~20 s per query on GPT-3).
-type LatencyStats struct {
-	Model           string
-	AvgPrompts      float64
-	AvgLatency      time.Duration
-	MaxPrompts      int
-	TotalPrompts    int
-	QueriesMeasured int
-}
-
-// Latency measures prompt counts and simulated latency across the corpus.
-func (r *Runner) Latency(ctx context.Context, p simllm.Profile, opts core.Options) (*LatencyStats, error) {
-	rt, err := r.Runtime(r.Model(p), opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := cleanPass(ctx, rt, corpusSQL(), "latency run")
-	if err != nil {
-		return nil, err
-	}
-	prompts, totalLatency := totals(outs)
-	stats := &LatencyStats{Model: p.ID, TotalPrompts: prompts, QueriesMeasured: len(outs)}
-	for _, o := range outs {
-		stats.MaxPrompts = max(stats.MaxPrompts, o.prompts)
-	}
-	if stats.QueriesMeasured > 0 {
-		stats.AvgPrompts = float64(stats.TotalPrompts) / float64(stats.QueriesMeasured)
-		stats.AvgLatency = totalLatency / time.Duration(stats.QueriesMeasured)
-	}
-	return stats, nil
 }

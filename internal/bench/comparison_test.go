@@ -1,15 +1,10 @@
 package bench
 
-import (
-	"context"
-	"testing"
-
-	"repro/internal/simllm"
-)
+import "testing"
 
 // TestArtifacts checks every row, acceptance and determinism included.
-// The per-artifact tests below run the same checks for one row each,
-// plus a one-line summary of its report.
+// The per-artifact tests below run the same checks for one row each, on
+// the same runs, plus a one-line summary of its report.
 
 // artifact returns the Artifacts row called name.
 func artifact(t *testing.T, name string) Artifact {
@@ -23,15 +18,12 @@ func artifact(t *testing.T, name string) Artifact {
 	return Artifact{}
 }
 
-// runArtifact runs the Artifacts row called name on ChatGPT in a fresh
-// runner and fails the test unless the report meets its acceptance
-// criteria.
+// runArtifact returns run 1 of the Artifacts row called name
+// (artifactRun) and fails the test unless the report meets its
+// acceptance criteria.
 func runArtifact(t *testing.T, name string) Report {
 	t.Helper()
-	rep, err := artifact(t, name).Run(context.Background(), runner(t), simllm.ChatGPT, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := artifactRun(t, artifact(t, name), 1)
 	if err := rep.CheckAcceptance(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +31,8 @@ func runArtifact(t *testing.T, name string) Report {
 }
 
 // checkDeterministic checks the Artifacts row called name as
-// TestArtifacts does: two runs in fresh runners, each byte-identical to
-// the committed file.
+// TestArtifacts does, on the same two runs: each in a fresh runner, each
+// byte-identical to the committed file.
 func checkDeterministic(t *testing.T, name string) {
 	t.Helper()
 	checkArtifact(t, artifact(t, name))

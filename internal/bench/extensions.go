@@ -19,53 +19,48 @@ import (
 
 // PortabilityCell is one pair of models' average mutual result overlap.
 type PortabilityCell struct {
-	ModelA, ModelB string
-	Overlap        float64 // avg symmetric cell overlap % across the corpus
+	ModelA  string  `json:"model_a"`
+	ModelB  string  `json:"model_b"`
+	Overlap float64 `json:"overlap_pct"` // avg symmetric cell overlap % across the corpus
 }
 
-// Portability runs the corpus on every pair of models and measures how
-// much their results agree — Section 6: "the same prompt does not give
-// equivalent results across LLMs". Overlap of a pair is the mean of
-// matching A's result against B's and vice versa.
-func (r *Runner) Portability(ctx context.Context, profiles []simllm.Profile, opts core.Options) ([]PortabilityCell, error) {
-	results := map[string][]queryOutcome{}
-	for _, p := range profiles {
-		rt, err := r.Runtime(r.Model(p), opts)
-		if err != nil {
-			return nil, err
-		}
-		if results[p.ID], err = cleanPass(ctx, rt, corpusSQL(), "portability "+p.ID); err != nil {
-			return nil, err
-		}
-	}
+// portability measures how much every pair of models' corpus passes
+// agree — Section 6: "the same prompt does not give equivalent results
+// across LLMs". Overlap of a pair is the mean of matching A's result
+// against B's and vice versa.
+func (r *Runner) portability(passes map[string][]scoredOutcome) []PortabilityCell {
+	profiles := simllm.AllProfiles()
 	cellOpts := r.CellOptions()
 	var out []PortabilityCell
 	for i := 0; i < len(profiles); i++ {
 		for j := i + 1; j < len(profiles); j++ {
 			a, b := profiles[i].ID, profiles[j].ID
 			var overlaps []float64
-			for k := range results[a] {
-				ab := eval.MatchContent(results[a][k].relation, results[b][k].relation, cellOpts).Percent()
-				ba := eval.MatchContent(results[b][k].relation, results[a][k].relation, cellOpts).Percent()
+			for k := range passes[a] {
+				ab := eval.MatchContent(passes[a][k].relation, passes[b][k].relation, cellOpts).Percent()
+				ba := eval.MatchContent(passes[b][k].relation, passes[a][k].relation, cellOpts).Percent()
 				overlaps = append(overlaps, (ab+ba)/2)
 			}
 			out = append(out, PortabilityCell{ModelA: a, ModelB: b, Overlap: eval.Mean(overlaps)})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SchemaFreedomResult compares two SQL formulations of the same
 // information need: Q1 joins two LLM relations, Q2 asks one denormalized
 // relation with a derived attribute (the Section 6 schema-less example).
 type SchemaFreedomResult struct {
-	Q1Rows, Q2Rows int
+	Model  string `json:"model"`
+	Q1Rows int    `json:"q1_rows"`
+	Q2Rows int    `json:"q2_rows"`
 	// MutualOverlap is the symmetric cell overlap % between the two
 	// results (100 = the equivalence property holds).
-	MutualOverlap float64
+	MutualOverlap float64 `json:"mutual_overlap_pct"`
 	// Q1Truth and Q2Truth score each formulation against the ground
 	// truth.
-	Q1Truth, Q2Truth float64
+	Q1Truth float64 `json:"q1_truth_pct"`
+	Q2Truth float64 `json:"q2_truth_pct"`
 }
 
 const (
@@ -73,19 +68,20 @@ const (
 	schemaFreeQ2 = `SELECT name, mayor_birth_date FROM city`
 )
 
-// SchemaFreedom executes both formulations on one model and measures how
+// schemaFreedom executes both formulations on one model and measures how
 // close they come to the equivalence a DBMS would guarantee.
-func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.Options) (*SchemaFreedomResult, error) {
+func (r *Runner) schemaFreedom(ctx context.Context, p simllm.Profile) (SchemaFreedomResult, error) {
 	model := r.Model(p)
+	opts := PaperOptions()
 
 	// Q1: the explicit join over the declared schema.
 	rt1, err := r.Runtime(model, opts)
 	if err != nil {
-		return nil, err
+		return SchemaFreedomResult{}, err
 	}
 	scored, err := r.scoredPass(ctx, rt1, []spider.Query{{SQL: schemaFreeQ1}}, "schema-free Q1")
 	if err != nil {
-		return nil, err
+		return SchemaFreedomResult{}, err
 	}
 	q1, truth := scored[0].relation, scored[0].truth
 
@@ -101,17 +97,18 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 		),
 	}
 	if err := rt2.BindLLMTable(flatCity); err != nil {
-		return nil, err
+		return SchemaFreedomResult{}, err
 	}
 	q2, _, err := rt2.NewSession().Query(ctx, schemaFreeQ2)
 	if err != nil {
-		return nil, fmt.Errorf("bench: schema-free Q2: %w", err)
+		return SchemaFreedomResult{}, fmt.Errorf("bench: schema-free Q2: %w", err)
 	}
 
 	cellOpts := r.CellOptions()
 	ab := eval.MatchContent(q1, q2, cellOpts).Percent()
 	ba := eval.MatchContent(q2, q1, cellOpts).Percent()
-	return &SchemaFreedomResult{
+	return SchemaFreedomResult{
+		Model:         p.ID,
 		Q1Rows:        q1.Cardinality(),
 		Q2Rows:        q2.Cardinality(),
 		MutualOverlap: (ab + ba) / 2,
@@ -120,11 +117,11 @@ func (r *Runner) SchemaFreedom(ctx context.Context, p simllm.Profile, opts core.
 	}, nil
 }
 
-// AblationVerification measures the effect of double-checking every
+// ablationVerification measures the effect of double-checking every
 // fetched value with a second model (Section 6, "Knowledge of the
 // Unknown": "verification is easier than generation"). It reports the
-// corpus with and without a GPT-3 verifier over the primary model.
-func (r *Runner) AblationVerification(ctx context.Context, primary, verifier simllm.Profile) ([]AblationRow, error) {
+// corpus with and without the verifier over the primary model.
+func (r *Runner) ablationVerification(ctx context.Context, primary, verifier simllm.Profile) (Ablation, error) {
 	return r.ablation(ctx, primary, spider.Queries(),
 		ablationArm{"unverified", PaperOptions(), nil},
 		ablationArm{"verified-by-" + verifier.ID, PaperOptions(), &verifier})

@@ -30,6 +30,9 @@ type scriptedLLM struct {
 	failOn  string
 	mu      sync.Mutex
 	prompts []string
+	// held holds the answer to a prompt containing a key until the key's
+	// channel is closed.
+	held map[string]chan struct{}
 }
 
 func (s *scriptedLLM) Name() string { return "scripted" }
@@ -42,6 +45,15 @@ func (s *scriptedLLM) Complete(ctx context.Context, p string) (string, error) {
 	if s.failOn != "" && strings.Contains(p, s.failOn) {
 		return "", errors.New("scripted failure")
 	}
+	for key, release := range s.held {
+		if strings.Contains(p, key) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+		}
+	}
 	for _, r := range s.rules {
 		if strings.Contains(p, r.contains) {
 			return r.answer, nil
@@ -53,6 +65,17 @@ func (s *scriptedLLM) Complete(ctx context.Context, p string) (string, error) {
 func (s *scriptedLLM) on(contains, answer string) *scriptedLLM {
 	s.rules = append(s.rules, struct{ contains, answer string }{contains, answer})
 	return s
+}
+
+// hold holds the answer to every prompt containing key until the
+// returned channel is closed. Set it up before the client's first call.
+func (s *scriptedLLM) hold(key string) chan<- struct{} {
+	if s.held == nil {
+		s.held = map[string]chan struct{}{}
+	}
+	ch := make(chan struct{})
+	s.held[key] = ch
+	return ch
 }
 
 // testTenant opens a query tenant on its own scheduler running workers

@@ -614,13 +614,20 @@ func TestFoldedAccounting(t *testing.T) {
 			}
 			before := cache.Stats()
 
-			pctx := pipelinedCtx(context.Background(), world(), 8, 2)
+			// Gamma's verdict and population are held until the filter's
+			// and the fetch's producers pull the row after Gamma, so each
+			// is still pending when its operator checks it inline.
+			client := world()
+			pctx := pipelinedCtx(context.Background(), client, 8, 2)
 			pctx.Scheduler = sched.Tenant(context.Background(), tc.name)
 			if tc.stopAndGo {
 				pctx.Scheduler.SetWaves(2)
 			}
 			pctx.Metrics = NewMetrics()
-			fetch := filterFetch(t, &llmKeyScanOp{scan: scan, out: scan.Schema()}, scan)
+			keys := &releaseAt{Operator: &llmKeyScanOp{scan: scan, out: scan.Schema()}, at: 4, release: client.hold("Has town Gamma")}
+			fetch := filterFetch(t, keys, scan)
+			filter := fetch.input.(*llmFilterOp)
+			fetch.input = &releaseAt{Operator: filter, at: 4, release: client.hold("population of the town Gamma")}
 			var root Operator = fetch
 			if tc.limit >= 0 {
 				root = &limitOp{input: fetch, n: tc.limit}
@@ -629,7 +636,6 @@ func TestFoldedAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			pctx.Scheduler.Quiesce()
-			filter := fetch.input.(*llmFilterOp)
 			if h := filter.x.pipe.started() && fetch.x.pipe.started(); h != tc.handoff {
 				t.Errorf("filter and fetch started producers: %v, want %v", h, tc.handoff)
 			}
@@ -651,6 +657,22 @@ func TestFoldedAccounting(t *testing.T) {
 			}
 		})
 	}
+}
+
+// releaseAt hands on its input's rows and closes release on the at-th
+// Next: under an inline consumer that has started its producer at row
+// at-1, only that producer pulls row at.
+type releaseAt struct {
+	Operator
+	at, calls int
+	release   chan<- struct{}
+}
+
+func (r *releaseAt) Next() (schema.Tuple, llm.VTime, error) {
+	if r.calls++; r.calls == r.at {
+		close(r.release)
+	}
+	return r.Operator.Next()
 }
 
 // laterOp hands on its input's rows as available at vt, as rows derived

@@ -1,6 +1,6 @@
 // Package simllm implements the simulated large language models that stand
 // in for the paper's Flan-T5, Tk-Instruct, InstructGPT-3 and ChatGPT (the
-// substitution recorded in DESIGN.md). A Model speaks only text: it parses
+// substitution README describes). A Model speaks only text: it parses
 // incoming prompts the way the wording was designed to be understood,
 // consults the synthetic world's facts, and answers with deterministic,
 // profile-specific noise reproducing the failure modes the paper reports —
