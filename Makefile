@@ -94,33 +94,17 @@ benchmark-smoke:
 serve:
 	$(GO) run ./cmd/galois-serve
 
-# Short fuzz smoke of the SQL parser, a built plan's canonical form, the
-# optimizer's purity (it never changes the plan it rewrites), predicate
-# pushdown's equivalence (memdb returns the same rows with it on and
-# off), the simulated model's prompt parser, the galois.yaml decoder, the
-# model-answer number decoder, the token counter, the prompt template's
-# token count, the durable store's segment replay and MANIFEST reader,
-# the persisted result-cache entry decoder, internal/serve's /query
-# parameter decoders, the result cache's conjunct index (against a
-# linear scan) and the desugaring of IN and BETWEEN (each against its
-# expansion into comparisons). CI's fuzz job runs `make fuzz`, so a new
-# target is one line here.
+# Runs every fuzz target of every package (go test -list '^Fuzz') for
+# 30 s each, one at a time, and stops at the first crasher. CI's fuzz
+# job runs `make fuzz`, so a new target needs no edit here.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/sql/parser
-	$(GO) test -run '^$$' -fuzz FuzzCanonical -fuzztime 30s ./internal/logical
-	$(GO) test -run '^$$' -fuzz FuzzOptimizePure -fuzztime 30s ./internal/optimizer
-	$(GO) test -run '^$$' -fuzz FuzzPushdownEquivalent -fuzztime 30s ./internal/memdb
-	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 30s ./internal/simllm
-	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 30s ./internal/config
-	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
-	$(GO) test -run '^$$' -fuzz FuzzCountTokens -fuzztime 30s ./internal/llm
-	$(GO) test -run '^$$' -fuzz FuzzTemplateTokens -fuzztime 30s ./internal/llm
-	$(GO) test -run '^$$' -fuzz FuzzStoreSegment -fuzztime 30s ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime 30s ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 30s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 30s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzSubsumptionIndex -fuzztime 30s ./internal/rescache
-	$(GO) test -run '^$$' -fuzz FuzzExprDesugar -fuzztime 30s ./internal/expr
+	@for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for t in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "$(GO) test -run '^$$' -fuzz '^$$t$$' -fuzztime 30s $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$${t}\$$" -fuzztime 30s $$pkg || exit 1; \
+		done; \
+	done
 
 # Per-package coverage summary.
 cover:

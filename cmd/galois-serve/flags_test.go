@@ -17,8 +17,8 @@ import (
 // options and store configuration written out below.
 func TestParseFlags(t *testing.T) {
 	defaults := core.Options{
-		Optimizer:          optimizer.Options{PushdownPredicates: true, UseLLMFilter: true, CostBased: true},
-		Clean:              clean.Options{NormalizeNumbers: true, EnforceTypes: true},
+		Optimizer:          optimizer.Options{PushdownPredicates: true, CostBased: true},
+		Clean:              clean.Options{Normalize: true},
 		MaxScanIterations:  12,
 		BatchWorkers:       8,
 		Pipelined:          true,
@@ -26,7 +26,6 @@ func TestParseFlags(t *testing.T) {
 		CacheSize:          4096,
 		ResultCacheEnabled: true,
 		ResultCacheSize:    256,
-		DefaultSource:      "LLM",
 	}
 	small := defaults
 	small.CacheSize = 128

@@ -26,11 +26,14 @@ type AblationRow struct {
 }
 
 // ablationArm is one engine configuration of an ablation; a non-nil
-// verifier turns on Section 6 verification by that model.
+// verifier turns on Section 6 verification by that model. An arm with a
+// pass is that configuration already run over the ablation's queries,
+// and is summarized instead of run again.
 type ablationArm struct {
 	label    string
 	opts     core.Options
 	verifier *simllm.Profile
+	pass     []scoredOutcome
 }
 
 // ablation runs queries under each configuration on a fresh runtime and
@@ -38,13 +41,15 @@ type ablationArm struct {
 func (r *Runner) ablation(ctx context.Context, p simllm.Profile, queries []spider.Query, arms ...ablationArm) (Ablation, error) {
 	out := Ablation{Model: p.ID}
 	for _, a := range arms {
-		rt, err := r.verifiedRuntime(p, a.verifier, a.opts)
-		if err != nil {
-			return Ablation{}, err
-		}
-		scored, err := r.scoredPass(ctx, rt, queries, a.label)
-		if err != nil {
-			return Ablation{}, err
+		scored := a.pass
+		if scored == nil {
+			rt, err := r.verifiedRuntime(p, a.verifier, a.opts)
+			if err != nil {
+				return Ablation{}, err
+			}
+			if scored, err = r.scoredPass(ctx, rt, queries, a.label); err != nil {
+				return Ablation{}, err
+			}
 		}
 		cell, card, prompts := summarize(scored)
 		out.Arms = append(out.Arms, AblationRow{Config: a.label, CellMatch: cell, CardDiff: card, AvgPrompts: prompts, Queries: len(queries)})
@@ -60,19 +65,20 @@ func (r *Runner) ablationPushdown(ctx context.Context, p simllm.Profile) (Ablati
 	merged := PaperOptions()
 	merged.Optimizer.PromptPushdown = true
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassSelection),
-		ablationArm{"staged-prompts", PaperOptions(), nil},
-		ablationArm{"prompt-pushdown", merged, nil})
+		ablationArm{label: "staged-prompts", opts: PaperOptions()},
+		ablationArm{label: "prompt-pushdown", opts: merged})
 }
 
 // ablationCleaning compares the full cleaner against one with numeric
 // normalization and type enforcement disabled (Section 4: "a simple but
 // crucial step to limit the incorrect output due to model hallucinations").
-func (r *Runner) ablationCleaning(ctx context.Context, p simllm.Profile) (Ablation, error) {
+// paper is p's corpus pass under PaperOptions: the cleaning-on arm.
+func (r *Runner) ablationCleaning(ctx context.Context, p simllm.Profile, paper []scoredOutcome) (Ablation, error) {
 	withoutClean := PaperOptions()
-	withoutClean.Clean = clean.Options{NormalizeNumbers: false, EnforceTypes: false}
+	withoutClean.Clean = clean.Options{}
 	return r.ablation(ctx, p, spider.Queries(),
-		ablationArm{"cleaning-on", PaperOptions(), nil},
-		ablationArm{"cleaning-off", withoutClean, nil})
+		ablationArm{label: "cleaning-on", pass: paper},
+		ablationArm{label: "cleaning-off", opts: withoutClean})
 }
 
 // ablationJoinFormats shows that canonicalizing entity surface forms
@@ -81,8 +87,8 @@ func (r *Runner) ablationJoinFormats(ctx context.Context, p simllm.Profile) (Abl
 	canon := PaperOptions()
 	canon.Clean.Canonicalizer = clean.NewCanonicalizer(r.World.Aliases())
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassJoin),
-		ablationArm{"raw-surface-forms", PaperOptions(), nil},
-		ablationArm{"canonicalized", canon, nil})
+		ablationArm{label: "raw-surface-forms", opts: PaperOptions()},
+		ablationArm{label: "canonicalized", opts: canon})
 }
 
 // moreResultsSweep is the more-results ablation's iteration budgets.
@@ -96,7 +102,7 @@ func (r *Runner) ablationMoreResults(ctx context.Context, p simllm.Profile) (Abl
 	for _, n := range moreResultsSweep {
 		opts := PaperOptions()
 		opts.MaxScanIterations = n
-		arms = append(arms, ablationArm{fmt.Sprintf("max-iterations=%d", n), opts, nil})
+		arms = append(arms, ablationArm{label: fmt.Sprintf("max-iterations=%d", n), opts: opts})
 	}
 	return r.ablation(ctx, p, spider.ByClass(spider.ClassOther), arms...)
 }
@@ -112,6 +118,6 @@ func (r *Runner) ablationCache(ctx context.Context, p simllm.Profile) (Ablation,
 	off := core.DefaultOptions()
 	off.CacheEnabled = false
 	return r.ablation(ctx, p, spider.Queries(),
-		ablationArm{"cache-off", off, nil},
-		ablationArm{"cache-on", core.DefaultOptions(), nil})
+		ablationArm{label: "cache-off", opts: off},
+		ablationArm{label: "cache-on", opts: core.DefaultOptions()})
 }

@@ -113,14 +113,7 @@ func (r *Runner) RuntimeFromConfig(cfg *config.Config, opts core.Options) (*core
 		}
 		m := simllm.New(profile, r.World, seed)
 		m.RegisterQuestions(spider.QuestionBank())
-		defs = append(defs, core.BackendDef{
-			Name:        b.Name,
-			Client:      m,
-			Workers:     b.Workers,
-			CostWeight:  b.Cost,
-			SpeedFactor: b.Speed,
-			Fallback:    b.Fallback,
-		})
+		defs = append(defs, b.Spec(m))
 	}
 	rt, err := core.NewRuntimeWithBackends(defs, cfg.Default, cfg.Routes, opts)
 	if err != nil {

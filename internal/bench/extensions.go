@@ -120,9 +120,10 @@ func (r *Runner) schemaFreedom(ctx context.Context, p simllm.Profile) (SchemaFre
 // ablationVerification measures the effect of double-checking every
 // fetched value with a second model (Section 6, "Knowledge of the
 // Unknown": "verification is easier than generation"). It reports the
-// corpus with and without the verifier over the primary model.
-func (r *Runner) ablationVerification(ctx context.Context, primary, verifier simllm.Profile) (Ablation, error) {
+// corpus with and without the verifier over the primary model. paper is
+// the primary's corpus pass under PaperOptions: the unverified arm.
+func (r *Runner) ablationVerification(ctx context.Context, primary, verifier simllm.Profile, paper []scoredOutcome) (Ablation, error) {
 	return r.ablation(ctx, primary, spider.Queries(),
-		ablationArm{"unverified", PaperOptions(), nil},
-		ablationArm{"verified-by-" + verifier.ID, PaperOptions(), &verifier})
+		ablationArm{label: "unverified", pass: paper},
+		ablationArm{label: "verified-by-" + verifier.ID, opts: PaperOptions(), verifier: &verifier})
 }

@@ -56,7 +56,8 @@ func paperCell(paper, measured float64) PaperCell {
 // model of Table 2 and the ablations.
 func (r *Runner) paper(ctx context.Context, p simllm.Profile) (*PaperReport, error) {
 	// One scored corpus pass per profile serves Table 1, Table 2's R_M,
-	// the latency note and portability.
+	// the latency note, portability, and on p the cleaning-on and
+	// unverified arms.
 	passes := map[string][]scoredOutcome{}
 	for _, prof := range simllm.AllProfiles() {
 		rt, err := r.Runtime(r.Model(prof), PaperOptions())
@@ -74,14 +75,15 @@ func (r *Runner) paper(ctx context.Context, p simllm.Profile) (*PaperReport, err
 		Portability:   r.portability(passes),
 		SchemaFreedom: make([]SchemaFreedomResult, 2),
 	}
+	paper := passes[p.ID]
 	for _, step := range []func() error{
-		func() (err error) { rep.Table2, err = r.table2(ctx, p, passes[p.ID]); return err },
+		func() (err error) { rep.Table2, err = r.table2(ctx, p, paper); return err },
 		func() (err error) { rep.Pushdown, err = r.ablationPushdown(ctx, p); return err },
-		func() (err error) { rep.Cleaning, err = r.ablationCleaning(ctx, p); return err },
+		func() (err error) { rep.Cleaning, err = r.ablationCleaning(ctx, p, paper); return err },
 		func() (err error) { rep.Joins, err = r.ablationJoinFormats(ctx, p); return err },
 		func() (err error) { rep.MoreResults, err = r.ablationMoreResults(ctx, simllm.GPT3); return err },
 		func() (err error) { rep.Cache, err = r.ablationCache(ctx, p); return err },
-		func() (err error) { rep.Verify, err = r.ablationVerification(ctx, p, simllm.GPT3); return err },
+		func() (err error) { rep.Verify, err = r.ablationVerification(ctx, p, simllm.GPT3, paper); return err },
 		func() (err error) { rep.SchemaFreedom[0], err = r.schemaFreedom(ctx, simllm.GPT3); return err },
 		func() (err error) { rep.SchemaFreedom[1], err = r.schemaFreedom(ctx, p); return err },
 	} {

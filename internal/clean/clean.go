@@ -24,12 +24,11 @@ import (
 
 // Options select which normalizations a Cleaner applies.
 type Options struct {
-	// NormalizeNumbers converts "1k" / "3.5 million" / "$1,200" style
-	// strings into plain numbers before typing.
-	NormalizeNumbers bool
-	// EnforceTypes rejects values that cannot be parsed as the expected
-	// column type, turning them into NULL instead of polluting results.
-	EnforceTypes bool
+	// Normalize converts "1k" / "3.5 million" / "$1,200" style strings
+	// into plain numbers before typing, and enforces types: a value that
+	// cannot be parsed as the expected column type becomes NULL instead
+	// of polluting results. Off, unparseable values pass through as TEXT.
+	Normalize bool
 	// Canonicalizer, when non-nil, rewrites known surface-form aliases to
 	// a canonical spelling before string values are stored (e.g. alpha-2
 	// country codes to alpha-3).
@@ -39,7 +38,7 @@ type Options struct {
 // DefaultOptions is the paper-faithful configuration (numbers normalized,
 // types enforced, no code canonicalization).
 func DefaultOptions() Options {
-	return Options{NormalizeNumbers: true, EnforceTypes: true}
+	return Options{Normalize: true}
 }
 
 // Cleaner applies the configured normalizations.
@@ -55,8 +54,8 @@ func New(opts Options) *Cleaner { return &Cleaner{opts: opts} }
 func (c *Cleaner) Options() Options { return c.opts }
 
 // Cell converts one raw LLM answer into a typed value for a column of the
-// given kind. With type enforcement off, unparseable strings pass through
-// as TEXT; with it on they become NULL.
+// given kind. With Normalize on, unparseable strings become NULL; off,
+// they pass through as TEXT.
 func (c *Cleaner) Cell(raw string, kind value.Kind) value.Value {
 	s := Strip(raw)
 	if s == "" || isUnknown(s) {
@@ -67,7 +66,7 @@ func (c *Cleaner) Cell(raw string, kind value.Kind) value.Value {
 	}
 	switch kind {
 	case value.KindInt, value.KindFloat:
-		if c.opts.NormalizeNumbers {
+		if c.opts.Normalize {
 			if f, ok := ParseNumber(s); ok {
 				if kind == value.KindInt {
 					return value.Int(int64(math.Round(f)))
@@ -88,7 +87,7 @@ func (c *Cleaner) Cell(raw string, kind value.Kind) value.Value {
 	case value.KindString:
 		return value.Text(s)
 	}
-	if c.opts.EnforceTypes {
+	if c.opts.Normalize {
 		return value.Null()
 	}
 	return value.Text(s)

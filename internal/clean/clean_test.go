@@ -182,8 +182,8 @@ func TestCellTyped(t *testing.T) {
 	if v := c.Cell("not a number", value.KindInt); !v.IsNull() {
 		t.Errorf("enforced garbage = %v", v)
 	}
-	// Without enforcement, garbage passes through as text.
-	loose := New(Options{NormalizeNumbers: true, EnforceTypes: false})
+	// Without normalization, garbage passes through as text.
+	loose := New(Options{})
 	if v := loose.Cell("not a number", value.KindInt); v.Kind() != value.KindString {
 		t.Errorf("unenforced garbage = %v (%v)", v, v.Kind())
 	}
@@ -191,7 +191,7 @@ func TestCellTyped(t *testing.T) {
 
 func TestCellCanonicalizer(t *testing.T) {
 	canon := NewCanonicalizer(map[string]string{"IT": "ITA", "usa": "United States", "U.S.": "United States"})
-	c := New(Options{NormalizeNumbers: true, EnforceTypes: true, Canonicalizer: canon})
+	c := New(Options{Normalize: true, Canonicalizer: canon})
 	if v := c.Cell("IT", value.KindString); v.AsString() != "ITA" {
 		t.Errorf("canonicalized cell = %v", v)
 	}

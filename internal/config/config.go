@@ -26,9 +26,9 @@
 // subset is a load error, not silently ignored.
 //
 // A backend's workers key is its per-endpoint worker budget (default: the
-// engine's -workers). It bounds both how many of the backend's prompts
-// run at once and the planner's latency estimate for them under the
-// streaming policy.
+// engine's -workers). It bounds how many of the backend's prompts run at
+// once, under the streaming policy and within a stop-and-go wave alike,
+// and the planner's latency estimate for them.
 package config
 
 import (
@@ -60,6 +60,11 @@ type Backend struct {
 	Speed float64
 	// Fallback names the backends calls fail over to, in order.
 	Fallback []string
+}
+
+// Spec is the registry's declaration of the backend, served by client.
+func (b Backend) Spec(client llm.Client) llm.BackendSpec {
+	return llm.BackendSpec{Name: b.Name, Client: client, Workers: b.Workers, CostWeight: b.Cost, SpeedFactor: b.Speed, Fallback: b.Fallback}
 }
 
 // Config is one parsed routing declaration.
@@ -187,6 +192,13 @@ func Parse(src string) (*Config, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	specs := make([]llm.BackendSpec, len(cfg.Backends))
+	for i, b := range cfg.Backends {
+		specs[i] = b.Spec(nil)
+	}
+	if err := llm.CheckDeclaration(specs, cfg.Default, cfg.Routes); err != nil {
+		return nil, err
+	}
 	return cfg, nil
 }
 
@@ -239,44 +251,16 @@ func (p *parser) setBackendField(b *Backend, key, val string) error {
 	return nil
 }
 
-// validate cross-checks the parsed declaration: unique non-empty names,
-// models present, declared default/fallbacks/route targets, valid roles.
+// validate checks the file format's own rules: at least one backend,
+// and a model per backend. The declaration's consistency is the
+// registry's to check (llm.CheckDeclaration).
 func (cfg *Config) validate() error {
 	if len(cfg.Backends) == 0 {
 		return fmt.Errorf("no backends declared")
 	}
-	names := map[string]bool{}
 	for _, b := range cfg.Backends {
-		if b.Name == "" {
-			return fmt.Errorf("backend with no name")
-		}
-		if names[b.Name] {
-			return fmt.Errorf("backend %q declared twice", b.Name)
-		}
-		names[b.Name] = true
 		if b.Model == "" {
 			return fmt.Errorf("backend %q: no model", b.Name)
-		}
-	}
-	for _, b := range cfg.Backends {
-		for _, fb := range b.Fallback {
-			if fb == b.Name {
-				return fmt.Errorf("backend %q lists itself as fallback", b.Name)
-			}
-			if !names[fb] {
-				return fmt.Errorf("backend %q fallback %q not declared", b.Name, fb)
-			}
-		}
-	}
-	if cfg.Default != "" && !names[cfg.Default] {
-		return fmt.Errorf("default backend %q not declared", cfg.Default)
-	}
-	for roleName, target := range cfg.Routes {
-		if _, err := llm.ParseRole(roleName); err != nil {
-			return fmt.Errorf("route: %v", err)
-		}
-		if !names[target] {
-			return fmt.Errorf("route %s -> %q: backend not declared", roleName, target)
 		}
 	}
 	return nil

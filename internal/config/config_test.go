@@ -72,8 +72,8 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"empty", "", "no backends"},
 		{"no model", "backends:\n  - name: a\n", "no model"},
-		{"no name", "backends:\n  - model: chatgpt\n", "no name"},
-		{"dup name", "backends:\n  - name: a\n    model: m\n  - name: a\n    model: m\n", "twice"},
+		{"no name", "backends:\n  - model: chatgpt\n", "empty name"},
+		{"dup name", "backends:\n  - name: a\n    model: m\n  - name: a\n    model: m\n", "duplicate backend"},
 		{"bad default", "default: ghost\nbackends:\n  - name: a\n    model: m\n", "ghost"},
 		{"self fallback", "backends:\n  - name: a\n    model: m\n    fallback: [a]\n", "itself"},
 		{"unknown fallback", "backends:\n  - name: a\n    model: m\n    fallback: [b]\n", "not declared"},
@@ -198,8 +198,7 @@ func FuzzConfigParse(f *testing.F) {
 			// accepts too: the two validators of one declaration agree.
 			specs := make([]llm.BackendSpec, len(cfg.Backends))
 			for i, b := range cfg.Backends {
-				specs[i] = llm.BackendSpec{Name: b.Name, Client: stubClient(b.Model), Workers: b.Workers,
-					CostWeight: b.Cost, SpeedFactor: b.Speed, Fallback: b.Fallback}
+				specs[i] = b.Spec(stubClient(b.Model))
 			}
 			if _, err := llm.NewRegistry(specs, cfg.Default, cfg.Routes, nil); err != nil {
 				t.Errorf("Parse accepted a declaration NewRegistry rejects: %v", err)

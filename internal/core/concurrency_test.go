@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/llm"
-	"repro/internal/memdb"
 	"repro/internal/simllm"
 	"repro/internal/world"
 )
@@ -230,36 +229,6 @@ func TestCancelledQueryDoesNotPerturbConcurrent(t *testing.T) {
 	}
 	if rel.Cardinality() == 0 || rep.Stats.Prompts == 0 {
 		t.Errorf("post-cancellation query returned %d rows / %d prompts", rel.Cardinality(), rep.Stats.Prompts)
-	}
-}
-
-// TestSessionDefaultSourceOverride: DefaultSource is session-tier — a
-// session overriding it resolves unqualified ambiguous tables its own
-// way without touching the runtime default or other sessions.
-func TestSessionDefaultSourceOverride(t *testing.T) {
-	w := world.Build()
-	rt := runtimeOver(t, simllm.New(simllm.ChatGPT, w, 1), DefaultOptions(), w)
-	db := memdb.New()
-	if err := db.LoadRelation(w.Table("country").Def, w.Relation("country")); err != nil {
-		t.Fatal(err)
-	}
-	rt.AttachDB(db)
-
-	llmSess := rt.NewSession()
-	dbSess := rt.NewSession()
-	opts := rt.Options()
-	opts.DefaultSource = "DB"
-	dbSess.SetOptions(opts)
-
-	if _, source, err := llmSess.ResolveTable("country", ""); err != nil || source != "LLM" {
-		t.Errorf("default session resolved country to %q, %v; want LLM", source, err)
-	}
-	if _, source, err := dbSess.ResolveTable("country", ""); err != nil || source != "DB" {
-		t.Errorf("overridden session resolved country to %q, %v; want DB", source, err)
-	}
-	// The runtime default is untouched.
-	if _, source, err := rt.ResolveTable("country", ""); err != nil || source != "LLM" {
-		t.Errorf("runtime resolved country to %q, %v; want LLM", source, err)
 	}
 }
 

@@ -143,9 +143,6 @@ type Options struct {
 	// rotation of a weight-1 one. Values below 1 (including the zero
 	// default) mean weight 1.
 	AdmissionWeight int
-	// DefaultSource decides where unqualified tables live when both an
-	// LLM binding and a DB table exist: "LLM" (default) or "DB".
-	DefaultSource string
 	// Routes overrides, per session, which named backend each prompt
 	// role ("keyscan", "fetch", "filter", "verify") resolves to. Overrides
 	// win over table pins and the runtime's role routes; names must be
@@ -170,9 +167,6 @@ func (o *Options) normalize() {
 	if o.BatchWorkers <= 0 {
 		o.BatchWorkers = llm.DefaultBatchWorkers
 	}
-	if o.DefaultSource == "" {
-		o.DefaultSource = "LLM"
-	}
 }
 
 // wave is the execution policy as llm.Scheduler.Width reads it, for the
@@ -192,7 +186,6 @@ func DefaultOptions() Options {
 		Clean:             clean.DefaultOptions(),
 		MaxScanIterations: 12,
 		BatchWorkers:      llm.DefaultBatchWorkers,
-		DefaultSource:     "LLM",
 		Pipelined:         true,
 		CacheEnabled:      true,
 		CacheSize:         llm.DefaultCacheSize,

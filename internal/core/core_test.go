@@ -73,19 +73,6 @@ func TestResolvePrecedence(t *testing.T) {
 	if _, _, err := e.ResolveTable("nothing", ""); err == nil {
 		t.Error("unknown table must fail")
 	}
-
-	// DefaultSource flips the tie-break.
-	opts := DefaultOptions()
-	opts.DefaultSource = "DB"
-	rt := NewRuntime(nil, opts)
-	rt.AttachDB(mustDB(t))
-	if err := rt.BindLLMTable(world.Build().Table("country").Def); err != nil {
-		t.Fatal(err)
-	}
-	_, source, err = rt.NewSession().ResolveTable("country", "")
-	if err != nil || source != "DB" {
-		t.Errorf("DefaultSource=DB tie-break = %q, %v", source, err)
-	}
 }
 
 func mustDB(t *testing.T) *memdb.DB {
@@ -429,7 +416,6 @@ func TestExplainResidualTieKeepsFreshPlan(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ResultCacheEnabled = true
 	opts.Optimizer.CostBased = false
-	opts.DefaultSource = "DB"
 	rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)
 	db := memdb.New()
 	if err := db.LoadRelation(w.Table("country").Def, w.Relation("country")); err != nil {

@@ -16,7 +16,9 @@ import (
 
 // TestPlanningLeavesBuiltPlan pins that plan nodes are values: planning
 // a built plan — the fixed heuristics, the cost-based enumeration with
-// and without prompt pushdown, a pinned join swap — leaves its rendering
+// and without prompt pushdown, and the enumeration under the stop-and-go
+// policy, where join input order moves the wave sum and a swapped join
+// wins (swap) — leaves its rendering
 // byte-identical, chooses the plan a freshly built copy gets, and uses
 // every node of the chosen plan once. The statements are the corpus and
 // the differential generator's queries, ad-hoc templates and
@@ -36,7 +38,7 @@ func TestPlanningLeavesBuiltPlan(t *testing.T) {
 	pushdown := core.ServeOptions()
 	pushdown.Optimizer.PromptPushdown = true
 	swap := bench.PaperOptions()
-	swap.Optimizer.SwapJoins = map[int]bool{0: true}
+	swap.Optimizer.CostBased = true
 	r, err := bench.NewRunner(1)
 	if err != nil {
 		t.Fatal(err)

@@ -39,12 +39,12 @@ type resolution struct {
 }
 
 // valid reports whether every table resolution the entry's build made
-// still resolves to the same definition and source through s: a bind
-// that shadows a DB table, a rebind under a new definition, or a session
-// with another DefaultSource all invalidate it for that lookup.
-func (e *memoEntry) valid(s *Session) bool {
+// still resolves to the same definition and source through rt: a bind
+// that shadows a DB table or a rebind under a new definition
+// invalidates it for that lookup.
+func (e *memoEntry) valid(rt *Runtime) bool {
 	for _, r := range e.res {
-		def, source, err := s.ResolveTable(r.name, r.explicit)
+		def, source, err := rt.ResolveTable(r.name, r.explicit)
 		if err != nil || def != r.def || source != r.source {
 			return false
 		}
@@ -52,15 +52,15 @@ func (e *memoEntry) valid(s *Session) bool {
 	return true
 }
 
-// recordingResolver resolves through the session and logs every
+// recordingResolver resolves through the runtime and logs every
 // resolution, so the build it serves can be memoized.
 type recordingResolver struct {
-	s   *Session
+	rt  *Runtime
 	res []resolution
 }
 
 func (r *recordingResolver) ResolveTable(name, explicit string) (*schema.TableDef, string, error) {
-	def, source, err := r.s.ResolveTable(name, explicit)
+	def, source, err := r.rt.ResolveTable(name, explicit)
 	if err == nil {
 		r.res = append(r.res, resolution{name: name, explicit: explicit, def: def, source: source})
 	}

@@ -122,33 +122,6 @@ func TestMemoShadowingBind(t *testing.T) {
 	}
 }
 
-// TestMemoPerSessionResolution: two sessions issuing the same text, one
-// resolving "country" to the LLM binding and one (DefaultSource=DB) to
-// the DB table, each get their own relation, interleaved through the
-// shared memo.
-func TestMemoPerSessionResolution(t *testing.T) {
-	w := world.Build()
-	ctx := context.Background()
-	wantLLM, _ := soloRun(t, w, rcQuery)
-	wantDB, _, err := dbCountryRuntime(t, w).NewSession().Query(ctx, rcQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantLLM.String() == wantDB.String() {
-		t.Fatal("fixture vacuous: the LLM and DB relations are identical")
-	}
-
-	rt := dbCountryRuntime(t, w)
-	if err := rt.BindLLMTable(w.Table("country").Def); err != nil {
-		t.Fatal(err)
-	}
-	llmSess, dbSess := rt.NewSession(), rt.NewSession()
-	o := dbSess.Options()
-	o.DefaultSource = "DB"
-	dbSess.SetOptions(o)
-	checkSessions(t, rt, [2]*Session{llmSess, dbSess}, [2]string{wantLLM.String(), wantDB.String()})
-}
-
 // TestMemoPerSessionRoutes: two sessions that differ only in Routes —
 // every prompt role pinned to another backend — get their own relations
 // for the same text.
@@ -270,14 +243,10 @@ func TestMemoStaleRebuildFallsBack(t *testing.T) {
 		t.Errorf("after the shadowing bind got:\n%s\nwant the LLM relation:\n%s", rel.String(), wantLLM.String())
 	}
 
-	dbSess := rt.NewSession()
-	o := dbSess.Options()
-	o.DefaultSource = "DB"
-	dbSess.SetOptions(o)
-	if rel, _, err = dbSess.Query(ctx, rcQuery); err != nil {
+	if rel, _, err = rt.NewSession().Query(ctx, strings.Replace(rcQuery, "country", "DB.country", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if rel.String() != wantDB.String() {
-		t.Errorf("a DB session was served:\n%s\nwant the DB relation:\n%s", rel.String(), wantDB.String())
+		t.Errorf("the DB-qualified statement was served:\n%s\nwant the DB relation:\n%s", rel.String(), wantDB.String())
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/clean"
-	"repro/internal/optimizer"
+	"repro/internal/llm"
 	"repro/internal/simllm"
 	"repro/internal/world"
 )
@@ -32,10 +32,6 @@ var keyExempt = map[string]struct {
 	"BreakerCooldown":    {true, "the resilient transport is built at NewRuntime; SetOptions ignores it"},
 	"AdmissionClass":     {false, "the scheduler band the prompts dispatch in, not the prompts (TestServeStreamClassParams)"},
 	"AdmissionWeight":    {false, "the tenant's share within its band, not its prompts (TestSchedulerWeightedShare)"},
-	"DefaultSource": {false, "it decides table resolution, and the built plan's fingerprint folds in each " +
-		"resolved binding (TestMemoPerSessionResolution)"},
-	"Optimizer.Stats": {false, "Choose plans on the runtime's statistics whatever it holds, and statistics " +
-		"steer only which candidate runs (TestDifferentialCostBased)"},
 }
 
 // keyPerturbations are the changed values of fields the generic
@@ -43,7 +39,6 @@ var keyExempt = map[string]struct {
 var keyPerturbations = map[string]any{
 	"AdmissionClass":      "batch",
 	"Clean.Canonicalizer": clean.NewCanonicalizer(map[string]string{"uk": "GBR"}),
-	"Optimizer.Stats":     optimizer.NewStatistics(),
 }
 
 // TestOptionsKeyCoverage walks every field of core.Options,
@@ -116,6 +111,83 @@ func TestOptionsKeyCoverage(t *testing.T) {
 	}
 }
 
+// declExempt lists the llm.BackendSpec fields that move neither the
+// store's declaration record nor the options key, each with why it
+// cannot change what a model answers.
+var declExempt = map[string]string{
+	"Workers":     "it bounds the scheduler's width and the planner's estimate, not the prompts",
+	"CostWeight":  "it steers plan choice, and the result-cache key excludes candidate choice by design",
+	"SpeedFactor": "it steers plan choice, and the result-cache key excludes candidate choice by design",
+}
+
+// TestDeclarationCoverage walks every field of llm.BackendSpec by
+// reflection, then the default backend and each role route, and changes
+// each in turn: the store's declaration record (what persisted relations
+// are bound to) or the options key must change, or the field is on
+// declExempt. It fails on an exempt name that is no longer a field, on
+// an exempt field that does move one, and on a new field on neither
+// side.
+func TestDeclarationCoverage(t *testing.T) {
+	w := world.Build()
+	declare := func() ([]BackendDef, string, map[string]string) {
+		return []BackendDef{
+			{Name: "a", Client: simllm.New(simllm.ChatGPT, w, 1)},
+			{Name: "b", Client: simllm.New(simllm.GPT3, w, 1), Fallback: []string{"a"}},
+		}, "a", map[string]string{}
+	}
+	keys := func(defs []BackendDef, defaultName string, routes map[string]string) string {
+		t.Helper()
+		rt, err := NewRuntimeWithBackends(defs, defaultName, routes, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return declaration(rt.registry) + "\n" + rt.NewSession().res.key
+	}
+	base := keys(declare())
+
+	spec := reflect.TypeOf(BackendDef{})
+	for i := 0; i < spec.NumField(); i++ {
+		name := spec.Field(i).Name
+		defs, defaultName, routes := declare()
+		f := reflect.ValueOf(&defs[1]).Elem().Field(i)
+		var changed reflect.Value
+		switch name {
+		case "Client":
+			changed = reflect.ValueOf(simllm.New(simllm.Flan, w, 1))
+		case "Fallback":
+			changed = reflect.ValueOf([]string(nil))
+		default:
+			changed = perturb(t, "BackendSpec."+name, f.Type(), f)
+		}
+		f.Set(changed)
+		moved := keys(defs, defaultName, routes) != base
+		why, exempt := declExempt[name]
+		switch {
+		case !exempt && !moved:
+			t.Errorf("BackendSpec.%s: changing it moves neither the declaration record nor the options key; record it in declaration or exempt it with a reason", name)
+		case exempt && moved:
+			t.Errorf("BackendSpec.%s is exempt (%s) but moves a key; drop it from declExempt", name, why)
+		}
+	}
+	for name := range declExempt {
+		if _, ok := spec.FieldByName(name); !ok {
+			t.Errorf("declExempt names %s, which is no longer a BackendSpec field", name)
+		}
+	}
+
+	defs, _, routes := declare()
+	if keys(defs, "b", routes) == base {
+		t.Error("the default backend moves neither the declaration record nor the options key")
+	}
+	for _, role := range llm.Roles {
+		defs, defaultName, routes := declare()
+		routes[string(role)] = "b"
+		if keys(defs, defaultName, routes) == base {
+			t.Errorf("the %s route moves neither the declaration record nor the options key", role)
+		}
+	}
+}
+
 // perturb returns a value of type typ other than old: a flipped bool, an
 // incremented number, a longer string, a one-entry map, or the field's
 // keyPerturbations entry.
@@ -142,6 +214,8 @@ func perturb(t *testing.T, name string, typ reflect.Type, old reflect.Value) ref
 		out.SetBool(!old.Bool())
 	case reflect.Int, reflect.Int64:
 		out.SetInt(old.Int() + 1)
+	case reflect.Float64:
+		out.SetFloat(old.Float() + 1)
 	case reflect.String:
 		out.SetString(old.String() + "x")
 	case reflect.Map:

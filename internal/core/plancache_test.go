@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/difftest"
 	"repro/internal/llm"
-	"repro/internal/optimizer"
 	"repro/internal/simllm"
 	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
@@ -66,8 +65,8 @@ func planCounts(t *testing.T, s *Session, sql string) PlanCacheStats {
 }
 
 // TestPlanCacheKeyedByPlanningInputs: the plan cache serves a statement
-// only a choice made under the same planning inputs. Sessions with
-// per-conjunct or per-join knobs bypass it; the worker budget, the
+// only a choice made under the same planning inputs. A session that
+// pins DisableLLMFilter bypasses it; the worker budget, the
 // execution policy, the verifier and route overrides are part of the
 // key; a statement with a repeated literal is never cached.
 func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
@@ -96,21 +95,15 @@ func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
 		check(t, sb, third, miss)
 	}
 
-	for name, pin := range map[string]func(*optimizer.Options){
-		"DisableLLMFilter":   func(o *optimizer.Options) { o.DisableLLMFilter = map[string]bool{"population > 1": true} },
-		"PromptPushdownSkip": func(o *optimizer.Options) { o.PromptPushdownSkip = map[string]bool{"population > 1": true} },
-		"SwapJoins":          func(o *optimizer.Options) { o.SwapJoins = map[int]bool{0: true} },
-	} {
-		t.Run("bypass "+name, func(t *testing.T) {
-			rt, _ := serveRuntime(t, ServeOptions())
-			s := rt.NewSession()
-			opts := s.Options()
-			pin(&opts.Optimizer)
-			s.SetOptions(opts)
-			check(t, s, first, PlanCacheStats{})
-			check(t, s, second, PlanCacheStats{})
-		})
-	}
+	t.Run("bypass DisableLLMFilter", func(t *testing.T) {
+		rt, _ := serveRuntime(t, ServeOptions())
+		s := rt.NewSession()
+		opts := s.Options()
+		opts.Optimizer.DisableLLMFilter = map[string]bool{"population > 1": true}
+		s.SetOptions(opts)
+		check(t, s, first, PlanCacheStats{})
+		check(t, s, second, PlanCacheStats{})
+	})
 	t.Run("worker budget", func(t *testing.T) {
 		rt, _ := serveRuntime(t, ServeOptions())
 		a := rt.Options()

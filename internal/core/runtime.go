@@ -348,17 +348,10 @@ func (rt *Runtime) BindLLMTable(def *schema.TableDef) error {
 	return nil
 }
 
-// ResolveTable implements logical.Resolver with the runtime's default
-// source. Sessions resolve through their own Session.ResolveTable so a
-// per-session DefaultSource override takes effect.
+// ResolveTable implements logical.Resolver over the runtime's bindings.
+// Explicit LLM./DB. qualifiers win; otherwise an LLM binding wins over a
+// DB table of the same name.
 func (rt *Runtime) ResolveTable(name, explicit string) (*schema.TableDef, string, error) {
-	return rt.resolveTable(name, explicit, rt.opts.DefaultSource)
-}
-
-// resolveTable resolves one table reference. Explicit LLM./DB.
-// qualifiers win; otherwise defaultSource breaks ties between an LLM
-// binding and a DB table of the same name.
-func (rt *Runtime) resolveTable(name, explicit, defaultSource string) (*schema.TableDef, string, error) {
 	rt.mu.RLock()
 	llmDef := rt.llmDefs[strings.ToLower(name)]
 	db := rt.db
@@ -380,11 +373,6 @@ func (rt *Runtime) resolveTable(name, explicit, defaultSource string) (*schema.T
 		return dbDef, "DB", nil
 	}
 	switch {
-	case llmDef != nil && dbDef != nil:
-		if defaultSource == "DB" {
-			return dbDef, "DB", nil
-		}
-		return llmDef, "LLM", nil
 	case llmDef != nil:
 		return llmDef, "LLM", nil
 	case dbDef != nil:

@@ -78,10 +78,10 @@ func (s *Session) Plan(sql string) (logical.Node, error) {
 	return plan, err
 }
 
-// ResolveTable implements logical.Resolver over the shared bindings with
-// this session's DefaultSource breaking LLM-vs-DB ties.
+// ResolveTable implements logical.Resolver: every session resolves
+// through the runtime's bindings (Runtime.ResolveTable).
 func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string, error) {
-	return s.rt.resolveTable(name, explicit, s.opts.DefaultSource)
+	return s.rt.ResolveTable(name, explicit)
 }
 
 // plan is the planner entry point: it builds and optimizes the plan for
@@ -91,13 +91,13 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 // decision, not a bypass. A non-nil built plan (already constructed for
 // the result-cache fingerprint) is planned directly, so a cache miss
 // does not build twice. Under CostBased the runtime's plan cache may
-// replace the enumeration; sessions that pin per-conjunct or per-join
-// knobs bypass it, since those sets are keyed by conjunct text, which
-// carries literals.
+// replace the enumeration; a session that pins DisableLLMFilter
+// bypasses it, since that set is keyed by conjunct text, which carries
+// literals.
 func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	if built == nil {
 		var err error
-		if built, err = logical.Build(sel, s); err != nil {
+		if built, err = logical.Build(sel, s.rt); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -107,7 +107,7 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 	o := s.opts.Optimizer
 	pc := s.rt.plans
 	var tpl *optimizer.Template
-	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 && len(o.PromptPushdownSkip) == 0 && len(o.SwapJoins) == 0 {
+	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 {
 		if tpl, _ = optimizer.NewTemplate(built, s.res.planKey); tpl == nil {
 			pc.misses.Add(1)
 		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil || err != nil {
@@ -217,7 +217,7 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 		// attribute value — evaluating it locally would change results.
 		// Conjuncts the producer already applied are unaffected: they are
 		// matched, not re-evaluated.
-		if s.opts.Optimizer.UseLLMFilter && !residualsLocalSafe(residual, shape.From) {
+		if !residualsLocalSafe(residual, shape.From) {
 			continue
 		}
 		cs := logical.NewCachedScan(c.Prod.FromLabel, c.Key.Fingerprint, c.Key.Stamp, c.Rows, c.Schema)
@@ -263,19 +263,15 @@ var errCachedEntryGone = errors.New("core: cached relation evicted")
 // harness pins them result-identical.
 func optionsFingerprint(o *Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "opt=%t,%t,%t,%t|", o.Optimizer.PushdownPredicates, o.Optimizer.UseLLMFilter,
-		o.Optimizer.PromptPushdown, o.Optimizer.CostBased)
+	fmt.Fprintf(&b, "opt=%t,%t,%t|", o.Optimizer.PushdownPredicates, o.Optimizer.PromptPushdown, o.Optimizer.CostBased)
 	writeSortedSet(&b, o.Optimizer.DisableLLMFilter)
-	writeSortedSet(&b, o.Optimizer.PromptPushdownSkip)
-	writeSortedIntSet(&b, o.Optimizer.SwapJoins)
-	fmt.Fprintf(&b, "clean=%t,%t,%s|", o.Clean.NormalizeNumbers, o.Clean.EnforceTypes,
-		o.Clean.Canonicalizer.Fingerprint())
+	fmt.Fprintf(&b, "clean=%t,%s|", o.Clean.Normalize, o.Clean.Canonicalizer.Fingerprint())
 	fmt.Fprintf(&b, "scan=%d|", o.MaxScanIterations)
 	fingerprintRoutes(&b, o.Routes)
 	return b.String()
 }
 
-// writeSortedSet renders a per-conjunct option set deterministically.
+// writeSortedSet renders the per-conjunct option set deterministically.
 // Elements are quoted: conjunct keys contain spaces, and a plain join
 // would let distinct sets (e.g. {"a b","c"} vs {"a","b c"}) collide.
 func writeSortedSet(b *strings.Builder, set map[string]bool) {
@@ -292,18 +288,6 @@ func writeSortedSet(b *strings.Builder, set map[string]bool) {
 	b.WriteByte('|')
 }
 
-// writeSortedIntSet renders a join-index option set deterministically.
-func writeSortedIntSet(b *strings.Builder, set map[int]bool) {
-	keys := make([]int, 0, len(set))
-	for k, on := range set {
-		if on {
-			keys = append(keys, k)
-		}
-	}
-	sort.Ints(keys)
-	fmt.Fprintf(b, "%v|", keys)
-}
-
 // runExplain plans (and for ANALYZE also executes) the inner SELECT and
 // renders the annotated plan tree as a one-column relation. With the
 // result cache on, residual plans over cached relations compete here
@@ -315,7 +299,7 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 	var stamp string
 	if s.rt.resultCache != nil {
 		var err error
-		if built, err = logical.Build(ex.Stmt, s); err != nil {
+		if built, err = logical.Build(ex.Stmt, s.rt); err != nil {
 			return nil, nil, err
 		}
 		canon = logical.Canonicalize(built)

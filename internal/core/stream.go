@@ -111,7 +111,7 @@ var ErrStatement = errors.New("core: invalid statement")
 // fingerprint under the current stamp.
 func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) {
 	if m := s.rt.memo; m != nil {
-		if e := m.Get(sql); e != nil && e.valid(s) {
+		if e := m.Get(sql); e != nil && e.valid(s.rt) {
 			return s.openMemo(ctx, e)
 		}
 	}
@@ -151,7 +151,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (
 	// yields the canonical form. Its components are stamped before
 	// execution, so a bind landing mid-flight keys this result under the
 	// old epochs, where no post-bind lookup can reach it.
-	rec := &recordingResolver{s: s}
+	rec := &recordingResolver{rt: s.rt}
 	built, err := logical.Build(sel, rec)
 	if err != nil {
 		return nil, err
@@ -198,7 +198,7 @@ func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	if lead == nil {
 		return s.replayHit(key, entry), nil
 	}
-	if built, err := logical.Build(e.sel, s); err == nil {
+	if built, err := logical.Build(e.sel, s.rt); err == nil {
 		if canon := logical.Canonicalize(built); canon.Fingerprint == e.canon.Fingerprint {
 			return s.openLead(ctx, e.sel, built, canon, key.Stamp, lead)
 		}

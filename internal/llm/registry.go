@@ -139,27 +139,64 @@ type Registry struct {
 	failovers   atomic.Int64
 }
 
-// NewRegistry builds the registry one backend declaration describes:
-// specs in declaration order, the default backend ("" = the first
-// declared) and the runtime-wide role routes (role name → backend). It
-// rejects empty or duplicate names, nil clients, an undeclared default,
-// misspelled roles, undeclared route targets and fallbacks that name
-// their own or an undeclared backend, and resolves every backend's
-// deduplicated failover chain once. No specs build an empty registry.
-// wrap, when non-nil, wraps every declared client (the runtime passes
-// its resilient-transport constructor); the endpoint argument is the
-// backend name the wrapper should report. Zero pricing coefficients
-// normalize to 1.
-func NewRegistry(specs []BackendSpec, defaultName string, routes map[string]string, wrap func(inner Client, endpoint string) Client) (*Registry, error) {
-	g := &Registry{byName: make(map[string]*Backend, len(specs)), routes: make(map[Role]string, len(routes))}
+// CheckDeclaration reports the first inconsistency of one backend
+// declaration: an empty or duplicate name, an undeclared default, a
+// misspelled role, an undeclared route target, or a fallback that names
+// its own or an undeclared backend. It reads no client, so a declaration
+// file is checked before any model exists.
+func CheckDeclaration(specs []BackendSpec, defaultName string, routes map[string]string) error {
+	names := make(map[string]bool, len(specs))
 	for _, spec := range specs {
 		switch {
 		case spec.Name == "":
-			return nil, fmt.Errorf("llm registry: backend with empty name")
-		case spec.Client == nil:
+			return fmt.Errorf("backend with empty name")
+		case names[spec.Name]:
+			return fmt.Errorf("duplicate backend %q", spec.Name)
+		}
+		names[spec.Name] = true
+	}
+	if defaultName != "" && !names[defaultName] {
+		return fmt.Errorf("default backend %q not declared", defaultName)
+	}
+	for roleName, target := range routes {
+		role, err := ParseRole(roleName)
+		if err != nil {
+			return err
+		}
+		if !names[target] {
+			return fmt.Errorf("route %s -> %q: backend not declared", role, target)
+		}
+	}
+	for _, spec := range specs {
+		for _, fb := range spec.Fallback {
+			switch {
+			case fb == spec.Name:
+				return fmt.Errorf("backend %q lists itself as fallback", spec.Name)
+			case !names[fb]:
+				return fmt.Errorf("backend %q fallback %q not declared", spec.Name, fb)
+			}
+		}
+	}
+	return nil
+}
+
+// NewRegistry builds the registry one backend declaration describes:
+// specs in declaration order, the default backend ("" = the first
+// declared) and the runtime-wide role routes (role name → backend). It
+// rejects what CheckDeclaration rejects and nil clients, and resolves
+// every backend's deduplicated failover chain once. No specs build an
+// empty registry. wrap, when non-nil, wraps every declared client (the
+// runtime passes its resilient-transport constructor); the endpoint
+// argument is the backend name the wrapper should report. Zero pricing
+// coefficients normalize to 1.
+func NewRegistry(specs []BackendSpec, defaultName string, routes map[string]string, wrap func(inner Client, endpoint string) Client) (*Registry, error) {
+	if err := CheckDeclaration(specs, defaultName, routes); err != nil {
+		return nil, fmt.Errorf("llm registry: %w", err)
+	}
+	g := &Registry{byName: make(map[string]*Backend, len(specs)), routes: make(map[Role]string, len(routes))}
+	for _, spec := range specs {
+		if spec.Client == nil {
 			return nil, fmt.Errorf("llm registry: backend %q has no client", spec.Name)
-		case g.byName[spec.Name] != nil:
-			return nil, fmt.Errorf("llm registry: duplicate backend %q", spec.Name)
 		}
 		client := spec.Client
 		if wrap != nil {
@@ -180,30 +217,14 @@ func NewRegistry(specs []BackendSpec, defaultName string, routes map[string]stri
 	if defaultName == "" && len(g.order) > 0 {
 		defaultName = g.order[0].name
 	}
-	if defaultName != "" && g.byName[defaultName] == nil {
-		return nil, fmt.Errorf("llm registry: default backend %q not declared", defaultName)
-	}
 	g.defaultName = defaultName
 	for roleName, target := range routes {
-		role, err := ParseRole(roleName)
-		if err != nil {
-			return nil, err
-		}
-		if g.byName[target] == nil {
-			return nil, fmt.Errorf("llm registry: route %s -> %q: backend not declared", role, target)
-		}
-		g.routes[role] = target
+		g.routes[Role(roleName)] = target
 	}
 	for _, b := range g.order {
 		b.chain = []*Backend{b}
 		for _, fb := range b.fallback {
-			next := g.byName[fb]
-			switch {
-			case fb == b.name:
-				return nil, fmt.Errorf("llm registry: backend %q lists itself as fallback", b.name)
-			case next == nil:
-				return nil, fmt.Errorf("llm registry: backend %q fallback %q not declared", b.name, fb)
-			case !slices.Contains(b.chain, next):
+			if next := g.byName[fb]; !slices.Contains(b.chain, next) {
 				b.chain = append(b.chain, next)
 			}
 		}

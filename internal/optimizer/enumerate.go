@@ -68,12 +68,7 @@ func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extr
 	}
 
 	// Probe pass: the fixed-heuristic plan reveals the decision points.
-	probeOpts := base
-	probeOpts.Stats = nil
-	probeOpts.DisableLLMFilter = nil
-	probeOpts.PromptPushdownSkip = nil
-	probeOpts.SwapJoins = nil
-	probe, err := Optimize(built, probeOpts)
+	probe, err := optimizeWith(built, base, choice{}, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -87,8 +82,8 @@ func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extr
 	}
 	var best *scored
 	for mask := 0; mask < 1<<len(points); mask++ {
-		opts, label := candidate(base, st, points, mask)
-		plan, err := optimizeWith(built, opts, src)
+		c, label := candidate(points, mask)
+		plan, err := optimizeWith(built, base, c, src)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -183,14 +178,10 @@ func assemblePoints(filterKeys, pushedKeys []string, joins int, pushdown bool) [
 	return points
 }
 
-// candidate renders one mask over the decision points as the options
+// candidate renders one mask over the decision points as the decisions
 // that lower it and its choice label.
-func candidate(base Options, st *Statistics, points []choicePoint, mask int) (Options, string) {
-	opts := base
-	opts.Stats = st
-	opts.DisableLLMFilter = map[string]bool{}
-	opts.PromptPushdownSkip = map[string]bool{}
-	opts.SwapJoins = map[int]bool{}
+func candidate(points []choicePoint, mask int) (choice, string) {
+	var c choice
 	var parts []string
 	for i, pt := range points {
 		if mask&(1<<i) == 0 {
@@ -198,20 +189,29 @@ func candidate(base Options, st *Statistics, points []choicePoint, mask int) (Op
 		}
 		switch pt.kind {
 		case "fetch":
-			opts.DisableLLMFilter[pt.key] = true
+			c.fetch = with(c.fetch, pt.key)
 			parts = append(parts, "fetch{"+pt.key+"}")
 		case "nopush":
-			opts.PromptPushdownSkip[pt.key] = true
+			c.stage = with(c.stage, pt.key)
 			parts = append(parts, "stage{"+pt.key+"}")
 		case "swap":
-			opts.SwapJoins[pt.join] = true
+			c.swap = with(c.swap, pt.join)
 			parts = append(parts, fmt.Sprintf("swap{%d}", pt.join))
 		}
 	}
 	if len(parts) == 0 {
-		return opts, "paper"
+		return c, "paper"
 	}
-	return opts, strings.Join(parts, " ")
+	return c, strings.Join(parts, " ")
+}
+
+// with returns set with k added, allocating the set on first use.
+func with[K comparable](set map[K]bool, k K) map[K]bool {
+	if set == nil {
+		set = map[K]bool{}
+	}
+	set[k] = true
+	return set
 }
 
 // cheaper reports whether a costs strictly less than b: the

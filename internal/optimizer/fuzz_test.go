@@ -7,7 +7,7 @@ import (
 	"repro/internal/sql/parser"
 )
 
-// FuzzOptimizePure: for any statement that builds, Optimize under the
+// FuzzOptimizePure: for any statement that builds, optimizing under the
 // paper defaults, with prompt pushdown and with a join swap leaves the
 // built plan's fingerprint as it was, returns the same plan when run
 // twice on it, and uses every node of that plan once.
@@ -24,8 +24,10 @@ func FuzzOptimizePure(f *testing.F) {
 	}
 	pushdown := Defaults()
 	pushdown.PromptPushdown = true
-	swap := Defaults()
-	swap.SwapJoins = map[int]bool{0: true}
+	configs := []struct {
+		opts Options
+		c    choice
+	}{{opts: Defaults()}, {opts: pushdown}, {opts: Defaults(), c: choice{swap: map[int]bool{0: true}}}}
 	f.Fuzz(func(t *testing.T, sql string) {
 		sel, err := parser.ParseSelect(sql)
 		if err != nil {
@@ -36,15 +38,15 @@ func FuzzOptimizePure(f *testing.F) {
 			return
 		}
 		fp := logical.Fingerprint(built)
-		for _, opts := range []Options{Defaults(), pushdown, swap} {
-			first, err := Optimize(built, opts)
+		for _, cfg := range configs {
+			first, err := optimizeWith(built, cfg.opts, cfg.c, nil)
 			if got := logical.Fingerprint(built); got != fp {
 				t.Fatalf("%s: Optimize changed the built plan\nbefore %s\nafter  %s", sql, fp, got)
 			}
 			if err != nil {
 				continue
 			}
-			second, err := Optimize(built, opts)
+			second, err := optimizeWith(built, cfg.opts, cfg.c, nil)
 			if err != nil {
 				t.Fatalf("%s: second Optimize failed: %v", sql, err)
 			}

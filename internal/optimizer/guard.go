@@ -194,8 +194,8 @@ func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Stat
 		}
 	}
 	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
-	opts, label := candidate(base, st, points, g.mask)
-	plan, err := Optimize(built, opts)
+	c, label := candidate(points, g.mask)
+	plan, err := optimizeWith(built, base, c, st)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -19,15 +19,12 @@ import (
 	"repro/internal/sql/ast"
 )
 
-// Options control which rewrites run.
+// Options control which rewrites run. Every field is one a caller sets;
+// the enumeration's per-candidate decisions are its own (choice).
 type Options struct {
 	// PushdownPredicates distributes WHERE conjuncts toward the scans and
 	// extracts equi-join conditions from cross products. On by default.
 	PushdownPredicates bool
-	// UseLLMFilter rewrites simple selections on unfetched LLM attributes
-	// into per-key boolean prompts instead of fetch-then-filter. On by
-	// default, matching the paper's physical operator.
-	UseLLMFilter bool
 	// PromptPushdown merges simple selections directly into the LLM list
 	// prompt ("get names of cities with > 1M population"), removing the
 	// per-key prompts entirely. Off by default; Ablation A flips it.
@@ -39,29 +36,30 @@ type Options struct {
 	// picks the one whose estimated prompt count — then estimated
 	// makespan — is lowest. Consumed by Choose, not by Optimize.
 	CostBased bool
-	// Stats supply cardinalities and selectivities. When non-nil,
-	// Optimize additionally reorders chains of per-key boolean filters
-	// most-selective-first (cheapest prompts-per-surviving-tuple order).
-	Stats *Statistics
-
-	// Per-candidate knobs set by the enumerator; zero values reproduce
-	// the fixed heuristics.
-
 	// DisableLLMFilter lists conjuncts, by their logical.Conjunct Key
 	// (the lower-cased column-first text), lowered as fetch-then-filter
-	// instead of a per-key boolean prompt.
+	// instead of a per-key boolean prompt. Only the fixed heuristics read
+	// it: under CostBased the enumeration decides each conjunct itself.
 	DisableLLMFilter map[string]bool
-	// PromptPushdownSkip lists conjuncts kept out of the retrieval
-	// prompt even when PromptPushdown is on.
-	PromptPushdownSkip map[string]bool
-	// SwapJoins lists preorder join indices whose inputs are exchanged
-	// (inner/cross joins only).
-	SwapJoins map[int]bool
 }
 
 // Defaults returns the paper-faithful configuration.
 func Defaults() Options {
-	return Options{PushdownPredicates: true, UseLLMFilter: true, PromptPushdown: false}
+	return Options{PushdownPredicates: true}
+}
+
+// choice is one enumerated candidate's decisions; the zero value lowers
+// the fixed heuristics' plan.
+type choice struct {
+	// fetch lists conjuncts, by key, lowered as fetch-then-filter
+	// instead of a per-key boolean prompt.
+	fetch map[string]bool
+	// stage lists conjuncts kept out of the retrieval prompt under
+	// PromptPushdown.
+	stage map[string]bool
+	// swap lists preorder join indices whose inputs are exchanged
+	// (inner/cross joins only).
+	swap map[int]bool
 }
 
 // scanInfo records one base relation binding found in the plan.
@@ -86,23 +84,20 @@ func bindingsOf(n logical.Node) map[string]scanInfo {
 // Optimize rewrites the plan under the given options into a new plan,
 // which may share unchanged subtrees with n.
 func Optimize(n logical.Node, opts Options) (logical.Node, error) {
-	var src statsReader
-	if opts.Stats != nil {
-		src = opts.Stats
-	}
-	return optimizeWith(n, opts, src)
+	return optimizeWith(n, opts, choice{fetch: opts.DisableLLMFilter}, nil)
 }
 
-// optimizeWith is Optimize reading filter selectivities through src (nil:
-// no reordering), so the enumeration can record what it read.
-func optimizeWith(n logical.Node, opts Options, src statsReader) (logical.Node, error) {
-	o := &optimizer{opts: opts, bindings: bindingsOf(n)}
+// optimizeWith is Optimize under the decisions c, reading filter
+// selectivities through src (nil: no reordering), so the enumeration can
+// record what it read.
+func optimizeWith(n logical.Node, opts Options, c choice, src statsReader) (logical.Node, error) {
+	o := &optimizer{choice: c, bindings: bindingsOf(n)}
 	if opts.PushdownPredicates {
 		n = o.push(n, nil)
 	}
-	if len(opts.SwapJoins) > 0 {
+	if len(c.swap) > 0 {
 		joinIdx := 0
-		n = swapJoins(n, opts.SwapJoins, &joinIdx)
+		n = swapJoins(n, c.swap, &joinIdx)
 	}
 	n, err := o.lower(n)
 	if err != nil {
@@ -219,7 +214,7 @@ func orderLLMFilters(n logical.Node, st statsReader) logical.Node {
 }
 
 type optimizer struct {
-	opts     Options
+	choice   choice
 	bindings map[string]scanInfo
 }
 
@@ -389,7 +384,7 @@ func (o *optimizer) lower(n logical.Node) (logical.Node, error) {
 		}
 		var llmFilters, rest []logical.Conjunct
 		for _, c := range node.Conjuncts() {
-			if o.opts.UseLLMFilter && o.llmFilterable(c, input) && !o.opts.DisableLLMFilter[c.Key] {
+			if o.llmFilterable(c, input) && !o.choice.fetch[c.Key] {
 				llmFilters = append(llmFilters, c)
 				continue
 			}
@@ -608,14 +603,14 @@ func (o *optimizer) promptPushdown(n logical.Node) logical.Node {
 	switch node := n.(type) {
 	case *logical.LLMFilter:
 		input := o.promptPushdown(node.Input)
-		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" && !o.opts.PromptPushdownSkip[node.Cond.Key] {
+		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" && !o.choice.stage[node.Cond.Key] {
 			return pushInto(scan, node.Cond)
 		}
 		return rewrapOr(node, input)
 	case *logical.Filter:
 		input := o.promptPushdown(node.Input)
 		if scan, ok := input.(*logical.Scan); ok && scan.Source == "LLM" {
-			if cs := node.Conjuncts(); len(cs) == 1 && o.pushable(cs[0]) && !o.opts.PromptPushdownSkip[cs[0].Key] {
+			if cs := node.Conjuncts(); len(cs) == 1 && o.pushable(cs[0]) && !o.choice.stage[cs[0].Key] {
 				return pushInto(scan, cs[0])
 			}
 		}

@@ -43,7 +43,7 @@ func (resolver) ResolveTable(name, explicit string) (*schema.TableDef, string, e
 	return nil, "", fmt.Errorf("no table %s", name)
 }
 
-func optimize(t *testing.T, sql string, opts Options) logical.Node {
+func build(t *testing.T, sql string) logical.Node {
 	t.Helper()
 	sel, err := parser.ParseSelect(sql)
 	if err != nil {
@@ -53,7 +53,12 @@ func optimize(t *testing.T, sql string, opts Options) logical.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Optimize(plan, opts)
+	return plan
+}
+
+func optimize(t *testing.T, sql string, opts Options) logical.Node {
+	t.Helper()
+	out, err := Optimize(build(t, sql), opts)
 	if err != nil {
 		t.Fatalf("Optimize(%q): %v", sql, err)
 	}
@@ -130,7 +135,7 @@ func TestFetchAttrForJoinKeys(t *testing.T) {
 
 func TestFetchThenFilterWhenLLMFilterDisabled(t *testing.T) {
 	opts := Defaults()
-	opts.UseLLMFilter = false
+	opts.DisableLLMFilter = map[string]bool{"population > 1000000": true}
 	plan := optimize(t, "SELECT name FROM city WHERE population > 1000000", opts)
 	explain := logical.Explain(plan)
 	if strings.Contains(explain, "LLMFilter") {
@@ -366,8 +371,8 @@ func candidateCosts(t *testing.T, built logical.Node, base Options, st *Statisti
 	points := assemblePoints(filterKeys, pushedKeys, joins, base.PromptPushdown)
 	costs := map[string]*PlanCost{}
 	for mask := 0; mask < 1<<len(points); mask++ {
-		opts, label := candidate(base, st, points, mask)
-		plan, err := Optimize(built, opts)
+		c, label := candidate(points, mask)
+		plan, err := optimizeWith(built, base, c, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,9 +426,10 @@ func TestOrderLLMFiltersMostSelectiveFirst(t *testing.T) {
 	st.ObserveFilter("city", "population", ">", "1000000", 100, 90)
 	st.ObserveFilter("city", "country", "=", "Italy", 100, 5)
 
-	opts := Defaults()
-	opts.Stats = st
-	plan := optimize(t, "SELECT name FROM city WHERE population > 1000000 AND country = 'Italy'", opts)
+	plan, err := optimizeWith(build(t, "SELECT name FROM city WHERE population > 1000000 AND country = 'Italy'"), Defaults(), choice{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	explain := logical.Explain(plan)
 	popIdx := strings.Index(explain, "LLMFilter population")
 	countryIdx := strings.Index(explain, "LLMFilter country")
