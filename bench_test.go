@@ -68,10 +68,28 @@ func BenchmarkRepeatedQueryCached(b *testing.B) {
 // no prompt, and parsing, planning, execution and the result cache's
 // insert and evict are the whole cost.
 func BenchmarkAdhocPlan(b *testing.B) {
-	r := mustRunner(b)
+	rt, run := adhocPlan(b)
+	before := rt.Stats().PlanCache
+	b.ReportAllocs()
+	b.ResetTimer()
+	prompts := run(b.N)
+	b.StopTimer()
+	after := rt.Stats().PlanCache
+	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
+	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "plan_hits/query")
+}
+
+// adhocPlan is BenchmarkAdhocPlan's body: the warm runtime, and run,
+// which executes the next n ad-hoc statements and returns their prompt
+// count. Every template has run once when it returns.
+func adhocPlan(tb testing.TB) (*core.Runtime, func(n int) (prompts int)) {
+	r, err := bench.NewRunner(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	rt, err := r.Runtime(r.Model(simllm.ChatGPT), core.ServeOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sess := rt.NewSession()
 	ctx := context.Background()
@@ -81,7 +99,7 @@ func BenchmarkAdhocPlan(b *testing.B) {
 			cols = append(cols, c.Name)
 		}
 		if _, _, err := sess.Query(ctx, "SELECT "+strings.Join(cols, ", ")+" FROM "+name); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	gen := difftest.New(1)
@@ -89,21 +107,14 @@ func BenchmarkAdhocPlan(b *testing.B) {
 		for i := 0; i < n; i++ {
 			_, rep, err := sess.Query(ctx, gen.Adhoc().SQL)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			prompts += rep.Stats.Prompts
 		}
 		return prompts
 	}
 	run(500) // every template once, then some
-	before := rt.Stats().PlanCache
-	b.ReportAllocs()
-	b.ResetTimer()
-	prompts := run(b.N)
-	b.StopTimer()
-	after := rt.Stats().PlanCache
-	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
-	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "plan_hits/query")
+	return rt, run
 }
 
 // BenchmarkGaloisQuery measures one representative end-to-end query on the

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -70,5 +73,30 @@ func TestNewHTTPServerDeadlines(t *testing.T) {
 	}
 	if srv.ReadTimeout != 0 {
 		t.Errorf("ReadTimeout = %v, want none", srv.ReadTimeout)
+	}
+}
+
+// TestServeWritesProfiles: a server started with -cpuprofile and
+// -memprofile writes both profiles, gzipped pprof data, when it drains.
+func TestServeWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	c, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-cpuprofile", cpu, "-memprofile", mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, drain := context.WithCancel(context.Background())
+	drain() // drain as soon as the server is up
+	if err := run(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzipped profile", filepath.Base(path), len(b))
+		}
 	}
 }

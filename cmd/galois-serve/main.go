@@ -10,11 +10,15 @@
 //	             [-max-concurrent 16] [-workers 8] [-cache]
 //	             [-result-cache] [-result-cache-size 256] [-result-cache-bytes N]
 //	             [-data-dir DIR] [-store-bytes N] [-store-ttl D] [-snapshot-interval 1m]
+//	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // The endpoints and the concurrency model are internal/serve's; this
 // command parses the flags, opens the durable store, listens, and on
 // SIGINT/SIGTERM drains in-flight queries before the store's final
-// flush.
+// flush. -cpuprofile profiles the server's CPU from the moment it
+// listens until it has drained and -memprofile writes its allocation
+// profile at drain, both in pprof's gzipped format (go tool pprof BIN
+// FILE); both are off by default.
 package main
 
 import (
@@ -26,6 +30,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -42,7 +48,9 @@ func main() {
 	if err != nil {
 		os.Exit(2) // the flag set has printed the error and the usage
 	}
-	if err := run(c); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, c); err != nil {
 		fmt.Fprintln(os.Stderr, "galois-serve:", err)
 		os.Exit(1)
 	}
@@ -51,6 +59,7 @@ func main() {
 // cliConfig is galois-serve's parsed command line.
 type cliConfig struct {
 	addr, model, configPath string
+	cpuProfile, memProfile  string
 	seed                    int64
 	shutdownGrace           time.Duration
 	opts                    core.Options
@@ -74,10 +83,13 @@ func parseFlags(args []string) (*cliConfig, error) {
 	c.opts.BindFlags(fs)
 	c.store.BindFlags(fs)
 	fs.DurationVar(&c.store.SnapshotInterval, "snapshot-interval", c.store.SnapshotInterval, "how often the background snapshot flushes statistics and epochs to the durable store (0 = only on drain)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "profile the server's CPU from listening until drained into `FILE` (pprof format; off when empty)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write the server's allocation profile to `FILE` at drain (pprof format; off when empty)")
 	return c, fs.Parse(args)
 }
 
-func run(c *cliConfig) error {
+// run serves until ctx is done, then drains.
+func run(ctx context.Context, c *cliConfig) error {
 	runner, err := bench.NewRunner(c.seed)
 	if err != nil {
 		return err
@@ -96,8 +108,11 @@ func run(c *cliConfig) error {
 	}
 
 	srv := newHTTPServer(c.addr, serve.New(rt, c.server))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	stopProfiles, err := startProfiles(c)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
@@ -125,8 +140,56 @@ func run(c *cliConfig) error {
 			return fmt.Errorf("draining durable store: %w", err)
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		return err
+	}
 	log.Printf("galois-serve: bye")
 	return nil
+}
+
+// startProfiles starts the CPU profile -cpuprofile asks for and returns
+// the function that ends the profiling at drain: it stops the CPU
+// profile and writes the allocation profile -memprofile asks for. Only
+// its first call does anything.
+func startProfiles(c *cliConfig) (stop func() error, err error) {
+	var cpu *os.File
+	if c.cpuProfile != "" {
+		if cpu, err = os.Create(c.cpuProfile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	stopped := false
+	return func() error {
+		if stopped {
+			return nil
+		}
+		stopped = true
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if c.memProfile != "" {
+			errs = append(errs, writeAllocProfile(c.memProfile))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+// writeAllocProfile writes the allocation profile, every allocation
+// since startup and the live heap as of a fresh collection, to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	return errors.Join(err, f.Close())
 }
 
 // newHTTPServer puts h on addr. A client must finish its request headers

@@ -66,7 +66,8 @@ func planCounts(t *testing.T, s *Session, sql string) PlanCacheStats {
 
 // TestPlanCacheKeyedByPlanningInputs: the plan cache serves a statement
 // only a choice made under the same planning inputs. A session that
-// pins DisableLLMFilter bypasses it; the worker budget, the
+// pins DisableLLMFilter, which the enumeration does not read, is served
+// the plan a fresh enumeration chooses; the worker budget, the
 // execution policy, the verifier and route overrides are part of the
 // key; a statement with a repeated literal is never cached.
 func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
@@ -95,14 +96,17 @@ func TestPlanCacheKeyedByPlanningInputs(t *testing.T) {
 		check(t, sb, third, miss)
 	}
 
-	t.Run("bypass DisableLLMFilter", func(t *testing.T) {
-		rt, _ := serveRuntime(t, ServeOptions())
-		s := rt.NewSession()
-		opts := s.Options()
+	t.Run("DisableLLMFilter", func(t *testing.T) {
+		d := newDiffRig(t)
+		opts := d.s.Options()
 		opts.Optimizer.DisableLLMFilter = map[string]bool{"population > 1": true}
-		s.SetOptions(opts)
-		check(t, s, first, PlanCacheStats{})
-		check(t, s, second, PlanCacheStats{})
+		d.s.SetOptions(opts)
+		if _, counts := d.compare(first); counts != (PlanCacheStats{Misses: 1}) {
+			t.Errorf("planning %q moved the plan cache by %+v, want one miss", first, counts)
+		}
+		if _, counts := d.compare(second); counts != hit {
+			t.Errorf("planning %q moved the plan cache by %+v, want %+v", second, counts, hit)
+		}
 	})
 	t.Run("worker budget", func(t *testing.T) {
 		rt, _ := serveRuntime(t, ServeOptions())

@@ -10,6 +10,7 @@ import (
 	"repro/internal/clean"
 	"repro/internal/llm"
 	"repro/internal/optimizer"
+	"repro/internal/physical"
 )
 
 // resolved is a session's options resolved against its runtime, once:
@@ -28,7 +29,10 @@ type resolved struct {
 	verifier llm.Client // nil when verification is off
 	params   optimizer.CostParams
 	cleaner  *clean.Cleaner
-	err      error // an invalid route override; every query returns it
+	// templates memoizes the fetch and key-scan prompt templates of every
+	// query executed under this resolution (physical.Context.Templates).
+	templates *physical.Templates
+	err       error // an invalid route override; every query returns it
 }
 
 // resolve resolves normalized options, whose optionsFingerprint is key,
@@ -36,7 +40,8 @@ type resolved struct {
 // what turns verification on (Section 6, "Knowledge of the Unknown"):
 // the routed backend provides the second opinion.
 func (rt *Runtime) resolve(opts *Options, key string) *resolved {
-	r := &resolved{key: key, wave: opts.wave(), routes: maps.Clone(opts.Routes), cleaner: clean.New(opts.Clean)}
+	r := &resolved{key: key, wave: opts.wave(), routes: maps.Clone(opts.Routes), cleaner: clean.New(opts.Clean),
+		templates: new(physical.Templates)}
 	r.planKey = key + "wave=" + strconv.Itoa(r.wave) + "|"
 	overrides := make(map[llm.Role]string, len(r.routes))
 	for roleName, backend := range r.routes {

@@ -91,9 +91,10 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 // decision, not a bypass. A non-nil built plan (already constructed for
 // the result-cache fingerprint) is planned directly, so a cache miss
 // does not build twice. Under CostBased the runtime's plan cache may
-// replace the enumeration; a session that pins DisableLLMFilter
-// bypasses it, since that set is keyed by conjunct text, which carries
-// literals.
+// replace the enumeration. Its key starts with the session's plan key
+// (the options key and the wave), so a session that pins a
+// DisableLLMFilter set, which the enumeration does not read, keeps
+// entries of its own.
 func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	if built == nil {
 		var err error
@@ -107,7 +108,7 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 	o := s.opts.Optimizer
 	pc := s.rt.plans
 	var tpl *optimizer.Template
-	if o.CostBased && pc != nil && len(o.DisableLLMFilter) == 0 {
+	if o.CostBased && pc != nil {
 		if tpl, _ = optimizer.NewTemplate(built, s.res.planKey); tpl == nil {
 			pc.misses.Add(1)
 		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil || err != nil {

@@ -338,19 +338,27 @@ func (s *Session) openLive(ctx context.Context, plan logical.Node, cost *optimiz
 		return nil, err
 	}
 	tenant := s.openTenant(ctx)
-	st, err := s.execute(op, &physical.Context{
+	st, err := s.execute(op, s.liveContext(tenant), plan, cost, CacheNone)
+	if err != nil {
+		tenant.Close()
+		tenant.Quiesce()
+	}
+	return st, err
+}
+
+// liveContext is the execution context of a plan over the base tables
+// that issues its prompts through tenant, under the session's resolved
+// options.
+func (s *Session) liveContext(tenant *llm.Tenant) *physical.Context {
+	return &physical.Context{
 		Route:             s.res.route,
 		Prompts:           s.rt.builder,
 		Cleaner:           s.res.cleaner,
 		MaxScanIterations: s.opts.MaxScanIterations,
 		Scheduler:         tenant,
 		Verifier:          s.res.verifier,
-	}, plan, cost, CacheNone)
-	if err != nil {
-		tenant.Close()
-		tenant.Quiesce()
+		Templates:         s.res.templates,
 	}
-	return st, err
 }
 
 // execute opens a compiled operator tree under pctx, collecting its

@@ -233,11 +233,26 @@ func (a *hashAggOp) Open(c *Context) error {
 		key  schema.Tuple
 		accs []accumulator
 	}
+	newGroup := func(key schema.Tuple) (*group, error) {
+		g := &group{key: key, accs: make([]accumulator, len(a.node.Aggs))}
+		for i, spec := range a.node.Aggs {
+			acc, err := newAccumulator(spec.Call)
+			if err != nil {
+				return nil, err
+			}
+			g.accs[i] = acc
+		}
+		return g, nil
+	}
+	// Each row's group key is evaluated into keyVals and appended into
+	// key, buffers reused across rows: a row allocates a key, and a copy
+	// of its key values, only when it starts a new group.
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
+	keyVals := make(schema.Tuple, len(a.groupFns))
+	var key []byte
 
 	for _, row := range rows {
-		keyVals := make(schema.Tuple, len(a.groupFns))
 		for i, f := range a.groupFns {
 			v, err := f(row)
 			if err != nil {
@@ -245,19 +260,14 @@ func (a *hashAggOp) Open(c *Context) error {
 			}
 			keyVals[i] = v
 		}
-		k := keyVals.Key()
-		g, ok := groups[k]
+		key = keyVals.AppendKey(key[:0])
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &group{key: keyVals}
-			for _, spec := range a.node.Aggs {
-				acc, err := newAccumulator(spec.Call)
-				if err != nil {
-					return err
-				}
-				g.accs = append(g.accs, acc)
+			if g, err = newGroup(keyVals.Clone()); err != nil {
+				return err
 			}
-			groups[k] = g
-			order = append(order, k)
+			groups[string(key)] = g
+			order = append(order, g)
 		}
 		for i, acc := range g.accs {
 			var v value.Value
@@ -277,21 +287,15 @@ func (a *hashAggOp) Open(c *Context) error {
 
 	// Global aggregate over empty input still yields one row.
 	if len(a.groupFns) == 0 && len(order) == 0 {
-		g := &group{}
-		for _, spec := range a.node.Aggs {
-			acc, err := newAccumulator(spec.Call)
-			if err != nil {
-				return err
-			}
-			g.accs = append(g.accs, acc)
+		g, err := newGroup(nil)
+		if err != nil {
+			return err
 		}
-		groups[""] = g
-		order = append(order, "")
+		order = append(order, g)
 	}
 
 	a.results = a.results[:0]
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		row := make(schema.Tuple, 0, a.out.Len())
 		row = append(row, g.key...)
 		for _, acc := range g.accs {

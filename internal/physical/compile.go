@@ -47,7 +47,11 @@ func Compile(n logical.Node, data func(name string) (*schema.Relation, error)) (
 		if err != nil {
 			return nil, err
 		}
-		return &llmFetchAttrOp{node: node, input: input, out: node.Schema()}, nil
+		f := &llmFetchAttrOp{node: node, input: input, out: node.Schema()}
+		if width := runWidth(input); width != nil {
+			f.inPlace, *width = true, f.out.Len()
+		}
+		return f, nil
 
 	case *logical.LLMFilter:
 		input, err := Compile(node.Input, data)
@@ -134,5 +138,34 @@ func Compile(n logical.Node, data func(name string) (*schema.Relation, error)) (
 
 	default:
 		return nil, fmt.Errorf("physical: cannot compile %T", n)
+	}
+}
+
+// runWidth finds the operator that allocates the rows a fetch over op
+// would extend, and returns its row width for the fetch to raise. A run
+// is a key scan, or a fetch that copies its input's rows, and the
+// fetches above it, through any filters between them, that append their
+// cells in place; each of its rows is allocated once, with room for
+// every cell of the run, and belongs to one operator at a time. nil
+// means op's rows are not a run's: a DB table's or a cached relation's
+// rows, a join's, and anything else shared or built elsewhere, which a
+// fetch copies.
+func runWidth(op Operator) *int {
+	for {
+		switch o := op.(type) {
+		case *filterOp:
+			op = o.input
+		case *llmFilterOp:
+			op = o.input
+		case *llmKeyScanOp:
+			return &o.width
+		case *llmFetchAttrOp:
+			if !o.inPlace {
+				return &o.width
+			}
+			op = o.input
+		default:
+			return nil
+		}
 	}
 }

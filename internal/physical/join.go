@@ -6,7 +6,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
-	"repro/internal/value"
 )
 
 // joinOp implements every join, inner and left outer, as one loop: Open
@@ -25,15 +24,25 @@ type joinOp struct {
 	residual    expr.Func   // compiled against the combined schema; may be nil
 	leftOuter   bool
 
-	buckets map[string][]schema.Tuple
+	// The build side: its rows, and its buckets as chains through next,
+	// each in build order, with index mapping a key to its chain. key is
+	// the buffer each row's key is appended into, so a probe allocates
+	// nothing and a build allocates one string per distinct key.
+	build   []schema.Tuple
+	next    []int // next[i]: the row after build[i] in its bucket, or -1
+	chains  []chain
+	index   map[string]int
+	key     []byte
 	buildVT llm.VTime // the buckets exist once the right side drained
 
 	leftRow schema.Tuple // nil between left rows
 	leftVT  llm.VTime
-	matches []schema.Tuple // the current left row's bucket
-	cursor  int
+	match   int // the current left row's next candidate in build, or -1
 	matched bool
 }
+
+// chain is one bucket: the build rows of its first and last row.
+type chain struct{ first, last int }
 
 func (j *joinOp) Schema() *schema.Schema { return j.out }
 
@@ -46,18 +55,26 @@ func (j *joinOp) Open(c *Context) error {
 	if err != nil {
 		return err
 	}
-	j.buildVT = buildVT
-	j.buckets = make(map[string][]schema.Tuple, len(rows))
-	for _, r := range rows {
-		k, ok, err := joinKey(j.rightKeys, r)
+	j.build, j.buildVT = rows, buildVT
+	j.next, j.chains, j.index = make([]int, len(rows)), j.chains[:0], make(map[string]int, len(rows))
+	for i, r := range rows {
+		var ok bool
+		j.key, ok, err = joinKey(j.key[:0], j.rightKeys, r)
 		if err != nil {
 			return err
 		}
-		if ok {
-			j.buckets[k] = append(j.buckets[k], r)
+		if !ok {
+			continue
 		}
+		j.next[i] = -1
+		if b, seen := j.index[string(j.key)]; seen {
+			j.next[j.chains[b].last], j.chains[b].last = i, i
+			continue
+		}
+		j.index[string(j.key)] = len(j.chains)
+		j.chains = append(j.chains, chain{i, i})
 	}
-	j.leftRow, j.matches, j.cursor = nil, nil, 0
+	j.leftRow, j.match = nil, -1
 	return j.left.Open(c)
 }
 
@@ -67,9 +84,9 @@ func (j *joinOp) Close() error { return j.left.Close() }
 // high-water time and the current left row's.
 func (j *joinOp) Next() (schema.Tuple, llm.VTime, error) {
 	for {
-		for j.leftRow != nil && j.cursor < len(j.matches) {
-			combined := j.leftRow.Concat(j.matches[j.cursor])
-			j.cursor++
+		for j.leftRow != nil && j.match >= 0 {
+			combined := j.leftRow.Concat(j.build[j.match])
+			j.match = j.next[j.match]
 			if j.residual != nil {
 				ok, err := expr.EvalBool(j.residual, combined)
 				if err != nil {
@@ -82,13 +99,11 @@ func (j *joinOp) Next() (schema.Tuple, llm.VTime, error) {
 			j.matched = true
 			return combined, max(j.buildVT, j.leftVT), nil
 		}
-		// Left outer: the unmatched left row, padded with NULLs.
+		// Left outer: the unmatched left row, padded with NULLs (the zero
+		// Value).
 		if j.leftRow != nil && j.leftOuter && !j.matched {
-			pad := make(schema.Tuple, j.out.Len()-len(j.leftRow))
-			for i := range pad {
-				pad[i] = value.Null()
-			}
-			row := j.leftRow.Concat(pad)
+			row := make(schema.Tuple, j.out.Len())
+			copy(row, j.leftRow)
 			j.leftRow = nil
 			return row, max(j.buildVT, j.leftVT), nil
 		}
@@ -96,34 +111,33 @@ func (j *joinOp) Next() (schema.Tuple, llm.VTime, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		k, ok, err := joinKey(j.leftKeys, t)
+		var ok bool
+		j.key, ok, err = joinKey(j.key[:0], j.leftKeys, t)
 		if err != nil {
 			return nil, 0, err
 		}
-		j.leftRow, j.leftVT, j.matches, j.cursor, j.matched = t, vt, nil, 0, false
-		if ok {
-			j.matches = j.buckets[k]
+		j.leftRow, j.leftVT, j.match, j.matched = t, vt, -1, false
+		if b, found := j.index[string(j.key)]; ok && found {
+			j.match = j.chains[b].first
 		}
 	}
 }
 
-// joinKey renders a row's bucket key; ok is false when a component is
-// NULL, which never matches. With no key expressions every row shares the
-// empty key.
-func joinKey(funcs []expr.Func, t schema.Tuple) (key string, ok bool, err error) {
-	var b []byte
+// joinKey appends a row's bucket key to dst; ok is false when a
+// component is NULL, which never matches. With no key expressions every
+// row shares the empty key.
+func joinKey(dst []byte, funcs []expr.Func, t schema.Tuple) (key []byte, ok bool, err error) {
 	for _, f := range funcs {
 		v, err := f(t)
 		if err != nil {
-			return "", false, err
+			return dst, false, err
 		}
 		if v.IsNull() {
-			return "", false, nil
+			return dst, false, nil
 		}
-		b = append(b, v.Key()...)
-		b = append(b, 0x1f)
+		dst = append(v.AppendKey(dst), 0x1f)
 	}
-	return string(b), true, nil
+	return dst, true, nil
 }
 
 // buildJoin splits the ON condition into the equality conjuncts across

@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/clean"
 	"repro/internal/llm"
@@ -28,24 +29,32 @@ import (
 // starts at Open and runs all the pages before emitting a row. Inline
 // and producer share one step pair: submitPage, then absorb.
 //
-// Open builds the page prompts' templates once: the first page is a
+// Open takes the page prompts' templates from the context's Templates,
+// or builds them when the scan pushes conditions: the first page is a
 // template with an empty key, and a later page's key is its exclusion
 // list. Each page's answer is decoded once, into its cleaned keys, and a
-// resident page is read with its decoding and not decoded again.
+// resident page is read with its decoding and not decoded again; what
+// absorbing it adds to the chain is a pageStep, memoized with the
+// templates, so a resident chain is absorbed without re-deriving it.
 type llmKeyScanOp struct {
 	tally
 	scan *logical.Scan
 	out  *schema.Schema
 	pipe pipe // not started while the scan runs inline
 
+	// width is the cells each row has room for: the key and the cell of
+	// every fetch of its run (see Compile); 0 leaves room for the key.
+	width int
+
 	c                   *Context
 	client              llm.Client
 	firstPage, morePage *llm.Template
 	maxIter             int
 
-	// The page chain, handed to the producer when it starts.
-	keys    []string
-	seen    map[string]bool
+	// The page chain, handed to the producer when it starts. first
+	// memoizes the chain's first step (the scan's templates' own).
+	first   *atomic.Pointer[pageStep]
+	step    *pageStep // the chain's state after the last absorbed page
 	vt      llm.VTime
 	iter    int
 	page    answer    // the page asked, until absorbed
@@ -71,11 +80,23 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 		s.maxIter = 12
 	}
 	cleaner := c.Cleaner
-	decode := func(resp string) any { return decodePage(resp, cleaner, keyKind) }
-	tag := pageTag{keyKind, cleaner.Options()}
-	first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
-	s.firstPage = llm.NewDecodedTemplate(first, "", llm.PromptClass{}, tag, decode)
-	s.morePage = llm.NewDecodedTemplate(pre, post, llm.PromptClass{}, tag, decode)
+	build := func() templateSet {
+		decode := func(resp string) any { return decodePage(resp, cleaner, keyKind) }
+		tag := pageTag{keyKind, cleaner.Options()}
+		first, pre, post := c.Prompts.KeyListTemplate(s.scan.Table.Name, s.scan.Table.KeyColumn, conds)
+		return templateSet{
+			main:  llm.NewDecodedTemplate(first, "", llm.PromptClass{}, tag, decode),
+			more:  llm.NewDecodedTemplate(pre, post, llm.PromptClass{}, tag, decode),
+			first: new(atomic.Pointer[pageStep]),
+		}
+	}
+	var pages templateSet
+	if len(conds) > 0 {
+		pages = build() // carries the conditions' literals
+	} else {
+		pages = c.Templates.get(templateKey{llm.RoleKeyscan, s.scan.Table.Name, s.scan.Table.KeyColumn, keyKind, cleaner.Options()}, build)
+	}
+	s.firstPage, s.morePage, s.first = pages.main, pages.more, pages.first
 	s.c, s.client = c, client
 	if c.Scheduler.StopAndGo() {
 		s.pipe.start(c, s)
@@ -87,8 +108,8 @@ func (s *llmKeyScanOp) Open(c *Context) error {
 // completed. Stop-and-go, each page is a wave of one.
 func (s *llmKeyScanOp) submitPage() {
 	tmpl, key := s.firstPage, ""
-	if len(s.keys) > 0 {
-		tmpl, key = s.morePage, strings.Join(s.keys, "; ")
+	if s.step != nil && s.step.next != "" {
+		tmpl, key = s.morePage, s.step.next
 	}
 	s.took(0)
 	s.iter++
@@ -105,30 +126,27 @@ func (s *llmKeyScanOp) absorb() error {
 		return fmt.Errorf("physical: key scan of %s: %w", s.scan.Table.Name, err)
 	}
 	s.vt = vt
-	page := decoded.(*keyPage)
-	prevKeys, prevRows := len(s.keys), len(s.rows)
-	// The page's rows share one allocation, each capped at its own cell,
-	// and the chain's key list, rows and seen set grow once per page.
-	vals := make([]value.Value, 0, len(page.keys))
-	s.keys = slices.Grow(s.keys, len(page.keys))
-	s.rows = slices.Grow(s.rows, len(page.keys))
-	if s.seen == nil {
-		s.seen = make(map[string]bool, len(page.keys))
+	link := s.first
+	if s.step != nil {
+		link = &s.step.after
 	}
-	for _, k := range page.keys {
-		if s.seen[k.lower] {
-			continue
-		}
-		s.seen[k.lower] = true
-		s.keys = append(s.keys, k.key)
+	s.step = stepAfter(link, s.step, decoded.(*keyPage))
+	fresh, prevRows := s.step.fresh, len(s.rows)
+	// The page's rows share one allocation, each capped at the room its
+	// run's fetches append into, and the chain's rows grow once per page.
+	width := max(s.width, s.out.Len())
+	slab := make([]value.Value, len(fresh)*width)
+	s.rows = slices.Grow(s.rows, len(fresh))
+	for _, k := range fresh {
 		if !k.val.IsNull() {
-			vals = append(vals, k.val)
-			n := len(vals)
-			s.rows = append(s.rows, pipeRow{row: vals[n-1 : n : n], vt: vt})
+			row := slab[:1:width]
+			slab = slab[width:]
+			row[0] = k.val
+			s.rows = append(s.rows, pipeRow{row: row, vt: vt})
 		}
 	}
 	s.nm.RowsOut += len(s.rows) - prevRows
-	s.ended = page.done || len(s.keys) == prevKeys || s.iter >= s.maxIter
+	s.ended = s.step.page.done || len(fresh) == 0 || s.iter >= s.maxIter
 	return nil
 }
 
@@ -171,6 +189,72 @@ type pageTag struct {
 type keyPage struct {
 	keys []pageKey
 	done bool
+}
+
+// pageStep is a key-scan chain's state after one page: the page, its
+// keys new to the chain in answer order (a key repeated within the page
+// or from an earlier one is told apart case-insensitively), their
+// lower-cased forms, sorted, and the "; "-joined keys of the whole
+// chain, which the next page's prompt excludes. It never changes once
+// derived; after memoizes the step the next page led to.
+type pageStep struct {
+	page  *keyPage
+	prev  *pageStep
+	fresh []pageKey
+	lower []string
+	next  string
+	after atomic.Pointer[pageStep]
+}
+
+// seen reports whether a key, lower-cased, is in the chain up to st.
+func (st *pageStep) seen(lower string) bool {
+	for ; st != nil; st = st.prev {
+		if _, ok := slices.BinarySearch(st.lower, lower); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// stepAfter returns the chain's state after page when prev is the state
+// before it (nil before the first page), memoized in link: the scan's
+// first, or prev's after. A later page's prompt carries the chain's keys
+// so far, so the queries that read one resident chain from the prompt
+// cache reach each page from the same step, and absorb it with no set or
+// key list of their own; a chain that reaches link with another page
+// derives its own step.
+func stepAfter(link *atomic.Pointer[pageStep], prev *pageStep, page *keyPage) *pageStep {
+	if st := link.Load(); st != nil && st.page == page {
+		return st
+	}
+	st := &pageStep{page: page, prev: prev, fresh: make([]pageKey, 0, len(page.keys)), lower: make([]string, 0, len(page.keys))}
+	n := 0
+	if prev != nil {
+		n = len(prev.next)
+	}
+	for _, k := range page.keys {
+		n += len(k.key) + len("; ")
+	}
+	var next strings.Builder
+	next.Grow(n)
+	if prev != nil {
+		next.WriteString(prev.next)
+	}
+	for _, k := range page.keys {
+		at, dup := slices.BinarySearch(st.lower, k.lower)
+		if dup || prev.seen(k.lower) {
+			continue
+		}
+		st.lower = slices.Insert(st.lower, at, k.lower)
+		st.fresh = append(st.fresh, k)
+		if next.Len() > 0 {
+			next.WriteString("; ")
+		}
+		next.WriteString(k.key)
+	}
+	st.next = next.String()
+	link.Store(st)
+	return st
 }
 
 // pageKey is one cleaned key of a page: the key, its lower-cased form
@@ -258,13 +342,20 @@ func pushedConditions(pushed []logical.Conjunct) []prompt.Condition {
 // results. Streaming, each tuple is a wave of its own, issued the moment
 // it arrives, with its verification alongside; stop-and-go, the whole
 // input is one wave, and verification follows it as a second wave. Open
-// builds the prompt template once; each prompt is asked as the template
+// takes the prompt template from the context's Templates; each prompt
+// is asked as the template
 // and the tuple's key; each answer is cleaned once, when it arrives from
 // the model, and a resident answer is read cleaned.
 type llmFetchAttrOp struct {
 	node  *logical.FetchAttr
 	input Operator
 	out   *schema.Schema
+	// inPlace: the input's rows belong to this fetch's run and have room
+	// for its cell, which Next appends into the row itself. Otherwise
+	// Next copies each row into one with room for width cells (0: its
+	// own), the cells the fetches above append in place.
+	inPlace bool
+	width   int
 
 	client llm.Client
 	tmpl   *llm.Template
@@ -283,10 +374,13 @@ func (f *llmFetchAttrOp) Open(c *Context) error {
 	}
 	kind := f.out.Columns[f.out.Len()-1].Type
 	cleaner := c.Cleaner
-	pre, post := c.Prompts.AttrTemplate(f.node.Table.Name, f.node.Attr)
+	table, attr := f.node.Table.Name, f.node.Attr
 	f.client = client
-	f.tmpl = llm.NewDecodedTemplate(pre, post, llm.FetchClass(f.node.Table.Name, f.node.Attr),
-		cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })
+	f.tmpl = c.Templates.get(templateKey{llm.RoleFetch, table, attr, kind, cleaner.Options()}, func() templateSet {
+		pre, post := c.Prompts.AttrTemplate(table, attr)
+		return templateSet{main: llm.NewDecodedTemplate(pre, post, llm.FetchClass(table, attr),
+			cellTag{kind, cleaner.Options()}, func(answer string) any { return cleaner.Cell(answer, kind) })}
+	}).main
 	f.x.open(c, f.input, f)
 	return nil
 }
@@ -383,9 +477,12 @@ func (f *llmFetchAttrOp) Next() (schema.Tuple, llm.VTime, error) {
 			}
 		}
 	}
-	out := make(schema.Tuple, len(r.row), len(r.row)+1)
-	copy(out, r.row)
-	return append(out, v), vt, nil
+	row := r.row
+	if !f.inPlace {
+		row = make(schema.Tuple, len(r.row), max(f.width, len(r.row)+1))
+		copy(row, r.row)
+	}
+	return append(row, v), vt, nil
 }
 
 // llmFilterOp keeps tuples for which the per-key boolean prompt answers

@@ -7,6 +7,19 @@
 // operators against any llm.Client. A consumer drives the tree itself:
 // Open the root, pull Next until io.EOF, Close; Run is that loop
 // materialized.
+//
+// Who owns a row. No operator writes a cell of a row it is handed:
+// scans hand out a DB table's or a cached relation's own rows, and a
+// join, a sort or an aggregate keeps the rows it drained. A row's spare
+// capacity, past its length, belongs to the operator that allocated it,
+// which gives it to one run: a key scan, or a fetch that copies its
+// input, and the fetches above it, through any filters between them
+// (Compile). The run's lowest operator allocates each row once, with
+// room for every cell the run fetches, and each fetch above appends its
+// cell in place; a row moves down the run one operator at a time, so no
+// two hold it. A fetch over any other input copies each row. A
+// projection builds new rows, so the rows a planned query returns at
+// its root are its consumer's.
 package physical
 
 import (
@@ -59,6 +72,10 @@ type Context struct {
 	// "verify generated query answers by another model"). Cells the
 	// verifier disagrees with become NULL.
 	Verifier llm.Client
+	// Templates, when non-nil, memoizes the fetch and key-scan prompt
+	// templates across the queries of one session resolution, all of
+	// whose contexts share Prompts. Nil builds each operator's afresh.
+	Templates *Templates
 }
 
 // client resolves the transport one prompt role's calls go out on for a
@@ -284,11 +301,14 @@ func (l *limitOp) Next() (schema.Tuple, llm.VTime, error) {
 	return t, vt, nil
 }
 
-// distinctOp drops duplicates over the first keyCols columns.
+// distinctOp drops duplicates over the first keyCols columns. Each
+// row's key is appended into key, a buffer the operator reuses, so only
+// a row that is kept allocates its key.
 type distinctOp struct {
 	input   Operator
 	keyCols int
 	seen    map[string]bool
+	key     []byte
 }
 
 func (d *distinctOp) Schema() *schema.Schema { return d.input.Schema() }
@@ -306,11 +326,11 @@ func (d *distinctOp) Next() (schema.Tuple, llm.VTime, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		k := t[:d.keyCols].Key()
-		if d.seen[k] {
+		d.key = t[:d.keyCols].AppendKey(d.key[:0])
+		if d.seen[string(d.key)] {
 			continue
 		}
-		d.seen[k] = true
+		d.seen[string(d.key)] = true
 		return t, vt, nil
 	}
 }

@@ -378,6 +378,48 @@ func TestJoinRows(t *testing.T) {
 	}
 }
 
+// TestJoinProbeAllocs: a hash-join probe appends its key into the
+// operator's buffer and looks its bucket up without a key string, so
+// each matched left row allocates only its output row. The key spans an
+// INTEGER against a FLOAT column, which share numeric keys, and a TEXT
+// column.
+func TestJoinProbeAllocs(t *testing.T) {
+	const n = 200
+	side := func(table string, kind value.Kind) *vtScan {
+		s := &vtScan{out: schema.New(
+			schema.Column{Table: table, Name: "k", Type: kind},
+			schema.Column{Table: table, Name: "s", Type: value.KindString},
+		)}
+		for i := range n {
+			k := value.Int(int64(i) * 1_000_003)
+			if kind == value.KindFloat {
+				k = value.Float(float64(i) * 1_000_003)
+			}
+			s.rows = append(s.rows, schema.Tuple{k, value.Text(fmt.Sprintf("town %d", i))})
+			s.vts = append(s.vts, 0)
+		}
+		return s
+	}
+	eq := func(col string) ast.Expr {
+		return &ast.Binary{Op: "=", Left: &ast.ColumnRef{Table: "l", Name: col}, Right: &ast.ColumnRef{Table: "r", Name: col}}
+	}
+	op := joinOf(t, side("l", value.KindInt), side("r", value.KindFloat), ast.JoinInner, ast.And([]ast.Expr{eq("k"), eq("s")}))
+	if err := op.Open(&Context{}); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	rows := 0
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if row, _, err := op.Next(); err != nil || len(row) != 4 {
+			t.Fatalf("probe %d: row %v, %v", rows, row, err)
+		}
+		rows++
+	})
+	if allocs > 1 {
+		t.Errorf("a hash-join probe allocates %.0f times per matched row, want 1 (its output row)", allocs)
+	}
+}
+
 // TestJoinVirtualTime: a joined row — padded or matched, keyed bucket or
 // shared — is available once both the whole build side and its left row
 // are.

@@ -166,12 +166,17 @@ func (t Tuple) Concat(u Tuple) Tuple {
 // Key returns a composite hash key over the tuple's fields; GROUP BY and
 // DISTINCT key a group by the Key of its (leading) columns.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends t's Key to dst and returns the extended buffer: each
+// field's value.AppendKey followed by a 0x1f separator.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		b.WriteString(v.Key())
-		b.WriteByte('\x1f')
+		dst = append(v.AppendKey(dst), '\x1f')
 	}
-	return b.String()
+	return dst
 }
 
 // Relation is a fully materialized table: a schema plus rows.

@@ -191,24 +191,34 @@ func (v Value) SQLLiteral() string {
 // compare Equal produce the same key. Numeric values of different kinds
 // that represent the same number share a key.
 func (v Value) Key() string {
+	var buf [48]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's Key to dst and returns the extended buffer, so a
+// caller probing a map keyed by Key can build the probe in a buffer it
+// reuses and allocate a key string only when it inserts. An INTEGER is
+// keyed by its float64 rendering, as a FLOAT equal to it is, so integers
+// above 2^53 that round to one float share a key.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00null"
+		return append(dst, "\x00null"...)
 	case KindString:
-		return "s:" + v.s
+		return append(append(dst, "s:"...), v.s...)
 	case KindBool:
 		if v.i != 0 {
-			return "b:1"
+			return append(dst, "b:1"...)
 		}
-		return "b:0"
+		return append(dst, "b:0"...)
 	case KindDate:
-		return "d:" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, "d:"...), v.i, 10)
 	case KindInt:
-		return "n:" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "n:"...), float64(v.i), 'g', -1, 64)
 	case KindFloat:
-		return "n:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "n:"...), v.f, 'g', -1, 64)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
