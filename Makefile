@@ -31,7 +31,10 @@ race:
 # The root package's end-to-end timings of the query hot path
 # (BenchmarkAdhocPlan: a never-seen templated statement on a warm
 # runtime, where planning is the cost; the paper's numbers are
-# BENCH_paper.json, not benchmarks), then the planner's
+# BENCH_paper.json, not benchmarks), then the front end's
+# (BenchmarkShape: the lexer pass that keys the shape memo;
+# BenchmarkParse: a full parse, one typical ad-hoc statement each), the
+# planner's
 # (BenchmarkChoose: one templated enumeration
 # of a two-conjunct join, as on a plan-cache miss, each candidate lowered
 # and estimated), the scheduler's
@@ -45,7 +48,7 @@ race:
 # cache substrate's (BenchmarkFlight: one led, settled and admitted miss
 # that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
 # exact hit through the HTTP handler, buffered and NDJSON).
-BENCH_PKGS = . ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
+BENCH_PKGS = . ./internal/sql/lexer ./internal/sql/parser ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 

@@ -38,27 +38,38 @@ func mustRunner(b *testing.B) *bench.Runner {
 // iteration every prompt is a cache hit, so this is the zero-model-call
 // serving cost.
 func BenchmarkRepeatedQueryCached(b *testing.B) {
-	r := mustRunner(b)
+	query := repeatedQuery(b)
+	b.ResetTimer()
+	var prompts int
+	for i := 0; i < b.N; i++ {
+		prompts += query()
+	}
+	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
+}
+
+// repeatedQuery is BenchmarkRepeatedQueryCached's body: query runs the
+// statement once more on the warm runtime and returns its prompt count.
+func repeatedQuery(tb testing.TB) (query func() (prompts int)) {
+	r, err := bench.NewRunner(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	rt, err := r.Runtime(r.Model(simllm.ChatGPT), core.DefaultOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sess := rt.NewSession()
 	ctx := context.Background()
 	const q = `SELECT name FROM country WHERE independence_year > 1950`
-	if _, _, err := sess.Query(ctx, q); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var prompts int
-	for i := 0; i < b.N; i++ {
+	query = func() int {
 		_, rep, err := sess.Query(ctx, q)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		prompts += rep.Stats.Prompts
+		return rep.Stats.Prompts
 	}
-	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
+	query() // warm the cache
+	return query
 }
 
 // BenchmarkAdhocPlan measures ad-hoc serving on a warm ServeOptions()
@@ -68,21 +79,23 @@ func BenchmarkRepeatedQueryCached(b *testing.B) {
 // no prompt, and parsing, planning, execution and the result cache's
 // insert and evict are the whole cost.
 func BenchmarkAdhocPlan(b *testing.B) {
-	rt, run := adhocPlan(b)
+	rt, next, run := adhocPlan(b)
+	sqls := next(b.N)
 	before := rt.Stats().PlanCache
 	b.ReportAllocs()
 	b.ResetTimer()
-	prompts := run(b.N)
+	prompts := run(sqls)
 	b.StopTimer()
 	after := rt.Stats().PlanCache
 	b.ReportMetric(float64(prompts)/float64(b.N), "prompts/query")
 	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "plan_hits/query")
 }
 
-// adhocPlan is BenchmarkAdhocPlan's body: the warm runtime, and run,
-// which executes the next n ad-hoc statements and returns their prompt
-// count. Every template has run once when it returns.
-func adhocPlan(tb testing.TB) (*core.Runtime, func(n int) (prompts int)) {
+// adhocPlan is BenchmarkAdhocPlan's body: the warm runtime; next, which
+// generates the next n ad-hoc statements, outside the measured body; and
+// run, which executes statements and returns their prompt count. Every
+// template has run once when it returns.
+func adhocPlan(tb testing.TB) (*core.Runtime, func(n int) []string, func(sqls []string) (prompts int)) {
 	r, err := bench.NewRunner(1)
 	if err != nil {
 		tb.Fatal(err)
@@ -103,9 +116,16 @@ func adhocPlan(tb testing.TB) (*core.Runtime, func(n int) (prompts int)) {
 		}
 	}
 	gen := difftest.New(1)
-	run := func(n int) (prompts int) {
-		for i := 0; i < n; i++ {
-			_, rep, err := sess.Query(ctx, gen.Adhoc().SQL)
+	next := func(n int) []string {
+		sqls := make([]string, n)
+		for i := range sqls {
+			sqls[i] = gen.Adhoc().SQL
+		}
+		return sqls
+	}
+	run := func(sqls []string) (prompts int) {
+		for _, sql := range sqls {
+			_, rep, err := sess.Query(ctx, sql)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -113,8 +133,8 @@ func adhocPlan(tb testing.TB) (*core.Runtime, func(n int) (prompts int)) {
 		}
 		return prompts
 	}
-	run(500) // every template once, then some
-	return rt, run
+	run(next(500)) // every template once, then some
+	return rt, next, run
 }
 
 // BenchmarkGaloisQuery measures one representative end-to-end query on the

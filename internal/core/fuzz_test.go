@@ -1,11 +1,17 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/rescache"
 	"repro/internal/schema"
+	"repro/internal/sql/ast"
+	"repro/internal/sql/lexer"
+	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
 
@@ -76,4 +82,89 @@ func FuzzDecodeEntry(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzShape checks the shape memo's premise and its bind. Two statements
+// with one shape key (lexer.Shape) — the input and the input with fresh
+// literals — parse to trees that differ only in the literals: with the
+// first one's literal values put into the second's tree, the trees are
+// equal; and where only one parses, a literal of it is out of range. The
+// second statement bound from the first one's shape entry carries what
+// parsing, building, rendering and templating it give.
+func FuzzShape(f *testing.F) {
+	for i, sql := range shapeCorpus() {
+		f.Add(sql, int64(i))
+	}
+	var rt *Runtime
+	f.Fuzz(func(t *testing.T, sql string, seed int64) {
+		shape, lits, err := lexer.Shape(sql)
+		if err != nil {
+			return
+		}
+		fresh := freshLiterals(sql, rand.New(rand.NewSource(seed)))
+		shape2, lits2, err := lexer.Shape(fresh)
+		if err != nil || shape2 != shape {
+			return // the literal rewriter matched inside a name or a comment
+		}
+		stmt, plits, err := parser.ParseLiterals(sql)
+		stmt2, plits2, err2 := parser.ParseLiterals(fresh)
+		if (err == nil) != (err2 == nil) {
+			if !outOfRange(lits) && !outOfRange(lits2) {
+				t.Fatalf("%q parses (%v) where %q does not (%v)", sql, err, fresh, err2)
+			}
+			return
+		}
+		if err != nil || slices.Contains(plits, nil) || slices.Contains(plits2, nil) {
+			return
+		}
+		for i := range plits2 {
+			plits2[i].Val = plits[i].Val
+		}
+		if !reflect.DeepEqual(stmt, stmt2) {
+			t.Fatalf("%q and %q share a shape but parse to trees that differ beyond their literals", sql, fresh)
+		}
+
+		sel, ok := stmt.(*ast.Select)
+		if !ok {
+			return
+		}
+		if rt == nil {
+			rt = oracleRuntime(t)
+		}
+		s := rt.NewSession()
+		q, err := s.prepare(sel)
+		if err != nil {
+			return
+		}
+		e := newShapeEntry(q, lits, plits)
+		if e == nil {
+			return
+		}
+		got := s.bind(e, lits2)
+		if got == nil {
+			if !fixedDiffers(e, lits2) && !outOfRange(lits2) {
+				t.Fatalf("%q: not bound from %q", fresh, sql)
+			}
+			return
+		}
+		stmt2, _, _ = parser.ParseLiterals(fresh)
+		want, err := s.prepare(stmt2.(*ast.Select))
+		if err != nil {
+			t.Fatalf("%q: bound from %q, but it does not build: %v", fresh, sql, err)
+		}
+		want.tpl, _ = optimizer.NewTemplate(want.built, s.res.planKey)
+		if g, w := describeQuery(got), describeQuery(want); g != w {
+			t.Fatalf("%q bound from %q:\n%s\nparsed:\n%s", fresh, sql, g, w)
+		}
+	})
+}
+
+// outOfRange reports whether a literal of lits fails to parse.
+func outOfRange(lits []lexer.Literal) bool {
+	for _, l := range lits {
+		if _, ok := parser.Value(l); !ok {
+			return true
+		}
+	}
+	return false
 }

@@ -20,7 +20,7 @@ var llmTableNames = []string{"country", "city", "mayor", "airport", "singer", "s
 
 // serveRuntime builds a runtime over the simulated ChatGPT with every
 // world table bound to the LLM side.
-func serveRuntime(t *testing.T, opts Options) (*Runtime, *world.World) {
+func serveRuntime(t testing.TB, opts Options) (*Runtime, *world.World) {
 	t.Helper()
 	w := world.Build()
 	rt := NewRuntime(simllm.New(simllm.ChatGPT, w, 1), opts)

@@ -65,8 +65,10 @@ type Runtime struct {
 	resultCache *rescache.Cache
 	// memo maps SQL text to its parsed, built and fingerprinted form, so
 	// exact result-cache hits skip the front end (nil when the result
-	// cache is off).
-	memo *stmtMemo
+	// cache is off); shapes maps a SELECT's shape to its build prepared
+	// for binding other literals (see memo.go).
+	memo   *stmtMemo
+	shapes *shapeMemo
 	// plans is the cost-based planner's cache of plan choices by
 	// statement template, each reused only while the inputs it was chosen
 	// on are unchanged (nil: every statement enumerates).
@@ -198,6 +200,7 @@ func newRuntimeBackends(defs []BackendDef, defaultName string, routes map[string
 		builder:    prompt.NewBuilder(),
 		stats:      optimizer.NewStatistics(),
 		plans:      newPlanCache(),
+		shapes:     lru.NewMap[string, *shapeEntry](planCacheSize),
 	}
 	if opts.CacheEnabled {
 		rt.cache = llm.NewCache(opts.CacheSize)

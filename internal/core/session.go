@@ -84,17 +84,8 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 	return s.rt.ResolveTable(name, explicit)
 }
 
-// plan is the planner entry point: it builds and optimizes the plan for
-// one SELECT (optimizer.Choose), returning the planner's cost prediction
-// alongside it. Fresh candidates compete against any pre-built residual
-// plans over cached relations, so cache answering is a plan-choice
-// decision, not a bypass. A non-nil built plan (already constructed for
-// the result-cache fingerprint) is planned directly, so a cache miss
-// does not build twice. Under CostBased the runtime's plan cache may
-// replace the enumeration. Its key starts with the session's plan key
-// (the options key and the wave), so a session that pins a
-// DisableLLMFilter set, which the enumeration does not read, keeps
-// entries of its own.
+// plan plans one SELECT: it builds sel unless built is given, renders
+// the plan-cache template and chooses (choose).
 func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	if built == nil {
 		var err error
@@ -102,14 +93,35 @@ func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.E
 			return nil, nil, err
 		}
 	}
+	var tpl *optimizer.Template
+	if s.costBased() {
+		tpl, _ = optimizer.NewTemplate(built, s.res.planKey)
+	}
+	return s.choose(built, tpl, extras)
+}
+
+// costBased reports whether the session plans through the runtime's
+// plan cache: under CostBased, when the runtime has one.
+func (s *Session) costBased() bool { return s.opts.Optimizer.CostBased && s.rt.plans != nil }
+
+// choose is the planner entry point: it optimizes the plan for one built
+// SELECT (optimizer.Choose), returning the planner's cost prediction
+// alongside it. Fresh candidates compete against any pre-built residual
+// plans over cached relations, so cache answering is a plan-choice
+// decision, not a bypass. tpl is built's plan-cache template, nil
+// without one or without cost-based planning (costBased). Under
+// CostBased the runtime's plan cache may replace the enumeration. Its
+// key starts with the session's plan key (the options key and the
+// wave), so a session that pins a DisableLLMFilter set, which the
+// enumeration does not read, keeps entries of its own.
+func (s *Session) choose(built logical.Node, tpl *optimizer.Template, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	if s.res.err != nil {
 		return nil, nil, s.res.err
 	}
 	o := s.opts.Optimizer
 	pc := s.rt.plans
-	var tpl *optimizer.Template
-	if o.CostBased && pc != nil {
-		if tpl, _ = optimizer.NewTemplate(built, s.res.planKey); tpl == nil {
+	if s.costBased() {
+		if tpl == nil {
 			pc.misses.Add(1)
 		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil || err != nil {
 			return plan, cost, err
@@ -295,24 +307,26 @@ func writeSortedSet(b *strings.Builder, set map[string]bool) {
 // exactly as they do for execution, so EXPLAIN shows the
 // "residual over cached(...)" plan a subsumed query would actually run.
 func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Relation, *Report, error) {
-	var built logical.Node
-	var canon logical.Canonical
+	built, err := logical.Build(ex.Stmt, s.rt)
+	if err != nil {
+		return nil, nil, err
+	}
+	q := &query{built: built}
+	if s.costBased() {
+		q.tpl, _ = optimizer.NewTemplate(built, s.res.planKey)
+	}
 	var stamp string
 	if s.rt.resultCache != nil {
-		var err error
-		if built, err = logical.Build(ex.Stmt, s.rt); err != nil {
-			return nil, nil, err
-		}
-		canon = logical.Canonicalize(built)
-		stamp = s.rt.stampFor(canon.Components)
+		q.canon = logical.Canonicalize(built)
+		stamp = s.rt.stampFor(q.canon.Components)
 	}
-	plan, cost, err := s.plan(ex.Stmt, built, s.residualCandidates(canon, stamp))
+	plan, cost, err := s.choose(built, q.tpl, s.residualCandidates(q.canon, stamp))
 	if err != nil {
 		return nil, nil, err
 	}
 	rep := &Report{Plan: logical.Explain(plan), Estimate: cost}
 	if ex.Analyze {
-		st, err := s.openPlan(ctx, ex.Stmt, plan, cost)
+		st, err := s.openPlan(ctx, q, plan, cost)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/rescache"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
+	"repro/internal/sql/lexer"
 	"repro/internal/sql/parser"
 )
 
@@ -108,14 +109,51 @@ var ErrStatement = errors.New("core: invalid statement")
 // With the result cache on, a SELECT the runtime's statement memo holds
 // skips the parser, the logical build and the fingerprint whenever its
 // table resolutions still replay: its result-cache key is the memoized
-// fingerprint under the current stamp.
+// fingerprint under the current stamp. Any other SELECT of a shape the
+// shape memo holds is bound instead of parsed and built (openStatement).
 func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) {
 	if m := s.rt.memo; m != nil {
-		if e := m.Get(sql); e != nil && e.valid(s.rt) {
+		if e := m.Get(sql); e != nil && e.res.valid(s.rt) {
 			return s.openMemo(ctx, e)
 		}
 	}
-	stmt, err := parser.Parse(sql)
+	return s.openStatement(ctx, sql)
+}
+
+// query is one SELECT ready to plan: its logical build, that build's
+// canonical form and plan-cache template (nil without cost-based
+// planning, or when the template has repeated literals), and the table
+// resolutions the build made. A query bound from the shape memo has no
+// parsed statement and no raw template.
+type query struct {
+	sel   *ast.Select
+	built logical.Node
+	canon logical.Canonical
+	tpl   *optimizer.Template
+	// raw is the build's template without the repeated-literal check
+	// (optimizer.TemplateOf), which the shape memo keeps.
+	raw        *optimizer.Template
+	res        resolutions
+	truncating bool
+}
+
+// openStatement opens sql past the statement memo. A SELECT of a shape
+// the shape memo holds, whose resolutions replay and whose literals
+// bind, is bound; any other statement is parsed, and a SELECT is built
+// and its shape memoized (seenOnce on its first sight).
+func (s *Session) openStatement(ctx context.Context, sql string) (*Stream, error) {
+	shape, lits, shapeErr := lexer.Shape(sql)
+	memo := s.rt.shapes != nil && shapeErr == nil
+	var seen *shapeEntry
+	if memo {
+		seen = s.rt.shapes.Get(shape)
+		if e := seen; e != nil && e != seenOnce && e.res.valid(s.rt) {
+			if q := s.bind(e, lits); q != nil {
+				return s.openSelect(ctx, sql, q)
+			}
+		}
+	}
+	stmt, plits, err := parser.ParseLiterals(sql)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStatement, err)
 	}
@@ -127,10 +165,54 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 		}
 		return &Stream{s: s, schema: rel.Schema, cached: rep.Cached, replay: rel, rep: rep}, nil
 	case *ast.Select:
-		return s.openSelect(ctx, sql, stmt)
+		q, err := s.prepare(stmt)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case !memo:
+		case seen == nil:
+			s.rt.shapes.Put(shape, seenOnce)
+		default:
+			if e := newShapeEntry(q, lits, plits); e != nil {
+				s.rt.shapes.Put(shape, e)
+			}
+		}
+		return s.openSelect(ctx, sql, q)
 	default:
 		return nil, fmt.Errorf("%w: only SELECT and EXPLAIN statements can be executed", ErrStatement)
 	}
+}
+
+// prepare builds sel, recording its table resolutions, and renders its
+// canonical form and plan-cache template.
+func (s *Session) prepare(sel *ast.Select) (*query, error) {
+	rec := &recordingResolver{rt: s.rt}
+	built, err := logical.Build(sel, rec)
+	if err != nil {
+		return nil, err
+	}
+	q := &query{sel: sel, built: built, canon: logical.Canonicalize(built), res: rec.res,
+		raw: optimizer.TemplateOf(built, s.res.planKey), truncating: sel.Limit >= 0 || sel.Offset > 0}
+	if s.costBased() && q.raw.Distinct() {
+		q.tpl = q.raw
+	}
+	return q, nil
+}
+
+// bind returns the query of a statement of e's shape whose literal vector
+// is lits, or nil when its literals do not bind (shapeEntry.values).
+func (s *Session) bind(e *shapeEntry, lits []lexer.Literal) *query {
+	vals, ok := e.values(lits)
+	if !ok {
+		return nil
+	}
+	q := &query{res: e.res, truncating: e.truncating}
+	q.built, q.canon = e.skel.Bind(vals)
+	if s.costBased() {
+		q.tpl, _ = e.tpl.Bind(q.built, s.res.planKey)
+	}
+	return q
 }
 
 // openSelect opens one SELECT, consulting the runtime's result cache
@@ -142,50 +224,44 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 // follow (see observe). They do, however, participate as subsumption
 // consumers: a cached LIMIT-free superset relation answers them with a
 // local residual evaluation for zero prompts. An exact hit memoizes sql.
-func (s *Session) openSelect(ctx context.Context, sql string, sel *ast.Select) (*Stream, error) {
+func (s *Session) openSelect(ctx context.Context, sql string, q *query) (*Stream, error) {
 	rc := s.rt.resultCache
 	if rc == nil {
-		return s.openShaped(ctx, sel, nil, logical.Canonical{}, "")
+		return s.openShaped(ctx, q, "")
 	}
-	// The cheap logical build (no candidate enumeration, no costing)
-	// yields the canonical form. Its components are stamped before
-	// execution, so a bind landing mid-flight keys this result under the
-	// old epochs, where no post-bind lookup can reach it.
-	rec := &recordingResolver{rt: s.rt}
-	built, err := logical.Build(sel, rec)
-	if err != nil {
-		return nil, err
-	}
-	canon := logical.Canonicalize(built)
-	stamp := s.rt.stampFor(canon.Components)
-	if sel.Limit >= 0 || sel.Offset > 0 {
-		return s.openShaped(ctx, sel, built, canon, stamp)
+	// The build's components are stamped before execution, so a bind
+	// landing mid-flight keys this result under the old epochs, where no
+	// post-bind lookup can reach it.
+	stamp := s.rt.stampFor(q.canon.Components)
+	if q.truncating {
+		return s.openShaped(ctx, q, stamp)
 	}
 	// The exact key is the result-affecting options prefix plus the
 	// fingerprint of the built (pre-optimization) plan: literals kept,
 	// table bindings folded in.
-	key := rescache.Key{Fingerprint: s.res.key + canon.Fingerprint, Stamp: stamp}
+	key := rescache.Key{Fingerprint: s.res.key + q.canon.Fingerprint, Stamp: stamp}
 	entry, lead, err := rc.Lookup(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: sel,
-			canon:  logical.Canonical{Fingerprint: canon.Fingerprint, Components: canon.Components},
-			optsFP: s.res.key, key: key.Fingerprint, res: rec.res})
+		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: q.sel,
+			canon:  logical.Canonical{Fingerprint: q.canon.Fingerprint, Components: q.canon.Components},
+			optsFP: s.res.key, key: key.Fingerprint, res: q.res})
 		return s.replayHit(key, entry), nil
 	}
-	return s.openLead(ctx, sel, built, canon, stamp, lead)
+	return s.openLead(ctx, q, stamp, lead)
 }
 
 // openMemo opens a memoized SELECT whose resolutions were just replayed:
 // the stamp and the exact probe come straight from the memo entry. A hit
-// replays the resident relation; a miss builds from the memoized AST and
-// leads the key's flight — unless a bind landed since the replay and the
-// build no longer yields the memoized fingerprint, in which case the
-// flight is released and the statement takes the unmemoized path. A
-// session under the options prefix the entry was memoized with reuses
-// its full key; any other concatenates its own.
+// replays the resident relation; a miss builds from the memoized AST (or
+// parses the statement again when it was bound) and leads the key's
+// flight — unless a bind landed since the replay and the build no longer
+// yields the memoized fingerprint, in which case the flight is released
+// and the statement takes the unmemoized path. A session under the
+// options prefix the entry was memoized with reuses its full key; any
+// other concatenates its own.
 func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.canon.Components)}
 	if s.res.key != e.optsFP {
@@ -198,13 +274,17 @@ func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	if lead == nil {
 		return s.replayHit(key, entry), nil
 	}
-	if built, err := logical.Build(e.sel, s.rt); err == nil {
-		if canon := logical.Canonicalize(built); canon.Fingerprint == e.canon.Fingerprint {
-			return s.openLead(ctx, e.sel, built, canon, key.Stamp, lead)
+	sel := e.sel
+	if sel == nil {
+		sel, _ = parser.ParseSelect(e.sql)
+	}
+	if sel != nil {
+		if q, err := s.prepare(sel); err == nil && q.canon.Fingerprint == e.canon.Fingerprint {
+			return s.openLead(ctx, q, key.Stamp, lead)
 		}
 	}
 	lead.Settle(nil, errMemoStale)
-	return s.openSelect(ctx, e.sql, e.sel)
+	return s.openStatement(ctx, e.sql)
 }
 
 // replayHit opens an exact hit: the resident relation, replayed row by
@@ -249,20 +329,20 @@ func (st *Stream) Hit() *HitBody {
 // openLead opens the execution of a result-cache miss whose flight this
 // caller leads. An open that fails — or panics — settles the flight
 // here; once open, the stream owns it.
-func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.Node, canon logical.Canonical, stamp string, lead *rescache.Lead) (*Stream, error) {
+func (s *Session) openLead(ctx context.Context, q *query, stamp string, lead *rescache.Lead) (*Stream, error) {
 	var st *Stream
 	defer func() {
 		if st == nil {
 			lead.Settle(nil, errStreamAbandoned)
 		}
 	}()
-	st, err := s.openShaped(ctx, sel, built, canon, stamp)
+	st, err := s.openShaped(ctx, q, stamp)
 	if err != nil {
 		return nil, err
 	}
 	st.lead = lead
-	st.entry = &rescache.Entry{Tables: canon.Components}
-	if shape := canon.Shape; shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
+	st.entry = &rescache.Entry{Tables: q.canon.Components}
+	if shape := q.canon.Shape; shape != nil && shape.Producer && !s.opts.Optimizer.PromptPushdown {
 		// Producer-shaped plans (Project over base filters, no hidden
 		// columns) retain their decomposition so this entry can answer
 		// subsumed queries. Prompt pushdown merges predicates into the
@@ -281,24 +361,24 @@ func (s *Session) openLead(ctx context.Context, sel *ast.Select, built logical.N
 
 // openShaped plans one SELECT with residual plans over cached relations
 // competing as candidates, and opens the winner.
-func (s *Session) openShaped(ctx context.Context, sel *ast.Select, built logical.Node, canon logical.Canonical, stamp string) (*Stream, error) {
-	plan, cost, err := s.plan(sel, built, s.residualCandidates(canon, stamp))
+func (s *Session) openShaped(ctx context.Context, q *query, stamp string) (*Stream, error) {
+	plan, cost, err := s.choose(q.built, q.tpl, s.residualCandidates(q.canon, stamp))
 	if err != nil {
 		return nil, err
 	}
-	return s.openPlan(ctx, sel, plan, cost)
+	return s.openPlan(ctx, q, plan, cost)
 }
 
 // openPlan opens one planned SELECT. A residual winner streams locally
 // over its cached relation; when that entry was evicted between costing
-// and execution, sel is planned afresh. Everything else executes live.
-func (s *Session) openPlan(ctx context.Context, sel *ast.Select, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
+// and execution, q is planned afresh. Everything else executes live.
+func (s *Session) openPlan(ctx context.Context, q *query, plan logical.Node, cost *optimizer.PlanCost) (*Stream, error) {
 	if cs := logical.FindCachedScan(plan); cs != nil {
 		st, err := s.openResidual(plan, cost, cs)
 		if !errors.Is(err, errCachedEntryGone) {
 			return st, err
 		}
-		if plan, cost, err = s.plan(sel, nil, nil); err != nil {
+		if plan, cost, err = s.choose(q.built, q.tpl, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -33,18 +33,14 @@ type Canonical struct {
 
 // Canonicalize renders n once and returns its canonical form.
 func Canonicalize(n Node) Canonical {
-	var chain []Node
-	from := n
-walk:
-	for {
-		switch from.(type) {
-		case *StripProject, *Limit, *Sort, *Distinct, *Project, *Aggregate, *Filter:
-			chain = append(chain, from)
-			from, _ = Inputs(from)
-		default:
-			break walk
-		}
-	}
+	c, _, _ := canonicalize(n)
+	return c
+}
+
+// canonicalize is Canonicalize that also returns the span [start, end)
+// of the fingerprint that the FROM tree's rendering takes.
+func canonicalize(n Node) (Canonical, int, int) {
+	chain, from := splitChain(n)
 	var b strings.Builder
 	b.Grow(512)
 	r := renderer{b: &b, pred: verbatim, from: from, collect: true}
@@ -52,9 +48,24 @@ walk:
 	slices.Sort(r.comps)
 	c := Canonical{Fingerprint: b.String(), Components: r.comps}
 	if fromOnly(from) {
-		c.Shape = decompose(chain, from, c.Fingerprint[r.start:r.end])
+		c.Shape = decompose(chain, from, c.Fingerprint[r.start:r.end], fromLabel(from))
 	}
-	return c
+	return c, r.start, r.end
+}
+
+// splitChain splits a built plan into the single-input operator chain
+// the builder emits, outermost first, and the FROM tree below it.
+func splitChain(n Node) (chain []Node, from Node) {
+	chain = make([]Node, 0, 8)
+	for from = n; ; {
+		switch from.(type) {
+		case *StripProject, *Limit, *Sort, *Distinct, *Project, *Aggregate, *Filter:
+			chain = append(chain, from)
+			from, _ = Inputs(from)
+		default:
+			return chain, from
+		}
+	}
 }
 
 // Fingerprint returns n's fingerprint (see Canonical).

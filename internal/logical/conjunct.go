@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/sql/ast"
+	"repro/internal/value"
 )
 
 // Conjunct is one AND-ed term of a Filter condition or a Join's ON
@@ -34,13 +35,14 @@ type Conjunct struct {
 
 // NewConjunct classifies one conjunct.
 func NewConjunct(e ast.Expr) Conjunct {
-	c := Conjunct{Expr: e, Text: e.String()}
+	c := Conjunct{Expr: e}
 	bin, ok := e.(*ast.Binary)
-	if !ok {
-		return c
+	mirrored, cmp := "", false
+	if ok {
+		mirrored, cmp = mirrorOp[bin.Op]
 	}
-	mirrored, ok := mirrorOp[bin.Op]
-	if !ok {
+	if !cmp {
+		c.Text = e.String()
 		return c
 	}
 	if ref, ok := bin.Left.(*ast.ColumnRef); ok {
@@ -52,8 +54,18 @@ func NewConjunct(e ast.Expr) Conjunct {
 			c.Col, c.Op, c.Lit, c.Mirrored = ref, mirrored, lit, true
 		}
 	}
+	// A comparison renders as its operands around the operator
+	// (ast.Binary.String); a number's rendering is its LitText too.
+	l, r := bin.Left.String(), bin.Right.String()
+	c.Text = l + " " + bin.Op + " " + r
 	if c.Col != nil {
-		c.LitText = c.Lit.Val.String()
+		c.LitText = r
+		if c.Mirrored {
+			c.LitText = l
+		}
+		if k := c.Lit.Val.Kind(); k != value.KindInt && k != value.KindFloat {
+			c.LitText = c.Lit.Val.String()
+		}
 		c.Key = strings.ToLower(c.Comparison())
 	}
 	return c

@@ -96,8 +96,9 @@ type Shape struct {
 func Decompose(n Node) *Shape { return Canonicalize(n).Shape }
 
 // decompose splits the chain above the FROM tree from, whose canonical
-// text is fromKey, into base conjuncts and the upper chain.
-func decompose(chain []Node, from Node, fromKey string) *Shape {
+// text is fromKey and label fromLabel, into base conjuncts and the upper
+// chain.
+func decompose(chain []Node, from Node, fromKey, fromLabel string) *Shape {
 	// Peel the run of Filters sitting directly on the FROM tree: those
 	// are the base conjuncts (WHERE, and HAVING when no aggregate
 	// intervenes). A Filter above an Aggregate stays in the upper chain.
@@ -108,7 +109,7 @@ func decompose(chain []Node, from Node, fromKey string) *Shape {
 		}
 		base--
 	}
-	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel(from), Upper: chain[:base]}
+	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel, Upper: chain[:base]}
 	for _, f := range chain[base:] {
 		for _, c := range f.(*Filter).conjs {
 			if !slices.Contains(sh.Texts, c.Text) {

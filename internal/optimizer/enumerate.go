@@ -94,7 +94,7 @@ func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extr
 	}
 	enumerated := 1 << len(points)
 	if rec != nil {
-		rec.decided(filterKeys, pushedKeys, joins, best.mask, enumerated)
+		rec.decided(filterKeys, pushedKeys, joins, best.mask, enumerated, best.plan, best.cost)
 	}
 	plan, cost := compete(best, enumerated, st, p, extras, less)
 	if rec == nil || rec.unstable {
@@ -182,7 +182,6 @@ func assemblePoints(filterKeys, pushedKeys []string, joins int, pushdown bool) [
 // that lower it and its choice label.
 func candidate(points []choicePoint, mask int) (choice, string) {
 	var c choice
-	var parts []string
 	for i, pt := range points {
 		if mask&(1<<i) == 0 {
 			continue
@@ -190,19 +189,35 @@ func candidate(points []choicePoint, mask int) (choice, string) {
 		switch pt.kind {
 		case "fetch":
 			c.fetch = with(c.fetch, pt.key)
-			parts = append(parts, "fetch{"+pt.key+"}")
 		case "nopush":
 			c.stage = with(c.stage, pt.key)
-			parts = append(parts, "stage{"+pt.key+"}")
 		case "swap":
 			c.swap = with(c.swap, pt.join)
+		}
+	}
+	return c, label(points, mask)
+}
+
+// label renders one mask over the decision points as its choice label.
+func label(points []choicePoint, mask int) string {
+	var parts []string
+	for i, pt := range points {
+		if mask&(1<<i) == 0 {
+			continue
+		}
+		switch pt.kind {
+		case "fetch":
+			parts = append(parts, "fetch{"+pt.key+"}")
+		case "nopush":
+			parts = append(parts, "stage{"+pt.key+"}")
+		case "swap":
 			parts = append(parts, fmt.Sprintf("swap{%d}", pt.join))
 		}
 	}
 	if len(parts) == 0 {
-		return c, "paper"
+		return "paper"
 	}
-	return c, strings.Join(parts, " ")
+	return strings.Join(parts, " ")
 }
 
 // with returns set with k added, allocating the set on first use.

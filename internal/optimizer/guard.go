@@ -30,6 +30,13 @@ type Guarded struct {
 	// mask is the winning enumerated candidate, candidates how many were
 	// enumerated.
 	mask, candidates int
+	// lowered is the winning candidate as lowered for the recorded
+	// statement, cost its estimate, and sites its column-op-literal
+	// conjuncts with their template slots; nil when a lowered conjunct
+	// is no slot's or a join's ON is not left-deep.
+	lowered logical.Node
+	cost    *PlanCost
+	sites   []logical.Site
 }
 
 // readKind names one planning input.
@@ -142,10 +149,10 @@ func (r *recorder) note(rd read, a answer) {
 	r.guards = append(r.guards, guard{read: rd, slot: slot, want: a})
 }
 
-// decided records the enumeration's decision points and winner. A
-// decision point whose conjunct is no slot's leaves the choice
-// unguarded.
-func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candidates int) {
+// decided records the enumeration's decision points and winner, the
+// plan lowered and its estimate. A decision point whose conjunct is no
+// slot's leaves the choice unguarded.
+func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candidates int, lowered logical.Node, cost *PlanCost) {
 	fetch, ok := r.slotsOf(filterKeys)
 	if !ok {
 		return
@@ -155,6 +162,48 @@ func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candida
 		return
 	}
 	r.g = &Guarded{guards: append([]guard(nil), r.guards...), fetch: fetch, push: push, joins: joins, mask: mask, candidates: candidates}
+	if logical.LeftDeep(lowered) {
+		sites := make([]logical.Site, 0, len(r.t.slots))
+		if sites, ok = r.sitesOf(lowered, sites); ok {
+			r.g.lowered, r.g.cost, r.g.sites = lowered, cost, sites
+		}
+	}
+}
+
+// sitesOf appends the sites of n's column-op-literal conjuncts, and those
+// below it, each with its template slot, reporting false when one is no
+// slot's: a bind could not reproduce that lowering.
+func (r *recorder) sitesOf(n logical.Node, sites []logical.Site) ([]logical.Site, bool) {
+	var cs []logical.Conjunct
+	switch node := n.(type) {
+	case *logical.Filter:
+		cs = node.Conjuncts()
+	case *logical.Join:
+		cs = node.Conjuncts()
+	case *logical.LLMFilter:
+		cs = []logical.Conjunct{node.Cond}
+	case *logical.Scan:
+		cs = node.Pushed
+	}
+	for i := range cs {
+		if cs[i].Col == nil {
+			continue
+		}
+		slot := r.t.slotOfKey(cs[i].Key)
+		if slot < 0 {
+			return nil, false
+		}
+		sites = append(sites, logical.Site{Node: n, Index: i, Slot: slot})
+	}
+	ok := true
+	left, right := logical.Inputs(n)
+	if left != nil {
+		sites, ok = r.sitesOf(left, sites)
+	}
+	if right != nil && ok {
+		sites, ok = r.sitesOf(right, sites)
+	}
+	return sites, ok
 }
 
 // slotsOf maps conjunct keys to their slots.
@@ -171,11 +220,17 @@ func (r *recorder) slotsOf(keys []string) ([]int, bool) {
 }
 
 // Replan plans built, a statement of the template g was recorded under,
-// with g's choice when every guard holds for t's literals: built is
-// optimized once under the stored decisions and estimated once, and the
-// extras compete as in Choose. It returns a nil plan when a guard fails
-// or the statement's decision points fall in another order; the caller
-// then enumerates afresh.
+// with g's choice when every guard holds for t's literals, and the
+// extras compete as in Choose. The plan is the recorded winner with t's
+// slot conjuncts bound in (logical.Rebind), and its estimate the
+// recorded one, each operator's filed under its bound copy: under held
+// guards every read the lowering (the filter order included) and the
+// estimate made answers as it did, so they decide and price as they
+// did. Where g holds no such plan, or built's ON predicates are not
+// left-deep, built is lowered once under the stored decisions and
+// estimated. It returns a nil plan when a guard fails or the statement's
+// decision points fall in another order; the caller then enumerates
+// afresh.
 func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, error) {
 	if st == nil {
 		st = NewStatistics()
@@ -194,14 +249,55 @@ func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Stat
 		}
 	}
 	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
-	c, label := candidate(points, g.mask)
-	plan, err := optimizeWith(built, base, c, st)
-	if err != nil {
-		return nil, nil, err
+	best := &scored{label: label(points, g.mask)}
+	if cs := g.bound(t); cs != nil && logical.LeftDeep(built) {
+		best.plan = logical.Rebind(g.lowered, g.sites, cs)
+		cost := *g.cost
+		cost.Nodes = make(map[logical.Node]NodeEstimate, len(g.cost.Nodes))
+		refile(g.lowered, best.plan, g.cost.Nodes, cost.Nodes)
+		best.cost = &cost
+	} else {
+		c, _ := candidate(points, g.mask)
+		plan, err := optimizeWith(built, base, c, st)
+		if err != nil {
+			return nil, nil, err
+		}
+		best.plan, best.cost = plan, Estimate(plan, st, p)
 	}
-	best := &scored{plan: plan, cost: Estimate(plan, st, p), label: label}
 	plan, cost := compete(best, g.candidates, st, p, extras, less)
 	return plan, cost, nil
+}
+
+// bound returns the conjuncts of t's slots at g's lowered sites, or nil
+// when g holds no lowered plan.
+func (g *Guarded) bound(t *Template) []logical.Conjunct {
+	if g.lowered == nil {
+		return nil
+	}
+	cs := make([]logical.Conjunct, len(g.sites))
+	for k, s := range g.sites {
+		if s.Slot >= len(t.slots) {
+			return nil
+		}
+		cs[k] = t.slots[s.Slot]
+	}
+	return cs
+}
+
+// refile files the estimate src holds for each operator of old under the
+// operator in its place in n, a copy of old's shape, in dst.
+func refile(old, n logical.Node, src, dst map[logical.Node]NodeEstimate) {
+	if est, ok := src[old]; ok {
+		dst[n] = est
+	}
+	ol, or := logical.Inputs(old)
+	nl, nr := logical.Inputs(n)
+	if ol != nil {
+		refile(ol, nl, src, dst)
+	}
+	if or != nil {
+		refile(or, nr, src, dst)
+	}
 }
 
 // keys renders decision-point slots as t's conjunct keys, reporting
@@ -217,7 +313,7 @@ func (g *Guarded) keys(t *Template, slots []int) ([]string, bool) {
 		if s >= len(t.slots) {
 			return nil, false
 		}
-		keys[i] = t.slots[s].key
+		keys[i] = t.slots[s].Key
 		if i > 0 && keys[i-1] >= keys[i] {
 			return nil, false
 		}
@@ -232,7 +328,7 @@ func (gd *guard) holds(t *Template, st *Statistics, p CostParams) bool {
 		if gd.slot >= len(t.slots) {
 			return false
 		}
-		rd.class.Literal = t.slots[gd.slot].lit
+		rd.class.Literal = t.slots[gd.slot].LitText
 	}
 	var got answer
 	switch rd.kind {

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Default statistics. Prompts are the dominant cost, so the defaults only
@@ -147,16 +148,40 @@ func (s *Statistics) Selectivity(table, attr, op, lit string) float64 {
 	if s == nil {
 		return defaultSelectivity(op)
 	}
-	exact, family := selKey(table, attr, op, lit)
+	// The keys selKey builds, written into a stack buffer: the map
+	// lookups convert it without allocating.
+	var buf [128]byte
+	key := appendLower(buf[:0], table)
+	key = appendLower(append(key, '|'), attr)
+	key = append(append(key, '|'), op...)
+	family := len(key)
+	key = appendLower(append(key, '|'), lit)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if o, ok := s.sels[exact]; ok && o.count > 0 {
+	if o, ok := s.sels[string(key)]; ok && o.count > 0 {
 		return o.sum / o.count
 	}
-	if o, ok := s.sels[family]; ok && o.count > 0 {
+	if o, ok := s.sels[string(key[:family])]; ok && o.count > 0 {
 		return o.sum / o.count
 	}
 	return defaultSelectivity(op)
+}
+
+// appendLower appends strings.ToLower(s) to dst.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // ObserveScan feeds back one executed key scan: the number of keys it

@@ -19,18 +19,13 @@ import (
 // Joins' classified conjuncts (logical.Conjunct): a slot's literal text
 // and lowering key are the conjunct's LitText and Key.
 type Template struct {
-	key   string
-	slots []slot
-}
-
-// slot is one comparison literal of a statement.
-type slot struct {
-	// lit is the literal as statistics and prompt classes read it
-	// (Value.String).
-	lit string
-	// key is its conjunct's Key, column first: the text the
-	// per-conjunct lowering decisions are keyed by.
 	key string
+	// prefix is the length of key's planning-inputs prefix.
+	prefix int
+	// slots are the column-op-literal conjuncts, in plan order. A slot's
+	// literal as statistics and prompt classes read it is its LitText,
+	// the text the per-conjunct lowering decisions are keyed by its Key.
+	slots []logical.Conjunct
 }
 
 // Key returns the template's literal-free identity.
@@ -43,20 +38,68 @@ func (t *Template) Key() string { return t.key }
 // read of that literal could then belong to either slot, so the
 // statement's reads cannot be replayed for other literals.
 func NewTemplate(built logical.Node, prefix string) (*Template, bool) {
-	t := &Template{}
+	if t := TemplateOf(built, prefix); t.Distinct() {
+		return t, true
+	}
+	return nil, false
+}
+
+// TemplateOf is NewTemplate without the check for repeated literals
+// (Distinct): a template to Bind statements of the same shape to.
+func TemplateOf(built logical.Node, prefix string) *Template {
+	t := &Template{prefix: len(prefix)}
 	var b strings.Builder
 	b.Grow(len(prefix) + 256)
 	b.WriteString(prefix)
 	logical.Render(&b, built, t.conjuncts)
+	// The key outlives the rendering in the plan cache and the shape
+	// memo: it keeps no spare capacity.
+	t.key = strings.Clone(b.String())
+	return t
+}
+
+// Bind returns the template of built, a plan that differs from the one t
+// was computed from only in its slot literals (logical.Skeleton.Bind),
+// under prefix: t's key, rendered again only when prefix differs, with
+// built's slots. It reports false as NewTemplate does.
+func (t *Template) Bind(built logical.Node, prefix string) (*Template, bool) {
+	out := &Template{key: t.key, prefix: len(prefix), slots: make([]logical.Conjunct, 0, len(t.slots))}
+	if t.key[:t.prefix] != prefix {
+		out.key = prefix + t.key[t.prefix:]
+	}
+	logical.Walk(built, func(n logical.Node) bool {
+		var cs []logical.Conjunct
+		switch node := n.(type) {
+		case *logical.Filter:
+			cs = node.Conjuncts()
+		case *logical.Join:
+			cs = node.Conjuncts()
+		}
+		for i := range cs {
+			if cs[i].Col != nil {
+				out.slots = append(out.slots, cs[i])
+			}
+		}
+		return true
+	})
+	if !out.Distinct() {
+		return nil, false
+	}
+	return out, true
+}
+
+// Distinct reports whether no two slots share a literal (compared
+// case-insensitively) or a key: whether the plan cache may serve the
+// template.
+func (t *Template) Distinct() bool {
 	for i := range t.slots {
 		for j := i + 1; j < len(t.slots); j++ {
-			if strings.EqualFold(t.slots[i].lit, t.slots[j].lit) || t.slots[i].key == t.slots[j].key {
-				return nil, false
+			if strings.EqualFold(t.slots[i].LitText, t.slots[j].LitText) || t.slots[i].Key == t.slots[j].Key {
+				return false
 			}
 		}
 	}
-	t.key = b.String()
-	return t, true
+	return true
 }
 
 // conjuncts writes a predicate as its classified conjunct list. A
@@ -83,14 +126,14 @@ func (t *Template) conjuncts(b *strings.Builder, _ ast.Expr, cs []logical.Conjun
 			b.WriteString(" mirrored")
 		}
 		b.WriteByte(']')
-		t.slots = append(t.slots, slot{lit: c.LitText, key: c.Key})
+		t.slots = append(t.slots, *c)
 	}
 }
 
 // slotOfLit returns the slot whose literal is lit, or -1.
 func (t *Template) slotOfLit(lit string) int {
-	for i, s := range t.slots {
-		if s.lit == lit {
+	for i := range t.slots {
+		if t.slots[i].LitText == lit {
 			return i
 		}
 	}
@@ -99,8 +142,8 @@ func (t *Template) slotOfLit(lit string) int {
 
 // slotOfKey returns the slot whose conjunct key is key, or -1.
 func (t *Template) slotOfKey(key string) int {
-	for i, s := range t.slots {
-		if s.key == key {
+	for i := range t.slots {
+		if t.slots[i].Key == key {
 			return i
 		}
 	}

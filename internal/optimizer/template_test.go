@@ -29,7 +29,7 @@ func TestTemplateKey(t *testing.T) {
 	if !ok {
 		t.Fatal("no template")
 	}
-	if len(ref.slots) != 2 || ref.slots[0].lit != "1000000" || ref.slots[1].key != "m.age < 40" {
+	if len(ref.slots) != 2 || ref.slots[0].LitText != "1000000" || ref.slots[1].Key != "m.age < 40" {
 		t.Fatalf("slots %+v", ref.slots)
 	}
 	for _, tc := range []struct {
@@ -80,5 +80,43 @@ func TestTemplateKey(t *testing.T) {
 		if a.Key() == b.Key() {
 			t.Errorf("%s shares the template of %s", pair[0], pair[1])
 		}
+	}
+}
+
+// TestTemplateBind: a template bound to a statement of its shape, under
+// another prefix, is the one NewTemplate renders for it, and binding
+// refuses literals that repeat as NewTemplate does.
+func TestTemplateBind(t *testing.T) {
+	build := func(sql string) logical.Node {
+		t.Helper()
+		sel, err := parser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := logical.Build(sel, resolver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	raw := TemplateOf(build(`SELECT name FROM city WHERE population > 40 AND elevation < 40`), "a|")
+	if raw.Distinct() {
+		t.Fatal("a template repeating a literal is distinct")
+	}
+	for _, prefix := range []string{"a|", "other prefix|"} {
+		built := build(`SELECT name FROM city WHERE population > 5 AND elevation < 7`)
+		got, ok := raw.Bind(built, prefix)
+		want, _ := NewTemplate(built, prefix)
+		if !ok || got.Key() != want.Key() || len(got.slots) != len(want.slots) {
+			t.Fatalf("prefix %q: bound %v %+v, want %+v", prefix, ok, got, want)
+		}
+		for i := range got.slots {
+			if got.slots[i].LitText != want.slots[i].LitText || got.slots[i].Key != want.slots[i].Key {
+				t.Errorf("prefix %q: slot %d = %q %q, want %q %q", prefix, i, got.slots[i].LitText, got.slots[i].Key, want.slots[i].LitText, want.slots[i].Key)
+			}
+		}
+	}
+	if _, ok := raw.Bind(build(`SELECT name FROM city WHERE population > 9 AND elevation < 9`), "a|"); ok {
+		t.Error("a bind repeating a literal has a template")
 	}
 }

@@ -503,18 +503,18 @@ func residentFetch(tb testing.TB) func() {
 	}
 	in := keysRelation(keys...)
 	sched := llm.NewScheduler(llm.NewCache(1024), llm.DefaultBatchWorkers)
-	cond := &ast.Binary{
+	cond := logical.NewConjunct(&ast.Binary{
 		Op:    ">",
 		Left:  &ast.ColumnRef{Table: "t", Name: "population"},
 		Right: &ast.Literal{Val: value.Int(1000000)},
-	}
+	})
 	query := func() {
 		scan := logical.NewScan(townDef(), "t", "LLM")
 		fa, err := logical.NewFetchAttr(scan, townDef(), "t", "population", 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: logical.NewConjunct(cond), KeyCol: 0}
+		filter := &logical.LLMFilter{Input: fa, Table: townDef(), Binding: "t", Cond: cond, KeyCol: 0}
 		op := &llmFilterOp{node: filter, input: &llmFetchAttrOp{node: fa, input: &memScan{out: scan.Schema(), rel: in}, out: fa.Schema()}}
 		tn := sched.Tenant(context.Background(), "bench")
 		defer tn.Close()

@@ -24,24 +24,78 @@ import (
 type Parser struct {
 	toks []token.Token
 	pos  int
+	// lits, when recording, holds the literal of every number and string
+	// token consumed as an expression, in token order, and at the index
+	// of its token in toks (-1 once a minus was folded into it).
+	lits      []*ast.Literal
+	litAt     []int
+	recording bool
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (ast.Statement, error) {
+	stmt, _, err := parse(src, false)
+	return stmt, err
+}
+
+// ParseLiterals is Parse that also returns, index for index with
+// lexer.Shape's literal vector, the ast.Literal each number and string
+// literal became: after a unary minus directly before it was folded into
+// it, the folded node. An entry is nil where the parser folded a minus
+// that lexer.Shape does not (through parentheses, or a second one). A
+// LIMIT or OFFSET count is no literal of either.
+func ParseLiterals(src string) (ast.Statement, []*ast.Literal, error) {
+	return parse(src, true)
+}
+
+func parse(src string, record bool) (ast.Statement, []*ast.Literal, error) {
 	toks, err := lexer.Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{toks: toks, recording: record}
 	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.accept(token.Semicolon, "")
 	if !p.at(token.EOF, "") {
-		return nil, p.errorf("unexpected trailing input %q", p.cur().Literal)
+		return nil, nil, p.errorf("unexpected trailing input %q", p.cur().Literal)
 	}
-	return stmt, nil
+	return stmt, p.lits, nil
+}
+
+// Value returns the value the parser gives lit (a lexer.Shape literal),
+// and false where parsing it fails (an integer out of range, a float
+// that overflows).
+func Value(lit lexer.Literal) (value.Value, bool) {
+	if lit.Type == token.String {
+		return value.Text(lit.Text), true
+	}
+	v, ok := number(lit.Text)
+	if ok && lit.Neg {
+		v = negate(v)
+	}
+	return v, ok
+}
+
+// number parses a number token's text: a FLOAT when it holds '.', 'e' or
+// 'E', else an INTEGER.
+func number(text string) (value.Value, bool) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		return value.Float(f), err == nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	return value.Int(i), err == nil
+}
+
+// negate is a folded unary minus.
+func negate(v value.Value) value.Value {
+	if v.Kind() == value.KindInt {
+		return value.Int(-v.AsInt())
+	}
+	return value.Float(-v.AsFloat())
 }
 
 // ParseSelect parses src and requires it to be a SELECT statement.
@@ -618,18 +672,23 @@ func (p *Parser) parseMultiplicative() (ast.Expr, error) {
 }
 
 func (p *Parser) parseUnary() (ast.Expr, error) {
-	if p.accept(token.Minus, "") {
+	if minus := p.pos; p.accept(token.Minus, "") {
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		// Fold -literal immediately so constants stay simple.
 		if lit, ok := e.(*ast.Literal); ok {
-			switch lit.Val.Kind() {
-			case value.KindInt:
-				return &ast.Literal{Val: value.Int(-lit.Val.AsInt())}, nil
-			case value.KindFloat:
-				return &ast.Literal{Val: value.Float(-lit.Val.AsFloat())}, nil
+			if k := lit.Val.Kind(); k == value.KindInt || k == value.KindFloat {
+				folded := &ast.Literal{Val: negate(lit.Val)}
+				if n := len(p.lits); n > 0 && p.lits[n-1] == lit {
+					if p.litAt[n-1] == minus+1 {
+						p.lits[n-1], p.litAt[n-1] = folded, -1
+					} else {
+						p.lits[n-1] = nil
+					}
+				}
+				return folded, nil
 			}
 		}
 		return &ast.Unary{Op: "-", Expr: e}, nil
@@ -643,21 +702,14 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 	switch t.Type {
 	case token.Number:
 		p.next()
-		if strings.ContainsAny(t.Literal, ".eE") {
-			f, err := strconv.ParseFloat(t.Literal, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.Literal)
-			}
-			return &ast.Literal{Val: value.Float(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.Literal, 10, 64)
-		if err != nil {
+		v, ok := number(t.Literal)
+		if !ok {
 			return nil, p.errorf("bad number %q", t.Literal)
 		}
-		return &ast.Literal{Val: value.Int(i)}, nil
+		return p.literal(v), nil
 	case token.String:
 		p.next()
-		return &ast.Literal{Val: value.Text(t.Literal)}, nil
+		return p.literal(value.Text(t.Literal)), nil
 	case token.LParen:
 		p.next()
 		e, err := p.parseExpr()
@@ -704,6 +756,17 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 		return ref, nil
 	}
 	return nil, p.errorf("unexpected token %q in expression", t.Literal)
+}
+
+// literal returns the literal of the number or string token just
+// consumed, recording it.
+func (p *Parser) literal(v value.Value) *ast.Literal {
+	lit := &ast.Literal{Val: v}
+	if p.recording {
+		p.lits = append(p.lits, lit)
+		p.litAt = append(p.litAt, p.pos-1)
+	}
+	return lit
 }
 
 func (p *Parser) parseFuncCall(name string) (ast.Expr, error) {

@@ -2,7 +2,10 @@
 // understands.
 package token
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // Type identifies the class of a token.
 type Type uint8
@@ -60,26 +63,54 @@ type Token struct {
 	Pos     int
 }
 
-// keywords is the reserved-word set. Identifiers matching these (case
-// insensitively) lex as Keyword tokens.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"BETWEEN": true, "LIKE": true, "IS": true, "NULL": true,
-	"DISTINCT": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"RIGHT": true, "OUTER": true, "CROSS": true, "ON": true,
-	"ASC": true, "DESC": true, "TRUE": true, "FALSE": true,
-	"CREATE": true, "TABLE": true, "PRIMARY": true, "KEY": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"EXPLAIN": true, "ANALYZE": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"UNION": true, "ALL": true, "EXISTS": true, "CASE": true,
-	"WHEN": true, "THEN": true, "ELSE": true, "END": true,
-}
+// keywords is the reserved-word set, each word mapped to itself.
+// Identifiers matching these (case insensitively) lex as Keyword tokens.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, w := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET
+		AS AND OR NOT IN BETWEEN LIKE IS NULL DISTINCT JOIN INNER LEFT RIGHT
+		OUTER CROSS ON ASC DESC TRUE FALSE CREATE TABLE PRIMARY KEY INSERT
+		INTO VALUES EXPLAIN ANALYZE COUNT SUM AVG MIN MAX UNION ALL EXISTS
+		CASE WHEN THEN ELSE END`) {
+		m[w] = w
+	}
+	return m
+}()
 
 // IsKeyword reports whether the identifier text is reserved.
-func IsKeyword(s string) bool { return keywords[strings.ToUpper(s)] }
+func IsKeyword(s string) bool {
+	_, ok := LookupKeyword(s)
+	return ok
+}
+
+// LookupKeyword returns the reserved word s spells case-insensitively,
+// upper-cased, and whether s is one. An ASCII s is upper-cased in a
+// stack buffer, so the lookup allocates nothing.
+func LookupKeyword(s string) (string, bool) {
+	var buf [16]byte
+	ascii := true
+	for i := 0; i < len(s) && ascii; i++ {
+		ascii = s[i] < utf8.RuneSelf
+	}
+	if !ascii {
+		up := strings.ToUpper(s)
+		_, ok := keywords[up]
+		return up, ok
+	}
+	if len(s) > len(buf) {
+		return "", false
+	}
+	up := buf[:len(s)]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up)]
+	return kw, ok
+}
 
 // IsAggregateName reports whether the keyword names an aggregate function.
 func IsAggregateName(s string) bool {

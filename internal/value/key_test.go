@@ -12,7 +12,8 @@ import (
 )
 
 // refKey is Key as the engine first wrote it, one string per kind, kept
-// as the reference AppendKey's bytes must reproduce.
+// as the reference AppendKey's bytes must reproduce, except that a FLOAT
+// −0 keys as 0 (it equals 0 under Compare).
 func refKey(v value.Value) string {
 	switch v.Kind() {
 	case value.KindNull:
@@ -29,7 +30,11 @@ func refKey(v value.Value) string {
 	case value.KindInt:
 		return "n:" + strconv.FormatFloat(float64(v.AsInt()), 'g', -1, 64)
 	case value.KindFloat:
-		return "n:" + strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0
+		}
+		return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
 	default:
 		return "?"
 	}

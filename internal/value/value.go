@@ -199,7 +199,9 @@ func (v Value) Key() string {
 // caller probing a map keyed by Key can build the probe in a buffer it
 // reuses and allocate a key string only when it inserts. An INTEGER is
 // keyed by its float64 rendering, as a FLOAT equal to it is, so integers
-// above 2^53 that round to one float share a key.
+// above 2^53 that round to one float share a key. A FLOAT −0 keys as 0:
+// Compare finds them equal, so DISTINCT, GROUP BY and a hash join must
+// not tell them apart.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -216,7 +218,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendFloat(append(dst, "n:"...), float64(v.i), 'g', -1, 64)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, "n:"...), v.f, 'g', -1, 64)
+		f := v.f
+		if f == 0 {
+			f = 0 // −0
+		}
+		return strconv.AppendFloat(append(dst, "n:"...), f, 'g', -1, 64)
 	default:
 		return append(dst, '?')
 	}
