@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke examples bench-compare bench-artifacts benchmark-smoke serve fuzz cover netlines
+.PHONY: check vet build test race bench bench-smoke examples bench-compare bench-artifacts benchmark-smoke serve fuzz cover netlines stress
 
 check: vet build race bench-smoke examples
 
@@ -108,6 +108,24 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$${t}\$$" -fuzztime 30s $$pkg || exit 1; \
 		done; \
 	done
+
+# Reproduces a flaky test under load: builds PKG's test binary once, runs
+# it as 4 concurrent processes in PKG's directory, each running the tests
+# RUN matches 100 times (-test.count=100), and fails when any run fails,
+# printing the failures, e.g.
+# make stress RUN=TestServeCancelledQueuedCounters PKG=./internal/serve.
+RUN ?= .
+PKG ?= .
+stress:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -o "$$dir/stress.test" $(PKG) || exit 1; \
+	cd $(PKG) || exit 1; pids=; \
+	for i in 1 2 3 4; do \
+		"$$dir/stress.test" -test.run '$(RUN)' -test.count 100 > "$$dir/$$i.log" 2>&1 & pids="$$pids $$!"; \
+	done; \
+	fail=0; for p in $$pids; do wait $$p || fail=1; done; \
+	if [ $$fail -ne 0 ]; then grep -h -A5 -- '--- FAIL' "$$dir"/*.log; echo "stress: $$(cat "$$dir"/*.log | grep -c -- '^--- FAIL') of 400 runs failed"; exit 1; fi; \
+	echo "stress: 400 runs of $(RUN) in $(PKG) passed"
 
 # Per-package coverage summary.
 cover:

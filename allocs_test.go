@@ -16,7 +16,7 @@ import "testing"
 // measured runs. A shape is memoized on its second sight, so the few
 // shapes the warm-up saw only once are parsed once more in them.
 func TestAdhocAllocs(t *testing.T) {
-	const ceiling = 147
+	const ceiling = 143
 	_, next, run := adhocPlan(t)
 	sqls := next(1001)
 	allocs := testing.AllocsPerRun(1000, func() {

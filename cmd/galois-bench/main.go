@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/logical"
 	"repro/internal/prompt"
 	"repro/internal/simllm"
 )
@@ -100,13 +101,13 @@ func printFigure3(r *bench.Runner) error {
 	if err != nil {
 		return err
 	}
-	plan, err := rt.NewSession().Explain(bench.PipelineQuery)
+	plan, err := rt.NewSession().Plan(bench.PipelineQuery)
 	if err != nil {
 		return err
 	}
 	fmt.Println("Figure 3: logical plan for q' (LLM operators injected by lowering)")
 	fmt.Println("  q' =", bench.PipelineQuery)
-	fmt.Print(plan)
+	fmt.Print(logical.Explain(plan))
 	fmt.Println()
 	return nil
 }

@@ -68,10 +68,12 @@ func (c *Cleaner) Cell(raw string, kind value.Kind) value.Value {
 	case value.KindInt, value.KindFloat:
 		if c.opts.Normalize {
 			if f, ok := ParseNumber(s); ok {
-				if kind == value.KindInt {
-					return value.Int(int64(math.Round(f)))
+				if kind == value.KindFloat {
+					return value.Float(f)
 				}
-				return value.Float(f)
+				if v, ok := value.IntOf(math.Round(f)); ok {
+					return v
+				}
 			}
 		} else if v, err := value.ParseAs(kind, s); err == nil {
 			return v

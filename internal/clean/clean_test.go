@@ -189,6 +189,35 @@ func TestCellTyped(t *testing.T) {
 	}
 }
 
+// TestCellIntRange: a numeric answer outside int64's range is no
+// INTEGER: NULL when normalizing, the answer's text when not, never a
+// wrapped -2^63; nor is NaN a FLOAT.
+func TestCellIntRange(t *testing.T) {
+	norm, loose := New(DefaultOptions()), New(Options{})
+	for _, tc := range []struct {
+		raw  string
+		kind value.Kind
+	}{
+		{"99999999999999999999", value.KindInt},
+		{"-99999999999999999999", value.KindInt},
+		{"about 12000000000000000000 people", value.KindInt},
+		{"1e300", value.KindInt},
+		{"inf", value.KindInt},
+		{"NaN", value.KindFloat},
+		{"-Inf", value.KindFloat},
+	} {
+		if v := norm.Cell(tc.raw, tc.kind); !v.IsNull() {
+			t.Errorf("normalized %v cell %q = %v (%v), want NULL", tc.kind, tc.raw, v, v.Kind())
+		}
+		if v := loose.Cell(tc.raw, tc.kind); v.Kind() != value.KindString {
+			t.Errorf("unnormalized %v cell %q = %v (%v), want its text", tc.kind, tc.raw, v, v.Kind())
+		}
+	}
+	if v := norm.Cell("9.2e18", value.KindInt); v.Kind() != value.KindInt || v.AsInt() != 9200000000000000000 {
+		t.Errorf("normalized cell 9.2e18 = %v (%v)", v, v.Kind())
+	}
+}
+
 func TestCellCanonicalizer(t *testing.T) {
 	canon := NewCanonicalizer(map[string]string{"IT": "ITA", "usa": "United States", "U.S.": "United States"})
 	c := New(Options{Normalize: true, Canonicalizer: canon})

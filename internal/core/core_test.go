@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/logical"
 	"repro/internal/memdb"
 	"repro/internal/schema"
 	"repro/internal/simllm"
@@ -280,10 +281,11 @@ func TestHybridQuery(t *testing.T) {
 
 func TestExplainShowsLowering(t *testing.T) {
 	e := testSession(t, simllm.ChatGPT)
-	plan, err := e.Explain("SELECT name, population FROM city WHERE population > 1000000")
+	built, err := e.Plan("SELECT name, population FROM city WHERE population > 1000000")
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := logical.Explain(built)
 	for _, want := range []string{"LLMKeyScan", "LLMFilter", "LLMFetchAttr", "Project"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %s:\n%s", want, plan)
@@ -296,7 +298,7 @@ func TestQueryParseError(t *testing.T) {
 	if _, _, err := e.Query(context.Background(), "SELEC nonsense"); err == nil {
 		t.Error("parse errors must surface")
 	}
-	if _, err := e.Explain("SELECT x FROM nothing"); err == nil {
+	if _, err := e.Plan("SELECT x FROM nothing"); err == nil {
 		t.Error("unknown tables must surface")
 	}
 }

@@ -16,15 +16,19 @@ import (
 // concurrent use, and an entry of either is only as good as the table
 // resolutions its build made: it records them, and a session uses it
 // only while every one replays to the same definition and source
-// (resolutions.valid).
+// (resolutions.valid). Neither keeps an AST: a SELECT becomes a query
+// only in Session.prepare (parsed and built) or Session.bind (bound from
+// the shape memo), both behind one front end, Session.front, which
+// execution, EXPLAIN, Session.Plan and a statement-memo miss share.
 //
 // stmtMemo maps SQL text to what an exact result-cache probe derives
-// from it — the parsed SELECT, the invalidation components and the plan
-// fingerprint of its logical build — so a verbatim repeat skips the
-// lexer, the parser, the builder and the fingerprint. Only
+// from it — the invalidation components and the plan fingerprint of its
+// logical build — so a verbatim repeat skips the lexer, the parser, the
+// builder and the fingerprint. A repeat that misses the result cache
+// goes through the front end like any other statement. Only
 // LIMIT/OFFSET-free SELECTs whose key was found in the result cache are
-// memoized, so never-repeated statements do not occupy it; there is
-// none without a result cache.
+// memoized, so never-repeated statements do not occupy it; there is none
+// without a result cache.
 //
 // shapeMemo maps a SELECT's shape (lexer.Shape: its token stream with
 // the literals masked) to its build prepared for binding, so a statement
@@ -43,10 +47,7 @@ type (
 
 // memoEntry is one memoized statement. It is immutable once stored.
 type memoEntry struct {
-	sql string
-	// sel is the parsed statement, nil when it was bound from the shape
-	// memo (a result-cache miss parses it then).
-	sel   *ast.Select
+	sql   string
 	canon logical.Canonical // of the build, without options prefix or Shape (no plan retained)
 	// optsFP is the options prefix of the session that memoized the
 	// statement, and key its full result-cache fingerprint
@@ -65,8 +66,7 @@ type shapeEntry struct {
 	// ones skel binds; any other literal of a statement must equal it.
 	lits []lexer.Literal
 	slot []bool
-	// tpl is the build's plan-cache template, whatever its literals
-	// (optimizer.TemplateOf).
+	// tpl is the build's plan-cache template, whatever its literals.
 	tpl *optimizer.Template
 	// truncating marks a LIMIT or OFFSET.
 	truncating bool
@@ -95,7 +95,7 @@ func newShapeEntry(q *query, lits []lexer.Literal, plits []*ast.Literal) *shapeE
 	if skel == nil {
 		return nil
 	}
-	e := &shapeEntry{res: q.res, skel: skel, lits: lits, slot: make([]bool, len(lits)), tpl: q.raw, truncating: q.truncating}
+	e := &shapeEntry{res: q.res, skel: skel, lits: lits, slot: make([]bool, len(lits)), tpl: q.tpl, truncating: q.truncating}
 	for _, i := range skel.Slots() {
 		e.slot[i] = true
 	}

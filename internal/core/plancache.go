@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/logical"
 	"repro/internal/lru"
 	"repro/internal/optimizer"
 )
@@ -18,6 +17,7 @@ const planCacheSize = 128
 // only when every input its enumeration read answers the same for the
 // new statement's literals (optimizer.Guarded), so a statement gets the
 // plan a fresh enumeration would pick, without the enumeration.
+// Session.choose reads and fills it.
 type planCache struct {
 	entries *lru.Map[string, *optimizer.Guarded]
 	// hits replanned from an entry; guardFailures found an entry whose
@@ -36,25 +36,4 @@ type PlanCacheStats struct {
 	GuardFailures int64 `json:"guard_failures"`
 	Misses        int64 `json:"misses"`
 	Entries       int   `json:"entries"`
-}
-
-// replan plans built, a statement of template tpl, from the template's
-// cached choice when every guard holds for its literals (a hit),
-// counting the hit, guard failure or miss. It returns a nil plan unless
-// it hit.
-func (pc *planCache) replan(built logical.Node, tpl *optimizer.Template, base optimizer.Options, st *optimizer.Statistics, p optimizer.CostParams, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
-	g := pc.entries.Get(tpl.Key())
-	if g == nil {
-		pc.misses.Add(1)
-		return nil, nil, nil
-	}
-	plan, cost, err := g.Replan(built, tpl, base, st, p, extras)
-	switch {
-	case err != nil:
-	case plan != nil:
-		pc.hits.Add(1)
-	default:
-		pc.guardFailures.Add(1)
-	}
-	return plan, cost, err
 }

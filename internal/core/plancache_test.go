@@ -435,3 +435,23 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Errorf("no statement reused a cached plan: %+v", st)
 	}
 }
+
+// TestPlanCacheBindsOnlyLeftDeep: a plan-cache hit binds the statement's
+// literals into the recorded lowered winner, which reproduces the plan
+// only for ON predicates nested as JoinOf nests them (logical.LeftDeep).
+// A statement of a recorded left-deep winner's template whose ON is
+// parenthesized is planned by enumeration and counts as a guard failure,
+// and its EXPLAIN (choice, candidates, estimates) equals a fresh
+// planner's.
+func TestPlanCacheBindsOnlyLeftDeep(t *testing.T) {
+	d := newDiffRig(t)
+	if _, counts := d.compare(`SELECT c.name FROM city c JOIN mayor m ON c.mayor = m.name AND m.age > 40 AND m.election_year < 2020`); counts != (PlanCacheStats{Misses: 1}) {
+		t.Fatalf("first statement: plan cache %+v, want one miss", counts)
+	}
+	if _, counts := d.compare(`SELECT c.name FROM city c JOIN mayor m ON c.mayor = m.name AND m.age > 45 AND m.election_year < 2015`); counts != (PlanCacheStats{Hits: 1}) {
+		t.Fatalf("left-deep statement of the recorded template: plan cache %+v, want one hit", counts)
+	}
+	if _, counts := d.compare(`SELECT c.name FROM city c JOIN mayor m ON c.mayor = m.name AND (m.age > 50 AND m.election_year < 2010)`); counts != (PlanCacheStats{GuardFailures: 1}) {
+		t.Errorf("parenthesized ON: plan cache %+v, want one guard failure", counts)
+	}
+}

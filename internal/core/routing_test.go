@@ -188,12 +188,12 @@ func TestVerifyRouteAllocs(t *testing.T) {
 	}
 	perPlan := func(s *Session) float64 {
 		t.Helper()
-		built, err := logical.Build(sel, s)
+		q, err := s.prepare(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(50, func() {
-			if _, _, err := s.plan(sel, built, nil); err != nil {
+			if _, _, err := s.choose(q, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -256,7 +256,11 @@ func planCost(t *testing.T, s *Session, sql string) *optimizer.PlanCost {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cost, err := s.plan(sel, nil, nil)
+	q, err := s.prepare(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cost, err := s.choose(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,12 +121,11 @@ func runOwned(t *testing.T, s *Session, sql string, overwrite bool) (rows []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := logical.Build(sel, s.rt)
+	q, err := s.prepare(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := logical.Canonicalize(built)
-	plan, _, err := s.plan(sel, built, s.residualCandidates(canon, s.rt.stampFor(canon.Components)))
+	plan, _, err := s.choose(q, s.residualCandidates(q.canon, s.rt.stampFor(q.canon.Components)))
 	if err != nil {
 		t.Fatal(err)
 	}

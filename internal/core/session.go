@@ -13,7 +13,6 @@ import (
 	"repro/internal/physical"
 	"repro/internal/schema"
 	"repro/internal/sql/ast"
-	"repro/internal/sql/parser"
 	"repro/internal/value"
 )
 
@@ -65,16 +64,20 @@ func (s *Session) SetOptions(opts Options) {
 	s.opts = opts
 }
 
-// Plan parses, plans and optimizes a query, returning the lowered logical
-// plan a fresh execution would run. Under a cost-based configuration
-// this is the cheapest enumerated candidate. It never considers residual
-// plans over cached relations, which EXPLAIN and execution also weigh.
+// Plan plans a query as execution's front end does (front) and returns
+// the lowered logical plan a fresh execution would run. Under a
+// cost-based configuration this is the cheapest enumerated candidate. It
+// never considers residual plans over cached relations, which EXPLAIN
+// and execution also weigh.
 func (s *Session) Plan(sql string) (logical.Node, error) {
-	sel, err := parser.ParseSelect(sql)
+	q, ex, err := s.front(sql)
+	if ex != nil {
+		err = fmt.Errorf("%w: only a SELECT has a plan", ErrStatement)
+	}
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := s.plan(sel, nil, nil)
+	plan, _, err := s.choose(q, nil)
 	return plan, err
 }
 
@@ -84,50 +87,44 @@ func (s *Session) ResolveTable(name, explicit string) (*schema.TableDef, string,
 	return s.rt.ResolveTable(name, explicit)
 }
 
-// plan plans one SELECT: it builds sel unless built is given, renders
-// the plan-cache template and chooses (choose).
-func (s *Session) plan(sel *ast.Select, built logical.Node, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
-	if built == nil {
-		var err error
-		if built, err = logical.Build(sel, s.rt); err != nil {
-			return nil, nil, err
-		}
-	}
-	var tpl *optimizer.Template
-	if s.costBased() {
-		tpl, _ = optimizer.NewTemplate(built, s.res.planKey)
-	}
-	return s.choose(built, tpl, extras)
-}
-
 // costBased reports whether the session plans through the runtime's
 // plan cache: under CostBased, when the runtime has one.
 func (s *Session) costBased() bool { return s.opts.Optimizer.CostBased && s.rt.plans != nil }
 
-// choose is the planner entry point: it optimizes the plan for one built
-// SELECT (optimizer.Choose), returning the planner's cost prediction
-// alongside it. Fresh candidates compete against any pre-built residual
-// plans over cached relations, so cache answering is a plan-choice
-// decision, not a bypass. tpl is built's plan-cache template, nil
-// without one or without cost-based planning (costBased). Under
-// CostBased the runtime's plan cache may replace the enumeration. Its
-// key starts with the session's plan key (the options key and the
-// wave), so a session that pins a DisableLLMFilter set, which the
-// enumeration does not read, keeps entries of its own.
-func (s *Session) choose(built logical.Node, tpl *optimizer.Template, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
+// choose is the planner entry point: it optimizes q's built plan
+// (optimizer.Choose), returning the planner's cost prediction alongside
+// it. Fresh candidates compete against any pre-built residual plans over
+// cached relations, so cache answering is a plan-choice decision, not a
+// bypass. Under CostBased the runtime's plan cache may replace the
+// enumeration; it serves q's template only when no two of its slots
+// share a literal (Template.Distinct). Its key starts with the session's
+// plan key (the options key and the wave), so a session that pins a
+// DisableLLMFilter set, which the enumeration does not read, keeps
+// entries of its own.
+func (s *Session) choose(q *query, extras []optimizer.ExtraPlan) (logical.Node, *optimizer.PlanCost, error) {
 	if s.res.err != nil {
 		return nil, nil, s.res.err
 	}
-	o := s.opts.Optimizer
-	pc := s.rt.plans
-	if s.costBased() {
-		if tpl == nil {
+	o, pc := s.opts.Optimizer, s.rt.plans
+	var tpl *optimizer.Template
+	switch {
+	case !s.costBased():
+	case !q.tpl.Distinct():
+		pc.misses.Add(1)
+	default:
+		tpl = q.tpl
+		g := pc.entries.Get(tpl.Key())
+		if g == nil {
 			pc.misses.Add(1)
-		} else if plan, cost, err := pc.replan(built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil || err != nil {
-			return plan, cost, err
+			break
 		}
+		if plan, cost := g.Replan(q.built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil {
+			pc.hits.Add(1)
+			return plan, cost, nil
+		}
+		pc.guardFailures.Add(1)
 	}
-	plan, cost, g, err := optimizer.Choose(built, o, s.rt.stats, s.res.params, extras, tpl)
+	plan, cost, g, err := optimizer.Choose(q.built, o, s.rt.stats, s.res.params, extras, tpl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,15 +132,6 @@ func (s *Session) choose(built logical.Node, tpl *optimizer.Template, extras []o
 		pc.entries.Put(tpl.Key(), g)
 	}
 	return plan, cost, nil
-}
-
-// Explain renders the optimized plan as an indented tree.
-func (s *Session) Explain(sql string) (string, error) {
-	plan, err := s.Plan(sql)
-	if err != nil {
-		return "", err
-	}
-	return logical.Explain(plan), nil
 }
 
 // CacheOutcome reports how the result cache participated in one query.
@@ -302,37 +290,32 @@ func writeSortedSet(b *strings.Builder, set map[string]bool) {
 }
 
 // runExplain plans (and for ANALYZE also executes) the inner SELECT and
-// renders the annotated plan tree as a one-column relation. With the
+// replays the annotated plan tree as a one-column relation. With the
 // result cache on, residual plans over cached relations compete here
 // exactly as they do for execution, so EXPLAIN shows the
 // "residual over cached(...)" plan a subsumed query would actually run.
-func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Relation, *Report, error) {
-	built, err := logical.Build(ex.Stmt, s.rt)
+func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*Stream, error) {
+	q, err := s.prepare(ex.Stmt)
 	if err != nil {
-		return nil, nil, err
-	}
-	q := &query{built: built}
-	if s.costBased() {
-		q.tpl, _ = optimizer.NewTemplate(built, s.res.planKey)
+		return nil, err
 	}
 	var stamp string
 	if s.rt.resultCache != nil {
-		q.canon = logical.Canonicalize(built)
 		stamp = s.rt.stampFor(q.canon.Components)
 	}
-	plan, cost, err := s.choose(built, q.tpl, s.residualCandidates(q.canon, stamp))
+	plan, cost, err := s.choose(q, s.residualCandidates(q.canon, stamp))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep := &Report{Plan: logical.Explain(plan), Estimate: cost}
 	if ex.Analyze {
 		st, err := s.openPlan(ctx, q, plan, cost)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer st.Close()
 		if _, rep, err = st.drain(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// A residual winner evicted since planning ran a fresh plan;
 		// explain the plan that executed.
@@ -343,7 +326,7 @@ func (s *Session) runExplain(ctx context.Context, ex *ast.Explain) (*schema.Rela
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		rel.Append(schema.Tuple{value.Text(line)})
 	}
-	return rel, rep, nil
+	return &Stream{s: s, schema: rel.Schema, cached: rep.Cached, replay: rel, rep: rep}, nil
 }
 
 // openTenant opens one query's scheduler tenant in the session's

@@ -107,10 +107,12 @@ var ErrStatement = errors.New("core: invalid statement")
 // (EXPLAIN renders a finished plan tree) run buffered and replay.
 //
 // With the result cache on, a SELECT the runtime's statement memo holds
-// skips the parser, the logical build and the fingerprint whenever its
-// table resolutions still replay: its result-cache key is the memoized
-// fingerprint under the current stamp. Any other SELECT of a shape the
-// shape memo holds is bound instead of parsed and built (openStatement).
+// skips the lexer, the parser, the logical build and the fingerprint
+// whenever its table resolutions still replay: its result-cache key is
+// the memoized fingerprint under the current stamp, and only a miss
+// takes it through the front end (front). Every other statement starts
+// there: a SELECT of a shape the shape memo holds is bound instead of
+// parsed and built.
 func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) {
 	if m := s.rt.memo; m != nil {
 		if e := m.Get(sql); e != nil && e.res.valid(s.rt) {
@@ -121,27 +123,38 @@ func (s *Session) QueryStream(ctx context.Context, sql string) (*Stream, error) 
 }
 
 // query is one SELECT ready to plan: its logical build, that build's
-// canonical form and plan-cache template (nil without cost-based
-// planning, or when the template has repeated literals), and the table
-// resolutions the build made. A query bound from the shape memo has no
-// parsed statement and no raw template.
+// canonical form and plan-cache template, and the table resolutions the
+// build made. A SELECT becomes a query only in prepare (parsed and
+// built) or bind (bound from the shape memo). Its template is nil when
+// a bind runs without cost-based planning; the plan cache serves it only
+// when its slots are distinct (choose).
 type query struct {
-	sel   *ast.Select
-	built logical.Node
-	canon logical.Canonical
-	tpl   *optimizer.Template
-	// raw is the build's template without the repeated-literal check
-	// (optimizer.TemplateOf), which the shape memo keeps.
-	raw        *optimizer.Template
+	built      logical.Node
+	canon      logical.Canonical
+	tpl        *optimizer.Template
 	res        resolutions
 	truncating bool
 }
 
-// openStatement opens sql past the statement memo. A SELECT of a shape
-// the shape memo holds, whose resolutions replay and whose literals
-// bind, is bound; any other statement is parsed, and a SELECT is built
-// and its shape memoized (seenOnce on its first sight).
+// openStatement opens sql past the statement memo: a SELECT through the
+// front end (front), an EXPLAIN buffered and replayed.
 func (s *Session) openStatement(ctx context.Context, sql string) (*Stream, error) {
+	q, ex, err := s.front(sql)
+	switch {
+	case err != nil:
+		return nil, err
+	case ex != nil:
+		return s.runExplain(ctx, ex)
+	}
+	return s.openSelect(ctx, sql, q)
+}
+
+// front is the one way from statement text to a query. A SELECT of a
+// shape the shape memo holds, whose resolutions replay and whose
+// literals bind, is bound; any other statement is parsed, and a SELECT
+// is prepared and its shape memoized (seenOnce on its first sight). An
+// EXPLAIN comes back parsed, for runExplain to prepare its SELECT.
+func (s *Session) front(sql string) (*query, *ast.Explain, error) {
 	shape, lits, shapeErr := lexer.Shape(sql)
 	memo := s.rt.shapes != nil && shapeErr == nil
 	var seen *shapeEntry
@@ -149,25 +162,21 @@ func (s *Session) openStatement(ctx context.Context, sql string) (*Stream, error
 		seen = s.rt.shapes.Get(shape)
 		if e := seen; e != nil && e != seenOnce && e.res.valid(s.rt) {
 			if q := s.bind(e, lits); q != nil {
-				return s.openSelect(ctx, sql, q)
+				return q, nil, nil
 			}
 		}
 	}
 	stmt, plits, err := parser.ParseLiterals(sql)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrStatement, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrStatement, err)
 	}
 	switch stmt := stmt.(type) {
 	case *ast.Explain:
-		rel, rep, err := s.runExplain(ctx, stmt)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{s: s, schema: rel.Schema, cached: rep.Cached, replay: rel, rep: rep}, nil
+		return nil, stmt, nil
 	case *ast.Select:
 		q, err := s.prepare(stmt)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		switch {
 		case !memo:
@@ -178,9 +187,9 @@ func (s *Session) openStatement(ctx context.Context, sql string) (*Stream, error
 				s.rt.shapes.Put(shape, e)
 			}
 		}
-		return s.openSelect(ctx, sql, q)
+		return q, nil, nil
 	default:
-		return nil, fmt.Errorf("%w: only SELECT and EXPLAIN statements can be executed", ErrStatement)
+		return nil, nil, fmt.Errorf("%w: only SELECT and EXPLAIN statements can be executed", ErrStatement)
 	}
 }
 
@@ -192,12 +201,8 @@ func (s *Session) prepare(sel *ast.Select) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &query{sel: sel, built: built, canon: logical.Canonicalize(built), res: rec.res,
-		raw: optimizer.TemplateOf(built, s.res.planKey), truncating: sel.Limit >= 0 || sel.Offset > 0}
-	if s.costBased() && q.raw.Distinct() {
-		q.tpl = q.raw
-	}
-	return q, nil
+	return &query{built: built, canon: logical.Canonicalize(built), res: rec.res,
+		tpl: optimizer.TemplateOf(built, s.res.planKey), truncating: sel.Limit >= 0 || sel.Offset > 0}, nil
 }
 
 // bind returns the query of a statement of e's shape whose literal vector
@@ -210,7 +215,7 @@ func (s *Session) bind(e *shapeEntry, lits []lexer.Literal) *query {
 	q := &query{res: e.res, truncating: e.truncating}
 	q.built, q.canon = e.skel.Bind(vals)
 	if s.costBased() {
-		q.tpl, _ = e.tpl.Bind(q.built, s.res.planKey)
+		q.tpl = e.tpl.Bind(q.built, s.res.planKey)
 	}
 	return q
 }
@@ -245,7 +250,7 @@ func (s *Session) openSelect(ctx context.Context, sql string, q *query) (*Stream
 		return nil, err
 	}
 	if lead == nil {
-		s.rt.memo.Put(sql, &memoEntry{sql: sql, sel: q.sel,
+		s.rt.memo.Put(sql, &memoEntry{sql: sql,
 			canon:  logical.Canonical{Fingerprint: q.canon.Fingerprint, Components: q.canon.Components},
 			optsFP: s.res.key, key: key.Fingerprint, res: q.res})
 		return s.replayHit(key, entry), nil
@@ -255,13 +260,13 @@ func (s *Session) openSelect(ctx context.Context, sql string, q *query) (*Stream
 
 // openMemo opens a memoized SELECT whose resolutions were just replayed:
 // the stamp and the exact probe come straight from the memo entry. A hit
-// replays the resident relation; a miss builds from the memoized AST (or
-// parses the statement again when it was bound) and leads the key's
-// flight — unless a bind landed since the replay and the build no longer
-// yields the memoized fingerprint, in which case the flight is released
-// and the statement takes the unmemoized path. A session under the
-// options prefix the entry was memoized with reuses its full key; any
-// other concatenates its own.
+// replays the resident relation; a miss takes the statement through the
+// front end (front) and leads the key's flight — unless a bind landed
+// since the replay and the query no longer yields the memoized
+// fingerprint, in which case the flight is released and the statement
+// takes the unmemoized path. A session under the options prefix the
+// entry was memoized with reuses its full key; any other concatenates
+// its own.
 func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	key := rescache.Key{Fingerprint: e.key, Stamp: s.rt.stampFor(e.canon.Components)}
 	if s.res.key != e.optsFP {
@@ -274,14 +279,8 @@ func (s *Session) openMemo(ctx context.Context, e *memoEntry) (*Stream, error) {
 	if lead == nil {
 		return s.replayHit(key, entry), nil
 	}
-	sel := e.sel
-	if sel == nil {
-		sel, _ = parser.ParseSelect(e.sql)
-	}
-	if sel != nil {
-		if q, err := s.prepare(sel); err == nil && q.canon.Fingerprint == e.canon.Fingerprint {
-			return s.openLead(ctx, q, key.Stamp, lead)
-		}
+	if q, _, _ := s.front(e.sql); q != nil && q.canon.Fingerprint == e.canon.Fingerprint {
+		return s.openLead(ctx, q, key.Stamp, lead)
 	}
 	lead.Settle(nil, errMemoStale)
 	return s.openStatement(ctx, e.sql)
@@ -362,7 +361,7 @@ func (s *Session) openLead(ctx context.Context, q *query, stamp string, lead *re
 // openShaped plans one SELECT with residual plans over cached relations
 // competing as candidates, and opens the winner.
 func (s *Session) openShaped(ctx context.Context, q *query, stamp string) (*Stream, error) {
-	plan, cost, err := s.choose(q.built, q.tpl, s.residualCandidates(q.canon, stamp))
+	plan, cost, err := s.choose(q, s.residualCandidates(q.canon, stamp))
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +377,7 @@ func (s *Session) openPlan(ctx context.Context, q *query, plan logical.Node, cos
 		if !errors.Is(err, errCachedEntryGone) {
 			return st, err
 		}
-		if plan, cost, err = s.choose(q.built, q.tpl, nil); err != nil {
+		if plan, cost, err = s.choose(q, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -75,7 +75,7 @@ func Fingerprint(n Node) string { return Canonicalize(n).Fingerprint }
 // its children in order. pred writes every Filter condition and Join ON
 // predicate after the node's name, given as written and as its
 // classified conjuncts: the fingerprint writes it verbatim; the
-// plan-cache template (optimizer.NewTemplate) writes the conjuncts with
+// plan-cache template (optimizer.TemplateOf) writes the conjuncts with
 // their comparison literals masked.
 func Render(b *strings.Builder, n Node, pred func(*strings.Builder, ast.Expr, []Conjunct)) {
 	r := renderer{b: b, pred: pred}

@@ -21,8 +21,8 @@ func chooseJoin(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tpl, ok := NewTemplate(built, "")
-	if !ok {
+	tpl := TemplateOf(built, "")
+	if !tpl.Distinct() {
 		tb.Fatal("no template")
 	}
 	st := NewStatistics()

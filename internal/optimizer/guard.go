@@ -18,13 +18,17 @@ import (
 // the same answer — the narrowest validity region of parametric query
 // optimization (Ioannidis et al., VLDB 1992): equal inputs. Under equal
 // inputs every candidate the enumeration would compare is priced the
-// same, so it would pick the same one. A Guarded is immutable and safe
-// for concurrent use.
+// same, so it would pick the same one. There is one way to apply it:
+// bind the statement's literals into the recorded lowered winner. A
+// choice a bind cannot map is not recorded. A Guarded is immutable and
+// safe for concurrent use.
 type Guarded struct {
 	guards []guard
-	// fetch and push are the slots of the enumeration's boolean-filter
-	// and pushdown decision points in enumeration order (conjunct text
-	// order, which the literals decide); joins counts the join points.
+	// slots is the template's slot count. fetch and push are the slots
+	// of the enumeration's boolean-filter and pushdown decision points in
+	// enumeration order (conjunct text order, which the literals decide);
+	// joins counts the join points.
+	slots       int
 	fetch, push []int
 	joins       int
 	// mask is the winning enumerated candidate, candidates how many were
@@ -32,8 +36,7 @@ type Guarded struct {
 	mask, candidates int
 	// lowered is the winning candidate as lowered for the recorded
 	// statement, cost its estimate, and sites its column-op-literal
-	// conjuncts with their template slots; nil when a lowered conjunct
-	// is no slot's or a join's ON is not left-deep.
+	// conjuncts with their template slots.
 	lowered logical.Node
 	cost    *PlanCost
 	sites   []logical.Site
@@ -150,24 +153,24 @@ func (r *recorder) note(rd read, a answer) {
 }
 
 // decided records the enumeration's decision points and winner, the
-// plan lowered and its estimate. A decision point whose conjunct is no
-// slot's leaves the choice unguarded.
+// plan lowered and its estimate. It records no choice a bind cannot map
+// (Replan): a decision point or a lowered conjunct that is no slot's, or
+// a join's ON that is not left-deep.
 func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candidates int, lowered logical.Node, cost *PlanCost) {
 	fetch, ok := r.slotsOf(filterKeys)
 	if !ok {
 		return
 	}
 	push, ok := r.slotsOf(pushedKeys)
+	if !ok || !logical.LeftDeep(lowered) {
+		return
+	}
+	sites, ok := r.sitesOf(lowered, make([]logical.Site, 0, len(r.t.slots)))
 	if !ok {
 		return
 	}
-	r.g = &Guarded{guards: append([]guard(nil), r.guards...), fetch: fetch, push: push, joins: joins, mask: mask, candidates: candidates}
-	if logical.LeftDeep(lowered) {
-		sites := make([]logical.Site, 0, len(r.t.slots))
-		if sites, ok = r.sitesOf(lowered, sites); ok {
-			r.g.lowered, r.g.cost, r.g.sites = lowered, cost, sites
-		}
-	}
+	r.g = &Guarded{guards: append([]guard(nil), r.guards...), slots: len(r.t.slots), fetch: fetch, push: push, joins: joins,
+		mask: mask, candidates: candidates, lowered: lowered, cost: cost, sites: sites}
 }
 
 // sitesOf appends the sites of n's column-op-literal conjuncts, and those
@@ -226,62 +229,41 @@ func (r *recorder) slotsOf(keys []string) ([]int, bool) {
 // recorded one, each operator's filed under its bound copy: under held
 // guards every read the lowering (the filter order included) and the
 // estimate made answers as it did, so they decide and price as they
-// did. Where g holds no such plan, or built's ON predicates are not
-// left-deep, built is lowered once under the stored decisions and
-// estimated. It returns a nil plan when a guard fails or the statement's
-// decision points fall in another order; the caller then enumerates
-// afresh.
-func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost, error) {
+// did. It returns a nil plan when a guard fails, the statement's
+// decision points fall in another order, or built's ON predicates are
+// not left-deep (a bind would not reproduce their nesting); the caller
+// then enumerates afresh.
+func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost) {
 	if st == nil {
 		st = NewStatistics()
 	}
+	if len(t.slots) != g.slots || !logical.LeftDeep(built) {
+		return nil, nil
+	}
 	filterKeys, ok := g.keys(t, g.fetch)
 	if !ok {
-		return nil, nil, nil
+		return nil, nil
 	}
 	pushedKeys, ok := g.keys(t, g.push)
 	if !ok {
-		return nil, nil, nil
+		return nil, nil
 	}
 	for i := range g.guards {
 		if !g.guards[i].holds(t, st, p) {
-			return nil, nil, nil
+			return nil, nil
 		}
-	}
-	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
-	best := &scored{label: label(points, g.mask)}
-	if cs := g.bound(t); cs != nil && logical.LeftDeep(built) {
-		best.plan = logical.Rebind(g.lowered, g.sites, cs)
-		cost := *g.cost
-		cost.Nodes = make(map[logical.Node]NodeEstimate, len(g.cost.Nodes))
-		refile(g.lowered, best.plan, g.cost.Nodes, cost.Nodes)
-		best.cost = &cost
-	} else {
-		c, _ := candidate(points, g.mask)
-		plan, err := optimizeWith(built, base, c, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		best.plan, best.cost = plan, Estimate(plan, st, p)
-	}
-	plan, cost := compete(best, g.candidates, st, p, extras, less)
-	return plan, cost, nil
-}
-
-// bound returns the conjuncts of t's slots at g's lowered sites, or nil
-// when g holds no lowered plan.
-func (g *Guarded) bound(t *Template) []logical.Conjunct {
-	if g.lowered == nil {
-		return nil
 	}
 	cs := make([]logical.Conjunct, len(g.sites))
 	for k, s := range g.sites {
-		if s.Slot >= len(t.slots) {
-			return nil
-		}
 		cs[k] = t.slots[s.Slot]
 	}
-	return cs
+	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
+	best := &scored{label: label(points, g.mask), plan: logical.Rebind(g.lowered, g.sites, cs)}
+	cost := *g.cost
+	cost.Nodes = make(map[logical.Node]NodeEstimate, len(g.cost.Nodes))
+	refile(g.lowered, best.plan, g.cost.Nodes, cost.Nodes)
+	best.cost = &cost
+	return compete(best, g.candidates, st, p, extras, less)
 }
 
 // refile files the estimate src holds for each operator of old under the
@@ -305,14 +287,8 @@ func refile(old, n logical.Node, src, dst map[logical.Node]NodeEstimate) {
 // sorts them into, which decides the candidates' order and so the
 // winner among equal-cost ones.
 func (g *Guarded) keys(t *Template, slots []int) ([]string, bool) {
-	if len(slots) == 0 {
-		return nil, true
-	}
 	keys := make([]string, len(slots))
 	for i, s := range slots {
-		if s >= len(t.slots) {
-			return nil, false
-		}
 		keys[i] = t.slots[s].Key
 		if i > 0 && keys[i-1] >= keys[i] {
 			return nil, false
@@ -325,9 +301,6 @@ func (g *Guarded) keys(t *Template, slots []int) ([]string, bool) {
 func (gd *guard) holds(t *Template, st *Statistics, p CostParams) bool {
 	rd := gd.read
 	if gd.slot >= 0 {
-		if gd.slot >= len(t.slots) {
-			return false
-		}
 		rd.class.Literal = t.slots[gd.slot].LitText
 	}
 	var got answer

@@ -31,21 +31,11 @@ type Template struct {
 // Key returns the template's literal-free identity.
 func (t *Template) Key() string { return t.key }
 
-// NewTemplate computes the template of a built (pre-optimization) plan,
+// TemplateOf computes the template of a built (pre-optimization) plan,
 // its key prefixed with prefix (the caller's planning inputs, folded in
-// without a second copy). It reports false when two slots render the
-// same literal (compared case-insensitively, as statistics are keyed): a
-// read of that literal could then belong to either slot, so the
-// statement's reads cannot be replayed for other literals.
-func NewTemplate(built logical.Node, prefix string) (*Template, bool) {
-	if t := TemplateOf(built, prefix); t.Distinct() {
-		return t, true
-	}
-	return nil, false
-}
-
-// TemplateOf is NewTemplate without the check for repeated literals
-// (Distinct): a template to Bind statements of the same shape to.
+// without a second copy). The plan cache serves it only when its slots
+// are distinct (Distinct); either way it is the template statements of
+// the same shape Bind to.
 func TemplateOf(built logical.Node, prefix string) *Template {
 	t := &Template{prefix: len(prefix)}
 	var b strings.Builder
@@ -61,8 +51,8 @@ func TemplateOf(built logical.Node, prefix string) *Template {
 // Bind returns the template of built, a plan that differs from the one t
 // was computed from only in its slot literals (logical.Skeleton.Bind),
 // under prefix: t's key, rendered again only when prefix differs, with
-// built's slots. It reports false as NewTemplate does.
-func (t *Template) Bind(built logical.Node, prefix string) (*Template, bool) {
+// built's slots.
+func (t *Template) Bind(built logical.Node, prefix string) *Template {
 	out := &Template{key: t.key, prefix: len(prefix), slots: make([]logical.Conjunct, 0, len(t.slots))}
 	if t.key[:t.prefix] != prefix {
 		out.key = prefix + t.key[t.prefix:]
@@ -82,15 +72,14 @@ func (t *Template) Bind(built logical.Node, prefix string) (*Template, bool) {
 		}
 		return true
 	})
-	if !out.Distinct() {
-		return nil, false
-	}
-	return out, true
+	return out
 }
 
 // Distinct reports whether no two slots share a literal (compared
-// case-insensitively) or a key: whether the plan cache may serve the
-// template.
+// case-insensitively, as statistics are keyed) or a key: whether the
+// plan cache may serve the template. Where two slots share one, a read
+// of that literal could belong to either slot, so the statement's reads
+// cannot be replayed for other literals.
 func (t *Template) Distinct() bool {
 	for i := range t.slots {
 		for j := i + 1; j < len(t.slots); j++ {

@@ -17,7 +17,8 @@ func templateOf(t *testing.T, sql string) (*Template, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewTemplate(plan, "")
+	tpl := TemplateOf(plan, "")
+	return tpl, tpl.Distinct()
 }
 
 // TestTemplateKey: statements share a template exactly when they differ
@@ -84,8 +85,8 @@ func TestTemplateKey(t *testing.T) {
 }
 
 // TestTemplateBind: a template bound to a statement of its shape, under
-// another prefix, is the one NewTemplate renders for it, and binding
-// refuses literals that repeat as NewTemplate does.
+// another prefix, is the one TemplateOf renders for it, and a bound
+// template whose literals repeat is not distinct.
 func TestTemplateBind(t *testing.T) {
 	build := func(sql string) logical.Node {
 		t.Helper()
@@ -105,10 +106,10 @@ func TestTemplateBind(t *testing.T) {
 	}
 	for _, prefix := range []string{"a|", "other prefix|"} {
 		built := build(`SELECT name FROM city WHERE population > 5 AND elevation < 7`)
-		got, ok := raw.Bind(built, prefix)
-		want, _ := NewTemplate(built, prefix)
-		if !ok || got.Key() != want.Key() || len(got.slots) != len(want.slots) {
-			t.Fatalf("prefix %q: bound %v %+v, want %+v", prefix, ok, got, want)
+		got := raw.Bind(built, prefix)
+		want := TemplateOf(built, prefix)
+		if !got.Distinct() || got.Key() != want.Key() || len(got.slots) != len(want.slots) {
+			t.Fatalf("prefix %q: bound %+v, want %+v", prefix, got, want)
 		}
 		for i := range got.slots {
 			if got.slots[i].LitText != want.slots[i].LitText || got.slots[i].Key != want.slots[i].Key {
@@ -116,7 +117,7 @@ func TestTemplateBind(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := raw.Bind(build(`SELECT name FROM city WHERE population > 9 AND elevation < 9`), "a|"); ok {
-		t.Error("a bind repeating a literal has a template")
+	if raw.Bind(build(`SELECT name FROM city WHERE population > 9 AND elevation < 9`), "a|").Distinct() {
+		t.Error("a bind repeating a literal is distinct")
 	}
 }

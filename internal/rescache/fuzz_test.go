@@ -2,10 +2,15 @@ package rescache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // The alphabet FuzzSubsumptionIndex draws producers and consumers from:
@@ -157,4 +162,57 @@ func checkProbes(t *testing.T, c *Cache, ep *epochs) {
 			}
 		}
 	}
+}
+
+// FuzzApproxBytes: an entry's size estimate, which measures each cell's
+// text without rendering it (textLen), equals the estimate that renders
+// every cell with Value.String, for rows of every kind.
+func FuzzApproxBytes(f *testing.F) {
+	f.Add(int64(0), 0.0, int64(0), "", false)
+	f.Add(int64(math.MinInt64), -0.0, int64(-719528), "Rome", true)
+	f.Add(int64(math.MaxInt64), math.Inf(-1), int64(2932896), "x'y", false)
+	f.Add(int64(-7), math.NaN(), int64(1<<40), "日本", true)
+	f.Add(int64(1e15), 1.5e-308, int64(-1<<40), "a b", false)
+	f.Fuzz(func(t *testing.T, i int64, fl float64, days int64, s string, b bool) {
+		r := schema.NewRelation(schema.New(
+			schema.Column{Table: "t", Name: "i", Type: value.KindInt},
+			schema.Column{Name: "f", Type: value.KindFloat},
+			schema.Column{Name: "d", Type: value.KindDate},
+			schema.Column{Name: "s", Type: value.KindString},
+			schema.Column{Name: "b", Type: value.KindBool},
+			schema.Column{Name: "n", Type: value.KindNull},
+		))
+		date := value.DateFromTime(time.Unix(days%(1<<40)*86400, 0))
+		r.Append(schema.Tuple{value.Int(i), value.Float(fl), date, value.Text(s), value.Bool(b), value.Null()})
+		r.Append(schema.Tuple{value.Int(-i), value.Float(-fl), value.Null(), value.Text(""), value.Bool(!b), value.Int(days)})
+		e := &Entry{Rel: r, Plan: s, Tables: []string{"llm:t"}, Prod: &Producer{Opts: "o|", FromKey: s, Conjuncts: []string{s, "a > 1"}}}
+		if got, want := approxBytes(e), refApproxBytes(e); got != want {
+			t.Fatalf("approxBytes = %d, want %d (String-based) for %v", got, want, r.Rows)
+		}
+	})
+}
+
+// refApproxBytes is approxBytes measuring every cell with Value.String.
+func refApproxBytes(e *Entry) int {
+	const entryOverhead, tupleOverhead, valueOverhead, colOverhead = 128, 48, 32, 16
+	n := entryOverhead + len(e.Plan)
+	for _, c := range e.Rel.Schema.Columns {
+		n += colOverhead + len(c.Table) + len(c.Name)
+	}
+	for _, row := range e.Rel.Rows {
+		n += tupleOverhead
+		for _, v := range row {
+			n += valueOverhead + len(v.String())
+		}
+	}
+	for _, t := range e.Tables {
+		n += len(t)
+	}
+	if e.Prod != nil {
+		n += len(e.Prod.Opts) + len(e.Prod.FromKey) + len(e.Prod.FromLabel)
+		for _, c := range e.Prod.Conjuncts {
+			n += len(c)
+		}
+	}
+	return n
 }

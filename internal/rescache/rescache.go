@@ -62,12 +62,14 @@ package rescache
 import (
 	"context"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/lru"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // DefaultSize is the fallback capacity (in relations) of a cache built
@@ -163,7 +165,7 @@ func approxBytes(e *Entry) int {
 	for _, row := range e.Rel.Rows {
 		n += tupleOverhead
 		for _, v := range row {
-			n += valueOverhead + len(v.String())
+			n += valueOverhead + textLen(v)
 		}
 	}
 	for _, t := range e.Tables {
@@ -176,6 +178,21 @@ func approxBytes(e *Entry) int {
 		}
 	}
 	return n
+}
+
+// textLen is len(v.String()) without building the string: a number or a
+// date is formatted into a stack buffer.
+func textLen(v value.Value) int {
+	var buf [32]byte
+	switch v.Kind() {
+	case value.KindInt:
+		return len(strconv.AppendInt(buf[:0], v.AsInt(), 10))
+	case value.KindFloat:
+		return len(strconv.AppendFloat(buf[:0], v.AsFloat(), 'g', -1, 64))
+	case value.KindDate:
+		return len(v.AsTime().AppendFormat(buf[:0], "2006-01-02"))
+	}
+	return len(v.String())
 }
 
 // Stats is a snapshot of a cache's lifetime counters, tagged with the

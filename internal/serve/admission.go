@@ -12,8 +12,8 @@ import (
 // only honest answer is "come back later" — fast.
 var errAdmissionShed = errors.New("admission queue saturated")
 
-// errAdmissionCancelled marks a request whose client disconnected while
-// it waited for an execution slot.
+// errAdmissionCancelled marks a request whose client disconnected before
+// it held an execution slot: on arrival, or while it waited.
 var errAdmissionCancelled = errors.New("request cancelled while queued for admission")
 
 // admission is the adaptive concurrency gate in front of query
@@ -126,6 +126,13 @@ func (a *admission) acquire(done <-chan struct{}) error {
 // out so tests can drive it directly); batch routes the request through
 // the batch band's sub-limit.
 func (a *admission) acquireClass(done <-chan struct{}, batch bool) error {
+	select {
+	case <-done:
+		// The client left before the request reached the gate: a free
+		// slot would serve no one.
+		return errAdmissionCancelled
+	default:
+	}
 	a.mu.Lock()
 	if a.fastPathLocked(batch) {
 		// A free slot and nobody ahead: admitted immediately, never

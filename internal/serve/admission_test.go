@@ -104,6 +104,26 @@ func TestAdmissionFullQueueCutsBeforeShedding(t *testing.T) {
 	}
 }
 
+// TestAdmissionCancelledOnArrival: on an idle gate, a request whose
+// context is already done takes no slot, so it is never served.
+func TestAdmissionCancelledOnArrival(t *testing.T) {
+	var waiting atomic.Int64
+	a := newAdmission(1, 1, 4, -1, &waiting)
+	done := make(chan struct{})
+	close(done)
+	for _, batch := range []bool{false, true} {
+		if err := a.acquireClass(done, batch); !errors.Is(err, errAdmissionCancelled) {
+			t.Fatalf("batch=%t: a request cancelled on arrival got %v, want errAdmissionCancelled", batch, err)
+		}
+	}
+	if a.active != 0 || waiting.Load() != 0 {
+		t.Fatalf("active %d, waiting %d after cancelled arrivals, want 0 and 0", a.active, waiting.Load())
+	}
+	if err := a.acquire(nil); err != nil {
+		t.Fatalf("a live request after the cancelled ones: %v", err)
+	}
+}
+
 // TestAdmissionCancelWhileQueued: a waiter whose request dies while
 // queued withdraws cleanly — the gauge returns to zero, the slot is
 // never consumed, and later arrivals are unaffected.

@@ -283,8 +283,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("admission saturated (concurrency at floor, %d waiting); retry later", s.maxQueue))
 		return
 	case err != nil:
-		// Cancelled while queued: the client is gone, do not count the
-		// request as a served query.
+		// Cancelled on arrival or while queued: the client is gone, do
+		// not count the request as a served query.
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}

@@ -527,7 +527,10 @@ func TestServePlanParam(t *testing.T) {
 
 // TestServeCancelledQueuedCounters is the -race regression for the
 // admission-gate accounting: requests cancelled while queued must leave
-// the waiting gauge at zero and never count toward queries_served.
+// the waiting gauge at zero and never count toward queries_served. Each
+// request is queued before the next is sent, and none is cancelled
+// before all are queued, so every one of them is cancelled while it
+// waits.
 func TestServeCancelledQueuedCounters(t *testing.T) {
 	r, err := bench.NewRunner(1)
 	if err != nil {
@@ -556,30 +559,31 @@ func TestServeCancelledQueuedCounters(t *testing.T) {
 
 	// A burst of queued requests all abandoned by their clients.
 	const cancelled = 6
-	var wg sync.WaitGroup
+	cancels := make([]context.CancelFunc, 0, cancelled)
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	errs := make(chan error, cancelled)
 	for i := 0; i < cancelled; i++ {
-		wg.Add(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels = append(cancels, cancel)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/query?q=SELECT+name+FROM+country", nil)
 		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithCancel(context.Background())
-			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/query?q=SELECT+name+FROM+country", nil)
-			go func() {
-				// Cancel once the request is (likely) queued. Plain polling
-				// with an unconditional cancel — waitFor's t.Fatal must not
-				// run off the test goroutine, and cancelling regardless
-				// keeps the test from wedging if the wait times out.
-				deadline := time.Now().Add(5 * time.Second)
-				for time.Now().Before(deadline) && srv.waiting.Load() == 0 {
-					time.Sleep(time.Millisecond)
-				}
-				cancel()
-			}()
-			if _, err := http.DefaultClient.Do(req); err == nil {
-				t.Error("cancelled queued request returned without error")
-			}
+			_, err := http.DefaultClient.Do(req)
+			errs <- err
 		}()
+		waitFor(t, func() bool { return srv.waiting.Load() == int64(i+1) })
 	}
-	wg.Wait()
+	for _, cancel := range cancels {
+		cancel()
+	}
+	for range cancelled {
+		if err := <-errs; err == nil {
+			t.Error("cancelled queued request returned without error")
+		}
+	}
 	waitFor(t, func() bool { return srv.waiting.Load() == 0 })
 
 	close(release)

@@ -368,10 +368,10 @@ func Coerce(v Value, to Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f != math.Trunc(v.f) {
-				return Null(), fmt.Errorf("value: cannot coerce %g to INTEGER", v.f)
+			if i, ok := IntOf(v.f); ok {
+				return i, nil
 			}
-			return Int(int64(v.f)), nil
+			return Null(), fmt.Errorf("value: cannot coerce %g to INTEGER", v.f)
 		case KindBool:
 			return Int(v.i), nil
 		case KindString:
@@ -430,13 +430,15 @@ func ParseAs(kind Kind, s string) (Value, error) {
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return Int(i), nil
 		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil && f == math.Trunc(f) {
-			return Int(int64(f)), nil
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			if i, ok := IntOf(f); ok {
+				return i, nil
+			}
 		}
 		return Null(), fmt.Errorf("value: %q is not an INTEGER", s)
 	case KindFloat:
 		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return Null(), fmt.Errorf("value: %q is not a FLOAT", s)
 		}
 		return Float(f), nil
@@ -460,6 +462,17 @@ func ParseAs(kind Kind, s string) (Value, error) {
 	default:
 		return Null(), fmt.Errorf("value: cannot parse as %s", kind)
 	}
+}
+
+// IntOf is the one float→INTEGER rule: f as an INTEGER when it is a
+// whole number inside int64's range, else false (a fraction, NaN, ±Inf,
+// or beyond ±2^63, which a conversion would wrap). Parsing, coercion and
+// cleaning all convert through it.
+func IntOf(f float64) (Value, bool) {
+	if f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63 {
+		return Null(), false
+	}
+	return Int(int64(f)), true
 }
 
 // Truthy reports whether v counts as true in a WHERE clause: non-NULL,

@@ -263,6 +263,14 @@ func TestCoerce(t *testing.T) {
 		{Int(7), KindString, Text("7"), true},
 		{Text("2020-01-02"), KindDate, Date(2020, 1, 2), true},
 		{Null(), KindInt, Null(), true},
+		// A float is an INTEGER only inside int64's range (IntOf).
+		{Float(1e300), KindInt, Null(), false},
+		{Float(math.Inf(1)), KindInt, Null(), false},
+		{Float(math.Inf(-1)), KindInt, Null(), false},
+		{Float(math.NaN()), KindInt, Null(), false},
+		{Float(1 << 63), KindInt, Null(), false},
+		{Float(-(1 << 63)), KindInt, Int(math.MinInt64), true},
+		{Float(math.Copysign(0, -1)), KindInt, Int(0), true},
 	}
 	for _, c := range cases {
 		got, err := Coerce(c.in, c.to)
@@ -303,6 +311,20 @@ func TestParseAs(t *testing.T) {
 		{KindString, "  padded  ", Text("padded"), true},
 		{KindInt, "", Null(), true},        // empty → NULL
 		{KindInt, "Unknown", Null(), true}, // refusal → NULL
+		// A float is an INTEGER only inside int64's range (IntOf), and
+		// NaN and ±Inf are no FLOAT.
+		{KindInt, "1e300", Null(), false},
+		{KindInt, "inf", Null(), false},
+		{KindInt, "-Inf", Null(), false},
+		{KindInt, "NaN", Null(), false},
+		{KindInt, "9.3e18", Null(), false},
+		{KindInt, "-9.3e18", Null(), false},
+		{KindInt, "9.223372036854775807e18", Null(), false}, // 2^63 as a float
+		{KindInt, "-9.223372036854775808e18", Int(math.MinInt64), true},
+		{KindInt, "9223372036854775807", Int(math.MaxInt64), true},
+		{KindFloat, "NaN", Null(), false},
+		{KindFloat, "inf", Null(), false},
+		{KindFloat, "-Infinity", Null(), false},
 	}
 	for _, c := range cases {
 		got, err := ParseAs(c.kind, c.in)
