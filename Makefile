@@ -37,7 +37,9 @@ race:
 # planner's
 # (BenchmarkChoose: one templated enumeration
 # of a two-conjunct join, as on a plan-cache miss, each candidate lowered
-# and estimated), the scheduler's
+# and estimated; BenchmarkTemplateOf: the same statement's one rendering
+# and the plan-cache template cut from it, a parsed statement's rendering
+# cost), the scheduler's
 # (BenchmarkSchedulerMiss: the per-prompt cost of a model miss;
 # BenchmarkCachedMiss: the same through the prompt cache, a new key every
 # time), the LLM operators' (BenchmarkResidentFetch: a fetch-then-filter

@@ -16,7 +16,7 @@ import "testing"
 // measured runs. A shape is memoized on its second sight, so the few
 // shapes the warm-up saw only once are parsed once more in them.
 func TestAdhocAllocs(t *testing.T) {
-	const ceiling = 143
+	const ceiling = 140
 	_, next, run := adhocPlan(t)
 	sqls := next(1001)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -33,7 +33,7 @@ func TestAdhocAllocs(t *testing.T) {
 // a result cache, every prompt resident, so each repeat is bound from
 // the shape memo and replanned from the plan cache.
 func TestRepeatedQueryCachedAllocs(t *testing.T) {
-	const ceiling = 101
+	const ceiling = 100
 	query := repeatedQuery(t)
 	allocs := testing.AllocsPerRun(1000, func() { query() })
 	if allocs > ceiling {

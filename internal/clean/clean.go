@@ -268,10 +268,13 @@ func ParseNumber(s string) (float64, bool) {
 
 	// Scientific notation survives ("1.2e9 people"): an exponent is "e",
 	// an optional sign and at least one digit, right after the mantissa.
+	// A well-formed number fails to parse only by overflowing: it has no
+	// value, not its mantissa's.
 	if j := exponentEnd(s, i); j > i {
-		if full, err := strconv.ParseFloat(numTok+s[i:j], 64); err == nil {
-			return full, true
+		if f, err = strconv.ParseFloat(numTok+s[i:j], 64); err != nil {
+			return 0, false
 		}
+		return f, true
 	}
 	rest := strings.TrimSpace(s[i:])
 	for _, m := range magnitudes {
@@ -279,7 +282,10 @@ func ParseNumber(s string) (float64, bool) {
 		// with a space, a period or a comma.
 		if strings.HasPrefix(rest, m.suffix) {
 			if n := len(m.suffix); n == len(rest) || rest[n] == ' ' || rest[n] == '.' || rest[n] == ',' {
-				return f * m.mult, true
+				if f *= m.mult; math.IsInf(f, 0) {
+					return 0, false
+				}
+				return f, true
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package clean
 import (
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,12 @@ func TestParseNumber(t *testing.T) {
 		{"no numbers here", 0, false},
 		{"", 0, false},
 		{"K2", 0, false},
+		{"1e999", 0, false},
+		{"1.8e308", 0, false},
+		{"-2e308 people", 0, false},
+		{strings.Repeat("9", 300) + " trillion", 0, false},
+		{"1.7e308", 1.7e308, true},
+		{"1e-999", 0, true},
 	}
 	for _, c := range cases {
 		got, ok := ParseNumber(c.in)
@@ -93,8 +100,9 @@ func TestParseNumberCommasRoundTrip(t *testing.T) {
 }
 
 // FuzzParseNumber throws arbitrary model answers at the numeric decoder.
-// It must never panic, and it must read back every finite float the way
-// strconv's shortest 'g' form prints it, bare or followed by a unit.
+// It must never panic, an ok result must be finite, and it must read
+// back every finite float the way strconv's shortest 'g' form prints it,
+// bare or followed by a unit.
 //
 // Run with: go test -run '^$' -fuzz FuzzParseNumber -fuzztime 30s ./internal/clean
 func FuzzParseNumber(f *testing.F) {
@@ -108,12 +116,16 @@ func FuzzParseNumber(f *testing.F) {
 		{"The height of K2 is 8611.", 8611},
 		{"5e", 5e-324},
 		{"12 eggs", math.MaxFloat64},
+		{"1e999", 1},
+		{"-2e308 people", 1},
 	}
 	for _, s := range seeds {
 		f.Add(s.s, s.x)
 	}
 	f.Fuzz(func(t *testing.T, s string, x float64) {
-		ParseNumber(s)
+		if got, ok := ParseNumber(s); ok && (math.IsNaN(got) || math.IsInf(got, 0)) {
+			t.Errorf("ParseNumber(%q) = %g, true; want a finite number", s, got)
+		}
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return
 		}
@@ -205,6 +217,10 @@ func TestCellIntRange(t *testing.T) {
 		{"inf", value.KindInt},
 		{"NaN", value.KindFloat},
 		{"-Inf", value.KindFloat},
+		{"1e999", value.KindInt},
+		{"1e999", value.KindFloat},
+		{"about -2e308 people", value.KindFloat},
+		{strings.Repeat("9", 300) + " trillion", value.KindFloat},
 	} {
 		if v := norm.Cell(tc.raw, tc.kind); !v.IsNull() {
 			t.Errorf("normalized %v cell %q = %v (%v), want NULL", tc.kind, tc.raw, v, v.Kind())

@@ -15,7 +15,8 @@ func (s *Session) PlanBuilt(sel *ast.Select, built logical.Node) (logical.Node, 
 		return nil, err
 	}
 	if built != nil {
-		q.built, q.tpl = built, optimizer.TemplateOf(built, s.res.planKey)
+		q.built, q.canon = built, logical.Canonicalize(built)
+		q.tpl = optimizer.TemplateOf(q.canon, s.res.planKey)
 	}
 	plan, _, err := s.choose(q, nil)
 	return plan, err

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/simllm"
 	"repro/internal/spider"
-	"repro/internal/sql/ast"
 	"repro/internal/sql/parser"
 )
 
@@ -67,12 +65,12 @@ func TestPlanningLeavesBuiltPlan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
-				before := render(built)
+				before := logical.Fingerprint(built)
 				plan, err := s.PlanBuilt(sel, built)
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
-				if after := render(built); after != before {
+				if after := logical.Fingerprint(built); after != before {
 					t.Fatalf("%s: planning changed the built plan\nbefore %s\nafter  %s", sql, before, after)
 				}
 				fresh, err := s.PlanBuilt(sel, nil)
@@ -93,14 +91,4 @@ func TestPlanningLeavesBuiltPlan(t *testing.T) {
 			}
 		})
 	}
-}
-
-// render is the built plan's canonical rendering, predicates verbatim.
-func render(n logical.Node) string {
-	var b strings.Builder
-	logical.Render(&b, n, func(b *strings.Builder, e ast.Expr, _ []logical.Conjunct) {
-		b.WriteByte(' ')
-		b.WriteString(e.String())
-	})
-	return b.String()
 }

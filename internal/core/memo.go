@@ -33,11 +33,13 @@ import (
 // shapeMemo maps a SELECT's shape (lexer.Shape: its token stream with
 // the literals masked) to its build prepared for binding, so a statement
 // that differs from one seen before only in its literals costs one lexer
-// pass and a bind instead of a parse, a build, a rendering of its
-// fingerprint and one of its plan-cache template: its plan is the
-// memoized one with the literals of its WHERE and ON comparisons bound
-// in (logical.Skeleton), and every other literal must equal the
-// memoized statement's. A SELECT that misses fills it when its shape
+// pass and a bind instead of a parse, a build and a rendering: its plan
+// is the memoized one with the literals of its WHERE and ON comparisons
+// bound in, its fingerprint the memoized one with their renderings
+// spliced in at the spans that rendering recorded (logical.Skeleton),
+// and its plan-cache template the memoized key with the bound slots
+// (optimizer.Template.Bind); every other literal must equal the memoized
+// statement's. A SELECT that misses fills it when its shape
 // was seen before (seenOnce), so a shape that never repeats costs an
 // entry, not a skeleton; it holds up to planCacheSize shapes.
 type (

@@ -121,7 +121,8 @@ func prepared(t testing.TB, s *Session, sql string) (*query, string, []lexer.Lit
 
 // describeQuery renders everything a query carries into planning and
 // the result cache: the built plan, the fingerprint, the components, the
-// Shape and the template's key and slots.
+// Shape, the template's key and slots, and the canonical form's slots
+// with the fingerprint's text at each one's span.
 func describeQuery(q *query) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "built:\n%sfingerprint: %s\ncomponents: %q\n", logical.Explain(q.built), q.canon.Fingerprint, q.canon.Components)
@@ -139,6 +140,9 @@ func describeQuery(q *query) string {
 		for _, c := range templateSlots(q.tpl, q.built) {
 			fmt.Fprintf(&b, "slot: %q %q\n", c.LitText, c.Key)
 		}
+	}
+	for _, s := range q.canon.Slots {
+		fmt.Fprintf(&b, "canonical slot: %q %q %q\n", s.LitText, s.Key, q.canon.Fingerprint[s.Start:s.End])
 	}
 	return b.String()
 }

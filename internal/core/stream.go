@@ -193,16 +193,17 @@ func (s *Session) front(sql string) (*query, *ast.Explain, error) {
 	}
 }
 
-// prepare builds sel, recording its table resolutions, and renders its
-// canonical form and plan-cache template.
+// prepare builds sel, recording its table resolutions, renders its
+// canonical form and cuts its plan-cache template from that rendering.
 func (s *Session) prepare(sel *ast.Select) (*query, error) {
 	rec := &recordingResolver{rt: s.rt}
 	built, err := logical.Build(sel, rec)
 	if err != nil {
 		return nil, err
 	}
-	return &query{built: built, canon: logical.Canonicalize(built), res: rec.res,
-		tpl: optimizer.TemplateOf(built, s.res.planKey), truncating: sel.Limit >= 0 || sel.Offset > 0}, nil
+	canon := logical.Canonicalize(built)
+	return &query{built: built, canon: canon, res: rec.res,
+		tpl: optimizer.TemplateOf(canon, s.res.planKey), truncating: sel.Limit >= 0 || sel.Offset > 0}, nil
 }
 
 // bind returns the query of a statement of e's shape whose literal vector
@@ -215,7 +216,7 @@ func (s *Session) bind(e *shapeEntry, lits []lexer.Literal) *query {
 	q := &query{res: e.res, truncating: e.truncating}
 	q.built, q.canon = e.skel.Bind(vals)
 	if s.costBased() {
-		q.tpl = e.tpl.Bind(q.built, s.res.planKey)
+		q.tpl = e.tpl.Bind(q.canon, s.res.planKey)
 	}
 	return q
 }

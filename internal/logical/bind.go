@@ -1,7 +1,7 @@
 package logical
 
 import (
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/sql/ast"
@@ -10,28 +10,28 @@ import (
 
 // Site is one classified conjunct of a plan node: conjunct Index of a
 // Filter or a Join, an LLMFilter's Cond (Index 0), or a Scan's
-// Pushed[Index]. Slot is its binder's: the index of the value bound
-// there.
+// Pushed[Index]. Slot is the index of the slot (Canonical.Slots) whose
+// conjunct a bind puts there.
 type Site struct {
 	Node  Node
 	Index int
 	Slot  int
 }
 
-// Rebind returns n with the conjunct at sites[k] replaced by cs[k]. It
-// path-copies: the nodes holding a site and every node above them are
-// copied, every other subtree is shared. A Filter's condition and a
+// Rebind returns n with the conjunct at each site replaced by the one of
+// slots[site.Slot]. It path-copies: the nodes holding a site and every
+// node above them are copied, every other subtree is shared. A Filter's condition and a
 // Join's ON predicate keep their written AND nesting with each replaced
 // conjunct's expression in its place, and a copied node keeps its
 // schema, which no conjunct's literal decides.
-func Rebind(n Node, sites []Site, cs []Conjunct) Node {
+func Rebind(n Node, sites []Site, slots []Slot) Node {
 	left, right := Inputs(n)
 	nl, nr := left, right
 	if left != nil {
-		nl = Rebind(left, sites, cs)
+		nl = Rebind(left, sites, slots)
 	}
 	if right != nil {
-		nr = Rebind(right, sites, cs)
+		nr = Rebind(right, sites, slots)
 	}
 	own := false
 	for _, s := range sites {
@@ -45,7 +45,7 @@ func Rebind(n Node, sites []Site, cs []Conjunct) Node {
 		f := *node
 		f.Input = nl
 		if own {
-			f.conjs = replaced(n, node.conjs, sites, cs)
+			f.conjs = replaced(n, node.conjs, sites, slots)
 			f.Cond = reAnd(node.Cond, f.conjs, new(int))
 		}
 		return &f
@@ -53,22 +53,22 @@ func Rebind(n Node, sites []Site, cs []Conjunct) Node {
 		j := *node
 		j.Left, j.Right = nl, nr
 		if own {
-			j.conjs = replaced(n, node.conjs, sites, cs)
+			j.conjs = replaced(n, node.conjs, sites, slots)
 			j.On = reAnd(node.On, j.conjs, new(int))
 		}
 		return &j
 	case *LLMFilter:
 		f := *node
 		f.Input = nl
-		for k, s := range sites {
+		for _, s := range sites {
 			if s.Node == n {
-				f.Cond = cs[k]
+				f.Cond = slots[s.Slot].Conjunct
 			}
 		}
 		return &f
 	case *Scan:
 		s := *node
-		s.Pushed = replaced(n, node.Pushed, sites, cs)
+		s.Pushed = replaced(n, node.Pushed, sites, slots)
 		return &s
 	case *FetchAttr:
 		f := *node
@@ -104,11 +104,11 @@ func Rebind(n Node, sites []Site, cs []Conjunct) Node {
 
 // replaced returns a copy of n's conjuncts old with the ones at n's sites
 // replaced.
-func replaced(n Node, old []Conjunct, sites []Site, cs []Conjunct) []Conjunct {
+func replaced(n Node, old []Conjunct, sites []Site, slots []Slot) []Conjunct {
 	out := append([]Conjunct(nil), old...)
-	for k, s := range sites {
+	for _, s := range sites {
 		if s.Node == n {
-			out[s.Index] = cs[k]
+			out[s.Index] = slots[s.Slot].Conjunct
 		}
 	}
 	return out
@@ -158,136 +158,54 @@ func LeftDeep(n Node) bool {
 // conjunct — a column-op-literal conjunct of a base Filter (directly above
 // the FROM tree) or of a Join — appears nowhere else in the plan and its
 // canonical form: in that conjunct and in the fingerprint's rendering of
-// it. Bind rebuilds the plan for new such literals by path-copying the
-// nodes that hold them (Rebind), and its canonical form by splicing their
-// renderings into the fingerprint, instead of building and rendering. A
-// Skeleton is immutable and safe for concurrent use.
+// it, its Slot. Bind rebuilds the plan for new such literals by
+// path-copying the nodes that hold them (Rebind), and its canonical form
+// by splicing their renderings into the fingerprint at the recorded
+// spans, instead of building and rendering. A Skeleton is immutable and
+// safe for concurrent use.
 type Skeleton struct {
 	built Node
+	// canon is the built plan's canonical form without its Shape, which
+	// Bind decomposes from the plan it binds.
 	canon Canonical
-	// sites are the bindable comparisons in fingerprint order, each
-	// one's Slot the index of its literal in the statement's literal
-	// vector.
+	// label is the Shape's FromLabel, "" when the plan has no Shape.
+	label string
+	// sites are the bindable comparisons in fingerprint order, and lits,
+	// site for site, the indices of their literals in the statement's
+	// literal vector.
 	sites []Site
-	// fp is canon.Fingerprint split at the sites' literal renderings.
-	fp []string
-	// fixed is, per site, the length of its conjunct text that is not
-	// its literal's rendering: the column, the operator and two spaces.
-	fixed []int
-	// from is the FROM tree's span of the fingerprint (Shape.FromKey),
-	// each end as a part of fp and an offset into it.
-	from [2]struct{ part, off int }
+	lits  []int
 }
 
-// NewSkeleton prepares built, whose canonical form is canon, for binding.
-// lits are the statement's literals (parser.ParseLiterals); the ones a
-// Skeleton binds are its slots, every other literal is part of the
-// statement's identity, which the caller compares. It returns nil when a
-// slot's rendering cannot be located in the fingerprint.
+// NewSkeleton prepares built, whose canonical form is canon
+// (Canonicalize(built)), for binding. lits are the statement's literals
+// (parser.ParseLiterals); the ones a Skeleton binds are its slots, every
+// other literal is part of the statement's identity, which the caller
+// compares. It returns nil when the skeleton's own literals do not give
+// back canon.
 func NewSkeleton(built Node, canon Canonical, lits []*ast.Literal) *Skeleton {
 	// A skeleton outlives the statement: it keeps its own copy of the
 	// fingerprint, not the rendering buffer's spare capacity.
-	canon.Fingerprint = strings.Clone(canon.Fingerprint)
-	if sh := canon.Shape; sh != nil {
-		c := *sh
-		c.FromKey = canon.Fingerprint[strings.Index(canon.Fingerprint, sh.FromKey):][:len(sh.FromKey)]
-		canon.Shape = &c
+	sk := &Skeleton{built: built, canon: canon}
+	sk.canon.Fingerprint = strings.Clone(canon.Fingerprint)
+	sk.canon.Shape = nil
+	if canon.Shape != nil {
+		sk.label = canon.Shape.FromLabel
 	}
-	sk := &Skeleton{built: built, canon: canon, fp: []string{canon.Fingerprint}}
-	chain, from := splitChain(built)
-	site := func(n Node, cs []Conjunct) {
-		for i := range cs {
-			if cs[i].Col == nil {
-				continue
-			}
-			for j, l := range lits {
-				if l == cs[i].Lit {
-					sk.sites = append(sk.sites, Site{Node: n, Index: i, Slot: j})
-				}
-			}
+	chain, _ := splitChain(built)
+	base := chain[baseFilters(chain):]
+	for i, s := range canon.Slots {
+		if _, join := s.node.(*Join); !join && !slices.Contains(base, s.node) {
+			continue
 		}
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		f, ok := chain[i].(*Filter)
-		if !ok {
-			break
-		}
-		site(f, f.conjs)
-	}
-	Walk(from, func(n Node) bool {
-		if j, ok := n.(*Join); ok {
-			site(j, j.conjs)
-		}
-		return true
-	})
-	if len(sk.sites) == 0 {
-		return sk
-	}
-	sk.fixed = make([]int, len(sk.sites))
-	for k := range sk.sites {
-		c := sk.conjunct(k)
-		sk.fixed[k] = len(c.Text) - len(c.Lit.String())
-	}
-	// Bind a distinct text sentinel to every slot and find each one's
-	// rendering in the fingerprint: the fingerprint's parts between them
-	// are the same for every binding.
-	sentinels := make([]value.Value, len(lits))
-	for k, s := range sk.sites {
-		sentinels[s.Slot] = value.Text("\x00" + strconv.Itoa(k) + "\x00")
-	}
-	tree, cs := sk.rebind(sentinels)
-	sc, start, end := canonicalize(tree)
-	pos := make([]int, len(sk.sites))
-	rends := make([]string, len(sk.sites))
-	for k := range sk.sites {
-		rends[k] = sentinels[sk.sites[k].Slot].SQLLiteral()
-		pos[k] = strings.Index(sc.Fingerprint, rends[k])
-		if pos[k] < 0 || pos[k] != strings.LastIndex(sc.Fingerprint, rends[k]) || sk.literalOf(k, &cs[k]) != rends[k] {
-			return nil
-		}
-	}
-	// Order the sites as the fingerprint renders them.
-	for a := 1; a < len(pos); a++ {
-		for b := a; b > 0 && pos[b] < pos[b-1]; b-- {
-			pos[b], pos[b-1] = pos[b-1], pos[b]
-			rends[b], rends[b-1] = rends[b-1], rends[b]
-			sk.sites[b], sk.sites[b-1] = sk.sites[b-1], sk.sites[b]
-			sk.fixed[b], sk.fixed[b-1] = sk.fixed[b-1], sk.fixed[b]
-		}
-	}
-	// The parts are cut from the statement's own fingerprint, which the
-	// skeleton keeps anyway: it must read as the sentinels' one does
-	// around its literals' renderings.
-	sk.fp = sk.fp[:0]
-	fp, at := canon.Fingerprint, 0
-	for k, p := range pos {
-		lit := sk.conjunct(k).Lit.String()
-		part := sc.Fingerprint[at:p]
-		if !strings.HasPrefix(fp, part+lit) {
-			return nil
-		}
-		sk.fp = append(sk.fp, fp[:len(part)])
-		fp, at = fp[len(part)+len(lit):], p+len(rends[k])
-	}
-	if fp != sc.Fingerprint[at:] {
-		return nil
-	}
-	sk.fp = append(sk.fp, fp)
-	for e, p := range [2]int{start, end} {
-		at = 0
-		for k, part := range sk.fp {
-			if p <= at+len(part) {
-				sk.from[e].part, sk.from[e].off = k, p-at
-				break
-			}
-			at += len(part)
-			if k < len(rends) {
-				at += len(rends[k])
+		for j, l := range lits {
+			if l == s.Lit {
+				sk.sites = append(sk.sites, Site{Node: s.node, Index: s.index, Slot: i})
+				sk.lits = append(sk.lits, j)
 			}
 		}
 	}
-	// The parts with the statement's own literals must give back its
-	// fingerprint.
+	// The skeleton's own literals must give back the fingerprint.
 	if _, c := sk.Bind(literalValues(lits)); c.Fingerprint != canon.Fingerprint ||
 		(c.Shape == nil) != (canon.Shape == nil) || c.Shape != nil && c.Shape.FromKey != canon.Shape.FromKey {
 		return nil
@@ -304,87 +222,71 @@ func literalValues(lits []*ast.Literal) []value.Value {
 	return vals
 }
 
-// conjunct returns the built plan's conjunct at site k.
-func (sk *Skeleton) conjunct(k int) *Conjunct {
-	s := sk.sites[k]
-	if f, ok := s.Node.(*Filter); ok {
-		return &f.conjs[s.Index]
-	}
-	return &s.Node.(*Join).conjs[s.Index]
-}
-
-// literalOf returns the rendering of c's literal, c being site k's
-// conjunct rebound: the part of its text its column and operator leave.
-func (sk *Skeleton) literalOf(k int, c *Conjunct) string {
-	if c.Mirrored {
-		return c.Text[:len(c.Text)-sk.fixed[k]]
-	}
-	return c.Text[sk.fixed[k]:]
-}
-
-// rebind returns the built plan with each site's literal replaced by
-// vals[slot], and the replacing conjuncts in site order.
-func (sk *Skeleton) rebind(vals []value.Value) (Node, []Conjunct) {
-	cs := make([]Conjunct, len(sk.sites))
-	for k := range sk.sites {
-		old := sk.conjunct(k)
-		b := *old.Expr.(*ast.Binary)
-		lit := &ast.Literal{Val: vals[sk.sites[k].Slot]}
-		if old.Mirrored {
-			b.Left = lit
-		} else {
-			b.Right = lit
-		}
-		cs[k] = NewConjunct(&b)
-	}
-	return Rebind(sk.built, sk.sites, cs), cs
-}
-
 // Bind returns the built plan and canonical form of the statement whose
-// literal vector is vals: the skeleton's own with each slot's literal
-// replaced (vals entries that are no slot are not read). Its Shape is
+// literal vector is vals: the skeleton's own with each site's literal
+// replaced (vals entries that are no site's are not read). Its Shape is
 // decomposed from the bound plan, so two base conjuncts that bind to one
 // text count once, as Canonicalize counts them.
 func (sk *Skeleton) Bind(vals []value.Value) (Node, Canonical) {
-	if len(sk.sites) == 0 {
-		return sk.built, sk.canon
+	tree, canon := sk.built, sk.canon
+	if len(sk.sites) > 0 {
+		canon = sk.splice(vals)
+		tree = Rebind(sk.built, sk.sites, canon.Slots)
 	}
-	tree, cs := sk.rebind(vals)
-	n := 0
-	for k, part := range sk.fp {
-		n += len(part)
-		if k < len(cs) {
-			n += len(sk.literalOf(k, &cs[k]))
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	var span [2]int
-	for k, part := range sk.fp {
-		for e := range span {
-			if sk.from[e].part == k {
-				span[e] = b.Len() + sk.from[e].off
-			}
-		}
-		b.WriteString(part)
-		if k < len(cs) {
-			b.WriteString(sk.literalOf(k, &cs[k]))
-		}
-	}
-	canon := Canonical{Fingerprint: b.String(), Components: sk.canon.Components}
-	if sh := sk.canon.Shape; sh != nil {
+	if sk.label != "" {
 		chain, from := splitChain(tree)
-		canon.Shape = decompose(chain, from, canon.Fingerprint[span[0]:span[1]], sh.FromLabel)
+		canon.Shape = decompose(chain, from, canon.Fingerprint[canon.from[0]:canon.from[1]], sk.label)
 	}
 	return tree, canon
 }
 
+// splice returns the skeleton's canonical form with each site's literal
+// replaced by its value in vals: the site's slot rebound, its literal's
+// rendering spliced into the fingerprint and every span after it moved.
+func (sk *Skeleton) splice(vals []value.Value) Canonical {
+	old := sk.canon.Slots
+	canon := Canonical{Components: sk.canon.Components, Slots: make([]Slot, len(old)), from: sk.canon.from}
+	n := len(sk.canon.Fingerprint)
+	for i := range old {
+		canon.Slots[i].Conjunct = old[i].Conjunct
+	}
+	for k, s := range sk.sites {
+		c := &canon.Slots[s.Slot].Conjunct
+		b := *c.Expr.(*ast.Binary)
+		lit := &ast.Literal{Val: vals[sk.lits[k]]}
+		if c.Mirrored {
+			b.Left = lit
+		} else {
+			b.Right = lit
+		}
+		*c = NewConjunct(&b)
+		n += c.litLen - (old[s.Slot].End - old[s.Slot].Start)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	at, shift := 0, 0
+	for i := range old {
+		s := &canon.Slots[i]
+		s.Start, s.End = old[i].Start+shift, old[i].End+shift
+		if s.Text == old[i].Text {
+			continue
+		}
+		start, end := s.litSpan()
+		b.WriteString(sk.canon.Fingerprint[at:old[i].Start])
+		b.WriteString(s.Text[start:end])
+		at, s.End = old[i].End, s.Start+end-start
+		for e, p := range sk.canon.from {
+			if old[i].End <= p {
+				canon.from[e] += s.End - old[i].End - shift
+			}
+		}
+		shift = s.End - old[i].End
+	}
+	b.WriteString(sk.canon.Fingerprint[at:])
+	canon.Fingerprint = b.String()
+	return canon
+}
+
 // Slots returns the indices, in the statement's literal vector, of the
 // literals the skeleton binds.
-func (sk *Skeleton) Slots() []int {
-	out := make([]int, len(sk.sites))
-	for k, s := range sk.sites {
-		out[k] = s.Slot
-	}
-	return out
-}
+func (sk *Skeleton) Slots() []int { return sk.lits }

@@ -11,9 +11,11 @@ import (
 // Canonical is the canonical form of one built (pre-optimization) plan,
 // taken from one rendering of it: the Fingerprint exact-match result
 // caching keys by, the sorted invalidation Components of the base
-// relations it reads, and the Shape subsumption matches against (nil
-// when the plan does not decompose), whose FromKey is the FROM tree's
-// span of the fingerprint.
+// relations it reads, the Shape subsumption matches against (nil when
+// the plan does not decompose), whose FromKey is the FROM tree's span of
+// the fingerprint, and the Slots, where the plan-cache template
+// (optimizer.TemplateOf) and the shape memo's Skeleton cut the
+// fingerprint.
 //
 // Two plans share a fingerprint only if they would compute the same
 // relation against the same runtime state. It keeps every Describe line
@@ -29,28 +31,39 @@ type Canonical struct {
 	Fingerprint string
 	Components  []string
 	Shape       *Shape
+	// Slots are the column-op-literal conjuncts of the plan's Filters and
+	// Joins, in fingerprint order.
+	Slots []Slot
+	// from is the FROM tree's span of the fingerprint.
+	from [2]int
+}
+
+// Slot is one column-op-literal conjunct of a Filter or a Join, with the
+// span [Start, End) of the fingerprint that its literal's rendering
+// (Lit.String()) takes.
+type Slot struct {
+	Conjunct
+	Start, End int
+	// node holds the conjunct at index in the plan Canonicalize
+	// rendered, where NewSkeleton finds its sites; a slot Skeleton.Bind
+	// splices keeps neither.
+	node  Node
+	index int
 }
 
 // Canonicalize renders n once and returns its canonical form.
 func Canonicalize(n Node) Canonical {
-	c, _, _ := canonicalize(n)
-	return c
-}
-
-// canonicalize is Canonicalize that also returns the span [start, end)
-// of the fingerprint that the FROM tree's rendering takes.
-func canonicalize(n Node) (Canonical, int, int) {
 	chain, from := splitChain(n)
 	var b strings.Builder
 	b.Grow(512)
-	r := renderer{b: &b, pred: verbatim, from: from, collect: true}
+	r := renderer{b: &b, from: from}
 	r.node(n)
 	slices.Sort(r.comps)
-	c := Canonical{Fingerprint: b.String(), Components: r.comps}
+	c := Canonical{Fingerprint: b.String(), Components: r.comps, Slots: r.slots, from: [2]int{r.start, r.end}}
 	if fromOnly(from) {
 		c.Shape = decompose(chain, from, c.Fingerprint[r.start:r.end], fromLabel(from))
 	}
-	return c, r.start, r.end
+	return c
 }
 
 // splitChain splits a built plan into the single-input operator chain
@@ -71,33 +84,15 @@ func splitChain(n Node) (chain []Node, from Node) {
 // Fingerprint returns n's fingerprint (see Canonical).
 func Fingerprint(n Node) string { return Canonicalize(n).Fingerprint }
 
-// Render appends n's canonical form to b, each node parenthesized with
-// its children in order. pred writes every Filter condition and Join ON
-// predicate after the node's name, given as written and as its
-// classified conjuncts: the fingerprint writes it verbatim; the
-// plan-cache template (optimizer.TemplateOf) writes the conjuncts with
-// their comparison literals masked.
-func Render(b *strings.Builder, n Node, pred func(*strings.Builder, ast.Expr, []Conjunct)) {
-	r := renderer{b: b, pred: pred}
-	r.node(n)
-}
-
-// verbatim writes a predicate as the fingerprint does.
-func verbatim(b *strings.Builder, e ast.Expr, _ []Conjunct) {
-	b.WriteByte(' ')
-	b.WriteString(e.String())
-}
-
 // renderer writes one plan's canonical form to b. It records the span
-// [start, end) of b that from's rendering takes and, with collect, the
-// components of the scans it renders.
+// [start, end) of b that from's rendering takes, the components of the
+// scans it renders and the slots of the predicates it writes.
 type renderer struct {
 	b          *strings.Builder
-	pred       func(*strings.Builder, ast.Expr, []Conjunct)
 	from       Node
 	start, end int
-	collect    bool
 	comps      []string
+	slots      []Slot
 }
 
 func (r *renderer) node(n Node) {
@@ -108,13 +103,13 @@ func (r *renderer) node(n Node) {
 	b.WriteByte('(')
 	switch node := n.(type) {
 	case *Filter:
-		b.WriteString("Filter")
-		r.pred(b, node.Cond, node.conjs)
+		b.WriteString("Filter ")
+		r.pred(n, node.Cond, node.conjs, 0)
 	case *Join:
 		b.WriteString(node.name())
 		if node.On != nil {
-			b.WriteString(" ON")
-			r.pred(b, node.On, node.conjs)
+			b.WriteString(" ON ")
+			r.pred(n, node.On, node.conjs, 0)
 		}
 	case *Scan:
 		b.WriteString(node.Describe())
@@ -129,9 +124,7 @@ func (r *renderer) node(n Node) {
 			b.WriteString(c.Type.String())
 			b.WriteByte(',')
 		}
-		if r.collect {
-			r.comps = addComponent(r.comps, node)
-		}
+		r.comps = addComponent(r.comps, node)
 	case *Distinct:
 		b.WriteString("Distinct|keycols=")
 		b.WriteString(strconv.Itoa(node.KeyCols))
@@ -153,4 +146,36 @@ func (r *renderer) node(n Node) {
 	if n == r.from {
 		r.end = b.Len()
 	}
+}
+
+// pred writes e, the AND of n's conjuncts cs[i:] as classify split them,
+// as e.String() does: conjunct by conjunct, each AND or OR operand of an
+// AND parenthesized. It records every column-op-literal conjunct as a
+// slot and returns the index of the conjunct after e's.
+func (r *renderer) pred(n Node, e ast.Expr, cs []Conjunct, i int) int {
+	if b, ok := e.(*ast.Binary); ok && b.Op == "AND" {
+		i = r.operand(n, b.Left, cs, i)
+		r.b.WriteString(" AND ")
+		return r.operand(n, b.Right, cs, i)
+	}
+	c := &cs[i]
+	if c.Col != nil {
+		start, end := c.litSpan()
+		at := r.b.Len()
+		r.slots = append(r.slots, Slot{Conjunct: *c, Start: at + start, End: at + end, node: n, index: i})
+	}
+	r.b.WriteString(c.Text)
+	return i + 1
+}
+
+// operand writes one operand of an AND, parenthesized when it is itself
+// an AND or an OR.
+func (r *renderer) operand(n Node, e ast.Expr, cs []Conjunct, i int) int {
+	if b, ok := e.(*ast.Binary); !ok || b.Op != "AND" && b.Op != "OR" {
+		return r.pred(n, e, cs, i)
+	}
+	r.b.WriteByte('(')
+	i = r.pred(n, e, cs, i)
+	r.b.WriteByte(')')
+	return i
 }

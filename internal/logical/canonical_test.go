@@ -2,6 +2,7 @@ package logical
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,9 +119,11 @@ func TestSubsumesResidual(t *testing.T) {
 
 // FuzzCanonical: whatever statement builds against the two-table
 // resolver, its one rendering is deterministic and agrees with every
-// separate derivation — Render with the verbatim predicate writes the
-// same bytes, the FROM key is the FROM tree's own fingerprint, and the
-// components equal a separate Components walk.
+// separate derivation — a reference renderer that writes each predicate
+// whole (ast.Binary.String) gives the same bytes, each slot's span reads
+// its literal's rendering and every column-op-literal conjunct of a
+// Filter or a Join is a slot, the FROM key is the FROM tree's own
+// fingerprint, and the components equal a separate Components walk.
 func FuzzCanonical(f *testing.F) {
 	for _, sql := range []string{
 		"SELECT name FROM city WHERE population > 1000000",
@@ -128,6 +131,11 @@ func FuzzCanonical(f *testing.F) {
 		"SELECT c.name FROM city c LEFT JOIN employees e ON c.name = e.countryCode AND 3 < e.id ORDER BY c.name DESC LIMIT 2 OFFSET 1",
 		"SELECT country, COUNT(*) FROM LLM.city GROUP BY country HAVING COUNT(*) > 2",
 		"SELECT e.id FROM DB.employees e CROSS JOIN city c WHERE e.id IN (1, 2) AND c.name LIKE 'R%' OR c.population IS NULL",
+		"SELECT name FROM city WHERE population > 5 AND (country = 'Italy' AND name < 'M')",
+		"SELECT name FROM city WHERE (population > 5 OR country = 'Italy') AND name < 'M'",
+		"SELECT name FROM city WHERE 5 < population",
+		"SELECT name FROM city WHERE name != 'O''Brien' AND population > -3",
+		"SELECT country, COUNT(*) FROM city GROUP BY country HAVING country = 'Italy'",
 	} {
 		f.Add(sql)
 	}
@@ -145,9 +153,33 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("%s: two renders differ:\n%s\n%s", sql, c.Fingerprint, again.Fingerprint)
 		}
 		var b strings.Builder
-		Render(&b, n, verbatim)
+		referenceRender(&b, n)
 		if b.String() != c.Fingerprint {
-			t.Fatalf("%s: Render %q, Canonicalize %q", sql, b.String(), c.Fingerprint)
+			t.Fatalf("%s: reference %q, Canonicalize %q", sql, b.String(), c.Fingerprint)
+		}
+		for _, s := range c.Slots {
+			if got := c.Fingerprint[s.Start:s.End]; got != s.Lit.String() {
+				t.Fatalf("%s: slot %q spans %q", sql, s.Text, got)
+			}
+		}
+		slots := 0
+		Walk(n, func(m Node) bool {
+			var cs []Conjunct
+			switch node := m.(type) {
+			case *Filter:
+				cs = node.conjs
+			case *Join:
+				cs = node.conjs
+			}
+			for i := range cs {
+				if cs[i].Col != nil {
+					slots++
+				}
+			}
+			return true
+		})
+		if len(c.Slots) != slots {
+			t.Fatalf("%s: %d slots, want one per column-op-literal conjunct, %d", sql, len(c.Slots), slots)
 		}
 		if c.Shape != nil {
 			if want := Fingerprint(c.Shape.From); c.Shape.FromKey != want {
@@ -158,4 +190,38 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatalf("%s: components %v, want %v", sql, c.Components, want)
 		}
 	})
+}
+
+// referenceRender writes n's canonical form as one recursive pass whose
+// predicates are written whole, e.String().
+func referenceRender(b *strings.Builder, n Node) {
+	b.WriteByte('(')
+	switch node := n.(type) {
+	case *Filter:
+		b.WriteString("Filter " + node.Cond.String())
+	case *Join:
+		b.WriteString(node.name())
+		if node.On != nil {
+			b.WriteString(" ON " + node.On.String())
+		}
+	case *Scan:
+		b.WriteString(node.Describe() + "|src=" + node.Source + "|key=" + node.Table.KeyColumn + "|cols=")
+		for _, c := range node.Table.Schema.Columns {
+			b.WriteString(c.Name + ":" + c.Type.String() + ",")
+		}
+	case *Distinct:
+		b.WriteString("Distinct|keycols=" + strconv.Itoa(node.KeyCols))
+	case *CachedScan:
+		b.WriteString(node.Describe() + "|src=" + node.Source + "|stamp=" + node.Stamp)
+	default:
+		b.WriteString(n.Describe())
+	}
+	left, right := Inputs(n)
+	if left != nil {
+		referenceRender(b, left)
+	}
+	if right != nil {
+		referenceRender(b, right)
+	}
+	b.WriteByte(')')
 }

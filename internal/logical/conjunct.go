@@ -31,6 +31,9 @@ type Conjunct struct {
 	// folds string literals: `country = 'Italy'` and `country = 'italy'`
 	// share one key.
 	Key string
+	// litLen is the length of the literal's rendering (Lit.String()) in
+	// Text: its start when Mirrored, else its end.
+	litLen int
 }
 
 // NewConjunct classifies one conjunct.
@@ -59,9 +62,9 @@ func NewConjunct(e ast.Expr) Conjunct {
 	l, r := bin.Left.String(), bin.Right.String()
 	c.Text = l + " " + bin.Op + " " + r
 	if c.Col != nil {
-		c.LitText = r
+		c.LitText, c.litLen = r, len(r)
 		if c.Mirrored {
-			c.LitText = l
+			c.LitText, c.litLen = l, len(l)
 		}
 		if k := c.Lit.Val.Kind(); k != value.KindInt && k != value.KindFloat {
 			c.LitText = c.Lit.Val.String()
@@ -69,6 +72,15 @@ func NewConjunct(e ast.Expr) Conjunct {
 		c.Key = strings.ToLower(c.Comparison())
 	}
 	return c
+}
+
+// litSpan returns the span [start, end) of Text that a column-op-literal
+// conjunct's literal rendering takes.
+func (c *Conjunct) litSpan() (int, int) {
+	if c.Mirrored {
+		return 0, c.litLen
+	}
+	return len(c.Text) - c.litLen, len(c.Text)
 }
 
 // classify appends e's AND-ed conjuncts to cs, left to right as

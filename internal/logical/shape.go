@@ -99,16 +99,7 @@ func Decompose(n Node) *Shape { return Canonicalize(n).Shape }
 // text is fromKey and label fromLabel, into base conjuncts and the upper
 // chain.
 func decompose(chain []Node, from Node, fromKey, fromLabel string) *Shape {
-	// Peel the run of Filters sitting directly on the FROM tree: those
-	// are the base conjuncts (WHERE, and HAVING when no aggregate
-	// intervenes). A Filter above an Aggregate stays in the upper chain.
-	base := len(chain)
-	for base > 0 {
-		if _, ok := chain[base-1].(*Filter); !ok {
-			break
-		}
-		base--
-	}
+	base := baseFilters(chain)
 	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel, Upper: chain[:base]}
 	for _, f := range chain[base:] {
 		for _, c := range f.(*Filter).conjs {
@@ -123,6 +114,21 @@ func decompose(chain []Node, from Node, fromKey, fromLabel string) *Shape {
 		sh.Producer = ok && p.Hidden == 0
 	}
 	return sh
+}
+
+// baseFilters returns the index in chain, the operator chain above a
+// FROM tree, of the run of Filters sitting directly on the FROM tree:
+// those are the base conjuncts (WHERE, and HAVING when no aggregate
+// intervenes). A Filter above an Aggregate stays in the upper chain.
+func baseFilters(chain []Node) int {
+	base := len(chain)
+	for base > 0 {
+		if _, ok := chain[base-1].(*Filter); !ok {
+			break
+		}
+		base--
+	}
+	return base
 }
 
 // fromOnly reports whether the subtree consists solely of Scan and Join

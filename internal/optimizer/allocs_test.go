@@ -15,3 +15,13 @@ func TestChooseAllocs(t *testing.T) {
 		t.Errorf("Choose allocates %.0f times per enumeration, want at most %d", allocs, ceiling)
 	}
 }
+
+// TestTemplateOfAllocs pins BenchmarkTemplateOf's allocations at their
+// measured count: a change that renders a parsed statement's plan again,
+// or allocates more while rendering it, fails here.
+func TestTemplateOfAllocs(t *testing.T) {
+	const ceiling = 40
+	if allocs := testing.AllocsPerRun(100, templateJoin(t)); allocs > ceiling {
+		t.Errorf("Canonicalize and TemplateOf allocate %.0f times, want at most %d", allocs, ceiling)
+	}
+}

@@ -253,12 +253,8 @@ func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Stat
 			return nil, nil
 		}
 	}
-	cs := make([]logical.Conjunct, len(g.sites))
-	for k, s := range g.sites {
-		cs[k] = t.slots[s.Slot]
-	}
 	points := assemblePoints(filterKeys, pushedKeys, g.joins, base.PromptPushdown)
-	best := &scored{label: label(points, g.mask), plan: logical.Rebind(g.lowered, g.sites, cs)}
+	best := &scored{label: label(points, g.mask), plan: logical.Rebind(g.lowered, g.sites, t.slots)}
 	cost := *g.cost
 	cost.Nodes = make(map[logical.Node]NodeEstimate, len(g.cost.Nodes))
 	refile(g.lowered, best.plan, g.cost.Nodes, cost.Nodes)

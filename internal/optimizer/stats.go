@@ -134,11 +134,16 @@ func (s *Statistics) Table(table string) TableStats {
 	return t
 }
 
-// selKey builds the lookup keys for one predicate: the exact literal form
-// and the (table, attr, op) family.
-func selKey(table, attr, op, lit string) (exact, family string) {
-	family = strings.ToLower(table) + "|" + strings.ToLower(attr) + "|" + op
-	return family + "|" + strings.ToLower(lit), family
+// appendSelKey appends the lookup key of one predicate's exact literal
+// form to dst — table, attr, op and lit joined by '|', all but op
+// lower-cased — and returns it with the length of its prefix that is the
+// (table, attr, op) family's key. Statistics snapshots persist both.
+func appendSelKey(dst []byte, table, attr, op, lit string) ([]byte, int) {
+	key := appendLower(dst, table)
+	key = appendLower(append(key, '|'), attr)
+	key = append(append(key, '|'), op...)
+	family := len(key)
+	return appendLower(append(key, '|'), lit), family
 }
 
 // Selectivity estimates the fraction of a table's tuples passing
@@ -148,14 +153,10 @@ func (s *Statistics) Selectivity(table, attr, op, lit string) float64 {
 	if s == nil {
 		return defaultSelectivity(op)
 	}
-	// The keys selKey builds, written into a stack buffer: the map
-	// lookups convert it without allocating.
+	// The keys are written into a stack buffer: the map lookups convert
+	// it without allocating.
 	var buf [128]byte
-	key := appendLower(buf[:0], table)
-	key = appendLower(append(key, '|'), attr)
-	key = append(append(key, '|'), op...)
-	family := len(key)
-	key = appendLower(append(key, '|'), lit)
+	key, family := appendSelKey(buf[:0], table, attr, op, lit)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if o, ok := s.sels[string(key)]; ok && o.count > 0 {
@@ -280,10 +281,12 @@ func (s *Statistics) ObserveFilter(table, attr, op, lit string, in, out int) {
 		return
 	}
 	sel := float64(out) / float64(in)
-	exact, family := selKey(table, attr, op, lit)
+	var buf [128]byte
+	key, family := appendSelKey(buf[:0], table, attr, op, lit)
+	exact := string(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, k := range []string{exact, family} {
+	for _, k := range []string{exact, exact[:family]} {
 		o := s.sels[k]
 		o.sum += sel
 		o.count++

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/logical"
@@ -94,5 +95,35 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if got := live.Table("mayor").Keys; got != 0 {
 		t.Errorf("restore did not fill gap: mayor Keys = %v, want 0", got)
+	}
+}
+
+// TestSelectivityKeys pins the selectivity keys a snapshot persists: the
+// table, attribute and literal lower-cased (non-ASCII text too), the
+// operator as given, joined by '|', and the family key without the
+// literal. A moved byte orphans every persisted observation.
+func TestSelectivityKeys(t *testing.T) {
+	st := NewStatistics()
+	st.ObserveFilter("City", "Name", "=", "'Zürich'", 10, 5)
+	st.ObserveFilter("STÄDTE", "Bürgermeister", "LIKE", "'ÉLISE%'", 10, 2)
+	st.ObserveFilter("city", "population", ">", "1000000", 10, 4)
+	var got []string
+	for k := range st.Snapshot().Selectivities {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{
+		"city|name|=",
+		"city|name|=|'zürich'",
+		"city|population|>",
+		"city|population|>|1000000",
+		"städte|bürgermeister|LIKE",
+		"städte|bürgermeister|LIKE|'élise%'",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("snapshot keys %q, want %q", got, want)
+	}
+	if sel := st.Selectivity("STÄDTE", "BÜRGERMEISTER", "LIKE", "'élise%'"); sel != 0.2 {
+		t.Errorf("Selectivity of a mixed-case non-ASCII key = %v, want 0.2", sel)
 	}
 }

@@ -17,7 +17,7 @@ func templateOf(t *testing.T, sql string) (*Template, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpl := TemplateOf(plan, "")
+	tpl := TemplateOf(logical.Canonicalize(plan), "")
 	return tpl, tpl.Distinct()
 }
 
@@ -100,12 +100,12 @@ func TestTemplateBind(t *testing.T) {
 		}
 		return plan
 	}
-	raw := TemplateOf(build(`SELECT name FROM city WHERE population > 40 AND elevation < 40`), "a|")
+	raw := TemplateOf(logical.Canonicalize(build(`SELECT name FROM city WHERE population > 40 AND elevation < 40`)), "a|")
 	if raw.Distinct() {
 		t.Fatal("a template repeating a literal is distinct")
 	}
 	for _, prefix := range []string{"a|", "other prefix|"} {
-		built := build(`SELECT name FROM city WHERE population > 5 AND elevation < 7`)
+		built := logical.Canonicalize(build(`SELECT name FROM city WHERE population > 5 AND elevation < 7`))
 		got := raw.Bind(built, prefix)
 		want := TemplateOf(built, prefix)
 		if !got.Distinct() || got.Key() != want.Key() || len(got.slots) != len(want.slots) {
@@ -117,7 +117,7 @@ func TestTemplateBind(t *testing.T) {
 			}
 		}
 	}
-	if raw.Bind(build(`SELECT name FROM city WHERE population > 9 AND elevation < 9`), "a|").Distinct() {
+	if raw.Bind(logical.Canonicalize(build(`SELECT name FROM city WHERE population > 9 AND elevation < 9`)), "a|").Distinct() {
 		t.Error("a bind repeating a literal is distinct")
 	}
 }
