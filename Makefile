@@ -34,7 +34,8 @@ race:
 # BENCH_paper.json, not benchmarks), then the front end's
 # (BenchmarkShape: the lexer pass that keys the shape memo;
 # BenchmarkParse: a full parse, one typical ad-hoc statement each), the
-# planner's
+# session's (BenchmarkResidualCandidates: the subsumption planning of one
+# consumer over a result cache holding its producers), the planner's
 # (BenchmarkChoose: one templated enumeration
 # of a two-conjunct join, as on a plan-cache miss, each candidate lowered
 # and estimated; BenchmarkTemplateOf: the same statement's one rendering
@@ -50,7 +51,7 @@ race:
 # cache substrate's (BenchmarkFlight: one led, settled and admitted miss
 # that evicts) and internal/serve's (BenchmarkServeExactHit: one warm
 # exact hit through the HTTP handler, buffered and NDJSON).
-BENCH_PKGS = . ./internal/sql/lexer ./internal/sql/parser ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
+BENCH_PKGS = . ./internal/sql/lexer ./internal/sql/parser ./internal/core ./internal/optimizer ./internal/llm ./internal/physical ./internal/gopool ./internal/rescache ./internal/lru ./internal/serve
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS)
 

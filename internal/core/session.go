@@ -118,7 +118,7 @@ func (s *Session) choose(q *query, extras []optimizer.ExtraPlan) (logical.Node, 
 			pc.misses.Add(1)
 			break
 		}
-		if plan, cost := g.Replan(q.built, tpl, o, s.rt.stats, s.res.params, extras); plan != nil {
+		if plan, cost := g.Replan(tpl, o, s.rt.stats, s.res.params, extras); plan != nil {
 			pc.hits.Add(1)
 			return plan, cost, nil
 		}
@@ -196,7 +196,8 @@ func (s *Session) Query(ctx context.Context, sql string) (*schema.Relation, *Rep
 // residualCandidates matches the incoming shape against the cache's
 // conjunct index and returns one pre-built residual plan per cached
 // relation that can answer it: same FROM tree, weaker-or-equal producer
-// conjuncts, same result-affecting options, and a residual chain that
+// conjuncts and same result-affecting options (the probe decides all
+// three), a residual safe to evaluate locally, and a residual chain that
 // compiles against the producer's output columns. The candidates then
 // compete in plan on estimated cost.
 func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []optimizer.ExtraPlan {
@@ -205,24 +206,14 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 		return nil
 	}
 	var extras []optimizer.ExtraPlan
-	for _, c := range rc.Subsumers(canon.Components, stamp, s.res.key, shape.FromKey, shape.Texts) {
-		residual, ok := logical.Subsumes(shape, c.Prod.FromKey, c.Prod.Conjuncts)
-		if !ok {
-			continue
-		}
-		// Residual conjuncts run as plain in-memory comparisons, so every
-		// one of them must be a conjunct direct execution also evaluates
-		// locally. A predicate the optimizer could lower to a per-key
-		// boolean prompt (LLMFilter) is answered by the model's semantic
-		// judgment, which need not agree with comparing the fetched
-		// attribute value — evaluating it locally would change results.
-		// Conjuncts the producer already applied are unaffected: they are
-		// matched, not re-evaluated.
-		if !residualsLocalSafe(residual, shape.From) {
+	for _, c := range rc.Subsumers(canon.Components, stamp, s.res.key, shape.FromKey, shape.Conjuncts) {
+		// Residual conjuncts run as in-memory comparisons: each must be one
+		// direct execution also evaluates locally, never a per-key prompt.
+		if !optimizer.ResidualLocalSafe(c.Residual, shape.From) {
 			continue
 		}
 		cs := logical.NewCachedScan(c.Prod.FromLabel, c.Key.Fingerprint, c.Key.Stamp, c.Rows, c.Schema)
-		plan, err := logical.BuildResidual(shape, cs, residual)
+		plan, err := logical.BuildResidual(shape, cs, c.Residual)
 		if err != nil {
 			continue
 		}
@@ -239,17 +230,6 @@ func (s *Session) residualCandidates(canon logical.Canonical, stamp string) []op
 		})
 	}
 	return extras
-}
-
-// residualsLocalSafe reports whether every residual conjunct is safe to
-// evaluate as a local comparison (see optimizer.ResidualLocalSafe).
-func residualsLocalSafe(residual []ast.Expr, from logical.Node) bool {
-	for _, c := range residual {
-		if !optimizer.ResidualLocalSafe(c, from) {
-			return false
-		}
-	}
-	return true
 }
 
 // errCachedEntryGone reports that a residual plan's backing cache entry

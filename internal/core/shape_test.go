@@ -127,9 +127,9 @@ func describeQuery(q *query) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "built:\n%sfingerprint: %s\ncomponents: %q\n", logical.Explain(q.built), q.canon.Fingerprint, q.canon.Components)
 	if sh := q.canon.Shape; sh != nil {
-		fmt.Fprintf(&b, "shape: from=%q key=%q label=%q texts=%q producer=%t\n", logical.Explain(sh.From), sh.FromKey, sh.FromLabel, sh.Texts, sh.Producer)
-		for i, e := range sh.Exprs {
-			fmt.Fprintf(&b, "expr %d: %s\n", i, e)
+		fmt.Fprintf(&b, "shape: from=%q key=%q label=%q producer=%t\n", logical.Explain(sh.From), sh.FromKey, sh.FromLabel, sh.Producer)
+		for i, c := range sh.Conjuncts {
+			fmt.Fprintf(&b, "conjunct %d: %q expr %s key %q\n", i, c.Text, c.Expr, c.Key)
 		}
 		for _, n := range sh.Upper {
 			fmt.Fprintf(&b, "upper: %s\n", n.Describe())

@@ -353,7 +353,10 @@ func (s *Session) openLead(ctx context.Context, q *query, stamp string, lead *re
 			Opts:      s.res.key,
 			FromKey:   shape.FromKey,
 			FromLabel: shape.FromLabel,
-			Conjuncts: shape.Texts,
+			Conjuncts: make([]string, len(shape.Conjuncts)),
+		}
+		for i := range shape.Conjuncts {
+			st.entry.Prod.Conjuncts[i] = shape.Conjuncts[i].Text
 		}
 	}
 	return st, nil

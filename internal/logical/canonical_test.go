@@ -90,30 +90,40 @@ func TestComponentsSortedAndDistinct(t *testing.T) {
 }
 
 // TestSubsumesResidual: the shape keeps each base conjunct once, in plan
-// order; a producer whose conjuncts the consumer's contain answers it with
-// the consumer's other conjuncts as the residual, while one with a
-// conjunct the consumer lacks, or over another FROM tree, does not — and
-// a rejection allocates nothing.
+// order, as its Filter classified it; a residual plan filters the cached
+// relation by the very conjuncts it is given, AND-ed left-deep, under
+// the shape's upper chain, and adds no Filter for an empty residual.
 func TestSubsumesResidual(t *testing.T) {
-	sh := Decompose(build(t, "SELECT name FROM city WHERE population > 5 AND name < 'M' AND population > 5"))
-	if len(sh.Texts) != 2 || len(sh.Exprs) != 2 || sh.Texts[0] != sh.Exprs[0].String() {
-		t.Fatalf("conjuncts %q, %d expressions: want 2, deduplicated and index for index", sh.Texts, len(sh.Exprs))
+	built := build(t, "SELECT name FROM city WHERE population > 5 AND name < 'M' AND population > 5")
+	sh := Decompose(built)
+	var filter *Filter
+	Walk(built, func(n Node) bool {
+		if f, ok := n.(*Filter); ok {
+			filter = f
+		}
+		return filter == nil
+	})
+	if fc := filter.Conjuncts(); len(sh.Conjuncts) != 2 || sh.Conjuncts[0].Expr != fc[0].Expr || sh.Conjuncts[1].Expr != fc[1].Expr {
+		t.Fatalf("conjuncts %+v: want the filter's first two, deduplicated by text", sh.Conjuncts)
 	}
-	if residual, ok := Subsumes(sh, sh.FromKey, sh.Texts[1:]); !ok || len(residual) != 1 || residual[0] != sh.Exprs[0] {
-		t.Errorf("weaker producer: residual %v, ok %v; want the first conjunct", residual, ok)
+	cs := NewCachedScan(sh.FromLabel, "producer", "s", 3, sh.From.Schema())
+	plan, err := BuildResidual(sh, cs, sh.Conjuncts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if residual, ok := Subsumes(sh, sh.FromKey, nil); !ok || len(residual) != 2 {
-		t.Errorf("unfiltered producer: residual %v, ok %v; want both conjuncts", residual, ok)
+	f, ok := plan.(*Project).Input.(*Filter)
+	if !ok || &f.Conjuncts()[0] != &sh.Conjuncts[0] || f.Input != cs {
+		t.Fatalf("residual plan:\n%s: want a Filter on the shape's conjuncts over the cached scan", Explain(plan))
 	}
-	stricter := []string{sh.Texts[0], "city.population > 6"}
-	if _, ok := Subsumes(sh, sh.FromKey, stricter); ok {
-		t.Error("a producer with a conjunct the consumer lacks subsumed it")
+	if got, want := f.Cond.String(), "population > 5 AND name < 'M'"; got != want {
+		t.Errorf("residual condition %q, want %q", got, want)
 	}
-	if _, ok := Subsumes(sh, "other", nil); ok {
-		t.Error("a producer over another FROM tree subsumed it")
+	plan, err = BuildResidual(sh, cs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { Subsumes(sh, sh.FromKey, stricter) }); allocs != 0 {
-		t.Errorf("rejected Subsumes: %.0f allocs, want 0", allocs)
+	if in := plan.(*Project).Input; in != cs {
+		t.Errorf("empty residual: %s under the projection, want the cached scan", in.Describe())
 	}
 }
 

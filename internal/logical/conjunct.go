@@ -74,6 +74,16 @@ func NewConjunct(e ast.Expr) Conjunct {
 	return c
 }
 
+// ContainsText reports whether one of cs renders as text.
+func ContainsText(cs []Conjunct, text string) bool {
+	for i := range cs {
+		if cs[i].Text == text {
+			return true
+		}
+	}
+	return false
+}
+
 // litSpan returns the span [start, end) of Text that a column-op-literal
 // conjunct's literal rendering takes.
 func (c *Conjunct) litSpan() (int, int) {

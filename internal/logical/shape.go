@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/schema"
-	"repro/internal/sql/ast"
 )
 
 // This file is the structured side of the plan's canonical form. The
@@ -71,12 +70,11 @@ type Shape struct {
 	// FromLabel renders the FROM tree for humans; EXPLAIN's
 	// "residual over cached(...)" nodes carry it.
 	FromLabel string
-	// Texts are the canonical texts of the AND-ed base-filter predicates
-	// directly above the FROM tree, in plan order, deduplicated: the unit
-	// of subsumption comparison. Exprs are those predicates, index for
-	// index, re-used to build residual filters.
-	Texts []string
-	Exprs []ast.Expr
+	// Conjuncts are the AND-ed base-filter predicates directly above the
+	// FROM tree, as their Filters classified them, in plan order and
+	// deduplicated by Text: the unit of subsumption comparison, and what
+	// a residual filter is built from.
+	Conjuncts []Conjunct
 	// Upper is the operator chain above the base filters, outermost
 	// first. For a plain filtered projection it is just [Project].
 	Upper []Node
@@ -103,9 +101,8 @@ func decompose(chain []Node, from Node, fromKey, fromLabel string) *Shape {
 	sh := &Shape{From: from, FromKey: fromKey, FromLabel: fromLabel, Upper: chain[:base]}
 	for _, f := range chain[base:] {
 		for _, c := range f.(*Filter).conjs {
-			if !slices.Contains(sh.Texts, c.Text) {
-				sh.Texts = append(sh.Texts, c.Text)
-				sh.Exprs = append(sh.Exprs, c.Expr)
+			if !ContainsText(sh.Conjuncts, c.Text) {
+				sh.Conjuncts = append(sh.Conjuncts, c)
 			}
 		}
 	}
@@ -156,44 +153,15 @@ func fromLabel(n Node) string {
 	}
 }
 
-// Subsumes reports whether a cached producer — over the FROM tree
-// identified by fromKey, filtered by producerConjuncts — can answer the
-// incoming shape, and returns the residual conjuncts the consumer must
-// still apply locally. The producer must be weaker-or-equal: every one
-// of its conjuncts appears (textually) among the incoming ones;
-// anything else risks the cached relation missing rows the incoming
-// query needs. Column coverage is not checked here — the residual plan
-// either compiles against the producer's output schema or the candidate
-// is discarded.
-func Subsumes(in *Shape, fromKey string, producerConjuncts []string) ([]ast.Expr, bool) {
-	if in == nil || in.FromKey != fromKey {
-		return nil, false
-	}
-	// Both lists are a query's handful of conjuncts: scans, not a map.
-	for _, t := range producerConjuncts {
-		if !slices.Contains(in.Texts, t) {
-			return nil, false
-		}
-	}
-	var residual []ast.Expr
-	for i, t := range in.Texts {
-		if !slices.Contains(producerConjuncts, t) {
-			residual = append(residual, in.Exprs[i])
-		}
-	}
-	return residual, true
-}
-
 // BuildResidual rebuilds the incoming shape's plan over a cached
 // relation: the upper chain is copied node-for-node (WithInput) onto a
-// residual Filter (the conjuncts the producer did not already apply)
-// over cs. Expressions are reused as-is; whether they resolve against
-// the producer's output schema is decided by compiling the returned
-// plan.
-func BuildResidual(in *Shape, cs *CachedScan, residual []ast.Expr) (Node, error) {
+// residual Filter over cs on the conjuncts the producer did not already
+// apply, as classified. Whether they resolve against the producer's
+// output schema is decided by compiling the returned plan.
+func BuildResidual(in *Shape, cs *CachedScan, residual []Conjunct) (Node, error) {
 	var out Node = cs
 	if len(residual) > 0 {
-		out = NewFilter(out, ast.And(residual))
+		out = FilterOf(out, residual)
 	}
 	for i := len(in.Upper) - 1; i >= 0; i-- {
 		n, err := WithInput(in.Upper[i], out)

@@ -10,7 +10,7 @@ import "testing"
 // TestChooseAllocs pins BenchmarkChoose's allocations at their measured
 // count: a planner change that allocates more per candidate fails here.
 func TestChooseAllocs(t *testing.T) {
-	const ceiling = 523
+	const ceiling = 500
 	if allocs := testing.AllocsPerRun(20, chooseJoin(t)); allocs > ceiling {
 		t.Errorf("Choose allocates %.0f times per enumeration, want at most %d", allocs, ceiling)
 	}

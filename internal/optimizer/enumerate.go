@@ -47,8 +47,10 @@ type ExtraPlan struct {
 // With a template t (cost-based only), every statistics and cost-hook
 // read the candidates make is recorded, and the choice comes back with
 // its guards for Replan. The Guarded is nil without t, and when the
-// choice cannot be replayed: a read changed its answer mid-enumeration,
-// or a decision point is not a slot's conjunct.
+// choice cannot be replayed: built's ON predicates are not left-deep (a
+// bind would not reproduce their nesting, which t keeps), a read changed
+// its answer mid-enumeration, or a decision point is not a slot's
+// conjunct.
 func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extras []ExtraPlan, t *Template) (logical.Node, *PlanCost, *Guarded, error) {
 	if st == nil {
 		st = NewStatistics()
@@ -63,7 +65,7 @@ func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extr
 		return plan, cost, nil, nil
 	}
 	var rec *recorder
-	if t != nil {
+	if t != nil && logical.LeftDeep(built) {
 		rec = &recorder{t: t, seen: map[read]int{}}
 	}
 
@@ -82,16 +84,16 @@ func Choose(built logical.Node, base Options, st *Statistics, p CostParams, extr
 	}
 	var best *scored
 	for mask := 0; mask < 1<<len(points); mask++ {
-		c, label := candidate(points, mask)
-		plan, err := optimizeWith(built, base, c, src)
+		plan, err := optimizeWith(built, base, candidate(points, mask), src)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		cost := estimate(plan, src, cp)
 		if best == nil || less(cost, best.cost) {
-			best = &scored{plan: plan, cost: cost, label: label, mask: mask}
+			best = &scored{plan: plan, cost: cost, mask: mask}
 		}
 	}
+	best.label = label(points, best.mask)
 	enumerated := 1 << len(points)
 	if rec != nil {
 		rec.decided(filterKeys, pushedKeys, joins, best.mask, enumerated, best.plan, best.cost)
@@ -179,8 +181,8 @@ func assemblePoints(filterKeys, pushedKeys []string, joins int, pushdown bool) [
 }
 
 // candidate renders one mask over the decision points as the decisions
-// that lower it and its choice label.
-func candidate(points []choicePoint, mask int) (choice, string) {
+// that lower it.
+func candidate(points []choicePoint, mask int) choice {
 	var c choice
 	for i, pt := range points {
 		if mask&(1<<i) == 0 {
@@ -195,7 +197,7 @@ func candidate(points []choicePoint, mask int) (choice, string) {
 			c.swap = with(c.swap, pt.join)
 		}
 	}
-	return c, label(points, mask)
+	return c
 }
 
 // label renders one mask over the decision points as its choice label.

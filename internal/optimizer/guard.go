@@ -154,15 +154,14 @@ func (r *recorder) note(rd read, a answer) {
 
 // decided records the enumeration's decision points and winner, the
 // plan lowered and its estimate. It records no choice a bind cannot map
-// (Replan): a decision point or a lowered conjunct that is no slot's, or
-// a join's ON that is not left-deep.
+// (Replan): a decision point or a lowered conjunct that is no slot's.
 func (r *recorder) decided(filterKeys, pushedKeys []string, joins, mask, candidates int, lowered logical.Node, cost *PlanCost) {
 	fetch, ok := r.slotsOf(filterKeys)
 	if !ok {
 		return
 	}
 	push, ok := r.slotsOf(pushedKeys)
-	if !ok || !logical.LeftDeep(lowered) {
+	if !ok {
 		return
 	}
 	sites, ok := r.sitesOf(lowered, make([]logical.Site, 0, len(r.t.slots)))
@@ -222,22 +221,21 @@ func (r *recorder) slotsOf(keys []string) ([]int, bool) {
 	return slots, true
 }
 
-// Replan plans built, a statement of the template g was recorded under,
+// Replan plans t's statement, one of the template g was recorded under,
 // with g's choice when every guard holds for t's literals, and the
 // extras compete as in Choose. The plan is the recorded winner with t's
 // slot conjuncts bound in (logical.Rebind), and its estimate the
 // recorded one, each operator's filed under its bound copy: under held
 // guards every read the lowering (the filter order included) and the
 // estimate made answers as it did, so they decide and price as they
-// did. It returns a nil plan when a guard fails, the statement's
-// decision points fall in another order, or built's ON predicates are
-// not left-deep (a bind would not reproduce their nesting); the caller
-// then enumerates afresh.
-func (g *Guarded) Replan(built logical.Node, t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost) {
+// did. It returns a nil plan when a guard fails or the statement's
+// decision points fall in another order; the caller then enumerates
+// afresh.
+func (g *Guarded) Replan(t *Template, base Options, st *Statistics, p CostParams, extras []ExtraPlan) (logical.Node, *PlanCost) {
 	if st == nil {
 		st = NewStatistics()
 	}
-	if len(t.slots) != g.slots || !logical.LeftDeep(built) {
+	if len(t.slots) != g.slots {
 		return nil, nil
 	}
 	filterKeys, ok := g.keys(t, g.fetch)

@@ -502,32 +502,34 @@ func bindingName(n logical.Node, lower string) string {
 }
 
 // ResidualLocalSafe reports whether direct execution is guaranteed to
-// evaluate conjunct c as a plain in-memory comparison in every candidate
-// plan over the given FROM tree. Simple column-vs-literal comparisons on
-// non-key attributes of LLM-backed scans are NOT safe: the engine may
-// lower them to per-key boolean prompts (LLMFilter), whose semantic
-// judgment is authoritative and need not agree with a literal comparison
-// against fetched attribute values. The semantic result cache therefore
-// refuses to evaluate such a conjunct locally in a residual plan —
-// subsumption only fires when the cached producer already applied them.
-func ResidualLocalSafe(c ast.Expr, from logical.Node) bool {
-	cmp := logical.NewConjunct(c)
-	if cmp.Col == nil {
-		return true
+// evaluate every residual conjunct as a plain in-memory comparison in
+// every candidate plan over the given FROM tree. A column-vs-literal
+// comparison on a non-key attribute of an LLM-backed scan is NOT: the
+// engine may lower it to a per-key boolean prompt (LLMFilter), whose
+// semantic judgment need not agree with comparing fetched values, so a
+// residual plan never evaluates one locally; only a producer that
+// already applied it can answer such a query.
+func ResidualLocalSafe(residual []logical.Conjunct, from logical.Node) bool {
+	var o *optimizer
+	for _, c := range residual {
+		if c.Col == nil {
+			continue
+		}
+		if o == nil {
+			o = &optimizer{bindings: bindingsOf(from)}
+		}
+		binding, ok := o.bindingOf(c.Col)
+		if !ok {
+			// Unresolvable or ambiguous reference: refuse rather than guess.
+			return false
+		}
+		// The key column is materialized by every LLM scan, so a predicate
+		// on it always runs as a local filter.
+		if info := o.bindings[binding]; info.source == "LLM" && !strings.EqualFold(c.Col.Name, info.def.KeyColumn) {
+			return false
+		}
 	}
-	o := &optimizer{bindings: bindingsOf(from)}
-	binding, ok := o.bindingOf(cmp.Col)
-	if !ok {
-		// Unresolvable or ambiguous reference: refuse rather than guess.
-		return false
-	}
-	info := o.bindings[binding]
-	if info.source != "LLM" {
-		return true
-	}
-	// The key column is materialized by every LLM scan, so a predicate on
-	// it always runs as a local filter.
-	return strings.EqualFold(cmp.Col.Name, info.def.KeyColumn)
+	return true
 }
 
 // llmFilterable reports whether conjunct c can run as a per-key boolean

@@ -371,12 +371,11 @@ func candidateCosts(t *testing.T, built logical.Node, base Options, st *Statisti
 	points := assemblePoints(filterKeys, pushedKeys, joins, base.PromptPushdown)
 	costs := map[string]*PlanCost{}
 	for mask := 0; mask < 1<<len(points); mask++ {
-		c, label := candidate(points, mask)
-		plan, err := optimizeWith(built, base, c, st)
+		plan, err := optimizeWith(built, base, candidate(points, mask), st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs[label] = estimate(plan, st, p)
+		costs[label(points, mask)] = estimate(plan, st, p)
 	}
 	return costs
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logical"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -41,8 +42,9 @@ func fuzzTexts(mask, rot byte) []string {
 
 // linearSubsumers is the probe's oracle: a scan of every resident entry,
 // kept when it is a producer of the consumer's group whose conjuncts the
-// consumer's contain, fewest rows first and fingerprint-ordered on ties.
-func linearSubsumers(resident []Dumped, tables []string, stamp, opts, fromKey string, texts []string) []Candidate {
+// consumer's contain, fewest rows first and fingerprint-ordered on ties,
+// with the consumer's other conjuncts, in its order, as the residual.
+func linearSubsumers(resident []Dumped, tables []string, stamp, opts, fromKey string, cs []logical.Conjunct) []Candidate {
 	var out []Candidate
 	for _, d := range resident {
 		e := d.Entry
@@ -52,11 +54,18 @@ func linearSubsumers(resident []Dumped, tables []string, stamp, opts, fromKey st
 		}
 		subset := true
 		for _, t := range e.Prod.Conjuncts {
-			subset = subset && slices.Contains(texts, t)
+			subset = subset && slices.ContainsFunc(cs, func(c logical.Conjunct) bool { return c.Text == t })
 		}
-		if subset {
-			out = append(out, Candidate{Key: d.Key, Rows: e.Rel.Cardinality(), Schema: e.Rel.Schema, Prod: *e.Prod})
+		if !subset {
+			continue
 		}
+		var rest []logical.Conjunct
+		for _, c := range cs {
+			if !slices.Contains(e.Prod.Conjuncts, c.Text) {
+				rest = append(rest, c)
+			}
+		}
+		out = append(out, Candidate{Key: d.Key, Rows: e.Rel.Cardinality(), Schema: e.Rel.Schema, Prod: *e.Prod, Residual: rest})
 	}
 	slices.SortFunc(out, func(a, b Candidate) int {
 		if a.Rows != b.Rows {
@@ -68,12 +77,19 @@ func linearSubsumers(resident []Dumped, tables []string, stamp, opts, fromKey st
 }
 
 // sameCandidates reports whether a and b list the same entries, with the
-// same metadata, in the same order.
+// same metadata and residuals, in the same order.
 func sameCandidates(a, b []Candidate) bool {
 	return slices.EqualFunc(a, b, func(x, y Candidate) bool {
 		return x.Key == y.Key && x.Rows == y.Rows && x.Schema == y.Schema && x.Prod.Opts == y.Prod.Opts &&
-			x.Prod.FromKey == y.Prod.FromKey && x.Prod.FromLabel == y.Prod.FromLabel && slices.Equal(x.Prod.Conjuncts, y.Prod.Conjuncts)
+			x.Prod.FromKey == y.Prod.FromKey && x.Prod.FromLabel == y.Prod.FromLabel && slices.Equal(x.Prod.Conjuncts, y.Prod.Conjuncts) &&
+			slices.EqualFunc(x.Residual, y.Residual, func(p, q logical.Conjunct) bool { return p.Text == q.Text })
 	})
+}
+
+// sameKeys reports whether a and b list the same entries in the same
+// order.
+func sameKeys(a, b []Candidate) bool {
+	return slices.EqualFunc(a, b, func(x, y Candidate) bool { return x.Key == y.Key })
 }
 
 // FuzzSubsumptionIndex is the differential check of the conjunct index.
@@ -83,9 +99,11 @@ func sameCandidates(a, b []Candidate) bool {
 // the LRU, a stamp bump alone, or InvalidateComponent. Capacity 6 makes
 // inserts evict. After every operation, the probe of every consumer —
 // every table set, resident or current stamp, options prefix, FROM tree
-// and conjunct subset — must return exactly what linearSubsumers returns,
-// in the same order, and the index must file exactly the resident
-// producers.
+// and conjunct subset, each in every rotation — must return exactly what
+// linearSubsumers returns, in the same order, and the index must file
+// exactly the resident producers. Metamorphically, the order a consumer
+// lists its conjuncts in must not change which producers answer it: every
+// rotation of one conjunct set finds the same candidates.
 func FuzzSubsumptionIndex(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := make([]byte, 96)
@@ -133,7 +151,9 @@ func FuzzSubsumptionIndex(f *testing.F) {
 }
 
 // checkProbes compares the probe with linearSubsumers for every consumer
-// of the fuzz alphabet, under each resident stamp and the current one.
+// of the fuzz alphabet, under each resident stamp and the current one,
+// and the probes of every rotation of one consumer's conjuncts with each
+// other.
 func checkProbes(t *testing.T, c *Cache, ep *epochs) {
 	t.Helper()
 	stamps := map[string][]string{}
@@ -152,10 +172,19 @@ func checkProbes(t *testing.T, c *Cache, ep *epochs) {
 			for _, opts := range fuzzOpts {
 				for _, from := range fuzzFroms {
 					for mask := byte(0); mask < 16; mask++ {
-						texts := fuzzTexts(mask, 0)
-						got := c.Subsumers(tables, stamp, opts, from, texts)
-						if want := linearSubsumers(resident, tables, stamp, opts, from, texts); !sameCandidates(got, want) {
-							t.Errorf("probe %v %q %q %q %q:\n got %v\nwant %v", tables, stamp, opts, from, texts, got, want)
+						var first []Candidate
+						for rot := range byte(max(1, len(fuzzTexts(mask, 0)))) {
+							texts := fuzzTexts(mask, rot)
+							cs := conjs(texts...)
+							got := c.Subsumers(tables, stamp, opts, from, cs)
+							if want := linearSubsumers(resident, tables, stamp, opts, from, cs); !sameCandidates(got, want) {
+								t.Errorf("probe %v %q %q %q %q:\n got %v\nwant %v", tables, stamp, opts, from, texts, got, want)
+							}
+							if rot == 0 {
+								first = got
+							} else if !sameKeys(got, first) {
+								t.Errorf("probe %v %q %q %q %q finds other producers than rotation 0:\n got %v\nwant %v", tables, stamp, opts, from, texts, got, first)
+							}
 						}
 					}
 				}

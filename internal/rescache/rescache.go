@@ -16,9 +16,10 @@
 // a group a producer is filed under its first conjunct text, or on the
 // group's free list when it has none. A producer can answer a consumer
 // only when every one of its conjuncts is among the consumer's, so a
-// probe visits the free list and the producers filed under the
-// consumer's own texts, and checks only their remaining conjuncts. This
-// is an inverted file for set containment (after Helmer & Moerkotte's
+// probe visits the free list and the producers filed under the consumer's
+// own conjuncts, and checks only their remaining ones; the probe is the
+// whole match, and returns each candidate with its residual. This is an
+// inverted file for set containment (after Helmer & Moerkotte's
 // set-containment joins, VLDB 1997) in the role of view matching's filter
 // tree (Goldstein & Larson, SIGMOD 2001): a miss over a full cache costs
 // a few map lookups, not a scan of every relation over the same tables.
@@ -67,6 +68,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/logical"
 	"repro/internal/lru"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -103,10 +105,11 @@ type Producer struct {
 	// FROM tree; FromLabel its human rendering.
 	FromKey   string
 	FromLabel string
-	// Conjuncts are the distinct canonical texts of the base-filter
-	// predicates the producer applied. A consumer whose conjunct set
-	// contains all of them is answerable from this entry; the conjunct
-	// index files the entry under the first.
+	// Conjuncts are the distinct texts (logical.Conjunct.Text) of the
+	// base-filter conjuncts the producer applied, kept as text because
+	// the durable store persists them. A consumer whose conjuncts render
+	// all of them is answerable from this entry; the conjunct index files
+	// the entry under the first.
 	Conjuncts []string
 }
 
@@ -436,28 +439,32 @@ type Candidate struct {
 	Schema *schema.Schema
 	// Prod shares its Conjuncts with the resident entry (read-only).
 	Prod Producer
+	// Residual is the consumer's conjuncts Prod did not apply, in the
+	// consumer's order: what a residual plan still filters by.
+	Residual []logical.Conjunct
 }
 
 // Subsumers returns the resident producers that can answer a consumer
 // reading the sorted component set tables under stamp, with options
-// prefix opts, FROM tree fromKey and the distinct conjunct texts texts:
-// the producers of that group whose every conjunct is among texts. They
-// come fewest rows first (a smaller cached relation makes a cheaper
-// residual scan), fingerprint-ordered on ties, so candidate order — and
-// therefore plan choice on cost ties — is deterministic.
+// prefix opts, FROM tree fromKey and the conjuncts conjs, distinct by
+// Text (logical.Shape.Conjuncts): the producers of that group whose every
+// conjunct is among conjs, each with its residual. They come fewest rows
+// first (a smaller cached relation makes a cheaper residual scan),
+// fingerprint-ordered on ties, so candidate order — and therefore plan
+// choice on cost ties — is deterministic.
 //
 // The probe reads the conjunct index: it visits the group's free list
-// and the producers filed under each of texts, checks each one's
+// and the producers filed under each of conjs, checks each one's
 // remaining conjuncts by a linear scan, and copies out and sorts only
 // the survivors. A probe that finds nothing allocates nothing but, for a
 // consumer of several tables, the joined table-set key.
-func (c *Cache) Subsumers(tables []string, stamp, opts, fromKey string, texts []string) []Candidate {
+func (c *Cache) Subsumers(tables []string, stamp, opts, fromKey string, conjs []logical.Conjunct) []Candidate {
 	c.mu.Lock()
 	var out []Candidate
 	if g := c.groups[group{tablesKey(tables), stamp, opts, fromKey}]; g != nil {
-		out = appendCovered(out, g[""], texts)
-		for _, t := range texts {
-			out = appendCovered(out, g[t], texts)
+		out = appendCovered(out, g[""], conjs)
+		for i := range conjs {
+			out = appendCovered(out, g[conjs[i].Text], conjs)
 		}
 	}
 	c.mu.Unlock()
@@ -470,28 +477,41 @@ func (c *Cache) Subsumers(tables []string, stamp, opts, fromKey string, texts []
 	return out
 }
 
-// appendCovered appends to out the producers of list, each filed under
-// one of texts or on the free list, whose other conjuncts are among texts
-// too.
-func appendCovered(out []Candidate, list []*node, texts []string) []Candidate {
+// appendCovered appends to out, with their residuals, the producers of
+// list, each filed under one of conjs or on the free list, whose other
+// conjuncts are among conjs too.
+func appendCovered(out []Candidate, list []*node, conjs []logical.Conjunct) []Candidate {
 	for _, n := range list {
 		e := n.Val
-		if containsAll(texts, e.Prod.Conjuncts[min(1, len(e.Prod.Conjuncts)):]) {
-			out = append(out, Candidate{Key: n.Key, Rows: e.Rel.Cardinality(), Schema: e.Rel.Schema, Prod: *e.Prod})
+		if containsAll(conjs, e.Prod.Conjuncts[min(1, len(e.Prod.Conjuncts)):]) {
+			out = append(out, Candidate{Key: n.Key, Rows: e.Rel.Cardinality(), Schema: e.Rel.Schema, Prod: *e.Prod,
+				Residual: residual(conjs, e.Prod.Conjuncts)})
 		}
 	}
 	return out
 }
 
-// containsAll reports whether every one of sub is among texts. Both are
-// a query's handful of conjuncts, so a linear scan beats hashing.
-func containsAll(texts, sub []string) bool {
-	for _, t := range sub {
-		if !slices.Contains(texts, t) {
+// containsAll reports whether every one of texts is among conjs. Both
+// are a query's handful of conjuncts, so a linear scan beats hashing.
+func containsAll(conjs []logical.Conjunct, texts []string) bool {
+	for _, t := range texts {
+		if !logical.ContainsText(conjs, t) {
 			return false
 		}
 	}
 	return true
+}
+
+// residual returns the conjuncts of conjs whose text is not among
+// applied (distinct and within conjs), in conjs' order.
+func residual(conjs []logical.Conjunct, applied []string) []logical.Conjunct {
+	out := make([]logical.Conjunct, 0, max(0, len(conjs)-len(applied)))
+	for i := range conjs {
+		if !slices.Contains(applied, conjs[i].Text) {
+			out = append(out, conjs[i])
+		}
+	}
+	return out
 }
 
 // Subsumed fetches the entry a winning residual plan reads, counting a

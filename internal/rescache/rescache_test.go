@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logical"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -30,6 +31,16 @@ func entryT(tables []string, cells ...string) *Entry {
 	e := entry(cells...)
 	e.Tables = tables
 	return e
+}
+
+// conjs returns a consumer's conjuncts with the given texts, as a probe
+// reads them.
+func conjs(texts ...string) []logical.Conjunct {
+	out := make([]logical.Conjunct, len(texts))
+	for i, t := range texts {
+		out[i].Text = t
+	}
+	return out
 }
 
 // fill is one full two-phase read: the cached or shared entry when
@@ -345,7 +356,7 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	if got := c.Subsumers(city, "s", "o|", "from", nil); len(got) != 1 || got[0].Key.Fingerprint != "big" {
 		t.Errorf("a consumer without c.pop > 5 got %v, want only big", got)
 	}
-	got := c.Subsumers(city, "s", "o|", "from", []string{"c.pop > 5"})
+	got := c.Subsumers(city, "s", "o|", "from", conjs("c.pop > 5"))
 	if len(got) != 2 {
 		t.Fatalf("candidates = %d, want 2", len(got))
 	}
@@ -357,6 +368,9 @@ func TestCandidatesAndSubsumed(t *testing.T) {
 	}
 	if got[1].Prod.FromLabel != "LLM.city AS c" {
 		t.Errorf("producer metadata lost: %+v", got[1].Prod)
+	}
+	if len(got[0].Residual) != 0 || len(got[1].Residual) != 1 || got[1].Residual[0].Text != "c.pop > 5" {
+		t.Errorf("residuals %v, %v; want none for small and c.pop > 5 for big", got[0].Residual, got[1].Residual)
 	}
 
 	e, ok := c.Subsumed(Key{Fingerprint: "big", Stamp: "s"})
@@ -729,7 +743,7 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 		case <-deadline:
 			done = true
 		default:
-			for _, cand := range c.Subsumers(city, ep.current(city), "o|", "from", []string{"c > 2", "c > 1"}) {
+			for _, cand := range c.Subsumers(city, ep.current(city), "o|", "from", conjs("c > 2", "c > 1")) {
 				if len(cand.Prod.Conjuncts) != 1 || cand.Schema == nil {
 					t.Errorf("torn candidate: %+v", cand)
 				}
@@ -744,9 +758,9 @@ func TestCandidatesConcurrentWithInserts(t *testing.T) {
 // residentProducers fills a cache with 256 producers over one table set
 // and stamp, as a server's full result cache holds them: 4 FROM trees,
 // each entry filed under its own population threshold. It returns the
-// texts of a consumer that finds none of them and of one that finds
+// conjuncts of a consumer that finds none of them and of one that finds
 // producer 7 (and no other).
-func residentProducers() (c *Cache, miss, hit []string) {
+func residentProducers() (c *Cache, miss, hit []logical.Conjunct) {
 	c = New(Config{Capacity: 256})
 	for i := 0; i < 256; i++ {
 		e := entryT([]string{"llm:city"}, "a", "b", "c", "d")
@@ -754,7 +768,7 @@ func residentProducers() (c *Cache, miss, hit []string) {
 			Conjuncts: []string{fmt.Sprintf("c.pop > %d", i), "c.country = 'x'"}}
 		fill(c, Key{Fingerprint: fmt.Sprintf("f%d", i), Stamp: "s"}, e)
 	}
-	return c, []string{"c.pop > 999", "c.country = 'x'"}, []string{"c.name < 'M'", "c.pop > 7", "c.country = 'x'"}
+	return c, conjs("c.pop > 999", "c.country = 'x'"), conjs("c.name < 'M'", "c.pop > 7", "c.country = 'x'")
 }
 
 // BenchmarkCandidates measures one planning pass's subsumption probe over
@@ -765,13 +779,13 @@ func BenchmarkCandidates(b *testing.B) {
 	city := []string{"llm:city"}
 	for _, bc := range []struct {
 		name  string
-		texts []string
+		conjs []logical.Conjunct
 		want  int
 	}{{"miss", miss, 0}, {"residual", hit, 1}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if got := c.Subsumers(city, "s", "o|", "from3", bc.texts); len(got) != bc.want {
+				if got := c.Subsumers(city, "s", "o|", "from3", bc.conjs); len(got) != bc.want {
 					b.Fatalf("candidates = %d, want %d", len(got), bc.want)
 				}
 			}
